@@ -101,15 +101,18 @@ fn bench_e3_syscalls_real_hw() {
     ] {
         chanos_parchan::set_default_chan_mode(mode);
         let rt = Runtime::new(4);
-        let os = rt.block_on(async {
-            boot(BootCfg::new(
+        // `env()` starts the process's kernel task, so it needs the
+        // runtime: make it inside `block_on`, with the boot.
+        let (os, env) = rt.block_on(async {
+            let os = boot(BootCfg::new(
                 KernelKind::Message,
                 FsKind::Message,
                 (0..2).map(CoreId).collect(),
             ))
-            .await
+            .await;
+            let env = os.procs.env();
+            (os, env)
         });
-        let env = os.procs.env();
         {
             let rt = rt.clone();
             bench(name, budget, move || rt.block_on(env.getpid()));
@@ -119,15 +122,16 @@ fn bench_e3_syscalls_real_hw() {
         chanos_parchan::set_default_chan_mode(ChanMode::LockFree);
     }
     let rt = Runtime::new(4);
-    let os = rt.block_on(async {
-        boot(BootCfg::new(
+    let (os, env) = rt.block_on(async {
+        let os = boot(BootCfg::new(
             KernelKind::Message,
             FsKind::Message,
             (0..2).map(CoreId).collect(),
         ))
-        .await
+        .await;
+        let env = os.procs.env();
+        (os, env)
     });
-    let env = os.procs.env();
     {
         // Pipelined null syscalls: the server drains the burst and
         // publishes all replies under one coalesced wake per peer
@@ -147,12 +151,13 @@ fn bench_e3_syscalls_real_hw() {
             chanos_parchan::chan_counter("chan.reply_wakes_coalesced") - before
         );
     }
-    let env = os.procs.env();
     {
-        let env = env.clone();
         let rt = rt.clone();
-        rt.block_on(async {
+        // A second process, so a kernel task of its own.
+        let env = rt.block_on(async {
+            let env = os.procs.env();
             env.mkdir("/bench").await.unwrap();
+            env
         });
         let mut n = 0u64;
         bench("create_write_read_close", budget, move || {
@@ -259,15 +264,16 @@ fn bench_syscall_depth_sweep() -> SyscallSweep {
     println!("|---|---|---|---|---|");
 
     let rt = Runtime::new(4);
-    let os = rt.block_on(async {
-        boot(BootCfg::new(
+    let (os, env) = rt.block_on(async {
+        let os = boot(BootCfg::new(
             KernelKind::Message,
             FsKind::Message,
             (0..2).map(CoreId).collect(),
         ))
-        .await
+        .await;
+        let env = os.procs.env();
+        (os, env)
     });
-    let env = os.procs.env();
     // A zero-length file: every pipelined read is an identical full
     // trip through syscall server -> vnode -> reply.
     let fd = rt.block_on(async {
@@ -304,15 +310,16 @@ fn bench_syscall_depth_sweep() -> SyscallSweep {
     let mut scaling: Vec<(usize, f64, f64)> = Vec::new();
     for &w in &worker_sweep() {
         let rt = Runtime::new(w);
-        let os = rt.block_on(async {
-            boot(BootCfg::new(
+        let (os, env) = rt.block_on(async {
+            let os = boot(BootCfg::new(
                 KernelKind::Message,
                 FsKind::Message,
                 (0..2).map(CoreId).collect(),
             ))
-            .await
+            .await;
+            let env = os.procs.env();
+            (os, env)
         });
-        let env = os.procs.env();
         let fd = rt.block_on(async {
             env.mkdir("/sweepw").await.unwrap();
             env.create("/sweepw/empty").await.unwrap()

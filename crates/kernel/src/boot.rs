@@ -39,7 +39,7 @@ pub struct BootCfg {
     pub kernel: KernelKind,
     /// File-system engine.
     pub fs: FsKind,
-    /// Cores reserved for kernel services (syscall servers, FS
+    /// Cores reserved for kernel services (per-process kernel tasks, FS
     /// servers, drivers). Must be non-empty for the message kernel.
     pub kernel_cores: Vec<CoreId>,
     /// Disk size in blocks.
@@ -142,7 +142,7 @@ pub async fn boot(cfg: BootCfg) -> Os {
     };
 
     let kernel = match cfg.kernel {
-        KernelKind::Message => KernelHandle::Msg(MsgKernel::spawn(
+        KernelKind::Message => KernelHandle::Msg(MsgKernel::new(
             vfs.clone(),
             cfg.costs.clone(),
             &cfg.kernel_cores,

@@ -4,9 +4,9 @@
 //! *"Existing single-threaded code that is not performance critical
 //! can run unchanged."* `CompatFile` presents blocking-looking
 //! open/read/write/close; underneath, each call is one synchronous
-//! round trip to a syscall server. Experiment E12 measures the cost
-//! of running such unmodified code versus code restructured to
-//! pipeline its requests.
+//! round trip to the process's kernel task. Experiment E12 measures
+//! the cost of running such unmodified code versus code restructured
+//! to pipeline its requests.
 
 use crate::env::Env;
 use crate::types::{Fd, KError};

@@ -31,7 +31,7 @@ use crate::types::{Fd, KError, Pid};
 /// Which kernel a process talks to.
 #[derive(Clone)]
 pub enum KernelHandle {
-    /// System calls are messages to kernel-core servers.
+    /// System calls are messages to the process's kernel task.
     Msg(MsgKernel),
     /// System calls trap and run on the caller's core.
     Trap(Arc<TrapKernel>),
@@ -43,30 +43,46 @@ fn flatten<T>(r: Result<Result<T, KError>, CallError>) -> Result<T, KError> {
     r.unwrap_or_else(|e| Err(e.into()))
 }
 
-/// A process's view of the OS.
+/// A process's end of its kernel.
+#[derive(Clone)]
+enum Attached {
+    /// The port of the process's kernel task.
+    Msg(Port<Syscall>),
+    Trap(Arc<TrapKernel>),
+}
+
+/// A process's view of the OS. Clones are the same process: on the
+/// message kernel they share one kernel task and one fd table, which
+/// go away when the last clone (and the last batch made from one) is
+/// dropped.
 #[derive(Clone)]
 pub struct Env {
     /// This process's id.
     pub pid: Pid,
-    kernel: KernelHandle,
+    kernel: Attached,
 }
 
 impl Env {
-    /// Builds an environment for `pid` over the given kernel.
+    /// Builds an environment for `pid` over the given kernel. On the
+    /// message kernel this starts the process's kernel task
+    /// ([`MsgKernel::attach`]), so it must run inside a runtime.
     pub fn new(pid: Pid, kernel: KernelHandle) -> Env {
+        let kernel = match kernel {
+            KernelHandle::Msg(k) => Attached::Msg(k.attach(pid)),
+            KernelHandle::Trap(k) => Attached::Trap(k),
+        };
         Env { pid, kernel }
     }
 
     /// Opens an existing file.
     pub async fn open(&self, path: &str) -> Result<Fd, KError> {
         match &self.kernel {
-            KernelHandle::Trap(k) => k.open(self.pid, path).await,
-            KernelHandle::Msg(k) => {
+            Attached::Trap(k) => k.open(self.pid, path).await,
+            Attached::Msg(k) => {
                 let pid = self.pid;
                 let path = path.to_string();
                 flatten(
-                    k.server_for(pid)
-                        .call(move |reply| Syscall::Open { pid, path, reply })
+                    k.call(move |reply| Syscall::Open { pid, path, reply })
                         .await,
                 )
             }
@@ -76,13 +92,12 @@ impl Env {
     /// Creates and opens a file.
     pub async fn create(&self, path: &str) -> Result<Fd, KError> {
         match &self.kernel {
-            KernelHandle::Trap(k) => k.create(self.pid, path).await,
-            KernelHandle::Msg(k) => {
+            Attached::Trap(k) => k.create(self.pid, path).await,
+            Attached::Msg(k) => {
                 let pid = self.pid;
                 let path = path.to_string();
                 flatten(
-                    k.server_for(pid)
-                        .call(move |reply| Syscall::Create { pid, path, reply })
+                    k.call(move |reply| Syscall::Create { pid, path, reply })
                         .await,
                 )
             }
@@ -92,18 +107,17 @@ impl Env {
     /// Reads up to `len` bytes at the descriptor's offset.
     pub async fn read(&self, fd: Fd, len: usize) -> Result<Vec<u8>, KError> {
         match &self.kernel {
-            KernelHandle::Trap(k) => k.read(self.pid, fd, len).await,
-            KernelHandle::Msg(k) => {
+            Attached::Trap(k) => k.read(self.pid, fd, len).await,
+            Attached::Msg(k) => {
                 let pid = self.pid;
                 flatten(
-                    k.server_for(pid)
-                        .call(move |reply| Syscall::Read {
-                            pid,
-                            fd,
-                            len,
-                            reply,
-                        })
-                        .await,
+                    k.call(move |reply| Syscall::Read {
+                        pid,
+                        fd,
+                        len,
+                        reply,
+                    })
+                    .await,
                 )
             }
         }
@@ -112,19 +126,18 @@ impl Env {
     /// Writes `data` at the descriptor's offset.
     pub async fn write(&self, fd: Fd, data: &[u8]) -> Result<usize, KError> {
         match &self.kernel {
-            KernelHandle::Trap(k) => k.write(self.pid, fd, data).await,
-            KernelHandle::Msg(k) => {
+            Attached::Trap(k) => k.write(self.pid, fd, data).await,
+            Attached::Msg(k) => {
                 let pid = self.pid;
                 let data = data.to_vec();
                 flatten(
-                    k.server_for(pid)
-                        .call(move |reply| Syscall::Write {
-                            pid,
-                            fd,
-                            data,
-                            reply,
-                        })
-                        .await,
+                    k.call(move |reply| Syscall::Write {
+                        pid,
+                        fd,
+                        data,
+                        reply,
+                    })
+                    .await,
                 )
             }
         }
@@ -133,14 +146,10 @@ impl Env {
     /// Closes a descriptor.
     pub async fn close(&self, fd: Fd) -> Result<(), KError> {
         match &self.kernel {
-            KernelHandle::Trap(k) => k.close(self.pid, fd).await,
-            KernelHandle::Msg(k) => {
+            Attached::Trap(k) => k.close(self.pid, fd).await,
+            Attached::Msg(k) => {
                 let pid = self.pid;
-                flatten(
-                    k.server_for(pid)
-                        .call(move |reply| Syscall::Close { pid, fd, reply })
-                        .await,
-                )
+                flatten(k.call(move |reply| Syscall::Close { pid, fd, reply }).await)
             }
         }
     }
@@ -148,14 +157,10 @@ impl Env {
     /// Stats an open descriptor.
     pub async fn fstat(&self, fd: Fd) -> Result<Stat, KError> {
         match &self.kernel {
-            KernelHandle::Trap(k) => k.fstat(self.pid, fd).await,
-            KernelHandle::Msg(k) => {
+            Attached::Trap(k) => k.fstat(self.pid, fd).await,
+            Attached::Msg(k) => {
                 let pid = self.pid;
-                flatten(
-                    k.server_for(pid)
-                        .call(move |reply| Syscall::Fstat { pid, fd, reply })
-                        .await,
-                )
+                flatten(k.call(move |reply| Syscall::Fstat { pid, fd, reply }).await)
             }
         }
     }
@@ -163,13 +168,12 @@ impl Env {
     /// Creates a directory.
     pub async fn mkdir(&self, path: &str) -> Result<(), KError> {
         match &self.kernel {
-            KernelHandle::Trap(k) => k.mkdir(self.pid, path).await,
-            KernelHandle::Msg(k) => {
+            Attached::Trap(k) => k.mkdir(self.pid, path).await,
+            Attached::Msg(k) => {
                 let pid = self.pid;
                 let path = path.to_string();
                 flatten(
-                    k.server_for(pid)
-                        .call(move |reply| Syscall::Mkdir { pid, path, reply })
+                    k.call(move |reply| Syscall::Mkdir { pid, path, reply })
                         .await,
                 )
             }
@@ -179,13 +183,12 @@ impl Env {
     /// Removes a file or empty directory.
     pub async fn unlink(&self, path: &str) -> Result<(), KError> {
         match &self.kernel {
-            KernelHandle::Trap(k) => k.unlink(self.pid, path).await,
-            KernelHandle::Msg(k) => {
+            Attached::Trap(k) => k.unlink(self.pid, path).await,
+            Attached::Msg(k) => {
                 let pid = self.pid;
                 let path = path.to_string();
                 flatten(
-                    k.server_for(pid)
-                        .call(move |reply| Syscall::Unlink { pid, path, reply })
+                    k.call(move |reply| Syscall::Unlink { pid, path, reply })
                         .await,
                 )
             }
@@ -195,13 +198,12 @@ impl Env {
     /// Lists a directory.
     pub async fn readdir(&self, path: &str) -> Result<Vec<String>, KError> {
         match &self.kernel {
-            KernelHandle::Trap(k) => k.readdir(self.pid, path).await,
-            KernelHandle::Msg(k) => {
+            Attached::Trap(k) => k.readdir(self.pid, path).await,
+            Attached::Msg(k) => {
                 let pid = self.pid;
                 let path = path.to_string();
                 flatten(
-                    k.server_for(pid)
-                        .call(move |reply| Syscall::ReadDir { pid, path, reply })
+                    k.call(move |reply| Syscall::ReadDir { pid, path, reply })
                         .await,
                 )
             }
@@ -211,11 +213,10 @@ impl Env {
     /// The null system call.
     pub async fn getpid(&self) -> Pid {
         match &self.kernel {
-            KernelHandle::Trap(k) => k.getpid(self.pid).await,
-            KernelHandle::Msg(k) => {
+            Attached::Trap(k) => k.getpid(self.pid).await,
+            Attached::Msg(k) => {
                 let pid = self.pid;
-                k.server_for(pid)
-                    .call(move |reply| Syscall::GetPid { pid, reply })
+                k.call(move |reply| Syscall::GetPid { pid, reply })
                     .await
                     .unwrap_or(pid)
             }
@@ -235,7 +236,7 @@ impl Env {
     /// ```
     ///
     /// On the message kernel this is FlexSC-style call batching: the
-    /// syscall server wakes once, drains the burst with `recv_many`,
+    /// process's kernel task wakes once, drains the burst with `recv_many`,
     /// and answers under one coalesced reply wake. On the trap kernel
     /// there is no submission queue — which is the paper's point —
     /// so each call simply runs when first awaited.
@@ -245,11 +246,11 @@ impl Env {
         SyscallBatch {
             pid: self.pid,
             inner: match &self.kernel {
-                KernelHandle::Msg(k) => BatchInner::Msg {
-                    port: k.server_for(self.pid).clone(),
+                Attached::Msg(port) => BatchInner::Msg {
+                    port: port.clone(),
                     buf: VecDeque::new(),
                 },
-                KernelHandle::Trap(k) => BatchInner::Trap(k.clone()),
+                Attached::Trap(k) => BatchInner::Trap(k.clone()),
             },
         }
     }
@@ -427,6 +428,8 @@ impl ProcessTable {
     /// "process" driven by the caller rather than a spawned task
     /// (benches and REPL-style drivers use this). Not registered in
     /// the pid table; use [`alloc`](ProcessTable::alloc) for that.
+    /// On the message kernel it starts the process's kernel task, so
+    /// call it inside `block_on` (see [`Env::new`]).
     pub fn env(&self) -> Env {
         let pid = Pid(self.next_pid.fetch_add(1, Ordering::Relaxed));
         Env::new(pid, self.kernel.clone())

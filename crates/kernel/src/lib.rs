@@ -2,8 +2,8 @@
 //!
 //! The paper's architecture, assembled: system calls are messages
 //! from application cores to kernel cores ([`MsgKernel`]); the kernel
-//! is a constellation of autonomous threads (syscall servers, the
-//! vnode and cylinder-group threads of `chanos-vfs`, the driver
+//! is a constellation of autonomous threads (a kernel task per
+//! process, the vnode and cylinder-group threads of `chanos-vfs`, the driver
 //! threads of `chanos-drivers`) that communicate only by channels;
 //! kernel→application events flow over channels instead of signals;
 //! partial failure is contained by Erlang-style supervision trees.

@@ -23,6 +23,7 @@ use chanos_sim::{CoreId, Pcg32, Placer};
 /// policy's kernel/application split keys off service names.)
 fn is_kernel_name(name: &str) -> bool {
     name.contains("server")
+        || name.contains("kproc")
         || name.contains("driver")
         || name.contains("vnode")
         || name.contains("fs-")
@@ -192,7 +193,7 @@ mod tests {
     fn thread_placer_partitioned_splits_kernel_names() {
         let mut p = ThreadPlacer::new(Policy::Partitioned { kernel_cores: 2 }, 4);
         for _ in 0..6 {
-            assert!(p.place("syscall-server0", None).index() < 2);
+            assert!(p.place("kproc7", None).index() < 2);
             assert!(p.place("app", None).index() >= 2);
         }
     }
@@ -224,7 +225,7 @@ mod tests {
     fn partitioned_separates_kernel_names() {
         let mut s = Simulation::new(4);
         s.set_placer(Policy::Partitioned { kernel_cores: 2 }.build());
-        let k = s.spawn_named("syscall-server0", async { chanos_sim::current_core() });
+        let k = s.spawn_named("kproc7", async { chanos_sim::current_core() });
         let a = s.spawn_named("app", async { chanos_sim::current_core() });
         s.run_until_idle();
         assert!(k.try_take().unwrap().unwrap().index() < 2);

@@ -4,9 +4,11 @@
 //! sending a message from an application thread running on an
 //! application core to a kernel thread running on a kernel core. This
 //! can be done without any mode transitions."* System calls are
-//! ordinary messages carrying a reply channel; per-process kernel
-//! state (the fd table) is owned by the server that process hashes
-//! to, so no locks exist anywhere on the path.
+//! ordinary messages carrying a reply channel. Every process has a
+//! kernel task of its own on a kernel core ([`MsgKernel::attach`]),
+//! which owns that process's fd table outright and answers its calls
+//! in order — so no locks exist anywhere on the path, and a call that
+//! waits on the file system delays only the process that made it.
 //!
 //! **Trap kernel** (the baseline): the conventional design. Each call
 //! pays a mode-switch in and out, runs the kernel code *on the
@@ -120,7 +122,7 @@ pub enum Syscall {
     },
 }
 
-/// How many queued syscalls a server drains per wakeup.
+/// How many queued syscalls a kernel task drains per wakeup.
 const SYSCALL_BATCH: usize = 32;
 
 /// Kernel cost parameters shared by both architectures.
@@ -152,19 +154,20 @@ struct OpenFile {
     offset: u64,
 }
 
-/// Per-server state: fd tables of the processes this server owns.
-struct ServerState {
+/// One process's kernel-side state, owned by its kernel task.
+struct ProcState {
+    pid: Pid,
     vfs: Vfs,
     costs: KernelCosts,
-    files: HashMap<(Pid, Fd), OpenFile>,
-    next_fd: HashMap<Pid, u32>,
+    files: HashMap<Fd, OpenFile>,
+    next_fd: u32,
 }
 
-impl ServerState {
-    fn alloc_fd(&mut self, pid: Pid) -> Fd {
-        let n = self.next_fd.entry(pid).or_insert(3); // 0..2 reserved.
-        let fd = Fd(*n);
-        *n += 1;
+impl ProcState {
+    fn install(&mut self, ino: u64) -> Fd {
+        let fd = Fd(self.next_fd);
+        self.next_fd += 1;
+        self.files.insert(fd, OpenFile { ino, offset: 0 });
         fd
     }
 
@@ -172,42 +175,27 @@ impl ServerState {
         delay(self.costs.syscall_cpu).await;
         rt::stat_incr("kernel.syscalls");
         match call {
-            Syscall::Open { pid, path, reply } => {
+            Syscall::Open { path, reply, .. } => {
                 let out = match self.vfs.lookup(&path).await {
-                    Ok(ino) => {
-                        let fd = self.alloc_fd(pid);
-                        self.files.insert((pid, fd), OpenFile { ino, offset: 0 });
-                        Ok(fd)
-                    }
+                    Ok(ino) => Ok(self.install(ino)),
                     Err(e) => Err(KError::Fs(e)),
                 };
                 let _ = reply.send(out).await;
             }
-            Syscall::Create { pid, path, reply } => {
+            Syscall::Create { path, reply, .. } => {
                 let out = match self.vfs.create(&path).await {
-                    Ok(ino) => {
-                        let fd = self.alloc_fd(pid);
-                        self.files.insert((pid, fd), OpenFile { ino, offset: 0 });
-                        Ok(fd)
-                    }
+                    Ok(ino) => Ok(self.install(ino)),
                     Err(e) => Err(KError::Fs(e)),
                 };
                 let _ = reply.send(out).await;
             }
-            Syscall::Read {
-                pid,
-                fd,
-                len,
-                reply,
-            } => {
-                let out = match self.files.get(&(pid, fd)).cloned() {
+            Syscall::Read { fd, len, reply, .. } => {
+                let out = match self.files.get(&fd).cloned() {
                     None => Err(KError::BadFd),
                     Some(of) => match self.vfs.read(of.ino, of.offset, len).await {
                         Ok(data) => {
-                            self.files
-                                .get_mut(&(pid, fd))
-                                .expect("checked above")
-                                .offset += data.len() as u64;
+                            self.files.get_mut(&fd).expect("checked above").offset +=
+                                data.len() as u64;
                             Ok(data)
                         }
                         Err(e) => Err(KError::Fs(e)),
@@ -216,19 +204,14 @@ impl ServerState {
                 let _ = reply.send(out).await;
             }
             Syscall::Write {
-                pid,
-                fd,
-                data,
-                reply,
+                fd, data, reply, ..
             } => {
-                let out = match self.files.get(&(pid, fd)).cloned() {
+                let out = match self.files.get(&fd).cloned() {
                     None => Err(KError::BadFd),
                     Some(of) => match self.vfs.write(of.ino, of.offset, &data).await {
                         Ok(()) => {
-                            self.files
-                                .get_mut(&(pid, fd))
-                                .expect("checked above")
-                                .offset += data.len() as u64;
+                            self.files.get_mut(&fd).expect("checked above").offset +=
+                                data.len() as u64;
                             Ok(data.len())
                         }
                         Err(e) => Err(KError::Fs(e)),
@@ -236,16 +219,12 @@ impl ServerState {
                 };
                 let _ = reply.send(out).await;
             }
-            Syscall::Close { pid, fd, reply } => {
-                let out = self
-                    .files
-                    .remove(&(pid, fd))
-                    .map(|_| ())
-                    .ok_or(KError::BadFd);
+            Syscall::Close { fd, reply, .. } => {
+                let out = self.files.remove(&fd).map(|_| ()).ok_or(KError::BadFd);
                 let _ = reply.send(out).await;
             }
-            Syscall::Fstat { pid, fd, reply } => {
-                let out = match self.files.get(&(pid, fd)) {
+            Syscall::Fstat { fd, reply, .. } => {
+                let out = match self.files.get(&fd) {
                     None => Err(KError::BadFd),
                     Some(of) => self.vfs.stat(of.ino).await.map_err(KError::Fs),
                 };
@@ -266,87 +245,93 @@ impl ServerState {
                 };
                 let _ = reply.send(out).await;
             }
-            Syscall::GetPid { pid, reply } => {
-                let _ = reply.send(pid).await;
+            Syscall::GetPid { reply, .. } => {
+                let _ = reply.send(self.pid).await;
             }
         }
     }
 }
 
-/// The message-kernel: syscall server tasks on dedicated kernel
+/// A process's kernel task: serves its syscalls in arrival order until
+/// the last handle on its port (every clone of the process's `Env`,
+/// every batch made from one) is dropped, and takes the fd table with
+/// it when it exits.
+async fn proc_task(mut st: ProcState, rx: rt::Receiver<Syscall>) {
+    // Drain bursts: one wakeup and one dispatch serve a whole batch of
+    // syscalls instead of one each.
+    let mut batch = Vec::with_capacity(SYSCALL_BATCH);
+    // Real threads only: null syscalls split out of the burst and
+    // answered synchronously under one coalesced-wake scope, so a
+    // process with several outstanding calls is woken once for the
+    // whole batch (`chan.reply_wakes_coalesced`). The simulator keeps
+    // the strictly-in-order path: its wakeups are virtual events and
+    // its traces must not change.
+    let coalesce = rt::backend() == rt::Backend::Threads;
+    let mut quick: Vec<ReplyTo<Pid>> = Vec::new();
+    let mut rest: Vec<Syscall> = Vec::new();
+    loop {
+        let n = rx.recv_many(&mut batch, SYSCALL_BATCH).await;
+        if n == 0 {
+            break;
+        }
+        rt::stat_incr("kernel.syscall_drains");
+        rt::stat_add("kernel.syscall_batched", n as u64);
+        if coalesce {
+            for call in batch.drain(..) {
+                match call {
+                    Syscall::GetPid { reply, .. } => quick.push(reply),
+                    other => rest.push(other),
+                }
+            }
+            if !quick.is_empty() {
+                rt::stat_add("kernel.syscalls", quick.len() as u64);
+                rt::coalesce_replies(|| {
+                    for reply in quick.drain(..) {
+                        let _ = reply.send_now(st.pid);
+                    }
+                });
+            }
+            for call in rest.drain(..) {
+                st.handle(call).await;
+            }
+        } else {
+            for call in batch.drain(..) {
+                st.handle(call).await;
+            }
+        }
+    }
+    rt::stat_incr("kernel.proc_tasks_exited");
+}
+
+enum Servers {
+    /// The kernel proper: a task per process, spawned by `attach`.
+    PerProcess {
+        vfs: Vfs,
+        costs: KernelCosts,
+        kernel_cores: Vec<CoreId>,
+    },
+    /// Externally provided server ports; a process hashes to one.
+    Ports(Vec<Port<Syscall>>),
+}
+
+/// The message-kernel: one kernel task per process on dedicated kernel
 /// cores, addressed through typed [`Port`]s.
 #[derive(Clone)]
 pub struct MsgKernel {
-    servers: Arc<Vec<Port<Syscall>>>,
+    servers: Arc<Servers>,
 }
 
 impl MsgKernel {
-    /// Spawns one syscall server per entry of `kernel_cores`.
-    ///
-    /// A process's calls always go to the same server (hash by pid),
-    /// which therefore owns that process's fd table outright.
-    pub fn spawn(vfs: Vfs, costs: KernelCosts, kernel_cores: &[CoreId]) -> MsgKernel {
+    /// A message kernel over `vfs` whose per-process tasks run on
+    /// `kernel_cores`.
+    pub fn new(vfs: Vfs, costs: KernelCosts, kernel_cores: &[CoreId]) -> MsgKernel {
         assert!(!kernel_cores.is_empty());
-        let mut servers = Vec::with_capacity(kernel_cores.len());
-        for (i, &core) in kernel_cores.iter().enumerate() {
-            let (port, rx) = port_channel::<Syscall>(Capacity::Unbounded);
-            let vfs = vfs.clone();
-            let costs = costs.clone();
-            rt::spawn_daemon_on(&format!("syscall-server{i}"), core, async move {
-                let mut st = ServerState {
-                    vfs,
-                    costs,
-                    files: HashMap::new(),
-                    next_fd: HashMap::new(),
-                };
-                // Drain bursts: one wakeup and one dispatch serve a
-                // whole batch of syscalls instead of one each.
-                let mut batch = Vec::with_capacity(SYSCALL_BATCH);
-                // Real threads only: null syscalls split out of the
-                // burst and answered synchronously under one
-                // coalesced-wake scope, so a peer with several
-                // outstanding calls is woken once for the whole batch
-                // (`chan.reply_wakes_coalesced`). The simulator keeps
-                // the strictly-in-order path: its wakeups are virtual
-                // events and its traces must not change.
-                let coalesce = rt::backend() == rt::Backend::Threads;
-                let mut quick: Vec<(Pid, ReplyTo<Pid>)> = Vec::new();
-                let mut rest: Vec<Syscall> = Vec::new();
-                loop {
-                    let n = rx.recv_many(&mut batch, SYSCALL_BATCH).await;
-                    if n == 0 {
-                        break;
-                    }
-                    rt::stat_add("kernel.syscall_batched", n as u64);
-                    if coalesce {
-                        for call in batch.drain(..) {
-                            match call {
-                                Syscall::GetPid { pid, reply } => quick.push((pid, reply)),
-                                other => rest.push(other),
-                            }
-                        }
-                        if !quick.is_empty() {
-                            rt::stat_add("kernel.syscalls", quick.len() as u64);
-                            rt::coalesce_replies(|| {
-                                for (pid, reply) in quick.drain(..) {
-                                    let _ = reply.send_now(pid);
-                                }
-                            });
-                        }
-                        for call in rest.drain(..) {
-                            st.handle(call).await;
-                        }
-                    } else {
-                        for call in batch.drain(..) {
-                            st.handle(call).await;
-                        }
-                    }
-                }
-            });
-            servers.push(port);
-        }
         MsgKernel {
-            servers: Arc::new(servers),
+            servers: Arc::new(Servers::PerProcess {
+                vfs,
+                costs,
+                kernel_cores: kernel_cores.to_vec(),
+            }),
         }
     }
 
@@ -356,13 +341,36 @@ impl MsgKernel {
     pub fn from_ports(servers: Vec<Port<Syscall>>) -> MsgKernel {
         assert!(!servers.is_empty());
         MsgKernel {
-            servers: Arc::new(servers),
+            servers: Arc::new(Servers::Ports(servers)),
         }
     }
 
-    /// The server port responsible for `pid`.
-    pub fn server_for(&self, pid: Pid) -> &Port<Syscall> {
-        &self.servers[(pid.0 as usize) % self.servers.len()]
+    /// The port `pid`'s system calls go to. On the kernel proper this
+    /// starts the process's kernel task, on kernel core `pid mod n`;
+    /// the task lives until every clone of the returned port is
+    /// dropped. Must run inside a runtime.
+    pub fn attach(&self, pid: Pid) -> Port<Syscall> {
+        match &*self.servers {
+            Servers::Ports(ports) => ports[pid.0 as usize % ports.len()].clone(),
+            Servers::PerProcess {
+                vfs,
+                costs,
+                kernel_cores,
+            } => {
+                let (port, rx) = port_channel::<Syscall>(Capacity::Unbounded);
+                let st = ProcState {
+                    pid,
+                    vfs: vfs.clone(),
+                    costs: costs.clone(),
+                    files: HashMap::new(),
+                    next_fd: 3, // 0..2 reserved.
+                };
+                let core = kernel_cores[pid.0 as usize % kernel_cores.len()];
+                rt::spawn_daemon_on(&format!("kproc{}", pid.0), core, proc_task(st, rx));
+                rt::stat_incr("kernel.proc_tasks_spawned");
+                port
+            }
+        }
     }
 }
 

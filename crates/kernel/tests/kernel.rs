@@ -555,3 +555,195 @@ fn env_batch_works_on_the_trap_kernel() {
     assert_eq!(pid.0, 1);
     assert_eq!(data, b"trap".to_vec());
 }
+
+/// The ladder's machine: 16 cores, the default mesh and cost tables,
+/// kernel cores 0–3 — where `kernel.close_cycles` reads 573.
+fn ladder_sim() -> Simulation {
+    Simulation::with_config(Config {
+        cores: 16,
+        ..Config::default()
+    })
+}
+
+/// Live kernel tasks: attached processes whose task has not exited.
+fn live_proc_tasks() -> u64 {
+    chanos_rt::stat_get("kernel.proc_tasks_spawned")
+        - chanos_rt::stat_get("kernel.proc_tasks_exited")
+}
+
+/// A process's `create` in flight in the file system must not delay
+/// another process's `close`, even when both hash to the same kernel
+/// core: each has a kernel task of its own, and a task that waits
+/// costs nobody else anything (§4).
+#[test]
+fn a_slow_syscall_does_not_block_another_process() {
+    const UNLOADED_CLOSE: u64 = 573; // The ladder's `kernel.close_cycles`.
+    let mut s = ladder_sim();
+    s.block_on(async {
+        let os = boot(BootCfg::new(
+            KernelKind::Message,
+            FsKind::Message,
+            kernel_cores(4),
+        ))
+        .await;
+        os.vfs.create("/f").await.unwrap();
+        // Two processes on kernel core 0 (pid mod 4 == 0).
+        let mut envs: Vec<_> = (0..8).map(|_| os.procs.env()).collect();
+        envs.retain(|e| e.pid.0 % 4 == 0);
+        let (a, b) = (envs.remove(0), envs.remove(0));
+
+        let slow = chanos_rt::spawn_on(CoreId(8), async move {
+            a.create("/slow").await.unwrap();
+            chanos_rt::now()
+        });
+        let (unloaded, loaded, closed_at) = chanos_rt::spawn_on(CoreId(4), async move {
+            // B's open races A's create for the root directory and
+            // may wait; the close that follows must not.
+            let fd = b.open("/f").await.unwrap();
+            let t = chanos_rt::now();
+            b.close(fd).await.unwrap();
+            let closed_at = chanos_rt::now();
+            chanos_rt::sleep(100_000).await; // A is long done.
+            let fd = b.open("/f").await.unwrap();
+            let t_unloaded = chanos_rt::now();
+            b.close(fd).await.unwrap();
+            (chanos_rt::now() - t_unloaded, closed_at - t, closed_at)
+        })
+        .join()
+        .await
+        .unwrap();
+        let created_at = slow.join().await.unwrap();
+
+        assert_eq!(unloaded, UNLOADED_CLOSE, "unloaded close");
+        assert!(
+            closed_at < created_at,
+            "the close must complete while the create is still in flight \
+             (closed at {closed_at}, created at {created_at})"
+        );
+        assert!(
+            loaded <= 2 * UNLOADED_CLOSE,
+            "close took {loaded} cycles beside another process's create"
+        );
+    })
+    .unwrap();
+}
+
+/// One process's calls are served in program order: a batch of
+/// `read, read, close, read` on one fd answers data, data, ok, BadFd.
+#[test]
+fn env_batch_is_served_in_program_order() {
+    let mut s = sim(4);
+    s.block_on(async {
+        let os = boot(BootCfg::new(
+            KernelKind::Message,
+            FsKind::Message,
+            kernel_cores(2),
+        ))
+        .await;
+        let env = os.procs.env();
+        let fd = env.create("/o").await.unwrap();
+        env.write(fd, b"abcdef").await.unwrap();
+        env.close(fd).await.unwrap();
+        let fd = env.open("/o").await.unwrap();
+
+        let counters = || {
+            (
+                chanos_rt::stat_get("kernel.syscall_batched"),
+                chanos_rt::stat_get("kernel.syscall_drains"),
+            )
+        };
+        let (batched, drains) = counters();
+        let mut b = env.batch();
+        let first = b.read(fd, 3);
+        let second = b.read(fd, 3);
+        let close = b.close(fd);
+        let after = b.read(fd, 3);
+        b.submit().await;
+        assert_eq!(after.await.unwrap(), Err(KError::BadFd));
+        assert_eq!(close.await.unwrap(), Ok(()));
+        assert_eq!(second.await.unwrap().unwrap(), b"def");
+        assert_eq!(first.await.unwrap().unwrap(), b"abc");
+        // The burst was drained in fewer wakes than it has calls.
+        let (batched, drains) = (counters().0 - batched, counters().1 - drains);
+        assert_eq!(batched, 4);
+        assert!((1..4).contains(&drains), "{drains} drains for 4 calls");
+    })
+    .unwrap();
+}
+
+/// Clones of an `Env` are one process: one kernel task, one fd table,
+/// both gone when the last clone is.
+#[test]
+fn env_clones_share_one_kernel_task_and_fd_table() {
+    let mut s = sim(4);
+    s.block_on(async {
+        let os = boot(BootCfg::new(
+            KernelKind::Message,
+            FsKind::Message,
+            kernel_cores(2),
+        ))
+        .await;
+        let baseline = live_proc_tasks();
+        let env = os.procs.env();
+        let twin = env.clone();
+        assert_eq!(live_proc_tasks(), baseline + 1);
+
+        let fd = env.create("/shared").await.unwrap();
+        env.write(fd, b"one table").await.unwrap();
+        env.close(fd).await.unwrap();
+        let fd = env.open("/shared").await.unwrap();
+        assert_eq!(twin.read(fd, 3).await.unwrap(), b"one");
+        assert_eq!(env.read(fd, 16).await.unwrap(), b" table");
+
+        drop(env);
+        assert_eq!(twin.close(fd).await, Ok(()));
+        chanos_rt::sleep(10_000).await;
+        assert_eq!(live_proc_tasks(), baseline + 1, "the twin keeps the task");
+        drop(twin);
+        chanos_rt::sleep(10_000).await;
+        assert_eq!(live_proc_tasks(), baseline);
+    })
+    .unwrap();
+}
+
+/// The kernel keeps nothing of a process that has exited: 1 000 short
+/// processes, one of which leaves a descriptor open, and the number of
+/// live kernel tasks is back where it started.
+#[test]
+fn kernel_state_of_exited_processes_is_reclaimed() {
+    let mut s = sim(8);
+    s.block_on(async {
+        let os = boot(BootCfg::new(
+            KernelKind::Message,
+            FsKind::Message,
+            kernel_cores(2),
+        ))
+        .await;
+        os.vfs.create("/f").await.unwrap();
+        let baseline = live_proc_tasks();
+        for wave in 0..100u32 {
+            let handles: Vec<_> = (0..10u32)
+                .map(|p| {
+                    let leak = wave == 50 && p == 5;
+                    let core = CoreId(2 + p % 6);
+                    os.procs
+                        .spawn_process(core, move |env| async move {
+                            let fd = env.open("/f").await.unwrap();
+                            if !leak {
+                                env.close(fd).await.unwrap();
+                            }
+                        })
+                        .1
+                })
+                .collect();
+            assert!(live_proc_tasks() > baseline);
+            for h in handles {
+                h.join().await.unwrap();
+            }
+        }
+        chanos_rt::sleep(10_000).await;
+        assert_eq!(chanos_rt::stat_get("kernel.processes_spawned"), 1000);
+        assert_eq!(live_proc_tasks(), baseline);
+    })
+    .unwrap();
+}

@@ -600,12 +600,14 @@ impl<S: NrService> Replicated<S> {
         }
     }
 
-    /// The replica (index) serving the given core.
-    fn replica_idx(cores: &[CoreId], core: CoreId) -> usize {
-        cores
-            .iter()
-            .position(|c| *c == core)
-            .unwrap_or(core.0 as usize % cores.len())
+    /// The replica (index) serving the given core, and whether it is
+    /// that core's own (a core that holds none is served by replica
+    /// `core mod replicas`).
+    fn replica_idx(cores: &[CoreId], core: CoreId) -> (usize, bool) {
+        match cores.iter().position(|c| *c == core) {
+            Some(i) => (i, true),
+            None => (core.0 as usize % cores.len(), false),
+        }
     }
 
     /// Serves a read-only op.
@@ -613,7 +615,10 @@ impl<S: NrService> Replicated<S> {
     /// Replicated mode: served entirely from the caller's local
     /// replica — an up-to-date check against the log tail, a catch-up
     /// if behind, then the read under a replica-local read lock.
-    /// **No port round-trips, no cross-core communication.**
+    /// **No port round-trips, no cross-core communication.** A caller
+    /// on a core that holds no replica reads the replica of core
+    /// `core mod replicas` instead, which is neither; those reads are
+    /// counted apart, as `nr.foreign_reads`.
     pub async fn read(&self, op: S::ReadOp) -> Result<S::ReadResp, CallError> {
         match &*self.inner {
             Inner::Single { port } => port.call(move |reply| SingleReq::Read(op, reply)).await,
@@ -623,13 +628,18 @@ impl<S: NrService> Replicated<S> {
                 log,
                 ..
             } => {
-                let r = &replicas[Self::replica_idx(cores, rt::current_core())];
+                let (idx, local) = Self::replica_idx(cores, rt::current_core());
+                let r = &replicas[idx];
                 let tail = log.tail();
                 if r.applied.load(Ordering::Acquire) < tail {
                     r.catch_up(log, tail);
                 }
                 let out = r.state.read().unwrap_or_else(|e| e.into_inner()).read(&op);
-                rt::stat_incr("nr.local_reads");
+                rt::stat_incr(if local {
+                    "nr.local_reads"
+                } else {
+                    "nr.foreign_reads"
+                });
                 Ok(out)
             }
         }
@@ -642,7 +652,7 @@ impl<S: NrService> Replicated<S> {
         match &*self.inner {
             Inner::Single { port } => port.call(move |reply| SingleReq::Write(op, reply)).await,
             Inner::Replicated { cores, ports, .. } => {
-                ports[Self::replica_idx(cores, rt::current_core())]
+                ports[Self::replica_idx(cores, rt::current_core()).0]
                     .call(move |reply| WriteReq { op, reply })
                     .await
             }
@@ -662,7 +672,7 @@ impl<S: NrService> Replicated<S> {
                     .map(|op| move |reply| SingleReq::Write(op, reply)),
             ),
             Inner::Replicated { cores, ports, .. } => {
-                ports[Self::replica_idx(cores, rt::current_core())].call_batch(
+                ports[Self::replica_idx(cores, rt::current_core()).0].call_batch(
                     ops.into_iter()
                         .map(|op| move |reply| WriteReq { op, reply }),
                 )
@@ -684,7 +694,7 @@ impl<S: NrService> Replicated<S> {
                 log,
                 ..
             } => {
-                let r = &replicas[Self::replica_idx(cores, rt::current_core())];
+                let r = &replicas[Self::replica_idx(cores, rt::current_core()).0];
                 let tail = log.tail();
                 if r.applied.load(Ordering::Acquire) < tail {
                     r.catch_up(log, tail);

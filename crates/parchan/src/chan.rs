@@ -45,7 +45,7 @@
 //! [`Receiver::recv_many`] / [`Receiver::try_recv_many`] move a burst
 //! of messages into a caller buffer in one operation — one wakeup and
 //! one dispatch for the whole batch instead of one per message. The
-//! OS server loops (syscall servers, vnode tasks, cache shards,
+//! OS server loops (kernel tasks, vnode tasks, cache shards,
 //! drivers) drain through these.
 
 use crate::sync::{fence, Arc, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Mutex, Ordering};

@@ -61,11 +61,16 @@ impl BigLockFs {
         if dir.kind != FileKind::Dir {
             return Err(FsError::NotDir);
         }
-        if self.core.dir_lookup(&dir, name).await?.is_some() {
+        // One read of the directory answers both "is the name taken"
+        // and "how many entries", which placement wants.
+        let listing = self.core.dir_list(&dir).await?;
+        if listing.iter().any(|d| d.name == name) {
             return Err(FsError::Exists);
         }
-        let hint = self.core.superblock().group_of_ino(parent);
-        let ino = self.core.alloc_inode(hint, kind).await?;
+        let sb = self.core.superblock();
+        let hint = sb.group_of_ino(parent);
+        let start = sb.inode_start_group(hint, kind, listing.len() as u64);
+        let ino = self.core.alloc_inode(start, kind).await?;
         self.core
             .dir_add(&mut dir, name, ino, hint, &ScanAllocator)
             .await?;

@@ -6,8 +6,9 @@
 //!
 //! * big-lock — one mutex around everything;
 //! * sharded — per-inode rwlocks plus per-group allocator mutexes;
-//! * message-passing — vnode tasks own inodes, group-server tasks own
-//!   bitmaps and inode tables.
+//! * message-passing — vnode tasks own inodes (and a directory's
+//!   entries), group-server tasks serialise each group's bitmaps and
+//!   inode table.
 //!
 //! Because all engines run these same byte-level algorithms over the
 //! same [`crate::layout`], the equivalence tests can require their
@@ -133,12 +134,20 @@ impl<S: BlockStore> FsCore<S> {
 
     /// Frees inode `ino`'s bitmap bit and clears its record.
     pub async fn free_inode(&self, ino: u64) -> Result<(), FsError> {
+        self.free_inode_bit(ino).await?;
+        self.clear_inode(ino).await
+    }
+
+    /// Frees inode `ino`'s bitmap bit alone: the second half of
+    /// [`free_inode`](Self::free_inode), for an engine that has to do
+    /// something between clearing the record and letting the number
+    /// be allocated again.
+    pub(crate) async fn free_inode_bit(&self, ino: u64) -> Result<(), FsError> {
         let g = self.sb.group_of_ino(ino);
         let bblock = self.sb.ibitmap_block(g);
         let mut map = self.store.read_block(bblock).await?;
         bitmap::free(&mut map, ino % self.sb.inodes_per_group);
-        self.store.write_block(bblock, map).await?;
-        self.clear_inode(ino).await
+        self.store.write_block(bblock, map).await
     }
 
     /// Allocates a data block in group `g`; returns its LBA, or
@@ -379,12 +388,7 @@ impl<S: BlockStore> FsCore<S> {
         hint: u64,
         alloc: &impl Allocator,
     ) -> Result<(), FsError> {
-        if name.is_empty() || name.contains('/') {
-            return Err(FsError::Invalid);
-        }
-        if name.len() > MAX_NAME {
-            return Err(FsError::NameTooLong);
-        }
+        check_name(name)?;
         if self.dir_lookup(dir, name).await?.is_some() {
             return Err(FsError::Exists);
         }
@@ -426,22 +430,31 @@ impl<S: BlockStore> FsCore<S> {
         Ok(ino)
     }
 
-    /// Lists all live entries.
-    pub async fn dir_list(&self, dir: &Inode) -> Result<Vec<Dirent>, FsError> {
+    /// Decodes every slot of a directory in slot order; `None` is a
+    /// free slot.
+    pub(crate) async fn dir_slots(&self, dir: &Inode) -> Result<Vec<Option<Dirent>>, FsError> {
         if dir.kind != FileKind::Dir {
             return Err(FsError::NotDir);
         }
-        let nslots = dir.size / DIRENT_SIZE as u64;
         let data = self.read_file(dir, 0, dir.size as usize).await?;
-        let mut out = Vec::new();
-        for slot in 0..nslots {
-            let off = (slot as usize) * DIRENT_SIZE;
-            if let Some(d) = Dirent::decode(&data[off..off + DIRENT_SIZE]) {
-                out.push(d);
-            }
-        }
-        Ok(out)
+        Ok(data.chunks_exact(DIRENT_SIZE).map(Dirent::decode).collect())
     }
+
+    /// Lists all live entries.
+    pub async fn dir_list(&self, dir: &Inode) -> Result<Vec<Dirent>, FsError> {
+        Ok(self.dir_slots(dir).await?.into_iter().flatten().collect())
+    }
+}
+
+/// Checks that `name` can be stored in a directory entry.
+pub(crate) fn check_name(name: &str) -> Result<(), FsError> {
+    if name.is_empty() || name.contains('/') {
+        return Err(FsError::Invalid);
+    }
+    if name.len() > MAX_NAME {
+        return Err(FsError::NameTooLong);
+    }
+    Ok(())
 }
 
 /// How an engine allocates and frees data blocks.

@@ -161,6 +161,25 @@ impl Superblock {
         ino / self.inodes_per_group
     }
 
+    /// The cylinder group where the scan for a new inode starts,
+    /// given its kind, its parent directory's group and how many
+    /// entries the parent holds (the FFS rule, and the only copy of
+    /// it: all three engines ask here). Files stay in their
+    /// directory's group, next to its blocks; directories leave their
+    /// parent's group and spread over the others, so the trees under
+    /// them use every group's allocator, not one.
+    pub(crate) fn inode_start_group(
+        &self,
+        parent_group: u64,
+        kind: FileKind,
+        parent_entries: u64,
+    ) -> u64 {
+        match kind {
+            FileKind::File => parent_group,
+            FileKind::Dir => (parent_group + 1 + parent_entries) % self.n_groups,
+        }
+    }
+
     /// (block, byte offset) of an inode record on disk.
     pub fn ino_location(&self, ino: u64) -> (u64, usize) {
         let g = self.group_of_ino(ino);

@@ -10,20 +10,40 @@
 //!
 //! ```text
 //! client ──Lookup/Create/Read──▶ vnode task (one per active inode)
-//!                                   │  owns its Inode outright
+//!                                   │  owns its Inode outright and,
+//!                                   │  for a directory, its entries
 //!                                   ├──AllocBlock/WriteInode──▶ group task (one per
-//!                                   │                           cylinder group; owns
-//!                                   │                           bitmaps + inode table)
+//!                                   │                           cylinder group; the one
+//!                                   │                           writer of its bitmaps
+//!                                   │                           and inode table)
 //!                                   └──Read/Write block───────▶ cache shard task
 //! ```
 //!
-//! Every piece of mutable state has exactly one owning task (or, for
+//! Every piece of mutable state has exactly one writing task (or, for
 //! the vnode registry below, one replica per core over a shared op
 //! log), and dispatch-by-channel replaces dispatch-by-function-pointer
-//! (§4). Unlink of a directory checks emptiness in the child vnode; a
-//! create racing into that window is refused by the tombstone the
-//! parent leaves (the child vnode stops serving Create once marked
-//! dying).
+//! (§4). The blocks themselves live in the cache shards: a group task
+//! owns its bitmaps and inode table in the sense that nobody else
+//! writes them, but it fetches and stores them through the cache on
+//! every request, as a vnode does its data.
+//!
+//! A directory's vnode task is the only writer of the directory, so it
+//! keeps the decoded entries in its own state — loaded from the blocks
+//! on first use, kept in step by its own `Create` and `Unlink` — and
+//! answers `Lookup`, the existence checks and `Condemn`'s emptiness
+//! test from there. Writes still go to the blocks, slot for slot as
+//! `FsCore::dir_add`/`dir_remove` place them, and `ReadDir` still
+//! decodes the blocks, so the volume stays the bytes the lock engines
+//! would have written.
+//!
+//! Unlink of a directory checks emptiness in the child vnode. A vnode
+//! that drops its last link reaps itself in an order that keeps its
+//! inode number safe to hand out again: free the data, clear the
+//! inode record, leave the registry, and only then free the number.
+//! It then closes its channel and refuses whatever was queued or still
+//! on its way — a create racing the removal of its directory, a call
+//! through a stale inode number — so those callers get
+//! [`FsError::Gone`], not silence.
 //!
 //! The ino→vnode-port registry itself comes in two shapes behind
 //! [`chanos_nr::NrMode`]: the pre-NR baseline (one `fs-vnmgr` task
@@ -40,16 +60,17 @@
 //! per burst. The simulator keeps strictly-in-order inline replies,
 //! so its traces are unchanged.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use chanos_drivers::DiskClient;
 use chanos_nr::{NrMode, NrService, Replicated};
 use chanos_rt::{self as rt, port_channel, Capacity, CoreId, Port, ReplyTo};
 
-use crate::core_fs::{split_parent, split_path, Allocator, FsCore, Stat};
+use crate::core_fs::{check_name, split_parent, split_path, Allocator, FsCore, Stat};
 use crate::error::FsError;
-use crate::layout::{Dirent, FileKind, Inode, ROOT_INO};
+use crate::layout::{Dirent, FileKind, Inode, DIRENT_SIZE, ROOT_INO};
 use crate::store::{BlockStore, CacheClient};
 
 /// Messages understood by a cylinder-group server task.
@@ -58,6 +79,12 @@ enum GroupMsg {
         kind: FileKind,
         reply: ReplyTo<Result<Option<u64>, FsError>>,
     },
+    /// Zeroes the inode's record; its number stays allocated.
+    ClearInode {
+        ino: u64,
+        reply: ReplyTo<Result<(), FsError>>,
+    },
+    /// Frees the number of an inode whose record is already cleared.
     FreeInode {
         ino: u64,
         reply: ReplyTo<Result<(), FsError>>,
@@ -126,7 +153,27 @@ enum VnMgrMsg {
     },
     Retire {
         ino: u64,
+        task: u64,
     },
+}
+
+/// A registry entry: the serving port for an inode and which vnode
+/// task is behind it (a number unique per task, see
+/// [`MsgShared::next_task`]), so a task can withdraw its own entry and
+/// no other.
+#[derive(Clone)]
+struct Registered {
+    task: u64,
+    port: Port<VnodeMsg>,
+}
+
+/// Removes `ino`'s entry if it is still `task`'s; `true` if it was.
+fn retire_entry(map: &mut HashMap<u64, Registered>, ino: u64, task: u64) -> bool {
+    let mine = map.get(&ino).is_some_and(|r| r.task == task);
+    if mine {
+        map.remove(&ino);
+    }
+    mine
 }
 
 /// Read-only vnode-registry queries (served from the caller's local
@@ -137,15 +184,15 @@ enum VnRead {
 }
 
 /// Mutating vnode-registry ops: the log entries every replica
-/// applies. `Ensure` carries a *candidate* port — the caller spawns
-/// the vnode task before logging, because `apply` must stay
-/// deterministic and side-effect free. The first `Ensure` for an ino
-/// wins; a loser's spare task exits once the log garbage-collects its
-/// last sender.
+/// applies. `Ensure` carries a *candidate* — the caller spawns the
+/// vnode task before logging, because `apply` must stay deterministic
+/// and side-effect free. The first `Ensure` for an ino wins; a loser's
+/// spare task exits once the log garbage-collects its last sender.
+/// `Retire` withdraws the entry of one task.
 #[derive(Clone)]
 enum VnWrite {
-    Ensure { ino: u64, port: Port<VnodeMsg> },
-    Retire { ino: u64 },
+    Ensure { ino: u64, entry: Registered },
+    Retire { ino: u64, task: u64 },
 }
 
 enum VnWriteResp {
@@ -160,7 +207,7 @@ enum VnWriteResp {
 /// The replicated ino→vnode-port registry state.
 #[derive(Default)]
 struct VnRegistry {
-    map: HashMap<u64, Port<VnodeMsg>>,
+    map: HashMap<u64, Registered>,
 }
 
 impl NrService for VnRegistry {
@@ -171,24 +218,26 @@ impl NrService for VnRegistry {
 
     fn read(&self, op: &VnRead) -> Option<Port<VnodeMsg>> {
         match op {
-            VnRead::Get(ino) => self.map.get(ino).cloned(),
+            VnRead::Get(ino) => self.map.get(ino).map(|r| r.port.clone()),
         }
     }
 
     fn apply(&mut self, op: &VnWrite) -> VnWriteResp {
         use std::collections::hash_map::Entry;
         match op {
-            VnWrite::Ensure { ino, port } => match self.map.entry(*ino) {
+            VnWrite::Ensure { ino, entry } => match self.map.entry(*ino) {
                 Entry::Occupied(e) => VnWriteResp::Ensured {
-                    port: e.get().clone(),
+                    port: e.get().port.clone(),
                     inserted: false,
                 },
                 Entry::Vacant(v) => VnWriteResp::Ensured {
-                    port: v.insert(port.clone()).clone(),
+                    port: v.insert(entry.clone()).port.clone(),
                     inserted: true,
                 },
             },
-            VnWrite::Retire { ino } => VnWriteResp::Retired(self.map.remove(ino).is_some()),
+            VnWrite::Retire { ino, task } => {
+                VnWriteResp::Retired(retire_entry(&mut self.map, *ino, *task))
+            }
         }
     }
 }
@@ -211,6 +260,8 @@ struct MsgShared {
     /// every lookup.
     vnmgr: OnceLock<VnBackend>,
     vnode_cores: Vec<CoreId>,
+    /// The number the next vnode task gets.
+    next_task: AtomicU64,
 }
 
 impl MsgShared {
@@ -222,16 +273,19 @@ impl MsgShared {
         self.vnmgr.get().expect("vnmgr started")
     }
 
-    /// Drops `ino` from the vnode registry (the reap path). In
-    /// replicated mode the retire is a logged write, so once the
-    /// reaping `Condemn` answers, every later `Get` observes it.
-    async fn retire_vnode(&self, ino: u64) {
+    /// Drops vnode task `task` from the registry, if it is the one
+    /// registered for `ino`. In replicated mode the retire is a logged
+    /// write and in single-server mode it is queued at the manager
+    /// before this returns, so every `Get` issued afterwards observes
+    /// it.
+    async fn retire_vnode(&self, ino: u64, task: u64) {
         match self.vn() {
             VnBackend::Single(mgr) => {
-                let _ = mgr.sender().try_send(VnMgrMsg::Retire { ino });
+                let _ = mgr.sender().try_send(VnMgrMsg::Retire { ino, task });
             }
             VnBackend::Replicated(reg) => {
-                if let Ok(VnWriteResp::Retired(true)) = reg.write(VnWrite::Retire { ino }).await {
+                let retire = VnWrite::Retire { ino, task };
+                if let Ok(VnWriteResp::Retired(true)) = reg.write(retire).await {
                     rt::stat_incr("msgfs.vnodes_retired");
                 }
             }
@@ -334,10 +388,11 @@ fn flush_replies(flush: &mut ReplyFlush) {
     }
 }
 
-/// One cylinder-group server: owns the group's bitmaps and inode
-/// table outright. Drains request bursts so allocation storms cost
-/// one wakeup per batch, not one per message — and, on real threads,
-/// one *reply* wake per waiting peer per batch.
+/// One cylinder-group server: the only writer of the group's bitmaps
+/// and inode table (the blocks live in the cache shards). Drains
+/// request bursts so allocation storms cost one wakeup per batch, not
+/// one per message — and, on real threads, one *reply* wake per
+/// waiting peer per batch.
 async fn group_task(g: u64, core: FsCore<CacheClient>, rx: chanos_rt::Receiver<GroupMsg>) {
     let defer = rt::backend() == rt::Backend::Threads;
     let mut batch = Vec::with_capacity(FS_BATCH);
@@ -366,8 +421,12 @@ async fn group_handle(
             let out = core.alloc_inode_in(g, kind).await;
             respond(reply, out, flush).await;
         }
+        GroupMsg::ClearInode { ino, reply } => {
+            let out = core.clear_inode(ino).await;
+            respond(reply, out, flush).await;
+        }
         GroupMsg::FreeInode { ino, reply } => {
-            let out = core.free_inode(ino).await;
+            let out = core.free_inode_bit(ino).await;
             respond(reply, out, flush).await;
         }
         GroupMsg::AllocBlock { reply } => {
@@ -389,215 +448,303 @@ async fn group_handle(
     }
 }
 
-/// One vnode task: owns inode `ino` for its lifetime. Drains request
-/// bursts per wakeup; a reaping `Condemn` exits mid-batch and the
-/// remaining drained requests are dropped — their callers observe a
-/// typed transport failure (`CallError::ServerGone` once the reaped
-/// vnode's channel closes) instead of a silent hang.
-async fn vnode_task(ino: u64, shared: Arc<MsgShared>, rx: chanos_rt::Receiver<VnodeMsg>) {
+/// A directory's decoded entries, kept by the vnode task that owns the
+/// directory. That task is the only writer of the directory's blocks,
+/// so the copy cannot go stale; it saves fetching and scanning the
+/// blocks on every path component of every `open`.
+#[derive(Default)]
+struct DirEntries {
+    /// name → (inode, slot).
+    by_name: HashMap<String, (u64, u64)>,
+    /// Free slots below the directory's slot count (its size in
+    /// dirents).
+    free: BTreeSet<u64>,
+}
+
+/// The state of one vnode task: inode `ino`, owned for the task's
+/// lifetime.
+struct Vnode {
+    ino: u64,
+    /// This task's number in the registry.
+    task: u64,
+    shared: Arc<MsgShared>,
+    inode: Inode,
+    /// The inode's own group, where its blocks and its files go.
+    group: u64,
+    alloc: MsgAllocator,
+    /// A directory's entries, loaded on first use.
+    dir: Option<DirEntries>,
+}
+
+/// One vnode task. Serves until its channel closes, a `Condemn` reaps
+/// the inode, or the inode turns out to be gone already; then refuses
+/// everything still queued or on its way, so those callers observe a
+/// typed transport failure (`CallError::ServerGone`) instead of
+/// waiting on a channel nobody reads.
+async fn vnode_task(
+    ino: u64,
+    task: u64,
+    shared: Arc<MsgShared>,
+    rx: chanos_rt::Receiver<VnodeMsg>,
+) {
     rt::stat_incr("msgfs.vnode_threads_spawned");
-    let mut inode = match shared.load_inode(ino).await {
-        Ok(i) => i,
-        Err(_) => {
-            // Raced with a reap; stop serving.
-            return;
+    match shared.load_inode(ino).await {
+        // Started through a stale inode number, after the reap: leave
+        // the registry, or whoever is given the number next would be
+        // routed here.
+        Err(_) => shared.retire_vnode(ino, task).await,
+        Ok(inode) => {
+            let vn = Vnode {
+                ino,
+                task,
+                inode,
+                group: shared.core.superblock().group_of_ino(ino),
+                alloc: MsgAllocator {
+                    shared: shared.clone(),
+                },
+                shared,
+                dir: None,
+            };
+            vn.serve(&rx).await;
         }
-    };
-    let alloc = MsgAllocator {
-        shared: shared.clone(),
-    };
-    let hint = shared.core.superblock().group_of_ino(ino);
-    let core = shared.core.clone();
-    let defer = rt::backend() == rt::Backend::Threads;
-    let mut batch = Vec::with_capacity(FS_BATCH);
-    let mut flush: ReplyFlush = Vec::new();
-    loop {
-        let n = rx.recv_many(&mut batch, FS_BATCH).await;
-        if n == 0 {
-            break;
-        }
-        let mut reaped = false;
-        for msg in batch.drain(..) {
-            let mut f = defer.then_some(&mut flush);
-            if vnode_handle(ino, &shared, &core, &mut inode, hint, &alloc, msg, &mut f)
-                .await
-                .is_break()
-            {
-                reaped = true;
-                break;
-            }
-        }
-        // The reaping Condemn's own reply flushes with the batch.
-        flush_replies(&mut flush);
-        if reaped {
-            return; // Reaped: the vnode thread exits with its inode.
-        }
+    }
+    rx.close();
+    let mut refused = Vec::new();
+    while rx.recv_many(&mut refused, FS_BATCH).await > 0 {
+        refused.clear();
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-async fn vnode_handle(
-    ino: u64,
-    shared: &Arc<MsgShared>,
-    core: &FsCore<CacheClient>,
-    inode: &mut Inode,
-    hint: u64,
-    alloc: &MsgAllocator,
-    msg: VnodeMsg,
-    flush: &mut Option<&mut ReplyFlush>,
-) -> std::ops::ControlFlow<()> {
-    match msg {
-        VnodeMsg::Read { off, len, reply } => {
-            let out = if inode.kind == FileKind::Dir {
-                Err(FsError::IsDir)
-            } else {
-                core.read_file(inode, off, len).await
-            };
-            respond(reply, out, flush).await;
-        }
-        VnodeMsg::Write { off, data, reply } => {
-            let out = if inode.kind == FileKind::Dir {
-                Err(FsError::IsDir)
-            } else {
-                match core.write_file(inode, off, &data, hint, alloc).await {
-                    Ok(()) => shared.store_inode(ino, inode.clone()).await,
-                    Err(e) => Err(e),
+impl Vnode {
+    /// Drains request bursts per wakeup until the channel closes or a
+    /// `Condemn` reaps the inode (the rest of that burst is dropped
+    /// unserved).
+    async fn serve(mut self, rx: &chanos_rt::Receiver<VnodeMsg>) {
+        let defer = rt::backend() == rt::Backend::Threads;
+        let mut batch = Vec::with_capacity(FS_BATCH);
+        let mut flush: ReplyFlush = Vec::new();
+        loop {
+            let n = rx.recv_many(&mut batch, FS_BATCH).await;
+            if n == 0 {
+                return;
+            }
+            let mut reaped = false;
+            for msg in batch.drain(..) {
+                let mut f = defer.then_some(&mut flush);
+                if self.handle(msg, &mut f).await.is_break() {
+                    reaped = true;
+                    break;
                 }
-            };
-            respond(reply, out, flush).await;
+            }
+            // The reaping Condemn's own reply flushes with the batch.
+            flush_replies(&mut flush);
+            if reaped {
+                return; // The vnode thread exits with its inode.
+            }
         }
-        VnodeMsg::Stat { reply } => {
-            let out = Ok(Stat {
-                ino,
-                kind: inode.kind,
-                size: inode.size,
-                nlink: inode.nlink,
-            });
-            respond(reply, out, flush).await;
-        }
-        VnodeMsg::Lookup { name, reply } => {
-            let out = match core.dir_lookup(inode, &name).await {
-                Ok(Some((child, _))) => Ok(child),
-                Ok(None) => Err(FsError::NotFound),
-                Err(e) => Err(e),
-            };
-            respond(reply, out, flush).await;
-        }
-        VnodeMsg::Create { name, kind, reply } => {
-            let out = vnode_create(shared, core, inode, ino, hint, alloc, name, kind).await;
-            respond(reply, out, flush).await;
-        }
-        VnodeMsg::Unlink { name, reply } => {
-            let out = vnode_unlink(shared, core, inode, ino, hint, alloc, name).await;
-            respond(reply, out, flush).await;
-        }
-        VnodeMsg::ReadDir { reply } => {
-            let out = core.dir_list(inode).await;
-            respond(reply, out, flush).await;
-        }
-        VnodeMsg::Condemn { reply } => {
-            if inode.kind == FileKind::Dir {
-                match core.dir_list(inode).await {
-                    Ok(entries) if !entries.is_empty() => {
-                        respond(reply, Err(FsError::NotEmpty), flush).await;
-                        return std::ops::ControlFlow::Continue(());
+    }
+
+    async fn handle(
+        &mut self,
+        msg: VnodeMsg,
+        flush: &mut Option<&mut ReplyFlush>,
+    ) -> std::ops::ControlFlow<()> {
+        match msg {
+            VnodeMsg::Read { off, len, reply } => {
+                let out = if self.inode.kind == FileKind::Dir {
+                    Err(FsError::IsDir)
+                } else {
+                    self.shared.core.read_file(&self.inode, off, len).await
+                };
+                respond(reply, out, flush).await;
+            }
+            VnodeMsg::Write { off, data, reply } => {
+                let out = if self.inode.kind == FileKind::Dir {
+                    Err(FsError::IsDir)
+                } else {
+                    match self.write_at(off, &data).await {
+                        Ok(()) => self.store().await,
+                        Err(e) => Err(e),
                     }
-                    Err(e) => {
+                };
+                respond(reply, out, flush).await;
+            }
+            VnodeMsg::Stat { reply } => {
+                let out = Ok(Stat {
+                    ino: self.ino,
+                    kind: self.inode.kind,
+                    size: self.inode.size,
+                    nlink: self.inode.nlink,
+                });
+                respond(reply, out, flush).await;
+            }
+            VnodeMsg::Lookup { name, reply } => {
+                let out = match self.entries().await {
+                    Ok(dir) => match dir.by_name.get(&name) {
+                        Some(&(child, _)) => Ok(child),
+                        None => Err(FsError::NotFound),
+                    },
+                    Err(e) => Err(e),
+                };
+                respond(reply, out, flush).await;
+            }
+            VnodeMsg::Create { name, kind, reply } => {
+                let out = self.create(name, kind).await;
+                respond(reply, out, flush).await;
+            }
+            VnodeMsg::Unlink { name, reply } => {
+                let out = self.unlink(name).await;
+                respond(reply, out, flush).await;
+            }
+            VnodeMsg::ReadDir { reply } => {
+                let out = self.shared.core.dir_list(&self.inode).await;
+                respond(reply, out, flush).await;
+            }
+            VnodeMsg::Condemn { reply } => {
+                if self.inode.kind == FileKind::Dir {
+                    let refusal = match self.entries().await {
+                        Ok(dir) if dir.by_name.is_empty() => None,
+                        Ok(_) => Some(FsError::NotEmpty),
+                        Err(e) => Some(e),
+                    };
+                    if let Some(e) = refusal {
                         respond(reply, Err(e), flush).await;
                         return std::ops::ControlFlow::Continue(());
                     }
-                    Ok(_) => {}
+                }
+                self.inode.nlink = self.inode.nlink.saturating_sub(1);
+                if self.inode.nlink == 0 {
+                    // Reap: free the data, then clear the record (a
+                    // vnode started for this number from now on finds
+                    // nothing to load), then leave the registry, and
+                    // only then free the number — so whoever is given
+                    // it next can never be routed to this task.
+                    let _ = self
+                        .shared
+                        .core
+                        .truncate(&mut self.inode, &self.alloc)
+                        .await;
+                    let ino = self.ino;
+                    let group = self.shared.group_of_ino(ino);
+                    let _ = group
+                        .call(|reply| GroupMsg::ClearInode { ino, reply })
+                        .await;
+                    self.shared.retire_vnode(ino, self.task).await;
+                    let _ = group.call(|reply| GroupMsg::FreeInode { ino, reply }).await;
+                    rt::stat_incr("msgfs.vnodes_reaped");
+                    respond(reply, Ok(true), flush).await;
+                    return std::ops::ControlFlow::Break(());
+                }
+                let out = self.store().await;
+                respond(reply, out.map(|()| false), flush).await;
+            }
+        }
+        std::ops::ControlFlow::Continue(())
+    }
+
+    /// Writes `data` at `off` of this vnode's file or directory. The
+    /// inode changes in memory only; [`Vnode::store`] persists it.
+    async fn write_at(&mut self, off: u64, data: &[u8]) -> Result<(), FsError> {
+        self.shared
+            .core
+            .write_file(&mut self.inode, off, data, self.group, &self.alloc)
+            .await
+    }
+
+    /// Persists the inode.
+    async fn store(&self) -> Result<(), FsError> {
+        self.shared.store_inode(self.ino, self.inode.clone()).await
+    }
+
+    /// This directory's entries, decoded from its blocks on first use.
+    async fn entries(&mut self) -> Result<&mut DirEntries, FsError> {
+        if self.dir.is_none() {
+            let mut dir = DirEntries::default();
+            let slots = self.shared.core.dir_slots(&self.inode).await?;
+            for (slot, entry) in (0u64..).zip(slots) {
+                match entry {
+                    Some(d) => {
+                        dir.by_name.insert(d.name, (d.ino, slot));
+                    }
+                    None => {
+                        dir.free.insert(slot);
+                    }
                 }
             }
-            inode.nlink = inode.nlink.saturating_sub(1);
-            if inode.nlink == 0 {
-                // Reap: free data, free the inode, retire.
-                let _ = core.truncate(inode, alloc).await;
-                let _ = shared
-                    .group_of_ino(ino)
-                    .call(|reply| GroupMsg::FreeInode { ino, reply })
-                    .await;
-                shared.retire_vnode(ino).await;
-                rt::stat_incr("msgfs.vnodes_reaped");
-                respond(reply, Ok(true), flush).await;
-                return std::ops::ControlFlow::Break(());
-            }
-            let out = shared.store_inode(ino, inode.clone()).await;
-            respond(reply, out.map(|()| false), flush).await;
+            self.dir = Some(dir);
         }
+        Ok(self.dir.as_mut().expect("loaded above"))
     }
-    std::ops::ControlFlow::Continue(())
-}
 
-#[allow(clippy::too_many_arguments)]
-async fn vnode_create(
-    shared: &Arc<MsgShared>,
-    core: &FsCore<CacheClient>,
-    dir: &mut Inode,
-    dir_ino: u64,
-    hint: u64,
-    alloc: &MsgAllocator,
-    name: String,
-    kind: FileKind,
-) -> Result<u64, FsError> {
-    if dir.kind != FileKind::Dir {
-        return Err(FsError::NotDir);
+    /// Adds `name` to this directory with a fresh inode of `kind`. The
+    /// entry goes where [`FsCore::dir_add`] would put it (the lowest
+    /// free slot, else a new one), so the blocks stay what the lock
+    /// engines would have written.
+    async fn create(&mut self, name: String, kind: FileKind) -> Result<u64, FsError> {
+        let appended = self.inode.size / DIRENT_SIZE as u64;
+        let dir = self.entries().await?;
+        check_name(&name)?;
+        if dir.by_name.contains_key(&name) {
+            return Err(FsError::Exists);
+        }
+        let slot = dir.free.first().copied().unwrap_or(appended);
+        let entries = dir.by_name.len() as u64;
+        let sb = self.shared.core.superblock();
+        let start = sb.inode_start_group(self.group, kind, entries);
+        // Allocate the inode via the group servers, scanning from there.
+        let mut ino = None;
+        for i in 0..sb.n_groups {
+            let g = ((start + i) % sb.n_groups) as usize;
+            let got = self.shared.groups[g]
+                .call(|reply| GroupMsg::AllocInode { kind, reply })
+                .await
+                .unwrap_or_else(|e| Err(e.into()))?;
+            if got.is_some() {
+                ino = got;
+                break;
+            }
+        }
+        let ino = ino.ok_or(FsError::NoInodes)?;
+        let entry = Dirent { ino, name };
+        self.write_at(slot * DIRENT_SIZE as u64, &entry.encode())
+            .await?;
+        let dir = self.dir.as_mut().expect("loaded above");
+        dir.free.remove(&slot);
+        dir.by_name.insert(entry.name, (ino, slot));
+        self.store().await?;
+        Ok(ino)
     }
-    if core.dir_lookup(dir, &name).await?.is_some() {
-        return Err(FsError::Exists);
-    }
-    // Allocate the inode via a group server, preferring our group.
-    let n = core.superblock().n_groups;
-    let mut ino = None;
-    for i in 0..n {
-        let g = ((hint + i) % n) as usize;
-        let got = shared.groups[g]
-            .call(|reply| GroupMsg::AllocInode { kind, reply })
+
+    /// Removes `name` from this directory, if the child agrees.
+    async fn unlink(&mut self, name: String) -> Result<(), FsError> {
+        let Some(&(child_ino, slot)) = self.entries().await?.by_name.get(&name) else {
+            return Err(FsError::NotFound);
+        };
+        // Ask the child vnode to check emptiness and drop a link.
+        let child = get_vnode(&self.shared, child_ino).await?;
+        child
+            .call(|reply| VnodeMsg::Condemn { reply })
             .await
             .unwrap_or_else(|e| Err(e.into()))?;
-        if got.is_some() {
-            ino = got;
-            break;
-        }
+        self.write_at(slot * DIRENT_SIZE as u64, &[0u8; DIRENT_SIZE])
+            .await?;
+        let dir = self.dir.as_mut().expect("loaded above");
+        dir.by_name.remove(&name);
+        dir.free.insert(slot);
+        self.store().await
     }
-    let ino = ino.ok_or(FsError::NoInodes)?;
-    core.dir_add(dir, &name, ino, hint, alloc).await?;
-    shared.store_inode(dir_ino, dir.clone()).await?;
-    Ok(ino)
 }
 
-async fn vnode_unlink(
-    shared: &Arc<MsgShared>,
-    core: &FsCore<CacheClient>,
-    dir: &mut Inode,
-    dir_ino: u64,
-    hint: u64,
-    alloc: &MsgAllocator,
-    name: String,
-) -> Result<(), FsError> {
-    let Some((child_ino, _)) = core.dir_lookup(dir, &name).await? else {
-        return Err(FsError::NotFound);
-    };
-    // Ask the child vnode to check emptiness and drop a link.
-    let child = get_vnode(shared, child_ino).await?;
-    let reaped = child
-        .call(|reply| VnodeMsg::Condemn { reply })
-        .await
-        .unwrap_or_else(|e| Err(e.into()))?;
-    let _ = reaped;
-    core.dir_remove(dir, &name, hint, alloc).await?;
-    shared.store_inode(dir_ino, dir.clone()).await?;
-    Ok(())
-}
-
-/// Spawns a vnode task for `ino` on `on`, returning its port.
-fn spawn_vnode(shared: &Arc<MsgShared>, ino: u64, on: CoreId) -> Port<VnodeMsg> {
+/// Spawns a vnode task for `ino` on `on`, returning its registry
+/// entry.
+fn spawn_vnode(shared: &Arc<MsgShared>, ino: u64, on: CoreId) -> Registered {
     let (port, rx) = port_channel::<VnodeMsg>(Capacity::Unbounded);
+    let task = shared.next_task.fetch_add(1, Ordering::Relaxed);
     let shared = shared.clone();
     rt::spawn_daemon_on(&format!("vnode{ino}"), on, async move {
-        vnode_task(ino, shared, rx).await;
+        vnode_task(ino, task, shared, rx).await;
     });
-    port
+    Registered { task, port }
 }
 
 async fn get_vnode(shared: &Arc<MsgShared>, ino: u64) -> Result<Port<VnodeMsg>, FsError> {
@@ -617,8 +764,8 @@ async fn get_vnode(shared: &Arc<MsgShared>, ino: u64) -> Result<Port<VnodeMsg>, 
             // the log; the first Ensure wins and everyone adopts its
             // port.
             let on = shared.vnode_cores[(ino as usize) % shared.vnode_cores.len()];
-            let port = spawn_vnode(shared, ino, on);
-            match reg.write(VnWrite::Ensure { ino, port }).await {
+            let entry = spawn_vnode(shared, ino, on);
+            match reg.write(VnWrite::Ensure { ino, entry }).await {
                 Ok(VnWriteResp::Ensured { port, inserted }) => {
                     if !inserted {
                         // Our candidate lost the race; its spare task
@@ -676,6 +823,7 @@ impl MsgFs {
             groups,
             vnmgr: OnceLock::new(),
             vnode_cores: service_cores.clone(),
+            next_task: AtomicU64::new(0),
         });
 
         let backend = match nr {
@@ -685,21 +833,21 @@ impl MsgFs {
                 let (mgr_port, mgr_rx) = port_channel::<VnMgrMsg>(Capacity::Unbounded);
                 let mgr_shared = shared.clone();
                 rt::spawn_daemon_on("fs-vnmgr", service_cores[0], async move {
-                    let mut registry: HashMap<u64, Port<VnodeMsg>> = HashMap::new();
+                    let mut registry: HashMap<u64, Registered> = HashMap::new();
                     let mut rr = 0usize;
                     while let Ok(msg) = mgr_rx.recv().await {
                         match msg {
                             VnMgrMsg::Get { ino, reply } => {
-                                let port = registry.entry(ino).or_insert_with(|| {
+                                let entry = registry.entry(ino).or_insert_with(|| {
                                     let on =
                                         mgr_shared.vnode_cores[rr % mgr_shared.vnode_cores.len()];
                                     rr += 1;
                                     spawn_vnode(&mgr_shared, ino, on)
                                 });
-                                let _ = reply.send(Ok(port.clone())).await;
+                                let _ = reply.send(Ok(entry.port.clone())).await;
                             }
-                            VnMgrMsg::Retire { ino } => {
-                                registry.remove(&ino);
+                            VnMgrMsg::Retire { ino, task } => {
+                                retire_entry(&mut registry, ino, task);
                             }
                         }
                     }

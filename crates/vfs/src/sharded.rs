@@ -164,16 +164,23 @@ impl ShardedFs {
         if dir.kind != FileKind::Dir {
             return Err(FsError::NotDir);
         }
-        if self.core.dir_lookup(&dir, name).await?.is_some() {
+        // One read of the directory answers both "is the name taken"
+        // and "how many entries", which placement wants.
+        let listing = self.core.dir_list(&dir).await?;
+        if listing.iter().any(|d| d.name == name) {
             return Err(FsError::Exists);
         }
         let hint = self.core.superblock().group_of_ino(parent);
         // Inode allocation under the group lock.
         let ino = {
             let n = self.core.superblock().n_groups;
+            let start = self
+                .core
+                .superblock()
+                .inode_start_group(hint, kind, listing.len() as u64);
             let mut got = None;
             for i in 0..n {
-                let g = (hint + i) % n;
+                let g = (start + i) % n;
                 let guard = self.groups.locks[g as usize].lock().await;
                 let r = self.core.alloc_inode_in(g, kind).await?;
                 drop(guard);

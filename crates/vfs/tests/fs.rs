@@ -19,6 +19,10 @@ fn sim(cores: usize) -> Simulation {
 
 /// Builds a fresh fs of the requested engine inside the simulation.
 async fn make_fs(which: &str, cores: usize) -> Vfs {
+    make_fs_with_groups(which, cores, GROUPS).await
+}
+
+async fn make_fs_with_groups(which: &str, cores: usize, groups: u64) -> Vfs {
     let dev = {
         // Device cores must be added before tasks run; grab via ext?
         // Simpler: drivers accept any core; use the last CPU core as
@@ -30,28 +34,26 @@ async fn make_fs(which: &str, cores: usize) -> Vfs {
     let service: Vec<CoreId> = (0..cores as u32 - 1).map(CoreId).collect();
     match which {
         "biglock" => Vfs::Big(
-            BigLockFs::format(disk, DISK_BLOCKS, GROUPS, 256)
+            BigLockFs::format(disk, DISK_BLOCKS, groups, 256)
                 .await
                 .unwrap(),
         ),
         "sharded" => Vfs::Sharded(
-            ShardedFs::format(disk, DISK_BLOCKS, GROUPS, 8, 32)
+            ShardedFs::format(disk, DISK_BLOCKS, groups, 8, 32)
                 .await
                 .unwrap(),
         ),
-        "msgfs" => Vfs::Msg(
-            MsgFs::format(
-                disk,
-                DISK_BLOCKS,
-                GROUPS,
-                8,
-                32,
-                service,
-                chanos_vfs::default_nr_mode(),
+        "msgfs" | "msgfs-single-vnmgr" => {
+            let nr = match which {
+                "msgfs" => chanos_vfs::default_nr_mode(),
+                _ => chanos_vfs::NrMode::SingleServer,
+            };
+            Vfs::Msg(
+                MsgFs::format(disk, DISK_BLOCKS, groups, 8, 32, service, nr)
+                    .await
+                    .unwrap(),
             )
-            .await
-            .unwrap(),
-        ),
+        }
         other => panic!("unknown engine {other}"),
     }
 }
@@ -59,7 +61,14 @@ async fn make_fs(which: &str, cores: usize) -> Vfs {
 fn for_each_engine(
     test: impl Fn(Vfs) -> std::pin::Pin<Box<dyn std::future::Future<Output = ()>>> + Copy + 'static,
 ) {
-    for which in ["biglock", "sharded", "msgfs"] {
+    for_each_of(&["biglock", "sharded", "msgfs"], test);
+}
+
+fn for_each_of(
+    engines: &[&'static str],
+    test: impl Fn(Vfs) -> std::pin::Pin<Box<dyn std::future::Future<Output = ()>>> + Copy + 'static,
+) {
+    for &which in engines {
         let mut s = sim(4);
         s.block_on(async move {
             let fs = make_fs(which, 4).await;
@@ -327,5 +336,174 @@ fn msgfs_spawns_vnode_threads() {
     assert!(
         spawned >= 6,
         "expected a vnode thread per touched inode (root + 5 files), got {spawned}"
+    );
+}
+
+/// The placement rule (FFS): directories spread over the cylinder
+/// groups, a file goes to its directory's group — the same on every
+/// engine, so the three volumes stay the same bytes.
+#[test]
+fn directories_spread_over_groups_and_files_follow_them() {
+    const GROUPS: u64 = 8;
+    let sb = chanos_vfs::Superblock::design(DISK_BLOCKS, GROUPS);
+    let mut placed = Vec::new();
+    for which in ["biglock", "sharded", "msgfs"] {
+        let mut s = sim(4);
+        let inos = s
+            .block_on(async move {
+                let fs = make_fs_with_groups(which, 4, GROUPS).await;
+                let mut inos = Vec::new();
+                for d in 0..16 {
+                    let dir = fs.mkdir(&format!("/d{d}")).await.unwrap();
+                    inos.push((dir, 0));
+                }
+                for (d, pair) in inos.iter_mut().enumerate() {
+                    pair.1 = fs.create(&format!("/d{d}/f")).await.unwrap();
+                }
+                inos
+            })
+            .unwrap_or_else(|e| panic!("engine {which}: {e}"));
+        let mut groups: Vec<u64> = inos.iter().map(|&(dir, _)| sb.group_of_ino(dir)).collect();
+        for &(dir, file) in &inos {
+            assert_eq!(
+                sb.group_of_ino(file),
+                sb.group_of_ino(dir),
+                "{which}: a file lands in its directory's group"
+            );
+        }
+        groups.sort_unstable();
+        groups.dedup();
+        assert_eq!(groups.len(), 8, "{which}: 16 directories use all 8 groups");
+        placed.push(inos);
+    }
+    assert_eq!(placed[0], placed[1], "biglock vs sharded");
+    assert_eq!(placed[0], placed[2], "biglock vs msgfs");
+}
+
+/// A `create` that races the removal of its directory gets an answer
+/// either way: it lands first and the `unlink` is refused, or the
+/// directory's vnode is reaping (or gone) and the create is refused
+/// with the tombstone answer — whether it was queued behind the
+/// `Condemn`, arrived while the reap was under way, or came after.
+#[test]
+fn create_racing_a_reaping_directory_is_answered() {
+    let (mut landed, mut reaping, mut gone) = (0, 0, 0);
+    // How long after the `create` the `unlink` starts, in cycles
+    // (negative: before it).
+    for delay in (-500i64..=1_000).step_by(25) {
+        let mut s = sim(4);
+        let (unlinked, created, dir_after, file_after) = s
+            .block_on(async move {
+                let fs = make_fs("msgfs", 4).await;
+                fs.mkdir("/d").await.unwrap();
+                let remover = {
+                    let fs = fs.clone();
+                    chanos_sim::spawn_on(CoreId(0), async move {
+                        chanos_sim::sleep(delay.max(0) as u64).await;
+                        fs.unlink("/d").await
+                    })
+                };
+                let creator = {
+                    let fs = fs.clone();
+                    chanos_sim::spawn_on(CoreId(1), async move {
+                        chanos_sim::sleep((-delay).max(0) as u64).await;
+                        fs.create("/d/x").await
+                    })
+                };
+                let unlinked = remover.join().await.unwrap();
+                let created = creator.join().await.unwrap();
+                (
+                    unlinked,
+                    created,
+                    fs.lookup("/d").await,
+                    fs.lookup("/d/x").await,
+                )
+            })
+            .unwrap_or_else(|e| panic!("delay {delay}: a call was never answered: {e}"));
+        match (unlinked, created) {
+            (Err(FsError::NotEmpty), Ok(ino)) => {
+                landed += 1;
+                assert_eq!(file_after, Ok(ino), "delay {delay}");
+            }
+            (Ok(()), Err(e @ (FsError::Gone | FsError::NotFound))) => {
+                if e == FsError::Gone {
+                    reaping += 1;
+                } else {
+                    gone += 1;
+                }
+                assert_eq!(dir_after, Err(FsError::NotFound), "delay {delay}");
+            }
+            other => panic!("delay {delay}: {other:?}"),
+        }
+    }
+    assert!(
+        landed > 0 && reaping > 0 && gone > 0,
+        "{landed} landed, {reaping} met the reaping vnode, {gone} came after"
+    );
+}
+
+/// A call on an inode number whose file is being removed is answered
+/// too, whenever it arrives: before the `Condemn` (served), while the
+/// vnode is reaping or after it has exited (refused). The kernel's fd
+/// tables hold exactly such numbers.
+#[test]
+fn call_on_a_stale_handle_is_answered_at_any_point_of_the_reap() {
+    for which in ["msgfs", "msgfs-single-vnmgr"] {
+        stale_handle_sweep(which);
+    }
+}
+
+fn stale_handle_sweep(which: &'static str) {
+    let (mut served, mut refused) = (0, 0);
+    for delay in (0u64..=8_000).step_by(50) {
+        let mut s = sim(4);
+        let stat = s
+            .block_on(async move {
+                let fs = make_fs(which, 4).await;
+                let ino = fs.create("/f").await.unwrap();
+                fs.write(ino, 0, b"doomed").await.unwrap();
+                let holder = {
+                    let fs = fs.clone();
+                    chanos_sim::spawn_on(CoreId(1), async move {
+                        chanos_sim::sleep(delay).await;
+                        fs.stat(ino).await
+                    })
+                };
+                fs.unlink("/f").await.unwrap();
+                holder.join().await.unwrap()
+            })
+            .unwrap_or_else(|e| panic!("delay {delay}: a call was never answered: {e}"));
+        match stat {
+            Ok(st) => {
+                served += 1;
+                assert_eq!(st.size, 6, "delay {delay}");
+            }
+            Err(FsError::Gone) => refused += 1,
+            Err(e) => panic!("delay {delay}: {e:?}"),
+        }
+    }
+    assert!(
+        served > 0 && refused > 0,
+        "{served} served, {refused} refused"
+    );
+}
+
+/// A stale handle used after its file is gone must not spoil the inode
+/// number for the file that gets it next.
+#[test]
+fn a_reused_inode_number_is_not_haunted_by_a_stale_handle() {
+    for_each_of(
+        &["biglock", "sharded", "msgfs", "msgfs-single-vnmgr"],
+        |fs| {
+            Box::pin(async move {
+                let old = fs.create("/old").await.unwrap();
+                fs.unlink("/old").await.unwrap();
+                assert!(fs.stat(old).await.is_err(), "{}", fs.name());
+                let new = fs.create("/new").await.unwrap();
+                assert_eq!(new, old, "{}: first-fit reuses the number", fs.name());
+                fs.write(new, 0, b"fresh").await.unwrap();
+                assert_eq!(fs.read(new, 0, 5).await.unwrap(), b"fresh", "{}", fs.name());
+            })
+        },
     );
 }

@@ -147,6 +147,24 @@ fn random_script(g: &mut Pcg32) -> Vec<Op> {
         .collect()
 }
 
+/// A freshly formatted 2048-block, 4-group volume of the named engine
+/// on a 4-core machine (disk and driver on core 3).
+async fn fresh_fs(which: &str) -> Vfs {
+    let dev = CoreId(3);
+    let (hw, irq) = install_disk(2048, DiskParams::default(), dev);
+    let disk = spawn_disk_driver(hw, irq, dev);
+    let cores: Vec<CoreId> = (0..3u32).map(CoreId).collect();
+    match which {
+        "biglock" => Vfs::Big(BigLockFs::format(disk, 2048, 4, 128).await.unwrap()),
+        "sharded" => Vfs::Sharded(ShardedFs::format(disk, 2048, 4, 4, 32).await.unwrap()),
+        _ => Vfs::Msg(
+            MsgFs::format(disk, 2048, 4, 4, 32, cores, chanos_vfs::default_nr_mode())
+                .await
+                .unwrap(),
+        ),
+    }
+}
+
 fn apply_script(which: &'static str, script: Vec<Op>) -> Vec<String> {
     let mut s = Simulation::with_config(Config {
         cores: 4,
@@ -154,19 +172,7 @@ fn apply_script(which: &'static str, script: Vec<Op>) -> Vec<String> {
         ..Config::default()
     });
     s.block_on(async move {
-        let dev = CoreId(3);
-        let (hw, irq) = install_disk(2048, DiskParams::default(), dev);
-        let disk = spawn_disk_driver(hw, irq, dev);
-        let cores: Vec<CoreId> = (0..3u32).map(CoreId).collect();
-        let fs = match which {
-            "biglock" => Vfs::Big(BigLockFs::format(disk, 2048, 4, 128).await.unwrap()),
-            "sharded" => Vfs::Sharded(ShardedFs::format(disk, 2048, 4, 4, 32).await.unwrap()),
-            _ => Vfs::Msg(
-                MsgFs::format(disk, 2048, 4, 4, 32, cores, chanos_vfs::default_nr_mode())
-                    .await
-                    .unwrap(),
-            ),
-        };
+        let fs = fresh_fs(which).await;
         let mut log = Vec::new();
         let mut sizes: std::collections::HashMap<u8, u64> = std::collections::HashMap::new();
         for op in script {
@@ -241,5 +247,88 @@ fn engines_are_observably_equivalent() {
         let msg = apply_script("msgfs", script.clone());
         assert_eq!(&big, &sharded, "case {case}: biglock vs sharded");
         assert_eq!(&big, &msg, "case {case}: biglock vs msgfs");
+    }
+}
+
+/// A namespace storm from one seed — create, unlink, lookup, readdir,
+/// mkdir and rmdir over a few directories and a small pool of names,
+/// so names are reused and slots are freed and refilled — must read
+/// the same, op for op, on the engine whose directory vnodes answer
+/// from their own copy of the entries (`MsgFs`) and on one that reads
+/// the blocks every time (`BigLockFs`).
+fn namespace_storm(which: &'static str, seed: u64, ops: usize) -> Vec<String> {
+    const DIRS: [&str; 4] = ["", "/a", "/b", "/c"];
+    // A big pool in the root; a small one below, so that a directory
+    // is sometimes empty when its `rmdir` comes.
+    const NAMES: usize = 10;
+    const NAMES_BELOW: usize = 3;
+    let mut s = Simulation::with_config(Config {
+        cores: 4,
+        ctx_switch: 10,
+        ..Config::default()
+    });
+    s.block_on(async move {
+        let fs = fresh_fs(which).await;
+        let listing = |entries: Vec<Dirent>| -> String {
+            // Slot order, not sorted: the directory blocks must match.
+            let names: Vec<String> = entries
+                .into_iter()
+                .map(|e| format!("{}={}", e.name, e.ino))
+                .collect();
+            names.join(",")
+        };
+        let mut g = Pcg32::new(seed);
+        let mut log = Vec::with_capacity(ops + 64);
+        for _ in 0..ops {
+            let dir = DIRS[g.index(DIRS.len())];
+            let pool = if dir.is_empty() { NAMES } else { NAMES_BELOW };
+            let path = format!("{dir}/n{}", g.index(pool));
+            let line = match g.index(8) {
+                0 | 1 => format!("create {path}: {:?}", fs.create(&path).await),
+                2 | 3 => format!("unlink {path}: {:?}", fs.unlink(&path).await),
+                4 => format!("lookup {path}: {:?}", fs.lookup(&path).await),
+                5 | 6 if !dir.is_empty() => match g.index(2) {
+                    0 => format!("mkdir {dir}: {:?}", fs.mkdir(dir).await),
+                    _ => format!("rmdir {dir}: {:?}", fs.unlink(dir).await),
+                },
+                _ => format!("ls {dir}/: {:?}", fs.readdir(dir).await.map(listing)),
+            };
+            log.push(line);
+        }
+        // What the blocks say (`readdir` decodes them) against what
+        // the vnodes answer lookups from.
+        for dir in DIRS {
+            let Ok(entries) = fs.readdir(dir).await else {
+                continue;
+            };
+            for i in 0..NAMES {
+                let name = format!("n{i}");
+                let on_disk = entries.iter().find(|e| e.name == name).map(|e| e.ino);
+                let answered = fs.lookup(&format!("{dir}/{name}")).await.ok();
+                assert_eq!(answered, on_disk, "{which}: {dir}/{name}");
+            }
+            log.push(format!("final {dir}/: {}", listing(entries)));
+        }
+        log
+    })
+    .unwrap()
+}
+
+#[test]
+fn namespace_storm_reads_the_same_from_owned_entries_and_from_blocks() {
+    let msg = namespace_storm("msgfs", 0xD1_4E57, 2500);
+    let big = namespace_storm("biglock", 0xD1_4E57, 2500);
+    for (i, (m, b)) in msg.iter().zip(&big).enumerate() {
+        assert_eq!(m, b, "op {i}");
+    }
+    assert_eq!(msg.len(), big.len());
+    // The storm must have exercised what it is for.
+    for op in ["create", "unlink", "lookup", "mkdir", "rmdir", "ls"] {
+        let done = |l: &&String| l.starts_with(op) && l.contains(": Ok(");
+        assert!(msg.iter().filter(done).count() >= 20, "few `{op}` succeed");
+    }
+    for refusal in ["Err(Exists)", "Err(NotFound)", "Err(NotEmpty)"] {
+        let refused = |l: &&String| l.contains(refusal);
+        assert!(msg.iter().filter(refused).count() >= 20, "few `{refusal}`");
     }
 }

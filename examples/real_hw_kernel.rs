@@ -25,7 +25,7 @@ fn main() {
     println!("booting the message kernel on {workers} OS threads...");
     let rt = Runtime::new(workers);
 
-    // Boot: disk → driver → MsgFs → syscall servers. Identical code
+    // Boot: disk → driver → MsgFs → message kernel. Identical code
     // and identical BootCfg to the simulated examples.
     let os = rt.block_on(async {
         boot(BootCfg::new(

@@ -1172,6 +1172,39 @@ mod nr_equiv {
         .unwrap();
     }
 
+    /// A read from a core that holds no replica is served from another
+    /// core's replica: it is not a local read and is not counted as
+    /// one.
+    #[test]
+    fn reads_from_a_core_without_a_replica_count_as_foreign() {
+        const N: u64 = 100;
+        let mut s = Simulation::with_config(Config {
+            cores: 4,
+            ..Config::default()
+        });
+        s.block_on(async {
+            let cores: Vec<CoreId> = (0..2).map(CoreId).collect();
+            let pids = PidTable::spawn(&cores, NrMode::Replicated);
+            pids.register(Pid(7), "w", CoreId(0)).await;
+            let local0 = chanos::rt::stat_get("nr.local_reads");
+            let reads = |core: u32| {
+                let pids = pids.clone();
+                chanos::rt::spawn_on(CoreId(core), async move {
+                    for _ in 0..N {
+                        assert!(pids.alive(Pid(7)).await);
+                    }
+                })
+            };
+            reads(3).join().await.unwrap();
+            assert_eq!(chanos::rt::stat_get("nr.foreign_reads"), N);
+            assert_eq!(chanos::rt::stat_get("nr.local_reads"), local0);
+            reads(1).join().await.unwrap();
+            assert_eq!(chanos::rt::stat_get("nr.foreign_reads"), N);
+            assert_eq!(chanos::rt::stat_get("nr.local_reads"), local0 + N);
+        })
+        .unwrap();
+    }
+
     /// The same fast path exists on real threads: per-runtime nr.*
     /// counters show N local reads and no server involvement.
     #[test]
