@@ -1,10 +1,9 @@
-//! Channel microbench matrix: `ChanMode::Mutex` vs
-//! `ChanMode::LockFree` across capacity x producers x consumers x
+//! Channel microbench matrix: capacity x producers x consumers x
 //! payload x drain batch, on the `chanos-parchan` threads backend.
 //!
-//! This is the A/B evidence for the lock-free channel fast paths:
-//! the same message volume moved through both implementations, plus
-//! an E1-style RPC round-trip in both modes. Results print as
+//! Each case moves the same message volume through `channel()`
+//! (which picks the mutex core or the lock-free ring from the
+//! capacity), plus an E1-style RPC round-trip. Results print as
 //! markdown and are recorded to `BENCH_chan.json` (override the path
 //! with `CHANOS_BENCH_OUT`) — the first entry of the repo's perf
 //! trajectory.
@@ -15,29 +14,7 @@
 use std::time::Instant;
 
 use chanos_bench::harness::default_budget;
-use chanos_parchan::{
-    chan_counter, channel, channel_with_mode, reset_chan_counters, Capacity, ChanMode, Runtime,
-};
-
-/// How a run picks its channel implementation: an explicit mode, or
-/// whatever `channel()`'s default routing decides (which sends small
-/// bounded caps to the mutex core — the policy under test in the
-/// small-ring A/B section).
-#[derive(Clone, Copy, PartialEq)]
-enum Route {
-    Mode(ChanMode),
-    Default,
-}
-
-impl Route {
-    fn name(self) -> &'static str {
-        match self {
-            Route::Mode(ChanMode::LockFree) => "lock-free",
-            Route::Mode(ChanMode::Mutex) => "mutex",
-            Route::Default => "routed-default",
-        }
-    }
-}
+use chanos_parchan::{chan_counter, channel, reset_chan_counters, Capacity, Runtime};
 
 #[derive(Clone)]
 struct Case {
@@ -50,7 +27,6 @@ struct Case {
 
 struct Row {
     case: Case,
-    mode: &'static str,
     workers: usize,
     msgs: u64,
     nanos: u128,
@@ -77,16 +53,12 @@ fn cap_name(c: Capacity) -> String {
 /// the larger ones).
 fn run_typed<T: Send + 'static>(
     case: &Case,
-    route: Route,
     workers: usize,
     msgs_per_producer: u64,
     make: impl Fn() -> T + Clone + Send + 'static,
 ) -> Row {
     let rt = Runtime::new(workers);
-    let (tx, rx) = match route {
-        Route::Mode(mode) => channel_with_mode::<T>(case.cap, mode),
-        Route::Default => channel::<T>(case.cap),
-    };
+    let (tx, rx) = channel::<T>(case.cap);
     let total = msgs_per_producer * case.producers as u64;
 
     let t0 = Instant::now();
@@ -143,30 +115,28 @@ fn run_typed<T: Send + 'static>(
     assert_eq!(got, total, "bench lost messages");
     Row {
         case: case.clone(),
-        mode: route.name(),
         workers,
         msgs: total,
         nanos,
     }
 }
 
-fn run_case(case: &Case, route: Route, workers: usize, msgs_per_producer: u64) -> Row {
+fn run_case(case: &Case, workers: usize, msgs_per_producer: u64) -> Row {
     if case.payload <= 8 {
-        run_typed::<u64>(case, route, workers, msgs_per_producer, || 0xAB)
+        run_typed::<u64>(case, workers, msgs_per_producer, || 0xAB)
     } else {
         let payload = case.payload;
-        run_typed::<Vec<u8>>(case, route, workers, msgs_per_producer, move || {
+        run_typed::<Vec<u8>>(case, workers, msgs_per_producer, move || {
             vec![0xAB; payload]
         })
     }
 }
 
-/// E1-style RPC round trip (request + reply channel) in both modes;
-/// returns ns/round-trip.
-fn rpc_round_trip(mode: ChanMode, rounds: u64) -> f64 {
+/// E1-style RPC round trip (request + reply channel); returns
+/// ns/round-trip.
+fn rpc_round_trip(rounds: u64) -> f64 {
     let rt = Runtime::new(2);
-    let (req_tx, req_rx) =
-        channel_with_mode::<(u64, chanos_parchan::Sender<u64>)>(Capacity::Unbounded, mode);
+    let (req_tx, req_rx) = channel::<(u64, chanos_parchan::Sender<u64>)>(Capacity::Unbounded);
     let _server = rt.spawn(async move {
         while let Ok((x, reply)) = req_rx.recv().await {
             let _ = reply.send(x.wrapping_mul(3)).await;
@@ -175,7 +145,7 @@ fn rpc_round_trip(mode: ChanMode, rounds: u64) -> f64 {
     let t0 = Instant::now();
     rt.block_on(async {
         for i in 0..rounds {
-            let (rtx, rrx) = channel_with_mode::<u64>(Capacity::Bounded(1), mode);
+            let (rtx, rrx) = channel::<u64>(Capacity::Bounded(1));
             req_tx.send((i, rtx)).await.unwrap();
             std::hint::black_box(rrx.recv().await.unwrap());
         }
@@ -255,46 +225,29 @@ fn main() {
         },
     ];
 
-    println!("\n## Channel microbench: lock-free ring vs mutex (4 workers)\n");
-    println!(
-        "| capacity | prod x cons | payload | drain | mutex msgs/s | lock-free msgs/s | speedup |"
-    );
-    println!("|---|---|---|---|---|---|---|");
+    println!("\n## Channel microbench (4 workers)\n");
+    println!("| capacity | prod x cons | payload | drain | msgs/s |");
+    println!("|---|---|---|---|---|");
 
     reset_chan_counters();
     let mut rows: Vec<Row> = Vec::new();
-    let mut key_speedup = 0.0f64;
     for case in &cases {
-        let per_prod = msgs / case.producers as u64;
-        let a = run_case(case, Route::Mode(ChanMode::Mutex), 4, per_prod);
-        let b = run_case(case, Route::Mode(ChanMode::LockFree), 4, per_prod);
-        let speedup = b.msgs_per_sec() / a.msgs_per_sec();
-        // The headline acceptance case: 4p/4c bounded, plain recv.
-        if case.cap == Capacity::Bounded(64)
-            && case.producers == 4
-            && case.consumers == 4
-            && case.payload == 8
-        {
-            key_speedup = speedup;
-        }
+        let r = run_case(case, 4, msgs / case.producers as u64);
         println!(
-            "| {} | {}x{} | {}B | {} | {:.0} | {:.0} | {:.2}x |",
+            "| {} | {}x{} | {}B | {} | {:.0} |",
             cap_name(case.cap),
             case.producers,
             case.consumers,
             case.payload,
             case.batch,
-            a.msgs_per_sec(),
-            b.msgs_per_sec(),
-            speedup,
+            r.msgs_per_sec(),
         );
-        rows.push(a);
-        rows.push(b);
+        rows.push(r);
     }
 
     // Worker-count scaling on the headline contended case: the same
-    // message volume at 1, 2, 4, and host_cores workers, both modes.
-    // On a single-CPU host the counts timeshare one core, so the
+    // message volume at 1, 2, 4, and host_cores workers. On a
+    // single-CPU host the counts timeshare one core, so the
     // trajectory is flat there by construction — the rows exist so a
     // multicore host records a real scaling curve under the same key.
     let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get());
@@ -309,65 +262,20 @@ fn main() {
         batch: 1,
     };
     println!("\n## Worker-count scaling: bounded(64) 4p/4c, host_cores={host_cores}\n");
-    println!("| workers | mutex msgs/s | lock-free msgs/s | speedup |");
-    println!("|---|---|---|---|");
+    println!("| workers | msgs/s |");
+    println!("|---|---|");
     let mut scaling_rows: Vec<Row> = Vec::new();
     for &w in &worker_counts {
-        let per_prod = msgs / scaling_case.producers as u64;
-        let a = run_case(&scaling_case, Route::Mode(ChanMode::Mutex), w, per_prod);
-        let b = run_case(&scaling_case, Route::Mode(ChanMode::LockFree), w, per_prod);
-        println!(
-            "| {w} | {:.0} | {:.0} | {:.2}x |",
-            a.msgs_per_sec(),
-            b.msgs_per_sec(),
-            b.msgs_per_sec() / a.msgs_per_sec(),
-        );
-        scaling_rows.push(a);
-        scaling_rows.push(b);
+        let r = run_case(&scaling_case, w, msgs / scaling_case.producers as u64);
+        println!("| {w} | {:.0} |", r.msgs_per_sec());
+        scaling_rows.push(r);
     }
 
-    // Small-ring A/B: bounded(4) 1p/1c under each explicit mode and
-    // under `channel()`'s default routing, which sends caps below the
-    // route threshold to the mutex core (the ring's two-word ticket
-    // protocol costs more than a futex at tiny capacities).
-    let small_case = Case {
-        cap: Capacity::Bounded(4),
-        producers: 1,
-        consumers: 1,
-        payload: 8,
-        batch: 1,
-    };
-    let small: Vec<Row> = [
-        Route::Mode(ChanMode::Mutex),
-        Route::Mode(ChanMode::LockFree),
-        Route::Default,
-    ]
-    .into_iter()
-    .map(|route| run_case(&small_case, route, 4, msgs))
-    .collect();
-    println!("\n## Small-ring routing A/B: bounded(4) 1p/1c\n");
-    println!("| implementation | msgs/s |");
-    println!("|---|---|");
-    for r in &small {
-        println!("| {} | {:.0} |", r.mode, r.msgs_per_sec());
-    }
-
-    let rpc_mutex = rpc_round_trip(ChanMode::Mutex, rpc_rounds);
-    let rpc_lf = rpc_round_trip(ChanMode::LockFree, rpc_rounds);
+    let rpc_ns = rpc_round_trip(rpc_rounds);
     println!("\n## E1 RPC round trip on real threads\n");
-    println!("| mode | ns/round-trip |");
-    println!("|---|---|");
-    println!("| mutex | {rpc_mutex:.0} |");
-    println!("| lock-free | {rpc_lf:.0} |");
-    println!(
-        "\n4p/4c bounded(64) speedup: {key_speedup:.2}x (target >= 2x on real \
-         multicore; a single-CPU host timeshares the workers, which hides ring \
-         parallelism and makes uncontended futexes artificially cheap); \
-         RPC speedup: {:.2}x",
-        rpc_mutex / rpc_lf
-    );
+    println!("{rpc_ns:.0} ns/round-trip");
 
-    println!("\n## Channel path counters (both modes, whole run)\n");
+    println!("\n## Channel path counters (whole run)\n");
     println!("| counter | value |");
     println!("|---|---|");
     for (name, v) in chanos_parchan::chan_counters() {
@@ -381,35 +289,20 @@ fn main() {
         "  \"bench\": \"chan_micro\",\n  \"quick\": {quick},\n  \"workers\": 4,\n"
     ));
     j.push_str(&format!(
-        "  \"host_cores\": {host_cores},\n  \"backend\": \"threads\",\n  \"sched_mode\": \"work-stealing\",\n"
+        "  \"host_cores\": {host_cores},\n  \"backend\": \"threads\",\n"
     ));
-    j.push_str(&format!(
-        "  \"rpc_ns_per_round_trip\": {{\"mutex\": {rpc_mutex:.1}, \"lock_free\": {rpc_lf:.1}}},\n"
-    ));
-    j.push_str(&format!(
-        "  \"key_speedup_bounded64_4p4c\": {key_speedup:.3},\n"
-    ));
-    // Small-ring A/B (flat keys: awk-greppable like the headline).
-    j.push_str(&format!(
-        "  \"small_ring_bounded4_1p1c\": {{\"mutex_msgs_per_sec\": {:.1}, \
-         \"lock_free_msgs_per_sec\": {:.1}, \"routed_default_msgs_per_sec\": {:.1}, \
-         \"policy\": \"default routes bounded caps < 8 to the mutex core\"}},\n",
-        small[0].msgs_per_sec(),
-        small[1].msgs_per_sec(),
-        small[2].msgs_per_sec(),
-    ));
+    j.push_str(&format!("  \"rpc_ns_per_round_trip\": {rpc_ns:.1},\n"));
     let emit_rows = |j: &mut String, rows: &[Row]| {
         for (i, r) in rows.iter().enumerate() {
             j.push_str(&format!(
                 "    {{\"capacity\": \"{}\", \"producers\": {}, \"consumers\": {}, \
-                 \"payload_bytes\": {}, \"drain_batch\": {}, \"mode\": \"{}\", \
+                 \"payload_bytes\": {}, \"drain_batch\": {}, \
                  \"workers\": {}, \"msgs\": {}, \"nanos\": {}, \"msgs_per_sec\": {:.1}}}{}\n",
                 json_escape_free(&cap_name(r.case.cap)),
                 r.case.producers,
                 r.case.consumers,
                 r.case.payload,
                 r.case.batch,
-                r.mode,
                 r.workers,
                 r.msgs,
                 r.nanos,

@@ -15,9 +15,8 @@
 //!   a real task on the work-stealing scheduler.
 //! * **E14** — one OS vs a box of VM partitions, on threads: remote
 //!   shards cross the full `chanos-net` middleweight stack.
-//! * **sched** — spawn/steal microbench: per-worker run queues vs
-//!   the old single-mutex injector (`SchedMode::GlobalQueue`) on the
-//!   same yield-heavy workload.
+//! * **sched** — spawn/steal microbench: a yield-heavy workload
+//!   through the per-worker run queues, counting steals.
 //!
 //! E4 runs against the **file-backed block device** (the threads
 //! backend's `DiskHw` store): the `disk.*` counters printed after it
@@ -26,9 +25,7 @@
 //! The paper's claims get measured on silicon, not just in the model.
 
 use chanos_bench::harness::{bench, default_budget, header};
-use chanos_parchan::{
-    channel, channel_with_mode, yield_now, Capacity, ChanMode, Runtime, SchedMode,
-};
+use chanos_parchan::{channel, yield_now, Capacity, Runtime};
 
 #[inline(never)]
 fn callee(x: u64) -> u64 {
@@ -44,35 +41,22 @@ fn bench_e1_msg_vs_call() {
         acc
     });
 
-    // A/B the channel core on the same RPC: the old mutex channels
-    // vs the lock-free ring fast paths.
-    for (mode, name) in [
-        (ChanMode::Mutex, "channel_rpc_round_trip[mutex]"),
-        (ChanMode::LockFree, "channel_rpc_round_trip[lock-free]"),
-    ] {
-        let rt = Runtime::new(2);
-        // Echo server task.
-        let (req_tx, req_rx) =
-            channel_with_mode::<(u64, chanos_parchan::Sender<u64>)>(Capacity::Unbounded, mode);
-        let _server = rt.spawn(async move {
-            while let Ok((x, reply)) = req_rx.recv().await {
-                let _ = reply.send(callee(x)).await;
-            }
-        });
-        {
-            let req_tx = req_tx.clone();
-            bench(name, budget, || {
-                let (rtx, rrx) = channel_with_mode::<u64>(Capacity::Bounded(1), mode);
-                rt.block_on(async {
-                    req_tx.send((7, rtx)).await.unwrap();
-                    rrx.recv().await.unwrap()
-                })
-            });
-        }
-        drop(req_tx);
-        rt.shutdown();
-    }
     let rt = Runtime::new(2);
+    // Echo server task.
+    let (req_tx, req_rx) = channel::<(u64, chanos_parchan::Sender<u64>)>(Capacity::Unbounded);
+    let _server = rt.spawn(async move {
+        while let Ok((x, reply)) = req_rx.recv().await {
+            let _ = reply.send(callee(x)).await;
+        }
+    });
+    bench("channel_rpc_round_trip", budget, || {
+        let (rtx, rrx) = channel::<u64>(Capacity::Bounded(1));
+        rt.block_on(async {
+            req_tx.send((7, rtx)).await.unwrap();
+            rrx.recv().await.unwrap()
+        })
+    });
+    drop(req_tx);
     let (tx, rx) = channel::<u64>(Capacity::Unbounded);
     bench("unbounded_send_then_recv_same_task", budget, || {
         rt.block_on(async {
@@ -93,35 +77,9 @@ fn bench_e3_syscalls_real_hw() {
 
     let budget = default_budget();
     header("E3 on real threads: message-kernel syscalls");
-    // A/B the whole kernel on both channel cores: boot under each
-    // default ChanMode and measure the null syscall.
-    for (mode, name) in [
-        (ChanMode::Mutex, "getpid_null_syscall[mutex]"),
-        (ChanMode::LockFree, "getpid_null_syscall[lock-free]"),
-    ] {
-        chanos_parchan::set_default_chan_mode(mode);
-        let rt = Runtime::new(4);
-        // `env()` starts the process's kernel task, so it needs the
-        // runtime: make it inside `block_on`, with the boot.
-        let (os, env) = rt.block_on(async {
-            let os = boot(BootCfg::new(
-                KernelKind::Message,
-                FsKind::Message,
-                (0..2).map(CoreId).collect(),
-            ))
-            .await;
-            let env = os.procs.env();
-            (os, env)
-        });
-        {
-            let rt = rt.clone();
-            bench(name, budget, move || rt.block_on(env.getpid()));
-        }
-        drop(os);
-        rt.shutdown();
-        chanos_parchan::set_default_chan_mode(ChanMode::LockFree);
-    }
     let rt = Runtime::new(4);
+    // `env()` starts the process's kernel task, so it needs the
+    // runtime: make it inside `block_on`, with the boot.
     let (os, env) = rt.block_on(async {
         let os = boot(BootCfg::new(
             KernelKind::Message,
@@ -132,6 +90,12 @@ fn bench_e3_syscalls_real_hw() {
         let env = os.procs.env();
         (os, env)
     });
+    {
+        let (rt, env) = (rt.clone(), env.clone());
+        bench("getpid_null_syscall", budget, move || {
+            rt.block_on(env.getpid())
+        });
+    }
     {
         // Pipelined null syscalls: the server drains the burst and
         // publishes all replies under one coalesced wake per peer
@@ -201,7 +165,6 @@ struct SyscallSweep {
 
 struct StealRow {
     workers: usize,
-    mode: &'static str,
     yields_per_sec: f64,
     steals: u64,
 }
@@ -335,7 +298,7 @@ fn bench_syscall_depth_sweep() -> SyscallSweep {
 }
 
 /// Writes `BENCH_syscall.json` (hand-rolled JSON; no serde in this
-/// build) from the depth sweep and the spawn/steal A/B. Flat keys
+/// build) from the depth sweep and the spawn/steal microbench. Flat keys
 /// (`speedup_getpid_x8_vs_serial`, `steals_ws4`) stay one-per-line so
 /// CI can awk them without a JSON parser.
 fn record_syscall_json(sweep: &SyscallSweep, steal: &[StealRow]) {
@@ -355,7 +318,7 @@ fn record_syscall_json(sweep: &SyscallSweep, steal: &[StealRow]) {
     let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let steals_ws4 = steal
         .iter()
-        .find(|r| r.workers == 4 && r.mode == "work-stealing")
+        .find(|r| r.workers == 4)
         .map_or(0, |r| r.steals);
     let mut j = String::new();
     j.push_str("{\n");
@@ -363,7 +326,7 @@ fn record_syscall_json(sweep: &SyscallSweep, steal: &[StealRow]) {
         "  \"bench\": \"syscall_depth_sweep\",\n  \"quick\": {quick},\n  \"workers\": 4,\n  \"kernel_cores\": 2,\n"
     ));
     j.push_str(&format!(
-        "  \"host_cores\": {host_cores},\n  \"backend\": \"threads\",\n  \"sched_mode\": \"work-stealing\",\n"
+        "  \"host_cores\": {host_cores},\n  \"backend\": \"threads\",\n"
     ));
     j.push_str(&format!(
         "  \"speedup_getpid_x8_vs_serial\": {:.3},\n  \"speedup_read_x8_vs_serial\": {:.3},\n",
@@ -392,10 +355,8 @@ fn record_syscall_json(sweep: &SyscallSweep, steal: &[StealRow]) {
     j.push_str("  ],\n  \"spawn_steal\": [\n");
     for (i, r) in steal.iter().enumerate() {
         j.push_str(&format!(
-            "    {{\"workers\": {}, \"scheduler\": \"{}\", \"yields_per_sec\": {:.1}, \
-             \"steals\": {}}}{}\n",
+            "    {{\"workers\": {}, \"yields_per_sec\": {:.1}, \"steals\": {}}}{}\n",
             r.workers,
-            r.mode,
             r.yields_per_sec,
             r.steals,
             if i + 1 < steal.len() { "," } else { "" },
@@ -405,27 +366,25 @@ fn record_syscall_json(sweep: &SyscallSweep, steal: &[StealRow]) {
     chanos_bench::harness::write_bench_json("CHANOS_SYSCALL_OUT", "BENCH_syscall.json", &j);
 }
 
-/// One measured point of the node-replication A/B: a read-heavy storm
-/// against one service, in one mode, at one worker count.
+/// One measured point of the node-replication read sweep: a
+/// read-heavy storm against one service at one worker count.
 struct NrRow {
     service: &'static str,
-    mode: &'static str,
     workers: usize,
     mops: f64,
 }
 
-/// Replica-path counters captured from the headline replicated run,
+/// Replica-path counters captured from a short pid read storm,
 /// proving the fast path actually ran (CI gates on `nr_local_reads`).
 struct NrCounters {
     local_reads: u64,
     log_appends: u64,
 }
 
-/// Node-replicated pid table vs the single-server baseline: `w`
-/// pinned workers hammer `PidTable::alive` for the budget. In
-/// replicated mode every query is a local-replica map probe; in
-/// single-server mode it is a port round trip to one task.
-fn bench_nr_pid_reads(mode: chanos_kernel::NrMode, label: &'static str) -> Vec<NrRow> {
+/// The node-replicated pid table: `w` pinned workers hammer
+/// `PidTable::alive` for the budget; every query is a local-replica
+/// map probe.
+fn bench_nr_pid_reads() -> Vec<NrRow> {
     use chanos_kernel::{Pid, PidTable};
     use chanos_rt::CoreId;
 
@@ -436,7 +395,7 @@ fn bench_nr_pid_reads(mode: chanos_kernel::NrMode, label: &'static str) -> Vec<N
         let rt = Runtime::new(w);
         let (ops, dt) = rt.block_on(async {
             let cores: Vec<CoreId> = (0..w as u32).map(CoreId).collect();
-            let pids = PidTable::spawn(&cores, mode);
+            let pids = PidTable::spawn(&cores);
             for p in 1..=live_pids {
                 pids.register(Pid(p), "nrbench", CoreId((p - 1) % w as u32))
                     .await;
@@ -471,7 +430,6 @@ fn bench_nr_pid_reads(mode: chanos_kernel::NrMode, label: &'static str) -> Vec<N
         rt.shutdown();
         rows.push(NrRow {
             service: "pid",
-            mode: label,
             workers: w,
             mops: ops as f64 / dt.as_secs_f64() / 1e6,
         });
@@ -479,10 +437,10 @@ fn bench_nr_pid_reads(mode: chanos_kernel::NrMode, label: &'static str) -> Vec<N
     rows
 }
 
-/// Same A/B through the full kernel: `w` pinned workers stat hot
-/// inodes through MsgFs, so every op crosses the vnode registry
-/// (local read vs fs-vnmgr round trip) before the vnode call proper.
-fn bench_nr_vnmgr_lookups(mode: chanos_kernel::NrMode, label: &'static str) -> Vec<NrRow> {
+/// The same through the full kernel: `w` pinned workers stat hot
+/// inodes through MsgFs, so every op crosses the vnode registry (a
+/// local-replica read) before the vnode call proper.
+fn bench_nr_vnmgr_lookups() -> Vec<NrRow> {
     use chanos_kernel::{boot, BootCfg, FsKind, KernelKind};
     use chanos_rt::CoreId;
 
@@ -491,15 +449,11 @@ fn bench_nr_vnmgr_lookups(mode: chanos_kernel::NrMode, label: &'static str) -> V
     let mut rows = Vec::new();
     for &w in &worker_sweep() {
         let rt = Runtime::new(w);
-        let os = rt.block_on(async {
-            let mut cfg = BootCfg::new(
-                KernelKind::Message,
-                FsKind::Message,
-                (0..2).map(CoreId).collect(),
-            );
-            cfg.nr = mode;
-            boot(cfg).await
-        });
+        let os = rt.block_on(boot(BootCfg::new(
+            KernelKind::Message,
+            FsKind::Message,
+            (0..2).map(CoreId).collect(),
+        )));
         let inos: Vec<u64> = rt.block_on(async {
             os.vfs.mkdir("/nrb").await.unwrap();
             let mut inos = Vec::with_capacity(files);
@@ -539,7 +493,6 @@ fn bench_nr_vnmgr_lookups(mode: chanos_kernel::NrMode, label: &'static str) -> V
         rt.shutdown();
         rows.push(NrRow {
             service: "vnmgr",
-            mode: label,
             workers: w,
             mops: ops as f64 / dt.as_secs_f64() / 1e6,
         });
@@ -548,36 +501,29 @@ fn bench_nr_vnmgr_lookups(mode: chanos_kernel::NrMode, label: &'static str) -> V
 }
 
 /// The node-replication perf trajectory: pid-table and vnode-registry
-/// read storms, replicated vs single-server, at every sweep size.
-/// Also reruns the headline replicated pid storm on a fresh runtime
-/// to capture its `nr.*` counters (per-runtime stats; the sweep
-/// runtimes are gone by the time JSON is written).
+/// read storms at every sweep size. Also reruns a short pid storm on
+/// a fresh runtime to capture its `nr.*` counters (per-runtime stats;
+/// the sweep runtimes are gone by the time JSON is written).
 fn bench_nr_read_scaling() -> (Vec<NrRow>, NrCounters) {
-    use chanos_kernel::{NrMode, Pid, PidTable};
+    use chanos_kernel::{Pid, PidTable};
     use chanos_rt::CoreId;
 
-    header("NR: node-replicated reads vs single server (pid table, vnode registry)");
-    let mut rows = Vec::new();
-    rows.extend(bench_nr_pid_reads(NrMode::SingleServer, "single"));
-    rows.extend(bench_nr_pid_reads(NrMode::Replicated, "replicated"));
-    rows.extend(bench_nr_vnmgr_lookups(NrMode::SingleServer, "single"));
-    rows.extend(bench_nr_vnmgr_lookups(NrMode::Replicated, "replicated"));
+    header("NR: node-replicated reads (pid table, vnode registry)");
+    let mut rows = bench_nr_pid_reads();
+    rows.extend(bench_nr_vnmgr_lookups());
 
-    println!("| service | mode | workers | Mops/sec |");
-    println!("|---|---|---|---|");
+    println!("| service | workers | Mops/sec |");
+    println!("|---|---|---|");
     for r in &rows {
-        println!(
-            "| {} | {} | {} | {:.3} |",
-            r.service, r.mode, r.workers, r.mops
-        );
+        println!("| {} | {} | {:.3} |", r.service, r.workers, r.mops);
     }
 
-    // Counter capture: a short replicated read storm whose runtime is
-    // still alive when we read its stats.
+    // Counter capture: a short read storm whose runtime is still
+    // alive when we read its stats.
     let rt = Runtime::new(2);
     rt.block_on(async {
         let cores: Vec<CoreId> = (0..2).map(CoreId).collect();
-        let pids = PidTable::spawn(&cores, NrMode::Replicated);
+        let pids = PidTable::spawn(&cores);
         pids.register(Pid(1), "nrcount", CoreId(0)).await;
         for _ in 0..1000u32 {
             std::hint::black_box(pids.alive(Pid(1)).await);
@@ -595,28 +541,15 @@ fn bench_nr_read_scaling() -> (Vec<NrRow>, NrCounters) {
 }
 
 /// Writes `BENCH_nr.json` (same hand-rolled flat-key format as
-/// `BENCH_syscall.json`): one row per (service, mode, workers) point
-/// plus the headline `nr_read_speedup_repl_over_single_w4` ratios and
-/// the fast-path counters CI gates on.
+/// `BENCH_syscall.json`): one row per (service, workers) point plus
+/// the 4-worker headline rates and the fast-path counters CI gates on.
 fn record_nr_json(rows: &[NrRow], counters: &NrCounters) {
     let quick = default_budget() < std::time::Duration::from_millis(100);
     let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let point = |service: &str, mode: &str, w: usize| {
+    let point = |service: &str, w: usize| {
         rows.iter()
-            .find(|r| r.service == service && r.mode == mode && r.workers == w)
+            .find(|r| r.service == service && r.workers == w)
             .map_or(0.0, |r| r.mops)
-    };
-    // On hosts with fewer than 4 cores the sweep still contains 4 (the
-    // oversubscribed point CI gates on); ratios guard against /0 for
-    // robustness only.
-    let ratio = |service: &str, w: usize| {
-        let s = point(service, "single", w);
-        let r = point(service, "replicated", w);
-        if s > 0.0 {
-            r / s
-        } else {
-            0.0
-        }
     };
     let mut j = String::new();
     j.push_str("{\n");
@@ -624,22 +557,9 @@ fn record_nr_json(rows: &[NrRow], counters: &NrCounters) {
         "  \"bench\": \"nr_read_scaling\",\n  \"quick\": {quick},\n  \"host_cores\": {host_cores},\n  \"backend\": \"threads\",\n"
     ));
     j.push_str(&format!(
-        "  \"nr_pid_read_mops_single_w4\": {:.4},\n  \"nr_pid_read_mops_repl_w4\": {:.4},\n",
-        point("pid", "single", 4),
-        point("pid", "replicated", 4),
-    ));
-    j.push_str(&format!(
-        "  \"nr_read_speedup_repl_over_single_w4\": {:.3},\n",
-        ratio("pid", 4)
-    ));
-    j.push_str(&format!(
-        "  \"nr_vn_lookup_mops_single_w4\": {:.4},\n  \"nr_vn_lookup_mops_repl_w4\": {:.4},\n",
-        point("vnmgr", "single", 4),
-        point("vnmgr", "replicated", 4),
-    ));
-    j.push_str(&format!(
-        "  \"nr_vn_speedup_repl_over_single_w4\": {:.3},\n",
-        ratio("vnmgr", 4)
+        "  \"nr_pid_read_mops_w4\": {:.4},\n  \"nr_vn_lookup_mops_w4\": {:.4},\n",
+        point("pid", 4),
+        point("vnmgr", 4),
     ));
     j.push_str(&format!(
         "  \"nr_local_reads\": {},\n  \"nr_log_appends\": {},\n",
@@ -648,9 +568,8 @@ fn record_nr_json(rows: &[NrRow], counters: &NrCounters) {
     j.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         j.push_str(&format!(
-            "    {{\"service\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"mops_per_sec\": {:.4}}}{}\n",
+            "    {{\"service\": \"{}\", \"workers\": {}, \"mops_per_sec\": {:.4}}}{}\n",
             r.service,
-            r.mode,
             r.workers,
             r.mops,
             if i + 1 < rows.len() { "," } else { "" },
@@ -1025,54 +944,48 @@ fn bench_spawn_steal_microbench() -> Vec<StealRow> {
     let quick = default_budget() < std::time::Duration::from_millis(100);
     let yields: u64 = if quick { 200 } else { 2_000 };
 
-    println!("\n## Scheduler microbench: per-worker queues + stealing vs single-mutex injector\n");
-    println!("| workers | scheduler | yields/sec | steals |");
-    println!("|---|---|---|---|");
+    println!("\n## Scheduler microbench: per-worker queues + stealing\n");
+    println!("| workers | yields/sec | steals |");
+    println!("|---|---|---|");
     let mut out = Vec::new();
     for workers in worker_sweep() {
-        for (mode, name) in [
-            (SchedMode::GlobalQueue, "global-queue"),
-            (SchedMode::WorkStealing, "work-stealing"),
-        ] {
-            let rt = Runtime::with_mode(workers, mode);
-            let tasks = 64u64 * workers as u64;
-            let t0 = std::time::Instant::now();
-            // Seed from one worker (local-queue path), then churn:
-            // every yield is one trip through the dispatch path.
-            let seeder = rt.spawn(async move {
-                let hd = chanos_parchan::current().expect("on runtime");
-                let children: Vec<_> = (0..tasks)
-                    .map(|_| {
-                        hd.spawn(async move {
-                            for _ in 0..yields {
-                                yield_now().await;
-                            }
-                        })
+        let rt = Runtime::new(workers);
+        let tasks = 64u64 * workers as u64;
+        let t0 = std::time::Instant::now();
+        // Seed from one worker (local-queue path), then churn:
+        // every yield is one trip through the dispatch path.
+        let seeder = rt.spawn(async move {
+            let hd = chanos_parchan::current().expect("on runtime");
+            let children: Vec<_> = (0..tasks)
+                .map(|_| {
+                    hd.spawn(async move {
+                        for _ in 0..yields {
+                            yield_now().await;
+                        }
                     })
-                    .collect();
-                for c in children {
-                    let _ = c.join().await;
-                }
-            });
-            seeder.join_blocking().expect("seeder");
-            let dt = t0.elapsed();
-            let total = tasks * yields;
-            // Tasks actually migrated, not batches: the gate below
-            // ("work-stealing mode must steal at 4 workers") wants
-            // evidence of cross-worker traffic, however it batches.
-            let steals = rt.handle().stat_get("sched.steals");
-            println!(
-                "| {workers} | {name} | {:.0} | {steals} |",
-                total as f64 / dt.as_secs_f64(),
-            );
-            out.push(StealRow {
-                workers,
-                mode: name,
-                yields_per_sec: total as f64 / dt.as_secs_f64(),
-                steals,
-            });
-            rt.shutdown();
-        }
+                })
+                .collect();
+            for c in children {
+                let _ = c.join().await;
+            }
+        });
+        seeder.join_blocking().expect("seeder");
+        let dt = t0.elapsed();
+        let total = tasks * yields;
+        // Tasks actually migrated, not batches: the CI gate (the
+        // scheduler must steal at 4 workers) wants evidence of
+        // cross-worker traffic, however it batches.
+        let steals = rt.handle().stat_get("sched.steals");
+        println!(
+            "| {workers} | {:.0} | {steals} |",
+            total as f64 / dt.as_secs_f64(),
+        );
+        out.push(StealRow {
+            workers,
+            yields_per_sec: total as f64 / dt.as_secs_f64(),
+            steals,
+        });
+        rt.shutdown();
     }
     out
 }

@@ -50,17 +50,9 @@ async fn make_fs(which: &str) -> Vfs {
                 .unwrap(),
         ),
         _ => Vfs::Msg(
-            MsgFs::format(
-                disk,
-                DISK_BLOCKS,
-                GROUPS,
-                8,
-                128,
-                service,
-                chanos_vfs::default_nr_mode(),
-            )
-            .await
-            .unwrap(),
+            MsgFs::format(disk, DISK_BLOCKS, GROUPS, 8, 128, service)
+                .await
+                .unwrap(),
         ),
     }
 }

@@ -98,49 +98,14 @@ pub fn bench_out_path(env_var: &str, default_name: &str) -> std::path::PathBuf {
     }
 }
 
-/// The `"host_cores": N` stamp inside a recorded bench JSON, parsed
-/// by string search (the files are hand-rolled one-key-per-line JSON;
-/// no serde in this build).
-fn recorded_host_cores(path: &std::path::Path) -> Option<u64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let at = text.find("\"host_cores\":")?;
-    let rest = text[at + "\"host_cores\":".len()..].trim_start();
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// Writes a recorder's JSON to its env-resolved path — and, when this
-/// host has more cores than the committed default file was recorded
-/// on, refreshes the committed file too. The committed BENCH_*.json
-/// baselines were recorded on a 1-CPU container, where every
-/// per-worker-count scaling row is flat by construction; the first
-/// run on a real multicore host re-records them automatically instead
-/// of letting the stale flat rows masquerade as a measured trajectory.
+/// Writes a recorder's JSON to its env-resolved path, and nowhere
+/// else: re-recording a committed `BENCH_*.json` is a deliberate run
+/// without the override, never a side effect of a measurement.
 pub fn write_bench_json(env_var: &str, default_name: &str, json: &str) {
     let out_path = bench_out_path(env_var, default_name);
     let shown = out_path.display().to_string();
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("could not write {shown}: {e}");
-        return;
-    }
-    println!("\nrecorded -> {shown}");
-    let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(default_name);
-    if committed == out_path {
-        return;
-    }
-    let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get()) as u64;
-    if host_cores > 1 {
-        if let Some(old) = recorded_host_cores(&committed) {
-            if old < host_cores {
-                match std::fs::write(&committed, json) {
-                    Ok(()) => println!(
-                        "refreshed committed {default_name}: host_cores {old} -> {host_cores}"
-                    ),
-                    Err(e) => eprintln!("could not refresh {default_name}: {e}"),
-                }
-            }
-        }
+    match std::fs::write(&out_path, json) {
+        Ok(()) => println!("\nrecorded -> {shown}"),
+        Err(e) => eprintln!("could not write {shown}: {e}"),
     }
 }

@@ -6,7 +6,6 @@
 //! table inside a simulation.
 
 use chanos_drivers::{install_disk, spawn_disk_driver, DiskClient, DiskParams};
-use chanos_nr::{default_nr_mode, NrMode};
 use chanos_rt::CoreId;
 use chanos_vfs::{BigLockFs, MsgFs, ShardedFs, Vfs};
 
@@ -52,10 +51,6 @@ pub struct BootCfg {
     pub costs: KernelCosts,
     /// Disk latency parameters.
     pub disk: DiskParams,
-    /// Node-replication mode for replicable kernel services (the pid
-    /// table, the msgfs vnode registry). Defaults to the process
-    /// global ([`default_nr_mode`]); set explicitly to A/B.
-    pub nr: NrMode,
 }
 
 impl BootCfg {
@@ -71,7 +66,6 @@ impl BootCfg {
             cache_blocks: 512,
             costs: KernelCosts::default(),
             disk: DiskParams::default(),
-            nr: default_nr_mode(),
         }
     }
 }
@@ -134,7 +128,6 @@ pub async fn boot(cfg: BootCfg) -> Os {
                 shards,
                 per_shard,
                 cfg.kernel_cores.clone(),
-                cfg.nr,
             )
             .await
             .expect("mkfs msgfs"),
@@ -151,7 +144,7 @@ pub async fn boot(cfg: BootCfg) -> Os {
     };
 
     Os {
-        procs: ProcessTable::new(kernel.clone(), &cfg.kernel_cores, cfg.nr),
+        procs: ProcessTable::new(kernel.clone(), &cfg.kernel_cores),
         kernel,
         vfs,
         disk,

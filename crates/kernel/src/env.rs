@@ -20,7 +20,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use chanos_nr::NrMode;
 use chanos_rt::{self as rt, Call, CallError, CoreId, JoinHandle, Port};
 use chanos_vfs::Stat;
 
@@ -410,12 +409,12 @@ pub struct ProcessTable {
 
 impl ProcessTable {
     /// Creates a process table over a kernel, with the pid metadata
-    /// service replicated (or not, per `nr`) across `service_cores`.
-    pub fn new(kernel: KernelHandle, service_cores: &[CoreId], nr: NrMode) -> ProcessTable {
+    /// service replicated across `service_cores`.
+    pub fn new(kernel: KernelHandle, service_cores: &[CoreId]) -> ProcessTable {
         ProcessTable {
             kernel,
             next_pid: AtomicU32::new(1),
-            pids: PidTable::spawn(service_cores, nr),
+            pids: PidTable::spawn(service_cores),
         }
     }
 
@@ -451,8 +450,7 @@ impl ProcessTable {
         self.pids.exit(pid).await
     }
 
-    /// Is the pid registered? Served from the local replica in
-    /// replicated mode.
+    /// Is the pid registered? Served from the local replica.
     pub async fn alive(&self, pid: Pid) -> bool {
         self.pids.alive(pid).await
     }

@@ -35,7 +35,6 @@ pub mod syscall;
 pub mod types;
 
 pub use boot::{boot, BootCfg, FsKind, KernelKind, Os};
-pub use chanos_nr::{default_nr_mode, set_default_nr_mode, NrMode};
 pub use compat::{compat_copy, CompatFile};
 pub use env::{Env, KernelHandle, ProcessTable, SyscallBatch};
 pub use events::{run_channel_model, run_signal_model, EventExpCfg, EventExpResult};

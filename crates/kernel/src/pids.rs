@@ -6,10 +6,7 @@
 //! [`chanos_nr::Replicated`] service — registrations and exits are
 //! log entries, while `alive`/`info`/`count` queries are served from
 //! the querying core's local replica with **no cross-core
-//! communication** on the fast path. The single-server baseline
-//! ([`NrMode::SingleServer`]) answers every query with a port
-//! round-trip to one task, and stays available for A/B benches and
-//! the cross-mode equivalence tests.
+//! communication** on the fast path.
 //!
 //! Pid *numbers* are not part of the replicated state: allocation
 //! stays a monotonically increasing counter (pids are never reused,
@@ -18,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use chanos_nr::{NrMode, NrService, Replicated};
+use chanos_nr::{NrService, Replicated};
 use chanos_rt::CoreId;
 
 use crate::types::Pid;
@@ -106,17 +103,12 @@ pub struct PidTable {
 }
 
 impl PidTable {
-    /// Boots the pid table over the kernel service cores in the given
-    /// mode. Must run inside a runtime.
-    pub fn spawn(cores: &[CoreId], mode: NrMode) -> PidTable {
+    /// Boots the pid table with a replica on each kernel service
+    /// core. Must run inside a runtime.
+    pub fn spawn(cores: &[CoreId]) -> PidTable {
         PidTable {
-            svc: Replicated::spawn("pidtab", cores, mode, PidState::default),
+            svc: Replicated::spawn("pidtab", cores, PidState::default),
         }
-    }
-
-    /// The mode this table was booted in.
-    pub fn mode(&self) -> NrMode {
-        self.svc.mode()
     }
 
     /// Registers a live process; `true` if the pid was fresh.
@@ -139,7 +131,7 @@ impl PidTable {
             .unwrap_or(false)
     }
 
-    /// Is the pid registered? Local-replica read in replicated mode.
+    /// Is the pid registered? Local-replica read.
     pub async fn alive(&self, pid: Pid) -> bool {
         match self.svc.read(PidRead::Alive(pid)).await {
             Ok(PidReadResp::Alive(b)) => b,
@@ -147,7 +139,7 @@ impl PidTable {
         }
     }
 
-    /// Metadata for a pid. Local-replica read in replicated mode.
+    /// Metadata for a pid. Local-replica read.
     pub async fn info(&self, pid: Pid) -> Option<PidInfo> {
         match self.svc.read(PidRead::Info(pid)).await {
             Ok(PidReadResp::Info(i)) => i,
@@ -155,8 +147,7 @@ impl PidTable {
         }
     }
 
-    /// Number of live processes. Local-replica read in replicated
-    /// mode.
+    /// Number of live processes. Local-replica read.
     pub async fn count(&self) -> u64 {
         match self.svc.read(PidRead::Count).await {
             Ok(PidReadResp::Count(n)) => n,

@@ -38,11 +38,6 @@
 //! a read that starts after a write's reply sees a tail that covers
 //! the write, so reads are linearizable with writes.
 //!
-//! The single-server baseline ([`NrMode::SingleServer`]) funnels both
-//! reads and writes through one server task, exactly the shape the
-//! paper argues against; it is kept behind the mode switch for A/B
-//! benchmarking (`BENCH_nr.json`) and cross-mode equivalence tests.
-//!
 //! The log-append/catch-up protocol is modeled in
 //! `chanos-check::models::nr` (tail CAS + per-replica applied index),
 //! with seeded mutants proving the checker would catch a reordered
@@ -51,51 +46,11 @@
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::task::{Context, Poll};
 
-use chanos_rt::{self as rt, port_channel, Call, CallError, Capacity, CoreId, Port, ReplyTo};
-
-// ---------------------------------------------------------------------------
-// Mode switch.
-// ---------------------------------------------------------------------------
-
-/// Which shape a replicated service takes (the `SchedMode`/`ChanMode`
-/// A/B pattern).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NrMode {
-    /// One server task owns the state; every read and write is a port
-    /// round-trip to it. The pre-NR baseline.
-    SingleServer,
-    /// One replica per service core over a shared operation log;
-    /// reads are served from the local replica with no communication.
-    Replicated,
-}
-
-/// Process-global default (`1` = `Replicated`, the paper's design).
-static DEFAULT_NR_MODE: AtomicU8 = AtomicU8::new(1);
-
-/// Sets the process-global default mode picked up by
-/// [`default_nr_mode`] (and therefore by `BootCfg::new` and friends).
-/// Tests that A/B the modes should pass the mode explicitly instead.
-pub fn set_default_nr_mode(mode: NrMode) {
-    DEFAULT_NR_MODE.store(
-        match mode {
-            NrMode::SingleServer => 0,
-            NrMode::Replicated => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The current process-global default mode.
-pub fn default_nr_mode() -> NrMode {
-    match DEFAULT_NR_MODE.load(Ordering::Relaxed) {
-        0 => NrMode::SingleServer,
-        _ => NrMode::Replicated,
-    }
-}
+use chanos_rt::{self as rt, port_channel, CallError, Capacity, CoreId, Port, ReplyTo};
 
 // ---------------------------------------------------------------------------
 // The service trait.
@@ -351,10 +306,6 @@ impl<S: NrService> Replica<S> {
         self.state.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn read_state(&self) -> std::sync::RwLockReadGuard<'_, S> {
-        self.state.read().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Applies committed log entries up to `to` (a tail observed by
     /// the caller). No-op if another task already caught us up.
     fn catch_up(&self, log: &Log<S::WriteOp>, to: u64) {
@@ -378,20 +329,14 @@ impl<S: NrService> Replica<S> {
 // Requests.
 // ---------------------------------------------------------------------------
 
-/// A write bound for a combiner (replicated mode).
+/// A write bound for a combiner.
 struct WriteReq<S: NrService> {
     op: S::WriteOp,
     reply: ReplyTo<S::WriteResp>,
 }
 
-/// Any request, bound for the single server (baseline mode).
-enum SingleReq<S: NrService> {
-    Read(S::ReadOp, ReplyTo<S::ReadResp>),
-    Write(S::WriteOp, ReplyTo<S::WriteResp>),
-}
-
-/// Requests a server drains per wakeup (and therefore the most ops a
-/// combiner folds into one log append).
+/// Requests a combiner drains per wakeup (and therefore the most ops
+/// it folds into one log append).
 const NR_BATCH: usize = 32;
 
 /// Deferred reply publications for one drained batch (the msgfs
@@ -424,36 +369,6 @@ fn flush_replies(flush: &mut ReplyFlush) {
 // ---------------------------------------------------------------------------
 // Server tasks.
 // ---------------------------------------------------------------------------
-
-/// The single-server baseline: one task owns the state outright;
-/// reads and writes alike are port round-trips to it.
-async fn single_task<S: NrService>(mut state: S, rx: rt::Receiver<SingleReq<S>>) {
-    let defer = rt::backend() == rt::Backend::Threads;
-    let mut batch = Vec::with_capacity(NR_BATCH);
-    let mut flush: ReplyFlush = Vec::new();
-    loop {
-        let n = rx.recv_many(&mut batch, NR_BATCH).await;
-        if n == 0 {
-            break;
-        }
-        for req in batch.drain(..) {
-            let f = defer.then_some(&mut flush);
-            match req {
-                SingleReq::Read(op, reply) => {
-                    rt::stat_incr("nr.server_reads");
-                    let out = state.read(&op);
-                    respond(reply, out, f).await;
-                }
-                SingleReq::Write(op, reply) => {
-                    rt::stat_incr("nr.server_writes");
-                    let out = state.apply(&op);
-                    respond(reply, out, f).await;
-                }
-            }
-        }
-        flush_replies(&mut flush);
-    }
-}
 
 /// A replica's combiner: drains a burst of writes, appends the whole
 /// burst as **one** log append, applies its replica through the
@@ -517,16 +432,11 @@ async fn combiner_task<S: NrService>(
 // The replicated service handle.
 // ---------------------------------------------------------------------------
 
-enum Inner<S: NrService> {
-    Single {
-        port: Port<SingleReq<S>>,
-    },
-    Replicated {
-        cores: Vec<CoreId>,
-        ports: Vec<Port<WriteReq<S>>>,
-        replicas: Vec<Arc<Replica<S>>>,
-        log: Arc<Log<S::WriteOp>>,
-    },
+struct Inner<S: NrService> {
+    cores: Vec<CoreId>,
+    ports: Vec<Port<WriteReq<S>>>,
+    replicas: Vec<Arc<Replica<S>>>,
+    log: Arc<Log<S::WriteOp>>,
 }
 
 /// A kernel service behind the node-replication layer. Cheap to
@@ -544,75 +454,53 @@ impl<S: NrService> Clone for Replicated<S> {
 }
 
 impl<S: NrService> Replicated<S> {
-    /// Boots the service over `cores` in the given mode. `factory`
-    /// must build identical initial states (one per replica; once for
-    /// the single server). Must run inside a runtime.
-    pub fn spawn<F>(name: &str, cores: &[CoreId], mode: NrMode, mut factory: F) -> Replicated<S>
+    /// Boots the service with one replica on each of `cores`.
+    /// `factory` must build identical initial states (one per
+    /// replica). Must run inside a runtime.
+    pub fn spawn<F>(name: &str, cores: &[CoreId], mut factory: F) -> Replicated<S>
     where
         F: FnMut() -> S,
     {
         assert!(!cores.is_empty(), "nr: need at least one service core");
-        let inner = match mode {
-            NrMode::SingleServer => {
-                let (port, rx) = port_channel::<SingleReq<S>>(Capacity::Unbounded);
-                let state = factory();
-                rt::spawn_daemon_on(name, cores[0], async move {
-                    single_task(state, rx).await;
-                });
-                Inner::Single { port }
-            }
-            NrMode::Replicated => {
-                let replicas: Vec<Arc<Replica<S>>> = cores
-                    .iter()
-                    .map(|_| Arc::new(Replica::new(factory())))
-                    .collect();
-                let log = Arc::new(Log::new(
-                    replicas.iter().map(|r| r.applied.clone()).collect(),
-                ));
-                let mut ports = Vec::with_capacity(cores.len());
-                for (i, &core) in cores.iter().enumerate() {
-                    let (port, rx) = port_channel::<WriteReq<S>>(Capacity::Unbounded);
-                    let replica = replicas[i].clone();
-                    let log = log.clone();
-                    rt::spawn_daemon_on(&format!("{name}-r{i}"), core, async move {
-                        combiner_task(replica, log, rx).await;
-                    });
-                    ports.push(port);
-                }
-                Inner::Replicated {
-                    cores: cores.to_vec(),
-                    ports,
-                    replicas,
-                    log,
-                }
-            }
-        };
-        Replicated {
-            inner: Arc::new(inner),
+        let replicas: Vec<Arc<Replica<S>>> = cores
+            .iter()
+            .map(|_| Arc::new(Replica::new(factory())))
+            .collect();
+        let log = Arc::new(Log::new(
+            replicas.iter().map(|r| r.applied.clone()).collect(),
+        ));
+        let mut ports = Vec::with_capacity(cores.len());
+        for (i, &core) in cores.iter().enumerate() {
+            let (port, rx) = port_channel::<WriteReq<S>>(Capacity::Unbounded);
+            let replica = replicas[i].clone();
+            let log = log.clone();
+            rt::spawn_daemon_on(&format!("{name}-r{i}"), core, async move {
+                combiner_task(replica, log, rx).await;
+            });
+            ports.push(port);
         }
-    }
-
-    /// The mode this service was spawned in.
-    pub fn mode(&self) -> NrMode {
-        match &*self.inner {
-            Inner::Single { .. } => NrMode::SingleServer,
-            Inner::Replicated { .. } => NrMode::Replicated,
+        Replicated {
+            inner: Arc::new(Inner {
+                cores: cores.to_vec(),
+                ports,
+                replicas,
+                log,
+            }),
         }
     }
 
     /// The replica (index) serving the given core, and whether it is
     /// that core's own (a core that holds none is served by replica
     /// `core mod replicas`).
-    fn replica_idx(cores: &[CoreId], core: CoreId) -> (usize, bool) {
+    fn replica_idx(&self, core: CoreId) -> (usize, bool) {
+        let cores = &self.inner.cores;
         match cores.iter().position(|c| *c == core) {
             Some(i) => (i, true),
             None => (core.0 as usize % cores.len(), false),
         }
     }
 
-    /// Serves a read-only op.
-    ///
-    /// Replicated mode: served entirely from the caller's local
+    /// Serves a read-only op entirely from the caller's local
     /// replica — an up-to-date check against the log tail, a catch-up
     /// if behind, then the read under a replica-local read lock.
     /// **No port round-trips, no cross-core communication.** A caller
@@ -620,87 +508,28 @@ impl<S: NrService> Replicated<S> {
     /// `core mod replicas` instead, which is neither; those reads are
     /// counted apart, as `nr.foreign_reads`.
     pub async fn read(&self, op: S::ReadOp) -> Result<S::ReadResp, CallError> {
-        match &*self.inner {
-            Inner::Single { port } => port.call(move |reply| SingleReq::Read(op, reply)).await,
-            Inner::Replicated {
-                cores,
-                replicas,
-                log,
-                ..
-            } => {
-                let (idx, local) = Self::replica_idx(cores, rt::current_core());
-                let r = &replicas[idx];
-                let tail = log.tail();
-                if r.applied.load(Ordering::Acquire) < tail {
-                    r.catch_up(log, tail);
-                }
-                let out = r.state.read().unwrap_or_else(|e| e.into_inner()).read(&op);
-                rt::stat_incr(if local {
-                    "nr.local_reads"
-                } else {
-                    "nr.foreign_reads"
-                });
-                Ok(out)
-            }
+        let (idx, local) = self.replica_idx(rt::current_core());
+        let r = &self.inner.replicas[idx];
+        let log = &self.inner.log;
+        let tail = log.tail();
+        if r.applied.load(Ordering::Acquire) < tail {
+            r.catch_up(log, tail);
         }
+        let out = r.state.read().unwrap_or_else(|e| e.into_inner()).read(&op);
+        rt::stat_incr(if local {
+            "nr.local_reads"
+        } else {
+            "nr.foreign_reads"
+        });
+        Ok(out)
     }
 
-    /// Submits one mutating op (replicated mode: a port call to the
-    /// local replica's combiner, which folds concurrent writers'
-    /// bursts into shared log appends).
+    /// Submits one mutating op: a port call to the local replica's
+    /// combiner, which folds concurrent writers' bursts into shared
+    /// log appends.
     pub async fn write(&self, op: S::WriteOp) -> Result<S::WriteResp, CallError> {
-        match &*self.inner {
-            Inner::Single { port } => port.call(move |reply| SingleReq::Write(op, reply)).await,
-            Inner::Replicated { cores, ports, .. } => {
-                ports[Self::replica_idx(cores, rt::current_core()).0]
-                    .call(move |reply| WriteReq { op, reply })
-                    .await
-            }
-        }
-    }
-
-    /// Submits several mutating ops as **one** port burst
-    /// (`call_batch`): the combiner wakes once, drains the burst, and
-    /// appends it to the log as a single reserve+publish.
-    pub fn write_batch(
-        &self,
-        ops: impl IntoIterator<Item = S::WriteOp>,
-    ) -> Vec<Call<S::WriteResp>> {
-        match &*self.inner {
-            Inner::Single { port } => port.call_batch(
-                ops.into_iter()
-                    .map(|op| move |reply| SingleReq::Write(op, reply)),
-            ),
-            Inner::Replicated { cores, ports, .. } => {
-                ports[Self::replica_idx(cores, rt::current_core()).0].call_batch(
-                    ops.into_iter()
-                        .map(|op| move |reply| WriteReq { op, reply }),
-                )
-            }
-        }
-    }
-
-    /// Read snapshot helper for tests/benches: applies `f` to the
-    /// caller's local replica state (replicated) or round-trips a
-    /// no-op… not provided for the single server; returns `None`
-    /// there. Used to assert replica convergence without widening the
-    /// op enums.
-    pub fn with_local_state<R>(&self, f: impl FnOnce(&S) -> R) -> Option<R> {
-        match &*self.inner {
-            Inner::Single { .. } => None,
-            Inner::Replicated {
-                cores,
-                replicas,
-                log,
-                ..
-            } => {
-                let r = &replicas[Self::replica_idx(cores, rt::current_core()).0];
-                let tail = log.tail();
-                if r.applied.load(Ordering::Acquire) < tail {
-                    r.catch_up(log, tail);
-                }
-                Some(f(&r.read_state()))
-            }
-        }
+        self.inner.ports[self.replica_idx(rt::current_core()).0]
+            .call(move |reply| WriteReq { op, reply })
+            .await
     }
 }

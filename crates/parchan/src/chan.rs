@@ -3,13 +3,16 @@
 //! cancel-safe futures (usable as `choose!` arms), close on either
 //! side.
 //!
-//! # Fast paths ([`ChanMode::LockFree`], the default)
+//! # Two cores, chosen by capacity
+//!
+//! [`channel`] picks the implementation from the capacity it is
+//! given; there is nothing else to set.
 //!
 //! The paper's bet is that messaging can be cheap enough to structure
-//! an OS around. The original implementation serialized every channel
-//! operation on one `Mutex<State>`, so on real hardware a "send" was
-//! mostly a lock handoff. The default implementation now keeps the
-//! channel mutex off the common path entirely:
+//! an OS around. Serializing every channel operation on one
+//! `Mutex<State>` makes a "send" mostly a lock handoff, so queues of
+//! any real depth (`Bounded(8..)` and `Unbounded`) use a **lock-free
+//! ring** that keeps the channel mutex off the common path entirely:
 //!
 //! * **Bounded** channels are a Vyukov-style slot ring: each slot
 //!   carries a lap stamp, `head`/`tail` are claim tickets, and a
@@ -32,13 +35,12 @@
 //!   sends perform no wake work at all; `chan.wakes_elided` counts
 //!   how often.
 //!
-//! **Rendezvous** channels (and the degenerate `Bounded(0)`) stay on
-//! the mutex implementation: a rendezvous is a synchronization point
-//! by definition, so there is no lock-free common case to win.
-//!
-//! [`ChanMode::Mutex`] keeps the original implementation for every
-//! capacity so benchmarks can A/B the two designs on identical
-//! workloads (`cargo bench -p chanos-bench --bench chan_micro`).
+//! **Rendezvous** channels and tiny bounded ones (`Bounded(0..8)`)
+//! use the **mutex core**, one `Mutex<State>` per channel: a
+//! rendezvous is a synchronization point by definition, so there is
+//! no lock-free common case to win, and a ring of a handful of slots
+//! is always full or always empty and parks anyway (see
+//! [`SMALL_RING_ROUTE_CAP`] for the measurement).
 //!
 //! # Batched drains
 //!
@@ -48,7 +50,7 @@
 //! OS server loops (kernel tasks, vnode tasks, cache shards,
 //! drivers) drain through these.
 
-use crate::sync::{fence, Arc, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Mutex, Ordering};
+use crate::sync::{fence, Arc, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::future::Future;
@@ -108,38 +110,6 @@ pub enum TryRecvError {
     Empty,
     /// Channel closed and drained.
     Closed,
-}
-
-/// Which channel implementation a [`channel_with_mode`] call gets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChanMode {
-    /// Lock-free slot ring for bounded/unbounded (the default).
-    LockFree,
-    /// The original one-mutex-per-channel implementation; kept for
-    /// A/B benchmarking.
-    Mutex,
-}
-
-static DEFAULT_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide default [`ChanMode`] used by [`channel`].
-pub fn set_default_chan_mode(mode: ChanMode) {
-    // Relaxed: a standalone config byte; it guards no other memory.
-    DEFAULT_MODE.store(
-        match mode {
-            ChanMode::LockFree => 0,
-            ChanMode::Mutex => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// Reads the process-wide default [`ChanMode`].
-pub fn default_chan_mode() -> ChanMode {
-    match DEFAULT_MODE.load(Ordering::Relaxed) {
-        0 => ChanMode::LockFree,
-        _ => ChanMode::Mutex,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -251,7 +221,7 @@ pub fn coalesce_wakes<R>(f: impl FnOnce() -> R) -> R {
 
 /// All channel counters: `(name, value)` pairs. The counters are
 /// process-global (channels are not tied to one runtime) and cover
-/// both [`ChanMode`]s, so A/B runs can compare path mixes.
+/// both cores.
 ///
 /// * `chan.fast_sends` / `chan.fast_recvs` — operations that
 ///   completed on their first poll without parking.
@@ -346,11 +316,9 @@ fn fresh_id() -> u64 {
 // ---------------------------------------------------------------------------
 
 enum Imp<T> {
-    /// The original design: everything under one mutex. Used for
-    /// `ChanMode::Mutex`, `Rendezvous`, and the degenerate
-    /// `Bounded(0)`.
+    /// Everything under one mutex: `Rendezvous` and `Bounded(0..8)`.
     Mutex(Mutex<State<T>>),
-    /// Lock-free ring fast paths (bounded / unbounded).
+    /// Lock-free ring fast paths: `Bounded(8..)` and `Unbounded`.
     Ring(Ring<T>),
 }
 
@@ -362,43 +330,33 @@ struct Shared<T> {
 /// handful of slots the ring is effectively always full or always
 /// empty, so senders/receivers burn their bounded-retry budget on
 /// lap conflicts and fall to the slow path anyway, while the mutex
-/// core resolves the same conflict with one uncontended lock
-/// (`BENCH_chan.json` small-ring A/B: lock-free `bounded(4)` 1p1c
-/// ran at ~0.64x of mutex). Capacities below this go to the mutex
-/// implementation *when the mode comes from the process default*;
-/// an explicit [`channel_with_mode`] still gets exactly what it
-/// asked for (the A/B benchmarks depend on that).
+/// core resolves the same conflict with one uncontended lock (forced
+/// onto the ring, `bounded(4)` 1p1c ran at 0.58–0.71x of the mutex
+/// core; ARCHITECTURE.md, "Retired alternatives", has the rows).
+/// Capacities below this go to the mutex core.
 const SMALL_RING_ROUTE_CAP: usize = 8;
 
-/// Creates a channel of the given capacity with the process default
-/// [`ChanMode`]. Small bounded capacities (`< 8`) are routed to the
-/// mutex core even when the default mode is lock-free — see
-/// [`SMALL_RING_ROUTE_CAP`].
+/// Creates a channel of the given capacity. Rendezvous channels and
+/// small bounded ones (`< 8`, see [`SMALL_RING_ROUTE_CAP`]) use the
+/// mutex core; larger bounded channels and unbounded ones use the
+/// lock-free ring.
 pub fn channel<T: Send>(cap: Capacity) -> (Sender<T>, Receiver<T>) {
-    let mode = match (default_chan_mode(), cap) {
-        (ChanMode::LockFree, Capacity::Bounded(n)) if n < SMALL_RING_ROUTE_CAP => ChanMode::Mutex,
-        (mode, _) => mode,
-    };
-    channel_with_mode(cap, mode)
-}
-
-/// Creates a channel of the given capacity and an explicit
-/// [`ChanMode`]. Rendezvous channels (and `Bounded(0)`) always use
-/// the mutex implementation — they are synchronization points, not
-/// queues.
-pub fn channel_with_mode<T: Send>(cap: Capacity, mode: ChanMode) -> (Sender<T>, Receiver<T>) {
-    let imp = match (mode, cap) {
-        (ChanMode::LockFree, Capacity::Bounded(n)) if n > 0 => Imp::Ring(Ring::new(Some(n))),
-        (ChanMode::LockFree, Capacity::Unbounded) => Imp::Ring(Ring::new(None)),
-        _ => Imp::Mutex(Mutex::new(State {
-            cap,
+    let mutex_core = |bound| {
+        Imp::Mutex(Mutex::new(State {
+            bound,
             queue: VecDeque::new(),
             recv_waiters: VecDeque::new(),
             send_waiters: VecDeque::new(),
             senders: 1,
             receivers: 1,
             closed: false,
-        })),
+        }))
+    };
+    let imp = match cap {
+        Capacity::Rendezvous => mutex_core(None),
+        Capacity::Bounded(n) if n < SMALL_RING_ROUTE_CAP => mutex_core(Some(n)),
+        Capacity::Bounded(n) => Imp::Ring(Ring::new(Some(n))),
+        Capacity::Unbounded => Imp::Ring(Ring::new(None)),
     };
     let shared = Arc::new(Shared { imp });
     (
@@ -562,30 +520,18 @@ impl<T: Send> Sender<T> {
                 if st.send_shut() {
                     return Err(TrySendError::Closed(value));
                 }
-                match st.cap {
-                    Capacity::Unbounded => {
-                        st.queue.push_back(value);
-                        st.wake_one_recv();
-                        Ok(())
-                    }
-                    Capacity::Bounded(n) => {
-                        if st.queue.len() < n {
-                            st.queue.push_back(value);
-                            st.wake_one_recv();
-                            Ok(())
-                        } else {
-                            Err(TrySendError::Full(value))
-                        }
-                    }
-                    Capacity::Rendezvous => {
-                        if st.recv_waiters.is_empty() {
-                            Err(TrySendError::Full(value))
-                        } else {
-                            st.queue.push_back(value);
-                            st.wake_one_recv();
-                            Ok(())
-                        }
-                    }
+                // Bounded: room in the queue. Rendezvous: a receiver
+                // already waiting to take the value.
+                let accepts = match st.bound {
+                    Some(n) => st.queue.len() < n,
+                    None => !st.recv_waiters.is_empty(),
+                };
+                if accepts {
+                    st.queue.push_back(value);
+                    st.wake_one_recv();
+                    Ok(())
+                } else {
+                    Err(TrySendError::Full(value))
                 }
             }
             Imp::Ring(r) => {
@@ -743,7 +689,7 @@ impl<T: Send> Receiver<T> {
                 mutex_drain(&mut st, buf, max)
             }
             Imp::Ring(r) => {
-                let (n, _busy) = r.drain_into(buf, max);
+                let n = r.drain_into(buf, max);
                 r.after_pop(n);
                 n
             }
@@ -765,13 +711,17 @@ impl<T: Send> Receiver<T> {
     ///
     /// Cancel-safe: dropping the future mid-wait loses nothing;
     /// messages already drained are in `buf` (owned by the caller).
-    pub fn recv_many<'a>(&'a self, buf: &'a mut Vec<T>, max: usize) -> RecvManyFut<'a, T> {
-        RecvManyFut {
-            shared: &self.shared,
-            buf,
-            max,
-            waiter_id: None,
-            parked: false,
+    pub async fn recv_many(&self, buf: &mut Vec<T>, max: usize) -> usize {
+        if max == 0 {
+            return 0;
+        }
+        // No await after the first message lands in `buf`.
+        match self.recv().await {
+            Ok(v) => {
+                buf.push(v);
+                1 + self.try_recv_many(buf, max - 1)
+            }
+            Err(RecvError::Closed) => 0,
         }
     }
 
@@ -824,15 +774,12 @@ fn shared_len<T>(shared: &Shared<T>) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Mutex implementation (ChanMode::Mutex + Rendezvous).
+// Mutex implementation (Rendezvous + small Bounded).
 // ---------------------------------------------------------------------------
 
 struct RecvWaiter {
     id: u64,
     waker: Waker,
-    /// Limit for `recv_many` waiters (usize::MAX for plain `recv`);
-    /// informational only — the woken future drains for itself.
-    _max: usize,
 }
 
 struct SendEntry<T> {
@@ -845,7 +792,9 @@ struct SendEntry<T> {
 }
 
 struct State<T> {
-    cap: Capacity,
+    /// `Some(n)` = `Bounded(n)`; `None` = `Rendezvous`. (Unbounded
+    /// channels never use this core.)
+    bound: Option<usize>,
     queue: VecDeque<T>,
     recv_waiters: VecDeque<RecvWaiter>,
     send_waiters: VecDeque<SendEntry<T>>,
@@ -1255,9 +1204,9 @@ impl<T> Ring<T> {
         Popped::Empty
     }
 
-    /// Drains up to `max` messages into `buf`; returns the count and
-    /// whether a push was observed mid-flight (`Busy`).
-    fn drain_into(&self, buf: &mut Vec<T>, max: usize) -> (usize, bool) {
+    /// Drains up to `max` messages into `buf`; returns the count. A
+    /// push observed mid-flight (`Busy`) ends the drain early.
+    fn drain_into(&self, buf: &mut Vec<T>, max: usize) -> usize {
         let mut n = 0;
         let mut busy = false;
         while n < max {
@@ -1286,10 +1235,10 @@ impl<T> Ring<T> {
                         buf.push(v);
                         n += 1;
                         if n == max {
-                            return (n, false);
+                            return n;
                         }
                     }
-                    Popped::Busy => return (n, true),
+                    Popped::Busy => return n,
                     Popped::Empty => break,
                 }
             }
@@ -1304,7 +1253,7 @@ impl<T> Ring<T> {
                 }
             }
         }
-        (n, busy)
+        n
     }
 
     // Relaxed throughout: a torn-snapshot guard (the tail re-read)
@@ -1440,7 +1389,7 @@ impl<T> Ring<T> {
 
     /// Registers (or refreshes) a parked receiver; returns `true` if
     /// a new entry was inserted.
-    fn park_recv(&self, waiter_id: &mut Option<u64>, waker: &Waker, max: usize) -> bool {
+    fn park_recv(&self, waiter_id: &mut Option<u64>, waker: &Waker) -> bool {
         let mut s = plock(&self.slow);
         if let Some(id) = *waiter_id {
             if let Some(e) = s.recv.iter_mut().find(|w| w.id == id) {
@@ -1456,7 +1405,6 @@ impl<T> Ring<T> {
         s.recv.push_back(RecvWaiter {
             id,
             waker: waker.clone(),
-            _max: max,
         });
         *waiter_id = Some(id);
         // ordering: the registration write of the Dekker pair — the
@@ -1653,7 +1601,7 @@ fn poll_mutex_send<T: Send>(
                     return Poll::Ready(Err(SendError::Closed(v)));
                 }
                 // Bounded space-waiter: retry the commit.
-                if let Capacity::Bounded(n) = st.cap {
+                if let Some(n) = st.bound {
                     if st.queue.len() < n {
                         let v = fut.value.take().expect("bounded keeps value in future");
                         st.queue.push_back(v);
@@ -1675,14 +1623,8 @@ fn poll_mutex_send<T: Send>(
             fut.value.take().expect("unsent value present"),
         )));
     }
-    match st.cap {
-        Capacity::Unbounded => {
-            st.queue
-                .push_back(fut.value.take().expect("unsent value present"));
-            st.wake_one_recv();
-            send_done(false)
-        }
-        Capacity::Bounded(n) => {
+    match st.bound {
+        Some(n) => {
             if st.queue.len() < n {
                 st.queue
                     .push_back(fut.value.take().expect("unsent value present"));
@@ -1701,7 +1643,7 @@ fn poll_mutex_send<T: Send>(
                 Poll::Pending
             }
         }
-        Capacity::Rendezvous => {
+        None => {
             if !st.recv_waiters.is_empty() {
                 // Hand off through the queue; the woken receiver
                 // takes it.
@@ -1813,7 +1755,7 @@ fn poll_ring_recv<T: Send>(
     }
     // Park, then re-check (paired with `after_push`'s fence).
     fut.parked = true;
-    ring.park_recv(&mut fut.waiter_id, cx.waker(), 1);
+    ring.park_recv(&mut fut.waiter_id, cx.waker());
     // ordering: the parker's half of the `after_push` Dekker —
     // model-checked as `parking_model` (mutant: ConsumerNoRecheck).
     fence(Ordering::SeqCst);
@@ -1862,28 +1804,20 @@ fn poll_mutex_recv<T: Send>(
         return Poll::Ready(Err(RecvError::Closed));
     }
     fut.parked = true;
-    match fut.waiter_id {
-        Some(id) => {
-            if let Some(w) = st.recv_waiters.iter_mut().find(|w| w.id == id) {
-                w.waker = cx.waker().clone();
-            } else {
-                // We were popped by a wake that raced with this
-                // poll finding nothing; re-register.
-                let id = fresh_id();
-                st.recv_waiters.push_back(RecvWaiter {
-                    id,
-                    waker: cx.waker().clone(),
-                    _max: 1,
-                });
-                fut.waiter_id = Some(id);
-            }
-        }
+    let registered = fut.waiter_id;
+    match st
+        .recv_waiters
+        .iter_mut()
+        .find(|w| Some(w.id) == registered)
+    {
+        Some(w) => w.waker = cx.waker().clone(),
+        // First park, or we were popped by a wake that raced with
+        // this poll finding nothing: (re-)register.
         None => {
             let id = fresh_id();
             st.recv_waiters.push_back(RecvWaiter {
                 id,
                 waker: cx.waker().clone(),
-                _max: 1,
             });
             fut.waiter_id = Some(id);
         }
@@ -1909,160 +1843,6 @@ impl<T> Drop for RecvFut<'_, T> {
             Imp::Ring(r) => {
                 // A wake consumed on our behalf must be re-issued, or
                 // its message could strand with every peer parked.
-                // ordering: SeqCst scan, same rules as `after_push`'s.
-                if !r.unpark_recv(&mut self.waiter_id)
-                    && r.recv_parked.load(Ordering::SeqCst) > 0
-                    && r.len() > 0
-                {
-                    r.wake_one_recv();
-                }
-            }
-        }
-    }
-}
-
-/// Future returned by [`Receiver::recv_many`]; cancel-safe. Resolves
-/// to the number of messages appended to the buffer (0 = closed and
-/// drained).
-pub struct RecvManyFut<'a, T> {
-    shared: &'a Shared<T>,
-    buf: &'a mut Vec<T>,
-    max: usize,
-    waiter_id: Option<u64>,
-    parked: bool,
-}
-
-impl<T> Unpin for RecvManyFut<'_, T> {}
-
-impl<T: Send> Future for RecvManyFut<'_, T> {
-    type Output = usize;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = &mut *self;
-        if this.max == 0 {
-            return Poll::Ready(0);
-        }
-        match &this.shared.imp {
-            Imp::Mutex(m) => poll_mutex_recv_many(m, this, cx),
-            Imp::Ring(r) => poll_ring_recv_many(r, this, cx),
-        }
-    }
-}
-
-fn batch_done(n: usize, parked: bool) -> Poll<usize> {
-    bump(&RECV_MANY_CALLS);
-    RECV_MANY_MSGS.fetch_add(n as u64, Ordering::Relaxed);
-    bump(if parked { &SLOW_RECVS } else { &FAST_RECVS });
-    Poll::Ready(n)
-}
-
-fn poll_ring_recv_many<T: Send>(
-    ring: &Ring<T>,
-    fut: &mut RecvManyFut<'_, T>,
-    cx: &mut Context<'_>,
-) -> Poll<usize> {
-    let (n, _) = ring.drain_into(fut.buf, fut.max);
-    if n > 0 {
-        ring.unpark_recv(&mut fut.waiter_id);
-        ring.after_pop(n);
-        return batch_done(n, fut.parked);
-    }
-    if ring.recv_shut_flags() {
-        let (n, busy) = ring.drain_into(fut.buf, fut.max);
-        if n > 0 {
-            ring.unpark_recv(&mut fut.waiter_id);
-            ring.after_pop(n);
-            return batch_done(n, fut.parked);
-        }
-        if !busy {
-            ring.unpark_recv(&mut fut.waiter_id);
-            return Poll::Ready(0);
-        }
-        // A final send is mid-flight; park for its wake below.
-    }
-    fut.parked = true;
-    ring.park_recv(&mut fut.waiter_id, cx.waker(), fut.max);
-    // ordering: the parker's half of the `after_push` Dekker.
-    fence(Ordering::SeqCst);
-    let (n, _) = ring.drain_into(fut.buf, fut.max);
-    if n > 0 {
-        ring.unpark_recv(&mut fut.waiter_id);
-        ring.after_pop(n);
-        return batch_done(n, fut.parked);
-    }
-    if ring.recv_shut_flags() {
-        let (n, busy) = ring.drain_into(fut.buf, fut.max);
-        if n > 0 {
-            ring.unpark_recv(&mut fut.waiter_id);
-            ring.after_pop(n);
-            return batch_done(n, fut.parked);
-        }
-        if !busy {
-            ring.unpark_recv(&mut fut.waiter_id);
-            return Poll::Ready(0);
-        }
-    }
-    Poll::Pending
-}
-
-fn poll_mutex_recv_many<T: Send>(
-    m: &Mutex<State<T>>,
-    fut: &mut RecvManyFut<'_, T>,
-    cx: &mut Context<'_>,
-) -> Poll<usize> {
-    let mut st = plock(m);
-    let n = mutex_drain(&mut st, fut.buf, fut.max);
-    if n > 0 {
-        deregister_recv(&mut st, &mut fut.waiter_id);
-        return batch_done(n, fut.parked);
-    }
-    if st.drained_shut() {
-        deregister_recv(&mut st, &mut fut.waiter_id);
-        return Poll::Ready(0);
-    }
-    fut.parked = true;
-    match fut.waiter_id {
-        Some(id) => {
-            if let Some(w) = st.recv_waiters.iter_mut().find(|w| w.id == id) {
-                w.waker = cx.waker().clone();
-            } else {
-                let id = fresh_id();
-                st.recv_waiters.push_back(RecvWaiter {
-                    id,
-                    waker: cx.waker().clone(),
-                    _max: fut.max,
-                });
-                fut.waiter_id = Some(id);
-            }
-        }
-        None => {
-            let id = fresh_id();
-            st.recv_waiters.push_back(RecvWaiter {
-                id,
-                waker: cx.waker().clone(),
-                _max: fut.max,
-            });
-            fut.waiter_id = Some(id);
-        }
-    }
-    Poll::Pending
-}
-
-impl<T> Drop for RecvManyFut<'_, T> {
-    fn drop(&mut self) {
-        if self.waiter_id.is_none() {
-            return;
-        }
-        match &self.shared.imp {
-            Imp::Mutex(m) => {
-                let id = self.waiter_id.take().expect("checked");
-                let mut st = plock(m);
-                st.recv_waiters.retain(|w| w.id != id);
-                if !st.queue.is_empty() {
-                    st.wake_one_recv();
-                }
-            }
-            Imp::Ring(r) => {
                 // ordering: SeqCst scan, same rules as `after_push`'s.
                 if !r.unpark_recv(&mut self.waiter_id)
                     && r.recv_parked.load(Ordering::SeqCst) > 0

@@ -43,11 +43,6 @@
 //!   re-check covers the lane too — a worker never sleeps while a
 //!   high task waits (model-checked: `priority_lane_model`).
 //!
-//! [`SchedMode::GlobalQueue`] preserves the original
-//! one-mutex-injector dispatch so the scheduler microbenchmarks can
-//! A/B the two designs on the same workload (the high-priority lane
-//! works in both modes).
-//!
 //! Fairness: the LIFO slot is capped at [`LIFO_CAP`] consecutive
 //! polls, the injector is polled first every [`INJECTOR_INTERVAL`]
 //! dispatches, and pinned/local priority alternates every dispatch,
@@ -94,19 +89,6 @@ type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 /// `chanos_sim::plock`.)
 pub(crate) fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// How a [`Runtime`] dispatches ready tasks to its workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Per-worker lock-free run queues with randomized batch work
-    /// stealing (the default). Wakes from a worker go to its own
-    /// LIFO slot/ring; idle workers steal from siblings.
-    WorkStealing,
-    /// The original single shared injector under one mutex. Kept for
-    /// A/B benchmarking (`real_hw` spawn/steal microbench); pinned
-    /// queues still work in this mode.
-    GlobalQueue,
 }
 
 /// Priority class of a task. The scheduler is two-level: `High`
@@ -234,23 +216,18 @@ impl WorkerState {
 
 struct RtInner {
     /// Lock-free injector for off-pool spawns/wakes and ring
-    /// overflow (WorkStealing mode).
+    /// overflow.
     injector: Injector,
     /// The high-priority lane: every spawn/wake of a `Priority::High`
-    /// task lands here (both sched modes), and every dispatch checks
+    /// task lands here, and every dispatch checks
     /// it before any local queue. Trading away cache-hot LIFO
     /// placement buys the latency guarantee: a high task is never
     /// behind ring backlog.
     hi: Injector,
-    /// The A/B-baseline global queue (GlobalQueue mode only): the
-    /// original one-mutex dispatch, kept for `real_hw`'s spawn/steal
-    /// microbench.
-    global: Mutex<VecDeque<Arc<TaskCell>>>,
     workers: Vec<WorkerState>,
     /// Idle bitmask + searching counter: the lock-free park/unpark
-    /// handshake (shared by both modes).
+    /// handshake.
     idle: IdleSet,
-    mode: SchedMode,
     shutdown: AtomicBool,
     live_tasks: AtomicUsize,
     idle_lock: Mutex<()>,
@@ -285,8 +262,7 @@ struct RtInner {
     /// Wakes that landed on the waking worker's own run queue
     /// (cache-hot, steal-free: no unpark, no injector).
     wakes_local: AtomicU64,
-    /// Wakes routed through the global injector (off-pool or
-    /// global-queue mode).
+    /// Wakes routed through the global injector (off-pool).
     wakes_injector: AtomicU64,
     /// Wakes routed to a pinned queue.
     wakes_pinned: AtomicU64,
@@ -353,33 +329,28 @@ fn schedule(rt: &Arc<RtInner>, cell: Arc<TaskCell>, from_wake: bool) {
         rt.notify_work();
         return;
     }
-    if rt.mode == SchedMode::WorkStealing {
-        if let Some(me) = local_worker(rt) {
-            if from_wake {
-                rt.wakes_local.fetch_add(1, Ordering::Relaxed);
-            }
-            let ws = &rt.workers[me];
-            // SAFETY: `local_worker` proved the calling thread *is*
-            // worker `me` of this runtime — the owner of its LIFO
-            // slot and ring.
-            if let Some(prev) = unsafe { ws.lifo.put(cell) } {
-                push_local_or_overflow(rt, me, prev);
-                // This worker is busy (it is running us); invite a
-                // sibling to steal the backlog.
-                rt.notify_work();
-            } else if !ws.rq.is_empty() {
-                rt.notify_work();
-            }
-            return;
+    if let Some(me) = local_worker(rt) {
+        if from_wake {
+            rt.wakes_local.fetch_add(1, Ordering::Relaxed);
         }
+        let ws = &rt.workers[me];
+        // SAFETY: `local_worker` proved the calling thread *is*
+        // worker `me` of this runtime — the owner of its LIFO
+        // slot and ring.
+        if let Some(prev) = unsafe { ws.lifo.put(cell) } {
+            push_local_or_overflow(rt, me, prev);
+            // This worker is busy (it is running us); invite a
+            // sibling to steal the backlog.
+            rt.notify_work();
+        } else if !ws.rq.is_empty() {
+            rt.notify_work();
+        }
+        return;
     }
     if from_wake {
         rt.wakes_injector.fetch_add(1, Ordering::Relaxed);
     }
-    match rt.mode {
-        SchedMode::WorkStealing => rt.injector.push(cell),
-        SchedMode::GlobalQueue => plock(&rt.global).push_back(cell),
-    }
+    rt.injector.push(cell);
     rt.notify_work();
 }
 
@@ -463,7 +434,7 @@ impl RtInner {
 
     /// Anything worker `me` could run right now? Mirrors the sources
     /// `find_task` consults; used for the pre-park re-check.
-    /// Lock-free in WorkStealing mode.
+    /// Lock-free.
     fn has_work(&self, me: usize) -> bool {
         let ws = &self.workers[me];
         // The high lane is part of every pre-park re-check: a worker
@@ -477,18 +448,13 @@ impl RtInner {
         if ws.pinned_len.load(Ordering::Acquire) > 0 {
             return true;
         }
-        match self.mode {
-            SchedMode::WorkStealing => {
-                if !self.injector.is_empty() || ws.lifo.is_occupied() || !ws.rq.is_empty() {
-                    return true;
-                }
-                self.workers
-                    .iter()
-                    .enumerate()
-                    .any(|(v, vs)| v != me && !vs.rq.is_empty())
-            }
-            SchedMode::GlobalQueue => !plock(&self.global).is_empty(),
+        if !self.injector.is_empty() || ws.lifo.is_occupied() || !ws.rq.is_empty() {
+            return true;
         }
+        self.workers
+            .iter()
+            .enumerate()
+            .any(|(v, vs)| v != me && !vs.rq.is_empty())
     }
 
     /// Registers a task for shutdown reaping. Compaction keeps the
@@ -718,14 +684,9 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Starts a work-stealing runtime with `workers` OS threads.
+    /// Starts a work-stealing runtime with `workers` OS threads. At
+    /// most 64 workers (the idle bitmask is one word).
     pub fn new(workers: usize) -> Runtime {
-        Runtime::with_mode(workers, SchedMode::WorkStealing)
-    }
-
-    /// Starts a runtime with an explicit [`SchedMode`]. At most 64
-    /// workers (the idle bitmask is one word).
-    pub fn with_mode(workers: usize, mode: SchedMode) -> Runtime {
         assert!(workers > 0);
         assert!(
             workers <= MAX_WORKERS,
@@ -734,10 +695,8 @@ impl Runtime {
         let inner = Arc::new(RtInner {
             injector: Injector::new(),
             hi: Injector::new(),
-            global: Mutex::new(VecDeque::new()),
             workers: (0..workers).map(|_| WorkerState::new()).collect(),
             idle: IdleSet::new(),
-            mode,
             shutdown: AtomicBool::new(false),
             live_tasks: AtomicUsize::new(0),
             idle_lock: Mutex::new(()),
@@ -908,7 +867,6 @@ impl Runtime {
         // queue access — the owner-only contract holds vacuously.
         while self.inner.injector.take_all().is_some() {}
         while self.inner.hi.take_all().is_some() {}
-        plock(&self.inner.global).clear();
         for w in &self.inner.workers {
             {
                 let mut q = plock(&w.pinned);
@@ -1117,24 +1075,18 @@ fn find_task(
 ) -> Option<Arc<TaskCell>> {
     *tick = tick.wrapping_add(1);
     let ws = &rt.workers[me];
-    // The high lane outranks every other source on every dispatch
-    // (both modes): this is the whole priority guarantee — a high
-    // task waits at most one poll, never a ring's depth.
+    // The high lane outranks every other source on every dispatch:
+    // this is the whole priority guarantee — a high task waits at
+    // most one poll, never a ring's depth.
     if let Some(t) = take_hi(rt) {
         *lifo_streak = 0;
         return Some(t);
     }
     if (*tick).is_multiple_of(INJECTOR_INTERVAL) {
-        let t = match rt.mode {
-            SchedMode::WorkStealing => {
-                let (t, extra) = take_injector_burst(rt, me);
-                if extra > 0 {
-                    rt.notify_work();
-                }
-                t
-            }
-            SchedMode::GlobalQueue => plock(&rt.global).pop_front(),
-        };
+        let (t, extra) = take_injector_burst(rt, me);
+        if extra > 0 {
+            rt.notify_work();
+        }
         if let Some(t) = t {
             return Some(t);
         }
@@ -1145,24 +1097,22 @@ fn find_task(
             return Some(t);
         }
     }
-    if rt.mode == SchedMode::WorkStealing {
-        // SAFETY: this function runs only on worker `me`'s thread —
-        // the owner of its LIFO slot and ring.
-        unsafe {
-            if ws.lifo.is_occupied() && *lifo_streak < LIFO_CAP {
-                if let Some(t) = ws.lifo.take() {
-                    *lifo_streak += 1;
-                    return Some(t);
-                }
-            }
-            if let Some(t) = ws.rq.pop() {
-                *lifo_streak = 0;
-                return Some(t);
-            }
+    // SAFETY: this function runs only on worker `me`'s thread —
+    // the owner of its LIFO slot and ring.
+    unsafe {
+        if ws.lifo.is_occupied() && *lifo_streak < LIFO_CAP {
             if let Some(t) = ws.lifo.take() {
-                *lifo_streak = 0;
+                *lifo_streak += 1;
                 return Some(t);
             }
+        }
+        if let Some(t) = ws.rq.pop() {
+            *lifo_streak = 0;
+            return Some(t);
+        }
+        if let Some(t) = ws.lifo.take() {
+            *lifo_streak = 0;
+            return Some(t);
         }
     }
     if !pinned_first {
@@ -1170,34 +1120,28 @@ fn find_task(
             return Some(t);
         }
     }
-    match rt.mode {
-        SchedMode::GlobalQueue => plock(&rt.global).pop_front(),
-        SchedMode::WorkStealing => {
-            // The search phase: announce it (producers elide wakes
-            // while a searcher is out — see `IdleSet`), prefer the
-            // high lane, then drain an injector burst or steal a
-            // batch, then hand off a wake if we deposited more than
-            // we are about to run.
-            rt.idle.start_search();
-            let mut extra = 0;
-            let mut found = take_hi(rt);
-            if found.is_none() {
-                (found, extra) = take_injector_burst(rt, me);
-            }
-            if found.is_none() {
-                if let Some((t, batch_extra)) = steal_sweep(rt, me, rng) {
-                    found = Some(t);
-                    extra = batch_extra;
-                }
-            }
-            rt.idle.end_search();
-            if extra > 0 {
-                // Our ring now has backlog siblings can steal.
-                rt.notify_work();
-            }
-            found
+    // The search phase: announce it (producers elide wakes while a
+    // searcher is out — see `IdleSet`), prefer the high lane, then
+    // drain an injector burst or steal a batch, then hand off a wake
+    // if we deposited more than we are about to run.
+    rt.idle.start_search();
+    let mut extra = 0;
+    let mut found = take_hi(rt);
+    if found.is_none() {
+        (found, extra) = take_injector_burst(rt, me);
+    }
+    if found.is_none() {
+        if let Some((t, batch_extra)) = steal_sweep(rt, me, rng) {
+            found = Some(t);
+            extra = batch_extra;
         }
     }
+    rt.idle.end_search();
+    if extra > 0 {
+        // Our ring now has backlog siblings can steal.
+        rt.notify_work();
+    }
+    found
 }
 
 fn pop_pinned(ws: &WorkerState) -> Option<Arc<TaskCell>> {

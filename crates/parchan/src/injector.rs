@@ -24,10 +24,7 @@
 //! local queue on every dispatch — see the executor's `take_hi`).
 //!
 //! Zero `Mutex::lock` calls in this module (audited by the facade
-//! lint's mutex-free rule). `SchedMode::GlobalQueue` does *not* use
-//! this type for normal work — its A/B-baseline global queue stays a
-//! mutexed `VecDeque` in the executor (the high lane is lock-free in
-//! both modes).
+//! lint's mutex-free rule).
 
 // chanos-lint: allow — `AtomicPtr` comes from `std::sync::atomic`
 // directly rather than the facade: the chanos-check shim wraps value

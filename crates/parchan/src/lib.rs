@@ -50,14 +50,13 @@ mod sync;
 mod timer;
 
 pub use chan::{
-    chan_counter, chan_counters, channel, channel_with_mode, coalesce_wakes, default_chan_mode,
-    reset_chan_counters, set_default_chan_mode, Capacity, ChanMode, Receiver, RecvError, RecvFut,
-    RecvManyFut, SendError, SendFut, Sender, TryRecvError, TrySendError,
+    chan_counter, chan_counters, channel, coalesce_wakes, reset_chan_counters, Capacity, Receiver,
+    RecvError, RecvFut, SendError, SendFut, Sender, TryRecvError, TrySendError,
 };
 pub use chanos_select::{choose, join2, join_all, race, select_all, Either};
 pub use executor::{
     current, current_worker, in_runtime, yield_now, Handle, JoinHandle, Panicked, Priority,
-    Runtime, SchedMode, StatRecord, Watch, YieldNow,
+    Runtime, StatRecord, Watch, YieldNow,
 };
 #[doc(hidden)]
 pub use timer::timer_heap_len;

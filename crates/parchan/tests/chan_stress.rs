@@ -1,5 +1,6 @@
-//! Randomized MPMC stress for the channel core, covering both
-//! [`ChanMode`]s under both [`SchedMode`]s.
+//! Randomized MPMC stress for the two channel cores, each at the
+//! capacities `channel()` actually gives it (mutex: rendezvous and
+//! `Bounded(0..8)`; ring: `Bounded(8..)` and unbounded).
 //!
 //! Invariants checked on every run:
 //!
@@ -11,13 +12,14 @@
 //! The workload is PCG-driven so failures are reproducible from the
 //! printed seed: producers mix `send` with `try_send` retries,
 //! consumers mix `recv`, `try_recv`, and batched `recv_many`, and
-//! capacities include a non-power-of-two bound and an unbounded
-//! channel deep enough to exercise the ring→overflow spill.
+//! capacities include both sides of the routing boundary and an
+//! unbounded channel deep enough to exercise the ring→overflow spill.
 
 use std::collections::HashMap;
+use std::future::Future;
 
 use chanos_parchan::{
-    chan_counter, channel_with_mode, Capacity, ChanMode, Runtime, SchedMode, TrySendError,
+    chan_counter, channel, race, Capacity, Either, Receiver, Runtime, TrySendError,
 };
 
 /// Minimal PCG-32 (no external deps; parchan is dependency-free).
@@ -57,17 +59,9 @@ type Msg = (u32, u32);
 
 /// Runs `producers`x`consumers` over `cap` and checks the three
 /// invariants. Returns the total number of messages moved.
-fn stress(
-    mode: ChanMode,
-    sched: SchedMode,
-    cap: Capacity,
-    producers: u32,
-    consumers: u32,
-    per_producer: u32,
-    seed: u64,
-) -> u64 {
-    let rt = Runtime::with_mode(4, sched);
-    let (tx, rx) = channel_with_mode::<Msg>(cap, mode);
+fn stress(cap: Capacity, producers: u32, consumers: u32, per_producer: u32, seed: u64) -> u64 {
+    let rt = Runtime::new(4);
+    let (tx, rx) = channel::<Msg>(cap);
 
     let consumer_handles: Vec<_> = (0..consumers)
         .map(|c| {
@@ -167,42 +161,40 @@ fn stress(
     all.len() as u64
 }
 
-const MODES: [ChanMode; 2] = [ChanMode::LockFree, ChanMode::Mutex];
-const SCHEDS: [SchedMode; 2] = [SchedMode::WorkStealing, SchedMode::GlobalQueue];
+/// One bounded capacity per core for the contract tests below:
+/// `Bounded(7)` is served by the mutex core, `Bounded(16)` by the ring.
+const PER_CORE: [usize; 2] = [7, 16];
 
 #[test]
-fn mpmc_bounded_all_modes() {
-    for (si, sched) in SCHEDS.into_iter().enumerate() {
-        for (mi, mode) in MODES.into_iter().enumerate() {
-            // Bounded(3): a non-power-of-two bound exercises the
-            // lap-stamp wraparound arithmetic.
-            for (ci, cap) in [
-                Capacity::Bounded(1),
-                Capacity::Bounded(3),
-                Capacity::Bounded(64),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let seed = 0xB0 + (si * 100 + mi * 10 + ci) as u64;
-                stress(mode, sched, cap, 4, 4, 300, seed);
-            }
-        }
+fn per_core_capacities_reach_both_cores() {
+    let cores = PER_CORE.map(|n| channel::<u32>(Capacity::Bounded(n)).0.is_lock_free());
+    assert_eq!(cores, [false, true]);
+}
+
+#[test]
+fn mpmc_every_capacity() {
+    for (ci, cap) in [
+        Capacity::Rendezvous,
+        Capacity::Bounded(1),
+        Capacity::Bounded(4),
+        Capacity::Bounded(7),
+        Capacity::Bounded(8),
+        Capacity::Bounded(64),
+        Capacity::Unbounded,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        stress(cap, 4, 4, 300, 0xB0 + ci as u64);
     }
 }
 
 #[test]
 fn mpmc_unbounded_spills_through_overflow() {
     let before = chan_counter("chan.overflow_spills");
-    for (si, sched) in SCHEDS.into_iter().enumerate() {
-        for (mi, mode) in MODES.into_iter().enumerate() {
-            // 4 producers x 2000 >> the 256-slot ring segment, so the
-            // spill path runs even if consumers keep up briefly.
-            let seed = 0xAB + (si * 10 + mi) as u64;
-            stress(mode, sched, Capacity::Unbounded, 4, 2, 2000, seed);
-        }
-    }
-    // The lock-free runs must actually have exercised the spill.
+    // 4 producers x 2000 >> the 256-slot ring segment, so the spill
+    // path runs even if consumers keep up briefly.
+    stress(Capacity::Unbounded, 4, 2, 2000, 0xAB);
     assert!(
         chan_counter("chan.overflow_spills") > before,
         "unbounded stress never hit the overflow segment"
@@ -211,57 +203,31 @@ fn mpmc_unbounded_spills_through_overflow() {
 
 #[test]
 fn spsc_and_fan_shapes() {
-    for mode in MODES {
-        stress(
-            mode,
-            SchedMode::WorkStealing,
-            Capacity::Bounded(8),
-            1,
-            1,
-            2000,
-            0x51,
-        );
-        stress(
-            mode,
-            SchedMode::WorkStealing,
-            Capacity::Unbounded,
-            8,
-            1,
-            250,
-            0x52,
-        );
-        stress(
-            mode,
-            SchedMode::WorkStealing,
-            Capacity::Bounded(4),
-            1,
-            8,
-            2000,
-            0x53,
-        );
-    }
+    stress(Capacity::Bounded(8), 1, 1, 2000, 0x51);
+    stress(Capacity::Unbounded, 8, 1, 250, 0x52);
+    stress(Capacity::Bounded(4), 1, 8, 2000, 0x53);
 }
 
 #[test]
 fn recv_many_batches_and_close() {
-    for mode in MODES {
+    for cap in PER_CORE {
         let rt = Runtime::new(2);
-        let (tx, rx) = channel_with_mode::<u32>(Capacity::Unbounded, mode);
+        let (tx, rx) = channel::<u32>(Capacity::Bounded(cap));
         let out = rt.block_on(async move {
-            for i in 0..100u32 {
+            for i in 0..7u32 {
                 tx.send(i).await.unwrap();
             }
             let mut buf = Vec::new();
             // Drains are capped at max and preserve order.
-            let n = rx.recv_many(&mut buf, 64).await;
-            assert_eq!(n, 64);
-            let n2 = rx.recv_many(&mut buf, 64).await;
-            assert_eq!(n2, 36);
-            assert_eq!(buf, (0..100).collect::<Vec<_>>());
+            let n = rx.recv_many(&mut buf, 5).await;
+            assert_eq!(n, 5);
+            let n2 = rx.recv_many(&mut buf, 5).await;
+            assert_eq!(n2, 2);
+            assert_eq!(buf, (0..7).collect::<Vec<_>>());
             // After close-and-drain, recv_many resolves 0.
             tx.close();
             let n3 = rx.recv_many(&mut buf, 8).await;
-            assert_eq!(buf.len(), 100);
+            assert_eq!(buf.len(), 7);
             n3
         });
         assert_eq!(out, 0);
@@ -271,9 +237,9 @@ fn recv_many_batches_and_close() {
 
 #[test]
 fn recv_many_wakes_on_late_send() {
-    for mode in MODES {
+    for cap in PER_CORE {
         let rt = Runtime::new(2);
-        let (tx, rx) = channel_with_mode::<u32>(Capacity::Bounded(8), mode);
+        let (tx, rx) = channel::<u32>(Capacity::Bounded(cap));
         let recv = rt.spawn(async move {
             let mut buf = Vec::new();
             let n = rx.recv_many(&mut buf, 8).await;
@@ -292,10 +258,28 @@ fn recv_many_wakes_on_late_send() {
 }
 
 #[test]
-fn try_recv_many_nonblocking() {
-    for mode in MODES {
+fn recv_many_of_zero_resolves_at_once() {
+    for cap in PER_CORE {
         let rt = Runtime::new(1);
-        let (tx, rx) = channel_with_mode::<u32>(Capacity::Bounded(16), mode);
+        let (tx, rx) = channel::<u32>(Capacity::Bounded(cap));
+        rt.block_on(async {
+            let mut buf = Vec::new();
+            // Empty and open: a waiting receive would park forever.
+            assert_eq!(rx.recv_many(&mut buf, 0).await, 0);
+            tx.send(1).await.unwrap();
+            assert_eq!(rx.recv_many(&mut buf, 0).await, 0);
+            assert!(buf.is_empty());
+            assert_eq!(rx.try_recv(), Ok(1), "max == 0 must not consume");
+        });
+        rt.shutdown();
+    }
+}
+
+#[test]
+fn try_recv_many_nonblocking() {
+    for cap in PER_CORE {
+        let rt = Runtime::new(1);
+        let (tx, rx) = channel::<u32>(Capacity::Bounded(cap));
         rt.block_on(async {
             let mut buf = Vec::new();
             assert_eq!(rx.try_recv_many(&mut buf, 4), 0);
@@ -306,13 +290,41 @@ fn try_recv_many_nonblocking() {
             assert_eq!(rx.try_recv_many(&mut buf, 4), 2);
             assert_eq!(buf, vec![0, 1, 2, 3, 4, 5]);
             // Backpressure slots freed: a full channel accepts again.
-            for i in 0..16 {
+            for i in 0..cap as u32 {
                 tx.try_send(i).unwrap();
             }
             assert!(tx.try_send(99).is_err());
-            assert_eq!(rx.try_recv_many(&mut buf, 16), 16);
+            assert_eq!(rx.try_recv_many(&mut buf, cap), cap);
             assert!(tx.try_send(99).is_ok());
         });
+        rt.shutdown();
+    }
+}
+
+/// Three consumers run `consume` (which races two cancel-safe
+/// receive arms per message and returns how many it received) over
+/// one channel per core; 600 sent messages must all arrive.
+fn cancelled_arms_strand_nothing<F, Fut>(consume: F)
+where
+    F: Fn(Receiver<u32>) -> Fut,
+    Fut: Future<Output = usize> + Send + 'static,
+{
+    for cap in PER_CORE {
+        let rt = Runtime::new(4);
+        let (tx, rx) = channel::<u32>(Capacity::Bounded(cap));
+        let consumers: Vec<_> = (0..3).map(|_| rt.spawn(consume(rx.clone()))).collect();
+        drop(rx);
+        rt.block_on(async {
+            for i in 0..600u32 {
+                tx.send(i).await.unwrap();
+            }
+        });
+        drop(tx);
+        let total: usize = consumers
+            .into_iter()
+            .map(|c| c.join_blocking().unwrap())
+            .sum();
+        assert_eq!(total, 600, "cancelled arms stranded messages");
         rt.shutdown();
     }
 }
@@ -321,60 +333,49 @@ fn try_recv_many_nonblocking() {
 fn cancelled_recv_futures_pass_the_wake() {
     // A recv future that wins a wake but is dropped before polling
     // (the choose! loser case) must not strand the message.
-    for mode in MODES {
-        let rt = Runtime::with_mode(4, SchedMode::WorkStealing);
-        let (tx, rx) = channel_with_mode::<u32>(Capacity::Bounded(4), mode);
-        let consumers: Vec<_> = (0..3)
-            .map(|_| {
-                let rx = rx.clone();
-                rt.spawn(async move {
-                    let mut got = 0u64;
-                    loop {
-                        // Race two receives; the loser's future drops
-                        // registered.
-                        let a = rx.recv();
-                        let b = rx.recv();
-                        let r = match chanos_parchan::race(a, b).await {
-                            chanos_parchan::Either::Left(r) => r,
-                            chanos_parchan::Either::Right(r) => r,
-                        };
-                        match r {
-                            Ok(_) => got += 1,
-                            Err(_) => break,
-                        }
-                    }
-                    got
-                })
-            })
-            .collect();
-        drop(rx);
-        rt.block_on(async {
-            for i in 0..600u32 {
-                tx.send(i).await.unwrap();
+    cancelled_arms_strand_nothing(|rx| async move {
+        let mut got = 0;
+        // Race two receives; the loser's future drops registered.
+        while let Either::Left(Ok(_)) | Either::Right(Ok(_)) = race(rx.recv(), rx.recv()).await {
+            got += 1;
+        }
+        got
+    });
+}
+
+#[test]
+fn cancelled_recv_many_arms_pass_the_wake() {
+    // The same hand-off through `recv_many`: the losing arm holds a
+    // registered waiter when it drops, and whatever either arm
+    // drained is in its caller-owned buffer.
+    cancelled_arms_strand_nothing(|rx| async move {
+        let mut got = 0;
+        loop {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let n = match race(rx.recv_many(&mut a, 4), rx.recv_many(&mut b, 4)).await {
+                Either::Left(n) | Either::Right(n) => n,
+            };
+            assert_eq!(a.len() + b.len(), n, "a cancelled arm kept messages");
+            if n == 0 {
+                return got;
             }
-        });
-        drop(tx);
-        let total: u64 = consumers
-            .into_iter()
-            .map(|c| c.join_blocking().unwrap())
-            .sum();
-        assert_eq!(total, 600, "cancelled futures stranded messages");
-        rt.shutdown();
-    }
+            got += n;
+        }
+    });
 }
 
 #[test]
 fn debug_never_blocks() {
-    for mode in MODES {
-        let (tx, rx) = channel_with_mode::<u32>(Capacity::Bounded(2), mode);
+    for cap in PER_CORE {
+        let (tx, rx) = channel::<u32>(Capacity::Bounded(cap));
         tx.try_send(1).unwrap();
         let s = format!("{tx:?} {rx:?}");
         assert!(s.contains("Sender") && s.contains("Receiver"));
     }
-    // Rendezvous (always mutex): Debug under a held lock must not
-    // deadlock — exercised by formatting from another thread while
-    // ops run; here the cheap smoke is that it formats at all.
-    let (tx, _rx) = channel_with_mode::<u32>(Capacity::Rendezvous, ChanMode::LockFree);
+    // Rendezvous: Debug under a held lock must not deadlock —
+    // exercised by formatting from another thread while ops run;
+    // here the cheap smoke is that it formats at all.
+    let (tx, _rx) = channel::<u32>(Capacity::Rendezvous);
     let _ = format!("{tx:?}");
 }
 
@@ -382,7 +383,7 @@ fn debug_never_blocks() {
 fn fast_path_counters_move() {
     let before_fast = chan_counter("chan.fast_sends");
     let rt = Runtime::new(1);
-    let (tx, rx) = channel_with_mode::<u32>(Capacity::Bounded(64), ChanMode::LockFree);
+    let (tx, rx) = channel::<u32>(Capacity::Bounded(64));
     rt.block_on(async {
         for i in 0..50 {
             tx.send(i).await.unwrap();

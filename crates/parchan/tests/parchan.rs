@@ -239,10 +239,9 @@ fn ping_pong_rpc_pattern() {
 
 #[test]
 fn small_bounded_caps_route_to_mutex_core_by_default() {
-    // The process default mode is lock-free, but tiny bounded rings
-    // lose to the mutex core (BENCH_chan.json small-ring A/B), so
-    // `channel()` routes capacities below 8 to the mutex
-    // implementation. An explicit mode request is always honored.
+    // Tiny bounded rings lose to the mutex core (see
+    // `SMALL_RING_ROUTE_CAP`), so `channel()` routes capacities below
+    // 8 to the mutex implementation.
     for cap in 1..8 {
         let (tx, _rx) = channel::<u32>(Capacity::Bounded(cap));
         assert!(!tx.is_lock_free(), "bounded({cap}) should route to mutex");
@@ -253,9 +252,4 @@ fn small_bounded_caps_route_to_mutex_core_by_default() {
     }
     let (tx, _rx) = channel::<u32>(Capacity::Unbounded);
     assert!(tx.is_lock_free(), "unbounded is unaffected by routing");
-    let (tx, _rx) = chanos_parchan::channel_with_mode::<u32>(
-        Capacity::Bounded(4),
-        chanos_parchan::ChanMode::LockFree,
-    );
-    assert!(tx.is_lock_free(), "explicit mode bypasses the routing");
 }

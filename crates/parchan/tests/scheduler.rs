@@ -9,9 +9,7 @@ use std::sync::{Arc, Mutex};
 use std::task::{Context, Wake, Waker};
 use std::time::Duration;
 
-use chanos_parchan::{
-    after, channel, current_worker, yield_now, Capacity, Priority, Runtime, SchedMode,
-};
+use chanos_parchan::{after, channel, current_worker, yield_now, Capacity, Priority, Runtime};
 
 /// A waker that does nothing (for polling futures by hand).
 struct NoopWake;
@@ -322,20 +320,6 @@ fn steal_stress_mpmc_with_pins() {
     rt.shutdown();
 }
 
-#[test]
-fn global_queue_mode_still_runs_everything() {
-    // The A/B baseline mode must stay correct, including pins.
-    let rt = Runtime::with_mode(2, SchedMode::GlobalQueue);
-    let hs: Vec<_> = (0..100).map(|i| rt.spawn(async move { i })).collect();
-    for (i, h) in hs.into_iter().enumerate() {
-        assert_eq!(h.join_blocking().unwrap(), i);
-    }
-    let p = rt.spawn_pinned(1, async { current_worker() });
-    assert_eq!(p.join_blocking().unwrap(), Some(1));
-    assert_eq!(rt.handle().steal_count(), 0);
-    rt.shutdown();
-}
-
 // ---------------------------------------------------------------------------
 // Randomized steal storms (deterministic PCG — seeds in the test).
 // ---------------------------------------------------------------------------
@@ -364,64 +348,62 @@ impl Pcg {
 fn pcg_steal_storm_runs_every_task_exactly_once() {
     // A seeded mix of remote spawns (injector), nested spawns (local
     // ring + LIFO slot), pinned spawns, and random yield churn, at 4
-    // workers in both scheduler modes. Every task must run exactly
-    // once: a double poll-to-completion trips the fetch_or, a lost
-    // task trips the final count (or hangs the join).
-    for mode in [SchedMode::WorkStealing, SchedMode::GlobalQueue] {
-        let rt = Runtime::with_mode(4, mode);
-        let mut rng = Pcg(0x57EA_1057_0123 ^ mode as u64);
-        const N: usize = 96; // seeders
-        const FAN: usize = 4; // children per seeder
-        let ran: Arc<Vec<AtomicU64>> =
-            Arc::new((0..N * (FAN + 1)).map(|_| AtomicU64::new(0)).collect());
-        let mut seeders = Vec::new();
-        for s in 0..N {
-            let ran = ran.clone();
-            let kind = rng.below(4);
-            let pin = rng.below(4) as usize;
-            let yields = rng.below(3);
-            let body = async move {
-                // Children spawned from inside a worker land on its
-                // local ring/LIFO slot and must be stolen or drained.
-                let hd = chanos_parchan::current().expect("on runtime");
-                let children: Vec<_> = (0..FAN)
-                    .map(|c| {
-                        let ran = ran.clone();
-                        hd.spawn(async move {
-                            for _ in 0..(c % 3) {
-                                yield_now().await;
-                            }
-                            ran[N + s * FAN + c].fetch_add(1, Ordering::Relaxed);
-                        })
+    // workers. Every task must run exactly once: a double
+    // poll-to-completion trips the fetch_or, a lost task trips the
+    // final count (or hangs the join).
+    let rt = Runtime::new(4);
+    let mut rng = Pcg(0x57EA_1057_0123);
+    const N: usize = 96; // seeders
+    const FAN: usize = 4; // children per seeder
+    let ran: Arc<Vec<AtomicU64>> =
+        Arc::new((0..N * (FAN + 1)).map(|_| AtomicU64::new(0)).collect());
+    let mut seeders = Vec::new();
+    for s in 0..N {
+        let ran = ran.clone();
+        let kind = rng.below(4);
+        let pin = rng.below(4) as usize;
+        let yields = rng.below(3);
+        let body = async move {
+            // Children spawned from inside a worker land on its
+            // local ring/LIFO slot and must be stolen or drained.
+            let hd = chanos_parchan::current().expect("on runtime");
+            let children: Vec<_> = (0..FAN)
+                .map(|c| {
+                    let ran = ran.clone();
+                    hd.spawn(async move {
+                        for _ in 0..(c % 3) {
+                            yield_now().await;
+                        }
+                        ran[N + s * FAN + c].fetch_add(1, Ordering::Relaxed);
                     })
-                    .collect();
-                for _ in 0..yields {
-                    yield_now().await;
-                }
-                for c in children {
-                    c.join().await.expect("child ok");
-                }
-                ran[s].fetch_add(1, Ordering::Relaxed);
-            };
-            seeders.push(if kind == 0 {
-                rt.spawn_pinned(pin, body)
-            } else {
-                rt.spawn(body)
-            });
-        }
-        for h in seeders {
-            h.join_blocking().expect("seeder ok");
-        }
-        for (i, flag) in ran.iter().enumerate() {
-            assert_eq!(
-                flag.load(Ordering::Relaxed),
-                1,
-                "task {i} ran {} times under {mode:?}",
-                flag.load(Ordering::Relaxed)
-            );
-        }
-        rt.shutdown();
+                })
+                .collect();
+            for _ in 0..yields {
+                yield_now().await;
+            }
+            for c in children {
+                c.join().await.expect("child ok");
+            }
+            ran[s].fetch_add(1, Ordering::Relaxed);
+        };
+        seeders.push(if kind == 0 {
+            rt.spawn_pinned(pin, body)
+        } else {
+            rt.spawn(body)
+        });
     }
+    for h in seeders {
+        h.join_blocking().expect("seeder ok");
+    }
+    for (i, flag) in ran.iter().enumerate() {
+        assert_eq!(
+            flag.load(Ordering::Relaxed),
+            1,
+            "task {i} ran {} times",
+            flag.load(Ordering::Relaxed)
+        );
+    }
+    rt.shutdown();
 }
 
 #[test]
@@ -488,46 +470,42 @@ fn spawn_after_shutdown_does_not_hang() {
 fn high_priority_task_jumps_queued_backlog() {
     // One worker, held hostage while a backlog queues up: the high
     // task must be the first thing dispatched after the hostage,
-    // ahead of every earlier-spawned normal task, in both modes.
-    for mode in [SchedMode::WorkStealing, SchedMode::GlobalQueue] {
-        let rt = Runtime::with_mode(1, mode);
-        let order: Arc<Mutex<Vec<i64>>> = Arc::new(Mutex::new(Vec::new()));
-        let started = Arc::new(AtomicU64::new(0));
-        let gate = Arc::new(AtomicU64::new(0));
-        let (s, g) = (started.clone(), gate.clone());
-        let hostage = rt.spawn(async move {
-            s.store(1, Ordering::Release);
-            while g.load(Ordering::Acquire) == 0 {
-                std::thread::yield_now();
-            }
-        });
-        while started.load(Ordering::Acquire) == 0 {
+    // ahead of every earlier-spawned normal task.
+    let rt = Runtime::new(1);
+    let order: Arc<Mutex<Vec<i64>>> = Arc::new(Mutex::new(Vec::new()));
+    let started = Arc::new(AtomicU64::new(0));
+    let gate = Arc::new(AtomicU64::new(0));
+    let (s, g) = (started.clone(), gate.clone());
+    let hostage = rt.spawn(async move {
+        s.store(1, Ordering::Release);
+        while g.load(Ordering::Acquire) == 0 {
             std::thread::yield_now();
         }
-        let mut handles = Vec::new();
-        for i in 0..32i64 {
-            let o = order.clone();
-            handles.push(rt.spawn(async move { o.lock().unwrap().push(i) }));
-        }
-        let o = order.clone();
-        handles.push(
-            rt.spawn_with_priority(Priority::High, async move { o.lock().unwrap().push(-1) }),
-        );
-        gate.store(1, Ordering::Release);
-        hostage.join_blocking().unwrap();
-        for h in handles {
-            h.join_blocking().unwrap();
-        }
-        let order = order.lock().unwrap();
-        assert_eq!(order.len(), 33);
-        assert_eq!(
-            order[0],
-            -1,
-            "{mode:?}: high task ran at position {} instead of first",
-            order.iter().position(|&v| v == -1).unwrap()
-        );
-        rt.shutdown();
+    });
+    while started.load(Ordering::Acquire) == 0 {
+        std::thread::yield_now();
     }
+    let mut handles = Vec::new();
+    for i in 0..32i64 {
+        let o = order.clone();
+        handles.push(rt.spawn(async move { o.lock().unwrap().push(i) }));
+    }
+    let o = order.clone();
+    handles.push(rt.spawn_with_priority(Priority::High, async move { o.lock().unwrap().push(-1) }));
+    gate.store(1, Ordering::Release);
+    hostage.join_blocking().unwrap();
+    for h in handles {
+        h.join_blocking().unwrap();
+    }
+    let order = order.lock().unwrap();
+    assert_eq!(order.len(), 33);
+    assert_eq!(
+        order[0],
+        -1,
+        "high task ran at position {} instead of first",
+        order.iter().position(|&v| v == -1).unwrap()
+    );
+    rt.shutdown();
 }
 
 #[test]

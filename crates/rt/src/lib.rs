@@ -711,20 +711,6 @@ pub fn coalesce_replies<R>(f: impl FnOnce() -> R) -> R {
     }
 }
 
-/// Performs one serial RPC over a server channel: builds the request
-/// with a fresh reply channel, sends it, and awaits the response.
-///
-/// Returns `None` if the server is gone (channel closed in either
-/// direction). This is the legacy convenience shim; service clients
-/// use [`Port::call`], which pipelines, batches, and reports
-/// [`CallError`] instead of flattening every failure to `None`.
-pub async fn request<Req: Send + 'static, Resp: Send + 'static>(
-    server: &Sender<Req>,
-    make: impl FnOnce(ReplyTo<Resp>) -> Req,
-) -> Option<Resp> {
-    Port::attach(server.clone()).call(make).await.ok()
-}
-
 // ---------------------------------------------------------------------------
 // Join handles.
 // ---------------------------------------------------------------------------
@@ -1367,27 +1353,6 @@ mod tests {
                 }
             }
         });
-        rt.shutdown();
-    }
-
-    #[test]
-    fn rpc_round_trip_on_both_backends() {
-        enum Req {
-            Add(u32, u32, ReplyTo<u32>),
-        }
-        async fn run() -> u32 {
-            let (tx, rx) = channel::<Req>(Capacity::Unbounded);
-            spawn(async move {
-                while let Ok(Req::Add(a, b, reply)) = rx.recv().await {
-                    let _ = reply.send(a + b).await;
-                }
-            });
-            request(&tx, |reply| Req::Add(2, 3, reply)).await.unwrap()
-        }
-        let mut s = sim::Simulation::new(2);
-        assert_eq!(s.block_on(run()).unwrap(), 5);
-        let rt = par::Runtime::new(2);
-        assert_eq!(rt.block_on(run()), 5);
         rt.shutdown();
     }
 }

@@ -28,7 +28,6 @@ mod sharded;
 mod store;
 
 pub use biglock::BigLockFs;
-pub use chanos_nr::{default_nr_mode, set_default_nr_mode, NrMode};
 pub use core_fs::{split_parent, split_path, Allocator, FsCore, ScanAllocator, Stat};
 pub use error::FsError;
 pub use layout::{Dirent, FileKind, Inode, Superblock, ROOT_INO};

@@ -45,12 +45,10 @@
 //! through a stale inode number — so those callers get
 //! [`FsError::Gone`], not silence.
 //!
-//! The ino→vnode-port registry itself comes in two shapes behind
-//! [`chanos_nr::NrMode`]: the pre-NR baseline (one `fs-vnmgr` task
-//! every lookup round-trips to) and the node-replicated registry
-//! (`fs-vnreg`, one replica per service core; `Get` is served from
+//! The ino→vnode-port registry itself is node-replicated
+//! (`fs-vnreg`, one replica per service core): `Get` is served from
 //! the caller's **local** replica with no cross-core communication,
-//! while `Ensure`/`Retire` flow through the shared operation log).
+//! while `Ensure`/`Retire` flow through the shared operation log.
 //!
 //! Every hop is a typed [`Port`] call, so clients can pipeline
 //! requests into a server's batch drain. On real threads each server
@@ -62,10 +60,10 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use chanos_drivers::DiskClient;
-use chanos_nr::{NrMode, NrService, Replicated};
+use chanos_nr::{NrService, Replicated};
 use chanos_rt::{self as rt, port_channel, Capacity, CoreId, Port, ReplyTo};
 
 use crate::core_fs::{check_name, split_parent, split_path, Allocator, FsCore, Stat};
@@ -146,17 +144,6 @@ enum VnodeMsg {
     },
 }
 
-enum VnMgrMsg {
-    Get {
-        ino: u64,
-        reply: ReplyTo<Result<Port<VnodeMsg>, FsError>>,
-    },
-    Retire {
-        ino: u64,
-        task: u64,
-    },
-}
-
 /// A registry entry: the serving port for an inode and which vnode
 /// task is behind it (a number unique per task, see
 /// [`MsgShared::next_task`]), so a task can withdraw its own entry and
@@ -167,17 +154,8 @@ struct Registered {
     port: Port<VnodeMsg>,
 }
 
-/// Removes `ino`'s entry if it is still `task`'s; `true` if it was.
-fn retire_entry(map: &mut HashMap<u64, Registered>, ino: u64, task: u64) -> bool {
-    let mine = map.get(&ino).is_some_and(|r| r.task == task);
-    if mine {
-        map.remove(&ino);
-    }
-    mine
-}
-
 /// Read-only vnode-registry queries (served from the caller's local
-/// replica in replicated mode).
+/// replica).
 enum VnRead {
     /// The serving port for `ino`, if a vnode task is active.
     Get(u64),
@@ -235,30 +213,25 @@ impl NrService for VnRegistry {
                     inserted: true,
                 },
             },
+            // Only the registered task's own entry goes: a stale
+            // retire must not evict a fresh vnode on a reused number.
             VnWrite::Retire { ino, task } => {
-                VnWriteResp::Retired(retire_entry(&mut self.map, *ino, *task))
+                let mine = self.map.get(ino).is_some_and(|r| r.task == *task);
+                if mine {
+                    self.map.remove(ino);
+                }
+                VnWriteResp::Retired(mine)
             }
         }
     }
 }
 
-/// Vnode-manager backend: the A/B switch between the pre-NR single
-/// manager task and the node-replicated registry.
-enum VnBackend {
-    /// One `fs-vnmgr` task owns the registry; every lookup is a port
-    /// round-trip to it.
-    Single(Port<VnMgrMsg>),
-    /// One registry replica per service core over a shared op log;
-    /// `Get` reads the caller's local replica.
-    Replicated(Replicated<VnRegistry>),
-}
-
 struct MsgShared {
     core: FsCore<CacheClient>,
     groups: Vec<Port<GroupMsg>>,
-    /// Set once at boot ([`MsgFs::format`]), then read lock-free on
-    /// every lookup.
-    vnmgr: OnceLock<VnBackend>,
+    /// One registry replica per service core over a shared op log;
+    /// `Get` reads the caller's local replica.
+    vnreg: Replicated<VnRegistry>,
     vnode_cores: Vec<CoreId>,
     /// The number the next vnode task gets.
     next_task: AtomicU64,
@@ -269,26 +242,13 @@ impl MsgShared {
         &self.groups[self.core.superblock().group_of_ino(ino) as usize]
     }
 
-    fn vn(&self) -> &VnBackend {
-        self.vnmgr.get().expect("vnmgr started")
-    }
-
     /// Drops vnode task `task` from the registry, if it is the one
-    /// registered for `ino`. In replicated mode the retire is a logged
-    /// write and in single-server mode it is queued at the manager
-    /// before this returns, so every `Get` issued afterwards observes
-    /// it.
+    /// registered for `ino`. The retire is a logged write, so every
+    /// `Get` issued after this returns observes it.
     async fn retire_vnode(&self, ino: u64, task: u64) {
-        match self.vn() {
-            VnBackend::Single(mgr) => {
-                let _ = mgr.sender().try_send(VnMgrMsg::Retire { ino, task });
-            }
-            VnBackend::Replicated(reg) => {
-                let retire = VnWrite::Retire { ino, task };
-                if let Ok(VnWriteResp::Retired(true)) = reg.write(retire).await {
-                    rt::stat_incr("msgfs.vnodes_retired");
-                }
-            }
+        let retire = VnWrite::Retire { ino, task };
+        if let Ok(VnWriteResp::Retired(true)) = self.vnreg.write(retire).await {
+            rt::stat_incr("msgfs.vnodes_retired");
         }
     }
 
@@ -748,36 +708,28 @@ fn spawn_vnode(shared: &Arc<MsgShared>, ino: u64, on: CoreId) -> Registered {
 }
 
 async fn get_vnode(shared: &Arc<MsgShared>, ino: u64) -> Result<Port<VnodeMsg>, FsError> {
-    match shared.vn() {
-        VnBackend::Single(mgr) => mgr
-            .call(|reply| VnMgrMsg::Get { ino, reply })
-            .await
-            .unwrap_or_else(|e| Err(e.into())),
-        VnBackend::Replicated(reg) => {
-            // Fast path: the local replica already knows the vnode —
-            // zero port round-trips.
-            if let Ok(Some(port)) = reg.read(VnRead::Get(ino)).await {
-                return Ok(port);
+    let reg = &shared.vnreg;
+    // Fast path: the local replica already knows the vnode — zero
+    // port round-trips.
+    if let Ok(Some(port)) = reg.read(VnRead::Get(ino)).await {
+        return Ok(port);
+    }
+    // Miss: spawn a candidate task (placement is ino-mod, so every
+    // racer picks the same core), then race it through the log; the
+    // first Ensure wins and everyone adopts its port.
+    let on = shared.vnode_cores[(ino as usize) % shared.vnode_cores.len()];
+    let entry = spawn_vnode(shared, ino, on);
+    match reg.write(VnWrite::Ensure { ino, entry }).await {
+        Ok(VnWriteResp::Ensured { port, inserted }) => {
+            if !inserted {
+                // Our candidate lost the race; its spare task exits
+                // once the log GC drops its last sender.
+                rt::stat_incr("msgfs.vnode_races_lost");
             }
-            // Miss: spawn a candidate task (placement is ino-mod, so
-            // every racer picks the same core), then race it through
-            // the log; the first Ensure wins and everyone adopts its
-            // port.
-            let on = shared.vnode_cores[(ino as usize) % shared.vnode_cores.len()];
-            let entry = spawn_vnode(shared, ino, on);
-            match reg.write(VnWrite::Ensure { ino, entry }).await {
-                Ok(VnWriteResp::Ensured { port, inserted }) => {
-                    if !inserted {
-                        // Our candidate lost the race; its spare task
-                        // exits once the log GC drops its last sender.
-                        rt::stat_incr("msgfs.vnode_races_lost");
-                    }
-                    Ok(port)
-                }
-                Ok(VnWriteResp::Retired(_)) => unreachable!("Ensure answered with Retired"),
-                Err(e) => Err(e.into()),
-            }
+            Ok(port)
         }
+        Ok(VnWriteResp::Retired(_)) => unreachable!("Ensure answered with Retired"),
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -790,9 +742,8 @@ pub struct MsgFs {
 impl MsgFs {
     /// Formats a fresh volume and boots the server constellation:
     /// cache shards, one group server per cylinder group, and the
-    /// vnode registry in the chosen [`NrMode`]. Vnode tasks spawn on
-    /// demand over `service_cores` (round-robin in single-server
-    /// mode, ino-mod in replicated mode so racing lookups agree).
+    /// replicated vnode registry. Vnode tasks spawn on demand over
+    /// `service_cores` (ino-mod, so racing lookups agree).
     pub async fn format(
         disk: DiskClient,
         total_blocks: u64,
@@ -800,7 +751,6 @@ impl MsgFs {
         cache_shards: usize,
         cache_blocks_per_shard: usize,
         service_cores: Vec<CoreId>,
-        nr: NrMode,
     ) -> Result<MsgFs, FsError> {
         assert!(!service_cores.is_empty());
         let store = CacheClient::spawn(disk, cache_shards, cache_blocks_per_shard, &service_cores);
@@ -818,52 +768,17 @@ impl MsgFs {
             groups.push(port);
         }
 
+        // §4 taken seriously: the registry is node-replicated, so
+        // the hot lookup path never leaves the caller's core.
+        let vnreg = Replicated::spawn("fs-vnreg", &service_cores, VnRegistry::default);
+
         let shared = Arc::new(MsgShared {
             core,
             groups,
-            vnmgr: OnceLock::new(),
-            vnode_cores: service_cores.clone(),
+            vnreg,
+            vnode_cores: service_cores,
             next_task: AtomicU64::new(0),
         });
-
-        let backend = match nr {
-            // The pre-NR baseline: one fs-vnmgr task owns the whole
-            // registry and every lookup round-trips to it.
-            NrMode::SingleServer => {
-                let (mgr_port, mgr_rx) = port_channel::<VnMgrMsg>(Capacity::Unbounded);
-                let mgr_shared = shared.clone();
-                rt::spawn_daemon_on("fs-vnmgr", service_cores[0], async move {
-                    let mut registry: HashMap<u64, Registered> = HashMap::new();
-                    let mut rr = 0usize;
-                    while let Ok(msg) = mgr_rx.recv().await {
-                        match msg {
-                            VnMgrMsg::Get { ino, reply } => {
-                                let entry = registry.entry(ino).or_insert_with(|| {
-                                    let on =
-                                        mgr_shared.vnode_cores[rr % mgr_shared.vnode_cores.len()];
-                                    rr += 1;
-                                    spawn_vnode(&mgr_shared, ino, on)
-                                });
-                                let _ = reply.send(Ok(entry.port.clone())).await;
-                            }
-                            VnMgrMsg::Retire { ino, task } => {
-                                retire_entry(&mut registry, ino, task);
-                            }
-                        }
-                    }
-                });
-                VnBackend::Single(mgr_port)
-            }
-            // §4 taken seriously: the registry is node-replicated, so
-            // the hot lookup path never leaves the caller's core.
-            NrMode::Replicated => VnBackend::Replicated(Replicated::spawn(
-                "fs-vnreg",
-                &service_cores,
-                NrMode::Replicated,
-                VnRegistry::default,
-            )),
-        };
-        let _ = shared.vnmgr.set(backend);
 
         Ok(MsgFs { shared })
     }

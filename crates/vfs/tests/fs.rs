@@ -43,17 +43,11 @@ async fn make_fs_with_groups(which: &str, cores: usize, groups: u64) -> Vfs {
                 .await
                 .unwrap(),
         ),
-        "msgfs" | "msgfs-single-vnmgr" => {
-            let nr = match which {
-                "msgfs" => chanos_vfs::default_nr_mode(),
-                _ => chanos_vfs::NrMode::SingleServer,
-            };
-            Vfs::Msg(
-                MsgFs::format(disk, DISK_BLOCKS, groups, 8, 32, service, nr)
-                    .await
-                    .unwrap(),
-            )
-        }
+        "msgfs" => Vfs::Msg(
+            MsgFs::format(disk, DISK_BLOCKS, groups, 8, 32, service)
+                .await
+                .unwrap(),
+        ),
         other => panic!("unknown engine {other}"),
     }
 }
@@ -61,14 +55,7 @@ async fn make_fs_with_groups(which: &str, cores: usize, groups: u64) -> Vfs {
 fn for_each_engine(
     test: impl Fn(Vfs) -> std::pin::Pin<Box<dyn std::future::Future<Output = ()>>> + Copy + 'static,
 ) {
-    for_each_of(&["biglock", "sharded", "msgfs"], test);
-}
-
-fn for_each_of(
-    engines: &[&'static str],
-    test: impl Fn(Vfs) -> std::pin::Pin<Box<dyn std::future::Future<Output = ()>>> + Copy + 'static,
-) {
-    for &which in engines {
+    for which in ["biglock", "sharded", "msgfs"] {
         let mut s = sim(4);
         s.block_on(async move {
             let fs = make_fs(which, 4).await;
@@ -448,18 +435,12 @@ fn create_racing_a_reaping_directory_is_answered() {
 /// tables hold exactly such numbers.
 #[test]
 fn call_on_a_stale_handle_is_answered_at_any_point_of_the_reap() {
-    for which in ["msgfs", "msgfs-single-vnmgr"] {
-        stale_handle_sweep(which);
-    }
-}
-
-fn stale_handle_sweep(which: &'static str) {
     let (mut served, mut refused) = (0, 0);
     for delay in (0u64..=8_000).step_by(50) {
         let mut s = sim(4);
         let stat = s
             .block_on(async move {
-                let fs = make_fs(which, 4).await;
+                let fs = make_fs("msgfs", 4).await;
                 let ino = fs.create("/f").await.unwrap();
                 fs.write(ino, 0, b"doomed").await.unwrap();
                 let holder = {
@@ -492,18 +473,15 @@ fn stale_handle_sweep(which: &'static str) {
 /// number for the file that gets it next.
 #[test]
 fn a_reused_inode_number_is_not_haunted_by_a_stale_handle() {
-    for_each_of(
-        &["biglock", "sharded", "msgfs", "msgfs-single-vnmgr"],
-        |fs| {
-            Box::pin(async move {
-                let old = fs.create("/old").await.unwrap();
-                fs.unlink("/old").await.unwrap();
-                assert!(fs.stat(old).await.is_err(), "{}", fs.name());
-                let new = fs.create("/new").await.unwrap();
-                assert_eq!(new, old, "{}: first-fit reuses the number", fs.name());
-                fs.write(new, 0, b"fresh").await.unwrap();
-                assert_eq!(fs.read(new, 0, 5).await.unwrap(), b"fresh", "{}", fs.name());
-            })
-        },
-    );
+    for_each_engine(|fs| {
+        Box::pin(async move {
+            let old = fs.create("/old").await.unwrap();
+            fs.unlink("/old").await.unwrap();
+            assert!(fs.stat(old).await.is_err(), "{}", fs.name());
+            let new = fs.create("/new").await.unwrap();
+            assert_eq!(new, old, "{}: first-fit reuses the number", fs.name());
+            fs.write(new, 0, b"fresh").await.unwrap();
+            assert_eq!(fs.read(new, 0, 5).await.unwrap(), b"fresh", "{}", fs.name());
+        })
+    });
 }

@@ -157,11 +157,7 @@ async fn fresh_fs(which: &str) -> Vfs {
     match which {
         "biglock" => Vfs::Big(BigLockFs::format(disk, 2048, 4, 128).await.unwrap()),
         "sharded" => Vfs::Sharded(ShardedFs::format(disk, 2048, 4, 4, 32).await.unwrap()),
-        _ => Vfs::Msg(
-            MsgFs::format(disk, 2048, 4, 4, 32, cores, chanos_vfs::default_nr_mode())
-                .await
-                .unwrap(),
-        ),
+        _ => Vfs::Msg(MsgFs::format(disk, 2048, 4, 4, 32, cores).await.unwrap()),
     }
 }
 

@@ -986,26 +986,19 @@ fn vnode_stat_burst_coalesces_reply_wakes_on_threads() {
 }
 
 // ---------------------------------------------------------------------------
-// Node replication: replicated mode must be observationally identical to
-// the single-server baseline — concurrent pid storms and vnmgr
-// open/retire storms — across both backends, and replicated reads must
-// take zero port round-trips on the fast path.
+// Node replication: concurrent pid storms and vnmgr open/retire storms
+// must give the answers a sequential run gives, on both backends, and
+// replicated reads must take zero port round-trips on the fast path.
 // ---------------------------------------------------------------------------
 
 mod nr_equiv {
     use super::*;
     use std::sync::Arc;
 
-    use chanos::kernel::{NrMode, Os, Pid, PidTable};
+    use chanos::kernel::{Os, Pid, PidTable};
 
     const W: usize = 3;
     const K: usize = 6;
-
-    fn cfg_mode(nr: NrMode) -> BootCfg {
-        let mut c = cfg();
-        c.nr = nr;
-        c
-    }
 
     /// Concurrent pid register/lookup/free storm. Pid *values* depend
     /// on allocation interleaving, so the observables are per-worker
@@ -1084,13 +1077,13 @@ mod nr_equiv {
         log
     }
 
-    fn storms_on_sim(nr: NrMode) -> Vec<String> {
+    fn storms_on_sim() -> Vec<String> {
         let mut s = Simulation::with_config(Config {
             cores: 6,
             ..Config::default()
         });
         s.block_on(async move {
-            let os = Arc::new(boot(cfg_mode(nr)).await);
+            let os = Arc::new(boot(cfg()).await);
             let mut log = pid_storm(os.clone()).await;
             log.extend(vnmgr_storm(os).await);
             log
@@ -1098,10 +1091,10 @@ mod nr_equiv {
         .unwrap()
     }
 
-    fn storms_on_threads(nr: NrMode) -> Vec<String> {
+    fn storms_on_threads() -> Vec<String> {
         let rt = Runtime::new(3);
         let out = rt.block_on(async move {
-            let os = Arc::new(boot(cfg_mode(nr)).await);
+            let os = Arc::new(boot(cfg()).await);
             let mut log = pid_storm(os.clone()).await;
             log.extend(vnmgr_storm(os).await);
             log
@@ -1110,23 +1103,39 @@ mod nr_equiv {
         out
     }
 
-    /// The tentpole contract: replicated vs single-server, sim vs
-    /// threads — four runs of the same storms, one observable log.
+    /// What the storms log when nothing interleaves: every worker
+    /// sees its own process alive, named, freed and then dead, and its
+    /// own file written, sized, found and then gone.
+    fn sequential_answers() -> Vec<String> {
+        let steps = || (0..W).flat_map(|w| (0..K).map(move |k| (w, k)));
+        let mut log = Vec::new();
+        for (w, k) in steps() {
+            log.push(format!(
+                "w{w}k{k}: alive=true name=Some(\"w{w}k{k}\") freed=true dead=true"
+            ));
+        }
+        log.push("pids contiguous: true".to_string());
+        log.push("final live count: 0".to_string());
+        for (w, k) in steps() {
+            log.push(format!(
+                "w{w}k{k}: wrote=true size=Ok({}) relooked=true gone=true",
+                64 + k
+            ));
+        }
+        log.push("final listing: []".to_string());
+        log
+    }
+
+    /// The replication contract: hammered from all cores at once, on
+    /// either backend, the replicated services answer as a single
+    /// sequential owner of the state would.
     #[test]
-    fn replicated_equals_single_server_on_both_backends() {
-        let sim_single = storms_on_sim(NrMode::SingleServer);
-        let sim_repl = storms_on_sim(NrMode::Replicated);
-        assert_eq!(
-            sim_single, sim_repl,
-            "replicated mode diverged from the single-server baseline on sim"
-        );
-        let thr_single = storms_on_threads(NrMode::SingleServer);
-        let thr_repl = storms_on_threads(NrMode::Replicated);
-        assert_eq!(
-            thr_single, thr_repl,
-            "replicated mode diverged from the single-server baseline on threads"
-        );
-        assert_eq!(sim_single, thr_single, "backends diverged");
+    fn replicated_storms_match_the_sequential_answers_on_both_backends() {
+        let sim = storms_on_sim();
+        assert_eq!(sim, sequential_answers(), "sim diverged");
+        let threads = storms_on_threads();
+        assert_eq!(threads, sequential_answers(), "threads diverged");
+        assert_eq!(sim, threads, "backends diverged");
     }
 
     /// Zero-communication reads, proven with counters on the
@@ -1143,13 +1152,12 @@ mod nr_equiv {
         });
         s.block_on(async {
             let cores: Vec<CoreId> = (0..2).map(CoreId).collect();
-            let pids = PidTable::spawn(&cores, NrMode::Replicated);
+            let pids = PidTable::spawn(&cores);
             pids.register(Pid(7), "w", CoreId(0)).await;
             // Warm-up read: catches the local replica up to the tail.
             assert!(pids.alive(Pid(7)).await);
             let sends0 = chanos::rt::stat_get("csp.sends");
             let local0 = chanos::rt::stat_get("nr.local_reads");
-            let served0 = chanos::rt::stat_get("nr.server_reads");
             for _ in 0..N {
                 assert!(pids.alive(Pid(7)).await);
             }
@@ -1157,11 +1165,6 @@ mod nr_equiv {
                 chanos::rt::stat_get("nr.local_reads") - local0,
                 N,
                 "every read must be served locally"
-            );
-            assert_eq!(
-                chanos::rt::stat_get("nr.server_reads") - served0,
-                0,
-                "no read may fall back to a server round-trip"
             );
             assert_eq!(
                 chanos::rt::stat_get("csp.sends") - sends0,
@@ -1184,7 +1187,7 @@ mod nr_equiv {
         });
         s.block_on(async {
             let cores: Vec<CoreId> = (0..2).map(CoreId).collect();
-            let pids = PidTable::spawn(&cores, NrMode::Replicated);
+            let pids = PidTable::spawn(&cores);
             pids.register(Pid(7), "w", CoreId(0)).await;
             let local0 = chanos::rt::stat_get("nr.local_reads");
             let reads = |core: u32| {
@@ -1206,24 +1209,22 @@ mod nr_equiv {
     }
 
     /// The same fast path exists on real threads: per-runtime nr.*
-    /// counters show N local reads and no server involvement.
+    /// counters show N local reads and an untouched log.
     #[test]
     fn replicated_reads_stay_local_on_threads() {
         const N: u64 = 500;
         let rt = Runtime::new(2);
         rt.block_on(async {
             let cores: Vec<CoreId> = (0..2).map(CoreId).collect();
-            let pids = PidTable::spawn(&cores, NrMode::Replicated);
+            let pids = PidTable::spawn(&cores);
             pids.register(Pid(7), "w", CoreId(0)).await;
             assert!(pids.alive(Pid(7)).await);
             let local0 = chanos::rt::stat_get("nr.local_reads");
-            let served0 = chanos::rt::stat_get("nr.server_reads");
             let appends0 = chanos::rt::stat_get("nr.log_appends");
             for _ in 0..N {
                 assert!(pids.alive(Pid(7)).await);
             }
             assert_eq!(chanos::rt::stat_get("nr.local_reads") - local0, N);
-            assert_eq!(chanos::rt::stat_get("nr.server_reads") - served0, 0);
             assert_eq!(
                 chanos::rt::stat_get("nr.log_appends") - appends0,
                 0,
