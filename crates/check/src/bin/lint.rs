@@ -12,8 +12,8 @@
 //!    sim code de-seed traces).
 //!
 //! 2. **Stat registry.** Every `"chan.*"` / `"port.*"` / `"disk.*"`
-//!    / `"sched.*"` / `"nr.*"` / `"serve.*"` string literal must
-//!    appear in `crates/check/stat_registry.txt`. A typo'd name silently
+//!    / `"sched.*"` / `"nr.*"` / `"serve.*"` / `"cache.*"` string
+//!    literal must appear in `crates/check/stat_registry.txt`. A typo'd name silently
 //!    records into a fresh counter while the assertion reading the
 //!    intended name sees zero.
 //!
@@ -146,7 +146,7 @@ const MUTEX_FREE: &[&str] = &[
 const LOCKING: &[&str] = &["Mutex", "Condvar", "plock", ".lock()"];
 
 /// Extracts `"chan.*"`, `"port.*"`, `"disk.*"`, `"sched.*"`,
-/// `"nr.*"`, and `"serve.*"` literals from a line.
+/// `"nr.*"`, `"serve.*"`, and `"cache.*"` literals from a line.
 fn stat_literals(line: &str) -> Vec<String> {
     let mut found = Vec::new();
     let bytes = line.as_bytes();
@@ -155,7 +155,9 @@ fn stat_literals(line: &str) -> Vec<String> {
         if bytes[i] == b'"' {
             if let Some(end) = line[i + 1..].find('"') {
                 let lit = &line[i + 1..i + 1 + end];
-                for prefix in ["chan.", "port.", "disk.", "sched.", "nr.", "serve."] {
+                for prefix in [
+                    "chan.", "port.", "disk.", "sched.", "nr.", "serve.", "cache.",
+                ] {
                     if let Some(rest) = lit.strip_prefix(prefix) {
                         if !rest.is_empty()
                             && rest
@@ -330,6 +332,10 @@ mod tests {
         assert_eq!(
             stat_literals(r#"rt::stat_add("serve.kv_gets", n)"#),
             vec!["serve.kv_gets"]
+        );
+        assert_eq!(
+            stat_literals(r#"rt::stat_incr("cache.fill_joins")"#),
+            vec!["cache.fill_joins"]
         );
         // A table-row string mentioning a counter is not a literal.
         assert!(stat_literals(r#""| sched.steals | {} |""#).is_empty());

@@ -27,6 +27,14 @@
 //! writes them, but it fetches and stores them through the cache on
 //! every request, as a vnode does its data.
 //!
+//! Who waits for the disk: the caller, never a cache shard. A shard
+//! that misses submits the read, parks the reply endpoint under the
+//! block's number and serves its next request; a vnode or group task
+//! whose block is cold waits in its `Call` (and its own queue behind
+//! it — one file, one group), while every other vnode and group whose
+//! blocks hash to that shard is answered in the time a hit takes. See
+//! `store.rs` and ARCHITECTURE.md, "Who waits for the disk".
+//!
 //! A directory's vnode task is the only writer of the directory, so it
 //! keeps the decoded entries in its own state — loaded from the blocks
 //! on first use, kept in step by its own `Create` and `Unlink` — and

@@ -8,12 +8,26 @@
 //! * [`CacheClient`] — cache *server tasks*, one per shard, owning
 //!   their blocks outright and serving requests over channels (the
 //!   message-passing engine; §4's buffer-cache threads).
+//!
+//! The two lock stores hold their lock — the big one, or the shard's —
+//! across a fill, as buffer caches hold the buffer lock across I/O: a
+//! miss stalls everyone behind that lock. A cache server task never
+//! waits for the disk at all: a miss parks the *reader* in a
+//! block → waiters table, a dirty eviction parks the *writer* that
+//! caused it, a short-lived helper task per command does the waiting
+//! ("a thread which waits costs nobody else anything", §4), and the
+//! shard goes back to its queue.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry as MapEntry;
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::future::Future;
 use std::sync::{Arc, Mutex};
+use std::task::Poll;
 
-use chanos_drivers::{DiskClient, BLOCK_SIZE};
-use chanos_rt::{self as rt, port_channel, Capacity, CoreId, Port, ReplyTo};
+use chanos_drivers::{DiskClient, DiskError, DiskReq, BLOCK_SIZE};
+use chanos_rt::{
+    self as rt, port_channel, Call, Capacity, CoreId, Either, Port, Receiver, ReplyTo, Sender,
+};
 use chanos_shmem::SimMutex;
 
 use crate::error::FsError;
@@ -147,6 +161,21 @@ impl LruCache {
             },
         );
         evicted
+    }
+
+    /// Takes back a block whose write-back failed: dirty again, and
+    /// nothing is evicted to make room, so a disk that refuses writes
+    /// cannot set off a chain of evictions (the cache exceeds its
+    /// capacity by the blocks refused). A cached copy is the same
+    /// bytes or newer, and stays.
+    fn restore_dirty(&mut self, lba: u64, data: Vec<u8>) {
+        self.seq += 1;
+        let fresh = Entry {
+            data,
+            dirty: true,
+            last_used: self.seq,
+        };
+        self.blocks.entry(lba).or_insert(fresh).dirty = true;
     }
 
     /// Drains all dirty blocks (marking them clean).
@@ -342,32 +371,341 @@ enum CacheMsg {
     },
 }
 
-/// One lookup/fill against a shard's privately-owned cache (the body
-/// of both `Read` and each element of `ReadMany`).
-async fn shard_read(cache: &mut LruCache, disk: &DiskClient, lba: u64) -> Result<Vec<u8>, FsError> {
-    if let Some(data) = cache.get(lba) {
-        rt::stat_incr("cache.hits");
-        chanos_rt::delay(copy_cost(data.len())).await;
-        return Ok(data);
+/// The end of a disk command, posted to the shard by the helper task
+/// that waited for it.
+enum Done {
+    Fill {
+        lba: u64,
+        id: u64,
+        result: Result<Vec<u8>, DiskError>,
+    },
+    Writeback {
+        lba: u64,
+        gen: u64,
+        result: Result<(), DiskError>,
+        /// The writer whose insert evicted the block, answered now.
+        writer: Option<ReplyTo<Result<(), FsError>>>,
+    },
+}
+
+/// Who waits for a block that is on its way from the disk.
+enum Waiter {
+    /// A `Read`.
+    One(ReplyTo<Result<Vec<u8>, FsError>>),
+    /// Block `slot` of the `ReadMany` parked under key `gather`.
+    Slot { gather: u64, slot: usize },
+}
+
+/// A `ReadMany` some of whose blocks are on their way from the disk.
+struct Gather {
+    blocks: Vec<Vec<u8>>,
+    missing: usize,
+    reply: ReplyTo<Result<Vec<Vec<u8>>, FsError>>,
+}
+
+/// One cache shard: the blocks it owns and what it is waiting for.
+///
+/// The shard never waits for the disk. It submits each command itself
+/// — [`Port::call`] submits at once, so the driver sees a block's
+/// commands in the order the shard decided them — and hands the
+/// [`Call`] to a helper task that posts a [`Done`] back;
+/// whoever wants the result is parked in the tables below meanwhile.
+/// The tables are only ever looked up by key: no `HashMap` iteration
+/// order reaches the disk or a reply.
+struct Shard {
+    cache: LruCache,
+    disk: DiskClient,
+    /// Where the shard runs, and its helpers with it.
+    core: CoreId,
+    done: Sender<Done>,
+    /// Names fills, write-backs (their generation) and gathers.
+    last_id: u64,
+    /// Blocks being read from the disk: the read's id and who waits.
+    /// Later readers of the block join the list.
+    fills: HashMap<u64, (u64, Vec<Waiter>)>,
+    gathers: HashMap<u64, Gather>,
+    /// Evicted dirty blocks whose write has not landed yet, still
+    /// readable from here: generation and bytes of the newest
+    /// write-back of each.
+    writebacks: HashMap<u64, (u64, Vec<u8>)>,
+    /// Generations of the write-backs in flight.
+    wb_in_flight: BTreeSet<u64>,
+    /// Parked `Sync`s in arrival order, each with the last generation
+    /// it has to see land.
+    syncs: VecDeque<(u64, ReplyTo<Result<(), FsError>>)>,
+    /// A write-back failed since the last `Sync` was answered.
+    wb_error: Option<DiskError>,
+}
+
+impl Shard {
+    fn fresh_id(&mut self) -> u64 {
+        self.last_id += 1;
+        self.last_id
     }
-    rt::stat_incr("cache.misses");
-    match disk.read(lba, 1).await {
-        Ok(data) => {
-            if let Some((vlba, vdata)) = cache.insert_clean(lba, data.clone()) {
-                let _ = disk.write(vlba, vdata).await;
-            }
-            chanos_rt::delay(copy_cost(data.len())).await;
-            Ok(data)
+
+    /// The block, if memory has it: cached, or evicted and still on
+    /// its way to the disk.
+    fn in_memory(&mut self, lba: u64) -> Option<Vec<u8>> {
+        let cached = self.cache.get(lba);
+        cached.or_else(|| self.writebacks.get(&lba).map(|(_, data)| data.clone()))
+    }
+
+    /// Parks `waiter` until `lba` arrives, starting the disk read
+    /// unless one is already in flight.
+    fn park(&mut self, lba: u64, waiter: Waiter) {
+        if let Some((_, waiters)) = self.fills.get_mut(&lba) {
+            rt::stat_incr("cache.fill_joins");
+            waiters.push(waiter);
+            return;
         }
-        Err(e) => Err(FsError::Io(e)),
+        rt::stat_incr("cache.misses");
+        let id = self.fresh_id();
+        self.fills.insert(lba, (id, vec![waiter]));
+        let call = self.disk.port().call(|reply| DiskReq::Read {
+            lba,
+            count: 1,
+            reply,
+        });
+        self.hand_off("cache-fill", call, move |result| Done::Fill {
+            lba,
+            id,
+            result,
+        });
     }
+
+    /// Starts writing an evicted (or flushed) dirty block back. A
+    /// newer write-back of a block takes the table entry over; the
+    /// driver's write-hazard rule keeps the two in order on the disk.
+    fn start_writeback(
+        &mut self,
+        lba: u64,
+        data: Vec<u8>,
+        writer: Option<ReplyTo<Result<(), FsError>>>,
+    ) {
+        rt::stat_incr("cache.writebacks");
+        let gen = self.fresh_id();
+        self.wb_in_flight.insert(gen);
+        self.writebacks.insert(lba, (gen, data.clone()));
+        let call = self
+            .disk
+            .port()
+            .call(|reply| DiskReq::Write { lba, data, reply });
+        self.hand_off("cache-wb", call, move |result| Done::Writeback {
+            lba,
+            gen,
+            result,
+            writer,
+        });
+    }
+
+    /// Spawns the helper that waits for `call` in the shard's place
+    /// and posts what `done` makes of the disk's answer.
+    fn hand_off<T: Send + 'static>(
+        &self,
+        name: &str,
+        call: Call<Result<T, DiskError>>,
+        done: impl FnOnce(Result<T, DiskError>) -> Done + Send + 'static,
+    ) {
+        let tx = self.done.clone();
+        rt::spawn_daemon_on(name, self.core, async move {
+            let result = call.await.unwrap_or_else(|e| Err(e.into()));
+            let _ = tx.send(done(result)).await;
+        });
+    }
+
+    /// Hands a block (or the error that came instead) to everyone
+    /// parked on it, in the order they parked.
+    async fn deliver(&mut self, waiters: Vec<Waiter>, block: Result<&[u8], &FsError>) {
+        for waiter in waiters {
+            if let Ok(data) = block {
+                chanos_rt::delay(copy_cost(data.len())).await;
+            }
+            match waiter {
+                Waiter::One(reply) => {
+                    let out = block.map(<[u8]>::to_vec).map_err(FsError::clone);
+                    let _ = reply.send(out).await;
+                }
+                Waiter::Slot { gather, slot } => {
+                    // Gone already if another of its blocks failed.
+                    let Some(g) = self.gathers.get_mut(&gather) else {
+                        continue;
+                    };
+                    if let Ok(data) = block {
+                        g.blocks[slot] = data.to_vec();
+                        g.missing -= 1;
+                    }
+                    if block.is_err() || g.missing == 0 {
+                        let g = self.gathers.remove(&gather).expect("looked up above");
+                        let out = block.map(|_| g.blocks).map_err(FsError::clone);
+                        let _ = g.reply.send(out).await;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Answers the parked `Sync`s whose write-backs have all landed.
+    async fn answer_syncs(&mut self) {
+        let oldest = self.wb_in_flight.first().copied();
+        while let Some((until, _)) = self.syncs.front() {
+            if oldest.is_some_and(|gen| gen <= *until) {
+                break;
+            }
+            let (_, reply) = self.syncs.pop_front().expect("front is there");
+            let out = match self.wb_error.take() {
+                Some(e) => Err(FsError::Io(e)),
+                None => Ok(()),
+            };
+            let _ = reply.send(out).await;
+        }
+    }
+
+    async fn serve(&mut self, msg: CacheMsg) {
+        match msg {
+            CacheMsg::Read { lba, reply } => match self.in_memory(lba) {
+                Some(data) => {
+                    rt::stat_incr("cache.hits");
+                    chanos_rt::delay(copy_cost(data.len())).await;
+                    let _ = reply.send(Ok(data)).await;
+                }
+                None => self.park(lba, Waiter::One(reply)),
+            },
+            CacheMsg::ReadMany { lbas, reply } => {
+                // Every cold block's read is in the driver's queue
+                // before the first one is back.
+                let gather = self.fresh_id();
+                let mut blocks = vec![Vec::new(); lbas.len()];
+                let mut missing = 0;
+                for (slot, lba) in lbas.into_iter().enumerate() {
+                    match self.in_memory(lba) {
+                        Some(data) => {
+                            rt::stat_incr("cache.hits");
+                            chanos_rt::delay(copy_cost(data.len())).await;
+                            blocks[slot] = data;
+                        }
+                        None => {
+                            self.park(lba, Waiter::Slot { gather, slot });
+                            missing += 1;
+                        }
+                    }
+                }
+                if missing == 0 {
+                    let _ = reply.send(Ok(blocks)).await;
+                } else {
+                    let parked = Gather {
+                        blocks,
+                        missing,
+                        reply,
+                    };
+                    self.gathers.insert(gather, parked);
+                }
+            }
+            CacheMsg::Write { lba, data, reply } => {
+                chanos_rt::delay(copy_cost(data.len())).await;
+                // The write overtakes a fill: the readers parked on it
+                // get this block, and what the disk sends for the
+                // orphaned read is dropped when it comes.
+                if let Some((_, waiters)) = self.fills.remove(&lba) {
+                    self.deliver(waiters, Ok(&data)).await;
+                }
+                match self.cache.insert_dirty(lba, data) {
+                    // The writer waits for its victim: that bounds the
+                    // write-backs in flight by the clients in flight.
+                    Some((vlba, vdata)) => self.start_writeback(vlba, vdata, Some(reply)),
+                    None => {
+                        let _ = reply.send(Ok(())).await;
+                    }
+                }
+            }
+            CacheMsg::Sync { reply } => {
+                for (lba, data) in self.cache.take_dirty() {
+                    self.start_writeback(lba, data, None);
+                }
+                self.syncs.push_back((self.last_id, reply));
+                self.answer_syncs().await;
+            }
+        }
+    }
+
+    async fn complete(&mut self, done: Done) {
+        match done {
+            Done::Fill { lba, id, result } => {
+                // A `Write` orphaned this read (and a later miss may
+                // have started another): the block it carries is older
+                // than the one written.
+                let waiters = match self.fills.entry(lba) {
+                    MapEntry::Occupied(fill) if fill.get().0 == id => fill.remove().1,
+                    _ => return,
+                };
+                match result {
+                    Ok(data) => {
+                        self.deliver(waiters, Ok(&data)).await;
+                        if let Some((vlba, vdata)) = self.cache.insert_clean(lba, data) {
+                            self.start_writeback(vlba, vdata, None);
+                        }
+                    }
+                    Err(e) => self.deliver(waiters, Err(&FsError::Io(e))).await,
+                }
+            }
+            Done::Writeback {
+                lba,
+                gen,
+                result,
+                writer,
+            } => {
+                self.wb_in_flight.remove(&gen);
+                // Unless a newer write-back of the block has taken the
+                // entry over, the block leaves memory here — or, if
+                // the disk refused it, goes back to the cache.
+                if let MapEntry::Occupied(wb) = self.writebacks.entry(lba) {
+                    if wb.get().0 == gen {
+                        let (_, bytes) = wb.remove();
+                        if result.is_err() {
+                            self.cache.restore_dirty(lba, bytes);
+                        }
+                    }
+                }
+                if let Err(e) = &result {
+                    rt::stat_incr("cache.writeback_errors");
+                    self.wb_error = Some(e.clone());
+                }
+                if let Some(reply) = writer {
+                    let _ = reply.send(result.map_err(FsError::Io)).await;
+                }
+                self.answer_syncs().await;
+            }
+        }
+    }
+}
+
+/// What the shard wakes for next: a completion, else a request; `None`
+/// once every client is gone. Completions go first — there are never
+/// more of them than commands in flight, so requests cannot starve —
+/// and in a fixed order, so that one seed gives one trace.
+async fn next_wake(
+    done: &Receiver<Done>,
+    requests: &Receiver<CacheMsg>,
+) -> Option<Either<Done, CacheMsg>> {
+    let mut done = std::pin::pin!(done.recv());
+    let mut request = std::pin::pin!(requests.recv());
+    std::future::poll_fn(|cx| {
+        // The shard holds a sender of its own: never closed.
+        if let Poll::Ready(Ok(d)) = done.as_mut().poll(cx) {
+            return Poll::Ready(Some(Either::Left(d)));
+        }
+        request.as_mut().poll(cx).map(|r| r.ok().map(Either::Right))
+    })
+    .await
 }
 
 /// Client handle to the buffer-cache server shards.
 ///
 /// Each shard is an autonomous task owning its blocks outright (§4):
 /// per-block read-modify-write is serialized by construction, with no
-/// locks anywhere. Requests go through typed [`Port`]s.
+/// locks anywhere. Requests go through typed [`Port`]s. A shard keeps
+/// serving while the disk works: a miss parks the reader, a dirty
+/// eviction parks the writer, and a helper task per command
+/// (`cache-fill`, `cache-wb`) does the waiting.
 #[derive(Clone)]
 pub struct CacheClient {
     shards: Arc<Vec<Port<CacheMsg>>>,
@@ -376,6 +714,11 @@ pub struct CacheClient {
 impl CacheClient {
     /// Spawns `shards` cache server tasks (round-robin over `cores`)
     /// and returns the client handle.
+    ///
+    /// A shard may have two writes of one block at the driver together
+    /// (an older write-back and a newer one), so the driver behind
+    /// `disk` must run overlapping writes in arrival order, as
+    /// `spawn_disk_driver`'s write-hazard rule does.
     pub fn spawn(
         disk: DiskClient,
         shards: usize,
@@ -389,55 +732,30 @@ impl CacheClient {
             let disk = disk.clone();
             let core = cores[s % cores.len()];
             rt::spawn_daemon_on(&format!("cache-shard{s}"), core, async move {
-                let mut cache = LruCache::new(capacity_per_shard);
+                let (done_tx, done_rx) = rt::channel::<Done>(Capacity::Unbounded);
+                let mut shard = Shard {
+                    cache: LruCache::new(capacity_per_shard),
+                    disk,
+                    core,
+                    done: done_tx,
+                    last_id: 0,
+                    fills: HashMap::new(),
+                    gathers: HashMap::new(),
+                    writebacks: HashMap::new(),
+                    wb_in_flight: BTreeSet::new(),
+                    syncs: VecDeque::new(),
+                    wb_error: None,
+                };
                 // Drain request bursts: one wakeup serves a batch.
                 let mut batch = Vec::with_capacity(CACHE_BATCH);
-                'serve: loop {
-                    if rx.recv_many(&mut batch, CACHE_BATCH).await == 0 {
-                        break 'serve;
-                    }
-                    for msg in batch.drain(..) {
-                        match msg {
-                            CacheMsg::Read { lba, reply } => {
-                                let out = shard_read(&mut cache, &disk, lba).await;
-                                let _ = reply.send(out).await;
-                            }
-                            CacheMsg::ReadMany { lbas, reply } => {
-                                let mut out = Ok(Vec::with_capacity(lbas.len()));
-                                for lba in lbas {
-                                    match shard_read(&mut cache, &disk, lba).await {
-                                        Ok(data) => {
-                                            if let Ok(v) = &mut out {
-                                                v.push(data);
-                                            }
-                                        }
-                                        Err(e) => {
-                                            out = Err(e);
-                                            break;
-                                        }
-                                    }
-                                }
-                                let _ = reply.send(out).await;
-                            }
-                            CacheMsg::Write { lba, data, reply } => {
-                                chanos_rt::delay(copy_cost(data.len())).await;
-                                let evicted = cache.insert_dirty(lba, data);
-                                let out = if let Some((vlba, vdata)) = evicted {
-                                    disk.write(vlba, vdata).await.map_err(FsError::Io)
-                                } else {
-                                    Ok(())
-                                };
-                                let _ = reply.send(out).await;
-                            }
-                            CacheMsg::Sync { reply } => {
-                                let mut out = Ok(());
-                                for (lba, data) in cache.take_dirty() {
-                                    if let Err(e) = disk.write(lba, data).await {
-                                        out = Err(FsError::Io(e));
-                                        break;
-                                    }
-                                }
-                                let _ = reply.send(out).await;
+                while let Some(wake) = next_wake(&done_rx, &rx).await {
+                    match wake {
+                        Either::Left(done) => shard.complete(done).await,
+                        Either::Right(msg) => {
+                            shard.serve(msg).await;
+                            rx.try_recv_many(&mut batch, CACHE_BATCH - 1);
+                            for msg in batch.drain(..) {
+                                shard.serve(msg).await;
                             }
                         }
                     }

@@ -1,0 +1,492 @@
+//! The buffer-cache shard servers against a disk the test drives by
+//! hand: commands are held, released one at a time in any order, or
+//! failed, so every overlap of requests, fills and write-backs a shard
+//! can see is forced rather than waited for. Simulator only: the
+//! interleavings are exact, and so are the cycle counts.
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex};
+
+use chanos_drivers::{DiskClient, DiskError, DiskReq, BLOCK_SIZE};
+use chanos_rt::{self as rt, Capacity, CoreId, JoinHandle};
+use chanos_sim::{plock, Simulation};
+use chanos_vfs::{BlockStore, CacheClient, FsError};
+
+/// A command the scripted disk is holding.
+enum Held {
+    /// A read, with the bytes the block had when the command arrived
+    /// (a real driver would have run it then, ahead of later writes).
+    Read {
+        lba: u64,
+        data: Vec<u8>,
+        reply: rt::ReplyTo<Result<Vec<u8>, DiskError>>,
+    },
+    Write {
+        lba: u64,
+        data: Vec<u8>,
+        reply: rt::ReplyTo<Result<(), DiskError>>,
+    },
+}
+
+#[derive(Default)]
+struct DiskState {
+    /// Blocks written so far; the rest read as zeroes.
+    blocks: HashMap<u64, Vec<u8>>,
+    holding: bool,
+    held: VecDeque<Held>,
+    reads: u64,
+    writes: u64,
+}
+
+impl DiskState {
+    fn block(&self, lba: u64) -> Vec<u8> {
+        let zeroes = || vec![0; BLOCK_SIZE];
+        self.blocks.get(&lba).cloned().unwrap_or_else(zeroes)
+    }
+
+    /// Runs a command to its reply; `fail` answers with an error and
+    /// leaves the block alone.
+    fn finish(&mut self, cmd: Held, fail: bool) {
+        match cmd {
+            Held::Read { data, reply, .. } => {
+                self.reads += 1;
+                let out = if fail {
+                    Err(DiskError::BadTag)
+                } else {
+                    Ok(data)
+                };
+                let _ = reply.send_now(out);
+            }
+            Held::Write { lba, data, reply } => {
+                self.writes += 1;
+                let out = if fail {
+                    Err(DiskError::BadTag)
+                } else {
+                    self.blocks.insert(lba, data);
+                    Ok(())
+                };
+                let _ = reply.send_now(out);
+            }
+        }
+    }
+}
+
+/// The test's handle on the disk: a task behind a [`DiskClient`] that
+/// completes commands at once until told to hold them.
+#[derive(Clone)]
+struct ScriptedDisk(Arc<Mutex<DiskState>>);
+
+impl ScriptedDisk {
+    /// Spawns the disk task on `core`; the join handle finishes when
+    /// the last [`DiskClient`] clone is gone.
+    fn spawn(core: CoreId) -> (ScriptedDisk, DiskClient, JoinHandle<()>) {
+        let (tx, rx) = rt::channel::<DiskReq>(Capacity::Unbounded);
+        let disk = ScriptedDisk(Arc::default());
+        let state = disk.0.clone();
+        let task = rt::spawn_daemon_on("scripted-disk", core, async move {
+            while let Ok(req) = rx.recv().await {
+                let mut st = plock(&state);
+                let cmd = match req {
+                    DiskReq::Read { lba, reply, .. } => Held::Read {
+                        lba,
+                        data: st.block(lba),
+                        reply,
+                    },
+                    DiskReq::Write { lba, data, reply } => Held::Write { lba, data, reply },
+                };
+                if st.holding {
+                    st.held.push_back(cmd);
+                } else {
+                    st.finish(cmd, false);
+                }
+            }
+        });
+        (disk, DiskClient::new(tx), task)
+    }
+
+    /// From now on commands queue up instead of completing.
+    fn hold(&self) {
+        plock(&self.0).holding = true;
+    }
+
+    /// Completes everything held, in arrival order, and stops holding.
+    fn free(&self) {
+        let mut st = plock(&self.0);
+        st.holding = false;
+        while let Some(cmd) = st.held.pop_front() {
+            st.finish(cmd, false);
+        }
+    }
+
+    /// The held commands in arrival order, as `"r<lba>"` / `"w<lba>"`.
+    fn held(&self) -> Vec<String> {
+        let name = |cmd: &Held| match cmd {
+            Held::Read { lba, .. } => format!("r{lba}"),
+            Held::Write { lba, .. } => format!("w{lba}"),
+        };
+        plock(&self.0).held.iter().map(name).collect()
+    }
+
+    /// Waits until exactly `n` commands are held.
+    async fn wait_held(&self, n: usize) {
+        for _ in 0..200 {
+            if plock(&self.0).held.len() == n {
+                return;
+            }
+            rt::sleep(500).await;
+        }
+        panic!("held {:?}, waiting for {n}", self.held());
+    }
+
+    /// Completes the `i`th held command.
+    fn release(&self, i: usize) {
+        let mut st = plock(&self.0);
+        let cmd = st.held.remove(i).expect("a held command");
+        st.finish(cmd, false);
+    }
+
+    /// Fails the `i`th held command.
+    fn fail(&self, i: usize) {
+        let mut st = plock(&self.0);
+        let cmd = st.held.remove(i).expect("a held command");
+        st.finish(cmd, true);
+    }
+
+    fn set_block(&self, lba: u64, data: Vec<u8>) {
+        plock(&self.0).blocks.insert(lba, data);
+    }
+
+    fn peek_block(&self, lba: u64) -> Vec<u8> {
+        plock(&self.0).block(lba)
+    }
+
+    fn reads(&self) -> u64 {
+        plock(&self.0).reads
+    }
+
+    fn writes(&self) -> u64 {
+        plock(&self.0).writes
+    }
+}
+
+fn blk(fill: u8) -> Vec<u8> {
+    vec![fill; BLOCK_SIZE]
+}
+
+/// Lets every task that can run without the disk run.
+async fn settle() {
+    rt::sleep(20_000).await;
+}
+
+/// A scripted disk on core 3 and cache shards over cores 1 and 2; the
+/// test itself is on core 0.
+fn rig(shards: usize, blocks_per_shard: usize) -> (ScriptedDisk, CacheClient, JoinHandle<()>) {
+    let (disk, client, task) = ScriptedDisk::spawn(CoreId(3));
+    let cores = [CoreId(1), CoreId(2)];
+    let cache = CacheClient::spawn(client, shards, blocks_per_shard, &cores);
+    (disk, cache, task)
+}
+
+fn spawn_read(cache: &CacheClient, lba: u64) -> JoinHandle<Result<Vec<u8>, FsError>> {
+    let cache = cache.clone();
+    rt::spawn(async move { cache.read_block(lba).await })
+}
+
+fn spawn_write(cache: &CacheClient, lba: u64, fill: u8) -> JoinHandle<Result<(), FsError>> {
+    let cache = cache.clone();
+    rt::spawn(async move { cache.write_block(lba, blk(fill)).await })
+}
+
+fn in_sim<T: 'static>(test: impl std::future::Future<Output = T> + 'static) -> T {
+    Simulation::new(4).block_on(test).expect("test task")
+}
+
+/// (a) A shard goes on answering hits while one of its misses is at
+/// the disk — in exactly the cycles a hit takes on an idle shard.
+#[test]
+fn hit_during_a_miss_on_the_same_shard_takes_the_unloaded_hit_time() {
+    in_sim(async {
+        let (disk, cache, _) = rig(2, 8);
+        cache.write_block(0, blk(7)).await.unwrap();
+        let timed_hit = || async {
+            let t = rt::now();
+            assert_eq!(cache.read_block(0).await.unwrap(), blk(7));
+            rt::now() - t
+        };
+        let unloaded = timed_hit().await;
+        assert_eq!(timed_hit().await, unloaded, "a hit's time repeats");
+
+        disk.hold();
+        let miss = spawn_read(&cache, 2); // Block 2 is shard 0's too.
+        disk.wait_held(1).await;
+        assert_eq!(timed_hit().await, unloaded);
+        assert_eq!(disk.held(), ["r2"], "the miss is still at the disk");
+
+        disk.free();
+        assert_eq!(miss.join().await.unwrap().unwrap(), blk(0));
+    });
+}
+
+/// (b) Readers of a block that is already on its way join the one
+/// disk read.
+#[test]
+fn readers_of_one_cold_block_share_one_disk_read() {
+    in_sim(async {
+        let (disk, cache, _) = rig(2, 8);
+        disk.set_block(4, blk(9));
+        disk.hold();
+        let readers: Vec<_> = (0..8).map(|_| spawn_read(&cache, 4)).collect();
+        settle().await;
+        assert_eq!(disk.held(), ["r4"]);
+        disk.release(0);
+        for r in readers {
+            assert_eq!(r.join().await.unwrap().unwrap(), blk(9));
+        }
+        assert_eq!(disk.reads(), 1);
+        assert_eq!(rt::stat_get("cache.fill_joins"), 7);
+        assert_eq!(rt::stat_get("cache.misses"), 1);
+    });
+}
+
+/// (c) A write overtakes a fill; the block is evicted and written
+/// back; a new miss starts a second read of it; only then does the
+/// first read's answer — the block as it was before the write —
+/// arrive. Nobody may be given it.
+#[test]
+fn late_answer_of_an_orphaned_fill_is_dropped() {
+    in_sim(async {
+        let (disk, cache, _) = rig(1, 2);
+        disk.hold();
+        let parked = spawn_read(&cache, 5);
+        disk.wait_held(1).await; // [r5], carrying zeroes.
+        cache.write_block(5, blk(1)).await.unwrap();
+        assert_eq!(parked.join().await.unwrap().unwrap(), blk(1));
+
+        // Two more dirty blocks push block 5 out: its write-back is
+        // held, and the writer that caused it waits.
+        cache.write_block(6, blk(2)).await.unwrap();
+        let evicting = spawn_write(&cache, 7, 3);
+        disk.wait_held(2).await;
+        assert_eq!(disk.held(), ["r5", "w5"]);
+        disk.release(1);
+        evicting.join().await.unwrap().unwrap();
+        assert_eq!(disk.peek_block(5), blk(1));
+
+        // Block 5 has left memory: this read goes to the disk.
+        let reader = spawn_read(&cache, 5);
+        disk.wait_held(2).await;
+        assert_eq!(disk.held(), ["r5", "r5"]);
+        disk.release(0); // The orphan's zeroes.
+        settle().await;
+        assert!(!reader.is_finished(), "answered from the orphaned fill");
+        disk.release(0);
+        assert_eq!(reader.join().await.unwrap().unwrap(), blk(1));
+    });
+}
+
+/// (d) An evicted block stays readable until its write lands.
+#[test]
+fn block_is_read_from_memory_while_its_writeback_is_held() {
+    in_sim(async {
+        let (disk, cache, _) = rig(1, 2);
+        cache.write_block(1, blk(1)).await.unwrap();
+        cache.write_block(2, blk(2)).await.unwrap();
+        disk.hold();
+        let evicting = spawn_write(&cache, 3, 3);
+        disk.wait_held(1).await;
+        assert_eq!(disk.held(), ["w1"]);
+        assert_eq!(cache.read_block(1).await.unwrap(), blk(1));
+        assert_eq!(disk.reads(), 0);
+        assert_eq!(disk.held(), ["w1"]);
+        assert!(!evicting.is_finished(), "the writer waits for its victim");
+        disk.release(0);
+        evicting.join().await.unwrap().unwrap();
+        // Landed: the next read of block 1 is a miss.
+        disk.free();
+        assert_eq!(cache.read_block(1).await.unwrap(), blk(1));
+        assert_eq!(disk.reads(), 1);
+    });
+}
+
+/// (e) `sync` returns only when every write-back has landed, and then
+/// the disk holds the last write of every block.
+#[test]
+fn sync_waits_for_every_writeback() {
+    in_sim(async {
+        let (disk, cache, _) = rig(2, 4);
+        // Three rounds over twelve blocks through eight slots: plenty
+        // of evictions on the way, all of them let through.
+        for round in 1..=3u8 {
+            for lba in 0..12u64 {
+                cache
+                    .write_block(lba, blk(round * 16 + lba as u8))
+                    .await
+                    .unwrap();
+            }
+        }
+        let landed = disk.writes();
+        assert!(landed > 0, "evictions wrote back");
+
+        // One write-back still held from before the sync, too.
+        disk.hold();
+        let evicting = spawn_write(&cache, 12, 0xEE);
+        disk.wait_held(1).await;
+        let syncing = {
+            let cache = cache.clone();
+            rt::spawn(async move { cache.sync().await })
+        };
+        let mut released = 0;
+        loop {
+            settle().await;
+            if disk.held().is_empty() {
+                break;
+            }
+            assert!(!syncing.is_finished(), "sync returned over a held write");
+            disk.release(0);
+            released += 1;
+        }
+        syncing.join().await.unwrap().unwrap();
+        evicting.join().await.unwrap().unwrap();
+        assert!(released >= 8, "both shards flushed: {released}");
+        for lba in 0..12u64 {
+            assert_eq!(disk.peek_block(lba), blk(3 * 16 + lba as u8), "block {lba}");
+        }
+        assert_eq!(disk.peek_block(12), blk(0xEE));
+        assert_eq!(disk.writes(), landed + released);
+    });
+}
+
+/// (f) The cold blocks of one `ReadMany` are all at the disk together,
+/// and the answer is in request order whatever order they come back.
+#[test]
+fn read_many_has_all_its_fills_in_the_queue_at_once() {
+    in_sim(async {
+        let (disk, cache, _) = rig(2, 8);
+        for lba in [6, 2, 4, 3] {
+            disk.set_block(lba, blk(lba as u8));
+        }
+        cache.read_block(3).await.unwrap(); // Shard 1's block is warm.
+        disk.hold();
+        let reading = {
+            let cache = cache.clone();
+            rt::spawn(async move { cache.read_many(&[6, 3, 2, 4]).await })
+        };
+        disk.wait_held(3).await;
+        assert_eq!(disk.held(), ["r6", "r2", "r4"]);
+        for i in (0..3).rev() {
+            disk.release(i);
+        }
+        let blocks = reading.join().await.unwrap().unwrap();
+        assert_eq!(blocks, [blk(6), blk(3), blk(2), blk(4)]);
+    });
+}
+
+/// (g) The clients go away with a read and a write-back at the disk:
+/// the shard exits, the helpers finish when the disk answers, and the
+/// last of them releases the disk.
+#[test]
+fn dropping_the_last_client_with_io_in_flight_hangs_nothing() {
+    in_sim(async {
+        let (disk, cache, disk_task) = rig(1, 1);
+        cache.write_block(1, blk(1)).await.unwrap();
+        disk.hold();
+        let reader = spawn_read(&cache, 2);
+        disk.wait_held(1).await;
+        let writer = spawn_write(&cache, 3, 3);
+        disk.wait_held(2).await;
+        assert_eq!(disk.held(), ["r2", "w1"]);
+        assert!(reader.abort() && writer.abort());
+        drop(cache);
+        settle().await;
+        assert!(!disk_task.is_finished(), "the helpers still hold the disk");
+        disk.free();
+        settle().await;
+        assert!(
+            disk_task.is_finished(),
+            "a shard or helper outlived its clients"
+        );
+        assert_eq!(disk.peek_block(1), blk(1), "the write-back still landed");
+    });
+}
+
+/// A read the disk fails is an error for every reader parked on it,
+/// and only for them.
+#[test]
+fn fill_error_reaches_every_parked_reader() {
+    in_sim(async {
+        let (disk, cache, _) = rig(1, 4);
+        disk.set_block(9, blk(9));
+        disk.hold();
+        let readers: Vec<_> = (0..3).map(|_| spawn_read(&cache, 9)).collect();
+        let gather = {
+            let cache = cache.clone();
+            rt::spawn(async move { cache.read_many(&[9, 8]).await })
+        };
+        disk.wait_held(2).await;
+        assert_eq!(disk.held(), ["r9", "r8"]);
+        disk.fail(0);
+        let refused = Err(FsError::Io(DiskError::BadTag));
+        for r in readers {
+            assert_eq!(r.join().await.unwrap(), refused);
+        }
+        assert_eq!(
+            gather.join().await.unwrap(),
+            refused.clone().map(|_| vec![])
+        );
+        disk.free();
+        assert_eq!(cache.read_block(9).await.unwrap(), blk(9));
+        assert_eq!(cache.read_block(8).await.unwrap(), blk(0));
+    });
+}
+
+/// A write-back the disk fails does not lose the block: it is dirty in
+/// the cache again, the next `sync` says so, and the one after has it
+/// on the disk. (At the parent commit the read path dropped both the
+/// error and the bytes.)
+#[test]
+fn failed_writeback_keeps_the_block_and_fails_the_next_sync() {
+    in_sim(async {
+        let (disk, cache, _) = rig(1, 2);
+        cache.write_block(1, blk(1)).await.unwrap();
+        cache.write_block(2, blk(2)).await.unwrap();
+        disk.hold();
+        // A fill pushes dirty block 1 out; no writer waits for it.
+        let reader = spawn_read(&cache, 3);
+        disk.wait_held(1).await;
+        disk.release(0);
+        assert_eq!(reader.join().await.unwrap().unwrap(), blk(0));
+        disk.wait_held(1).await;
+        assert_eq!(disk.held(), ["w1"]);
+        disk.fail(0);
+        settle().await;
+        assert_eq!(rt::stat_get("cache.writeback_errors"), 1);
+        assert_eq!(rt::stat_get("cache.writebacks"), 1);
+
+        let reads = disk.reads();
+        assert_eq!(cache.read_block(1).await.unwrap(), blk(1));
+        assert_eq!(disk.reads(), reads, "block 1 never left memory");
+
+        disk.free();
+        assert_eq!(cache.sync().await, Err(FsError::Io(DiskError::BadTag)));
+        assert_eq!(cache.sync().await, Ok(()));
+        assert_eq!(disk.peek_block(1), blk(1));
+        assert_eq!(disk.peek_block(2), blk(2));
+
+        // With a writer waiting, the writer is told as well.
+        cache.write_block(4, blk(4)).await.unwrap();
+        cache.write_block(5, blk(5)).await.unwrap();
+        cache.write_block(6, blk(6)).await.unwrap();
+        disk.hold();
+        let evicting = spawn_write(&cache, 7, 7);
+        disk.wait_held(1).await;
+        disk.fail(0);
+        let refused = Err(FsError::Io(DiskError::BadTag));
+        assert_eq!(evicting.join().await.unwrap(), refused);
+        disk.free();
+        assert_eq!(cache.sync().await, refused);
+        assert_eq!(cache.sync().await, Ok(()));
+        for lba in 4..=7u64 {
+            assert_eq!(disk.peek_block(lba), blk(lba as u8), "block {lba}");
+        }
+    });
+}

@@ -3,7 +3,7 @@
 //! operation scripts. Driven by the simulator's deterministic PCG
 //! RNG (no external property-testing framework is available).
 
-use chanos_drivers::{install_disk, spawn_disk_driver, DiskParams};
+use chanos_drivers::{install_disk, spawn_disk_driver, DiskHw, DiskParams};
 use chanos_sim::{Config, CoreId, Pcg32, Simulation};
 use chanos_vfs::layout::{bitmap, Dirent, FileKind, Inode, Superblock, MAX_NAME, NDIRECT};
 use chanos_vfs::{BigLockFs, LruCache, MsgFs, ShardedFs, Vfs};
@@ -147,18 +147,108 @@ fn random_script(g: &mut Pcg32) -> Vec<Op> {
         .collect()
 }
 
+const VOLUME_BLOCKS: u64 = 2048;
+
+/// Buffer-cache blocks per shard (four shards; the big-lock engine's
+/// one cache gets the four together). `ROOMY` holds everything these
+/// tests touch; with `TIGHT` fills, evictions and write-backs overlap
+/// all the time (eight per shard still hold all the namespace storm
+/// touches).
+const ROOMY: usize = 32;
+const TIGHT: usize = 2;
+
 /// A freshly formatted 2048-block, 4-group volume of the named engine
-/// on a 4-core machine (disk and driver on core 3).
-async fn fresh_fs(which: &str) -> Vfs {
+/// on a 4-core machine (disk and driver on core 3), and the disk under
+/// it.
+async fn fresh_fs_on(which: &str, cache: usize) -> (Vfs, DiskHw) {
     let dev = CoreId(3);
-    let (hw, irq) = install_disk(2048, DiskParams::default(), dev);
-    let disk = spawn_disk_driver(hw, irq, dev);
+    let (hw, irq) = install_disk(VOLUME_BLOCKS, DiskParams::default(), dev);
+    let disk = spawn_disk_driver(hw.clone(), irq, dev);
     let cores: Vec<CoreId> = (0..3u32).map(CoreId).collect();
-    match which {
-        "biglock" => Vfs::Big(BigLockFs::format(disk, 2048, 4, 128).await.unwrap()),
-        "sharded" => Vfs::Sharded(ShardedFs::format(disk, 2048, 4, 4, 32).await.unwrap()),
-        _ => Vfs::Msg(MsgFs::format(disk, 2048, 4, 4, 32, cores).await.unwrap()),
+    let fs = match which {
+        "biglock" => Vfs::Big(
+            BigLockFs::format(disk, VOLUME_BLOCKS, 4, 4 * cache)
+                .await
+                .expect("format"),
+        ),
+        "sharded" => Vfs::Sharded(
+            ShardedFs::format(disk, VOLUME_BLOCKS, 4, 4, cache)
+                .await
+                .expect("format"),
+        ),
+        _ => Vfs::Msg(
+            MsgFs::format(disk, VOLUME_BLOCKS, 4, 4, cache, cores)
+                .await
+                .expect("format"),
+        ),
+    };
+    (fs, hw)
+}
+
+async fn fresh_fs(which: &str) -> Vfs {
+    fresh_fs_on(which, ROOMY).await.0
+}
+
+/// What one storm left behind: a line per op, the volume after a
+/// `sync`, the simulator's trace hash, and how often it went to the
+/// disk.
+struct Storm {
+    log: Vec<String>,
+    volume: Vec<Vec<u8>>,
+    trace: u64,
+    disk_reads: u64,
+    disk_writes: u64,
+}
+
+/// Runs `ops` — it returns its log — against a fresh volume of the
+/// named engine with `cache` blocks per shard.
+fn storm<Fut>(which: &'static str, cache: usize, ops: impl FnOnce(Vfs) -> Fut + 'static) -> Storm
+where
+    Fut: std::future::Future<Output = Vec<String>>,
+{
+    let mut s = Simulation::with_config(Config {
+        cores: 4,
+        ctx_switch: 10,
+        ..Config::default()
+    });
+    let (log, volume) = s
+        .block_on(async move {
+            let (fs, hw) = fresh_fs_on(which, cache).await;
+            let log = ops(fs.clone()).await;
+            fs.sync().await.expect("sync");
+            let volume = (0..VOLUME_BLOCKS).map(|lba| hw.peek_block(lba)).collect();
+            (log, volume)
+        })
+        .unwrap();
+    Storm {
+        log,
+        volume,
+        trace: s.trace_hash(),
+        disk_reads: s.stats().counter("disk.reads"),
+        disk_writes: s.stats().counter("disk.writes"),
     }
+}
+
+/// Two engines gave the same answers op for op and left the same
+/// bytes on the disk.
+fn assert_same_storm(a: &Storm, b: &Storm) {
+    for (i, (x, y)) in a.log.iter().zip(&b.log).enumerate() {
+        assert_eq!(x, y, "op {i}");
+    }
+    assert_eq!(a.log.len(), b.log.len());
+    for (lba, (x, y)) in a.volume.iter().zip(&b.volume).enumerate() {
+        assert!(x == y, "block {lba} differs");
+    }
+}
+
+/// The cache was small enough for the storm to live on the disk.
+fn assert_cache_was_tight(storm: &Storm) {
+    let Storm {
+        disk_reads: r,
+        disk_writes: w,
+        ..
+    } = storm;
+    assert!(*r >= 200 && *w >= 200, "{r} fills, {w} write-backs");
 }
 
 fn apply_script(which: &'static str, script: Vec<Op>) -> Vec<String> {
@@ -252,19 +342,13 @@ fn engines_are_observably_equivalent() {
 /// the same, op for op, on the engine whose directory vnodes answer
 /// from their own copy of the entries (`MsgFs`) and on one that reads
 /// the blocks every time (`BigLockFs`).
-fn namespace_storm(which: &'static str, seed: u64, ops: usize) -> Vec<String> {
+fn namespace_storm(which: &'static str, cache: usize, seed: u64, ops: usize) -> Storm {
     const DIRS: [&str; 4] = ["", "/a", "/b", "/c"];
     // A big pool in the root; a small one below, so that a directory
     // is sometimes empty when its `rmdir` comes.
     const NAMES: usize = 10;
     const NAMES_BELOW: usize = 3;
-    let mut s = Simulation::with_config(Config {
-        cores: 4,
-        ctx_switch: 10,
-        ..Config::default()
-    });
-    s.block_on(async move {
-        let fs = fresh_fs(which).await;
+    storm(which, cache, move |fs| async move {
         let listing = |entries: Vec<Dirent>| -> String {
             // Slot order, not sorted: the directory blocks must match.
             let names: Vec<String> = entries
@@ -307,24 +391,121 @@ fn namespace_storm(which: &'static str, seed: u64, ops: usize) -> Vec<String> {
         }
         log
     })
-    .unwrap()
 }
 
 #[test]
 fn namespace_storm_reads_the_same_from_owned_entries_and_from_blocks() {
-    let msg = namespace_storm("msgfs", 0xD1_4E57, 2500);
-    let big = namespace_storm("biglock", 0xD1_4E57, 2500);
-    for (i, (m, b)) in msg.iter().zip(&big).enumerate() {
-        assert_eq!(m, b, "op {i}");
+    for cache in [ROOMY, TIGHT] {
+        let msg = namespace_storm("msgfs", cache, 0xD1_4E57, 2500);
+        let big = namespace_storm("biglock", cache, 0xD1_4E57, 2500);
+        assert_same_storm(&msg, &big);
+        // The storm must have exercised what it is for.
+        for op in ["create", "unlink", "lookup", "mkdir", "rmdir", "ls"] {
+            let done = |l: &&String| l.starts_with(op) && l.contains(": Ok(");
+            assert!(
+                msg.log.iter().filter(done).count() >= 20,
+                "few `{op}` succeed"
+            );
+        }
+        for refusal in ["Err(Exists)", "Err(NotFound)", "Err(NotEmpty)"] {
+            let refused = |l: &&String| l.contains(refusal);
+            let count = msg.log.iter().filter(refused).count();
+            assert!(count >= 20, "few `{refusal}`");
+        }
+        if cache == TIGHT {
+            assert_cache_was_tight(&msg);
+        }
     }
-    assert_eq!(msg.len(), big.len());
-    // The storm must have exercised what it is for.
-    for op in ["create", "unlink", "lookup", "mkdir", "rmdir", "ls"] {
+}
+
+/// A data storm from one seed over a few files of up to fifteen
+/// blocks: writes at random offsets, reads, bursts of whole-file reads
+/// in flight together, and unlinks that hand the blocks to the next
+/// file.
+fn data_storm(which: &'static str, cache: usize, seed: u64, ops: usize) -> Storm {
+    const FILES: usize = 6;
+    const MAX_OFF: u64 = 48_000;
+    const MAX_LEN: u64 = 12_000;
+    // What a read returned, short enough for a log line.
+    let digest = |r: Result<Vec<u8>, chanos_vfs::FsError>| match r {
+        Ok(data) => {
+            let fnv = data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+            format!("{} bytes #{fnv:016x}", data.len())
+        }
+        Err(e) => format!("{e:?}"),
+    };
+    storm(which, cache, move |fs| async move {
+        let mut g = Pcg32::new(seed);
+        let mut log = Vec::with_capacity(ops);
+        for _ in 0..ops {
+            let path = format!("/f{}", g.index(FILES));
+            let line = match g.index(8) {
+                0 => format!("create {path}: {:?}", fs.create(&path).await),
+                1..=3 => {
+                    let (off, len) = (g.bounded(MAX_OFF), g.range(1, MAX_LEN) as usize);
+                    let data = vec![g.next_u64() as u8; len];
+                    let out = match fs.lookup(&path).await {
+                        Ok(ino) => fs.write(ino, off, &data).await,
+                        Err(e) => Err(e),
+                    };
+                    format!("write {path} {len}@{off}: {out:?}")
+                }
+                4 | 5 => {
+                    let (off, len) = (g.bounded(MAX_OFF), g.range(1, MAX_LEN) as usize);
+                    let out = match fs.lookup(&path).await {
+                        Ok(ino) => fs.read(ino, off, len).await,
+                        Err(e) => Err(e),
+                    };
+                    format!("read {path} {len}@{off}: {}", digest(out))
+                }
+                6 => {
+                    // One task each: the lock engine's mutex is handed
+                    // from task to task.
+                    let whole = |i: usize| {
+                        let fs = fs.clone();
+                        chanos_rt::spawn(async move {
+                            let ino = fs.lookup(&format!("/f{i}")).await?;
+                            fs.read(ino, 0, 1 << 20).await
+                        })
+                    };
+                    let reads: Vec<_> = (0..FILES).map(whole).collect();
+                    let mut outs = Vec::with_capacity(FILES);
+                    for read in reads {
+                        outs.push(digest(read.join().await.expect("reader task")));
+                    }
+                    format!("read all: {}", outs.join(", "))
+                }
+                _ => format!("unlink {path}: {:?}", fs.unlink(&path).await),
+            };
+            log.push(line);
+        }
+        log
+    })
+}
+
+/// With a cache far smaller than the working set, the message engine
+/// — whose shards park readers and writers on fills and write-backs in
+/// flight — must still answer exactly as the engine that does one
+/// thing at a time, leave the same volume behind, and do it the same
+/// way twice.
+#[test]
+fn small_cache_data_storm_reads_the_same_on_both_engines() {
+    let msg = data_storm("msgfs", TIGHT, 0xDA7A_5702, 1200);
+    let big = data_storm("biglock", TIGHT, 0xDA7A_5702, 1200);
+    assert_same_storm(&msg, &big);
+    for op in ["create", "write", "unlink"] {
         let done = |l: &&String| l.starts_with(op) && l.contains(": Ok(");
-        assert!(msg.iter().filter(done).count() >= 20, "few `{op}` succeed");
+        let count = msg.log.iter().filter(done).count();
+        assert!(count >= 50, "few `{op}` succeed: {count}");
     }
-    for refusal in ["Err(Exists)", "Err(NotFound)", "Err(NotEmpty)"] {
-        let refused = |l: &&String| l.contains(refusal);
-        assert!(msg.iter().filter(refused).count() >= 20, "few `{refusal}`");
-    }
+    let read = |l: &&String| l.starts_with("read /f") && l.contains(" bytes #");
+    assert!(
+        msg.log.iter().filter(read).count() >= 100,
+        "few reads succeed"
+    );
+    assert_cache_was_tight(&msg);
+    let again = data_storm("msgfs", TIGHT, 0xDA7A_5702, 1200);
+    assert_eq!(msg.trace, again.trace, "one seed, two traces");
 }

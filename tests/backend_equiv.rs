@@ -939,6 +939,73 @@ mod batch_aware_equiv {
         check(rt.block_on(shard_group_script(CoreId(0))), "threads");
         rt.shutdown();
     }
+
+    /// Four tasks, each reading and writing sixteen blocks of its own
+    /// through one cache of four shards with eight blocks each, so
+    /// that fills, evictions and write-backs of different tasks
+    /// overlap on every shard while each task's answers depend on its
+    /// own writes alone. Returns what each task read and the volume
+    /// after a `sync`.
+    async fn small_cache_storm_script(dev: CoreId) -> (Vec<Vec<String>>, Vec<Vec<u8>>) {
+        use chanos::vfs::BlockStore;
+        const TASKS: u64 = 4;
+        const OWN: u64 = 16;
+        let (hw, irq) = install_disk_with(128, DiskParams::default(), dev, DiskBacking::Memory);
+        let disk = spawn_disk_driver(hw.clone(), irq, CoreId(1));
+        let cache = CacheClient::spawn(disk, 4, 8, &[CoreId(0), CoreId(1)]);
+        let storm = |t: u64| {
+            let cache = cache.clone();
+            chanos::rt::spawn(async move {
+                let mut g = chanos::rt::Pcg32::new(0xCAC4E + t);
+                let mut model = vec![0u8; OWN as usize];
+                let mut log = Vec::new();
+                for _ in 0..150 {
+                    let i = g.index(OWN as usize);
+                    let lba = t * OWN + i as u64;
+                    match g.index(4) {
+                        0 | 1 => {
+                            model[i] = g.next_u64() as u8;
+                            let block = vec![model[i]; BLOCK_SIZE];
+                            cache.write_block(lba, block).await.expect("write ok");
+                        }
+                        2 => {
+                            let block = cache.read_block(lba).await.expect("read ok");
+                            assert!(block.iter().all(|&b| b == model[i]), "block {lba}");
+                            log.push(format!("{lba}={}", block[0]));
+                        }
+                        _ => {
+                            let lbas = [lba, t * OWN, t * OWN + (i as u64 + 5) % OWN];
+                            let blocks = cache.read_many(&lbas).await.expect("read_many ok");
+                            let firsts: Vec<u8> = blocks.iter().map(|b| b[0]).collect();
+                            log.push(format!("{lbas:?}={firsts:?}"));
+                        }
+                    }
+                }
+                log
+            })
+        };
+        let tasks: Vec<_> = (0..TASKS).map(storm).collect();
+        let mut logs = Vec::new();
+        for task in tasks {
+            logs.push(task.join().await.expect("storm task"));
+        }
+        cache.sync().await.expect("sync ok");
+        let volume = (0..TASKS * OWN).map(|lba| hw.peek_block(lba)).collect();
+        (logs, volume)
+    }
+
+    #[test]
+    fn small_cache_storm_identical_on_both_backends() {
+        let mut s = Simulation::new(4);
+        let dev = s.add_device_core();
+        let on_sim = s.block_on(small_cache_storm_script(dev)).unwrap();
+        let rt = Runtime::new(2);
+        let on_threads = rt.block_on(small_cache_storm_script(CoreId(0)));
+        rt.shutdown();
+        assert_eq!(on_sim.0, on_threads.0, "a task read something else");
+        assert!(on_sim.1 == on_threads.1, "the volumes differ");
+        assert!(s.stats().counter("cache.writebacks") > 64, "few evictions");
+    }
 }
 
 // ---------------------------------------------------------------------------
