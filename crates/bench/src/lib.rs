@@ -16,9 +16,7 @@
 //! reproduction claims are themselves CI-checked.
 
 pub mod experiments;
-pub mod harness;
 pub mod table;
 
 pub use experiments::{all, Experiment};
-pub use harness::{bench, BenchResult};
 pub use table::Table;

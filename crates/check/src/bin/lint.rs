@@ -12,10 +12,12 @@
 //!    sim code de-seed traces).
 //!
 //! 2. **Stat registry.** Every `"chan.*"` / `"port.*"` / `"disk.*"`
-//!    / `"sched.*"` / `"nr.*"` / `"serve.*"` / `"cache.*"` string
-//!    literal must appear in `crates/check/stat_registry.txt`. A typo'd name silently
+//!    / `"sched.*"` / `"nr.*"` / `"serve.*"` / `"cache.*"` /
+//!    `"kernel.*"` / `"msgfs.*"` string literal must appear in
+//!    `crates/check/stat_registry.txt`. A typo'd name silently
 //!    records into a fresh counter while the assertion reading the
-//!    intended name sees zero.
+//!    intended name sees zero (the benchmark's ladder reads
+//!    `kernel.*` and `msgfs.*` counters by name).
 //!
 //! 3. **Ordering discipline.** Inside `crates/parchan/src`, every
 //!    `SeqCst` in code must sit in a comment paragraph containing
@@ -30,8 +32,8 @@
 //!    must contain no `Mutex`, `Condvar`, `plock`, or `.lock()` in
 //!    code. These modules *are* the claim that task push/pop/steal
 //!    and the park handshake take zero locks on the dispatch fast
-//!    path; a lock creeping in would silently void the perf
-//!    trajectory the benches record. No escape hatch — blocking
+//!    path; a lock creeping in would silently void the `parchan.*`
+//!    numbers the benchmark records. No escape hatch — blocking
 //!    belongs in `executor.rs`.
 //!
 //! Escape hatch: a comment containing `chanos-lint: allow` suppresses
@@ -146,7 +148,8 @@ const MUTEX_FREE: &[&str] = &[
 const LOCKING: &[&str] = &["Mutex", "Condvar", "plock", ".lock()"];
 
 /// Extracts `"chan.*"`, `"port.*"`, `"disk.*"`, `"sched.*"`,
-/// `"nr.*"`, `"serve.*"`, and `"cache.*"` literals from a line.
+/// `"nr.*"`, `"serve.*"`, `"cache.*"`, `"kernel.*"` and `"msgfs.*"`
+/// literals from a line.
 fn stat_literals(line: &str) -> Vec<String> {
     let mut found = Vec::new();
     let bytes = line.as_bytes();
@@ -156,7 +159,8 @@ fn stat_literals(line: &str) -> Vec<String> {
             if let Some(end) = line[i + 1..].find('"') {
                 let lit = &line[i + 1..i + 1 + end];
                 for prefix in [
-                    "chan.", "port.", "disk.", "sched.", "nr.", "serve.", "cache.",
+                    "chan.", "port.", "disk.", "sched.", "nr.", "serve.", "cache.", "kernel.",
+                    "msgfs.",
                 ] {
                     if let Some(rest) = lit.strip_prefix(prefix) {
                         if !rest.is_empty()
@@ -336,6 +340,10 @@ mod tests {
         assert_eq!(
             stat_literals(r#"rt::stat_incr("cache.fill_joins")"#),
             vec!["cache.fill_joins"]
+        );
+        assert_eq!(
+            stat_literals(r#"rt::stat_incr("kernel.syscalls"); f("msgfs.vnodes_reaped")"#),
+            vec!["kernel.syscalls", "msgfs.vnodes_reaped"]
         );
         // A table-row string mentioning a counter is not a literal.
         assert!(stat_literals(r#""| sched.steals | {} |""#).is_empty());

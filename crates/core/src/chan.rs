@@ -106,8 +106,6 @@ struct SlotMsg<T> {
     from_core: usize,
     /// When the value becomes available on the receiver's core.
     avail: Cycles,
-    /// Modeled one-way latency, for statistics.
-    latency: Cycles,
 }
 
 struct RecvSlot<T> {
@@ -411,13 +409,7 @@ impl<T> Receiver<T> {
                 let msg = st.queue.pop_front().expect("front exists");
                 st.notify_front_send_waiter();
                 st.notify_front_recv_waiter(&self.rt);
-                record_delivery(
-                    &self.rt,
-                    msg.from_core,
-                    my_core,
-                    st.bytes,
-                    now - msg.sent_at,
-                );
+                record_delivery(&self.rt, msg.from_core, my_core, st.bytes);
                 return Ok(msg.value);
             }
             return Err(TryRecvError::Empty);
@@ -488,24 +480,21 @@ fn pair_with_receiver<T>(
 ) -> Cycles {
     let now = sim::now();
     let w = st.recv_waiters.pop_front().expect("caller checked");
-    let latency = rt.latency(from_core, w.core, st.bytes);
-    let avail = now + latency;
+    let avail = now + rt.latency(from_core, w.core, st.bytes);
     plock(&w.slot).value = Some(SlotMsg {
         value,
         from_core,
         avail,
-        latency,
     });
     sim::schedule_wake_at(w.task, avail);
     sim::stat_incr("csp.sends");
     avail + rt.ack_latency(w.core, from_core)
 }
 
-fn record_delivery(rt: &CspRuntime, from: usize, to: usize, bytes: usize, latency: Cycles) {
+fn record_delivery(rt: &CspRuntime, from: usize, to: usize, bytes: usize) {
     sim::stat_incr("csp.recvs");
     sim::stat_add("csp.bytes", bytes as u64);
     sim::stat_add("csp.hops", u64::from(rt.hops(from, to)));
-    sim::stat_record("csp.msg_latency", latency);
     if from == to {
         sim::stat_incr("csp.sends_local");
     } else {
@@ -711,7 +700,7 @@ impl<T> Future for RecvFut<'_, T> {
                     let msg = plock(&slot).value.take().expect("checked");
                     self_deregister(&mut st, &slot, this.registered);
                     this.slot = None;
-                    record_delivery(&rt, msg.from_core, my_core, st.bytes, msg.latency);
+                    record_delivery(&rt, msg.from_core, my_core, st.bytes);
                     return Poll::Ready(Ok(msg.value));
                 }
                 sim::schedule_wake_at(me, avail);
@@ -729,7 +718,7 @@ impl<T> Future for RecvFut<'_, T> {
                 if let Some(slot) = this.slot.take() {
                     self_deregister(&mut st, &slot, this.registered);
                 }
-                record_delivery(&rt, msg.from_core, my_core, st.bytes, now - msg.sent_at);
+                record_delivery(&rt, msg.from_core, my_core, st.bytes);
                 return Poll::Ready(Ok(msg.value));
             }
             sim::schedule_wake_at(me, avail);
@@ -798,8 +787,7 @@ fn pair_from_recv_side<T>(
             continue;
         }
         let value = e.value.take().expect("checked");
-        let latency = rt.latency(e.core, my_core, st.bytes);
-        let avail = now + latency;
+        let avail = now + rt.latency(e.core, my_core, st.bytes);
         let ack_at = avail + rt.ack_latency(my_core, e.core);
         e.phase = SendPhase::AckAt(ack_at);
         let sender_task = e.task;
@@ -812,7 +800,6 @@ fn pair_from_recv_side<T>(
                 value,
                 from_core,
                 avail,
-                latency,
             },
             sender_task,
             ack_at,

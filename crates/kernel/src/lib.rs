@@ -40,7 +40,7 @@ pub use env::{Env, KernelHandle, ProcessTable, SyscallBatch};
 pub use events::{run_channel_model, run_signal_model, EventExpCfg, EventExpResult};
 pub use pids::{PidInfo, PidTable};
 pub use pipe::{pipe, PipeReader, PipeWriter, PIPE_DEPTH};
-pub use placement::{Policy, ThreadPlacer};
+pub use placement::Policy;
 pub use supervision::{ChildSpec, Restart, Strategy, Supervisor, SupervisorExit};
 pub use syscall::{KernelCosts, MsgKernel, Syscall, TrapKernel};
 pub use types::{Fd, KError, Pid};

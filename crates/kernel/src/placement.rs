@@ -2,22 +2,17 @@
 //! deciding which threads to place on which cores … is likely to
 //! present a new range of difficulties").
 //!
-//! Policies come in two forms sharing one decision logic:
-//!
-//! * [`Policy::build`] — a [`chanos_sim::Placer`] factory; install
-//!   with [`chanos_sim::Simulation::set_placer`]. Experiment E9
-//!   compares policies on a communication-heavy pipeline over a 2D
-//!   mesh.
-//! * [`ThreadPlacer`] — the same policies as a plain state machine
-//!   for the real-threads backend: feed its decisions to
-//!   `chanos_rt::spawn_named_on`, where a `CoreId` is honored as an
-//!   unstealable parchan worker pin. This is how E9 runs under
-//!   `Backend::Threads` (`real_hw` bench).
+//! [`Policy::build`] is a [`chanos_sim::Placer`] factory; install it
+//! with [`chanos_sim::Simulation::set_placer`]. Experiment E9 compares
+//! policies on a communication-heavy pipeline over a 2D mesh. (On the
+//! threads backend placement is explicit: a `CoreId` passed to
+//! `chanos_rt::spawn_named_on` is an unstealable parchan worker pin —
+//! `spawn_on_is_honored_on_both_backends` in `tests/backend_equiv.rs`.)
 
 use std::cell::Cell;
 use std::rc::Rc;
 
-use chanos_sim::{CoreId, Pcg32, Placer};
+use chanos_sim::{CoreId, Placer};
 
 /// Does `name` look like a kernel service task? (The partitioned
 /// policy's kernel/application split keys off service names.)
@@ -103,108 +98,10 @@ impl Policy {
     }
 }
 
-/// The placement policies as a backend-neutral state machine, for
-/// callers that pick cores explicitly (`chanos_rt::spawn_named_on`)
-/// instead of installing a simulator-wide placer. On the threads
-/// backend the chosen `CoreId` becomes an unstealable worker pin,
-/// which is what makes these policies mean something on real
-/// hardware.
-#[derive(Debug)]
-pub struct ThreadPlacer {
-    policy: Policy,
-    cores: usize,
-    rng: Pcg32,
-    next: usize,
-    next_kernel: usize,
-    next_app: usize,
-}
-
-impl ThreadPlacer {
-    /// A placer for `policy` over `cores` cores (threads backend:
-    /// the worker count).
-    pub fn new(policy: Policy, cores: usize) -> ThreadPlacer {
-        ThreadPlacer {
-            policy,
-            cores: cores.max(1),
-            rng: Pcg32::with_stream(0xE9, 9),
-            next: 0,
-            next_kernel: 0,
-            next_app: 0,
-        }
-    }
-
-    /// Chooses a core for a task named `name` spawned from `parent`
-    /// (the spawner's core, when known — the inherit policy's
-    /// affinity input).
-    pub fn place(&mut self, name: &str, parent: Option<CoreId>) -> CoreId {
-        let cores = self.cores;
-        let round_robin = |next: &mut usize| {
-            let c = *next;
-            *next += 1;
-            CoreId((c % cores) as u32)
-        };
-        match self.policy {
-            Policy::RoundRobin => round_robin(&mut self.next),
-            Policy::Random => CoreId(self.rng.index(cores) as u32),
-            Policy::Inherit => match parent {
-                Some(p) if p.index() < cores => p,
-                _ => round_robin(&mut self.next),
-            },
-            Policy::Partitioned { kernel_cores } => {
-                let k = kernel_cores.min(cores.saturating_sub(1)).max(1);
-                if is_kernel_name(name) {
-                    let c = self.next_kernel;
-                    self.next_kernel += 1;
-                    CoreId((c % k) as u32)
-                } else if cores > k {
-                    let c = self.next_app;
-                    self.next_app += 1;
-                    CoreId((k + c % (cores - k)) as u32)
-                } else {
-                    round_robin(&mut self.next)
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use chanos_sim::Simulation;
-
-    #[test]
-    fn thread_placer_round_robin_cycles() {
-        let mut p = ThreadPlacer::new(Policy::RoundRobin, 4);
-        let picks: Vec<u32> = (0..8).map(|_| p.place("t", None).0).collect();
-        assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn thread_placer_inherit_follows_parent() {
-        let mut p = ThreadPlacer::new(Policy::Inherit, 4);
-        assert_eq!(p.place("t", Some(CoreId(2))), CoreId(2));
-        // Out-of-range parents fall back to round-robin.
-        assert_eq!(p.place("t", Some(CoreId(9))), CoreId(0));
-        assert_eq!(p.place("t", None), CoreId(1));
-    }
-
-    #[test]
-    fn thread_placer_partitioned_splits_kernel_names() {
-        let mut p = ThreadPlacer::new(Policy::Partitioned { kernel_cores: 2 }, 4);
-        for _ in 0..6 {
-            assert!(p.place("kproc7", None).index() < 2);
-            assert!(p.place("app", None).index() >= 2);
-        }
-    }
-
-    #[test]
-    fn thread_placer_random_stays_in_range() {
-        let mut p = ThreadPlacer::new(Policy::Random, 8);
-        for _ in 0..100 {
-            assert!(p.place("t", None).index() < 8);
-        }
-    }
 
     #[test]
     fn round_robin_cycles_cores() {

@@ -628,6 +628,59 @@ fn a_slow_syscall_does_not_block_another_process() {
     .unwrap();
 }
 
+/// Pipelining is latency overlap, and on the modeled machine it is
+/// exact: a submitted batch of 32 `getpid`s costs the ladder's
+/// `kernel.getpid_batch32_cycles_per_call` (308.625) per call where a
+/// serial call costs `kernel.getpid_cycles` (576).
+#[test]
+fn a_submitted_batch_of_getpids_overlaps_the_round_trips() {
+    const SERIAL_GETPID: u64 = 576;
+    const BATCH32: u64 = 9_876; // 32 x 308.625.
+    let mut s = ladder_sim();
+    s.block_on(async {
+        let os = boot(BootCfg::new(
+            KernelKind::Message,
+            FsKind::Message,
+            kernel_cores(4),
+        ))
+        .await;
+        // Like the ladder: an application core calling a process
+        // whose kernel task lives on core 0.
+        let env = loop {
+            let env = os.procs.env();
+            if env.pid.0 % 4 == 0 {
+                break env;
+            }
+        };
+        let (serial, batch) = chanos_rt::spawn_on(CoreId(4), async move {
+            let (mut serial, mut batch) = (0, 0);
+            for _ in 0..2 {
+                let t = chanos_rt::now();
+                env.getpid().await;
+                serial = chanos_rt::now() - t;
+            }
+            for _ in 0..2 {
+                let t = chanos_rt::now();
+                let mut b = env.batch();
+                let calls: Vec<_> = (0..32).map(|_| b.getpid()).collect();
+                b.submit().await;
+                for c in calls {
+                    c.await.unwrap();
+                }
+                batch = chanos_rt::now() - t;
+            }
+            (serial, batch)
+        })
+        .join()
+        .await
+        .unwrap();
+        assert_eq!(serial, SERIAL_GETPID, "unloaded serial getpid");
+        assert_eq!(batch, BATCH32, "submitted batch of 32 getpids");
+        assert!(batch < 32 * SERIAL_GETPID);
+    })
+    .unwrap();
+}
+
 /// One process's calls are served in program order: a batch of
 /// `read, read, close, read` on one fd answers data, data, ok, BadFd.
 #[test]

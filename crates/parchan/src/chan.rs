@@ -284,27 +284,6 @@ pub fn chan_counter(name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Zeroes every channel counter (benchmark phase boundaries).
-pub fn reset_chan_counters() {
-    for c in [
-        &FAST_SENDS,
-        &SLOW_SENDS,
-        &FAST_RECVS,
-        &SLOW_RECVS,
-        &RECV_WAKES,
-        &SEND_WAKES,
-        &WAKES_ELIDED,
-        &OVERFLOW_SPILLS,
-        &RECV_MANY_CALLS,
-        &RECV_MANY_MSGS,
-        &SEND_MANY_CALLS,
-        &SEND_MANY_MSGS,
-        &REPLY_WAKES_COALESCED,
-    ] {
-        c.store(0, Ordering::Relaxed);
-    }
-}
-
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 fn fresh_id() -> u64 {

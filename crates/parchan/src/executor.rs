@@ -163,25 +163,6 @@ impl Wake for TaskCell {
     }
 }
 
-/// One histogram-ish record: enough for mean/min/max reporting.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StatRecord {
-    /// Sum of recorded samples.
-    pub sum: u64,
-    /// Number of samples.
-    pub count: u64,
-    /// Smallest sample.
-    pub min: u64,
-    /// Largest sample.
-    pub max: u64,
-}
-
-#[derive(Default)]
-struct StatsInner {
-    counters: HashMap<String, u64>,
-    records: HashMap<String, StatRecord>,
-}
-
 struct WorkerState {
     /// Lock-free SPMC ring: owner pushes/pops, siblings batch-steal.
     rq: Ring,
@@ -233,7 +214,7 @@ struct RtInner {
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
     started: Instant,
-    stats: Mutex<StatsInner>,
+    stats: Mutex<HashMap<String, u64>>,
     /// Every live task, for shutdown reaping: abandoned tasks must
     /// complete their `JoinState` (joiners would hang forever
     /// otherwise). Entries are `Weak`; compacted amortizedly.
@@ -591,29 +572,11 @@ impl Handle {
         let mut st = plock(&self.inner.stats);
         // Only allocate the key on first use; counter bumps sit on
         // the syscall hot path.
-        if let Some(c) = st.counters.get_mut(name) {
+        if let Some(c) = st.get_mut(name) {
             *c += v;
         } else {
-            st.counters.insert(name.to_string(), v);
+            st.insert(name.to_string(), v);
         }
-    }
-
-    /// Records one sample into a named record.
-    pub fn stat_record(&self, name: &str, v: u64) {
-        let mut st = plock(&self.inner.stats);
-        if !st.records.contains_key(name) {
-            st.records.insert(name.to_string(), StatRecord::default());
-        }
-        let r = st.records.get_mut(name).expect("just ensured");
-        if r.count == 0 {
-            r.min = v;
-            r.max = v;
-        } else {
-            r.min = r.min.min(v);
-            r.max = r.max.max(v);
-        }
-        r.sum += v;
-        r.count += 1;
     }
 
     /// Reads a named counter's current value.
@@ -649,11 +612,7 @@ impl Handle {
             _ if name.starts_with("chan.") => return crate::chan::chan_counter(name),
             _ => {}
         }
-        plock(&self.inner.stats)
-            .counters
-            .get(name)
-            .copied()
-            .unwrap_or(0)
+        plock(&self.inner.stats).get(name).copied().unwrap_or(0)
     }
 
     /// Scheduler wake-routing counters:
@@ -664,15 +623,6 @@ impl Handle {
             self.inner.wakes_injector.load(Ordering::Relaxed),
             self.inner.wakes_pinned.load(Ordering::Relaxed),
         )
-    }
-
-    /// Reads a named record.
-    pub fn stat_record_get(&self, name: &str) -> StatRecord {
-        plock(&self.inner.stats)
-            .records
-            .get(name)
-            .copied()
-            .unwrap_or_default()
     }
 }
 
@@ -702,7 +652,7 @@ impl Runtime {
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
             started: Instant::now(),
-            stats: Mutex::new(StatsInner::default()),
+            stats: Mutex::new(HashMap::new()),
             tasks: Mutex::new(Vec::new()),
             graveyard: Mutex::new(Vec::new()),
             steals: AtomicU64::new(0),

@@ -50,13 +50,13 @@ mod sync;
 mod timer;
 
 pub use chan::{
-    chan_counter, chan_counters, channel, coalesce_wakes, reset_chan_counters, Capacity, Receiver,
-    RecvError, RecvFut, SendError, SendFut, Sender, TryRecvError, TrySendError,
+    chan_counter, chan_counters, channel, coalesce_wakes, Capacity, Receiver, RecvError, RecvFut,
+    SendError, SendFut, Sender, TryRecvError, TrySendError,
 };
 pub use chanos_select::{choose, join2, join_all, race, select_all, Either};
 pub use executor::{
     current, current_worker, in_runtime, yield_now, Handle, JoinHandle, Panicked, Priority,
-    Runtime, StatRecord, Watch, YieldNow,
+    Runtime, Watch, YieldNow,
 };
 #[doc(hidden)]
 pub use timer::timer_heap_len;

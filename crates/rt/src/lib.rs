@@ -19,7 +19,8 @@
 //! `chanos-kernel`, `chanos-vfs::MsgFs`, and `chanos-drivers` are
 //! written against this facade, so the *same* kernel boots inside a
 //! `Simulation::block_on` and inside a `parchan::Runtime::block_on`
-//! — see `examples/real_hw_kernel.rs` and the `real_hw` bench.
+//! — see `examples/real_hw_kernel.rs`, `tests/backend_equiv.rs`, and
+//! the benchmark's real-threads leg (`threads.*` in `BENCHMARK.json`).
 //!
 //! Dispatch is ambient, like the backends themselves: code running
 //! inside a simulated task sees `Backend::Sim`; code running on a
@@ -1197,14 +1198,6 @@ pub fn stat_add(name: &str, v: u64) {
 /// Increments a named counter.
 pub fn stat_incr(name: &str) {
     stat_add(name, 1);
-}
-
-/// Records a sample into a named histogram/record.
-pub fn stat_record(name: &str, v: u64) {
-    match backend() {
-        Backend::Sim => sim::stat_record(name, v),
-        Backend::Threads => par_handle().stat_record(name, v),
-    }
 }
 
 /// Reads a named counter's current value.

@@ -11,7 +11,8 @@
 //! Servers take a [`Priority`]: spawning shards `High` routes them
 //! through the scheduler's high-priority lane, which is what keeps
 //! GET tail latency flat while batch work floods the pool (see
-//! `benches/serve_bench.rs`'s overload A/B).
+//! `high_priority_is_not_starved_under_overload_on_threads` in
+//! `tests/backend_equiv.rs`).
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -25,7 +25,8 @@
 //!   [`chanos_rt::Priority`]; spawning servers `High` routes them
 //!   through the scheduler's high-priority lane so request handling
 //!   keeps its tail latency while batch work floods the pool
-//!   (`benches/serve_bench.rs` A/Bs exactly that under overload).
+//!   (`high_priority_is_not_starved_under_overload_on_threads` in
+//!   `tests/backend_equiv.rs` asserts exactly that).
 //!
 //! Everything goes through the `chanos-rt` facade — no raw threads,
 //! no wall-clock reads — so the whole serving stack is deterministic

@@ -126,8 +126,7 @@ pub async fn run_kv_load(kv: &KvClient, cfg: LoadCfg) -> LoadReport {
         let zipf = zipf.clone();
         // Clients inherit the caller's priority class, so a load run
         // driven from a High task measures the high lane end to end
-        // (the overload A/B in `benches/serve_bench.rs` relies on
-        // this).
+        // (`examples/kv_server.rs` drives its overload run this way).
         clients.push(rt::spawn_named_with_priority(
             &format!("load-client{c}"),
             rt::current_priority(),

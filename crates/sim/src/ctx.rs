@@ -157,11 +157,6 @@ pub fn stat_incr(name: &str) {
     stat_add(name, 1);
 }
 
-/// Records a histogram sample.
-pub fn stat_record(name: &str, v: u64) {
-    with_inner(|i| i.stats.record(name, v));
-}
-
 /// Reads a named counter's current value.
 pub fn stat_get(name: &str) -> u64 {
     with_inner(|i| i.stats.counter(name))

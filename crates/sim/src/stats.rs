@@ -1,129 +1,15 @@
-//! Simulation statistics: named counters and log-bucketed histograms.
+//! Simulation statistics: named counters.
 //!
 //! Experiments read these after a run to produce the derived tables and
-//! figures; the registry is intentionally simple (string-keyed BTree
-//! maps) so snapshots are deterministic and diffable.
+//! figures; the registry is intentionally simple (a string-keyed BTree
+//! map) so snapshots are deterministic and diffable.
 
 use std::collections::BTreeMap;
-
-/// A histogram with power-of-two buckets.
-///
-/// Bucket `i` counts samples `v` with `floor(log2(v)) == i` (bucket 0
-/// also holds `v == 0`). Percentiles are approximated by the geometric
-/// midpoint of the containing bucket, which is adequate for the
-/// order-of-magnitude comparisons the experiments report.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: [0; 64],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        let idx = if v == 0 {
-            0
-        } else {
-            63 - v.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += u128::from(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Returns the number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Returns the exact mean of recorded samples, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Returns the smallest recorded sample, or 0 if empty.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Returns the largest recorded sample.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Returns the approximate `p`-th percentile (0.0..=100.0).
-    ///
-    /// The result is the geometric midpoint of the bucket containing
-    /// the percentile rank, clamped to the observed min/max.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let lo = if i == 0 { 0u64 } else { 1u64 << i };
-                let hi = if i >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-                let mid = lo + (hi - lo) / 2;
-                return mid.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// The named-statistic registry carried by a simulation.
 #[derive(Debug, Default, Clone)]
 pub struct Stats {
     counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 impl Stats {
@@ -151,30 +37,9 @@ impl Stats {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Records a sample into the named histogram.
-    pub fn record(&mut self, name: &str, v: u64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(v);
-        } else {
-            let mut h = Histogram::new();
-            h.record(v);
-            self.histograms.insert(name.to_string(), h);
-        }
-    }
-
-    /// Returns the named histogram, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// Iterates over all counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates over all histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 }
 
@@ -189,69 +54,5 @@ mod tests {
         s.add("x", 4);
         assert_eq!(s.counter("x"), 5);
         assert_eq!(s.counter("absent"), 0);
-    }
-
-    #[test]
-    fn histogram_mean_exact() {
-        let mut h = Histogram::new();
-        for v in [1u64, 2, 3, 4] {
-            h.record(v);
-        }
-        assert!((h.mean() - 2.5).abs() < 1e-9);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.min(), 1);
-        assert_eq!(h.max(), 4);
-    }
-
-    #[test]
-    fn histogram_zero_sample() {
-        let mut h = Histogram::new();
-        h.record(0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.percentile(50.0), 0);
-    }
-
-    #[test]
-    fn percentile_orders_buckets() {
-        let mut h = Histogram::new();
-        for _ in 0..90 {
-            h.record(10);
-        }
-        for _ in 0..10 {
-            h.record(100_000);
-        }
-        let p50 = h.percentile(50.0);
-        let p99 = h.percentile(99.0);
-        assert!(p50 < 100, "p50 {p50} should be near the small mode");
-        assert!(p99 >= 65_536, "p99 {p99} should land in the large mode");
-    }
-
-    #[test]
-    fn percentile_empty_is_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.percentile(99.0), 0);
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = Histogram::new();
-        a.record(5);
-        let mut b = Histogram::new();
-        b.record(50);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), 5);
-        assert_eq!(a.max(), 50);
-    }
-
-    #[test]
-    fn stats_histogram_roundtrip() {
-        let mut s = Stats::new();
-        s.record("lat", 8);
-        s.record("lat", 16);
-        let h = s.histogram("lat").unwrap();
-        assert_eq!(h.count(), 2);
-        assert!(s.histogram("nope").is_none());
     }
 }

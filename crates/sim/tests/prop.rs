@@ -2,33 +2,9 @@
 //! determinism guarantees, driven by the crate's own deterministic
 //! PCG RNG (no external property-testing framework is available).
 
-use chanos_sim::{delay, sleep, yield_now, Config, CoreId, Histogram, Pcg32, Simulation, Slab};
+use chanos_sim::{delay, sleep, yield_now, Config, CoreId, Pcg32, Simulation, Slab};
 
 const CASES: u64 = 32;
-
-/// The histogram's percentile always lies within [min, max] and is
-/// monotone in p.
-#[test]
-fn histogram_percentiles_bounded_and_monotone() {
-    let mut g = Pcg32::new(0x5EED_0001);
-    for case in 0..CASES {
-        let n = g.range(1, 200) as usize;
-        let mut h = Histogram::new();
-        for _ in 0..n {
-            h.record(g.bounded(1_000_000));
-        }
-        let mut last = 0u64;
-        for p in [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0] {
-            let v = h.percentile(p);
-            assert!(v >= h.min(), "case {case} p{p}: {v} < min {}", h.min());
-            assert!(v <= h.max(), "case {case} p{p}: {v} > max {}", h.max());
-            assert!(v >= last, "case {case}: percentile must be monotone in p");
-            last = v;
-        }
-        let mean = h.mean();
-        assert!(mean >= h.min() as f64 && mean <= h.max() as f64);
-    }
-}
 
 /// Slab keys stay valid across arbitrary insert/remove sequences
 /// (model-checked against a HashMap).

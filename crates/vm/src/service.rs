@@ -13,8 +13,9 @@
 //! The service is written against the `chanos-rt` facade: on the
 //! simulator its threads are simulated tasks with modeled spawn and
 //! fault costs; on the real-threads backend every granularity spawns
-//! real tasks on the work-stealing scheduler, so the per-page cliff
-//! can be measured on silicon too (`real_hw` E8).
+//! real tasks on the work-stealing scheduler, with the same observable
+//! result (`vm_map_fault_unmap_equivalent_across_granularities` in
+//! `tests/backend_equiv.rs`).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1401,6 +1401,8 @@ mod serve_equiv {
         assert_eq!(sim.completed, thr.completed);
         assert_eq!((sim.errors, thr.errors), (0, 0));
         assert_eq!(sim.hist.count(), thr.hist.count());
+        // Every completed call records a latency, so the tail exists.
+        assert!(sim.hist.p999() > 0 && thr.hist.p999() > 0);
     }
 
     /// `spawn_with_priority` must make the class observable inside
