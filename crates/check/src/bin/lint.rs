@@ -12,12 +12,12 @@
 //!    sim code de-seed traces).
 //!
 //! 2. **Stat registry.** Every `"chan.*"` / `"port.*"` / `"disk.*"`
-//!    / `"sched.*"` / `"nr.*"` / `"serve.*"` / `"cache.*"` /
-//!    `"kernel.*"` / `"msgfs.*"` string literal must appear in
-//!    `crates/check/stat_registry.txt`. A typo'd name silently
-//!    records into a fresh counter while the assertion reading the
-//!    intended name sees zero (the benchmark's ladder reads
-//!    `kernel.*` and `msgfs.*` counters by name).
+//!    / `"driver.*"` / `"sched.*"` / `"nr.*"` / `"serve.*"` /
+//!    `"cache.*"` / `"kernel.*"` / `"msgfs.*"` string literal must
+//!    appear in `crates/check/stat_registry.txt`. A typo'd name
+//!    silently records into a fresh counter while the assertion
+//!    reading the intended name sees zero (the benchmark's ladder
+//!    reads `kernel.*`, `msgfs.*` and `driver.*` counters by name).
 //!
 //! 3. **Ordering discipline.** Inside `crates/parchan/src`, every
 //!    `SeqCst` in code must sit in a comment paragraph containing
@@ -147,9 +147,9 @@ const MUTEX_FREE: &[&str] = &[
 /// Code patterns that mean "a lock" for rule 4.
 const LOCKING: &[&str] = &["Mutex", "Condvar", "plock", ".lock()"];
 
-/// Extracts `"chan.*"`, `"port.*"`, `"disk.*"`, `"sched.*"`,
-/// `"nr.*"`, `"serve.*"`, `"cache.*"`, `"kernel.*"` and `"msgfs.*"`
-/// literals from a line.
+/// Extracts `"chan.*"`, `"port.*"`, `"disk.*"`, `"driver.*"`,
+/// `"sched.*"`, `"nr.*"`, `"serve.*"`, `"cache.*"`, `"kernel.*"` and
+/// `"msgfs.*"` literals from a line.
 fn stat_literals(line: &str) -> Vec<String> {
     let mut found = Vec::new();
     let bytes = line.as_bytes();
@@ -159,8 +159,8 @@ fn stat_literals(line: &str) -> Vec<String> {
             if let Some(end) = line[i + 1..].find('"') {
                 let lit = &line[i + 1..i + 1 + end];
                 for prefix in [
-                    "chan.", "port.", "disk.", "sched.", "nr.", "serve.", "cache.", "kernel.",
-                    "msgfs.",
+                    "chan.", "port.", "disk.", "driver.", "sched.", "nr.", "serve.", "cache.",
+                    "kernel.", "msgfs.",
                 ] {
                     if let Some(rest) = lit.strip_prefix(prefix) {
                         if !rest.is_empty()
@@ -344,6 +344,10 @@ mod tests {
         assert_eq!(
             stat_literals(r#"rt::stat_incr("kernel.syscalls"); f("msgfs.vnodes_reaped")"#),
             vec!["kernel.syscalls", "msgfs.vnodes_reaped"]
+        );
+        assert_eq!(
+            stat_literals(r#"rt::stat_add("driver.reads_merged", n)"#),
+            vec!["driver.reads_merged"]
         );
         // A table-row string mentioning a counter is not a literal.
         assert!(stat_literals(r#""| sched.steals | {} |""#).is_empty());

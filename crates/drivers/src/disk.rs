@@ -10,6 +10,15 @@
 //! the GO snapshot mixes fields, and a GO while busy clobbers the
 //! in-flight command (experiment E5 counts these).
 //!
+//! A command transfers `count` blocks and costs `DiskParams::base`
+//! once plus `per_block` for each, so the fixed cost is per command,
+//! not per block — which is why the single-thread driver folds
+//! adjacent queued reads into one command and [`DiskClient`] lets a
+//! caller ask for whole extents ([`DiskClient::read_extents`]). The
+//! device reports failure as `ok: false` and nothing more; the driver
+//! checks range itself before it queues a request, so what it reports
+//! for a failed command is [`DiskError::Io`].
+//!
 //! Behind the register file sit two block stores, selected by the
 //! ambient runtime backend ([`DiskBacking`]): the simulator keeps the
 //! deterministic in-memory store with modeled seek/transfer latency,
@@ -56,6 +65,9 @@ impl Default for DiskParams {
 pub enum DiskError {
     /// LBA or length outside the device.
     OutOfRange,
+    /// An in-range command failed: the block store behind the device
+    /// reported a real I/O error (`disk.io_errors`).
+    Io,
     /// The device or driver went away.
     Gone,
     /// Completion carried the wrong tag (a symptom of driver races).
@@ -72,6 +84,7 @@ impl std::fmt::Display for DiskError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DiskError::OutOfRange => write!(f, "block address out of range"),
+            DiskError::Io => write!(f, "device I/O error"),
             DiskError::Gone => write!(f, "device unavailable"),
             DiskError::BadTag => write!(f, "completion tag mismatch"),
         }
@@ -144,16 +157,41 @@ impl Drop for FileStore {
     }
 }
 
+/// The in-memory store is sparse, like the image file: a block takes
+/// memory once it has been written and reads as zeros until then. One
+/// contiguous buffer for the whole device would have to find a hole
+/// of its size in the heap every time a disk is installed.
 enum Store {
-    Mem(Vec<u8>),
+    Mem(Vec<Option<Box<[u8]>>>),
     #[cfg(unix)]
     File(FileStore),
+}
+
+/// Copies `count` blocks starting at `lba` out of the sparse store.
+fn mem_read(store: &[Option<Box<[u8]>>], lba: usize, count: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(count * BLOCK_SIZE);
+    for block in &store[lba..lba + count] {
+        match block {
+            Some(bytes) => out.extend_from_slice(bytes),
+            None => out.resize(out.len() + BLOCK_SIZE, 0),
+        }
+    }
+    out
+}
+
+/// Copies `data` into the sparse store starting at block `lba`; a
+/// short tail leaves the rest of its block as it was.
+fn mem_write(store: &mut [Option<Box<[u8]>>], lba: usize, data: &[u8]) {
+    for (block, chunk) in store[lba..].iter_mut().zip(data.chunks(BLOCK_SIZE)) {
+        let bytes = block.get_or_insert_with(|| vec![0; BLOCK_SIZE].into_boxed_slice());
+        bytes[..chunk.len()].copy_from_slice(chunk);
+    }
 }
 
 impl Store {
     fn new(backing: DiskBacking, blocks: u64) -> Store {
         match backing {
-            DiskBacking::Memory => Store::Mem(vec![0; (blocks as usize) * BLOCK_SIZE]),
+            DiskBacking::Memory => Store::Mem(vec![None; blocks as usize]),
             DiskBacking::File => {
                 #[cfg(unix)]
                 {
@@ -173,7 +211,7 @@ impl Store {
                 }
                 #[cfg(not(unix))]
                 {
-                    Store::Mem(vec![0; (blocks as usize) * BLOCK_SIZE])
+                    Store::Mem(vec![None; blocks as usize])
                 }
             }
         }
@@ -468,7 +506,9 @@ impl DiskHw {
             match cmd.op {
                 DiskOp::Read => {
                     let data = match &st.store {
-                        Store::Mem(bytes) => bytes[start..start + len].to_vec(),
+                        Store::Mem(blocks) => {
+                            mem_read(blocks, cmd.lba as usize, cmd.count as usize)
+                        }
                         #[cfg(unix)]
                         Store::File(_) => unreachable!("file commands handled above"),
                     };
@@ -482,7 +522,7 @@ impl DiskHw {
                 DiskOp::Write => {
                     let n = cmd.dma.len().min(len);
                     match &mut st.store {
-                        Store::Mem(bytes) => bytes[start..start + n].copy_from_slice(&cmd.dma[..n]),
+                        Store::Mem(blocks) => mem_write(blocks, cmd.lba as usize, &cmd.dma[..n]),
                         #[cfg(unix)]
                         Store::File(_) => unreachable!("file commands handled above"),
                     }
@@ -505,7 +545,7 @@ impl DiskHw {
         let start = (lba as usize) * BLOCK_SIZE;
         let st = plock(&self.state);
         match &st.store {
-            Store::Mem(bytes) => bytes[start..start + BLOCK_SIZE].to_vec(),
+            Store::Mem(blocks) => mem_read(blocks, lba as usize, 1),
             #[cfg(unix)]
             Store::File(fs) => {
                 let f = Arc::clone(&fs.file);
@@ -540,7 +580,7 @@ pub enum DiskReq {
 
 /// A cloneable client handle to a disk driver; requests go through a
 /// typed [`chanos_rt::Port`], so callers can also pipeline reads with
-/// [`DiskClient::read_batch`].
+/// [`DiskClient::read_extents`].
 #[derive(Clone)]
 pub struct DiskClient {
     port: chanos_rt::Port<DiskReq>,
@@ -570,18 +610,25 @@ impl DiskClient {
             .unwrap_or_else(|e| Err(e.into()))
     }
 
-    /// Pipelines single-block reads: all requests are submitted as
-    /// one burst (one driver wake per burst on real threads), then
-    /// completed together — the driver's queue keeps the device busy
-    /// back-to-back instead of one command per round trip.
+    /// Pipelines single-block reads; [`DiskClient::read_extents`]
+    /// with every count 1.
     pub async fn read_batch(&self, lbas: &[u64]) -> Vec<Result<Vec<u8>, DiskError>> {
-        let calls = self.port.call_batch(lbas.iter().map(|&lba| {
-            move |reply| DiskReq::Read {
-                lba,
-                count: 1,
-                reply,
-            }
-        }));
+        let extents: Vec<(u64, u32)> = lbas.iter().map(|&lba| (lba, 1)).collect();
+        self.read_extents(&extents).await
+    }
+
+    /// Pipelines reads of `(lba, count)` extents: all requests are
+    /// submitted as one burst (one driver wake per burst on real
+    /// threads), then completed together. The driver sorts its queue
+    /// and programs each run of adjacent extents as one command, so
+    /// what the caller splits up for its own reasons the device still
+    /// sees whole. Results are in request order.
+    pub async fn read_extents(&self, extents: &[(u64, u32)]) -> Vec<Result<Vec<u8>, DiskError>> {
+        let calls = self.port.call_batch(
+            extents
+                .iter()
+                .map(|&(lba, count)| move |reply| DiskReq::Read { lba, count, reply }),
+        );
         chanos_rt::join_all(calls)
             .await
             .into_iter()

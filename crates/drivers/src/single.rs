@@ -10,53 +10,96 @@
 //! registers outright, joining its request channel and its interrupt
 //! channel with `choose!`. There is no lock and there can be no
 //! register-interleaving bug by construction.
+//!
+//! Owning the whole queue is also what lets it treat the queue as a
+//! whole. A request that does not fit on the device is answered
+//! `OutOfRange` when it arrives and never queued. The rest is
+//! elevator-sorted, and when the head of the queue is a read, every
+//! queued read that follows it and starts exactly where the run so
+//! far ends leaves with it as **one** device command; the completion
+//! is cut up by block count and scattered to the callers. Each command
+//! pays `DiskParams::base` once, so eight adjacent single-block reads
+//! cost one base, not eight. Writes are never merged and nothing is
+//! merged across one: a write keeps its own command and its place, so
+//! the write-hazard rule below and the buffer cache's "two write-backs
+//! of one block stay in arrival order" hold exactly as before.
 
 use std::collections::VecDeque;
 
 use chanos_rt::{self as rt, channel, choose, Capacity, CoreId, Receiver, ReplyTo};
 
-use crate::disk::{DiskClient, DiskError, DiskHw, DiskIrq, DiskOp, DiskReq};
+use crate::disk::{DiskClient, DiskError, DiskHw, DiskIrq, DiskOp, DiskReq, BLOCK_SIZE};
 
 /// How many queued requests the driver drains per wakeup on top of
 /// the one its `choose!` arm delivered.
 const DRIVER_BATCH: usize = 31;
 
-fn to_pending(req: DiskReq) -> Pending {
-    match req {
-        DiskReq::Read { lba, count, reply } => Pending::Read { lba, count, reply },
-        DiskReq::Write { lba, data, reply } => Pending::Write { lba, data, reply },
-    }
+type ReadReply = ReplyTo<Result<Vec<u8>, DiskError>>;
+type WriteReply = ReplyTo<Result<(), DiskError>>;
+
+/// A queued request; `count` is in blocks for either operation.
+struct Pending {
+    lba: u64,
+    count: u32,
+    op: PendingOp,
 }
 
-enum Pending {
-    Read {
-        lba: u64,
-        count: u32,
-        reply: ReplyTo<Result<Vec<u8>, DiskError>>,
-    },
-    Write {
-        lba: u64,
-        data: Vec<u8>,
-        reply: ReplyTo<Result<(), DiskError>>,
-    },
+enum PendingOp {
+    Read(ReadReply),
+    Write(Vec<u8>, WriteReply),
 }
 
 impl Pending {
-    fn lba(&self) -> u64 {
-        match self {
-            Pending::Read { lba, .. } | Pending::Write { lba, .. } => *lba,
-        }
-    }
-
-    fn block_count(&self) -> u64 {
-        match self {
-            Pending::Read { count, .. } => u64::from(*count),
-            Pending::Write { data, .. } => (data.len() / crate::disk::BLOCK_SIZE) as u64,
-        }
-    }
-
     fn is_write(&self) -> bool {
-        matches!(self, Pending::Write { .. })
+        matches!(self.op, PendingOp::Write(..))
+    }
+
+    /// One past the last block the request touches.
+    fn end(&self) -> u64 {
+        self.lba + u64::from(self.count)
+    }
+}
+
+/// Who waits for the command the device is working on.
+enum Inflight {
+    /// A run of adjacent reads programmed as one command: each part's
+    /// block count and reply, in LBA order.
+    Reads(Vec<(u32, ReadReply)>),
+    Write(WriteReply),
+}
+
+/// Queues `req`, or answers it `OutOfRange` at once when it does not
+/// fit on a device of `blocks` blocks: such a request is never
+/// programmed, so it costs no device command and cannot fail the
+/// in-range reads it would otherwise have been merged with.
+async fn enqueue(queue: &mut VecDeque<Pending>, blocks: u64, req: DiskReq) {
+    let p = match req {
+        DiskReq::Read { lba, count, reply } => Pending {
+            lba,
+            count,
+            op: PendingOp::Read(reply),
+        },
+        DiskReq::Write { lba, data, reply } => Pending {
+            lba,
+            count: (data.len() / BLOCK_SIZE) as u32,
+            op: PendingOp::Write(data, reply),
+        },
+    };
+    let fits = p
+        .lba
+        .checked_add(u64::from(p.count))
+        .is_some_and(|end| end <= blocks);
+    if fits {
+        queue.push_back(p);
+        return;
+    }
+    match p.op {
+        PendingOp::Read(reply) => {
+            let _ = reply.send(Err(DiskError::OutOfRange)).await;
+        }
+        PendingOp::Write(_, reply) => {
+            let _ = reply.send(Err(DiskError::OutOfRange)).await;
+        }
     }
 }
 
@@ -66,8 +109,8 @@ fn seek_distance(head: u64, queue: &VecDeque<Pending>) -> u64 {
     let mut at = head;
     let mut dist = 0u64;
     for p in queue {
-        dist += at.abs_diff(p.lba());
-        at = p.lba();
+        dist += at.abs_diff(p.lba);
+        at = p.lba;
     }
     dist
 }
@@ -76,14 +119,15 @@ fn seek_distance(head: u64, queue: &VecDeque<Pending>) -> u64 {
 /// write whose block range overlaps any other queued request must
 /// keep its arrival-order position.
 fn has_write_hazard(queue: &VecDeque<Pending>) -> bool {
+    if !queue.iter().any(Pending::is_write) {
+        return false;
+    }
     for (i, a) in queue.iter().enumerate() {
         for b in queue.iter().skip(i + 1) {
             if !(a.is_write() || b.is_write()) {
                 continue;
             }
-            let (a0, a1) = (a.lba(), a.lba() + a.block_count());
-            let (b0, b1) = (b.lba(), b.lba() + b.block_count());
-            if a0 < b1 && b0 < a1 {
+            if a.lba < b.end() && b.lba < a.end() {
                 return true;
             }
         }
@@ -105,58 +149,98 @@ fn elevator_sort(queue: &mut VecDeque<Pending>, head: u64) {
     let before = seek_distance(head, queue);
     queue
         .make_contiguous()
-        .sort_by_key(|p| (p.lba() < head, p.lba()));
+        .sort_by_key(|p| (p.lba < head, p.lba));
     let after = seek_distance(head, queue);
     rt::stat_incr("disk.bursts_sorted");
     rt::stat_add("disk.seek_distance_saved", before.saturating_sub(after));
 }
 
-async fn issue(hw: &DiskHw, p: &Pending, tag: u64) {
-    match p {
-        Pending::Read { lba, count, .. } => {
-            hw.write_lba(*lba).await;
-            hw.write_count(*count).await;
+/// Programs one command for the head of the queue, `first`. A read
+/// takes with it every queued read that follows and starts exactly
+/// where the run so far ends (`driver.reads_merged` counts the parts
+/// that rode along); the walk stops at the first request that is not
+/// such a read, so it never steps over a write.
+async fn issue(hw: &DiskHw, first: Pending, queue: &mut VecDeque<Pending>, tag: u64) -> Inflight {
+    hw.write_lba(first.lba).await;
+    match first.op {
+        PendingOp::Read(reply) => {
+            let mut total = first.count;
+            let mut parts = vec![(first.count, reply)];
+            while let Some(next) = queue.front() {
+                if next.is_write() || next.lba != first.lba + u64::from(total) {
+                    break;
+                }
+                let Some(joined) = total.checked_add(next.count) else {
+                    break;
+                };
+                total = joined;
+                let Some(Pending {
+                    count,
+                    op: PendingOp::Read(reply),
+                    ..
+                }) = queue.pop_front()
+                else {
+                    unreachable!("the front of the queue was a read");
+                };
+                parts.push((count, reply));
+            }
+            rt::stat_add("driver.reads_merged", parts.len() as u64 - 1);
+            hw.write_count(total).await;
             hw.write_op(DiskOp::Read).await;
             hw.write_tag(tag).await;
             hw.go().await;
+            Inflight::Reads(parts)
         }
-        Pending::Write { lba, data, .. } => {
-            hw.write_lba(*lba).await;
-            hw.write_count((data.len() / crate::disk::BLOCK_SIZE) as u32)
-                .await;
+        PendingOp::Write(data, reply) => {
+            hw.write_count(first.count).await;
             hw.write_op(DiskOp::Write).await;
             hw.write_tag(tag).await;
-            hw.write_dma(data.clone()).await;
+            hw.write_dma(data).await;
             hw.go().await;
+            Inflight::Write(reply)
         }
     }
 }
 
-async fn complete(p: Pending, irq: DiskIrq, expect_tag: u64) {
-    let tag_ok = irq.tag == expect_tag;
-    if !tag_ok {
+/// Answers whoever waited for the command `irq` completes. A wrong
+/// tag or a failed command fails every part of a merged read.
+async fn complete(inflight: Inflight, irq: DiskIrq, expect_tag: u64) {
+    let status = if irq.tag != expect_tag {
         rt::stat_incr("driver.tag_mismatches");
-    }
-    match p {
-        Pending::Read { reply, .. } => {
-            let r = if !tag_ok {
-                Err(DiskError::BadTag)
-            } else if irq.ok {
-                Ok(irq.data)
-            } else {
-                Err(DiskError::OutOfRange)
-            };
-            let _ = reply.send(r).await;
+        Err(DiskError::BadTag)
+    } else if irq.ok {
+        Ok(())
+    } else {
+        // Range was checked before the command was queued, so the
+        // device refusing it is the store failing.
+        Err(DiskError::Io)
+    };
+    match inflight {
+        Inflight::Write(reply) => {
+            let _ = reply.send(status).await;
         }
-        Pending::Write { reply, .. } => {
-            let r = if !tag_ok {
-                Err(DiskError::BadTag)
-            } else if irq.ok {
-                Ok(())
-            } else {
-                Err(DiskError::OutOfRange)
-            };
-            let _ = reply.send(r).await;
+        Inflight::Reads(parts) => {
+            if let Err(e) = status {
+                for (_, reply) in parts {
+                    let _ = reply.send(Err(e.clone())).await;
+                }
+                return;
+            }
+            // A lone caller gets the DMA buffer itself; a run is cut
+            // up in LBA order.
+            let alone = parts.len() == 1;
+            let mut data = irq.data;
+            let mut at = 0;
+            for (count, reply) in parts {
+                let len = count as usize * BLOCK_SIZE;
+                let bytes = if alone {
+                    std::mem::take(&mut data)
+                } else {
+                    data[at..at + len].to_vec()
+                };
+                let _ = reply.send(Ok(bytes)).await;
+                at += len;
+            }
         }
     }
 }
@@ -166,8 +250,9 @@ async fn complete(p: Pending, irq: DiskIrq, expect_tag: u64) {
 pub fn spawn_disk_driver(hw: DiskHw, irq_rx: Receiver<DiskIrq>, core: CoreId) -> DiskClient {
     let (tx, rx) = channel::<DiskReq>(Capacity::Unbounded);
     rt::spawn_daemon_on("disk-driver", core, async move {
+        let blocks = hw.blocks();
         let mut queue: VecDeque<Pending> = VecDeque::new();
-        let mut inflight: Option<(u64, Pending)> = None;
+        let mut inflight: Option<(u64, Inflight)> = None;
         let mut next_tag: u64 = 1;
         let mut head_lba: u64 = 0;
         let mut burst: Vec<DiskReq> = Vec::with_capacity(DRIVER_BATCH);
@@ -175,14 +260,14 @@ pub fn spawn_disk_driver(hw: DiskHw, irq_rx: Receiver<DiskIrq>, core: CoreId) ->
             choose! {
                 req = rx.recv() => {
                     let Ok(req) = req else { break };
-                    queue.push_back(to_pending(req));
+                    enqueue(&mut queue, blocks, req).await;
                     rt::stat_incr("driver.requests");
                     // Drain the burst that arrived with it: one
                     // wakeup enqueues the whole backlog.
                     let n = rx.try_recv_many(&mut burst, DRIVER_BATCH);
                     rt::stat_add("driver.requests", n as u64);
                     for r in burst.drain(..) {
-                        queue.push_back(to_pending(r));
+                        enqueue(&mut queue, blocks, r).await;
                     }
                     // Batch-aware, not just batch-fed: program the
                     // device in elevator order, not arrival order.
@@ -190,8 +275,8 @@ pub fn spawn_disk_driver(hw: DiskHw, irq_rx: Receiver<DiskIrq>, core: CoreId) ->
                 },
                 irq = irq_rx.recv() => {
                     let Ok(irq) = irq else { break };
-                    if let Some((tag, p)) = inflight.take() {
-                        complete(p, irq, tag).await;
+                    if let Some((tag, waiting)) = inflight.take() {
+                        complete(waiting, irq, tag).await;
                     } else {
                         rt::stat_incr("driver.spurious_irqs");
                     }
@@ -199,12 +284,11 @@ pub fn spawn_disk_driver(hw: DiskHw, irq_rx: Receiver<DiskIrq>, core: CoreId) ->
             }
             // Keep the device fed: one outstanding command.
             if inflight.is_none() {
-                if let Some(p) = queue.pop_front() {
+                if let Some(first) = queue.pop_front() {
                     let tag = next_tag;
                     next_tag += 1;
-                    head_lba = p.lba();
-                    issue(&hw, &p, tag).await;
-                    inflight = Some((tag, p));
+                    head_lba = first.lba;
+                    inflight = Some((tag, issue(&hw, first, &mut queue, tag).await));
                 }
             }
         }

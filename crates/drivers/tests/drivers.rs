@@ -72,6 +72,115 @@ fn out_of_range_is_reported() {
     assert_eq!(got, Err(DiskError::OutOfRange));
 }
 
+/// Runs `script` against a disk of `blocks` blocks behind the
+/// single-thread driver, block `i` filled with `i + 1`, and returns
+/// its result with how many read commands, merged parts and modeled
+/// cycles it cost.
+fn on_patterned_disk<T, F, Fut>(blocks: u64, script: F) -> (T, u64, u64, u64)
+where
+    T: Send + 'static,
+    F: FnOnce(chanos_drivers::DiskClient) -> Fut + Send + 'static,
+    Fut: std::future::Future<Output = T> + Send,
+{
+    let mut s = sim(3);
+    let dev = s.add_device_core();
+    s.block_on(async move {
+        let (hw, irq) = install_disk(blocks, DiskParams::default(), dev);
+        let disk = spawn_disk_driver(hw, irq, CoreId(1));
+        let image: Vec<u8> = (0..blocks).flat_map(|i| block_of(i as u8 + 1)).collect();
+        disk.write(0, image).await.unwrap();
+        let reads0 = chanos_sim::stat_get("disk.reads");
+        let merged0 = chanos_sim::stat_get("driver.reads_merged");
+        let t0 = chanos_sim::now();
+        let out = script(disk).await;
+        (
+            out,
+            chanos_sim::stat_get("disk.reads") - reads0,
+            chanos_sim::stat_get("driver.reads_merged") - merged0,
+            chanos_sim::now() - t0,
+        )
+    })
+    .unwrap()
+}
+
+#[test]
+fn adjacent_reads_of_one_burst_are_one_command() {
+    let lbas = [5u64, 2, 7, 0, 3, 6, 1, 4];
+    let (got, reads, merged, cycles) =
+        on_patterned_disk(16, move |disk| async move { disk.read_batch(&lbas).await });
+    for (lba, block) in lbas.iter().zip(got) {
+        assert_eq!(block.unwrap(), block_of(*lba as u8 + 1), "lba {lba}");
+    }
+    assert_eq!(reads, 1, "eight adjacent blocks are one device command");
+    assert_eq!(merged, 7);
+    // One command: four register writes and GO, one base, eight
+    // blocks of transfer (eight commands would be eight of each);
+    // the other 282 cycles are the burst's channel hops.
+    let p = DiskParams::default();
+    let device = 5 * p.mmio_write + p.base + 8 * p.per_block;
+    assert_eq!(cycles, device + 282);
+}
+
+#[test]
+fn a_gap_splits_the_run() {
+    let lbas = [0u64, 1, 3, 4];
+    let (got, reads, merged, _) =
+        on_patterned_disk(16, move |disk| async move { disk.read_batch(&lbas).await });
+    for (lba, block) in lbas.iter().zip(got) {
+        assert_eq!(block.unwrap(), block_of(*lba as u8 + 1), "lba {lba}");
+    }
+    assert_eq!(
+        (reads, merged),
+        (2, 2),
+        "blocks 0-1 and 3-4, nothing across 2"
+    );
+}
+
+#[test]
+fn nothing_merges_across_a_write() {
+    use chanos_drivers::DiskReq;
+    let (got, reads, merged, _) = on_patterned_disk(16, |disk| async move {
+        // One burst, in this order; the write overlaps the read
+        // behind it, so the queue keeps arrival order.
+        let port = disk.port();
+        let read = |lba| {
+            port.call(move |reply| DiskReq::Read {
+                lba,
+                count: 1,
+                reply,
+            })
+        };
+        let r0 = read(0);
+        let w1 = port.call(|reply| DiskReq::Write {
+            lba: 1,
+            data: block_of(0xEE),
+            reply,
+        });
+        let r1 = read(1);
+        let r2 = read(2);
+        w1.await.unwrap().unwrap();
+        [r0.await, r1.await, r2.await].map(|r| r.unwrap().unwrap())
+    });
+    assert_eq!(got[0], block_of(1));
+    assert_eq!(got[1], block_of(0xEE), "the read behind the write sees it");
+    assert_eq!(got[2], block_of(3));
+    // Block 0 alone, then the write, then blocks 1-2 as one command;
+    // without the write all three would have been one.
+    assert_eq!((reads, merged), (2, 1));
+}
+
+#[test]
+fn a_read_past_the_end_does_not_fail_its_neighbours() {
+    let lbas = [5u64, 6, 7, 8];
+    let (got, reads, _, _) =
+        on_patterned_disk(8, move |disk| async move { disk.read_batch(&lbas).await });
+    for (lba, block) in [5u8, 6, 7].iter().zip(&got) {
+        assert_eq!(block.as_ref().unwrap(), &block_of(lba + 1), "lba {lba}");
+    }
+    assert_eq!(got[3], Err(DiskError::OutOfRange));
+    assert_eq!(reads, 1, "the bad request never reached the device");
+}
+
 #[test]
 fn single_driver_serves_many_clients_without_clobbers() {
     let mut s = sim(8);

@@ -1,13 +1,16 @@
 //! A static-file server over the block-device stack.
 //!
-//! Content is formatted onto the disk at spawn time (each file
-//! block-aligned, `path → (lba, len)` in an in-memory index — the
-//! serving path needs no filesystem round trip), then served by one
-//! task that drains its [`Port`] in bursts and turns **each burst
-//! into one [`DiskClient::read_batch`]**: every block the burst
-//! needs goes to the driver as a single submission, which
-//! elevator-sorts it before programming the device. On the threads
-//! backend that is real file I/O end-to-end.
+//! There is no filesystem underneath: at spawn time each file is
+//! written to the raw disk as one block-aligned extent, one after the
+//! other from LBA 0, and `path → (lba, len)` stays in an in-memory
+//! index, so the serving path needs no lookup round trip. One task
+//! drains its [`Port`] in bursts and turns **each burst into one
+//! [`DiskClient::read_extents`]** with one extent per *distinct* file
+//! in it: a popular file asked for five times in a burst is read once
+//! and every reply is cut from that buffer, and because files sit
+//! back to back the driver, which sorts the burst, programs adjacent
+//! files as a single device command. On the threads backend that is
+//! real file I/O end-to-end.
 
 use std::collections::HashMap;
 
@@ -45,7 +48,7 @@ const FILE_BATCH: usize = 32;
 struct IndexEntry {
     lba: u64,
     len: usize,
-    nblocks: usize,
+    nblocks: u32,
 }
 
 /// Writes `files` onto `disk` starting at LBA 0 (block-aligned, in
@@ -66,7 +69,14 @@ pub async fn spawn_file_server(
         let mut data = content;
         data.resize(nblocks * BLOCK_SIZE, 0);
         disk.write(lba, data).await?;
-        index.insert(path, IndexEntry { lba, len, nblocks });
+        index.insert(
+            path,
+            IndexEntry {
+                lba,
+                len,
+                nblocks: nblocks as u32,
+            },
+        );
         lba += nblocks as u64;
     }
     let (port, rx) = port_channel::<FileReq>(Capacity::Unbounded);
@@ -74,9 +84,10 @@ pub async fn spawn_file_server(
     Ok(FileClient { port })
 }
 
-/// One planned reply: where its blocks start in the burst's combined
-/// `read_batch` (`(at, nblocks, len)`), or `None` for a miss.
-type PlanEntry = (ReplyTo<Option<Vec<u8>>>, Option<(usize, usize, usize)>);
+/// One planned reply: which of the burst's extents holds the file and
+/// how many of its bytes are content (`(slot, len)`), or `None` for a
+/// miss.
+type PlanEntry = (ReplyTo<Option<Vec<u8>>>, Option<(usize, usize)>);
 
 async fn serve_loop(disk: DiskClient, index: HashMap<String, IndexEntry>, rx: Receiver<FileReq>) {
     let mut buf: Vec<FileReq> = Vec::with_capacity(FILE_BATCH);
@@ -86,52 +97,41 @@ async fn serve_loop(disk: DiskClient, index: HashMap<String, IndexEntry>, rx: Re
             return;
         }
         rt::stat_incr("serve.file_bursts");
-        // Plan the whole burst first: every block it needs becomes
-        // one read_batch submission (the driver elevator-sorts it),
-        // instead of a serial read per request.
-        let mut lbas: Vec<u64> = Vec::new();
+        // Plan the whole burst first: one extent per distinct file,
+        // all of them one submission, instead of a serial read per
+        // request. A burst is at most FILE_BATCH long, so finding a
+        // repeated file is a scan of the extents so far.
+        let mut extents: Vec<(u64, u32)> = Vec::new();
         let mut plan: Vec<PlanEntry> = Vec::with_capacity(buf.len());
         for req in buf.drain(..) {
             let FileReq::Get { path, reply } = req;
-            match index.get(&path) {
-                Some(e) => {
-                    let at = lbas.len();
-                    lbas.extend((0..e.nblocks).map(|i| e.lba + i as u64));
-                    plan.push((reply, Some((at, e.nblocks, e.len))));
-                }
-                None => plan.push((reply, None)),
-            }
+            let meta = index.get(&path).map(|e| {
+                let slot = extents
+                    .iter()
+                    .position(|&(lba, _)| lba == e.lba)
+                    .unwrap_or_else(|| {
+                        extents.push((e.lba, e.nblocks));
+                        extents.len() - 1
+                    });
+                (slot, e.len)
+            });
+            plan.push((reply, meta));
         }
-        let blocks = if lbas.is_empty() {
+        let files = if extents.is_empty() {
             Vec::new()
         } else {
-            disk.read_batch(&lbas).await
+            disk.read_extents(&extents).await
         };
-        rt::stat_add("serve.file_blocks_read", lbas.len() as u64);
+        let blocks: u64 = extents.iter().map(|&(_, n)| u64::from(n)).sum();
+        rt::stat_add("serve.file_blocks_read", blocks);
         rt::stat_add("serve.file_gets", plan.len() as u64);
         rt::coalesce_replies(|| {
             for (reply, meta) in plan {
-                let Some((at, nblocks, len)) = meta else {
-                    let _ = reply.send_now(None);
-                    continue;
-                };
-                let mut out = Vec::with_capacity(nblocks * BLOCK_SIZE);
-                let mut ok = true;
-                for b in &blocks[at..at + nblocks] {
-                    match b {
-                        Ok(bytes) => out.extend_from_slice(bytes),
-                        Err(_) => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                let _ = reply.send_now(if ok {
-                    out.truncate(len);
-                    Some(out)
-                } else {
-                    None
+                let body = meta.and_then(|(slot, len)| {
+                    let bytes = files[slot].as_ref().ok()?;
+                    Some(bytes[..len].to_vec())
                 });
+                let _ = reply.send_now(body);
             }
         });
     }
@@ -161,13 +161,65 @@ mod tests {
             let srv = spawn_file_server(disk, files, Priority::Normal)
                 .await
                 .unwrap();
-            // Pipeline a burst: all three resolve from one read_batch.
+            // Pipeline a burst: all three resolve from one read_extents.
             let a = srv.get("/index.html");
             let b = srv.get("/blob.bin");
             let c = srv.get("/missing");
             assert_eq!(a.await.unwrap(), Some(b"<h1>chanos</h1>".to_vec()));
             assert_eq!(b.await.unwrap(), Some(big));
             assert_eq!(c.await.unwrap(), None);
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn a_burst_reads_each_file_once_and_adjacent_files_together() {
+        let mut s = Simulation::with_config(Config {
+            cores: 3,
+            ..Config::default()
+        });
+        let dev = s.add_device_core();
+        s.block_on(async move {
+            let (hw, irq) = install_disk(256, DiskParams::default(), dev);
+            let disk = spawn_disk_driver(hw, irq, CoreId(1));
+            // Back to back on the disk: blocks 0-1, 2, 3-5. The last
+            // file leaves the head past them, so the elevator's sweep
+            // does not start in the middle of the run.
+            let two = vec![0xA1; BLOCK_SIZE + 123];
+            let one = vec![0xB2; 77];
+            let three = vec![0xC3; 3 * BLOCK_SIZE];
+            let files = vec![
+                ("/two".to_string(), two.clone()),
+                ("/one".to_string(), one.clone()),
+                ("/three".to_string(), three.clone()),
+                ("/last".to_string(), vec![0xD4; 5]),
+            ];
+            let srv = spawn_file_server(disk, files, Priority::Normal)
+                .await
+                .unwrap();
+            let before = ["serve.file_bursts", "serve.file_blocks_read", "disk.reads"]
+                .map(chanos_sim::stat_get);
+            let burst = [
+                ("/two", Some(&two)),
+                ("/three", Some(&three)),
+                ("/two", Some(&two)),
+                ("/missing", None),
+                ("/one", Some(&one)),
+                ("/two", Some(&two)),
+            ];
+            let calls: Vec<_> = burst.iter().map(|(path, _)| srv.get(*path)).collect();
+            for ((path, want), call) in burst.into_iter().zip(calls) {
+                assert_eq!(call.await.unwrap().as_ref(), want, "{path}");
+            }
+            let after = ["serve.file_bursts", "serve.file_blocks_read", "disk.reads"]
+                .map(chanos_sim::stat_get);
+            assert_eq!(after[0] - before[0], 1, "the six gets arrived as one burst");
+            assert_eq!(after[1] - before[1], 6, "three distinct files, six blocks");
+            assert_eq!(
+                after[2] - before[2],
+                1,
+                "adjacent extents left as one command"
+            );
         })
         .unwrap();
     }

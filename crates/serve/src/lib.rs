@@ -14,8 +14,10 @@
 //!   server (GET/SET/DEL over a sharded store, each shard one task
 //!   draining its [`chanos_rt::Port`] in `recv_many` bursts) and a
 //!   static-file server whose burst drains turn into one
-//!   `DiskClient::read_batch` per burst (the driver elevator-sorts
-//!   it). Both run unchanged on the simulator and on real threads.
+//!   `DiskClient::read_extents` per burst, one extent per distinct
+//!   file (the driver elevator-sorts it and programs adjacent files
+//!   as one command). Both run unchanged on the simulator and on
+//!   real threads.
 //! * **An open-loop load generator** ([`load`]) — zipf-distributed
 //!   keys over the in-tree PCG, configurable arrival gap and
 //!   concurrency (clients × pipeline depth in-flight `Call`s via

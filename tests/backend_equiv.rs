@@ -893,6 +893,50 @@ mod batch_aware_equiv {
         assert!(thr_saved > 0, "threads: sort saved no head travel");
     }
 
+    /// Writes eight patterned blocks, then reads them back as one
+    /// shuffled burst; returns the blocks in request order and the
+    /// `disk.reads` / `disk.file_reads` the burst cost. The burst is
+    /// submitted from a task pinned to the driver's core, so on either
+    /// backend the driver cannot look at its queue before all eight
+    /// are in it. The store is the backend's own: memory on the
+    /// simulator, the image file on threads.
+    async fn merged_burst_script(dev: CoreId) -> (Vec<Vec<u8>>, u64, u64) {
+        use chanos::drivers::install_disk;
+        let (hw, irq) = install_disk(128, DiskParams::default(), dev);
+        let disk = spawn_disk_driver(hw, irq, CoreId(1));
+        let image: Vec<u8> = (0..8u8).flat_map(|i| vec![i + 1; BLOCK_SIZE]).collect();
+        disk.write(0, image).await.expect("write ok");
+        let reads0 = chanos::rt::stat_get("disk.reads");
+        let preads0 = chanos::rt::stat_get("disk.file_reads");
+        let burst = chanos::rt::spawn_on(CoreId(1), async move {
+            disk.read_batch(&[5, 2, 7, 0, 3, 6, 1, 4]).await
+        });
+        let blocks = burst.join().await.expect("burst task");
+        (
+            blocks.into_iter().map(|b| b.expect("read ok")).collect(),
+            chanos::rt::stat_get("disk.reads") - reads0,
+            chanos::rt::stat_get("disk.file_reads") - preads0,
+        )
+    }
+
+    #[test]
+    fn adjacent_burst_is_one_command_on_both_backends() {
+        let mut s = Simulation::new(4);
+        let dev = s.add_device_core();
+        let (sim_blocks, sim_reads, sim_preads) = s.block_on(merged_burst_script(dev)).unwrap();
+        for (lba, block) in [5u8, 2, 7, 0, 3, 6, 1, 4].iter().zip(&sim_blocks) {
+            assert!(block.iter().all(|&b| b == lba + 1), "sim: block {lba}");
+        }
+        assert_eq!(sim_reads, 1, "sim: eight adjacent reads, one command");
+        assert_eq!(sim_preads, 0, "sim: the store is memory");
+        let rt = Runtime::new(2);
+        let (thr_blocks, thr_reads, thr_preads) = rt.block_on(merged_burst_script(CoreId(0)));
+        rt.shutdown();
+        assert_eq!(thr_blocks, sim_blocks, "the backends read different bytes");
+        assert_eq!(thr_reads, sim_reads, "threads: not the same commands");
+        assert_eq!(thr_preads, 1, "threads: one pread for the whole run");
+    }
+
     /// Writes distinct patterns to 8 blocks, then fetches them with
     /// one `read_many`: the lookups must arrive grouped — one shard
     /// round-trip per shard, not one per block.
