@@ -1,7 +1,7 @@
 //! Facade lint for the workspace — the static half of `chanos-check`
 //! (the model checker is the dynamic half).
 //!
-//! Four rules, each guarding an invariant the type system cannot:
+//! Five rules, each guarding an invariant the type system cannot:
 //!
 //! 1. **Facade bypass.** Code outside the runtime-implementing crates
 //!    must not call `std::thread::spawn`, use `std::sync::mpsc`, or
@@ -36,9 +36,18 @@
 //!    numbers the benchmark records. No escape hatch — blocking
 //!    belongs in `executor.rs`.
 //!
+//! 5. **Written once.** The OS stack (`vfs`, `kernel`, `serve`, `nr`,
+//!    `drivers`, `net`, `vm`, `proto`) must not ask which backend it
+//!    runs on: `backend()`, `try_backend()` or `Backend::` in code
+//!    under their `src/`. A server that forks on the backend is two
+//!    servers, one of which the simulator's traces and the benchmark
+//!    never see; what differs between the backends belongs behind the
+//!    `rt` facade (`rt::ReplyBatch` is how a burst is answered on
+//!    both).
+//!
 //! Escape hatch: a comment containing `chanos-lint: allow` suppresses
-//! rules 1 and 2 for the rest of its blank-line-delimited paragraph —
-//! the comment is expected to say why.
+//! rules 1, 2 and 5 for the rest of its blank-line-delimited
+//! paragraph — the comment is expected to say why.
 //!
 //! Run from anywhere: `cargo run -p chanos-check --bin lint`.
 
@@ -136,6 +145,16 @@ fn code_only(line: &str) -> String {
     out
 }
 
+/// Crates written once against the `rt` facade (rule 5): their
+/// `crates/<name>/src`.
+const WRITTEN_ONCE: &[&str] = &[
+    "vfs", "kernel", "serve", "nr", "drivers", "net", "vm", "proto",
+];
+
+/// Code patterns that ask which backend is running (rule 5);
+/// `try_backend()` is caught by the first.
+const BACKEND_FORK: &[&str] = &["backend()", "Backend::"];
+
 /// Files that must stay mutex-free (rule 4): the lock-free dispatch
 /// core. Matched as path suffixes under `crates/parchan/src/`.
 const MUTEX_FREE: &[&str] = &[
@@ -181,6 +200,101 @@ fn stat_literals(line: &str) -> Vec<String> {
     found
 }
 
+/// Runs every rule over one file (`rel` is its path from the
+/// workspace root, `/`-separated), appending to `findings`.
+fn lint_file(rel: &str, text: &str, registry: &[String], findings: &mut Vec<String>) {
+    let exempt = FACADE_EXEMPT.iter().any(|p| rel.starts_with(p));
+    // Paragraph-scoped state (reset at blank lines): has the
+    // current blank-line-delimited run seen an `ordering:` /
+    // `chanos-lint: allow` comment so far?
+    let ordering_scope = rel.starts_with("crates/parchan/src/");
+    let mutex_free = MUTEX_FREE.contains(&rel);
+    let written_once = rel
+        .strip_prefix("crates/")
+        .and_then(|r| r.split_once("/src/"))
+        .is_some_and(|(krate, _)| WRITTEN_ONCE.contains(&krate));
+    let mut ordering_covered = false;
+    let mut allowed = false;
+
+    for (idx, raw) in text.lines().enumerate() {
+        let lineno = idx + 1;
+        if raw.trim().is_empty() {
+            allowed = false;
+        } else if raw.contains("chanos-lint: allow") {
+            allowed = true;
+        }
+        let code = code_only(raw);
+
+        // Rule 1: facade bypass.
+        if !exempt && !allowed {
+            for (pat, why) in BYPASS {
+                if code.contains(pat) {
+                    findings.push(format!("{rel}:{lineno}: facade bypass `{pat}` — {why}"));
+                }
+            }
+        }
+
+        // Rule 2: stat literals must be registered.
+        if !allowed {
+            for lit in stat_literals(raw) {
+                if !registry.iter().any(|r| r == &lit) {
+                    findings.push(format!(
+                        "{rel}:{lineno}: stat literal \"{lit}\" not in \
+                         crates/check/stat_registry.txt — a typo'd name \
+                         records into a fresh counter nobody reads"
+                    ));
+                }
+            }
+        }
+
+        // Rule 4: the lock-free dispatch modules must not lock.
+        // Deliberately no `chanos-lint: allow` escape: the
+        // zero-lock fast path is an acceptance criterion, not a
+        // style preference.
+        if mutex_free {
+            for pat in LOCKING {
+                if code.contains(pat) {
+                    findings.push(format!(
+                        "{rel}:{lineno}: `{pat}` in a mutex-free scheduler \
+                         module — task dispatch (push/pop/steal, park \
+                         handshake) must stay lock-free; blocking belongs \
+                         in executor.rs"
+                    ));
+                }
+            }
+        }
+
+        // Rule 3: SeqCst needs an `ordering:` paragraph comment.
+        if ordering_scope {
+            if raw.trim().is_empty() {
+                ordering_covered = false;
+            } else if raw.contains("ordering:") {
+                ordering_covered = true;
+            } else if code.contains("SeqCst") && !ordering_covered {
+                findings.push(format!(
+                    "{rel}:{lineno}: bare `SeqCst` — state the invariant \
+                     in an `// ordering:` comment in this paragraph, or \
+                     downgrade the ordering"
+                ));
+            }
+        }
+
+        // Rule 5: the OS stack does not ask which backend it is on.
+        if written_once && !allowed {
+            for pat in BACKEND_FORK {
+                if code.contains(pat) {
+                    findings.push(format!(
+                        "{rel}:{lineno}: `{pat}` in the OS stack — a server is \
+                         written once; move what differs between the backends \
+                         behind the `rt` facade (`rt::ReplyBatch` answers a \
+                         burst on both)"
+                    ));
+                }
+            }
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let root = workspace_root();
     let registry_path = root.join("crates/check/stat_registry.txt");
@@ -205,81 +319,8 @@ fn main() -> ExitCode {
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        let Ok(text) = fs::read_to_string(path) else {
-            continue;
-        };
-        let lines: Vec<&str> = text.lines().collect();
-        let exempt = FACADE_EXEMPT.iter().any(|p| rel.starts_with(p));
-        // Paragraph-scoped state (reset at blank lines): has the
-        // current blank-line-delimited run seen an `ordering:` /
-        // `chanos-lint: allow` comment so far?
-        let ordering_scope = rel.starts_with("crates/parchan/src/");
-        let mutex_free = MUTEX_FREE.contains(&rel.as_str());
-        let mut ordering_covered = false;
-        let mut allowed = false;
-
-        for (idx, raw) in lines.iter().enumerate() {
-            let lineno = idx + 1;
-            if raw.trim().is_empty() {
-                allowed = false;
-            } else if raw.contains("chanos-lint: allow") {
-                allowed = true;
-            }
-            let code = code_only(raw);
-
-            // Rule 1: facade bypass.
-            if !exempt && !allowed {
-                for (pat, why) in BYPASS {
-                    if code.contains(pat) {
-                        findings.push(format!("{rel}:{lineno}: facade bypass `{pat}` — {why}"));
-                    }
-                }
-            }
-
-            // Rule 2: stat literals must be registered.
-            if !allowed {
-                for lit in stat_literals(raw) {
-                    if !registry.iter().any(|r| r == &lit) {
-                        findings.push(format!(
-                            "{rel}:{lineno}: stat literal \"{lit}\" not in \
-                             crates/check/stat_registry.txt — a typo'd name \
-                             records into a fresh counter nobody reads"
-                        ));
-                    }
-                }
-            }
-
-            // Rule 4: the lock-free dispatch modules must not lock.
-            // Deliberately no `chanos-lint: allow` escape: the
-            // zero-lock fast path is an acceptance criterion, not a
-            // style preference.
-            if mutex_free {
-                for pat in LOCKING {
-                    if code.contains(pat) {
-                        findings.push(format!(
-                            "{rel}:{lineno}: `{pat}` in a mutex-free scheduler \
-                             module — task dispatch (push/pop/steal, park \
-                             handshake) must stay lock-free; blocking belongs \
-                             in executor.rs"
-                        ));
-                    }
-                }
-            }
-
-            // Rule 3: SeqCst needs an `ordering:` paragraph comment.
-            if ordering_scope {
-                if raw.trim().is_empty() {
-                    ordering_covered = false;
-                } else if raw.contains("ordering:") {
-                    ordering_covered = true;
-                } else if code.contains("SeqCst") && !ordering_covered {
-                    findings.push(format!(
-                        "{rel}:{lineno}: bare `SeqCst` — state the invariant \
-                         in an `// ordering:` comment in this paragraph, or \
-                         downgrade the ordering"
-                    ));
-                }
-            }
+        if let Ok(text) = fs::read_to_string(path) {
+            lint_file(&rel, &text, &registry, &mut findings);
         }
     }
 
@@ -301,7 +342,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{code_only, stat_literals};
+    use super::{code_only, lint_file, stat_literals};
 
     #[test]
     fn code_only_strips_comments_and_string_contents() {
@@ -351,5 +392,33 @@ mod tests {
         );
         // A table-row string mentioning a counter is not a literal.
         assert!(stat_literals(r#""| sched.steals | {} |""#).is_empty());
+    }
+
+    #[test]
+    fn backend_fork_in_the_os_stack_is_a_finding() {
+        let fork = "let defer = rt::backend() == rt::Backend::Threads;\n";
+        let allowed = "// chanos-lint: allow — picks the device.\nmatch rt::backend() {}\n";
+        let lapsed = format!("{allowed}\nmatch rt::backend() {{}}\n");
+        for (rel, text, want) in [
+            ("crates/vfs/src/msgfs.rs", fork, 2),
+            (
+                "crates/proto/src/deadlock.rs",
+                "if try_backend().is_some() {}\n",
+                1,
+            ),
+            // The facade itself, and tests beside the stack, may ask.
+            ("crates/rt/src/lib.rs", fork, 0),
+            ("crates/vfs/tests/fs.rs", fork, 0),
+            // A comment or a string is not code.
+            ("crates/nr/src/lib.rs", "// not rt::backend() any more\n", 0),
+            ("crates/nr/src/lib.rs", "let s = \"Backend::Sim\";\n", 0),
+            // An allowed paragraph is covered to its blank line, no further.
+            ("crates/drivers/src/disk.rs", allowed, 0),
+            ("crates/drivers/src/disk.rs", &lapsed, 1),
+        ] {
+            let mut findings = Vec::new();
+            lint_file(rel, text, &[], &mut findings);
+            assert_eq!(findings.len(), want, "{rel}: {text:?} -> {findings:?}");
+        }
     }
 }

@@ -160,18 +160,29 @@ fn oneshot_mutant_recycle_skips_reset_caught() {
     );
 }
 
-// --- coalesce: scope flush vs concurrent park ---------------------------
+// --- coalesce: held wakes vs concurrent park, let go by flush or drop ----
 
 #[test]
 fn coalesce_verifies() {
-    let report = explorer().check(|| coalesce::coalesce_model(coalesce::Mutant::None, 2));
-    report.assert_ok();
+    for end in [coalesce::End::Flush, coalesce::End::Drop] {
+        let report =
+            explorer().check(move || coalesce::coalesce_model(coalesce::Mutant::None, 2, end));
+        report.assert_ok();
+    }
 }
 
 #[test]
-fn coalesce_mutant_scope_drops_wakes_caught() {
+fn coalesce_mutant_flush_drops_wakes_caught() {
     assert_caught(
-        || coalesce::coalesce_model(coalesce::Mutant::ScopeDropsWakes, 2),
+        || coalesce::coalesce_model(coalesce::Mutant::FlushDropsWakes, 2, coalesce::End::Flush),
+        &[FailureKind::Deadlock],
+    );
+}
+
+#[test]
+fn coalesce_mutant_drop_forgets_wakes_caught() {
+    assert_caught(
+        || coalesce::coalesce_model(coalesce::Mutant::DropForgetsWakes, 2, coalesce::End::Drop),
         &[FailureKind::Deadlock],
     );
 }
@@ -179,7 +190,13 @@ fn coalesce_mutant_scope_drops_wakes_caught() {
 #[test]
 fn coalesce_mutant_dedup_swallows_first_wake_caught() {
     assert_caught(
-        || coalesce::coalesce_model(coalesce::Mutant::DedupSwallowsFirstWake, 2),
+        || {
+            coalesce::coalesce_model(
+                coalesce::Mutant::DedupSwallowsFirstWake,
+                2,
+                coalesce::End::Flush,
+            )
+        },
         &[FailureKind::Deadlock],
     );
 }

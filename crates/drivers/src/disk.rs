@@ -324,6 +324,9 @@ pub fn install_disk(
     params: DiskParams,
     dev_core: CoreId,
 ) -> (DiskHw, Receiver<DiskIrq>) {
+    // chanos-lint: allow — choosing the device is the one thing a
+    // driver may ask the backend: the simulator models a disk, real
+    // threads have a real file.
     let backing = match rt::backend() {
         rt::Backend::Sim => DiskBacking::Memory,
         rt::Backend::Threads => DiskBacking::File,

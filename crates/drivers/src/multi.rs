@@ -9,7 +9,7 @@
 //! points, commands get clobbered or mis-tagged, and completions go
 //! missing. Experiment E5 counts the damage.
 
-use chanos_rt::{self as rt, channel, Capacity, CoreId, Receiver, Sender};
+use chanos_rt::{self as rt, channel, Capacity, CoreId, Receiver};
 use chanos_shmem::SimMutex;
 
 use crate::disk::{DiskClient, DiskError, DiskHw, DiskIrq, DiskOp, DiskReq};
@@ -187,7 +187,3 @@ pub async fn write_with_timeout(
         Ok(r) => Some(r),
     }
 }
-
-/// Send half of the shared request channel (used to build clients in
-/// tests).
-pub type DiskReqSender = Sender<DiskReq>;

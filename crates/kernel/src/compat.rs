@@ -44,16 +44,6 @@ impl<'e> CompatFile<'e> {
         self.env.read(self.fd, len).await
     }
 
-    /// Reads exactly `len` bytes, erroring on a short read.
-    pub async fn read_exact(&mut self, len: usize) -> Result<Vec<u8>, KError> {
-        let data = self.env.read(self.fd, len).await?;
-        if data.len() == len {
-            Ok(data)
-        } else {
-            Err(KError::Fs(chanos_vfs::FsError::Invalid))
-        }
-    }
-
     /// Writes all of `data` at the current offset.
     pub async fn write_all(&mut self, data: &[u8]) -> Result<(), KError> {
         let n = self.env.write(self.fd, data).await?;

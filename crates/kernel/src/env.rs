@@ -236,7 +236,7 @@ impl Env {
     ///
     /// On the message kernel this is FlexSC-style call batching: the
     /// process's kernel task wakes once, drains the burst with `recv_many`,
-    /// and answers under one coalesced reply wake. On the trap kernel
+    /// and answers it in order through one `ReplyBatch`. On the trap kernel
     /// there is no submission queue — which is the paper's point —
     /// so each call simply runs when first awaited.
     ///

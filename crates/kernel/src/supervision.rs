@@ -129,11 +129,15 @@ impl Supervisor {
             window,
             children,
         } = self;
+
+        // chanos-lint: allow — refuses an operation one backend cannot
+        // perform (killing a task); nothing is served differently.
         assert!(
             strategy == Strategy::OneForOne || rt::backend() == rt::Backend::Sim,
             "kill-based restart strategies ({strategy:?}) require the simulator backend; \
              real-thread tasks are cooperative and cannot be killed"
         );
+
         let handles: Arc<Mutex<Vec<Option<JoinHandle<()>>>>> = Arc::new(Mutex::new(
             children.iter().map(|c| Some((c.start)())).collect(),
         ));

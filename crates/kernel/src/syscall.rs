@@ -8,7 +8,11 @@
 //! kernel task of its own on a kernel core ([`MsgKernel::attach`]),
 //! which owns that process's fd table outright and answers its calls
 //! in order — so no locks exist anywhere on the path, and a call that
-//! waits on the file system delays only the process that made it.
+//! waits on the file system delays only the process that made it. The
+//! task drains its port in bursts and answers a burst through one
+//! [`ReplyBatch`]: the same loop on the simulator, where each answer
+//! is sent as it is produced, and on real threads, where a process
+//! with several outstanding calls is woken once for them.
 //!
 //! **Trap kernel** (the baseline): the conventional design. Each call
 //! pays a mode-switch in and out, runs the kernel code *on the
@@ -19,9 +23,11 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use chanos_rt::{self as rt, delay, port_channel, Capacity, CoreId, Cycles, Port, ReplyTo};
+use chanos_rt::{
+    self as rt, delay, port_channel, Capacity, CoreId, Cycles, Port, ReplyBatch, ReplyTo,
+};
 use chanos_shmem::SimMutex;
-use chanos_vfs::{FsError, Stat, Vfs};
+use chanos_vfs::{Stat, Vfs};
 
 use crate::types::{Fd, KError, Pid};
 
@@ -171,23 +177,30 @@ impl ProcState {
         fd
     }
 
-    async fn handle(&mut self, call: Syscall) {
+    /// Serves one call, answering through `replies`. A call that goes
+    /// to the file system may wait there for a disk, so what the burst
+    /// has answered so far is flushed first: a `GetPid` is never held
+    /// behind a cold read.
+    async fn handle(&mut self, call: Syscall, replies: &mut ReplyBatch) {
         delay(self.costs.syscall_cpu).await;
         rt::stat_incr("kernel.syscalls");
+        if !matches!(call, Syscall::GetPid { .. } | Syscall::Close { .. }) {
+            replies.flush();
+        }
         match call {
             Syscall::Open { path, reply, .. } => {
                 let out = match self.vfs.lookup(&path).await {
                     Ok(ino) => Ok(self.install(ino)),
                     Err(e) => Err(KError::Fs(e)),
                 };
-                let _ = reply.send(out).await;
+                replies.send(reply, out);
             }
             Syscall::Create { path, reply, .. } => {
                 let out = match self.vfs.create(&path).await {
                     Ok(ino) => Ok(self.install(ino)),
                     Err(e) => Err(KError::Fs(e)),
                 };
-                let _ = reply.send(out).await;
+                replies.send(reply, out);
             }
             Syscall::Read { fd, len, reply, .. } => {
                 let out = match self.files.get(&fd).cloned() {
@@ -201,7 +214,7 @@ impl ProcState {
                         Err(e) => Err(KError::Fs(e)),
                     },
                 };
-                let _ = reply.send(out).await;
+                replies.send(reply, out);
             }
             Syscall::Write {
                 fd, data, reply, ..
@@ -217,36 +230,36 @@ impl ProcState {
                         Err(e) => Err(KError::Fs(e)),
                     },
                 };
-                let _ = reply.send(out).await;
+                replies.send(reply, out);
             }
             Syscall::Close { fd, reply, .. } => {
                 let out = self.files.remove(&fd).map(|_| ()).ok_or(KError::BadFd);
-                let _ = reply.send(out).await;
+                replies.send(reply, out);
             }
             Syscall::Fstat { fd, reply, .. } => {
                 let out = match self.files.get(&fd) {
                     None => Err(KError::BadFd),
                     Some(of) => self.vfs.stat(of.ino).await.map_err(KError::Fs),
                 };
-                let _ = reply.send(out).await;
+                replies.send(reply, out);
             }
             Syscall::Mkdir { path, reply, .. } => {
                 let out = self.vfs.mkdir(&path).await.map(|_| ()).map_err(KError::Fs);
-                let _ = reply.send(out).await;
+                replies.send(reply, out);
             }
             Syscall::Unlink { path, reply, .. } => {
                 let out = self.vfs.unlink(&path).await.map_err(KError::Fs);
-                let _ = reply.send(out).await;
+                replies.send(reply, out);
             }
             Syscall::ReadDir { path, reply, .. } => {
                 let out = match self.vfs.readdir(&path).await {
                     Ok(entries) => Ok(entries.into_iter().map(|e| e.name).collect()),
                     Err(e) => Err(KError::Fs(e)),
                 };
-                let _ = reply.send(out).await;
+                replies.send(reply, out);
             }
             Syscall::GetPid { reply, .. } => {
-                let _ = reply.send(self.pid).await;
+                replies.send(reply, self.pid);
             }
         }
     }
@@ -258,17 +271,10 @@ impl ProcState {
 /// it when it exits.
 async fn proc_task(mut st: ProcState, rx: rt::Receiver<Syscall>) {
     // Drain bursts: one wakeup and one dispatch serve a whole batch of
-    // syscalls instead of one each.
+    // syscalls instead of one each, and a process with several
+    // outstanding calls is woken once for the answers.
     let mut batch = Vec::with_capacity(SYSCALL_BATCH);
-    // Real threads only: null syscalls split out of the burst and
-    // answered synchronously under one coalesced-wake scope, so a
-    // process with several outstanding calls is woken once for the
-    // whole batch (`chan.reply_wakes_coalesced`). The simulator keeps
-    // the strictly-in-order path: its wakeups are virtual events and
-    // its traces must not change.
-    let coalesce = rt::backend() == rt::Backend::Threads;
-    let mut quick: Vec<ReplyTo<Pid>> = Vec::new();
-    let mut rest: Vec<Syscall> = Vec::new();
+    let mut replies = ReplyBatch::default();
     loop {
         let n = rx.recv_many(&mut batch, SYSCALL_BATCH).await;
         if n == 0 {
@@ -276,29 +282,10 @@ async fn proc_task(mut st: ProcState, rx: rt::Receiver<Syscall>) {
         }
         rt::stat_incr("kernel.syscall_drains");
         rt::stat_add("kernel.syscall_batched", n as u64);
-        if coalesce {
-            for call in batch.drain(..) {
-                match call {
-                    Syscall::GetPid { reply, .. } => quick.push(reply),
-                    other => rest.push(other),
-                }
-            }
-            if !quick.is_empty() {
-                rt::stat_add("kernel.syscalls", quick.len() as u64);
-                rt::coalesce_replies(|| {
-                    for reply in quick.drain(..) {
-                        let _ = reply.send_now(st.pid);
-                    }
-                });
-            }
-            for call in rest.drain(..) {
-                st.handle(call).await;
-            }
-        } else {
-            for call in batch.drain(..) {
-                st.handle(call).await;
-            }
+        for call in batch.drain(..) {
+            st.handle(call, &mut replies).await;
         }
+        replies.flush();
     }
     rt::stat_incr("kernel.proc_tasks_exited");
 }
@@ -561,9 +548,4 @@ impl TrapKernel {
         self.exit().await;
         pid
     }
-}
-
-/// Convenience conversion used by engine-generic code.
-pub fn fs_err(e: FsError) -> KError {
-    KError::Fs(e)
 }

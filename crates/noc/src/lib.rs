@@ -54,11 +54,6 @@ impl Interconnect {
     pub fn topology(&self) -> &dyn Topology {
         self.topo.as_ref()
     }
-
-    /// The cost parameters.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
 }
 
 #[cfg(test)]

@@ -25,8 +25,9 @@
 //!   replica. The combiner drains a burst, reserves a log range with
 //!   one CAS, publishes the ops, commits the range in reservation
 //!   order, applies its own replica through the range, and answers
-//!   the burst under one coalesced reply wake — PR 6's batch-aware
-//!   server machinery, reused as a flat combiner.
+//!   the burst through one [`ReplyBatch`] (one wake per waiting
+//!   writer per burst on real threads) — the batch-aware server
+//!   machinery, reused as a flat combiner.
 //! * **Reads** perform **zero port round-trips**: the caller checks
 //!   the log tail against its local replica's applied index, catches
 //!   the replica up if behind (applying published entries in order),
@@ -50,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::task::{Context, Poll};
 
-use chanos_rt::{self as rt, port_channel, CallError, Capacity, CoreId, Port, ReplyTo};
+use chanos_rt::{self as rt, port_channel, CallError, Capacity, CoreId, Port, ReplyBatch, ReplyTo};
 
 // ---------------------------------------------------------------------------
 // The service trait.
@@ -339,48 +340,20 @@ struct WriteReq<S: NrService> {
 /// it folds into one log append).
 const NR_BATCH: usize = 32;
 
-/// Deferred reply publications for one drained batch (the msgfs
-/// idiom): each closure performs one `send_now`, flushed together
-/// under one coalesced-wake scope on real threads. On the simulator
-/// replies are sent inline in arrival order so traces stay unchanged.
-type ReplyFlush = Vec<Box<dyn FnOnce() + Send>>;
-
-async fn respond<T: Send + 'static>(reply: ReplyTo<T>, out: T, flush: Option<&mut ReplyFlush>) {
-    match flush {
-        Some(f) => f.push(Box::new(move || {
-            let _ = reply.send_now(out);
-        })),
-        None => {
-            let _ = reply.send(out).await;
-        }
-    }
-}
-
-fn flush_replies(flush: &mut ReplyFlush) {
-    if !flush.is_empty() {
-        rt::coalesce_replies(|| {
-            for publish in flush.drain(..) {
-                publish();
-            }
-        });
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Server tasks.
 // ---------------------------------------------------------------------------
 
 /// A replica's combiner: drains a burst of writes, appends the whole
 /// burst as **one** log append, applies its replica through the
-/// range, and answers the burst under one coalesced reply wake.
+/// range, and answers the burst through one [`ReplyBatch`].
 async fn combiner_task<S: NrService>(
     replica: Arc<Replica<S>>,
     log: Arc<Log<S::WriteOp>>,
     rx: rt::Receiver<WriteReq<S>>,
 ) {
-    let defer = rt::backend() == rt::Backend::Threads;
     let mut batch: Vec<WriteReq<S>> = Vec::with_capacity(NR_BATCH);
-    let mut flush: ReplyFlush = Vec::new();
+    let mut out = ReplyBatch::default();
     loop {
         let n = rx.recv_many(&mut batch, NR_BATCH).await;
         if n == 0 {
@@ -421,10 +394,9 @@ async fn combiner_task<S: NrService>(
         rt::stat_add("nr.append_ops", count);
         log.maybe_gc();
         for (reply, resp) in replies.drain(..).zip(resps.drain(..)) {
-            let f = defer.then_some(&mut flush);
-            respond(reply, resp, f).await;
+            out.send(reply, resp);
         }
-        flush_replies(&mut flush);
+        out.flush();
     }
 }
 

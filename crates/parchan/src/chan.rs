@@ -49,6 +49,15 @@
 //! one dispatch for the whole batch instead of one per message. The
 //! OS server loops (kernel tasks, vnode tasks, cache shards,
 //! drivers) drain through these.
+//!
+//! # Batched replies
+//!
+//! The other direction is a [`WakeBatch`]: a server answers a drained
+//! burst by publishing every reply at once while the batch holds the
+//! receiver *wakes*, one per distinct waiting task, and delivers them
+//! in one flush. The batch belongs to the server task, not to a
+//! thread or a closure, so the server may wait between two answers.
+//! [`Sender::try_send_many`] is the same thing for a submit burst.
 
 use crate::sync::{fence, Arc, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 use std::cell::UnsafeCell;
@@ -140,25 +149,25 @@ fn bump(c: &AtomicU64) {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    /// When `Some`, receiver wakes triggered by sends on this thread
-    /// are parked here (deduplicated by task) instead of delivered
-    /// immediately; the enclosing [`coalesce_wakes`] scope flushes
-    /// them on exit.
+    /// While a [`WakeBatch::hold`] runs on this thread: the batch's
+    /// buffer, where receiver wakes triggered by its sends are parked
+    /// (deduplicated by task) instead of delivered. `None` otherwise.
     static WAKE_SCOPE: std::cell::RefCell<Option<Vec<Waker>>> =
         const { std::cell::RefCell::new(None) };
 
-    /// The last scope's emptied waker buffer, kept for the next scope
-    /// on this thread: steady-state reply batching must not allocate
-    /// (the zero-alloc pipelined-call contract).
-    static WAKE_SCOPE_SPARE: std::cell::Cell<Option<Vec<Waker>>> =
-        const { std::cell::Cell::new(None) };
+    /// The batch [`Sender::try_send_many`] holds its burst's wakes in;
+    /// one per thread, so a warm submit allocates nothing (the
+    /// zero-alloc pipelined-call contract).
+    static SEND_MANY_WAKES: std::cell::Cell<WakeBatch> =
+        const { std::cell::Cell::new(WakeBatch { held: Vec::new() }) };
 }
 
-/// Delivers a receiver wake, honoring an active [`coalesce_wakes`]
-/// scope: inside a scope, wakes for the same task collapse into one
-/// (counted as `chan.reply_wakes_coalesced`) and everything flushes
-/// when the scope ends.
-fn deliver_recv_wake(w: Waker) {
+/// Delivers a receiver wake — a channel's, or a [`crate::oneshot`]
+/// completion — honoring an active [`WakeBatch::hold`]: inside one,
+/// wakes for the same task collapse into one (counted as
+/// `chan.reply_wakes_coalesced`) and wait for the batch's flush.
+pub(crate) fn deliver_recv_wake(w: Waker) {
+    bump(&RECV_WAKES);
     WAKE_SCOPE.with(|s| match &mut *s.borrow_mut() {
         Some(buf) => {
             if buf.iter().any(|q| q.will_wake(&w)) {
@@ -171,52 +180,59 @@ fn deliver_recv_wake(w: Waker) {
     });
 }
 
-/// Completion-side wake for the [`crate::oneshot`] slots: same
-/// counter and same [`coalesce_wakes`] scope handling as a channel's
-/// receiver wake, so servers that publish reply bursts inside a scope
-/// coalesce oneshot completions exactly like channel replies.
-pub(crate) fn deliver_reply_wake(w: Waker) {
-    bump(&RECV_WAKES);
-    deliver_recv_wake(w);
+/// Receiver wakes held back so that a burst of sends wakes each
+/// waiting task **once**: the reply-batching primitive. A server that
+/// drained a burst of requests publishes each answer inside
+/// [`hold`](WakeBatch::hold) and calls [`flush`](WakeBatch::flush)
+/// when the burst is answered, so a client with several outstanding
+/// replies is woken once for all of them (it would otherwise wake,
+/// find one reply, re-park, and repeat). Duplicate wakes avoided are
+/// counted as `chan.reply_wakes_coalesced`.
+///
+/// The messages are published at once; only the wakes wait. The
+/// batch is owned by the server task and may live across `.await`s
+/// and worker threads — it is the thread's wake target only while a
+/// `hold` runs. Dropping it fires what it still holds: a held wake
+/// that is never fired strands a parked peer forever.
+#[derive(Debug, Default)]
+pub struct WakeBatch {
+    held: Vec<Waker>,
 }
 
-/// Flushes the scope's collected wakes even if the closure panics (a
-/// swallowed wake would strand a parked peer forever).
-struct WakeScopeGuard {
-    prev: Option<Vec<Waker>>,
-}
-
-impl Drop for WakeScopeGuard {
-    fn drop(&mut self) {
-        let collected =
-            WAKE_SCOPE.with(|s| std::mem::replace(&mut *s.borrow_mut(), self.prev.take()));
-        if let Some(mut ws) = collected {
-            for w in ws.drain(..) {
-                w.wake();
+impl WakeBatch {
+    /// Runs `publish` — synchronous sends (`try_send`, a oneshot
+    /// `send`) — with the receiver wakes it triggers held in this
+    /// batch, one per distinct task.
+    pub fn hold<R>(&mut self, publish: impl FnOnce() -> R) -> R {
+        /// Takes the buffer back out of the thread's scope, also when
+        /// `publish` panics.
+        struct Installed<'a> {
+            batch: &'a mut WakeBatch,
+            outer: Option<Vec<Waker>>,
+        }
+        impl Drop for Installed<'_> {
+            fn drop(&mut self) {
+                let held = WAKE_SCOPE.with(|s| s.replace(self.outer.take()));
+                self.batch.held = held.unwrap_or_default();
             }
-            WAKE_SCOPE_SPARE.with(|s| s.set(Some(ws)));
+        }
+        let outer = WAKE_SCOPE.with(|s| s.replace(Some(std::mem::take(&mut self.held))));
+        let _installed = Installed { batch: self, outer };
+        publish()
+    }
+
+    /// Delivers the held wakes.
+    pub fn flush(&mut self) {
+        for w in self.held.drain(..) {
+            w.wake();
         }
     }
 }
 
-/// Runs `f` with receiver wakes coalesced: sends inside the scope
-/// that would wake a parked peer collect their wakers instead, one
-/// per distinct task, and deliver them when the scope exits.
-///
-/// This is the **reply-batching** primitive: a server that drained a
-/// burst of requests answers them all inside one scope, so a client
-/// with several outstanding replies is woken once for the whole
-/// batch instead of once per message (it would otherwise wake, find
-/// one reply, re-park, and repeat). Duplicate wakes avoided are
-/// counted as `chan.reply_wakes_coalesced`.
-///
-/// `f` must be synchronous (replies published with `try_send`); the
-/// scope is per-thread and must not span an `.await`.
-pub fn coalesce_wakes<R>(f: impl FnOnce() -> R) -> R {
-    let buf = WAKE_SCOPE_SPARE.with(|s| s.take()).unwrap_or_default();
-    let prev = WAKE_SCOPE.with(|s| s.borrow_mut().replace(buf));
-    let _guard = WakeScopeGuard { prev };
-    f()
+impl Drop for WakeBatch {
+    fn drop(&mut self) {
+        self.flush();
+    }
 }
 
 /// All channel counters: `(name, value)` pairs. The counters are
@@ -238,7 +254,7 @@ pub fn coalesce_wakes<R>(f: impl FnOnce() -> R) -> R {
 /// * `chan.send_many_calls` / `chan.send_many_msgs` — batched submits
 ///   ([`Sender::try_send_many`]) and the messages they enqueued.
 /// * `chan.reply_wakes_coalesced` — duplicate same-task wakes
-///   absorbed by a [`coalesce_wakes`] reply scope.
+///   absorbed by a [`WakeBatch`].
 pub fn chan_counters() -> Vec<(&'static str, u64)> {
     vec![
         ("chan.fast_sends", FAST_SENDS.load(Ordering::Relaxed)),
@@ -552,7 +568,9 @@ impl<T: Send> Sender<T> {
     /// Returns how many items were enqueued.
     pub fn try_send_many(&self, buf: &mut VecDeque<T>) -> usize {
         let mut n = 0usize;
-        coalesce_wakes(|| {
+        // Borrowed for the burst; a panic drops it, which flushes it.
+        let mut wakes = SEND_MANY_WAKES.take();
+        wakes.hold(|| {
             while let Some(v) = buf.pop_front() {
                 match self.try_send(v) {
                     Ok(()) => n += 1,
@@ -563,6 +581,8 @@ impl<T: Send> Sender<T> {
                 }
             }
         });
+        wakes.flush();
+        SEND_MANY_WAKES.set(wakes);
         if n > 0 {
             bump(&SEND_MANY_CALLS);
             SEND_MANY_MSGS.fetch_add(n as u64, Ordering::Relaxed);
@@ -785,7 +805,6 @@ struct State<T> {
 impl<T> State<T> {
     fn wake_one_recv(&mut self) {
         if let Some(w) = self.recv_waiters.pop_front() {
-            bump(&RECV_WAKES);
             deliver_recv_wake(w.waker);
         }
     }
@@ -1328,7 +1347,6 @@ impl<T> Ring<T> {
             e
         };
         if let Some(w) = w {
-            bump(&RECV_WAKES);
             deliver_recv_wake(w.waker);
         }
     }

@@ -50,8 +50,8 @@ mod sync;
 mod timer;
 
 pub use chan::{
-    chan_counter, chan_counters, channel, coalesce_wakes, Capacity, Receiver, RecvError, RecvFut,
-    SendError, SendFut, Sender, TryRecvError, TrySendError,
+    chan_counter, chan_counters, channel, Capacity, Receiver, RecvError, RecvFut, SendError,
+    SendFut, Sender, TryRecvError, TrySendError, WakeBatch,
 };
 pub use chanos_select::{choose, join2, join_all, race, select_all, Either};
 pub use executor::{

@@ -20,9 +20,9 @@
 //! out through [`SlotHandle::pair`], which is how a warm `rt::Port`
 //! reaches zero heap allocations per steady-state call.
 //!
-//! Completion wakes route through the same scope-aware delivery as
-//! channel receiver wakes, so [`crate::coalesce_wakes`] batches
-//! oneshot completions per peer exactly like channel replies.
+//! Completion wakes route through the same delivery as channel
+//! receiver wakes, so a [`crate::WakeBatch`] holds oneshot
+//! completions per peer exactly like channel replies.
 
 use crate::sync::{Arc, AtomicU8, Ordering};
 use std::any::Any;
@@ -31,7 +31,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
 
-use crate::chan::{deliver_reply_wake, RecvError};
+use crate::chan::{deliver_recv_wake, RecvError};
 
 /// Nothing has happened; the waker cell belongs to the receiver.
 const EMPTY: u8 = 0;
@@ -104,7 +104,7 @@ impl<T: Send> OneSender<T> {
             WAITING => {
                 // The swap transferred waker-cell ownership to us.
                 if let Some(w) = unsafe { (*slot.waker.get()).take() } {
-                    deliver_reply_wake(w);
+                    deliver_recv_wake(w);
                 }
                 Ok(())
             }
@@ -126,7 +126,7 @@ impl<T: Send> Drop for OneSender<T> {
         match slot.state.swap(TX_DROPPED, Ordering::AcqRel) {
             WAITING => {
                 if let Some(w) = unsafe { (*slot.waker.get()).take() } {
-                    deliver_reply_wake(w);
+                    deliver_recv_wake(w);
                 }
             }
             RX_DROPPED => slot.state.store(RX_DROPPED, Ordering::Release),

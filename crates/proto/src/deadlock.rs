@@ -112,6 +112,8 @@ thread_local! {
 static GLOBAL_REGISTRY: Mutex<Registry> = Mutex::new(Registry::empty());
 
 fn with_reg<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
+    // chanos-lint: allow — picks where the registry lives (shared
+    // across workers, or per simulation thread), not what it does.
     if chanos_rt::try_backend() == Some(Backend::Threads) {
         f(&mut plock(&GLOBAL_REGISTRY))
     } else {

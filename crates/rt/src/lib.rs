@@ -597,22 +597,6 @@ impl<T: Send + 'static> ReplyTo<T> {
             ReplyToImpl::Par(tx) => tx.send(value),
         }
     }
-
-    /// Sends the reply without suspending, consuming the endpoint.
-    ///
-    /// A reply endpoint always has room for its single reply, so this
-    /// never spuriously fails; it only returns the value when the
-    /// requester has gone away. This is the publish half of the
-    /// [`coalesce_replies`] burst pattern: servers answer a drained
-    /// batch synchronously so the wakes can be batched per peer.
-    pub fn send_now(self, value: T) -> Result<(), T> {
-        match self.0 {
-            ReplyToImpl::Sim(tx) => tx.try_send(value).map_err(|e| match e {
-                TrySendError::Full(v) | TrySendError::Closed(v) => v,
-            }),
-            ReplyToImpl::Par(tx) => tx.send(value),
-        }
-    }
 }
 
 impl<T: Send + 'static> std::fmt::Debug for ReplyTo<T> {
@@ -696,19 +680,46 @@ impl<T: Send + 'static> std::fmt::Debug for Reply<T> {
     }
 }
 
-/// Runs `f` with reply wakes coalesced on the threads backend: a
-/// server publishing a burst of replies (via [`ReplyTo::send_now`] /
-/// `try_send`) inside the scope wakes each waiting peer task once for
-/// the whole burst instead of once per message. Counted as
-/// `chan.reply_wakes_coalesced`.
+/// The answers to one drained burst of requests: what a batching
+/// server uses in place of [`ReplyTo::send`].
 ///
-/// `f` must be synchronous (no `.await`); on the simulator (where the
-/// executor is single-threaded and wakeups are virtual events) it
-/// simply runs `f`.
-pub fn coalesce_replies<R>(f: impl FnOnce() -> R) -> R {
-    match backend() {
-        Backend::Sim => f(),
-        Backend::Threads => par::coalesce_wakes(f),
+/// [`send`](ReplyBatch::send) publishes the value at once on both
+/// backends. On the simulator that is all there is: the reply is sent
+/// where it is produced, as its own send event, exactly as
+/// `reply.send(v).await` would. On real threads the batch keeps back
+/// the *wakes* — one per waiting task, however many of its calls were
+/// answered (`chan.reply_wakes_coalesced` counts the rest) — until
+/// [`flush`](ReplyBatch::flush), so a client with several outstanding
+/// calls is woken once per burst instead of once per reply.
+///
+/// The batch is owned by the server task and may be held across
+/// `.await`s. Flush before waiting on something slow, or the callers
+/// already answered wait with you; dropping the batch flushes it, so
+/// a server that returns mid-burst strands nobody.
+#[derive(Debug, Default)]
+pub struct ReplyBatch {
+    wakes: par::WakeBatch,
+}
+
+impl ReplyBatch {
+    /// Answers `reply` with `value` without suspending. A reply
+    /// endpoint always has room for its one reply; a requester that
+    /// has gone away is not an error to a server, so nothing comes
+    /// back.
+    pub fn send<T: Send + 'static>(&mut self, reply: ReplyTo<T>, value: T) {
+        match reply.0 {
+            ReplyToImpl::Sim(tx) => {
+                let _ = tx.try_send(value);
+            }
+            ReplyToImpl::Par(tx) => self.wakes.hold(|| {
+                let _ = tx.send(value);
+            }),
+        }
+    }
+
+    /// Wakes every task answered since the last flush.
+    pub fn flush(&mut self) {
+        self.wakes.flush();
     }
 }
 

@@ -10,7 +10,7 @@
 //!   before awaiting any (pipelining) and await them in any order.
 //! * [`Port::call_batch`] submits a slice of requests as one burst:
 //!   on real threads the server is woken **once** for the whole burst
-//!   (`chan.send_many_*`), composing with [`coalesce_replies`] on the
+//!   (`chan.send_many_*`), composing with a [`ReplyBatch`] on the
 //!   reply side; on the simulator each request is still charged as
 //!   its own send event, so traces stay deterministic.
 //! * [`Port::call_deferred`] + [`Port::submit`] split issue from
@@ -33,7 +33,7 @@
 //! and the drop is counted on [`Port::calls_cancelled`] and the
 //! ambient `port.calls_cancelled` statistic.
 //!
-//! [`coalesce_replies`]: crate::coalesce_replies
+//! [`ReplyBatch`]: crate::ReplyBatch
 
 use std::any::{Any, TypeId};
 use std::collections::{HashMap, VecDeque};
@@ -503,15 +503,6 @@ impl<Resp: Send + 'static> Call<Resp> {
             deadline: None,
             core: None,
         }
-    }
-
-    /// Resolves an already-available response (testing and immediate
-    /// completions).
-    pub fn ready(v: Resp) -> Call<Resp>
-    where
-        Resp: Send + 'static,
-    {
-        Call::from_future(std::future::ready(Ok(v)))
     }
 
     /// Resolves and recycles a finished `Waiting` reply: a delivered

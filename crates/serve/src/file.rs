@@ -9,13 +9,17 @@
 //! in it: a popular file asked for five times in a burst is read once
 //! and every reply is cut from that buffer, and because files sit
 //! back to back the driver, which sorts the burst, programs adjacent
-//! files as a single device command. On the threads backend that is
-//! real file I/O end-to-end.
+//! files as a single device command. The burst's answers go out
+//! through one [`ReplyBatch`]: a client with several gets in it is
+//! woken once. On the threads backend that is real file I/O
+//! end-to-end.
 
 use std::collections::HashMap;
 
 use chanos_drivers::{DiskClient, DiskError, BLOCK_SIZE};
-use chanos_rt::{self as rt, port_channel, Call, Capacity, Port, Priority, Receiver, ReplyTo};
+use chanos_rt::{
+    self as rt, port_channel, Call, Capacity, Port, Priority, Receiver, ReplyBatch, ReplyTo,
+};
 
 /// Requests served by the file server.
 pub enum FileReq {
@@ -91,6 +95,7 @@ type PlanEntry = (ReplyTo<Option<Vec<u8>>>, Option<(usize, usize)>);
 
 async fn serve_loop(disk: DiskClient, index: HashMap<String, IndexEntry>, rx: Receiver<FileReq>) {
     let mut buf: Vec<FileReq> = Vec::with_capacity(FILE_BATCH);
+    let mut replies = ReplyBatch::default();
     loop {
         buf.clear();
         if rx.recv_many(&mut buf, FILE_BATCH).await == 0 {
@@ -125,15 +130,14 @@ async fn serve_loop(disk: DiskClient, index: HashMap<String, IndexEntry>, rx: Re
         let blocks: u64 = extents.iter().map(|&(_, n)| u64::from(n)).sum();
         rt::stat_add("serve.file_blocks_read", blocks);
         rt::stat_add("serve.file_gets", plan.len() as u64);
-        rt::coalesce_replies(|| {
-            for (reply, meta) in plan {
-                let body = meta.and_then(|(slot, len)| {
-                    let bytes = files[slot].as_ref().ok()?;
-                    Some(bytes[..len].to_vec())
-                });
-                let _ = reply.send_now(body);
-            }
-        });
+        for (reply, meta) in plan {
+            let body = meta.and_then(|(slot, len)| {
+                let bytes = files[slot].as_ref().ok()?;
+                Some(bytes[..len].to_vec())
+            });
+            replies.send(reply, body);
+        }
+        replies.flush();
     }
 }
 

@@ -3,8 +3,8 @@
 //! The store is sharded: each shard is one server task that *owns*
 //! its `HashMap` (no shared state, no locks — the §3 discipline) and
 //! drains its [`Port`] in `recv_many` bursts, answering a whole
-//! burst under one [`chanos_rt::coalesce_replies`] so reply wakes
-//! coalesce. Keys hash to shards client-side; batch reads group by
+//! burst through one [`ReplyBatch`] so reply wakes coalesce. Keys
+//! hash to shards client-side; batch reads group by
 //! shard and go out as one `call_batch` per shard (one server wake
 //! per burst on real threads).
 //!
@@ -17,7 +17,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use chanos_rt::{self as rt, port_channel, Call, Capacity, Port, Priority, Receiver, ReplyTo};
+use chanos_rt::{
+    self as rt, port_channel, Call, Capacity, Port, Priority, Receiver, ReplyBatch, ReplyTo,
+};
 
 /// Requests served by one KV shard.
 pub enum KvReq {
@@ -83,6 +85,7 @@ pub fn spawn_kv(cfg: KvCfg) -> KvClient {
 async fn shard_loop(rx: Receiver<KvReq>) {
     let mut store: HashMap<u64, Vec<u8>> = HashMap::new();
     let mut buf: Vec<KvReq> = Vec::with_capacity(KV_BATCH);
+    let mut replies = ReplyBatch::default();
     loop {
         buf.clear();
         if rx.recv_many(&mut buf, KV_BATCH).await == 0 {
@@ -90,24 +93,23 @@ async fn shard_loop(rx: Receiver<KvReq>) {
         }
         rt::stat_incr("serve.kv_bursts");
         let (mut gets, mut sets, mut dels) = (0u64, 0u64, 0u64);
-        rt::coalesce_replies(|| {
-            for req in buf.drain(..) {
-                match req {
-                    KvReq::Get { key, reply } => {
-                        gets += 1;
-                        let _ = reply.send_now(store.get(&key).cloned());
-                    }
-                    KvReq::Set { key, val, reply } => {
-                        sets += 1;
-                        let _ = reply.send_now(store.insert(key, val).is_some());
-                    }
-                    KvReq::Del { key, reply } => {
-                        dels += 1;
-                        let _ = reply.send_now(store.remove(&key).is_some());
-                    }
+        for req in buf.drain(..) {
+            match req {
+                KvReq::Get { key, reply } => {
+                    gets += 1;
+                    replies.send(reply, store.get(&key).cloned());
+                }
+                KvReq::Set { key, val, reply } => {
+                    sets += 1;
+                    replies.send(reply, store.insert(key, val).is_some());
+                }
+                KvReq::Del { key, reply } => {
+                    dels += 1;
+                    replies.send(reply, store.remove(&key).is_some());
                 }
             }
-        });
+        }
+        replies.flush();
         rt::stat_add("serve.kv_gets", gets);
         rt::stat_add("serve.kv_sets", sets);
         rt::stat_add("serve.kv_dels", dels);

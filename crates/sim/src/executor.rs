@@ -849,13 +849,6 @@ impl Simulation {
         self.rc.borrow().real_cores
     }
 
-    /// Derives an independent, deterministically-seeded RNG for
-    /// workload generation (`stream` distinguishes consumers).
-    pub fn derive_rng(&self, stream: u64) -> Pcg32 {
-        let seed = self.rc.borrow().cfg.seed;
-        Pcg32::with_stream(seed, stream)
-    }
-
     /// Stores a value in the simulation's extension registry, keyed by
     /// type (used by higher layers to attach cost models).
     pub fn ext_insert<T: 'static>(&self, value: T) {

@@ -70,13 +70,6 @@ impl<S: BlockStore> FsCore<S> {
         Ok(fs)
     }
 
-    /// Opens an already-formatted volume.
-    pub async fn open_existing(store: S) -> Result<FsCore<S>, FsError> {
-        let block = store.read_block(0).await?;
-        let sb = Superblock::decode(&block).ok_or(FsError::NotAFilesystem)?;
-        Ok(FsCore { sb, store })
-    }
-
     /// The volume geometry.
     pub fn superblock(&self) -> &Superblock {
         &self.sb

@@ -25,8 +25,6 @@ pub enum FsError {
     NameTooLong,
     /// Malformed path or argument.
     Invalid,
-    /// The volume has no valid superblock.
-    NotAFilesystem,
     /// Underlying device error.
     Io(DiskError),
     /// A server in the file-system service went away.
@@ -46,7 +44,6 @@ impl std::fmt::Display for FsError {
             FsError::TooBig => write!(f, "file too large"),
             FsError::NameTooLong => write!(f, "file name too long"),
             FsError::Invalid => write!(f, "invalid argument"),
-            FsError::NotAFilesystem => write!(f, "not a chanos filesystem"),
             FsError::Io(e) => write!(f, "I/O error: {e}"),
             FsError::Gone => write!(f, "filesystem service unavailable"),
         }

@@ -59,12 +59,11 @@
 //! while `Ensure`/`Retire` flow through the shared operation log.
 //!
 //! Every hop is a typed [`Port`] call, so clients can pipeline
-//! requests into a server's batch drain. On real threads each server
-//! publishes a drained batch's replies under **one coalesced wake
-//! scope** (`chan.reply_wakes_coalesced`): a client with several
-//! outstanding calls against one vnode or group server is woken once
-//! per burst. The simulator keeps strictly-in-order inline replies,
-//! so its traces are unchanged.
+//! requests into a server's batch drain. Each server answers a drained
+//! burst through one [`ReplyBatch`], in arrival order: every reply is
+//! sent where it is produced, and on real threads a client with
+//! several outstanding calls against one vnode or group server is
+//! woken once per burst (`chan.reply_wakes_coalesced`).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,7 +71,7 @@ use std::sync::Arc;
 
 use chanos_drivers::DiskClient;
 use chanos_nr::{NrService, Replicated};
-use chanos_rt::{self as rt, port_channel, Capacity, CoreId, Port, ReplyTo};
+use chanos_rt::{self as rt, port_channel, Capacity, CoreId, Port, ReplyBatch, ReplyTo};
 
 use crate::core_fs::{check_name, split_parent, split_path, Allocator, FsCore, Stat};
 use crate::error::FsError;
@@ -320,98 +319,54 @@ impl Allocator for MsgAllocator {
 /// wakeup (group servers, vnode tasks).
 const FS_BATCH: usize = 32;
 
-/// Deferred reply publications for one drained batch: each closure
-/// performs one `send_now`, and the whole set flushes under a single
-/// [`rt::coalesce_replies`] scope (one wake per waiting peer per
-/// burst).
-type ReplyFlush = Vec<Box<dyn FnOnce() + Send>>;
-
-/// Publishes `out` on `reply`. With a flush buffer (real threads),
-/// the send is deferred to the batch's coalesced flush; without one
-/// (the simulator), it is sent inline in arrival order so sim traces
-/// stay unchanged.
-async fn respond<T: Send + 'static>(
-    reply: ReplyTo<T>,
-    out: T,
-    flush: &mut Option<&mut ReplyFlush>,
-) {
-    match flush {
-        Some(f) => f.push(Box::new(move || {
-            let _ = reply.send_now(out);
-        })),
-        None => {
-            let _ = reply.send(out).await;
-        }
-    }
-}
-
-/// Flushes a batch's deferred replies under one coalesced-wake scope.
-fn flush_replies(flush: &mut ReplyFlush) {
-    if !flush.is_empty() {
-        rt::coalesce_replies(|| {
-            for publish in flush.drain(..) {
-                publish();
-            }
-        });
-    }
-}
-
 /// One cylinder-group server: the only writer of the group's bitmaps
 /// and inode table (the blocks live in the cache shards). Drains
 /// request bursts so allocation storms cost one wakeup per batch, not
-/// one per message — and, on real threads, one *reply* wake per
-/// waiting peer per batch.
+/// one per message — and one *reply* wake per waiting peer per batch.
 async fn group_task(g: u64, core: FsCore<CacheClient>, rx: chanos_rt::Receiver<GroupMsg>) {
-    let defer = rt::backend() == rt::Backend::Threads;
     let mut batch = Vec::with_capacity(FS_BATCH);
-    let mut flush: ReplyFlush = Vec::new();
+    let mut replies = ReplyBatch::default();
     loop {
         let n = rx.recv_many(&mut batch, FS_BATCH).await;
         if n == 0 {
             break;
         }
         for msg in batch.drain(..) {
-            let mut f = defer.then_some(&mut flush);
-            group_handle(g, &core, msg, &mut f).await;
+            group_handle(g, &core, msg, &mut replies).await;
         }
-        flush_replies(&mut flush);
+        replies.flush();
     }
 }
 
-async fn group_handle(
-    g: u64,
-    core: &FsCore<CacheClient>,
-    msg: GroupMsg,
-    flush: &mut Option<&mut ReplyFlush>,
-) {
+async fn group_handle(g: u64, core: &FsCore<CacheClient>, msg: GroupMsg, replies: &mut ReplyBatch) {
     match msg {
         GroupMsg::AllocInode { kind, reply } => {
             let out = core.alloc_inode_in(g, kind).await;
-            respond(reply, out, flush).await;
+            replies.send(reply, out);
         }
         GroupMsg::ClearInode { ino, reply } => {
             let out = core.clear_inode(ino).await;
-            respond(reply, out, flush).await;
+            replies.send(reply, out);
         }
         GroupMsg::FreeInode { ino, reply } => {
             let out = core.free_inode_bit(ino).await;
-            respond(reply, out, flush).await;
+            replies.send(reply, out);
         }
         GroupMsg::AllocBlock { reply } => {
             let out = core.alloc_block_in(g).await;
-            respond(reply, out, flush).await;
+            replies.send(reply, out);
         }
         GroupMsg::FreeBlock { lba, reply } => {
             let out = core.free_block(lba).await;
-            respond(reply, out, flush).await;
+            replies.send(reply, out);
         }
         GroupMsg::ReadInode { ino, reply } => {
             let out = core.read_inode(ino).await;
-            respond(reply, out, flush).await;
+            replies.send(reply, out);
         }
         GroupMsg::WriteInode { ino, inode, reply } => {
             let out = core.write_inode(ino, &inode).await;
-            respond(reply, out, flush).await;
+            replies.send(reply, out);
         }
     }
 }
@@ -488,34 +443,29 @@ impl Vnode {
     /// `Condemn` reaps the inode (the rest of that burst is dropped
     /// unserved).
     async fn serve(mut self, rx: &chanos_rt::Receiver<VnodeMsg>) {
-        let defer = rt::backend() == rt::Backend::Threads;
         let mut batch = Vec::with_capacity(FS_BATCH);
-        let mut flush: ReplyFlush = Vec::new();
+        let mut replies = ReplyBatch::default();
         loop {
             let n = rx.recv_many(&mut batch, FS_BATCH).await;
             if n == 0 {
                 return;
             }
-            let mut reaped = false;
             for msg in batch.drain(..) {
-                let mut f = defer.then_some(&mut flush);
-                if self.handle(msg, &mut f).await.is_break() {
-                    reaped = true;
-                    break;
+                if self.handle(msg, &mut replies).await.is_break() {
+                    // The vnode thread exits with its inode; dropping
+                    // the batch flushes the reaping Condemn's reply
+                    // with the rest of the burst's.
+                    return;
                 }
             }
-            // The reaping Condemn's own reply flushes with the batch.
-            flush_replies(&mut flush);
-            if reaped {
-                return; // The vnode thread exits with its inode.
-            }
+            replies.flush();
         }
     }
 
     async fn handle(
         &mut self,
         msg: VnodeMsg,
-        flush: &mut Option<&mut ReplyFlush>,
+        replies: &mut ReplyBatch,
     ) -> std::ops::ControlFlow<()> {
         match msg {
             VnodeMsg::Read { off, len, reply } => {
@@ -524,7 +474,7 @@ impl Vnode {
                 } else {
                     self.shared.core.read_file(&self.inode, off, len).await
                 };
-                respond(reply, out, flush).await;
+                replies.send(reply, out);
             }
             VnodeMsg::Write { off, data, reply } => {
                 let out = if self.inode.kind == FileKind::Dir {
@@ -535,7 +485,7 @@ impl Vnode {
                         Err(e) => Err(e),
                     }
                 };
-                respond(reply, out, flush).await;
+                replies.send(reply, out);
             }
             VnodeMsg::Stat { reply } => {
                 let out = Ok(Stat {
@@ -544,7 +494,7 @@ impl Vnode {
                     size: self.inode.size,
                     nlink: self.inode.nlink,
                 });
-                respond(reply, out, flush).await;
+                replies.send(reply, out);
             }
             VnodeMsg::Lookup { name, reply } => {
                 let out = match self.entries().await {
@@ -554,19 +504,19 @@ impl Vnode {
                     },
                     Err(e) => Err(e),
                 };
-                respond(reply, out, flush).await;
+                replies.send(reply, out);
             }
             VnodeMsg::Create { name, kind, reply } => {
                 let out = self.create(name, kind).await;
-                respond(reply, out, flush).await;
+                replies.send(reply, out);
             }
             VnodeMsg::Unlink { name, reply } => {
                 let out = self.unlink(name).await;
-                respond(reply, out, flush).await;
+                replies.send(reply, out);
             }
             VnodeMsg::ReadDir { reply } => {
                 let out = self.shared.core.dir_list(&self.inode).await;
-                respond(reply, out, flush).await;
+                replies.send(reply, out);
             }
             VnodeMsg::Condemn { reply } => {
                 if self.inode.kind == FileKind::Dir {
@@ -576,7 +526,7 @@ impl Vnode {
                         Err(e) => Some(e),
                     };
                     if let Some(e) = refusal {
-                        respond(reply, Err(e), flush).await;
+                        replies.send(reply, Err(e));
                         return std::ops::ControlFlow::Continue(());
                     }
                 }
@@ -600,11 +550,11 @@ impl Vnode {
                     self.shared.retire_vnode(ino, self.task).await;
                     let _ = group.call(|reply| GroupMsg::FreeInode { ino, reply }).await;
                     rt::stat_incr("msgfs.vnodes_reaped");
-                    respond(reply, Ok(true), flush).await;
+                    replies.send(reply, Ok(true));
                     return std::ops::ControlFlow::Break(());
                 }
                 let out = self.store().await;
-                respond(reply, out.map(|()| false), flush).await;
+                replies.send(reply, out.map(|()| false));
             }
         }
         std::ops::ControlFlow::Continue(())
@@ -864,10 +814,9 @@ impl MsgFs {
 
     /// Pipelined stat burst against one vnode: issues `n` `Stat`
     /// calls as **one** submission burst and completes them together.
-    /// The vnode drains the burst with `recv_many` and (on real
-    /// threads) answers under one coalesced reply wake — the §3 RPC
-    /// pattern at full depth, used by tests and benches to exercise
-    /// the pipelined path.
+    /// The vnode drains the burst with `recv_many` and answers it
+    /// through one [`ReplyBatch`] — the §3 RPC pattern at full depth,
+    /// used by tests and benches to exercise the pipelined path.
     pub async fn stat_burst(&self, ino: u64, n: usize) -> Result<Vec<Stat>, FsError> {
         let vn = get_vnode(&self.shared, ino).await?;
         let calls = vn.call_batch((0..n).map(|_| |reply| VnodeMsg::Stat { reply }));

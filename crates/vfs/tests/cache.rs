@@ -55,7 +55,7 @@ impl DiskState {
                 } else {
                     Ok(data)
                 };
-                let _ = reply.send_now(out);
+                rt::ReplyBatch::default().send(reply, out);
             }
             Held::Write { lba, data, reply } => {
                 self.writes += 1;
@@ -65,7 +65,7 @@ impl DiskState {
                     self.blocks.insert(lba, data);
                     Ok(())
                 };
-                let _ = reply.send_now(out);
+                rt::ReplyBatch::default().send(reply, out);
             }
         }
     }

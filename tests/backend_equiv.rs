@@ -1053,6 +1053,230 @@ mod batch_aware_equiv {
 }
 
 // ---------------------------------------------------------------------------
+// ReplyBatch: a burst is answered by the same server code on both
+// backends — sent where produced on the simulator, one wake per peer
+// per flush on threads — whatever the server does between two answers.
+// ---------------------------------------------------------------------------
+
+mod reply_batch_equiv {
+    use super::*;
+    use chanos::kernel::{Fd, Pid};
+    use chanos::rt::{
+        self as rt, join2, join_all, port_channel, race, CallError, Capacity, Either, Receiver,
+        ReplyBatch, ReplyTo,
+    };
+
+    const BURST: u64 = 8;
+
+    /// Two response types in one burst.
+    enum MixedReq {
+        Double(u64, ReplyTo<u64>),
+        Name(u64, ReplyTo<String>),
+    }
+
+    /// Collects a whole burst of [`BURST`] calls, then answers it in
+    /// arrival order, waiting between every two answers. `batched`
+    /// answers through a [`ReplyBatch`]; the other spelling is the
+    /// reference, `reply.send(v).await`.
+    async fn mixed_server(rx: Receiver<MixedReq>, batched: bool) {
+        let mut burst = Vec::new();
+        let mut replies = ReplyBatch::default();
+        loop {
+            while burst.len() < BURST as usize {
+                if rx.recv_many(&mut burst, BURST as usize).await == 0 {
+                    return;
+                }
+            }
+            for req in burst.drain(..) {
+                match (req, batched) {
+                    (MixedReq::Double(x, reply), true) => replies.send(reply, 2 * x),
+                    (MixedReq::Name(x, reply), true) => replies.send(reply, format!("n{x}")),
+                    (MixedReq::Double(x, reply), false) => {
+                        let _ = reply.send(2 * x).await;
+                    }
+                    (MixedReq::Name(x, reply), false) => {
+                        let _ = reply.send(format!("n{x}")).await;
+                    }
+                }
+                rt::delay(40).await;
+            }
+            replies.flush();
+        }
+    }
+
+    /// One client, `rounds` bursts of 8 outstanding calls, alternating
+    /// the two response types; parked on all 8 while they are answered.
+    async fn mixed_script(batched: bool, rounds: usize) -> Vec<(Vec<u64>, Vec<String>)> {
+        let (port, rx) = port_channel::<MixedReq>(Capacity::Unbounded);
+        rt::spawn(mixed_server(rx, batched));
+        let mut out = Vec::new();
+        for _ in 0..rounds {
+            let (mut doubles, mut names) = (Vec::new(), Vec::new());
+            for i in 0..BURST {
+                if i % 2 == 0 {
+                    doubles.push(port.call(move |r| MixedReq::Double(i, r)));
+                } else {
+                    names.push(port.call(move |r| MixedReq::Name(i, r)));
+                }
+            }
+            let (d, n) = join2(join_all(doubles), join_all(names)).await;
+            out.push((
+                d.into_iter().map(|r| r.expect("double")).collect(),
+                n.into_iter().map(|r| r.expect("name")).collect(),
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn mixed_burst_with_awaits_between_answers_resolves_on_both_backends() {
+        let expect = (
+            vec![0, 4, 8, 12],
+            ["n1", "n3", "n5", "n7"].map(String::from).to_vec(),
+        );
+        let on_sim = |batched: bool| {
+            let mut s = Simulation::new(4);
+            let out = s.block_on(mixed_script(batched, 3)).unwrap();
+            (out, s.trace_hash())
+        };
+        let (sim_out, batched_trace) = on_sim(true);
+        assert_eq!(sim_out, vec![expect.clone(); 3]);
+        // Sent where produced: event for event the server written
+        // with `reply.send(v).await`.
+        let (reference_out, reference_trace) = on_sim(false);
+        assert_eq!(sim_out, reference_out);
+        assert_eq!(batched_trace, reference_trace);
+
+        let before = chanos::parchan::chan_counter("chan.reply_wakes_coalesced");
+        let rt = Runtime::new(2);
+        let thr_out = rt.block_on(mixed_script(true, 100));
+        rt.shutdown();
+        assert_eq!(thr_out, vec![expect; 100]);
+        let coalesced = chanos::parchan::chan_counter("chan.reply_wakes_coalesced") - before;
+        assert!(
+            coalesced > 0,
+            "a client parked on 8 answers must be woken fewer than 8 times (got +{coalesced})"
+        );
+    }
+
+    /// Each round's server answers the `Double`s of a burst through a
+    /// batch and returns without flushing it, dropping the `Name`s
+    /// unanswered — a vnode reaped mid-burst. The `Double`s' caller is
+    /// a task of its own, so nothing but the batch's `Drop` can wake
+    /// it; the `Name`s' caller must see the server gone.
+    async fn dropped_batch_script(rounds: usize) -> Vec<(Vec<u64>, Vec<CallError>)> {
+        let mut out = Vec::new();
+        for _ in 0..rounds {
+            let (port, rx) = port_channel::<MixedReq>(Capacity::Unbounded);
+            rt::spawn(async move {
+                let mut burst = Vec::new();
+                while burst.len() < BURST as usize {
+                    if rx.recv_many(&mut burst, BURST as usize).await == 0 {
+                        return;
+                    }
+                }
+                rx.close();
+                let mut replies = ReplyBatch::default();
+                for req in burst.drain(..) {
+                    if let MixedReq::Double(x, reply) = req {
+                        replies.send(reply, 2 * x);
+                        rt::delay(40).await;
+                    }
+                }
+            });
+            let names = port.clone();
+            let refused = rt::spawn(async move {
+                let calls = (0..BURST / 2).map(|i| names.call(move |r| MixedReq::Name(i, r)));
+                join_all(calls.collect()).await
+            });
+            let calls = (0..BURST / 2).map(|i| port.call(move |r| MixedReq::Double(i, r)));
+            let doubled = match race(join_all(calls.collect()), rt::sleep(20_000_000_000)).await {
+                Either::Left(results) => results,
+                Either::Right(()) => panic!("callers answered through a dropped batch never woke"),
+            };
+            let refused = refused.join().await.expect("names task");
+            out.push((
+                doubled.into_iter().map(|r| r.expect("double")).collect(),
+                refused
+                    .into_iter()
+                    .map(|r| r.expect_err("name was answered"))
+                    .collect(),
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn batch_dropped_unflushed_still_wakes_its_callers_on_both_backends() {
+        let expect = (vec![0, 2, 4, 6], vec![CallError::ServerGone; 4]);
+        let mut s = Simulation::new(4);
+        assert_eq!(
+            s.block_on(dropped_batch_script(3)).unwrap(),
+            vec![expect.clone(); 3]
+        );
+        let rt = Runtime::new(2);
+        let thr_out = rt.block_on(dropped_batch_script(100));
+        rt.shutdown();
+        assert_eq!(thr_out, vec![expect; 100]);
+    }
+
+    /// One submitted batch `[open, getpid, read, getpid, close]`: the
+    /// kernel task answers it in order, so the read finds the fd the
+    /// open installed, on both backends.
+    async fn mixed_syscall_batch_script() -> (Vec<String>, u64) {
+        let os = boot(cfg()).await;
+        let env = os.procs.env();
+        let fd = env.create("/mixed").await.expect("create");
+        env.write(fd, b"in arrival order").await.expect("write");
+        env.close(fd).await.expect("close");
+        // Fd numbers are per process and never reused.
+        let next = Fd(fd.0 + 1);
+        let before = rt::stat_get("kernel.syscalls");
+        let mut b = env.batch();
+        let opened = b.open("/mixed");
+        let pid1 = b.getpid();
+        let data = b.read(next, 5);
+        let pid2 = b.getpid();
+        let closed = b.close(next);
+        b.submit().await;
+        let results = vec![
+            format!("{:?}", opened.await),
+            format!("{:?}", pid1.await),
+            format!("{:?}", data.await),
+            format!("{:?}", pid2.await),
+            format!("{:?}", closed.await),
+        ];
+        assert_eq!(
+            results[0],
+            format!("{:?}", Ok::<_, CallError>(Ok::<_, KError>(next)))
+        );
+        assert_eq!(results[1], format!("{:?}", Ok::<Pid, CallError>(env.pid)));
+        (results, rt::stat_get("kernel.syscalls") - before)
+    }
+
+    #[test]
+    fn mixed_syscall_batch_is_answered_in_order_on_both_backends() {
+        let mut s = Simulation::with_config(Config {
+            cores: 6,
+            ..Config::default()
+        });
+        let (sim_out, sim_syscalls) = s.block_on(mixed_syscall_batch_script()).unwrap();
+        let rt = Runtime::new(3);
+        let (thr_out, thr_syscalls) = rt.block_on(mixed_syscall_batch_script());
+        rt.shutdown();
+        assert_eq!(
+            sim_out[2],
+            format!(
+                "{:?}",
+                Ok::<_, CallError>(Ok::<_, KError>(b"in ar".to_vec()))
+            )
+        );
+        assert_eq!(sim_out, thr_out);
+        assert_eq!((sim_syscalls, thr_syscalls), (5, 5));
+    }
+}
+
+// ---------------------------------------------------------------------------
 // MsgFs reply-wake coalescing: a pipelined vnode burst on the threads
 // backend wakes the waiting client once per batch, not once per reply.
 // ---------------------------------------------------------------------------
@@ -1075,8 +1299,7 @@ fn vnode_stat_burst_coalesces_reply_wakes_on_threads() {
         let ino = fs.lookup("/burst/f").await.unwrap();
         // Many pipelined bursts: each submits 8 Stat calls as one
         // message burst against the same vnode; the vnode drains them
-        // with recv_many and flushes the replies under one coalesced
-        // wake scope.
+        // with recv_many and answers them through one ReplyBatch.
         for _ in 0..200 {
             let stats = fs.stat_burst(ino, 8).await.unwrap();
             assert_eq!(stats.len(), 8);
