@@ -3,8 +3,8 @@
 //!
 //! The crates this workspace stacks on top of `parchan` all ride on
 //! roughly 4k lines of hand-rolled lock-free code: the Vyukov ring
-//! and spill path in `chan.rs`, the oneshot CAS waker slots and
-//! recycling pool, and the executor's Dekker-style spin-then-park.
+//! and spill path in `chan.rs`, the oneshot CAS waker slots, and the
+//! executor's Dekker-style spin-then-park.
 //! Stress tests *sample* that state space; this crate *enumerates*
 //! it (up to a preemption bound) and proves schedule-level protocol
 //! properties — no lost wakes, no double resolve, no deadlock, model

@@ -1,9 +1,8 @@
-//! Model of the oneshot slot's CAS waker claim / resolve / drop /
-//! recycle protocol.
+//! Model of the oneshot slot's CAS waker claim / resolve / drop
+//! protocol.
 //!
 //! mirrors: `parchan/src/oneshot.rs` — `OneSender::send`,
-//! `OneReceiver::poll_recv`, `drop_receiver_side`,
-//! `OneReceiver::recycle`.
+//! `OneSender::drop`, `OneReceiver::poll_recv`, `OneReceiver::drop`.
 //!
 //! The real slot keeps `value` and `waker` in `UnsafeCell`s whose
 //! ownership is decided by the `state` atomic alone; the model keeps
@@ -38,9 +37,6 @@ pub enum Mutant {
     /// The sender swaps to `SENT` *before* writing the value cell:
     /// the receiver can observe `SENT` and take an empty cell.
     PublishAfterSwap,
-    /// `recycle` skips resetting the state word: the next user of the
-    /// pooled slot sees a stale terminal state.
-    RecycleSkipsReset,
 }
 
 /// The model slot (see module docs for the cell encoding).
@@ -193,7 +189,7 @@ impl MSlot {
         }
     }
 
-    /// `drop_receiver_side`.
+    /// `OneReceiver::drop`.
     pub fn drop_receiver(&self) {
         match self.state.swap(RX_DROPPED, Ordering::AcqRel) {
             SENT => {
@@ -207,44 +203,19 @@ impl MSlot {
             _ => {}
         }
     }
-
-    /// `OneReceiver::recycle` once the sender half is finished:
-    /// requires a terminal state and resets the slot for reuse.
-    pub fn recycle(&self, mutant: Mutant) {
-        let s = self.state.load(Ordering::Acquire);
-        assert!(
-            matches!(s, TAKEN | TX_DROPPED),
-            "recycled a live slot (state {s})"
-        );
-        self.value.store(0, Ordering::Relaxed);
-        self.waker.store(0, Ordering::Relaxed);
-        if mutant != Mutant::RecycleSkipsReset {
-            self.state.store(EMPTY, Ordering::Release);
-        }
-    }
 }
 
-/// Send vs. receive race, then recycle and a second round on the same
-/// slot (the pooled-call fast path): both rounds must deliver their
-/// value exactly once, in every interleaving.
-pub fn oneshot_send_recv_recycle_model(mutant: Mutant) {
+/// Send vs. receive race: the value is delivered exactly once, in
+/// every interleaving.
+pub fn oneshot_send_recv_model(mutant: Mutant) {
     let slot = Arc::new(MSlot::new());
     let s2 = slot.clone();
-    let me = 0; // model root is the receiver
     let sender = thread::spawn(move || {
         s2.send(7, mutant).expect("receiver is live");
     });
-    let got = slot.recv_blocking(me, mutant);
-    assert_eq!(got, Ok(7), "round 1 lost its value");
-    sender.join();
-    slot.recycle(mutant);
-    // Round 2 on the recycled slot.
-    let s3 = slot.clone();
-    let sender = thread::spawn(move || {
-        s3.send(9, mutant).expect("receiver is live");
-    });
-    let got = slot.recv_blocking(me, mutant);
-    assert_eq!(got, Ok(9), "round 2 on the recycled slot lost its value");
+    // The model root is the receiver.
+    let got = slot.recv_blocking(0, mutant);
+    assert_eq!(got, Ok(7), "the receiver lost its value");
     sender.join();
 }
 
@@ -262,7 +233,7 @@ pub fn oneshot_tx_drop_model(mutant: Mutant) {
 }
 
 /// Receiver-drop vs. send race: the send either lands in a slot the
-/// receiver abandoned (value reclaimed by `drop_receiver_side`) or
+/// receiver abandoned (value reclaimed by `OneReceiver::drop`) or
 /// comes back as `Err`; the cells end up empty either way.
 pub fn oneshot_rx_drop_model(mutant: Mutant) {
     let slot = Arc::new(MSlot::new());

@@ -103,12 +103,11 @@ fn parking_relaxed_dekker_verifies_under_sc() {
     report.assert_ok();
 }
 
-// --- oneshot: CAS waker claim vs resolve vs drop vs recycle -------------
+// --- oneshot: CAS waker claim vs resolve vs drop ------------------------
 
 #[test]
-fn oneshot_send_recv_recycle_verifies() {
-    let report =
-        explorer().check(|| oneshot::oneshot_send_recv_recycle_model(oneshot::Mutant::None));
+fn oneshot_send_recv_verifies() {
+    let report = explorer().check(|| oneshot::oneshot_send_recv_model(oneshot::Mutant::None));
     report.assert_ok();
 }
 
@@ -129,7 +128,17 @@ fn oneshot_mutant_repoll_store_caught() {
     // Clobbering SENT with a plain store loses the value: the
     // receiver re-parks and nobody is left to wake it.
     assert_caught(
-        || oneshot::oneshot_send_recv_recycle_model(oneshot::Mutant::RepollStoreNotCas),
+        || oneshot::oneshot_send_recv_model(oneshot::Mutant::RepollStoreNotCas),
+        &[FailureKind::Deadlock],
+    );
+}
+
+#[test]
+fn oneshot_mutant_repoll_store_caught_via_tx_drop() {
+    // The same store can clobber TX_DROPPED: the receiver parks on a
+    // slot whose sender is already gone.
+    assert_caught(
+        || oneshot::oneshot_tx_drop_model(oneshot::Mutant::RepollStoreNotCas),
         &[FailureKind::Deadlock],
     );
 }
@@ -137,7 +146,7 @@ fn oneshot_mutant_repoll_store_caught() {
 #[test]
 fn oneshot_mutant_publish_after_swap_caught() {
     assert_caught(
-        || oneshot::oneshot_send_recv_recycle_model(oneshot::Mutant::PublishAfterSwap),
+        || oneshot::oneshot_send_recv_model(oneshot::Mutant::PublishAfterSwap),
         &[FailureKind::Panic],
     );
 }
@@ -148,14 +157,6 @@ fn oneshot_mutant_publish_after_swap_caught_via_rx_drop() {
     // a concurrently dropping receiver.
     assert_caught(
         || oneshot::oneshot_rx_drop_model(oneshot::Mutant::PublishAfterSwap),
-        &[FailureKind::Panic],
-    );
-}
-
-#[test]
-fn oneshot_mutant_recycle_skips_reset_caught() {
-    assert_caught(
-        || oneshot::oneshot_send_recv_recycle_model(oneshot::Mutant::RecycleSkipsReset),
         &[FailureKind::Panic],
     );
 }

@@ -17,6 +17,10 @@
 //! * [`Capacity::Unbounded`] — non-blocking send ("easier to use and,
 //!   being less synchronous, probably faster").
 //!
+//! [`Capacity`] and the error types are `chanos_select::vocab`'s — the
+//! same types `chanos-parchan` and `chanos-rt` export, so a value
+//! crosses the facade as itself.
+//!
 //! # Cancel-safety (the `choose!` contract)
 //!
 //! `recv()` commits (dequeues) only in the poll that returns `Ready`,
@@ -41,58 +45,7 @@ use crate::config::CspRuntime;
 
 use chanos_sim::plock;
 
-/// Buffering discipline of a channel (§3's send-semantics choices).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Capacity {
-    /// No buffer: send blocks until a receiver takes the value.
-    Rendezvous,
-    /// Buffer of the given depth; send blocks when full.
-    Bounded(usize),
-    /// Unlimited buffer: send never blocks.
-    Unbounded,
-}
-
-/// Error returned by `send`: the value comes back to the caller.
-#[derive(Debug, PartialEq, Eq)]
-pub enum SendError<T> {
-    /// The channel was closed, or every receiver was dropped.
-    Closed(T),
-}
-
-impl<T> SendError<T> {
-    /// Recovers the unsent value.
-    pub fn into_inner(self) -> T {
-        match self {
-            SendError::Closed(v) => v,
-        }
-    }
-}
-
-/// Error returned by `recv`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvError {
-    /// The channel is closed and drained.
-    Closed,
-}
-
-/// Error returned by `try_send`.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The channel cannot accept a message right now.
-    Full(T),
-    /// The channel was closed, or every receiver was dropped.
-    Closed(T),
-}
-
-/// Error returned by `try_recv`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// No message has arrived (the queue may hold in-flight messages
-    /// whose transit has not yet completed).
-    Empty,
-    /// The channel is closed and drained.
-    Closed,
-}
+pub use chanos_select::vocab::{Capacity, RecvError, SendError, TryRecvError, TrySendError};
 
 struct Msg<T> {
     value: T,

@@ -370,3 +370,11 @@ fn tty_writes_drain_at_per_byte_cost() {
     .unwrap();
     assert_eq!(s.stats().counter("tty.bytes_written"), 13);
 }
+
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn disk_request_layout_is_pinned() {
+    // The simulator charges a message `size_of::<T>()` bytes: a failure
+    // here means every modeled number is about to move.
+    assert_eq!(std::mem::size_of::<chanos_drivers::DiskReq>(), 56);
+}

@@ -800,3 +800,13 @@ fn kernel_state_of_exited_processes_is_reclaimed() {
     })
     .unwrap();
 }
+
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn syscall_message_layout_is_pinned() {
+    // The simulator charges a message `size_of::<T>()` bytes: a failure
+    // here means every modeled number is about to move.
+    // (`PidWrite` is the op of the pid table's NR write request.)
+    assert_eq!(std::mem::size_of::<chanos_kernel::Syscall>(), 64);
+    assert_eq!(std::mem::size_of::<chanos_kernel::pids::PidWrite>(), 40);
+}

@@ -505,3 +505,35 @@ impl<S: NrService> Replicated<S> {
             .await
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    struct Counter(u64);
+
+    impl NrService for Counter {
+        type ReadOp = ();
+        type ReadResp = u64;
+        type WriteOp = u64;
+        type WriteResp = u64;
+
+        fn read(&self, _: &()) -> u64 {
+            self.0
+        }
+
+        fn apply(&mut self, add: &u64) -> u64 {
+            self.0 += add;
+            self.0
+        }
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn write_request_layout_is_pinned() {
+        // The simulator charges a message `size_of::<T>()` bytes: a failure
+        // here means every modeled number is about to move.
+        // A combiner request is the op plus its reply endpoint.
+        assert_eq!(std::mem::size_of::<WriteReq<Counter>>(), 32);
+    }
+}

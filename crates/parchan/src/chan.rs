@@ -1,7 +1,8 @@
 //! MPMC channels over real threads, with the same semantics as the
 //! simulator channels: rendezvous / bounded / unbounded capacities,
 //! cancel-safe futures (usable as `choose!` arms), close on either
-//! side.
+//! side. [`Capacity`] and the error types are `chanos_select::vocab`'s
+//! — the same types `chanos-csp` and `chanos-rt` export.
 //!
 //! # Two cores, chosen by capacity
 //!
@@ -69,57 +70,7 @@ use std::task::{Context, Poll, Waker};
 
 use crate::executor::plock;
 
-/// Buffering discipline of a channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Capacity {
-    /// No buffer: send completes when a receiver takes the value.
-    Rendezvous,
-    /// Fixed-depth buffer with backpressure.
-    Bounded(usize),
-    /// Unlimited buffer: send never waits.
-    Unbounded,
-}
-
-/// Error returned by `send`; the value comes back.
-#[derive(Debug, PartialEq, Eq)]
-pub enum SendError<T> {
-    /// Channel closed or all receivers dropped.
-    Closed(T),
-}
-
-impl<T> SendError<T> {
-    /// Recovers the unsent value.
-    pub fn into_inner(self) -> T {
-        match self {
-            SendError::Closed(v) => v,
-        }
-    }
-}
-
-/// Error returned by `recv`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvError {
-    /// Channel closed and drained.
-    Closed,
-}
-
-/// Error returned by `try_send`; the value comes back.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The channel cannot accept a message right now.
-    Full(T),
-    /// Channel closed or all receivers dropped.
-    Closed(T),
-}
-
-/// Error returned by `try_recv`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// No message is ready.
-    Empty,
-    /// Channel closed and drained.
-    Closed,
-}
+pub use chanos_select::vocab::{Capacity, RecvError, SendError, TryRecvError, TrySendError};
 
 // ---------------------------------------------------------------------------
 // Fast-path / slow-path statistics (process-global, Relaxed).
@@ -156,8 +107,8 @@ thread_local! {
         const { std::cell::RefCell::new(None) };
 
     /// The batch [`Sender::try_send_many`] holds its burst's wakes in;
-    /// one per thread, so a warm submit allocates nothing (the
-    /// zero-alloc pipelined-call contract).
+    /// one per thread, so a warm submit allocates nothing
+    /// (`tests/zero_alloc.rs` counts the reply slots and nothing else).
     static SEND_MANY_WAKES: std::cell::Cell<WakeBatch> =
         const { std::cell::Cell::new(WakeBatch { held: Vec::new() }) };
 }

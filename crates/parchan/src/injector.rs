@@ -5,7 +5,7 @@
 //! An intrusive Treiber stack over `TaskCell::next_injected`: `push`
 //! leaks the `Arc` into a raw pointer and CASes it onto `head` —
 //! **zero allocation**, which is what keeps the warm pipelined-
-//! syscall path allocation-free (`tests/zero_alloc.rs`: every
+//! syscall path at one allocation a call (`tests/zero_alloc.rs`: every
 //! off-pool wake of the server task goes through here). Consumers
 //! take the *whole* stack with one `swap` and reverse it in place,
 //! so each take yields one FIFO **burst** (the "bucket" granularity:

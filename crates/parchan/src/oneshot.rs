@@ -1,5 +1,5 @@
-//! Poll-based oneshot completion slots: the allocation-free reply
-//! path under `chanos-rt`'s typed ports.
+//! Poll-based oneshot completion slots: the reply path under
+//! `chanos-rt`'s typed ports.
 //!
 //! A reply is not a channel. It carries exactly one value, exactly
 //! once, between exactly two parties — so the general MPMC machinery
@@ -15,17 +15,16 @@
 //!
 //! The receiver exposes **owned polling** ([`OneReceiver::poll_recv`])
 //! so a caller can embed completion state inline in its own future —
-//! no boxed resolver, no borrowed `RecvFut`. After resolving, the
-//! sole-owner slot can be [`OneReceiver::recycle`]d and handed back
-//! out through [`SlotHandle::pair`], which is how a warm `rt::Port`
-//! reaches zero heap allocations per steady-state call.
+//! no boxed resolver, no borrowed `RecvFut`. A slot serves one
+//! completion: it is allocated by [`oneshot`] and freed when both
+//! halves are gone (§3's "fresh channel used to send the return value
+//! back").
 //!
 //! Completion wakes route through the same delivery as channel
 //! receiver wakes, so a [`crate::WakeBatch`] holds oneshot
 //! completions per peer exactly like channel replies.
 
 use crate::sync::{Arc, AtomicU8, Ordering};
-use std::any::Any;
 use std::cell::UnsafeCell;
 use std::future::Future;
 use std::pin::Pin;
@@ -82,7 +81,7 @@ pub fn oneshot<T: Send>() -> (OneSender<T>, OneReceiver<T>) {
         OneSender {
             slot: Some(slot.clone()),
         },
-        OneReceiver { slot: Some(slot) },
+        OneReceiver { slot },
     )
 }
 
@@ -135,11 +134,10 @@ impl<T: Send> Drop for OneSender<T> {
     }
 }
 
-/// The completion half: poll it in place ([`OneReceiver::poll_recv`]),
-/// await it (`impl Future`), and [`OneReceiver::recycle`] the slot
-/// once resolved.
+/// The completion half: poll it in place ([`OneReceiver::poll_recv`])
+/// or await it (`impl Future`).
 pub struct OneReceiver<T: Send> {
-    slot: Option<Arc<Slot<T>>>,
+    slot: Arc<Slot<T>>,
 }
 
 impl<T: Send> OneReceiver<T> {
@@ -150,7 +148,7 @@ impl<T: Send> OneReceiver<T> {
     ///
     /// Polling again after `Ready` is a caller bug.
     pub fn poll_recv(&mut self, cx: &mut Context<'_>) -> Poll<Result<T, RecvError>> {
-        let slot = self.slot.as_ref().expect("polled after recycle");
+        let slot = &self.slot;
         loop {
             match slot.state.load(Ordering::Acquire) {
                 SENT => {
@@ -196,53 +194,16 @@ impl<T: Send> OneReceiver<T> {
     pub async fn recv(self) -> Result<T, RecvError> {
         self.await
     }
-
-    /// The slot allocation's address — lets recycling tests assert a
-    /// reconnected pair really reuses the same memory.
-    pub fn slot_addr(&self) -> usize {
-        self.slot
-            .as_ref()
-            .map_or(0, |s| Arc::as_ptr(s) as *const () as usize)
-    }
-
-    /// Reclaims the slot for reuse. Succeeds only once the sender
-    /// half is gone (value delivered or sender dropped) and this
-    /// receiver is the slot's sole owner; otherwise the receiver is
-    /// dropped normally.
-    pub fn recycle(mut self) -> Option<SlotHandle<T>> {
-        let mut slot = self.slot.take()?;
-        match Arc::get_mut(&mut slot) {
-            Some(exclusive) => {
-                *exclusive.value.get_mut() = None;
-                *exclusive.waker.get_mut() = None;
-                *exclusive.state.get_mut() = EMPTY;
-                Some(SlotHandle { slot })
-            }
-            None => {
-                // Sender still live: fall back to drop semantics.
-                drop_receiver_side(&slot);
-                None
-            }
-        }
-    }
-}
-
-/// The receiver's share of the teardown protocol, used by both `Drop`
-/// and a failed [`OneReceiver::recycle`].
-fn drop_receiver_side<T: Send>(slot: &Slot<T>) {
-    match slot.state.swap(RX_DROPPED, Ordering::AcqRel) {
-        // Undelivered value: the swap handed us the value cell.
-        SENT => unsafe { *slot.value.get() = None },
-        // Our own parked waker: reclaim it.
-        WAITING => unsafe { *slot.waker.get() = None },
-        _ => {}
-    }
 }
 
 impl<T: Send> Drop for OneReceiver<T> {
     fn drop(&mut self) {
-        if let Some(slot) = self.slot.take() {
-            drop_receiver_side(&slot);
+        match self.slot.state.swap(RX_DROPPED, Ordering::AcqRel) {
+            // Undelivered value: the swap handed us the value cell.
+            SENT => unsafe { *self.slot.value.get() = None },
+            // Our own parked waker: reclaim it.
+            WAITING => unsafe { *self.slot.waker.get() = None },
+            _ => {}
         }
     }
 }
@@ -256,47 +217,6 @@ impl<T: Send> Future for OneReceiver<T> {
 }
 
 impl<T: Send> Unpin for OneReceiver<T> {}
-
-/// A reset, sole-owner slot reclaimed by [`OneReceiver::recycle`]:
-/// hand it back out with [`SlotHandle::pair`], or park it type-erased
-/// in a pool via [`SlotHandle::into_any`] / [`SlotHandle::from_any`].
-pub struct SlotHandle<T: Send> {
-    slot: Arc<Slot<T>>,
-}
-
-impl<T: Send> SlotHandle<T> {
-    /// Reconnects the recycled slot as a fresh oneshot pair — two
-    /// `Arc` clones, zero allocations.
-    pub fn pair(self) -> (OneSender<T>, OneReceiver<T>) {
-        (
-            OneSender {
-                slot: Some(self.slot.clone()),
-            },
-            OneReceiver {
-                slot: Some(self.slot),
-            },
-        )
-    }
-
-    /// See [`OneReceiver::slot_addr`].
-    pub fn slot_addr(&self) -> usize {
-        Arc::as_ptr(&self.slot) as *const () as usize
-    }
-}
-
-impl<T: Send + 'static> SlotHandle<T> {
-    /// Type-erases the slot for storage in a heterogeneous pool.
-    pub fn into_any(self) -> Arc<dyn Any + Send + Sync> {
-        self.slot
-    }
-
-    /// Recovers a typed handle from [`SlotHandle::into_any`] storage.
-    pub fn from_any(any: Arc<dyn Any + Send + Sync>) -> Option<SlotHandle<T>> {
-        any.downcast::<Slot<T>>()
-            .ok()
-            .map(|slot| SlotHandle { slot })
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -365,50 +285,5 @@ mod tests {
         let (tx, rx) = oneshot::<String>();
         drop(rx);
         assert_eq!(tx.send("lost".into()), Err("lost".into()));
-    }
-
-    #[test]
-    fn recycle_reuses_the_same_allocation() {
-        let (tx, mut rx) = oneshot::<u32>();
-        tx.send(1).unwrap();
-        let hits = Arc::new(AtomicUsize::new(0));
-        let w = count_waker(hits.clone());
-        let mut cx = Context::from_waker(&w);
-        assert_eq!(rx.poll_recv(&mut cx), Poll::Ready(Ok(1)));
-        let first = Arc::as_ptr(rx.slot.as_ref().unwrap());
-        let handle = rx.recycle().expect("sole owner after resolve");
-        let (tx2, mut rx2) = handle.pair();
-        assert_eq!(Arc::as_ptr(rx2.slot.as_ref().unwrap()), first);
-        tx2.send(2).unwrap();
-        assert_eq!(rx2.poll_recv(&mut cx), Poll::Ready(Ok(2)));
-    }
-
-    #[test]
-    fn recycle_fails_while_sender_is_live() {
-        let (tx, rx) = oneshot::<u32>();
-        // Can't recycle: the sender still holds the slot.
-        assert!(rx.recycle().is_none());
-        // And the failed recycle behaved as a receiver drop.
-        assert_eq!(tx.send(3), Err(3));
-    }
-
-    #[test]
-    fn type_erased_pool_round_trip() {
-        let (tx, rx) = oneshot::<u64>();
-        drop(tx);
-        let handle = rx.recycle().expect("sole owner");
-        let any = handle.into_any();
-        assert!(SlotHandle::<u32>::from_any(any.clone()).is_none());
-        let back = SlotHandle::<u64>::from_any(any).expect("same type");
-        let (tx2, rx2) = back.pair();
-        tx2.send(11).unwrap();
-        futures_ready(rx2, Ok(11));
-    }
-
-    fn futures_ready(mut rx: OneReceiver<u64>, want: Result<u64, RecvError>) {
-        let hits = Arc::new(AtomicUsize::new(0));
-        let w = count_waker(hits);
-        let mut cx = Context::from_waker(&w);
-        assert_eq!(rx.poll_recv(&mut cx), Poll::Ready(want));
     }
 }

@@ -1,5 +1,5 @@
 //! Randomized cross-thread stress for the intrusive oneshot slot
-//! behind the allocation-free `Call` path.
+//! behind `rt::Call`.
 //!
 //! Invariants checked on every run:
 //!
@@ -8,8 +8,6 @@
 //! * **Exactly-once resolution** — every payload is dropped exactly
 //!   once, whether it was received, discarded by a receiver-side
 //!   drop, or bounced back to the sender.
-//! * **Recycling is sound** — a resolved slot reconnects to the same
-//!   allocation, and a slot with a live peer refuses to recycle.
 //!
 //! The interleavings are PCG-driven so failures are reproducible from
 //! the seed baked into each test.
@@ -186,49 +184,4 @@ fn racing_completion_and_drops_resolve_exactly_once() {
             drops.load(Ordering::SeqCst),
         );
     }
-}
-
-#[test]
-fn recycled_slot_reuses_the_allocation_under_racing_senders() {
-    let mut rng = Pcg::new(0xCAFE, 4);
-    let (tx, rx) = oneshot::<u32>();
-    let first = rx.slot_addr();
-    let mut pair = Some((tx, rx));
-    for i in 0..2_000u32 {
-        let (tx, mut rx) = pair.take().expect("live pair");
-        let delay = rng.below(100);
-        let sends = rng.below(8) != 0;
-        let rx = thread::scope(|s| {
-            s.spawn(move || {
-                spin(delay);
-                if sends {
-                    let _ = tx.send(i);
-                } else {
-                    drop(tx);
-                }
-            });
-            let got = block_on(&mut rx);
-            assert_eq!(got.is_ok(), sends);
-            if let Ok(v) = got {
-                assert_eq!(v, i);
-            }
-            rx
-        });
-        // The scope joined the sender, so its `Arc` clone is gone and
-        // the receiver is the slot's sole owner.
-        let h = rx.recycle().expect("resolved slot must recycle");
-        assert_eq!(
-            h.slot_addr(),
-            first,
-            "recycle round {i} moved to a new allocation"
-        );
-        pair = Some(h.pair());
-    }
-}
-
-#[test]
-fn recycle_refuses_while_the_sender_is_live() {
-    let (tx, rx) = oneshot::<u32>();
-    assert!(rx.recycle().is_none(), "sender still holds the slot");
-    drop(tx);
 }

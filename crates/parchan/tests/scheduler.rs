@@ -1,10 +1,11 @@
 //! Scheduler regression and stress tests: work stealing, pinning,
-//! shutdown reaping, timer-heap boundedness, watch-waiter pruning.
+//! shutdown reaping, timer-heap boundedness, watch-waiter pruning, and
+//! the three dispatch fairness rules (no queue starves another).
 
 use std::collections::HashSet;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Wake, Waker};
 use std::time::Duration;
@@ -530,6 +531,149 @@ fn high_priority_wake_routing_and_counters() {
     assert!(
         h.stat_get("sched.priority_bursts") >= 1,
         "no dispatch ever claimed the high lane"
+    );
+    rt.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch fairness: each test runs on one worker, so the starved task
+// has nobody else to run it, and fails with its rule taken out of
+// `find_task`.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn lifo_ping_pong_does_not_starve_the_ring() {
+    // `LIFO_CAP`. Two tasks rally: each send wakes the peer into the
+    // LIFO slot, so the slot is occupied at every dispatch. A third
+    // task sits in the ring behind them; only the cap on consecutive
+    // LIFO polls gives it a turn before the rally is over.
+    const ROUNDS: u64 = 10_000;
+    let rt = Runtime::new(1);
+    let ping = rt.spawn(async {
+        let hd = chanos_parchan::current().expect("on runtime");
+        let (to_pong, from_ping) = channel::<()>(Capacity::Unbounded);
+        let (to_ping, from_pong) = channel::<()>(Capacity::Unbounded);
+        let pong = hd.spawn(async move {
+            while from_ping.recv().await.is_ok() {
+                to_ping.send(()).await.expect("ping outlives the rally");
+            }
+        });
+        let rounds = Arc::new(AtomicU64::new(0));
+        let mut bystander = None;
+        for round in 0..ROUNDS {
+            rounds.store(round, Ordering::Relaxed);
+            if round == 3 {
+                // Spawned from the worker: into the LIFO slot, from
+                // which the send below displaces it into the ring.
+                let r = rounds.clone();
+                bystander = Some(hd.spawn(async move { r.load(Ordering::Relaxed) }));
+            }
+            to_pong.send(()).await.expect("pong is serving");
+            from_pong.recv().await.expect("pong answers");
+        }
+        drop(to_pong);
+        pong.join().await.expect("pong ok");
+        bystander
+            .expect("spawned")
+            .join()
+            .await
+            .expect("bystander ok")
+    });
+    let ran_at = ping.join_blocking().unwrap();
+    assert!(
+        ran_at < ROUNDS - 1,
+        "the ring task ran only once the LIFO rally was over"
+    );
+    rt.shutdown();
+}
+
+#[test]
+fn injected_task_runs_while_local_tasks_keep_yielding() {
+    // `INJECTOR_INTERVAL`. Two tasks re-queue themselves with
+    // `yield_now` for ever, so the worker's own queues never drain and
+    // it never goes searching. A task pushed to the injector from
+    // off-pool is reached only by the every-Nth-dispatch check. The
+    // yielders count dispatches from the push on, so the bound does
+    // not depend on how fast this thread gets to push.
+    const LIMIT: u64 = 100_000;
+    let rt = Runtime::new(1);
+    let pushed = Arc::new(AtomicBool::new(false));
+    let done = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(AtomicBool::new(false));
+    let (p, d, s) = (pushed.clone(), done.clone(), started.clone());
+    let locals = rt.spawn(async move {
+        let hd = chanos_parchan::current().expect("on runtime");
+        let yielders: Vec<_> = (0..2)
+            .map(|_| {
+                let (p, d) = (p.clone(), d.clone());
+                hd.spawn(async move {
+                    let mut after_push = 0u64;
+                    while !d.load(Ordering::Acquire) && after_push < LIMIT {
+                        if p.load(Ordering::Acquire) {
+                            after_push += 1;
+                        }
+                        yield_now().await;
+                    }
+                    after_push
+                })
+            })
+            .collect();
+        s.store(true, Ordering::Release);
+        let mut worst = 0;
+        for y in yielders {
+            worst = worst.max(y.join().await.expect("yielder ok"));
+        }
+        worst
+    });
+    while !started.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+    let injected = rt.spawn(async move { done.store(true, Ordering::Release) });
+    pushed.store(true, Ordering::Release);
+    injected.join_blocking().unwrap();
+    let worst = locals.join_blocking().unwrap();
+    assert!(
+        worst < LIMIT,
+        "the injected task ran only once the local tasks gave up"
+    );
+    rt.shutdown();
+}
+
+#[test]
+fn pinned_and_local_yielders_both_make_progress() {
+    // Pinned/local alternation. A pinned task and a local one each
+    // re-queue themselves for ever; with either queue always polled
+    // first the other never runs. Each stops once both have made
+    // `GOAL` polls, or gives up at `LIMIT`.
+    const GOAL: u64 = 100;
+    const LIMIT: u64 = 100_000;
+    async fn yielder(mine: Arc<AtomicU64>, other: Arc<AtomicU64>) -> u64 {
+        let mut polls = 0;
+        while polls < LIMIT && (polls < GOAL || other.load(Ordering::Relaxed) < GOAL) {
+            polls += 1;
+            mine.store(polls, Ordering::Relaxed);
+            yield_now().await;
+        }
+        polls
+    }
+    let rt = Runtime::new(1);
+    let both = rt.spawn(async {
+        let hd = chanos_parchan::current().expect("on runtime");
+        let pinned_polls = Arc::new(AtomicU64::new(0));
+        let local_polls = Arc::new(AtomicU64::new(0));
+        // Both are queued before either runs: this task holds the
+        // only worker until it awaits.
+        let pinned = hd.spawn_pinned(0, yielder(pinned_polls.clone(), local_polls.clone()));
+        let local = hd.spawn(yielder(local_polls, pinned_polls));
+        (
+            pinned.join().await.expect("pinned ok"),
+            local.join().await.expect("local ok"),
+        )
+    });
+    let (pinned, local) = both.join_blocking().unwrap();
+    assert!(
+        pinned < LIMIT && local < LIMIT,
+        "one queue starved the other: pinned {pinned} polls, local {local}"
     );
     rt.shutdown();
 }

@@ -45,6 +45,7 @@ use chanos_sim as sim;
 mod port;
 
 pub use chanos_parchan::Priority;
+pub use chanos_select::vocab::{Capacity, RecvError, SendError, TryRecvError, TrySendError};
 pub use chanos_select::{choose, join2, join_all, race, select_all, Either};
 pub use chanos_sim::{plock, CoreId, Cycles, Pcg32, TaskId};
 pub use port::{port_channel, Call, CallError, Port};
@@ -99,82 +100,6 @@ fn par_handle() -> par::Handle {
 }
 
 // ---------------------------------------------------------------------------
-// Capacity and error types (backend-neutral).
-// ---------------------------------------------------------------------------
-
-/// Buffering discipline of a channel (§3's send-semantics choices).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Capacity {
-    /// No buffer: send blocks until a receiver takes the value.
-    Rendezvous,
-    /// Buffer of the given depth; send blocks when full.
-    Bounded(usize),
-    /// Unlimited buffer: send never blocks.
-    Unbounded,
-}
-
-impl From<Capacity> for csp::Capacity {
-    fn from(c: Capacity) -> csp::Capacity {
-        match c {
-            Capacity::Rendezvous => csp::Capacity::Rendezvous,
-            Capacity::Bounded(n) => csp::Capacity::Bounded(n),
-            Capacity::Unbounded => csp::Capacity::Unbounded,
-        }
-    }
-}
-
-impl From<Capacity> for par::Capacity {
-    fn from(c: Capacity) -> par::Capacity {
-        match c {
-            Capacity::Rendezvous => par::Capacity::Rendezvous,
-            Capacity::Bounded(n) => par::Capacity::Bounded(n),
-            Capacity::Unbounded => par::Capacity::Unbounded,
-        }
-    }
-}
-
-/// Error returned by `send`: the value comes back to the caller.
-#[derive(Debug, PartialEq, Eq)]
-pub enum SendError<T> {
-    /// The channel was closed, or every receiver was dropped.
-    Closed(T),
-}
-
-impl<T> SendError<T> {
-    /// Recovers the unsent value.
-    pub fn into_inner(self) -> T {
-        match self {
-            SendError::Closed(v) => v,
-        }
-    }
-}
-
-/// Error returned by `recv`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvError {
-    /// The channel is closed and drained.
-    Closed,
-}
-
-/// Error returned by `try_send`.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The channel cannot accept a message right now.
-    Full(T),
-    /// The channel was closed, or every receiver was dropped.
-    Closed(T),
-}
-
-/// Error returned by `try_recv`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// No message is ready.
-    Empty,
-    /// The channel is closed and drained.
-    Closed,
-}
-
-// ---------------------------------------------------------------------------
 // Channels.
 // ---------------------------------------------------------------------------
 
@@ -215,11 +140,11 @@ pub fn channel_with_bytes<T: Send + 'static>(
 ) -> (Sender<T>, Receiver<T>) {
     match backend() {
         Backend::Sim => {
-            let (tx, rx) = csp::channel_with_bytes(cap.into(), bytes);
+            let (tx, rx) = csp::channel_with_bytes(cap, bytes);
             (Sender(SenderImpl::Sim(tx)), Receiver(ReceiverImpl::Sim(rx)))
         }
         Backend::Threads => {
-            let (tx, rx) = par::channel(cap.into());
+            let (tx, rx) = par::channel(cap);
             (Sender(SenderImpl::Par(tx)), Receiver(ReceiverImpl::Par(rx)))
         }
     }
@@ -273,14 +198,8 @@ impl<T: Send + 'static> Sender<T> {
     /// Attempts to send without waiting.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
         match &self.0 {
-            SenderImpl::Sim(s) => s.try_send(value).map_err(|e| match e {
-                csp::TrySendError::Full(v) => TrySendError::Full(v),
-                csp::TrySendError::Closed(v) => TrySendError::Closed(v),
-            }),
-            SenderImpl::Par(s) => s.try_send(value).map_err(|e| match e {
-                par::TrySendError::Full(v) => TrySendError::Full(v),
-                par::TrySendError::Closed(v) => TrySendError::Closed(v),
-            }),
+            SenderImpl::Sim(s) => s.try_send(value),
+            SenderImpl::Par(s) => s.try_send(value),
         }
     }
 
@@ -300,7 +219,7 @@ impl<T: Send + 'static> Sender<T> {
                 while let Some(v) = buf.pop_front() {
                     match s.try_send(v) {
                         Ok(()) => n += 1,
-                        Err(csp::TrySendError::Full(v)) | Err(csp::TrySendError::Closed(v)) => {
+                        Err(TrySendError::Full(v)) | Err(TrySendError::Closed(v)) => {
                             buf.push_front(v);
                             break;
                         }
@@ -365,14 +284,8 @@ impl<T: Send + 'static> Receiver<T> {
     /// Attempts to receive without waiting.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         match &self.0 {
-            ReceiverImpl::Sim(r) => r.try_recv().map_err(|e| match e {
-                csp::TryRecvError::Empty => TryRecvError::Empty,
-                csp::TryRecvError::Closed => TryRecvError::Closed,
-            }),
-            ReceiverImpl::Par(r) => r.try_recv().map_err(|e| match e {
-                par::TryRecvError::Empty => TryRecvError::Empty,
-                par::TryRecvError::Closed => TryRecvError::Closed,
-            }),
+            ReceiverImpl::Sim(r) => r.try_recv(),
+            ReceiverImpl::Par(r) => r.try_recv(),
         }
     }
 
@@ -472,12 +385,8 @@ impl<T: Send + 'static> Future for SendFut<'_, T> {
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         match &mut self.0 {
-            SendFutImpl::Sim(f) => Pin::new(f).poll(cx).map_err(|e| match e {
-                csp::SendError::Closed(v) => SendError::Closed(v),
-            }),
-            SendFutImpl::Par(f) => Pin::new(f).poll(cx).map_err(|e| match e {
-                par::SendError::Closed(v) => SendError::Closed(v),
-            }),
+            SendFutImpl::Sim(f) => Pin::new(f).poll(cx),
+            SendFutImpl::Par(f) => Pin::new(f).poll(cx),
         }
     }
 }
@@ -498,8 +407,8 @@ impl<T: Send + 'static> Future for RecvFut<'_, T> {
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         match &mut self.0 {
-            RecvFutImpl::Sim(f) => Pin::new(f).poll(cx).map_err(|_| RecvError::Closed),
-            RecvFutImpl::Par(f) => Pin::new(f).poll(cx).map_err(|_| RecvError::Closed),
+            RecvFutImpl::Sim(f) => Pin::new(f).poll(cx),
+            RecvFutImpl::Par(f) => Pin::new(f).poll(cx),
         }
     }
 }
@@ -531,8 +440,8 @@ impl<T: Send + 'static> Future for RecvMany<'_, T> {
             ReceiverImpl::Par(r) => RecvFutImpl::Par(r.recv()),
         });
         let got = match first {
-            RecvFutImpl::Sim(f) => Pin::new(f).poll(cx).map_err(|_| RecvError::Closed),
-            RecvFutImpl::Par(f) => Pin::new(f).poll(cx).map_err(|_| RecvError::Closed),
+            RecvFutImpl::Sim(f) => Pin::new(f).poll(cx),
+            RecvFutImpl::Par(f) => Pin::new(f).poll(cx),
         };
         match got {
             Poll::Pending => Poll::Pending,
@@ -561,8 +470,8 @@ impl<T: Send + 'static> Future for RecvMany<'_, T> {
 /// reply is charged as its own send event and traces stay
 /// deterministic. On real threads it is a `chanos-parchan` oneshot
 /// completion slot: one `Arc`'d slot with an atomic state machine —
-/// no ring, no waiter lists, and (via [`Port`]'s slot pool) no
-/// steady-state allocation.
+/// no ring, no waiter lists — allocated here and freed when both
+/// halves are gone.
 pub fn reply_channel<T: Send + 'static>() -> (ReplyTo<T>, Reply<T>) {
     match backend() {
         Backend::Sim => {
@@ -606,9 +515,8 @@ impl<T: Send + 'static> std::fmt::Debug for ReplyTo<T> {
 }
 
 /// The simulator reply keeps the modeled channel; the first owned
-/// poll moves it into a boxed resolver (allocation is fine here — the
-/// zero-allocation path is the threads backend, and the consuming
-/// [`Reply::recv`] still awaits the channel directly, unboxed).
+/// poll moves it into a boxed resolver (the consuming [`Reply::recv`]
+/// still awaits the channel directly, unboxed).
 enum SimReply<T: Send + 'static> {
     Idle(Option<Receiver<T>>),
     Polling(Pin<Box<dyn Future<Output = Result<T, RecvError>> + Send>>),
@@ -634,7 +542,7 @@ impl<T: Send + 'static> Reply<T> {
             ReplyImpl::Sim(SimReply::Polling(mut f)) => {
                 std::future::poll_fn(move |cx| f.as_mut().poll(cx)).await
             }
-            ReplyImpl::Par(rx) => rx.recv().await.map_err(|_| RecvError::Closed),
+            ReplyImpl::Par(rx) => rx.recv().await,
         }
     }
 
@@ -653,24 +561,8 @@ impl<T: Send + 'static> Reply<T> {
                     SimReply::Idle(_) => unreachable!("moved to Polling above"),
                 }
             }
-            ReplyImpl::Par(rx) => rx.poll_recv(cx).map(|r| r.map_err(|_| RecvError::Closed)),
+            ReplyImpl::Par(rx) => rx.poll_recv(cx),
         }
-    }
-
-    /// Tries to reclaim the resolved reply's completion slot for
-    /// reuse (threads backend only; the slot must be sole-owned —
-    /// i.e. the server already consumed its `ReplyTo`).
-    pub(crate) fn recycle(self) -> Option<par::oneshot::SlotHandle<T>> {
-        match self.0 {
-            ReplyImpl::Par(rx) => rx.recycle(),
-            ReplyImpl::Sim(_) => None,
-        }
-    }
-
-    /// Rebuilds a connected reply pair from a recycled slot.
-    pub(crate) fn from_slot(slot: par::oneshot::SlotHandle<T>) -> (ReplyTo<T>, Reply<T>) {
-        let (tx, rx) = slot.pair();
-        (ReplyTo(ReplyToImpl::Par(tx)), Reply(ReplyImpl::Par(rx)))
     }
 }
 
@@ -1241,6 +1133,19 @@ mod tests {
     use super::*;
 
     fn assert_send<T: Send>() {}
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn handle_layout_is_pinned() {
+        // The simulator charges a message `size_of::<T>()` bytes: a failure
+        // here means every modeled number is about to move.
+        // (Handles ride inside the requests, so the `*Impl` nesting is
+        // part of the model.)
+        assert_eq!(std::mem::size_of::<ReplyTo<u64>>(), 24);
+        assert_eq!(std::mem::size_of::<Reply<u64>>(), 24);
+        assert_eq!(std::mem::size_of::<Sender<u64>>(), 16);
+        assert_eq!(std::mem::size_of::<Receiver<u64>>(), 16);
+    }
 
     #[test]
     fn facade_types_are_send() {

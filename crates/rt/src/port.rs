@@ -17,6 +17,11 @@
 //!   submission for builder surfaces (`Env::batch()` in
 //!   `chanos-kernel` is built on it).
 //!
+//! Each call's reply endpoint is §3's "fresh channel used to send the
+//! return value back": a [`reply_channel`](crate::reply_channel) made
+//! for the call and freed with it. The port keeps no pool and takes no
+//! lock.
+//!
 //! The error taxonomy replaces the lossy `unwrap_or(Err(Gone))`
 //! idiom: a failed call distinguishes [`CallError::ServerGone`] (the
 //! request channel is closed — the server died or was never there)
@@ -31,23 +36,19 @@
 //! Dropping an unresolved [`Call`] is a *cancellation*, not a leak:
 //! the reply channel closes (so the server's answer fails cleanly)
 //! and the drop is counted on [`Port::calls_cancelled`] and the
-//! ambient `port.calls_cancelled` statistic.
+//! ambient `port.calls_cancelled` statistic (a [`Call::from_future`]
+//! belongs to no port and is counted on neither).
 //!
 //! [`ReplyBatch`]: crate::ReplyBatch
 
-use std::any::{Any, TypeId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::task::{Context, Poll};
 
-use chanos_parchan::oneshot as par_oneshot;
-
-use crate::{
-    plock, reply_channel, Backend, Cycles, Receiver, Reply, ReplyTo, Sender, Sleep, TrySendError,
-};
+use crate::{reply_channel, Cycles, Receiver, Reply, ReplyTo, Sender, Sleep, TrySendError};
 
 /// Why a [`Call`] failed at the transport layer. Application errors
 /// are carried inside the response type instead.
@@ -81,37 +82,9 @@ impl std::fmt::Display for CallError {
 
 impl std::error::Error for CallError {}
 
-/// How many recycled completion slots a port keeps per response type.
-/// Deep enough for any realistic pipeline depth (the OS stack runs
-/// depth ≤ 32); small enough that an idle port pins little memory.
-const SLOT_POOL_CAP: usize = 256;
-
-/// Recycled oneshot completion slots, keyed by response type. A warm
-/// port serves every steady-state call from here, which is what makes
-/// `port.call` allocation-free on the threads backend.
-#[derive(Default)]
-struct SlotPool {
-    slots: Mutex<HashMap<TypeId, Vec<Arc<dyn Any + Send + Sync>>>>,
-}
-
-impl SlotPool {
-    fn pop<T: Send + 'static>(&self) -> Option<par_oneshot::SlotHandle<T>> {
-        let any = plock(&self.slots).get_mut(&TypeId::of::<T>())?.pop()?;
-        par_oneshot::SlotHandle::from_any(any)
-    }
-
-    fn push<T: Send + 'static>(&self, slot: par_oneshot::SlotHandle<T>) {
-        let mut m = plock(&self.slots);
-        let v = m.entry(TypeId::of::<T>()).or_default();
-        if v.len() < SLOT_POOL_CAP {
-            v.push(slot.into_any());
-        }
-    }
-}
-
 /// State shared by a port and its in-flight calls: failure
-/// classification, cancellation/timeout/drop accounting (which
-/// survives the port being dropped), and the completion-slot pool.
+/// classification and cancellation/timeout/drop accounting (which
+/// survives the port being dropped).
 struct PortCore {
     cancelled: AtomicU64,
     timed_out: AtomicU64,
@@ -120,7 +93,6 @@ struct PortCore {
     /// request sender, type-erased here at attach time — calls carry
     /// only their `Arc<PortCore>`, never a cloned `Sender`.
     server_gone: Box<dyn Fn() -> bool + Send + Sync>,
-    pool: SlotPool,
 }
 
 impl PortCore {
@@ -201,7 +173,6 @@ impl<Req: Send + 'static> Port<Req> {
                 timed_out: AtomicU64::new(0),
                 dropped_at_submit: AtomicU64::new(0),
                 server_gone: Box::new(move || probe.is_closed()),
-                pool: SlotPool::default(),
             }),
             deadline: None,
         }
@@ -248,19 +219,6 @@ impl<Req: Send + 'static> Port<Req> {
         self.core.dropped_at_submit.load(Ordering::Relaxed)
     }
 
-    /// A connected reply pair for one call: on the threads backend a
-    /// warm port serves it from the recycled-slot pool — zero
-    /// allocations; the simulator keeps its modeled `Bounded(1)`
-    /// channel (one send event per reply, deterministic traces).
-    fn reply_pair<Resp: Send + 'static>(&self) -> (ReplyTo<Resp>, Reply<Resp>) {
-        if crate::try_backend() == Some(Backend::Threads) {
-            if let Some(slot) = self.core.pool.pop::<Resp>() {
-                return Reply::from_slot(slot);
-            }
-        }
-        reply_channel()
-    }
-
     /// Issues one call: builds the request around a fresh reply
     /// channel and submits it **now**. The returned [`Call`] is only
     /// the completion — hold several before awaiting any to pipeline
@@ -295,7 +253,7 @@ impl<Req: Send + 'static> Port<Req> {
         Resp: Send + 'static,
         F: FnOnce(ReplyTo<Resp>) -> Req,
     {
-        let (reply_to, reply) = self.reply_pair();
+        let (reply_to, reply) = reply_channel();
         match self.tx.try_send(make(reply_to)) {
             Ok(()) => self.waiting_call(reply, deadline),
             Err(TrySendError::Closed(_)) => Call::failed(CallError::ServerGone),
@@ -323,7 +281,7 @@ impl<Req: Send + 'static> Port<Req> {
         let mut msgs = VecDeque::new();
         let mut replies = Vec::new();
         for make in makes {
-            let (reply_to, reply) = self.reply_pair();
+            let (reply_to, reply) = reply_channel();
             msgs.push_back(make(reply_to));
             replies.push(reply);
         }
@@ -359,7 +317,7 @@ impl<Req: Send + 'static> Port<Req> {
         Resp: Send + 'static,
         F: FnOnce(ReplyTo<Resp>) -> Req,
     {
-        let (reply_to, reply) = self.reply_pair();
+        let (reply_to, reply) = reply_channel();
         buf.push_back(make(reply_to));
         self.waiting_call(reply, self.deadline)
     }
@@ -455,8 +413,7 @@ impl<Req: Send + 'static> Port<Req> {
 enum CallState<Resp: Send + 'static> {
     /// Failed at issue time (server gone before submission).
     Failed(Option<CallError>),
-    /// Submitted; the completion slot polled in place — the
-    /// allocation-free steady state.
+    /// Submitted; the completion slot polled in place.
     Waiting(Reply<Resp>),
     /// Resolving through an owned future: the bounded-port overflow
     /// fallback and the [`Call::from_future`] adapter.
@@ -505,30 +462,20 @@ impl<Resp: Send + 'static> Call<Resp> {
         }
     }
 
-    /// Resolves and recycles a finished `Waiting` reply: a delivered
-    /// slot goes back to the port's pool (sole-owned by now — the
-    /// server consumed its `ReplyTo`), so the next call on a warm
-    /// port allocates nothing.
+    /// Resolves a finished `Waiting` reply, dropping the reply endpoint
+    /// (and with it the client's half of the completion slot).
     fn finish_waiting(&mut self, out: Result<Resp, crate::RecvError>) -> Result<Resp, CallError> {
-        let CallState::Waiting(reply) = std::mem::replace(&mut self.state, CallState::Done) else {
-            unreachable!("finish_waiting outside Waiting");
-        };
+        self.state = CallState::Done;
         self.deadline = None;
         let core = self.core.take();
-        let result = match out {
-            Ok(v) => Ok(v),
-            // The reply endpoint died unanswered: if the request
-            // channel is closed too, the server is gone; otherwise
-            // the server is alive and chose to drop this call.
-            Err(_) => Err(core
-                .as_deref()
+        // The reply endpoint died unanswered: if the request channel
+        // is closed too, the server is gone; otherwise the server is
+        // alive and chose to drop this call.
+        out.map_err(|_| {
+            core.as_deref()
                 .map(PortCore::classify_reply_drop)
-                .unwrap_or(CallError::Cancelled)),
-        };
-        if let (Some(core), Some(slot)) = (core, reply.recycle()) {
-            core.pool.push(slot);
-        }
-        result
+                .unwrap_or(CallError::Cancelled)
+        })
     }
 }
 
@@ -589,12 +536,14 @@ impl<Resp: Send + 'static> Drop for Call<Resp> {
             // on the port and in the runtime statistics (never a
             // silent reply-channel leak: dropping the held reply
             // receiver closes the completion slot, so the server's
-            // answer fails cleanly).
+            // answer fails cleanly). A `from_future` call has no
+            // port, so it is counted on neither: the ambient counter
+            // stays the sum of the ports'.
             if let Some(core) = &self.core {
                 core.cancelled.fetch_add(1, Ordering::Relaxed);
-            }
-            if crate::in_runtime() {
-                crate::stat_incr("port.calls_cancelled");
+                if crate::in_runtime() {
+                    crate::stat_incr("port.calls_cancelled");
+                }
             }
         }
     }
@@ -675,6 +624,31 @@ mod tests {
         drop(c1);
         let _ = c2.await;
         port.calls_cancelled()
+    }
+
+    async fn dropped_calls_ambient_and_port() -> (u64, u64, u64) {
+        let (port, rx) = port_channel::<Req>(Capacity::Unbounded);
+        spawn_server(rx);
+        let before = crate::stat_get("port.calls_cancelled");
+        drop(Call::<u32>::from_future(std::future::pending()));
+        let after_adapter = crate::stat_get("port.calls_cancelled") - before;
+        drop(port.call(|r| Req::Add(1, 2, r)));
+        let after_port = crate::stat_get("port.calls_cancelled") - before;
+        (after_adapter, after_port, port.calls_cancelled())
+    }
+
+    #[test]
+    fn ambient_cancellations_count_port_calls_only() {
+        // A dropped `from_future` call involves no port and moves
+        // neither counter; a dropped port call moves both.
+        let mut s = sim::Simulation::new(2);
+        assert_eq!(
+            s.block_on(dropped_calls_ambient_and_port()).unwrap(),
+            (0, 1, 1)
+        );
+        let rt = par::Runtime::new(2);
+        assert_eq!(rt.block_on(dropped_calls_ambient_and_port()), (0, 1, 1));
+        rt.shutdown();
     }
 
     #[test]

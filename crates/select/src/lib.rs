@@ -31,6 +31,8 @@
 //! }
 //! ```
 
+pub mod vocab;
+
 use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;

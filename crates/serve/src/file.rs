@@ -147,6 +147,14 @@ mod tests {
     use chanos_drivers::{install_disk, spawn_disk_driver, DiskParams};
     use chanos_sim::{Config, CoreId, Simulation};
 
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn request_layout_is_pinned() {
+        // The simulator charges a message `size_of::<T>()` bytes: a failure
+        // here means every modeled number is about to move.
+        assert_eq!(std::mem::size_of::<FileReq>(), 48);
+    }
+
     #[test]
     fn serves_published_content_and_misses_cleanly() {
         let mut s = Simulation::with_config(Config {

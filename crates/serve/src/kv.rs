@@ -203,6 +203,14 @@ mod tests {
     use super::*;
     use chanos_sim::{Config, Simulation};
 
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn request_layout_is_pinned() {
+        // The simulator charges a message `size_of::<T>()` bytes: a failure
+        // here means every modeled number is about to move.
+        assert_eq!(std::mem::size_of::<KvReq>(), 56);
+    }
+
     fn sim() -> Simulation {
         Simulation::with_config(Config {
             cores: 4,

@@ -853,3 +853,19 @@ impl MsgFs {
         self.shared.core.store().sync().await
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn request_layout_is_pinned() {
+        // The simulator charges a message `size_of::<T>()` bytes: a failure
+        // here means every modeled number is about to move.
+        // (`VnWrite` is the op of the registry's NR write request.)
+        assert_eq!(std::mem::size_of::<VnodeMsg>(), 64);
+        assert_eq!(std::mem::size_of::<GroupMsg>(), 40);
+        assert_eq!(std::mem::size_of::<VnWrite>(), 56);
+    }
+}

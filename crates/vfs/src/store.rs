@@ -851,6 +851,14 @@ impl BlockStore for CacheClient {
 mod tests {
     use super::*;
 
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn cache_request_layout_is_pinned() {
+        // The simulator charges a message `size_of::<T>()` bytes: a failure
+        // here means every modeled number is about to move.
+        assert_eq!(std::mem::size_of::<CacheMsg>(), 56);
+    }
+
     #[test]
     fn lru_get_refreshes_recency() {
         let mut c = LruCache::new(2);

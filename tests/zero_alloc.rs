@@ -1,11 +1,14 @@
 //! The io_uring-shape claim, enforced: once the port is warm, a
 //! pipelined `getpid` round — 32 deferred calls, one submit, 32
-//! completions — performs **zero heap allocations** end to end.
+//! completions — allocates **one reply slot per call and nothing
+//! else**.
 //!
-//! Everything on the path is reused: the batch's request buffer, the
-//! calls vector, the channel ring, and the oneshot reply slots (the
-//! port's slot pool recycles them after every completion). A counting
-//! global allocator proves it.
+//! A reply slot is §3's "fresh channel used to send the return value
+//! back": allocated by the call, freed on completion. Everything else
+//! on the path is reused: the batch's request buffer, the calls
+//! vector, the channel ring, the server's drain buffers, its
+//! `ReplyBatch` and wake buffer. A counting global allocator proves
+//! it.
 //!
 //! This file holds exactly one test: the allocator counter is
 //! process-global, so a sibling test running in a parallel thread
@@ -62,7 +65,7 @@ async fn round(
 }
 
 #[test]
-fn warm_pipelined_getpid_round_allocates_nothing() {
+fn warm_pipelined_getpid_round_allocates_one_reply_slot_per_call() {
     let rt = Runtime::new(2);
     let min_delta = rt.block_on(async {
         let os = boot(BootCfg::new(
@@ -74,15 +77,16 @@ fn warm_pipelined_getpid_round_allocates_nothing() {
         let env = os.procs.env();
         let mut b = env.batch();
         let mut calls = Vec::with_capacity(DEPTH);
-        // Warm everything with one-time capacity: the slot pool, the
-        // channel ring, the server's drain buffers.
+        // Warm everything with one-time capacity: the channel ring,
+        // the server's drain buffers.
         for _ in 0..200 {
             round(&mut b, &mut calls).await;
         }
         // Several measurement windows, scored by the best one: the
-        // steady state must contain *a* fully allocation-free window;
-        // stray hits (a racing recycle losing a slot once) may dirty
-        // an individual window without disproving that.
+        // steady state must contain *a* window with the reply slots
+        // and nothing else; a stray allocation on another runtime
+        // thread may dirty an individual window without disproving
+        // that.
         let mut min_delta = u64::MAX;
         for _ in 0..5 {
             let before = ALLOCS.load(Ordering::SeqCst);
@@ -97,8 +101,10 @@ fn warm_pipelined_getpid_round_allocates_nothing() {
     });
     rt.shutdown();
     assert_eq!(
-        min_delta, 0,
-        "a warm depth-{DEPTH} pipelined getpid round must not allocate \
-         (best window still performed {min_delta} allocations)"
+        min_delta,
+        20 * DEPTH as u64,
+        "a warm depth-{DEPTH} pipelined getpid round allocates its {DEPTH} \
+         reply slots and nothing else (best window of 20 rounds performed \
+         {min_delta} allocations)"
     );
 }
