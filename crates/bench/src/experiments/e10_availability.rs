@@ -66,11 +66,9 @@ fn run_service(mean_kill_gap: Cycles, duration: Cycles, supervised: bool) -> (u6
             for i in 0..WORKERS {
                 let rx = rx.clone();
                 let registry = registry.clone();
-                sup = sup.child(ChildSpec::new(
-                    &format!("svc-worker{i}"),
-                    Restart::Permanent,
-                    move || spawn_worker(i, rx.clone(), registry.clone()),
-                ));
+                sup = sup.child(ChildSpec::new(Restart::Permanent, move || {
+                    spawn_worker(i, rx.clone(), registry.clone())
+                }));
             }
             sup.spawn("svc-supervisor", CoreId(WORKERS as u32));
         } else {

@@ -40,7 +40,6 @@ pub enum Strategy {
 
 /// Description of one supervised child.
 pub struct ChildSpec {
-    name: String,
     restart: Restart,
     start: Box<dyn Fn() -> JoinHandle<()> + Send>,
 }
@@ -48,13 +47,8 @@ pub struct ChildSpec {
 impl ChildSpec {
     /// Creates a child spec; `start` launches (or relaunches) the
     /// child and returns its handle.
-    pub fn new(
-        name: &str,
-        restart: Restart,
-        start: impl Fn() -> JoinHandle<()> + Send + 'static,
-    ) -> ChildSpec {
+    pub fn new(restart: Restart, start: impl Fn() -> JoinHandle<()> + Send + 'static) -> ChildSpec {
         ChildSpec {
-            name: name.to_string(),
             restart,
             start: Box::new(start),
         }
@@ -192,7 +186,6 @@ impl Supervisor {
                 return SupervisorExit::TooManyRestarts;
             }
             rt::stat_incr("supervisor.restarts");
-            rt::stat_incr(&format!("supervisor.restart.{}", children[i].name));
             match strategy {
                 Strategy::OneForOne => {
                     plock(&handles)[i] = Some((children[i].start)());

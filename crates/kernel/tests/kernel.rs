@@ -165,7 +165,7 @@ fn supervisor_restarts_crashing_child() {
             let r2 = runs.clone();
             let sup = Supervisor::new(Strategy::OneForOne)
                 .intensity(10, 1_000_000)
-                .child(ChildSpec::new("flaky", Restart::Transient, move || {
+                .child(ChildSpec::new(Restart::Transient, move || {
                     let r = r2.clone();
                     chanos_rt::spawn_named("flaky", async move {
                         let n = r.fetch_add(1, Ordering::Relaxed);
@@ -191,7 +191,7 @@ fn supervisor_gives_up_after_intensity_limit() {
         .block_on(async {
             let sup = Supervisor::new(Strategy::OneForOne)
                 .intensity(3, 1_000_000)
-                .child(ChildSpec::new("hopeless", Restart::Permanent, || {
+                .child(ChildSpec::new(Restart::Permanent, || {
                     chanos_rt::spawn_named("hopeless", async {
                         chanos_sim::delay(10).await;
                         panic!("always");
@@ -213,14 +213,14 @@ fn one_for_all_restarts_siblings() {
             let (a2, b2) = (a.clone(), b.clone());
             let sup = Supervisor::new(Strategy::OneForAll)
                 .intensity(10, 10_000_000)
-                .child(ChildSpec::new("stable", Restart::Transient, move || {
+                .child(ChildSpec::new(Restart::Transient, move || {
                     let a = a2.clone();
                     chanos_rt::spawn_named("stable", async move {
                         a.fetch_add(1, Ordering::Relaxed);
                         chanos_sim::sleep(100_000).await;
                     })
                 }))
-                .child(ChildSpec::new("crasher", Restart::Transient, move || {
+                .child(ChildSpec::new(Restart::Transient, move || {
                     let b = b2.clone();
                     chanos_rt::spawn_named("crasher", async move {
                         let n = b.fetch_add(1, Ordering::Relaxed);
@@ -246,7 +246,6 @@ fn temporary_children_are_never_restarted() {
             let runs = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
             let r2 = runs.clone();
             let sup = Supervisor::new(Strategy::OneForOne).child(ChildSpec::new(
-                "once",
                 Restart::Temporary,
                 move || {
                     let r = r2.clone();
@@ -276,7 +275,7 @@ fn nested_supervision_tree_contains_failure() {
                     let count = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
                     let sup = Supervisor::new(Strategy::OneForOne)
                         .intensity(5, 10_000_000)
-                        .child(ChildSpec::new("worker", Restart::Transient, move || {
+                        .child(ChildSpec::new(Restart::Transient, move || {
                             let c = count.clone();
                             chanos_rt::spawn_named("worker", async move {
                                 let n = c.fetch_add(1, Ordering::Relaxed);
@@ -290,7 +289,7 @@ fn nested_supervision_tree_contains_failure() {
                 })
             };
             Supervisor::new(Strategy::OneForOne)
-                .child(ChildSpec::new("inner", Restart::Transient, inner_factory))
+                .child(ChildSpec::new(Restart::Transient, inner_factory))
                 .run()
                 .await
         })
@@ -406,7 +405,7 @@ fn supervisor_restarts_crashing_child_on_real_threads() {
         let r2 = runs.clone();
         let sup = Supervisor::new(Strategy::OneForOne)
             .intensity(10, u64::MAX)
-            .child(ChildSpec::new("flaky", Restart::Transient, move || {
+            .child(ChildSpec::new(Restart::Transient, move || {
                 let r = r2.clone();
                 chanos_rt::spawn_named("flaky", async move {
                     let n = r.fetch_add(1, Ordering::Relaxed);
@@ -431,11 +430,10 @@ fn kill_based_strategies_refuse_the_threads_backend() {
     // silently duplicating children.
     let rt = chanos_parchan::Runtime::new(2);
     let outcome = rt.block_on(async {
-        let sup = Supervisor::new(Strategy::OneForAll).child(ChildSpec::new(
-            "child",
-            Restart::Temporary,
-            || chanos_rt::spawn_named("child", async {}),
-        ));
+        let sup = Supervisor::new(Strategy::OneForAll)
+            .child(ChildSpec::new(Restart::Temporary, || {
+                chanos_rt::spawn_named("child", async {})
+            }));
         chanos_rt::spawn(async move { sup.run().await })
             .join()
             .await

@@ -68,31 +68,15 @@ use std::mem::MaybeUninit;
 use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
 
+use crate::counters::{self, Counter};
 use crate::executor::plock;
 
 pub use chanos_select::vocab::{Capacity, RecvError, SendError, TryRecvError, TrySendError};
 
-// ---------------------------------------------------------------------------
-// Fast-path / slow-path statistics (process-global, Relaxed).
-// ---------------------------------------------------------------------------
-
-static FAST_SENDS: AtomicU64 = AtomicU64::new(0);
-static SLOW_SENDS: AtomicU64 = AtomicU64::new(0);
-static FAST_RECVS: AtomicU64 = AtomicU64::new(0);
-static SLOW_RECVS: AtomicU64 = AtomicU64::new(0);
-static RECV_WAKES: AtomicU64 = AtomicU64::new(0);
-static SEND_WAKES: AtomicU64 = AtomicU64::new(0);
-static WAKES_ELIDED: AtomicU64 = AtomicU64::new(0);
-static OVERFLOW_SPILLS: AtomicU64 = AtomicU64::new(0);
-static RECV_MANY_CALLS: AtomicU64 = AtomicU64::new(0);
-static RECV_MANY_MSGS: AtomicU64 = AtomicU64::new(0);
-static SEND_MANY_CALLS: AtomicU64 = AtomicU64::new(0);
-static SEND_MANY_MSGS: AtomicU64 = AtomicU64::new(0);
-static REPLY_WAKES_COALESCED: AtomicU64 = AtomicU64::new(0);
-
+/// Counts one channel event on the calling thread's runtime.
 #[inline]
-fn bump(c: &AtomicU64) {
-    c.fetch_add(1, Ordering::Relaxed);
+fn bump(c: Counter) {
+    counters::add(c, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -118,11 +102,11 @@ thread_local! {
 /// wakes for the same task collapse into one (counted as
 /// `chan.reply_wakes_coalesced`) and wait for the batch's flush.
 pub(crate) fn deliver_recv_wake(w: Waker) {
-    bump(&RECV_WAKES);
+    bump(Counter::RecvWakes);
     WAKE_SCOPE.with(|s| match &mut *s.borrow_mut() {
         Some(buf) => {
             if buf.iter().any(|q| q.will_wake(&w)) {
-                bump(&REPLY_WAKES_COALESCED);
+                bump(Counter::ReplyWakesCoalesced);
             } else {
                 buf.push(w);
             }
@@ -184,71 +168,6 @@ impl Drop for WakeBatch {
     fn drop(&mut self) {
         self.flush();
     }
-}
-
-/// All channel counters: `(name, value)` pairs. The counters are
-/// process-global (channels are not tied to one runtime) and cover
-/// both cores.
-///
-/// * `chan.fast_sends` / `chan.fast_recvs` — operations that
-///   completed on their first poll without parking.
-/// * `chan.slow_sends` / `chan.slow_recvs` — operations that parked
-///   (registered a waker) at least once.
-/// * `chan.recv_wakes` / `chan.send_wakes` — wakeups issued to parked
-///   peers.
-/// * `chan.wakes_elided` — sends that skipped all wake work because
-///   no receiver was parked (the coalesced steady state).
-/// * `chan.overflow_spills` — unbounded sends that overflowed the
-///   ring segment into the spill deque (took the lock).
-/// * `chan.recv_many_calls` / `chan.recv_many_msgs` — batched drains
-///   and the messages they moved.
-/// * `chan.send_many_calls` / `chan.send_many_msgs` — batched submits
-///   ([`Sender::try_send_many`]) and the messages they enqueued.
-/// * `chan.reply_wakes_coalesced` — duplicate same-task wakes
-///   absorbed by a [`WakeBatch`].
-pub fn chan_counters() -> Vec<(&'static str, u64)> {
-    vec![
-        ("chan.fast_sends", FAST_SENDS.load(Ordering::Relaxed)),
-        ("chan.slow_sends", SLOW_SENDS.load(Ordering::Relaxed)),
-        ("chan.fast_recvs", FAST_RECVS.load(Ordering::Relaxed)),
-        ("chan.slow_recvs", SLOW_RECVS.load(Ordering::Relaxed)),
-        ("chan.recv_wakes", RECV_WAKES.load(Ordering::Relaxed)),
-        ("chan.send_wakes", SEND_WAKES.load(Ordering::Relaxed)),
-        ("chan.wakes_elided", WAKES_ELIDED.load(Ordering::Relaxed)),
-        (
-            "chan.overflow_spills",
-            OVERFLOW_SPILLS.load(Ordering::Relaxed),
-        ),
-        (
-            "chan.recv_many_calls",
-            RECV_MANY_CALLS.load(Ordering::Relaxed),
-        ),
-        (
-            "chan.recv_many_msgs",
-            RECV_MANY_MSGS.load(Ordering::Relaxed),
-        ),
-        (
-            "chan.send_many_calls",
-            SEND_MANY_CALLS.load(Ordering::Relaxed),
-        ),
-        (
-            "chan.send_many_msgs",
-            SEND_MANY_MSGS.load(Ordering::Relaxed),
-        ),
-        (
-            "chan.reply_wakes_coalesced",
-            REPLY_WAKES_COALESCED.load(Ordering::Relaxed),
-        ),
-    ]
-}
-
-/// Reads one channel counter by its `chan.*` name (0 if unknown).
-pub fn chan_counter(name: &str) -> u64 {
-    chan_counters()
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| *v)
-        .unwrap_or(0)
 }
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
@@ -486,7 +405,7 @@ impl<T: Send> Sender<T> {
                 }
                 match r.push_any(value) {
                     Push::Done => {
-                        bump(&FAST_SENDS);
+                        bump(Counter::FastSends);
                         r.after_push();
                         Ok(())
                     }
@@ -535,8 +454,8 @@ impl<T: Send> Sender<T> {
         wakes.flush();
         SEND_MANY_WAKES.set(wakes);
         if n > 0 {
-            bump(&SEND_MANY_CALLS);
-            SEND_MANY_MSGS.fetch_add(n as u64, Ordering::Relaxed);
+            bump(Counter::SendManyCalls);
+            counters::add(Counter::SendManyMsgs, n as u64);
         }
         n
     }
@@ -601,7 +520,7 @@ impl<T: Send> Receiver<T> {
             Imp::Ring(r) => {
                 match r.pop_any() {
                     Popped::Got(v) => {
-                        bump(&FAST_RECVS);
+                        bump(Counter::FastRecvs);
                         r.after_pop(1);
                         return Ok(v);
                     }
@@ -613,7 +532,7 @@ impl<T: Send> Receiver<T> {
                     // final in-flight send; re-pop after the flags.
                     match r.pop_any() {
                         Popped::Got(v) => {
-                            bump(&FAST_RECVS);
+                            bump(Counter::FastRecvs);
                             r.after_pop(1);
                             Ok(v)
                         }
@@ -645,8 +564,8 @@ impl<T: Send> Receiver<T> {
             }
         };
         if n > 0 {
-            bump(&RECV_MANY_CALLS);
-            RECV_MANY_MSGS.fetch_add(n as u64, Ordering::Relaxed);
+            bump(Counter::RecvManyCalls);
+            counters::add(Counter::RecvManyMsgs, n as u64);
         }
         n
     }
@@ -762,7 +681,7 @@ impl<T> State<T> {
 
     fn wake_one_send(&mut self) {
         if let Some(e) = self.send_waiters.front() {
-            bump(&SEND_WAKES);
+            bump(Counter::SendWakes);
             e.waker.wake_by_ref();
         }
     }
@@ -822,7 +741,7 @@ fn mutex_drain<T>(st: &mut State<T>, buf: &mut Vec<T>, max: usize) -> usize {
         break;
     }
     for e in st.send_waiters.iter().take(freed) {
-        bump(&SEND_WAKES);
+        bump(Counter::SendWakes);
         e.waker.wake_by_ref();
     }
     n
@@ -1109,7 +1028,7 @@ impl<T> Ring<T> {
     }
 
     fn spill(&self, value: T) -> Push<T> {
-        bump(&OVERFLOW_SPILLS);
+        bump(Counter::OverflowSpills);
         let mut ov = plock(&self.overflow);
         ov.push_back(value);
         // Release publishes the count after the deque push; readers
@@ -1262,7 +1181,7 @@ impl<T> Ring<T> {
         if self.recv_parked.load(Ordering::SeqCst) > 0 {
             self.wake_one_recv();
         } else {
-            bump(&WAKES_ELIDED);
+            bump(Counter::WakesElided);
         }
     }
 
@@ -1313,7 +1232,7 @@ impl<T> Ring<T> {
             e
         };
         if let Some((_, w)) = w {
-            bump(&SEND_WAKES);
+            bump(Counter::SendWakes);
             w.wake();
         }
     }
@@ -1452,7 +1371,11 @@ impl<T: Send> Future for SendFut<'_, T> {
 }
 
 fn send_done<T>(parked: bool) -> Poll<Result<(), SendError<T>>> {
-    bump(if parked { &SLOW_SENDS } else { &FAST_SENDS });
+    bump(if parked {
+        Counter::SlowSends
+    } else {
+        Counter::FastSends
+    });
     Poll::Ready(Ok(()))
 }
 
@@ -1664,7 +1587,11 @@ impl<T: Send> Future for RecvFut<'_, T> {
 }
 
 fn recv_done<T>(v: T, parked: bool) -> Poll<Result<T, RecvError>> {
-    bump(if parked { &SLOW_RECVS } else { &FAST_RECVS });
+    bump(if parked {
+        Counter::SlowRecvs
+    } else {
+        Counter::FastRecvs
+    });
     Poll::Ready(Ok(v))
 }
 

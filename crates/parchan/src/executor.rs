@@ -48,6 +48,7 @@
 //! dispatches, and pinned/local priority alternates every dispatch,
 //! so no queue can starve another.
 
+use crate::counters::{Counter, Entered, Table};
 use crate::idle::{IdleSet, MAX_WORKERS};
 use crate::injector::Injector;
 use crate::queue::{LifoSlot, Ring};
@@ -55,7 +56,7 @@ use crate::sync::{
     fence, Arc, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering,
     Weak,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
@@ -214,7 +215,8 @@ struct RtInner {
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
     started: Instant,
-    stats: Mutex<HashMap<String, u64>>,
+    /// Every counter of this runtime, `sched.*` and `chan.*` included.
+    counters: Table,
     /// Every live task, for shutdown reaping: abandoned tasks must
     /// complete their `JoinState` (joiners would hang forever
     /// otherwise). Entries are `Weak`; compacted amortizedly.
@@ -224,38 +226,6 @@ struct RtInner {
     /// callback (which may hold the caller's locks); the shutdown
     /// reaper drains it lock-free-ly.
     graveyard: Mutex<Vec<Arc<TaskCell>>>,
-    /// Tasks migrated by steals (`sched.steals`).
-    steals: AtomicU64,
-    /// Successful batch-claim operations (`sched.steal_batches`).
-    steal_batches: AtomicU64,
-    /// Injector take-alls that yielded at least one task
-    /// (`sched.injector_bursts`).
-    injector_bursts: AtomicU64,
-    /// Local-ring overflows spilled to the injector
-    /// (`sched.overflows`).
-    overflows: AtomicU64,
-    /// Pre-park re-checks that found work and self-rescued
-    /// (`sched.parks_skipped`).
-    parks_skipped: AtomicU64,
-    /// Producer wakes skipped because a searching worker covers the
-    /// new work (`sched.unparks_elided`).
-    unparks_elided: AtomicU64,
-    /// Wakes that landed on the waking worker's own run queue
-    /// (cache-hot, steal-free: no unpark, no injector).
-    wakes_local: AtomicU64,
-    /// Wakes routed through the global injector (off-pool).
-    wakes_injector: AtomicU64,
-    /// Wakes routed to a pinned queue.
-    wakes_pinned: AtomicU64,
-    /// High-priority tasks spawned (`sched.priority_spawns`).
-    priority_spawns: AtomicU64,
-    /// High-priority wakes routed through the high lane
-    /// (`sched.priority_wakes`).
-    priority_wakes: AtomicU64,
-    /// Non-empty high-lane claims (`sched.priority_bursts`); zero
-    /// under high-priority load means the lane is dead and every
-    /// "high" task silently ran at normal priority.
-    priority_bursts: AtomicU64,
 }
 
 /// Routes a ready task to a run queue and wakes a worker for it.
@@ -278,10 +248,14 @@ fn schedule(rt: &Arc<RtInner>, cell: Arc<TaskCell>, from_wake: bool) {
         plock(&rt.graveyard).push(cell);
         return;
     }
-    if let Some(w) = cell.pin {
+    let me = local_worker(rt);
+    let count_wake = |c| {
         if from_wake {
-            rt.wakes_pinned.fetch_add(1, Ordering::Relaxed);
+            rt.counters.add(me, c, 1);
         }
+    };
+    if let Some(w) = cell.pin {
+        count_wake(Counter::WakesPinned);
         let ws = &rt.workers[w];
         {
             let mut q = plock(&ws.pinned);
@@ -303,17 +277,13 @@ fn schedule(rt: &Arc<RtInner>, cell: Arc<TaskCell>, from_wake: bool) {
         // lane is what every dispatch (and every searcher) checks
         // first, so it is the only placement that preserves the
         // jump-the-backlog guarantee in all schedules.
-        if from_wake {
-            rt.priority_wakes.fetch_add(1, Ordering::Relaxed);
-        }
+        count_wake(Counter::PriorityWakes);
         rt.hi.push(cell);
         rt.notify_work();
         return;
     }
-    if let Some(me) = local_worker(rt) {
-        if from_wake {
-            rt.wakes_local.fetch_add(1, Ordering::Relaxed);
-        }
+    if let Some(me) = me {
+        count_wake(Counter::WakesLocal);
         let ws = &rt.workers[me];
         // SAFETY: `local_worker` proved the calling thread *is*
         // worker `me` of this runtime — the owner of its LIFO
@@ -328,9 +298,7 @@ fn schedule(rt: &Arc<RtInner>, cell: Arc<TaskCell>, from_wake: bool) {
         }
         return;
     }
-    if from_wake {
-        rt.wakes_injector.fetch_add(1, Ordering::Relaxed);
-    }
+    count_wake(Counter::WakesInjector);
     rt.injector.push(cell);
     rt.notify_work();
 }
@@ -342,7 +310,7 @@ fn push_local_or_overflow(rt: &Arc<RtInner>, me: usize, task: Arc<TaskCell>) {
     let ws = &rt.workers[me];
     // SAFETY: caller verified the current thread is worker `me`.
     if let Err(task) = unsafe { ws.rq.push(task) } {
-        rt.overflows.fetch_add(1, Ordering::Relaxed);
+        rt.count(Counter::Overflows, 1);
         let mut spill = Vec::with_capacity(crate::queue::LOCAL_QUEUE_CAP / 2 + 1);
         for _ in 0..crate::queue::LOCAL_QUEUE_CAP / 2 {
             // SAFETY: same owner thread.
@@ -358,17 +326,23 @@ fn push_local_or_overflow(rt: &Arc<RtInner>, me: usize, task: Arc<TaskCell>) {
 
 /// The calling thread's worker index, if it is a worker of *this*
 /// runtime (tests run several runtimes side by side).
-fn local_worker(rt: &Arc<RtInner>) -> Option<usize> {
+fn local_worker(rt: &RtInner) -> Option<usize> {
     let id = WORKER_ID.with(|w| w.get())?;
     let ours = WORKER_RT.with(|w| {
         w.borrow()
             .as_ref()
-            .is_some_and(|wk| std::ptr::eq(wk.as_ptr(), Arc::as_ptr(rt)))
+            .is_some_and(|wk| std::ptr::eq(wk.as_ptr(), rt))
     });
     ours.then_some(id)
 }
 
 impl RtInner {
+    /// Counts a scheduler event in the calling worker's block (the
+    /// shared one when the caller is not a worker of this runtime).
+    fn count(&self, c: Counter, v: u64) {
+        self.counters.add(local_worker(self), c, v);
+    }
+
     /// Producer half of the park protocol, for stealable work: after
     /// publishing to a queue, wake one worker — unless a searching
     /// worker is already guaranteed to find it.
@@ -383,7 +357,7 @@ impl RtInner {
         if self.idle.searching() > 0 {
             // A searcher either finds this work in its sweep or
             // re-checks for it after registering idle.
-            self.unparks_elided.fetch_add(1, Ordering::Relaxed);
+            self.count(Counter::UnparksElided, 1);
             return;
         }
         if let Some(w) = self.idle.claim_any(self.workers.len()) {
@@ -491,7 +465,9 @@ pub fn current() -> Option<Handle> {
 /// Returns `true` when called from inside a [`Runtime`] worker or a
 /// `block_on` driven by one.
 pub fn in_runtime() -> bool {
-    current().is_some()
+    // Asked on every facade call: look at the count, do not take one
+    // (an upgrade is two RMWs on the line every worker shares).
+    CURRENT.with(|c| c.borrow().last().is_some_and(|w| w.strong_count() > 0))
 }
 
 /// The index of the worker thread executing the caller (a stable
@@ -500,7 +476,9 @@ pub fn current_worker() -> Option<usize> {
     WORKER_ID.with(|w| w.get())
 }
 
-struct CurrentGuard;
+struct CurrentGuard {
+    _counters: Entered,
+}
 
 impl Drop for CurrentGuard {
     fn drop(&mut self) {
@@ -510,9 +488,13 @@ impl Drop for CurrentGuard {
     }
 }
 
-fn enter(inner: &Arc<RtInner>) -> CurrentGuard {
+/// Makes `inner` the calling thread's ambient runtime: as `worker`,
+/// or as a thread driving `block_on`.
+fn enter(inner: &Arc<RtInner>, worker: Option<usize>) -> CurrentGuard {
     CURRENT.with(|c| c.borrow_mut().push(Arc::downgrade(inner)));
-    CurrentGuard
+    CurrentGuard {
+        _counters: inner.counters.enter(worker),
+    }
 }
 
 impl Handle {
@@ -555,73 +537,34 @@ impl Handle {
         self.inner.workers.len()
     }
 
-    /// Number of successful steal *batches* since start (an idle
-    /// worker claiming half a sibling's ring in one CAS). The number
-    /// of individual tasks migrated is `stat_get("sched.steals")`.
-    pub fn steal_count(&self) -> u64 {
-        self.inner.steal_batches.load(Ordering::Relaxed)
-    }
-
     /// Nanoseconds of wall-clock time since the runtime started.
     pub fn now_nanos(&self) -> u64 {
         self.inner.started.elapsed().as_nanos() as u64
     }
 
-    /// Adds `v` to a named counter.
-    pub fn stat_add(&self, name: &str, v: u64) {
-        let mut st = plock(&self.inner.stats);
-        // Only allocate the key on first use; counter bumps sit on
-        // the syscall hot path.
-        if let Some(c) = st.get_mut(name) {
-            *c += v;
-        } else {
-            st.insert(name.to_string(), v);
-        }
+    /// Reads a named counter's current value: a name counted through
+    /// [`crate::stat_add`], or one of the built-in `sched.*` and
+    /// `chan.*` counters. All are per-runtime; `chan.*` counts the
+    /// channel operations made by threads that had entered this
+    /// runtime (its workers, its `block_on` callers).
+    pub fn stat_get(&self, name: &str) -> u64 {
+        self.inner.counters.get(name)
     }
 
-    /// Reads a named counter's current value.
-    ///
-    /// Built-in names are served from lock-free registries instead of
-    /// the user counter map (all per-runtime): `sched.steals` (tasks
-    /// migrated), `sched.steal_batches` (batch claims),
-    /// `sched.injector_bursts` (non-empty injector take-alls),
-    /// `sched.overflows` (ring spills), `sched.parks_skipped`
-    /// (pre-park self-rescues), `sched.unparks_elided` (wakes
-    /// covered by a searching worker), `sched.wakes_local`
-    /// (steal-free wakes onto the waking worker's own queue),
-    /// `sched.wakes_injector`, `sched.wakes_pinned`,
-    /// `sched.priority_spawns` (high-priority spawns),
-    /// `sched.priority_wakes` (wakes routed through the high lane),
-    /// `sched.priority_bursts` (non-empty high-lane claims); plus
-    /// every `chan.*` counter from [`crate::chan_counters`]
-    /// (process-global).
-    pub fn stat_get(&self, name: &str) -> u64 {
-        match name {
-            "sched.steals" => return self.inner.steals.load(Ordering::Relaxed),
-            "sched.steal_batches" => return self.inner.steal_batches.load(Ordering::Relaxed),
-            "sched.injector_bursts" => return self.inner.injector_bursts.load(Ordering::Relaxed),
-            "sched.overflows" => return self.inner.overflows.load(Ordering::Relaxed),
-            "sched.parks_skipped" => return self.inner.parks_skipped.load(Ordering::Relaxed),
-            "sched.unparks_elided" => return self.inner.unparks_elided.load(Ordering::Relaxed),
-            "sched.wakes_local" => return self.inner.wakes_local.load(Ordering::Relaxed),
-            "sched.wakes_injector" => return self.inner.wakes_injector.load(Ordering::Relaxed),
-            "sched.wakes_pinned" => return self.inner.wakes_pinned.load(Ordering::Relaxed),
-            "sched.priority_spawns" => return self.inner.priority_spawns.load(Ordering::Relaxed),
-            "sched.priority_wakes" => return self.inner.priority_wakes.load(Ordering::Relaxed),
-            "sched.priority_bursts" => return self.inner.priority_bursts.load(Ordering::Relaxed),
-            _ if name.starts_with("chan.") => return crate::chan::chan_counter(name),
-            _ => {}
-        }
-        plock(&self.inner.stats).get(name).copied().unwrap_or(0)
+    /// Every counter of this runtime as name-sorted `(name, value)`
+    /// pairs.
+    pub fn counters(&self) -> Vec<(String, u64)> {
+        self.inner.counters.snapshot()
     }
 
     /// Scheduler wake-routing counters:
     /// `(local_steal_free, injector, pinned)`.
     pub fn wake_counts(&self) -> (u64, u64, u64) {
+        let sum = |c: Counter| self.inner.counters.sum(c as usize);
         (
-            self.inner.wakes_local.load(Ordering::Relaxed),
-            self.inner.wakes_injector.load(Ordering::Relaxed),
-            self.inner.wakes_pinned.load(Ordering::Relaxed),
+            sum(Counter::WakesLocal),
+            sum(Counter::WakesInjector),
+            sum(Counter::WakesPinned),
         )
     }
 }
@@ -652,21 +595,9 @@ impl Runtime {
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
             started: Instant::now(),
-            stats: Mutex::new(HashMap::new()),
+            counters: Table::new(workers),
             tasks: Mutex::new(Vec::new()),
             graveyard: Mutex::new(Vec::new()),
-            steals: AtomicU64::new(0),
-            steal_batches: AtomicU64::new(0),
-            injector_bursts: AtomicU64::new(0),
-            overflows: AtomicU64::new(0),
-            parks_skipped: AtomicU64::new(0),
-            unparks_elided: AtomicU64::new(0),
-            wakes_local: AtomicU64::new(0),
-            wakes_injector: AtomicU64::new(0),
-            wakes_pinned: AtomicU64::new(0),
-            priority_spawns: AtomicU64::new(0),
-            priority_wakes: AtomicU64::new(0),
-            priority_bursts: AtomicU64::new(0),
         });
         let mut threads = Vec::with_capacity(workers);
         for i in 0..workers {
@@ -733,7 +664,7 @@ impl Runtime {
     /// while workers run spawned tasks. The runtime is ambient
     /// ([`current`]) inside `fut`.
     pub fn block_on<T, F: Future<Output = T>>(&self, fut: F) -> T {
-        let _ambient = enter(&self.inner);
+        let _ambient = enter(&self.inner, None);
         let parker = Arc::new(ThreadParker {
             thread: std::thread::current(),
             notified: AtomicBool::new(false),
@@ -883,7 +814,7 @@ where
     F: Future<Output = T> + Send + 'static,
 {
     if priority == Priority::High {
-        inner.priority_spawns.fetch_add(1, Ordering::Relaxed);
+        inner.count(Counter::PrioritySpawns, 1);
     }
     let join = Arc::new(JoinState {
         slot: Mutex::new(JoinSlot {
@@ -952,7 +883,7 @@ fn next_rand(state: &mut u64) -> u64 {
 fn worker_loop(rt: Arc<RtInner>, me: usize) {
     WORKER_ID.with(|w| w.set(Some(me)));
     WORKER_RT.with(|w| *w.borrow_mut() = Some(Arc::downgrade(&rt)));
-    let _ambient = enter(&rt);
+    let _ambient = enter(&rt, Some(me));
     let mut rng: u64 = 0x5EED ^ ((me as u64 + 1) << 17);
     let mut tick: u32 = 0;
     let mut lifo_streak: u8 = 0;
@@ -977,7 +908,7 @@ fn worker_loop(rt: Arc<RtInner>, me: usize) {
         // delivers a token).
         if rt.has_work(me) || rt.shutdown.load(Ordering::SeqCst) {
             if rt.idle.deregister(me) {
-                rt.parks_skipped.fetch_add(1, Ordering::Relaxed);
+                rt.count(Counter::ParksSkipped, 1);
             }
             // else: a producer claimed us; its pending token is
             // consumed on the next park.
@@ -1113,7 +1044,7 @@ fn pop_pinned(ws: &WorkerState) -> Option<Arc<TaskCell>> {
 /// wake so an idle sibling comes for it.
 fn take_hi(rt: &Arc<RtInner>) -> Option<Arc<TaskCell>> {
     let mut burst = rt.hi.take_all()?;
-    rt.priority_bursts.fetch_add(1, Ordering::Relaxed);
+    rt.count(Counter::PriorityBursts, 1);
     let first = burst.pop();
     burst.put_back(&rt.hi);
     if !rt.hi.is_empty() {
@@ -1130,7 +1061,7 @@ fn take_injector_burst(rt: &Arc<RtInner>, me: usize) -> (Option<Arc<TaskCell>>, 
     let Some(mut burst) = rt.injector.take_all() else {
         return (None, 0);
     };
-    rt.injector_bursts.fetch_add(1, Ordering::Relaxed);
+    rt.count(Counter::InjectorBursts, 1);
     let first = burst.pop();
     let ws = &rt.workers[me];
     let mut redistributed = 0;
@@ -1170,8 +1101,8 @@ fn steal_sweep(rt: &Arc<RtInner>, me: usize, rng: &mut u64) -> Option<(Arc<TaskC
         // reach the sweep with an empty ring, so a half-ring batch
         // always fits.
         if let Some((first, batch)) = unsafe { rt.workers[v].rq.steal_into(&rt.workers[me].rq) } {
-            rt.steals.fetch_add(batch as u64, Ordering::Relaxed);
-            rt.steal_batches.fetch_add(1, Ordering::Relaxed);
+            rt.count(Counter::Steals, batch as u64);
+            rt.count(Counter::StealBatches, 1);
             return Some((first, batch - 1));
         }
     }
@@ -1390,5 +1321,29 @@ impl<F: Future> Future for CatchUnwind<AssertUnwindSafe<F>> {
                 Poll::Ready(Err(Panicked(msg)))
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn in_runtime_follows_the_entered_runtime() {
+        assert!(!in_runtime());
+        let rt = Runtime::new(1);
+        assert!(!in_runtime(), "creating a runtime does not enter it");
+        assert!(rt.spawn(async { in_runtime() }).join_blocking().unwrap());
+        assert!(rt.block_on(async { in_runtime() }));
+        assert!(!in_runtime());
+        // Entered, then shut down and dropped under our feet: the
+        // thread is in no runtime although the guard still stands.
+        let entered = enter(&rt.inner, None);
+        assert!(in_runtime());
+        rt.shutdown();
+        assert!(!in_runtime());
+        assert!(current().is_none());
+        drop(entered);
+        assert!(!in_runtime());
     }
 }

@@ -41,6 +41,7 @@
 //! ```
 
 mod chan;
+mod counters;
 mod executor;
 mod idle;
 mod injector;
@@ -50,10 +51,11 @@ mod sync;
 mod timer;
 
 pub use chan::{
-    chan_counter, chan_counters, channel, Capacity, Receiver, RecvError, RecvFut, SendError,
-    SendFut, Sender, TryRecvError, TrySendError, WakeBatch,
+    channel, Capacity, Receiver, RecvError, RecvFut, SendError, SendFut, Sender, TryRecvError,
+    TrySendError, WakeBatch,
 };
 pub use chanos_select::{choose, join2, join_all, race, select_all, Either};
+pub use counters::stat_add;
 pub use executor::{
     current, current_worker, in_runtime, yield_now, Handle, JoinHandle, Panicked, Priority,
     Runtime, Watch, YieldNow,

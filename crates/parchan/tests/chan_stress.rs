@@ -18,9 +18,7 @@
 use std::collections::HashMap;
 use std::future::Future;
 
-use chanos_parchan::{
-    chan_counter, channel, race, Capacity, Either, Receiver, Runtime, TrySendError,
-};
+use chanos_parchan::{channel, race, Capacity, Either, Handle, Receiver, Runtime, TrySendError};
 
 /// Minimal PCG-32 (no external deps; parchan is dependency-free).
 #[derive(Clone)]
@@ -57,10 +55,12 @@ impl Pcg {
 /// One message: (producer id, per-producer sequence number).
 type Msg = (u32, u32);
 
-/// Runs `producers`x`consumers` over `cap` and checks the three
-/// invariants. Returns the total number of messages moved.
-fn stress(cap: Capacity, producers: u32, consumers: u32, per_producer: u32, seed: u64) -> u64 {
+/// Runs `producers`x`consumers` over `cap` on a runtime of its own
+/// and checks the three invariants. Returns that runtime's handle,
+/// for its counters.
+fn stress(cap: Capacity, producers: u32, consumers: u32, per_producer: u32, seed: u64) -> Handle {
     let rt = Runtime::new(4);
+    let handle = rt.handle();
     let (tx, rx) = channel::<Msg>(cap);
 
     let consumer_handles: Vec<_> = (0..consumers)
@@ -158,7 +158,7 @@ fn stress(cap: Capacity, producers: u32, consumers: u32, per_producer: u32, seed
             assert_eq!(all[idx], (p, i), "lost or duplicated message (seed {seed})");
         }
     }
-    all.len() as u64
+    handle
 }
 
 /// One bounded capacity per core for the contract tests below:
@@ -191,12 +191,11 @@ fn mpmc_every_capacity() {
 
 #[test]
 fn mpmc_unbounded_spills_through_overflow() {
-    let before = chan_counter("chan.overflow_spills");
     // 4 producers x 2000 >> the 256-slot ring segment, so the spill
     // path runs even if consumers keep up briefly.
-    stress(Capacity::Unbounded, 4, 2, 2000, 0xAB);
+    let h = stress(Capacity::Unbounded, 4, 2, 2000, 0xAB);
     assert!(
-        chan_counter("chan.overflow_spills") > before,
+        h.stat_get("chan.overflow_spills") > 0,
         "unbounded stress never hit the overflow segment"
     );
 }
@@ -382,7 +381,6 @@ fn debug_never_blocks() {
 
 #[test]
 fn fast_path_counters_move() {
-    let before_fast = chan_counter("chan.fast_sends");
     let rt = Runtime::new(1);
     let (tx, rx) = channel::<u32>(Capacity::Bounded(64));
     rt.block_on(async {
@@ -393,11 +391,36 @@ fn fast_path_counters_move() {
             rx.recv().await.unwrap();
         }
     });
+    let h = rt.handle();
     rt.shutdown();
-    assert!(
-        chan_counter("chan.fast_sends") >= before_fast + 50,
+    // Exact: the counters are this runtime's alone.
+    assert_eq!(
+        (h.stat_get("chan.fast_sends"), h.stat_get("chan.slow_sends")),
+        (50, 0),
         "uncontended bounded sends should all take the fast path"
     );
+    assert_eq!(h.stat_get("chan.fast_recvs"), 50);
+}
+
+#[test]
+fn a_second_runtime_starts_from_zero() {
+    // `chan.*` is per-runtime like every other counter: what one
+    // runtime's threads moved is not in the next one's table.
+    let first = stress(Capacity::Bounded(64), 2, 2, 200, 0x2D);
+    assert!(first.stat_get("chan.fast_sends") + first.stat_get("chan.slow_sends") >= 400);
+    let rt = Runtime::new(2);
+    let second = rt.handle();
+    rt.shutdown();
+    let chan: Vec<_> = second
+        .counters()
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("chan."))
+        .collect();
+    assert_eq!(chan.len(), 13);
+    for (name, v) in chan {
+        assert_eq!(v, 0, "{name} leaked into a fresh runtime");
+        assert_eq!(second.stat_get(&name), 0);
+    }
 }
 
 #[test]
@@ -428,7 +451,6 @@ fn reply_burst_coalesces_wakes_for_one_peer() {
             wakes.flush();
         }
     });
-    let before = chan_counter("chan.reply_wakes_coalesced");
     rt.block_on(async {
         for _ in 0..200 {
             // Pipeline 16 calls, then await all replies: the replies
@@ -448,7 +470,7 @@ fn reply_burst_coalesces_wakes_for_one_peer() {
     drop(req_tx);
     server.join_blocking().unwrap();
     assert!(
-        chan_counter("chan.reply_wakes_coalesced") > before,
+        rt.handle().stat_get("chan.reply_wakes_coalesced") > 0,
         "bursts of same-peer replies must coalesce at least once"
     );
     rt.shutdown();

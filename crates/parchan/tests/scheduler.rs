@@ -10,7 +10,9 @@ use std::sync::{Arc, Mutex};
 use std::task::{Context, Wake, Waker};
 use std::time::Duration;
 
-use chanos_parchan::{after, channel, current_worker, yield_now, Capacity, Priority, Runtime};
+use chanos_parchan::{
+    after, channel, current_worker, stat_add, yield_now, Capacity, Priority, Runtime,
+};
 
 /// A waker that does nothing (for polling futures by hand).
 struct NoopWake;
@@ -234,7 +236,10 @@ fn steal_spreads_locally_spawned_work() {
         ran_on.len() >= 2,
         "work never left the seeding worker: {ran_on:?}"
     );
-    assert!(rt.handle().steal_count() > 0, "no steals recorded");
+    assert!(
+        rt.handle().stat_get("sched.steal_batches") > 0,
+        "no steals recorded"
+    );
     rt.shutdown();
 }
 
@@ -533,6 +538,55 @@ fn high_priority_wake_routing_and_counters() {
         "no dispatch ever claimed the high lane"
     );
     rt.shutdown();
+}
+
+#[test]
+fn a_named_counter_sums_every_worker_and_the_block_on_thread() {
+    const N: usize = 4;
+    const K: u64 = 1_000;
+    let rt = Runtime::new(N);
+    let tasks: Vec<_> = (0..N)
+        .map(|w| {
+            rt.spawn_pinned(w, async move {
+                for _ in 0..K {
+                    assert_eq!(current_worker(), Some(w));
+                    stat_add("test.bumps", 1);
+                    yield_now().await;
+                }
+            })
+        })
+        .collect();
+    rt.block_on(async { stat_add("test.bumps", 7) });
+    for t in tasks {
+        t.join_blocking().unwrap();
+    }
+    // A thread in no runtime counts into nothing.
+    stat_add("test.bumps", 1);
+    let h = rt.handle();
+    rt.shutdown();
+    let want = N as u64 * K + 7;
+    assert_eq!(h.stat_get("test.bumps"), want);
+    let all = h.counters();
+    assert!(all.contains(&("test.bumps".to_string(), want)), "{all:?}");
+    assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "not name-sorted");
+    // A built-in counted from several threads is summed the same way:
+    // every yield above was a wake of a pinned task.
+    assert_eq!(h.stat_get("sched.wakes_pinned"), N as u64 * K);
+    assert_eq!(h.wake_counts().2, N as u64 * K);
+}
+
+#[test]
+fn a_thread_counts_into_the_innermost_runtime_it_entered() {
+    let (outer, inner) = (Runtime::new(1), Runtime::new(1));
+    outer.block_on(async {
+        stat_add("test.nested", 1);
+        inner.block_on(async { stat_add("test.nested", 10) });
+        stat_add("test.nested", 100);
+    });
+    assert_eq!(outer.handle().stat_get("test.nested"), 101);
+    assert_eq!(inner.handle().stat_get("test.nested"), 10);
+    outer.shutdown();
+    inner.shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -1094,7 +1094,7 @@ pub fn real_cores() -> usize {
 pub fn stat_add(name: &str, v: u64) {
     match backend() {
         Backend::Sim => sim::stat_add(name, v),
-        Backend::Threads => par_handle().stat_add(name, v),
+        Backend::Threads => par::stat_add(name, v),
     }
 }
 
@@ -1108,6 +1108,15 @@ pub fn stat_get(name: &str) -> u64 {
     match backend() {
         Backend::Sim => sim::stat_get(name),
         Backend::Threads => par_handle().stat_get(name),
+    }
+}
+
+/// Every counter of the ambient runtime as name-sorted
+/// `(name, value)` pairs: the same map on both backends.
+pub fn stat_snapshot() -> Vec<(String, u64)> {
+    match backend() {
+        Backend::Sim => sim::stat_snapshot(),
+        Backend::Threads => par_handle().counters(),
     }
 }
 

@@ -162,6 +162,16 @@ pub fn stat_get(name: &str) -> u64 {
     with_inner(|i| i.stats.counter(name))
 }
 
+/// Every counter as name-sorted `(name, value)` pairs.
+pub fn stat_snapshot() -> Vec<(String, u64)> {
+    with_inner(|i| {
+        i.stats
+            .counters()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect()
+    })
+}
+
 /// Runs a closure with the simulation's deterministic RNG.
 pub fn with_rng<R>(f: impl FnOnce(&mut Pcg32) -> R) -> R {
     with_inner(|i| f(&mut i.rng))

@@ -36,29 +36,25 @@ fn main() {
             for i in 0..WORKERS {
                 let rx = rx.clone();
                 let registry = registry.clone();
-                sup = sup.child(ChildSpec::new(
-                    &format!("worker{i}"),
-                    Restart::Permanent,
-                    move || {
-                        let rx = rx.clone();
-                        let registry = registry.clone();
-                        let h = chanos::rt::spawn_named_on(
-                            &format!("worker{i}"),
-                            CoreId((i % WORKERS) as u32),
-                            async move {
-                                while let Ok(Req { n, reply }) = rx.recv().await {
-                                    chanos::sim::delay(500).await;
-                                    let _ = reply.send(n * 2).await;
-                                }
-                            },
-                        );
-                        registry
-                            .lock()
-                            .expect("registry")
-                            .push(h.task_id().expect("sim backend"));
-                        h
-                    },
-                ));
+                sup = sup.child(ChildSpec::new(Restart::Permanent, move || {
+                    let rx = rx.clone();
+                    let registry = registry.clone();
+                    let h = chanos::rt::spawn_named_on(
+                        &format!("worker{i}"),
+                        CoreId((i % WORKERS) as u32),
+                        async move {
+                            while let Ok(Req { n, reply }) = rx.recv().await {
+                                chanos::sim::delay(500).await;
+                                let _ = reply.send(n * 2).await;
+                            }
+                        },
+                    );
+                    registry
+                        .lock()
+                        .expect("registry")
+                        .push(h.task_id().expect("sim backend"));
+                    h
+                }));
             }
             sup.spawn("pool-supervisor", CoreId(WORKERS as u32));
 

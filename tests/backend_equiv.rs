@@ -1147,15 +1147,14 @@ mod reply_batch_equiv {
         assert_eq!(sim_out, reference_out);
         assert_eq!(batched_trace, reference_trace);
 
-        let before = chanos::parchan::chan_counter("chan.reply_wakes_coalesced");
         let rt = Runtime::new(2);
         let thr_out = rt.block_on(mixed_script(true, 100));
+        let coalesced = rt.handle().stat_get("chan.reply_wakes_coalesced");
         rt.shutdown();
         assert_eq!(thr_out, vec![expect; 100]);
-        let coalesced = chanos::parchan::chan_counter("chan.reply_wakes_coalesced") - before;
         assert!(
             coalesced > 0,
-            "a client parked on 8 answers must be woken fewer than 8 times (got +{coalesced})"
+            "a client parked on 8 answers must be woken fewer than 8 times (got {coalesced})"
         );
     }
 
@@ -1284,8 +1283,6 @@ mod reply_batch_equiv {
 #[test]
 fn vnode_stat_burst_coalesces_reply_wakes_on_threads() {
     let rt = Runtime::new(2);
-    let before = chanos::parchan::chan_counter("chan.reply_wakes_coalesced");
-    let submit_before = chanos::parchan::chan_counter("chan.send_many_msgs");
     rt.block_on(async {
         let os = boot(cfg()).await;
         os.vfs.mkdir("/burst").await.unwrap();
@@ -1306,16 +1303,16 @@ fn vnode_stat_burst_coalesces_reply_wakes_on_threads() {
             assert!(stats.iter().all(|s| s.size == 11));
         }
     });
+    let coalesced = rt.handle().stat_get("chan.reply_wakes_coalesced");
+    let submitted = rt.handle().stat_get("chan.send_many_msgs");
     rt.shutdown();
-    let coalesced = chanos::parchan::chan_counter("chan.reply_wakes_coalesced") - before;
-    let submitted = chanos::parchan::chan_counter("chan.send_many_msgs") - submit_before;
     assert!(
         coalesced > 0,
-        "vnode reply bursts must coalesce same-client wakes (got +{coalesced})"
+        "vnode reply bursts must coalesce same-client wakes (got {coalesced})"
     );
     assert!(
         submitted >= 8,
-        "stat bursts must go through the batched submit path (got +{submitted})"
+        "stat bursts must go through the batched submit path (got {submitted})"
     );
 }
 
@@ -1626,13 +1623,43 @@ mod serve_equiv {
             ..Config::default()
         });
         let sim_log = s.block_on(kv_script()).unwrap();
+        let sim_stats = s.block_on(async { chanos::rt::stat_snapshot() }).unwrap();
         let rt = Runtime::new(3);
         let thr_log = rt.block_on(kv_script());
+        // The shards count a burst after answering it: let them exit.
+        rt.wait_idle();
+        let thr_stats = rt.block_on(async { chanos::rt::stat_snapshot() });
         rt.shutdown();
         assert_eq!(sim_log.len(), thr_log.len());
         for (i, (a, b)) in sim_log.iter().zip(&thr_log).enumerate() {
             assert_eq!(a, b, "KV observation {i} differs between backends");
         }
+
+        // The snapshot is the same map on both backends. A name in a
+        // registered family is itself registered — this, not the
+        // lint's scan of literals, is what sees a computed name.
+        let registry: Vec<&str> = include_str!("../crates/check/stat_registry.txt")
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .collect();
+        let family = |name: &str| name.split_once('.').map(|(f, _)| f.to_string());
+        for (name, _) in sim_stats.iter().chain(&thr_stats) {
+            let registered_family = registry.iter().any(|r| family(r) == family(name));
+            assert!(
+                !registered_family || registry.contains(&name.as_str()),
+                "{name} is counted but not in crates/check/stat_registry.txt"
+            );
+        }
+        // What the script asked for does not depend on the schedule.
+        let read = |stats: &[(String, u64)], name: &str| {
+            stats.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+        };
+        for name in ["serve.kv_gets", "serve.kv_sets", "serve.kv_dels"] {
+            let sim = read(&sim_stats, name);
+            assert!(sim > Some(0), "{name} never counted on the simulator");
+            assert_eq!(sim, read(&thr_stats, name), "{name} differs");
+        }
+        assert!(read(&thr_stats, "chan.fast_sends") > Some(0));
     }
 
     #[test]

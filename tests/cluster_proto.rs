@@ -144,7 +144,7 @@ fn supervised_network_service_survives_kills() {
             let spec_starts = std::sync::Arc::clone(&starts);
             let spec_listener = std::sync::Arc::clone(&listener);
             let spec_task = std::sync::Arc::clone(&current_task);
-            let spec = ChildSpec::new("hash-server", Restart::Permanent, move || {
+            let spec = ChildSpec::new(Restart::Permanent, move || {
                 spec_starts.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let listener = std::sync::Arc::clone(&spec_listener);
                 let me = std::sync::Arc::clone(&spec_task);
