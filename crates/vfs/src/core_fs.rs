@@ -7,8 +7,8 @@
 //! * big-lock — one mutex around everything;
 //! * sharded — per-inode rwlocks plus per-group allocator mutexes;
 //! * message-passing — vnode tasks own inodes (and a directory's
-//!   entries), group-server tasks serialise each group's bitmaps and
-//!   inode table.
+//!   entries), group-server tasks own each group's bitmaps and inode
+//!   table and run these algorithms over their own copy of them.
 //!
 //! Because all engines run these same byte-level algorithms over the
 //! same [`crate::layout`], the equivalence tests can require their
@@ -78,6 +78,15 @@ impl<S: BlockStore> FsCore<S> {
     /// The underlying store.
     pub fn store(&self) -> &S {
         &self.store
+    }
+
+    /// The same algorithms over the same volume through another store:
+    /// how a task that keeps some of the blocks itself runs them.
+    pub(crate) fn with_store<T: BlockStore>(&self, store: T) -> FsCore<T> {
+        FsCore {
+            sb: self.sb.clone(),
+            store,
+        }
     }
 
     // -- Inode records ------------------------------------------------------
@@ -253,9 +262,6 @@ impl<S: BlockStore> FsCore<S> {
     /// (the message-passing cache groups lookups per shard) serve the
     /// read in one round-trip per shard instead of one per block.
     pub async fn read_file(&self, inode: &Inode, off: u64, len: usize) -> Result<Vec<u8>, FsError> {
-        if inode.kind == FileKind::Dir {
-            // Directories are read through the dirent API.
-        }
         if off >= inode.size {
             return Ok(Vec::new());
         }

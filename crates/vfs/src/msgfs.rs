@@ -13,19 +13,23 @@
 //!                                   │  owns its Inode outright and,
 //!                                   │  for a directory, its entries
 //!                                   ├──AllocBlock/WriteInode──▶ group task (one per
-//!                                   │                           cylinder group; the one
-//!                                   │                           writer of its bitmaps
-//!                                   │                           and inode table)
+//!                                   │                           cylinder group; holds
+//!                                   │                           its bitmaps and inode
+//!                                   │                           table)
 //!                                   └──Read/Write block───────▶ cache shard task
 //! ```
 //!
 //! Every piece of mutable state has exactly one writing task (or, for
 //! the vnode registry below, one replica per core over a shared op
 //! log), and dispatch-by-channel replaces dispatch-by-function-pointer
-//! (§4). The blocks themselves live in the cache shards: a group task
-//! owns its bitmaps and inode table in the sense that nobody else
-//! writes them, but it fetches and stores them through the cache on
-//! every request, as a vnode does its data.
+//! (§4). State with one owner needs no lock and no fetch: a group task
+//! keeps its group's two bitmaps and inode table in its own memory
+//! (`GroupStore`: `2 + itable_blocks` blocks, each read from the
+//! cache once in the task's life), answers `ReadInode` from there, and
+//! writes what a request changed through to the cache shards in one
+//! round trip before it answers — so the cache, and after a `sync` the
+//! volume, hold the bytes the lock engines would have written. A
+//! vnode's data blocks still live in the cache shards alone.
 //!
 //! Who waits for the disk: the caller, never a cache shard. A shard
 //! that misses submits the read, parks the reply endpoint under the
@@ -67,16 +71,17 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use chanos_drivers::DiskClient;
 use chanos_nr::{NrService, Replicated};
 use chanos_rt::{self as rt, port_channel, Capacity, CoreId, Port, ReplyBatch, ReplyTo};
+use chanos_sim::plock;
 
 use crate::core_fs::{check_name, split_parent, split_path, Allocator, FsCore, Stat};
 use crate::error::FsError;
-use crate::layout::{Dirent, FileKind, Inode, DIRENT_SIZE, ROOT_INO};
-use crate::store::{BlockStore, CacheClient};
+use crate::layout::{Dirent, FileKind, Inode, Superblock, DIRENT_SIZE, ROOT_INO};
+use crate::store::{check_block_len, BlockStore, CacheClient};
 
 /// Messages understood by a cylinder-group server task.
 enum GroupMsg {
@@ -110,6 +115,8 @@ enum GroupMsg {
         inode: Box<Inode>,
         reply: ReplyTo<Result<(), FsError>>,
     },
+    /// Writes through whatever an earlier failure left pending.
+    Flush { reply: ReplyTo<Result<(), FsError>> },
 }
 
 /// Messages understood by a vnode task.
@@ -319,11 +326,125 @@ impl Allocator for MsgAllocator {
 /// wakeup (group servers, vnode tasks).
 const FS_BATCH: usize = 32;
 
-/// One cylinder-group server: the only writer of the group's bitmaps
-/// and inode table (the blocks live in the cache shards). Drains
-/// request bursts so allocation storms cost one wakeup per batch, not
-/// one per message — and one *reply* wake per waiting peer per batch.
+/// A group task's view of the volume: the cache, with the group's own
+/// blocks — inode bitmap, data bitmap, inode table — kept in front of
+/// it. [`FsCore`]'s allocation and inode-record algorithms run over
+/// this store unchanged.
+///
+/// A read of an own block is answered from the task's copy, fetched
+/// from the cache the first time and never again (nobody else writes
+/// those blocks, so the copy cannot go stale). A `write_block` only
+/// records the block; [`flush`](GroupStore::flush) sends what a request
+/// wrote to the cache shards together, before the request is answered.
+/// A block whose write-through failed stays recorded and goes out
+/// again with the next flush: the task's copy is the truth, and the
+/// cache must end up holding it.
+#[derive(Clone)]
+struct GroupStore {
+    cache: CacheClient,
+    /// The group's own block numbers.
+    own: std::ops::Range<u64>,
+    blocks: Arc<Mutex<GroupBlocks>>,
+}
+
+struct GroupBlocks {
+    /// The group's own blocks in order, `None` until first used: `2 +
+    /// itable_blocks` of them whatever the workload (10 at the
+    /// benchmark's geometry, 130 at the layout's largest).
+    held: Vec<Option<Vec<u8>>>,
+    /// Written and not yet through to the cache, one entry per block
+    /// in the order first written.
+    pending: Vec<(u64, Vec<u8>)>,
+}
+
+impl GroupStore {
+    fn new(cache: CacheClient, sb: &Superblock, g: u64) -> GroupStore {
+        let own = sb.group_start(g)..sb.data_start(g);
+        debug_assert_eq!(own.end - own.start, 2 + sb.itable_blocks());
+        let blocks = GroupBlocks {
+            held: vec![None; (own.end - own.start) as usize],
+            pending: Vec::new(),
+        };
+        GroupStore {
+            cache,
+            own,
+            blocks: Arc::new(Mutex::new(blocks)),
+        }
+    }
+
+    /// Where `lba` is held, if it is one of the group's own blocks.
+    fn slot(&self, lba: u64) -> Option<usize> {
+        self.own
+            .contains(&lba)
+            .then(|| (lba - self.own.start) as usize)
+    }
+
+    /// Writes every recorded block through to the cache, all shards at
+    /// once. The blocks the cache refused stay recorded; the error is
+    /// the first of theirs.
+    async fn flush(&self) -> Result<(), FsError> {
+        let pending = std::mem::take(&mut plock(&self.blocks).pending);
+        if pending.is_empty() {
+            return Ok(());
+        }
+        let answers = self.cache.write_many(&pending).await;
+        let mut out = Ok(());
+        let mut refused = Vec::new();
+        for (block, answer) in pending.into_iter().zip(answers) {
+            if let Err(e) = answer {
+                refused.push(block);
+                out = out.and(Err(e));
+            }
+        }
+        // The one task that records writes here was waiting above.
+        let mut blocks = plock(&self.blocks);
+        debug_assert!(blocks.pending.is_empty());
+        blocks.pending = refused;
+        out
+    }
+}
+
+impl BlockStore for GroupStore {
+    async fn read_block(&self, lba: u64) -> Result<Vec<u8>, FsError> {
+        let slot = self.slot(lba);
+        if let Some(data) = slot.and_then(|i| plock(&self.blocks).held[i].clone()) {
+            return Ok(data);
+        }
+        let data = self.cache.read_block(lba).await?;
+        if let Some(i) = slot {
+            plock(&self.blocks).held[i] = Some(data.clone());
+        }
+        Ok(data)
+    }
+
+    async fn write_block(&self, lba: u64, data: Vec<u8>) -> Result<(), FsError> {
+        check_block_len(&data)?;
+        let mut blocks = plock(&self.blocks);
+        if let Some(i) = self.slot(lba) {
+            blocks.held[i] = Some(data.clone());
+        }
+        match blocks.pending.iter_mut().find(|(l, _)| *l == lba) {
+            Some((_, older)) => *older = data,
+            None => blocks.pending.push((lba, data)),
+        }
+        Ok(())
+    }
+
+    async fn sync(&self) -> Result<(), FsError> {
+        self.flush().await?;
+        self.cache.sync().await
+    }
+}
+
+/// One cylinder-group server: the owner of the group's bitmaps and
+/// inode table, which it keeps in its [`GroupStore`] for as long as it
+/// lives and writes through to the cache once per request that changed
+/// them. Drains request bursts so allocation storms cost one wakeup
+/// per batch, not one per message — and one *reply* wake per waiting
+/// peer per batch.
 async fn group_task(g: u64, core: FsCore<CacheClient>, rx: chanos_rt::Receiver<GroupMsg>) {
+    let store = GroupStore::new(core.store().clone(), core.superblock(), g);
+    let core = core.with_store(store);
     let mut batch = Vec::with_capacity(FS_BATCH);
     let mut replies = ReplyBatch::default();
     loop {
@@ -338,37 +459,53 @@ async fn group_task(g: u64, core: FsCore<CacheClient>, rx: chanos_rt::Receiver<G
     }
 }
 
-async fn group_handle(g: u64, core: &FsCore<CacheClient>, msg: GroupMsg, replies: &mut ReplyBatch) {
+async fn group_handle(g: u64, core: &FsCore<GroupStore>, msg: GroupMsg, replies: &mut ReplyBatch) {
     match msg {
         GroupMsg::AllocInode { kind, reply } => {
             let out = core.alloc_inode_in(g, kind).await;
-            replies.send(reply, out);
+            answer_written(core, replies, reply, out).await;
         }
         GroupMsg::ClearInode { ino, reply } => {
             let out = core.clear_inode(ino).await;
-            replies.send(reply, out);
+            answer_written(core, replies, reply, out).await;
         }
         GroupMsg::FreeInode { ino, reply } => {
             let out = core.free_inode_bit(ino).await;
-            replies.send(reply, out);
+            answer_written(core, replies, reply, out).await;
         }
         GroupMsg::AllocBlock { reply } => {
             let out = core.alloc_block_in(g).await;
-            replies.send(reply, out);
+            answer_written(core, replies, reply, out).await;
         }
         GroupMsg::FreeBlock { lba, reply } => {
             let out = core.free_block(lba).await;
-            replies.send(reply, out);
+            answer_written(core, replies, reply, out).await;
         }
+        // Wrote nothing, sends nothing.
         GroupMsg::ReadInode { ino, reply } => {
             let out = core.read_inode(ino).await;
             replies.send(reply, out);
         }
         GroupMsg::WriteInode { ino, inode, reply } => {
             let out = core.write_inode(ino, &inode).await;
-            replies.send(reply, out);
+            answer_written(core, replies, reply, out).await;
         }
+        GroupMsg::Flush { reply } => answer_written(core, replies, reply, Ok(())).await,
     }
+}
+
+/// Answers a request that may have written: first what it wrote goes
+/// through to the cache, so `Ok` means the caller may tell anyone and
+/// anyone may read the cache. A refused write-through fails the
+/// request, as a refused `write_block` did when each went on its own.
+async fn answer_written<T: Send + 'static>(
+    core: &FsCore<GroupStore>,
+    replies: &mut ReplyBatch,
+    reply: ReplyTo<Result<T, FsError>>,
+    out: Result<T, FsError>,
+) {
+    let through = core.store().flush().await;
+    replies.send(reply, out.and_then(|v| through.map(|()| v)));
 }
 
 /// A directory's decoded entries, kept by the vnode task that owns the
@@ -392,6 +529,8 @@ struct Vnode {
     task: u64,
     shared: Arc<MsgShared>,
     inode: Inode,
+    /// The record the inode's group holds: as last loaded or stored.
+    stored: Inode,
     /// The inode's own group, where its blocks and its files go.
     group: u64,
     alloc: MsgAllocator,
@@ -420,6 +559,7 @@ async fn vnode_task(
             let vn = Vnode {
                 ino,
                 task,
+                stored: inode.clone(),
                 inode,
                 group: shared.core.superblock().group_of_ino(ino),
                 alloc: MsgAllocator {
@@ -536,19 +676,25 @@ impl Vnode {
                     // vnode started for this number from now on finds
                     // nothing to load), then leave the registry, and
                     // only then free the number — so whoever is given
-                    // it next can never be routed to this task.
-                    let _ = self
+                    // it next can never be routed to this task. For
+                    // the same reason every step runs whatever became
+                    // of the one before it; the ones that fail are
+                    // counted.
+                    let freed = self
                         .shared
                         .core
                         .truncate(&mut self.inode, &self.alloc)
                         .await;
+                    count_reap_error(freed);
                     let ino = self.ino;
                     let group = self.shared.group_of_ino(ino);
-                    let _ = group
+                    let cleared = group
                         .call(|reply| GroupMsg::ClearInode { ino, reply })
                         .await;
+                    count_reap_error(cleared.unwrap_or_else(|e| Err(e.into())));
                     self.shared.retire_vnode(ino, self.task).await;
-                    let _ = group.call(|reply| GroupMsg::FreeInode { ino, reply }).await;
+                    let released = group.call(|reply| GroupMsg::FreeInode { ino, reply }).await;
+                    count_reap_error(released.unwrap_or_else(|e| Err(e.into())));
                     rt::stat_incr("msgfs.vnodes_reaped");
                     replies.send(reply, Ok(true));
                     return std::ops::ControlFlow::Break(());
@@ -569,9 +715,18 @@ impl Vnode {
             .await
     }
 
-    /// Persists the inode.
-    async fn store(&self) -> Result<(), FsError> {
-        self.shared.store_inode(self.ino, self.inode.clone()).await
+    /// Persists the inode if it changed: an `unlink` that zeroes a
+    /// slot and a `create` that fills a freed one leave the directory's
+    /// inode as its group has it, and storing the same bytes again
+    /// would be a round trip for nothing.
+    async fn store(&mut self) -> Result<(), FsError> {
+        if self.inode != self.stored {
+            self.shared
+                .store_inode(self.ino, self.inode.clone())
+                .await?;
+            self.stored = self.inode.clone();
+        }
+        Ok(())
     }
 
     /// This directory's entries, decoded from its blocks on first use.
@@ -650,6 +805,15 @@ impl Vnode {
         dir.by_name.remove(&name);
         dir.free.insert(slot);
         self.store().await
+    }
+}
+
+/// A reap cannot stop at a failed step and has nobody to hand the
+/// error to (the file is gone either way; what leaks is a block or an
+/// inode number): it counts it.
+fn count_reap_error(step: Result<(), FsError>) {
+    if step.is_err() {
+        rt::stat_incr("msgfs.reap_errors");
     }
 }
 
@@ -848,8 +1012,17 @@ impl MsgFs {
             .unwrap_or_else(|e| Err(e.into()))
     }
 
-    /// Flushes dirty cache blocks to disk.
+    /// Flushes dirty cache blocks to disk — after the group tasks
+    /// have written through what an earlier failure left with them.
     pub async fn sync(&self) -> Result<(), FsError> {
+        let groups = &self.shared.groups;
+        let flushes: Vec<_> = groups
+            .iter()
+            .map(|group| group.call(|reply| GroupMsg::Flush { reply }))
+            .collect();
+        for flush in flushes {
+            flush.await.unwrap_or_else(|e| Err(e.into()))?;
+        }
         self.shared.core.store().sync().await
     }
 }

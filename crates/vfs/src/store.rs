@@ -202,7 +202,7 @@ impl LruCache {
     }
 }
 
-fn check_block_len(data: &[u8]) -> Result<(), FsError> {
+pub(crate) fn check_block_len(data: &[u8]) -> Result<(), FsError> {
     if data.len() == BLOCK_SIZE {
         Ok(())
     } else {
@@ -813,6 +813,33 @@ impl CacheClient {
             }
         }
         Ok(out)
+    }
+
+    /// Writes many blocks in one round trip: every `Write` is
+    /// submitted before the first is awaited, so blocks of different
+    /// shards are written in parallel and blocks of one shard arrive in
+    /// the order given. Answers block for block, in that order; a
+    /// block answered `Err` may or may not be in the cache (the error
+    /// can be its evicted victim's), so its writer keeps the bytes.
+    pub async fn write_many(&self, blocks: &[(u64, Vec<u8>)]) -> Vec<Result<(), FsError>> {
+        let calls: Vec<_> = blocks
+            .iter()
+            .map(|(lba, data)| {
+                check_block_len(data)?;
+                let (lba, data) = (*lba, data.clone());
+                Ok(self
+                    .shard(lba)
+                    .call(|reply| CacheMsg::Write { lba, data, reply }))
+            })
+            .collect();
+        let mut out = Vec::with_capacity(calls.len());
+        for call in calls {
+            out.push(match call {
+                Ok(call) => call.await.unwrap_or_else(|e| Err(e.into())),
+                Err(e) => Err(e),
+            });
+        }
+        out
     }
 }
 

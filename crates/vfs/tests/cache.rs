@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use chanos_drivers::{DiskClient, DiskError, DiskReq, BLOCK_SIZE};
 use chanos_rt::{self as rt, Capacity, CoreId, JoinHandle};
 use chanos_sim::{plock, Simulation};
-use chanos_vfs::{BlockStore, CacheClient, FsError};
+use chanos_vfs::{copy_cost, BigLockFs, BlockStore, CacheClient, FsError, MsgFs};
 
 /// A command the scripted disk is holding.
 enum Held {
@@ -33,9 +33,12 @@ struct DiskState {
     /// Blocks written so far; the rest read as zeroes.
     blocks: HashMap<u64, Vec<u8>>,
     holding: bool,
+    /// Writes that arrive while not holding are refused.
+    refusing: bool,
     held: VecDeque<Held>,
     reads: u64,
     writes: u64,
+    refused: u64,
 }
 
 impl DiskState {
@@ -60,6 +63,7 @@ impl DiskState {
             Held::Write { lba, data, reply } => {
                 self.writes += 1;
                 let out = if fail {
+                    self.refused += 1;
                     Err(DiskError::BadTag)
                 } else {
                     self.blocks.insert(lba, data);
@@ -97,7 +101,8 @@ impl ScriptedDisk {
                 if st.holding {
                     st.held.push_back(cmd);
                 } else {
-                    st.finish(cmd, false);
+                    let refuse = st.refusing && matches!(cmd, Held::Write { .. });
+                    st.finish(cmd, refuse);
                 }
             }
         });
@@ -116,6 +121,16 @@ impl ScriptedDisk {
         while let Some(cmd) = st.held.pop_front() {
             st.finish(cmd, false);
         }
+    }
+
+    /// From now on every write is refused (`true`) or done (`false`).
+    fn refuse_writes(&self, on: bool) {
+        plock(&self.0).refusing = on;
+    }
+
+    /// Writes refused so far, by [`fail`](Self::fail) or wholesale.
+    fn refused(&self) -> u64 {
+        plock(&self.0).refused
     }
 
     /// The held commands in arrival order, as `"r<lba>"` / `"w<lba>"`.
@@ -487,6 +502,142 @@ fn failed_writeback_keeps_the_block_and_fails_the_next_sync() {
         assert_eq!(cache.sync().await, Ok(()));
         for lba in 4..=7u64 {
             assert_eq!(disk.peek_block(lba), blk(lba as u8), "block {lba}");
+        }
+    });
+}
+
+/// `write_many` has every write at its shard before it waits for the
+/// first: two shards work side by side, and one shard sees its blocks
+/// in the order given.
+#[test]
+fn write_many_overlaps_shards_and_keeps_a_shards_order() {
+    in_sim(async {
+        let (disk, cache, _) = rig(2, 1);
+        let timed = |blocks: Vec<(u64, Vec<u8>)>| {
+            let cache = cache.clone();
+            async move {
+                let t = rt::now();
+                for answer in cache.write_many(&blocks).await {
+                    answer.unwrap();
+                }
+                rt::now() - t
+            }
+        };
+        let one = timed(vec![(1, blk(1))]).await;
+        assert_eq!(
+            timed(vec![(1, blk(1))]).await,
+            one,
+            "a write's time repeats"
+        );
+        let apart = timed(vec![(0, blk(2)), (1, blk(3))]).await;
+        let together = timed(vec![(1, blk(4)), (1, blk(5))]).await;
+        assert_eq!(apart, one, "two shards, the time of one write");
+        assert_eq!(
+            together,
+            one + copy_cost(BLOCK_SIZE),
+            "one shard, one queue"
+        );
+
+        // One slot per shard: each write pushes the one before it out,
+        // and the write-backs reach the disk in the order the shard
+        // was given the blocks.
+        disk.hold();
+        let writing = {
+            let cache = cache.clone();
+            rt::spawn(async move {
+                cache
+                    .write_many(&[(3, blk(6)), (5, blk(7)), (7, blk(8))])
+                    .await
+            })
+        };
+        disk.wait_held(3).await;
+        assert_eq!(disk.held(), ["w1", "w3", "w5"]);
+        assert_eq!(cache.read_block(1).await.unwrap(), blk(5));
+        disk.free();
+        assert_eq!(writing.join().await.unwrap(), [Ok(()), Ok(()), Ok(())]);
+        assert_eq!(
+            cache.write_many(&[(9, vec![0; 7])]).await,
+            [Err(FsError::Invalid)]
+        );
+    });
+}
+
+/// A group task's copy of its bitmaps and inode table is the truth, so
+/// a write-through the cache refuses must be neither silent nor lost:
+/// the request that saw it fails, and once the disk is well again the
+/// volume ends up the bytes the big-lock engine writes for the same
+/// operations. One cache shard of two blocks: with the disk refusing
+/// writes, every dirty block pushed out comes back with an error.
+#[test]
+fn refused_write_through_fails_the_request_and_reaches_the_disk_later() {
+    const BLOCKS: u64 = 256;
+    const GROUPS: u64 = 2;
+    in_sim(async {
+        let (disk, client, _) = ScriptedDisk::spawn(CoreId(3));
+        let cores = vec![CoreId(1), CoreId(2)];
+        let fs = MsgFs::format(client, BLOCKS, GROUPS, 1, 2, cores)
+            .await
+            .unwrap();
+        let (ref_disk, ref_client, _) = ScriptedDisk::spawn(CoreId(3));
+        let reference = BigLockFs::format(ref_client, BLOCKS, GROUPS, 64)
+            .await
+            .unwrap();
+
+        // A directory in group 1 with two files, one of one block (so
+        // that a reap whose `FreeBlock` fails leaves no block behind
+        // it unfreed).
+        fs.mkdir("/d").await.unwrap();
+        let f = fs.create("/d/f").await.unwrap();
+        fs.write(f, 0, &blk(0xF1)).await.unwrap();
+        fs.create("/d/g").await.unwrap();
+        fs.sync().await.unwrap();
+
+        // `mkdir` gets through its steps on clean victims and one
+        // fill, until the last: storing `/d`'s grown inode pushes the
+        // child's dirty inode-table block out. By then the group's
+        // copy, the dirent block and the vnode's entries all have the
+        // new directory.
+        disk.refuse_writes(true);
+        let refused = FsError::Io(DiskError::BadTag);
+        assert_eq!(fs.mkdir("/d/sub").await, Err(refused.clone()));
+        assert_eq!(fs.lookup("/d/sub").await, Ok(1));
+
+        // A reap runs every step and counts the ones that failed: here
+        // each write the disk refuses is the victim of one step's
+        // write-through (`/d`'s vnode and the child's are warm, and
+        // nothing else reads or writes).
+        let before = (disk.refused(), rt::stat_get("msgfs.reap_errors"));
+        assert_eq!(fs.unlink("/d/f").await, Ok(()));
+        let injected = disk.refused() - before.0;
+        assert_eq!(
+            injected, 2,
+            "`FreeBlock` and `FreeInode` met a dirty victim"
+        );
+        assert_eq!(rt::stat_get("msgfs.reap_errors") - before.1, injected);
+        assert_eq!(rt::stat_get("msgfs.vnodes_reaped"), 1);
+
+        // Well again: the next request takes what was refused along,
+        // the inode number the failed `FreeInode` freed is handed out,
+        // and the first `sync` still reports the write-backs that
+        // failed since the last one.
+        disk.refuse_writes(false);
+        assert_eq!(fs.create("/d/x").await, Ok(f));
+        assert_eq!(fs.sync().await, Err(refused));
+        assert_eq!(fs.sync().await, Ok(()));
+
+        reference.mkdir("/d").await.unwrap();
+        let f = reference.create("/d/f").await.unwrap();
+        reference.write(f, 0, &blk(0xF1)).await.unwrap();
+        reference.create("/d/g").await.unwrap();
+        reference.mkdir("/d/sub").await.unwrap();
+        reference.unlink("/d/f").await.unwrap();
+        reference.create("/d/x").await.unwrap();
+        reference.sync().await.unwrap();
+        for lba in 0..BLOCKS {
+            assert!(
+                disk.peek_block(lba) == ref_disk.peek_block(lba),
+                "block {lba} differs"
+            );
         }
     });
 }

@@ -485,3 +485,121 @@ fn a_reused_inode_number_is_not_haunted_by_a_stale_handle() {
         })
     });
 }
+
+/// The benchmark ladder's machine and volume — 16 cores, the file
+/// system's servers over cores 0–3 (disk and driver on 3), 8192 blocks
+/// in 8 groups, 4 cache shards of 128 blocks — with `test` run as a task
+/// on core 0, where the ladder's vfs rungs call from.
+fn on_the_ladder_machine<T: 'static, Fut>(test: impl FnOnce(MsgFs) -> Fut + 'static) -> T
+where
+    Fut: std::future::Future<Output = T> + 'static,
+{
+    let mut s = Simulation::with_config(Config {
+        cores: 16,
+        ..Config::default()
+    });
+    s.block_on(async move {
+        let dev = CoreId(3);
+        let (hw, irq) = install_disk(8192, DiskParams::default(), dev);
+        let disk = spawn_disk_driver(hw, irq, dev);
+        let service = (0..4).map(CoreId).collect();
+        let fs = MsgFs::format(disk, 8192, 8, 4, 128, service).await.unwrap();
+        chanos_sim::spawn_on(CoreId(0), test(fs))
+            .join()
+            .await
+            .unwrap()
+    })
+    .unwrap()
+}
+
+/// What the traced benchmark run calls `vfs.create_unlink_cycles`: an
+/// unloaded `create` + `unlink` in a warm directory. While a group task
+/// fetched its bitmaps and inode-table blocks from the cache per touch
+/// the pair cost 16 483 cycles there and 16 653 here (a directory with
+/// nothing else in it), twelve sequential shard round trips on the
+/// group tasks' side; with one write-through per request and the
+/// directory's unchanged inode not stored, three are left. 10 708 is
+/// what the write-through alone reads on the benchmark's ladder.
+#[test]
+fn create_unlink_pair_in_a_warm_directory_costs_exact_cycles() {
+    let pair = || {
+        on_the_ladder_machine(|fs| async move {
+            fs.mkdir("/d0").await.unwrap();
+            let mut took = 0;
+            for _ in 0..5 {
+                let t = chanos_sim::now();
+                fs.create("/d0/ladder").await.unwrap();
+                fs.unlink("/d0/ladder").await.unwrap();
+                took = chanos_sim::now() - t;
+            }
+            took
+        })
+    };
+    let took = pair();
+    assert_eq!(took, pair(), "one program, one count");
+    // The bound outlives a change to the cost model; the count pins
+    // this one.
+    assert!(
+        took <= 10_708,
+        "{took} cycles: a group task fetches its blocks per touch again"
+    );
+    assert_eq!(took, 8_274);
+}
+
+/// Over warm `create`/`write`/`unlink` rounds the cache is read twice
+/// a round: the directory vnode's read of its block before each of the
+/// two 64-byte dirent writes. The group tasks allocate and free an
+/// inode and a block a round and read nothing — each of their blocks
+/// came from the cache once, the first time it was used.
+#[test]
+fn group_tasks_read_each_of_their_blocks_once() {
+    let reads = || chanos_sim::stat_get("cache.hits") + chanos_sim::stat_get("cache.misses");
+    on_the_ladder_machine(move |fs| async move {
+        let block = vec![7u8; 4096];
+        let round = || async {
+            let ino = fs.create("/d0/f").await.unwrap();
+            fs.write(ino, 0, &block).await.unwrap();
+            fs.unlink("/d0/f").await.unwrap();
+        };
+        fs.mkdir("/d0").await.unwrap();
+        round().await;
+        let warm = reads();
+        for _ in 0..100 {
+            round().await;
+        }
+        assert_eq!(reads() - warm, 100 * 2);
+    });
+}
+
+/// A directory's inode changes when an entry is appended (its size
+/// grows) and not when a slot is zeroed or a freed one refilled; only
+/// a changed inode is sent to its group. Seen from the disk: the child
+/// of a `mkdir` lives in another group than its parent, so what the
+/// operation dirtied is the child's bitmap block, the child's
+/// inode-table block, the parent's dirent block — and the parent's
+/// inode-table block if and only if the parent's inode was stored.
+#[test]
+fn an_unchanged_inode_is_not_stored() {
+    on_the_ladder_machine(|fs| async move {
+        let written_back_by = |make: bool, path: &'static str| {
+            let fs = fs.clone();
+            async move {
+                fs.sync().await.unwrap();
+                let before = chanos_sim::stat_get("disk.writes");
+                if make {
+                    fs.mkdir(path).await.unwrap();
+                } else {
+                    fs.unlink(path).await.unwrap();
+                }
+                fs.sync().await.unwrap();
+                chanos_sim::stat_get("disk.writes") - before
+            }
+        };
+        fs.mkdir("/d0").await.unwrap();
+        fs.create("/d0/first").await.unwrap();
+        assert_eq!(written_back_by(true, "/d0/a").await, 4, "appended");
+        assert_eq!(written_back_by(false, "/d0/a").await, 3, "zeroed");
+        assert_eq!(written_back_by(true, "/d0/a").await, 3, "refilled");
+        assert_eq!(written_back_by(true, "/d0/b").await, 4, "appended");
+    });
+}

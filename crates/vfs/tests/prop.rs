@@ -220,6 +220,11 @@ where
             (log, volume)
         })
         .unwrap();
+    let reap_errors = s.stats().counter("msgfs.reap_errors");
+    assert_eq!(
+        reap_errors, 0,
+        "{which}: a reap step failed on a sound disk"
+    );
     Storm {
         log,
         volume,
