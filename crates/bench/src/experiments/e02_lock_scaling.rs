@@ -35,7 +35,6 @@ fn sim(cores: usize) -> Simulation {
         cores,
         ctx_switch: 20,
         seed: SEED,
-        ..Config::default()
     })
 }
 

@@ -27,7 +27,6 @@ fn machine(seed: u64) -> Simulation {
         cores: 2 + CLIENTS,
         ctx_switch: 20,
         seed,
-        ..Config::default()
     })
 }
 

@@ -74,7 +74,6 @@ fn run_partitioned(partitions: u32, ops_per_worker: u64, seed: u64) -> (u64, u64
         cores: CORES,
         ctx_switch: 20,
         seed,
-        ..Config::default()
     });
     chanos_csp::install(&s, Interconnect::mesh_for(CORES));
     let mut s = s;

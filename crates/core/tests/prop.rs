@@ -17,7 +17,6 @@ fn run_exchange(
         cores: 8,
         ctx_switch: 10,
         seed,
-        ..Config::default()
     });
     s.block_on(async move {
         let (tx, rx) = channel::<u64>(cap);

@@ -20,7 +20,7 @@
 //! for a failed command is [`DiskError::Io`].
 //!
 //! Behind the register file sit two block stores, selected by the
-//! ambient runtime backend ([`DiskBacking`]): the simulator keeps the
+//! ambient runtime backend ([`install_disk`]): the simulator keeps the
 //! deterministic in-memory store with modeled seek/transfer latency,
 //! while the real-threads backend does **real I/O** — `pread`/`pwrite`
 //! against a sparse image file — so a kernel booted on OS threads
@@ -122,17 +122,6 @@ struct Regs {
     dma: Vec<u8>,
 }
 
-/// Which block store backs the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiskBacking {
-    /// Deterministic in-memory store with modeled latency (the
-    /// simulator's store; also usable on threads for A/B runs).
-    Memory,
-    /// A sparse image file; commands perform real positional reads
-    /// and writes and pay real I/O time instead of the latency model.
-    File,
-}
-
 /// Names a fresh sparse image in the system temp directory.
 #[cfg(unix)]
 fn fresh_image_path() -> std::path::PathBuf {
@@ -189,32 +178,31 @@ fn mem_write(store: &mut [Option<Box<[u8]>>], lba: usize, data: &[u8]) {
 }
 
 impl Store {
-    fn new(backing: DiskBacking, blocks: u64) -> Store {
-        match backing {
-            DiskBacking::Memory => Store::Mem(vec![None; blocks as usize]),
-            DiskBacking::File => {
-                #[cfg(unix)]
-                {
-                    let path = fresh_image_path();
-                    let file = std::fs::OpenOptions::new()
-                        .read(true)
-                        .write(true)
-                        .create_new(true)
-                        .open(&path)
-                        .expect("create disk image");
-                    file.set_len(blocks * BLOCK_SIZE as u64)
-                        .expect("size disk image");
-                    Store::File(FileStore {
-                        file: Arc::new(file),
-                        path,
-                    })
-                }
-                #[cfg(not(unix))]
-                {
-                    Store::Mem(vec![None; blocks as usize])
-                }
-            }
+    /// The store of the ambient backend: memory behind the latency
+    /// model on the simulator, a sparse image file on real threads —
+    /// commands do real positional reads and writes and pay real I/O
+    /// time instead of the model's.
+    fn new(blocks: u64) -> Store {
+        // chanos-lint: allow — choosing the device is the one thing a
+        // driver may ask the backend: the simulator models a disk, real
+        // threads have a real file.
+        #[cfg(unix)]
+        if rt::backend() == rt::Backend::Threads {
+            let path = fresh_image_path();
+            let file = std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create_new(true)
+                .open(&path)
+                .expect("create disk image");
+            file.set_len(blocks * BLOCK_SIZE as u64)
+                .expect("size disk image");
+            return Store::File(FileStore {
+                file: Arc::new(file),
+                path,
+            });
         }
+        Store::Mem(vec![None; blocks as usize])
     }
 
     /// The backing file handle, if file-backed.
@@ -313,8 +301,7 @@ impl Clone for DiskHw {
 ///
 /// The block store is selected by the ambient runtime backend:
 /// in-memory + modeled latency on the simulator (deterministic),
-/// file-backed real I/O on real threads. Use [`install_disk_with`]
-/// to force a [`DiskBacking`].
+/// file-backed real I/O on real threads.
 ///
 /// On the simulator `dev_core` is a device pseudo-core (see
 /// `chanos_sim::Simulation::add_device_core`); on threads it maps to
@@ -324,26 +311,9 @@ pub fn install_disk(
     params: DiskParams,
     dev_core: CoreId,
 ) -> (DiskHw, Receiver<DiskIrq>) {
-    // chanos-lint: allow — choosing the device is the one thing a
-    // driver may ask the backend: the simulator models a disk, real
-    // threads have a real file.
-    let backing = match rt::backend() {
-        rt::Backend::Sim => DiskBacking::Memory,
-        rt::Backend::Threads => DiskBacking::File,
-    };
-    install_disk_with(blocks, params, dev_core, backing)
-}
-
-/// [`install_disk`] with an explicit block-store choice.
-pub fn install_disk_with(
-    blocks: u64,
-    params: DiskParams,
-    dev_core: CoreId,
-    backing: DiskBacking,
-) -> (DiskHw, Receiver<DiskIrq>) {
     let (irq_tx, irq_rx) = channel::<DiskIrq>(Capacity::Unbounded);
     let state = Arc::new(Mutex::new(DeviceState {
-        store: Store::new(backing, blocks),
+        store: Store::new(blocks),
         blocks,
         regs: Regs {
             lba: 0,
@@ -642,10 +612,5 @@ impl DiskClient {
     /// The request port (for pipelined callers).
     pub fn port(&self) -> &chanos_rt::Port<DiskReq> {
         &self.port
-    }
-
-    /// The raw request channel (for supervisors that restart drivers).
-    pub fn sender(&self) -> &Sender<DiskReq> {
-        self.port.sender()
     }
 }

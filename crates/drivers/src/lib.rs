@@ -27,8 +27,7 @@ pub mod single;
 pub mod tty;
 
 pub use disk::{
-    install_disk, install_disk_with, DiskBacking, DiskClient, DiskError, DiskHw, DiskIrq, DiskOp,
-    DiskParams, DiskReq, BLOCK_SIZE,
+    install_disk, DiskClient, DiskError, DiskHw, DiskIrq, DiskOp, DiskParams, DiskReq, BLOCK_SIZE,
 };
 pub use multi::{
     read_with_timeout, spawn_locked_disk_driver, spawn_racy_disk_driver, write_with_timeout,

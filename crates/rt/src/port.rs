@@ -132,6 +132,11 @@ pub struct Port<Req> {
     /// Default deadline applied to every call issued through this
     /// handle ([`Port::with_deadline`]); clones carry their own copy,
     /// so one client can hold a deadlined view of a shared service.
+    ///
+    /// Only tests set it, but it cannot leave with the other unused
+    /// options: a `Port` rides in `vfs`'s `Ensure`, so these 16 bytes
+    /// are part of the pinned 56 of `VnWrite` and of every modeled
+    /// number behind it. It goes in the PR that re-reads the ladder.
     deadline: Option<Cycles>,
 }
 
@@ -186,12 +191,6 @@ impl<Req: Send + 'static> Port<Req> {
     pub fn with_deadline(mut self, deadline: Cycles) -> Port<Req> {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// The raw request channel (for supervisors that restart servers,
-    /// and for forwarding pre-built messages).
-    pub fn sender(&self) -> &Sender<Req> {
-        &self.tx
     }
 
     /// Returns `true` if the server can no longer receive requests.
@@ -372,9 +371,8 @@ impl<Req: Send + 'static> Port<Req> {
         // ServerGone-vs-Cancelled classification happens at resolve
         // time through the shared `PortCore`.
         Call {
-            state: CallState::Waiting(reply),
+            state: CallState::Waiting(reply, self.core.clone()),
             deadline: deadline.map(crate::after),
-            core: Some(self.core.clone()),
         }
     }
 
@@ -390,22 +388,22 @@ impl<Req: Send + 'static> Port<Req> {
         // unbounded; only a momentarily-full bounded port lands
         // here).
         let tx = self.tx.clone();
+        let fut = Box::pin(async move {
+            if tx.send(msg).await.is_err() {
+                return Err(CallError::ServerGone);
+            }
+            match reply.recv().await {
+                Ok(v) => Ok(v),
+                Err(_) => Err(if tx.is_closed() {
+                    CallError::ServerGone
+                } else {
+                    CallError::Cancelled
+                }),
+            }
+        });
         Call {
-            state: CallState::Boxed(Box::pin(async move {
-                if tx.send(msg).await.is_err() {
-                    return Err(CallError::ServerGone);
-                }
-                match reply.recv().await {
-                    Ok(v) => Ok(v),
-                    Err(_) => Err(if tx.is_closed() {
-                        CallError::ServerGone
-                    } else {
-                        CallError::Cancelled
-                    }),
-                }
-            })),
+            state: CallState::Boxed(fut, Some(self.core.clone())),
             deadline: deadline.map(crate::after),
-            core: Some(self.core.clone()),
         }
     }
 }
@@ -413,11 +411,16 @@ impl<Req: Send + 'static> Port<Req> {
 enum CallState<Resp: Send + 'static> {
     /// Failed at issue time (server gone before submission).
     Failed(Option<CallError>),
-    /// Submitted; the completion slot polled in place.
-    Waiting(Reply<Resp>),
+    /// Submitted; the completion slot polled in place, beside the
+    /// port it was issued through.
+    Waiting(Reply<Resp>, Arc<PortCore>),
     /// Resolving through an owned future: the bounded-port overflow
-    /// fallback and the [`Call::from_future`] adapter.
-    Boxed(Pin<Box<dyn Future<Output = Result<Resp, CallError>> + Send>>),
+    /// fallback (which has a port) and the [`Call::from_future`]
+    /// adapter (which has none).
+    Boxed(
+        Pin<Box<dyn Future<Output = Result<Resp, CallError>> + Send>>,
+        Option<Arc<PortCore>>,
+    ),
     /// Resolved; polling again is a bug.
     Done,
 }
@@ -435,7 +438,6 @@ enum CallState<Resp: Send + 'static> {
 pub struct Call<Resp: Send + 'static> {
     state: CallState<Resp>,
     deadline: Option<Sleep>,
-    core: Option<Arc<PortCore>>,
 }
 
 impl<Resp: Send + 'static> Call<Resp> {
@@ -443,7 +445,6 @@ impl<Resp: Send + 'static> Call<Resp> {
         Call {
             state: CallState::Failed(Some(e)),
             deadline: None,
-            core: None,
         }
     }
 
@@ -456,26 +457,18 @@ impl<Resp: Send + 'static> Call<Resp> {
         F: Future<Output = Result<Resp, CallError>> + Send + 'static,
     {
         Call {
-            state: CallState::Boxed(Box::pin(fut)),
+            state: CallState::Boxed(Box::pin(fut), None),
             deadline: None,
-            core: None,
         }
     }
 
-    /// Resolves a finished `Waiting` reply, dropping the reply endpoint
-    /// (and with it the client's half of the completion slot).
-    fn finish_waiting(&mut self, out: Result<Resp, crate::RecvError>) -> Result<Resp, CallError> {
-        self.state = CallState::Done;
-        self.deadline = None;
-        let core = self.core.take();
-        // The reply endpoint died unanswered: if the request channel
-        // is closed too, the server is gone; otherwise the server is
-        // alive and chose to drop this call.
-        out.map_err(|_| {
-            core.as_deref()
-                .map(PortCore::classify_reply_drop)
-                .unwrap_or(CallError::Cancelled)
-        })
+    /// The port this call counts on, if it was issued through one and
+    /// has not resolved.
+    fn core(&self) -> Option<&PortCore> {
+        match &self.state {
+            CallState::Waiting(_, core) | CallState::Boxed(_, Some(core)) => Some(core),
+            _ => None,
+        }
     }
 }
 
@@ -491,19 +484,24 @@ impl<Resp: Send + 'static> Future for Call<Resp> {
                 let e = e.take().expect("failure taken once");
                 this.state = CallState::Done;
                 this.deadline = None;
-                this.core = None;
                 return Poll::Ready(Err(e));
             }
-            CallState::Waiting(reply) => {
+            CallState::Waiting(reply, core) => {
                 if let Poll::Ready(out) = reply.poll_recv(cx) {
-                    return Poll::Ready(this.finish_waiting(out));
+                    // The reply endpoint died unanswered: if the
+                    // request channel is closed too, the server is
+                    // gone; otherwise the server is alive and chose to
+                    // drop this call.
+                    let out = out.map_err(|_| core.classify_reply_drop());
+                    this.state = CallState::Done;
+                    this.deadline = None;
+                    return Poll::Ready(out);
                 }
             }
-            CallState::Boxed(f) => {
+            CallState::Boxed(f, _) => {
                 if let Poll::Ready(out) = f.as_mut().poll(cx) {
                     this.state = CallState::Done;
                     this.deadline = None;
-                    this.core = None;
                     return Poll::Ready(out);
                 }
             }
@@ -514,11 +512,11 @@ impl<Resp: Send + 'static> Future for Call<Resp> {
         // from the server's view this is a client cancellation.
         if let Some(sleep) = &mut this.deadline {
             if Pin::new(sleep).poll(cx).is_ready() {
-                this.state = CallState::Done;
-                this.deadline = None;
-                if let Some(core) = this.core.take() {
+                if let Some(core) = this.core() {
                     core.timed_out.fetch_add(1, Ordering::Relaxed);
                 }
+                this.state = CallState::Done;
+                this.deadline = None;
                 if crate::in_runtime() {
                     crate::stat_incr("port.calls_timed_out");
                 }
@@ -531,19 +529,17 @@ impl<Resp: Send + 'static> Future for Call<Resp> {
 
 impl<Resp: Send + 'static> Drop for Call<Resp> {
     fn drop(&mut self) {
-        if matches!(self.state, CallState::Waiting(_) | CallState::Boxed(_)) {
-            // An unresolved call dropped = a cancellation, observable
-            // on the port and in the runtime statistics (never a
-            // silent reply-channel leak: dropping the held reply
-            // receiver closes the completion slot, so the server's
-            // answer fails cleanly). A `from_future` call has no
-            // port, so it is counted on neither: the ambient counter
-            // stays the sum of the ports'.
-            if let Some(core) = &self.core {
-                core.cancelled.fetch_add(1, Ordering::Relaxed);
-                if crate::in_runtime() {
-                    crate::stat_incr("port.calls_cancelled");
-                }
+        // An unresolved call dropped = a cancellation, observable
+        // on the port and in the runtime statistics (never a
+        // silent reply-channel leak: dropping the held reply
+        // receiver closes the completion slot, so the server's
+        // answer fails cleanly). A `from_future` call has no
+        // port, so it is counted on neither: the ambient counter
+        // stays the sum of the ports'.
+        if let Some(core) = self.core() {
+            core.cancelled.fetch_add(1, Ordering::Relaxed);
+            if crate::in_runtime() {
+                crate::stat_incr("port.calls_cancelled");
             }
         }
     }

@@ -23,8 +23,9 @@ use chanos_rt::{
 
 /// Requests served by the file server.
 pub enum FileReq {
-    /// Fetch a whole file by path; replies `None` for unknown paths
-    /// (or on device error).
+    /// Fetch a whole file by path; replies `None` for unknown paths.
+    /// A published file the device fails to read is not answered at
+    /// all: the call resolves `CallError::Cancelled`, not a miss.
     Get {
         path: String,
         reply: ReplyTo<Option<Vec<u8>>>,
@@ -131,10 +132,19 @@ async fn serve_loop(disk: DiskClient, index: HashMap<String, IndexEntry>, rx: Re
         rt::stat_add("serve.file_blocks_read", blocks);
         rt::stat_add("serve.file_gets", plan.len() as u64);
         for (reply, meta) in plan {
-            let body = meta.and_then(|(slot, len)| {
-                let bytes = files[slot].as_ref().ok()?;
-                Some(bytes[..len].to_vec())
-            });
+            let body = match meta {
+                None => None,
+                Some((slot, len)) => match &files[slot] {
+                    Ok(bytes) => Some(bytes[..len].to_vec()),
+                    // A disk error is not a 404, and the reply type
+                    // has no third answer: the request is accepted and
+                    // left unanswered.
+                    Err(_) => {
+                        rt::stat_incr("serve.file_read_errors");
+                        continue;
+                    }
+                },
+            };
             replies.send(reply, body);
         }
         replies.flush();
@@ -144,7 +154,8 @@ async fn serve_loop(disk: DiskClient, index: HashMap<String, IndexEntry>, rx: Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chanos_drivers::{install_disk, spawn_disk_driver, DiskParams};
+    use chanos_drivers::{install_disk, spawn_disk_driver, DiskParams, DiskReq};
+    use chanos_rt::CallError;
     use chanos_sim::{Config, CoreId, Simulation};
 
     #[cfg(target_pointer_width = "64")]
@@ -232,6 +243,41 @@ mod tests {
                 1,
                 "adjacent extents left as one command"
             );
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn a_failed_read_is_not_answered_as_a_miss() {
+        Simulation::with_config(Config {
+            cores: 2,
+            ..Config::default()
+        })
+        .block_on(async {
+            // A driver whose device takes every write and fails every read.
+            let (tx, rx) = rt::channel::<DiskReq>(Capacity::Unbounded);
+            rt::spawn(async move {
+                while let Ok(req) = rx.recv().await {
+                    match req {
+                        DiskReq::Write { reply, .. } => {
+                            let _ = reply.send(Ok(())).await;
+                        }
+                        DiskReq::Read { reply, .. } => {
+                            let _ = reply.send(Err(DiskError::Io)).await;
+                        }
+                    }
+                }
+            });
+            let files = vec![("/page".to_string(), b"content".to_vec())];
+            let srv = spawn_file_server(DiskClient::new(tx), files, Priority::Normal)
+                .await
+                .unwrap();
+            let errors0 = chanos_sim::stat_get("serve.file_read_errors");
+            let published = srv.get("/page");
+            let unpublished = srv.get("/missing");
+            assert_eq!(published.await, Err(CallError::Cancelled));
+            assert_eq!(unpublished.await, Ok(None));
+            assert_eq!(chanos_sim::stat_get("serve.file_read_errors") - errors0, 1);
         })
         .unwrap();
     }

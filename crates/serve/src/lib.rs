@@ -4,11 +4,12 @@
 //! inside (channel matrices, pipelined getpid, NR read storms). This
 //! crate asks the paper's actual question — does the channel-OS
 //! design hold up as a *system serving real workloads* — by putting
-//! applications on the libOS surface and measuring what an operator
-//! would: tail latency (p50/p99/p999) and goodput, not just
-//! throughput.
+//! applications on the libOS surface. What an operator would read off
+//! them — tail latency and goodput, not just throughput — is measured
+//! by the benchmark of record, `benchmark/` (`kv_open`, `kv_sat`,
+//! `file_get`), which draws its keys from [`Zipf`].
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * **Applications** ([`kv`], [`file`]) — a memcached-style KV
 //!   server (GET/SET/DEL over a sharded store, each shard one task
@@ -18,12 +19,7 @@
 //!   file (the driver elevator-sorts it and programs adjacent files
 //!   as one command). Both run unchanged on the simulator and on
 //!   real threads.
-//! * **An open-loop load generator** ([`load`]) — zipf-distributed
-//!   keys over the in-tree PCG, configurable arrival gap and
-//!   concurrency (clients × pipeline depth in-flight `Call`s via
-//!   `call_batch`), recording into an HDR-style log-bucketed
-//!   histogram ([`hist`]).
-//! * **Priority-aware serving** — server and load tasks take a
+//! * **Priority-aware serving** — server tasks take a
 //!   [`chanos_rt::Priority`]; spawning servers `High` routes them
 //!   through the scheduler's high-priority lane so request handling
 //!   keeps its tail latency while batch work floods the pool
@@ -36,11 +32,9 @@
 //! scheduler.
 
 pub mod file;
-pub mod hist;
 pub mod kv;
-pub mod load;
+pub mod zipf;
 
 pub use file::{spawn_file_server, FileClient, FileReq};
-pub use hist::LatencyHist;
 pub use kv::{spawn_kv, KvCfg, KvClient, KvReq};
-pub use load::{run_kv_load, LoadCfg, LoadReport, Zipf};
+pub use zipf::Zipf;

@@ -77,7 +77,6 @@ fn locks_never_lose_updates() {
             cores,
             ctx_switch: 10,
             seed,
-            ..Config::default()
         });
         let total = s
             .block_on(async move {

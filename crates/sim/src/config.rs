@@ -13,10 +13,6 @@ pub struct Config {
     pub ctx_switch: Cycles,
     /// Seed for the simulation's deterministic RNG.
     pub seed: u64,
-    /// When true, every handled event is appended to an in-memory
-    /// trace log (expensive; for debugging). The rolling trace *hash*
-    /// is always maintained regardless of this flag.
-    pub trace_log: bool,
 }
 
 impl Default for Config {
@@ -25,7 +21,6 @@ impl Default for Config {
             cores: 4,
             ctx_switch: 50,
             seed: 0x5EED,
-            trace_log: false,
         }
     }
 }

@@ -157,7 +157,6 @@ pub(crate) struct Inner {
     pub(crate) poll_effect: Option<PollEffect>,
     pub(crate) ext: HashMap<TypeId, Arc<dyn Any>>,
     trace_hash: u64,
-    trace_log: Vec<String>,
     rr_next: usize,
     placer: Option<Placer>,
     pub(crate) system_device_core: Option<CoreId>,
@@ -304,9 +303,6 @@ impl Inner {
             EventKind::Wake(t) => 0x30 ^ t.as_u64().rotate_left(8),
         };
         self.trace_hash = fnv_step(fnv_step(self.trace_hash, ev.at), disc);
-        if self.cfg.trace_log {
-            self.trace_log.push(format!("{} {:?}", ev.at, ev.kind));
-        }
     }
 }
 
@@ -501,7 +497,6 @@ impl Simulation {
             poll_effect: None,
             ext: HashMap::new(),
             trace_hash: FNV_OFFSET,
-            trace_log: Vec::new(),
             rr_next: 0,
             placer: None,
             system_device_core: None,
@@ -836,12 +831,6 @@ impl Simulation {
     /// this).
     pub fn trace_hash(&self) -> u64 {
         self.rc.borrow().trace_hash
-    }
-
-    /// The trace log (only populated when [`Config::trace_log`] is
-    /// set).
-    pub fn trace_log(&self) -> Vec<String> {
-        self.rc.borrow().trace_log.clone()
     }
 
     /// Number of CPU (non-device) cores.

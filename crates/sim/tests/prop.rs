@@ -67,7 +67,6 @@ fn runs_are_deterministic() {
                 cores: 4,
                 ctx_switch: 7,
                 seed,
-                ..Config::default()
             });
             for i in 0..tasks {
                 s.spawn_on(CoreId((i % 4) as u32), async move {

@@ -23,7 +23,7 @@
 //! | [`net`] | `chanos-net` | shared-nothing cluster: frames, reliable transport, remote channels |
 //! | [`parchan`] | `chanos-parchan` | the same model on real OS threads |
 //! | [`nr`] | `chanos-nr` | node replication: operation-log replicas, local reads |
-//! | [`serve`] | `chanos-serve` | serving layer: KV & file servers, zipf load generator |
+//! | [`serve`] | `chanos-serve` | serving layer: KV & file servers, zipf key sampler |
 //!
 //! ## Quickstart
 //!

@@ -607,26 +607,6 @@ fn threads_kernel_hits_the_file_backed_disk() {
     assert_eq!(io_errors, 0, "no real-I/O errors expected");
 }
 
-#[test]
-fn memory_backing_still_available_on_threads() {
-    use chanos::drivers::{install_disk_with, spawn_disk_driver, DiskBacking, DiskParams};
-    // A/B hook: Memory backing on the threads backend keeps the
-    // modeled-latency store (and charges no disk.file_* counters).
-    let rt = Runtime::new(2);
-    let (before, after, block) = rt.block_on(async {
-        let before = chanos::rt::stat_get("disk.file_writes");
-        let (hw, irq) =
-            install_disk_with(128, DiskParams::default(), CoreId(0), DiskBacking::Memory);
-        let disk = spawn_disk_driver(hw.clone(), irq, CoreId(0));
-        disk.write(3, vec![0x5A; 4096]).await.unwrap();
-        let block = disk.read(3, 1).await.unwrap();
-        (before, chanos::rt::stat_get("disk.file_writes"), block)
-    });
-    rt.shutdown();
-    assert_eq!(block, vec![0x5A; 4096]);
-    assert_eq!(after, before, "memory backing must not do file I/O");
-}
-
 // ---------------------------------------------------------------------------
 // Typed IPC ports: pipelined call semantics identical on both backends.
 // ---------------------------------------------------------------------------
@@ -857,9 +837,7 @@ mod deadline_equiv {
 
 mod batch_aware_equiv {
     use super::*;
-    use chanos::drivers::{
-        install_disk_with, spawn_disk_driver, DiskBacking, DiskParams, BLOCK_SIZE,
-    };
+    use chanos::drivers::{install_disk, spawn_disk_driver, DiskParams, BLOCK_SIZE};
     use chanos::vfs::CacheClient;
 
     /// Issues one 8-deep burst of reads in seek-hostile (alternating
@@ -867,7 +845,7 @@ mod batch_aware_equiv {
     async fn elevator_script(dev: CoreId) -> (u64, u64) {
         let sorted0 = chanos::rt::stat_get("disk.bursts_sorted");
         let saved0 = chanos::rt::stat_get("disk.seek_distance_saved");
-        let (hw, irq) = install_disk_with(128, DiskParams::default(), dev, DiskBacking::Memory);
+        let (hw, irq) = install_disk(128, DiskParams::default(), dev);
         let disk = spawn_disk_driver(hw, irq, CoreId(1));
         let lbas = [0u64, 100, 10, 90, 20, 80, 30, 70];
         for r in disk.read_batch(&lbas).await {
@@ -901,7 +879,6 @@ mod batch_aware_equiv {
     /// are in it. The store is the backend's own: memory on the
     /// simulator, the image file on threads.
     async fn merged_burst_script(dev: CoreId) -> (Vec<Vec<u8>>, u64, u64) {
-        use chanos::drivers::install_disk;
         let (hw, irq) = install_disk(128, DiskParams::default(), dev);
         let disk = spawn_disk_driver(hw, irq, CoreId(1));
         let image: Vec<u8> = (0..8u8).flat_map(|i| vec![i + 1; BLOCK_SIZE]).collect();
@@ -943,7 +920,7 @@ mod batch_aware_equiv {
     async fn shard_group_script(dev: CoreId) -> (Vec<Vec<u8>>, u64, u64) {
         let calls0 = chanos::rt::stat_get("cache.read_many_calls");
         let groups0 = chanos::rt::stat_get("cache.shard_groups");
-        let (hw, irq) = install_disk_with(128, DiskParams::default(), dev, DiskBacking::Memory);
+        let (hw, irq) = install_disk(128, DiskParams::default(), dev);
         let disk = spawn_disk_driver(hw, irq, CoreId(1));
         let cache = CacheClient::spawn(disk, 4, 64, &[CoreId(0), CoreId(1)]);
         let lbas: Vec<u64> = (0..8u64).collect();
@@ -994,7 +971,7 @@ mod batch_aware_equiv {
         use chanos::vfs::BlockStore;
         const TASKS: u64 = 4;
         const OWN: u64 = 16;
-        let (hw, irq) = install_disk_with(128, DiskParams::default(), dev, DiskBacking::Memory);
+        let (hw, irq) = install_disk(128, DiskParams::default(), dev);
         let disk = spawn_disk_driver(hw.clone(), irq, CoreId(1));
         let cache = CacheClient::spawn(disk, 4, 8, &[CoreId(0), CoreId(1)]);
         let storm = |t: u64| {
@@ -1044,11 +1021,18 @@ mod batch_aware_equiv {
         let dev = s.add_device_core();
         let on_sim = s.block_on(small_cache_storm_script(dev)).unwrap();
         let rt = Runtime::new(2);
-        let on_threads = rt.block_on(small_cache_storm_script(CoreId(0)));
+        let (on_threads, file_writes) = rt.block_on(async {
+            let out = small_cache_storm_script(CoreId(0)).await;
+            (out, chanos::rt::stat_get("disk.file_writes"))
+        });
         rt.shutdown();
         assert_eq!(on_sim.0, on_threads.0, "a task read something else");
         assert!(on_sim.1 == on_threads.1, "the volumes differ");
         assert!(s.stats().counter("cache.writebacks") > 64, "few evictions");
+        assert!(
+            file_writes > 0,
+            "threads: write-backs missed the image file"
+        );
     }
 }
 
@@ -1567,8 +1551,8 @@ mod nr_equiv {
 }
 
 // ---------------------------------------------------------------------------
-// Serving layer: the KV service, the load generator's accounting, and
-// the priority contract must be backend-independent.
+// Serving layer: the KV service, alone and under concurrent clients,
+// and the priority contract must be backend-independent.
 // ---------------------------------------------------------------------------
 
 mod serve_equiv {
@@ -1577,7 +1561,7 @@ mod serve_equiv {
     use std::sync::Arc;
 
     use chanos::rt::{Pcg32, Priority};
-    use chanos::serve::{run_kv_load, spawn_kv, KvCfg, LoadCfg};
+    use chanos::serve::{spawn_kv, KvCfg, Zipf};
 
     /// A fixed-seed GET/SET/DEL storm over the sharded store, ops
     /// awaited in issue order so every response is deterministic;
@@ -1662,41 +1646,60 @@ mod serve_equiv {
         assert!(read(&thr_stats, "chan.fast_sends") > Some(0));
     }
 
+    /// Three clients at once, each pipelining six bursts of sixteen
+    /// zipf-keyed calls (every fourth a SET) without waiting for the
+    /// others. A call that does not resolve `Ok` fails the script.
+    async fn concurrent_bursts_script() {
+        let kv = spawn_kv(KvCfg::default());
+        let zipf = Arc::new(Zipf::new(500, 0.99));
+        let clients: Vec<_> = (0..3u64)
+            .map(|c| {
+                let (kv, zipf) = (kv.clone(), zipf.clone());
+                chanos::rt::spawn(async move {
+                    let mut rng = Pcg32::with_stream(0x5EED, c + 1);
+                    for _ in 0..6 {
+                        let keys: Vec<u64> = (0..16).map(|_| zipf.sample(&mut rng)).collect();
+                        let (set_keys, get_keys) = keys.split_at(4);
+                        let pairs = set_keys.iter().map(|&k| (k, vec![c as u8; 64]));
+                        let gets = kv.get_many(get_keys);
+                        let sets = kv.set_many(pairs.collect());
+                        for call in gets {
+                            call.await.expect("get resolves");
+                        }
+                        for call in sets {
+                            call.await.expect("set resolves");
+                        }
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().await.expect("client survives");
+        }
+    }
+
     #[test]
-    fn load_generator_accounting_identical_on_both_backends() {
-        // Latencies differ between backends by construction; the
-        // *accounting* — ops issued, ops completed, zero transport
-        // errors — must not.
-        let cfg = LoadCfg {
-            clients: 3,
-            depth: 16,
-            rounds: 6,
-            keys: 500,
-            ..LoadCfg::default()
-        };
+    fn concurrent_kv_bursts_all_resolve_on_both_backends() {
+        // `kv_storm…` awaits every call before the next; here the
+        // bursts of three clients interleave in the shards' queues,
+        // and what the shards count must still not depend on the
+        // schedule.
+        let served =
+            || chanos::rt::stat_get("serve.kv_gets") + chanos::rt::stat_get("serve.kv_sets");
         let mut s = Simulation::with_config(Config {
             cores: 4,
             ..Config::default()
         });
-        let sim_cfg = cfg.clone();
-        let sim = s
-            .block_on(async move {
-                let kv = spawn_kv(KvCfg::default());
-                run_kv_load(&kv, sim_cfg).await
-            })
-            .unwrap();
+        s.block_on(concurrent_bursts_script()).unwrap();
+        let sim = s.block_on(async move { served() }).unwrap();
         let rt = Runtime::new(3);
-        let thr = rt.block_on(async move {
-            let kv = spawn_kv(KvCfg::default());
-            run_kv_load(&kv, cfg).await
-        });
+        rt.block_on(concurrent_bursts_script());
+        // The shards count a burst after answering it: let them exit.
+        rt.wait_idle();
+        let thr = rt.block_on(async move { served() });
         rt.shutdown();
-        assert_eq!(sim.completed, 3 * 16 * 6);
-        assert_eq!(sim.completed, thr.completed);
-        assert_eq!((sim.errors, thr.errors), (0, 0));
-        assert_eq!(sim.hist.count(), thr.hist.count());
-        // Every completed call records a latency, so the tail exists.
-        assert!(sim.hist.p999() > 0 && thr.hist.p999() > 0);
+        assert_eq!(sim, 3 * 6 * 16);
+        assert_eq!(sim, thr, "the backends served different numbers of calls");
     }
 
     /// `spawn_with_priority` must make the class observable inside

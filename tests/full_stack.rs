@@ -111,7 +111,6 @@ fn same_seed_reproduces_the_same_os_run_exactly() {
             cores: 8,
             ctx_switch: 20,
             seed,
-            ..Config::default()
         });
         m.block_on(async {
             let os = boot(BootCfg::new(
