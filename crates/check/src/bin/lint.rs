@@ -1,7 +1,7 @@
 //! Facade lint for the workspace — the static half of `chanos-check`
 //! (the model checker is the dynamic half).
 //!
-//! Five rules, each guarding an invariant the type system cannot:
+//! Six rules, each guarding an invariant the type system cannot:
 //!
 //! 1. **Facade bypass.** Code outside the runtime-implementing crates
 //!    must not call `std::thread::spawn`, use `std::sync::mpsc`, or
@@ -44,6 +44,13 @@
 //!    never see; what differs between the backends belongs behind the
 //!    `rt` facade (`rt::ReplyBatch` is how a burst is answered on
 //!    both).
+//!
+//! 6. **Unsafe says why.** Inside `crates/parchan/src`, every `unsafe`
+//!    block and `unsafe impl` must sit in a comment paragraph
+//!    containing `SAFETY:` stating what the caller proved (owner
+//!    thread, state-machine arm, ticket held). Same paragraph rule as
+//!    3; an `unsafe fn` states its contract in its `# Safety` doc
+//!    instead and is not matched.
 //!
 //! Escape hatch: a comment containing `chanos-lint: allow` suppresses
 //! rules 1, 2 and 5 for the rest of its blank-line-delimited
@@ -166,6 +173,10 @@ const MUTEX_FREE: &[&str] = &[
 /// Code patterns that mean "a lock" for rule 4.
 const LOCKING: &[&str] = &["Mutex", "Condvar", "plock", ".lock()"];
 
+/// Code patterns that open an unsafe block or impl (rule 6); an
+/// `unsafe fn` carries a `# Safety` doc instead.
+const UNSAFE_SITE: &[&str] = &["unsafe {", "unsafe impl"];
+
 /// Extracts `"chan.*"`, `"port.*"`, `"disk.*"`, `"driver.*"`,
 /// `"sched.*"`, `"nr.*"`, `"serve.*"`, `"cache.*"`, `"kernel.*"` and
 /// `"msgfs.*"` literals from a line.
@@ -200,20 +211,32 @@ fn stat_literals(line: &str) -> Vec<String> {
     found
 }
 
+/// Paragraph-scoped comment cover (rules 3 and 6): has the current
+/// blank-line-delimited run carried `marker` so far, this line included?
+fn covered(state: &mut bool, raw: &str, marker: &str) -> bool {
+    if raw.trim().is_empty() {
+        *state = false;
+    } else if raw.contains(marker) {
+        *state = true;
+    }
+    *state
+}
+
 /// Runs every rule over one file (`rel` is its path from the
 /// workspace root, `/`-separated), appending to `findings`.
 fn lint_file(rel: &str, text: &str, registry: &[String], findings: &mut Vec<String>) {
     let exempt = FACADE_EXEMPT.iter().any(|p| rel.starts_with(p));
     // Paragraph-scoped state (reset at blank lines): has the
     // current blank-line-delimited run seen an `ordering:` /
-    // `chanos-lint: allow` comment so far?
-    let ordering_scope = rel.starts_with("crates/parchan/src/");
+    // `SAFETY:` / `chanos-lint: allow` comment so far?
+    let parchan = rel.starts_with("crates/parchan/src/");
     let mutex_free = MUTEX_FREE.contains(&rel);
     let written_once = rel
         .strip_prefix("crates/")
         .and_then(|r| r.split_once("/src/"))
         .is_some_and(|(krate, _)| WRITTEN_ONCE.contains(&krate));
     let mut ordering_covered = false;
+    let mut safety_covered = false;
     let mut allowed = false;
 
     for (idx, raw) in text.lines().enumerate() {
@@ -264,17 +287,23 @@ fn lint_file(rel: &str, text: &str, registry: &[String], findings: &mut Vec<Stri
             }
         }
 
-        // Rule 3: SeqCst needs an `ordering:` paragraph comment.
-        if ordering_scope {
-            if raw.trim().is_empty() {
-                ordering_covered = false;
-            } else if raw.contains("ordering:") {
-                ordering_covered = true;
-            } else if code.contains("SeqCst") && !ordering_covered {
+        // Rules 3 and 6: inside parchan a `SeqCst` needs an `ordering:`
+        // comment in its paragraph, an unsafe block or impl a `SAFETY:`.
+        if parchan {
+            if !covered(&mut ordering_covered, raw, "ordering:") && code.contains("SeqCst") {
                 findings.push(format!(
                     "{rel}:{lineno}: bare `SeqCst` — state the invariant \
                      in an `// ordering:` comment in this paragraph, or \
                      downgrade the ordering"
+                ));
+            }
+            if !covered(&mut safety_covered, raw, "SAFETY:")
+                && UNSAFE_SITE.iter().any(|pat| code.contains(pat))
+            {
+                findings.push(format!(
+                    "{rel}:{lineno}: bare `unsafe` — state what makes it sound \
+                     (owner thread, state-machine arm, ticket held) in a \
+                     `// SAFETY:` comment in this paragraph"
                 ));
             }
         }
@@ -392,6 +421,32 @@ mod tests {
         );
         // A table-row string mentioning a counter is not a literal.
         assert!(stat_literals(r#""| sched.steals | {} |""#).is_empty());
+    }
+
+    #[test]
+    fn bare_unsafe_in_parchan_is_a_finding() {
+        let bare = "let v = unsafe { slot.read() };\n";
+        let said = "// SAFETY: the ticket is ours.\nlet v = unsafe { slot.read() };\n";
+        let lapsed = format!("{said}\nunsafe impl<T: Send> Send for Ring<T> {{}}\n");
+        for (rel, text, want) in [
+            ("crates/parchan/src/queue.rs", bare, 1),
+            ("crates/parchan/src/queue.rs", said, 0),
+            // Covered to the blank line, no further.
+            ("crates/parchan/src/queue.rs", &lapsed, 1),
+            // A declaration states its contract in `# Safety`.
+            (
+                "crates/parchan/src/queue.rs",
+                "unsafe fn read(&self) {}\n",
+                0,
+            ),
+            // A comment is not code; other crates are not in scope.
+            ("crates/parchan/src/queue.rs", "// no unsafe { here }\n", 0),
+            ("crates/sim/src/lib.rs", bare, 0),
+        ] {
+            let mut findings = Vec::new();
+            lint_file(rel, text, &[], &mut findings);
+            assert_eq!(findings.len(), want, "{rel}: {text:?} -> {findings:?}");
+        }
     }
 
     #[test]

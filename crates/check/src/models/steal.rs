@@ -45,6 +45,12 @@ pub enum Mutant {
     /// increment: every later producer sees `searching > 0` and elides
     /// its wake forever.
     LostSearchingClear,
+    /// Worker consumes a wake token without withdrawing its
+    /// registration. A token left over from a claim that raced a
+    /// self-rescue ends the *next* park at once, with the bit that park
+    /// just set still up: the worker runs tasks while the mask says
+    /// idle, and a producer's claim spends a wake on it.
+    StaleTokenKeepsBit,
 }
 
 // --- the packed-head SPMC ring ------------------------------------------
@@ -251,7 +257,8 @@ impl MIdle {
 /// publish → fence → skip-if-searching → claim-bit → unpark protocol;
 /// the worker (model root, thread 0) consumes them with `worker_loop`'s
 /// search → register → fence → re-check → park descent. Every schedule
-/// must deliver all tasks with nobody left parked.
+/// must deliver all tasks with nobody left parked, and the worker must
+/// never leave the park loop with its mask bit set.
 pub fn idle_mask_model(mutant: Mutant, n_msgs: usize) {
     let sh = Arc::new(MIdle {
         work: AtomicUsize::new(0),
@@ -290,9 +297,9 @@ pub fn idle_mask_model(mutant: Mutant, n_msgs: usize) {
     });
 
     // Worker: take fast, else search → (retake) → register → fence →
-    // re-check → park. Stale tokens from a producer claim racing the
-    // self-rescue are shrugged off by the next park, as in the real
-    // executor.
+    // re-check → park. A stale token from a producer claim racing the
+    // self-rescue ends the next park early; consuming it withdraws the
+    // registration that park made, as in the real executor.
     let mut got = 0;
     while got < n_msgs {
         if sh.try_take() {
@@ -319,7 +326,14 @@ pub fn idle_mask_model(mutant: Mutant, n_msgs: usize) {
             continue;
         } // BUG (seeded) with NoRecheck: park blind.
         thread::park();
-        sh.mask.fetch_and(!1, Ordering::SeqCst);
+        if mutant != Mutant::StaleTokenKeepsBit {
+            sh.mask.fetch_and(!1, Ordering::SeqCst);
+        } // BUG (seeded) otherwise: only the claim that sent it cleared a bit.
+        assert_eq!(
+            sh.mask.load(Ordering::SeqCst) & 1,
+            0,
+            "left the park loop registered idle"
+        );
     }
     producer.join();
     assert_eq!(

@@ -310,6 +310,36 @@ fn idle_mask_mutant_lost_searching_clear_caught() {
     );
 }
 
+#[test]
+fn idle_mask_mutant_stale_token_keeps_bit_caught() {
+    // A token owed to a registration the worker already withdrew ends
+    // the next park with that park's bit still set.
+    assert_caught(
+        || steal::idle_mask_model(steal::Mutant::StaleTokenKeepsBit, 2),
+        &[FailureKind::Panic],
+    );
+}
+
+#[test]
+fn idle_mask_stale_token_schedule_replays() {
+    // The explorer's counterexample against `worker_loop` as it stood
+    // (46th schedule): the worker registers, the producer publishes and
+    // claims the bit, the worker's re-check takes the task and its
+    // deregister loses; it registers again, finds nothing, and the
+    // token of the lost race ends the park with the new bit still set.
+    const SCHEDULE: &str = "0.0.0.0.0.0.0.0.1.1.1.1.1.1.1.0.0.0.0.0.0.0.0.0.0.0.0";
+    let stale = explorer()
+        .replay(SCHEDULE, || {
+            steal::idle_mask_model(steal::Mutant::StaleTokenKeepsBit, 2)
+        })
+        .expect("the un-fixed loop leaves the park registered idle");
+    assert_eq!(stale.kind, FailureKind::Panic, "{stale}");
+    // The same decisions against the shipping loop: the token's
+    // consumer withdraws the registration.
+    let fixed = explorer().replay(SCHEDULE, || steal::idle_mask_model(steal::Mutant::None, 2));
+    assert!(fixed.is_none(), "{}", fixed.unwrap());
+}
+
 // --- priority: high-priority lane vs the park handshake -----------------
 
 #[test]

@@ -78,12 +78,8 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.open(self.pid, path).await,
             Attached::Msg(k) => {
-                let pid = self.pid;
                 let path = path.to_string();
-                flatten(
-                    k.call(move |reply| Syscall::Open { pid, path, reply })
-                        .await,
-                )
+                flatten(k.call(move |reply| Syscall::Open { path, reply }).await)
             }
         }
     }
@@ -93,12 +89,8 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.create(self.pid, path).await,
             Attached::Msg(k) => {
-                let pid = self.pid;
                 let path = path.to_string();
-                flatten(
-                    k.call(move |reply| Syscall::Create { pid, path, reply })
-                        .await,
-                )
+                flatten(k.call(move |reply| Syscall::Create { path, reply }).await)
             }
         }
     }
@@ -108,16 +100,7 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.read(self.pid, fd, len).await,
             Attached::Msg(k) => {
-                let pid = self.pid;
-                flatten(
-                    k.call(move |reply| Syscall::Read {
-                        pid,
-                        fd,
-                        len,
-                        reply,
-                    })
-                    .await,
-                )
+                flatten(k.call(move |reply| Syscall::Read { fd, len, reply }).await)
             }
         }
     }
@@ -127,16 +110,10 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.write(self.pid, fd, data).await,
             Attached::Msg(k) => {
-                let pid = self.pid;
                 let data = data.to_vec();
                 flatten(
-                    k.call(move |reply| Syscall::Write {
-                        pid,
-                        fd,
-                        data,
-                        reply,
-                    })
-                    .await,
+                    k.call(move |reply| Syscall::Write { fd, data, reply })
+                        .await,
                 )
             }
         }
@@ -146,10 +123,7 @@ impl Env {
     pub async fn close(&self, fd: Fd) -> Result<(), KError> {
         match &self.kernel {
             Attached::Trap(k) => k.close(self.pid, fd).await,
-            Attached::Msg(k) => {
-                let pid = self.pid;
-                flatten(k.call(move |reply| Syscall::Close { pid, fd, reply }).await)
-            }
+            Attached::Msg(k) => flatten(k.call(move |reply| Syscall::Close { fd, reply }).await),
         }
     }
 
@@ -157,10 +131,7 @@ impl Env {
     pub async fn fstat(&self, fd: Fd) -> Result<Stat, KError> {
         match &self.kernel {
             Attached::Trap(k) => k.fstat(self.pid, fd).await,
-            Attached::Msg(k) => {
-                let pid = self.pid;
-                flatten(k.call(move |reply| Syscall::Fstat { pid, fd, reply }).await)
-            }
+            Attached::Msg(k) => flatten(k.call(move |reply| Syscall::Fstat { fd, reply }).await),
         }
     }
 
@@ -169,12 +140,8 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.mkdir(self.pid, path).await,
             Attached::Msg(k) => {
-                let pid = self.pid;
                 let path = path.to_string();
-                flatten(
-                    k.call(move |reply| Syscall::Mkdir { pid, path, reply })
-                        .await,
-                )
+                flatten(k.call(move |reply| Syscall::Mkdir { path, reply }).await)
             }
         }
     }
@@ -184,12 +151,8 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.unlink(self.pid, path).await,
             Attached::Msg(k) => {
-                let pid = self.pid;
                 let path = path.to_string();
-                flatten(
-                    k.call(move |reply| Syscall::Unlink { pid, path, reply })
-                        .await,
-                )
+                flatten(k.call(move |reply| Syscall::Unlink { path, reply }).await)
             }
         }
     }
@@ -199,12 +162,8 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.readdir(self.pid, path).await,
             Attached::Msg(k) => {
-                let pid = self.pid;
                 let path = path.to_string();
-                flatten(
-                    k.call(move |reply| Syscall::ReadDir { pid, path, reply })
-                        .await,
-                )
+                flatten(k.call(move |reply| Syscall::ReadDir { path, reply }).await)
             }
         }
     }
@@ -213,12 +172,10 @@ impl Env {
     pub async fn getpid(&self) -> Pid {
         match &self.kernel {
             Attached::Trap(k) => k.getpid(self.pid).await,
-            Attached::Msg(k) => {
-                let pid = self.pid;
-                k.call(move |reply| Syscall::GetPid { pid, reply })
-                    .await
-                    .unwrap_or(pid)
-            }
+            Attached::Msg(k) => k
+                .call(|reply| Syscall::GetPid { reply })
+                .await
+                .unwrap_or(self.pid),
         }
     }
 
@@ -281,7 +238,7 @@ impl SyscallBatch {
         let pid = self.pid;
         match &mut self.inner {
             BatchInner::Msg { port, buf } => {
-                port.call_deferred(buf, move |reply| Syscall::GetPid { pid, reply })
+                port.call_deferred(buf, |reply| Syscall::GetPid { reply })
             }
             BatchInner::Trap(k) => {
                 let k = k.clone();
@@ -296,7 +253,7 @@ impl SyscallBatch {
         let path = path.to_string();
         match &mut self.inner {
             BatchInner::Msg { port, buf } => {
-                port.call_deferred(buf, move |reply| Syscall::Open { pid, path, reply })
+                port.call_deferred(buf, move |reply| Syscall::Open { path, reply })
             }
             BatchInner::Trap(k) => {
                 let k = k.clone();
@@ -311,7 +268,7 @@ impl SyscallBatch {
         let path = path.to_string();
         match &mut self.inner {
             BatchInner::Msg { port, buf } => {
-                port.call_deferred(buf, move |reply| Syscall::Create { pid, path, reply })
+                port.call_deferred(buf, move |reply| Syscall::Create { path, reply })
             }
             BatchInner::Trap(k) => {
                 let k = k.clone();
@@ -324,12 +281,9 @@ impl SyscallBatch {
     pub fn read(&mut self, fd: Fd, len: usize) -> Call<Result<Vec<u8>, KError>> {
         let pid = self.pid;
         match &mut self.inner {
-            BatchInner::Msg { port, buf } => port.call_deferred(buf, move |reply| Syscall::Read {
-                pid,
-                fd,
-                len,
-                reply,
-            }),
+            BatchInner::Msg { port, buf } => {
+                port.call_deferred(buf, move |reply| Syscall::Read { fd, len, reply })
+            }
             BatchInner::Trap(k) => {
                 let k = k.clone();
                 Call::from_future(async move { Ok(k.read(pid, fd, len).await) })
@@ -342,12 +296,9 @@ impl SyscallBatch {
         let pid = self.pid;
         let data = data.to_vec();
         match &mut self.inner {
-            BatchInner::Msg { port, buf } => port.call_deferred(buf, move |reply| Syscall::Write {
-                pid,
-                fd,
-                data,
-                reply,
-            }),
+            BatchInner::Msg { port, buf } => {
+                port.call_deferred(buf, move |reply| Syscall::Write { fd, data, reply })
+            }
             BatchInner::Trap(k) => {
                 let k = k.clone();
                 Call::from_future(async move { Ok(k.write(pid, fd, &data).await) })
@@ -360,7 +311,7 @@ impl SyscallBatch {
         let pid = self.pid;
         match &mut self.inner {
             BatchInner::Msg { port, buf } => {
-                port.call_deferred(buf, move |reply| Syscall::Close { pid, fd, reply })
+                port.call_deferred(buf, move |reply| Syscall::Close { fd, reply })
             }
             BatchInner::Trap(k) => {
                 let k = k.clone();

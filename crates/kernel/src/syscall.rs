@@ -32,12 +32,11 @@ use chanos_vfs::{Stat, Vfs};
 use crate::types::{Fd, KError, Pid};
 
 /// One system call message. The reply channel rides inside, exactly
-/// as §3's RPC derivation prescribes.
+/// as §3's RPC derivation prescribes. The caller is not named: the port
+/// a call arrives on belongs to one process ([`MsgKernel::attach`]).
 pub enum Syscall {
     /// Opens an existing file.
     Open {
-        /// Calling process.
-        pid: Pid,
         /// Absolute path.
         path: String,
         /// Completion channel.
@@ -45,8 +44,6 @@ pub enum Syscall {
     },
     /// Creates and opens a new file.
     Create {
-        /// Calling process.
-        pid: Pid,
         /// Absolute path.
         path: String,
         /// Completion channel.
@@ -54,8 +51,6 @@ pub enum Syscall {
     },
     /// Reads from the descriptor's current offset.
     Read {
-        /// Calling process.
-        pid: Pid,
         /// Descriptor to read.
         fd: Fd,
         /// Maximum bytes.
@@ -65,8 +60,6 @@ pub enum Syscall {
     },
     /// Writes at the descriptor's current offset.
     Write {
-        /// Calling process.
-        pid: Pid,
         /// Descriptor to write.
         fd: Fd,
         /// Bytes to write.
@@ -76,8 +69,6 @@ pub enum Syscall {
     },
     /// Closes a descriptor.
     Close {
-        /// Calling process.
-        pid: Pid,
         /// Descriptor to close.
         fd: Fd,
         /// Completion channel.
@@ -85,8 +76,6 @@ pub enum Syscall {
     },
     /// Stats an open descriptor.
     Fstat {
-        /// Calling process.
-        pid: Pid,
         /// Descriptor to stat.
         fd: Fd,
         /// Completion channel.
@@ -94,8 +83,6 @@ pub enum Syscall {
     },
     /// Creates a directory.
     Mkdir {
-        /// Calling process.
-        pid: Pid,
         /// Absolute path.
         path: String,
         /// Completion channel.
@@ -103,8 +90,6 @@ pub enum Syscall {
     },
     /// Removes a file or empty directory.
     Unlink {
-        /// Calling process.
-        pid: Pid,
         /// Absolute path.
         path: String,
         /// Completion channel.
@@ -112,8 +97,6 @@ pub enum Syscall {
     },
     /// Lists a directory's entry names.
     ReadDir {
-        /// Calling process.
-        pid: Pid,
         /// Absolute path.
         path: String,
         /// Completion channel.
@@ -121,8 +104,6 @@ pub enum Syscall {
     },
     /// The null system call (the classic microbenchmark).
     GetPid {
-        /// Calling process.
-        pid: Pid,
         /// Completion channel.
         reply: ReplyTo<Pid>,
     },
@@ -188,21 +169,21 @@ impl ProcState {
             replies.flush();
         }
         match call {
-            Syscall::Open { path, reply, .. } => {
+            Syscall::Open { path, reply } => {
                 let out = match self.vfs.lookup(&path).await {
                     Ok(ino) => Ok(self.install(ino)),
                     Err(e) => Err(KError::Fs(e)),
                 };
                 replies.send(reply, out);
             }
-            Syscall::Create { path, reply, .. } => {
+            Syscall::Create { path, reply } => {
                 let out = match self.vfs.create(&path).await {
                     Ok(ino) => Ok(self.install(ino)),
                     Err(e) => Err(KError::Fs(e)),
                 };
                 replies.send(reply, out);
             }
-            Syscall::Read { fd, len, reply, .. } => {
+            Syscall::Read { fd, len, reply } => {
                 let out = match self.files.get(&fd).cloned() {
                     None => Err(KError::BadFd),
                     Some(of) => match self.vfs.read(of.ino, of.offset, len).await {
@@ -216,9 +197,7 @@ impl ProcState {
                 };
                 replies.send(reply, out);
             }
-            Syscall::Write {
-                fd, data, reply, ..
-            } => {
+            Syscall::Write { fd, data, reply } => {
                 let out = match self.files.get(&fd).cloned() {
                     None => Err(KError::BadFd),
                     Some(of) => match self.vfs.write(of.ino, of.offset, &data).await {
@@ -232,33 +211,33 @@ impl ProcState {
                 };
                 replies.send(reply, out);
             }
-            Syscall::Close { fd, reply, .. } => {
+            Syscall::Close { fd, reply } => {
                 let out = self.files.remove(&fd).map(|_| ()).ok_or(KError::BadFd);
                 replies.send(reply, out);
             }
-            Syscall::Fstat { fd, reply, .. } => {
+            Syscall::Fstat { fd, reply } => {
                 let out = match self.files.get(&fd) {
                     None => Err(KError::BadFd),
                     Some(of) => self.vfs.stat(of.ino).await.map_err(KError::Fs),
                 };
                 replies.send(reply, out);
             }
-            Syscall::Mkdir { path, reply, .. } => {
+            Syscall::Mkdir { path, reply } => {
                 let out = self.vfs.mkdir(&path).await.map(|_| ()).map_err(KError::Fs);
                 replies.send(reply, out);
             }
-            Syscall::Unlink { path, reply, .. } => {
+            Syscall::Unlink { path, reply } => {
                 let out = self.vfs.unlink(&path).await.map_err(KError::Fs);
                 replies.send(reply, out);
             }
-            Syscall::ReadDir { path, reply, .. } => {
+            Syscall::ReadDir { path, reply } => {
                 let out = match self.vfs.readdir(&path).await {
                     Ok(entries) => Ok(entries.into_iter().map(|e| e.name).collect()),
                     Err(e) => Err(KError::Fs(e)),
                 };
                 replies.send(reply, out);
             }
-            Syscall::GetPid { reply, .. } => {
+            Syscall::GetPid { reply } => {
                 replies.send(reply, self.pid);
             }
         }

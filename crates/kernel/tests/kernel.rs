@@ -555,7 +555,7 @@ fn env_batch_works_on_the_trap_kernel() {
 }
 
 /// The ladder's machine: 16 cores, the default mesh and cost tables,
-/// kernel cores 0–3 — where `kernel.close_cycles` reads 573.
+/// kernel cores 0–3 — where `kernel.close_cycles` reads 565.
 fn ladder_sim() -> Simulation {
     Simulation::with_config(Config {
         cores: 16,
@@ -575,7 +575,7 @@ fn live_proc_tasks() -> u64 {
 /// costs nobody else anything (§4).
 #[test]
 fn a_slow_syscall_does_not_block_another_process() {
-    const UNLOADED_CLOSE: u64 = 573; // The ladder's `kernel.close_cycles`.
+    const UNLOADED_CLOSE: u64 = 565; // The ladder's `kernel.close_cycles`.
     let mut s = ladder_sim();
     s.block_on(async {
         let os = boot(BootCfg::new(
@@ -628,12 +628,12 @@ fn a_slow_syscall_does_not_block_another_process() {
 
 /// Pipelining is latency overlap, and on the modeled machine it is
 /// exact: a submitted batch of 32 `getpid`s costs the ladder's
-/// `kernel.getpid_batch32_cycles_per_call` (308.625) per call where a
-/// serial call costs `kernel.getpid_cycles` (576).
+/// `kernel.getpid_batch32_cycles_per_call` (308.375) per call where a
+/// serial call costs `kernel.getpid_cycles` (568).
 #[test]
 fn a_submitted_batch_of_getpids_overlaps_the_round_trips() {
-    const SERIAL_GETPID: u64 = 576;
-    const BATCH32: u64 = 9_876; // 32 x 308.625.
+    const SERIAL_GETPID: u64 = 568;
+    const BATCH32: u64 = 9_868; // 32 x 308.375.
     let mut s = ladder_sim();
     s.block_on(async {
         let os = boot(BootCfg::new(
@@ -805,6 +805,6 @@ fn syscall_message_layout_is_pinned() {
     // The simulator charges a message `size_of::<T>()` bytes: a failure
     // here means every modeled number is about to move.
     // (`PidWrite` is the op of the pid table's NR write request.)
-    assert_eq!(std::mem::size_of::<chanos_kernel::Syscall>(), 64);
+    assert_eq!(std::mem::size_of::<chanos_kernel::Syscall>(), 56);
     assert_eq!(std::mem::size_of::<chanos_kernel::pids::PidWrite>(), 40);
 }

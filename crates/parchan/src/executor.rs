@@ -910,8 +910,8 @@ fn worker_loop(rt: Arc<RtInner>, me: usize) {
             if rt.idle.deregister(me) {
                 rt.count(Counter::ParksSkipped, 1);
             }
-            // else: a producer claimed us; its pending token is
-            // consumed on the next park.
+            // else: a producer claimed us; its pending token ends the
+            // next park early (see there).
             continue;
         }
         let ws = &rt.workers[me];
@@ -922,6 +922,13 @@ fn worker_loop(rt: Arc<RtInner>, me: usize) {
             }
             if *g {
                 *g = false;
+                // The token may be owed to an earlier registration (a
+                // claim that raced the self-rescue above), not to the
+                // bit just set: withdraw it, or this worker runs tasks
+                // while the mask says idle and `claim_any` spends a
+                // wake on it instead of a parked sibling. Model-checked
+                // as `idle_mask_model` (mutant: StaleTokenKeepsBit).
+                rt.idle.deregister(me);
                 break;
             }
             let (ng, res) = ws

@@ -30,7 +30,8 @@
 //!
 //! Mutants proven caught by the model: producer scanning before
 //! publishing, worker skipping the re-check, worker losing the
-//! searching-count clear.
+//! searching-count clear, worker consuming a wake token and keeping
+//! its bit.
 
 use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 
@@ -98,7 +99,8 @@ impl IdleSet {
     }
 
     /// Worker `w` withdraws its registration (self-rescue: the
-    /// re-check found work, or the park backstop fired). Returns
+    /// re-check found work, the park backstop fired, or the token that
+    /// ended the park was owed to an earlier registration). Returns
     /// `true` if the bit was still set — i.e. *we* claimed it and no
     /// wake token is owed to us. `false` means a producer claimed the
     /// bit first and its token is (or will be) pending.

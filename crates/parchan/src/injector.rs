@@ -87,6 +87,9 @@ impl Injector {
     unsafe fn push_chain(&self, first: *mut TaskCell, last: *mut TaskCell) {
         let mut cur = self.head.load(Ordering::Relaxed);
         loop {
+            // SAFETY: the chain is the caller's until the CAS below
+            // publishes it (this fn's contract), so `last` is a live
+            // `TaskCell` whose link nobody else reads yet.
             unsafe { (*last).next_injected.store(cur, Ordering::Relaxed) };
             match self
                 .head

@@ -60,7 +60,10 @@ struct Slot<T> {
     waker: UnsafeCell<Option<Waker>>,
 }
 
-// The cells are handed off by the atomic protocol above.
+// SAFETY: the two cells are the only non-`Sync` fields, and `state`
+// gives each exactly one owner at a time (the table above): a cell is
+// touched only by the side the last state transition handed it to, and
+// `T: Send` lets the value cross with it.
 unsafe impl<T: Send> Send for Slot<T> {}
 unsafe impl<T: Send> Sync for Slot<T> {}
 
@@ -96,12 +99,16 @@ impl<T: Send> OneSender<T> {
     /// Returns the value if the receiver has gone away.
     pub fn send(mut self, v: T) -> Result<(), T> {
         let slot = self.slot.take().expect("send consumes the sender");
-        // Sender owns the value cell until the state says SENT.
+        // SAFETY: the sender owns the value cell until the state says
+        // SENT, and `send` consumed the only sender: the receiver reads
+        // the cell only after it observes the swap below.
         unsafe { *slot.value.get() = Some(v) };
         match slot.state.swap(SENT, Ordering::AcqRel) {
             EMPTY => Ok(()),
             WAITING => {
-                // The swap transferred waker-cell ownership to us.
+                // SAFETY: WAITING arm — the swap transferred the waker
+                // cell to us: the receiver writes it only while EMPTY,
+                // and the state is SENT now.
                 if let Some(w) = unsafe { (*slot.waker.get()).take() } {
                     deliver_recv_wake(w);
                 }
@@ -110,6 +117,8 @@ impl<T: Send> OneSender<T> {
             RX_DROPPED => {
                 // No receiver: reclaim the value; nobody else can
                 // race us here, so a plain store restores the state.
+                // SAFETY: RX_DROPPED arm — the receiver is gone and never
+                // saw SENT, so the value cell written above is still ours.
                 let v = unsafe { (*slot.value.get()).take() };
                 slot.state.store(RX_DROPPED, Ordering::Release);
                 Err(v.expect("value written above"))
@@ -124,6 +133,9 @@ impl<T: Send> Drop for OneSender<T> {
         let Some(slot) = self.slot.take() else { return };
         match slot.state.swap(TX_DROPPED, Ordering::AcqRel) {
             WAITING => {
+                // SAFETY: WAITING arm — as in `send`: the swap moved the
+                // state off EMPTY/WAITING for good, so the receiver no
+                // longer writes the waker cell and we own it.
                 if let Some(w) = unsafe { (*slot.waker.get()).take() } {
                     deliver_recv_wake(w);
                 }
@@ -152,14 +164,19 @@ impl<T: Send> OneReceiver<T> {
         loop {
             match slot.state.load(Ordering::Acquire) {
                 SENT => {
+                    // SAFETY: SENT arm — the Acquire load saw the
+                    // sender's swap, which came after its one write of
+                    // the value cell; the sender is consumed, so the
+                    // cell is the receiver's (`&mut self`: this call).
                     let v = unsafe { (*slot.value.get()).take() };
                     slot.state.store(TAKEN, Ordering::Release);
                     return Poll::Ready(Ok(v.expect("SENT implies a value")));
                 }
                 TX_DROPPED => return Poll::Ready(Err(RecvError::Closed)),
                 EMPTY => {
-                    // We own the waker cell while EMPTY (the sender
-                    // only touches it after observing WAITING).
+                    // SAFETY: EMPTY arm — we own the waker cell while
+                    // EMPTY (the sender only touches it after its swap
+                    // observes WAITING, which only the CAS below sets).
                     unsafe { *slot.waker.get() = Some(cx.waker().clone()) };
                     match slot.state.compare_exchange(
                         EMPTY,
@@ -199,9 +216,12 @@ impl<T: Send> OneReceiver<T> {
 impl<T: Send> Drop for OneReceiver<T> {
     fn drop(&mut self) {
         match self.slot.state.swap(RX_DROPPED, Ordering::AcqRel) {
-            // Undelivered value: the swap handed us the value cell.
+            // SAFETY: SENT arm — an undelivered value: the sender wrote
+            // it before its swap and is consumed; the cell is ours.
             SENT => unsafe { *self.slot.value.get() = None },
-            // Our own parked waker: reclaim it.
+            // SAFETY: WAITING arm — our own parked waker: our swap took
+            // the state off WAITING before any sender swap saw it, so
+            // no sender will read the cell.
             WAITING => unsafe { *self.slot.waker.get() = None },
             _ => {}
         }
@@ -225,6 +245,10 @@ mod tests {
 
     fn count_waker(hits: Arc<AtomicUsize>) -> Waker {
         use std::task::{RawWaker, RawWakerVTable};
+        // SAFETY: in all five blocks `p` is the `Arc::into_raw` pointer
+        // made at the bottom, and every `RawWaker` built on it owns one
+        // strong count — `clone` adds one, `wake` and `drop_fn` give
+        // theirs back, `wake_by_ref` borrows a live one.
         fn clone(p: *const ()) -> RawWaker {
             unsafe { Arc::increment_strong_count(p as *const AtomicUsize) };
             RawWaker::new(p, &VTABLE)

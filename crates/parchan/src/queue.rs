@@ -122,6 +122,10 @@ impl Ring {
             return Err(task);
         }
         let idx = (tail & MASK) as usize;
+        // SAFETY: owner thread (this fn's contract), so nobody else
+        // writes slots; `[tail]` is outside `[steal, tail)` by the
+        // capacity check, so no reader has a claim on it, and it holds
+        // no live value (`write` drops nothing).
         unsafe { (*self.buffer[idx].0.get()).write(task) };
         // Release publishes the slot write above to thieves that
         // Acquire-read `tail`.
@@ -156,6 +160,10 @@ impl Ring {
             {
                 Ok(_) => {
                     let idx = (real & MASK) as usize;
+                    // SAFETY: the CAS moved `real` past this index, so
+                    // it is claimed by us alone (a thief's claim CAS
+                    // on the same `head` value failed); `real < tail`
+                    // and we are the owner, so our own `push` wrote it.
                     return Some(unsafe { (*self.buffer[idx].0.get()).assume_init_read() });
                 }
                 Err(h) => head = h,
@@ -208,6 +216,15 @@ impl Ring {
                 Err(h) => prev = h,
             }
         };
+        // SAFETY: (the three blocks below) the claim CAS gave this
+        // thread `[claim_start, claim_start + n)`: the owner's `pop`
+        // starts at the advanced `real`, another thief needs `steal ==
+        // real`, and `push` counts capacity from `steal`, which stays
+        // at `claim_start` until the release loop further down — so each
+        // index is read once, by us. The slots are initialised: `n <=
+        // tail - real` under an Acquire read of `tail`, which pairs
+        // with the Release store in `push`. `dst.push`: the caller is
+        // `dst`'s owner (this fn's contract).
         let first = {
             let idx = (claim_start & MASK) as usize;
             unsafe { (*self.buffer[idx].0.get()).assume_init_read() }
@@ -287,6 +304,8 @@ impl LifoSlot {
     /// # Safety
     /// Caller must be the owning worker thread.
     pub(crate) unsafe fn put(&self, task: Arc<TaskCell>) -> Option<Arc<TaskCell>> {
+        // SAFETY: owner thread (this fn's contract): the slot has no
+        // other reader or writer, the atomic flag is only advisory.
         let prev = unsafe { (*self.slot.get()).replace(task) };
         self.occupied.store(true, Ordering::Relaxed);
         prev
@@ -297,6 +316,7 @@ impl LifoSlot {
     /// # Safety
     /// Caller must be the owning worker thread.
     pub(crate) unsafe fn take(&self) -> Option<Arc<TaskCell>> {
+        // SAFETY: owner thread, as in `put`.
         let t = unsafe { (*self.slot.get()).take() };
         if t.is_some() {
             self.occupied.store(false, Ordering::Relaxed);

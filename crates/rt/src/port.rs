@@ -35,16 +35,15 @@
 //!
 //! Dropping an unresolved [`Call`] is a *cancellation*, not a leak:
 //! the reply channel closes (so the server's answer fails cleanly)
-//! and the drop is counted on [`Port::calls_cancelled`] and the
-//! ambient `port.calls_cancelled` statistic (a [`Call::from_future`]
-//! belongs to no port and is counted on neither).
+//! and the drop is counted on the ambient `port.calls_cancelled`
+//! statistic (a [`Call::from_future`] belongs to no port and is not
+//! counted).
 //!
 //! [`ReplyBatch`]: crate::ReplyBatch
 
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
@@ -63,8 +62,8 @@ pub enum CallError {
     /// reports [`CallError::ServerGone`] instead: the classification
     /// is as of completion time.)
     Cancelled,
-    /// The call's deadline ([`Port::with_deadline`] /
-    /// [`Port::call_timeout`]) elapsed before the server answered.
+    /// The call's deadline ([`Port::call_timeout`]) elapsed before the
+    /// server answered.
     /// The reply endpoint is dropped, so a late answer fails cleanly
     /// on the server side — same as a client-side cancellation.
     TimedOut,
@@ -83,12 +82,8 @@ impl std::fmt::Display for CallError {
 impl std::error::Error for CallError {}
 
 /// State shared by a port and its in-flight calls: failure
-/// classification and cancellation/timeout/drop accounting (which
-/// survives the port being dropped).
+/// classification (which survives the port being dropped).
 struct PortCore {
-    cancelled: AtomicU64,
-    timed_out: AtomicU64,
-    dropped_at_submit: AtomicU64,
     /// Resolve-time ServerGone-vs-Cancelled probe. One clone of the
     /// request sender, type-erased here at attach time — calls carry
     /// only their `Arc<PortCore>`, never a cloned `Sender`.
@@ -105,39 +100,16 @@ impl PortCore {
     }
 }
 
-impl std::fmt::Debug for PortCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PortCore")
-            .field("cancelled", &self.cancelled.load(Ordering::Relaxed))
-            .field("timed_out", &self.timed_out.load(Ordering::Relaxed))
-            .field(
-                "dropped_at_submit",
-                &self.dropped_at_submit.load(Ordering::Relaxed),
-            )
-            .finish()
-    }
-}
-
 /// A typed client handle to a service task: requests of type `Req` go
 /// in, each carrying its own [`ReplyTo`]; completions come back as
 /// [`Call`] futures.
 ///
-/// Clone freely — clones share the underlying channel and the
-/// cancellation counter. The server side is an ordinary
+/// Clone freely — clones share the underlying channel. The server side is an ordinary
 /// [`Receiver<Req>`]; servers keep draining with `recv_many` exactly
 /// as before.
 pub struct Port<Req> {
     tx: Sender<Req>,
     core: Arc<PortCore>,
-    /// Default deadline applied to every call issued through this
-    /// handle ([`Port::with_deadline`]); clones carry their own copy,
-    /// so one client can hold a deadlined view of a shared service.
-    ///
-    /// Only tests set it, but it cannot leave with the other unused
-    /// options: a `Port` rides in `vfs`'s `Ensure`, so these 16 bytes
-    /// are part of the pinned 56 of `VnWrite` and of every modeled
-    /// number behind it. It goes in the PR that re-reads the ladder.
-    deadline: Option<Cycles>,
 }
 
 impl<Req> Clone for Port<Req> {
@@ -145,18 +117,13 @@ impl<Req> Clone for Port<Req> {
         Port {
             tx: self.tx.clone(),
             core: self.core.clone(),
-            deadline: self.deadline,
         }
     }
 }
 
 impl<Req> std::fmt::Debug for Port<Req> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Port {{ cancelled: {} }}",
-            self.core.cancelled.load(Ordering::Relaxed)
-        )
+        write!(f, "Port {{ closed: {} }}", (self.core.server_gone)())
     }
 }
 
@@ -174,48 +141,14 @@ impl<Req: Send + 'static> Port<Req> {
         Port {
             tx,
             core: Arc::new(PortCore {
-                cancelled: AtomicU64::new(0),
-                timed_out: AtomicU64::new(0),
-                dropped_at_submit: AtomicU64::new(0),
                 server_gone: Box::new(move || probe.is_closed()),
             }),
-            deadline: None,
         }
-    }
-
-    /// Returns a handle whose every call carries a deadline of
-    /// `deadline` cycles (virtual cycles on the simulator, ≈ ns on
-    /// real threads), resolved inside [`Call`]'s own poll: no
-    /// `choose!`+`after` scaffolding at the call sites. Per-call
-    /// overrides go through [`Port::call_timeout`].
-    pub fn with_deadline(mut self, deadline: Cycles) -> Port<Req> {
-        self.deadline = Some(deadline);
-        self
     }
 
     /// Returns `true` if the server can no longer receive requests.
     pub fn is_closed(&self) -> bool {
         self.tx.is_closed()
-    }
-
-    /// How many [`Call`]s on this port (and its clones) were dropped
-    /// before resolving — each one a cancelled RPC whose reply the
-    /// server could no longer deliver.
-    pub fn calls_cancelled(&self) -> u64 {
-        self.core.cancelled.load(Ordering::Relaxed)
-    }
-
-    /// How many [`Call`]s on this port (and its clones) resolved
-    /// [`CallError::TimedOut`].
-    pub fn calls_timed_out(&self) -> u64 {
-        self.core.timed_out.load(Ordering::Relaxed)
-    }
-
-    /// How many deferred requests [`Port::submit`] had to drop
-    /// because the server channel closed mid-burst; each corresponds
-    /// to a [`Call`] that resolves [`CallError::ServerGone`].
-    pub fn calls_dropped_at_submit(&self) -> u64 {
-        self.core.dropped_at_submit.load(Ordering::Relaxed)
     }
 
     /// Issues one call: builds the request around a fresh reply
@@ -230,34 +163,37 @@ impl<Req: Send + 'static> Port<Req> {
         Resp: Send + 'static,
         F: FnOnce(ReplyTo<Resp>) -> Req,
     {
-        self.call_with_deadline(self.deadline, make)
+        self.issue(None, make)
     }
 
-    /// [`Port::call`] with a per-call deadline, overriding any
-    /// [`Port::with_deadline`] policy: the call resolves
+    /// [`Port::call`] with a deadline: the call resolves
     /// [`CallError::TimedOut`] if the server has not answered within
-    /// `timeout` cycles of issue. The timeout is resolved inside the
-    /// call's own poll — a `Call` racing a deadline is still one
-    /// plain future, usable as a `choose!` arm or held in a pipeline.
+    /// `timeout` cycles of issue (virtual cycles on the simulator, ≈ ns
+    /// on real threads). The timeout is resolved inside the call's own
+    /// poll — a `Call` racing a deadline is still one plain future,
+    /// usable as a `choose!` arm or held in a pipeline, with no
+    /// `choose!`+`after` scaffolding at the call site.
     pub fn call_timeout<Resp, F>(&self, timeout: Cycles, make: F) -> Call<Resp>
     where
         Resp: Send + 'static,
         F: FnOnce(ReplyTo<Resp>) -> Req,
     {
-        self.call_with_deadline(Some(timeout), make)
+        self.issue(Some(timeout), make)
     }
 
-    fn call_with_deadline<Resp, F>(&self, deadline: Option<Cycles>, make: F) -> Call<Resp>
+    fn issue<Resp, F>(&self, deadline: Option<Cycles>, make: F) -> Call<Resp>
     where
         Resp: Send + 'static,
         F: FnOnce(ReplyTo<Resp>) -> Req,
     {
         let (reply_to, reply) = reply_channel();
-        match self.tx.try_send(make(reply_to)) {
-            Ok(()) => self.waiting_call(reply, deadline),
-            Err(TrySendError::Closed(_)) => Call::failed(CallError::ServerGone),
-            Err(TrySendError::Full(msg)) => self.sending_call(msg, reply, deadline),
-        }
+        let mut call = match self.tx.try_send(make(reply_to)) {
+            Ok(()) => self.waiting_call(reply),
+            Err(TrySendError::Closed(_)) => return Call::failed(CallError::ServerGone),
+            Err(TrySendError::Full(msg)) => self.sending_call(msg, reply),
+        };
+        call.deadline = deadline.map(crate::after);
+        call
     }
 
     /// Issues a batch of same-response-type calls, submitted as one
@@ -290,7 +226,7 @@ impl<Req: Send + 'static> Port<Req> {
             .enumerate()
             .map(|(i, reply)| {
                 if i < sent {
-                    self.waiting_call(reply, self.deadline)
+                    self.waiting_call(reply)
                 } else {
                     // Full or closed mid-burst: fall back to an async
                     // submit at poll time (which reports ServerGone
@@ -298,7 +234,7 @@ impl<Req: Send + 'static> Port<Req> {
                     let msg = msgs
                         .pop_front()
                         .expect("one unsent request per left-over call");
-                    self.sending_call(msg, reply, self.deadline)
+                    self.sending_call(msg, reply)
                 }
             })
             .collect()
@@ -318,14 +254,14 @@ impl<Req: Send + 'static> Port<Req> {
     {
         let (reply_to, reply) = reply_channel();
         buf.push_back(make(reply_to));
-        self.waiting_call(reply, self.deadline)
+        self.waiting_call(reply)
     }
 
     /// Submits previously deferred requests as one burst (one server
     /// wake on real threads, one send event per message on the
     /// simulator). If the server is gone, the unsent requests are
-    /// dropped — counted on [`Port::calls_dropped_at_submit`] and the
-    /// ambient `port.calls_dropped_at_submit` statistic — and their
+    /// dropped — counted on the ambient `port.calls_dropped_at_submit`
+    /// statistic — and their
     /// calls resolve as [`CallError::ServerGone`] deterministically
     /// (the request channel *is* closed by the time they observe the
     /// dropped reply endpoint).
@@ -338,9 +274,6 @@ impl<Req: Send + 'static> Port<Req> {
                 // Closed mid-burst: the in-hand request and everything
                 // still buffered are dropped, visibly.
                 let dropped = 1 + buf.len() as u64;
-                self.core
-                    .dropped_at_submit
-                    .fetch_add(dropped, Ordering::Relaxed);
                 if crate::in_runtime() {
                     crate::stat_add("port.calls_dropped_at_submit", dropped);
                 }
@@ -361,27 +294,18 @@ impl<Req: Send + 'static> Port<Req> {
             .map_err(crate::SendError::into_inner)
     }
 
-    fn waiting_call<Resp: Send + 'static>(
-        &self,
-        reply: Reply<Resp>,
-        deadline: Option<Cycles>,
-    ) -> Call<Resp> {
+    fn waiting_call<Resp: Send + 'static>(&self, reply: Reply<Resp>) -> Call<Resp> {
         // The completion is held *inline*: an owned `Reply` polled in
         // place, no boxed resolver, no cloned probe `Sender` — the
         // ServerGone-vs-Cancelled classification happens at resolve
         // time through the shared `PortCore`.
         Call {
             state: CallState::Waiting(reply, self.core.clone()),
-            deadline: deadline.map(crate::after),
+            deadline: None,
         }
     }
 
-    fn sending_call<Resp: Send + 'static>(
-        &self,
-        msg: Req,
-        reply: Reply<Resp>,
-        deadline: Option<Cycles>,
-    ) -> Call<Resp> {
+    fn sending_call<Resp: Send + 'static>(&self, msg: Req, reply: Reply<Resp>) -> Call<Resp> {
         // The bounded-port overflow path: the request itself still
         // has to be submitted, which needs the `Req` type — boxed,
         // and off the steady-state path (OS service ports are
@@ -402,8 +326,8 @@ impl<Req: Send + 'static> Port<Req> {
             }
         });
         Call {
-            state: CallState::Boxed(fut, Some(self.core.clone())),
-            deadline: deadline.map(crate::after),
+            state: CallState::Boxed(fut, true),
+            deadline: None,
         }
     }
 }
@@ -415,11 +339,11 @@ enum CallState<Resp: Send + 'static> {
     /// port it was issued through.
     Waiting(Reply<Resp>, Arc<PortCore>),
     /// Resolving through an owned future: the bounded-port overflow
-    /// fallback (which has a port) and the [`Call::from_future`]
-    /// adapter (which has none).
+    /// fallback (`true`: issued through a port) and the
+    /// [`Call::from_future`] adapter (`false`: it has none).
     Boxed(
         Pin<Box<dyn Future<Output = Result<Resp, CallError>> + Send>>,
-        Option<Arc<PortCore>>,
+        bool,
     ),
     /// Resolved; polling again is a bug.
     Done,
@@ -432,8 +356,8 @@ enum CallState<Resp: Send + 'static> {
 /// any order (each is also a valid `choose!` arm). Dropping an
 /// unresolved call cancels it — the server's reply fails cleanly and
 /// the drop is counted (`port.calls_cancelled`). A call with a
-/// deadline ([`Port::with_deadline`] / [`Port::call_timeout`])
-/// resolves [`CallError::TimedOut`] from inside its own poll.
+/// deadline ([`Port::call_timeout`]) resolves [`CallError::TimedOut`]
+/// from inside its own poll.
 #[must_use = "a Call does nothing unless awaited; dropping it cancels the RPC"]
 pub struct Call<Resp: Send + 'static> {
     state: CallState<Resp>,
@@ -457,17 +381,8 @@ impl<Resp: Send + 'static> Call<Resp> {
         F: Future<Output = Result<Resp, CallError>> + Send + 'static,
     {
         Call {
-            state: CallState::Boxed(Box::pin(fut), None),
+            state: CallState::Boxed(Box::pin(fut), false),
             deadline: None,
-        }
-    }
-
-    /// The port this call counts on, if it was issued through one and
-    /// has not resolved.
-    fn core(&self) -> Option<&PortCore> {
-        match &self.state {
-            CallState::Waiting(_, core) | CallState::Boxed(_, Some(core)) => Some(core),
-            _ => None,
         }
     }
 }
@@ -512,9 +427,6 @@ impl<Resp: Send + 'static> Future for Call<Resp> {
         // from the server's view this is a client cancellation.
         if let Some(sleep) = &mut this.deadline {
             if Pin::new(sleep).poll(cx).is_ready() {
-                if let Some(core) = this.core() {
-                    core.timed_out.fetch_add(1, Ordering::Relaxed);
-                }
                 this.state = CallState::Done;
                 this.deadline = None;
                 if crate::in_runtime() {
@@ -530,17 +442,16 @@ impl<Resp: Send + 'static> Future for Call<Resp> {
 impl<Resp: Send + 'static> Drop for Call<Resp> {
     fn drop(&mut self) {
         // An unresolved call dropped = a cancellation, observable
-        // on the port and in the runtime statistics (never a
-        // silent reply-channel leak: dropping the held reply
-        // receiver closes the completion slot, so the server's
-        // answer fails cleanly). A `from_future` call has no
-        // port, so it is counted on neither: the ambient counter
-        // stays the sum of the ports'.
-        if let Some(core) = self.core() {
-            core.cancelled.fetch_add(1, Ordering::Relaxed);
-            if crate::in_runtime() {
-                crate::stat_incr("port.calls_cancelled");
-            }
+        // in the runtime statistics (never a silent reply-channel
+        // leak: dropping the held reply receiver closes the
+        // completion slot, so the server's answer fails cleanly). A
+        // `from_future` call has no port, so it is not counted.
+        let on_port = matches!(
+            self.state,
+            CallState::Waiting(..) | CallState::Boxed(_, true)
+        );
+        if on_port && crate::in_runtime() {
+            crate::stat_incr("port.calls_cancelled");
         }
     }
 }
@@ -615,14 +526,15 @@ mod tests {
     async fn dropped_call_counts() -> u64 {
         let (port, rx) = port_channel::<Req>(Capacity::Unbounded);
         spawn_server(rx);
+        let before = crate::stat_get("port.calls_cancelled");
         let c1 = port.call(|r| Req::Add(1, 2, r));
         let c2 = port.call(|r| Req::Add(3, 4, r));
         drop(c1);
         let _ = c2.await;
-        port.calls_cancelled()
+        crate::stat_get("port.calls_cancelled") - before
     }
 
-    async fn dropped_calls_ambient_and_port() -> (u64, u64, u64) {
+    async fn dropped_adapter_then_port_call() -> (u64, u64) {
         let (port, rx) = port_channel::<Req>(Capacity::Unbounded);
         spawn_server(rx);
         let before = crate::stat_get("port.calls_cancelled");
@@ -630,20 +542,20 @@ mod tests {
         let after_adapter = crate::stat_get("port.calls_cancelled") - before;
         drop(port.call(|r| Req::Add(1, 2, r)));
         let after_port = crate::stat_get("port.calls_cancelled") - before;
-        (after_adapter, after_port, port.calls_cancelled())
+        (after_adapter, after_port)
     }
 
     #[test]
     fn ambient_cancellations_count_port_calls_only() {
-        // A dropped `from_future` call involves no port and moves
-        // neither counter; a dropped port call moves both.
+        // A dropped `from_future` call involves no port and is not
+        // counted; a dropped port call is.
         let mut s = sim::Simulation::new(2);
         assert_eq!(
-            s.block_on(dropped_calls_ambient_and_port()).unwrap(),
-            (0, 1, 1)
+            s.block_on(dropped_adapter_then_port_call()).unwrap(),
+            (0, 1)
         );
         let rt = par::Runtime::new(2);
-        assert_eq!(rt.block_on(dropped_calls_ambient_and_port()), (0, 1, 1));
+        assert_eq!(rt.block_on(dropped_adapter_then_port_call()), (0, 1));
         rt.shutdown();
     }
 
@@ -734,9 +646,9 @@ mod tests {
             assert_eq!(crate::backend(), Backend::Threads);
             let (port, rx) = port_channel::<Req>(Capacity::Unbounded);
             spawn_server(rx);
-            let clone = port.clone();
-            drop(clone.call(|r| Req::Add(1, 1, r)));
-            port.calls_cancelled()
+            let before = crate::stat_get("port.calls_cancelled");
+            drop(port.clone().call(|r| Req::Add(1, 1, r)));
+            crate::stat_get("port.calls_cancelled") - before
         });
         assert_eq!(n, 1);
         rt.shutdown();

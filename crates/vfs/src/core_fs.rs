@@ -333,28 +333,36 @@ impl<S: BlockStore> FsCore<S> {
     }
 
     /// Frees every data block of the file and zeroes its size. May
-    /// mutate `inode` (caller persists it).
+    /// mutate `inode` (caller persists it). A block that cannot be
+    /// freed does not keep the ones after it allocated: every block is
+    /// tried, and the first error is what is returned.
     pub async fn truncate(&self, inode: &mut Inode, alloc: &impl Allocator) -> Result<(), FsError> {
+        let mut out = Ok(());
         for d in inode.direct.iter_mut() {
             if *d != 0 {
-                alloc.free_block(self, *d).await?;
+                out = out.and(alloc.free_block(self, *d).await);
                 *d = 0;
             }
         }
         if inode.indirect != 0 {
-            let blk = self.store.read_block(inode.indirect).await?;
-            for idx in 0..NINDIRECT {
-                let lba =
-                    u64::from_le_bytes(blk[idx * 8..idx * 8 + 8].try_into().expect("8 bytes"));
-                if lba != 0 {
-                    alloc.free_block(self, lba).await?;
+            match self.store.read_block(inode.indirect).await {
+                Ok(blk) => {
+                    for idx in 0..NINDIRECT {
+                        let lba = u64::from_le_bytes(
+                            blk[idx * 8..idx * 8 + 8].try_into().expect("8 bytes"),
+                        );
+                        if lba != 0 {
+                            out = out.and(alloc.free_block(self, lba).await);
+                        }
+                    }
                 }
+                Err(e) => out = out.and(Err(e)),
             }
-            alloc.free_block(self, inode.indirect).await?;
+            out = out.and(alloc.free_block(self, inode.indirect).await);
             inode.indirect = 0;
         }
         inode.size = 0;
-        Ok(())
+        out
     }
 
     // -- Directories -----------------------------------------------------------

@@ -1039,6 +1039,6 @@ mod tests {
         // (`VnWrite` is the op of the registry's NR write request.)
         assert_eq!(std::mem::size_of::<VnodeMsg>(), 64);
         assert_eq!(std::mem::size_of::<GroupMsg>(), 40);
-        assert_eq!(std::mem::size_of::<VnWrite>(), 56);
+        assert_eq!(std::mem::size_of::<VnWrite>(), 40);
     }
 }

@@ -10,7 +10,8 @@ use std::sync::{Arc, Mutex};
 use chanos_drivers::{DiskClient, DiskError, DiskReq, BLOCK_SIZE};
 use chanos_rt::{self as rt, Capacity, CoreId, JoinHandle};
 use chanos_sim::{plock, Simulation};
-use chanos_vfs::{copy_cost, BigLockFs, BlockStore, CacheClient, FsError, MsgFs};
+use chanos_vfs::layout::bitmap;
+use chanos_vfs::{copy_cost, BigLockFs, BlockStore, CacheClient, FsError, MsgFs, Superblock};
 
 /// A command the scripted disk is holding.
 enum Held {
@@ -639,5 +640,63 @@ fn refused_write_through_fails_the_request_and_reaches_the_disk_later() {
                 "block {lba} differs"
             );
         }
+    });
+}
+
+/// A reap frees every block of the file whatever became of the free
+/// before it. The cache of the test above, both of its blocks made
+/// dirty while the disk refuses writes: the first `FreeBlock`'s
+/// write-through is the one that finds no clean victim and fails, and
+/// the two blocks after it must not stay allocated for that.
+#[test]
+fn a_failed_free_does_not_leave_the_later_blocks_allocated() {
+    const BLOCKS: u64 = 256;
+    const GROUPS: u64 = 2;
+    in_sim(async {
+        let (disk, client, _) = ScriptedDisk::spawn(CoreId(3));
+        let cores = vec![CoreId(1), CoreId(2)];
+        let fs = MsgFs::format(client, BLOCKS, GROUPS, 1, 2, cores)
+            .await
+            .unwrap();
+        let sb = Superblock::design(BLOCKS, GROUPS);
+        let data_blocks_in_use = || {
+            let in_group =
+                |g| bitmap::count(&disk.peek_block(sb.dbitmap_block(g)), sb.data_per_group);
+            (0..GROUPS).map(in_group).sum::<u64>()
+        };
+        let two = |fill| [blk(fill), blk(fill)].concat();
+
+        fs.mkdir("/d").await.unwrap();
+        let g = fs.create("/d/g").await.unwrap();
+        fs.write(g, 0, &two(1)).await.unwrap();
+        fs.sync().await.unwrap();
+        let before_create = data_blocks_in_use();
+        let f = fs.create("/d/f").await.unwrap();
+        for i in 0..3 {
+            fs.write(f, i * BLOCK_SIZE as u64, &blk(0xF1))
+                .await
+                .unwrap();
+        }
+        fs.sync().await.unwrap();
+        assert_eq!(data_blocks_in_use(), before_create + 3);
+
+        // Overwriting `g` in place stores no inode and asks no group:
+        // the cache holds its two data blocks, dirty, and nothing else.
+        disk.refuse_writes(true);
+        fs.write(g, 0, &two(2)).await.unwrap();
+        let errors = rt::stat_get("msgfs.reap_errors");
+        assert_eq!(fs.unlink("/d/f").await, Ok(()));
+        assert_eq!(
+            rt::stat_get("msgfs.reap_errors") - errors,
+            3,
+            "`truncate` (once), `ClearInode` and `FreeInode`"
+        );
+
+        // Well again: what the group task freed in its own copy goes
+        // out with the next flush.
+        disk.refuse_writes(false);
+        assert!(fs.sync().await.is_err(), "the write-backs refused since");
+        fs.sync().await.unwrap();
+        assert_eq!(data_blocks_in_use(), before_create);
     });
 }

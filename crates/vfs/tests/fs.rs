@@ -543,7 +543,7 @@ fn create_unlink_pair_in_a_warm_directory_costs_exact_cycles() {
         took <= 10_708,
         "{took} cycles: a group task fetches its blocks per touch again"
     );
-    assert_eq!(took, 8_274);
+    assert_eq!(took, 8_176);
 }
 
 /// Over warm `create`/`write`/`unlink` rounds the cache is read twice

@@ -718,9 +718,10 @@ mod port_equiv {
         rt.shutdown();
     }
 
-    /// Dropping a held `Call` is a counted cancellation on the port,
-    /// and the server keeps running (its reply just fails cleanly).
+    /// Dropping a held `Call` is a counted cancellation, and the
+    /// server keeps running (its reply just fails cleanly).
     async fn cancel_count_script() -> (u64, u64) {
+        let before = rt::stat_get("port.calls_cancelled");
         let (port, rx) = port_channel::<EchoReq>(Capacity::Unbounded);
         rt::spawn(async move {
             while let Ok(EchoReq::Double(x, reply)) = rx.recv().await {
@@ -730,7 +731,7 @@ mod port_equiv {
         let dropped = port.call(|r| EchoReq::Double(1, r));
         drop(dropped);
         let kept = port.call(|r| EchoReq::Double(2, r)).await.unwrap();
-        (port.calls_cancelled(), kept)
+        (rt::stat_get("port.calls_cancelled") - before, kept)
     }
 
     #[test]
@@ -746,6 +747,7 @@ mod port_equiv {
     /// submit: every unsent request is counted, and every call in the
     /// burst deterministically resolves `ServerGone`.
     async fn submit_to_dead_server_script() -> (Vec<Result<u64, CallError>>, u64) {
+        let before = rt::stat_get("port.calls_dropped_at_submit");
         let (port, rx) = port_channel::<EchoReq>(Capacity::Unbounded);
         drop(rx);
         let mut buf = std::collections::VecDeque::new();
@@ -757,7 +759,7 @@ mod port_equiv {
         for c in calls {
             out.push(c.await);
         }
-        (out, port.calls_dropped_at_submit())
+        (out, rt::stat_get("port.calls_dropped_at_submit") - before)
     }
 
     #[test]
@@ -787,10 +789,10 @@ mod deadline_equiv {
         Stall(ReplyTo<u64>),
     }
 
-    /// One answered call under a generous deadline, one stalled call
-    /// under a tight per-call deadline, one stalled call under a
-    /// port-level deadline policy.
+    /// One answered call under a generous deadline, then two stalled
+    /// calls under a tight one, the second through a clone of the port.
     async fn deadline_script() -> Vec<Result<u64, CallError>> {
+        let before = rt::stat_get("port.calls_timed_out");
         let (port, rx) = port_channel::<SlowReq>(Capacity::Unbounded);
         rt::spawn_daemon("deadline-server", async move {
             let mut parked = Vec::new();
@@ -808,12 +810,9 @@ mod deadline_equiv {
         out.push(port.call_timeout(50_000_000, |r| SlowReq::Echo(5, r)).await);
         // A never-answered call resolves TimedOut from its own poll.
         out.push(port.call_timeout(10_000, SlowReq::Stall).await);
-        // `with_deadline` applies the same policy to every plain call.
-        let strict = port.clone().with_deadline(10_000);
-        out.push(strict.call(SlowReq::Stall).await);
-        // Clones share the port's counter core.
-        assert_eq!(port.calls_timed_out(), 2);
-        assert_eq!(strict.calls_timed_out(), 2);
+        // A clone times out the same way, and both are counted.
+        out.push(port.clone().call_timeout(10_000, SlowReq::Stall).await);
+        assert_eq!(rt::stat_get("port.calls_timed_out") - before, 2);
         out
     }
 
