@@ -163,7 +163,10 @@ const WRITTEN_ONCE: &[&str] = &[
 const BACKEND_FORK: &[&str] = &["backend()", "Backend::"];
 
 /// Files that must stay mutex-free (rule 4): the lock-free dispatch
-/// core. Matched as path suffixes under `crates/parchan/src/`.
+/// core. `injector.rs` is every shared run queue — the global
+/// injector, the high lane and each worker's pinned queue — so all
+/// three are audited here. Matched as path suffixes under
+/// `crates/parchan/src/`.
 const MUTEX_FREE: &[&str] = &[
     "crates/parchan/src/queue.rs",
     "crates/parchan/src/injector.rs",

@@ -22,6 +22,7 @@ pub mod coalesce;
 pub mod nr;
 pub mod oneshot;
 pub mod parking;
+pub mod pinned;
 pub mod priority;
 pub mod ring;
 pub mod steal;

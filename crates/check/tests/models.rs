@@ -4,7 +4,7 @@
 //! same failure (the property that turns any future counterexample
 //! into a checked-in regression test).
 
-use chanos_check::models::{coalesce, nr, oneshot, parking, priority, ring, steal};
+use chanos_check::models::{coalesce, nr, oneshot, parking, pinned, priority, ring, steal};
 use chanos_check::{Config, Explorer, FailureKind};
 
 fn explorer() -> Explorer {
@@ -365,6 +365,34 @@ fn priority_mutant_lost_high_lane_wake_caught() {
     // the lane every dispatch, a parked worker never does.
     assert_caught(
         || priority::priority_lane_model(priority::Mutant::LostHighLaneWake, 1, 1),
+        &[FailureKind::Deadlock],
+    );
+}
+
+// --- pinned: a wake only its own worker may take ----------------------
+
+#[test]
+fn pinned_wake_verifies() {
+    // Holds: finding 1's hang (workers ticking on the park backstop
+    // with nothing queued) is not in this handshake.
+    let report = explorer().check(|| pinned::pinned_wake_model(pinned::Mutant::None, 2));
+    report.assert_ok();
+    assert!(report.schedules > 0);
+}
+
+#[test]
+fn pinned_mutant_recheck_skips_pinned_caught() {
+    assert_caught(
+        || pinned::pinned_wake_model(pinned::Mutant::RecheckSkipsPinned, 1),
+        &[FailureKind::Deadlock],
+    );
+}
+
+#[test]
+fn pinned_mutant_elides_for_searcher_caught() {
+    // A sibling mid-search covers stealable work, never a pinned task.
+    assert_caught(
+        || pinned::pinned_wake_model(pinned::Mutant::ElidesForSearcher, 1),
         &[FailureKind::Deadlock],
     );
 }

@@ -8,9 +8,10 @@
 //! The pool is std-only (no external dependencies) and, like the
 //! paper argues a multicore OS must, treats *placement* as a
 //! first-class scheduler input rather than advisory metadata. Task
-//! dispatch — push, pop, steal, and the park/unpark handshake — is
-//! **lock-free** on the fast path (zero `Mutex::lock` calls, audited
-//! by the facade lint over the queue modules):
+//! dispatch — push, pop, steal, pinned placement, and the park/unpark
+//! handshake — takes **no lock** on any path (zero `Mutex::lock`
+//! calls, audited by the facade lint over the queue modules); a lock
+//! remains only where a worker really sleeps (`park_lock`):
 //!
 //! * Each worker owns a **local run queue** ([`crate::queue`]) — an
 //!   unstealable LIFO slot for the task that just woke (cache-hot
@@ -22,18 +23,18 @@
 //!   ring overflow and spawns/wakes from off-pool threads
 //!   (`block_on` callers, the timer thread); consumers drain it in
 //!   FIFO bursts.
+//! * [`Runtime::spawn_pinned`] places a task on a per-worker
+//!   **unstealable** queue — an injector of its own that any thread
+//!   pushes to and only its worker takes from: pinned tasks are polled
+//!   only by their assigned worker, which is what makes
+//!   `chanos-rt::spawn_on` placement real on this backend. The worker
+//!   keeps what one take returned and pops it before taking again, so
+//!   pinned tasks run in arrival order.
 //! * An **idle bitmask + searching counter** ([`crate::idle`]) runs
 //!   the Dekker-style park protocol: producers publish work, fence,
 //!   and read one word; workers register, fence, and re-sweep before
 //!   blocking. `park_lock`/`park_cv` are touched only when a worker
 //!   actually sleeps.
-//! * [`Runtime::spawn_pinned`] places a task on a per-worker
-//!   **unstealable** queue: pinned tasks are polled only by their
-//!   assigned worker, which is what makes `chanos-rt::spawn_on`
-//!   placement real on this backend. Pinned queues stay mutexed
-//!   (they are off the dispatch fast path) behind an atomic length
-//!   gate, so dispatch never locks an empty one.
-//!
 //! * A second injector — the **high-priority lane** — carries tasks
 //!   spawned or woken with [`Priority::High`]. Every dispatch checks
 //!   it *before* the local LIFO slot and ring, and searching workers
@@ -50,13 +51,12 @@
 
 use crate::counters::{Counter, Entered, Table};
 use crate::idle::{IdleSet, MAX_WORKERS};
-use crate::injector::Injector;
+use crate::injector::{Burst, Injector};
 use crate::queue::{LifoSlot, Ring};
 use crate::sync::{
     fence, Arc, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering,
     Weak,
 };
-use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
@@ -114,9 +114,8 @@ pub(crate) struct TaskCell {
     /// Worker this task is pinned to; pinned tasks live on that
     /// worker's unstealable queue and are polled only by it.
     pin: Option<usize>,
-    /// Priority class; fixed at spawn. Placement wins over priority:
-    /// a pinned high task goes to the *front* of its worker's pinned
-    /// queue rather than the (stealable) high lane.
+    /// Priority class; fixed at spawn (`Normal` for every pinned task:
+    /// `spawn_pinned` takes no priority).
     priority: Priority,
     /// Intrusive link for [`crate::injector`]: a task is in at most
     /// one queue at a time (`SCHEDULED` state exclusivity), so one
@@ -125,6 +124,21 @@ pub(crate) struct TaskCell {
     /// chanos-check shim wraps value atomics only; the injector
     /// protocol is modeled at the value level in `models/steal.rs`.
     pub(crate) next_injected: std::sync::atomic::AtomicPtr<TaskCell>,
+}
+
+#[cfg(test)]
+impl TaskCell {
+    /// A cell of no runtime, for the queue modules' unit tests.
+    pub(crate) fn detached() -> Arc<TaskCell> {
+        Arc::new(TaskCell {
+            future: Mutex::new(None),
+            state: AtomicU8::new(SCHEDULED),
+            rt: Weak::new(),
+            pin: None,
+            priority: Priority::Normal,
+            next_injected: std::sync::atomic::AtomicPtr::new(std::ptr::null_mut()),
+        })
+    }
 }
 
 impl Wake for TaskCell {
@@ -169,13 +183,9 @@ struct WorkerState {
     rq: Ring,
     /// Unstealable owner-only slot for the most recent local wake.
     lifo: LifoSlot,
-    /// Unstealable queue for tasks pinned to this worker. Mutexed —
-    /// pinned dispatch is placement, not the fast path — but gated
-    /// by `pinned_len` so dispatch never locks an empty queue.
-    pinned: Mutex<VecDeque<Arc<TaskCell>>>,
-    /// Length of `pinned`, maintained under its lock; read lock-free
-    /// by `find_task` / `has_work`.
-    pinned_len: AtomicUsize,
+    /// Unstealable queue for tasks pinned to this worker: any thread
+    /// pushes, only this worker takes (`pop_pinned`).
+    pinned: Injector,
     /// `true` = a wakeup was delivered and not yet consumed. Only
     /// touched when a worker actually blocks (or is handed a token);
     /// the lock-free handshake lives in [`IdleSet`].
@@ -188,8 +198,7 @@ impl WorkerState {
         WorkerState {
             rq: Ring::new(),
             lifo: LifoSlot::new(),
-            pinned: Mutex::new(VecDeque::new()),
-            pinned_len: AtomicUsize::new(0),
+            pinned: Injector::new(),
             park_lock: Mutex::new(false),
             park_cv: Condvar::new(),
         }
@@ -256,18 +265,7 @@ fn schedule(rt: &Arc<RtInner>, cell: Arc<TaskCell>, from_wake: bool) {
     };
     if let Some(w) = cell.pin {
         count_wake(Counter::WakesPinned);
-        let ws = &rt.workers[w];
-        {
-            let mut q = plock(&ws.pinned);
-            // Placement wins over priority (only worker `w` may run
-            // this task), but a high task still jumps the queue it
-            // is confined to.
-            match cell.priority {
-                Priority::High => q.push_front(cell),
-                Priority::Normal => q.push_back(cell),
-            }
-            ws.pinned_len.store(q.len(), Ordering::Release);
-        }
+        rt.workers[w].pinned.push(cell);
         rt.notify_specific(w);
         return;
     }
@@ -366,11 +364,13 @@ impl RtInner {
     }
 
     /// Producer half for *pinned* work: only worker `w` may run it,
-    /// so claim that specific worker (searchers don't help here).
+    /// so claim that specific worker (searchers don't help here, so
+    /// nothing is elided). Model-checked as `pinned_wake_model`
+    /// (mutants: RecheckSkipsPinned, ElidesForSearcher).
     fn notify_specific(&self, w: usize) {
         // ordering: same Dekker fence as `notify_work` — publication
-        // of the pinned push (and its length gate) must precede the
-        // mask read inside `claim`.
+        // of the pinned push must precede the mask read inside
+        // `claim`.
         fence(Ordering::SeqCst);
         if self.idle.claim(w) {
             self.deliver_token(w);
@@ -400,7 +400,10 @@ impl RtInner {
         if !self.hi.is_empty() {
             return true;
         }
-        if ws.pinned_len.load(Ordering::Acquire) > 0 {
+        // The pinned queue is the one source only this worker may
+        // drain: no searching sibling covers it. (The burst of it the
+        // worker holds is empty here: `find_task` just came up dry.)
+        if !ws.pinned.is_empty() {
             return true;
         }
         if !self.injector.is_empty() || ws.lifo.is_occupied() || !ws.rq.is_empty() {
@@ -749,11 +752,7 @@ impl Runtime {
         while self.inner.injector.take_all().is_some() {}
         while self.inner.hi.take_all().is_some() {}
         for w in &self.inner.workers {
-            {
-                let mut q = plock(&w.pinned);
-                q.clear();
-                w.pinned_len.store(0, Ordering::Release);
-            }
+            while w.pinned.take_all().is_some() {}
             unsafe {
                 while w.rq.pop().is_some() {}
                 drop(w.lifo.take());
@@ -887,11 +886,11 @@ fn worker_loop(rt: Arc<RtInner>, me: usize) {
     let mut rng: u64 = 0x5EED ^ ((me as u64 + 1) << 17);
     let mut tick: u32 = 0;
     let mut lifo_streak: u8 = 0;
-    loop {
-        if rt.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if let Some(task) = find_task(&rt, me, &mut tick, &mut lifo_streak, &mut rng) {
+    // What is left of this worker's last pinned take, oldest first.
+    let mut pinned: Option<Burst> = None;
+    let ws = &rt.workers[me];
+    while !rt.shutdown.load(Ordering::Acquire) {
+        if let Some(task) = find_task(&rt, me, &mut tick, &mut lifo_streak, &mut rng, &mut pinned) {
             run_task(task, &rt);
             continue;
         }
@@ -914,11 +913,10 @@ fn worker_loop(rt: Arc<RtInner>, me: usize) {
             // next park early (see there).
             continue;
         }
-        let ws = &rt.workers[me];
         let mut g = plock(&ws.park_lock);
         loop {
             if rt.shutdown.load(Ordering::Acquire) {
-                return;
+                break;
             }
             if *g {
                 *g = false;
@@ -945,6 +943,11 @@ fn worker_loop(rt: Arc<RtInner>, me: usize) {
             }
         }
     }
+    // Back to the queue the shutdown reaper drains: it, not a worker,
+    // drops the futures of tasks that never ran.
+    if let Some(rest) = pinned {
+        rest.put_back(&ws.pinned);
+    }
 }
 
 /// One dispatch: pick the next task for worker `me`.
@@ -960,6 +963,7 @@ fn find_task(
     tick: &mut u32,
     lifo_streak: &mut u8,
     rng: &mut u64,
+    pinned: &mut Option<Burst>,
 ) -> Option<Arc<TaskCell>> {
     *tick = tick.wrapping_add(1);
     let ws = &rt.workers[me];
@@ -981,7 +985,7 @@ fn find_task(
     }
     let pinned_first = (*tick).is_multiple_of(2);
     if pinned_first {
-        if let Some(t) = pop_pinned(ws) {
+        if let Some(t) = pop_pinned(ws, pinned) {
             return Some(t);
         }
     }
@@ -1004,7 +1008,7 @@ fn find_task(
         }
     }
     if !pinned_first {
-        if let Some(t) = pop_pinned(ws) {
+        if let Some(t) = pop_pinned(ws, pinned) {
             return Some(t);
         }
     }
@@ -1032,23 +1036,23 @@ fn find_task(
     found
 }
 
-fn pop_pinned(ws: &WorkerState) -> Option<Arc<TaskCell>> {
-    // The atomic gate keeps the (mutexed) pinned queue off the
-    // dispatch fast path: no lock unless it is plausibly non-empty.
-    if ws.pinned_len.load(Ordering::Acquire) == 0 {
-        return None;
+/// The owner's pinned dispatch: the rest of its last take first, a
+/// new take only once that is spent — nothing is put back, so pinned
+/// tasks run in arrival order.
+fn pop_pinned(ws: &WorkerState, held: &mut Option<Burst>) -> Option<Arc<TaskCell>> {
+    if let Some(t) = held.as_mut().and_then(Burst::pop) {
+        return Some(t);
     }
-    let mut q = plock(&ws.pinned);
-    let t = q.pop_front();
-    ws.pinned_len.store(q.len(), Ordering::Release);
-    t
+    *held = ws.pinned.take_all();
+    held.as_mut()?.pop()
 }
 
 /// Claims the high lane: returns the oldest high task and puts the
 /// remainder *back into the lane* (not the local ring — high tasks
 /// must stay ahead of every ring, and siblings check the lane on
-/// their next dispatch anyway). A non-empty remainder triggers one
-/// wake so an idle sibling comes for it.
+/// their next dispatch anyway), beneath any high task that arrived
+/// since. A non-empty remainder triggers one wake so an idle sibling
+/// comes for it.
 fn take_hi(rt: &Arc<RtInner>) -> Option<Arc<TaskCell>> {
     let mut burst = rt.hi.take_all()?;
     rt.count(Counter::PriorityBursts, 1);
@@ -1077,10 +1081,10 @@ fn take_injector_burst(rt: &Arc<RtInner>, me: usize) -> (Option<Arc<TaskCell>>, 
         match unsafe { ws.rq.push(t) } {
             Ok(()) => redistributed += 1,
             Err(t) => {
-                // Ring full: return the remainder (and this task) to
-                // the injector for another worker's burst.
-                rt.injector.push(t);
-                redistributed += 1;
+                // Ring full: return this task and the remainder, in
+                // order and beneath anything pushed since, to the
+                // injector for another worker's burst.
+                burst.push_front(t);
                 redistributed += burst.len();
                 burst.put_back(&rt.injector);
                 break;

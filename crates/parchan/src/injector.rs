@@ -1,6 +1,5 @@
-//! The global lock-free injector: overflow from full local rings and
-//! spawns/wakes from off-pool threads (`block_on` callers, the timer
-//! thread).
+//! The lock-free injector: the one queue type the scheduler shares
+//! between threads.
 //!
 //! An intrusive Treiber stack over `TaskCell::next_injected`: `push`
 //! leaks the `Arc` into a raw pointer and CASes it onto `head` —
@@ -9,19 +8,25 @@
 //! off-pool wake of the server task goes through here). Consumers
 //! take the *whole* stack with one `swap` and reverse it in place,
 //! so each take yields one FIFO **burst** (the "bucket" granularity:
-//! `sched.injector_bursts` counts these). Tasks a burst cannot fit
-//! into the taker's local ring are spliced back with a single CAS as
-//! a pre-linked chain.
+//! `sched.injector_bursts` counts these). Leftovers a consumer hands
+//! back with [`Burst::put_back`] re-enter *beneath* everything pushed
+//! since their take, so the next take yields them first, in their
+//! order, and no later push overtakes them.
 //!
 //! ABA is a non-issue: a node (TaskCell) can only be in one queue at
 //! a time (`SCHEDULED` state exclusivity), and a popped node is only
 //! re-pushed through the same ownership transfer, so a head pointer
 //! seen twice still has a `next_injected` we wrote ourselves.
 //!
-//! The executor instantiates this type twice: the normal injector
-//! described above, and the **high-priority lane** that
-//! `Priority::High` spawns/wakes route through (checked before any
-//! local queue on every dispatch — see the executor's `take_hi`).
+//! The executor instantiates this type for every queue more than one
+//! thread pushes to: the global injector (ring overflow, spawns and
+//! wakes from off-pool threads — `block_on` callers, the timer
+//! thread), the **high-priority lane** that `Priority::High`
+//! spawns/wakes route through (checked before any local queue on
+//! every dispatch — see the executor's `take_hi`), and one **pinned
+//! queue per worker**, which any thread pushes to and only its worker
+//! takes from (it pops the burst it took before taking again, so
+//! pinned tasks run in arrival order).
 //!
 //! Zero `Mutex::lock` calls in this module (audited by the facade
 //! lint's mutex-free rule).
@@ -61,25 +66,13 @@ impl Injector {
     /// queue node.
     pub(crate) fn push(&self, task: Arc<TaskCell>) {
         let ptr = Arc::into_raw(task) as *mut TaskCell;
-        let mut cur = self.head.load(Ordering::Relaxed);
-        loop {
-            // SAFETY: we own `ptr` until the CAS below succeeds.
-            unsafe { (*ptr).next_injected.store(cur, Ordering::Relaxed) };
-            // Release publishes the `next_injected` link (and the
-            // push itself) to the consumer's Acquire swap.
-            match self
-                .head
-                .compare_exchange(cur, ptr, Ordering::Release, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(h) => cur = h,
-            }
-        }
+        // SAFETY: `ptr` is a one-node chain of a leaked `Arc` we own.
+        unsafe { self.push_chain(ptr, ptr) };
     }
 
     /// Splices a pre-linked chain (head `first` .. tail `last`, linked
-    /// through `next_injected`) in one CAS. Used by ring overflow to
-    /// spill half a local queue, and by `Burst::put_back`.
+    /// through `next_injected`) in one CAS. Used by `push` and by ring
+    /// overflow to spill half a local queue.
     ///
     /// # Safety
     /// `first..last` must be a valid chain of leaked `Arc`s owned by
@@ -91,6 +84,8 @@ impl Injector {
             // publishes it (this fn's contract), so `last` is a live
             // `TaskCell` whose link nobody else reads yet.
             unsafe { (*last).next_injected.store(cur, Ordering::Relaxed) };
+            // Release publishes the chain's links (and the push
+            // itself) to the consumer's Acquire swap.
             match self
                 .head
                 .compare_exchange(cur, first, Ordering::Release, Ordering::Relaxed)
@@ -133,18 +128,10 @@ impl Injector {
         if top.is_null() {
             return None;
         }
-        // Reverse: `top` is the newest push; walk the chain flipping
-        // links so the oldest comes out first.
-        let mut prev: *mut TaskCell = std::ptr::null_mut();
-        let mut cur = top;
-        while !cur.is_null() {
-            // SAFETY: we own the whole detached chain after the swap.
-            let next = unsafe { (*cur).next_injected.load(Ordering::Relaxed) };
-            unsafe { (*cur).next_injected.store(prev, Ordering::Relaxed) };
-            prev = cur;
-            cur = next;
-        }
-        Some(Burst { head: prev })
+        // SAFETY: the swap detached the whole chain; it is ours.
+        Some(Burst {
+            head: unsafe { reverse(top) },
+        })
     }
 }
 
@@ -152,6 +139,23 @@ impl Drop for Injector {
     fn drop(&mut self) {
         drop(self.take_all());
     }
+}
+
+/// Reverses a null-terminated chain in place and returns its new
+/// head (the old last node).
+///
+/// # Safety
+/// The chain from `cur` must be detached and owned by the caller.
+unsafe fn reverse(mut cur: *mut TaskCell) -> *mut TaskCell {
+    let mut prev: *mut TaskCell = std::ptr::null_mut();
+    while !cur.is_null() {
+        // SAFETY: the chain is the caller's (this fn's contract).
+        let next = unsafe { (*cur).next_injected.load(Ordering::Relaxed) };
+        unsafe { (*cur).next_injected.store(prev, Ordering::Relaxed) };
+        prev = cur;
+        cur = next;
+    }
+    prev
 }
 
 /// One take-all's worth of injector tasks in FIFO order. Owns the
@@ -187,29 +191,59 @@ impl Burst {
         Some(unsafe { Arc::from_raw(ptr) })
     }
 
-    /// Returns the remaining chain to `inj` with a single CAS. The
-    /// chain is re-reversed while walking it so the *next* `take_all`
-    /// (which reverses again) yields these leftovers in their
-    /// original relative order. Interleaving with concurrent pushes
-    /// is best-effort FIFO — `INJECTOR_INTERVAL` bounds starvation
-    /// regardless.
+    /// Returns a popped task to the front: the next `pop` yields it.
+    pub(crate) fn push_front(&mut self, task: Arc<TaskCell>) {
+        task.next_injected.store(self.head, Ordering::Relaxed);
+        self.head = Arc::into_raw(task) as *mut TaskCell;
+    }
+
+    /// Returns the remaining tasks to `inj` *beneath* every task
+    /// pushed since the take that produced this burst: the next
+    /// `take_all` yields these first, in their order, then the
+    /// arrivals in theirs. The leftovers are published only onto an
+    /// empty stack (a CAS from null); whatever was pushed meanwhile is
+    /// detached first and linked above them, retrying while pushes
+    /// race.
     pub(crate) fn put_back(mut self, inj: &Injector) {
-        if self.head.is_null() {
+        let oldest = std::mem::replace(&mut self.head, std::ptr::null_mut());
+        if oldest.is_null() {
             return;
         }
-        // SAFETY: exclusive chain walk; links are flipped in place.
-        unsafe {
-            let oldest = self.head; // becomes the chain tail (stack bottom)
-            let mut prev: *mut TaskCell = std::ptr::null_mut();
-            let mut cur = self.head;
-            while !cur.is_null() {
-                let next = (*cur).next_injected.load(Ordering::Relaxed);
-                (*cur).next_injected.store(prev, Ordering::Relaxed);
-                prev = cur;
-                cur = next;
+        // SAFETY: we own the chain. Reversed into stack order it runs
+        // from the newest leftover down to `oldest`, whose link is now
+        // null: the stack's bottom.
+        let mut top = unsafe { reverse(oldest) };
+        // Release publishes our links to the next Acquire swap.
+        while inj
+            .head
+            .compare_exchange(
+                std::ptr::null_mut(),
+                top,
+                Ordering::Release,
+                Ordering::Relaxed,
+            )
+            .is_err()
+        {
+            // Acquire pairs with the arrivals' Release pushes.
+            let arrivals = inj.head.swap(std::ptr::null_mut(), Ordering::Acquire);
+            if arrivals.is_null() {
+                continue; // another consumer took them
             }
-            self.head = std::ptr::null_mut();
-            inj.push_chain(prev, oldest);
+            // SAFETY: the swap detached the arrivals; they are ours.
+            // Their oldest (last) node's link is null; pointing it at
+            // our chain stacks them above it.
+            unsafe {
+                let mut last = arrivals;
+                loop {
+                    let next = (*last).next_injected.load(Ordering::Relaxed);
+                    if next.is_null() {
+                        break;
+                    }
+                    last = next;
+                }
+                (*last).next_injected.store(top, Ordering::Relaxed);
+            }
+            top = arrivals;
         }
     }
 }
@@ -217,5 +251,90 @@ impl Burst {
 impl Drop for Burst {
     fn drop(&mut self) {
         while self.pop().is_some() {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cells<const N: usize>() -> [Arc<TaskCell>; N] {
+        std::array::from_fn(|_| TaskCell::detached())
+    }
+
+    /// Everything `inj` holds, oldest first, by cell identity.
+    fn drain(inj: &Injector, of: &[Arc<TaskCell>]) -> Vec<usize> {
+        let mut out = Vec::new();
+        while let Some(mut burst) = inj.take_all() {
+            while let Some(t) = burst.pop() {
+                out.push(
+                    of.iter()
+                        .position(|c| Arc::ptr_eq(c, &t))
+                        .expect("known cell"),
+                );
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn push_push_batch_and_take_all_keep_push_order() {
+        let cs = cells::<5>();
+        let inj = Injector::new();
+        assert!(inj.is_empty() && inj.take_all().is_none());
+        inj.push(cs[0].clone());
+        inj.push_batch(vec![cs[1].clone(), cs[2].clone(), cs[3].clone()]);
+        inj.push_batch(Vec::new());
+        inj.push(cs[4].clone());
+        assert!(!inj.is_empty());
+        let burst = inj.take_all().expect("five pushed");
+        assert_eq!(burst.len(), 5);
+        assert!(inj.is_empty());
+        burst.put_back(&inj);
+        assert_eq!(drain(&inj, &cs), [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn put_back_goes_beneath_what_was_pushed_since_the_take() {
+        let cs = cells::<4>();
+        let inj = Injector::new();
+        for c in &cs[..3] {
+            inj.push(c.clone());
+        }
+        let mut burst = inj.take_all().expect("three pushed");
+        assert!(Arc::ptr_eq(&burst.pop().expect("oldest"), &cs[0]));
+        inj.push(cs[3].clone());
+        burst.put_back(&inj);
+        assert_eq!(drain(&inj, &cs), [1, 2, 3], "a later push overtook");
+    }
+
+    #[test]
+    fn push_front_is_popped_next_and_put_back_first() {
+        let cs = cells::<3>();
+        let inj = Injector::new();
+        inj.push_batch(cs.to_vec());
+        let mut burst = inj.take_all().expect("three pushed");
+        let first = burst.pop().expect("oldest");
+        burst.push_front(first);
+        assert_eq!(burst.len(), 3);
+        burst.put_back(&inj);
+        assert_eq!(drain(&inj, &cs), [0, 1, 2]);
+    }
+
+    #[test]
+    fn a_dropped_burst_or_injector_releases_every_task() {
+        let cs = cells::<3>();
+        let inj = Injector::new();
+        for c in &cs {
+            inj.push(c.clone());
+        }
+        let mut burst = inj.take_all().expect("three pushed");
+        drop(burst.pop());
+        drop(burst);
+        inj.push_batch(cs.to_vec());
+        drop(inj);
+        for c in &cs {
+            assert_eq!(Arc::strong_count(c), 1);
+        }
     }
 }

@@ -281,6 +281,41 @@ fn pinned_tasks_poll_only_on_their_worker() {
 }
 
 #[test]
+fn pinned_backlog_runs_in_arrival_order() {
+    // Worker 0 is held busy while a backlog is pinned to it from off
+    // the pool; once released it must run the backlog as it arrived
+    // (the queue is a stack its owner takes whole and reverses).
+    const N: usize = 256;
+    let rt = Runtime::new(2);
+    let started = Arc::new(AtomicBool::new(false));
+    let gate = Arc::new(AtomicBool::new(false));
+    let (s, g) = (started.clone(), gate.clone());
+    let hostage = rt.spawn_pinned(0, async move {
+        s.store(true, Ordering::Release);
+        while !g.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+    });
+    while !started.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+    let order = Arc::new(Mutex::new(Vec::with_capacity(N)));
+    let backlog: Vec<_> = (0..N)
+        .map(|i| {
+            let o = order.clone();
+            rt.spawn_pinned(0, async move { o.lock().unwrap().push(i) })
+        })
+        .collect();
+    gate.store(true, Ordering::Release);
+    hostage.join_blocking().unwrap();
+    for h in backlog {
+        h.join_blocking().unwrap();
+    }
+    assert_eq!(*order.lock().unwrap(), (0..N).collect::<Vec<_>>());
+    rt.shutdown();
+}
+
+#[test]
 fn steal_stress_mpmc_with_pins() {
     // Producers pinned across workers, consumers unpinned, heavy
     // yield churn: exercises local queues, pinned queues, the
