@@ -16,14 +16,15 @@
 //! * [`sched`] — the explorer: bounded-preemption DFS over
 //!   interleavings with DPOR-lite sleep-set pruning.
 //! * [`sync`] / [`thread`] — shim types that parchan's `crate::sync`
-//!   facade re-exports under `--features chanos_check`, and that the
-//!   protocol models in `tests/` are written against directly.
+//!   facade re-exports under `--features chanos_check`, so
+//!   `crates/parchan/tests/protocols.rs` checks the shipping code; the
+//!   mirrors in [`models`] are written against them directly.
 //! * `bin/lint` — the workspace source lint (facade bypasses, stat
 //!   registry, `SeqCst` invariant comments); run with
 //!   `cargo run -p chanos-check --bin lint`.
 //!
 //! See ARCHITECTURE.md § "Concurrency checking" for how to write a
-//! model and replay a schedule.
+//! check and replay a schedule.
 
 pub mod models;
 pub mod sched;

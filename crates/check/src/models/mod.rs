@@ -1,15 +1,21 @@
-//! Checked models of the protocols that carry the stack.
+//! Checked models of the protocols the explorer cannot drive as they
+//! ship.
 //!
-//! Each module replicates one parchan protocol — operation for
-//! operation, ordering for ordering — against [`crate::sync`] /
-//! [`crate::thread`], so the explorer can enumerate its
-//! interleavings. The models are deliberate *replicas*, not imports:
-//! `chanos-check` is what parchan is checked *by* (its `crate::sync`
-//! facade re-exports our shim under `--features chanos_check`), so a
-//! dependency in the other direction would be a cycle. The price is
-//! that a model can drift from the code it mirrors; the `// mirrors:`
-//! line at the top of each module names the exact functions to diff
-//! against when either side changes.
+//! parchan's channels, oneshot, reply batch and injector are checked
+//! as they ship: `crates/parchan/tests/protocols.rs` and the
+//! injector's unit tests run the explorer over the real code, whose
+//! atomics and locks are this crate's shim under `--features
+//! chanos_check`. The modules here replicate — operation for
+//! operation, ordering for ordering — the protocols that cannot be
+//! run that way, each under a `// mirrors:` line naming the functions
+//! to diff against when either side changes:
+//!
+//! * [`nr`]: chanos-nr does not take its atomics from the shim.
+//! * [`pinned`], [`priority`] and [`steal`]'s idle-mask half mirror
+//!   `worker_loop`, which runs on `std::thread` and `Instant`.
+//! * [`steal`]'s ring half: its mutants are memory-unsafe on the real
+//!   ring (a duplicated or uninitialised `Arc<TaskCell>`), so they
+//!   would crash the checker instead of reporting.
 //!
 //! Every model takes a `Mutant` selector. `Mutant::None` is the
 //! shipping protocol and must verify exhaustively; the other variants
@@ -18,11 +24,7 @@
 //! catch — they are the proof that the harness would notice a real
 //! regression, not just the proof that today's code is right.
 
-pub mod coalesce;
 pub mod nr;
-pub mod oneshot;
-pub mod parking;
 pub mod pinned;
 pub mod priority;
-pub mod ring;
 pub mod steal;

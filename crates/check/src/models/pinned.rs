@@ -12,7 +12,8 @@
 //! its stale-token consumption.
 //!
 //! The queue is an occupancy counter taken whole, as `take_all` takes
-//! the stack (the injector's own claim is `steal.rs`'s business). At
+//! the stack (the injector itself is checked as it ships, in
+//! `parchan/src/injector.rs`'s unit tests). At
 //! this level the mutexed deque the injector replaced ran the same
 //! protocol — its push and length store were the publish, its length
 //! load the re-check — so the verdict covers both. Lost wakes surface

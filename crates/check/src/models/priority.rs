@@ -9,9 +9,10 @@
 //! hi-lane-first dispatch, and `RtInner::has_work`'s hi-lane check
 //! inside the register → fence → re-check → park descent.
 //!
-//! Lanes are occupancy counters (the injector's Treiber-stack claim
-//! is already covered by `steal.rs`/`ring.rs`; what is new here is
-//! *which lanes* each side of the Dekker handshake must observe).
+//! Lanes are occupancy counters (the injector's Treiber stack is
+//! checked as it ships, in `parchan/src/injector.rs`'s unit tests;
+//! what is new here is *which lanes* each side of the Dekker
+//! handshake must observe).
 //! Lost wakes surface as the checker's built-in parked-forever
 //! deadlock.
 

@@ -137,6 +137,52 @@ shim_atomic_arith!(AtomicU32, u32);
 shim_atomic_arith!(AtomicU64, u64);
 shim_atomic_arith!(AtomicUsize, usize);
 
+/// Model-checked wrapper around `std::sync::atomic::AtomicPtr` (the
+/// macro above takes no generic parameter, so it is spelled out).
+#[derive(Debug)]
+pub struct AtomicPtr<T> {
+    inner: std::sync::atomic::AtomicPtr<T>,
+}
+
+impl<T> AtomicPtr<T> {
+    pub const fn new(p: *mut T) -> Self {
+        Self {
+            inner: std::sync::atomic::AtomicPtr::new(p),
+        }
+    }
+
+    fn loc(&self) -> usize {
+        self as *const _ as usize
+    }
+
+    pub fn load(&self, order: Ordering) -> *mut T {
+        sched::sync_op(Op::Load { loc: self.loc() }, order);
+        self.inner.load(order)
+    }
+
+    pub fn store(&self, p: *mut T, order: Ordering) {
+        sched::sync_op(Op::Store { loc: self.loc() }, order);
+        self.inner.store(p, order)
+    }
+
+    pub fn swap(&self, p: *mut T, order: Ordering) -> *mut T {
+        sched::sync_op(Op::Rmw { loc: self.loc() }, order);
+        self.inner.swap(p, order)
+    }
+
+    pub fn compare_exchange(
+        &self,
+        current: *mut T,
+        new: *mut T,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<*mut T, *mut T> {
+        // Modeled as an RMW either way, as in the value atomics.
+        sched::sync_op(Op::Rmw { loc: self.loc() }, success);
+        self.inner.compare_exchange(current, new, success, failure)
+    }
+}
+
 impl AtomicBool {
     pub fn fetch_or(&self, v: bool, order: Ordering) -> bool {
         sched::sync_op(Op::Rmw { loc: self.loc() }, order);

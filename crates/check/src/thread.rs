@@ -21,6 +21,14 @@ where
     sched::model_spawn(f)
 }
 
+/// The calling model thread's id, the target a waker built on this
+/// thread hands to [`unpark`]. Panics outside a model execution.
+pub fn current() -> ThreadId {
+    sched::ctx()
+        .expect("check::thread::current outside a model execution")
+        .1
+}
+
 /// Blocks the calling model thread until a token is available, then
 /// consumes it (`std::thread::park` semantics, minus spurious wakes —
 /// the explorer enumerates real wake orders instead).

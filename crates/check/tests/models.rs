@@ -1,10 +1,11 @@
-//! The protocol harnesses: each shipping protocol must verify
+//! The mirrored protocol harnesses: each shipping protocol must verify
 //! exhaustively within the preemption bound, and every seeded mutant
 //! must be caught — with its counterexample schedule replaying to the
 //! same failure (the property that turns any future counterexample
-//! into a checked-in regression test).
+//! into a checked-in regression test). The protocols checked as they
+//! ship are in `crates/parchan/tests/protocols.rs`.
 
-use chanos_check::models::{coalesce, nr, oneshot, parking, pinned, priority, ring, steal};
+use chanos_check::models::{nr, pinned, priority, steal};
 use chanos_check::{Config, Explorer, FailureKind};
 
 fn explorer() -> Explorer {
@@ -34,172 +35,6 @@ where
         .replay(&failure.schedule, model)
         .expect("counterexample schedule must replay deterministically");
     assert_eq!(replayed.kind, failure.kind, "replay diverged: {replayed}");
-}
-
-// --- ring: ticket-claim / slot-publish vs concurrent recv ---------------
-
-#[test]
-fn ring_spsc_verifies() {
-    let report = explorer().check(|| ring::ring_spsc_model(ring::Mutant::None));
-    report.assert_ok();
-    assert!(report.schedules > 0);
-}
-
-#[test]
-fn ring_mpsc_claim_verifies() {
-    let report = explorer().check(|| ring::ring_mpsc_claim_model(ring::Mutant::None));
-    report.assert_ok();
-}
-
-#[test]
-fn ring_mutant_publish_before_write_caught() {
-    assert_caught(
-        || ring::ring_spsc_model(ring::Mutant::PublishBeforeWrite),
-        &[FailureKind::Panic],
-    );
-}
-
-#[test]
-fn ring_mutant_claim_store_not_cas_caught() {
-    assert_caught(
-        || ring::ring_mpsc_claim_model(ring::Mutant::ClaimStoreNotCas),
-        &[FailureKind::Panic],
-    );
-}
-
-// --- parking: spin-then-park vs post-publish wake (Dekker pair) ---------
-
-#[test]
-fn parking_verifies() {
-    let report = explorer().check(|| parking::parking_model(parking::Mutant::None, 2));
-    report.assert_ok();
-}
-
-#[test]
-fn parking_mutant_no_recheck_caught() {
-    // The lost wake surfaces as the built-in parked-forever deadlock.
-    assert_caught(
-        || parking::parking_model(parking::Mutant::ConsumerNoRecheck, 2),
-        &[FailureKind::Deadlock],
-    );
-}
-
-#[test]
-fn parking_mutant_scan_before_publish_caught() {
-    assert_caught(
-        || parking::parking_model(parking::Mutant::ProducerScanBeforePublish, 2),
-        &[FailureKind::Deadlock],
-    );
-}
-
-#[test]
-fn parking_relaxed_dekker_verifies_under_sc() {
-    // Documents the checker's scope boundary: with the fences dropped
-    // the protocol is STILL correct under sequential consistency —
-    // the bug the SeqCst pair prevents is a weak-memory reordering,
-    // which is TSan's job, not the explorer's. If this test ever
-    // fails, the model (not the fences) changed.
-    let report = explorer().check(|| parking::parking_model(parking::Mutant::RelaxedDekker, 2));
-    report.assert_ok();
-}
-
-// --- oneshot: CAS waker claim vs resolve vs drop ------------------------
-
-#[test]
-fn oneshot_send_recv_verifies() {
-    let report = explorer().check(|| oneshot::oneshot_send_recv_model(oneshot::Mutant::None));
-    report.assert_ok();
-}
-
-#[test]
-fn oneshot_tx_drop_verifies() {
-    let report = explorer().check(|| oneshot::oneshot_tx_drop_model(oneshot::Mutant::None));
-    report.assert_ok();
-}
-
-#[test]
-fn oneshot_rx_drop_verifies() {
-    let report = explorer().check(|| oneshot::oneshot_rx_drop_model(oneshot::Mutant::None));
-    report.assert_ok();
-}
-
-#[test]
-fn oneshot_mutant_repoll_store_caught() {
-    // Clobbering SENT with a plain store loses the value: the
-    // receiver re-parks and nobody is left to wake it.
-    assert_caught(
-        || oneshot::oneshot_send_recv_model(oneshot::Mutant::RepollStoreNotCas),
-        &[FailureKind::Deadlock],
-    );
-}
-
-#[test]
-fn oneshot_mutant_repoll_store_caught_via_tx_drop() {
-    // The same store can clobber TX_DROPPED: the receiver parks on a
-    // slot whose sender is already gone.
-    assert_caught(
-        || oneshot::oneshot_tx_drop_model(oneshot::Mutant::RepollStoreNotCas),
-        &[FailureKind::Deadlock],
-    );
-}
-
-#[test]
-fn oneshot_mutant_publish_after_swap_caught() {
-    assert_caught(
-        || oneshot::oneshot_send_recv_model(oneshot::Mutant::PublishAfterSwap),
-        &[FailureKind::Panic],
-    );
-}
-
-#[test]
-fn oneshot_mutant_publish_after_swap_caught_via_rx_drop() {
-    // The same seeded bug also violates value-cell ownership against
-    // a concurrently dropping receiver.
-    assert_caught(
-        || oneshot::oneshot_rx_drop_model(oneshot::Mutant::PublishAfterSwap),
-        &[FailureKind::Panic],
-    );
-}
-
-// --- coalesce: held wakes vs concurrent park, let go by flush or drop ----
-
-#[test]
-fn coalesce_verifies() {
-    for end in [coalesce::End::Flush, coalesce::End::Drop] {
-        let report =
-            explorer().check(move || coalesce::coalesce_model(coalesce::Mutant::None, 2, end));
-        report.assert_ok();
-    }
-}
-
-#[test]
-fn coalesce_mutant_flush_drops_wakes_caught() {
-    assert_caught(
-        || coalesce::coalesce_model(coalesce::Mutant::FlushDropsWakes, 2, coalesce::End::Flush),
-        &[FailureKind::Deadlock],
-    );
-}
-
-#[test]
-fn coalesce_mutant_drop_forgets_wakes_caught() {
-    assert_caught(
-        || coalesce::coalesce_model(coalesce::Mutant::DropForgetsWakes, 2, coalesce::End::Drop),
-        &[FailureKind::Deadlock],
-    );
-}
-
-#[test]
-fn coalesce_mutant_dedup_swallows_first_wake_caught() {
-    assert_caught(
-        || {
-            coalesce::coalesce_model(
-                coalesce::Mutant::DedupSwallowsFirstWake,
-                2,
-                coalesce::End::Flush,
-            )
-        },
-        &[FailureKind::Deadlock],
-    );
 }
 
 // --- steal: owner pop vs stealer batch-claim on the packed head ---------

@@ -1175,8 +1175,9 @@ impl<T> Ring<T> {
     fn after_push(&self) {
         // ordering: SeqCst fence + SeqCst parked scan form one half
         // of the lost-wake Dekker; the parker's register → fence →
-        // re-pop is the other. Model-checked as `parking_model`
-        // (mutant: ProducerScanBeforePublish).
+        // re-pop is the other. Model-checked on this code by
+        // `tests/protocols.rs` (`ring_delivers_one_senders_values_in_order`
+        // catches the scan moved before the publish).
         fence(Ordering::SeqCst);
         if self.recv_parked.load(Ordering::SeqCst) > 0 {
             self.wake_one_recv();
@@ -1632,7 +1633,9 @@ fn poll_ring_recv<T: Send>(
     fut.parked = true;
     ring.park_recv(&mut fut.waiter_id, cx.waker());
     // ordering: the parker's half of the `after_push` Dekker —
-    // model-checked as `parking_model` (mutant: ConsumerNoRecheck).
+    // model-checked on this code by `tests/protocols.rs`
+    // (`ring_keeps_two_senders_tickets_apart` catches the re-pop
+    // below deleted).
     fence(Ordering::SeqCst);
     if let Popped::Got(v) = ring.pop_any() {
         ring.unpark_recv(&mut fut.waiter_id);

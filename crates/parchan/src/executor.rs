@@ -54,8 +54,8 @@ use crate::idle::{IdleSet, MAX_WORKERS};
 use crate::injector::{Burst, Injector};
 use crate::queue::{LifoSlot, Ring};
 use crate::sync::{
-    fence, Arc, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering,
-    Weak,
+    fence, Arc, AtomicBool, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex,
+    MutexGuard, Ordering, Weak,
 };
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
@@ -120,10 +120,9 @@ pub(crate) struct TaskCell {
     /// Intrusive link for [`crate::injector`]: a task is in at most
     /// one queue at a time (`SCHEDULED` state exclusivity), so one
     /// embedded pointer suffices and injector pushes allocate
-    /// nothing. Raw-pointer atomics come from `std` directly — the
-    /// chanos-check shim wraps value atomics only; the injector
-    /// protocol is modeled at the value level in `models/steal.rs`.
-    pub(crate) next_injected: std::sync::atomic::AtomicPtr<TaskCell>,
+    /// nothing. A shim atomic like the rest, so the injector's
+    /// in-crate check explores its splices.
+    pub(crate) next_injected: AtomicPtr<TaskCell>,
 }
 
 #[cfg(test)]
@@ -136,7 +135,7 @@ impl TaskCell {
             rt: Weak::new(),
             pin: None,
             priority: Priority::Normal,
-            next_injected: std::sync::atomic::AtomicPtr::new(std::ptr::null_mut()),
+            next_injected: AtomicPtr::new(std::ptr::null_mut()),
         })
     }
 }
@@ -838,7 +837,7 @@ where
         rt: Arc::downgrade(inner),
         pin,
         priority,
-        next_injected: std::sync::atomic::AtomicPtr::new(std::ptr::null_mut()),
+        next_injected: AtomicPtr::new(std::ptr::null_mut()),
     });
     inner.register(&cell);
     // ordering: SeqCst with the `shutdown` store — registration

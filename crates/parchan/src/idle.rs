@@ -11,7 +11,7 @@
 //! executor, but only for the actual OS block *after* this module's
 //! lock-free handshake has decided a worker really must sleep.
 //!
-//! ## The Dekker pairing (model-checked in `models/steal.rs`)
+//! ## The Dekker pairing (mirrored by `idle_mask_model`)
 //!
 //! * Producer: **publish work, then** `fence(SeqCst)`, **then** read
 //!   `searching` / `mask`.
@@ -28,10 +28,12 @@
 //! worker self-rescue} clears a registered bit because both use a
 //! single RMW (`fetch_and`) on the same word.
 //!
-//! Mutants proven caught by the model: producer scanning before
-//! publishing, worker skipping the re-check, worker losing the
-//! searching-count clear, worker consuming a wake token and keeping
-//! its bit.
+//! The worker's half runs on `std::thread`, which the explorer cannot
+//! drive, so the pairing is checked on a copy: `idle_mask_model` in
+//! `crates/check/src/models/steal.rs`. Mutants proven caught by it:
+//! producer scanning before publishing, worker skipping the re-check,
+//! worker losing the searching-count clear, worker consuming a wake
+//! token and keeping its bit.
 
 use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 

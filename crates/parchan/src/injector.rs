@@ -29,17 +29,12 @@
 //! pinned tasks run in arrival order).
 //!
 //! Zero `Mutex::lock` calls in this module (audited by the facade
-//! lint's mutex-free rule).
-
-// chanos-lint: allow — `AtomicPtr` comes from `std::sync::atomic`
-// directly rather than the facade: the chanos-check shim wraps value
-// atomics only (pointers aren't schedule points it models; the
-// injector's push/take protocol is modeled separately in
-// `check/src/models/steal.rs` at the value level).
-use std::sync::atomic::AtomicPtr;
+//! lint's mutex-free rule). Under `--features chanos_check` the
+//! unit test `put_back_is_fifo_against_a_concurrent_push` explores
+//! a take, pop and put-back against a racing push on this code.
 
 use crate::executor::TaskCell;
-use crate::sync::{Arc, Ordering};
+use crate::sync::{Arc, AtomicPtr, Ordering};
 
 pub(crate) struct Injector {
     head: AtomicPtr<TaskCell>,
@@ -306,6 +301,33 @@ mod tests {
         inj.push(cs[3].clone());
         burst.put_back(&inj);
         assert_eq!(drain(&inj, &cs), [1, 2, 3], "a later push overtook");
+    }
+
+    /// The test above, explored: D's push may land before the take,
+    /// between the take and the put-back, or inside the put-back's
+    /// retry loop, and B C D must come out in every schedule.
+    #[cfg(feature = "chanos_check")]
+    #[test]
+    fn put_back_is_fifo_against_a_concurrent_push() {
+        use chanos_check::{thread, Explorer};
+        Explorer::default()
+            .check(|| {
+                let cs = cells::<4>();
+                let inj = Arc::new(Injector::new());
+                for c in &cs[..3] {
+                    inj.push(c.clone());
+                }
+                let pusher = {
+                    let (inj, d) = (inj.clone(), cs[3].clone());
+                    thread::spawn(move || inj.push(d))
+                };
+                let mut burst = inj.take_all().expect("three pushed");
+                assert!(Arc::ptr_eq(&burst.pop().expect("oldest"), &cs[0]));
+                burst.put_back(&inj);
+                pusher.join();
+                assert_eq!(drain(&inj, &cs), [1, 2, 3], "a push overtook the put-back");
+            })
+            .assert_ok();
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The one `use` line the lock-free core switches on.
 //!
-//! `chan.rs`, `oneshot.rs`, `executor.rs`, and `timer.rs` import
-//! their atomics, mutexes, and condvars from here instead of
-//! `std::sync`. In a normal build these re-exports *are* `std` —
+//! `chan.rs`, `oneshot.rs`, `executor.rs`, `injector.rs`, and
+//! `timer.rs` import their atomics, mutexes, and condvars from here
+//! instead of `std::sync`. In a normal build these re-exports *are* `std` —
 //! zero cost, zero behavior change. Under `--features chanos_check`
 //! the same names resolve to the `chanos-check` shim types, whose
 //! every operation yields to a model-checking scheduler when the
@@ -17,13 +17,16 @@
 //! shims' non-model path runs on.
 
 #[cfg(not(feature = "chanos_check"))]
-pub use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize};
+pub use std::sync::atomic::{
+    fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize,
+};
 #[cfg(not(feature = "chanos_check"))]
 pub use std::sync::{Condvar, Mutex, MutexGuard};
 
 #[cfg(feature = "chanos_check")]
 pub use chanos_check::sync::{
-    fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard,
+    fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex,
+    MutexGuard,
 };
 
 pub use std::sync::atomic::Ordering;

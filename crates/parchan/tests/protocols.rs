@@ -1,0 +1,272 @@
+//! The shipping message protocols, model-checked: `chanos_check`'s
+//! explorer drives parchan's own channel ring, mutex core, oneshot
+//! and reply batch through their public API from model threads, and
+//! enumerates every interleaving of their atomics and locks up to a
+//! preemption bound. Under `--features chanos_check` those atomics
+//! and locks are the checker's shim types (`src/sync.rs`), so what is
+//! explored is the code that ships, not a copy of it. Run with
+//!
+//! ```text
+//! cargo test --release -p chanos-parchan --features chanos_check --test protocols
+//! ```
+//!
+//! A future is polled by [`block_on`], whose waker unparks the model
+//! thread that polls it; a wake that never comes leaves that thread
+//! parked, and the explorer reports the schedule as a deadlock. Two
+//! harness rules keep a seeded bug visible:
+//!
+//! * **Every channel check keeps a `Sender` clone alive** until its
+//!   receivers are done. When the last sender drops, the channel's
+//!   close wakes every parked receiver, and that wake covers a lost
+//!   one: with the senders' own clones the last ones, a receive that
+//!   skips its post-park re-pop passes all 22 940 schedules of
+//!   `ring_keeps_two_senders_tickets_apart` (caught after 2 401 with
+//!   the root's clone alive).
+//! * **Ring values carry a per-execution nonce.** A slot read before
+//!   its value is written returns what the slot's memory last held,
+//!   and an execution's ring usually reuses the previous execution's
+//!   allocation. Without the nonce that stale value is often the very
+//!   one expected and the schedule passes: a read-before-publish is
+//!   then caught after 443 schedules instead of 23, and its schedule
+//!   need not replay, since the memory it read is gone.
+
+#![cfg(feature = "chanos_check")]
+
+use std::future::Future;
+use std::pin::{pin, Pin};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
+
+use chanos_check::{thread, Config, Explorer};
+use chanos_parchan::oneshot::oneshot;
+use chanos_parchan::{channel, join2, Capacity, RecvError, WakeBatch};
+
+/// A waker that unparks the model thread it was made on.
+struct Unpark(thread::ThreadId);
+
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        thread::unpark(self.0);
+    }
+}
+
+fn waker() -> Waker {
+    Waker::from(Arc::new(Unpark(thread::current())))
+}
+
+/// Polls `fut` to completion on the calling model thread, parking
+/// while it is pending. The first `Pending` is polled once more
+/// before the thread parks: an executor may re-poll at any time, and
+/// this re-poll is what makes a parked oneshot receiver take its
+/// waker back (`WAITING → EMPTY`) while its sender may be resolving.
+fn block_on<F: Future>(fut: F) -> F::Output {
+    let waker = waker();
+    let mut cx = Context::from_waker(&waker);
+    let mut fut = pin!(fut);
+    let mut repolled = false;
+    loop {
+        if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
+            return v;
+        }
+        if std::mem::replace(&mut repolled, true) {
+            thread::park();
+        }
+    }
+}
+
+/// Explores `model` up to `max_preemptions`, and fails on any
+/// counterexample or on running out of budget (`CHANOS_CHECK_BUDGET`,
+/// default 50 000 schedules) before the space is exhausted.
+fn verify(max_preemptions: usize, model: impl Fn() + Send + Sync + 'static) {
+    Explorer::new(Config {
+        max_preemptions,
+        ..Config::default()
+    })
+    .check(model)
+    .assert_ok();
+}
+
+/// The high bits of every value an execution sends (see the module
+/// docs): a plain `std` counter, so it adds no scheduling point.
+fn nonce() -> u64 {
+    static EXECUTIONS: AtomicU64 = AtomicU64::new(1);
+    EXECUTIONS.fetch_add(1, Ordering::Relaxed) << 16
+}
+
+// --- channels ---------------------------------------------------------
+
+/// `senders` model threads send `per` values each through a channel
+/// of capacity `cap`; the root receives them all, holding a sender of
+/// its own. Every value must arrive once, unaltered, and each
+/// sender's in the order it sent them.
+fn deliver(cap: Capacity, senders: u64, per: u64) {
+    let base = nonce();
+    let (tx, rx) = channel::<u64>(cap);
+    let threads: Vec<_> = (0..senders)
+        .map(|s| {
+            let tx = tx.clone();
+            thread::spawn(move || {
+                for i in 0..per {
+                    block_on(tx.send(base | s << 8 | i)).expect("the receiver is alive");
+                }
+            })
+        })
+        .collect();
+    let mut next = vec![0; senders as usize];
+    for _ in 0..senders * per {
+        let v = block_on(rx.recv()).expect("the root holds a sender");
+        assert_eq!(v & !0xffff, base, "read a slot before its value: {v:#x}");
+        let (s, i) = ((v >> 8 & 0xff) as usize, v & 0xff);
+        assert_eq!(i, next[s], "sender {s}'s values arrived out of order");
+        next[s] += 1;
+    }
+    for t in threads {
+        t.join();
+    }
+    drop(tx);
+}
+
+#[test]
+fn ring_delivers_one_senders_values_in_order() {
+    // The slot publish, and the `after_push` / `park_recv` → fence →
+    // re-pop Dekker that hands each value to a parking receiver.
+    verify(2, || deliver(Capacity::Bounded(8), 1, 2));
+}
+
+#[test]
+fn ring_keeps_two_senders_tickets_apart() {
+    // The tail-ticket CAS; and a receiver woken for the second ticket
+    // while the first is still being written, which must re-pop after
+    // it registers again.
+    verify(2, || deliver(Capacity::Bounded(8), 2, 1));
+}
+
+#[test]
+fn unbounded_ring_delivers_in_order() {
+    verify(2, || deliver(Capacity::Unbounded, 1, 2));
+}
+
+#[test]
+fn mutex_core_delivers_in_order() {
+    verify(3, || deliver(Capacity::Bounded(4), 1, 2));
+    verify(3, || deliver(Capacity::Bounded(4), 2, 1));
+    verify(3, || deliver(Capacity::Rendezvous, 1, 2));
+}
+
+/// Receiver A parks, is woken by the one message, and is dropped
+/// unpolled — a `choose!` arm that lost — while B is parked on the
+/// same channel: the message must reach B, through the wake that
+/// `Drop for RecvFut` re-issues.
+fn cancelled_receiver(cap: Capacity) {
+    let (tx, rx) = channel::<u64>(cap);
+    // Shared rather than cloned: a clone's count update and drop are
+    // scheduling points outside the hand-off under check.
+    let rx = Arc::new(rx);
+    // A is the root: registered before anyone can send.
+    let mut a = rx.recv();
+    let waker = waker();
+    assert!(Pin::new(&mut a)
+        .poll(&mut Context::from_waker(&waker))
+        .is_pending());
+    let b = {
+        let rx = rx.clone();
+        thread::spawn(move || block_on(rx.recv()))
+    };
+    let producer = {
+        let tx = tx.clone();
+        thread::spawn(move || tx.try_send(7).expect("room for one"))
+    };
+    // The message's wake goes to the first registered receiver, A.
+    thread::park();
+    drop(a);
+    assert_eq!(b.join(), Ok(7));
+    producer.join();
+    drop(tx);
+}
+
+#[test]
+fn cancelled_receiver_passes_its_wake_on_the_mutex_core() {
+    verify(3, || cancelled_receiver(Capacity::Bounded(4)));
+}
+
+#[test]
+fn cancelled_receiver_passes_its_wake_on_the_ring() {
+    verify(2, || cancelled_receiver(Capacity::Bounded(8)));
+}
+
+/// The ring at the mutex core's bound: ~150 000 schedules and a
+/// quarter of an hour, so CI runs it nightly, with
+/// `CHANOS_CHECK_BUDGET=200000` and `-- --ignored`.
+#[test]
+#[ignore = "a quarter of an hour; CI runs it nightly"]
+fn cancelled_receiver_passes_its_wake_on_the_ring_at_bound_3() {
+    verify(3, || cancelled_receiver(Capacity::Bounded(8)));
+}
+
+// --- oneshot ----------------------------------------------------------
+
+#[test]
+fn oneshot_send_meets_a_parking_receiver() {
+    verify(3, || {
+        let (tx, rx) = oneshot::<u64>();
+        let sender = thread::spawn(move || tx.send(7).expect("the receiver is alive"));
+        assert_eq!(block_on(rx), Ok(7));
+        sender.join();
+    });
+}
+
+#[test]
+fn oneshot_sender_drop_resolves_a_parking_receiver_closed() {
+    verify(3, || {
+        let (tx, rx) = oneshot::<u64>();
+        let sender = thread::spawn(move || drop(tx));
+        assert_eq!(block_on(rx), Err(RecvError::Closed));
+        sender.join();
+    });
+}
+
+#[test]
+fn oneshot_receiver_drop_frees_the_value_exactly_once() {
+    verify(3, || {
+        let value = Arc::new(());
+        let (tx, rx) = oneshot::<Arc<()>>();
+        let sender = {
+            let value = value.clone();
+            thread::spawn(move || drop(tx.send(value)))
+        };
+        drop(rx);
+        sender.join();
+        assert_eq!(Arc::strong_count(&value), 1, "the value leaked");
+    });
+}
+
+// --- reply batch ------------------------------------------------------
+
+/// A server answers a client's two pipelined calls through one
+/// `WakeBatch`, one `hold` per answer with a scheduling point between
+/// them (where a real server awaits), and lets go of the batch by
+/// `flush` or by dropping it. The client awaits both replies with one
+/// waker, so while it waits the second answer's wake duplicates the
+/// first.
+fn reply_batch(flush: bool) {
+    let (tx1, rx1) = oneshot::<u64>();
+    let (tx2, rx2) = oneshot::<u64>();
+    let server = thread::spawn(move || {
+        let mut batch = WakeBatch::default();
+        batch.hold(|| tx1.send(1)).expect("the client is alive");
+        thread::yield_now();
+        batch.hold(|| tx2.send(2)).expect("the client is alive");
+        if flush {
+            batch.flush();
+        }
+    });
+    assert_eq!(block_on(join2(rx1, rx2)), (Ok(1), Ok(2)));
+    server.join();
+}
+
+#[test]
+fn reply_batch_wakes_its_client_on_flush_and_on_drop() {
+    verify(3, || reply_batch(true));
+    verify(3, || reply_batch(false));
+}
