@@ -7,8 +7,9 @@
 //! * big-lock — one mutex around everything;
 //! * sharded — per-inode rwlocks plus per-group allocator mutexes;
 //! * message-passing — vnode tasks own inodes (and a directory's
-//!   entries), group-server tasks own each group's bitmaps and inode
-//!   table and run these algorithms over their own copy of them.
+//!   blocks and entries), group-server tasks own each group's bitmaps
+//!   and inode table and run these algorithms over their own copy of
+//!   them.
 //!
 //! Because all engines run these same byte-level algorithms over the
 //! same [`crate::layout`], the equivalence tests can require their
@@ -333,36 +334,28 @@ impl<S: BlockStore> FsCore<S> {
     }
 
     /// Frees every data block of the file and zeroes its size. May
-    /// mutate `inode` (caller persists it). A block that cannot be
-    /// freed does not keep the ones after it allocated: every block is
-    /// tried, and the first error is what is returned.
+    /// mutate `inode` (caller persists it). The blocks go to the
+    /// allocator in one [`Allocator::free_blocks`] call, so a block
+    /// that cannot be freed does not keep the ones after it allocated;
+    /// the first error is what is returned.
     pub async fn truncate(&self, inode: &mut Inode, alloc: &impl Allocator) -> Result<(), FsError> {
+        let mut lbas: Vec<u64> = inode.direct.iter().copied().filter(|&d| d != 0).collect();
         let mut out = Ok(());
-        for d in inode.direct.iter_mut() {
-            if *d != 0 {
-                out = out.and(alloc.free_block(self, *d).await);
-                *d = 0;
-            }
-        }
         if inode.indirect != 0 {
             match self.store.read_block(inode.indirect).await {
-                Ok(blk) => {
-                    for idx in 0..NINDIRECT {
-                        let lba = u64::from_le_bytes(
-                            blk[idx * 8..idx * 8 + 8].try_into().expect("8 bytes"),
-                        );
-                        if lba != 0 {
-                            out = out.and(alloc.free_block(self, lba).await);
-                        }
-                    }
-                }
-                Err(e) => out = out.and(Err(e)),
+                Ok(blk) => lbas.extend(
+                    blk.chunks_exact(8)
+                        .map(|e| u64::from_le_bytes(e.try_into().expect("8 bytes")))
+                        .filter(|&lba| lba != 0),
+                ),
+                Err(e) => out = Err(e),
             }
-            out = out.and(alloc.free_block(self, inode.indirect).await);
-            inode.indirect = 0;
+            lbas.push(inode.indirect);
         }
+        inode.direct = [0; NDIRECT];
+        inode.indirect = 0;
         inode.size = 0;
-        out
+        out.and(alloc.free_blocks(self, &lbas).await)
     }
 
     // -- Directories -----------------------------------------------------------
@@ -437,19 +430,16 @@ impl<S: BlockStore> FsCore<S> {
         Ok(ino)
     }
 
-    /// Decodes every slot of a directory in slot order; `None` is a
-    /// free slot.
-    pub(crate) async fn dir_slots(&self, dir: &Inode) -> Result<Vec<Option<Dirent>>, FsError> {
+    /// Lists all live entries, in slot order.
+    pub async fn dir_list(&self, dir: &Inode) -> Result<Vec<Dirent>, FsError> {
         if dir.kind != FileKind::Dir {
             return Err(FsError::NotDir);
         }
         let data = self.read_file(dir, 0, dir.size as usize).await?;
-        Ok(data.chunks_exact(DIRENT_SIZE).map(Dirent::decode).collect())
-    }
-
-    /// Lists all live entries.
-    pub async fn dir_list(&self, dir: &Inode) -> Result<Vec<Dirent>, FsError> {
-        Ok(self.dir_slots(dir).await?.into_iter().flatten().collect())
+        Ok(data
+            .chunks_exact(DIRENT_SIZE)
+            .filter_map(Dirent::decode)
+            .collect())
     }
 }
 
@@ -476,11 +466,12 @@ pub trait Allocator {
         core: &FsCore<S>,
         hint: u64,
     ) -> impl std::future::Future<Output = Result<u64, FsError>>;
-    /// Frees a block.
-    fn free_block<S: BlockStore>(
+    /// Frees blocks: every one of them is tried, and the first error
+    /// is what is returned.
+    fn free_blocks<S: BlockStore>(
         &self,
         core: &FsCore<S>,
-        lba: u64,
+        lbas: &[u64],
     ) -> impl std::future::Future<Output = Result<(), FsError>>;
 }
 
@@ -496,8 +487,16 @@ impl Allocator for ScanAllocator {
     ) -> Result<u64, FsError> {
         core.alloc_block(hint).await
     }
-    async fn free_block<S: BlockStore>(&self, core: &FsCore<S>, lba: u64) -> Result<(), FsError> {
-        core.free_block(lba).await
+    async fn free_blocks<S: BlockStore>(
+        &self,
+        core: &FsCore<S>,
+        lbas: &[u64],
+    ) -> Result<(), FsError> {
+        let mut out = Ok(());
+        for &lba in lbas {
+            out = out.and(core.free_block(lba).await);
+        }
+        out
     }
 }
 

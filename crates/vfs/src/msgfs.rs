@@ -11,7 +11,8 @@
 //! ```text
 //! client ──Lookup/Create/Read──▶ vnode task (one per active inode)
 //!                                   │  owns its Inode outright and,
-//!                                   │  for a directory, its entries
+//!                                   │  for a directory, its blocks
+//!                                   │  and entries
 //!                                   ├──AllocBlock/WriteInode──▶ group task (one per
 //!                                   │                           cylinder group; holds
 //!                                   │                           its bitmaps and inode
@@ -26,10 +27,11 @@
 //! keeps its group's two bitmaps and inode table in its own memory
 //! (`GroupStore`: `2 + itable_blocks` blocks, each read from the
 //! cache once in the task's life), answers `ReadInode` from there, and
-//! writes what a request changed through to the cache shards in one
-//! round trip before it answers — so the cache, and after a `sync` the
-//! volume, hold the bytes the lock engines would have written. A
-//! vnode's data blocks still live in the cache shards alone.
+//! writes what a drained burst of requests changed through to the
+//! cache shards in one round trip before it answers the burst's
+//! writers — so the cache, and after a `sync` the volume, hold the
+//! bytes the lock engines would have written. A file's data blocks
+//! live in the cache shards alone.
 //!
 //! Who waits for the disk: the caller, never a cache shard. A shard
 //! that misses submits the read, parks the reply endpoint under the
@@ -40,18 +42,20 @@
 //! `store.rs` and ARCHITECTURE.md, "Who waits for the disk".
 //!
 //! A directory's vnode task is the only writer of the directory, so it
-//! keeps the decoded entries in its own state — loaded from the blocks
-//! on first use, kept in step by its own `Create` and `Unlink` — and
-//! answers `Lookup`, the existence checks and `Condemn`'s emptiness
-//! test from there. Writes still go to the blocks, slot for slot as
-//! `FsCore::dir_add`/`dir_remove` place them, and `ReadDir` still
-//! decodes the blocks, so the volume stays the bytes the lock engines
-//! would have written.
+//! keeps the directory's blocks and their decoded entries in its own
+//! state — read from the cache on first use, kept in step by its own
+//! `Create` and `Unlink` — and answers `Lookup`, `ReadDir`, the
+//! existence checks and `Condemn`'s emptiness test from there. A
+//! `Create` or `Unlink` patches its 64-byte entry into the held block
+//! and writes the whole block through with one cache `Write`, slot for
+//! slot as `FsCore::dir_add`/`dir_remove` place them, so the volume
+//! stays the bytes the lock engines would have written.
 //!
 //! Unlink of a directory checks emptiness in the child vnode. A vnode
 //! that drops its last link reaps itself in an order that keeps its
-//! inode number safe to hand out again: free the data, clear the
-//! inode record, leave the registry, and only then free the number.
+//! inode number safe to hand out again: free the data and clear the
+//! inode record (one burst to the group), leave the registry, and only
+//! then free the number.
 //! It then closes its channel and refuses whatever was queued or still
 //! on its way — a create racing the removal of its directory, a call
 //! through a stale inode number — so those callers get
@@ -73,7 +77,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use chanos_drivers::DiskClient;
+use chanos_drivers::{DiskClient, BLOCK_SIZE};
 use chanos_nr::{NrService, Replicated};
 use chanos_rt::{self as rt, port_channel, Capacity, CoreId, Port, ReplyBatch, ReplyTo};
 use chanos_sim::plock;
@@ -310,15 +314,32 @@ impl Allocator for MsgAllocator {
         Err(FsError::NoSpace)
     }
 
-    async fn free_block<S: BlockStore>(&self, core: &FsCore<S>, lba: u64) -> Result<(), FsError> {
-        let g = core
-            .superblock()
-            .group_of_block(lba)
-            .ok_or(FsError::Invalid)?;
-        self.shared.groups[g as usize]
-            .call(|reply| GroupMsg::FreeBlock { lba, reply })
-            .await
-            .unwrap_or_else(|e| Err(e.into()))
+    /// Every `FreeBlock` is at its group before the first is awaited,
+    /// so a file's blocks reach their group as one burst.
+    async fn free_blocks<S: BlockStore>(
+        &self,
+        core: &FsCore<S>,
+        lbas: &[u64],
+    ) -> Result<(), FsError> {
+        let calls: Vec<_> = lbas
+            .iter()
+            .map(|&lba| {
+                let g = core
+                    .superblock()
+                    .group_of_block(lba)
+                    .ok_or(FsError::Invalid)?;
+                Ok(self.shared.groups[g as usize].call(|reply| GroupMsg::FreeBlock { lba, reply }))
+            })
+            .collect();
+        let mut out = Ok(());
+        for call in calls {
+            let freed = match call {
+                Ok(call) => call.await.unwrap_or_else(|e| Err(e.into())),
+                Err(e) => Err(e),
+            };
+            out = out.and(freed);
+        }
+        out
     }
 }
 
@@ -334,8 +355,9 @@ const FS_BATCH: usize = 32;
 /// A read of an own block is answered from the task's copy, fetched
 /// from the cache the first time and never again (nobody else writes
 /// those blocks, so the copy cannot go stale). A `write_block` only
-/// records the block; [`flush`](GroupStore::flush) sends what a request
-/// wrote to the cache shards together, before the request is answered.
+/// records the block; [`flush`](GroupStore::flush) sends what a burst
+/// of requests wrote to the cache shards together, before any of its
+/// writers is answered.
 /// A block whose write-through failed stays recorded and goes out
 /// again with the next flush: the task's copy is the truth, and the
 /// cache must end up holding it.
@@ -387,6 +409,7 @@ impl GroupStore {
         if pending.is_empty() {
             return Ok(());
         }
+        rt::stat_incr("msgfs.group_write_throughs");
         let answers = self.cache.write_many(&pending).await;
         let mut out = Ok(());
         let mut refused = Vec::new();
@@ -438,14 +461,20 @@ impl BlockStore for GroupStore {
 
 /// One cylinder-group server: the owner of the group's bitmaps and
 /// inode table, which it keeps in its [`GroupStore`] for as long as it
-/// lives and writes through to the cache once per request that changed
-/// them. Drains request bursts so allocation storms cost one wakeup
-/// per batch, not one per message — and one *reply* wake per waiting
-/// peer per batch.
+/// lives and writes through to the cache once per drained burst that
+/// changed them. Drains request bursts so allocation storms (and a
+/// reap's frees) cost one wakeup and one write-through per batch, not
+/// one per message — and one *reply* wake per waiting peer per batch.
+///
+/// A writer is answered only after the burst's write-through, with its
+/// result, so `Ok` means the caller may tell anyone and anyone may read
+/// the cache; a refused write-through fails every writer of the burst.
+/// `ReadInode` writes nothing and is answered where it is produced.
 async fn group_task(g: u64, core: FsCore<CacheClient>, rx: chanos_rt::Receiver<GroupMsg>) {
     let store = GroupStore::new(core.store().clone(), core.superblock(), g);
     let core = core.with_store(store);
     let mut batch = Vec::with_capacity(FS_BATCH);
+    let mut written = Vec::with_capacity(FS_BATCH);
     let mut replies = ReplyBatch::default();
     loop {
         let n = rx.recv_many(&mut batch, FS_BATCH).await;
@@ -453,65 +482,65 @@ async fn group_task(g: u64, core: FsCore<CacheClient>, rx: chanos_rt::Receiver<G
             break;
         }
         for msg in batch.drain(..) {
-            group_handle(g, &core, msg, &mut replies).await;
+            if let Some(w) = group_handle(g, &core, msg, &mut replies).await {
+                written.push(w);
+            }
+        }
+        if !written.is_empty() {
+            let through = core.store().flush().await;
+            for w in written.drain(..) {
+                match w {
+                    Written::Done(reply, out) => replies.send(reply, out.and(through.clone())),
+                    Written::Got(reply, out) => {
+                        replies.send(reply, out.and_then(|v| through.clone().map(|()| v)));
+                    }
+                }
+            }
         }
         replies.flush();
     }
 }
 
-async fn group_handle(g: u64, core: &FsCore<GroupStore>, msg: GroupMsg, replies: &mut ReplyBatch) {
-    match msg {
+/// A writer's answer, held for its burst's write-through.
+enum Written {
+    Done(ReplyTo<Result<(), FsError>>, Result<(), FsError>),
+    /// An allocation: the number, or `None` for a full group.
+    Got(
+        ReplyTo<Result<Option<u64>, FsError>>,
+        Result<Option<u64>, FsError>,
+    ),
+}
+
+async fn group_handle(
+    g: u64,
+    core: &FsCore<GroupStore>,
+    msg: GroupMsg,
+    replies: &mut ReplyBatch,
+) -> Option<Written> {
+    Some(match msg {
         GroupMsg::AllocInode { kind, reply } => {
-            let out = core.alloc_inode_in(g, kind).await;
-            answer_written(core, replies, reply, out).await;
+            Written::Got(reply, core.alloc_inode_in(g, kind).await)
         }
-        GroupMsg::ClearInode { ino, reply } => {
-            let out = core.clear_inode(ino).await;
-            answer_written(core, replies, reply, out).await;
-        }
-        GroupMsg::FreeInode { ino, reply } => {
-            let out = core.free_inode_bit(ino).await;
-            answer_written(core, replies, reply, out).await;
-        }
-        GroupMsg::AllocBlock { reply } => {
-            let out = core.alloc_block_in(g).await;
-            answer_written(core, replies, reply, out).await;
-        }
-        GroupMsg::FreeBlock { lba, reply } => {
-            let out = core.free_block(lba).await;
-            answer_written(core, replies, reply, out).await;
-        }
-        // Wrote nothing, sends nothing.
+        GroupMsg::ClearInode { ino, reply } => Written::Done(reply, core.clear_inode(ino).await),
+        GroupMsg::FreeInode { ino, reply } => Written::Done(reply, core.free_inode_bit(ino).await),
+        GroupMsg::AllocBlock { reply } => Written::Got(reply, core.alloc_block_in(g).await),
+        GroupMsg::FreeBlock { lba, reply } => Written::Done(reply, core.free_block(lba).await),
         GroupMsg::ReadInode { ino, reply } => {
-            let out = core.read_inode(ino).await;
-            replies.send(reply, out);
+            replies.send(reply, core.read_inode(ino).await);
+            return None;
         }
         GroupMsg::WriteInode { ino, inode, reply } => {
-            let out = core.write_inode(ino, &inode).await;
-            answer_written(core, replies, reply, out).await;
+            Written::Done(reply, core.write_inode(ino, &inode).await)
         }
-        GroupMsg::Flush { reply } => answer_written(core, replies, reply, Ok(())).await,
-    }
+        GroupMsg::Flush { reply } => Written::Done(reply, Ok(())),
+    })
 }
 
-/// Answers a request that may have written: first what it wrote goes
-/// through to the cache, so `Ok` means the caller may tell anyone and
-/// anyone may read the cache. A refused write-through fails the
-/// request, as a refused `write_block` did when each went on its own.
-async fn answer_written<T: Send + 'static>(
-    core: &FsCore<GroupStore>,
-    replies: &mut ReplyBatch,
-    reply: ReplyTo<Result<T, FsError>>,
-    out: Result<T, FsError>,
-) {
-    let through = core.store().flush().await;
-    replies.send(reply, out.and_then(|v| through.map(|()| v)));
-}
-
-/// A directory's decoded entries, kept by the vnode task that owns the
-/// directory. That task is the only writer of the directory's blocks,
-/// so the copy cannot go stale; it saves fetching and scanning the
-/// blocks on every path component of every `open`.
+/// A directory's blocks and decoded entries, kept by the vnode task
+/// that owns the directory. That task is the only writer of the
+/// directory's blocks, so the copy cannot go stale; it saves fetching
+/// and scanning the blocks on every path component of every `open`,
+/// and reading a block back before a 64-byte entry is written into it.
 #[derive(Default)]
 struct DirEntries {
     /// name → (inode, slot).
@@ -519,6 +548,10 @@ struct DirEntries {
     /// Free slots below the directory's slot count (its size in
     /// dirents).
     free: BTreeSet<u64>,
+    /// The directory's data blocks by file block number, the bytes the
+    /// cache has: an entry never straddles two blocks, and the bytes
+    /// past the directory's size are zero.
+    blocks: Vec<Vec<u8>>,
 }
 
 /// The state of one vnode task: inode `ino`, owned for the task's
@@ -655,7 +688,10 @@ impl Vnode {
                 replies.send(reply, out);
             }
             VnodeMsg::ReadDir { reply } => {
-                let out = self.shared.core.dir_list(&self.inode).await;
+                let out = self.entries().await.map(|dir| {
+                    let slots = dir.blocks.iter().flat_map(|b| b.chunks_exact(DIRENT_SIZE));
+                    slots.filter_map(Dirent::decode).collect()
+                });
                 replies.send(reply, out);
             }
             VnodeMsg::Condemn { reply } => {
@@ -672,26 +708,26 @@ impl Vnode {
                 }
                 self.inode.nlink = self.inode.nlink.saturating_sub(1);
                 if self.inode.nlink == 0 {
-                    // Reap: free the data, then clear the record (a
+                    // Reap: free the data and clear the record (a
                     // vnode started for this number from now on finds
-                    // nothing to load), then leave the registry, and
-                    // only then free the number — so whoever is given
-                    // it next can never be routed to this task. For
-                    // the same reason every step runs whatever became
-                    // of the one before it; the ones that fail are
+                    // nothing to load) — one burst to a file's group,
+                    // the clear submitted before the frees and awaited
+                    // after them — then leave the registry, and only
+                    // then free the number, so whoever is given it
+                    // next can never be routed to this task. For the
+                    // same reason every step runs whatever became of
+                    // the one before it; the ones that fail are
                     // counted.
+                    let ino = self.ino;
+                    let group = self.shared.group_of_ino(ino);
+                    let cleared = group.call(|reply| GroupMsg::ClearInode { ino, reply });
                     let freed = self
                         .shared
                         .core
                         .truncate(&mut self.inode, &self.alloc)
                         .await;
                     count_reap_error(freed);
-                    let ino = self.ino;
-                    let group = self.shared.group_of_ino(ino);
-                    let cleared = group
-                        .call(|reply| GroupMsg::ClearInode { ino, reply })
-                        .await;
-                    count_reap_error(cleared.unwrap_or_else(|e| Err(e.into())));
+                    count_reap_error(cleared.await.unwrap_or_else(|e| Err(e.into())));
                     self.shared.retire_vnode(ino, self.task).await;
                     let released = group.call(|reply| GroupMsg::FreeInode { ino, reply }).await;
                     count_reap_error(released.unwrap_or_else(|e| Err(e.into())));
@@ -706,8 +742,8 @@ impl Vnode {
         std::ops::ControlFlow::Continue(())
     }
 
-    /// Writes `data` at `off` of this vnode's file or directory. The
-    /// inode changes in memory only; [`Vnode::store`] persists it.
+    /// Writes `data` at `off` of this vnode's file. The inode changes
+    /// in memory only; [`Vnode::store`] persists it.
     async fn write_at(&mut self, off: u64, data: &[u8]) -> Result<(), FsError> {
         self.shared
             .core
@@ -729,13 +765,18 @@ impl Vnode {
         Ok(())
     }
 
-    /// This directory's entries, decoded from its blocks on first use.
+    /// This directory's blocks and entries, read and decoded on first
+    /// use.
     async fn entries(&mut self) -> Result<&mut DirEntries, FsError> {
         if self.dir.is_none() {
+            if self.inode.kind != FileKind::Dir {
+                return Err(FsError::NotDir);
+            }
+            let size = self.inode.size as usize;
+            let mut data = self.shared.core.read_file(&self.inode, 0, size).await?;
             let mut dir = DirEntries::default();
-            let slots = self.shared.core.dir_slots(&self.inode).await?;
-            for (slot, entry) in (0u64..).zip(slots) {
-                match entry {
+            for (slot, rec) in (0u64..).zip(data.chunks_exact(DIRENT_SIZE)) {
+                match Dirent::decode(rec) {
                     Some(d) => {
                         dir.by_name.insert(d.name, (d.ino, slot));
                     }
@@ -744,9 +785,44 @@ impl Vnode {
                     }
                 }
             }
+            data.resize(size.next_multiple_of(BLOCK_SIZE), 0);
+            dir.blocks = data.chunks_exact(BLOCK_SIZE).map(<[u8]>::to_vec).collect();
             self.dir = Some(dir);
         }
         Ok(self.dir.as_mut().expect("loaded above"))
+    }
+
+    /// The cache block behind `slot`, allocated near the directory's
+    /// group if the slot starts a new block. Called before the entries
+    /// change, so a failure here (no space) leaves them as they were.
+    async fn slot_block(&mut self, slot: u64) -> Result<u64, FsError> {
+        let fbn = slot * DIRENT_SIZE as u64 / BLOCK_SIZE as u64;
+        self.shared
+            .core
+            .bmap_alloc(&mut self.inode, fbn, self.group, &self.alloc)
+            .await
+    }
+
+    /// Puts `rec` into `slot` of the held block, writes that block
+    /// through whole to `lba` (from [`Vnode::slot_block`]) and stores
+    /// the inode if the directory grew. The caller has changed the
+    /// entries already: a write the cache refuses fails the request and
+    /// the copy stands, because the block is in the cache — the error
+    /// is that of a dirty block it pushed out — and the inode is stored
+    /// all the same.
+    async fn put_slot(&mut self, lba: u64, slot: u64, rec: &[u8]) -> Result<(), FsError> {
+        let pos = slot * DIRENT_SIZE as u64;
+        let (fbn, at) = (pos as usize / BLOCK_SIZE, pos as usize % BLOCK_SIZE);
+        let blocks = &mut self.dir.as_mut().expect("loaded by the caller").blocks;
+        if fbn == blocks.len() {
+            blocks.push(vec![0; BLOCK_SIZE]);
+        }
+        blocks[fbn][at..at + DIRENT_SIZE].copy_from_slice(rec);
+        let block = blocks[fbn].clone();
+        self.inode.size = self.inode.size.max(pos + DIRENT_SIZE as u64);
+        let wrote = self.shared.core.store().write_block(lba, block).await;
+        let stored = self.store().await;
+        wrote.and(stored)
     }
 
     /// Adds `name` to this directory with a fresh inode of `kind`. The
@@ -778,13 +854,13 @@ impl Vnode {
             }
         }
         let ino = ino.ok_or(FsError::NoInodes)?;
+        let lba = self.slot_block(slot).await?;
         let entry = Dirent { ino, name };
-        self.write_at(slot * DIRENT_SIZE as u64, &entry.encode())
-            .await?;
+        let rec = entry.encode();
         let dir = self.dir.as_mut().expect("loaded above");
         dir.free.remove(&slot);
         dir.by_name.insert(entry.name, (ino, slot));
-        self.store().await?;
+        self.put_slot(lba, slot, &rec).await?;
         Ok(ino)
     }
 
@@ -799,12 +875,11 @@ impl Vnode {
             .call(|reply| VnodeMsg::Condemn { reply })
             .await
             .unwrap_or_else(|e| Err(e.into()))?;
-        self.write_at(slot * DIRENT_SIZE as u64, &[0u8; DIRENT_SIZE])
-            .await?;
+        let lba = self.slot_block(slot).await?;
         let dir = self.dir.as_mut().expect("loaded above");
         dir.by_name.remove(&name);
         dir.free.insert(slot);
-        self.store().await
+        self.put_slot(lba, slot, &[0u8; DIRENT_SIZE]).await
     }
 }
 

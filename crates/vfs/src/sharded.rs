@@ -84,14 +84,21 @@ impl Allocator for ShardedAllocator {
         Err(FsError::NoSpace)
     }
 
-    async fn free_block<S: BlockStore>(&self, core: &FsCore<S>, lba: u64) -> Result<(), FsError> {
-        let g = core
-            .superblock()
-            .group_of_block(lba)
-            .ok_or(FsError::Invalid)?;
-        let guard = self.groups.locks[g as usize].lock().await;
-        let out = core.free_block(lba).await;
-        drop(guard);
+    async fn free_blocks<S: BlockStore>(
+        &self,
+        core: &FsCore<S>,
+        lbas: &[u64],
+    ) -> Result<(), FsError> {
+        let mut out = Ok(());
+        for &lba in lbas {
+            let Some(g) = core.superblock().group_of_block(lba) else {
+                out = out.and(Err(FsError::Invalid));
+                continue;
+            };
+            let guard = self.groups.locks[g as usize].lock().await;
+            out = out.and(core.free_block(lba).await);
+            drop(guard);
+        }
         out
     }
 }

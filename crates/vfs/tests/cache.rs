@@ -11,7 +11,7 @@ use chanos_drivers::{DiskClient, DiskError, DiskReq, BLOCK_SIZE};
 use chanos_rt::{self as rt, Capacity, CoreId, JoinHandle};
 use chanos_sim::{plock, Simulation};
 use chanos_vfs::layout::bitmap;
-use chanos_vfs::{copy_cost, BigLockFs, BlockStore, CacheClient, FsError, MsgFs, Superblock};
+use chanos_vfs::{copy_cost, BigLockFs, BlockStore, CacheClient, FsError, MsgFs, Superblock, Vfs};
 
 /// A command the scripted disk is holding.
 enum Held {
@@ -593,28 +593,34 @@ fn refused_write_through_fails_the_request_and_reaches_the_disk_later() {
         fs.create("/d/g").await.unwrap();
         fs.sync().await.unwrap();
 
-        // `mkdir` gets through its steps on clean victims and one
-        // fill, until the last: storing `/d`'s grown inode pushes the
-        // child's dirty inode-table block out. By then the group's
-        // copy, the dirent block and the vnode's entries all have the
-        // new directory.
+        // `mkdir`'s `AllocInode` (the child goes to group 0) writes its
+        // bitmap and inode-table blocks through over clean victims.
+        // Then `/d`'s dirent block pushes that dirty bitmap block out
+        // and `/d`'s grown inode the inode-table block: both refused.
+        // By then the group's copy, the dirent block and the vnode's
+        // entries all have the new directory.
         disk.refuse_writes(true);
         let refused = FsError::Io(DiskError::BadTag);
         assert_eq!(fs.mkdir("/d/sub").await, Err(refused.clone()));
+        assert_eq!(disk.refused(), 2);
         assert_eq!(fs.lookup("/d/sub").await, Ok(1));
 
-        // A reap runs every step and counts the ones that failed: here
-        // each write the disk refuses is the victim of one step's
-        // write-through (`/d`'s vnode and the child's are warm, and
-        // nothing else reads or writes).
+        // A reap runs every step and counts the ones that failed.
+        // `/d`'s vnode and the child's are warm, and nothing else reads
+        // or writes. The child's `ClearInode` and `FreeBlock` reach
+        // group 1 as one burst, whose one write-through pushes `/d`'s
+        // dirty dirent block out and fails them both; `FreeInode`'s
+        // pushes out group 0's bitmap block again. `/d`'s zeroed slot
+        // then lands in its block, still in the cache.
         let before = (disk.refused(), rt::stat_get("msgfs.reap_errors"));
         assert_eq!(fs.unlink("/d/f").await, Ok(()));
         let injected = disk.refused() - before.0;
+        assert_eq!(injected, 2, "the burst's and `FreeInode`'s victims");
         assert_eq!(
-            injected, 2,
-            "`FreeBlock` and `FreeInode` met a dirty victim"
+            rt::stat_get("msgfs.reap_errors") - before.1,
+            3,
+            "`truncate`, `ClearInode` and `FreeInode`"
         );
-        assert_eq!(rt::stat_get("msgfs.reap_errors") - before.1, injected);
         assert_eq!(rt::stat_get("msgfs.vnodes_reaped"), 1);
 
         // Well again: the next request takes what was refused along,
@@ -643,11 +649,70 @@ fn refused_write_through_fails_the_request_and_reaches_the_disk_later() {
     });
 }
 
+/// A directory's vnode holds its blocks, so a dirent write the cache
+/// refuses follows the group tasks' rule: the vnode's entries and block
+/// change first, the request fails, and the block — in the cache, since
+/// the error is that of the dirty block it pushed out — reaches the
+/// disk with the next `sync`. The cache of the tests around it: a
+/// `create` into a freed slot (the directory's inode does not change)
+/// whose `AllocInode` leaves the cache holding nothing but its two
+/// dirty blocks, so the dirent write is the one refused.
+#[test]
+fn refused_dirent_write_fails_the_create_and_reaches_the_disk_later() {
+    const BLOCKS: u64 = 256;
+    const GROUPS: u64 = 2;
+    in_sim(async {
+        let (disk, client, _) = ScriptedDisk::spawn(CoreId(3));
+        let cores = vec![CoreId(1), CoreId(2)];
+        let fs = MsgFs::format(client, BLOCKS, GROUPS, 1, 2, cores)
+            .await
+            .unwrap();
+        let (ref_disk, ref_client, _) = ScriptedDisk::spawn(CoreId(3));
+        let reference = BigLockFs::format(ref_client, BLOCKS, GROUPS, 64)
+            .await
+            .unwrap();
+        for fs in [Vfs::Msg(fs.clone()), Vfs::Big(reference.clone())] {
+            fs.mkdir("/d").await.unwrap();
+            fs.create("/d/a").await.unwrap();
+            fs.create("/d/b").await.unwrap();
+            fs.unlink("/d/a").await.unwrap();
+            fs.sync().await.unwrap();
+        }
+
+        disk.refuse_writes(true);
+        let refused = FsError::Io(DiskError::BadTag);
+        assert_eq!(fs.create("/d/c").await, Err(refused.clone()));
+        assert_eq!(disk.refused(), 1, "the dirent write's victim alone");
+        let c = fs.lookup("/d/c").await.expect("the entry stands");
+        let names: Vec<String> = fs
+            .readdir("/d")
+            .await
+            .unwrap()
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(names, ["c", "b"], "in the freed slot");
+
+        disk.refuse_writes(false);
+        assert_eq!(fs.sync().await, Err(refused), "the refused write-back");
+        assert_eq!(fs.sync().await, Ok(()));
+        assert_eq!(reference.create("/d/c").await, Ok(c));
+        reference.sync().await.unwrap();
+        for lba in 0..BLOCKS {
+            assert!(
+                disk.peek_block(lba) == ref_disk.peek_block(lba),
+                "block {lba} differs"
+            );
+        }
+    });
+}
+
 /// A reap frees every block of the file whatever became of the free
 /// before it. The cache of the test above, both of its blocks made
-/// dirty while the disk refuses writes: the first `FreeBlock`'s
-/// write-through is the one that finds no clean victim and fails, and
-/// the two blocks after it must not stay allocated for that.
+/// dirty while the disk refuses writes: the file's three `FreeBlock`s
+/// and its `ClearInode` reach the group as one burst, whose one
+/// write-through pushes both dirty blocks out and fails all four, and
+/// the blocks must not stay allocated for that.
 #[test]
 fn a_failed_free_does_not_leave_the_later_blocks_allocated() {
     const BLOCKS: u64 = 256;
@@ -682,15 +747,22 @@ fn a_failed_free_does_not_leave_the_later_blocks_allocated() {
 
         // Overwriting `g` in place stores no inode and asks no group:
         // the cache holds its two data blocks, dirty, and nothing else.
+        // `FreeInode`'s write-through (the refused blocks of the burst
+        // go along) and `/d`'s zeroed dirent block each push one of the
+        // restored blocks out again, so the `unlink` fails at its last
+        // step, with the entry already gone.
         disk.refuse_writes(true);
         fs.write(g, 0, &two(2)).await.unwrap();
         let errors = rt::stat_get("msgfs.reap_errors");
-        assert_eq!(fs.unlink("/d/f").await, Ok(()));
+        let refused = FsError::Io(DiskError::BadTag);
+        assert_eq!(fs.unlink("/d/f").await, Err(refused));
+        assert_eq!(disk.refused(), 4);
         assert_eq!(
             rt::stat_get("msgfs.reap_errors") - errors,
             3,
             "`truncate` (once), `ClearInode` and `FreeInode`"
         );
+        assert_eq!(fs.lookup("/d/f").await, Err(FsError::NotFound));
 
         // Well again: what the group task freed in its own copy goes
         // out with the next flush.
