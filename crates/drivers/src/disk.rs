@@ -12,8 +12,9 @@
 //!
 //! A command transfers `count` blocks and costs `DiskParams::base`
 //! once plus `per_block` for each, so the fixed cost is per command,
-//! not per block — which is why the single-thread driver folds
-//! adjacent queued reads into one command and [`DiskClient`] lets a
+//! not per block — which is why the single-thread driver folds queued
+//! reads into one command, reading through any hole cheaper than a
+//! command ([`DiskHw::read_through_limit`]), and [`DiskClient`] lets a
 //! caller ask for whole extents ([`DiskClient::read_extents`]). The
 //! device reports failure as `ok: false` and nothing more; the driver
 //! checks range itself before it queues a request, so what it reports
@@ -343,6 +344,20 @@ impl DiskHw {
         plock(&self.state).blocks
     }
 
+    /// The widest hole, in blocks, that one read command is cheaper
+    /// to transfer and drop than a second command is to program: a
+    /// hole of `h` blocks costs `h × per_block`, a command `base` plus
+    /// its five register writes (LBA, count, op, tag, GO). 12 blocks
+    /// on the default parameters.
+    pub fn read_through_limit(&self) -> u64 {
+        let p = &self.params;
+        let command = p.base + 5 * p.mmio_write;
+        match p.per_block {
+            0 => u64::MAX,
+            per_block => command.saturating_sub(1) / per_block,
+        }
+    }
+
     /// Programs the LBA register.
     pub async fn write_lba(&self, lba: u64) {
         delay(self.params.mmio_write).await;
@@ -593,9 +608,9 @@ impl DiskClient {
     /// Pipelines reads of `(lba, count)` extents: all requests are
     /// submitted as one burst (one driver wake per burst on real
     /// threads), then completed together. The driver sorts its queue
-    /// and programs each run of adjacent extents as one command, so
-    /// what the caller splits up for its own reasons the device still
-    /// sees whole. Results are in request order.
+    /// and programs each run of nearby or overlapping extents as one
+    /// command, so what the caller splits up for its own reasons the
+    /// device still sees whole. Results are in request order.
     pub async fn read_extents(&self, extents: &[(u64, u32)]) -> Vec<Result<Vec<u8>, DiskError>> {
         let calls = self.port.call_batch(
             extents

@@ -13,7 +13,8 @@
 //!   Poisson arrivals and a bounded RX ring; a console ([`tty`]).
 //! * **The paper's driver** — [`spawn_disk_driver`]: one task, one
 //!   device, requests and interrupts joined by `choose!`; it sorts
-//!   its queue and programs a run of adjacent reads as one command.
+//!   its queue and programs a run of nearby reads as one command,
+//!   reading through any hole cheaper than a second command.
 //! * **Baselines for experiment E5** — [`spawn_locked_disk_driver`]
 //!   (multi-threaded, globally locked, correct) and
 //!   [`spawn_racy_disk_driver`] (the same code without the lock,

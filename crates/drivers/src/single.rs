@@ -12,17 +12,24 @@
 //! register-interleaving bug by construction.
 //!
 //! Owning the whole queue is also what lets it treat the queue as a
-//! whole. A request that does not fit on the device is answered
+//! whole, so the queue, not each caller, decides how many commands a
+//! burst costs. A request that does not fit on the device is answered
 //! `OutOfRange` when it arrives and never queued. The rest is
-//! elevator-sorted, and when the head of the queue is a read, every
-//! queued read that follows it and starts exactly where the run so
-//! far ends leaves with it as **one** device command; the completion
-//! is cut up by block count and scattered to the callers. Each command
-//! pays `DiskParams::base` once, so eight adjacent single-block reads
-//! cost one base, not eight. Writes are never merged and nothing is
-//! merged across one: a write keeps its own command and its place, so
-//! the write-hazard rule below and the buffer cache's "two write-backs
-//! of one block stay in arrival order" hold exactly as before.
+//! elevator-sorted, and a sweep never starts inside a run. When the
+//! head of the queue is a read, every queued read that follows it,
+//! starts at or after its first block and leaves a hole of at most
+//! [`DiskHw::read_through_limit`] blocks after the run so far (an
+//! overlap is no hole) leaves with it as **one** device command; the
+//! completion is cut at each part's offset and scattered to the
+//! callers, and the hole's blocks are transferred and dropped
+//! (`driver.hole_blocks_read`). Each command pays `DiskParams::base`
+//! once, so eight adjacent single-block reads cost one base, not
+//! eight, and a hole is read through while that is cheaper than a
+//! second command. Writes are never merged and nothing is merged
+//! across one, not even a write that sits inside a hole: a write keeps
+//! its own command and its place, so the write-hazard rule below and
+//! the buffer cache's "two write-backs of one block stay in arrival
+//! order" hold exactly as before.
 
 use std::collections::VecDeque;
 
@@ -62,10 +69,23 @@ impl Pending {
 
 /// Who waits for the command the device is working on.
 enum Inflight {
-    /// A run of adjacent reads programmed as one command: each part's
-    /// block count and reply, in LBA order.
-    Reads(Vec<(u32, ReadReply)>),
+    /// A run of reads programmed as one command: each part's offset
+    /// into the run and block count, in blocks, and its reply.
+    Reads(Vec<(u32, u32, ReadReply)>),
     Write(WriteReply),
+}
+
+/// The end of the read run over `[start, end)` once `next` joins it,
+/// or `None` if `next` does not join: it must be a read that starts at
+/// or after the run's first block and leaves a hole of at most `limit`
+/// blocks after the run's end (an overlap leaves none), and the run
+/// must still fit the 32-bit count register.
+fn joins(start: u64, end: u64, next: &Pending, limit: u64) -> Option<u64> {
+    if next.is_write() || next.lba < start || next.lba.saturating_sub(end) > limit {
+        return None;
+    }
+    let end = end.max(next.end());
+    u32::try_from(end - start).ok().map(|_| end)
 }
 
 /// Queues `req`, or answers it `OutOfRange` at once when it does not
@@ -137,55 +157,77 @@ fn has_write_hazard(queue: &VecDeque<Pending>) -> bool {
 
 /// Elevator-sorts the pending queue for the current head position:
 /// requests at or past the head in ascending LBA order first, then
-/// one sweep back from the start (C-SCAN). Skipped when a write
-/// hazard demands arrival order. Counted as `disk.bursts_sorted`;
-/// the head travel the sort saved over arrival order accumulates in
-/// `disk.seek_distance_saved` (same units the seek cost model
-/// charges per LBA of travel).
-fn elevator_sort(queue: &mut VecDeque<Pending>, head: u64) {
+/// one sweep back from the start (C-SCAN). The sweep starts where the
+/// run holding the first request at or past the head starts, so a run
+/// that straddles the head (runs as [`issue`] forms them, `limit` its
+/// hole limit) leaves as one command. Skipped when a write hazard
+/// demands arrival order. Counted as `disk.bursts_sorted`; the head
+/// travel the sort saved over arrival order accumulates in
+/// `disk.seek_distance_saved` (same units the seek cost model charges
+/// per LBA of travel).
+fn elevator_sort(queue: &mut VecDeque<Pending>, head: u64, limit: u64) {
     if queue.len() < 2 || has_write_hazard(queue) {
         return;
     }
     let before = seek_distance(head, queue);
-    queue
-        .make_contiguous()
-        .sort_by_key(|p| (p.lba < head, p.lba));
+    let sorted = queue.make_contiguous();
+    sorted.sort_by_key(|p| p.lba);
+    let at_head = sorted.iter().position(|p| p.lba >= head).unwrap_or(0);
+    let mut sweep = 0;
+    let mut run: Option<(u64, u64)> = None;
+    for (i, p) in sorted[..=at_head].iter().enumerate() {
+        run = match run.and_then(|(start, end)| Some((start, joins(start, end, p, limit)?))) {
+            Some(joined) => Some(joined),
+            None => {
+                sweep = i;
+                (!p.is_write()).then(|| (p.lba, p.end()))
+            }
+        };
+    }
+    sorted.rotate_left(sweep);
     let after = seek_distance(head, queue);
     rt::stat_incr("disk.bursts_sorted");
     rt::stat_add("disk.seek_distance_saved", before.saturating_sub(after));
 }
 
 /// Programs one command for the head of the queue, `first`. A read
-/// takes with it every queued read that follows and starts exactly
-/// where the run so far ends (`driver.reads_merged` counts the parts
-/// that rode along); the walk stops at the first request that is not
-/// such a read, so it never steps over a write.
-async fn issue(hw: &DiskHw, first: Pending, queue: &mut VecDeque<Pending>, tag: u64) -> Inflight {
+/// takes with it every queued read that follows and [`joins`] the run
+/// so far (`driver.reads_merged` counts the parts that rode along,
+/// `driver.hole_blocks_read` the blocks read for nobody); the walk
+/// stops at the first request that does not, so it never steps over a
+/// write.
+async fn issue(
+    hw: &DiskHw,
+    first: Pending,
+    queue: &mut VecDeque<Pending>,
+    tag: u64,
+    limit: u64,
+) -> Inflight {
     hw.write_lba(first.lba).await;
+    let (start, mut end) = (first.lba, first.end());
     match first.op {
         PendingOp::Read(reply) => {
-            let mut total = first.count;
-            let mut parts = vec![(first.count, reply)];
-            while let Some(next) = queue.front() {
-                if next.is_write() || next.lba != first.lba + u64::from(total) {
-                    break;
-                }
-                let Some(joined) = total.checked_add(next.count) else {
-                    break;
-                };
-                total = joined;
+            let mut hole = 0;
+            let mut parts = vec![(0, first.count, reply)];
+            while let Some(joined) = queue
+                .front()
+                .and_then(|next| joins(start, end, next, limit))
+            {
                 let Some(Pending {
+                    lba,
                     count,
                     op: PendingOp::Read(reply),
-                    ..
                 }) = queue.pop_front()
                 else {
-                    unreachable!("the front of the queue was a read");
+                    unreachable!("a write never joins a run");
                 };
-                parts.push((count, reply));
+                hole += lba.saturating_sub(end);
+                end = joined;
+                parts.push(((lba - start) as u32, count, reply));
             }
             rt::stat_add("driver.reads_merged", parts.len() as u64 - 1);
-            hw.write_count(total).await;
+            rt::stat_add("driver.hole_blocks_read", hole);
+            hw.write_count((end - start) as u32).await;
             hw.write_op(DiskOp::Read).await;
             hw.write_tag(tag).await;
             hw.go().await;
@@ -221,25 +263,23 @@ async fn complete(inflight: Inflight, irq: DiskIrq, expect_tag: u64) {
         }
         Inflight::Reads(parts) => {
             if let Err(e) = status {
-                for (_, reply) in parts {
+                for (_, _, reply) in parts {
                     let _ = reply.send(Err(e.clone())).await;
                 }
                 return;
             }
             // A lone caller gets the DMA buffer itself; a run is cut
-            // up in LBA order.
+            // at each part's offset.
             let alone = parts.len() == 1;
             let mut data = irq.data;
-            let mut at = 0;
-            for (count, reply) in parts {
-                let len = count as usize * BLOCK_SIZE;
+            for (offset, count, reply) in parts {
                 let bytes = if alone {
                     std::mem::take(&mut data)
                 } else {
-                    data[at..at + len].to_vec()
+                    let at = offset as usize * BLOCK_SIZE;
+                    data[at..at + count as usize * BLOCK_SIZE].to_vec()
                 };
                 let _ = reply.send(Ok(bytes)).await;
-                at += len;
             }
         }
     }
@@ -251,6 +291,7 @@ pub fn spawn_disk_driver(hw: DiskHw, irq_rx: Receiver<DiskIrq>, core: CoreId) ->
     let (tx, rx) = channel::<DiskReq>(Capacity::Unbounded);
     rt::spawn_daemon_on("disk-driver", core, async move {
         let blocks = hw.blocks();
+        let limit = hw.read_through_limit();
         let mut queue: VecDeque<Pending> = VecDeque::new();
         let mut inflight: Option<(u64, Inflight)> = None;
         let mut next_tag: u64 = 1;
@@ -271,7 +312,7 @@ pub fn spawn_disk_driver(hw: DiskHw, irq_rx: Receiver<DiskIrq>, core: CoreId) ->
                     }
                     // Batch-aware, not just batch-fed: program the
                     // device in elevator order, not arrival order.
-                    elevator_sort(&mut queue, head_lba);
+                    elevator_sort(&mut queue, head_lba, limit);
                 },
                 irq = irq_rx.recv() => {
                     let Ok(irq) = irq else { break };
@@ -288,7 +329,7 @@ pub fn spawn_disk_driver(hw: DiskHw, irq_rx: Receiver<DiskIrq>, core: CoreId) ->
                     let tag = next_tag;
                     next_tag += 1;
                     head_lba = first.lba;
-                    inflight = Some((tag, issue(&hw, first, &mut queue, tag).await));
+                    inflight = Some((tag, issue(&hw, first, &mut queue, tag, limit).await));
                 }
             }
         }

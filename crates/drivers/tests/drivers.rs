@@ -121,19 +121,139 @@ fn adjacent_reads_of_one_burst_are_one_command() {
     assert_eq!(cycles, device + 282);
 }
 
+/// The widest hole the driver reads through on `p`: `h` blocks of
+/// transfer must cost less than a command's base and its five
+/// register writes.
+fn hole_limit(p: &DiskParams) -> u64 {
+    (0..)
+        .take_while(|h| h * p.per_block < p.base + 5 * p.mmio_write)
+        .last()
+        .unwrap()
+}
+
+/// `driver.hole_blocks_read` so far.
+fn hole_blocks() -> u64 {
+    chanos_sim::stat_get("driver.hole_blocks_read")
+}
+
 #[test]
-fn a_gap_splits_the_run() {
+fn a_hole_cheaper_than_a_command_is_read_through() {
     let lbas = [0u64, 1, 3, 4];
-    let (got, reads, merged, _) =
-        on_patterned_disk(16, move |disk| async move { disk.read_batch(&lbas).await });
+    let ((got, hole), reads, merged, cycles) = on_patterned_disk(16, move |disk| async move {
+        let hole0 = hole_blocks();
+        let got = disk.read_batch(&lbas).await;
+        (got, hole_blocks() - hole0)
+    });
     for (lba, block) in lbas.iter().zip(got) {
         assert_eq!(block.unwrap(), block_of(*lba as u8 + 1), "lba {lba}");
     }
+    assert_eq!((reads, merged), (1, 3), "blocks 0-4 are one command");
+    assert_eq!(hole, 1, "block 2 was read for nobody");
+    // One command: four register writes and GO, one base, five blocks
+    // of transfer (two commands would cost a second base and GO); the
+    // other 282 cycles are the burst's channel hops.
+    let p = DiskParams::default();
+    let device = 5 * p.mmio_write + p.base + 5 * p.per_block;
+    assert_eq!(cycles, device + 282);
+}
+
+#[test]
+fn a_hole_dearer_than_a_command_splits_the_run() {
+    let p = DiskParams::default();
+    let limit = hole_limit(&p);
+    assert_eq!(limit, 12, "the default device reads through 12 blocks");
+    for (hole, commands) in [(limit, 1), (limit + 1, 2)] {
+        let lbas = [0u64, 1 + hole];
+        let (got, reads, merged, _) =
+            on_patterned_disk(32, move |disk| async move { disk.read_batch(&lbas).await });
+        for (lba, block) in lbas.iter().zip(got) {
+            assert_eq!(block.unwrap(), block_of(*lba as u8 + 1), "lba {lba}");
+        }
+        assert_eq!((reads, merged), (commands, 2 - commands), "hole {hole}");
+    }
+}
+
+#[test]
+fn overlapping_reads_are_one_command() {
+    let extents = [(2u64, 4u32), (2, 4), (3, 1)];
+    let ((got, hole), reads, merged, _) = on_patterned_disk(16, move |disk| async move {
+        let hole0 = hole_blocks();
+        let got = disk.read_extents(&extents).await;
+        (got, hole_blocks() - hole0)
+    });
+    for ((lba, count), bytes) in extents.iter().zip(got) {
+        let want: Vec<u8> = (*lba..lba + u64::from(*count))
+            .flat_map(|b| block_of(b as u8 + 1))
+            .collect();
+        assert_eq!(bytes.unwrap(), want, "extent at {lba}");
+    }
+    assert_eq!((reads, merged, hole), (1, 2, 0));
+}
+
+#[test]
+fn a_run_that_straddles_the_head_is_one_command() {
+    let lbas = [2u64, 3, 4, 5];
+    let (got, reads, merged, _) = on_patterned_disk(16, move |disk| async move {
+        // Leave the head at block 4, inside the run asked for next.
+        disk.read(4, 1).await.unwrap();
+        disk.read_batch(&lbas).await
+    });
+    for (lba, block) in lbas.iter().zip(got) {
+        assert_eq!(block.unwrap(), block_of(*lba as u8 + 1), "lba {lba}");
+    }
+    // The head's own read, then blocks 2-5 as one: a sweep starting at
+    // the head would have left 4-5 first and come back for 2-3.
+    assert_eq!((reads, merged), (2, 3));
+}
+
+#[test]
+fn nothing_merges_across_a_write_in_a_hole() {
+    use chanos_drivers::DiskReq;
+    let ((got, burst_reads), reads, merged, _) = on_patterned_disk(16, |disk| async move {
+        // One burst, and no hazard: the write overlaps neither read,
+        // so the queue is sorted and the write sits in the hole
+        // between them.
+        let reads0 = chanos_sim::stat_get("disk.reads");
+        let port = disk.port();
+        let read = |lba| {
+            port.call(move |reply| DiskReq::Read {
+                lba,
+                count: 1,
+                reply,
+            })
+        };
+        let r0 = read(0);
+        let w2 = port.call(|reply| DiskReq::Write {
+            lba: 2,
+            data: block_of(0xEE),
+            reply,
+        });
+        let r4 = read(4);
+        w2.await.unwrap().unwrap();
+        let got = [r0.await, r4.await].map(|r| r.unwrap().unwrap());
+        let burst_reads = chanos_sim::stat_get("disk.reads") - reads0;
+        (
+            [
+                got[0].clone(),
+                got[1].clone(),
+                disk.read(2, 1).await.unwrap(),
+            ],
+            burst_reads,
+        )
+    });
+    assert_eq!(got[0], block_of(1));
+    assert_eq!(got[1], block_of(5));
     assert_eq!(
-        (reads, merged),
-        (2, 2),
-        "blocks 0-1 and 3-4, nothing across 2"
+        got[2],
+        block_of(0xEE),
+        "a read after the burst sees the write"
     );
+    assert_eq!(
+        (burst_reads, merged),
+        (2, 0),
+        "blocks 0 and 4 are two commands, not one read through the write"
+    );
+    assert_eq!(reads, 3);
 }
 
 #[test]

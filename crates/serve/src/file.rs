@@ -4,15 +4,18 @@
 //! written to the raw disk as one block-aligned extent, one after the
 //! other from LBA 0, and `path → (lba, len)` stays in an in-memory
 //! index, so the serving path needs no lookup round trip. One task
-//! drains its [`Port`] in bursts and turns **each burst into one
+//! drains its [`Port`] in bursts and plans **each burst as one
 //! [`DiskClient::read_extents`]** with one extent per *distinct* file
 //! in it: a popular file asked for five times in a burst is read once
-//! and every reply is cut from that buffer, and because files sit
-//! back to back the driver, which sorts the burst, programs adjacent
-//! files as a single device command. The burst's answers go out
-//! through one [`ReplyBatch`]: a client with several gets in it is
-//! woken once. On the threads backend that is real file I/O
-//! end-to-end.
+//! and every reply is cut from that buffer. It hands the read and the
+//! answers to a child task, one per burst, spawned with the server's
+//! [`Priority`], and goes straight back to draining, so several bursts
+//! are in flight at once. The driver's queue then holds all of their
+//! reads, and because files sit back to back it programs nearby files
+//! — and the same file asked for by two bursts — as a single device
+//! command. Each child answers its burst through its own
+//! [`ReplyBatch`]: a client with several gets in it is woken once. On
+//! the threads backend that is real file I/O end-to-end.
 
 use std::collections::HashMap;
 
@@ -85,7 +88,11 @@ pub async fn spawn_file_server(
         lba += nblocks as u64;
     }
     let (port, rx) = port_channel::<FileReq>(Capacity::Unbounded);
-    rt::spawn_named_with_priority("file-server", priority, serve_loop(disk, index, rx));
+    rt::spawn_named_with_priority(
+        "file-server",
+        priority,
+        serve_loop(disk, index, rx, priority),
+    );
     Ok(FileClient { port })
 }
 
@@ -94,9 +101,13 @@ pub async fn spawn_file_server(
 /// miss.
 type PlanEntry = (ReplyTo<Option<Vec<u8>>>, Option<(usize, usize)>);
 
-async fn serve_loop(disk: DiskClient, index: HashMap<String, IndexEntry>, rx: Receiver<FileReq>) {
+async fn serve_loop(
+    disk: DiskClient,
+    index: HashMap<String, IndexEntry>,
+    rx: Receiver<FileReq>,
+    priority: Priority,
+) {
     let mut buf: Vec<FileReq> = Vec::with_capacity(FILE_BATCH);
-    let mut replies = ReplyBatch::default();
     loop {
         buf.clear();
         if rx.recv_many(&mut buf, FILE_BATCH).await == 0 {
@@ -123,32 +134,42 @@ async fn serve_loop(disk: DiskClient, index: HashMap<String, IndexEntry>, rx: Re
             });
             plan.push((reply, meta));
         }
-        let files = if extents.is_empty() {
-            Vec::new()
-        } else {
-            disk.read_extents(&extents).await
-        };
         let blocks: u64 = extents.iter().map(|&(_, n)| u64::from(n)).sum();
         rt::stat_add("serve.file_blocks_read", blocks);
         rt::stat_add("serve.file_gets", plan.len() as u64);
-        for (reply, meta) in plan {
-            let body = match meta {
-                None => None,
-                Some((slot, len)) => match &files[slot] {
-                    Ok(bytes) => Some(bytes[..len].to_vec()),
-                    // A disk error is not a 404, and the reply type
-                    // has no third answer: the request is accepted and
-                    // left unanswered.
-                    Err(_) => {
-                        rt::stat_incr("serve.file_read_errors");
-                        continue;
-                    }
-                },
-            };
-            replies.send(reply, body);
-        }
-        replies.flush();
+        // The burst is read and answered by a child while the server
+        // drains the next, so the driver's queue holds the reads of
+        // every burst in flight and can join them into one command.
+        rt::spawn_with_priority(priority, answer_burst(disk.clone(), extents, plan));
     }
+}
+
+/// Reads one planned burst's extents and answers every request in it
+/// through the burst's own [`ReplyBatch`].
+async fn answer_burst(disk: DiskClient, extents: Vec<(u64, u32)>, plan: Vec<PlanEntry>) {
+    let files = if extents.is_empty() {
+        Vec::new()
+    } else {
+        disk.read_extents(&extents).await
+    };
+    let mut replies = ReplyBatch::default();
+    for (reply, meta) in plan {
+        let body = match meta {
+            None => None,
+            Some((slot, len)) => match &files[slot] {
+                Ok(bytes) => Some(bytes[..len].to_vec()),
+                // A disk error is not a 404, and the reply type has no
+                // third answer: the request is accepted and left
+                // unanswered.
+                Err(_) => {
+                    rt::stat_incr("serve.file_read_errors");
+                    continue;
+                }
+            },
+        };
+        replies.send(reply, body);
+    }
+    replies.flush();
 }
 
 #[cfg(test)]
@@ -205,9 +226,9 @@ mod tests {
         s.block_on(async move {
             let (hw, irq) = install_disk(256, DiskParams::default(), dev);
             let disk = spawn_disk_driver(hw, irq, CoreId(1));
-            // Back to back on the disk: blocks 0-1, 2, 3-5. The last
-            // file leaves the head past them, so the elevator's sweep
-            // does not start in the middle of the run.
+            // Back to back on the disk: blocks 0-1, 2, 3-5. Writing the
+            // last file leaves the head at block 3, inside the run, and
+            // the elevator's sweep starts at the run's start.
             let two = vec![0xA1; BLOCK_SIZE + 123];
             let one = vec![0xB2; 77];
             let three = vec![0xC3; 3 * BLOCK_SIZE];
@@ -215,7 +236,6 @@ mod tests {
                 ("/two".to_string(), two.clone()),
                 ("/one".to_string(), one.clone()),
                 ("/three".to_string(), three.clone()),
-                ("/last".to_string(), vec![0xD4; 5]),
             ];
             let srv = spawn_file_server(disk, files, Priority::Normal)
                 .await
@@ -278,6 +298,62 @@ mod tests {
             assert_eq!(published.await, Err(CallError::Cancelled));
             assert_eq!(unpublished.await, Ok(None));
             assert_eq!(chanos_sim::stat_get("serve.file_read_errors") - errors0, 1);
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn a_second_burst_is_planned_while_the_first_is_in_flight() {
+        Simulation::with_config(Config {
+            cores: 2,
+            ..Config::default()
+        })
+        .block_on(async {
+            // A driver that holds the first read it gets until a second
+            // one arrives, fails the second and only then answers the
+            // first. A server that awaited its burst's reads before
+            // draining the next would never send the second.
+            let (tx, rx) = rt::channel::<DiskReq>(Capacity::Unbounded);
+            rt::spawn(async move {
+                let mut store: HashMap<u64, Vec<u8>> = HashMap::new();
+                let mut held = None;
+                while let Ok(req) = rx.recv().await {
+                    match req {
+                        DiskReq::Write { lba, data, reply } => {
+                            store.insert(lba, data);
+                            let _ = reply.send(Ok(())).await;
+                        }
+                        DiskReq::Read { lba, reply, .. } => match held.take() {
+                            None => held = Some((lba, reply)),
+                            Some((first, first_reply)) => {
+                                let _ = reply.send(Err(DiskError::Io)).await;
+                                let _ = first_reply.send(Ok(store[&first].clone())).await;
+                            }
+                        },
+                    }
+                }
+            });
+            let files = vec![
+                ("/a".to_string(), b"first".to_vec()),
+                ("/b".to_string(), b"second".to_vec()),
+            ];
+            let srv = spawn_file_server(DiskClient::new(tx), files, Priority::Normal)
+                .await
+                .unwrap();
+            let before = ["serve.file_bursts", "serve.file_read_errors"].map(chanos_sim::stat_get);
+            let a = srv.get("/a");
+            let missing = srv.get("/missing");
+            // Let the server drain the first burst before the second.
+            rt::sleep(10_000).await;
+            let b = srv.get("/b");
+            let nope = srv.get("/nope");
+            // The second burst's failed read costs it only its own get.
+            assert_eq!(b.await, Err(CallError::Cancelled));
+            assert_eq!(nope.await, Ok(None));
+            assert_eq!(a.await, Ok(Some(b"first".to_vec())));
+            assert_eq!(missing.await, Ok(None));
+            let after = ["serve.file_bursts", "serve.file_read_errors"].map(chanos_sim::stat_get);
+            assert_eq!([after[0] - before[0], after[1] - before[1]], [2, 1]);
         })
         .unwrap();
     }

@@ -16,9 +16,10 @@
 //!   draining its [`chanos_rt::Port`] in `recv_many` bursts) and a
 //!   static-file server whose burst drains turn into one
 //!   `DiskClient::read_extents` per burst, one extent per distinct
-//!   file (the driver elevator-sorts it and programs adjacent files
-//!   as one command). Both run unchanged on the simulator and on
-//!   real threads.
+//!   file, read and answered by a child task per burst so several
+//!   bursts are in flight at once (the driver elevator-sorts their
+//!   reads together and programs nearby files as one command). Both
+//!   run unchanged on the simulator and on real threads.
 //! * **Priority-aware serving** — server tasks take a
 //!   [`chanos_rt::Priority`]; spawning servers `High` routes them
 //!   through the scheduler's high-priority lane so request handling

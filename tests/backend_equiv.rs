@@ -1559,8 +1559,9 @@ mod serve_equiv {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
+    use chanos::drivers::{install_disk, spawn_disk_driver, DiskParams};
     use chanos::rt::{Pcg32, Priority};
-    use chanos::serve::{spawn_kv, KvCfg, Zipf};
+    use chanos::serve::{spawn_file_server, spawn_kv, KvCfg, Zipf};
 
     /// A fixed-seed GET/SET/DEL storm over the sharded store, ops
     /// awaited in issue order so every response is deterministic;
@@ -1699,6 +1700,67 @@ mod serve_equiv {
         rt.shutdown();
         assert_eq!(sim, 3 * 6 * 16);
         assert_eq!(sim, thr, "the backends served different numbers of calls");
+    }
+
+    /// What file `i` of the file-server script holds: one to three
+    /// blocks, a pattern of its own.
+    fn served_body(i: usize) -> Vec<u8> {
+        (0..10 + i % 8 * 1500).map(|j| (i * 7 + j) as u8).collect()
+    }
+
+    /// Three clients at once, each pipelining six bursts of eight
+    /// zipf-picked GETs over 48 published files and one miss, so
+    /// bursts are in flight together in the file server and their
+    /// reads share the driver's queue. Every body is checked against
+    /// what was published; returns the gets the server counted.
+    async fn file_bursts_script(dev: CoreId) -> u64 {
+        let gets0 = chanos::rt::stat_get("serve.file_gets");
+        let (hw, irq) = install_disk(256, DiskParams::default(), dev);
+        let disk = spawn_disk_driver(hw, irq, CoreId(1));
+        let files = (0..48).map(|i| (format!("/f{i}"), served_body(i)));
+        let srv = spawn_file_server(disk, files.collect(), Priority::Normal)
+            .await
+            .expect("publish");
+        let zipf = Arc::new(Zipf::new(48, 0.99));
+        let clients: Vec<_> = (0..3u64)
+            .map(|c| {
+                let (srv, zipf) = (srv.clone(), zipf.clone());
+                chanos::rt::spawn(async move {
+                    let mut rng = Pcg32::with_stream(0xF11E, c + 1);
+                    for _ in 0..6 {
+                        let picks: Vec<usize> =
+                            (0..8).map(|_| zipf.sample(&mut rng) as usize).collect();
+                        let gets: Vec<_> =
+                            picks.iter().map(|i| srv.get(format!("/f{i}"))).collect();
+                        let miss = srv.get("/missing");
+                        for (i, call) in picks.iter().zip(gets) {
+                            let body = call.await.expect("get resolves");
+                            assert_eq!(body, Some(served_body(*i)), "/f{i}");
+                        }
+                        assert_eq!(miss.await.expect("miss resolves"), None);
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().await.expect("client survives");
+        }
+        chanos::rt::stat_get("serve.file_gets") - gets0
+    }
+
+    #[test]
+    fn concurrent_file_bursts_all_resolve_on_both_backends() {
+        let mut s = Simulation::with_config(Config {
+            cores: 4,
+            ..Config::default()
+        });
+        let dev = s.add_device_core();
+        let sim = s.block_on(file_bursts_script(dev)).unwrap();
+        let rt = Runtime::new(3);
+        let thr = rt.block_on(file_bursts_script(CoreId(0)));
+        rt.shutdown();
+        assert_eq!(sim, 3 * 6 * 9);
+        assert_eq!(sim, thr, "the backends served different numbers of gets");
     }
 
     /// `spawn_with_priority` must make the class observable inside
