@@ -1,7 +1,7 @@
 //! Facade lint for the workspace — the static half of `chanos-check`
 //! (the model checker is the dynamic half).
 //!
-//! Six rules, each guarding an invariant the type system cannot:
+//! Seven rules, each guarding an invariant the type system cannot:
 //!
 //! 1. **Facade bypass.** Code outside the runtime-implementing crates
 //!    must not call `std::thread::spawn`, use `std::sync::mpsc`, or
@@ -51,6 +51,16 @@
 //!    thread, state-machine arm, ticket held). Same paragraph rule as
 //!    3; an `unsafe fn` states its contract in its `# Safety` doc
 //!    instead and is not matched.
+//!
+//! 7. **Driven code stays on the shim.** The files the real-code
+//!    model checks drive (`executor.rs`, `chan.rs`, `oneshot.rs`,
+//!    `queue.rs`, `injector.rs`, `idle.rs` in `crates/parchan/src`)
+//!    must not name `std::thread::{spawn, Builder, park, current}`,
+//!    `std::sync::atomic::Atomic*` or `std::sync::{Mutex, Condvar}`
+//!    outside `#[cfg(test)]` items: they take them from `crate::sync`.
+//!    A stray `std` primitive is an operation the explorer never sees,
+//!    which silently takes that code out of every check. No escape
+//!    hatch.
 //!
 //! Escape hatch: a comment containing `chanos-lint: allow` suppresses
 //! rules 1, 2 and 5 for the rest of its blank-line-delimited
@@ -176,6 +186,25 @@ const MUTEX_FREE: &[&str] = &[
 /// Code patterns that mean "a lock" for rule 4.
 const LOCKING: &[&str] = &["Mutex", "Condvar", "plock", ".lock()"];
 
+/// Files the real-code model checks drive (rule 7).
+const DRIVEN: &[&str] = &[
+    "crates/parchan/src/executor.rs",
+    "crates/parchan/src/chan.rs",
+    "crates/parchan/src/oneshot.rs",
+    "crates/parchan/src/queue.rs",
+    "crates/parchan/src/injector.rs",
+    "crates/parchan/src/idle.rs",
+];
+
+/// The `std` primitives a driven file takes from `crate::sync` instead
+/// (rule 7): a module path and the names under it; a trailing `*`
+/// makes a name a prefix.
+const UNSHIMMED: &[(&str, &[&str])] = &[
+    ("std::thread::", &["spawn", "Builder", "park", "current"]),
+    ("std::sync::atomic::", &["Atomic*"]),
+    ("std::sync::", &["Mutex", "Condvar"]),
+];
+
 /// Code patterns that open an unsafe block or impl (rule 6); an
 /// `unsafe fn` carries a `# Safety` doc instead.
 const UNSAFE_SITE: &[&str] = &["unsafe {", "unsafe impl"];
@@ -214,6 +243,86 @@ fn stat_literals(line: &str) -> Vec<String> {
     found
 }
 
+/// Every `std::` path in `code`, use groups expanded:
+/// `std::sync::{atomic::AtomicU8, Mutex}` yields
+/// `std::sync::atomic::AtomicU8` and `std::sync::Mutex`.
+fn std_paths(code: &str) -> Vec<String> {
+    // Whitespace next to punctuation goes, so a group split over lines
+    // reads as one path tree; `Mutex as M` keeps its space.
+    let mut tight = String::with_capacity(code.len());
+    for word in code.split_whitespace() {
+        let glue = |c: Option<char>| c.is_some_and(|c| ":{},;()".contains(c));
+        if !tight.is_empty() && !glue(tight.chars().last()) && !glue(word.chars().next()) {
+            tight.push(' ');
+        }
+        tight.push_str(word);
+    }
+    let mut out = Vec::new();
+    let mut at = 0;
+    while let Some(i) = tight[at..].find("std::") {
+        let start = at + i;
+        let joined = tight[..start]
+            .chars()
+            .last()
+            .is_some_and(|c| c.is_alphanumeric() || c == '_');
+        at = start
+            + if joined {
+                5
+            } else {
+                expand(&tight[start..], "", &mut out)
+            };
+    }
+    out
+}
+
+/// Reads one use tree from the front of `s` under `prefix`, pushing
+/// each full path; returns the bytes consumed.
+fn expand(s: &str, prefix: &str, out: &mut Vec<String>) -> usize {
+    let b = s.as_bytes();
+    let mut path = prefix.to_string();
+    let mut i = 0;
+    loop {
+        let start = i;
+        while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
+            i += 1;
+        }
+        path.push_str(&s[start..i]);
+        if s[i..].starts_with("::{") {
+            path.push_str("::");
+            i += 3;
+            loop {
+                i += expand(&s[i..], &path, out);
+                match b.get(i) {
+                    Some(b',') => i += 1,
+                    Some(b'}') => return i + 1,
+                    _ => return i,
+                }
+            }
+        } else if s[i..].starts_with("::") {
+            path.push_str("::");
+            i += 2;
+        } else {
+            out.push(path);
+            return i;
+        }
+    }
+}
+
+/// The rule-7 primitive `path` names, if any.
+fn unshimmed(path: &str) -> Option<&'static str> {
+    UNSHIMMED.iter().find_map(|(module, names)| {
+        let rest = path.strip_prefix(module)?;
+        let name = rest.split("::").next().unwrap_or(rest);
+        names
+            .iter()
+            .any(|n| match n.strip_suffix('*') {
+                Some(stem) => name.starts_with(stem),
+                None => name == *n,
+            })
+            .then_some(*module)
+    })
+}
+
 /// Paragraph-scoped comment cover (rules 3 and 6): has the current
 /// blank-line-delimited run carried `marker` so far, this line included?
 fn covered(state: &mut bool, raw: &str, marker: &str) -> bool {
@@ -238,9 +347,16 @@ fn lint_file(rel: &str, text: &str, registry: &[String], findings: &mut Vec<Stri
         .strip_prefix("crates/")
         .and_then(|r| r.split_once("/src/"))
         .is_some_and(|(krate, _)| WRITTEN_ONCE.contains(&krate));
+    let driven = DRIVEN.contains(&rel);
     let mut ordering_covered = false;
     let mut safety_covered = false;
     let mut allowed = false;
+    // Rule 7's state: a `#[cfg(test)]` seen and its item not yet
+    // begun, the brace depth of the test item being skipped, and a
+    // `use` statement still open across lines.
+    let mut test_attr = false;
+    let mut test_depth: Option<i64> = None;
+    let mut open_use = String::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -324,6 +440,57 @@ fn lint_file(rel: &str, text: &str, registry: &[String], findings: &mut Vec<Stri
                 }
             }
         }
+
+        // Rule 7: the files the model checks drive stay on the shim.
+        // Last in the loop: it skips test items and waits out
+        // multi-line `use`s with `continue`.
+        if driven {
+            let depth = |c: &str| c.matches('{').count() as i64 - c.matches('}').count() as i64;
+            let trimmed = code.trim();
+            if let Some(d) = test_depth.as_mut() {
+                *d += depth(&code);
+                if *d <= 0 {
+                    test_depth = None;
+                }
+                continue;
+            }
+            if trimmed.starts_with("#[cfg(test)]") {
+                test_attr = true;
+                continue;
+            }
+            if test_attr && !trimmed.is_empty() && !trimmed.starts_with("#[") {
+                test_attr = false;
+                let d = depth(&code);
+                if d > 0 {
+                    test_depth = Some(d);
+                }
+                continue;
+            }
+            let opens_use = trimmed
+                .trim_start_matches("pub ")
+                .trim_start_matches("pub(crate) ")
+                .starts_with("use ");
+            if opens_use || !open_use.is_empty() {
+                open_use.push_str(&code);
+                open_use.push(' ');
+            }
+            let stmt = if open_use.is_empty() {
+                code.clone()
+            } else if code.contains(';') {
+                std::mem::take(&mut open_use)
+            } else {
+                continue;
+            };
+            for path in std_paths(&stmt) {
+                if let Some(module) = unshimmed(&path) {
+                    findings.push(format!(
+                        "{rel}:{lineno}: `{path}` in code the model checks \
+                         drive — take it from `crate::sync` (`{module}` has \
+                         a shim), or the explorer never sees it"
+                    ));
+                }
+            }
+        }
     }
 }
 
@@ -374,7 +541,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{code_only, lint_file, stat_literals};
+    use super::{code_only, lint_file, stat_literals, std_paths};
 
     #[test]
     fn code_only_strips_comments_and_string_contents() {
@@ -473,6 +640,57 @@ mod tests {
             // An allowed paragraph is covered to its blank line, no further.
             ("crates/drivers/src/disk.rs", allowed, 0),
             ("crates/drivers/src/disk.rs", &lapsed, 1),
+        ] {
+            let mut findings = Vec::new();
+            lint_file(rel, text, &[], &mut findings);
+            assert_eq!(findings.len(), want, "{rel}: {text:?} -> {findings:?}");
+        }
+    }
+
+    #[test]
+    fn use_groups_expand_to_full_paths() {
+        assert_eq!(
+            std_paths("use std::sync::{atomic::{AtomicU8, Ordering}, Mutex as M};"),
+            [
+                "std::sync::atomic::AtomicU8",
+                "std::sync::atomic::Ordering",
+                "std::sync::Mutex"
+            ]
+        );
+        assert_eq!(
+            std_paths("let n = std::thread::available_parallelism();"),
+            ["std::thread::available_parallelism"]
+        );
+        assert!(std_paths("use chanos_check::sync::Mutex;").is_empty());
+    }
+
+    #[test]
+    fn a_std_primitive_in_driven_code_is_a_finding() {
+        let grouped = "use std::sync::{\n    atomic::{AtomicBool, Ordering},\n    Arc,\n};\n";
+        let in_tests = "#[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n    fn f() {\n        std::thread::spawn(|| ());\n    }\n}\n";
+        let after_tests = format!("{in_tests}fn g() {{\n    std::thread::park();\n}}\n");
+        for (rel, text, want) in [
+            ("crates/parchan/src/executor.rs", grouped, 1),
+            (
+                "crates/parchan/src/executor.rs",
+                "let t = std::thread::current();\nstd::thread::Builder::new().spawn(f);\n",
+                2,
+            ),
+            (
+                "crates/parchan/src/chan.rs",
+                "static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);\n",
+                2,
+            ),
+            // Not a primitive the shim replaces; not a driven file.
+            (
+                "crates/parchan/src/executor.rs",
+                "let n = std::thread::available_parallelism();\nuse std::sync::{Arc, Weak};\n",
+                0,
+            ),
+            ("crates/parchan/src/counters.rs", grouped, 0),
+            // Test items are skipped, to their closing brace only.
+            ("crates/parchan/src/oneshot.rs", in_tests, 0),
+            ("crates/parchan/src/oneshot.rs", &after_tests, 1),
         ] {
             let mut findings = Vec::new();
             lint_file(rel, text, &[], &mut findings);

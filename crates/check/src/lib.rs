@@ -17,8 +17,9 @@
 //!   interleavings with DPOR-lite sleep-set pruning.
 //! * [`sync`] / [`thread`] — shim types that parchan's `crate::sync`
 //!   facade re-exports under `--features chanos_check`, so
-//!   `crates/parchan/tests/protocols.rs` checks the shipping code; the
-//!   mirrors in [`models`] are written against them directly.
+//!   `crates/parchan/tests/protocols.rs` checks the shipping code,
+//!   executor included; the two mirrors left in [`models`] (NR, the
+//!   stealing ring) are written against them directly.
 //! * `bin/lint` — the workspace source lint (facade bypasses, stat
 //!   registry, `SeqCst` invariant comments); run with
 //!   `cargo run -p chanos-check --bin lint`.

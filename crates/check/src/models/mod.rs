@@ -1,21 +1,19 @@
 //! Checked models of the protocols the explorer cannot drive as they
 //! ship.
 //!
-//! parchan's channels, oneshot, reply batch and injector are checked
-//! as they ship: `crates/parchan/tests/protocols.rs` and the
+//! parchan's channels, oneshot, reply batch, injector and executor are
+//! checked as they ship: `crates/parchan/tests/protocols.rs` and the
 //! injector's unit tests run the explorer over the real code, whose
-//! atomics and locks are this crate's shim under `--features
-//! chanos_check`. The modules here replicate — operation for
-//! operation, ordering for ordering — the protocols that cannot be
-//! run that way, each under a `// mirrors:` line naming the functions
-//! to diff against when either side changes:
+//! atomics, locks and worker threads are this crate's shim under
+//! `--features chanos_check`. The modules here replicate — operation
+//! for operation, ordering for ordering — the two protocols that
+//! cannot be run that way, each under a `// mirrors:` line naming the
+//! functions to diff against when either side changes:
 //!
 //! * [`nr`]: chanos-nr does not take its atomics from the shim.
-//! * [`pinned`], [`priority`] and [`steal`]'s idle-mask half mirror
-//!   `worker_loop`, which runs on `std::thread` and `Instant`.
-//! * [`steal`]'s ring half: its mutants are memory-unsafe on the real
-//!   ring (a duplicated or uninitialised `Arc<TaskCell>`), so they
-//!   would crash the checker instead of reporting.
+//! * [`steal`], the work-stealing ring: its mutants are memory-unsafe
+//!   on the real ring (a duplicated or uninitialised `Arc<TaskCell>`),
+//!   so they would crash the checker instead of reporting.
 //!
 //! Every model takes a `Mutant` selector. `Mutant::None` is the
 //! shipping protocol and must verify exhaustively; the other variants
@@ -25,6 +23,4 @@
 //! regression, not just the proof that today's code is right.
 
 pub mod nr;
-pub mod pinned;
-pub mod priority;
 pub mod steal;

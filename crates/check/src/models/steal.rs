@@ -1,28 +1,24 @@
-//! Models of the work-stealing scheduler's two lock-free protocols:
-//! the owner-pop vs stealer-batch-claim race on the packed-head ring,
-//! and the idle-bitmask / searching-count park handshake.
+//! Model of the work-stealing ring's lock-free protocol: the owner-pop
+//! vs stealer-batch-claim race on the packed head word.
 //!
 //! mirrors: `parchan/src/queue.rs` — `Ring::push`, `Ring::pop`,
-//! `Ring::steal_into`; `parchan/src/idle.rs` + `executor.rs` —
-//! `IdleSet::{start_search,end_search,register,deregister,claim}`,
-//! `RtInner::notify_work`, `worker_loop`'s park tail.
+//! `Ring::steal_into`.
 //!
-//! As in the ring model, slot values live in atomics with `0` as the
-//! "uninitialized" sentinel: reading a `0` out of a claimed slot is
-//! the read-before-publish (or double-claim) bug surfacing as an
-//! assertion instead of UB. The idle-mask model's lost wakes surface
-//! as the checker's built-in parked-forever deadlock.
+//! Slot values live in atomics with `0` as the "uninitialized"
+//! sentinel: reading a `0` out of a claimed slot is the
+//! read-before-publish (or double-claim) bug surfacing as an assertion
+//! instead of UB.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crate::sync::{fence, AtomicUsize};
+use crate::sync::AtomicUsize;
 use crate::thread;
 
-/// Seeded bugs for [`steal_model`] and [`idle_mask_model`].
+/// Seeded bugs for [`steal_model`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutant {
-    /// The shipping protocols.
+    /// The shipping protocol.
     None,
     /// Stealer claims its batch with a plain store computed from a
     /// possibly-stale head instead of a CAS: an owner pop that lands
@@ -34,23 +30,6 @@ pub enum Mutant {
     /// acquires the new tail can batch-claim and read the slot before
     /// the value lands.
     PublishBeforeWrite,
-    /// Producer scans `searching`/the idle mask *before* publishing
-    /// work: a worker that registers and re-checks between the scan
-    /// and the publish sleeps through the wake.
-    ScanBeforePublish,
-    /// Worker parks without the post-register re-check: work published
-    /// just before its mask bit appeared is seen by neither side.
-    NoRecheck,
-    /// Worker registers idle without first clearing its `searching`
-    /// increment: every later producer sees `searching > 0` and elides
-    /// its wake forever.
-    LostSearchingClear,
-    /// Worker consumes a wake token without withdrawing its
-    /// registration. A token left over from a claim that raced a
-    /// self-rescue ends the *next* park at once, with the bit that park
-    /// just set still up: the worker runs tasks while the mask says
-    /// idle, and a producer's claim spends a wake on it.
-    StaleTokenKeepsBit,
 }
 
 // --- the packed-head SPMC ring ------------------------------------------
@@ -224,121 +203,4 @@ pub fn steal_model(mutant: Mutant) {
     got.extend(thief.join());
     got.sort_unstable();
     assert_eq!(got, vec![1, 2, 3], "steal lost or duplicated a task");
-}
-
-// --- the idle-bitmask park handshake ------------------------------------
-
-struct MIdle {
-    /// Published-work count (stands in for ring/injector occupancy).
-    work: AtomicUsize,
-    /// Bit 0 ⇔ the (single) worker is registered idle.
-    mask: AtomicUsize,
-    /// Workers inside the steal sweep.
-    searching: AtomicUsize,
-}
-
-impl MIdle {
-    fn try_take(&self) -> bool {
-        let mut cur = self.work.load(Ordering::SeqCst);
-        while cur > 0 {
-            match self
-                .work
-                .compare_exchange(cur, cur - 1, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return true,
-                Err(now) => cur = now,
-            }
-        }
-        false
-    }
-}
-
-/// One producer publishes `n_msgs` tasks with `notify_work`'s
-/// publish → fence → skip-if-searching → claim-bit → unpark protocol;
-/// the worker (model root, thread 0) consumes them with `worker_loop`'s
-/// search → register → fence → re-check → park descent. Every schedule
-/// must deliver all tasks with nobody left parked, and the worker must
-/// never leave the park loop with its mask bit set.
-pub fn idle_mask_model(mutant: Mutant, n_msgs: usize) {
-    let sh = Arc::new(MIdle {
-        work: AtomicUsize::new(0),
-        mask: AtomicUsize::new(0),
-        searching: AtomicUsize::new(0),
-    });
-
-    let psh = sh.clone();
-    let worker_tid = 0; // the model root runs the worker below
-    let producer = thread::spawn(move || {
-        for _ in 0..n_msgs {
-            if mutant == Mutant::ScanBeforePublish {
-                // BUG (seeded): scan-then-publish — the worker can
-                // register between the scan and the publish.
-                let elide = psh.searching.load(Ordering::SeqCst) > 0;
-                let idle = psh.mask.load(Ordering::SeqCst) & 1 != 0;
-                psh.work.fetch_add(1, Ordering::SeqCst);
-                if !elide && idle && psh.mask.fetch_and(!1, Ordering::SeqCst) & 1 != 0 {
-                    thread::unpark(worker_tid);
-                }
-            } else {
-                // notify_work: publish, fence, elide if a searcher
-                // will re-check, else claim the bit and deliver.
-                psh.work.fetch_add(1, Ordering::SeqCst);
-                fence(Ordering::SeqCst);
-                if psh.searching.load(Ordering::SeqCst) > 0 {
-                    continue; // a searcher's re-check covers this work
-                }
-                if psh.mask.load(Ordering::SeqCst) & 1 != 0
-                    && psh.mask.fetch_and(!1, Ordering::SeqCst) & 1 != 0
-                {
-                    thread::unpark(worker_tid);
-                }
-            }
-        }
-    });
-
-    // Worker: take fast, else search → (retake) → register → fence →
-    // re-check → park. A stale token from a producer claim racing the
-    // self-rescue ends the next park early; consuming it withdraws the
-    // registration that park made, as in the real executor.
-    let mut got = 0;
-    while got < n_msgs {
-        if sh.try_take() {
-            got += 1;
-            continue;
-        }
-        // Enter the steal sweep.
-        sh.searching.fetch_add(1, Ordering::SeqCst);
-        if sh.try_take() {
-            sh.searching.fetch_sub(1, Ordering::SeqCst);
-            got += 1;
-            continue;
-        }
-        if mutant != Mutant::LostSearchingClear {
-            sh.searching.fetch_sub(1, Ordering::SeqCst);
-        } // BUG (seeded) otherwise: producers elide wakes forever.
-        sh.mask.fetch_or(1, Ordering::SeqCst); // register idle
-        fence(Ordering::SeqCst);
-        if mutant != Mutant::NoRecheck && sh.try_take() {
-            // Self-rescue: deregister; if the producer won the bit its
-            // token is pending and the next park consumes it.
-            sh.mask.fetch_and(!1, Ordering::SeqCst);
-            got += 1;
-            continue;
-        } // BUG (seeded) with NoRecheck: park blind.
-        thread::park();
-        if mutant != Mutant::StaleTokenKeepsBit {
-            sh.mask.fetch_and(!1, Ordering::SeqCst);
-        } // BUG (seeded) otherwise: only the claim that sent it cleared a bit.
-        assert_eq!(
-            sh.mask.load(Ordering::SeqCst) & 1,
-            0,
-            "left the park loop registered idle"
-        );
-    }
-    producer.join();
-    assert_eq!(
-        sh.mask.load(Ordering::SeqCst),
-        0,
-        "idle registration leaked"
-    );
 }

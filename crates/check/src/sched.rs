@@ -7,8 +7,9 @@
 //! threads and synchronizes them through the [`crate::sync`] shim
 //! types. Each model thread is a real OS thread, but only **one runs
 //! at a time**: every visible operation (atomic op, mutex op,
-//! park/unpark, spawn/join, yield) first reports itself to the
-//! [`Controller`] and blocks until the scheduler grants it the baton.
+//! condvar wait/notify, park/unpark, spawn/join, yield) first reports
+//! itself to the [`Controller`] and blocks until the scheduler grants
+//! it the baton.
 //! The scheduler (the caller's thread) therefore sees, at every step,
 //! the full set of runnable threads and the operation each would
 //! perform next — which is exactly the information a model checker
@@ -91,11 +92,12 @@ pub enum Op {
     Park,
     /// Deposit a token at (and wake) thread `target`.
     Unpark { target: ThreadId },
-    /// Condvar wait's scheduling point (always enabled: the model
-    /// equivalent of a spurious wakeup / timeout backstop).
-    CondWait,
-    /// Condvar notify.
-    CondNotify,
+    /// Condvar wait on the condvar at `loc`; enabled once a notify
+    /// took the thread off that condvar's wait queue.
+    CondWait { loc: usize },
+    /// Condvar notify at `loc`: wakes its oldest waiter, or every
+    /// waiter if `all`; with none waiting it is lost, as in `std`.
+    CondNotify { loc: usize, all: bool },
     /// Spawn of a new model thread.
     Spawn,
     /// Join on thread `target`; enabled once it finished.
@@ -278,6 +280,9 @@ struct CtlState {
     threads: Vec<Th>,
     /// Mutex owner table: shim-mutex address -> owning thread.
     mutex_owners: std::collections::HashMap<usize, ThreadId>,
+    /// Condvar wait queues: shim-condvar address -> waiters, oldest
+    /// first.
+    cond_waiters: std::collections::HashMap<usize, std::collections::VecDeque<ThreadId>>,
     /// First failure recorded this execution.
     failure: Option<(FailureKind, String)>,
     /// Set when the scheduler tears the execution down; every entry
@@ -322,6 +327,7 @@ impl Controller {
             state: Mutex::new(CtlState {
                 threads: Vec::new(),
                 mutex_owners: std::collections::HashMap::new(),
+                cond_waiters: std::collections::HashMap::new(),
                 failure: None,
                 aborting: false,
                 steps: 0,
@@ -501,17 +507,25 @@ pub(crate) fn in_model() -> bool {
     ctx().is_some()
 }
 
-/// Condvar wait's scheduling point (between unlock and relock).
-pub(crate) fn cond_wait() {
+/// Condvar wait: releases the mutex at `mutex` and joins the wait
+/// queue of the condvar at `cv` in the caller's current step — one
+/// atomic move, as in `std` — then blocks until a notify picks it.
+/// The caller relocks the mutex afterwards.
+pub(crate) fn cond_wait(cv: usize, mutex: usize) {
     if let Some((ctl, me)) = ctx() {
-        ctl.switch(me, Op::CondWait);
+        {
+            let mut st = plock(&ctl.state);
+            st.mutex_owners.remove(&mutex);
+            st.cond_waiters.entry(cv).or_default().push_back(me);
+        }
+        ctl.switch(me, Op::CondWait { loc: cv });
     }
 }
 
-/// Condvar notify scheduling point.
-pub(crate) fn cond_notify() {
+/// Condvar notify scheduling point; the grant picks the waiters.
+pub(crate) fn cond_notify(cv: usize, all: bool) {
     if let Some((ctl, me)) = ctx() {
-        ctl.switch(me, Op::CondNotify);
+        ctl.switch(me, Op::CondNotify { loc: cv, all });
     }
 }
 
@@ -869,6 +883,7 @@ fn is_enabled(st: &CtlState, t: ThreadId) -> bool {
         Op::MutexLock { loc } => !st.mutex_owners.contains_key(&loc),
         Op::Park => th.token,
         Op::Join { target } => st.threads[target].status == Status::Finished,
+        Op::CondWait { loc } => !st.cond_waiters.get(&loc).is_some_and(|q| q.contains(&t)),
         Op::Yield => !th.yield_gated,
         _ => true,
     }
@@ -1071,6 +1086,15 @@ fn grant(st: &mut CtlState, chosen: ThreadId) {
             st.threads[chosen].token = false;
         }
         Op::Unpark { target } => Controller::deposit_token(st, target),
+        Op::CondNotify { loc, all } => {
+            if let Some(q) = st.cond_waiters.get_mut(&loc) {
+                if all {
+                    q.clear();
+                } else {
+                    q.pop_front();
+                }
+            }
+        }
         Op::Yield => {}
         _ => {}
     }
@@ -1087,13 +1111,35 @@ fn grant(st: &mut CtlState, chosen: ThreadId) {
     st.threads[chosen].go = true;
 }
 
+/// How long a teardown may go without a thread finishing its unwind.
+const TEARDOWN_LIMIT: std::time::Duration = std::time::Duration::from_secs(10);
+
 /// Tears the execution down: aborts every still-live thread and waits
-/// for them to unwind, then returns `end`.
+/// for them to unwind, then returns `end`. The unwind runs the model's
+/// destructors outside the schedule, so one that blocks for good (a
+/// lock its own thread holds) is reported here rather than hanging
+/// the exploration.
 fn finish(ctl: &Arc<Controller>, mut st: MutexGuard<'_, CtlState>, end: ExecEnd) -> ExecEnd {
     st.aborting = true;
     ctl.cv.notify_all();
-    while st.threads.iter().any(|t| t.status != Status::Finished) {
-        st = ctl.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+    let live = |st: &CtlState| {
+        st.threads
+            .iter()
+            .filter(|t| t.status != Status::Finished)
+            .count()
+    };
+    while live(&st) > 0 {
+        let before = live(&st);
+        let (next, wait) = ctl
+            .cv
+            .wait_timeout(st, TEARDOWN_LIMIT)
+            .unwrap_or_else(|e| e.into_inner());
+        st = next;
+        assert!(
+            !wait.timed_out() || live(&st) < before,
+            "teardown hung: {} thread(s) blocked in a destructor while unwinding",
+            live(&st)
+        );
     }
     end
 }

@@ -1,4 +1,5 @@
-//! Drop-in replacements for the `std::sync` types parchan uses.
+//! Drop-in replacements for the `std::sync` types, the `std::thread`
+//! subset and the `catch_unwind` parchan uses.
 //!
 //! Each type wraps its `std` counterpart and adds exactly one thing:
 //! when the calling thread is a *model thread* of a live
@@ -307,39 +308,52 @@ impl WaitTimeoutResult {
 
 /// Model-checked condition variable.
 ///
-/// Inside a model, `wait` is unlock → always-enabled scheduling point
-/// → relock: the spurious wakeup `std` already permits. `notify_*`
-/// bumps an epoch so `wait_timeout` can report whether a notify
-/// happened while it was off the lock (`timed_out()` is the epoch not
-/// moving — exactly the 50 ms backstop firing with nothing to do).
-/// Because a model wait never blocks, a condvar can never deadlock a
-/// model — lost-wake bugs must be expressed through
-/// [`crate::thread::park`], whose token the scheduler does track.
+/// Inside a model, `wait` releases the mutex and joins this condvar's
+/// wait queue in one step, atomically, as `std` does; the thread then
+/// blocks until a `notify_*` picks it and relocks the mutex. A notify
+/// with nobody waiting is lost, and a wait never wakes spuriously. The
+/// timeout of `wait_timeout` is not modeled (it waits like `wait` and
+/// never reports `timed_out()`), so a wake that a timeout backstop
+/// would cover on real hardware shows up as a deadlock.
 #[derive(Debug, Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
-    epoch: std::sync::atomic::AtomicUsize,
 }
 
 impl Condvar {
     pub const fn new() -> Condvar {
         Condvar {
             inner: std::sync::Condvar::new(),
-            epoch: std::sync::atomic::AtomicUsize::new(0),
         }
+    }
+
+    fn loc(&self) -> usize {
+        self as *const _ as usize
+    }
+
+    /// The model wait: hands the mutex back, waits, relocks.
+    fn model_wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        let mutex = guard.mutex;
+        // Unlock without `MutexUnlock`'s scheduling point: the release
+        // is part of the wait's own step.
+        drop(guard.inner.take());
+        sched::cond_wait(self.loc(), mutex.loc());
+        mutex.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Moves the real guard out of a shim guard for a `std` wait.
+    fn unwrap_guard<'a, T>(
+        mut guard: MutexGuard<'a, T>,
+    ) -> (std::sync::MutexGuard<'a, T>, &'a Mutex<T>) {
+        let inner = guard.inner.take().expect("guard dismantled");
+        (inner, guard.mutex)
     }
 
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
         if sched::in_model() {
-            let mutex = guard.mutex;
-            drop(guard); // scheduling point: MutexUnlock
-            sched::cond_wait();
-            return mutex.lock(); // scheduling point: MutexLock
+            return Ok(self.model_wait(guard));
         }
-        let mut g = guard;
-        let inner = g.inner.take().expect("guard dismantled");
-        let mutex = g.mutex;
-        std::mem::forget(g);
+        let (inner, mutex) = Self::unwrap_guard(guard);
         let inner = self.inner.wait(inner).unwrap_or_else(|e| e.into_inner());
         Ok(MutexGuard {
             inner: Some(inner),
@@ -353,18 +367,9 @@ impl Condvar {
         dur: std::time::Duration,
     ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
         if sched::in_model() {
-            let mutex = guard.mutex;
-            let before = self.epoch.load(Ordering::Relaxed);
-            drop(guard);
-            sched::cond_wait();
-            let notified = self.epoch.load(Ordering::Relaxed) != before;
-            let g = mutex.lock().unwrap_or_else(|e| e.into_inner());
-            return Ok((g, WaitTimeoutResult(!notified)));
+            return Ok((self.model_wait(guard), WaitTimeoutResult(false)));
         }
-        let mut g = guard;
-        let inner = g.inner.take().expect("guard dismantled");
-        let mutex = g.mutex;
-        std::mem::forget(g);
+        let (inner, mutex) = Self::unwrap_guard(guard);
         let (inner, res) = self
             .inner
             .wait_timeout(inner, dur)
@@ -380,17 +385,123 @@ impl Condvar {
 
     pub fn notify_one(&self) {
         if sched::in_model() {
-            self.epoch.fetch_add(1, Ordering::Relaxed);
-            sched::cond_notify();
+            sched::cond_notify(self.loc(), false);
+        } else {
+            self.inner.notify_one();
         }
-        self.inner.notify_one();
     }
 
     pub fn notify_all(&self) {
         if sched::in_model() {
-            self.epoch.fetch_add(1, Ordering::Relaxed);
-            sched::cond_notify();
+            sched::cond_notify(self.loc(), true);
+        } else {
+            self.inner.notify_all();
         }
-        self.inner.notify_all();
+    }
+}
+
+/// `std::panic::catch_unwind`, except that the unwind with which the
+/// explorer tears down an execution passes through: code that catches
+/// a task's panic must not take the teardown for one.
+pub fn catch_unwind<F: FnOnce() -> R + std::panic::UnwindSafe, R>(f: F) -> std::thread::Result<R> {
+    std::panic::catch_unwind(f).map_err(|payload| {
+        if payload.is::<sched::ExecutionAbort>() {
+            std::panic::resume_unwind(payload);
+        }
+        payload
+    })
+}
+
+/// Drop-in for the `std::thread` subset parchan's executor uses. A
+/// thread spawned from a model thread is a model thread of the same
+/// execution, and `park`/`unpark` between model threads carry the
+/// explorer's token; outside a model execution everything is `std`.
+pub mod thread {
+    use crate::sched::{self, ModelJoinHandle, ThreadId};
+
+    /// `std::thread::Builder`'s `new`, `name` and `spawn`.
+    pub struct Builder(std::thread::Builder);
+
+    impl Default for Builder {
+        fn default() -> Builder {
+            Builder::new()
+        }
+    }
+
+    impl Builder {
+        pub fn new() -> Builder {
+            Builder(std::thread::Builder::new())
+        }
+
+        /// Names the OS thread (a model thread keeps its `model-N`).
+        pub fn name(self, name: String) -> Builder {
+            Builder(self.0.name(name))
+        }
+
+        pub fn spawn<F, T>(self, f: F) -> std::io::Result<JoinHandle<T>>
+        where
+            F: FnOnce() -> T + Send + 'static,
+            T: Send + 'static,
+        {
+            if sched::in_model() {
+                return Ok(JoinHandle(Joinable::Model(sched::model_spawn(f))));
+            }
+            self.0.spawn(f).map(|h| JoinHandle(Joinable::Std(h)))
+        }
+    }
+
+    /// An owned permission to join a thread spawned by [`Builder`].
+    pub struct JoinHandle<T>(Joinable<T>);
+
+    enum Joinable<T> {
+        Std(std::thread::JoinHandle<T>),
+        Model(ModelJoinHandle<T>),
+    }
+
+    impl<T> JoinHandle<T> {
+        /// Joining a model thread is a scheduling point, enabled once
+        /// it finished (its panic is already the counterexample).
+        pub fn join(self) -> std::thread::Result<T> {
+            match self.0 {
+                Joinable::Std(h) => h.join(),
+                Joinable::Model(h) => Ok(h.join()),
+            }
+        }
+    }
+
+    /// A handle to a thread, for [`Thread::unpark`].
+    #[derive(Clone, Debug)]
+    pub struct Thread(Parkable);
+
+    #[derive(Clone, Debug)]
+    enum Parkable {
+        Std(std::thread::Thread),
+        Model(ThreadId),
+    }
+
+    impl Thread {
+        pub fn unpark(&self) {
+            match &self.0 {
+                Parkable::Std(t) => t.unpark(),
+                Parkable::Model(id) => sched::unpark(*id),
+            }
+        }
+    }
+
+    /// The calling thread.
+    pub fn current() -> Thread {
+        Thread(match sched::ctx() {
+            Some((_, me)) => Parkable::Model(me),
+            None => Parkable::Std(std::thread::current()),
+        })
+    }
+
+    /// Blocks until the calling thread's token is available.
+    pub fn park() {
+        if sched::in_model() {
+            sched::park();
+        } else {
+            std::thread::park();
+        }
     }
 }

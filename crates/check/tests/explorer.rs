@@ -6,7 +6,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use chanos_check::sync::AtomicUsize;
+use chanos_check::sync::{AtomicUsize, Condvar, Mutex};
 use chanos_check::thread;
 use chanos_check::{Config, Explorer, FailureKind};
 
@@ -137,6 +137,45 @@ fn park_with_token_present_proceeds() {
         t.join();
     });
     report.assert_ok();
+}
+
+/// A flag set under a mutex and announced by `notify_one`; the root
+/// waits for it with or without re-reading the flag first.
+fn condvar_handoff(check_flag: bool) {
+    let pair = Arc::new((Mutex::new(false), Condvar::new()));
+    let t = {
+        let pair = pair.clone();
+        thread::spawn(move || {
+            *pair.0.lock().unwrap() = true;
+            pair.1.notify_one();
+        })
+    };
+    let mut ready = pair.0.lock().unwrap();
+    if check_flag {
+        while !*ready {
+            ready = pair.1.wait(ready).unwrap();
+        }
+    } else {
+        ready = pair.1.wait(ready).unwrap();
+    }
+    drop(ready);
+    t.join();
+}
+
+#[test]
+fn condvar_wait_blocks_until_notified() {
+    // The flag loop covers a notify that lands before the wait.
+    Explorer::new(cfg(3, true))
+        .check(|| condvar_handoff(true))
+        .assert_ok();
+    // Without it that notify is lost, as in `std`, and the waiter is
+    // blocked for good: a deadlock, not a spurious wake.
+    let failure = Explorer::new(cfg(3, true))
+        .check(|| condvar_handoff(false))
+        .failure
+        .expect("a notify before the wait is lost");
+    assert_eq!(failure.kind, FailureKind::Deadlock);
+    assert!(failure.detail.contains("CondWait"), "{}", failure.detail);
 }
 
 #[test]

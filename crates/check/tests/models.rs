@@ -5,7 +5,7 @@
 //! into a checked-in regression test). The protocols checked as they
 //! ship are in `crates/parchan/tests/protocols.rs`.
 
-use chanos_check::models::{nr, pinned, priority, steal};
+use chanos_check::models::{nr, steal};
 use chanos_check::{Config, Explorer, FailureKind};
 
 fn explorer() -> Explorer {
@@ -107,127 +107,6 @@ fn nr_mutant_lost_combiner_handoff_caught() {
     // the second client parks forever.
     assert_caught(
         || nr::nr_combine_model(nr::Mutant::LostCombinerHandoff),
-        &[FailureKind::Deadlock],
-    );
-}
-
-// --- steal: idle-bitmask park handshake vs notify_work ------------------
-
-#[test]
-fn idle_mask_verifies() {
-    let report = explorer().check(|| steal::idle_mask_model(steal::Mutant::None, 2));
-    report.assert_ok();
-}
-
-#[test]
-fn idle_mask_mutant_scan_before_publish_caught() {
-    assert_caught(
-        || steal::idle_mask_model(steal::Mutant::ScanBeforePublish, 2),
-        &[FailureKind::Deadlock],
-    );
-}
-
-#[test]
-fn idle_mask_mutant_no_recheck_caught() {
-    assert_caught(
-        || steal::idle_mask_model(steal::Mutant::NoRecheck, 2),
-        &[FailureKind::Deadlock],
-    );
-}
-
-#[test]
-fn idle_mask_mutant_lost_searching_clear_caught() {
-    // The leaked `searching` increment makes every producer elide its
-    // wake; the worker parks forever.
-    assert_caught(
-        || steal::idle_mask_model(steal::Mutant::LostSearchingClear, 2),
-        &[FailureKind::Deadlock],
-    );
-}
-
-#[test]
-fn idle_mask_mutant_stale_token_keeps_bit_caught() {
-    // A token owed to a registration the worker already withdrew ends
-    // the next park with that park's bit still set.
-    assert_caught(
-        || steal::idle_mask_model(steal::Mutant::StaleTokenKeepsBit, 2),
-        &[FailureKind::Panic],
-    );
-}
-
-#[test]
-fn idle_mask_stale_token_schedule_replays() {
-    // The explorer's counterexample against `worker_loop` as it stood
-    // (46th schedule): the worker registers, the producer publishes and
-    // claims the bit, the worker's re-check takes the task and its
-    // deregister loses; it registers again, finds nothing, and the
-    // token of the lost race ends the park with the new bit still set.
-    const SCHEDULE: &str = "0.0.0.0.0.0.0.0.1.1.1.1.1.1.1.0.0.0.0.0.0.0.0.0.0.0.0";
-    let stale = explorer()
-        .replay(SCHEDULE, || {
-            steal::idle_mask_model(steal::Mutant::StaleTokenKeepsBit, 2)
-        })
-        .expect("the un-fixed loop leaves the park registered idle");
-    assert_eq!(stale.kind, FailureKind::Panic, "{stale}");
-    // The same decisions against the shipping loop: the token's
-    // consumer withdraws the registration.
-    let fixed = explorer().replay(SCHEDULE, || steal::idle_mask_model(steal::Mutant::None, 2));
-    assert!(fixed.is_none(), "{}", fixed.unwrap());
-}
-
-// --- priority: high-priority lane vs the park handshake -----------------
-
-#[test]
-fn priority_lane_verifies() {
-    let report = explorer().check(|| priority::priority_lane_model(priority::Mutant::None, 2, 1));
-    report.assert_ok();
-    assert!(report.schedules > 0);
-}
-
-#[test]
-fn priority_mutant_recheck_skips_high_lane_caught() {
-    // Priority inversion on park: the pre-park re-check misses the
-    // hi lane, so the one task that must not wait strands the worker.
-    assert_caught(
-        || priority::priority_lane_model(priority::Mutant::RecheckSkipsHighLane, 1, 1),
-        &[FailureKind::Deadlock],
-    );
-}
-
-#[test]
-fn priority_mutant_lost_high_lane_wake_caught() {
-    // Publishing High work without notify_work: running workers poll
-    // the lane every dispatch, a parked worker never does.
-    assert_caught(
-        || priority::priority_lane_model(priority::Mutant::LostHighLaneWake, 1, 1),
-        &[FailureKind::Deadlock],
-    );
-}
-
-// --- pinned: a wake only its own worker may take ----------------------
-
-#[test]
-fn pinned_wake_verifies() {
-    // Holds: finding 1's hang (workers ticking on the park backstop
-    // with nothing queued) is not in this handshake.
-    let report = explorer().check(|| pinned::pinned_wake_model(pinned::Mutant::None, 2));
-    report.assert_ok();
-    assert!(report.schedules > 0);
-}
-
-#[test]
-fn pinned_mutant_recheck_skips_pinned_caught() {
-    assert_caught(
-        || pinned::pinned_wake_model(pinned::Mutant::RecheckSkipsPinned, 1),
-        &[FailureKind::Deadlock],
-    );
-}
-
-#[test]
-fn pinned_mutant_elides_for_searcher_caught() {
-    // A sibling mid-search covers stealable work, never a pinned task.
-    assert_caught(
-        || pinned::pinned_wake_model(pinned::Mutant::ElidesForSearcher, 1),
         &[FailureKind::Deadlock],
     );
 }

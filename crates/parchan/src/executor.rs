@@ -42,7 +42,8 @@
 //!   tasks jump any ring backlog regardless of which worker they
 //!   land on ([`Runtime::spawn_with_priority`]). The pre-park
 //!   re-check covers the lane too — a worker never sleeps while a
-//!   high task waits (model-checked: `priority_lane_model`).
+//!   high task waits (model-checked on this code:
+//!   `a_high_task_reaches_a_parking_worker` in `tests/protocols.rs`).
 //!
 //! Fairness: the LIFO slot is capped at [`LIFO_CAP`] consecutive
 //! polls, the injector is polled first every [`INJECTOR_INTERVAL`]
@@ -54,11 +55,11 @@ use crate::idle::{IdleSet, MAX_WORKERS};
 use crate::injector::{Burst, Injector};
 use crate::queue::{LifoSlot, Ring};
 use crate::sync::{
-    fence, Arc, AtomicBool, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex,
-    MutexGuard, Ordering, Weak,
+    catch_unwind, fence, thread, Arc, AtomicBool, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize,
+    Condvar, Mutex, MutexGuard, Ordering, Weak,
 };
 use std::future::Future;
-use std::panic::{self, AssertUnwindSafe};
+use std::panic::AssertUnwindSafe;
 use std::pin::Pin;
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
@@ -348,8 +349,9 @@ impl RtInner {
         // our queue publication before the `searching`/mask reads
         // below, so a worker whose registration we miss re-checks
         // *after* our publish and finds the work itself.
-        // Model-checked as `idle_mask_model` (mutants:
-        // ScanBeforePublish, LostSearchingClear).
+        // Model-checked on this code by
+        // `off_pool_spawns_meet_a_parking_worker` (catches the scan
+        // moved before the publish, and a searcher that never ends).
         fence(Ordering::SeqCst);
         if self.idle.searching() > 0 {
             // A searcher either finds this work in its sweep or
@@ -364,8 +366,10 @@ impl RtInner {
 
     /// Producer half for *pinned* work: only worker `w` may run it,
     /// so claim that specific worker (searchers don't help here, so
-    /// nothing is elided). Model-checked as `pinned_wake_model`
-    /// (mutants: RecheckSkipsPinned, ElidesForSearcher).
+    /// nothing is elided). Model-checked on this code by
+    /// `a_pinned_task_reaches_its_parking_worker_past_a_searching_sibling`
+    /// (catches the wake elided for a searcher, and a re-check that
+    /// skips the pinned queue).
     fn notify_specific(&self, w: usize) {
         // ordering: same Dekker fence as `notify_work` — publication
         // of the pinned push must precede the mask read inside
@@ -394,8 +398,8 @@ impl RtInner {
         // The high lane is part of every pre-park re-check: a worker
         // parking while a high task sits here would be a priority
         // inversion (the latency-critical task waits on the park
-        // backstop). Model-checked as `priority_lane_model` (mutant:
-        // RecheckSkipsHighLane).
+        // backstop). Model-checked on this code by
+        // `a_high_task_reaches_a_parking_worker`.
         if !self.hi.is_empty() {
             return true;
         }
@@ -575,7 +579,7 @@ impl Handle {
 #[derive(Clone)]
 pub struct Runtime {
     inner: Arc<RtInner>,
-    threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
 }
 
 impl Runtime {
@@ -605,7 +609,7 @@ impl Runtime {
         for i in 0..workers {
             let rt = inner.clone();
             threads.push(
-                std::thread::Builder::new()
+                thread::Builder::new()
                     .name(format!("parchan-worker{i}"))
                     .spawn(move || worker_loop(rt, i))
                     .expect("spawn worker thread"),
@@ -668,7 +672,7 @@ impl Runtime {
     pub fn block_on<T, F: Future<Output = T>>(&self, fut: F) -> T {
         let _ambient = enter(&self.inner, None);
         let parker = Arc::new(ThreadParker {
-            thread: std::thread::current(),
+            thread: thread::current(),
             notified: AtomicBool::new(false),
         });
         let waker = Waker::from(parker.clone());
@@ -679,7 +683,7 @@ impl Runtime {
                 Poll::Ready(v) => return v,
                 Poll::Pending => {
                     while !parker.notified.swap(false, Ordering::AcqRel) {
-                        std::thread::park();
+                        thread::park();
                     }
                 }
             }
@@ -855,7 +859,7 @@ where
 }
 
 struct ThreadParker {
-    thread: std::thread::Thread,
+    thread: thread::Thread,
     notified: AtomicBool,
 }
 
@@ -896,8 +900,9 @@ fn worker_loop(rt: Arc<RtInner>, me: usize) {
         // ordering: park protocol (Dekker): register the idle bit,
         // SeqCst-fence, then re-sweep every source. A producer
         // publishes work, fences, then scans the mask; in the SeqCst
-        // order one of us must see the other. Model-checked as
-        // `idle_mask_model` (mutant: NoRecheck).
+        // order one of us must see the other. Model-checked on this
+        // code by `off_pool_spawns_meet_a_parking_worker` (catches the
+        // re-check skipped).
         rt.idle.register(me);
         fence(Ordering::SeqCst);
         // ordering: the shutdown re-check rides the same fence — the
@@ -923,8 +928,8 @@ fn worker_loop(rt: Arc<RtInner>, me: usize) {
                 // claim that raced the self-rescue above), not to the
                 // bit just set: withdraw it, or this worker runs tasks
                 // while the mask says idle and `claim_any` spends a
-                // wake on it instead of a parked sibling. Model-checked
-                // as `idle_mask_model` (mutant: StaleTokenKeepsBit).
+                // wake on it instead of a parked sibling (asserted
+                // below the loop under the model checker).
                 rt.idle.deregister(me);
                 break;
             }
@@ -941,6 +946,16 @@ fn worker_loop(rt: Arc<RtInner>, me: usize) {
                 break;
             }
         }
+        // Unless for shutdown, the loop leaves with this worker's bit
+        // clear: a token consumed with the bit still up would have it
+        // run tasks while `claim_any` counts it idle. The cost of that
+        // bug is a wasted wake, which no check could observe, so the
+        // model checker asserts the invariant itself.
+        #[cfg(feature = "chanos_check")]
+        assert!(
+            rt.shutdown.load(Ordering::Acquire) || !rt.idle.is_registered(me),
+            "worker {me} left the park loop registered idle"
+        );
     }
     // Back to the queue the shutdown reaper drains: it, not a worker,
     // drops the futures of tasks that never ran.
@@ -1130,7 +1145,7 @@ fn run_task(task: Arc<TaskCell>, rt: &Arc<RtInner>) {
             None => return, // Completed (or reaped) elsewhere.
         }
     };
-    let poll = panic::catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
+    let poll = catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
     match poll {
         Ok(Poll::Ready(())) | Err(_) => {
             // Panics are surfaced through the JoinHandle by the
@@ -1317,7 +1332,7 @@ impl<F: Future> Future for CatchUnwind<AssertUnwindSafe<F>> {
         // SAFETY: structural pinning of the only field; we never move
         // it after this projection.
         let inner = unsafe { self.map_unchecked_mut(|s| &mut s.inner.0) };
-        match panic::catch_unwind(AssertUnwindSafe(|| inner.poll(cx))) {
+        match catch_unwind(AssertUnwindSafe(|| inner.poll(cx))) {
             Ok(Poll::Ready(v)) => Poll::Ready(Ok(v)),
             Ok(Poll::Pending) => Poll::Pending,
             Err(payload) => {

@@ -11,7 +11,7 @@
 //! executor, but only for the actual OS block *after* this module's
 //! lock-free handshake has decided a worker really must sleep.
 //!
-//! ## The Dekker pairing (mirrored by `idle_mask_model`)
+//! ## The Dekker pairing
 //!
 //! * Producer: **publish work, then** `fence(SeqCst)`, **then** read
 //!   `searching` / `mask`.
@@ -28,12 +28,19 @@
 //! worker self-rescue} clears a registered bit because both use a
 //! single RMW (`fetch_and`) on the same word.
 //!
-//! The worker's half runs on `std::thread`, which the explorer cannot
-//! drive, so the pairing is checked on a copy: `idle_mask_model` in
-//! `crates/check/src/models/steal.rs`. Mutants proven caught by it:
-//! producer scanning before publishing, worker skipping the re-check,
-//! worker losing the searching-count clear, worker consuming a wake
-//! token and keeping its bit.
+//! Both halves are checked as they ship: the executor checks in
+//! `tests/protocols.rs` run `worker_loop` on model threads against
+//! off-pool producers. Seeded on a scratch copy, each of these is
+//! caught there: a producer scanning before it publishes, a worker
+//! skipping the re-check or losing its searching-count clear
+//! (`off_pool_spawns_meet_a_parking_worker`), a pinned wake elided
+//! for a searcher or missing from the re-check
+//! (`a_pinned_task_reaches_its_parking_worker_past_a_searching_sibling`),
+//! and the high lane missing its wake or the re-check
+//! (`a_high_task_reaches_a_parking_worker`). A worker that consumes a
+//! wake token and keeps its bit only wastes a later wake, so under the
+//! model checker `worker_loop` asserts the bit clear when it leaves
+//! the park loop; the same check trips that assertion.
 
 use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 
@@ -111,6 +118,13 @@ impl IdleSet {
         // observes the set bit, which is what makes token
         // accounting exact (no double-consume, no lost token).
         self.mask.fetch_and(!(1 << w), Ordering::SeqCst) & (1 << w) != 0
+    }
+
+    /// Whether worker `w` is registered idle: the park loop's exit
+    /// invariant, asserted only under the model checker.
+    #[cfg(feature = "chanos_check")]
+    pub(crate) fn is_registered(&self, w: usize) -> bool {
+        self.mask.load(Ordering::Relaxed) & (1 << w) != 0
     }
 
     /// Producer claims a specific registered worker (pinned wakes:

@@ -2,19 +2,21 @@
 //!
 //! `chan.rs`, `oneshot.rs`, `executor.rs`, `injector.rs`, and
 //! `timer.rs` import their atomics, mutexes, and condvars from here
-//! instead of `std::sync`. In a normal build these re-exports *are* `std` —
-//! zero cost, zero behavior change. Under `--features chanos_check`
-//! the same names resolve to the `chanos-check` shim types, whose
-//! every operation yields to a model-checking scheduler when the
-//! calling thread belongs to an explorer execution (and passes
-//! through to `std` otherwise).
+//! instead of `std::sync`, and the executor its worker threads, its
+//! `block_on` park and its `catch_unwind`. In a normal build these
+//! re-exports *are* `std` — zero cost, zero behavior change. Under
+//! `--features chanos_check` the same names resolve to the
+//! `chanos-check` shim types, whose every operation yields to a
+//! model-checking scheduler when the calling thread belongs to an
+//! explorer execution (and passes through to `std` otherwise): a
+//! `Runtime` made inside a model runs its workers as model threads.
 //!
 //! Keep the split surgical: only the types whose operations are
 //! *interleaving points* come from the shim. `Arc`, `Weak`, and
 //! `OnceLock` are always `std` (refcounting and one-time init are
-//! not schedules the checker explores), as are `std::thread` and
-//! `Instant` in the executor — the executor is the runtime the
-//! shims' non-model path runs on.
+//! not schedules the checker explores), as are `Instant` and the
+//! timer thread (`timer.rs` spawns its own `std` thread, so a check
+//! uses no `sleep`/`after`).
 
 #[cfg(not(feature = "chanos_check"))]
 pub use std::sync::atomic::{
@@ -22,11 +24,13 @@ pub use std::sync::atomic::{
 };
 #[cfg(not(feature = "chanos_check"))]
 pub use std::sync::{Condvar, Mutex, MutexGuard};
+#[cfg(not(feature = "chanos_check"))]
+pub use std::{panic::catch_unwind, thread};
 
 #[cfg(feature = "chanos_check")]
 pub use chanos_check::sync::{
-    fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex,
-    MutexGuard,
+    catch_unwind, fence, thread, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8,
+    AtomicUsize, Condvar, Mutex, MutexGuard,
 };
 
 pub use std::sync::atomic::Ordering;

@@ -1,10 +1,11 @@
 //! The shipping message protocols, model-checked: `chanos_check`'s
-//! explorer drives parchan's own channel ring, mutex core, oneshot
-//! and reply batch through their public API from model threads, and
-//! enumerates every interleaving of their atomics and locks up to a
-//! preemption bound. Under `--features chanos_check` those atomics
-//! and locks are the checker's shim types (`src/sync.rs`), so what is
-//! explored is the code that ships, not a copy of it. Run with
+//! explorer drives parchan's own channel ring, mutex core, oneshot,
+//! reply batch and executor through their public API from model
+//! threads, and enumerates every interleaving of their atomics, locks
+//! and condvars up to a preemption bound. Under `--features
+//! chanos_check` those are the checker's shim types (`src/sync.rs`),
+//! and a `Runtime`'s workers are model threads, so what is explored is
+//! the code that ships, not a copy of it. Run with
 //!
 //! ```text
 //! cargo test --release -p chanos-parchan --features chanos_check --test protocols
@@ -40,7 +41,9 @@ use std::task::{Context, Poll, Wake, Waker};
 
 use chanos_check::{thread, Config, Explorer};
 use chanos_parchan::oneshot::oneshot;
-use chanos_parchan::{channel, join2, Capacity, RecvError, WakeBatch};
+use chanos_parchan::{
+    channel, current_worker, join2, Capacity, Panicked, Priority, RecvError, Runtime, WakeBatch,
+};
 
 /// A waker that unparks the model thread it was made on.
 struct Unpark(thread::ThreadId);
@@ -61,10 +64,17 @@ fn waker() -> Waker {
 /// this re-poll is what makes a parked oneshot receiver take its
 /// waker back (`WAITING → EMPTY`) while its sender may be resolving.
 fn block_on<F: Future>(fut: F) -> F::Output {
+    drive(fut, true)
+}
+
+/// [`block_on`], with the re-poll before the first park optional:
+/// without it a `Pending` parks at once, as a task that is not woken
+/// is not polled again.
+fn drive<F: Future>(fut: F, repoll: bool) -> F::Output {
     let waker = waker();
     let mut cx = Context::from_waker(&waker);
     let mut fut = pin!(fut);
-    let mut repolled = false;
+    let mut repolled = !repoll;
     loop {
         if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
             return v;
@@ -77,14 +87,26 @@ fn block_on<F: Future>(fut: F) -> F::Output {
 
 /// Explores `model` up to `max_preemptions`, and fails on any
 /// counterexample or on running out of budget (`CHANOS_CHECK_BUDGET`,
-/// default 50 000 schedules) before the space is exhausted.
-fn verify(max_preemptions: usize, model: impl Fn() + Send + Sync + 'static) {
-    Explorer::new(Config {
+/// default 50 000 schedules) before the space is exhausted. A
+/// counterexample is first replayed twice: one that does not come back
+/// the same way is reported as such.
+fn verify(max_preemptions: usize, model: impl Fn() + Clone + Send + Sync + 'static) {
+    let explorer = Explorer::new(Config {
         max_preemptions,
         ..Config::default()
-    })
-    .check(model)
-    .assert_ok();
+    });
+    let report = explorer.check(model.clone());
+    if let Some(failure) = &report.failure {
+        for _ in 0..2 {
+            let again = explorer.replay(&failure.schedule, model.clone());
+            assert_eq!(
+                again.map(|f| f.kind),
+                Some(failure.kind.clone()),
+                "{failure} does not replay"
+            );
+        }
+    }
+    report.assert_ok();
 }
 
 /// The high bits of every value an execution sends (see the module
@@ -152,6 +174,31 @@ fn mutex_core_delivers_in_order() {
     verify(3, || deliver(Capacity::Bounded(4), 1, 2));
     verify(3, || deliver(Capacity::Bounded(4), 2, 1));
     verify(3, || deliver(Capacity::Rendezvous, 1, 2));
+}
+
+#[test]
+fn ring_send_parked_on_a_full_ring_is_woken_by_a_receive() {
+    // `park_send` → fence → re-push against `after_pop`: the root fills
+    // all eight slots, a sender parks on the ninth value, and the
+    // root's receives must free a slot and wake it. The sender parks on
+    // its first `Pending`, so its own re-push is all that covers a pop
+    // between its last try and its registration.
+    verify(2, || {
+        let base = nonce();
+        let (tx, rx) = channel::<u64>(Capacity::Bounded(8));
+        for i in 0..8 {
+            tx.try_send(base | i).expect("room for eight");
+        }
+        let sender = {
+            let tx = tx.clone();
+            thread::spawn(move || drive(tx.send(base | 8), false).expect("the receiver is alive"))
+        };
+        for i in 0..9 {
+            assert_eq!(block_on(rx.recv()), Ok(base | i));
+        }
+        sender.join();
+        drop(tx);
+    });
 }
 
 /// Receiver A parks, is woken by the one message, and is dropped
@@ -269,4 +316,107 @@ fn reply_batch(flush: bool) {
 fn reply_batch_wakes_its_client_on_flush_and_on_drop() {
     verify(3, || reply_batch(true));
     verify(3, || reply_batch(false));
+}
+
+// --- executor ---------------------------------------------------------
+//
+// The root builds a `Runtime` whose workers are model threads, drives
+// it through the public API and shuts it down; `shutdown` joins every
+// worker, so a worker that never leaves its park is a deadlock. The
+// root is an off-pool thread: its spawns go through the injector, the
+// high lane or a pinned queue, never a worker's own ring. The timer
+// thread is `std`'s, not a model thread, so no check sleeps.
+//
+// The root shuts down a clone and keeps `rt` to the end: when the
+// explorer tears an execution down mid-shutdown, the runtime then
+// outlives the root's channel endpoints, as it does in every real
+// run, so a wake from a dropped `Sender` goes to a run queue instead
+// of dropping the task's future inside that channel's own lock.
+
+/// Two off-pool spawns onto one worker: `notify_work`'s publish →
+/// fence → `searching` / mask read against `worker_loop`'s search →
+/// register → fence → `has_work` → park. A token from a claim that
+/// raced the worker's self-rescue ends its next park, which must
+/// withdraw the bit that park set.
+fn off_pool_spawns() {
+    let rt = Runtime::new(1);
+    let a = rt.spawn(async { 1 });
+    let b = rt.spawn(async { 2 });
+    assert_eq!(a.join_blocking(), Ok(1));
+    assert_eq!(b.join_blocking(), Ok(2));
+    rt.clone().shutdown();
+}
+
+#[test]
+fn off_pool_spawns_meet_a_parking_worker() {
+    verify(2, off_pool_spawns);
+}
+
+/// One bound deeper: ~57 500 schedules and two minutes, so CI runs it
+/// nightly, with `CHANOS_CHECK_BUDGET=200000` and `-- --ignored`.
+#[test]
+#[ignore = "two minutes; CI runs it nightly"]
+fn off_pool_spawns_meet_a_parking_worker_at_bound_3() {
+    verify(3, off_pool_spawns);
+}
+
+#[test]
+fn a_pinned_task_reaches_its_parking_worker_past_a_searching_sibling() {
+    // `notify_specific`: worker 0 alone may run the task, so its wake
+    // is never elided for worker 1's search, and worker 0's re-check
+    // reads its pinned queue. A spawn is scheduled as a wake is.
+    verify(2, || {
+        let rt = Runtime::new(2);
+        let h = rt.spawn_pinned(0, async { current_worker() });
+        assert_eq!(h.join_blocking(), Ok(Some(0)));
+        rt.clone().shutdown();
+    });
+}
+
+#[test]
+fn a_high_task_reaches_a_parking_worker() {
+    // The high lane's push is followed by `notify_work`, and the
+    // pre-park re-check reads the lane.
+    verify(3, || {
+        let rt = Runtime::new(1);
+        let h = rt.spawn_with_priority(Priority::High, async { 3 });
+        assert_eq!(h.join_blocking(), Ok(3));
+        rt.clone().shutdown();
+    });
+}
+
+#[test]
+fn a_task_woken_while_running_is_polled_again() {
+    // The root's send may wake the task between its receive's park and
+    // the end of its poll: `wake_by_ref` moves `RUNNING → NOTIFIED`,
+    // `run_task`'s `RUNNING → IDLE` CAS fails on it, and the task is
+    // scheduled again.
+    verify(3, || {
+        let base = nonce();
+        let rt = Runtime::new(1);
+        let (tx, rx) = channel::<u64>(Capacity::Bounded(4));
+        let h = rt.spawn(async move { rx.recv().await });
+        tx.try_send(base | 1).expect("room for one");
+        assert_eq!(h.join_blocking(), Ok(Ok(base | 1)));
+        rt.clone().shutdown();
+        drop(tx);
+    });
+}
+
+#[test]
+fn shutdown_reaps_a_task_parked_on_a_channel() {
+    // Shutdown at any point of the task's life — queued, running,
+    // parked on a receive the root's sender never answers — ends every
+    // worker and resolves the handle.
+    verify(3, || {
+        let rt = Runtime::new(1);
+        let (tx, rx) = channel::<u64>(Capacity::Bounded(4));
+        let h = rt.spawn(async move { rx.recv().await });
+        rt.clone().shutdown();
+        assert_eq!(
+            h.join_blocking(),
+            Err(Panicked("runtime shut down".to_string()))
+        );
+        drop(tx);
+    });
 }
