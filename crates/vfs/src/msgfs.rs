@@ -29,7 +29,9 @@
 //! cache once in the task's life), answers `ReadInode` from there, and
 //! writes what a drained burst of requests changed through to the
 //! cache shards in one round trip before it answers the burst's
-//! writers — so the cache, and after a `sync` the volume, hold the
+//! writers — only the bytes that changed, patched into each shard's
+//! copy of the block, and a block whole only where the shard no longer
+//! caches it — so the cache, and after a `sync` the volume, hold the
 //! bytes the lock engines would have written. A file's data blocks
 //! live in the cache shards alone.
 //!
@@ -46,10 +48,11 @@
 //! state — read from the cache on first use, kept in step by its own
 //! `Create` and `Unlink` — and answers `Lookup`, `ReadDir`, the
 //! existence checks and `Condemn`'s emptiness test from there. A
-//! `Create` or `Unlink` patches its 64-byte entry into the held block
-//! and writes the whole block through with one cache `Write`, slot for
-//! slot as `FsCore::dir_add`/`dir_remove` place them, so the volume
-//! stays the bytes the lock engines would have written.
+//! `Create` or `Unlink` writes its 64-byte entry into the held block
+//! and sends the cache those 64 bytes alone, as a patch of the shard's
+//! copy (the whole block only where the shard no longer caches it),
+//! slot for slot as `FsCore::dir_add`/`dir_remove` place them, so the
+//! volume stays the bytes the lock engines would have written.
 //!
 //! Unlink of a directory checks emptiness in the child vnode. A vnode
 //! that drops its last link reaps itself in an order that keeps its
@@ -74,6 +77,7 @@
 //! woken once per burst (`chan.reply_wakes_coalesced`).
 
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -354,10 +358,14 @@ const FS_BATCH: usize = 32;
 ///
 /// A read of an own block is answered from the task's copy, fetched
 /// from the cache the first time and never again (nobody else writes
-/// those blocks, so the copy cannot go stale). A `write_block` only
-/// records the block; [`flush`](GroupStore::flush) sends what a burst
-/// of requests wrote to the cache shards together, before any of its
-/// writers is answered.
+/// those blocks, so the copy cannot go stale). A `write_block` of an
+/// own block only records which bytes changed, found by comparing the
+/// block with the copy; [`flush`](GroupStore::flush) patches those
+/// bytes into the cache shards' blocks — a bitmap bit, a 128-byte
+/// inode record — before any of the burst's writers is answered, and
+/// writes a block whole only where its shard no longer caches it. A
+/// block that is not the group's own (the data block `alloc_block_in`
+/// zeroes) goes out whole.
 /// A block whose write-through failed stays recorded and goes out
 /// again with the next flush: the task's copy is the truth, and the
 /// cache must end up holding it.
@@ -365,7 +373,7 @@ const FS_BATCH: usize = 32;
 struct GroupStore {
     cache: CacheClient,
     /// The group's own block numbers.
-    own: std::ops::Range<u64>,
+    own: Range<u64>,
     blocks: Arc<Mutex<GroupBlocks>>,
 }
 
@@ -374,9 +382,31 @@ struct GroupBlocks {
     /// itable_blocks` of them whatever the workload (10 at the
     /// benchmark's geometry, 130 at the layout's largest).
     held: Vec<Option<Vec<u8>>>,
-    /// Written and not yet through to the cache, one entry per block
-    /// in the order first written.
-    pending: Vec<(u64, Vec<u8>)>,
+    /// Own blocks not yet through to the cache, in the order first
+    /// written: the bytes the copy has changed in since the cache last
+    /// took the block, as one range.
+    changed: Vec<(u64, Range<usize>)>,
+    /// Other blocks written and not yet through, whole, in the order
+    /// first written.
+    whole: Vec<(u64, Vec<u8>)>,
+}
+
+/// The bytes `new` differs from `old` in, first to last; `None` if
+/// none. The two are compared 64 bytes at a time (slice equality is a
+/// `memcmp`), byte by byte only inside the first and last chunks that
+/// differ.
+fn changed_range(old: &[u8], new: &[u8]) -> Option<Range<usize>> {
+    const CHUNK: usize = 64;
+    let chunks = || old.chunks(CHUNK).zip(new.chunks(CHUNK));
+    let first = CHUNK * chunks().position(|(a, b)| a != b)?;
+    let last = CHUNK * chunks().rposition(|(a, b)| a != b)?;
+    let bytes = |at: usize| {
+        let end = (at + CHUNK).min(old.len());
+        old[at..end].iter().zip(&new[at..end])
+    };
+    let start = first + bytes(first).position(|(a, b)| a != b)?;
+    let end = last + bytes(last).rposition(|(a, b)| a != b)? + 1;
+    Some(start..end)
 }
 
 impl GroupStore {
@@ -385,7 +415,8 @@ impl GroupStore {
         debug_assert_eq!(own.end - own.start, 2 + sb.itable_blocks());
         let blocks = GroupBlocks {
             held: vec![None; (own.end - own.start) as usize],
-            pending: Vec::new(),
+            changed: Vec::new(),
+            whole: Vec::new(),
         };
         GroupStore {
             cache,
@@ -401,28 +432,70 @@ impl GroupStore {
             .then(|| (lba - self.own.start) as usize)
     }
 
-    /// Writes every recorded block through to the cache, all shards at
-    /// once. The blocks the cache refused stay recorded; the error is
-    /// the first of theirs.
+    /// The held copy of own block `lba`, which a write has recorded.
+    fn held<'a>(&self, blocks: &'a GroupBlocks, lba: u64) -> &'a [u8] {
+        let slot = self.slot(lba).expect("an own block");
+        blocks.held[slot].as_deref().expect("held since written")
+    }
+
+    /// Sends everything recorded to the cache, all shards at once: the
+    /// changed bytes of each own block as a patch, every other block
+    /// whole. An own block its shard no longer caches goes out whole
+    /// in a second round trip. The blocks the cache refused stay
+    /// recorded; the error is the first of theirs.
     async fn flush(&self) -> Result<(), FsError> {
-        let pending = std::mem::take(&mut plock(&self.blocks).pending);
-        if pending.is_empty() {
+        let (changed, whole) = {
+            let mut blocks = plock(&self.blocks);
+            (
+                std::mem::take(&mut blocks.changed),
+                std::mem::take(&mut blocks.whole),
+            )
+        };
+        if changed.is_empty() && whole.is_empty() {
             return Ok(());
         }
         rt::stat_incr("msgfs.group_write_throughs");
-        let answers = self.cache.write_many(&pending).await;
+        let (patched, wrote) = {
+            let blocks = plock(&self.blocks);
+            let patches: Vec<_> = changed
+                .iter()
+                .map(|(lba, range)| (*lba, range.start, &self.held(&blocks, *lba)[range.clone()]))
+                .collect();
+            (
+                self.cache.patch_many(&patches),
+                self.cache.write_many(&whole),
+            )
+        };
+        let (patched, wrote) = (patched.await, wrote.await);
+        // A shard that did not cache the block changed nothing: it
+        // gets the copy whole.
+        let missed: Vec<_> = changed
+            .into_iter()
+            .zip(patched)
+            .filter_map(|(change, held)| (!held).then_some(change))
+            .collect();
+        let copies: Vec<_> = {
+            let blocks = plock(&self.blocks);
+            let copy = |(lba, _): &(u64, Range<usize>)| (*lba, self.held(&blocks, *lba).to_vec());
+            missed.iter().map(copy).collect()
+        };
+        let fell_back = self.cache.write_many(&copies).await;
         let mut out = Ok(());
-        let mut refused = Vec::new();
-        for (block, answer) in pending.into_iter().zip(answers) {
+        // The one task that records writes here was waiting above.
+        let mut blocks = plock(&self.blocks);
+        debug_assert!(blocks.changed.is_empty() && blocks.whole.is_empty());
+        for (change, answer) in missed.into_iter().zip(fell_back) {
             if let Err(e) = answer {
-                refused.push(block);
+                blocks.changed.push(change);
                 out = out.and(Err(e));
             }
         }
-        // The one task that records writes here was waiting above.
-        let mut blocks = plock(&self.blocks);
-        debug_assert!(blocks.pending.is_empty());
-        blocks.pending = refused;
+        for (block, answer) in whole.into_iter().zip(wrote) {
+            if let Err(e) = answer {
+                blocks.whole.push(block);
+                out = out.and(Err(e));
+            }
+        }
         out
     }
 }
@@ -443,12 +516,24 @@ impl BlockStore for GroupStore {
     async fn write_block(&self, lba: u64, data: Vec<u8>) -> Result<(), FsError> {
         check_block_len(&data)?;
         let mut blocks = plock(&self.blocks);
-        if let Some(i) = self.slot(lba) {
-            blocks.held[i] = Some(data.clone());
-        }
-        match blocks.pending.iter_mut().find(|(l, _)| *l == lba) {
-            Some((_, older)) => *older = data,
-            None => blocks.pending.push((lba, data)),
+        let Some(i) = self.slot(lba) else {
+            match blocks.whole.iter_mut().find(|(l, _)| *l == lba) {
+                Some((_, older)) => *older = data,
+                None => blocks.whole.push((lba, data)),
+            }
+            return Ok(());
+        };
+        let range = match &blocks.held[i] {
+            Some(old) => changed_range(old, &data),
+            None => Some(0..BLOCK_SIZE),
+        };
+        blocks.held[i] = Some(data);
+        let Some(range) = range else {
+            return Ok(());
+        };
+        match blocks.changed.iter_mut().find(|(l, _)| *l == lba) {
+            Some((_, older)) => *older = older.start.min(range.start)..older.end.max(range.end),
+            None => blocks.changed.push((lba, range)),
         }
         Ok(())
     }
@@ -803,13 +888,15 @@ impl Vnode {
             .await
     }
 
-    /// Puts `rec` into `slot` of the held block, writes that block
-    /// through whole to `lba` (from [`Vnode::slot_block`]) and stores
-    /// the inode if the directory grew. The caller has changed the
-    /// entries already: a write the cache refuses fails the request and
-    /// the copy stands, because the block is in the cache — the error
-    /// is that of a dirty block it pushed out — and the inode is stored
-    /// all the same.
+    /// Puts `rec` into `slot` of the held block, patches those 64 bytes
+    /// into the cache's copy of the block at `lba` (from
+    /// [`Vnode::slot_block`]) — or, where the shard no longer caches
+    /// it, writes the held block whole — and stores the inode if the
+    /// directory grew. The caller has changed the entries already: a
+    /// write the cache refuses fails the request and the copy stands,
+    /// because the block is in the cache — the error is that of a
+    /// dirty block it pushed out — and the inode is stored all the
+    /// same.
     async fn put_slot(&mut self, lba: u64, slot: u64, rec: &[u8]) -> Result<(), FsError> {
         let pos = slot * DIRENT_SIZE as u64;
         let (fbn, at) = (pos as usize / BLOCK_SIZE, pos as usize % BLOCK_SIZE);
@@ -818,9 +905,14 @@ impl Vnode {
             blocks.push(vec![0; BLOCK_SIZE]);
         }
         blocks[fbn][at..at + DIRENT_SIZE].copy_from_slice(rec);
-        let block = blocks[fbn].clone();
         self.inode.size = self.inode.size.max(pos + DIRENT_SIZE as u64);
-        let wrote = self.shared.core.store().write_block(lba, block).await;
+        let cache = self.shared.core.store();
+        let wrote = if cache.patch_many(&[(lba, at, rec)]).await[0] {
+            Ok(())
+        } else {
+            let block = self.dir.as_ref().expect("loaded above").blocks[fbn].clone();
+            cache.write_block(lba, block).await
+        };
         let stored = self.store().await;
         wrote.and(stored)
     }
@@ -1105,6 +1197,18 @@ impl MsgFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn changed_range_spans_the_first_to_the_last_changed_byte() {
+        let old = vec![0u8; BLOCK_SIZE];
+        assert_eq!(changed_range(&old, &old), None);
+        for (a, b) in [(0, 0), (63, 64), (5, 4095), (4095, 4095), (130, 2000)] {
+            let mut new = old.clone();
+            new[a] = 1;
+            new[b] = 1;
+            assert_eq!(changed_range(&old, &new), Some(a..b + 1), "{a}, {b}");
+        }
+    }
 
     #[cfg(target_pointer_width = "64")]
     #[test]

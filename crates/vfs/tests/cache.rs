@@ -563,12 +563,60 @@ fn write_many_overlaps_shards_and_keeps_a_shards_order() {
     });
 }
 
+/// A `Patch` changes a cached block in place and nothing else. A block
+/// the shard does not cache — on its way from the disk, or evicted and
+/// on its way back to it — is answered "not held" and left as it was:
+/// the parked reader gets the disk's bytes, the write-back carries the
+/// bytes written. A patch that does not fit in a block is not sent.
+#[test]
+fn a_patch_changes_only_a_block_the_shard_caches() {
+    in_sim(async {
+        let (disk, cache, _) = rig(1, 2);
+        cache.write_block(1, blk(1)).await.unwrap();
+        assert_eq!(cache.patch_many(&[(1, 100, &[9; 64])]).await, [true]);
+        let mut patched = blk(1);
+        patched[100..164].fill(9);
+        assert_eq!(cache.read_block(1).await.unwrap(), patched);
+        assert_eq!(rt::stat_get("cache.patches"), 1);
+
+        // In a fill.
+        disk.set_block(5, blk(5));
+        disk.hold();
+        let reader = spawn_read(&cache, 5);
+        disk.wait_held(1).await;
+        assert_eq!(cache.patch_many(&[(5, 0, &[9])]).await, [false]);
+        disk.free();
+        assert_eq!(reader.join().await.unwrap().unwrap(), blk(5));
+
+        // On its way out: block 2 is the older of the two dirty blocks
+        // when block 3 comes in.
+        cache.write_block(2, blk(2)).await.unwrap();
+        cache.write_block(5, blk(6)).await.unwrap();
+        disk.hold();
+        let evicting = spawn_write(&cache, 3, 3);
+        disk.wait_held(1).await;
+        assert_eq!(disk.held(), ["w2"]);
+        assert_eq!(cache.patch_many(&[(2, 0, &[9])]).await, [false]);
+        assert_eq!(rt::stat_get("cache.patches_refused"), 2);
+        disk.free();
+        evicting.join().await.unwrap().unwrap();
+        assert_eq!(disk.peek_block(2), blk(2));
+
+        assert_eq!(cache.patch_many(&[(3, 4095, &[9, 9])]).await, [false]);
+        assert_eq!(rt::stat_get("cache.patches_refused"), 2, "not sent");
+        assert_eq!(cache.read_block(3).await.unwrap(), blk(3));
+    });
+}
+
 /// A group task's copy of its bitmaps and inode table is the truth, so
 /// a write-through the cache refuses must be neither silent nor lost:
 /// the request that saw it fails, and once the disk is well again the
 /// volume ends up the bytes the big-lock engine writes for the same
 /// operations. One cache shard of two blocks: with the disk refusing
-/// writes, every dirty block pushed out comes back with an error.
+/// writes, every dirty block pushed out comes back with an error. A
+/// patch is never refused, but the whole-block write that follows one
+/// the shard could not take can be, and then the group keeps the
+/// changed range recorded until a flush gets it through.
 #[test]
 fn refused_write_through_fails_the_request_and_reaches_the_disk_later() {
     const BLOCKS: u64 = 256;
@@ -629,7 +677,7 @@ fn refused_write_through_fails_the_request_and_reaches_the_disk_later() {
         // failed since the last one.
         disk.refuse_writes(false);
         assert_eq!(fs.create("/d/x").await, Ok(f));
-        assert_eq!(fs.sync().await, Err(refused));
+        assert_eq!(fs.sync().await, Err(refused.clone()));
         assert_eq!(fs.sync().await, Ok(()));
 
         reference.mkdir("/d").await.unwrap();
@@ -640,12 +688,53 @@ fn refused_write_through_fails_the_request_and_reaches_the_disk_later() {
         reference.unlink("/d/f").await.unwrap();
         reference.create("/d/x").await.unwrap();
         reference.sync().await.unwrap();
-        for lba in 0..BLOCKS {
-            assert!(
-                disk.peek_block(lba) == ref_disk.peek_block(lba),
-                "block {lba} differs"
-            );
-        }
+        let same_volume = || {
+            for lba in 0..BLOCKS {
+                assert!(
+                    disk.peek_block(lba) == ref_disk.peek_block(lba),
+                    "block {lba} differs"
+                );
+            }
+        };
+        same_volume();
+
+        // A refused fallback keeps its range. `/d/y` has one byte; `x`'s
+        // eight blocks, written and then overwritten in place, fill
+        // the cache with dirty blocks. With the disk refusing writes,
+        // `y` grows inside its block: the data block is written, and
+        // the stored inode's patch finds group 1's inode-table block
+        // gone, so the group writes the block whole — which pushes a
+        // dirty block out, is refused, and fails the `write`. The
+        // group keeps the record's bytes recorded, and once the disk
+        // is well, `sync`'s `GroupMsg::Flush` finds them and sends
+        // them again.
+        let (x, y) = (f, fs.create("/d/y").await.unwrap());
+        fs.write(y, 0, &[0x79]).await.unwrap();
+        let first: Vec<u8> = (0..8).flat_map(|i| blk(0x50 + i)).collect();
+        let again: Vec<u8> = (0..8).flat_map(|i| blk(0x60 + i)).collect();
+        fs.write(x, 0, &first).await.unwrap();
+        fs.write(x, 0, &again).await.unwrap();
+        disk.refuse_writes(true);
+        let fallbacks = rt::stat_get("cache.patches_refused");
+        assert_eq!(fs.write(y, 1, &[0x79; 99]).await, Err(refused.clone()));
+        assert!(rt::stat_get("cache.patches_refused") > fallbacks);
+        disk.refuse_writes(false);
+        let through = rt::stat_get("msgfs.group_write_throughs");
+        assert_eq!(fs.sync().await, Err(refused), "the refused write-backs");
+        assert_eq!(
+            rt::stat_get("msgfs.group_write_throughs") - through,
+            1,
+            "the inode record the refused fallback left recorded"
+        );
+        assert_eq!(fs.sync().await, Ok(()));
+
+        assert_eq!(reference.create("/d/y").await, Ok(y));
+        reference.write(y, 0, &[0x79]).await.unwrap();
+        reference.write(x, 0, &first).await.unwrap();
+        reference.write(x, 0, &again).await.unwrap();
+        reference.write(y, 1, &[0x79; 99]).await.unwrap();
+        reference.sync().await.unwrap();
+        same_volume();
     });
 }
 
@@ -770,5 +859,117 @@ fn a_failed_free_does_not_leave_the_later_blocks_allocated() {
         assert!(fs.sync().await.is_err(), "the write-backs refused since");
         fs.sync().await.unwrap();
         assert_eq!(data_blocks_in_use(), before_create);
+    });
+}
+
+/// A group task and a directory vnode send a shard only the bytes they
+/// changed — a bitmap bit, an inode record, a dirent — as a `Patch`. A
+/// shard that no longer caches the block changes nothing and says so,
+/// and the owner writes its copy whole. One cache shard of two blocks:
+/// every file's two data blocks push the group's bitmap and
+/// inode-table blocks and the directory's block out between the writes
+/// that patch them, so both answers come up in every round (the second
+/// `create` finds the inode bitmap and the directory's block gone and
+/// the inode-table block there), and the volume must still be the
+/// bytes the big-lock engine writes.
+#[test]
+fn a_patch_the_shard_cannot_take_goes_out_as_the_whole_block() {
+    const BLOCKS: u64 = 256;
+    const GROUPS: u64 = 2;
+    in_sim(async {
+        let (disk, client, _) = ScriptedDisk::spawn(CoreId(3));
+        let cores = vec![CoreId(1), CoreId(2)];
+        let fs = MsgFs::format(client, BLOCKS, GROUPS, 1, 2, cores)
+            .await
+            .unwrap();
+        let (ref_disk, ref_client, _) = ScriptedDisk::spawn(CoreId(3));
+        let reference = BigLockFs::format(ref_client, BLOCKS, GROUPS, 64)
+            .await
+            .unwrap();
+        let patches = || {
+            let count = rt::stat_get;
+            (count("cache.patches"), count("cache.patches_refused"))
+        };
+        for fs in [Vfs::Msg(fs.clone()), Vfs::Big(reference.clone())] {
+            fs.mkdir("/d").await.unwrap();
+        }
+        let before = patches();
+        for round in 0..6u8 {
+            for fs in [Vfs::Msg(fs.clone()), Vfs::Big(reference.clone())] {
+                let f = fs.create(&format!("/d/f{round}")).await.unwrap();
+                let data = [blk(round), blk(round + 0x10)].concat();
+                fs.write(f, 0, &data).await.unwrap();
+                if round % 2 == 1 {
+                    fs.unlink(&format!("/d/f{}", round - 1)).await.unwrap();
+                }
+            }
+        }
+        let (applied, refused) = (patches().0 - before.0, patches().1 - before.1);
+        assert!(
+            applied > 0 && refused > 0,
+            "{applied} applied, {refused} refused"
+        );
+
+        fs.sync().await.unwrap();
+        reference.sync().await.unwrap();
+        for lba in 0..BLOCKS {
+            assert!(
+                disk.peek_block(lba) == ref_disk.peek_block(lba),
+                "block {lba} differs"
+            );
+        }
+        // One program, one count: the shard's LRU order alone decides.
+        assert_eq!((applied, refused), (16, 37));
+    });
+}
+
+/// One write-through patches every byte a burst changed in a block,
+/// not only the last request's. The reap of a twelve-block file sends
+/// its group one burst; the twelve `FreeBlock`s clear bits in two bytes
+/// of the data bitmap, one request at a time, and the flush must carry
+/// both bytes. A roomy cache, so that every patch finds its block and
+/// nothing goes out whole.
+#[test]
+fn a_burst_patches_every_byte_it_changed_in_a_block() {
+    const BLOCKS: u64 = 256;
+    const GROUPS: u64 = 2;
+    in_sim(async {
+        let (disk, client, _) = ScriptedDisk::spawn(CoreId(3));
+        let cores = vec![CoreId(1), CoreId(2)];
+        let fs = MsgFs::format(client, BLOCKS, GROUPS, 1, 64, cores)
+            .await
+            .unwrap();
+        let (ref_disk, ref_client, _) = ScriptedDisk::spawn(CoreId(3));
+        let reference = BigLockFs::format(ref_client, BLOCKS, GROUPS, 64)
+            .await
+            .unwrap();
+        let data: Vec<u8> = (0..12).flat_map(blk).collect();
+        for fs in [Vfs::Msg(fs.clone()), Vfs::Big(reference.clone())] {
+            fs.mkdir("/d").await.unwrap();
+            let f = fs.create("/d/f").await.unwrap();
+            fs.write(f, 0, &data).await.unwrap();
+            fs.sync().await.unwrap();
+        }
+        let sb = Superblock::design(BLOCKS, GROUPS);
+        let in_use = |disk: &ScriptedDisk| {
+            bitmap::count(&disk.peek_block(sb.dbitmap_block(1)), sb.data_per_group)
+        };
+        assert_eq!(in_use(&disk), 13, "the directory's block and the file's");
+
+        let through = rt::stat_get("msgfs.group_write_throughs");
+        fs.unlink("/d/f").await.unwrap();
+        assert_eq!(rt::stat_get("msgfs.group_write_throughs") - through, 2);
+        assert_eq!(rt::stat_get("cache.patches_refused"), 0);
+        fs.sync().await.unwrap();
+        assert_eq!(in_use(&disk), 1);
+
+        reference.unlink("/d/f").await.unwrap();
+        reference.sync().await.unwrap();
+        for lba in 0..BLOCKS {
+            assert!(
+                disk.peek_block(lba) == ref_disk.peek_block(lba),
+                "block {lba} differs"
+            );
+        }
     });
 }
