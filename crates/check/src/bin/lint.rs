@@ -54,10 +54,12 @@
 //!
 //! 7. **Driven code stays on the shim.** The files the real-code
 //!    model checks drive (`executor.rs`, `chan.rs`, `oneshot.rs`,
-//!    `queue.rs`, `injector.rs`, `idle.rs` in `crates/parchan/src`)
-//!    must not name `std::thread::{spawn, Builder, park, current}`,
-//!    `std::sync::atomic::Atomic*` or `std::sync::{Mutex, Condvar}`
-//!    outside `#[cfg(test)]` items: they take them from `crate::sync`.
+//!    `queue.rs`, `injector.rs`, `idle.rs` in `crates/parchan/src`, and
+//!    `crates/nr/src/lib.rs`) must not name
+//!    `std::thread::{spawn, Builder, park, current}`,
+//!    `std::sync::atomic::Atomic*` or `std::sync::{Mutex, Condvar,
+//!    RwLock}` outside `#[cfg(test)]` items: they take them from the
+//!    `sync` facade (`crate::sync` in parchan, `rt::sync` above it).
 //!    A stray `std` primitive is an operation the explorer never sees,
 //!    which silently takes that code out of every check. No escape
 //!    hatch.
@@ -194,15 +196,16 @@ const DRIVEN: &[&str] = &[
     "crates/parchan/src/queue.rs",
     "crates/parchan/src/injector.rs",
     "crates/parchan/src/idle.rs",
+    "crates/nr/src/lib.rs",
 ];
 
-/// The `std` primitives a driven file takes from `crate::sync` instead
+/// The `std` primitives a driven file takes from the `sync` facade instead
 /// (rule 7): a module path and the names under it; a trailing `*`
 /// makes a name a prefix.
 const UNSHIMMED: &[(&str, &[&str])] = &[
     ("std::thread::", &["spawn", "Builder", "park", "current"]),
     ("std::sync::atomic::", &["Atomic*"]),
-    ("std::sync::", &["Mutex", "Condvar"]),
+    ("std::sync::", &["Mutex", "Condvar", "RwLock"]),
 ];
 
 /// Code patterns that open an unsafe block or impl (rule 6); an
@@ -485,8 +488,8 @@ fn lint_file(rel: &str, text: &str, registry: &[String], findings: &mut Vec<Stri
                 if let Some(module) = unshimmed(&path) {
                     findings.push(format!(
                         "{rel}:{lineno}: `{path}` in code the model checks \
-                         drive — take it from `crate::sync` (`{module}` has \
-                         a shim), or the explorer never sees it"
+                         drive — take it from the `sync` facade (`{module}` \
+                         has a shim), or the explorer never sees it"
                     ));
                 }
             }
@@ -688,6 +691,11 @@ mod tests {
                 0,
             ),
             ("crates/parchan/src/counters.rs", grouped, 0),
+            (
+                "crates/nr/src/lib.rs",
+                "use std::sync::{Arc, OnceLock, RwLock};\n",
+                1,
+            ),
             // Test items are skipped, to their closing brace only.
             ("crates/parchan/src/oneshot.rs", in_tests, 0),
             ("crates/parchan/src/oneshot.rs", &after_tests, 1),

@@ -18,8 +18,10 @@
 //! * [`sync`] / [`thread`] — shim types that parchan's `crate::sync`
 //!   facade re-exports under `--features chanos_check`, so
 //!   `crates/parchan/tests/protocols.rs` checks the shipping code,
-//!   executor included; the two mirrors left in [`models`] (NR, the
-//!   stealing ring) are written against them directly.
+//!   executor included, and `crates/nr/tests/protocols.rs` the NR log
+//!   and combiners, which take the facade as `rt::sync`. The one mirror
+//!   left in [`models`], the stealing ring, is written against them
+//!   directly: its seeded bugs would be memory-unsafe on the real ring.
 //! * `bin/lint` — the workspace source lint (facade bypasses, stat
 //!   registry, `SeqCst` invariant comments); run with
 //!   `cargo run -p chanos-check --bin lint`.

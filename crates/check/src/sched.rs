@@ -8,12 +8,14 @@
 //! types. Each model thread is a real OS thread, but only **one runs
 //! at a time**: every visible operation (atomic op, mutex op,
 //! condvar wait/notify, park/unpark, spawn/join, yield) first reports
-//! itself to the [`Controller`] and blocks until the scheduler grants
-//! it the baton.
-//! The scheduler (the caller's thread) therefore sees, at every step,
-//! the full set of runnable threads and the operation each would
+//! itself to the [`Controller`] and hands the baton on. The thread
+//! handing it on takes the scheduling decision itself — often to go
+//! on, which then costs no context switch — and blocks until it is
+//! granted the baton again. The decision therefore sees, at every
+//! step, the full set of runnable threads and the operation each would
 //! perform next — which is exactly the information a model checker
-//! needs.
+//! needs; the caller's thread only starts an execution and tears it
+//! down.
 //!
 //! # How the state space is explored
 //!
@@ -291,6 +293,34 @@ struct CtlState {
     /// Scheduling points granted this execution.
     steps: usize,
     ordering_counts: [u64; 5],
+    plan: Plan,
+}
+
+/// How one execution is scheduled, and the decisions it took. It lives
+/// with the thread table because the thread that hands the baton on
+/// makes the next decision itself: a step that continues the same
+/// thread then costs no context switch.
+struct Plan {
+    cfg: Config,
+    /// Decisions to replay before choosing freely.
+    forced: Vec<ThreadId>,
+    /// The sleep set to enter at a depth (the branch being explored).
+    branch_sleep: Option<(usize, u64)>,
+    /// Report a divergence from `forced` instead of asserting none.
+    strict: bool,
+    decisions: Vec<Decision>,
+    /// Thread granted at the previous decision.
+    prev: Option<ThreadId>,
+    preemptions: usize,
+    cur_sleep: u64,
+    /// Set once the branch is redundant or over the preemption bound.
+    /// It is then run to its end without recording decisions, rather
+    /// than torn down at once: unwinding a thread in the middle of a
+    /// critical section can run a destructor that takes the lock the
+    /// same thread holds.
+    pruned: bool,
+    /// Set when the execution is over, for the explorer to tear down.
+    end: Option<ExecEnd>,
 }
 
 /// The per-execution coordinator shared by the scheduler and every
@@ -298,7 +328,10 @@ struct CtlState {
 /// trampoline.
 pub(crate) struct Controller {
     state: Mutex<CtlState>,
+    /// Where the explorer waits for the execution's end and teardown.
     cv: Condvar,
+    /// Where each model thread waits for its grant.
+    turns: [Condvar; 64],
 }
 
 thread_local! {
@@ -322,7 +355,7 @@ fn plock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 }
 
 impl Controller {
-    fn new() -> Arc<Controller> {
+    fn new(plan: Plan) -> Arc<Controller> {
         Arc::new(Controller {
             state: Mutex::new(CtlState {
                 threads: Vec::new(),
@@ -332,8 +365,10 @@ impl Controller {
                 aborting: false,
                 steps: 0,
                 ordering_counts: [0; 5],
+                plan,
             }),
             cv: Condvar::new(),
+            turns: std::array::from_fn(|_| Condvar::new()),
         })
     }
 
@@ -352,9 +387,9 @@ impl Controller {
         st.threads.len() - 1
     }
 
-    /// One scheduling point: report `op`, hand the baton back, wait
+    /// One scheduling point: report `op`, hand the baton on, wait
     /// until granted. Resource effects (mutex owner, park token) are
-    /// applied by the scheduler at grant time.
+    /// applied at grant time.
     pub(crate) fn switch(&self, me: ThreadId, op: Op) {
         // Never block (or double-panic) from inside an unwind: Drop
         // impls of model types hit shim ops while tearing down.
@@ -366,19 +401,15 @@ impl Controller {
             drop(st);
             panic::panic_any(ExecutionAbort);
         }
-        if st.threads[me].go {
-            // Pre-granted: the scheduler chose our registration op
-            // (`Start`) before this OS thread reached its first
-            // scheduling point. Consume the grant without touching
-            // `status` — we are already Running.
-            st.threads[me].go = false;
-            debug_assert_eq!(st.threads[me].status, Status::Running);
-            debug_assert_eq!(op, Op::Start);
-            return;
+        // `Start`, the registration op, is reported by a thread that
+        // does not hold the baton: it only waits for its first grant,
+        // which may already have come (`go` set before this OS thread
+        // got here).
+        if op != Op::Start {
+            st.threads[me].pending = op;
+            st.threads[me].status = Status::Waiting;
+            self.hand_on(&mut st);
         }
-        st.threads[me].pending = op;
-        st.threads[me].status = Status::Waiting;
-        self.cv.notify_all();
         loop {
             if st.aborting {
                 drop(st);
@@ -389,7 +420,24 @@ impl Controller {
                 debug_assert_eq!(st.threads[me].status, Status::Running);
                 return;
             }
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            st = self.turns[me].wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Called by the thread releasing the baton: grants the next
+    /// thread and wakes it (the caller's own grant it finds in `go`),
+    /// or records the execution's end and wakes the explorer.
+    fn hand_on(&self, st: &mut CtlState) {
+        if st.aborting || st.plan.end.is_some() {
+            self.cv.notify_all();
+            return;
+        }
+        match decide(st) {
+            Ok(chosen) => self.turns[chosen].notify_one(),
+            Err(end) => {
+                st.plan.end = Some(end);
+                self.cv.notify_all();
+            }
         }
     }
 
@@ -400,11 +448,11 @@ impl Controller {
         plock(&self.state).ordering_counts[ordering_index(o)] += 1;
     }
 
-    /// Marks the calling model thread finished and returns the baton.
+    /// Marks the calling model thread finished and hands the baton on.
     pub(crate) fn exit(&self, me: ThreadId) {
         let mut st = plock(&self.state);
         st.threads[me].status = Status::Finished;
-        self.cv.notify_all();
+        self.hand_on(&mut st);
     }
 
     /// Records a model panic (assertion failure) and finishes the
@@ -415,7 +463,7 @@ impl Controller {
             st.failure = Some((FailureKind::Panic, msg));
         }
         st.threads[me].status = Status::Finished;
-        self.cv.notify_all();
+        self.hand_on(&mut st);
     }
 
     /// Deposits a park token at `target` (Unpark op effect).
@@ -889,10 +937,11 @@ fn is_enabled(st: &CtlState, t: ThreadId) -> bool {
     }
 }
 
-/// Runs one execution: spawns the root model thread, schedules it to
-/// completion along `forced` then free choices, records decisions.
-/// `replay_strict` (Some(len)) turns schedule divergence into a
-/// failure instead of continuing greedily.
+/// Runs one execution: spawns the root model thread and lets the
+/// threads schedule one another along `forced`, then by free choice,
+/// until the execution ends; records the decisions. `replay_strict`
+/// (Some(len)) turns schedule divergence into a failure instead of
+/// continuing greedily.
 fn run_execution(
     model: Arc<dyn Fn() + Send + Sync>,
     cfg: &Config,
@@ -901,7 +950,18 @@ fn run_execution(
     replay_strict: Option<usize>,
     ordering_counts: &mut [u64; 5],
 ) -> ExecResult {
-    let ctl = Controller::new();
+    let ctl = Controller::new(Plan {
+        cfg: cfg.clone(),
+        forced: forced.to_vec(),
+        branch_sleep,
+        strict: replay_strict.is_some(),
+        decisions: Vec::new(),
+        prev: None,
+        preemptions: 0,
+        cur_sleep: 0,
+        pruned: false,
+        end: None,
+    });
     let root = ctl.register();
     debug_assert_eq!(root, 0);
     let result = Arc::new(Mutex::new(None));
@@ -913,164 +973,161 @@ fn run_execution(
             .spawn(move || trampoline(ctl, root, result, move || model()))
             .expect("spawn root model thread")
     };
-    let mut decisions: Vec<Decision> = Vec::new();
-    let mut prev: Option<ThreadId> = None;
-    let mut preemptions = 0usize;
-    let mut cur_sleep: u64 = 0;
-    let end = loop {
-        let mut st = plock(&ctl.state);
-        // Wait until no thread holds the baton.
-        while st.threads.iter().any(|t| t.status == Status::Running) {
-            st = ctl.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        if let Some((kind, detail)) = st.failure.take() {
-            break finish(&ctl, st, ExecEnd::Failed(kind, detail));
-        }
-        if st.threads.iter().all(|t| t.status == Status::Finished) {
-            break finish(&ctl, st, ExecEnd::Done);
-        }
-        if st.steps >= cfg.max_steps {
-            break finish(
-                &ctl,
-                st,
-                ExecEnd::Failed(
-                    FailureKind::StepLimit,
-                    format!("execution exceeded {} scheduling points", cfg.max_steps),
-                ),
-            );
-        }
-        let mut enabled: Vec<ThreadId> = (0..st.threads.len())
-            .filter(|&t| is_enabled(&st, t))
-            .collect();
-        if enabled.is_empty() {
-            // If every would-be-runnable thread is only yield-gated,
-            // lift the gates (a spinner must eventually re-run).
-            let gated: Vec<ThreadId> = (0..st.threads.len())
-                .filter(|&t| {
-                    st.threads[t].status == Status::Waiting
-                        && matches!(st.threads[t].pending, Op::Yield)
-                        && st.threads[t].yield_gated
-                })
-                .collect();
-            if gated.is_empty() {
-                let blocked: Vec<String> = (0..st.threads.len())
-                    .filter(|&t| st.threads[t].status == Status::Waiting)
-                    .map(|t| format!("t{} blocked on {:?}", t, st.threads[t].pending))
-                    .collect();
-                break finish(
-                    &ctl,
-                    st,
-                    ExecEnd::Failed(
-                        FailureKind::Deadlock,
-                        format!("all live threads blocked: {}", blocked.join(", ")),
-                    ),
-                );
-            }
-            for t in gated {
-                st.threads[t].yield_gated = false;
-            }
-            enabled = (0..st.threads.len())
-                .filter(|&t| is_enabled(&st, t))
-                .collect();
-        }
-        let depth = decisions.len();
-        // Entry sleep set for this decision (branch point override).
-        if let Some((d, sleep)) = branch_sleep {
-            if depth == d {
-                cur_sleep = sleep;
-            }
-        }
-        let prev_enabled = prev.is_some_and(|p| enabled.contains(&p));
-        let chosen = if depth < forced.len() {
-            let want = forced[depth];
-            if !enabled.contains(&want) {
-                if replay_strict.is_some() {
-                    break finish(
-                        &ctl,
-                        st,
-                        ExecEnd::Failed(
-                            FailureKind::ReplayDivergence,
-                            format!("schedule step {depth} wants t{want}, not enabled"),
-                        ),
-                    );
-                }
-                // Backtracking replays must match by construction.
-                unreachable!("forced prefix diverged at step {depth}");
-            }
-            want
-        } else {
-            // Free choice: prefer continuing `prev` (no preemption),
-            // else the lowest candidate we can afford.
-            let candidates: Vec<ThreadId> = enabled
-                .iter()
-                .copied()
-                .filter(|&t| !cfg.sleep_sets || cur_sleep & (1 << t) == 0)
-                .collect();
-            if candidates.is_empty() {
-                break finish(&ctl, st, ExecEnd::Pruned);
-            }
-            match prev.filter(|p| candidates.contains(p)) {
-                // Continuing the previous thread is free.
-                Some(p) => p,
-                None => {
-                    // prev is enabled but asleep (or gone): any pick
-                    // is a preemption; prune if over budget.
-                    if prev_enabled && preemptions >= cfg.max_preemptions {
-                        break finish(&ctl, st, ExecEnd::Pruned);
-                    }
-                    candidates[0]
-                }
-            }
-        };
-        if prev_enabled && Some(chosen) != prev {
-            preemptions += 1;
-        }
-        decisions.push(Decision {
-            enabled: enabled.clone(),
-            chosen,
-            prev,
-            prev_enabled,
-            preemptions_before: preemptions - usize::from(prev_enabled && Some(chosen) != prev),
-            sleep_entry: cur_sleep,
-            explored: 1 << chosen,
-        });
-        // Sleep-set maintenance: executing `chosen`'s op wakes every
-        // sleeping thread whose own pending op depends on it.
-        if cfg.sleep_sets {
-            let executed = st.threads[chosen].pending;
-            cur_sleep &= !(1u64 << chosen);
-            let sleeping: Vec<ThreadId> = (0..st.threads.len())
-                .filter(|&t| cur_sleep & (1 << t) != 0)
-                .collect();
-            for t in sleeping {
-                if st.threads[t].status == Status::Waiting
-                    && Op::depends(&executed, &st.threads[t].pending)
-                {
-                    cur_sleep &= !(1u64 << t);
-                }
-            }
-        }
-        // Apply the op's resource effects, grant the baton.
-        grant(&mut st, chosen);
-        st.steps += 1;
-        prev = Some(chosen);
-        drop(st);
-        ctl.cv.notify_all();
-    };
+    // Grant the root its first step; from then on the threads pass
+    // the baton among themselves until one of them ends the execution.
+    let mut st = plock(&ctl.state);
+    ctl.hand_on(&mut st);
+    while st.plan.end.is_none() {
+        st = ctl.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+    }
+    let end = st.plan.end.take().expect("the execution ended");
+    let end = finish(&ctl, st, end);
     // Join the root OS thread (grant/abort already released it).
     let _ = os_root.join();
     // Fold this execution's recorded orderings into the caller's
     // running tally.
-    {
-        let st = plock(&ctl.state);
-        for (acc, n) in ordering_counts.iter_mut().zip(st.ordering_counts) {
-            *acc += n;
-        }
+    let mut st = plock(&ctl.state);
+    for (acc, n) in ordering_counts.iter_mut().zip(st.ordering_counts) {
+        *acc += n;
     }
-    ExecResult { decisions, end }
+    ExecResult {
+        decisions: std::mem::take(&mut st.plan.decisions),
+        end,
+    }
 }
 
-/// Applies `chosen`'s op effects under the lock and wakes it.
+/// Takes one decision: picks the thread that takes the next step and
+/// grants it, or says how the execution ends.
+fn decide(st: &mut CtlState) -> Result<ThreadId, ExecEnd> {
+    // Past its cut a pruned branch is outside the exploration: however
+    // it ends, it ends as `Pruned`, and nothing it meets is reported.
+    let pruned = st.plan.pruned;
+    let end = |e| Err(if pruned { ExecEnd::Pruned } else { e });
+    if let Some((kind, detail)) = st.failure.take() {
+        return end(ExecEnd::Failed(kind, detail));
+    }
+    if st.threads.iter().all(|t| t.status == Status::Finished) {
+        return end(ExecEnd::Done);
+    }
+    if st.steps >= st.plan.cfg.max_steps {
+        let limit = st.plan.cfg.max_steps;
+        let detail = format!("execution exceeded {limit} scheduling points");
+        return end(ExecEnd::Failed(FailureKind::StepLimit, detail));
+    }
+    let mut enabled: Vec<ThreadId> = (0..st.threads.len())
+        .filter(|&t| is_enabled(st, t))
+        .collect();
+    if enabled.is_empty() {
+        // If every would-be-runnable thread is only yield-gated,
+        // lift the gates (a spinner must eventually re-run).
+        let gated: Vec<ThreadId> = (0..st.threads.len())
+            .filter(|&t| {
+                st.threads[t].status == Status::Waiting
+                    && matches!(st.threads[t].pending, Op::Yield)
+                    && st.threads[t].yield_gated
+            })
+            .collect();
+        if gated.is_empty() {
+            let blocked: Vec<String> = (0..st.threads.len())
+                .filter(|&t| st.threads[t].status == Status::Waiting)
+                .map(|t| format!("t{} blocked on {:?}", t, st.threads[t].pending))
+                .collect();
+            let detail = format!("all live threads blocked: {}", blocked.join(", "));
+            return end(ExecEnd::Failed(FailureKind::Deadlock, detail));
+        }
+        for t in gated {
+            st.threads[t].yield_gated = false;
+        }
+        enabled = (0..st.threads.len())
+            .filter(|&t| is_enabled(st, t))
+            .collect();
+    }
+    let plan = &mut st.plan;
+    let depth = plan.decisions.len();
+    // Entry sleep set for this decision (branch point override).
+    if let Some((d, sleep)) = plan.branch_sleep {
+        if depth == d {
+            plan.cur_sleep = sleep;
+        }
+    }
+    let prev = plan.prev;
+    let prev_enabled = prev.is_some_and(|p| enabled.contains(&p));
+    // How a pruned branch is run out: the previous thread while it can
+    // go on, else the lowest enabled one.
+    let run_out = prev.filter(|_| prev_enabled).unwrap_or(enabled[0]);
+    let chosen = if plan.pruned {
+        run_out
+    } else if depth < plan.forced.len() {
+        let want = plan.forced[depth];
+        if !enabled.contains(&want) {
+            if plan.strict {
+                return Err(ExecEnd::Failed(
+                    FailureKind::ReplayDivergence,
+                    format!("schedule step {depth} wants t{want}, not enabled"),
+                ));
+            }
+            // Backtracking replays must match by construction.
+            unreachable!("forced prefix diverged at step {depth}");
+        }
+        want
+    } else {
+        // Free choice: prefer continuing `prev` (no preemption),
+        // else the lowest candidate we can afford.
+        let candidates: Vec<ThreadId> = enabled
+            .iter()
+            .copied()
+            .filter(|&t| !plan.cfg.sleep_sets || plan.cur_sleep & (1 << t) == 0)
+            .collect();
+        match prev.filter(|p| candidates.contains(p)) {
+            // Continuing the previous thread is free.
+            Some(p) => p,
+            // prev is enabled but asleep (or gone): any pick is a
+            // preemption; prune if over budget, or if every candidate
+            // sleeps.
+            None if candidates.is_empty()
+                || prev_enabled && plan.preemptions >= plan.cfg.max_preemptions =>
+            {
+                plan.pruned = true;
+                run_out
+            }
+            None => candidates[0],
+        }
+    };
+    if !plan.pruned {
+        let preempted = prev_enabled && Some(chosen) != prev;
+        plan.decisions.push(Decision {
+            enabled,
+            chosen,
+            prev,
+            prev_enabled,
+            preemptions_before: plan.preemptions,
+            sleep_entry: plan.cur_sleep,
+            explored: 1 << chosen,
+        });
+        plan.preemptions += usize::from(preempted);
+    }
+    // Sleep-set maintenance: executing `chosen`'s op wakes every
+    // sleeping thread whose own pending op depends on it.
+    if plan.cfg.sleep_sets && !plan.pruned {
+        let executed = st.threads[chosen].pending;
+        plan.cur_sleep &= !(1u64 << chosen);
+        for t in 0..st.threads.len() {
+            if plan.cur_sleep & (1 << t) != 0
+                && st.threads[t].status == Status::Waiting
+                && Op::depends(&executed, &st.threads[t].pending)
+            {
+                plan.cur_sleep &= !(1u64 << t);
+            }
+        }
+    }
+    plan.prev = Some(chosen);
+    // Apply the op's resource effects, grant the baton.
+    grant(st, chosen);
+    st.steps += 1;
+    Ok(chosen)
+}
+
+/// Applies `chosen`'s op effects under the lock and marks it granted.
 fn grant(st: &mut CtlState, chosen: ThreadId) {
     let pending = st.threads[chosen].pending;
     match pending {
@@ -1121,7 +1178,7 @@ const TEARDOWN_LIMIT: std::time::Duration = std::time::Duration::from_secs(10);
 /// the exploration.
 fn finish(ctl: &Arc<Controller>, mut st: MutexGuard<'_, CtlState>, end: ExecEnd) -> ExecEnd {
     st.aborting = true;
-    ctl.cv.notify_all();
+    ctl.turns.iter().for_each(Condvar::notify_all);
     let live = |st: &CtlState| {
         st.threads
             .iter()

@@ -1,5 +1,6 @@
 //! Drop-in replacements for the `std::sync` types, the `std::thread`
-//! subset and the `catch_unwind` parchan uses.
+//! subset, `catch_unwind` and `spin_loop` that parchan and chanos-nr
+//! use.
 //!
 //! Each type wraps its `std` counterpart and adds exactly one thing:
 //! when the calling thread is a *model thread* of a live
@@ -9,7 +10,8 @@
 //! [`Ordering`]. Outside a model execution every operation is a plain
 //! passthrough, so code compiled against these types behaves
 //! identically to `std` — that is what makes the parchan
-//! `crate::sync` facade safe to flip with one cfg.
+//! `crate::sync` facade (which chanos-nr reaches as `rt::sync`) safe
+//! to flip with one cfg.
 
 use std::sync::atomic::Ordering;
 use std::sync::{LockResult, TryLockError, TryLockResult};
@@ -292,6 +294,46 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
 impl<T: std::fmt::Debug + ?Sized> std::fmt::Debug for MutexGuard<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// Model-checked reader-writer lock, modeled as a [`Mutex`] (inside a
+/// model and out): `read` and `write` both take it exclusively, so two
+/// readers are serialized rather than overlapped. A read section that
+/// only reads loses no interleaving by it; see ARCHITECTURE.md, "Scope
+/// honesty".
+#[derive(Debug, Default)]
+pub struct RwLock<T: ?Sized>(Mutex<T>);
+
+/// What [`RwLock::write`] returns: the mutex's guard, as `read`'s is.
+pub type RwLockWriteGuard<'a, T> = MutexGuard<'a, T>;
+
+impl<T> RwLock<T> {
+    pub const fn new(v: T) -> RwLock<T> {
+        RwLock(Mutex::new(v))
+    }
+}
+
+impl<T: ?Sized> RwLock<T> {
+    pub fn read(&self) -> LockResult<MutexGuard<'_, T>> {
+        self.0.lock()
+    }
+
+    pub fn write(&self) -> LockResult<RwLockWriteGuard<'_, T>> {
+        self.0.lock()
+    }
+}
+
+/// `std::hint::spin_loop`, except that in a model it is a
+/// [`Yield`](crate::sched::Op::Yield): a spin-wait gives every other
+/// runnable thread a step before it retries, instead of spending the
+/// schedule's preemptions (or its step bound) on one thread re-reading
+/// a value nobody else can change while it runs.
+pub fn spin_loop() {
+    if sched::in_model() {
+        sched::yield_now();
+    } else {
+        std::hint::spin_loop();
     }
 }
 

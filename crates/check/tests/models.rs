@@ -1,11 +1,12 @@
-//! The mirrored protocol harnesses: each shipping protocol must verify
+//! The mirrored stealing ring: the shipping protocol must verify
 //! exhaustively within the preemption bound, and every seeded mutant
 //! must be caught — with its counterexample schedule replaying to the
 //! same failure (the property that turns any future counterexample
 //! into a checked-in regression test). The protocols checked as they
-//! ship are in `crates/parchan/tests/protocols.rs`.
+//! ship are in `crates/parchan/tests/protocols.rs` and
+//! `crates/nr/tests/protocols.rs`.
 
-use chanos_check::models::{nr, steal};
+use chanos_check::models::steal;
 use chanos_check::{Config, Explorer, FailureKind};
 
 fn explorer() -> Explorer {
@@ -61,52 +62,5 @@ fn steal_mutant_publish_before_write_caught() {
     assert_caught(
         || steal::steal_model(steal::Mutant::PublishBeforeWrite),
         &[FailureKind::Panic],
-    );
-}
-
-// --- nr: log-append reservation/commit vs replica catch-up --------------
-
-#[test]
-fn nr_log_verifies() {
-    let report = explorer().check(|| nr::nr_log_model(nr::Mutant::None));
-    report.assert_ok();
-    assert!(report.schedules > 0);
-}
-
-#[test]
-fn nr_mutant_apply_before_publish_caught() {
-    // Tail committed before the slots are published: a catch-up racing
-    // the appender applies the unpublished sentinel.
-    assert_caught(
-        || nr::nr_log_model(nr::Mutant::ApplyBeforePublish),
-        &[FailureKind::Panic],
-    );
-}
-
-#[test]
-fn nr_mutant_stale_tail_read_caught() {
-    // A read that starts after both appends completed but serves from
-    // a stale tail misses committed entries.
-    assert_caught(
-        || nr::nr_log_model(nr::Mutant::StaleTailRead),
-        &[FailureKind::Panic],
-    );
-}
-
-// --- nr: flat-combining burst claim vs per-client responses -------------
-
-#[test]
-fn nr_combine_verifies() {
-    let report = explorer().check(|| nr::nr_combine_model(nr::Mutant::None));
-    report.assert_ok();
-}
-
-#[test]
-fn nr_mutant_lost_combiner_handoff_caught() {
-    // The combiner claims a two-op burst but answers only the first;
-    // the second client parks forever.
-    assert_caught(
-        || nr::nr_combine_model(nr::Mutant::LostCombinerHandoff),
-        &[FailureKind::Deadlock],
     );
 }

@@ -94,9 +94,9 @@ impl NrService for PidState {
     }
 }
 
-/// The pid table service handle. Cheap to clone; transport errors
-/// (kernel shutting down mid-call) degrade to the absent answer
-/// rather than surfacing — pid queries are advisory.
+/// The pid table service handle. Cheap to clone. A write's transport
+/// error (kernel shutting down mid-call) degrades to `false` rather
+/// than surfacing; reads are served locally and cannot fail.
 #[derive(Clone)]
 pub struct PidTable {
     svc: Replicated<PidState>,
@@ -134,24 +134,24 @@ impl PidTable {
     /// Is the pid registered? Local-replica read.
     pub async fn alive(&self, pid: Pid) -> bool {
         match self.svc.read(PidRead::Alive(pid)).await {
-            Ok(PidReadResp::Alive(b)) => b,
-            _ => false,
+            PidReadResp::Alive(b) => b,
+            _ => unreachable!("Alive answered with another response"),
         }
     }
 
     /// Metadata for a pid. Local-replica read.
     pub async fn info(&self, pid: Pid) -> Option<PidInfo> {
         match self.svc.read(PidRead::Info(pid)).await {
-            Ok(PidReadResp::Info(i)) => i,
-            _ => None,
+            PidReadResp::Info(i) => i,
+            _ => unreachable!("Info answered with another response"),
         }
     }
 
     /// Number of live processes. Local-replica read.
     pub async fn count(&self) -> u64 {
         match self.svc.read(PidRead::Count).await {
-            Ok(PidReadResp::Count(n)) => n,
-            _ => 0,
+            PidReadResp::Count(n) => n,
+            _ => unreachable!("Count answered with another response"),
         }
     }
 }

@@ -39,18 +39,24 @@
 //! a read that starts after a write's reply sees a tail that covers
 //! the write, so reads are linearizable with writes.
 //!
-//! The log-append/catch-up protocol is modeled in
-//! `chanos-check::models::nr` (tail CAS + per-replica applied index),
-//! with seeded mutants proving the checker would catch a reordered
-//! publish, a stale-tail read, or a lost combiner handoff.
+//! The log, the replicas and the combiner take their atomics, `Mutex`,
+//! `RwLock` and `spin_loop` from `rt::sync`, parchan's facade: `std`
+//! in every build, the `chanos-check` shims when parchan's
+//! `chanos_check` feature is on. `tests/protocols.rs` then explores
+//! this code as it ships — combiners on a parchan runtime's model
+//! threads appending at once, a lagging replica catching up while an
+//! append commits, a two-write burst answered by one combiner — with
+//! `cargo test --release -p chanos-nr --features chanos_check --test
+//! protocols`.
 
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::task::{Context, Poll};
 
+use chanos_rt::sync::{
+    spin_loop, Arc, AtomicU64, Mutex, MutexGuard, OnceLock, Ordering, RwLock, RwLockWriteGuard,
+};
 use chanos_rt::{self as rt, port_channel, CallError, Capacity, CoreId, Port, ReplyBatch, ReplyTo};
 
 // ---------------------------------------------------------------------------
@@ -119,8 +125,7 @@ struct LogStore<T> {
 
 /// The shared ordered operation log.
 ///
-/// Append protocol (mirrored op-for-op by
-/// `chanos-check::models::nr`):
+/// Append protocol:
 ///
 /// 1. **Reserve** a range `[start, start+n)` with a CAS on the
 ///    reservation cursor (`resv`).
@@ -160,7 +165,7 @@ impl<T: Clone + Send + 'static> Log<T> {
         self.tail.load(Ordering::Acquire)
     }
 
-    fn lock_store(&self) -> std::sync::MutexGuard<'_, LogStore<T>> {
+    fn lock_store(&self) -> MutexGuard<'_, LogStore<T>> {
         self.store.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -210,9 +215,11 @@ impl<T: Clone + Send + 'static> Log<T> {
     /// Waits for our commit turn (predecessor reservations
     /// committed). Never actually suspends on the simulator — an
     /// appender's reserve→commit window contains no await points, so
-    /// no other sim task can be observed inside one.
+    /// no other sim task can be observed inside one. Under the model
+    /// checker `spin_loop` lets the combiner ahead of us run.
     async fn wait_turn(&self, start: u64) {
         while self.tail.load(Ordering::Acquire) != start {
+            spin_loop();
             yield_now().await;
         }
     }
@@ -303,7 +310,7 @@ impl<S: NrService> Replica<S> {
         }
     }
 
-    fn write_state(&self) -> std::sync::RwLockWriteGuard<'_, S> {
+    fn write_state(&self) -> RwLockWriteGuard<'_, S> {
         self.state.write().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -478,8 +485,10 @@ impl<S: NrService> Replicated<S> {
     /// **No port round-trips, no cross-core communication.** A caller
     /// on a core that holds no replica reads the replica of core
     /// `core mod replicas` instead, which is neither; those reads are
-    /// counted apart, as `nr.foreign_reads`.
-    pub async fn read(&self, op: S::ReadOp) -> Result<S::ReadResp, CallError> {
+    /// counted apart, as `nr.foreign_reads`. A read cannot fail; it
+    /// is `async` so that a foreign read may be charged for the
+    /// cross-core traffic it stands for without changing its callers.
+    pub async fn read(&self, op: S::ReadOp) -> S::ReadResp {
         let (idx, local) = self.replica_idx(rt::current_core());
         let r = &self.inner.replicas[idx];
         let log = &self.inner.log;
@@ -493,7 +502,7 @@ impl<S: NrService> Replicated<S> {
         } else {
             "nr.foreign_reads"
         });
-        Ok(out)
+        out
     }
 
     /// Submits one mutating op: a port call to the local replica's
@@ -526,6 +535,81 @@ mod tests {
             self.0 += add;
             self.0
         }
+    }
+
+    /// Entries each GC run below appends: past the point where GC
+    /// starts dropping chunks (`GC_SLACK`) by two chunks more.
+    const ENTRIES: u64 = GC_SLACK + 2 * LOG_CHUNK as u64 + 3;
+
+    /// Entries the log's storage holds (GC drops whole chunks).
+    fn retained<S: NrService>(nr: &Replicated<S>) -> u64 {
+        (nr.inner.log.lock_store().chunks.len() * LOG_CHUNK) as u64
+    }
+
+    /// Boots a `Counter` with a replica on each of three cores of the
+    /// simulator, appends `ENTRIES` ones round-robin over `used`, each
+    /// write followed by a read on the same core, and returns what every
+    /// replica then reads and how many entries the log retains.
+    fn gc_run(used: &[u32]) -> (Vec<u64>, u64) {
+        let mut sim = chanos_sim::Simulation::with_config(chanos_sim::Config {
+            cores: 3,
+            ..chanos_sim::Config::default()
+        });
+        let used = used.to_vec();
+        sim.block_on(async move {
+            let cores = [CoreId(0), CoreId(1), CoreId(2)];
+            let nr = Replicated::spawn("gc", &cores, || Counter(0));
+            for i in 0..ENTRIES {
+                let core = CoreId(used[i as usize % used.len()]);
+                let nr2 = nr.clone();
+                rt::spawn_on(core, async move {
+                    nr2.write(1).await.expect("the combiner answers");
+                    nr2.read(()).await
+                })
+                .join()
+                .await
+                .expect("the writer does not fail");
+            }
+            let retained = retained(&nr);
+            let mut answers = Vec::new();
+            for core in cores {
+                let nr = nr.clone();
+                answers.push(
+                    rt::spawn_on(core, async move { nr.read(()).await })
+                        .join()
+                        .await
+                        .unwrap(),
+                );
+            }
+            (answers, retained)
+        })
+        .expect("the simulation finishes")
+    }
+
+    #[test]
+    fn gc_keeps_the_log_bounded_when_every_replica_is_used() {
+        let (answers, retained) = gc_run(&[0, 1, 2]);
+        assert_eq!(answers, [ENTRIES; 3], "the replicas disagree");
+        assert!(
+            retained <= GC_SLACK + 2 * LOG_CHUNK as u64,
+            "{retained} of {ENTRIES} entries retained"
+        );
+    }
+
+    /// The known gap: GC frees only what *every* replica has applied,
+    /// and a replica nobody on its core writes or reads never catches
+    /// up, so it holds back the whole log — and with it whatever the
+    /// ops own (a vnode that lost a spawn race exits only when GC drops
+    /// its port). The replicas still agree once read; the log does not
+    /// shrink.
+    #[test]
+    fn a_replica_nobody_uses_holds_back_gc() {
+        let (answers, retained) = gc_run(&[0, 1]);
+        assert_eq!(answers, [ENTRIES; 3], "the replicas disagree");
+        assert!(
+            retained >= ENTRIES,
+            "{retained} of {ENTRIES} entries retained"
+        );
     }
 
     #[cfg(target_pointer_width = "64")]

@@ -47,7 +47,7 @@ mod idle;
 mod injector;
 pub mod oneshot;
 mod queue;
-mod sync;
+pub mod sync;
 mod timer;
 
 pub use chan::{

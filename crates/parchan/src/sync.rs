@@ -3,7 +3,9 @@
 //! `chan.rs`, `oneshot.rs`, `executor.rs`, `injector.rs`, and
 //! `timer.rs` import their atomics, mutexes, and condvars from here
 //! instead of `std::sync`, and the executor its worker threads, its
-//! `block_on` park and its `catch_unwind`. In a normal build these
+//! `block_on` park and its `catch_unwind`. The module is public so
+//! that code above parchan flips with it: chanos-nr takes its atomics,
+//! `Mutex`, `RwLock` and `spin_loop` from here, as `rt::sync`. In a normal build these
 //! re-exports *are* `std` — zero cost, zero behavior change. Under
 //! `--features chanos_check` the same names resolve to the
 //! `chanos-check` shim types, whose every operation yields to a
@@ -23,14 +25,14 @@ pub use std::sync::atomic::{
     fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize,
 };
 #[cfg(not(feature = "chanos_check"))]
-pub use std::sync::{Condvar, Mutex, MutexGuard};
+pub use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 #[cfg(not(feature = "chanos_check"))]
-pub use std::{panic::catch_unwind, thread};
+pub use std::{hint::spin_loop, panic::catch_unwind, thread};
 
 #[cfg(feature = "chanos_check")]
 pub use chanos_check::sync::{
-    catch_unwind, fence, thread, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8,
-    AtomicUsize, Condvar, Mutex, MutexGuard,
+    catch_unwind, fence, spin_loop, thread, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8,
+    AtomicUsize, Condvar, Mutex, MutexGuard, RwLock, RwLockWriteGuard,
 };
 
 pub use std::sync::atomic::Ordering;

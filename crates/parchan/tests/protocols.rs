@@ -242,11 +242,11 @@ fn cancelled_receiver_passes_its_wake_on_the_ring() {
     verify(2, || cancelled_receiver(Capacity::Bounded(8)));
 }
 
-/// The ring at the mutex core's bound: ~150 000 schedules and a
-/// quarter of an hour, so CI runs it nightly, with
-/// `CHANOS_CHECK_BUDGET=200000` and `-- --ignored`.
+/// The ring at the mutex core's bound: ~150 000 schedules and three
+/// minutes, so CI runs it nightly, with `CHANOS_CHECK_BUDGET=200000`
+/// and `-- --ignored`.
 #[test]
-#[ignore = "a quarter of an hour; CI runs it nightly"]
+#[ignore = "three minutes; CI runs it nightly"]
 fn cancelled_receiver_passes_its_wake_on_the_ring_at_bound_3() {
     verify(3, || cancelled_receiver(Capacity::Bounded(8)));
 }
@@ -352,10 +352,10 @@ fn off_pool_spawns_meet_a_parking_worker() {
     verify(2, off_pool_spawns);
 }
 
-/// One bound deeper: ~57 500 schedules and two minutes, so CI runs it
-/// nightly, with `CHANOS_CHECK_BUDGET=200000` and `-- --ignored`.
+/// One bound deeper: ~57 500 schedules and half a minute, so CI runs
+/// it nightly, with `CHANOS_CHECK_BUDGET=200000` and `-- --ignored`.
 #[test]
-#[ignore = "two minutes; CI runs it nightly"]
+#[ignore = "half a minute; CI runs it nightly"]
 fn off_pool_spawns_meet_a_parking_worker_at_bound_3() {
     verify(3, off_pool_spawns);
 }

@@ -50,6 +50,13 @@ pub use chanos_select::{choose, join2, join_all, race, select_all, Either};
 pub use chanos_sim::{plock, CoreId, Cycles, Pcg32, TaskId};
 pub use port::{port_channel, Call, CallError, Port};
 
+/// The primitives shared state above the runtime takes — atomics,
+/// `Mutex`, `RwLock`, `spin_loop` — from parchan's facade: `std` in
+/// every build, except that parchan's `chanos_check` feature makes
+/// them the model checker's shims, so a check explores the code that
+/// uses them as it ships (chanos-nr's log and replicas).
+pub use chanos_parchan::sync;
+
 /// Which execution substrate the calling task is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {

@@ -1000,7 +1000,7 @@ async fn get_vnode(shared: &Arc<MsgShared>, ino: u64) -> Result<Port<VnodeMsg>, 
     let reg = &shared.vnreg;
     // Fast path: the local replica already knows the vnode — zero
     // port round-trips.
-    if let Ok(Some(port)) = reg.read(VnRead::Get(ino)).await {
+    if let Some(port) = reg.read(VnRead::Get(ino)).await {
         return Ok(port);
     }
     // Miss: spawn a candidate task (placement is ino-mod, so every
