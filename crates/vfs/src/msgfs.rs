@@ -23,17 +23,16 @@
 //! Every piece of mutable state has exactly one writing task (or, for
 //! the vnode registry below, one replica per core over a shared op
 //! log), and dispatch-by-channel replaces dispatch-by-function-pointer
-//! (§4). State with one owner needs no lock and no fetch: a group task
-//! keeps its group's two bitmaps and inode table in its own memory
-//! (`GroupStore`: `2 + itable_blocks` blocks, each read from the
-//! cache once in the task's life), answers `ReadInode` from there, and
-//! writes what a drained burst of requests changed through to the
-//! cache shards in one round trip before it answers the burst's
-//! writers — only the bytes that changed, patched into each shard's
-//! copy of the block, and a block whole only where the shard no longer
-//! caches it — so the cache, and after a `sync` the volume, hold the
-//! bytes the lock engines would have written. A file's data blocks
-//! live in the cache shards alone.
+//! (§4). State with one owner needs no lock and no fetch, and a block
+//! with one writer has one home: its owner's memory. A group task
+//! keeps its group's two bitmaps and inode table (`GroupStore`: `2 +
+//! itable_blocks` blocks, each read from the cache once in the task's
+//! life), answers `ReadInode` from there, and marks the blocks a
+//! request changes dirty; the cache shards see them when `sync` asks
+//! the group to write them back. So the shards' slots hold file data,
+//! not copies of blocks nobody else reads, and after a `sync` the
+//! volume holds the bytes the lock engines would have written. A
+//! file's data blocks live in the cache shards alone.
 //!
 //! Who waits for the disk: the caller, never a cache shard. A shard
 //! that misses submits the read, parks the reply endpoint under the
@@ -48,17 +47,22 @@
 //! state — read from the cache on first use, kept in step by its own
 //! `Create` and `Unlink` — and answers `Lookup`, `ReadDir`, the
 //! existence checks and `Condemn`'s emptiness test from there. A
-//! `Create` or `Unlink` writes its 64-byte entry into the held block
-//! and sends the cache those 64 bytes alone, as a patch of the shard's
-//! copy (the whole block only where the shard no longer caches it),
-//! slot for slot as `FsCore::dir_add`/`dir_remove` place them, so the
-//! volume stays the bytes the lock engines would have written.
+//! `Create` or `Unlink` writes its 64-byte entry into the held block,
+//! slot for slot as `FsCore::dir_add`/`dir_remove` place them, and
+//! marks the block dirty; a `sync`, and the directory's reap before it
+//! frees the blocks, write the dirty blocks back whole.
+//!
+//! The failure rule follows: a change by an owner cannot fail the
+//! request that made it, because nothing goes to the cache then. A
+//! block the cache refuses on its way back fails that `sync` and stays
+//! dirty for the next one, as a refused write-back of file data does in
+//! the cache.
 //!
 //! Unlink of a directory checks emptiness in the child vnode. A vnode
 //! that drops its last link reaps itself in an order that keeps its
-//! inode number safe to hand out again: free the data and clear the
-//! inode record (one burst to the group), leave the registry, and only
-//! then free the number.
+//! inode number safe to hand out again: write a directory's blocks
+//! back, free the data and clear the inode record (one burst to the
+//! group), leave the registry, and only then free the number.
 //! It then closes its channel and refuses whatever was queued or still
 //! on its way — a create racing the removal of its directory, a call
 //! through a stale inode number — so those callers get
@@ -67,7 +71,8 @@
 //! The ino→vnode-port registry itself is node-replicated
 //! (`fs-vnreg`, one replica per service core): `Get` is served from
 //! the caller's **local** replica with no cross-core communication,
-//! while `Ensure`/`Retire` flow through the shared operation log.
+//! while `Ensure`/`Retire` flow through the shared operation log. It
+//! is also how `sync` finds the live vnodes, in inode order.
 //!
 //! Every hop is a typed [`Port`] call, so clients can pipeline
 //! requests into a server's batch drain. Each server answers a drained
@@ -76,7 +81,7 @@
 //! several outstanding calls against one vnode or group server is
 //! woken once per burst (`chan.reply_wakes_coalesced`).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -123,7 +128,7 @@ enum GroupMsg {
         inode: Box<Inode>,
         reply: ReplyTo<Result<(), FsError>>,
     },
-    /// Writes through whatever an earlier failure left pending.
+    /// Writes every block the group changed back to the cache.
     Flush { reply: ReplyTo<Result<(), FsError>> },
 }
 
@@ -164,6 +169,8 @@ enum VnodeMsg {
     Condemn {
         reply: ReplyTo<Result<bool, FsError>>,
     },
+    /// Writes a directory's changed blocks back to the cache.
+    Flush { reply: ReplyTo<Result<(), FsError>> },
 }
 
 /// A registry entry: the serving port for an inode and which vnode
@@ -181,6 +188,8 @@ struct Registered {
 enum VnRead {
     /// The serving port for `ino`, if a vnode task is active.
     Get(u64),
+    /// Every serving port, in inode order.
+    Live,
 }
 
 /// Mutating vnode-registry ops: the log entries every replica
@@ -212,13 +221,18 @@ struct VnRegistry {
 
 impl NrService for VnRegistry {
     type ReadOp = VnRead;
-    type ReadResp = Option<Port<VnodeMsg>>;
+    type ReadResp = Vec<Port<VnodeMsg>>;
     type WriteOp = VnWrite;
     type WriteResp = VnWriteResp;
 
-    fn read(&self, op: &VnRead) -> Option<Port<VnodeMsg>> {
+    fn read(&self, op: &VnRead) -> Vec<Port<VnodeMsg>> {
         match op {
-            VnRead::Get(ino) => self.map.get(ino).map(|r| r.port.clone()),
+            VnRead::Get(ino) => self.map.get(ino).iter().map(|r| r.port.clone()).collect(),
+            VnRead::Live => {
+                let mut live: Vec<_> = self.map.iter().collect();
+                live.sort_unstable_by_key(|&(ino, _)| ino);
+                live.into_iter().map(|(_, r)| r.port.clone()).collect()
+            }
         }
     }
 
@@ -356,19 +370,17 @@ const FS_BATCH: usize = 32;
 /// it. [`FsCore`]'s allocation and inode-record algorithms run over
 /// this store unchanged.
 ///
-/// A read of an own block is answered from the task's copy, fetched
-/// from the cache the first time and never again (nobody else writes
-/// those blocks, so the copy cannot go stale). A `write_block` of an
-/// own block only records which bytes changed, found by comparing the
-/// block with the copy; [`flush`](GroupStore::flush) patches those
-/// bytes into the cache shards' blocks — a bitmap bit, a 128-byte
-/// inode record — before any of the burst's writers is answered, and
-/// writes a block whole only where its shard no longer caches it. A
-/// block that is not the group's own (the data block `alloc_block_in`
-/// zeroes) goes out whole.
-/// A block whose write-through failed stays recorded and goes out
-/// again with the next flush: the task's copy is the truth, and the
-/// cache must end up holding it.
+/// The task is the write-back buffer of its own blocks. A read of an
+/// own block is answered from the task's copy, fetched from the cache
+/// the first time and never again (nobody else writes those blocks, so
+/// the copy cannot go stale). A `write_block` of an own block replaces
+/// the copy and marks it dirty, and the cache sees it when a `Flush`
+/// writes the dirty blocks back whole. A block that is not the group's
+/// own (the data block `alloc_block_in` zeroes) goes to the cache with
+/// the burst that wrote it, before any of the burst's writers is
+/// answered. A block the cache refused stays dirty, or pending, and
+/// goes out again with the next write-back: the task's copy is the
+/// truth, and the volume must end up holding it.
 #[derive(Clone)]
 struct GroupStore {
     cache: CacheClient,
@@ -382,31 +394,11 @@ struct GroupBlocks {
     /// itable_blocks` of them whatever the workload (10 at the
     /// benchmark's geometry, 130 at the layout's largest).
     held: Vec<Option<Vec<u8>>>,
-    /// Own blocks not yet through to the cache, in the order first
-    /// written: the bytes the copy has changed in since the cache last
-    /// took the block, as one range.
-    changed: Vec<(u64, Range<usize>)>,
+    /// Own blocks changed since the cache last took them.
+    dirty: BTreeSet<u64>,
     /// Other blocks written and not yet through, whole, in the order
     /// first written.
     whole: Vec<(u64, Vec<u8>)>,
-}
-
-/// The bytes `new` differs from `old` in, first to last; `None` if
-/// none. The two are compared 64 bytes at a time (slice equality is a
-/// `memcmp`), byte by byte only inside the first and last chunks that
-/// differ.
-fn changed_range(old: &[u8], new: &[u8]) -> Option<Range<usize>> {
-    const CHUNK: usize = 64;
-    let chunks = || old.chunks(CHUNK).zip(new.chunks(CHUNK));
-    let first = CHUNK * chunks().position(|(a, b)| a != b)?;
-    let last = CHUNK * chunks().rposition(|(a, b)| a != b)?;
-    let bytes = |at: usize| {
-        let end = (at + CHUNK).min(old.len());
-        old[at..end].iter().zip(&new[at..end])
-    };
-    let start = first + bytes(first).position(|(a, b)| a != b)?;
-    let end = last + bytes(last).rposition(|(a, b)| a != b)? + 1;
-    Some(start..end)
 }
 
 impl GroupStore {
@@ -415,7 +407,7 @@ impl GroupStore {
         debug_assert_eq!(own.end - own.start, 2 + sb.itable_blocks());
         let blocks = GroupBlocks {
             held: vec![None; (own.end - own.start) as usize],
-            changed: Vec::new(),
+            dirty: BTreeSet::new(),
             whole: Vec::new(),
         };
         GroupStore {
@@ -432,67 +424,46 @@ impl GroupStore {
             .then(|| (lba - self.own.start) as usize)
     }
 
-    /// The held copy of own block `lba`, which a write has recorded.
-    fn held<'a>(&self, blocks: &'a GroupBlocks, lba: u64) -> &'a [u8] {
-        let slot = self.slot(lba).expect("an own block");
-        blocks.held[slot].as_deref().expect("held since written")
-    }
-
-    /// Sends everything recorded to the cache, all shards at once: the
-    /// changed bytes of each own block as a patch, every other block
-    /// whole. An own block its shard no longer caches goes out whole
-    /// in a second round trip. The blocks the cache refused stay
-    /// recorded; the error is the first of theirs.
-    async fn flush(&self) -> Result<(), FsError> {
-        let (changed, whole) = {
+    /// Writes what is pending to the cache, all shards at once: with
+    /// `own`, every dirty own block, in block-number order, and then
+    /// every other block written since the last write-back. The blocks
+    /// the cache refused stay dirty or pending; the error is the first
+    /// of theirs.
+    async fn write_back(&self, own: bool) -> Result<(), FsError> {
+        let (sent, dirty) = {
             let mut blocks = plock(&self.blocks);
-            (
-                std::mem::take(&mut blocks.changed),
-                std::mem::take(&mut blocks.whole),
-            )
+            let dirty = if own {
+                std::mem::take(&mut blocks.dirty)
+            } else {
+                BTreeSet::new()
+            };
+            let copy = |&lba: &u64| {
+                let slot = self.slot(lba).expect("an own block");
+                let held = blocks.held[slot].as_deref().expect("held since written");
+                (lba, held.to_vec())
+            };
+            let mut sent: Vec<_> = dirty.iter().map(copy).collect();
+            sent.append(&mut blocks.whole);
+            (sent, dirty.len())
         };
-        if changed.is_empty() && whole.is_empty() {
+        if sent.is_empty() {
             return Ok(());
         }
+        // One round trip of a group task to the cache shards: a burst
+        // that zeroed a data block, or a `Flush` that found blocks.
         rt::stat_incr("msgfs.group_write_throughs");
-        let (patched, wrote) = {
-            let blocks = plock(&self.blocks);
-            let patches: Vec<_> = changed
-                .iter()
-                .map(|(lba, range)| (*lba, range.start, &self.held(&blocks, *lba)[range.clone()]))
-                .collect();
-            (
-                self.cache.patch_many(&patches),
-                self.cache.write_many(&whole),
-            )
-        };
-        let (patched, wrote) = (patched.await, wrote.await);
-        // A shard that did not cache the block changed nothing: it
-        // gets the copy whole.
-        let missed: Vec<_> = changed
-            .into_iter()
-            .zip(patched)
-            .filter_map(|(change, held)| (!held).then_some(change))
-            .collect();
-        let copies: Vec<_> = {
-            let blocks = plock(&self.blocks);
-            let copy = |(lba, _): &(u64, Range<usize>)| (*lba, self.held(&blocks, *lba).to_vec());
-            missed.iter().map(copy).collect()
-        };
-        let fell_back = self.cache.write_many(&copies).await;
+        let answers = self.cache.write_many(&sent).await;
         let mut out = Ok(());
-        // The one task that records writes here was waiting above.
+        // The one task that writes here was waiting above.
         let mut blocks = plock(&self.blocks);
-        debug_assert!(blocks.changed.is_empty() && blocks.whole.is_empty());
-        for (change, answer) in missed.into_iter().zip(fell_back) {
+        debug_assert!(blocks.whole.is_empty());
+        for (i, (block, answer)) in sent.into_iter().zip(answers).enumerate() {
             if let Err(e) = answer {
-                blocks.changed.push(change);
-                out = out.and(Err(e));
-            }
-        }
-        for (block, answer) in whole.into_iter().zip(wrote) {
-            if let Err(e) = answer {
-                blocks.whole.push(block);
+                if i < dirty {
+                    blocks.dirty.insert(block.0);
+                } else {
+                    blocks.whole.push(block);
+                }
                 out = out.and(Err(e));
             }
         }
@@ -523,38 +494,30 @@ impl BlockStore for GroupStore {
             }
             return Ok(());
         };
-        let range = match &blocks.held[i] {
-            Some(old) => changed_range(old, &data),
-            None => Some(0..BLOCK_SIZE),
-        };
         blocks.held[i] = Some(data);
-        let Some(range) = range else {
-            return Ok(());
-        };
-        match blocks.changed.iter_mut().find(|(l, _)| *l == lba) {
-            Some((_, older)) => *older = older.start.min(range.start)..older.end.max(range.end),
-            None => blocks.changed.push((lba, range)),
-        }
+        blocks.dirty.insert(lba);
         Ok(())
     }
 
     async fn sync(&self) -> Result<(), FsError> {
-        self.flush().await?;
+        self.write_back(true).await?;
         self.cache.sync().await
     }
 }
 
 /// One cylinder-group server: the owner of the group's bitmaps and
 /// inode table, which it keeps in its [`GroupStore`] for as long as it
-/// lives and writes through to the cache once per drained burst that
-/// changed them. Drains request bursts so allocation storms (and a
-/// reap's frees) cost one wakeup and one write-through per batch, not
-/// one per message — and one *reply* wake per waiting peer per batch.
+/// lives and writes back to the cache when a `Flush` asks (`sync`).
+/// Drains request bursts so allocation storms (and a reap's frees) cost
+/// one wakeup per batch, not one per message — and one *reply* wake per
+/// waiting peer per batch.
 ///
-/// A writer is answered only after the burst's write-through, with its
-/// result, so `Ok` means the caller may tell anyone and anyone may read
-/// the cache; a refused write-through fails every writer of the burst.
-/// `ReadInode` writes nothing and is answered where it is produced.
+/// A writer is answered at the end of its burst. A burst that zeroed a
+/// data block writes it through first and answers its writers with the
+/// result, so `Ok` means the block is in the cache before its file
+/// writes into it; every other burst is answered without a cache round
+/// trip. `ReadInode` writes nothing and is answered where it is
+/// produced.
 async fn group_task(g: u64, core: FsCore<CacheClient>, rx: chanos_rt::Receiver<GroupMsg>) {
     let store = GroupStore::new(core.store().clone(), core.superblock(), g);
     let core = core.with_store(store);
@@ -572,7 +535,7 @@ async fn group_task(g: u64, core: FsCore<CacheClient>, rx: chanos_rt::Receiver<G
             }
         }
         if !written.is_empty() {
-            let through = core.store().flush().await;
+            let through = core.store().write_back(false).await;
             for w in written.drain(..) {
                 match w {
                     Written::Done(reply, out) => replies.send(reply, out.and(through.clone())),
@@ -586,7 +549,7 @@ async fn group_task(g: u64, core: FsCore<CacheClient>, rx: chanos_rt::Receiver<G
     }
 }
 
-/// A writer's answer, held for its burst's write-through.
+/// A writer's answer, held to the end of its burst.
 enum Written {
     Done(ReplyTo<Result<(), FsError>>, Result<(), FsError>),
     /// An allocation: the number, or `None` for a full group.
@@ -617,7 +580,7 @@ async fn group_handle(
         GroupMsg::WriteInode { ino, inode, reply } => {
             Written::Done(reply, core.write_inode(ino, &inode).await)
         }
-        GroupMsg::Flush { reply } => Written::Done(reply, Ok(())),
+        GroupMsg::Flush { reply } => Written::Done(reply, core.store().write_back(true).await),
     })
 }
 
@@ -633,10 +596,13 @@ struct DirEntries {
     /// Free slots below the directory's slot count (its size in
     /// dirents).
     free: BTreeSet<u64>,
-    /// The directory's data blocks by file block number, the bytes the
-    /// cache has: an entry never straddles two blocks, and the bytes
-    /// past the directory's size are zero.
+    /// The directory's data blocks by file block number: an entry never
+    /// straddles two blocks, and the bytes past the directory's size
+    /// are zero.
     blocks: Vec<Vec<u8>>,
+    /// Blocks changed since the cache last took them: block number →
+    /// file block number.
+    dirty: BTreeMap<u64, usize>,
 }
 
 /// The state of one vnode task: inode `ino`, owned for the task's
@@ -793,16 +759,17 @@ impl Vnode {
                 }
                 self.inode.nlink = self.inode.nlink.saturating_sub(1);
                 if self.inode.nlink == 0 {
-                    // Reap: free the data and clear the record (a
-                    // vnode started for this number from now on finds
-                    // nothing to load) — one burst to a file's group,
-                    // the clear submitted before the frees and awaited
-                    // after them — then leave the registry, and only
-                    // then free the number, so whoever is given it
-                    // next can never be routed to this task. For the
-                    // same reason every step runs whatever became of
-                    // the one before it; the ones that fail are
-                    // counted.
+                    // Reap: write a directory's changed blocks back,
+                    // free the data and clear the record (a vnode
+                    // started for this number from now on finds nothing
+                    // to load) — one burst to a file's group, the clear
+                    // submitted before the frees and awaited after them
+                    // — then leave the registry, and only then free the
+                    // number, so whoever is given it next can never be
+                    // routed to this task. For the same reason every
+                    // step runs whatever became of the one before it;
+                    // the ones that fail are counted.
+                    count_reap_error(self.flush().await);
                     let ino = self.ino;
                     let group = self.shared.group_of_ino(ino);
                     let cleared = group.call(|reply| GroupMsg::ClearInode { ino, reply });
@@ -822,6 +789,10 @@ impl Vnode {
                 }
                 let out = self.store().await;
                 replies.send(reply, out.map(|()| false));
+            }
+            VnodeMsg::Flush { reply } => {
+                let out = self.flush().await;
+                replies.send(reply, out);
             }
         }
         std::ops::ControlFlow::Continue(())
@@ -888,33 +859,47 @@ impl Vnode {
             .await
     }
 
-    /// Puts `rec` into `slot` of the held block, patches those 64 bytes
-    /// into the cache's copy of the block at `lba` (from
-    /// [`Vnode::slot_block`]) — or, where the shard no longer caches
-    /// it, writes the held block whole — and stores the inode if the
-    /// directory grew. The caller has changed the entries already: a
-    /// write the cache refuses fails the request and the copy stands,
-    /// because the block is in the cache — the error is that of a
-    /// dirty block it pushed out — and the inode is stored all the
-    /// same.
+    /// Puts `rec` into `slot` of the held block at `lba` (from
+    /// [`Vnode::slot_block`]), marks the block dirty, and stores the
+    /// inode if the directory grew. The cache sees the block when the
+    /// directory is flushed: at a `sync`, or in its reap.
     async fn put_slot(&mut self, lba: u64, slot: u64, rec: &[u8]) -> Result<(), FsError> {
         let pos = slot * DIRENT_SIZE as u64;
         let (fbn, at) = (pos as usize / BLOCK_SIZE, pos as usize % BLOCK_SIZE);
-        let blocks = &mut self.dir.as_mut().expect("loaded by the caller").blocks;
-        if fbn == blocks.len() {
-            blocks.push(vec![0; BLOCK_SIZE]);
+        let dir = self.dir.as_mut().expect("loaded by the caller");
+        if fbn == dir.blocks.len() {
+            dir.blocks.push(vec![0; BLOCK_SIZE]);
         }
-        blocks[fbn][at..at + DIRENT_SIZE].copy_from_slice(rec);
+        dir.blocks[fbn][at..at + DIRENT_SIZE].copy_from_slice(rec);
+        dir.dirty.insert(lba, fbn);
         self.inode.size = self.inode.size.max(pos + DIRENT_SIZE as u64);
-        let cache = self.shared.core.store();
-        let wrote = if cache.patch_many(&[(lba, at, rec)]).await[0] {
-            Ok(())
-        } else {
-            let block = self.dir.as_ref().expect("loaded above").blocks[fbn].clone();
-            cache.write_block(lba, block).await
+        self.store().await
+    }
+
+    /// Writes a directory's dirty blocks back to the cache whole, in
+    /// block-number order. A block the cache refuses stays dirty; the
+    /// error is the first of theirs.
+    async fn flush(&mut self) -> Result<(), FsError> {
+        let Some(dir) = self.dir.as_mut() else {
+            return Ok(());
         };
-        let stored = self.store().await;
-        wrote.and(stored)
+        let dirty = std::mem::take(&mut dir.dirty);
+        if dirty.is_empty() {
+            return Ok(());
+        }
+        let blocks: Vec<_> = dirty
+            .iter()
+            .map(|(&lba, &fbn)| (lba, dir.blocks[fbn].clone()))
+            .collect();
+        let answers = self.shared.core.store().write_many(&blocks).await;
+        let mut out = Ok(());
+        for ((lba, fbn), answer) in dirty.into_iter().zip(answers) {
+            if let Err(e) = answer {
+                dir.dirty.insert(lba, fbn);
+                out = out.and(Err(e));
+            }
+        }
+        out
     }
 
     /// Adds `name` to this directory with a fresh inode of `kind`. The
@@ -1000,7 +985,7 @@ async fn get_vnode(shared: &Arc<MsgShared>, ino: u64) -> Result<Port<VnodeMsg>, 
     let reg = &shared.vnreg;
     // Fast path: the local replica already knows the vnode — zero
     // port round-trips.
-    if let Some(port) = reg.read(VnRead::Get(ino)).await {
+    if let Some(port) = reg.read(VnRead::Get(ino)).await.pop() {
         return Ok(port);
     }
     // Miss: spawn a candidate task (placement is ino-mod, so every
@@ -1179,36 +1164,39 @@ impl MsgFs {
             .unwrap_or_else(|e| Err(e.into()))
     }
 
-    /// Flushes dirty cache blocks to disk — after the group tasks
-    /// have written through what an earlier failure left with them.
+    /// Writes every changed block to the disk: each live directory
+    /// vnode's blocks, in inode order, then each group's bitmaps and
+    /// inode table, then the cache shards' dirty blocks. Every step runs
+    /// whatever became of the one before it; a block refused on the way
+    /// fails the `sync` and stays dirty for the next one.
     pub async fn sync(&self) -> Result<(), FsError> {
+        let vnodes = self.shared.vnreg.read(VnRead::Live).await;
+        let flushes: Vec<_> = vnodes
+            .iter()
+            .map(|vn| vn.call(|reply| VnodeMsg::Flush { reply }))
+            .collect();
+        let mut out = Ok(());
+        for flush in flushes {
+            // A vnode gone since wrote its blocks back in its reap.
+            if let Ok(flushed) = flush.await {
+                out = out.and(flushed);
+            }
+        }
         let groups = &self.shared.groups;
         let flushes: Vec<_> = groups
             .iter()
             .map(|group| group.call(|reply| GroupMsg::Flush { reply }))
             .collect();
         for flush in flushes {
-            flush.await.unwrap_or_else(|e| Err(e.into()))?;
+            out = out.and(flush.await.unwrap_or_else(|e| Err(e.into())));
         }
-        self.shared.core.store().sync().await
+        out.and(self.shared.core.store().sync().await)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn changed_range_spans_the_first_to_the_last_changed_byte() {
-        let old = vec![0u8; BLOCK_SIZE];
-        assert_eq!(changed_range(&old, &old), None);
-        for (a, b) in [(0, 0), (63, 64), (5, 4095), (4095, 4095), (130, 2000)] {
-            let mut new = old.clone();
-            new[a] = 1;
-            new[b] = 1;
-            assert_eq!(changed_range(&old, &new), Some(a..b + 1), "{a}, {b}");
-        }
-    }
 
     #[cfg(target_pointer_width = "64")]
     #[test]

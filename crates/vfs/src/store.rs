@@ -19,10 +19,10 @@
 //! shard goes back to its queue.
 //!
 //! Copying is what message passing pays for its scalability (§3), so
-//! a shard charges [`copy_cost`] on the bytes it moves, and an owner
-//! that holds its blocks moves only the bytes it changed: a
-//! [`CacheClient::patch_many`] patch of a bitmap bit or a 64-byte
-//! dirent, not the 4 KiB block.
+//! a shard charges [`copy_cost`] on the bytes it moves. A block with
+//! one writer that keeps it (a group task's bitmaps and inode table, a
+//! directory vnode's blocks) reaches a shard only when it must go to
+//! the disk, at `sync`: the shards' slots are left to file data.
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -182,21 +182,6 @@ impl LruCache {
             last_used: self.seq,
         };
         self.blocks.entry(lba).or_insert(fresh).dirty = true;
-    }
-
-    /// Writes `bytes` at `at` into a cached block in place, marking it
-    /// dirty and refreshing its LRU position; `false`, with nothing
-    /// changed, if the block is not cached. Never evicts.
-    fn patch(&mut self, lba: u64, at: usize, bytes: &[u8]) -> bool {
-        self.seq += 1;
-        let seq = self.seq;
-        let Some(e) = self.blocks.get_mut(&lba) else {
-            return false;
-        };
-        e.data[at..at + bytes.len()].copy_from_slice(bytes);
-        e.dirty = true;
-        e.last_used = seq;
-        true
     }
 
     /// Drains all dirty blocks (marking them clean).
@@ -387,43 +372,9 @@ enum CacheMsg {
         data: Vec<u8>,
         reply: ReplyTo<Result<(), FsError>>,
     },
-    /// `bytes` written at a byte offset of a block the shard caches;
-    /// answered `false`, with nothing changed, where it does not. The
-    /// block number and the offset share a word ([`PatchAt`]), so the
-    /// message is no larger than a `Write`.
-    Patch {
-        at: PatchAt,
-        bytes: Box<[u8]>,
-        reply: ReplyTo<bool>,
-    },
     Sync {
         reply: ReplyTo<Result<(), FsError>>,
     },
-}
-
-/// A block number below 2^48 and a byte offset in the block, packed
-/// into one word: the offset in the top 16 bits.
-#[derive(Clone, Copy)]
-struct PatchAt(u64);
-
-impl PatchAt {
-    const SHIFT: u32 = 48;
-
-    /// `None` if `lba` does not fit below the offset, or `len` bytes
-    /// at `at` do not fit in a block.
-    fn new(lba: u64, at: usize, len: usize) -> Option<PatchAt> {
-        let in_block = at.checked_add(len).is_some_and(|end| end <= BLOCK_SIZE);
-        let fits = in_block && lba >> Self::SHIFT == 0;
-        fits.then_some(PatchAt(lba | ((at as u64) << Self::SHIFT)))
-    }
-
-    fn lba(self) -> u64 {
-        self.0 & ((1 << Self::SHIFT) - 1)
-    }
-
-    fn at(self) -> usize {
-        (self.0 >> Self::SHIFT) as usize
-    }
 }
 
 /// The end of a disk command, posted to the shard by the helper task
@@ -672,19 +623,6 @@ impl Shard {
                     }
                 }
             }
-            CacheMsg::Patch { at, bytes, reply } => {
-                // A patch evicts nothing, so it never waits for a
-                // victim. A block in a fill or on its way out in a
-                // write-back is not cached: the owner writes it whole.
-                let held = self.cache.patch(at.lba(), at.at(), &bytes);
-                if held {
-                    rt::stat_incr("cache.patches");
-                    chanos_rt::delay(copy_cost(bytes.len())).await;
-                } else {
-                    rt::stat_incr("cache.patches_refused");
-                }
-                let _ = reply.send(held).await;
-            }
             CacheMsg::Sync { reply } => {
                 for (lba, data) in self.cache.take_dirty() {
                     self.start_writeback(lba, data, None);
@@ -774,15 +712,6 @@ async fn next_wake(
 /// serving while the disk works: a miss parks the reader, a dirty
 /// eviction parks the writer, and a helper task per command
 /// (`cache-fill`, `cache-wb`) does the waiting.
-///
-/// A block's owner that keeps its own copy (a group task's bitmaps and
-/// inode table, a directory vnode's blocks) sends only the bytes it
-/// changed: a `Patch` ([`patch_many`](Self::patch_many)) is applied in
-/// place to a block the shard caches, marks it dirty and costs
-/// [`copy_cost`] of those bytes alone. It never evicts, so it never
-/// waits for a victim; a block the shard does not cache — in a fill,
-/// on its way out in a write-back, or on the disk — is answered "not
-/// held" and left alone, and the owner writes its copy whole.
 #[derive(Clone)]
 pub struct CacheClient {
     shards: Arc<Vec<Port<CacheMsg>>>,
@@ -895,9 +824,8 @@ impl CacheClient {
     /// Writes many blocks in one round trip: every `Write` is
     /// submitted when this is called, before the returned future is
     /// first polled, so blocks of different shards are written in
-    /// parallel, blocks of one shard arrive in the order given, and
-    /// a [`patch_many`](Self::patch_many) called next goes out with
-    /// them. Answers block for block, in that order; a block answered
+    /// parallel and blocks of one shard arrive in the order given.
+    /// Answers block for block, in that order; a block answered
     /// `Err` may or may not be in the cache (the error can be its
     /// evicted victim's), so its writer keeps the bytes.
     pub fn write_many(
@@ -920,44 +848,6 @@ impl CacheClient {
                 out.push(match call {
                     Ok(call) => call.await.unwrap_or_else(|e| Err(e.into())),
                     Err(e) => Err(e),
-                });
-            }
-            out
-        }
-    }
-
-    /// Patches many blocks in one round trip, submitted as
-    /// [`write_many`](Self::write_many) submits: `(lba, at, bytes)`
-    /// asks the block's shard to write `bytes` at byte `at` of the
-    /// block in place. A shard that caches the block copies those
-    /// bytes and no others, marks it dirty and answers `true`; a patch
-    /// evicts nothing, so it never waits for a victim's write-back.
-    /// `false` means the shard did not cache the block — it is in a
-    /// fill, on its way out in a write-back, on the disk, or the shard
-    /// is gone — and changed nothing: the caller writes the block
-    /// whole. A patch that does not fit in a block is not sent and is
-    /// answered `false`.
-    ///
-    /// Counted as `cache.patches` (applied) and
-    /// `cache.patches_refused` (answered `false` by a shard).
-    pub fn patch_many(&self, patches: &[(u64, usize, &[u8])]) -> impl Future<Output = Vec<bool>> {
-        let calls: Vec<_> = patches
-            .iter()
-            .map(|&(lba, at, bytes)| {
-                let at = PatchAt::new(lba, at, bytes.len())?;
-                let bytes = Box::from(bytes);
-                Some(
-                    self.shard(lba)
-                        .call(|reply| CacheMsg::Patch { at, bytes, reply }),
-                )
-            })
-            .collect();
-        async move {
-            let mut out = Vec::with_capacity(calls.len());
-            for call in calls {
-                out.push(match call {
-                    Some(call) => call.await.unwrap_or(false),
-                    None => false,
                 });
             }
             out

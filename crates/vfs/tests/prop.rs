@@ -190,14 +190,16 @@ async fn fresh_fs(which: &str) -> Vfs {
 }
 
 /// What one storm left behind: a line per op, the volume after a
-/// `sync`, the simulator's trace hash, and how often it went to the
-/// disk.
+/// `sync`, the simulator's trace hash, how often it went to the disk,
+/// and how many of the writes came before the final `sync`.
 struct Storm {
     log: Vec<String>,
     volume: Vec<Vec<u8>>,
     trace: u64,
     disk_reads: u64,
     disk_writes: u64,
+    writes_before_sync: u64,
+    blocks_allocated: u64,
 }
 
 /// Runs `ops` — it returns its log — against a fresh volume of the
@@ -211,13 +213,14 @@ where
         ctx_switch: 10,
         ..Config::default()
     });
-    let (log, volume) = s
+    let (log, volume, writes_before_sync) = s
         .block_on(async move {
             let (fs, hw) = fresh_fs_on(which, cache).await;
             let log = ops(fs.clone()).await;
+            let writes = chanos_sim::stat_get("disk.writes");
             fs.sync().await.expect("sync");
             let volume = (0..VOLUME_BLOCKS).map(|lba| hw.peek_block(lba)).collect();
-            (log, volume)
+            (log, volume, writes)
         })
         .unwrap();
     let reap_errors = s.stats().counter("msgfs.reap_errors");
@@ -231,6 +234,8 @@ where
         trace: s.trace_hash(),
         disk_reads: s.stats().counter("disk.reads"),
         disk_writes: s.stats().counter("disk.writes"),
+        writes_before_sync,
+        blocks_allocated: s.stats().counter("fs.blocks_allocated"),
     }
 }
 
@@ -424,12 +429,19 @@ fn namespace_storm_reads_the_same_from_owned_entries_and_from_blocks() {
             // task holds its bitmaps and inode table and a directory
             // vnode its blocks (a directory's vnode starts while it is
             // empty), so every fill is a group task's first use of one
-            // of its own blocks, and no cache brings more: the storm
-            // lives on the disk through its write-backs.
+            // of its own blocks, and no cache brings more. And until the
+            // final `sync` it writes nothing the owners keep: a data
+            // block reaches the disk zeroed, from the group that
+            // allocated it, and at most once more, from the reap of the
+            // directory it belonged to.
             let sb = Superblock::design(VOLUME_BLOCKS, 4);
-            let (r, w) = (msg.disk_reads, msg.disk_writes);
+            let (r, w) = (msg.disk_reads, msg.writes_before_sync);
             assert!(r <= sb.n_groups * (2 + sb.itable_blocks()), "{r} fills");
-            assert!(w >= 200, "{w} write-backs");
+            let allocated = msg.blocks_allocated;
+            assert!(
+                w <= 2 * allocated,
+                "{w} writes before the sync, {allocated} blocks allocated"
+            );
         }
     }
 }
