@@ -57,9 +57,10 @@
 //!    `queue.rs`, `injector.rs`, `idle.rs` in `crates/parchan/src`, and
 //!    `crates/nr/src/lib.rs`) must not name
 //!    `std::thread::{spawn, Builder, park, current}`,
-//!    `std::sync::atomic::Atomic*` or `std::sync::{Mutex, Condvar,
-//!    RwLock}` outside `#[cfg(test)]` items: they take them from the
-//!    `sync` facade (`crate::sync` in parchan, `rt::sync` above it).
+//!    `std::sync::atomic::Atomic*`, `std::sync::{Mutex, Condvar,
+//!    RwLock}` or `std::mem::MaybeUninit` outside `#[cfg(test)]`
+//!    items: they take them from the `sync` facade (`crate::sync` in
+//!    parchan, `rt::sync` above it), a value slot as its `ValueCell`.
 //!    A stray `std` primitive is an operation the explorer never sees,
 //!    which silently takes that code out of every check. No escape
 //!    hatch.
@@ -206,6 +207,7 @@ const UNSHIMMED: &[(&str, &[&str])] = &[
     ("std::thread::", &["spawn", "Builder", "park", "current"]),
     ("std::sync::atomic::", &["Atomic*"]),
     ("std::sync::", &["Mutex", "Condvar", "RwLock"]),
+    ("std::mem::", &["MaybeUninit"]),
 ];
 
 /// Code patterns that open an unsafe block or impl (rule 6); an
@@ -699,6 +701,17 @@ mod tests {
             // Test items are skipped, to their closing brace only.
             ("crates/parchan/src/oneshot.rs", in_tests, 0),
             ("crates/parchan/src/oneshot.rs", &after_tests, 1),
+            // A value slot is a `sync::ValueCell`.
+            (
+                "crates/parchan/src/queue.rs",
+                "use std::mem::MaybeUninit;\nstruct Slot(UnsafeCell<std::mem::MaybeUninit<T>>);\n",
+                2,
+            ),
+            (
+                "crates/parchan/src/sync.rs",
+                "use std::mem::MaybeUninit;\n",
+                0,
+            ),
         ] {
             let mut findings = Vec::new();
             lint_file(rel, text, &[], &mut findings);

@@ -6,16 +6,16 @@
 //! A *model* is a closure that spawns [`crate::thread::spawn`] model
 //! threads and synchronizes them through the [`crate::sync`] shim
 //! types. Each model thread is a real OS thread, but only **one runs
-//! at a time**: every visible operation (atomic op, mutex op,
-//! condvar wait/notify, park/unpark, spawn/join, yield) first reports
-//! itself to the [`Controller`] and hands the baton on. The thread
-//! handing it on takes the scheduling decision itself — often to go
-//! on, which then costs no context switch — and blocks until it is
-//! granted the baton again. The decision therefore sees, at every
-//! step, the full set of runnable threads and the operation each would
-//! perform next — which is exactly the information a model checker
-//! needs; the caller's thread only starts an execution and tears it
-//! down.
+//! at a time**: every visible operation (atomic op, value-cell
+//! access, mutex op, condvar wait/notify, park/unpark, spawn/join,
+//! yield) first reports itself to the [`Controller`] and hands the
+//! baton on. The thread handing it on takes the scheduling decision
+//! itself — often to go on, which then costs no context switch — and
+//! blocks until it is granted the baton again. The decision therefore
+//! sees, at every step, the full set of runnable threads and the
+//! operation each would perform next — which is exactly the
+//! information a model checker needs; the caller's thread only starts
+//! an execution and tears it down.
 //!
 //! # How the state space is explored
 //!
@@ -85,6 +85,8 @@ pub enum Op {
     Rmw { loc: usize },
     /// A memory fence.
     Fence,
+    /// A `put` or `take` on the [`crate::sync::ValueCell`] at `loc`.
+    Cell { loc: usize },
     /// Mutex acquire; enabled only while the mutex is free.
     MutexLock { loc: usize },
     /// Mutex release.
@@ -117,6 +119,9 @@ impl Op {
         use Op::*;
         match (a, b) {
             (Yield, _) | (_, Yield) => false,
+            // A value cell's accesses meet each other only.
+            (Cell { loc: x }, Cell { loc: y }) => x == y,
+            (Cell { .. }, _) | (_, Cell { .. }) => false,
             (Load { .. }, Load { .. }) => false, // two reads commute
             (Load { loc: x }, Store { loc: y } | Rmw { loc: y })
             | (Store { loc: x } | Rmw { loc: x }, Load { loc: y })
@@ -294,6 +299,8 @@ struct CtlState {
     steps: usize,
     ordering_counts: [u64; 5],
     plan: Plan,
+    /// The root thread was [`strand`]ed: its OS thread never ends.
+    root_stranded: bool,
 }
 
 /// How one execution is scheduled, and the decisions it took. It lives
@@ -366,6 +373,7 @@ impl Controller {
                 steps: 0,
                 ordering_counts: [0; 5],
                 plan,
+                root_stranded: false,
             }),
             cv: Condvar::new(),
             turns: std::array::from_fn(|_| Condvar::new()),
@@ -481,6 +489,26 @@ pub(crate) fn sync_op(op: Op, ordering: Ordering) {
     if let Some((ctl, me)) = ctx() {
         ctl.record_ordering(ordering);
         ctl.switch(me, op);
+    }
+}
+
+/// Scheduling point for a value-cell access; it declares no ordering.
+pub(crate) fn cell_op(loc: usize) {
+    if let Some((ctl, me)) = ctx() {
+        ctl.switch(me, Op::Cell { loc });
+    }
+}
+
+/// Records `msg` as the calling model thread's panic without a second
+/// unwind (which would abort), and blocks its OS thread for good.
+pub(crate) fn strand(msg: &str) -> ! {
+    let Some((ctl, me)) = ctx() else {
+        panic!("{msg}")
+    };
+    plock(&ctl.state).root_stranded |= me == 0;
+    ctl.record_panic(me, msg.to_string());
+    loop {
+        std::thread::park();
     }
 }
 
@@ -983,7 +1011,9 @@ fn run_execution(
     let end = st.plan.end.take().expect("the execution ended");
     let end = finish(&ctl, st, end);
     // Join the root OS thread (grant/abort already released it).
-    let _ = os_root.join();
+    if !plock(&ctl.state).root_stranded {
+        let _ = os_root.join();
+    }
     // Fold this execution's recorded orderings into the caller's
     // running tally.
     let mut st = plock(&ctl.state);

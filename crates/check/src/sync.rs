@@ -1,6 +1,6 @@
 //! Drop-in replacements for the `std::sync` types, the `std::thread`
 //! subset, `catch_unwind` and `spin_loop` that parchan and chanos-nr
-//! use.
+//! use, and [`ValueCell`], the checked form of parchan's value slots.
 //!
 //! Each type wraps its `std` counterpart and adds exactly one thing:
 //! when the calling thread is a *model thread* of a live
@@ -195,6 +195,57 @@ impl AtomicBool {
     pub fn fetch_and(&self, v: bool, order: Ordering) -> bool {
         sched::sync_op(Op::Rmw { loc: self.loc() }, order);
         self.inner.fetch_and(v, order)
+    }
+}
+
+/// Checked stand-in for parchan's `UnsafeCell<MaybeUninit<T>>` value
+/// slot: an `Option<T>`, so a `put` into a full cell, a `take` from an
+/// empty one and a full cell dropped (the real cell leaks) panic. In a
+/// model each access is a scheduling point at the cell's address,
+/// dependent only on accesses to the same cell, recording no ordering.
+pub struct ValueCell<T>(std::cell::UnsafeCell<Option<T>>);
+
+impl<T> Default for ValueCell<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> ValueCell<T> {
+    pub const fn new() -> Self {
+        Self(std::cell::UnsafeCell::new(None))
+    }
+
+    /// # Safety
+    /// As for the real cell: the caller has exclusive access.
+    pub unsafe fn put(&self, v: T) {
+        sched::cell_op(self as *const _ as usize);
+        // SAFETY: this fn's contract; in a model only one thread runs.
+        let old = unsafe { (*self.0.get()).replace(v) };
+        assert!(old.is_none(), "ValueCell::put into a full cell");
+    }
+
+    /// # Safety
+    /// As for the real cell: the caller has exclusive access.
+    pub unsafe fn take(&self) -> T {
+        sched::cell_op(self as *const _ as usize);
+        // SAFETY: as in `put`.
+        match unsafe { (*self.0.get()).take() } {
+            Some(v) => v,
+            // A second misuse, met by a destructor of the first's unwind.
+            None if std::thread::panicking() => sched::strand(EMPTY),
+            None => panic!("{EMPTY}"),
+        }
+    }
+}
+
+const EMPTY: &str = "ValueCell::take from an empty cell";
+
+impl<T> Drop for ValueCell<T> {
+    fn drop(&mut self) {
+        if self.0.get_mut().is_some() && !std::thread::panicking() {
+            panic!("a full ValueCell dropped: the real cell would leak its value");
+        }
     }
 }
 

@@ -1,12 +1,12 @@
 //! Direct unit tests for the explorer itself: exact schedule counts
 //! against hand-enumerated interleavings, preemption-bound ladder,
-//! sleep-set pruning, deadlock (lost-wake) detection, and schedule
-//! replay.
+//! sleep-set pruning, deadlock (lost-wake) detection, schedule
+//! replay, and the value cell's checks.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use chanos_check::sync::{AtomicUsize, Condvar, Mutex};
+use chanos_check::sync::{AtomicUsize, Condvar, Mutex, ValueCell};
 use chanos_check::thread;
 use chanos_check::{Config, Explorer, FailureKind};
 
@@ -302,4 +302,109 @@ fn mutex_serializes_and_join_returns_value() {
     });
     report.assert_ok();
     assert!(report.schedules >= 2, "lock order must branch");
+}
+
+/// A value cell two model threads share. The model asserts nothing
+/// about who may touch it, so the cell's own checks are the oracle.
+struct Shared(ValueCell<u32>);
+
+// SAFETY: the explorer runs one model thread at a time, so accesses
+// from two threads never overlap; a wrong order is the cell's panic.
+unsafe impl Sync for Shared {}
+
+#[test]
+fn a_take_racing_a_put_on_one_cell_panics_and_replays() {
+    fn model() {
+        let cell = Arc::new(Shared(ValueCell::new()));
+        let t = {
+            let cell = cell.clone();
+            // SAFETY: see `Shared`.
+            thread::spawn(move || unsafe { cell.0.put(7) })
+        };
+        // SAFETY: see `Shared`.
+        assert_eq!(unsafe { cell.0.take() }, 7);
+        t.join();
+    }
+    let explorer = Explorer::new(cfg(3, true));
+    let report = explorer.check(model);
+    let failure = report.failure.expect("the take may run first");
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(failure.detail.contains("empty cell"), "{}", failure.detail);
+    let replayed = explorer
+        .replay(&failure.schedule, model)
+        .expect("replay must reproduce the failure");
+    assert_eq!(replayed.kind, FailureKind::Panic);
+    // A cell access declares no ordering.
+    assert_eq!(report.ordering_counts, [0; 5]);
+}
+
+#[test]
+fn accesses_to_two_cells_commute() {
+    // `sleep_sets_prune_independent_stores` with cells for atomics.
+    fn model() {
+        let (x, y) = (ValueCell::new(), Arc::new(Shared(ValueCell::new())));
+        let t = {
+            let y = y.clone();
+            // SAFETY: only this thread touches `y` until the join.
+            thread::spawn(move || unsafe { y.0.put(1) })
+        };
+        // SAFETY: `x` is this thread's alone; `y` is taken after the
+        // join, and both cells are empty when dropped.
+        unsafe {
+            x.put(2);
+            assert_eq!(x.take(), 2);
+            t.join();
+            assert_eq!(y.0.take(), 1);
+        }
+    }
+    let report = Explorer::new(cfg(3, true)).check(model);
+    report.assert_ok();
+    assert!(report.pruned > 0, "{} schedules", report.schedules);
+}
+
+#[test]
+fn a_cell_dropped_full_panics() {
+    let report = Explorer::new(cfg(3, true)).check(|| {
+        let cell = ValueCell::new();
+        // SAFETY: the cell is this thread's alone.
+        unsafe { cell.put(1u32) };
+        drop(cell);
+    });
+    let failure = report.failure.expect("the normal build leaks the value");
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(failure.detail.contains("dropped"), "{}", failure.detail);
+}
+
+#[test]
+fn an_empty_take_met_while_unwinding_is_reported_not_an_abort() {
+    /// Takes from the cell again as the first take's panic unwinds.
+    struct TakeOnDrop<'a>(&'a ValueCell<u32>);
+    impl Drop for TakeOnDrop<'_> {
+        fn drop(&mut self) {
+            // SAFETY: the cell is this thread's alone.
+            unsafe { self.0.take() };
+        }
+    }
+    let report = Explorer::new(cfg(3, true)).check(|| {
+        let cell = ValueCell::new();
+        let _again = TakeOnDrop(&cell);
+        // SAFETY: the cell is this thread's alone.
+        unsafe { cell.take() };
+    });
+    let failure = report.failure.expect("the cell was never filled");
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(failure.detail.contains("empty cell"), "{}", failure.detail);
+}
+
+#[test]
+fn outside_an_execution_a_cell_is_a_passthrough() {
+    // No controller: no scheduling point, just the move in and out.
+    let cell = ValueCell::new();
+    // SAFETY: the cell is this thread's alone.
+    unsafe {
+        cell.put(String::from("a"));
+        assert_eq!(cell.take(), "a");
+        cell.put(String::from("b"));
+        assert_eq!(cell.take(), "b");
+    }
 }

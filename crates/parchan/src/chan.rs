@@ -60,11 +60,9 @@
 //! thread or a closure, so the server may wait between two answers.
 //! [`Sender::try_send_many`] is the same thing for a submit burst.
 
-use crate::sync::{fence, Arc, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
-use std::cell::UnsafeCell;
+use crate::sync::{fence, Arc, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering, ValueCell};
 use std::collections::VecDeque;
 use std::future::Future;
-use std::mem::MaybeUninit;
 use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
 
@@ -803,7 +801,7 @@ struct Slot<T> {
     /// Lap stamp: `ticket` = writable this lap, `ticket + 1` =
     /// readable, `ticket + one_lap` = writable next lap.
     stamp: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<T>>,
+    value: ValueCell<T>,
 }
 
 struct Waiters {
@@ -855,7 +853,7 @@ impl<T> Ring<T> {
         let buf: Box<[Slot<T>]> = (0..cap)
             .map(|i| Slot {
                 stamp: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
+                value: ValueCell::new(),
             })
             .collect();
         Ring {
@@ -908,8 +906,9 @@ impl<T> Ring<T> {
                 ) {
                     Ok(_) => {
                         // SAFETY: the ticket CAS gives us exclusive
-                        // write access to this slot for this lap.
-                        unsafe { (*slot.value.get()).write(value) };
+                        // write access to this slot for this lap, and
+                        // last lap's pop emptied it.
+                        unsafe { slot.value.put(value) };
                         slot.stamp.store(tail.wrapping_add(1), Ordering::Release);
                         return Push::Done;
                     }
@@ -972,7 +971,7 @@ impl<T> Ring<T> {
                     Ok(_) => {
                         // SAFETY: the ticket CAS gives us exclusive
                         // read access; the stamp says it was written.
-                        let value = unsafe { (*slot.value.get()).assume_init_read() };
+                        let value = unsafe { slot.value.take() };
                         slot.stamp
                             .store(head.wrapping_add(self.one_lap), Ordering::Release);
                         return Popped::Got(value);
@@ -1730,5 +1729,45 @@ impl<T> Drop for RecvFut<'_, T> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counts its drops.
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Sends `sent` values, receives `taken` of them, drops both
+    /// endpoints, and counts the drops.
+    fn drops(cap: Capacity, sent: usize, taken: usize) -> usize {
+        let n = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = channel(cap);
+        assert!(tx.is_lock_free());
+        for _ in 0..sent {
+            assert!(tx.try_send(Counted(n.clone())).is_ok());
+        }
+        for _ in 0..taken {
+            drop(rx.try_recv().expect("sent"));
+        }
+        assert_eq!(n.load(Ordering::Relaxed), taken);
+        drop((tx, rx));
+        n.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_dropped_ring_drops_every_undelivered_value_once() {
+        // Bounded(8): full, and with its head partway round.
+        assert_eq!(drops(Capacity::Bounded(8), 8, 0), 8);
+        assert_eq!(drops(Capacity::Bounded(8), 8, 3), 8);
+        // Unbounded: the 256-slot segment full and 44 spilled past it.
+        assert_eq!(drops(Capacity::Unbounded, 300, 10), 300);
     }
 }

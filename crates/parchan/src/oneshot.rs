@@ -24,7 +24,7 @@
 //! receiver wakes, so a [`crate::WakeBatch`] holds oneshot
 //! completions per peer exactly like channel replies.
 
-use crate::sync::{Arc, AtomicU8, Ordering};
+use crate::sync::{Arc, AtomicU8, Ordering, ValueCell};
 use std::cell::UnsafeCell;
 use std::future::Future;
 use std::pin::Pin;
@@ -47,8 +47,9 @@ const TAKEN: u8 = 5;
 
 /// The shared slot. Cell ownership is decided by `state` alone:
 ///
-/// * `value` is written by the sender *before* its swap to `SENT`,
-///   and read by the receiver only *after* observing `SENT`.
+/// * `value` is filled by the sender *before* its swap to `SENT`,
+///   and emptied by the receiver only *after* observing `SENT` (or by
+///   the sender again, if its swap finds the receiver gone).
 /// * `waker` is written by the receiver only while the state is
 ///   `EMPTY` (it claims a parked waker back via a `WAITING → EMPTY`
 ///   CAS before replacing it), and read by the sender only when its
@@ -56,7 +57,7 @@ const TAKEN: u8 = 5;
 ///   longer touch the cell, because the state is already `SENT`.
 struct Slot<T> {
     state: AtomicU8,
-    value: UnsafeCell<Option<T>>,
+    value: ValueCell<T>,
     waker: UnsafeCell<Option<Waker>>,
 }
 
@@ -71,7 +72,7 @@ impl<T> Slot<T> {
     fn new() -> Slot<T> {
         Slot {
             state: AtomicU8::new(EMPTY),
-            value: UnsafeCell::new(None),
+            value: ValueCell::new(),
             waker: UnsafeCell::new(None),
         }
     }
@@ -102,7 +103,7 @@ impl<T: Send> OneSender<T> {
         // SAFETY: the sender owns the value cell until the state says
         // SENT, and `send` consumed the only sender: the receiver reads
         // the cell only after it observes the swap below.
-        unsafe { *slot.value.get() = Some(v) };
+        unsafe { slot.value.put(v) };
         match slot.state.swap(SENT, Ordering::AcqRel) {
             EMPTY => Ok(()),
             WAITING => {
@@ -118,10 +119,10 @@ impl<T: Send> OneSender<T> {
                 // No receiver: reclaim the value; nobody else can
                 // race us here, so a plain store restores the state.
                 // SAFETY: RX_DROPPED arm — the receiver is gone and never
-                // saw SENT, so the value cell written above is still ours.
-                let v = unsafe { (*slot.value.get()).take() };
+                // saw SENT, so the value cell filled above is still ours.
+                let v = unsafe { slot.value.take() };
                 slot.state.store(RX_DROPPED, Ordering::Release);
-                Err(v.expect("value written above"))
+                Err(v)
             }
             s => unreachable!("oneshot send from state {s}"),
         }
@@ -165,12 +166,12 @@ impl<T: Send> OneReceiver<T> {
             match slot.state.load(Ordering::Acquire) {
                 SENT => {
                     // SAFETY: SENT arm — the Acquire load saw the
-                    // sender's swap, which came after its one write of
-                    // the value cell; the sender is consumed, so the
-                    // cell is the receiver's (`&mut self`: this call).
-                    let v = unsafe { (*slot.value.get()).take() };
+                    // sender's swap, which came after it filled the
+                    // value cell; the sender is consumed, so the cell
+                    // is the receiver's (`&mut self`: this call).
+                    let v = unsafe { slot.value.take() };
                     slot.state.store(TAKEN, Ordering::Release);
-                    return Poll::Ready(Ok(v.expect("SENT implies a value")));
+                    return Poll::Ready(Ok(v));
                 }
                 TX_DROPPED => return Poll::Ready(Err(RecvError::Closed)),
                 EMPTY => {
@@ -216,9 +217,9 @@ impl<T: Send> OneReceiver<T> {
 impl<T: Send> Drop for OneReceiver<T> {
     fn drop(&mut self) {
         match self.slot.state.swap(RX_DROPPED, Ordering::AcqRel) {
-            // SAFETY: SENT arm — an undelivered value: the sender wrote
-            // it before its swap and is consumed; the cell is ours.
-            SENT => unsafe { *self.slot.value.get() = None },
+            // SAFETY: SENT arm — an undelivered value: the sender filled
+            // the cell before its swap and is consumed; the cell is ours.
+            SENT => drop(unsafe { self.slot.value.take() }),
             // SAFETY: WAITING arm — our own parked waker: our swap took
             // the state off WAITING before any sender swap saw it, so
             // no sender will read the cell.
@@ -302,6 +303,15 @@ mod tests {
         drop(tx);
         assert_eq!(hits.load(Ordering::Relaxed), 1);
         assert_eq!(rx.poll_recv(&mut cx), Poll::Ready(Err(RecvError::Closed)));
+    }
+
+    #[test]
+    fn a_receiver_dropped_after_the_send_frees_the_value() {
+        let value = Arc::new(());
+        let (tx, rx) = oneshot::<Arc<()>>();
+        tx.send(value.clone()).unwrap();
+        drop(rx);
+        assert_eq!(Arc::strong_count(&value), 1);
     }
 
     #[test]

@@ -36,20 +36,18 @@
 //! participates in a Dekker-style flag handshake (that lives in
 //! `idle.rs`).
 //!
-//! The steal-claim vs owner-pop race and the publish ordering are
-//! model-checked in `crates/check/src/models/steal.rs` (mutants:
-//! stale-head steal, publish-before-write).
+//! The steal-claim vs owner-pop race, the publish ordering and the fill
+//! path are model-checked on this code at capacity 2 (`--lib queue`),
+//! where a slot read twice or before it is written panics.
 
-use crate::sync::{Arc, AtomicBool, AtomicU32, AtomicU64, Ordering};
+use crate::sync::{Arc, AtomicBool, AtomicU32, AtomicU64, Ordering, ValueCell};
 use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
 
 use crate::executor::TaskCell;
 
 /// Ring capacity per worker (power of two). Overflow beyond this
 /// spills half the ring to the injector.
 pub(crate) const LOCAL_QUEUE_CAP: usize = 256;
-const MASK: u32 = (LOCAL_QUEUE_CAP - 1) as u32;
 
 fn pack(steal: u32, real: u32) -> u64 {
     ((steal as u64) << 32) | real as u64
@@ -59,18 +57,17 @@ fn unpack(v: u64) -> (u32, u32) {
     ((v >> 32) as u32, v as u32)
 }
 
-struct Slot(UnsafeCell<MaybeUninit<Arc<TaskCell>>>);
-
-/// The fixed-size SPMC ring. Owner-side methods are `unsafe fn`s
-/// whose contract is "the calling thread is this ring's worker (or
-/// holds otherwise-exclusive access, e.g. the post-join shutdown
-/// sweep)" — the executor upholds it via `local_worker()` checks.
-pub(crate) struct Ring {
+/// The fixed-size SPMC ring of `CAP` slots (a power of two).
+/// Owner-side methods are `unsafe fn`s whose contract is "the calling
+/// thread is this ring's worker (or holds otherwise-exclusive access,
+/// e.g. the post-join shutdown sweep)" — the executor upholds it via
+/// `local_worker()` checks.
+pub(crate) struct Ring<const CAP: usize = LOCAL_QUEUE_CAP> {
     /// Packed `(steal, real)` cursor pair — see module docs.
     head: AtomicU64,
     /// Back cursor; written only by the owner, read by thieves.
     tail: AtomicU32,
-    buffer: Box<[Slot]>,
+    buffer: Box<[ValueCell<Arc<TaskCell>>]>,
 }
 
 // SAFETY: the raw slot cells are only touched under the cursor
@@ -78,14 +75,15 @@ pub(crate) struct Ring {
 // readers (owner pop / thief copy) read a slot only after claiming
 // its index through a head CAS, and capacity checks against `steal`
 // keep the owner from overwriting a claimed-but-uncopied slot.
-unsafe impl Send for Ring {}
-unsafe impl Sync for Ring {}
+unsafe impl<const CAP: usize> Send for Ring<CAP> {}
+unsafe impl<const CAP: usize> Sync for Ring<CAP> {}
 
-impl Ring {
-    pub(crate) fn new() -> Ring {
-        let buffer = (0..LOCAL_QUEUE_CAP)
-            .map(|_| Slot(UnsafeCell::new(MaybeUninit::uninit())))
-            .collect();
+impl<const CAP: usize> Ring<CAP> {
+    const MASK: u32 = (CAP - 1) as u32;
+
+    pub(crate) fn new() -> Ring<CAP> {
+        assert!(CAP.is_power_of_two() && CAP <= 1 << 31);
+        let buffer = (0..CAP).map(|_| ValueCell::new()).collect();
         Ring {
             head: AtomicU64::new(0),
             tail: AtomicU32::new(0),
@@ -116,17 +114,18 @@ impl Ring {
         // Owner is the only tail writer, so a relaxed read sees its
         // own latest value.
         let tail = self.tail.load(Ordering::Relaxed);
-        if tail.wrapping_sub(steal) >= LOCAL_QUEUE_CAP as u32 {
+        if tail.wrapping_sub(steal) >= CAP as u32 {
             // Full — counting from `steal`, not `real`: slots still
             // being copied out by a thief must not be reused yet.
             return Err(task);
         }
-        let idx = (tail & MASK) as usize;
+        let idx = (tail & Self::MASK) as usize;
         // SAFETY: owner thread (this fn's contract), so nobody else
         // writes slots; `[tail]` is outside `[steal, tail)` by the
-        // capacity check, so no reader has a claim on it, and it holds
-        // no live value (`write` drops nothing).
-        unsafe { (*self.buffer[idx].0.get()).write(task) };
+        // capacity check, so no reader has a claim on it, and it is
+        // empty (its last value was taken by the pop or steal that
+        // moved `steal` past it).
+        unsafe { self.buffer[idx].put(task) };
         // Release publishes the slot write above to thieves that
         // Acquire-read `tail`.
         self.tail.store(tail.wrapping_add(1), Ordering::Release);
@@ -159,12 +158,12 @@ impl Ring {
                 .compare_exchange(head, next, Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => {
-                    let idx = (real & MASK) as usize;
+                    let idx = (real & Self::MASK) as usize;
                     // SAFETY: the CAS moved `real` past this index, so
                     // it is claimed by us alone (a thief's claim CAS
                     // on the same `head` value failed); `real < tail`
-                    // and we are the owner, so our own `push` wrote it.
-                    return Some(unsafe { (*self.buffer[idx].0.get()).assume_init_read() });
+                    // and we are the owner, so our own `push` filled it.
+                    return Some(unsafe { self.buffer[idx].take() });
                 }
                 Err(h) => head = h,
             }
@@ -177,16 +176,15 @@ impl Ring {
     /// flight (one thief per victim at a time).
     ///
     /// # Safety
-    /// Caller must be `dst`'s owning worker thread, and `dst` must
-    /// have room for the batch (callers steal only when their own
-    /// ring is empty; a batch is at most `LOCAL_QUEUE_CAP / 2`).
-    pub(crate) unsafe fn steal_into(&self, dst: &Ring) -> Option<(Arc<TaskCell>, usize)> {
+    /// Caller must be `dst`'s owning worker thread. The batch is capped
+    /// by `dst`'s room, so a full `dst` takes just the returned task.
+    pub(crate) unsafe fn steal_into(&self, dst: &Ring<CAP>) -> Option<(Arc<TaskCell>, usize)> {
         // Room in `dst` is a lower bound: we are its owner (nobody
         // else pushes) and thieves only free slots. `+ 1` because the
         // first stolen task is returned, not deposited.
         let (dst_steal, _) = unpack(dst.head.load(Ordering::Acquire));
         let dst_tail = dst.tail.load(Ordering::Relaxed);
-        let room = LOCAL_QUEUE_CAP as u32 - dst_tail.wrapping_sub(dst_steal) + 1;
+        let room = CAP as u32 - dst_tail.wrapping_sub(dst_steal) + 1;
         let mut prev = self.head.load(Ordering::Acquire);
         let (claim_start, n) = loop {
             let (steal, real) = unpack(prev);
@@ -221,17 +219,17 @@ impl Ring {
         // starts at the advanced `real`, another thief needs `steal ==
         // real`, and `push` counts capacity from `steal`, which stays
         // at `claim_start` until the release loop further down — so each
-        // index is read once, by us. The slots are initialised: `n <=
-        // tail - real` under an Acquire read of `tail`, which pairs
-        // with the Release store in `push`. `dst.push`: the caller is
-        // `dst`'s owner (this fn's contract).
+        // index is read once, by us. The slots are full: `n <= tail -
+        // real` under an Acquire read of `tail`, which pairs with the
+        // Release store in `push`. `dst.push`: the caller is `dst`'s
+        // owner (this fn's contract).
         let first = {
-            let idx = (claim_start & MASK) as usize;
-            unsafe { (*self.buffer[idx].0.get()).assume_init_read() }
+            let idx = (claim_start & Self::MASK) as usize;
+            unsafe { self.buffer[idx].take() }
         };
         for i in 1..n {
-            let idx = (claim_start.wrapping_add(i) & MASK) as usize;
-            let t = unsafe { (*self.buffer[idx].0.get()).assume_init_read() };
+            let idx = (claim_start.wrapping_add(i) & Self::MASK) as usize;
+            let t = unsafe { self.buffer[idx].take() };
             // Cannot fail: the batch was capped to `room` above.
             let pushed = unsafe { dst.push(t) };
             debug_assert!(pushed.is_ok(), "steal batch exceeds dst capacity");
@@ -267,7 +265,7 @@ impl Ring {
     }
 }
 
-impl Drop for Ring {
+impl<const CAP: usize> Drop for Ring<CAP> {
     fn drop(&mut self) {
         self.drain();
     }
@@ -322,5 +320,179 @@ impl LifoSlot {
             self.occupied.store(false, Ordering::Relaxed);
         }
         t
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cells<const N: usize>() -> [Arc<TaskCell>; N] {
+        std::array::from_fn(|_| TaskCell::detached())
+    }
+
+    /// Which of `of` each task is, by cell identity.
+    fn ids(tasks: &[Arc<TaskCell>], of: &[Arc<TaskCell>]) -> Vec<usize> {
+        tasks
+            .iter()
+            .map(|t| {
+                of.iter()
+                    .position(|c| Arc::ptr_eq(c, t))
+                    .expect("known cell")
+            })
+            .collect()
+    }
+
+    // SAFETY: (the three helpers) every ring in these tests is pushed
+    // to, popped from and stolen into only by the thread that made it,
+    // which is therefore its owner.
+    fn push<const C: usize>(q: &Ring<C>, t: Arc<TaskCell>) -> Result<(), Arc<TaskCell>> {
+        unsafe { q.push(t) }
+    }
+    fn pop<const C: usize>(q: &Ring<C>) -> Option<Arc<TaskCell>> {
+        unsafe { q.pop() }
+    }
+    fn steal<const C: usize>(from: &Ring<C>, to: &Ring<C>) -> Option<(Arc<TaskCell>, usize)> {
+        unsafe { from.steal_into(to) }
+    }
+
+    #[test]
+    fn pops_come_out_in_push_order() {
+        let cs = cells::<6>();
+        let q = Ring::<4>::new();
+        let mut out = Vec::new();
+        // Six through four slots: the cursors pass the end of the ring.
+        for c in &cs[..4] {
+            assert!(push(&q, c.clone()).is_ok());
+        }
+        out.extend(pop(&q));
+        out.extend(pop(&q));
+        for c in &cs[4..] {
+            assert!(push(&q, c.clone()).is_ok());
+        }
+        assert_eq!(q.len(), 4);
+        while let Some(t) = pop(&q) {
+            out.push(t);
+        }
+        assert_eq!(ids(&out, &cs), [0, 1, 2, 3, 4, 5]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_push_into_a_full_ring_hands_the_task_back() {
+        let cs = cells::<3>();
+        let q = Ring::<2>::new();
+        assert!(push(&q, cs[0].clone()).is_ok());
+        assert!(push(&q, cs[1].clone()).is_ok());
+        let back = push(&q, cs[2].clone()).expect_err("the ring is full");
+        assert!(Arc::ptr_eq(&back, &cs[2]));
+        assert_eq!(ids(&[pop(&q).expect("oldest")], &cs), [0]);
+        assert!(push(&q, back).is_ok());
+    }
+
+    #[test]
+    fn a_steal_takes_half_rounded_up_and_at_most_the_thiefs_room() {
+        let cs = cells::<8>();
+        let (victim, thief) = (Ring::<8>::new(), Ring::<8>::new());
+        for c in &cs[..5] {
+            assert!(push(&victim, c.clone()).is_ok());
+        }
+        // Five queued: three stolen, the first returned, two deposited.
+        let (first, n) = steal(&victim, &thief).expect("five queued");
+        assert_eq!((ids(&[first], &cs), n), (vec![0], 3));
+        assert_eq!((victim.len(), thief.len()), (2, 2));
+        // Five queued again, and a thief with one free slot: it takes
+        // two of the three, one for the slot and the one it returns.
+        for c in &cs[5..] {
+            assert!(push(&victim, c.clone()).is_ok());
+        }
+        let full = Ring::<8>::new();
+        for c in cells::<7>() {
+            assert!(push(&full, c).is_ok());
+        }
+        let (first, n) = steal(&victim, &full).expect("five queued");
+        assert_eq!((ids(&[first], &cs), n), (vec![3], 2));
+        assert_eq!((victim.len(), full.len()), (3, 8));
+        assert!(
+            steal(&Ring::<8>::new(), &thief).is_none(),
+            "an empty victim"
+        );
+    }
+
+    #[test]
+    fn a_dropped_ring_releases_every_task() {
+        let cs = cells::<3>();
+        let (victim, thief) = (Ring::<4>::new(), Ring::<4>::new());
+        for c in &cs {
+            assert!(push(&victim, c.clone()).is_ok());
+        }
+        let (first, _) = steal(&victim, &thief).expect("three queued");
+        drop(first);
+        drop((victim, thief));
+        for c in &cs {
+            assert_eq!(Arc::strong_count(c), 1);
+        }
+    }
+
+    /// The owner pushes three tasks through a 2-slot ring, popping to
+    /// make room, while a thief steals into a ring of its own and
+    /// drains it. At two slots the fill path is in reach: `push`
+    /// counting capacity from `steal`, and `steal` pinned while the
+    /// thief copies. Every task must come out exactly once.
+    #[cfg(feature = "chanos_check")]
+    #[test]
+    fn a_thief_and_the_owner_take_each_task_once() {
+        use chanos_check::{thread, Config, Explorer};
+        let model = || {
+            let cs = cells::<3>();
+            let q = Arc::new(Ring::<2>::new());
+            let thief = {
+                let q = q.clone();
+                thread::spawn(move || {
+                    let mut mine = Ring::<2>::new();
+                    let mut got: Vec<_> = steal(&q, &mine).map(|(t, _)| t).into_iter().collect();
+                    got.extend(mine.drain());
+                    got
+                })
+            };
+            let mut got = Vec::new();
+            for c in &cs {
+                let mut t = c.clone();
+                while let Err(back) = push(&q, t) {
+                    t = back;
+                    // Full but empty: a steal is mid-copy.
+                    match pop(&q) {
+                        Some(x) => got.push(x),
+                        None => thread::yield_now(),
+                    }
+                }
+            }
+            got.extend(std::iter::from_fn(|| pop(&q)));
+            got.extend(thief.join());
+            let mut seen = ids(&got, &cs);
+            seen.sort_unstable();
+            assert_eq!(seen, [0, 1, 2], "a task was lost or taken twice");
+        };
+        let explorer = Explorer::new(Config {
+            max_preemptions: 3,
+            ..Config::default()
+        });
+        let report = explorer.check(model);
+        if let Some(failure) = &report.failure {
+            eprintln!("caught after {} schedules: {failure}", report.schedules);
+            for _ in 0..2 {
+                let again = explorer.replay(&failure.schedule, model);
+                assert_eq!(
+                    again.map(|f| f.kind),
+                    Some(failure.kind.clone()),
+                    "{failure} does not replay"
+                );
+            }
+        }
+        report.assert_ok();
+        eprintln!(
+            "verified at bound 3: {} schedules, {} pruned",
+            report.schedules, report.pruned
+        );
     }
 }

@@ -97,6 +97,7 @@ fn verify(max_preemptions: usize, model: impl Fn() + Clone + Send + Sync + 'stat
     });
     let report = explorer.check(model.clone());
     if let Some(failure) = &report.failure {
+        eprintln!("caught after {} schedules: {failure}", report.schedules);
         for _ in 0..2 {
             let again = explorer.replay(&failure.schedule, model.clone());
             assert_eq!(
@@ -107,6 +108,10 @@ fn verify(max_preemptions: usize, model: impl Fn() + Clone + Send + Sync + 'stat
         }
     }
     report.assert_ok();
+    eprintln!(
+        "verified at bound {max_preemptions}: {} schedules, {} pruned",
+        report.schedules, report.pruned
+    );
 }
 
 /// The high bits of every value an execution sends (see the module
