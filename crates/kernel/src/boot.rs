@@ -41,17 +41,16 @@ pub struct BootCfg {
     /// Cores reserved for kernel services (per-process kernel tasks, FS
     /// servers, drivers). Must be non-empty for the message kernel.
     pub kernel_cores: Vec<CoreId>,
-    /// Disk size in blocks.
-    pub disk_blocks: u64,
-    /// Cylinder groups.
-    pub fs_groups: u64,
-    /// Buffer cache size (total blocks, split over shards).
-    pub cache_blocks: usize,
     /// Kernel cost parameters.
     pub costs: KernelCosts,
-    /// Disk latency parameters.
-    pub disk: DiskParams,
 }
+
+/// Disk size in blocks.
+const DISK_BLOCKS: u64 = 8192;
+/// Cylinder groups.
+const FS_GROUPS: u64 = 8;
+/// Buffer cache size (total blocks, split over shards).
+const CACHE_BLOCKS: usize = 512;
 
 impl BootCfg {
     /// A reasonable default configuration over the given kernel
@@ -61,11 +60,7 @@ impl BootCfg {
             kernel,
             fs,
             kernel_cores,
-            disk_blocks: 8192,
-            fs_groups: 8,
-            cache_blocks: 512,
             costs: KernelCosts::default(),
-            disk: DiskParams::default(),
         }
     }
 }
@@ -93,38 +88,27 @@ pub async fn boot(cfg: BootCfg) -> Os {
     );
     // Device + driver on the last kernel core.
     let driver_core = *cfg.kernel_cores.last().expect("non-empty");
-    let (hw, irq) = install_disk(cfg.disk_blocks, cfg.disk.clone(), driver_core);
+    let (hw, irq) = install_disk(DISK_BLOCKS, DiskParams::default(), driver_core);
     let disk = spawn_disk_driver(hw, irq, driver_core);
 
     let shards = cfg.kernel_cores.len().max(1);
-    let per_shard = (cfg.cache_blocks / shards).max(8);
+    let per_shard = (CACHE_BLOCKS / shards).max(8);
     let vfs = match cfg.fs {
         FsKind::BigLock => Vfs::Big(
-            BigLockFs::format(
-                disk.clone(),
-                cfg.disk_blocks,
-                cfg.fs_groups,
-                cfg.cache_blocks,
-            )
-            .await
-            .expect("mkfs biglock"),
+            BigLockFs::format(disk.clone(), DISK_BLOCKS, FS_GROUPS, CACHE_BLOCKS)
+                .await
+                .expect("mkfs biglock"),
         ),
         FsKind::Sharded => Vfs::Sharded(
-            ShardedFs::format(
-                disk.clone(),
-                cfg.disk_blocks,
-                cfg.fs_groups,
-                shards,
-                per_shard,
-            )
-            .await
-            .expect("mkfs sharded"),
+            ShardedFs::format(disk.clone(), DISK_BLOCKS, FS_GROUPS, shards, per_shard)
+                .await
+                .expect("mkfs sharded"),
         ),
         FsKind::Message => Vfs::Msg(
             MsgFs::format(
                 disk.clone(),
-                cfg.disk_blocks,
-                cfg.fs_groups,
+                DISK_BLOCKS,
+                FS_GROUPS,
                 shards,
                 per_shard,
                 cfg.kernel_cores.clone(),

@@ -18,8 +18,7 @@
 //! | [`link`] | [`LinkParams`]: latency/bandwidth/loss/jitter model |
 //! | [`node`] | [`Cluster`], [`Iface`]: nodes, switch, port demux |
 //! | [`rdt`] | [`connect`]/[`listen`]/[`Conn`]: reliable go-back-N transport |
-//! | [`remote`] | [`RemoteSender`]/[`RemoteReceiver`]: typed channels across nodes |
-//! | [`rpc`] | [`RpcClient`]/[`serve`]: correlation-id request/response |
+//! | [`rpc`] | [`RpcClient`]/[`serve`]: correlation-id request/response, [`SerdeCost`] |
 //!
 //! ## Example: two shared-nothing nodes
 //!
@@ -60,7 +59,6 @@ pub mod frame;
 pub mod link;
 pub mod node;
 pub mod rdt;
-pub mod remote;
 pub mod rpc;
 pub mod wire;
 
@@ -68,6 +66,5 @@ pub use frame::{Frame, FrameError, FrameHeader, FrameKind, NodeId};
 pub use link::LinkParams;
 pub use node::{Cluster, ClusterParams, Iface, NetError};
 pub use rdt::{connect, listen, Conn, ConnectError, Listener, RdtMode, RdtParams};
-pub use remote::{RemoteReceiver, RemoteRecvError, RemoteSender, SerdeCost};
-pub use rpc::{serve, RpcClient, RpcError};
+pub use rpc::{serve, RpcClient, RpcError, SerdeCost};
 pub use wire::{Wire, WireError};

@@ -16,11 +16,45 @@ use std::future::Future;
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use chanos_rt::{self as rt, plock, reply_channel, ReplyTo};
+use chanos_rt::{self as rt, plock, reply_channel, Cycles, ReplyTo};
 
 use crate::rdt::Conn;
-use crate::remote::SerdeCost;
 use crate::wire::Wire;
+
+/// Marshalling cost model: `per_msg + per_byte * len` cycles charged
+/// on each encode and each decode.
+#[derive(Debug, Clone, Copy)]
+pub struct SerdeCost {
+    /// Fixed cost per message (cycles).
+    pub per_msg: Cycles,
+    /// Cost per encoded byte (cycles).
+    pub per_byte: Cycles,
+}
+
+impl Default for SerdeCost {
+    fn default() -> Self {
+        // A few hundred cycles of dispatch plus ~1 cycle/byte of
+        // copying: the "memory bandwidth overhead" of §3.
+        SerdeCost {
+            per_msg: 300,
+            per_byte: 1,
+        }
+    }
+}
+
+impl SerdeCost {
+    /// Zero-cost marshalling, for isolating protocol overheads in
+    /// experiments.
+    pub const FREE: SerdeCost = SerdeCost {
+        per_msg: 0,
+        per_byte: 0,
+    };
+
+    /// Cycles to (en/de)code `len` bytes.
+    pub fn cost(&self, len: usize) -> Cycles {
+        self.per_msg + self.per_byte * len as Cycles
+    }
+}
 
 /// Error from [`RpcClient::call`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

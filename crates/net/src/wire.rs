@@ -6,7 +6,7 @@
 //! values without encoding; crossing a *cluster* link (§1's
 //! BlueGene-style shared-nothing world, §6's thousand-VM alternative)
 //! requires marshalling. [`Wire`] is that marshalling, and its cost
-//! is charged explicitly by [`remote`](crate::remote) endpoints.
+//! is charged explicitly by [`rpc`](crate::rpc) endpoints.
 //!
 //! Encodings are little-endian and length-prefixed; no
 //! self-description, no versioning — the protocol layer
@@ -40,8 +40,8 @@ impl std::error::Error for WireError {}
 /// subsequent fields — tuples and structs decode by chaining.
 ///
 /// `Send + 'static` is a supertrait: wire values are plain owned
-/// data, and requiring it here lets remote channels and RPC endpoints
-/// run unchanged on the real-threads backend.
+/// data, and requiring it here lets RPC endpoints run unchanged on
+/// the real-threads backend.
 pub trait Wire: Sized + Send + 'static {
     /// Appends the encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);

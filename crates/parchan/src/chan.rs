@@ -4,44 +4,44 @@
 //! side. [`Capacity`] and the error types are `chanos_select::vocab`'s
 //! — the same types `chanos-csp` and `chanos-rt` export.
 //!
-//! # Two cores, chosen by capacity
+//! # Two cores, chosen by whether a sender may wait
 //!
 //! [`channel`] picks the implementation from the capacity it is
 //! given; there is nothing else to set.
 //!
 //! The paper's bet is that messaging can be cheap enough to structure
 //! an OS around. Serializing every channel operation on one
-//! `Mutex<State>` makes a "send" mostly a lock handoff, so queues of
-//! any real depth (`Bounded(8..)` and `Unbounded`) use a **lock-free
-//! ring** that keeps the channel mutex off the common path entirely:
+//! `Mutex<State>` makes a "send" mostly a lock handoff, so an
+//! **`Unbounded`** channel, whose sender never waits, is a
+//! **lock-free ring** that keeps the channel mutex off the common
+//! path entirely:
 //!
-//! * **Bounded** channels are a Vyukov-style slot ring: each slot
-//!   carries a lap stamp, `head`/`tail` are claim tickets, and a
-//!   send or receive is one CAS plus one store — no lock, no
-//!   syscall, exact logical capacity.
-//! * **Unbounded** channels are the same ring used as the head
-//!   segment, with a mutex-guarded spill deque behind it. The lock is
-//!   touched only while a burst exceeds the ring (and the
-//!   `overflow_len` flag routes new sends behind the spilled ones, so
-//!   per-producer FIFO is preserved).
+//! * The ring is a Vyukov-style slot ring: each slot carries a lap
+//!   stamp, `head`/`tail` are claim tickets, and a send or receive is
+//!   one CAS plus one store — no lock, no syscall.
+//! * It is the head segment of the queue, with a mutex-guarded spill
+//!   deque behind it. A send that finds the ring full spills instead
+//!   of waiting. The lock is touched only while a burst exceeds the
+//!   ring, and the `overflow_len` flag routes new sends behind the
+//!   spilled ones, so per-producer FIFO is preserved.
 //! * **Clone/drop/close/len** use atomic refcounts and flags.
-//! * **Parking is the slow path**: a future that finds the ring
-//!   full/empty takes the small `slow` mutex, registers its waker,
-//!   and *re-checks the ring* before returning `Pending` (SeqCst
-//!   fences pair the producer's publish with the consumer's park, so
-//!   a wake can never be lost).
+//! * **Only a receiver parks**: a receive that finds the ring empty
+//!   takes the small `slow` mutex, registers its waker, and *re-checks
+//!   the ring* before returning `Pending` (SeqCst fences pair the
+//!   producer's publish with the consumer's park, so a wake can never
+//!   be lost).
 //! * **Wakes are coalesced**: a sender only touches the waiter list
 //!   when `recv_parked > 0`. In the steady state where receivers keep
 //!   up (the empty→nonempty edge never fires because nobody parks),
 //!   sends perform no wake work at all; `chan.wakes_elided` counts
 //!   how often.
 //!
-//! **Rendezvous** channels and tiny bounded ones (`Bounded(0..8)`)
-//! use the **mutex core**, one `Mutex<State>` per channel: a
-//! rendezvous is a synchronization point by definition, so there is
-//! no lock-free common case to win, and a ring of a handful of slots
-//! is always full or always empty and parks anyway (see
-//! [`SMALL_RING_ROUTE_CAP`] for the measurement).
+//! **`Rendezvous`** and every **`Bounded(n)`** channel, where a sender
+//! may wait, use the **mutex core**, one `Mutex<State>` per channel:
+//! the one place a sender parks. A freed slot wakes one space-waiter
+//! that no other freed slot has woken yet; a woken sender that finds
+//! the slot taken re-arms, and one dropped before it ran passes its
+//! wake on.
 //!
 //! # Batched drains
 //!
@@ -179,9 +179,10 @@ fn fresh_id() -> u64 {
 // ---------------------------------------------------------------------------
 
 enum Imp<T> {
-    /// Everything under one mutex: `Rendezvous` and `Bounded(0..8)`.
+    /// Everything under one mutex: `Rendezvous` and `Bounded(n)`,
+    /// where a sender may wait.
     Mutex(Mutex<State<T>>),
-    /// Lock-free ring fast paths: `Bounded(8..)` and `Unbounded`.
+    /// Lock-free ring with a spill: `Unbounded`, where none does.
     Ring(Ring<T>),
 }
 
@@ -189,20 +190,9 @@ struct Shared<T> {
     imp: Imp<T>,
 }
 
-/// Tiny bounded rings lose to the mutex core: with at most a
-/// handful of slots the ring is effectively always full or always
-/// empty, so senders/receivers burn their bounded-retry budget on
-/// lap conflicts and fall to the slow path anyway, while the mutex
-/// core resolves the same conflict with one uncontended lock (forced
-/// onto the ring, `bounded(4)` 1p1c ran at 0.58–0.71x of the mutex
-/// core; ARCHITECTURE.md, "Retired alternatives", has the rows).
-/// Capacities below this go to the mutex core.
-const SMALL_RING_ROUTE_CAP: usize = 8;
-
-/// Creates a channel of the given capacity. Rendezvous channels and
-/// small bounded ones (`< 8`, see [`SMALL_RING_ROUTE_CAP`]) use the
-/// mutex core; larger bounded channels and unbounded ones use the
-/// lock-free ring.
+/// Creates a channel of the given capacity. An unbounded channel
+/// uses the lock-free ring; a rendezvous or bounded one, where a
+/// sender may wait for a receiver or for space, the mutex core.
 pub fn channel<T: Send>(cap: Capacity) -> (Sender<T>, Receiver<T>) {
     let mutex_core = |bound| {
         Imp::Mutex(Mutex::new(State {
@@ -215,12 +205,14 @@ pub fn channel<T: Send>(cap: Capacity) -> (Sender<T>, Receiver<T>) {
             closed: false,
         }))
     };
-    let imp = match cap {
+    endpoints(match cap {
+        Capacity::Unbounded => Imp::Ring(Ring::new(UNBOUNDED_SEG)),
         Capacity::Rendezvous => mutex_core(None),
-        Capacity::Bounded(n) if n < SMALL_RING_ROUTE_CAP => mutex_core(Some(n)),
-        Capacity::Bounded(n) => Imp::Ring(Ring::new(Some(n))),
-        Capacity::Unbounded => Imp::Ring(Ring::new(None)),
-    };
+        Capacity::Bounded(n) => mutex_core(Some(n)),
+    })
+}
+
+fn endpoints<T>(imp: Imp<T>) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared { imp });
     (
         Sender {
@@ -353,14 +345,6 @@ impl<T> Drop for Receiver<T> {
 }
 
 impl<T: Send> Sender<T> {
-    /// Which core this channel actually uses (`true` = lock-free
-    /// ring). Test/bench hook for the small-capacity routing in
-    /// [`channel`].
-    #[doc(hidden)]
-    pub fn is_lock_free(&self) -> bool {
-        matches!(self.shared.imp, Imp::Ring(_))
-    }
-
     /// Sends a value according to the channel discipline.
     pub fn send(&self, value: T) -> SendFut<'_, T> {
         SendFut {
@@ -371,11 +355,8 @@ impl<T: Send> Sender<T> {
         }
     }
 
-    /// Attempts a non-waiting send.
-    ///
-    /// The closed/full distinction is checked both before and after
-    /// the enqueue attempt, so a concurrent `close` cannot be
-    /// misreported as `Full`.
+    /// Attempts a non-waiting send. Only a rendezvous or bounded
+    /// channel can report `Full`.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
         match &self.shared.imp {
             Imp::Mutex(m) => {
@@ -389,41 +370,16 @@ impl<T: Send> Sender<T> {
                     Some(n) => st.queue.len() < n,
                     None => !st.recv_waiters.is_empty(),
                 };
-                if accepts {
-                    st.queue.push_back(value);
-                    st.wake_one_recv();
-                    Ok(())
-                } else {
-                    Err(TrySendError::Full(value))
+                if !accepts {
+                    return Err(TrySendError::Full(value));
                 }
+                st.queue.push_back(value);
+                st.wake_one_recv();
             }
-            Imp::Ring(r) => {
-                if r.send_shut() {
-                    return Err(TrySendError::Closed(value));
-                }
-                match r.push_any(value) {
-                    Push::Done => {
-                        bump(Counter::FastSends);
-                        r.after_push();
-                        Ok(())
-                    }
-                    // Busy = transiently unavailable: for a
-                    // non-waiting send that is "cannot accept now".
-                    // (A peer parked >BUSY_RETRY spins mid-op can
-                    // thus surface as Full on a ring with free
-                    // slots — a deliberate tradeoff; modeled drop
-                    // statistics fed by try_send may count a few
-                    // more drops than the mutex/sim cores would.)
-                    Push::Full(v) | Push::Busy(v) => {
-                        if r.send_shut() {
-                            Err(TrySendError::Closed(v))
-                        } else {
-                            Err(TrySendError::Full(v))
-                        }
-                    }
-                }
-            }
+            Imp::Ring(r) => r.send(value).map_err(TrySendError::Closed)?,
         }
+        bump(Counter::FastSends);
+        Ok(())
     }
 
     /// Enqueues the items of `buf` in order, waking the receiving
@@ -431,8 +387,8 @@ impl<T: Send> Sender<T> {
     /// the send-side analogue of [`Receiver::recv_many`], and the
     /// submission primitive behind pipelined request ports.
     ///
-    /// Stops at the first item the channel cannot accept (full ring
-    /// or closed channel); unsent items remain at the front of `buf`.
+    /// Stops at the first item the channel cannot accept (a full or
+    /// closed channel); unsent items remain at the front of `buf`.
     /// Returns how many items were enqueued.
     pub fn try_send_many(&self, buf: &mut VecDeque<T>) -> usize {
         let mut n = 0usize;
@@ -504,9 +460,11 @@ impl<T: Send> Receiver<T> {
                 let mut st = plock(m);
                 if let Some(v) = st.queue.pop_front() {
                     st.wake_one_send();
+                    bump(Counter::FastRecvs);
                     return Ok(v);
                 }
                 if let Some(v) = take_from_parked_sender(&mut st) {
+                    bump(Counter::FastRecvs);
                     return Ok(v);
                 }
                 if st.drained_shut() {
@@ -519,7 +477,6 @@ impl<T: Send> Receiver<T> {
                 match r.pop_any() {
                     Popped::Got(v) => {
                         bump(Counter::FastRecvs);
-                        r.after_pop(1);
                         return Ok(v);
                     }
                     Popped::Busy => return Err(TryRecvError::Empty),
@@ -531,7 +488,6 @@ impl<T: Send> Receiver<T> {
                     match r.pop_any() {
                         Popped::Got(v) => {
                             bump(Counter::FastRecvs);
-                            r.after_pop(1);
                             Ok(v)
                         }
                         // A final send is still materializing.
@@ -555,11 +511,7 @@ impl<T: Send> Receiver<T> {
                 let mut st = plock(m);
                 mutex_drain(&mut st, buf, max)
             }
-            Imp::Ring(r) => {
-                let n = r.drain_into(buf, max);
-                r.after_pop(n);
-                n
-            }
+            Imp::Ring(r) => r.drain_into(buf, max),
         };
         if n > 0 {
             bump(Counter::RecvManyCalls);
@@ -641,7 +593,7 @@ fn shared_len<T>(shared: &Shared<T>) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Mutex implementation (Rendezvous + small Bounded).
+// Mutex implementation (Rendezvous + Bounded).
 // ---------------------------------------------------------------------------
 
 struct RecvWaiter {
@@ -656,6 +608,9 @@ struct SendEntry<T> {
     value: Option<T>,
     /// Set when a receiver takes a rendezvous value.
     taken: bool,
+    /// Bounded: a freed slot woke this space-waiter, and it has not
+    /// yet polled to claim it.
+    woken: bool,
 }
 
 struct State<T> {
@@ -677,8 +632,15 @@ impl<T> State<T> {
         }
     }
 
+    /// A slot was freed: wakes one bounded space-waiter that no other
+    /// freed slot has woken yet. (A rendezvous sender waits for a
+    /// receiver, not for space.)
     fn wake_one_send(&mut self) {
-        if let Some(e) = self.send_waiters.front() {
+        if self.bound.is_none() {
+            return;
+        }
+        if let Some(e) = self.send_waiters.iter_mut().find(|e| !e.woken) {
+            e.woken = true;
             bump(Counter::SendWakes);
             e.waker.wake_by_ref();
         }
@@ -716,17 +678,13 @@ fn take_from_parked_sender<T>(st: &mut State<T>) -> Option<T> {
 }
 
 /// Drains up to `max` messages (queued, then parked rendezvous
-/// senders) under the already-held lock, then wakes one *distinct*
-/// space-waiter per freed slot. (Waking the front entry per pop, as
-/// single receives do, would collapse into one effective wake here:
-/// the front sender cannot repoll-and-deregister while we hold the
-/// lock.)
+/// senders) under the already-held lock, waking one space-waiter per
+/// freed slot.
 fn mutex_drain<T>(st: &mut State<T>, buf: &mut Vec<T>, max: usize) -> usize {
     let mut n = 0;
-    let mut freed = 0;
     while n < max {
         if let Some(v) = st.queue.pop_front() {
-            freed += 1;
+            st.wake_one_send();
             buf.push(v);
             n += 1;
             continue;
@@ -737,10 +695,6 @@ fn mutex_drain<T>(st: &mut State<T>, buf: &mut Vec<T>, max: usize) -> usize {
             continue;
         }
         break;
-    }
-    for e in st.send_waiters.iter().take(freed) {
-        bump(Counter::SendWakes);
-        e.waker.wake_by_ref();
     }
     n
 }
@@ -759,7 +713,7 @@ fn deregister_recv<T>(st: &mut State<T>, waiter_id: &mut Option<u64>) {
 /// than this spill into the mutex-guarded overflow deque.
 const UNBOUNDED_SEG: usize = 256;
 
-/// Fast-path retries before a future takes the slow (parking) path.
+/// Fast-path retries before a receive takes the slow (parking) path.
 const SPIN_TRIES: usize = 4;
 
 // (A task-level yield-before-park variant — self-waking through the
@@ -769,20 +723,11 @@ const SPIN_TRIES: usize = 4;
 // Parking immediately after the inline spin wins there.)
 
 /// Internal retries inside one ring op while a peer is mid-operation
-/// (ticket claimed, slot not yet published) before reporting `Busy`.
-/// Unbounded spinning here would burn a whole scheduler quantum
-/// whenever the peer is preempted between claim and publish.
+/// (ticket claimed, slot not yet published) before giving up: a push
+/// then spills, a pop reports `Busy`. Unbounded spinning here would
+/// burn a whole scheduler quantum whenever the peer is preempted
+/// between claim and publish.
 const BUSY_RETRY: usize = 32;
-
-/// Outcome of one ring push attempt.
-enum Push<T> {
-    /// Enqueued.
-    Done,
-    /// Ring full of unconsumed values.
-    Full(T),
-    /// A peer is mid-operation; transiently unavailable.
-    Busy(T),
-}
 
 /// Outcome of one ring/overflow pop attempt.
 enum Popped<T> {
@@ -804,36 +749,27 @@ struct Slot<T> {
     value: ValueCell<T>,
 }
 
-struct Waiters {
-    recv: VecDeque<RecvWaiter>,
-    send: VecDeque<(u64, Waker)>,
-}
-
-/// The Vyukov-style bounded slot ring, doubling as the head segment
-/// of the unbounded queue (with `overflow` as the spill segment).
+/// The unbounded queue: a Vyukov-style slot ring as its head
+/// segment, with `overflow` as the spill segment.
 struct Ring<T> {
     /// Pop ticket (index | lap), on its own cache line.
     head: CachePadded<AtomicUsize>,
     /// Push ticket (index | lap), on its own cache line.
     tail: CachePadded<AtomicUsize>,
     buf: Box<[Slot<T>]>,
-    /// Logical == physical capacity of the ring.
+    /// Slots in the head segment.
     cap: usize,
     /// Power of two > cap: one full lap of tickets.
     one_lap: usize,
-    /// `true` = `Capacity::Bounded(cap)`; `false` = unbounded with
-    /// spill.
-    bounded: bool,
     overflow: Mutex<VecDeque<T>>,
     /// Messages currently in `overflow`. Nonzero routes *all* new
     /// sends into the overflow (behind the spilled ones), preserving
     /// per-producer FIFO across the spill.
     overflow_len: AtomicUsize,
-    /// Parked wakers — the only state behind a lock on this path,
-    /// touched exclusively when a future must wait or be woken.
-    slow: Mutex<Waiters>,
+    /// Parked receivers — the only state behind a lock on this path,
+    /// touched exclusively when a receive must wait or be woken.
+    slow: Mutex<VecDeque<RecvWaiter>>,
     recv_parked: AtomicUsize,
-    send_parked: AtomicUsize,
     senders: AtomicUsize,
     receivers: AtomicUsize,
     closed: AtomicBool,
@@ -846,8 +782,8 @@ unsafe impl<T: Send> Send for Ring<T> {}
 unsafe impl<T: Send> Sync for Ring<T> {}
 
 impl<T> Ring<T> {
-    fn new(bound: Option<usize>) -> Ring<T> {
-        let cap = bound.unwrap_or(UNBOUNDED_SEG);
+    /// A queue whose head segment has `cap` slots.
+    fn new(cap: usize) -> Ring<T> {
         assert!(cap > 0, "ring capacity must be positive");
         let one_lap = (cap + 1).next_power_of_two();
         let buf: Box<[Slot<T>]> = (0..cap)
@@ -862,15 +798,10 @@ impl<T> Ring<T> {
             buf,
             cap,
             one_lap,
-            bounded: bound.is_some(),
             overflow: Mutex::new(VecDeque::new()),
             overflow_len: AtomicUsize::new(0),
-            slow: Mutex::new(Waiters {
-                recv: VecDeque::new(),
-                send: VecDeque::new(),
-            }),
+            slow: Mutex::new(VecDeque::new()),
             recv_parked: AtomicUsize::new(0),
-            send_parked: AtomicUsize::new(0),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
             closed: AtomicBool::new(false),
@@ -878,7 +809,9 @@ impl<T> Ring<T> {
     }
 
     /// One lock-free push attempt with a bounded internal retry.
-    fn ring_push(&self, value: T) -> Push<T> {
+    /// Hands the value back when the segment has no room now: it is
+    /// full, or a pop is mid-flight.
+    fn ring_push(&self, value: T) -> Result<(), T> {
         let mut spins = 0usize;
         let mut tail = self.tail.0.load(Ordering::Relaxed);
         loop {
@@ -896,8 +829,8 @@ impl<T> Ring<T> {
                 // globally ordered against the SeqCst fences in the
                 // full/empty probes below and in `ring_pop` — a
                 // probe's post-fence index read must not miss a
-                // ticket already claimed, or Full/Empty could be
-                // reported while an older message is in flight.
+                // ticket already claimed, or the ring could be reported
+                // full or empty while an older message is in flight.
                 match self.tail.0.compare_exchange_weak(
                     tail,
                     new_tail,
@@ -910,7 +843,7 @@ impl<T> Ring<T> {
                         // last lap's pop emptied it.
                         unsafe { slot.value.put(value) };
                         slot.stamp.store(tail.wrapping_add(1), Ordering::Release);
-                        return Push::Done;
+                        return Ok(());
                     }
                     Err(t) => tail = t,
                 }
@@ -922,21 +855,21 @@ impl<T> Ring<T> {
                 fence(Ordering::SeqCst);
                 let head = self.head.0.load(Ordering::Relaxed);
                 if head.wrapping_add(self.one_lap) == tail {
-                    return Push::Full(value);
+                    return Err(value);
                 }
-                // A pop is mid-flight; retry briefly, then hand the
-                // wait to the parking protocol instead of burning the
-                // quantum the preempted peer needs.
+                // A pop is mid-flight; retry briefly, then spill
+                // instead of burning the quantum the preempted peer
+                // needs.
                 spins += 1;
                 if spins > BUSY_RETRY {
-                    return Push::Busy(value);
+                    return Err(value);
                 }
                 std::hint::spin_loop();
                 tail = self.tail.0.load(Ordering::Relaxed);
             } else {
                 spins += 1;
                 if spins > BUSY_RETRY {
-                    return Push::Busy(value);
+                    return Err(value);
                 }
                 std::hint::spin_loop();
                 tail = self.tail.0.load(Ordering::Relaxed);
@@ -1006,27 +939,32 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Enqueues according to the discipline. `Full`/`Busy` only for
-    /// bounded; unbounded spills into the overflow deque instead.
-    fn push_any(&self, value: T) -> Push<T> {
-        if self.bounded {
-            return self.ring_push(value);
+    /// A send never waits: unless the channel is shut, the value
+    /// lands in the ring or in the spill.
+    fn send(&self, value: T) -> Result<(), T> {
+        if self.send_shut() {
+            return Err(value);
         }
+        self.push(value);
+        self.after_push();
+        Ok(())
+    }
+
+    /// Enqueues `value`: into the ring, or behind the spill.
+    fn push(&self, value: T) {
         // Overflow nonempty ⇒ its messages predate anything we could
         // ring-push, so everyone queues behind them until they drain.
         // Acquire: our *own* prior spills are program-ordered, which
         // is all per-producer FIFO needs; cross-producer visibility
         // rides the parking-protocol fences.
-        if self.overflow_len.load(Ordering::Acquire) == 0 {
-            match self.ring_push(value) {
-                Push::Done => return Push::Done,
-                Push::Full(v) | Push::Busy(v) => return self.spill(v),
-            }
+        if self.overflow_len.load(Ordering::Acquire) > 0 {
+            self.spill(value);
+        } else if let Err(v) = self.ring_push(value) {
+            self.spill(v);
         }
-        self.spill(value)
     }
 
-    fn spill(&self, value: T) -> Push<T> {
+    fn spill(&self, value: T) {
         bump(Counter::OverflowSpills);
         let mut ov = plock(&self.overflow);
         ov.push_back(value);
@@ -1036,13 +974,18 @@ impl<T> Ring<T> {
         // (spill → `after_push` fence → parked scan vs. register →
         // fence → re-pop), not from this RMW's order.
         self.overflow_len.fetch_add(1, Ordering::Release);
-        Push::Done
     }
 
     /// Dequeues from the ring, then from the overflow spill. The
-    /// overflow is consulted only on a *true* `Empty` — on `Busy` an
-    /// older ring message is still materializing, and taking a spill
-    /// message past it would break per-producer FIFO.
+    /// overflow is consulted only on a *true* `Empty`. On `Busy` a
+    /// push is still materializing, and values published behind it
+    /// may be older than spilled ones *of the same producer*: a
+    /// producer that ring-pushed behind the in-flight ticket spills
+    /// its next value when it finds the ring busy. Taking from the
+    /// spill then would break that producer's FIFO. (The in-flight
+    /// push itself is never a spilled value's producer's: while a
+    /// producer has a value in the spill, every later send of its
+    /// goes there too.)
     fn pop_any(&self) -> Popped<T> {
         match self.ring_pop() {
             Popped::Got(v) => return Popped::Got(v),
@@ -1051,7 +994,7 @@ impl<T> Ring<T> {
         }
         // Acquire routing check; when the Dekker fences say a parked
         // consumer must see a racing spill, they order this load too.
-        if !self.bounded && self.overflow_len.load(Ordering::Acquire) > 0 {
+        if self.overflow_len.load(Ordering::Acquire) > 0 {
             let mut ov = plock(&self.overflow);
             // The ring drains first (its items are older); a racing
             // consumer may have emptied the overflow meanwhile.
@@ -1089,7 +1032,7 @@ impl<T> Ring<T> {
                 Popped::Empty => break,
             }
         }
-        if n < max && !busy && !self.bounded && self.overflow_len.load(Ordering::Acquire) > 0 {
+        if n < max && !busy && self.overflow_len.load(Ordering::Acquire) > 0 {
             let mut ov = plock(&self.overflow);
             // Re-drain the ring *under the lock* (as `pop_any` does):
             // between our Empty observation and acquiring the lock,
@@ -1175,7 +1118,7 @@ impl<T> Ring<T> {
         // ordering: SeqCst fence + SeqCst parked scan form one half
         // of the lost-wake Dekker; the parker's register → fence →
         // re-pop is the other. Model-checked on this code by
-        // `tests/protocols.rs` (`ring_delivers_one_senders_values_in_order`
+        // `tests/protocols.rs` (`unbounded_ring_delivers_in_order`
         // catches the scan moved before the publish).
         fence(Ordering::SeqCst);
         if self.recv_parked.load(Ordering::SeqCst) > 0 {
@@ -1185,33 +1128,16 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Post-pop wake protocol for `freed` slots (bounded
-    /// backpressure): wake one parked sender per freed slot.
-    fn after_pop(&self, freed: usize) {
-        if freed == 0 || !self.bounded {
-            return;
-        }
-        // ordering: same Dekker as `after_push`, sender side.
-        fence(Ordering::SeqCst);
-        for _ in 0..freed {
-            if self.send_parked.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            self.wake_one_send();
-        }
-    }
-
     fn wake_one_recv(&self) {
         let w = {
             let mut s = plock(&self.slow);
-            let e = s.recv.pop_front();
+            let e = s.pop_front();
             if e.is_some() {
-                // ordering: the parked counters are read by the
-                // lock-free `after_push`/`after_pop` scans; every
-                // mutation stays SeqCst so a scan never reads a
-                // value that un-publishes a registration it must
-                // see (stale-high is a spurious lock, stale-low a
-                // lost wake).
+                // ordering: `recv_parked` is read by the lock-free
+                // `after_push` scan; every mutation stays SeqCst so a
+                // scan never reads a value that un-publishes a
+                // registration it must see (stale-high is a spurious
+                // lock, stale-low a lost wake).
                 self.recv_parked.fetch_sub(1, Ordering::SeqCst);
             }
             e
@@ -1221,36 +1147,16 @@ impl<T> Ring<T> {
         }
     }
 
-    fn wake_one_send(&self) {
-        let w = {
-            let mut s = plock(&self.slow);
-            let e = s.send.pop_front();
-            if e.is_some() {
-                // ordering: see `wake_one_recv`.
-                self.send_parked.fetch_sub(1, Ordering::SeqCst);
-            }
-            e
-        };
-        if let Some((_, w)) = w {
-            bump(Counter::SendWakes);
-            w.wake();
-        }
-    }
-
-    /// Wakes every parked waiter (close / last-endpoint-drop).
+    /// Wakes every parked receiver (close / last-endpoint-drop).
     fn wake_all(&self) {
-        let (recvs, sends) = {
+        let recvs = {
             let mut s = plock(&self.slow);
             // ordering: see `wake_one_recv`.
             self.recv_parked.store(0, Ordering::SeqCst);
-            self.send_parked.store(0, Ordering::SeqCst);
-            (std::mem::take(&mut s.recv), std::mem::take(&mut s.send))
+            std::mem::take(&mut *s)
         };
         for w in recvs {
             w.waker.wake();
-        }
-        for (_, w) in sends {
-            w.wake();
         }
     }
 
@@ -1259,7 +1165,7 @@ impl<T> Ring<T> {
     fn park_recv(&self, waiter_id: &mut Option<u64>, waker: &Waker) -> bool {
         let mut s = plock(&self.slow);
         if let Some(id) = *waiter_id {
-            if let Some(e) = s.recv.iter_mut().find(|w| w.id == id) {
+            if let Some(e) = s.iter_mut().find(|w| w.id == id) {
                 if !e.waker.will_wake(waker) {
                     e.waker = waker.clone();
                 }
@@ -1269,7 +1175,7 @@ impl<T> Ring<T> {
         // First park, or our entry was consumed by a wake that raced
         // this poll: (re-)insert.
         let id = fresh_id();
-        s.recv.push_back(RecvWaiter {
+        s.push_back(RecvWaiter {
             id,
             waker: waker.clone(),
         });
@@ -1281,23 +1187,6 @@ impl<T> Ring<T> {
         true
     }
 
-    fn park_send(&self, entry_id: &mut Option<u64>, waker: &Waker) {
-        let mut s = plock(&self.slow);
-        if let Some(id) = *entry_id {
-            if let Some((_, w)) = s.send.iter_mut().find(|(i, _)| *i == id) {
-                if !w.will_wake(waker) {
-                    *w = waker.clone();
-                }
-                return;
-            }
-        }
-        let id = fresh_id();
-        s.send.push_back((id, waker.clone()));
-        *entry_id = Some(id);
-        // ordering: see `park_recv`.
-        self.send_parked.fetch_add(1, Ordering::SeqCst);
-    }
-
     /// Removes a parked receiver entry; returns `true` if it was
     /// still present (i.e. no wake was consumed on our behalf).
     fn unpark_recv(&self, waiter_id: &mut Option<u64>) -> bool {
@@ -1305,27 +1194,11 @@ impl<T> Ring<T> {
             return true;
         };
         let mut s = plock(&self.slow);
-        let before = s.recv.len();
-        s.recv.retain(|w| w.id != id);
-        if s.recv.len() < before {
+        let before = s.len();
+        s.retain(|w| w.id != id);
+        if s.len() < before {
             // ordering: see `wake_one_recv`.
             self.recv_parked.fetch_sub(1, Ordering::SeqCst);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn unpark_send(&self, entry_id: &mut Option<u64>) -> bool {
-        let Some(id) = entry_id.take() else {
-            return true;
-        };
-        let mut s = plock(&self.slow);
-        let before = s.send.len();
-        s.send.retain(|(i, _)| *i != id);
-        if s.send.len() < before {
-            // ordering: see `wake_one_recv`.
-            self.send_parked.fetch_sub(1, Ordering::SeqCst);
             true
         } else {
             false
@@ -1365,7 +1238,10 @@ impl<T: Send> Future for SendFut<'_, T> {
         let this = &mut *self;
         match &this.shared.imp {
             Imp::Mutex(m) => poll_mutex_send(m, this, cx),
-            Imp::Ring(r) => poll_ring_send(r, this, cx),
+            Imp::Ring(r) => match r.send(this.value.take().expect("unsent value present")) {
+                Ok(()) => send_done(false),
+                Err(v) => Poll::Ready(Err(SendError::Closed(v))),
+            },
         }
     }
 }
@@ -1377,63 +1253,6 @@ fn send_done<T>(parked: bool) -> Poll<Result<(), SendError<T>>> {
         Counter::FastSends
     });
     Poll::Ready(Ok(()))
-}
-
-fn poll_ring_send<T: Send>(
-    ring: &Ring<T>,
-    fut: &mut SendFut<'_, T>,
-    cx: &mut Context<'_>,
-) -> Poll<Result<(), SendError<T>>> {
-    if ring.send_shut() {
-        ring.unpark_send(&mut fut.entry_id);
-        return Poll::Ready(Err(SendError::Closed(
-            fut.value.take().expect("unsent value present"),
-        )));
-    }
-    let mut v = fut.value.take().expect("unsent value present");
-    // Fast path, with a short spin before parking: a full ring is
-    // often one in-flight pop away from having space.
-    for _ in 0..SPIN_TRIES {
-        match ring.push_any(v) {
-            Push::Done => {
-                ring.unpark_send(&mut fut.entry_id);
-                ring.after_push();
-                return send_done(fut.parked);
-            }
-            Push::Full(back) | Push::Busy(back) => {
-                v = back;
-                std::hint::spin_loop();
-            }
-        }
-    }
-    // Slow path: park, then re-check (the Dekker pairing with
-    // `after_pop`) so a pop between our last attempt and our
-    // registration cannot strand us.
-    fut.parked = true;
-    ring.park_send(&mut fut.entry_id, cx.waker());
-    // ordering: the parker's half of the `after_pop` Dekker.
-    fence(Ordering::SeqCst);
-    match ring.push_any(v) {
-        Push::Done => {
-            // If our entry was already consumed by a wake, that wake
-            // paid for a slot someone else will also see; passing it
-            // on costs one spurious wake at most.
-            // ordering: SeqCst scan, same rules as `after_pop`'s.
-            if !ring.unpark_send(&mut fut.entry_id) && ring.send_parked.load(Ordering::SeqCst) > 0 {
-                ring.wake_one_send();
-            }
-            ring.after_push();
-            send_done(fut.parked)
-        }
-        Push::Full(back) | Push::Busy(back) => {
-            if ring.send_shut() {
-                ring.unpark_send(&mut fut.entry_id);
-                return Poll::Ready(Err(SendError::Closed(back)));
-            }
-            fut.value = Some(back);
-            Poll::Pending
-        }
-    }
 }
 
 fn poll_mutex_send<T: Send>(
@@ -1482,8 +1301,12 @@ fn poll_mutex_send<T: Send>(
                         return send_done(true);
                     }
                 }
-                // Refresh the waker and keep waiting.
-                st.send_waiters[i].waker = cx.waker().clone();
+                // Keep waiting, with a fresh waker. If a freed slot
+                // woke us, a send that did not wait took it: re-arm, so
+                // the next freed slot wakes us again.
+                let e = &mut st.send_waiters[i];
+                e.waker = cx.waker().clone();
+                e.woken = false;
                 return Poll::Pending;
             }
         }
@@ -1508,6 +1331,7 @@ fn poll_mutex_send<T: Send>(
                     waker: cx.waker().clone(),
                     value: None,
                     taken: false,
+                    woken: false,
                 });
                 fut.entry_id = Some(id);
                 fut.parked = true;
@@ -1529,6 +1353,7 @@ fn poll_mutex_send<T: Send>(
                 waker: cx.waker().clone(),
                 value: Some(fut.value.take().expect("unsent value present")),
                 taken: false,
+                woken: false,
             });
             fut.entry_id = Some(id);
             fut.parked = true;
@@ -1539,23 +1364,16 @@ fn poll_mutex_send<T: Send>(
 
 impl<T> Drop for SendFut<'_, T> {
     fn drop(&mut self) {
-        if self.entry_id.is_none() {
+        // Only the mutex core parks a sender.
+        let (Some(id), Imp::Mutex(m)) = (self.entry_id, &self.shared.imp) else {
             return;
-        }
-        match &self.shared.imp {
-            Imp::Mutex(m) => {
-                let id = self.entry_id.take().expect("checked");
-                let mut st = plock(m);
-                st.send_waiters.retain(|e| e.id != id);
-            }
-            Imp::Ring(r) => {
-                // If our entry was consumed, re-issue the wake: the
-                // slot it announced is still free and another waiter
-                // may be parked for it.
-                // ordering: SeqCst scan, same rules as `after_pop`'s.
-                if !r.unpark_send(&mut self.entry_id) && r.send_parked.load(Ordering::SeqCst) > 0 {
-                    r.wake_one_send();
-                }
+        };
+        let mut st = plock(m);
+        if let Some(i) = st.send_waiters.iter().position(|e| e.id == id) {
+            // Woken for a freed slot it will never fill (a `choose!`
+            // arm that lost): the wake goes to the next space-waiter.
+            if st.send_waiters.remove(i).is_some_and(|e| e.woken) {
+                st.wake_one_send();
             }
         }
     }
@@ -1605,7 +1423,6 @@ fn poll_ring_recv<T: Send>(
     for _ in 0..SPIN_TRIES {
         if let Popped::Got(v) = ring.pop_any() {
             ring.unpark_recv(&mut fut.waiter_id);
-            ring.after_pop(1);
             return recv_done(v, fut.parked);
         }
         std::hint::spin_loop();
@@ -1618,7 +1435,6 @@ fn poll_ring_recv<T: Send>(
         match ring.pop_any() {
             Popped::Got(v) => {
                 ring.unpark_recv(&mut fut.waiter_id);
-                ring.after_pop(1);
                 return recv_done(v, fut.parked);
             }
             Popped::Empty => {
@@ -1638,7 +1454,6 @@ fn poll_ring_recv<T: Send>(
     fence(Ordering::SeqCst);
     if let Popped::Got(v) = ring.pop_any() {
         ring.unpark_recv(&mut fut.waiter_id);
-        ring.after_pop(1);
         return recv_done(v, fut.parked);
     }
     if ring.recv_shut_flags() {
@@ -1647,7 +1462,6 @@ fn poll_ring_recv<T: Send>(
         match ring.pop_any() {
             Popped::Got(v) => {
                 ring.unpark_recv(&mut fut.waiter_id);
-                ring.after_pop(1);
                 return recv_done(v, fut.parked);
             }
             Popped::Empty => {
@@ -1735,6 +1549,7 @@ impl<T> Drop for RecvFut<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::task::Wake;
 
     /// Counts its drops.
     struct Counted(Arc<AtomicUsize>);
@@ -1745,17 +1560,24 @@ mod tests {
         }
     }
 
-    /// Sends `sent` values, receives `taken` of them, drops both
-    /// endpoints, and counts the drops.
-    fn drops(cap: Capacity, sent: usize, taken: usize) -> usize {
+    /// An unbounded channel whose ring segment has `seg` slots.
+    fn unbounded_over<T: Send>(seg: usize) -> (Sender<T>, Receiver<T>) {
+        endpoints(Imp::Ring(Ring::new(seg)))
+    }
+
+    /// Per round, sends then receives the given numbers of values;
+    /// then drops both endpoints and counts the drops.
+    fn drops((tx, rx): (Sender<Counted>, Receiver<Counted>), rounds: &[(usize, usize)]) -> usize {
         let n = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = channel(cap);
-        assert!(tx.is_lock_free());
-        for _ in 0..sent {
-            assert!(tx.try_send(Counted(n.clone())).is_ok());
-        }
-        for _ in 0..taken {
-            drop(rx.try_recv().expect("sent"));
+        let mut taken = 0;
+        for &(sent, recvd) in rounds {
+            for _ in 0..sent {
+                assert!(tx.try_send(Counted(n.clone())).is_ok());
+            }
+            for _ in 0..recvd {
+                drop(rx.try_recv().expect("sent"));
+            }
+            taken += recvd;
         }
         assert_eq!(n.load(Ordering::Relaxed), taken);
         drop((tx, rx));
@@ -1764,10 +1586,176 @@ mod tests {
 
     #[test]
     fn a_dropped_ring_drops_every_undelivered_value_once() {
-        // Bounded(8): full, and with its head partway round.
-        assert_eq!(drops(Capacity::Bounded(8), 8, 0), 8);
-        assert_eq!(drops(Capacity::Bounded(8), 8, 3), 8);
-        // Unbounded: the 256-slot segment full and 44 spilled past it.
-        assert_eq!(drops(Capacity::Unbounded, 300, 10), 300);
+        // The mutex core: Bounded(8) full, and with its head partway
+        // round.
+        assert_eq!(drops(channel(Capacity::Bounded(8)), &[(8, 0)]), 8);
+        assert_eq!(drops(channel(Capacity::Bounded(8)), &[(8, 3)]), 8);
+        // A 4-slot segment full, with its head at 3 and its tail
+        // wrapped past the end.
+        assert_eq!(drops(unbounded_over(4), &[(4, 3), (3, 0)]), 7);
+        // The segment full and six values spilled past it.
+        assert_eq!(drops(unbounded_over(4), &[(10, 2)]), 10);
+    }
+
+    /// Counts how often it is woken.
+    struct CountWakes(AtomicUsize);
+
+    impl Wake for CountWakes {
+        fn wake(self: Arc<Self>) {
+            self.wake_by_ref();
+        }
+
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Polls a send once with a counting waker.
+    fn poll_send(fut: &mut SendFut<'_, u32>, wakes: &Arc<CountWakes>) -> bool {
+        let waker = Waker::from(wakes.clone());
+        Pin::new(fut)
+            .poll(&mut Context::from_waker(&waker))
+            .is_ready()
+    }
+
+    /// `Bounded(2)`, full, with senders A and B parked on it, in
+    /// that order.
+    fn two_parked(tx: &Sender<u32>) -> [(SendFut<'_, u32>, Arc<CountWakes>); 2] {
+        tx.try_send(0).expect("room");
+        tx.try_send(1).expect("room");
+        [2, 3].map(|v| {
+            let wakes = Arc::new(CountWakes(AtomicUsize::new(0)));
+            let mut fut = tx.send(v);
+            assert!(!poll_send(&mut fut, &wakes), "the channel is full");
+            (fut, wakes)
+        })
+    }
+
+    fn woken(wakes: &CountWakes) -> usize {
+        wakes.0.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn each_freed_slot_wakes_one_parked_sender_once() {
+        // Two receives before either woken sender runs: one wake each,
+        // and both sends land.
+        let (tx, rx) = channel::<u32>(Capacity::Bounded(2));
+        let [(mut a, wa), (mut b, wb)] = two_parked(&tx);
+        rx.try_recv().expect("full");
+        rx.try_recv().expect("full");
+        assert_eq!((woken(&wa), woken(&wb)), (1, 1), "wakes for A and B");
+        assert!(poll_send(&mut a, &wa) && poll_send(&mut b, &wb));
+        assert_eq!(rx.len(), 2);
+
+        // One receive, and A is dropped before it runs (a `choose!`
+        // arm that lost): its wake passes to B.
+        let (tx, rx) = channel::<u32>(Capacity::Bounded(2));
+        let [(a, wa), (mut b, wb)] = two_parked(&tx);
+        rx.try_recv().expect("full");
+        drop(a);
+        assert_eq!((woken(&wa), woken(&wb)), (1, 1), "wakes for A and B");
+        assert!(poll_send(&mut b, &wb));
+        assert_eq!(rx.len(), 2);
+    }
+
+    /// The spill path, model-checked on the shipping ring at two
+    /// slots, where a spill is in reach.
+    #[cfg(feature = "chanos_check")]
+    mod spill {
+        use super::*;
+        use chanos_check::{thread, Config, Explorer};
+
+        /// A waker that unparks the model thread it was made on.
+        struct Unpark(thread::ThreadId);
+
+        impl Wake for Unpark {
+            fn wake(self: Arc<Self>) {
+                thread::unpark(self.0);
+            }
+        }
+
+        /// Receives on the calling model thread, parking while the
+        /// receive is pending.
+        fn recv_parking(rx: &Receiver<u64>) -> u64 {
+            let waker = Waker::from(Arc::new(Unpark(thread::current())));
+            let mut cx = Context::from_waker(&waker);
+            let mut fut = rx.recv();
+            loop {
+                match Pin::new(&mut fut).poll(&mut cx) {
+                    Poll::Ready(v) => return v.expect("the root holds a sender"),
+                    Poll::Pending => thread::park(),
+                }
+            }
+        }
+
+        /// `senders[s]` model threads' worth of `try_send`s through an
+        /// unbounded channel over a 2-slot segment, sender `s` sending
+        /// `senders[s]` values, while the root receives them all. Each
+        /// sender's values must come out in the order they went in.
+        fn deliver(senders: &'static [u64]) {
+            let (tx, rx) = unbounded_over::<u64>(2);
+            let threads: Vec<_> = (0..senders.len() as u64)
+                .map(|s| {
+                    let tx = tx.clone();
+                    thread::spawn(move || {
+                        for i in 0..senders[s as usize] {
+                            tx.try_send(s << 8 | i).expect("the receiver is alive");
+                        }
+                    })
+                })
+                .collect();
+            let mut next = vec![0; senders.len()];
+            for _ in 0..senders.iter().sum::<u64>() {
+                let v = recv_parking(&rx);
+                let (s, i) = ((v >> 8) as usize, v & 0xff);
+                assert_eq!(i, next[s], "sender {s}'s values came out of order");
+                next[s] += 1;
+            }
+            for t in threads {
+                t.join();
+            }
+            drop(tx);
+        }
+
+        /// Explores `model` at bound 2; a counterexample is replayed
+        /// twice before it is reported.
+        fn verify(model: fn()) {
+            let explorer = Explorer::new(Config {
+                max_preemptions: 2,
+                ..Config::default()
+            });
+            let report = explorer.check(model);
+            if let Some(failure) = &report.failure {
+                eprintln!("caught after {} schedules: {failure}", report.schedules);
+                for _ in 0..2 {
+                    let again = explorer.replay(&failure.schedule, model);
+                    assert_eq!(
+                        again.map(|f| f.kind),
+                        Some(failure.kind.clone()),
+                        "{failure} does not replay"
+                    );
+                }
+            }
+            report.assert_ok();
+            eprintln!(
+                "verified at bound 2: {} schedules, {} pruned",
+                report.schedules, report.pruned
+            );
+        }
+
+        #[test]
+        fn values_come_out_in_order_across_the_spill() {
+            // The third value spills unless the root has made room.
+            verify(|| deliver(&[4]));
+        }
+
+        #[test]
+        fn two_senders_keep_their_order_across_the_spill() {
+            // Sender 0's push in flight on the first ticket, sender 1's
+            // first value published behind it and its second spilled:
+            // a receive that finds the ring busy must not take from
+            // the spill (`pop_any`).
+            verify(|| deliver(&[1, 2]));
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Randomized MPMC stress for the two channel cores, each at the
 //! capacities `channel()` actually gives it (mutex: rendezvous and
-//! `Bounded(0..8)`; ring: `Bounded(8..)` and unbounded).
+//! bounded; ring: unbounded).
 //!
 //! Invariants checked on every run:
 //!
@@ -12,8 +12,8 @@
 //! The workload is PCG-driven so failures are reproducible from the
 //! printed seed: producers mix `send` with `try_send` retries,
 //! consumers mix `recv`, `try_recv`, and batched `recv_many`, and
-//! capacities include both sides of the routing boundary and an
-//! unbounded channel deep enough to exercise the ring→overflow spill.
+//! capacities include both cores, with an unbounded channel deep
+//! enough to exercise the ring→overflow spill.
 
 use std::collections::HashMap;
 use std::future::Future;
@@ -161,15 +161,9 @@ fn stress(cap: Capacity, producers: u32, consumers: u32, per_producer: u32, seed
     handle
 }
 
-/// One bounded capacity per core for the contract tests below:
-/// `Bounded(7)` is served by the mutex core, `Bounded(16)` by the ring.
-const PER_CORE: [usize; 2] = [7, 16];
-
-#[test]
-fn per_core_capacities_reach_both_cores() {
-    let cores = PER_CORE.map(|n| channel::<u32>(Capacity::Bounded(n)).0.is_lock_free());
-    assert_eq!(cores, [false, true]);
-}
+/// One capacity per core for the contract tests below: `Bounded(7)`
+/// is served by the mutex core, `Unbounded` by the ring.
+const PER_CORE: [Capacity; 2] = [Capacity::Bounded(7), Capacity::Unbounded];
 
 #[test]
 fn mpmc_every_capacity() {
@@ -211,7 +205,7 @@ fn spsc_and_fan_shapes() {
 fn recv_many_batches_and_close() {
     for cap in PER_CORE {
         let rt = Runtime::new(2);
-        let (tx, rx) = channel::<u32>(Capacity::Bounded(cap));
+        let (tx, rx) = channel::<u32>(cap);
         let out = rt.block_on(async move {
             for i in 0..7u32 {
                 tx.send(i).await.unwrap();
@@ -238,7 +232,7 @@ fn recv_many_batches_and_close() {
 fn recv_many_wakes_on_late_send() {
     for cap in PER_CORE {
         let rt = Runtime::new(2);
-        let (tx, rx) = channel::<u32>(Capacity::Bounded(cap));
+        let (tx, rx) = channel::<u32>(cap);
         let recv = rt.spawn(async move {
             let mut buf = Vec::new();
             let n = rx.recv_many(&mut buf, 8).await;
@@ -261,7 +255,7 @@ fn recv_many_wakes_on_late_send() {
 fn recv_many_of_zero_resolves_at_once() {
     for cap in PER_CORE {
         let rt = Runtime::new(1);
-        let (tx, rx) = channel::<u32>(Capacity::Bounded(cap));
+        let (tx, rx) = channel::<u32>(cap);
         rt.block_on(async {
             let mut buf = Vec::new();
             // Empty and open: a waiting receive would park forever.
@@ -279,7 +273,7 @@ fn recv_many_of_zero_resolves_at_once() {
 fn try_recv_many_nonblocking() {
     for cap in PER_CORE {
         let rt = Runtime::new(1);
-        let (tx, rx) = channel::<u32>(Capacity::Bounded(cap));
+        let (tx, rx) = channel::<u32>(cap);
         rt.block_on(async {
             let mut buf = Vec::new();
             assert_eq!(rx.try_recv_many(&mut buf, 4), 0);
@@ -290,12 +284,14 @@ fn try_recv_many_nonblocking() {
             assert_eq!(rx.try_recv_many(&mut buf, 4), 2);
             assert_eq!(buf, vec![0, 1, 2, 3, 4, 5]);
             // Backpressure slots freed: a full channel accepts again.
-            for i in 0..cap as u32 {
-                tx.try_send(i).unwrap();
+            if let Capacity::Bounded(cap) = cap {
+                for i in 0..cap as u32 {
+                    tx.try_send(i).unwrap();
+                }
+                assert!(tx.try_send(99).is_err());
+                assert_eq!(rx.try_recv_many(&mut buf, cap), cap);
+                assert!(tx.try_send(99).is_ok());
             }
-            assert!(tx.try_send(99).is_err());
-            assert_eq!(rx.try_recv_many(&mut buf, cap), cap);
-            assert!(tx.try_send(99).is_ok());
         });
         rt.shutdown();
     }
@@ -311,7 +307,7 @@ where
 {
     for cap in PER_CORE {
         let rt = Runtime::new(4);
-        let (tx, rx) = channel::<u32>(Capacity::Bounded(cap));
+        let (tx, rx) = channel::<u32>(cap);
         let consumers: Vec<_> = (0..3).map(|_| rt.spawn(consume(rx.clone()))).collect();
         drop(rx);
         rt.block_on(async {
@@ -367,7 +363,7 @@ fn cancelled_recv_many_arms_pass_the_wake() {
 #[test]
 fn debug_never_blocks() {
     for cap in PER_CORE {
-        let (tx, rx) = channel::<u32>(Capacity::Bounded(cap));
+        let (tx, rx) = channel::<u32>(cap);
         tx.try_send(1).unwrap();
         let s = format!("{tx:?} {rx:?}");
         assert!(s.contains("Sender") && s.contains("Receiver"));

@@ -236,20 +236,3 @@ fn ping_pong_rpc_pattern() {
     drop(server);
     rt.shutdown();
 }
-
-#[test]
-fn small_bounded_caps_route_to_mutex_core_by_default() {
-    // Tiny bounded rings lose to the mutex core (see
-    // `SMALL_RING_ROUTE_CAP`), so `channel()` routes capacities below
-    // 8 to the mutex implementation.
-    for cap in 1..8 {
-        let (tx, _rx) = channel::<u32>(Capacity::Bounded(cap));
-        assert!(!tx.is_lock_free(), "bounded({cap}) should route to mutex");
-    }
-    for cap in [8, 9, 64] {
-        let (tx, _rx) = channel::<u32>(Capacity::Bounded(cap));
-        assert!(tx.is_lock_free(), "bounded({cap}) should stay lock-free");
-    }
-    let (tx, _rx) = channel::<u32>(Capacity::Unbounded);
-    assert!(tx.is_lock_free(), "unbounded is unaffected by routing");
-}

@@ -20,16 +20,15 @@
 //!   receivers are done. When the last sender drops, the channel's
 //!   close wakes every parked receiver, and that wake covers a lost
 //!   one: with the senders' own clones the last ones, a receive that
-//!   skips its post-park re-pop passes all 22 940 schedules of
-//!   `ring_keeps_two_senders_tickets_apart` (caught after 2 401 with
+//!   skips its post-park re-pop passes all 27 130 schedules of
+//!   `ring_keeps_two_senders_tickets_apart` (caught after 2 624 with
 //!   the root's clone alive).
-//! * **Ring values carry a per-execution nonce.** A slot read before
-//!   its value is written returns what the slot's memory last held,
-//!   and an execution's ring usually reuses the previous execution's
-//!   allocation. Without the nonce that stale value is often the very
-//!   one expected and the schedule passes: a read-before-publish is
-//!   then caught after 443 schedules instead of 23, and its schedule
-//!   need not replay, since the memory it read is gone.
+//! * **Ring values carry a per-execution nonce.** A value slot is a
+//!   checked `ValueCell`, so a slot read before its value is written
+//!   panics at the cell, nonce or not (a publish before the write is
+//!   caught after 15 schedules either way). The nonce is the second
+//!   line: a value that does come from an earlier execution's memory
+//!   still fails the check on its high bits.
 
 #![cfg(feature = "chanos_check")]
 
@@ -155,10 +154,10 @@ fn deliver(cap: Capacity, senders: u64, per: u64) {
 }
 
 #[test]
-fn ring_delivers_one_senders_values_in_order() {
+fn unbounded_ring_delivers_in_order() {
     // The slot publish, and the `after_push` / `park_recv` → fence →
     // re-pop Dekker that hands each value to a parking receiver.
-    verify(2, || deliver(Capacity::Bounded(8), 1, 2));
+    verify(2, || deliver(Capacity::Unbounded, 1, 2));
 }
 
 #[test]
@@ -166,12 +165,7 @@ fn ring_keeps_two_senders_tickets_apart() {
     // The tail-ticket CAS; and a receiver woken for the second ticket
     // while the first is still being written, which must re-pop after
     // it registers again.
-    verify(2, || deliver(Capacity::Bounded(8), 2, 1));
-}
-
-#[test]
-fn unbounded_ring_delivers_in_order() {
-    verify(2, || deliver(Capacity::Unbounded, 1, 2));
+    verify(2, || deliver(Capacity::Unbounded, 2, 1));
 }
 
 #[test]
@@ -182,26 +176,67 @@ fn mutex_core_delivers_in_order() {
 }
 
 #[test]
-fn ring_send_parked_on_a_full_ring_is_woken_by_a_receive() {
-    // `park_send` → fence → re-push against `after_pop`: the root fills
-    // all eight slots, a sender parks on the ninth value, and the
-    // root's receives must free a slot and wake it. The sender parks on
-    // its first `Pending`, so its own re-push is all that covers a pop
-    // between its last try and its registration.
+fn each_freed_slot_wakes_a_different_parked_sender() {
+    // `Bounded(2)`, full, with two senders parking on it. Each sender
+    // parks on its first `Pending`, so only a wake moves it. The root
+    // frees both slots before it waits for either sender: the second
+    // receive must wake the sender the first one did not.
     verify(2, || {
         let base = nonce();
-        let (tx, rx) = channel::<u64>(Capacity::Bounded(8));
-        for i in 0..8 {
-            tx.try_send(base | i).expect("room for eight");
+        let (tx, rx) = channel::<u64>(Capacity::Bounded(2));
+        for i in 0..2 {
+            tx.try_send(base | i).expect("room for two");
         }
-        let sender = {
-            let tx = tx.clone();
-            thread::spawn(move || drive(tx.send(base | 8), false).expect("the receiver is alive"))
-        };
-        for i in 0..9 {
+        let senders: Vec<_> = (2..4)
+            .map(|i| {
+                let tx = tx.clone();
+                thread::spawn(move || {
+                    drive(tx.send(base | i), false).expect("the receiver is alive")
+                })
+            })
+            .collect();
+        for i in 0..2 {
             assert_eq!(block_on(rx.recv()), Ok(base | i));
         }
-        sender.join();
+        for s in senders {
+            s.join();
+        }
+        let mut rest = [0; 2].map(|_| block_on(rx.recv()).expect("the root holds a sender"));
+        rest.sort_unstable();
+        assert_eq!(rest, [base | 2, base | 3]);
+        drop(tx);
+    });
+}
+
+#[test]
+fn a_cancelled_sender_passes_its_wake_on() {
+    // `Bounded(1)`, full. The root's own send A parks first, then B
+    // parks. A receiver frees the slot, which wakes A; the root drops
+    // A unpolled (a `choose!` arm that lost), and B must complete.
+    verify(3, || {
+        let base = nonce();
+        let (tx, rx) = channel::<u64>(Capacity::Bounded(1));
+        let rx = Arc::new(rx);
+        tx.try_send(base).expect("room for one");
+        let mut a = tx.send(base | 1);
+        let waker = waker();
+        assert!(Pin::new(&mut a)
+            .poll(&mut Context::from_waker(&waker))
+            .is_pending());
+        let b = {
+            let tx = tx.clone();
+            thread::spawn(move || block_on(tx.send(base | 2)).expect("the receiver is alive"))
+        };
+        let receiver = {
+            let rx = rx.clone();
+            thread::spawn(move || block_on(rx.recv()))
+        };
+        // The freed slot's wake goes to the first parked sender, A.
+        thread::park();
+        drop(a);
+        b.join();
+        assert_eq!(receiver.join(), Ok(base));
+        assert_eq!(block_on(rx.recv()), Ok(base | 2));
         drop(tx);
     });
 }
@@ -244,16 +279,16 @@ fn cancelled_receiver_passes_its_wake_on_the_mutex_core() {
 
 #[test]
 fn cancelled_receiver_passes_its_wake_on_the_ring() {
-    verify(2, || cancelled_receiver(Capacity::Bounded(8)));
+    verify(2, || cancelled_receiver(Capacity::Unbounded));
 }
 
-/// The ring at the mutex core's bound: ~150 000 schedules and three
-/// minutes, so CI runs it nightly, with `CHANOS_CHECK_BUDGET=200000`
+/// The ring at the mutex core's bound: ~164 000 schedules and over a
+/// minute, so CI runs it nightly, with `CHANOS_CHECK_BUDGET=200000`
 /// and `-- --ignored`.
 #[test]
-#[ignore = "three minutes; CI runs it nightly"]
+#[ignore = "over a minute; CI runs it nightly"]
 fn cancelled_receiver_passes_its_wake_on_the_ring_at_bound_3() {
-    verify(3, || cancelled_receiver(Capacity::Bounded(8)));
+    verify(3, || cancelled_receiver(Capacity::Unbounded));
 }
 
 // --- oneshot ----------------------------------------------------------

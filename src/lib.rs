@@ -20,7 +20,7 @@
 //! | [`kernel`] | `chanos-kernel` | message syscalls, supervision, events |
 //! | [`vm`] | `chanos-vm` | VM service granularities + libOS |
 //! | [`proto`] | `chanos-proto` | protocol specs, static checking, monitors, deadlock detection |
-//! | [`net`] | `chanos-net` | shared-nothing cluster: frames, reliable transport, remote channels |
+//! | [`net`] | `chanos-net` | shared-nothing cluster: frames, reliable transport, RPC |
 //! | [`parchan`] | `chanos-parchan` | the same model on real OS threads |
 //! | [`nr`] | `chanos-nr` | node replication: operation-log replicas, local reads |
 //! | [`serve`] | `chanos-serve` | serving layer: KV & file servers, zipf key sampler |
