@@ -53,12 +53,6 @@ builtin_counters! {
     RecvWakes = "chan.recv_wakes",
     /// Wakeups issued to parked senders.
     SendWakes = "chan.send_wakes",
-    /// Sends that skipped all wake work because no receiver was
-    /// parked (the coalesced steady state).
-    WakesElided = "chan.wakes_elided",
-    /// Unbounded sends that overflowed the ring segment into the
-    /// spill deque (took the lock).
-    OverflowSpills = "chan.overflow_spills",
     /// Batched drains (`recv_many` / `try_recv_many`).
     RecvManyCalls = "chan.recv_many_calls",
     /// Messages moved by batched drains.

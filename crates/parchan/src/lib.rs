@@ -12,7 +12,9 @@
 //!   run queues (LIFO slot + FIFO), randomized stealing, and
 //!   [`Runtime::spawn_pinned`] for unstealable core placement.
 //! * [`channel`] — MPMC channels with rendezvous / bounded /
-//!   unbounded send, identical semantics to the simulator's.
+//!   unbounded send, identical semantics to the simulator's; each
+//!   channel is one mutex-guarded queue, and a sender parks only when
+//!   its capacity says it may wait.
 //! * [`choose!`] — the same macro; arms are cancel-safe here too.
 //! * [`after`] — wall-clock timeouts for `choose!`.
 //!

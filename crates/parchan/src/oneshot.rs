@@ -3,7 +3,7 @@
 //!
 //! A reply is not a channel. It carries exactly one value, exactly
 //! once, between exactly two parties — so the general MPMC machinery
-//! (ring, spill deque, waiter lists) is pure overhead. A [`oneshot`]
+//! (a lock, a queue, waiter lists) is pure overhead. A [`oneshot`]
 //! is a single `Arc`'d slot driven by an atomic state machine:
 //!
 //! ```text

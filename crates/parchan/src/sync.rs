@@ -4,8 +4,8 @@
 //! `timer.rs` import their atomics, mutexes, and condvars from here
 //! instead of `std::sync`, and the executor its worker threads, its
 //! `block_on` park and its `catch_unwind`. The slots in which
-//! `queue.rs`'s ring, `chan.rs`'s ring and the oneshot hand a value
-//! from one thread to another are a [`ValueCell`] from here too. The
+//! `queue.rs`'s ring and the oneshot hand a value from one thread to
+//! another are a [`ValueCell`] from here too. The
 //! module is public so that code above parchan flips with it:
 //! chanos-nr takes its atomics, `Mutex`, `RwLock` and `spin_loop` from
 //! here, as `rt::sync`. In a normal build these re-exports *are* `std`

@@ -1,6 +1,6 @@
 //! The shipping message protocols, model-checked: `chanos_check`'s
-//! explorer drives parchan's own channel ring, mutex core, oneshot,
-//! reply batch and executor through their public API from model
+//! explorer drives parchan's own channel core, oneshot, reply batch
+//! and executor through their public API from model
 //! threads, and enumerates every interleaving of their atomics, locks
 //! and condvars up to a preemption bound. Under `--features
 //! chanos_check` those are the checker's shim types (`src/sync.rs`),
@@ -18,17 +18,11 @@
 //!
 //! * **Every channel check keeps a `Sender` clone alive** until its
 //!   receivers are done. When the last sender drops, the channel's
-//!   close wakes every parked receiver, and that wake covers a lost
-//!   one: with the senders' own clones the last ones, a receive that
-//!   skips its post-park re-pop passes all 27 130 schedules of
-//!   `ring_keeps_two_senders_tickets_apart` (caught after 2 624 with
-//!   the root's clone alive).
-//! * **Ring values carry a per-execution nonce.** A value slot is a
-//!   checked `ValueCell`, so a slot read before its value is written
-//!   panics at the cell, nonce or not (a publish before the write is
-//!   caught after 15 schedules either way). The nonce is the second
-//!   line: a value that does come from an earlier execution's memory
-//!   still fails the check on its high bits.
+//!   close wakes every parked receiver, and that wake would cover a
+//!   lost one.
+//! * **Channel values carry a per-execution nonce**, so a value that
+//!   comes from an earlier execution's memory fails the check on its
+//!   high bits.
 
 #![cfg(feature = "chanos_check")]
 
@@ -142,7 +136,7 @@ fn deliver(cap: Capacity, senders: u64, per: u64) {
     let mut next = vec![0; senders as usize];
     for _ in 0..senders * per {
         let v = block_on(rx.recv()).expect("the root holds a sender");
-        assert_eq!(v & !0xffff, base, "read a slot before its value: {v:#x}");
+        assert_eq!(v & !0xffff, base, "a value from another execution: {v:#x}");
         let (s, i) = ((v >> 8 & 0xff) as usize, v & 0xff);
         assert_eq!(i, next[s], "sender {s}'s values arrived out of order");
         next[s] += 1;
@@ -154,25 +148,59 @@ fn deliver(cap: Capacity, senders: u64, per: u64) {
 }
 
 #[test]
-fn unbounded_ring_delivers_in_order() {
-    // The slot publish, and the `after_push` / `park_recv` → fence →
-    // re-pop Dekker that hands each value to a parking receiver.
-    verify(2, || deliver(Capacity::Unbounded, 1, 2));
-}
-
-#[test]
-fn ring_keeps_two_senders_tickets_apart() {
-    // The tail-ticket CAS; and a receiver woken for the second ticket
-    // while the first is still being written, which must re-pop after
-    // it registers again.
-    verify(2, || deliver(Capacity::Unbounded, 2, 1));
-}
-
-#[test]
 fn mutex_core_delivers_in_order() {
-    verify(3, || deliver(Capacity::Bounded(4), 1, 2));
-    verify(3, || deliver(Capacity::Bounded(4), 2, 1));
+    for cap in [Capacity::Bounded(4), Capacity::Unbounded] {
+        verify(3, move || deliver(cap, 1, 2));
+        verify(3, move || deliver(cap, 2, 1));
+    }
     verify(3, || deliver(Capacity::Rendezvous, 1, 2));
+}
+
+#[test]
+fn a_completed_send_is_seen_by_try_recv() {
+    // Two senders `try_send` one value each. Once the second has
+    // returned, its value is queued, so a `try_recv` must find a value
+    // wherever the first sender is.
+    verify(3, || {
+        let base = nonce();
+        let (tx, rx) = channel::<u64>(Capacity::Unbounded);
+        let spawn = |i| {
+            let tx = tx.clone();
+            thread::spawn(move || tx.try_send(base | i).expect("the receiver is alive"))
+        };
+        let first = spawn(1);
+        let second = spawn(2);
+        second.join();
+        let v = rx.try_recv().expect("a completed send is queued");
+        assert_eq!(v & !0xffff, base, "a value from another execution: {v:#x}");
+        first.join();
+        drop(tx);
+    });
+}
+
+#[test]
+fn a_receiver_that_parks_at_once_is_woken() {
+    // A receive registers its waker under the lock it found the queue
+    // empty under, so no send lands between the two. The root parks on
+    // its first `Pending`, with no re-poll to cover such a gap, and the
+    // one send must wake it.
+    for cap in [
+        Capacity::Rendezvous,
+        Capacity::Bounded(4),
+        Capacity::Unbounded,
+    ] {
+        verify(3, move || {
+            let base = nonce();
+            let (tx, rx) = channel::<u64>(cap);
+            let sender = {
+                let tx = tx.clone();
+                thread::spawn(move || block_on(tx.send(base | 1)).expect("the receiver is alive"))
+            };
+            assert_eq!(drive(rx.recv(), false), Ok(base | 1));
+            sender.join();
+            drop(tx);
+        });
+    }
 }
 
 #[test]
@@ -273,22 +301,10 @@ fn cancelled_receiver(cap: Capacity) {
 }
 
 #[test]
-fn cancelled_receiver_passes_its_wake_on_the_mutex_core() {
-    verify(3, || cancelled_receiver(Capacity::Bounded(4)));
-}
-
-#[test]
-fn cancelled_receiver_passes_its_wake_on_the_ring() {
-    verify(2, || cancelled_receiver(Capacity::Unbounded));
-}
-
-/// The ring at the mutex core's bound: ~164 000 schedules and over a
-/// minute, so CI runs it nightly, with `CHANOS_CHECK_BUDGET=200000`
-/// and `-- --ignored`.
-#[test]
-#[ignore = "over a minute; CI runs it nightly"]
-fn cancelled_receiver_passes_its_wake_on_the_ring_at_bound_3() {
-    verify(3, || cancelled_receiver(Capacity::Unbounded));
+fn cancelled_receiver_passes_its_wake_on() {
+    for cap in [Capacity::Bounded(4), Capacity::Unbounded] {
+        verify(3, move || cancelled_receiver(cap));
+    }
 }
 
 // --- oneshot ----------------------------------------------------------

@@ -303,7 +303,7 @@ impl<T: Send + 'static> Receiver<T> {
     /// On the simulator "ready" means the modeled transit time has
     /// elapsed, and every drained message is charged as its own
     /// receive event, so traces stay deterministic. On real threads
-    /// the drain is a single lock-free sweep of the channel ring.
+    /// the drain takes the channel's lock once for the whole burst.
     pub fn try_recv_many(&self, buf: &mut Vec<T>, max: usize) -> usize {
         match &self.0 {
             ReceiverImpl::Sim(r) => {

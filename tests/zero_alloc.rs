@@ -6,7 +6,7 @@
 //! A reply slot is §3's "fresh channel used to send the return value
 //! back": allocated by the call, freed on completion. Everything else
 //! on the path is reused: the batch's request buffer, the calls
-//! vector, the channel ring, the server's drain buffers, its
+//! vector, the channel queues, the server's drain buffers, its
 //! `ReplyBatch` and wake buffer. A counting global allocator proves
 //! it.
 //!
@@ -77,7 +77,7 @@ fn warm_pipelined_getpid_round_allocates_one_reply_slot_per_call() {
         let env = os.procs.env();
         let mut b = env.batch();
         let mut calls = Vec::with_capacity(DEPTH);
-        // Warm everything with one-time capacity: the channel ring,
+        // Warm everything with one-time capacity: the channel queues,
         // the server's drain buffers.
         for _ in 0..200 {
             round(&mut b, &mut calls).await;
