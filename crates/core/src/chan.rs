@@ -21,6 +21,19 @@
 //! same types `chanos-parchan` and `chanos-rt` export, so a value
 //! crosses the facade as itself.
 //!
+//! # One bookkeeping
+//!
+//! The queue, the parked waiters and the endpoint counts are
+//! `chanos_select::state::State`, the same state `chanos-parchan`'s
+//! channel keeps, so both backends decide by one copy of the rules
+//! when a send may enqueue, which parked sender a freed slot wakes, and
+//! whom closing or dropping an endpoint wakes. This file keeps what
+//! only the model has: a message's stamp (its source core and send
+//! time) and the arrival times the cost model derives from it, the
+//! front parked receiver scheduled for the front message's arrival,
+//! a rendezvous value delivered into a waiting receiver's slot with
+//! its acknowledgment flight, and the `csp.*` statistics.
+//!
 //! # Cancel-safety (the `choose!` contract)
 //!
 //! `recv()` commits (dequeues) only in the poll that returns `Ready`,
@@ -33,25 +46,17 @@
 //! choice effectively is hard; the delivered-but-lost-race case is
 //! counted in the `csp.send_arm_lost_races` statistic.
 
-use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll};
 
-use chanos_sim::{self as sim, Cycles, TaskId};
+use chanos_select::state::{Repoll, Shut};
+use chanos_sim::{self as sim, plock, Cycles, TaskId};
 
 use crate::config::CspRuntime;
 
-use chanos_sim::plock;
-
 pub use chanos_select::vocab::{Capacity, RecvError, SendError, TryRecvError, TrySendError};
-
-struct Msg<T> {
-    value: T,
-    from_core: usize,
-    sent_at: Cycles,
-}
 
 /// A message delivered directly to one receiver by rendezvous pairing.
 struct SlotMsg<T> {
@@ -61,87 +66,39 @@ struct SlotMsg<T> {
     avail: Cycles,
 }
 
-struct RecvSlot<T> {
-    value: Option<SlotMsg<T>>,
-}
+type RecvSlot<T> = Arc<Mutex<Option<SlotMsg<T>>>>;
 
-struct RecvWaiter<T> {
+/// A parked receiver: its task, its core, and the slot a rendezvous
+/// sender pairing with it delivers into.
+struct RecvToken<T> {
     task: TaskId,
     core: usize,
-    slot: Arc<Mutex<RecvSlot<T>>>,
+    slot: RecvSlot<T>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SendPhase {
-    /// Waiting for a peer (rendezvous) or for space (bounded).
-    Waiting,
-    /// Rendezvous paired; the ack arrives at the given time.
-    AckAt(Cycles),
-}
-
-struct SendEntry<T> {
+/// A parked sender. `ack_at` is set when a receiver takes its
+/// rendezvous value: the acknowledgment's arrival.
+#[derive(Clone, Copy)]
+struct SendToken {
     task: TaskId,
     core: usize,
-    /// Present while a rendezvous sender is parked; taken by the
-    /// pairing receiver. Bounded senders keep the value in the future.
-    value: Option<T>,
-    phase: SendPhase,
+    ack_at: Option<Cycles>,
 }
 
-struct ChanState<T> {
-    cap: Capacity,
-    queue: VecDeque<Msg<T>>,
-    recv_waiters: VecDeque<RecvWaiter<T>>,
-    send_waiters: VecDeque<Arc<Mutex<SendEntry<T>>>>,
-    senders: usize,
-    receivers: usize,
-    closed: bool,
+/// A message's stamp: the core it was sent from and when.
+type Stamp = (usize, Cycles);
+
+type State<T> = chanos_select::state::State<T, Stamp, RecvToken<T>, SendToken>;
+
+struct Chan<T> {
+    state: Mutex<State<T>>,
+    /// A message's modeled size on the interconnect.
     bytes: usize,
 }
 
-type Chan<T> = Arc<Mutex<ChanState<T>>>;
-
-impl<T> ChanState<T> {
-    /// No more messages can ever arrive.
-    fn drained_shut(&self) -> bool {
-        (self.closed || self.senders == 0)
-            && self.queue.is_empty()
-            && self.send_waiters.iter().all(|e| plock(e).value.is_none())
-    }
-
-    /// Sends can never succeed.
-    fn send_shut(&self) -> bool {
-        self.closed || self.receivers == 0
-    }
-
-    fn wake_all_recv_waiters(&mut self) {
-        for w in self.recv_waiters.iter() {
-            sim::wake_now(w.task);
-        }
-    }
-
-    fn wake_all_send_waiters(&mut self) {
-        for e in self.send_waiters.iter() {
-            sim::wake_now(plock(e).task);
-        }
-    }
-
-    /// Lets the first parked receiver know the front queue message is
-    /// (or will be) available.
-    fn notify_front_recv_waiter(&mut self, rt: &CspRuntime) {
-        if let (Some(front), Some(w)) = (self.queue.front(), self.recv_waiters.front()) {
-            let avail = front.sent_at + rt.latency(front.from_core, w.core, self.bytes);
-            sim::schedule_wake_at(w.task, avail);
-        }
-    }
-
-    /// Space freed in a bounded channel: wake the first parked sender.
-    fn notify_front_send_waiter(&mut self) {
-        if matches!(self.cap, Capacity::Bounded(_)) {
-            if let Some(e) = self.send_waiters.front() {
-                sim::wake_now(plock(e).task);
-            }
-        }
+impl<T> Chan<T> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
+        plock(&self.state)
     }
 }
 
@@ -159,38 +116,32 @@ pub fn channel<T>(cap: Capacity) -> (Sender<T>, Receiver<T>) {
 /// Creates a channel whose messages are modeled as `bytes` bytes on
 /// the interconnect.
 pub fn channel_with_bytes<T>(cap: Capacity, bytes: usize) -> (Sender<T>, Receiver<T>) {
-    let state = Arc::new(Mutex::new(ChanState {
-        cap,
-        queue: VecDeque::new(),
-        recv_waiters: VecDeque::new(),
-        send_waiters: VecDeque::new(),
-        senders: 1,
-        receivers: 1,
-        closed: false,
+    let chan = Arc::new(Chan {
+        state: Mutex::new(State::new(cap)),
         bytes,
-    }));
+    });
     let rt = CspRuntime::current();
     sim::stat_incr("csp.channels_created");
     (
         Sender {
-            chan: state.clone(),
+            chan: chan.clone(),
             rt: rt.clone(),
         },
-        Receiver { chan: state, rt },
+        Receiver { chan, rt },
     )
 }
 
 /// The sending endpoint of a channel. Clone freely; send through other
 /// channels.
 pub struct Sender<T> {
-    chan: Chan<T>,
+    chan: Arc<Chan<T>>,
     rt: Arc<CspRuntime>,
 }
 
 /// The receiving endpoint of a channel. Clone freely; send through
 /// other channels.
 pub struct Receiver<T> {
-    chan: Chan<T>,
+    chan: Arc<Chan<T>>,
     rt: Arc<CspRuntime>,
 }
 
@@ -214,19 +165,36 @@ fn debug_endpoint<T>(
     chan: &Chan<T>,
     f: &mut std::fmt::Formatter<'_>,
 ) -> std::fmt::Result {
-    match chan.try_lock() {
+    match chan.state.try_lock() {
         Ok(st) => f
             .debug_struct(name)
-            .field("queued", &st.queue.len())
-            .field("closed", &st.closed)
+            .field("queued", &st.len())
+            .field("closed", &st.is_closed())
             .finish(),
         Err(_) => f.debug_struct(name).field("state", &"<locked>").finish(),
     }
 }
 
+/// Wakes the waiters an endpoint change shut out.
+fn wake_shut<T>(st: &State<T>, shut: Shut) {
+    if !sim::in_sim() {
+        return;
+    }
+    if shut.receivers {
+        for w in &st.recv_waiters {
+            sim::wake_now(w.token.task);
+        }
+    }
+    if shut.senders {
+        for w in st.parked_senders() {
+            sim::wake_now(w.task);
+        }
+    }
+}
+
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        plock(&self.chan).senders += 1;
+        self.chan.lock().add_sender();
         Sender {
             chan: self.chan.clone(),
             rt: self.rt.clone(),
@@ -236,7 +204,7 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Clone for Receiver<T> {
     fn clone(&self) -> Self {
-        plock(&self.chan).receivers += 1;
+        self.chan.lock().add_receiver();
         Receiver {
             chan: self.chan.clone(),
             rt: self.rt.clone(),
@@ -246,23 +214,17 @@ impl<T> Clone for Receiver<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut st = plock(&self.chan);
-        st.senders -= 1;
-        if st.senders == 0 && sim::in_sim() {
-            // Receivers blocked on a now-unreachable channel must
-            // observe Closed once the queue drains.
-            st.wake_all_recv_waiters();
-        }
+        let mut st = self.chan.lock();
+        let shut = st.drop_sender();
+        wake_shut(&st, shut);
     }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut st = plock(&self.chan);
-        st.receivers -= 1;
-        if st.receivers == 0 && sim::in_sim() {
-            st.wake_all_send_waiters();
-        }
+        let mut st = self.chan.lock();
+        let shut = st.drop_receiver();
+        wake_shut(&st, shut);
     }
 }
 
@@ -274,7 +236,8 @@ impl<T> Sender<T> {
         SendFut {
             sender: self,
             value: Some(value),
-            entry: None,
+            parked: None,
+            ack_at: None,
         }
     }
 
@@ -284,33 +247,16 @@ impl<T> Sender<T> {
     /// currently blocked waiting; the handoff then completes without
     /// waiting for the acknowledgment.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut st = plock(&self.chan);
+        let mut st = self.chan.lock();
         if st.send_shut() {
             return Err(TrySendError::Closed(value));
         }
-        let my_core = sim::current_core().index();
-        match st.cap {
-            Capacity::Unbounded => {
-                commit_enqueue(&mut st, &self.rt, my_core, value);
-                Ok(())
-            }
-            Capacity::Bounded(n) => {
-                if st.queue.len() < n {
-                    commit_enqueue(&mut st, &self.rt, my_core, value);
-                    Ok(())
-                } else {
-                    Err(TrySendError::Full(value))
-                }
-            }
-            Capacity::Rendezvous => {
-                if st.recv_waiters.is_empty() {
-                    Err(TrySendError::Full(value))
-                } else {
-                    pair_with_receiver(&mut st, &self.rt, my_core, value);
-                    Ok(())
-                }
-            }
+        if !st.has_room() {
+            return Err(TrySendError::Full(value));
         }
+        let my_core = sim::current_core().index();
+        commit(&mut st, &self.chan, &self.rt, my_core, value);
+        Ok(())
     }
 
     /// Closes the channel: subsequent sends fail; receivers drain the
@@ -321,12 +267,12 @@ impl<T> Sender<T> {
 
     /// Returns `true` if the channel can no longer deliver sends.
     pub fn is_closed(&self) -> bool {
-        plock(&self.chan).send_shut()
+        self.chan.lock().send_shut()
     }
 
     /// Number of buffered (including in-flight) messages.
     pub fn len(&self) -> usize {
-        plock(&self.chan).queue.len()
+        self.chan.lock().len()
     }
 
     /// Returns `true` if no messages are buffered.
@@ -347,23 +293,17 @@ impl<T> Receiver<T> {
         RecvFut {
             receiver: self,
             slot: None,
-            registered: false,
+            waiter: None,
         }
     }
 
     /// Attempts to receive without waiting.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut st = plock(&self.chan);
+        let mut st = self.chan.lock();
         let my_core = sim::current_core().index();
-        let now = sim::now();
-        if let Some(front) = st.queue.front() {
-            let avail = front.sent_at + self.rt.latency(front.from_core, my_core, st.bytes);
-            if now >= avail {
-                let msg = st.queue.pop_front().expect("front exists");
-                st.notify_front_send_waiter();
-                st.notify_front_recv_waiter(&self.rt);
-                record_delivery(&self.rt, msg.from_core, my_core, st.bytes);
-                return Ok(msg.value);
+        if let Some(avail) = front_arrival(&st, &self.chan, &self.rt, my_core) {
+            if sim::now() >= avail {
+                return Ok(pop_front(&mut st, &self.chan, &self.rt, my_core));
             }
             return Err(TryRecvError::Empty);
         }
@@ -383,7 +323,7 @@ impl<T> Receiver<T> {
 
     /// Number of buffered (including in-flight) messages.
     pub fn len(&self) -> usize {
-        plock(&self.chan).queue.len()
+        self.chan.lock().len()
     }
 
     /// Returns `true` if no messages are buffered.
@@ -398,50 +338,74 @@ impl<T> Receiver<T> {
 }
 
 fn close_impl<T>(chan: &Chan<T>) {
-    let mut st = plock(chan);
-    if !st.closed {
-        st.closed = true;
-        if sim::in_sim() {
-            st.wake_all_recv_waiters();
-            st.wake_all_send_waiters();
-        }
+    let mut st = chan.lock();
+    let shut = st.close();
+    wake_shut(&st, shut);
+}
+
+/// When the front queued message arrives on `my_core`.
+fn front_arrival<T>(
+    st: &State<T>,
+    chan: &Chan<T>,
+    rt: &CspRuntime,
+    my_core: usize,
+) -> Option<Cycles> {
+    let &(from_core, sent_at) = st.front()?;
+    Some(sent_at + rt.latency(from_core, my_core, chan.bytes))
+}
+
+/// Takes the front queued message, which has arrived: wakes the parked
+/// sender its slot frees, schedules the next message's receiver, and
+/// counts the delivery.
+fn pop_front<T>(st: &mut State<T>, chan: &Chan<T>, rt: &CspRuntime, my_core: usize) -> T {
+    let (value, (from_core, _), space) = st.pop().expect("front exists");
+    if let Some(w) = space {
+        sim::wake_now(w.task);
+    }
+    notify_front_recv_waiter(st, chan, rt);
+    record_delivery(rt, from_core, my_core, chan.bytes);
+    value
+}
+
+/// Lets the first parked receiver know the front queue message is
+/// (or will be) available.
+fn notify_front_recv_waiter<T>(st: &State<T>, chan: &Chan<T>, rt: &CspRuntime) {
+    if let (Some(&(from_core, sent_at)), Some(w)) = (st.front(), st.recv_waiters.front()) {
+        let avail = sent_at + rt.latency(from_core, w.token.core, chan.bytes);
+        sim::schedule_wake_at(w.token.task, avail);
     }
 }
 
-/// Enqueues a message (unbounded/bounded commit) and notifies the
-/// first waiting receiver of its arrival time.
-fn commit_enqueue<T>(st: &mut ChanState<T>, rt: &CspRuntime, from_core: usize, value: T) {
-    let now = sim::now();
-    st.queue.push_back(Msg {
-        value,
-        from_core,
-        sent_at: now,
-    });
-    sim::stat_incr("csp.sends");
-    if st.queue.len() == 1 {
-        st.notify_front_recv_waiter(rt);
-    }
-}
-
-/// Rendezvous: hand `value` directly to the first waiting receiver.
-/// Returns the ack arrival time for the sender.
-fn pair_with_receiver<T>(
-    st: &mut ChanState<T>,
+/// Sends `value` now; the caller checked `has_room`. A rendezvous send
+/// pairs with the first waiting receiver and returns the time its ack
+/// arrives; any other enqueues and notifies the first waiting receiver
+/// of the arrival time.
+fn commit<T>(
+    st: &mut State<T>,
+    chan: &Chan<T>,
     rt: &CspRuntime,
     from_core: usize,
     value: T,
-) -> Cycles {
+) -> Option<Cycles> {
     let now = sim::now();
-    let w = st.recv_waiters.pop_front().expect("caller checked");
-    let avail = now + rt.latency(from_core, w.core, st.bytes);
-    plock(&w.slot).value = Some(SlotMsg {
-        value,
-        from_core,
-        avail,
-    });
-    sim::schedule_wake_at(w.task, avail);
+    if st.capacity() == Capacity::Rendezvous {
+        let w = st.recv_waiters.pop_front().expect("a receiver waits").token;
+        let avail = now + rt.latency(from_core, w.core, chan.bytes);
+        *plock(&w.slot) = Some(SlotMsg {
+            value,
+            from_core,
+            avail,
+        });
+        sim::schedule_wake_at(w.task, avail);
+        sim::stat_incr("csp.sends");
+        return Some(avail + rt.ack_latency(w.core, from_core));
+    }
+    st.push(value, (from_core, now));
     sim::stat_incr("csp.sends");
-    avail + rt.ack_latency(w.core, from_core)
+    if st.len() == 1 {
+        notify_front_recv_waiter(st, chan, rt);
+    }
+    None
 }
 
 fn record_delivery(rt: &CspRuntime, from: usize, to: usize, bytes: usize) {
@@ -458,8 +422,13 @@ fn record_delivery(rt: &CspRuntime, from: usize, to: usize, bytes: usize) {
 /// Future returned by [`Sender::send`].
 pub struct SendFut<'a, T> {
     sender: &'a Sender<T>,
+    /// The unsent value; a parked rendezvous send leaves it in its
+    /// entry for a receiver to take.
     value: Option<T>,
-    entry: Option<Arc<Mutex<SendEntry<T>>>>,
+    /// The id of this send's entry among the parked senders.
+    parked: Option<u64>,
+    /// Rendezvous delivered; completing on the ack, which arrives then.
+    ack_at: Option<Cycles>,
 }
 
 // The future stores `T` by ownership only (no self-references), so it
@@ -471,151 +440,79 @@ impl<T> Future for SendFut<'_, T> {
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = &mut *self;
-        let rt = this.sender.rt.clone();
-        let mut st = plock(&this.sender.chan);
-        let now = sim::now();
-        let my_core = sim::current_core().index();
-        let me = sim::current_task();
+        let chan = &this.sender.chan;
+        let rt = &this.sender.rt;
+        let mut st = chan.lock();
+        let me = SendToken {
+            task: sim::current_task(),
+            core: sim::current_core().index(),
+            ack_at: None,
+        };
 
-        // Re-poll of a registered send.
-        if let Some(entry) = this.entry.clone() {
-            let phase = plock(&entry).phase;
-            match phase {
-                SendPhase::AckAt(t) => {
-                    // Rendezvous delivered; completing on the ack.
-                    if now >= t {
-                        this.entry = None;
-                        return Poll::Ready(Ok(()));
-                    }
+        if let Some(id) = this.parked.take() {
+            match st.repoll_sender(id, &me, &mut this.value) {
+                Repoll::Wait => {
+                    this.parked = Some(id);
                     return Poll::Pending;
                 }
-                SendPhase::Waiting => {
-                    if st.send_shut() {
-                        let v = plock(&entry)
-                            .value
-                            .take()
-                            .or_else(|| this.value.take())
-                            .expect("a waiting send holds its value");
-                        deregister_sender(&mut st, &entry);
-                        this.entry = None;
-                        return Poll::Ready(Err(SendError::Closed(v)));
-                    }
-                    match st.cap {
-                        Capacity::Bounded(n) => {
-                            // Space may have freed; retry the commit.
-                            if st.queue.len() < n {
-                                let v = this.value.take().expect("bounded keeps value here");
-                                commit_enqueue(&mut st, &rt, my_core, v);
-                                deregister_sender(&mut st, &entry);
-                                this.entry = None;
-                                return Poll::Ready(Ok(()));
-                            }
-                            return Poll::Pending;
-                        }
-                        _ => {
-                            // Parked rendezvous sender: a receiver
-                            // pairs by flipping our phase; nothing to
-                            // do until then.
-                            return Poll::Pending;
-                        }
-                    }
+                Repoll::Taken(token) => this.ack_at = token.ack_at,
+                Repoll::Shut => {
+                    let v = this.value.take().expect("a waiting send holds its value");
+                    return Poll::Ready(Err(SendError::Closed(v)));
+                }
+                Repoll::Room => {
+                    let v = this.value.take().expect("bounded keeps value here");
+                    commit(&mut st, chan, rt, me.core, v);
+                    return Poll::Ready(Ok(()));
                 }
             }
+        }
+        if let Some(t) = this.ack_at {
+            if sim::now() >= t {
+                this.ack_at = None;
+                return Poll::Ready(Ok(()));
+            }
+            return Poll::Pending;
         }
 
         // First poll: the value is still ours.
         if st.send_shut() {
-            return Poll::Ready(Err(SendError::Closed(
-                this.value.take().expect("unsent value present"),
-            )));
+            let v = this.value.take().expect("unsent value present");
+            return Poll::Ready(Err(SendError::Closed(v)));
         }
-        match st.cap {
-            Capacity::Unbounded => {
-                let v = this.value.take().expect("unsent value present");
-                commit_enqueue(&mut st, &rt, my_core, v);
-                Poll::Ready(Ok(()))
-            }
-            Capacity::Bounded(n) => {
-                if st.queue.len() < n {
-                    let v = this.value.take().expect("unsent value present");
-                    commit_enqueue(&mut st, &rt, my_core, v);
-                    Poll::Ready(Ok(()))
-                } else {
-                    let entry = Arc::new(Mutex::new(SendEntry {
-                        task: me,
-                        core: my_core,
-                        value: None,
-                        phase: SendPhase::Waiting,
-                    }));
-                    st.send_waiters.push_back(entry.clone());
-                    this.entry = Some(entry);
-                    Poll::Pending
-                }
-            }
-            Capacity::Rendezvous => {
-                if st.recv_waiters.is_empty() {
-                    // Park with the value so an arriving receiver can
-                    // pair with us.
-                    let v = this.value.take().expect("unsent value present");
-                    let entry = Arc::new(Mutex::new(SendEntry {
-                        task: me,
-                        core: my_core,
-                        value: Some(v),
-                        phase: SendPhase::Waiting,
-                    }));
-                    st.send_waiters.push_back(entry.clone());
-                    this.entry = Some(entry);
-                    Poll::Pending
-                } else {
-                    let v = this.value.take().expect("unsent value present");
-                    let ack_at = pair_with_receiver(&mut st, &rt, my_core, v);
-                    let entry = Arc::new(Mutex::new(SendEntry {
-                        task: me,
-                        core: my_core,
-                        value: None,
-                        phase: SendPhase::AckAt(ack_at),
-                    }));
-                    this.entry = Some(entry);
-                    sim::schedule_wake_at(me, ack_at);
-                    Poll::Pending
-                }
+        if !st.has_room() {
+            this.parked = Some(st.register_sender(me, &mut this.value));
+            return Poll::Pending;
+        }
+        let value = this.value.take().expect("unsent value present");
+        match commit(&mut st, chan, rt, me.core, value) {
+            None => Poll::Ready(Ok(())),
+            Some(ack_at) => {
+                this.ack_at = Some(ack_at);
+                sim::schedule_wake_at(me.task, ack_at);
+                Poll::Pending
             }
         }
     }
 }
 
-fn deregister_sender<T>(st: &mut ChanState<T>, entry: &Arc<Mutex<SendEntry<T>>>) {
-    st.send_waiters.retain(|e| !Arc::ptr_eq(e, entry));
-}
-
 impl<T> Drop for SendFut<'_, T> {
     fn drop(&mut self) {
-        let Some(entry) = self.entry.take() else {
-            return;
+        // Paired: the message is in flight and will be delivered even
+        // though this arm lost its race.
+        let lost_race = match self.parked.take() {
+            Some(id) => {
+                let mut st = self.sender.chan.lock();
+                let (taken, pass_on) = st.cancel_send(id);
+                if let (Some(w), true) = (pass_on, sim::in_sim()) {
+                    sim::wake_now(w.task);
+                }
+                taken
+            }
+            None => self.ack_at.is_some(),
         };
-        let mut st = plock(&self.sender.chan);
-        let phase = plock(&entry).phase;
-        match phase {
-            SendPhase::Waiting => {
-                // Not yet paired/committed: retract cleanly.
-                deregister_sender(&mut st, &entry);
-                if sim::in_sim() {
-                    // If we were a bounded waiter and space exists,
-                    // pass the wake to the next waiter.
-                    if let Capacity::Bounded(n) = st.cap {
-                        if st.queue.len() < n {
-                            st.notify_front_send_waiter();
-                        }
-                    }
-                }
-            }
-            SendPhase::AckAt(_) => {
-                // Paired: the message is in flight and will be
-                // delivered even though this arm lost its race.
-                if sim::in_sim() {
-                    sim::stat_incr("csp.send_arm_lost_races");
-                }
-            }
+        if lost_race && sim::in_sim() {
+            sim::stat_incr("csp.send_arm_lost_races");
         }
     }
 }
@@ -623,37 +520,45 @@ impl<T> Drop for SendFut<'_, T> {
 /// Future returned by [`Receiver::recv`].
 pub struct RecvFut<'a, T> {
     receiver: &'a Receiver<T>,
-    slot: Option<Arc<Mutex<RecvSlot<T>>>>,
-    /// Whether `slot` is registered in the channel's waiter list (a
-    /// receiver that paired with a parked sender holds an
-    /// *unregistered* slot).
-    registered: bool,
+    slot: Option<RecvSlot<T>>,
+    /// The id `slot` is registered under among the parked receivers (a
+    /// receiver that paired with a parked sender holds an unregistered
+    /// slot).
+    waiter: Option<u64>,
 }
 
 // No self-references; movable regardless of `T`.
 impl<T> Unpin for RecvFut<'_, T> {}
+
+impl<T> RecvFut<'_, T> {
+    /// Done: leaves the receiver list.
+    fn finish(&mut self, st: &mut State<T>) {
+        self.slot = None;
+        st.deregister_receiver(&mut self.waiter);
+    }
+}
 
 impl<T> Future for RecvFut<'_, T> {
     type Output = Result<T, RecvError>;
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = &mut *self;
-        let rt = this.receiver.rt.clone();
-        let mut st = plock(&this.receiver.chan);
+        let chan = &this.receiver.chan;
+        let rt = &this.receiver.rt;
+        let mut st = chan.lock();
         let now = sim::now();
         let my_core = sim::current_core().index();
         let me = sim::current_task();
 
         // A rendezvous sender may have delivered into our slot.
         if let Some(slot) = this.slot.clone() {
-            let has = plock(&slot).value.is_some();
-            if has {
-                let avail = plock(&slot).value.as_ref().expect("checked").avail;
+            let mut delivered = plock(&slot);
+            if let Some(avail) = delivered.as_ref().map(|m| m.avail) {
                 if now >= avail {
-                    let msg = plock(&slot).value.take().expect("checked");
-                    self_deregister(&mut st, &slot, this.registered);
-                    this.slot = None;
-                    record_delivery(&rt, msg.from_core, my_core, st.bytes);
+                    let msg = delivered.take().expect("checked");
+                    drop(delivered);
+                    this.finish(&mut st);
+                    record_delivery(rt, msg.from_core, my_core, chan.bytes);
                     return Poll::Ready(Ok(msg.value));
                 }
                 sim::schedule_wake_at(me, avail);
@@ -662,17 +567,11 @@ impl<T> Future for RecvFut<'_, T> {
         }
 
         // Queued message (bounded/unbounded)?
-        if let Some(front) = st.queue.front() {
-            let avail = front.sent_at + rt.latency(front.from_core, my_core, st.bytes);
+        if let Some(avail) = front_arrival(&st, chan, rt, my_core) {
             if now >= avail {
-                let msg = st.queue.pop_front().expect("front exists");
-                st.notify_front_send_waiter();
-                st.notify_front_recv_waiter(&rt);
-                if let Some(slot) = this.slot.take() {
-                    self_deregister(&mut st, &slot, this.registered);
-                }
-                record_delivery(&rt, msg.from_core, my_core, st.bytes);
-                return Poll::Ready(Ok(msg.value));
+                let value = pop_front(&mut st, chan, rt, my_core);
+                this.finish(&mut st);
+                return Poll::Ready(Ok(value));
             }
             sim::schedule_wake_at(me, avail);
             return Poll::Pending;
@@ -680,89 +579,39 @@ impl<T> Future for RecvFut<'_, T> {
 
         // Parked rendezvous sender? Pair with it: the value travels to
         // us now, becoming available one transit later.
-        if st.cap == Capacity::Rendezvous {
-            if let Some((msg, sender_task, ack_at)) =
-                pair_from_recv_side(&mut st, &rt, my_core, now)
-            {
-                sim::schedule_wake_at(sender_task, ack_at);
-                let avail = msg.avail;
-                let slot = this
-                    .slot
-                    .get_or_insert_with(|| Arc::new(Mutex::new(RecvSlot { value: None })))
-                    .clone();
-                plock(&slot).value = Some(msg);
-                sim::schedule_wake_at(me, avail);
-                return Poll::Pending;
-            }
+        if let Some((value, sender)) = st.take_parked() {
+            let from_core = sender.core;
+            let avail = now + rt.latency(from_core, my_core, chan.bytes);
+            let ack_at = avail + rt.ack_latency(my_core, from_core);
+            sender.ack_at = Some(ack_at);
+            let sender_task = sender.task;
+            sim::stat_incr("csp.sends");
+            sim::schedule_wake_at(sender_task, ack_at);
+            let slot = this.slot.get_or_insert_with(RecvSlot::default);
+            *plock(slot) = Some(SlotMsg {
+                value,
+                from_core,
+                avail,
+            });
+            sim::schedule_wake_at(me, avail);
+            return Poll::Pending;
         }
 
         if st.drained_shut() {
-            if let Some(slot) = this.slot.take() {
-                self_deregister(&mut st, &slot, this.registered);
-            }
+            this.finish(&mut st);
             return Poll::Ready(Err(RecvError::Closed));
         }
 
         // Register (once) and wait.
-        if this.slot.is_none() || !this.registered {
-            let slot = this
-                .slot
-                .get_or_insert_with(|| Arc::new(Mutex::new(RecvSlot { value: None })))
-                .clone();
-            if !this.registered {
-                st.recv_waiters.push_back(RecvWaiter {
-                    task: me,
-                    core: my_core,
-                    slot,
-                });
-                this.registered = true;
-            }
+        if this.waiter.is_none() {
+            let slot = this.slot.get_or_insert_with(RecvSlot::default).clone();
+            this.waiter = Some(st.register_receiver(RecvToken {
+                task: me,
+                core: my_core,
+                slot,
+            }));
         }
         Poll::Pending
-    }
-}
-
-/// Takes the first parked rendezvous sender's value for a receiver on
-/// `my_core`. Returns the slot message, the sender task to ack, and
-/// the ack arrival time.
-fn pair_from_recv_side<T>(
-    st: &mut ChanState<T>,
-    rt: &CspRuntime,
-    my_core: usize,
-    now: Cycles,
-) -> Option<(SlotMsg<T>, TaskId, Cycles)> {
-    loop {
-        let entry = st.send_waiters.front()?.clone();
-        let mut e = plock(&entry);
-        if e.phase != SendPhase::Waiting || e.value.is_none() {
-            drop(e);
-            st.send_waiters.pop_front();
-            continue;
-        }
-        let value = e.value.take().expect("checked");
-        let avail = now + rt.latency(e.core, my_core, st.bytes);
-        let ack_at = avail + rt.ack_latency(my_core, e.core);
-        e.phase = SendPhase::AckAt(ack_at);
-        let sender_task = e.task;
-        let from_core = e.core;
-        drop(e);
-        st.send_waiters.pop_front();
-        sim::stat_incr("csp.sends");
-        return Some((
-            SlotMsg {
-                value,
-                from_core,
-                avail,
-            },
-            sender_task,
-            ack_at,
-        ));
-    }
-}
-
-fn self_deregister<T>(st: &mut ChanState<T>, slot: &Arc<Mutex<RecvSlot<T>>>, registered: bool) {
-    if registered {
-        st.recv_waiters.retain(|w| !Arc::ptr_eq(&w.slot, slot));
     }
 }
 
@@ -771,20 +620,18 @@ impl<T> Drop for RecvFut<'_, T> {
         let Some(slot) = self.slot.take() else {
             return;
         };
-        let mut st = plock(&self.receiver.chan);
-        if self.registered {
-            st.recv_waiters.retain(|w| !Arc::ptr_eq(&w.slot, &slot));
-        }
+        let chan = &self.receiver.chan;
+        let mut st = chan.lock();
+        st.deregister_receiver(&mut self.waiter);
         if sim::in_sim() {
             // A rendezvous value delivered into our slot but never
             // taken dies with us (the receiver went away mid-flight).
-            if plock(&slot).value.is_some() {
+            if plock(&slot).is_some() {
                 sim::stat_incr("csp.msgs_dropped");
             }
             // If messages remain queued and other receivers wait, pass
             // the baton so the front message is not stranded.
-            let rt = self.receiver.rt.clone();
-            st.notify_front_recv_waiter(&rt);
+            notify_front_recv_waiter(&st, chan, &self.receiver.rt);
         }
     }
 }

@@ -8,6 +8,7 @@ use chanos_csp::{
     SendError, TryRecvError, TrySendError,
 };
 use chanos_sim::{sleep, spawn, spawn_on, Config, CoreId, Simulation};
+use std::future::Future;
 
 const SEND_OVH: u64 = 10;
 const RECV_OVH: u64 = 10;
@@ -526,4 +527,72 @@ fn stats_count_messages_and_hops() {
     assert_eq!(stats.counter("csp.recvs"), 10);
     assert_eq!(stats.counter("csp.sends_remote"), 10);
     assert_eq!(stats.counter("csp.hops"), 10); // Bus: 1 hop each.
+}
+
+#[test]
+fn two_frees_wake_two_parked_senders() {
+    // `Bounded(2)`, full, with senders A and B parked on it. Two
+    // receives free both slots before either woken sender runs: each
+    // freed slot must wake a different sender, or B sleeps forever
+    // beside an empty slot.
+    let mut sim = timed_sim(1);
+    let len = sim
+        .block_on(async {
+            let (tx, rx) = channel::<u32>(Capacity::Bounded(2));
+            tx.try_send(0).unwrap();
+            tx.try_send(1).unwrap();
+            let a = {
+                let tx = tx.clone();
+                spawn(async move { tx.send(2).await.unwrap() })
+            };
+            sleep(1_000).await;
+            let b = {
+                let tx = tx.clone();
+                spawn(async move { tx.send(3).await.unwrap() })
+            };
+            sleep(1_000).await;
+            assert_eq!(rx.try_recv(), Ok(0));
+            assert_eq!(rx.try_recv(), Ok(1));
+            a.join().await.unwrap();
+            b.join().await.unwrap();
+            rx.len()
+        })
+        .unwrap();
+    assert_eq!(len, 2);
+}
+
+#[test]
+fn a_woken_sender_dropped_unpolled_passes_its_wake_on() {
+    // `Bounded(1)`, full. A's send parks, then B's. A receive frees the
+    // slot, which wakes A; A drops its send without polling it again
+    // (a `choose!` arm that lost), so the wake must pass to B.
+    let mut sim = timed_sim(1);
+    let got = sim
+        .block_on(async {
+            let (tx, rx) = channel::<u32>(Capacity::Bounded(1));
+            tx.try_send(0).unwrap();
+            let a = {
+                let tx = tx.clone();
+                spawn(async move {
+                    let mut send = tx.send(1);
+                    let parked = std::future::poll_fn(|cx| {
+                        let poll = Future::poll(std::pin::Pin::new(&mut send), cx);
+                        std::task::Poll::Ready(poll.is_pending())
+                    })
+                    .await;
+                    assert!(parked, "the channel is full");
+                    // The receive below wakes this send meanwhile.
+                    sleep(3_000).await;
+                })
+            };
+            sleep(1_000).await;
+            let b = spawn(async move { tx.send(2).await.unwrap() });
+            sleep(1_000).await;
+            assert_eq!(rx.try_recv(), Ok(0));
+            a.join().await.unwrap();
+            b.join().await.unwrap();
+            rx.recv().await
+        })
+        .unwrap();
+    assert_eq!(got, Ok(2));
 }

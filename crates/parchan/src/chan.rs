@@ -7,19 +7,24 @@
 //! # One core
 //!
 //! Every channel is one `Mutex<State>`: its queue, its parked
-//! receivers and its parked senders under one lock. [`channel`] is the
-//! only constructor, and the capacity it is given answers one
-//! question, whether a send may enqueue now (`State::has_room`): an
-//! `Unbounded` send always may, so it never waits and `try_send`
-//! reports only `Closed`; a `Bounded(n)` send while fewer than `n` are
-//! queued; a `Rendezvous` send only to a receiver already waiting. A
-//! send that may not parks, and this is the only place a sender
-//! parks.
+//! receivers and its parked senders under one lock. `State` is
+//! `chanos_select::state::State`, the bookkeeping the simulator's
+//! channel keeps too, so both backends decide by one copy of the rules
+//! when a send may enqueue (`State::has_room`: an `Unbounded` send
+//! always may, so it never waits and `try_send` reports only `Closed`;
+//! a `Bounded(n)` send while fewer than `n` are queued; a `Rendezvous`
+//! send only to a receiver already waiting), which parked sender a
+//! freed slot wakes, and whom closing or dropping an endpoint wakes. A
+//! send that may not enqueue parks, and this is the only place a
+//! sender parks.
 //!
 //! A freed slot wakes one space-waiter that no other freed slot has
 //! woken yet; a woken sender that finds the slot taken re-arms, and one
-//! dropped before it ran passes its wake on. A receiver dropped while
-//! messages remain queued passes its wake on the same way.
+//! dropped before it ran passes its wake on. What stays here is how a
+//! wake is delivered: a message wakes the first parked receiver and
+//! takes it off the list, a rendezvous value reaches a waiting
+//! receiver through the queue, and a receiver dropped while messages
+//! remain queued passes its wake on the same way.
 //!
 //! # Batched drains
 //!
@@ -38,7 +43,7 @@
 //! thread or a closure, so the server may wait between two answers.
 //! [`Sender::try_send_many`] is the same thing for a submit burst.
 
-use crate::sync::{Arc, AtomicU64, Mutex, Ordering};
+use crate::sync::{Arc, Mutex};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -46,6 +51,7 @@ use std::task::{Context, Poll, Waker};
 
 use crate::counters::{self, Counter};
 use crate::executor::plock;
+use chanos_select::state::{Repoll, Shut};
 
 pub use chanos_select::vocab::{Capacity, RecvError, SendError, TryRecvError, TrySendError};
 
@@ -146,27 +152,17 @@ impl Drop for WakeBatch {
     }
 }
 
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_id() -> u64 {
-    NEXT_ID.fetch_add(1, Ordering::Relaxed)
-}
-
 // ---------------------------------------------------------------------------
 // Endpoints.
 // ---------------------------------------------------------------------------
 
+/// The channel's bookkeeping: messages carry no stamp, and a parked
+/// receiver or sender leaves its waker.
+type State<T> = chanos_select::state::State<T, (), Waker, Waker>;
+
 /// Creates a channel of the given capacity.
 pub fn channel<T: Send>(cap: Capacity) -> (Sender<T>, Receiver<T>) {
-    let shared = Arc::new(Mutex::new(State {
-        cap,
-        queue: VecDeque::new(),
-        recv_waiters: VecDeque::new(),
-        send_waiters: VecDeque::new(),
-        senders: 1,
-        receivers: 1,
-        closed: false,
-    }));
+    let shared = Arc::new(Mutex::new(State::new(cap)));
     (
         Sender {
             shared: shared.clone(),
@@ -208,8 +204,8 @@ fn debug_endpoint<T>(
     match shared.try_lock() {
         Ok(st) => f
             .debug_struct(name)
-            .field("queued", &st.queue.len())
-            .field("closed", &st.closed)
+            .field("queued", &st.len())
+            .field("closed", &st.is_closed())
             .finish(),
         Err(_) => f.debug_struct(name).field("state", &"<locked>").finish(),
     }
@@ -217,7 +213,7 @@ fn debug_endpoint<T>(
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        plock(&self.shared).senders += 1;
+        plock(&self.shared).add_sender();
         Sender {
             shared: self.shared.clone(),
         }
@@ -226,7 +222,7 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Clone for Receiver<T> {
     fn clone(&self) -> Self {
-        plock(&self.shared).receivers += 1;
+        plock(&self.shared).add_receiver();
         Receiver {
             shared: self.shared.clone(),
         }
@@ -236,20 +232,16 @@ impl<T> Clone for Receiver<T> {
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         let mut st = plock(&self.shared);
-        st.senders -= 1;
-        if st.senders == 0 {
-            st.wake_everyone();
-        }
+        let shut = st.drop_sender();
+        wake_shut(&mut st, shut);
     }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         let mut st = plock(&self.shared);
-        st.receivers -= 1;
-        if st.receivers == 0 {
-            st.wake_everyone();
-        }
+        let shut = st.drop_receiver();
+        wake_shut(&mut st, shut);
     }
 }
 
@@ -260,7 +252,6 @@ impl<T: Send> Sender<T> {
             shared: &self.shared,
             value: Some(value),
             entry_id: None,
-            parked: false,
         }
     }
 
@@ -275,8 +266,7 @@ impl<T: Send> Sender<T> {
             if !st.has_room() {
                 return Err(TrySendError::Full(value));
             }
-            st.queue.push_back(value);
-            st.wake_one_recv();
+            enqueue(&mut st, value);
         }
         bump(Counter::FastSends);
         Ok(())
@@ -316,7 +306,7 @@ impl<T: Send> Sender<T> {
 
     /// Closes the channel.
     pub fn close(&self) {
-        plock(&self.shared).close();
+        close(&self.shared);
     }
 
     /// Returns `true` if the channel can no longer deliver sends.
@@ -326,7 +316,7 @@ impl<T: Send> Sender<T> {
 
     /// Number of buffered messages.
     pub fn len(&self) -> usize {
-        plock(&self.shared).queue.len()
+        plock(&self.shared).len()
     }
 
     /// Returns `true` if no messages are buffered.
@@ -353,7 +343,7 @@ impl<T: Send> Receiver<T> {
     /// Attempts a non-waiting receive.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let mut st = plock(&self.shared);
-        if let Some(v) = st.take() {
+        if let Some(v) = take(&mut st) {
             bump(Counter::FastRecvs);
             return Ok(v);
         }
@@ -373,7 +363,7 @@ impl<T: Send> Receiver<T> {
             let mut st = plock(&self.shared);
             let before = buf.len();
             while buf.len() - before < max {
-                match st.take() {
+                match take(&mut st) {
                     Some(v) => buf.push(v),
                     None => break,
                 }
@@ -413,12 +403,12 @@ impl<T: Send> Receiver<T> {
 
     /// Closes the channel.
     pub fn close(&self) {
-        plock(&self.shared).close();
+        close(&self.shared);
     }
 
     /// Number of buffered messages.
     pub fn len(&self) -> usize {
-        plock(&self.shared).queue.len()
+        plock(&self.shared).len()
     }
 
     /// Returns `true` if no messages are buffered.
@@ -433,110 +423,55 @@ impl<T: Send> Receiver<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Channel state.
+// Wakes.
 // ---------------------------------------------------------------------------
 
-struct RecvWaiter {
-    id: u64,
-    waker: Waker,
+fn close<T>(shared: &Mutex<State<T>>) {
+    let mut st = plock(shared);
+    let shut = st.close();
+    wake_shut(&mut st, shut);
 }
 
-struct SendEntry<T> {
-    id: u64,
-    waker: Waker,
-    /// Rendezvous: the parked value. `None` for bounded space-waiters.
-    value: Option<T>,
-    /// Set when a receiver takes a rendezvous value.
-    taken: bool,
-    /// Bounded: a freed slot woke this space-waiter, and it has not
-    /// yet polled to claim it.
-    woken: bool,
+/// Wakes the waiters an endpoint change shut out. A woken receiver
+/// leaves the list; it re-registers if it must wait again.
+fn wake_shut<T>(st: &mut State<T>, shut: Shut) {
+    if shut.receivers {
+        for w in st.recv_waiters.drain(..) {
+            w.token.wake();
+        }
+    }
+    if shut.senders {
+        for w in st.parked_senders() {
+            w.wake_by_ref();
+        }
+    }
 }
 
-struct State<T> {
-    cap: Capacity,
-    queue: VecDeque<T>,
-    recv_waiters: VecDeque<RecvWaiter>,
-    send_waiters: VecDeque<SendEntry<T>>,
-    senders: usize,
-    receivers: usize,
-    closed: bool,
+/// Enqueues a value and wakes one parked receiver.
+fn enqueue<T>(st: &mut State<T>, value: T) {
+    st.push(value, ());
+    wake_one_recv(st);
 }
 
-impl<T> State<T> {
-    /// May a send enqueue now: always on an unbounded channel, below
-    /// the bound on a bounded one, and on a rendezvous channel only to
-    /// a receiver already waiting.
-    fn has_room(&self) -> bool {
-        match self.cap {
-            Capacity::Unbounded => true,
-            Capacity::Bounded(n) => self.queue.len() < n,
-            Capacity::Rendezvous => !self.recv_waiters.is_empty(),
-        }
+/// Wakes the first parked receiver, taking it off the list.
+fn wake_one_recv<T>(st: &mut State<T>) {
+    if let Some(w) = st.recv_waiters.pop_front() {
+        deliver_recv_wake(w.token);
     }
+}
 
-    /// The next message: queued, else a parked rendezvous sender's.
-    /// Taking a queued one frees a slot.
-    fn take(&mut self) -> Option<T> {
-        if let Some(v) = self.queue.pop_front() {
-            self.wake_one_send();
-            return Some(v);
-        }
-        let e = self.send_waiters.iter_mut().find(|e| e.value.is_some())?;
-        e.taken = true;
-        e.waker.wake_by_ref();
-        e.value.take()
-    }
-
-    fn wake_one_recv(&mut self) {
-        if let Some(w) = self.recv_waiters.pop_front() {
-            deliver_recv_wake(w.waker);
-        }
-    }
-
-    /// A slot was freed: wakes one bounded space-waiter that no other
-    /// freed slot has woken yet. (A rendezvous sender waits for a
-    /// receiver, not for space; an unbounded one never waits.)
-    fn wake_one_send(&mut self) {
-        let Capacity::Bounded(_) = self.cap else {
-            return;
-        };
-        if let Some(e) = self.send_waiters.iter_mut().find(|e| !e.woken) {
-            e.woken = true;
+/// The next message: queued, else a parked rendezvous sender's.
+fn take<T>(st: &mut State<T>) -> Option<T> {
+    if let Some((v, (), space)) = st.pop() {
+        if let Some(w) = space {
             bump(Counter::SendWakes);
-            e.waker.wake_by_ref();
+            w.wake_by_ref();
         }
+        return Some(v);
     }
-
-    fn wake_everyone(&mut self) {
-        for w in self.recv_waiters.drain(..) {
-            w.waker.wake();
-        }
-        for e in self.send_waiters.iter() {
-            e.waker.wake_by_ref();
-        }
-    }
-
-    fn close(&mut self) {
-        self.closed = true;
-        self.wake_everyone();
-    }
-
-    fn drained_shut(&self) -> bool {
-        (self.closed || self.senders == 0)
-            && self.queue.is_empty()
-            && self.send_waiters.iter().all(|e| e.value.is_none())
-    }
-
-    fn send_shut(&self) -> bool {
-        self.closed || self.receivers == 0
-    }
-
-    fn deregister_recv(&mut self, waiter_id: &mut Option<u64>) {
-        if let Some(id) = waiter_id.take() {
-            self.recv_waiters.retain(|w| w.id != id);
-        }
-    }
+    let (v, sender) = st.take_parked()?;
+    sender.wake_by_ref();
+    Some(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -548,8 +483,6 @@ pub struct SendFut<'a, T> {
     shared: &'a Mutex<State<T>>,
     value: Option<T>,
     entry_id: Option<u64>,
-    /// Ever took the slow path (for fast/slow accounting).
-    parked: bool,
 }
 
 impl<T> Unpin for SendFut<'_, T> {}
@@ -561,47 +494,22 @@ impl<T: Send> Future for SendFut<'_, T> {
         let fut = &mut *self;
         let mut st = plock(fut.shared);
 
-        // Registered already?
-        if let Some(id) = fut.entry_id {
-            let Some(i) = st.send_waiters.iter().position(|e| e.id == id) else {
-                // Entry vanished: only possible after rendezvous
-                // take-and-remove... we never remove, so absent
-                // means a racing cleanup; treat as closed.
-                return Poll::Ready(Err(SendError::Closed(
-                    fut.value.take().expect("value retained"),
-                )));
+        if let Some(id) = fut.entry_id.take() {
+            return match st.repoll_sender(id, cx.waker(), &mut fut.value) {
+                Repoll::Wait => {
+                    fut.entry_id = Some(id);
+                    Poll::Pending
+                }
+                Repoll::Taken(_) => send_done(true),
+                Repoll::Shut => Poll::Ready(Err(SendError::Closed(
+                    fut.value.take().expect("waiting send holds its value"),
+                ))),
+                Repoll::Room => {
+                    let v = fut.value.take().expect("bounded keeps value in future");
+                    enqueue(&mut st, v);
+                    send_done(true)
+                }
             };
-            if st.send_waiters[i].taken {
-                st.send_waiters.remove(i);
-                fut.entry_id = None;
-                return send_done(true);
-            }
-            if st.send_shut() {
-                let mut e = st.send_waiters.remove(i).expect("present");
-                fut.entry_id = None;
-                let v = e
-                    .value
-                    .take()
-                    .or_else(|| fut.value.take())
-                    .expect("waiting send holds its value");
-                return Poll::Ready(Err(SendError::Closed(v)));
-            }
-            // Bounded space-waiter: retry the commit.
-            if matches!(st.cap, Capacity::Bounded(_)) && st.has_room() {
-                let v = fut.value.take().expect("bounded keeps value in future");
-                st.queue.push_back(v);
-                st.send_waiters.remove(i);
-                fut.entry_id = None;
-                st.wake_one_recv();
-                return send_done(true);
-            }
-            // Keep waiting, with a fresh waker. If a freed slot woke
-            // us, a send that did not wait took it: re-arm, so the
-            // next freed slot wakes us again.
-            let e = &mut st.send_waiters[i];
-            e.waker = cx.waker().clone();
-            e.woken = false;
-            return Poll::Pending;
         }
 
         if st.send_shut() {
@@ -613,27 +521,10 @@ impl<T: Send> Future for SendFut<'_, T> {
             // On a rendezvous channel this hands the value to a
             // waiting receiver through the queue; the woken receiver
             // takes it.
-            st.queue
-                .push_back(fut.value.take().expect("unsent value present"));
-            st.wake_one_recv();
+            enqueue(&mut st, fut.value.take().expect("unsent value present"));
             return send_done(false);
         }
-        // Park. A bounded space-waiter keeps its value; a rendezvous
-        // sender leaves it in its entry for a receiver to take.
-        let value = match st.cap {
-            Capacity::Rendezvous => fut.value.take(),
-            _ => None,
-        };
-        let id = fresh_id();
-        st.send_waiters.push_back(SendEntry {
-            id,
-            waker: cx.waker().clone(),
-            value,
-            taken: false,
-            woken: false,
-        });
-        fut.entry_id = Some(id);
-        fut.parked = true;
+        fut.entry_id = Some(st.register_sender(cx.waker().clone(), &mut fut.value));
         Poll::Pending
     }
 }
@@ -653,12 +544,9 @@ impl<T> Drop for SendFut<'_, T> {
             return;
         };
         let mut st = plock(self.shared);
-        if let Some(i) = st.send_waiters.iter().position(|e| e.id == id) {
-            // Woken for a freed slot it will never fill (a `choose!`
-            // arm that lost): the wake goes to the next space-waiter.
-            if st.send_waiters.remove(i).is_some_and(|e| e.woken) {
-                st.wake_one_send();
-            }
+        if let (_, Some(w)) = st.cancel_send(id) {
+            bump(Counter::SendWakes);
+            w.wake_by_ref();
         }
     }
 }
@@ -682,8 +570,8 @@ impl<T: Send> Future for RecvFut<'_, T> {
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let fut = &mut *self;
         let mut st = plock(fut.shared);
-        if let Some(v) = st.take() {
-            st.deregister_recv(&mut fut.waiter_id);
+        if let Some(v) = take(&mut st) {
+            st.deregister_receiver(&mut fut.waiter_id);
             bump(if fut.parked {
                 Counter::SlowRecvs
             } else {
@@ -692,7 +580,7 @@ impl<T: Send> Future for RecvFut<'_, T> {
             return Poll::Ready(Ok(v));
         }
         if st.drained_shut() {
-            st.deregister_recv(&mut fut.waiter_id);
+            st.deregister_receiver(&mut fut.waiter_id);
             return Poll::Ready(Err(RecvError::Closed));
         }
         fut.parked = true;
@@ -702,17 +590,10 @@ impl<T: Send> Future for RecvFut<'_, T> {
             .iter_mut()
             .find(|w| Some(w.id) == registered)
         {
-            Some(w) => w.waker = cx.waker().clone(),
+            Some(w) => w.token = cx.waker().clone(),
             // First park, or we were popped by a wake that raced with
             // this poll finding nothing: (re-)register.
-            None => {
-                let id = fresh_id();
-                st.recv_waiters.push_back(RecvWaiter {
-                    id,
-                    waker: cx.waker().clone(),
-                });
-                fut.waiter_id = Some(id);
-            }
+            None => fut.waiter_id = Some(st.register_receiver(cx.waker().clone())),
         }
         Poll::Pending
     }
@@ -720,14 +601,14 @@ impl<T: Send> Future for RecvFut<'_, T> {
 
 impl<T> Drop for RecvFut<'_, T> {
     fn drop(&mut self) {
-        let Some(id) = self.waiter_id.take() else {
+        if self.waiter_id.is_none() {
             return;
-        };
+        }
         let mut st = plock(self.shared);
-        st.recv_waiters.retain(|w| w.id != id);
+        st.deregister_receiver(&mut self.waiter_id);
         // Pass the baton if work remains for other waiters.
-        if !st.queue.is_empty() {
-            st.wake_one_recv();
+        if !st.is_empty() {
+            wake_one_recv(&mut st);
         }
     }
 }
@@ -735,7 +616,7 @@ impl<T> Drop for RecvFut<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::task::Wake;
 
     /// Counts its drops.

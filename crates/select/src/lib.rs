@@ -30,7 +30,16 @@
 //!     _irq = irq.recv() => service_interrupt(),
 //! }
 //! ```
+//!
+//! Two modules serve both channel implementations, the simulator's
+//! (`chanos-csp`) and the real-thread one (`chanos-parchan`), because
+//! this is the one crate both depend on: [`vocab`] holds the
+//! capacities and error types they export, and [`state`] holds one
+//! channel's bookkeeping — its queue, parked waiters and endpoint
+//! counts, with every rule the two decide the same way — so a rule is
+//! written, and model-checked, once.
 
+pub mod state;
 pub mod vocab;
 
 use std::cell::Cell;
