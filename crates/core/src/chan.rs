@@ -34,6 +34,23 @@
 //! a rendezvous value delivered into a waiting receiver's slot with
 //! its acknowledgment flight, and the `csp.*` statistics.
 //!
+//! # The receiver-wake invariant
+//!
+//! A parked receiver is dispatched once per message, when the message
+//! lands. While the queue is non-empty, the front parked receiver has
+//! an arrival wake scheduled for the front message
+//! (`notify_front_recv_waiter`: on the push that fills an empty queue,
+//! on each pop, and when a registered receiver drops). Two rules keep
+//! it:
+//!
+//! * a receiver that takes a message leaves the list before the next
+//!   message's arrival is announced, so that wake reaches the next
+//!   receiver and not the one already leaving with a message;
+//! * the last sender's drop or a close (`wake_shut`) skips the front
+//!   receiver while a message is queued, because its wake is already
+//!   set; a reply's caller is therefore charged like every other
+//!   receiver, one dispatch after the reply arrives.
+//!
 //! # Cancel-safety (the `choose!` contract)
 //!
 //! `recv()` commits (dequeues) only in the poll that returns `Ready`,
@@ -175,13 +192,17 @@ fn debug_endpoint<T>(
     }
 }
 
-/// Wakes the waiters an endpoint change shut out.
+/// Wakes the waiters an endpoint change shut out. While a message is
+/// queued the front parked receiver already has its arrival wake (the
+/// receiver-wake invariant, module doc); woken now, it would only find
+/// the message in flight and park again.
 fn wake_shut<T>(st: &State<T>, shut: Shut) {
     if !sim::in_sim() {
         return;
     }
     if shut.receivers {
-        for w in &st.recv_waiters {
+        let scheduled = usize::from(!st.is_empty());
+        for w in st.recv_waiters.iter().skip(scheduled) {
             sim::wake_now(w.token.task);
         }
     }
@@ -569,8 +590,10 @@ impl<T> Future for RecvFut<'_, T> {
         // Queued message (bounded/unbounded)?
         if let Some(avail) = front_arrival(&st, chan, rt, my_core) {
             if now >= avail {
-                let value = pop_front(&mut st, chan, rt, my_core);
+                // Off the list first, so the next message's arrival
+                // is announced to the next receiver, not to us.
                 this.finish(&mut st);
+                let value = pop_front(&mut st, chan, rt, my_core);
                 return Poll::Ready(Ok(value));
             }
             sim::schedule_wake_at(me, avail);

@@ -596,3 +596,74 @@ fn a_woken_sender_dropped_unpolled_passes_its_wake_on() {
         .unwrap();
     assert_eq!(got, Ok(2));
 }
+
+#[test]
+fn two_parked_receivers_each_get_one_of_two_messages() {
+    // Two receivers park on an empty channel, then two messages are
+    // sent while the sender stays open. The receiver taking the first
+    // message must leave the list before the second's arrival is
+    // announced: announced to itself, the wake is spent and the other
+    // receiver sleeps forever beside a queued message.
+    let mut sim = timed_sim(2);
+    let mut got = sim
+        .block_on(async {
+            let (tx, rx) = channel::<u32>(Capacity::Unbounded);
+            let a = {
+                let rx = rx.clone();
+                spawn(async move { rx.recv().await.unwrap() })
+            };
+            let b = spawn(async move { rx.recv().await.unwrap() });
+            sleep(1_000).await;
+            tx.try_send(1).unwrap();
+            tx.try_send(2).unwrap();
+            let got = vec![a.join().await.unwrap(), b.join().await.unwrap()];
+            drop(tx);
+            got
+        })
+        .unwrap();
+    got.sort_unstable();
+    assert_eq!(got, [1, 2]);
+}
+
+#[test]
+fn a_reply_dispatches_its_caller_once_when_it_lands() {
+    // §3's RPC: the server's reply send drops the reply channel's last
+    // sender while the reply is in flight. The caller, parked on the
+    // reply, already has the reply's arrival wake, so the drop must not
+    // dispatch it early: it is dispatched once, when the reply lands,
+    // and takes it one modeled transit after the send.
+    use std::sync::{Arc, Mutex};
+    enum Req {
+        Double(u32, chanos_csp::ReplyTo<u32>),
+    }
+    for (server_core, transit) in [(0, local_latency(4)), (1, remote_latency(4))] {
+        let mut sim = timed_sim(2);
+        let (sent, taken) = sim
+            .block_on(async move {
+                let (tx, rx) = channel::<Req>(Capacity::Unbounded);
+                let sent = Arc::new(Mutex::new(None));
+                let at_send = sent.clone();
+                chanos_sim::spawn_daemon_on("server", CoreId(server_core), async move {
+                    while let Ok(Req::Double(x, reply)) = rx.recv().await {
+                        let stamp = (chanos_sim::now(), chanos_sim::stat_get("sim.dispatches"));
+                        *at_send.lock().unwrap() = Some(stamp);
+                        let _ = reply.send(x * 2).await;
+                    }
+                });
+                let caller = spawn_on(CoreId(0), async move {
+                    assert_eq!(request(&tx, |r| Req::Double(21, r)).await, Some(42));
+                    (chanos_sim::now(), chanos_sim::stat_get("sim.dispatches"))
+                });
+                let taken = caller.join().await.unwrap();
+                let sent = sent.lock().unwrap().expect("the server replied");
+                (sent, taken)
+            })
+            .unwrap();
+        assert_eq!(
+            taken.1 - sent.1,
+            1,
+            "server on core {server_core}: the caller was dispatched before its reply landed"
+        );
+        assert_eq!(taken.0, sent.0 + transit, "server on core {server_core}");
+    }
+}

@@ -74,6 +74,10 @@ builtin_counters! {
     Overflows = "sched.overflows",
     /// Pre-park re-checks that found work and self-rescued.
     ParksSkipped = "sched.parks_skipped",
+    /// Park backstop timeouts after which the worker's next search
+    /// found a task: work that was queued while every worker slept,
+    /// with no notification delivered. Zero while no wake is lost.
+    BackstopRescues = "sched.backstop_rescues",
     /// Producer wakes skipped because a searching worker covers the
     /// new work.
     UnparksElided = "sched.unparks_elided",

@@ -891,9 +891,15 @@ fn worker_loop(rt: Arc<RtInner>, me: usize) {
     let mut lifo_streak: u8 = 0;
     // What is left of this worker's last pinned take, oldest first.
     let mut pinned: Option<Burst> = None;
+    // The last park ended on the backstop, not on a token.
+    let mut backstop = false;
     let ws = &rt.workers[me];
     while !rt.shutdown.load(Ordering::Acquire) {
+        let after_backstop = std::mem::take(&mut backstop);
         if let Some(task) = find_task(&rt, me, &mut tick, &mut lifo_streak, &mut rng, &mut pinned) {
+            if after_backstop {
+                rt.count(Counter::BackstopRescues, 1);
+            }
             run_task(task, &rt);
             continue;
         }
@@ -943,6 +949,7 @@ fn worker_loop(rt: Arc<RtInner>, me: usize) {
             // cleanly or a producer's token is already in flight and
             // the next loop iteration consumes it.
             if res.timed_out() && rt.idle.deregister(me) {
+                backstop = true;
                 break;
             }
         }

@@ -358,6 +358,30 @@ fn steal_stress_mpmc_with_pins() {
     }
     let expect = 4 * (0..500u64).sum::<u64>();
     assert_eq!(total.load(Ordering::Relaxed), expect);
+    assert_no_backstop_rescue(&rt);
+    rt.shutdown();
+}
+
+/// No worker found a task only after its park backstop ran out: every
+/// wake queued reached a worker as a notification.
+fn assert_no_backstop_rescue(rt: &Runtime) {
+    assert_eq!(
+        rt.handle().stat_get("sched.backstop_rescues"),
+        0,
+        "a worker found queued work only on its park backstop: a lost notification"
+    );
+}
+
+#[test]
+fn a_spawn_onto_a_parked_pool_is_notified_not_rescued() {
+    // Every worker has parked by the time of the spawn; 75 ms lands
+    // between two 50 ms backstop ticks, so only the spawn's own
+    // notification can start the task at once. A lost notification
+    // shows as a backstop rescue (and a join about 25 ms late).
+    let rt = Runtime::new(2);
+    std::thread::sleep(std::time::Duration::from_millis(75));
+    assert_eq!(rt.spawn(async { 7u32 }).join_blocking().unwrap(), 7);
+    assert_no_backstop_rescue(&rt);
     rt.shutdown();
 }
 
@@ -444,6 +468,7 @@ fn pcg_steal_storm_runs_every_task_exactly_once() {
             flag.load(Ordering::Relaxed)
         );
     }
+    assert_no_backstop_rescue(&rt);
     rt.shutdown();
 }
 

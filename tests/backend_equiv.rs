@@ -231,6 +231,39 @@ fn try_recv_many_respects_max_and_order_on_both_backends() {
 }
 
 #[test]
+fn two_parked_receivers_each_get_one_of_two_messages_on_both_backends() {
+    // Two receivers park on an empty channel and two messages follow,
+    // the sender held open: each receiver gets one. On the simulator
+    // the receiver taking the first message must not be the one the
+    // second message's arrival is announced to.
+    async fn check() -> Vec<u32> {
+        let (tx, rx) = chanos::rt::channel::<u32>(chanos::rt::Capacity::Unbounded);
+        let a = {
+            let rx = rx.clone();
+            chanos::rt::spawn(async move { rx.recv().await.unwrap() })
+        };
+        let b = chanos::rt::spawn(async move { rx.recv().await.unwrap() });
+        chanos::rt::sleep(1_000).await;
+        tx.try_send(1).unwrap();
+        tx.try_send(2).unwrap();
+        let mut got = vec![a.join().await.unwrap(), b.join().await.unwrap()];
+        drop(tx);
+        got.sort_unstable();
+        got
+    }
+    let mut s = Simulation::with_config(Config {
+        cores: 2,
+        ..Config::default()
+    });
+    let sim_got = s.block_on(check()).unwrap();
+    let rt = Runtime::new(2);
+    let thr_got = rt.block_on(check());
+    rt.shutdown();
+    assert_eq!(sim_got, [1, 2]);
+    assert_eq!(sim_got, thr_got);
+}
+
+#[test]
 fn sim_trace_is_deterministic_for_the_kernel_workload() {
     // The facade refactor must not perturb simulator determinism:
     // identical seeds give identical traces through the whole OS.
