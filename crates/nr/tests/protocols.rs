@@ -197,3 +197,12 @@ fn burst() {
 fn a_two_write_burst_is_answered_by_one_combiner() {
     verify(2, burst);
 }
+
+/// One bound deeper: ~47 000 schedules and about twenty seconds, so
+/// CI runs it nightly, with `CHANOS_CHECK_BUDGET=200000` and
+/// `-- --ignored`.
+#[test]
+#[ignore = "twenty seconds; CI runs it nightly"]
+fn a_two_write_burst_is_answered_by_one_combiner_at_bound_3() {
+    verify(3, burst);
+}

@@ -98,6 +98,18 @@ builtin_counters! {
     PriorityBursts = "sched.priority_bursts",
 }
 
+/// The next task key (`current_task_key`). Keys are unique in the
+/// process, not per runtime, because a key names a task to code above
+/// parchan that may span runtimes (the protocol deadlock registry).
+/// Like a counter it is `Relaxed` and publishes nothing, so it is
+/// `std` and adds no interleavings under `--features chanos_check`.
+static NEXT_TASK_KEY: AtomicU64 = AtomicU64::new(1);
+
+/// Hands out a fresh task key.
+pub(crate) fn next_task_key() -> u64 {
+    NEXT_TASK_KEY.fetch_add(1, Ordering::Relaxed)
+}
+
 /// One thread's counters. Aligned to two cache lines so neighbouring
 /// blocks never share one (nor an adjacent-line prefetch pair).
 #[repr(align(128))]

@@ -50,7 +50,7 @@
 //! dispatches, and pinned/local priority alternates every dispatch,
 //! so no queue can starve another.
 
-use crate::counters::{Counter, Entered, Table};
+use crate::counters::{next_task_key, Counter, Entered, Table};
 use crate::idle::{IdleSet, MAX_WORKERS};
 use crate::injector::{Burst, Injector};
 use crate::queue::{LifoSlot, Ring};
@@ -118,6 +118,8 @@ pub(crate) struct TaskCell {
     /// Priority class; fixed at spawn (`Normal` for every pinned task:
     /// `spawn_pinned` takes no priority).
     priority: Priority,
+    /// The task's [`current_task_key`]; fixed at spawn.
+    key: u64,
     /// Intrusive link for [`crate::injector`]: a task is in at most
     /// one queue at a time (`SCHEDULED` state exclusivity), so one
     /// embedded pointer suffices and injector pushes allocate
@@ -136,6 +138,7 @@ impl TaskCell {
             rt: Weak::new(),
             pin: None,
             priority: Priority::Normal,
+            key: 0,
             next_injected: AtomicPtr::new(std::ptr::null_mut()),
         })
     }
@@ -447,6 +450,43 @@ thread_local! {
     /// a worker of at most one runtime for its whole life).
     static WORKER_RT: std::cell::RefCell<Option<Weak<RtInner>>> =
         const { std::cell::RefCell::new(None) };
+    /// Key and class of the task this thread is polling, or of the
+    /// future its `block_on` drives; `None` outside both.
+    static POLLING: std::cell::Cell<Option<(u64, Priority)>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// Names the task the thread polls (`POLLING`) until dropped.
+struct PollingGuard {
+    outer: Option<(u64, Priority)>,
+}
+
+impl PollingGuard {
+    fn enter(key: u64, priority: Priority) -> PollingGuard {
+        PollingGuard {
+            outer: POLLING.with(|p| p.replace(Some((key, priority)))),
+        }
+    }
+}
+
+impl Drop for PollingGuard {
+    fn drop(&mut self) {
+        POLLING.with(|p| p.set(self.outer));
+    }
+}
+
+/// The key of the task the calling thread is polling, or of the
+/// future its [`Runtime::block_on`] drives: stable across the task's
+/// suspensions and steals, and unique among the tasks of the process.
+/// `None` outside both.
+pub fn current_task_key() -> Option<u64> {
+    POLLING.with(|p| p.get().map(|(key, _)| key))
+}
+
+/// The class of the task the calling thread is polling; `Normal` for
+/// a `block_on` driver and outside any task.
+pub fn current_priority() -> Priority {
+    POLLING.with(|p| p.get().map_or(Priority::Normal, |(_, priority)| priority))
 }
 
 /// A handle for spawning onto (and inspecting) a running [`Runtime`]
@@ -671,6 +711,7 @@ impl Runtime {
     /// ([`current`]) inside `fut`.
     pub fn block_on<T, F: Future<Output = T>>(&self, fut: F) -> T {
         let _ambient = enter(&self.inner, None);
+        let _polling = PollingGuard::enter(next_task_key(), Priority::Normal);
         let parker = Arc::new(ThreadParker {
             thread: thread::current(),
             notified: AtomicBool::new(false),
@@ -841,6 +882,7 @@ where
         rt: Arc::downgrade(inner),
         pin,
         priority,
+        key: next_task_key(),
         next_injected: AtomicPtr::new(std::ptr::null_mut()),
     });
     inner.register(&cell);
@@ -1152,7 +1194,10 @@ fn run_task(task: Arc<TaskCell>, rt: &Arc<RtInner>) {
             None => return, // Completed (or reaped) elsewhere.
         }
     };
-    let poll = catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
+    let poll = {
+        let _polling = PollingGuard::enter(task.key, task.priority);
+        catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)))
+    };
     match poll {
         Ok(Poll::Ready(())) | Err(_) => {
             // Panics are surfaced through the JoinHandle by the

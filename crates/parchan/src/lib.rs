@@ -59,8 +59,8 @@ pub use chan::{
 pub use chanos_select::{choose, join2, join_all, race, select_all, Either};
 pub use counters::stat_add;
 pub use executor::{
-    current, current_worker, in_runtime, yield_now, Handle, JoinHandle, Panicked, Priority,
-    Runtime, Watch, YieldNow,
+    current, current_priority, current_task_key, current_worker, in_runtime, yield_now, Handle,
+    JoinHandle, Panicked, Priority, Runtime, Watch, YieldNow,
 };
 #[doc(hidden)]
 pub use timer::timer_heap_len;

@@ -11,10 +11,10 @@
 //! * **`Backend::Sim`** — the deterministic many-core simulator
 //!   (`chanos-sim` + `chanos-csp`). Virtual time, modeled message
 //!   latencies, bit-identical traces. The default for experiments.
-//! * **`Backend::Threads`** — the work-sharing OS thread pool
+//! * **`Backend::Threads`** — the work-stealing OS thread pool
 //!   (`chanos-parchan`). Wall-clock time, real parallelism, real
-//!   cache misses. [`delay`] (modeled compute) becomes a no-op;
-//!   [`sleep`] becomes a wall-clock timer at 1 cycle ≈ 1 ns.
+//!   cache misses. [`delay`] (modeled compute) becomes one cooperative
+//!   yield; [`sleep`] becomes a wall-clock timer at 1 cycle ≈ 1 ns.
 //!
 //! `chanos-kernel`, `chanos-vfs::MsgFs`, and `chanos-drivers` are
 //! written against this facade, so the *same* kernel boots inside a
@@ -32,6 +32,12 @@
 //! All facade types are `Send` so a single generic OS code base can
 //! be scheduled on real threads; on the simulator they are only ever
 //! touched from its single executor thread.
+//!
+//! The facade only dispatches: what a task is — its key, its
+//! [`Priority`] class — is recorded by the scheduler that runs it and
+//! read back from there ([`current_task_key`], [`current_priority`]).
+
+#![forbid(unsafe_code)]
 
 use std::future::Future;
 use std::pin::Pin;
@@ -740,64 +746,44 @@ impl<T> Future for Join<T> {
 // Spawning.
 // ---------------------------------------------------------------------------
 
-thread_local! {
-    /// Key of the rt-spawned task currently being polled on this
-    /// thread (threads backend); 0 = none (e.g. a `block_on` driver).
-    static PAR_TASK_KEY: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-static NEXT_PAR_TASK_KEY: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-fn fresh_par_task_key() -> u64 {
-    NEXT_PAR_TASK_KEY.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Wraps a threads-backend task so [`current_task_key`] observes a
-/// stable identity at every poll, wherever the task is stolen to.
-struct KeyScoped<F> {
-    key: u64,
-    fut: F,
-}
-
-impl<F: Future> Future for KeyScoped<F> {
-    type Output = F::Output;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
-        // Safety: `fut` is structurally pinned (never moved out); the
-        // key is plain data.
-        let this = unsafe { self.get_unchecked_mut() };
-        let key = this.key;
-        let fut = unsafe { Pin::new_unchecked(&mut this.fut) };
-        let prev = PAR_TASK_KEY.with(|k| k.replace(key));
-        let out = fut.poll(cx);
-        PAR_TASK_KEY.with(|k| k.set(prev));
-        out
-    }
-}
-
 /// A backend-neutral identity for the calling task, usable as a map
-/// key (e.g. by the protocol deadlock detector).
+/// key (e.g. by the protocol deadlock detector): stable across the
+/// task's suspensions (and, on real threads, steals), and distinct for
+/// any two live tasks.
 ///
-/// On the simulator this is [`TaskId::as_u64`]. On real threads every
-/// task spawned through this facade carries a fresh key; code running
-/// directly under `Runtime::block_on` (no surrounding rt task) gets a
-/// stable per-thread fallback key instead.
+/// The scheduler polling the task names it: on the simulator this is
+/// [`TaskId::as_u64`]; on real threads, the key the pool gave the task
+/// at spawn, or, for code running directly under `Runtime::block_on`,
+/// the key of that `block_on` call.
 pub fn current_task_key() -> u64 {
     match backend() {
         Backend::Sim => sim::current_task().as_u64(),
-        Backend::Threads => PAR_TASK_KEY.with(|k| {
-            if k.get() == 0 {
-                k.set(fresh_par_task_key());
-            }
-            k.get()
-        }),
+        Backend::Threads => {
+            par::current_task_key().expect("chanos-rt: current_task_key outside a task")
+        }
     }
 }
 
+/// The [`Priority`] class of the calling task, as the scheduler
+/// polling it recorded at spawn: what it was spawned with via
+/// [`spawn_with_priority`], `Normal` otherwise (and for a `block_on`
+/// driver). A child inherits nothing: pass `current_priority()` to
+/// [`spawn_with_priority`] to spawn it in its parent's class.
+pub fn current_priority() -> Priority {
+    match backend() {
+        Backend::Sim if sim::current_task_is_high() => Priority::High,
+        Backend::Sim => Priority::Normal,
+        Backend::Threads => par::current_priority(),
+    }
+}
+
+/// The one spawn path. `priority` is `Normal` for every pinned or
+/// daemon spawn: no entry point takes a class together with either.
 fn spawn_dispatch<T, F>(
     name: Option<&str>,
     core: Option<CoreId>,
     daemon: bool,
+    priority: Priority,
     fut: F,
 ) -> JoinHandle<T>
 where
@@ -811,6 +797,7 @@ where
                 (Some(c), true) => sim::spawn_daemon_on(name, c, fut),
                 (Some(c), false) => sim::spawn_named_on(name, c, fut),
                 (None, true) => sim::spawn_daemon(name, fut),
+                (None, false) if priority == Priority::High => sim::spawn_named_high(name, fut),
                 (None, false) => sim::spawn_named(name, fut),
             };
             JoinHandle(JoinHandleImpl::Sim(h))
@@ -823,13 +810,9 @@ where
         // (tasks are not OS threads; there is nothing to label).
         Backend::Threads => {
             let h = par_handle();
-            let fut = KeyScoped {
-                key: fresh_par_task_key(),
-                fut,
-            };
             let jh = match core {
                 Some(c) => h.spawn_pinned(c.index(), fut),
-                None => h.spawn(fut),
+                None => h.spawn_with_priority(priority, fut),
             };
             JoinHandle(JoinHandleImpl::Par(jh))
         }
@@ -842,72 +825,27 @@ where
     T: Send + 'static,
     F: Future<Output = T> + Send + 'static,
 {
-    spawn_dispatch(None, None, false, fut)
-}
-
-thread_local! {
-    /// Priority of the rt-spawned task currently being polled on
-    /// this thread; `Normal` outside any priority-scoped task.
-    static CURRENT_PRIORITY: std::cell::Cell<Priority> =
-        const { std::cell::Cell::new(Priority::Normal) };
-}
-
-/// Wraps a task so [`current_priority`] observes its class at every
-/// poll, on both backends (same shape as `KeyScoped`).
-struct PriorityScoped<F> {
-    priority: Priority,
-    fut: F,
-}
-
-impl<F: Future> Future for PriorityScoped<F> {
-    type Output = F::Output;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
-        // Safety: `fut` is structurally pinned (never moved out); the
-        // priority is plain data.
-        let this = unsafe { self.get_unchecked_mut() };
-        let prio = this.priority;
-        let fut = unsafe { Pin::new_unchecked(&mut this.fut) };
-        let prev = CURRENT_PRIORITY.with(|p| p.replace(prio));
-        let out = fut.poll(cx);
-        CURRENT_PRIORITY.with(|p| p.set(prev));
-        out
-    }
-}
-
-/// The [`Priority`] class of the calling task: what it was spawned
-/// with via [`spawn_with_priority`], `Normal` otherwise.
-pub fn current_priority() -> Priority {
-    CURRENT_PRIORITY.with(|p| p.get())
+    spawn_dispatch(None, None, false, Priority::Normal, fut)
 }
 
 /// Spawns a named task with an explicit [`Priority`] class.
 ///
-/// On real threads, `High` tasks route through the scheduler's
-/// high-priority injector lane: every dispatch checks it before the
-/// local run queues, so the task never waits behind ring backlog —
-/// use it for latency-critical request handling that must stay
-/// responsive while batch work floods the pool. On the simulator,
-/// scheduling stays deterministic virtual-time (there is no queueing
-/// contention to jump), but the class is honored observably:
-/// [`current_priority`] reports it inside the task on both backends.
+/// Both schedulers are two-level: while a `High` task is ready, it is
+/// dispatched before every ready `Normal` task, and ready `High` tasks
+/// run in the order they became ready. On real threads `High` tasks
+/// route through the pool's high-priority lane, which every dispatch
+/// checks before the local run queues, so the task never waits behind
+/// ring backlog; on the simulator each core keeps a `High` run queue
+/// that it dispatches before its `Normal` one. Use it for
+/// latency-critical request handling that must stay responsive while
+/// batch work floods the machine. [`current_priority`] reports the
+/// class inside the task on both backends.
 pub fn spawn_named_with_priority<T, F>(name: &str, priority: Priority, fut: F) -> JoinHandle<T>
 where
     T: Send + 'static,
     F: Future<Output = T> + Send + 'static,
 {
-    let fut = PriorityScoped { priority, fut };
-    match backend() {
-        Backend::Sim => JoinHandle(JoinHandleImpl::Sim(sim::spawn_named(name, fut))),
-        Backend::Threads => {
-            let h = par_handle();
-            let fut = KeyScoped {
-                key: fresh_par_task_key(),
-                fut,
-            };
-            JoinHandle(JoinHandleImpl::Par(h.spawn_with_priority(priority, fut)))
-        }
-    }
+    spawn_dispatch(Some(name), None, false, priority, fut)
 }
 
 /// Spawns a task with an explicit [`Priority`] class; see
@@ -928,7 +866,7 @@ where
     T: Send + 'static,
     F: Future<Output = T> + Send + 'static,
 {
-    spawn_dispatch(None, Some(core), false, fut)
+    spawn_dispatch(None, Some(core), false, Priority::Normal, fut)
 }
 
 /// Spawns a named task.
@@ -937,7 +875,7 @@ where
     T: Send + 'static,
     F: Future<Output = T> + Send + 'static,
 {
-    spawn_dispatch(Some(name), None, false, fut)
+    spawn_dispatch(Some(name), None, false, Priority::Normal, fut)
 }
 
 /// Spawns a named task pinned to `core` (see [`spawn_on`]).
@@ -946,7 +884,7 @@ where
     T: Send + 'static,
     F: Future<Output = T> + Send + 'static,
 {
-    spawn_dispatch(Some(name), Some(core), false, fut)
+    spawn_dispatch(Some(name), Some(core), false, Priority::Normal, fut)
 }
 
 /// Spawns a named daemon task (does not keep the simulation alive;
@@ -956,7 +894,7 @@ where
     T: Send + 'static,
     F: Future<Output = T> + Send + 'static,
 {
-    spawn_dispatch(Some(name), None, true, fut)
+    spawn_dispatch(Some(name), None, true, Priority::Normal, fut)
 }
 
 /// Spawns a named daemon task pinned to `core`.
@@ -965,7 +903,7 @@ where
     T: Send + 'static,
     F: Future<Output = T> + Send + 'static,
 {
-    spawn_dispatch(Some(name), Some(core), true, fut)
+    spawn_dispatch(Some(name), Some(core), true, Priority::Normal, fut)
 }
 
 /// Spawns a daemon task that models *device or fabric* work (network
@@ -986,7 +924,7 @@ where
             sim::system_device_core(),
             fut,
         ))),
-        Backend::Threads => spawn_dispatch(Some(name), None, true, fut),
+        Backend::Threads => spawn_dispatch(Some(name), None, true, Priority::Normal, fut),
     }
 }
 
@@ -1202,7 +1140,7 @@ mod tests {
             assert_eq!(backend(), Backend::Threads);
             let (tx, rx) = channel::<u32>(Capacity::Unbounded);
             let h = spawn(async move {
-                delay(10).await; // No-op on threads.
+                delay(10).await; // One yield on threads.
                 tx.send(9).await.unwrap();
                 3u32
             });
@@ -1258,6 +1196,51 @@ mod tests {
         });
         assert_eq!(done, Err(RecvError::Closed));
         rt.shutdown();
+    }
+
+    /// Reads the task's key before and after each of several sleeps.
+    /// A sleep's wake comes from the timer thread through the pool's
+    /// injector, so on four workers the task may resume on any of
+    /// them: the key must follow it.
+    async fn key_across_sleeps() -> u64 {
+        let key = current_task_key();
+        for _ in 0..8 {
+            sleep(1_000).await;
+            assert_eq!(current_task_key(), key, "a task's key moved");
+        }
+        key
+    }
+
+    #[test]
+    fn current_task_key_is_stable_and_distinct_on_threads() {
+        let rt = par::Runtime::new(4);
+        rt.block_on(async {
+            let driver = current_task_key();
+            let a = spawn(key_across_sleeps());
+            let b = spawn(key_across_sleeps());
+            let (ka, kb) = (a.join().await.unwrap(), b.join().await.unwrap());
+            assert_ne!(ka, kb, "two live tasks share a key");
+            assert_eq!(
+                current_task_key(),
+                driver,
+                "the block_on driver's key moved"
+            );
+            assert!(driver != ka && driver != kb);
+        });
+        rt.shutdown();
+    }
+
+    #[test]
+    fn current_task_key_is_the_task_id_on_the_simulator() {
+        let mut s = sim::Simulation::new(2);
+        s.block_on(async {
+            assert_eq!(current_task_key(), sim::current_task().as_u64());
+            let h = spawn(async { (current_task_key(), sim::current_task().as_u64()) });
+            let (key, id) = h.join().await.unwrap();
+            assert_eq!(key, id);
+            assert_ne!(key, current_task_key());
+        })
+        .unwrap();
     }
 
     #[test]

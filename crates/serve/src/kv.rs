@@ -8,10 +8,11 @@
 //! shard and go out as one `call_batch` per shard (one server wake
 //! per burst on real threads).
 //!
-//! Servers take a [`Priority`]: spawning shards `High` routes them
-//! through the scheduler's high-priority lane, which is what keeps
-//! GET tail latency flat while batch work floods the pool (see
-//! `high_priority_is_not_starved_under_overload_on_threads` in
+//! Servers take a [`Priority`]: spawning shards `High` puts them ahead
+//! of every ready `Normal` task (on real threads, through the pool's
+//! high-priority lane), which is what keeps GET tail latency flat
+//! while batch work floods the machine (see
+//! `high_priority_is_not_starved_under_overload_on_both_backends` in
 //! `tests/backend_equiv.rs`).
 
 use std::collections::HashMap;

@@ -21,11 +21,12 @@
 //!   reads together and programs nearby files as one command). Both
 //!   run unchanged on the simulator and on real threads.
 //! * **Priority-aware serving** — server tasks take a
-//!   [`chanos_rt::Priority`]; spawning servers `High` routes them
-//!   through the scheduler's high-priority lane so request handling
-//!   keeps its tail latency while batch work floods the pool
-//!   (`high_priority_is_not_starved_under_overload_on_threads` in
-//!   `tests/backend_equiv.rs` asserts exactly that).
+//!   [`chanos_rt::Priority`]; spawning servers `High` puts them ahead
+//!   of every ready `Normal` task on both backends, so request
+//!   handling keeps its tail latency while batch work floods the
+//!   machine
+//!   (`high_priority_is_not_starved_under_overload_on_both_backends`
+//!   in `tests/backend_equiv.rs` asserts exactly that).
 //!
 //! Everything goes through the `chanos-rt` facade — no raw threads,
 //! no wall-clock reads — so the whole serving stack is deterministic

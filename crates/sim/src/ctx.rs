@@ -75,6 +75,12 @@ pub fn current_core() -> CoreId {
     with_ctx(|ctx| ctx.core)
 }
 
+/// Returns `true` if the current task was spawned in the high class
+/// ([`spawn_named_high`]).
+pub fn current_task_is_high() -> bool {
+    with_ctx(|ctx| ctx.rc.borrow().task(ctx.task).is_some_and(|t| t.high))
+}
+
 /// Number of CPU (non-device) cores in the machine.
 pub fn real_cores() -> usize {
     with_inner(|i| i.real_cores)
@@ -92,16 +98,6 @@ pub fn system_device_core() -> CoreId {
         let c = CoreId((i.cpus.len() - 1) as u32);
         i.system_device_core = Some(c);
         c
-    })
-}
-
-/// Returns `true` if `core` is a device pseudo-core.
-pub fn is_device_core(core: CoreId) -> bool {
-    with_inner(|i| {
-        i.cpus
-            .get(core.index())
-            .map(|c| c.is_device)
-            .unwrap_or(false)
     })
 }
 
@@ -237,6 +233,21 @@ pub fn spawn_named<T: 'static>(
     let (rc, core) = with_ctx(|ctx| (ctx.rc.clone(), ctx.core));
     let mut opts = SpawnOpts::new();
     opts.name = Some(name.to_string());
+    spawn_impl(&rc, opts, Some(core), fut)
+}
+
+/// Spawns a named task in the high class (the facade's
+/// `Priority::High`): while it is ready, its core dispatches it, and
+/// high-class tasks that became ready before it, ahead of every other
+/// ready task.
+pub fn spawn_named_high<T: 'static>(
+    name: &str,
+    fut: impl Future<Output = T> + 'static,
+) -> JoinHandle<T> {
+    let (rc, core) = with_ctx(|ctx| (ctx.rc.clone(), ctx.core));
+    let mut opts = SpawnOpts::new();
+    opts.name = Some(name.to_string());
+    opts.high = true;
     spawn_impl(&rc, opts, Some(core), fut)
 }
 

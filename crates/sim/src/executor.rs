@@ -4,7 +4,11 @@
 //! # Model
 //!
 //! Simulated threads are futures. A core runs one task at a time,
-//! non-preemptively: the task holds the core until it awaits. Awaiting
+//! non-preemptively: the task holds the core until it awaits. When the
+//! core frees, it dispatches its oldest ready high-class task, else its
+//! oldest ready normal one (the thread pool's rule for
+//! `Priority::High`: its high lane is checked before every other
+//! queue). Awaiting
 //! [`crate::delay`] keeps the core busy (modeling compute); blocking on
 //! a channel or [`crate::sleep`] releases it. Code between awaits runs
 //! in zero virtual time — all costs are charged explicitly.
@@ -38,8 +42,8 @@ pub(crate) enum PollEffect {
     /// Keep the core busy for this many cycles, then re-poll
     /// (explicit compute cost; used by `delay`).
     BusyFor(Cycles),
-    /// Put the task at the back of its core's run queue (used by
-    /// `yield_now` and `migrate`).
+    /// Put the task at the back of its core's run queue for its class
+    /// (used by `yield_now` and `migrate`).
     Yield,
     /// Block waiting for a wake but *keep occupying the core* — a
     /// spinning wait. Used by the simulated spinlocks: the core burns
@@ -68,6 +72,9 @@ pub(crate) struct Task {
     pub(crate) gen: u32,
     pub(crate) name: Rc<str>,
     pub(crate) daemon: bool,
+    /// Scheduling class, fixed at spawn: `true` for the high class
+    /// (the facade's `Priority::High`).
+    pub(crate) high: bool,
     pub(crate) waker: Waker,
     /// Completes the join state on panic or kill; returns waiters to
     /// wake. Called outside the `Inner` borrow.
@@ -75,12 +82,15 @@ pub(crate) struct Task {
 }
 
 pub(crate) struct Cpu {
-    pub(crate) queue: VecDeque<TaskId>,
+    /// Ready normal-class tasks, oldest first.
+    queue: VecDeque<TaskId>,
+    /// Ready high-class tasks, oldest first; dispatched before `queue`.
+    high: VecDeque<TaskId>,
     pub(crate) running: Option<TaskId>,
     pub(crate) dispatch_scheduled: bool,
     pub(crate) busy_cycles: Cycles,
     pub(crate) busy_since: Option<Cycles>,
-    pub(crate) is_device: bool,
+    is_device: bool,
 }
 
 impl Cpu {
@@ -91,12 +101,27 @@ impl Cpu {
     fn new(is_device: bool) -> Self {
         Cpu {
             queue: VecDeque::new(),
+            high: VecDeque::new(),
             running: None,
             dispatch_scheduled: false,
             busy_cycles: 0,
             busy_since: None,
             is_device,
         }
+    }
+
+    /// Appends a ready task to the run queue of its class.
+    fn push(&mut self, id: TaskId, high: bool) {
+        if high {
+            self.high.push_back(id);
+        } else {
+            self.queue.push_back(id);
+        }
+    }
+
+    /// Takes the oldest ready high-class entry, else the oldest normal.
+    fn pop(&mut self) -> Option<TaskId> {
+        self.high.pop_front().or_else(|| self.queue.pop_front())
     }
 }
 
@@ -211,7 +236,8 @@ impl Inner {
     pub(crate) fn ensure_dispatch(&mut self, core: CoreId) {
         let now = self.now;
         let cpu = &mut self.cpus[core.index()];
-        if cpu.running.is_none() && !cpu.dispatch_scheduled && !cpu.queue.is_empty() {
+        let ready = !cpu.high.is_empty() || !cpu.queue.is_empty();
+        if cpu.running.is_none() && !cpu.dispatch_scheduled && ready {
             cpu.dispatch_scheduled = true;
             self.schedule(now, EventKind::Dispatch(core));
         }
@@ -234,7 +260,7 @@ impl Inner {
         if task.state != TaskState::Blocked {
             return;
         }
-        let core = task.core;
+        let (core, high) = (task.core, task.high);
         if self.cpus[core.index()].running == Some(id) {
             // A spinning waiter already owns its core: poll directly.
             self.task_mut(id).expect("checked above").state = TaskState::Scheduled;
@@ -243,7 +269,7 @@ impl Inner {
             return;
         }
         self.task_mut(id).expect("checked above").state = TaskState::Ready;
-        self.cpus[core.index()].queue.push_back(id);
+        self.cpus[core.index()].push(id, high);
         self.ensure_dispatch(core);
     }
 
@@ -311,6 +337,7 @@ pub(crate) struct SpawnOpts {
     pub(crate) name: Option<String>,
     pub(crate) core: Option<CoreId>,
     pub(crate) daemon: bool,
+    pub(crate) high: bool,
 }
 
 impl SpawnOpts {
@@ -319,6 +346,7 @@ impl SpawnOpts {
             name: None,
             core: None,
             daemon: false,
+            high: false,
         }
     }
 }
@@ -377,6 +405,7 @@ where
         gen: 0,
         name: name.into(),
         daemon: opts.daemon,
+        high: opts.high,
         waker: Waker::noop().clone(),
         on_abnormal: Some(hook),
     });
@@ -393,7 +422,7 @@ where
     task.gen = gen;
     task.waker = Waker::from(Arc::new(WakeEntry { id, sink }));
     inner.stats.incr("sim.tasks_spawned");
-    inner.cpus[core.index()].queue.push_back(id);
+    inner.cpus[core.index()].push(id, opts.high);
     inner.ensure_dispatch(core);
     JoinHandle::new(id, join)
 }
@@ -685,7 +714,7 @@ impl Simulation {
         if inner.cpus[core.index()].running.is_some() {
             return;
         }
-        while let Some(id) = inner.cpus[core.index()].queue.pop_front() {
+        while let Some(id) = inner.cpus[core.index()].pop() {
             let ready = inner
                 .task(id)
                 .map(|t| t.state == TaskState::Ready)
@@ -750,8 +779,8 @@ impl Simulation {
                     Some(PollEffect::Yield) => {
                         let task = inner.task_mut(id).expect("present");
                         task.state = TaskState::Ready;
-                        let dest = task.core;
-                        inner.cpus[dest.index()].queue.push_back(id);
+                        let (dest, high) = (task.core, task.high);
+                        inner.cpus[dest.index()].push(id, high);
                         inner.release_cpu(running_core);
                         inner.ensure_dispatch(running_core);
                         inner.ensure_dispatch(dest);

@@ -54,10 +54,10 @@ mod sync;
 
 pub use config::Config;
 pub use ctx::{
-    block_holding_core, current_core, current_task, ext_get, ext_insert, in_sim, is_device_core,
-    kill, now, real_cores, schedule_wake_at, spawn, spawn_daemon, spawn_daemon_on, spawn_named,
-    spawn_named_on, spawn_on, stat_add, stat_get, stat_incr, stat_snapshot, system_device_core,
-    task_alive, wake_now, with_rng,
+    block_holding_core, current_core, current_task, current_task_is_high, ext_get, ext_insert,
+    in_sim, kill, now, real_cores, schedule_wake_at, spawn, spawn_daemon, spawn_daemon_on,
+    spawn_named, spawn_named_high, spawn_named_on, spawn_on, stat_add, stat_get, stat_incr,
+    stat_snapshot, system_device_core, task_alive, wake_now, with_rng,
 };
 pub use executor::{Placer, RunEnd, RunOutcome, Simulation, SpawnInfo};
 pub use fut::{delay, migrate, sleep, yield_now, Delay, Migrate, Sleep, YieldNow};

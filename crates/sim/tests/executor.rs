@@ -1,9 +1,12 @@
 //! Integration tests for the simulator executor: time accounting,
 //! scheduling, joins, kills, placement, and determinism.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use chanos_sim::{
-    delay, migrate, now, sleep, spawn, spawn_named, yield_now, Config, CoreId, JoinError, RunEnd,
-    Simulation,
+    current_task_is_high, delay, migrate, now, sleep, spawn, spawn_named, spawn_named_high,
+    yield_now, Config, CoreId, JoinError, RunEnd, Simulation,
 };
 
 #[test]
@@ -301,6 +304,65 @@ fn nested_spawn_inherits_core_by_default() {
     });
     sim.run_until_idle();
     assert_eq!(h.try_take().unwrap().unwrap(), CoreId(2));
+}
+
+/// Appends `what` and the class the task reads for itself.
+fn note(log: &Rc<RefCell<Vec<String>>>, what: &str) {
+    let class = if current_task_is_high() {
+        "high"
+    } else {
+        "normal"
+    };
+    log.borrow_mut().push(format!("{what} {class}"));
+}
+
+#[test]
+fn a_core_dispatches_high_tasks_first_and_each_class_in_order() {
+    // One core: the spawner holds it until it awaits, so every child
+    // is queued by the time the core frees.
+    let mut sim = Simulation::new(1);
+    let log = sim
+        .block_on(async {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let mut handles = Vec::new();
+            for i in 0..3 {
+                let l = log.clone();
+                handles.push(spawn(async move { note(&l, &format!("n{i}")) }));
+            }
+            let l = log.clone();
+            handles.push(spawn_named_high("h1", async move {
+                note(&l, "h1");
+                yield_now().await;
+                note(&l, "h1 again");
+            }));
+            let l = log.clone();
+            handles.push(spawn_named_high("h2", async move {
+                note(&l, "h2");
+                sleep(1).await;
+                note(&l, "h2 woken");
+            }));
+            for h in handles {
+                h.join().await.unwrap();
+            }
+            let log = log.borrow().clone();
+            log
+        })
+        .unwrap();
+    // The high tasks spawned behind the normal backlog run first, in
+    // spawn order; the yielded one goes back ahead of the backlog, and
+    // so does the sleeper, woken while h1 is dispatched again.
+    assert_eq!(
+        log,
+        [
+            "h1 high",
+            "h2 high",
+            "h1 again high",
+            "h2 woken high",
+            "n0 normal",
+            "n1 normal",
+            "n2 normal"
+        ]
+    );
 }
 
 #[test]

@@ -1829,13 +1829,61 @@ mod serve_equiv {
         rt.shutdown();
     }
 
+    /// Spawns a 64-task flood, then one `High` task *last*; each task
+    /// takes the next completion rank.
+    fn spawn_flood_then_high() -> (
+        Vec<chanos::rt::JoinHandle<u64>>,
+        chanos::rt::JoinHandle<u64>,
+    ) {
+        let rank = Arc::new(AtomicU64::new(0));
+        let mut flood = Vec::new();
+        for _ in 0..64 {
+            let r = rank.clone();
+            flood.push(chanos::rt::spawn(async move {
+                r.fetch_add(1, Ordering::AcqRel)
+            }));
+        }
+        let high = chanos::rt::spawn_with_priority(Priority::High, async move {
+            assert_eq!(chanos::rt::current_priority(), Priority::High);
+            rank.fetch_add(1, Ordering::AcqRel)
+        });
+        (flood, high)
+    }
+
+    /// The `High` task's completion rank, once every task is done.
+    async fn rank_of_high(
+        flood: Vec<chanos::rt::JoinHandle<u64>>,
+        high: chanos::rt::JoinHandle<u64>,
+    ) -> u64 {
+        for h in flood {
+            h.join().await.expect("flood task ok");
+        }
+        high.join().await.expect("high task ok")
+    }
+
     #[test]
-    fn high_priority_is_not_starved_under_overload_on_threads() {
-        // Overload A/B on the backend where dispatch order is real:
-        // one worker, held hostage while a 64-task flood queues up,
-        // then one High task spawned *last*. The hi lane is checked
-        // before ring and injector on every dispatch, so the High
-        // task must complete before the entire earlier-spawned flood.
+    fn high_priority_is_not_starved_under_overload_on_both_backends() {
+        // One core, with the whole flood queued before the High task
+        // is spawned: both schedulers dispatch a ready High task
+        // before any ready Normal one, so it must complete first.
+        // On the simulator the spawning task holds its core until it
+        // awaits, so everything is queued by the time the core frees.
+        let mut s = Simulation::with_config(Config {
+            cores: 1,
+            ..Config::default()
+        });
+        let sim_rank = s
+            .block_on(async {
+                let (flood, high) = spawn_flood_then_high();
+                rank_of_high(flood, high).await
+            })
+            .unwrap();
+        assert_eq!(
+            sim_rank, 0,
+            "simulator: High task completed at rank {sim_rank}, after normal flood work"
+        );
+        // Real threads: the single worker is held hostage while the
+        // flood queues up, then released.
         let rt = Runtime::new(1);
         let high_rank = rt.block_on(async {
             let started = Arc::new(AtomicU64::new(0));
@@ -1852,30 +1900,15 @@ mod serve_equiv {
             while started.load(Ordering::Acquire) == 0 {
                 std::thread::yield_now();
             }
-            let rank = Arc::new(AtomicU64::new(0));
-            let mut flood = Vec::new();
-            for _ in 0..64 {
-                let r = rank.clone();
-                flood.push(chanos::rt::spawn(async move {
-                    r.fetch_add(1, Ordering::AcqRel)
-                }));
-            }
-            let r = rank.clone();
-            let high = chanos::rt::spawn_with_priority(Priority::High, async move {
-                assert_eq!(chanos::rt::current_priority(), Priority::High);
-                r.fetch_add(1, Ordering::AcqRel)
-            });
+            let (flood, high) = spawn_flood_then_high();
             gate.store(1, Ordering::Release);
             hostage.join().await.expect("hostage ok");
-            for h in flood {
-                h.join().await.expect("flood task ok");
-            }
-            high.join().await.expect("high task ok")
+            rank_of_high(flood, high).await
         });
         rt.shutdown();
         assert_eq!(
             high_rank, 0,
-            "High task completed at rank {high_rank}, after normal flood work"
+            "threads: High task completed at rank {high_rank}, after normal flood work"
         );
     }
 }
