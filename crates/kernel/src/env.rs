@@ -15,13 +15,19 @@
 //! pipelined submit-then-complete surface: queue several syscalls,
 //! submit them as **one** kernel message burst, then complete them in
 //! any order.
+//!
+//! On the message kernel the process copies a read's or a write's
+//! bytes itself, on its own core, and pays [`copy_cost`] for them
+//! there: a read's answer is the blocks the bytes lie in, shared with
+//! the cache, and a write's buffer is the one that becomes the file's
+//! blocks. The kernel cores move no payload bytes.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use chanos_rt::{self as rt, Call, CallError, CoreId, JoinHandle, Port};
-use chanos_vfs::Stat;
+use chanos_rt::{self as rt, Call, CallError, CoreId, Cycles, JoinHandle, Port};
+use chanos_vfs::{copy_cost, FileSlice, Stat};
 
 use crate::pids::{PidInfo, PidTable};
 use crate::syscall::{MsgKernel, Syscall, TrapKernel};
@@ -100,7 +106,8 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.read(self.pid, fd, len).await,
             Attached::Msg(k) => {
-                flatten(k.call(move |reply| Syscall::Read { fd, len, reply }).await)
+                let read = k.call(move |reply| Syscall::Read { fd, len, reply });
+                Ok(flatten(read.await)?.copy_out().await)
             }
         }
     }
@@ -110,6 +117,7 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.write(self.pid, fd, data).await,
             Attached::Msg(k) => {
+                rt::delay(copy_cost(data.len())).await;
                 let data = data.to_vec();
                 flatten(
                     k.call(move |reply| Syscall::Write { fd, data, reply })
@@ -205,6 +213,7 @@ impl Env {
                 Attached::Msg(port) => BatchInner::Msg {
                     port: port.clone(),
                     buf: VecDeque::new(),
+                    copying: 0,
                 },
                 Attached::Trap(k) => BatchInner::Trap(k.clone()),
             },
@@ -217,6 +226,8 @@ enum BatchInner {
     Msg {
         port: Port<Syscall>,
         buf: VecDeque<Syscall>,
+        /// Cycles of the queued writes' copies, paid at submit.
+        copying: Cycles,
     },
     /// Trap kernel: no submission queue exists; calls run on await.
     Trap(Arc<TrapKernel>),
@@ -237,7 +248,7 @@ impl SyscallBatch {
     pub fn getpid(&mut self) -> Call<Pid> {
         let pid = self.pid;
         match &mut self.inner {
-            BatchInner::Msg { port, buf } => {
+            BatchInner::Msg { port, buf, .. } => {
                 port.call_deferred(buf, |reply| Syscall::GetPid { reply })
             }
             BatchInner::Trap(k) => {
@@ -252,7 +263,7 @@ impl SyscallBatch {
         let pid = self.pid;
         let path = path.to_string();
         match &mut self.inner {
-            BatchInner::Msg { port, buf } => {
+            BatchInner::Msg { port, buf, .. } => {
                 port.call_deferred(buf, move |reply| Syscall::Open { path, reply })
             }
             BatchInner::Trap(k) => {
@@ -267,7 +278,7 @@ impl SyscallBatch {
         let pid = self.pid;
         let path = path.to_string();
         match &mut self.inner {
-            BatchInner::Msg { port, buf } => {
+            BatchInner::Msg { port, buf, .. } => {
                 port.call_deferred(buf, move |reply| Syscall::Create { path, reply })
             }
             BatchInner::Trap(k) => {
@@ -277,12 +288,20 @@ impl SyscallBatch {
         }
     }
 
-    /// Queues a `read` at the descriptor's current offset.
+    /// Queues a `read` at the descriptor's current offset. The bytes
+    /// are copied out when the call completes.
     pub fn read(&mut self, fd: Fd, len: usize) -> Call<Result<Vec<u8>, KError>> {
         let pid = self.pid;
         match &mut self.inner {
-            BatchInner::Msg { port, buf } => {
-                port.call_deferred(buf, move |reply| Syscall::Read { fd, len, reply })
+            BatchInner::Msg { port, buf, .. } => {
+                let read: Call<Result<FileSlice, KError>> =
+                    port.call_deferred(buf, move |reply| Syscall::Read { fd, len, reply });
+                Call::from_future(async move {
+                    Ok(match read.await? {
+                        Ok(data) => Ok(data.copy_out().await),
+                        Err(e) => Err(e),
+                    })
+                })
             }
             BatchInner::Trap(k) => {
                 let k = k.clone();
@@ -291,12 +310,16 @@ impl SyscallBatch {
         }
     }
 
-    /// Queues a `write` at the descriptor's current offset.
+    /// Queues a `write` at the descriptor's current offset. The bytes
+    /// are copied now; the copy is paid for at [`submit`].
+    ///
+    /// [`submit`]: SyscallBatch::submit
     pub fn write(&mut self, fd: Fd, data: &[u8]) -> Call<Result<usize, KError>> {
         let pid = self.pid;
         let data = data.to_vec();
         match &mut self.inner {
-            BatchInner::Msg { port, buf } => {
+            BatchInner::Msg { port, buf, copying } => {
+                *copying += copy_cost(data.len());
                 port.call_deferred(buf, move |reply| Syscall::Write { fd, data, reply })
             }
             BatchInner::Trap(k) => {
@@ -310,7 +333,7 @@ impl SyscallBatch {
     pub fn close(&mut self, fd: Fd) -> Call<Result<(), KError>> {
         let pid = self.pid;
         match &mut self.inner {
-            BatchInner::Msg { port, buf } => {
+            BatchInner::Msg { port, buf, .. } => {
                 port.call_deferred(buf, move |reply| Syscall::Close { fd, reply })
             }
             BatchInner::Trap(k) => {
@@ -335,7 +358,13 @@ impl SyscallBatch {
     /// if it cancels a call mid-batch.
     pub async fn submit(&mut self) {
         match &mut self.inner {
-            BatchInner::Msg { port, buf } => port.submit(buf).await,
+            BatchInner::Msg { port, buf, copying } => {
+                let copying = std::mem::take(copying);
+                if copying > 0 {
+                    rt::delay(copying).await;
+                }
+                port.submit(buf).await
+            }
             BatchInner::Trap(_) => {}
         }
     }

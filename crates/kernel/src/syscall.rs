@@ -27,7 +27,7 @@ use chanos_rt::{
     self as rt, delay, port_channel, Capacity, CoreId, Cycles, Port, ReplyBatch, ReplyTo,
 };
 use chanos_shmem::SimMutex;
-use chanos_vfs::{Stat, Vfs};
+use chanos_vfs::{FileSlice, Stat, Vfs};
 
 use crate::types::{Fd, KError, Pid};
 
@@ -55,14 +55,16 @@ pub enum Syscall {
         fd: Fd,
         /// Maximum bytes.
         len: usize,
-        /// Completion channel.
-        reply: ReplyTo<Result<Vec<u8>, KError>>,
+        /// Completion channel: the blocks the bytes lie in, shared with
+        /// the cache, for the process to copy out on its own core.
+        reply: ReplyTo<Result<FileSlice, KError>>,
     },
     /// Writes at the descriptor's current offset.
     Write {
         /// Descriptor to write.
         fd: Fd,
-        /// Bytes to write.
+        /// Bytes to write: the process's copy, which becomes the file's
+        /// blocks.
         data: Vec<u8>,
         /// Completion channel.
         reply: ReplyTo<Result<usize, KError>>,
@@ -186,7 +188,7 @@ impl ProcState {
             Syscall::Read { fd, len, reply } => {
                 let out = match self.files.get(&fd).cloned() {
                     None => Err(KError::BadFd),
-                    Some(of) => match self.vfs.read(of.ino, of.offset, len).await {
+                    Some(of) => match self.vfs.read_shared(of.ino, of.offset, len).await {
                         Ok(data) => {
                             self.files.get_mut(&fd).expect("checked above").offset +=
                                 data.len() as u64;
@@ -198,13 +200,13 @@ impl ProcState {
                 replies.send(reply, out);
             }
             Syscall::Write { fd, data, reply } => {
+                let len = data.len();
                 let out = match self.files.get(&fd).cloned() {
                     None => Err(KError::BadFd),
-                    Some(of) => match self.vfs.write(of.ino, of.offset, &data).await {
+                    Some(of) => match self.vfs.write_owned(of.ino, of.offset, data).await {
                         Ok(()) => {
-                            self.files.get_mut(&fd).expect("checked above").offset +=
-                                data.len() as u64;
-                            Ok(data.len())
+                            self.files.get_mut(&fd).expect("checked above").offset += len as u64;
+                            Ok(len)
                         }
                         Err(e) => Err(KError::Fs(e)),
                     },

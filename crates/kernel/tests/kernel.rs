@@ -799,6 +799,70 @@ fn kernel_state_of_exited_processes_is_reclaimed() {
     .unwrap();
 }
 
+/// The one copy a read makes is the process's. A cached 4 KiB read
+/// through the message kernel costs the reading task `copy_cost(4096)`
+/// more, on its own core, than a read at the end of the file that
+/// fetches nothing; the cache shard that answered it is busy only for
+/// the dispatch that woke it, with no copy in it.
+#[test]
+fn a_cached_read_is_copied_once_by_the_process_that_takes_it() {
+    const BLOCK: usize = 4096;
+    let mut s = ladder_sim();
+    let (env, fd) = s
+        .block_on(async {
+            let os = boot(BootCfg::new(
+                KernelKind::Message,
+                FsKind::Message,
+                kernel_cores(4),
+            ))
+            .await;
+            let ino = os.vfs.create("/f").await.unwrap();
+            os.vfs.write(ino, 0, &[7; BLOCK]).await.unwrap();
+            let env = os.procs.env();
+            let warm = env.open("/f").await.unwrap();
+            env.read(warm, BLOCK).await.unwrap();
+            let fd = env.open("/f").await.unwrap();
+            (env, fd)
+        })
+        .unwrap();
+    // Busy cycles by role over one `read`: the calling task (every
+    // `block_on` task is named "task"), the process's kernel task and
+    // the cache shards.
+    let mut read = |len_expected: usize| {
+        let before = s.busy_by_task();
+        let env = env.clone();
+        let got = s
+            .block_on(async move { env.read(fd, BLOCK).await.unwrap() })
+            .unwrap();
+        assert_eq!(got.len(), len_expected);
+        let after = s.busy_by_task();
+        let delta = |role: &str| -> u64 {
+            let of = |m: &std::collections::BTreeMap<String, u64>| -> u64 {
+                m.iter()
+                    .filter(|(name, _)| name.starts_with(role))
+                    .map(|(_, busy)| busy)
+                    .sum()
+            };
+            of(&after) - of(&before)
+        };
+        (delta("task"), delta("kproc"), delta("cache-shard"))
+    };
+    let (app, kproc, shards) = read(BLOCK);
+    let (app_eof, kproc_eof, shards_eof) = read(0);
+    assert_eq!(
+        app - app_eof,
+        chanos_vfs::copy_cost(BLOCK),
+        "the process copies"
+    );
+    assert_eq!(kproc, kproc_eof, "the kernel task moves no bytes");
+    assert_eq!(shards_eof, 0, "a read past the end asks no shard");
+    assert_eq!(
+        shards,
+        Config::default().ctx_switch,
+        "one dispatch, no copy"
+    );
+}
+
 #[cfg(target_pointer_width = "64")]
 #[test]
 fn syscall_message_layout_is_pinned() {

@@ -19,7 +19,7 @@
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
@@ -76,6 +76,9 @@ pub(crate) struct Task {
     /// (the facade's `Priority::High`).
     pub(crate) high: bool,
     pub(crate) waker: Waker,
+    /// Cycles of the busy spans this task has closed: from its
+    /// dispatch (context switch included) to the release of its core.
+    pub(crate) busy_cycles: Cycles,
     /// Completes the join state on panic or kill; returns waiters to
     /// wake. Called outside the `Inner` borrow.
     pub(crate) on_abnormal: Option<Box<dyn FnOnce(JoinError) -> Vec<TaskId>>>,
@@ -182,6 +185,8 @@ pub(crate) struct Inner {
     pub(crate) poll_effect: Option<PollEffect>,
     pub(crate) ext: HashMap<TypeId, Arc<dyn Any>>,
     trace_hash: u64,
+    /// Busy cycles of the tasks that have exited, by task name.
+    busy_exited: BTreeMap<Rc<str>, Cycles>,
     rr_next: usize,
     placer: Option<Placer>,
     pub(crate) system_device_core: Option<CoreId>,
@@ -243,12 +248,18 @@ impl Inner {
         }
     }
 
+    /// Frees `core`, closing its busy span on the core and on the task
+    /// that held it.
     fn release_cpu(&mut self, core: CoreId) {
         let now = self.now;
         let cpu = &mut self.cpus[core.index()];
-        cpu.running = None;
-        if let Some(since) = cpu.busy_since.take() {
-            cpu.busy_cycles += now - since;
+        let running = cpu.running.take();
+        let Some(since) = cpu.busy_since.take() else {
+            return;
+        };
+        cpu.busy_cycles += now - since;
+        if let Some(task) = running.and_then(|id| self.task_mut(id)) {
+            task.busy_cycles += now - since;
         }
     }
 
@@ -287,12 +298,21 @@ impl Inner {
         let task = self.task_mut(id)?;
         let core = task.core;
         let hook = task.on_abnormal.take();
-        self.tasks.remove(id.index as usize);
-        self.gens[id.index as usize] = self.gens[id.index as usize].wrapping_add(1);
         // Free the core if the task owned it (running, busy-delaying,
-        // or blocked-while-spinning).
-        if self.cpus[core.index()].running == Some(id) {
+        // or blocked-while-spinning), closing the task's last span.
+        let owned = self.cpus[core.index()].running == Some(id);
+        if owned {
             self.release_cpu(core);
+        }
+        let task = self
+            .tasks
+            .remove(id.index as usize)
+            .expect("looked up above");
+        if task.busy_cycles > 0 {
+            *self.busy_exited.entry(task.name).or_default() += task.busy_cycles;
+        }
+        self.gens[id.index as usize] = self.gens[id.index as usize].wrapping_add(1);
+        if owned {
             self.ensure_dispatch(core);
         }
         // A `Ready` task still sits in some run queue; the dispatch
@@ -407,6 +427,7 @@ where
         daemon: opts.daemon,
         high: opts.high,
         waker: Waker::noop().clone(),
+        busy_cycles: 0,
         on_abnormal: Some(hook),
     });
     if idx >= inner.gens.len() {
@@ -526,6 +547,7 @@ impl Simulation {
             poll_effect: None,
             ext: HashMap::new(),
             trace_hash: FNV_OFFSET,
+            busy_exited: BTreeMap::new(),
             rr_next: 0,
             placer: None,
             system_device_core: None,
@@ -853,6 +875,34 @@ impl Simulation {
                 busy as f64 / now as f64
             })
             .collect()
+    }
+
+    /// Busy cycles by task name since time zero: every span from a
+    /// task's dispatch (its context switch included) to the release of
+    /// its core, summed over the tasks of that name, exited or alive.
+    /// A span still open is counted up to now.
+    pub fn busy_by_task(&self) -> BTreeMap<String, Cycles> {
+        let inner = self.rc.borrow();
+        let mut out: BTreeMap<String, Cycles> = inner
+            .busy_exited
+            .iter()
+            .map(|(name, &busy)| (name.to_string(), busy))
+            .collect();
+        for (idx, task) in inner.tasks.iter() {
+            let id = TaskId {
+                index: idx as u32,
+                gen: task.gen,
+            };
+            let cpu = &inner.cpus[task.core.index()];
+            let open = match cpu.busy_since {
+                Some(since) if cpu.running == Some(id) => inner.now - since,
+                _ => 0,
+            };
+            if task.busy_cycles + open > 0 {
+                *out.entry(task.name.to_string()).or_default() += task.busy_cycles + open;
+            }
+        }
+        out
     }
 
     /// Rolling FNV hash of every handled event; equal seeds and

@@ -419,6 +419,39 @@ fn utilization_reflects_busy_cores() {
     assert!(util[1] < 0.05, "core 1 was sleeping: {util:?}");
 }
 
+/// A task's busy time is every span from its dispatch to the release
+/// of its core: its context switches and its `delay`s, not its sleeps.
+/// Spans are summed by task name, for exited tasks and live ones.
+#[test]
+fn busy_cycles_are_attributed_to_the_task_that_held_the_core() {
+    let mut sim = Simulation::with_config(Config {
+        cores: 1,
+        ctx_switch: 25,
+        ..Config::default()
+    });
+    sim.spawn_named("a", async {
+        delay(100).await;
+        sleep(1000).await; // Releases the core to `b`.
+        delay(50).await;
+    });
+    sim.spawn_named("b", async {
+        delay(200).await;
+    });
+    sim.spawn_daemon_on("idle", CoreId(0), async {
+        sleep(1_000_000).await;
+    });
+    sim.run_until_idle();
+    let busy = sim.busy_by_task();
+    // `idle` is dispatched to start its sleep and again to end it.
+    let expected = [
+        ("a", 25 + 100 + 25 + 50),
+        ("b", 25 + 200),
+        ("idle", 25 + 25),
+    ];
+    let expected: Vec<(String, u64)> = expected.map(|(n, c)| (n.to_string(), c)).into();
+    assert_eq!(busy.into_iter().collect::<Vec<_>>(), expected);
+}
+
 #[test]
 fn device_core_runs_without_ctx_switch() {
     let mut sim = Simulation::with_config(Config {

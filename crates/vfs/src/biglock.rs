@@ -11,7 +11,7 @@ use std::sync::Arc;
 use chanos_drivers::DiskClient;
 use chanos_shmem::SimMutex;
 
-use crate::core_fs::{split_parent, split_path, FsCore, ScanAllocator, Stat};
+use crate::core_fs::{split_parent, split_path, FileSlice, FsCore, ScanAllocator, Stat};
 use crate::error::FsError;
 use crate::layout::{Dirent, FileKind, ROOT_INO};
 use crate::store::{BlockStore, CachedDisk};
@@ -94,8 +94,9 @@ impl BigLockFs {
         self.resolve(&split_path(path)?).await
     }
 
-    /// Reads `len` bytes at `off` from inode `ino`.
-    pub async fn read(&self, ino: u64, off: u64, len: usize) -> Result<Vec<u8>, FsError> {
+    /// Reads `len` bytes at `off` from inode `ino`: the blocks they
+    /// lie in, shared with the cache.
+    pub async fn read(&self, ino: u64, off: u64, len: usize) -> Result<FileSlice, FsError> {
         let _g = self.lock.lock().await;
         let inode = self.core.read_inode(ino).await?;
         if inode.kind == FileKind::Dir {
@@ -104,8 +105,9 @@ impl BigLockFs {
         self.core.read_file(&inode, off, len).await
     }
 
-    /// Writes `data` at `off` into inode `ino`.
-    pub async fn write(&self, ino: u64, off: u64, data: &[u8]) -> Result<(), FsError> {
+    /// Writes `data` at `off` into inode `ino`; the buffer becomes the
+    /// file's blocks.
+    pub async fn write(&self, ino: u64, off: u64, data: Vec<u8>) -> Result<(), FsError> {
         let _g = self.lock.lock().await;
         let mut inode = self.core.read_inode(ino).await?;
         if inode.kind == FileKind::Dir {

@@ -14,6 +14,14 @@
 //! Because all engines run these same byte-level algorithms over the
 //! same [`crate::layout`], the equivalence tests can require their
 //! observable behaviour to match exactly.
+//!
+//! The algorithms read blocks where the store keeps them: decoding an
+//! inode, an indirect entry or a directory entry copies nothing, and a
+//! file read returns the blocks themselves ([`FileSlice`]). A copy is
+//! made, and charged [`copy_cost`] on the running task's core, only to
+//! change a shared block (`to_change`) and to make a block's bytes
+//! from nothing (`write_made`); the bytes of a file write were copied
+//! by its writer.
 
 use chanos_drivers::BLOCK_SIZE;
 
@@ -22,7 +30,7 @@ use crate::layout::{
     bitmap, Dirent, FileKind, Inode, Superblock, DIRENT_SIZE, MAX_FILE_SIZE, MAX_NAME, NDIRECT,
     NINDIRECT,
 };
-use crate::store::BlockStore;
+use crate::store::{copy_cost, Block, BlockStore};
 
 /// File metadata returned by `stat`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,6 +45,60 @@ pub struct Stat {
     pub nlink: u16,
 }
 
+/// What a file read returns: the blocks its range spans, shared with
+/// the cache, and where the range lies in them. Nothing is copied to
+/// make one; the reader copies the bytes out, once, on its own core
+/// ([`FileSlice::copy_out`]), so a later write to the file cannot
+/// change what it was given.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FileSlice {
+    /// The blocks the range touches, in file order; `None` is a hole,
+    /// which reads as zeroes.
+    blocks: Box<[Option<Block>]>,
+    /// Where the range starts in the first block.
+    start: u32,
+    /// The range's length in bytes.
+    len: u32,
+}
+
+/// What a hole reads as.
+static ZEROES: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
+
+impl FileSlice {
+    /// The range's length in bytes.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Returns `true` for an empty range (a read at or past the end).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The range's bytes, one slice per block, in file order.
+    pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
+        let (mut start, mut left) = (self.start as usize, self.len as usize);
+        self.blocks.iter().map(move |block| {
+            let bytes = block.as_deref().map_or(&ZEROES[..], Vec::as_slice);
+            let take = (BLOCK_SIZE - start).min(left);
+            let chunk = &bytes[start..start + take];
+            (start, left) = (0, left - take);
+            chunk
+        })
+    }
+
+    /// Copies the range into a buffer of the caller's: the one copy a
+    /// read makes, charged [`copy_cost`] on the caller's core.
+    pub async fn copy_out(&self) -> Vec<u8> {
+        chanos_rt::delay(copy_cost(self.len())).await;
+        let mut out = Vec::with_capacity(self.len());
+        for chunk in self.chunks() {
+            out.extend_from_slice(chunk);
+        }
+        out
+    }
+}
+
 /// The shared algorithm layer over a block store.
 #[derive(Clone)]
 pub struct FsCore<S: BlockStore> {
@@ -49,18 +111,19 @@ impl<S: BlockStore> FsCore<S> {
     /// and creates the empty root directory.
     pub async fn mkfs(store: S, total_blocks: u64, n_groups: u64) -> Result<FsCore<S>, FsError> {
         let sb = Superblock::design(total_blocks, n_groups);
-        store.write_block(0, sb.encode()).await?;
-        let zero = vec![0u8; BLOCK_SIZE];
+        let fs = FsCore { sb, store };
+        let sb = &fs.sb;
+        fs.write_made(0, sb.encode()).await?;
         for g in 0..n_groups {
-            store.write_block(sb.ibitmap_block(g), zero.clone()).await?;
-            store.write_block(sb.dbitmap_block(g), zero.clone()).await?;
+            fs.write_made(sb.ibitmap_block(g), vec![0; BLOCK_SIZE])
+                .await?;
+            fs.write_made(sb.dbitmap_block(g), vec![0; BLOCK_SIZE])
+                .await?;
             for b in 0..sb.itable_blocks() {
-                store
-                    .write_block(sb.itable_start(g) + b, zero.clone())
+                fs.write_made(sb.itable_start(g) + b, vec![0; BLOCK_SIZE])
                     .await?;
             }
         }
-        let fs = FsCore { sb, store };
         // Root directory: inode 0 in group 0.
         let root = fs
             .alloc_inode_in(0, FileKind::Dir)
@@ -90,6 +153,34 @@ impl<S: BlockStore> FsCore<S> {
         }
     }
 
+    // -- Copies ---------------------------------------------------------------
+
+    /// `block` (block `lba`, as the store handed it out) in a buffer of
+    /// this task's own, to change and write back. A block shared
+    /// through the cache is copied, and this task pays [`copy_cost`] on
+    /// its core; one the store keeps as the task's own
+    /// ([`BlockStore::owns`]) is changed in place, for nothing.
+    async fn to_change(&self, lba: u64, block: &[u8]) -> Vec<u8> {
+        if !self.store.owns(lba) {
+            chanos_rt::delay(copy_cost(block.len())).await;
+        }
+        block.to_vec()
+    }
+
+    /// Reads block `lba` into a buffer of this task's own, to change
+    /// and write back (see [`Self::to_change`]).
+    async fn read_to_change(&self, lba: u64) -> Result<Vec<u8>, FsError> {
+        let block = self.store.read_block(lba).await?;
+        Ok(self.to_change(lba, &block).await)
+    }
+
+    /// Writes block `lba` with bytes this task made (zeroes, the
+    /// superblock): making them is paid like a copy, on this core.
+    async fn write_made(&self, lba: u64, data: Vec<u8>) -> Result<(), FsError> {
+        chanos_rt::delay(copy_cost(data.len())).await;
+        self.store.write_block(lba, data).await
+    }
+
     // -- Inode records ------------------------------------------------------
 
     /// Reads inode `ino` from the inode table.
@@ -105,7 +196,7 @@ impl<S: BlockStore> FsCore<S> {
     /// Writes inode `ino` into the inode table.
     pub async fn write_inode(&self, ino: u64, inode: &Inode) -> Result<(), FsError> {
         let (block, off) = self.sb.ino_location(ino);
-        let mut data = self.store.read_block(block).await?;
+        let mut data = self.read_to_change(block).await?;
         data[off..off + crate::layout::INODE_SIZE].copy_from_slice(&inode.encode());
         self.store.write_block(block, data).await
     }
@@ -113,7 +204,7 @@ impl<S: BlockStore> FsCore<S> {
     /// Clears inode `ino`'s record.
     pub async fn clear_inode(&self, ino: u64) -> Result<(), FsError> {
         let (block, off) = self.sb.ino_location(ino);
-        let mut data = self.store.read_block(block).await?;
+        let mut data = self.read_to_change(block).await?;
         data[off..off + crate::layout::INODE_SIZE].fill(0);
         self.store.write_block(block, data).await
     }
@@ -124,7 +215,7 @@ impl<S: BlockStore> FsCore<S> {
     /// Returns `None` if the group is out of inodes.
     pub async fn alloc_inode_in(&self, g: u64, kind: FileKind) -> Result<Option<u64>, FsError> {
         let bblock = self.sb.ibitmap_block(g);
-        let mut map = self.store.read_block(bblock).await?;
+        let mut map = self.read_to_change(bblock).await?;
         let Some(idx) = bitmap::alloc(&mut map, self.sb.inodes_per_group) else {
             return Ok(None);
         };
@@ -148,7 +239,7 @@ impl<S: BlockStore> FsCore<S> {
     pub(crate) async fn free_inode_bit(&self, ino: u64) -> Result<(), FsError> {
         let g = self.sb.group_of_ino(ino);
         let bblock = self.sb.ibitmap_block(g);
-        let mut map = self.store.read_block(bblock).await?;
+        let mut map = self.read_to_change(bblock).await?;
         bitmap::free(&mut map, ino % self.sb.inodes_per_group);
         self.store.write_block(bblock, map).await
     }
@@ -157,13 +248,13 @@ impl<S: BlockStore> FsCore<S> {
     /// `None` if the group is full. The block is zeroed.
     pub async fn alloc_block_in(&self, g: u64) -> Result<Option<u64>, FsError> {
         let bblock = self.sb.dbitmap_block(g);
-        let mut map = self.store.read_block(bblock).await?;
+        let mut map = self.read_to_change(bblock).await?;
         let Some(idx) = bitmap::alloc(&mut map, self.sb.data_per_group) else {
             return Ok(None);
         };
         self.store.write_block(bblock, map).await?;
         let lba = self.sb.data_start(g) + idx;
-        self.store.write_block(lba, vec![0u8; BLOCK_SIZE]).await?;
+        self.write_made(lba, vec![0u8; BLOCK_SIZE]).await?;
         chanos_rt::stat_incr("fs.blocks_allocated");
         Ok(Some(lba))
     }
@@ -173,7 +264,7 @@ impl<S: BlockStore> FsCore<S> {
         let g = self.sb.group_of_block(lba).ok_or(FsError::Invalid)?;
         let idx = lba - self.sb.data_start(g);
         let bblock = self.sb.dbitmap_block(g);
-        let mut map = self.store.read_block(bblock).await?;
+        let mut map = self.read_to_change(bblock).await?;
         bitmap::free(&mut map, idx);
         self.store.write_block(bblock, map).await
     }
@@ -244,10 +335,11 @@ impl<S: BlockStore> FsCore<S> {
         if inode.indirect == 0 {
             inode.indirect = alloc.alloc_block(self, hint).await?;
         }
-        let mut blk = self.store.read_block(inode.indirect).await?;
+        let blk = self.store.read_block(inode.indirect).await?;
         let mut lba = u64::from_le_bytes(blk[idx * 8..idx * 8 + 8].try_into().expect("8 bytes"));
         if lba == 0 {
             lba = alloc.alloc_block(self, hint).await?;
+            let mut blk = self.to_change(inode.indirect, &blk).await;
             blk[idx * 8..idx * 8 + 8].copy_from_slice(&lba.to_le_bytes());
             self.store.write_block(inode.indirect, blk).await?;
         }
@@ -256,51 +348,55 @@ impl<S: BlockStore> FsCore<S> {
 
     // -- File data ------------------------------------------------------------
 
-    /// Reads up to `len` bytes at `off`; short reads at EOF.
+    /// Reads up to `len` bytes at `off`; short reads at EOF. Returns
+    /// the blocks the range spans, not a copy of its bytes.
     ///
     /// Maps the whole range first, then fetches every mapped block
     /// with one [`BlockStore::read_blocks`] call — stores that batch
     /// (the message-passing cache groups lookups per shard) serve the
     /// read in one round-trip per shard instead of one per block.
-    pub async fn read_file(&self, inode: &Inode, off: u64, len: usize) -> Result<Vec<u8>, FsError> {
+    pub async fn read_file(
+        &self,
+        inode: &Inode,
+        off: u64,
+        len: usize,
+    ) -> Result<FileSlice, FsError> {
         if off >= inode.size {
-            return Ok(Vec::new());
+            return Ok(FileSlice::default());
         }
         let end = (off + len as u64).min(inode.size);
-        // Pass 1: map each touched block; record (start offset within
-        // the block, bytes to take, lba — 0 marks a hole).
-        let mut segs: Vec<(usize, usize, u64)> = Vec::new();
-        let mut pos = off;
-        while pos < end {
-            let fbn = pos / BLOCK_SIZE as u64;
-            let in_block = (pos % BLOCK_SIZE as u64) as usize;
-            let take = ((BLOCK_SIZE - in_block) as u64).min(end - pos) as usize;
-            segs.push((in_block, take, self.bmap(inode, fbn).await?));
-            pos += take as u64;
+        // Pass 1: map each touched block (0 marks a hole).
+        let mut lbas = Vec::new();
+        for fbn in off / BLOCK_SIZE as u64..end.div_ceil(BLOCK_SIZE as u64) {
+            lbas.push(self.bmap(inode, fbn).await?);
         }
         // Pass 2: one grouped fetch for every mapped block.
-        let lbas: Vec<u64> = segs.iter().map(|s| s.2).filter(|&l| l != 0).collect();
-        let blocks = self.store.read_blocks(&lbas).await?;
-        let mut out = Vec::with_capacity((end - off) as usize);
-        let mut next = blocks.into_iter();
-        for (in_block, take, lba) in segs {
-            if lba == 0 {
-                out.extend(std::iter::repeat_n(0u8, take)); // Hole.
-            } else {
-                let blk = next.next().expect("one block per mapped segment");
-                out.extend_from_slice(&blk[in_block..in_block + take]);
-            }
-        }
-        Ok(out)
+        let mapped: Vec<u64> = lbas.iter().copied().filter(|&l| l != 0).collect();
+        let mut fetched = self.store.read_blocks(&mapped).await?.into_iter();
+        let blocks = lbas
+            .iter()
+            .map(|&lba| (lba != 0).then(|| fetched.next().expect("one block per mapped block")))
+            .collect();
+        Ok(FileSlice {
+            blocks,
+            start: (off % BLOCK_SIZE as u64) as u32,
+            len: (end - off) as u32,
+        })
     }
 
     /// Writes `data` at `off`, growing the file as needed. May mutate
     /// `inode` (caller persists it).
+    ///
+    /// `data` is the writer's copy of the bytes, paid for by the
+    /// writer: a whole block of it becomes the block without another
+    /// copy charged — a one-block write's buffer is the block itself,
+    /// a longer write's blocks are cut from it — and part of a block is
+    /// written into a copy of the block ([`Self::to_change`]).
     pub async fn write_file(
         &self,
         inode: &mut Inode,
         off: u64,
-        data: &[u8],
+        mut data: Vec<u8>,
         hint: u64,
         alloc: &impl Allocator,
     ) -> Result<(), FsError> {
@@ -316,11 +412,14 @@ impl<S: BlockStore> FsCore<S> {
             let take = ((BLOCK_SIZE - in_block) as u64).min(end - pos) as usize;
             let lba = self.bmap_alloc(inode, fbn, hint, alloc).await?;
             if take == BLOCK_SIZE {
-                self.store
-                    .write_block(lba, data[src..src + take].to_vec())
-                    .await?;
+                let whole = if take == data.len() {
+                    std::mem::take(&mut data)
+                } else {
+                    data[src..src + take].to_vec()
+                };
+                self.store.write_block(lba, whole).await?;
             } else {
-                let mut blk = self.store.read_block(lba).await?;
+                let mut blk = self.read_to_change(lba).await?;
                 blk[in_block..in_block + take].copy_from_slice(&data[src..src + take]);
                 self.store.write_block(lba, blk).await?;
             }
@@ -365,11 +464,9 @@ impl<S: BlockStore> FsCore<S> {
         if dir.kind != FileKind::Dir {
             return Err(FsError::NotDir);
         }
-        let nslots = dir.size / DIRENT_SIZE as u64;
         let data = self.read_file(dir, 0, dir.size as usize).await?;
-        for slot in 0..nslots {
-            let off = (slot as usize) * DIRENT_SIZE;
-            if let Some(d) = Dirent::decode(&data[off..off + DIRENT_SIZE]) {
+        for (slot, rec) in (0u64..).zip(dirent_slots(&data)) {
+            if let Some(d) = Dirent::decode(rec) {
                 if d.name == name {
                     return Ok(Some((d.ino, slot)));
                 }
@@ -398,18 +495,16 @@ impl<S: BlockStore> FsCore<S> {
         }
         .encode();
         // Reuse an empty slot if one exists.
-        let nslots = dir.size / DIRENT_SIZE as u64;
         let data = self.read_file(dir, 0, dir.size as usize).await?;
-        for slot in 0..nslots {
-            let off = (slot as usize) * DIRENT_SIZE;
-            if Dirent::decode(&data[off..off + DIRENT_SIZE]).is_none() {
-                self.write_file(dir, slot * DIRENT_SIZE as u64, &rec, hint, alloc)
-                    .await?;
-                return Ok(());
-            }
-        }
-        // Append a new slot.
-        self.write_file(dir, dir.size, &rec, hint, alloc).await
+        let free = (0u64..)
+            .zip(dirent_slots(&data))
+            .find(|(_, rec)| Dirent::decode(rec).is_none());
+        let at = match free {
+            Some((slot, _)) => slot * DIRENT_SIZE as u64,
+            // Append a new slot.
+            None => dir.size,
+        };
+        self.write_file(dir, at, rec.to_vec(), hint, alloc).await
     }
 
     /// Removes `name`; returns the inode it referred to. May mutate
@@ -424,8 +519,8 @@ impl<S: BlockStore> FsCore<S> {
         let Some((ino, slot)) = self.dir_lookup(dir, name).await? else {
             return Err(FsError::NotFound);
         };
-        let zero = [0u8; DIRENT_SIZE];
-        self.write_file(dir, slot * DIRENT_SIZE as u64, &zero, hint, alloc)
+        let zero = vec![0u8; DIRENT_SIZE];
+        self.write_file(dir, slot * DIRENT_SIZE as u64, zero, hint, alloc)
             .await?;
         Ok(ino)
     }
@@ -436,11 +531,14 @@ impl<S: BlockStore> FsCore<S> {
             return Err(FsError::NotDir);
         }
         let data = self.read_file(dir, 0, dir.size as usize).await?;
-        Ok(data
-            .chunks_exact(DIRENT_SIZE)
-            .filter_map(Dirent::decode)
-            .collect())
+        Ok(dirent_slots(&data).filter_map(Dirent::decode).collect())
     }
+}
+
+/// A directory's entry slots, read where the blocks are: an entry never
+/// straddles two blocks.
+pub(crate) fn dirent_slots(data: &FileSlice) -> impl Iterator<Item = &[u8]> {
+    data.chunks().flat_map(|c| c.chunks_exact(DIRENT_SIZE))
 }
 
 /// Checks that `name` can be stored in a directory entry.

@@ -28,13 +28,13 @@ mod sharded;
 mod store;
 
 pub use biglock::BigLockFs;
-pub use core_fs::{split_parent, split_path, Allocator, FsCore, ScanAllocator, Stat};
+pub use core_fs::{split_parent, split_path, Allocator, FileSlice, FsCore, ScanAllocator, Stat};
 pub use error::FsError;
 pub use layout::{Dirent, FileKind, Inode, Superblock, ROOT_INO};
 pub use msgfs::MsgFs;
 pub use sharded::ShardedFs;
 pub use store::{
-    copy_cost, BlockStore, CacheClient, CachedDisk, LruCache, ShardedCachedDisk,
+    copy_cost, Block, BlockStore, CacheClient, CachedDisk, LruCache, ShardedCachedDisk,
     COPY_BYTES_PER_CYCLE,
 };
 
@@ -85,13 +85,33 @@ impl Vfs {
         delegate!(self, fs, fs.lookup(path).await)
     }
 
-    /// Reads `len` bytes at `off` from inode `ino`.
+    /// Reads `len` bytes at `off` from inode `ino` into a buffer of the
+    /// caller's: the read's one copy, charged [`copy_cost`] on the
+    /// caller's core.
     pub async fn read(&self, ino: u64, off: u64, len: usize) -> Result<Vec<u8>, FsError> {
+        Ok(self.read_shared(ino, off, len).await?.copy_out().await)
+    }
+
+    /// Reads `len` bytes at `off` from inode `ino` without copying
+    /// them: the blocks they lie in, shared with the cache, for a
+    /// caller that hands them on to the one that copies them (the
+    /// kernel task of a process, to the process).
+    pub async fn read_shared(&self, ino: u64, off: u64, len: usize) -> Result<FileSlice, FsError> {
         delegate!(self, fs, fs.read(ino, off, len).await)
     }
 
-    /// Writes `data` at `off` into inode `ino`.
+    /// Writes `data` at `off` into inode `ino`: copies it into a buffer
+    /// of the file system's, charged [`copy_cost`] on the caller's
+    /// core, and writes that.
     pub async fn write(&self, ino: u64, off: u64, data: &[u8]) -> Result<(), FsError> {
+        chanos_rt::delay(copy_cost(data.len())).await;
+        self.write_owned(ino, off, data.to_vec()).await
+    }
+
+    /// Writes a buffer its caller gives up, its copy already paid for
+    /// (a process's bytes, copied on its core): the bytes become the
+    /// file's blocks without another copy.
+    pub async fn write_owned(&self, ino: u64, off: u64, data: Vec<u8>) -> Result<(), FsError> {
         delegate!(self, fs, fs.write(ino, off, data).await)
     }
 

@@ -34,6 +34,14 @@
 //! volume holds the bytes the lock engines would have written. A
 //! file's data blocks live in the cache shards alone.
 //!
+//! Who copies: the task that moves the bytes, on its own core. A vnode
+//! answers a `Read` with the blocks the bytes lie in (`FileSlice`),
+//! shared with the cache, and the reader copies them out; a `Write`'s
+//! buffer is the writer's copy and becomes the block. A vnode that
+//! writes part of a file block copies the block to change it; a group
+//! task and a directory vnode change their own blocks in place, and
+//! copy them when a `sync` hands them to the cache.
+//!
 //! Who waits for the disk: the caller, never a cache shard. A shard
 //! that misses submits the read, parks the reply endpoint under the
 //! block's number and serves its next request; a vnode or group task
@@ -91,10 +99,12 @@ use chanos_nr::{NrService, Replicated};
 use chanos_rt::{self as rt, port_channel, Capacity, CoreId, Port, ReplyBatch, ReplyTo};
 use chanos_sim::plock;
 
-use crate::core_fs::{check_name, split_parent, split_path, Allocator, FsCore, Stat};
+use crate::core_fs::{
+    check_name, dirent_slots, split_parent, split_path, Allocator, FileSlice, FsCore, Stat,
+};
 use crate::error::FsError;
 use crate::layout::{Dirent, FileKind, Inode, Superblock, DIRENT_SIZE, ROOT_INO};
-use crate::store::{check_block_len, BlockStore, CacheClient};
+use crate::store::{check_block_len, copy_cost, Block, BlockStore, CacheClient};
 
 /// Messages understood by a cylinder-group server task.
 enum GroupMsg {
@@ -137,7 +147,7 @@ enum VnodeMsg {
     Read {
         off: u64,
         len: usize,
-        reply: ReplyTo<Result<Vec<u8>, FsError>>,
+        reply: ReplyTo<Result<FileSlice, FsError>>,
     },
     Write {
         off: u64,
@@ -373,9 +383,11 @@ const FS_BATCH: usize = 32;
 /// The task is the write-back buffer of its own blocks. A read of an
 /// own block is answered from the task's copy, fetched from the cache
 /// the first time and never again (nobody else writes those blocks, so
-/// the copy cannot go stale). A `write_block` of an own block replaces
-/// the copy and marks it dirty, and the cache sees it when a `Flush`
-/// writes the dirty blocks back whole. A block that is not the group's
+/// the copy cannot go stale). The task changes its own blocks in place
+/// ([`BlockStore::owns`]): a `write_block` of an own block replaces the
+/// copy and marks it dirty, and the cache sees it when a `Flush` writes
+/// the dirty blocks back whole, a copy of each, paid on the task's
+/// core. A block that is not the group's
 /// own (the data block `alloc_block_in` zeroes) goes to the cache with
 /// the burst that wrote it, before any of the burst's writers is
 /// answered. A block the cache refused stays dirty, or pending, and
@@ -393,12 +405,12 @@ struct GroupBlocks {
     /// The group's own blocks in order, `None` until first used: `2 +
     /// itable_blocks` of them whatever the workload (10 at the
     /// benchmark's geometry, 130 at the layout's largest).
-    held: Vec<Option<Vec<u8>>>,
+    held: Vec<Option<Block>>,
     /// Own blocks changed since the cache last took them.
     dirty: BTreeSet<u64>,
     /// Other blocks written and not yet through, whole, in the order
     /// first written.
-    whole: Vec<(u64, Vec<u8>)>,
+    whole: Vec<(u64, Block)>,
 }
 
 impl GroupStore {
@@ -439,8 +451,8 @@ impl GroupStore {
             };
             let copy = |&lba: &u64| {
                 let slot = self.slot(lba).expect("an own block");
-                let held = blocks.held[slot].as_deref().expect("held since written");
-                (lba, held.to_vec())
+                let held = blocks.held[slot].clone().expect("held since written");
+                (lba, held)
             };
             let mut sent: Vec<_> = dirty.iter().map(copy).collect();
             sent.append(&mut blocks.whole);
@@ -448,6 +460,11 @@ impl GroupStore {
         };
         if sent.is_empty() {
             return Ok(());
+        }
+        // The cache is given a copy of each own block: the task goes on
+        // changing its own in place.
+        if dirty > 0 {
+            rt::delay(copy_cost(dirty * BLOCK_SIZE)).await;
         }
         // One round trip of a group task to the cache shards: a burst
         // that zeroed a data block, or a `Flush` that found blocks.
@@ -472,7 +489,7 @@ impl GroupStore {
 }
 
 impl BlockStore for GroupStore {
-    async fn read_block(&self, lba: u64) -> Result<Vec<u8>, FsError> {
+    async fn read_block(&self, lba: u64) -> Result<Block, FsError> {
         let slot = self.slot(lba);
         if let Some(data) = slot.and_then(|i| plock(&self.blocks).held[i].clone()) {
             return Ok(data);
@@ -486,6 +503,7 @@ impl BlockStore for GroupStore {
 
     async fn write_block(&self, lba: u64, data: Vec<u8>) -> Result<(), FsError> {
         check_block_len(&data)?;
+        let data = Block::new(data);
         let mut blocks = plock(&self.blocks);
         let Some(i) = self.slot(lba) else {
             match blocks.whole.iter_mut().find(|(l, _)| *l == lba) {
@@ -502,6 +520,10 @@ impl BlockStore for GroupStore {
     async fn sync(&self) -> Result<(), FsError> {
         self.write_back(true).await?;
         self.cache.sync().await
+    }
+
+    fn owns(&self, lba: u64) -> bool {
+        self.slot(lba).is_some()
     }
 }
 
@@ -704,7 +726,7 @@ impl Vnode {
                 let out = if self.inode.kind == FileKind::Dir {
                     Err(FsError::IsDir)
                 } else {
-                    match self.write_at(off, &data).await {
+                    match self.write_at(off, data).await {
                         Ok(()) => self.store().await,
                         Err(e) => Err(e),
                     }
@@ -800,7 +822,7 @@ impl Vnode {
 
     /// Writes `data` at `off` of this vnode's file. The inode changes
     /// in memory only; [`Vnode::store`] persists it.
-    async fn write_at(&mut self, off: u64, data: &[u8]) -> Result<(), FsError> {
+    async fn write_at(&mut self, off: u64, data: Vec<u8>) -> Result<(), FsError> {
         self.shared
             .core
             .write_file(&mut self.inode, off, data, self.group, &self.alloc)
@@ -829,9 +851,9 @@ impl Vnode {
                 return Err(FsError::NotDir);
             }
             let size = self.inode.size as usize;
-            let mut data = self.shared.core.read_file(&self.inode, 0, size).await?;
+            let data = self.shared.core.read_file(&self.inode, 0, size).await?;
             let mut dir = DirEntries::default();
-            for (slot, rec) in (0u64..).zip(data.chunks_exact(DIRENT_SIZE)) {
+            for (slot, rec) in (0u64..).zip(dirent_slots(&data)) {
                 match Dirent::decode(rec) {
                     Some(d) => {
                         dir.by_name.insert(d.name, (d.ino, slot));
@@ -841,8 +863,15 @@ impl Vnode {
                     }
                 }
             }
-            data.resize(size.next_multiple_of(BLOCK_SIZE), 0);
-            dir.blocks = data.chunks_exact(BLOCK_SIZE).map(<[u8]>::to_vec).collect();
+            // The vnode changes its blocks in place from here on: it
+            // copies them out of the cache, on its own core.
+            let whole = |chunk: &[u8]| {
+                let mut block = chunk.to_vec();
+                block.resize(BLOCK_SIZE, 0);
+                block
+            };
+            dir.blocks = data.chunks().map(whole).collect();
+            rt::delay(copy_cost(dir.blocks.len() * BLOCK_SIZE)).await;
             self.dir = Some(dir);
         }
         Ok(self.dir.as_mut().expect("loaded above"))
@@ -887,10 +916,13 @@ impl Vnode {
         if dirty.is_empty() {
             return Ok(());
         }
+        // The cache is given a copy of each block: the vnode goes on
+        // changing its own in place.
         let blocks: Vec<_> = dirty
             .iter()
-            .map(|(&lba, &fbn)| (lba, dir.blocks[fbn].clone()))
+            .map(|(&lba, &fbn)| (lba, Block::new(dir.blocks[fbn].clone())))
             .collect();
+        rt::delay(copy_cost(blocks.len() * BLOCK_SIZE)).await;
         let answers = self.shared.core.store().write_many(&blocks).await;
         let mut out = Ok(());
         for ((lba, fbn), answer) in dirty.into_iter().zip(answers) {
@@ -1100,24 +1132,22 @@ impl MsgFs {
         self.resolve(&split_path(path)?).await
     }
 
-    /// Reads `len` bytes at `off` from inode `ino`.
-    pub async fn read(&self, ino: u64, off: u64, len: usize) -> Result<Vec<u8>, FsError> {
+    /// Reads `len` bytes at `off` from inode `ino`: the blocks they
+    /// lie in, shared with the cache.
+    pub async fn read(&self, ino: u64, off: u64, len: usize) -> Result<FileSlice, FsError> {
         let vn = get_vnode(&self.shared, ino).await?;
         vn.call(|reply| VnodeMsg::Read { off, len, reply })
             .await
             .unwrap_or_else(|e| Err(e.into()))
     }
 
-    /// Writes `data` at `off` into inode `ino`.
-    pub async fn write(&self, ino: u64, off: u64, data: &[u8]) -> Result<(), FsError> {
+    /// Writes `data` at `off` into inode `ino`; the buffer becomes the
+    /// file's blocks.
+    pub async fn write(&self, ino: u64, off: u64, data: Vec<u8>) -> Result<(), FsError> {
         let vn = get_vnode(&self.shared, ino).await?;
-        vn.call(|reply| VnodeMsg::Write {
-            off,
-            data: data.to_vec(),
-            reply,
-        })
-        .await
-        .unwrap_or_else(|e| Err(e.into()))
+        vn.call(|reply| VnodeMsg::Write { off, data, reply })
+            .await
+            .unwrap_or_else(|e| Err(e.into()))
     }
 
     /// Returns metadata for inode `ino`.

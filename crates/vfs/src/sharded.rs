@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 use chanos_drivers::DiskClient;
 use chanos_shmem::{SimMutex, SimRwLock};
 
-use crate::core_fs::{split_parent, split_path, Allocator, FsCore, Stat};
+use crate::core_fs::{split_parent, split_path, Allocator, FileSlice, FsCore, Stat};
 use crate::error::FsError;
 use crate::layout::{Dirent, FileKind, ROOT_INO};
 use crate::store::{BlockStore, ShardedCachedDisk};
@@ -221,8 +221,9 @@ impl ShardedFs {
         self.resolve(&split_path(path)?).await
     }
 
-    /// Reads `len` bytes at `off` from inode `ino`.
-    pub async fn read(&self, ino: u64, off: u64, len: usize) -> Result<Vec<u8>, FsError> {
+    /// Reads `len` bytes at `off` from inode `ino`: the blocks they
+    /// lie in, shared with the cache.
+    pub async fn read(&self, ino: u64, off: u64, len: usize) -> Result<FileSlice, FsError> {
         let lock = self.inode_locks.get(ino).await;
         let g = lock.read().await;
         let inode = self.core.read_inode(ino).await?;
@@ -234,8 +235,9 @@ impl ShardedFs {
         out
     }
 
-    /// Writes `data` at `off` into inode `ino`.
-    pub async fn write(&self, ino: u64, off: u64, data: &[u8]) -> Result<(), FsError> {
+    /// Writes `data` at `off` into inode `ino`; the buffer becomes the
+    /// file's blocks.
+    pub async fn write(&self, ino: u64, off: u64, data: Vec<u8>) -> Result<(), FsError> {
         let lock = self.inode_locks.get(ino).await;
         let g = lock.write().await;
         let mut inode = self.core.read_inode(ino).await?;

@@ -18,11 +18,20 @@
 //! ("a thread which waits costs nobody else anything", §4), and the
 //! shard goes back to its queue.
 //!
-//! Copying is what message passing pays for its scalability (§3), so
-//! a shard charges [`copy_cost`] on the bytes it moves. A block with
-//! one writer that keeps it (a group task's bitmaps and inode table, a
-//! directory vnode's blocks) reaches a shard only when it must go to
-//! the disk, at `sync`: the shards' slots are left to file data.
+//! No store copies a block's bytes for anyone. A block is a [`Block`]:
+//! shared and immutable, handed to every reader by reference count and
+//! replaced whole by a write, so a reader that was already answered
+//! keeps the bytes it was given, and the readers parked on one fill
+//! share the one block the disk returned. The copying that message
+//! passing pays for its scalability (§3) is done, and charged
+//! [`copy_cost`], by the task that moves the bytes, on its own core:
+//! the reader that takes a file's bytes out of the shared blocks into
+//! its buffer (`FileSlice::copy_out`), the writer whose buffer becomes a
+//! block, and a task that copies a shared block to change it
+//! (`FsCore`). A block with one writer that keeps it (a group task's
+//! bitmaps and inode table, a directory vnode's blocks) reaches a shard
+//! only when it must go to the disk, at `sync`: the shards' slots are
+//! left to file data.
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -44,24 +53,33 @@ use chanos_sim::plock;
 const CACHE_BATCH: usize = 32;
 
 /// Modeled memory-copy bandwidth: bytes per cycle. Every engine pays
-/// this for moving a block between the cache and the requester (the
-/// §3 note that copying "buys scalability at the cost of some memory
-/// bandwidth overhead" — but shared-memory engines copy too).
+/// this where block bytes are copied (the §3 note that copying "buys
+/// scalability at the cost of some memory bandwidth overhead" — but
+/// shared-memory engines copy too).
 pub const COPY_BYTES_PER_CYCLE: u64 = 8;
 
-/// Cycles to copy `bytes` of block data.
+/// Cycles to copy `bytes` of block data, charged by the task that
+/// copies them.
 pub fn copy_cost(bytes: usize) -> u64 {
     (bytes as u64).div_ceil(COPY_BYTES_PER_CYCLE)
 }
+
+/// One block's bytes as the stores hold and hand them out: shared by
+/// every holder (the cache, the readers it answered, a write-back on
+/// its way to the disk) and never changed; a write installs a new one.
+/// A `Vec` behind the `Arc`, so that a writer's buffer becomes the
+/// block by move.
+pub type Block = Arc<Vec<u8>>;
 
 /// Uniform async interface over cached block storage.
 ///
 /// Implementations must give read-your-writes consistency per block;
 /// cross-block ordering is the caller's concern.
 pub trait BlockStore: Clone + 'static {
-    /// Reads one block.
-    fn read_block(&self, lba: u64) -> impl std::future::Future<Output = Result<Vec<u8>, FsError>>;
-    /// Writes one block (must be exactly [`BLOCK_SIZE`] bytes).
+    /// Reads one block: the store's own, shared, not a copy.
+    fn read_block(&self, lba: u64) -> impl std::future::Future<Output = Result<Block, FsError>>;
+    /// Writes one block (must be exactly [`BLOCK_SIZE`] bytes): the
+    /// buffer becomes the block.
     fn write_block(
         &self,
         lba: u64,
@@ -79,7 +97,7 @@ pub trait BlockStore: Clone + 'static {
     fn read_blocks(
         &self,
         lbas: &[u64],
-    ) -> impl std::future::Future<Output = Result<Vec<Vec<u8>>, FsError>> {
+    ) -> impl std::future::Future<Output = Result<Vec<Block>, FsError>> {
         async move {
             let mut out = Vec::with_capacity(lbas.len());
             for &lba in lbas {
@@ -87,6 +105,14 @@ pub trait BlockStore: Clone + 'static {
             }
             Ok(out)
         }
+    }
+
+    /// `true` if block `lba` is the calling task's own memory rather
+    /// than a block shared through the cache: the task changes it in
+    /// place, with no copy to pay for. Only a task that keeps blocks in
+    /// front of the cache (a group task) owns any.
+    fn owns(&self, _lba: u64) -> bool {
+        false
     }
 }
 
@@ -98,7 +124,7 @@ pub struct LruCache {
 }
 
 struct Entry {
-    data: Vec<u8>,
+    data: Block,
     dirty: bool,
     last_used: u64,
 }
@@ -115,7 +141,7 @@ impl LruCache {
     }
 
     /// Looks up a block, refreshing its LRU position.
-    pub fn get(&mut self, lba: u64) -> Option<Vec<u8>> {
+    pub fn get(&mut self, lba: u64) -> Option<Block> {
         self.seq += 1;
         let seq = self.seq;
         self.blocks.get_mut(&lba).map(|e| {
@@ -126,17 +152,17 @@ impl LruCache {
 
     /// Inserts a clean block (from a device read); returns an evicted
     /// dirty block that must be written back, if any.
-    pub fn insert_clean(&mut self, lba: u64, data: Vec<u8>) -> Option<(u64, Vec<u8>)> {
+    pub fn insert_clean(&mut self, lba: u64, data: Block) -> Option<(u64, Block)> {
         self.insert(lba, data, false)
     }
 
     /// Inserts/overwrites a dirty block (from a write); returns an
     /// evicted dirty block that must be written back, if any.
-    pub fn insert_dirty(&mut self, lba: u64, data: Vec<u8>) -> Option<(u64, Vec<u8>)> {
+    pub fn insert_dirty(&mut self, lba: u64, data: Block) -> Option<(u64, Block)> {
         self.insert(lba, data, true)
     }
 
-    fn insert(&mut self, lba: u64, data: Vec<u8>, dirty: bool) -> Option<(u64, Vec<u8>)> {
+    fn insert(&mut self, lba: u64, data: Block, dirty: bool) -> Option<(u64, Block)> {
         self.seq += 1;
         let seq = self.seq;
         if let Some(e) = self.blocks.get_mut(&lba) {
@@ -174,7 +200,7 @@ impl LruCache {
     /// cannot set off a chain of evictions (the cache exceeds its
     /// capacity by the blocks refused). A cached copy is the same
     /// bytes or newer, and stays.
-    fn restore_dirty(&mut self, lba: u64, data: Vec<u8>) {
+    fn restore_dirty(&mut self, lba: u64, data: Block) {
         self.seq += 1;
         let fresh = Entry {
             data,
@@ -185,7 +211,7 @@ impl LruCache {
     }
 
     /// Drains all dirty blocks (marking them clean).
-    pub fn take_dirty(&mut self) -> Vec<(u64, Vec<u8>)> {
+    pub fn take_dirty(&mut self) -> Vec<(u64, Block)> {
         let mut out = Vec::new();
         for (&lba, e) in self.blocks.iter_mut() {
             if e.dirty {
@@ -236,42 +262,53 @@ impl CachedDisk {
             cache: Arc::new(Mutex::new(LruCache::new(capacity))),
         }
     }
+
+    /// Writes a dirty block back; one the disk refuses is dirty in the
+    /// cache again, for the next `sync`.
+    async fn write_back(&self, lba: u64, data: Block) -> Result<(), FsError> {
+        let out = self.disk.write(lba, data.to_vec()).await;
+        if out.is_err() {
+            plock(&self.cache).restore_dirty(lba, data);
+        }
+        Ok(out?)
+    }
 }
 
 impl BlockStore for CachedDisk {
-    async fn read_block(&self, lba: u64) -> Result<Vec<u8>, FsError> {
+    async fn read_block(&self, lba: u64) -> Result<Block, FsError> {
         let cached = plock(&self.cache).get(lba);
         if let Some(data) = cached {
             rt::stat_incr("cache.hits");
-            chanos_rt::delay(copy_cost(data.len())).await;
             return Ok(data);
         }
         rt::stat_incr("cache.misses");
-        let data = self.disk.read(lba, 1).await?;
+        let data = Block::new(self.disk.read(lba, 1).await?);
         let evicted = plock(&self.cache).insert_clean(lba, data.clone());
         if let Some((vlba, vdata)) = evicted {
-            self.disk.write(vlba, vdata).await?;
+            self.write_back(vlba, vdata).await?;
         }
-        chanos_rt::delay(copy_cost(data.len())).await;
         Ok(data)
     }
 
     async fn write_block(&self, lba: u64, data: Vec<u8>) -> Result<(), FsError> {
         check_block_len(&data)?;
-        chanos_rt::delay(copy_cost(data.len())).await;
-        let evicted = plock(&self.cache).insert_dirty(lba, data);
+        let evicted = plock(&self.cache).insert_dirty(lba, Block::new(data));
         if let Some((vlba, vdata)) = evicted {
-            self.disk.write(vlba, vdata).await?;
+            self.write_back(vlba, vdata).await?;
         }
         Ok(())
     }
 
+    /// Writes every dirty block back, the ones after a refused block
+    /// too; the error is the first refusal's.
     async fn sync(&self) -> Result<(), FsError> {
         let dirty = plock(&self.cache).take_dirty();
+        let mut out = Ok(());
         for (lba, data) in dirty {
-            self.disk.write(lba, data).await?;
+            let written = self.write_back(lba, data).await;
+            out = out.and(written);
         }
-        Ok(())
+        out
     }
 }
 
@@ -304,52 +341,64 @@ impl ShardedCachedDisk {
     fn shard(&self, lba: u64) -> &SimMutex<LruCache> {
         &self.shards[(lba % self.shards.len() as u64) as usize]
     }
+
+    /// Writes a dirty block back, outside its shard's lock; one the
+    /// disk refuses is dirty in its shard again, for the next `sync`.
+    async fn write_back(&self, lba: u64, data: Block) -> Result<(), FsError> {
+        let out = self.disk.write(lba, data.to_vec()).await;
+        if out.is_err() {
+            let g = self.shard(lba).lock().await;
+            g.with(|c| c.restore_dirty(lba, data));
+        }
+        Ok(out?)
+    }
 }
 
 impl BlockStore for ShardedCachedDisk {
-    async fn read_block(&self, lba: u64) -> Result<Vec<u8>, FsError> {
+    async fn read_block(&self, lba: u64) -> Result<Block, FsError> {
         let shard = self.shard(lba);
         let g = shard.lock().await;
         if let Some(data) = g.with(|c| c.get(lba)) {
             rt::stat_incr("cache.hits");
-            chanos_rt::delay(copy_cost(data.len())).await;
             return Ok(data);
         }
         rt::stat_incr("cache.misses");
         // Hold the shard lock across the fill, as real buffer caches
         // hold the buffer lock across I/O.
-        let data = self.disk.read(lba, 1).await?;
+        let data = Block::new(self.disk.read(lba, 1).await?);
         let evicted = g.with(|c| c.insert_clean(lba, data.clone()));
         drop(g);
         if let Some((vlba, vdata)) = evicted {
-            self.disk.write(vlba, vdata).await?;
+            self.write_back(vlba, vdata).await?;
         }
-        chanos_rt::delay(copy_cost(data.len())).await;
         Ok(data)
     }
 
     async fn write_block(&self, lba: u64, data: Vec<u8>) -> Result<(), FsError> {
         check_block_len(&data)?;
-        chanos_rt::delay(copy_cost(data.len())).await;
         let g = self.shard(lba).lock().await;
-        let evicted = g.with(|c| c.insert_dirty(lba, data));
+        let evicted = g.with(|c| c.insert_dirty(lba, Block::new(data)));
         drop(g);
         if let Some((vlba, vdata)) = evicted {
-            self.disk.write(vlba, vdata).await?;
+            self.write_back(vlba, vdata).await?;
         }
         Ok(())
     }
 
+    /// Writes every shard's dirty blocks back, the ones after a refused
+    /// block too; the error is the first refusal's.
     async fn sync(&self) -> Result<(), FsError> {
+        let mut out = Ok(());
         for shard in self.shards.iter() {
             let g = shard.lock().await;
             let dirty = g.with(|c| c.take_dirty());
             drop(g);
             for (lba, data) in dirty {
-                self.disk.write(lba, data).await?;
+                let written = self.write_back(lba, data).await;
+                out = out.and(written);
             }
         }
-        Ok(())
+        out
     }
 }
 
@@ -360,16 +409,16 @@ impl BlockStore for ShardedCachedDisk {
 enum CacheMsg {
     Read {
         lba: u64,
-        reply: ReplyTo<Result<Vec<u8>, FsError>>,
+        reply: ReplyTo<Result<Block, FsError>>,
     },
     /// A shard-local group of lookups: one round-trip serves them all.
     ReadMany {
         lbas: Vec<u64>,
-        reply: ReplyTo<Result<Vec<Vec<u8>>, FsError>>,
+        reply: ReplyTo<Result<Vec<Block>, FsError>>,
     },
     Write {
         lba: u64,
-        data: Vec<u8>,
+        data: Block,
         reply: ReplyTo<Result<(), FsError>>,
     },
     Sync {
@@ -397,16 +446,17 @@ enum Done {
 /// Who waits for a block that is on its way from the disk.
 enum Waiter {
     /// A `Read`.
-    One(ReplyTo<Result<Vec<u8>, FsError>>),
+    One(ReplyTo<Result<Block, FsError>>),
     /// Block `slot` of the `ReadMany` parked under key `gather`.
     Slot { gather: u64, slot: usize },
 }
 
 /// A `ReadMany` some of whose blocks are on their way from the disk.
 struct Gather {
-    blocks: Vec<Vec<u8>>,
+    /// `None` for a block still on its way.
+    blocks: Vec<Option<Block>>,
     missing: usize,
-    reply: ReplyTo<Result<Vec<Vec<u8>>, FsError>>,
+    reply: ReplyTo<Result<Vec<Block>, FsError>>,
 }
 
 /// One cache shard: the blocks it owns and what it is waiting for.
@@ -433,7 +483,7 @@ struct Shard {
     /// Evicted dirty blocks whose write has not landed yet, still
     /// readable from here: generation and bytes of the newest
     /// write-back of each.
-    writebacks: HashMap<u64, (u64, Vec<u8>)>,
+    writebacks: HashMap<u64, (u64, Block)>,
     /// Generations of the write-backs in flight.
     wb_in_flight: BTreeSet<u64>,
     /// Parked `Sync`s in arrival order, each with the last generation
@@ -451,7 +501,7 @@ impl Shard {
 
     /// The block, if memory has it: cached, or evicted and still on
     /// its way to the disk.
-    fn in_memory(&mut self, lba: u64) -> Option<Vec<u8>> {
+    fn in_memory(&mut self, lba: u64) -> Option<Block> {
         let cached = self.cache.get(lba);
         cached.or_else(|| self.writebacks.get(&lba).map(|(_, data)| data.clone()))
     }
@@ -485,17 +535,21 @@ impl Shard {
     fn start_writeback(
         &mut self,
         lba: u64,
-        data: Vec<u8>,
+        data: Block,
         writer: Option<ReplyTo<Result<(), FsError>>>,
     ) {
         rt::stat_incr("cache.writebacks");
         let gen = self.fresh_id();
         self.wb_in_flight.insert(gen);
-        self.writebacks.insert(lba, (gen, data.clone()));
-        let call = self
-            .disk
-            .port()
-            .call(|reply| DiskReq::Write { lba, data, reply });
+        // The disk takes a buffer of its own (its DMA, not a copy any
+        // task pays for); memory keeps the block until the write lands.
+        let dma = data.to_vec();
+        self.writebacks.insert(lba, (gen, data));
+        let call = self.disk.port().call(|reply| DiskReq::Write {
+            lba,
+            data: dma,
+            reply,
+        });
         self.hand_off("cache-wb", call, move |result| Done::Writeback {
             lba,
             gen,
@@ -520,15 +574,12 @@ impl Shard {
     }
 
     /// Hands a block (or the error that came instead) to everyone
-    /// parked on it, in the order they parked.
-    async fn deliver(&mut self, waiters: Vec<Waiter>, block: Result<&[u8], &FsError>) {
+    /// parked on it, in the order they parked: the one block, shared.
+    async fn deliver(&mut self, waiters: Vec<Waiter>, block: Result<&Block, &FsError>) {
         for waiter in waiters {
-            if let Ok(data) = block {
-                chanos_rt::delay(copy_cost(data.len())).await;
-            }
             match waiter {
                 Waiter::One(reply) => {
-                    let out = block.map(<[u8]>::to_vec).map_err(FsError::clone);
+                    let out = block.cloned().map_err(FsError::clone);
                     let _ = reply.send(out).await;
                 }
                 Waiter::Slot { gather, slot } => {
@@ -537,12 +588,12 @@ impl Shard {
                         continue;
                     };
                     if let Ok(data) = block {
-                        g.blocks[slot] = data.to_vec();
+                        g.blocks[slot] = Some(data.clone());
                         g.missing -= 1;
                     }
                     if block.is_err() || g.missing == 0 {
                         let g = self.gathers.remove(&gather).expect("looked up above");
-                        let out = block.map(|_| g.blocks).map_err(FsError::clone);
+                        let out = block.map(|_| gathered(g.blocks)).map_err(FsError::clone);
                         let _ = g.reply.send(out).await;
                     }
                 }
@@ -571,7 +622,6 @@ impl Shard {
             CacheMsg::Read { lba, reply } => match self.in_memory(lba) {
                 Some(data) => {
                     rt::stat_incr("cache.hits");
-                    chanos_rt::delay(copy_cost(data.len())).await;
                     let _ = reply.send(Ok(data)).await;
                 }
                 None => self.park(lba, Waiter::One(reply)),
@@ -580,14 +630,13 @@ impl Shard {
                 // Every cold block's read is in the driver's queue
                 // before the first one is back.
                 let gather = self.fresh_id();
-                let mut blocks = vec![Vec::new(); lbas.len()];
+                let mut blocks = vec![None; lbas.len()];
                 let mut missing = 0;
                 for (slot, lba) in lbas.into_iter().enumerate() {
                     match self.in_memory(lba) {
                         Some(data) => {
                             rt::stat_incr("cache.hits");
-                            chanos_rt::delay(copy_cost(data.len())).await;
-                            blocks[slot] = data;
+                            blocks[slot] = Some(data);
                         }
                         None => {
                             self.park(lba, Waiter::Slot { gather, slot });
@@ -596,7 +645,7 @@ impl Shard {
                     }
                 }
                 if missing == 0 {
-                    let _ = reply.send(Ok(blocks)).await;
+                    let _ = reply.send(Ok(gathered(blocks))).await;
                 } else {
                     let parked = Gather {
                         blocks,
@@ -607,7 +656,6 @@ impl Shard {
                 }
             }
             CacheMsg::Write { lba, data, reply } => {
-                chanos_rt::delay(copy_cost(data.len())).await;
                 // The write overtakes a fill: the readers parked on it
                 // get this block, and what the disk sends for the
                 // orphaned read is dropped when it comes.
@@ -645,6 +693,7 @@ impl Shard {
                 };
                 match result {
                     Ok(data) => {
+                        let data = Block::new(data);
                         self.deliver(waiters, Ok(&data)).await;
                         if let Some((vlba, vdata)) = self.cache.insert_clean(lba, data) {
                             self.start_writeback(vlba, vdata, None);
@@ -682,6 +731,12 @@ impl Shard {
             }
         }
     }
+}
+
+/// A gather's blocks once every one of them has come.
+fn gathered(blocks: Vec<Option<Block>>) -> Vec<Block> {
+    let all = blocks.into_iter().map(|b| b.expect("every block has come"));
+    all.collect()
 }
 
 /// What the shard wakes for next: a completion, else a request; `None`
@@ -786,7 +841,7 @@ impl CacheClient {
     ///
     /// Counted as `cache.read_many_calls` (client-side batches) and
     /// `cache.shard_groups` (shard round-trips those batches cost).
-    pub async fn read_many(&self, lbas: &[u64]) -> Result<Vec<Vec<u8>>, FsError> {
+    pub async fn read_many(&self, lbas: &[u64]) -> Result<Vec<Block>, FsError> {
         match lbas {
             [] => return Ok(Vec::new()),
             [lba] => return self.read_block(*lba).await.map(|b| vec![b]),
@@ -810,15 +865,15 @@ impl CacheClient {
             let call = self.shards[s].call(move |reply| CacheMsg::ReadMany { lbas, reply });
             calls.push((slots, call));
         }
-        let mut out = vec![Vec::new(); lbas.len()];
+        let mut out = vec![None; lbas.len()];
         for (slots, call) in calls {
             let blocks = call.await.unwrap_or_else(|e| Err(e.into()))?;
             debug_assert_eq!(blocks.len(), slots.len());
             for (slot, data) in slots.into_iter().zip(blocks) {
-                out[slot] = data;
+                out[slot] = Some(data);
             }
         }
-        Ok(out)
+        Ok(gathered(out))
     }
 
     /// Writes many blocks in one round trip: every `Write` is
@@ -830,7 +885,7 @@ impl CacheClient {
     /// evicted victim's), so its writer keeps the bytes.
     pub fn write_many(
         &self,
-        blocks: &[(u64, Vec<u8>)],
+        blocks: &[(u64, Block)],
     ) -> impl Future<Output = Vec<Result<(), FsError>>> {
         let calls: Vec<_> = blocks
             .iter()
@@ -856,7 +911,7 @@ impl CacheClient {
 }
 
 impl BlockStore for CacheClient {
-    async fn read_block(&self, lba: u64) -> Result<Vec<u8>, FsError> {
+    async fn read_block(&self, lba: u64) -> Result<Block, FsError> {
         self.shard(lba)
             .call(|reply| CacheMsg::Read { lba, reply })
             .await
@@ -865,6 +920,7 @@ impl BlockStore for CacheClient {
 
     async fn write_block(&self, lba: u64, data: Vec<u8>) -> Result<(), FsError> {
         check_block_len(&data)?;
+        let data = Block::new(data);
         self.shard(lba)
             .call(|reply| CacheMsg::Write { lba, data, reply })
             .await
@@ -881,7 +937,7 @@ impl BlockStore for CacheClient {
         Ok(())
     }
 
-    async fn read_blocks(&self, lbas: &[u64]) -> Result<Vec<Vec<u8>>, FsError> {
+    async fn read_blocks(&self, lbas: &[u64]) -> Result<Vec<Block>, FsError> {
         self.read_many(lbas).await
     }
 }
@@ -895,40 +951,54 @@ mod tests {
     fn cache_request_layout_is_pinned() {
         // The simulator charges a message `size_of::<T>()` bytes: a failure
         // here means every modeled number is about to move.
-        assert_eq!(std::mem::size_of::<CacheMsg>(), 56);
+        assert_eq!(std::mem::size_of::<CacheMsg>(), 48);
+    }
+
+    fn b(fill: u8) -> Block {
+        Block::new(vec![fill])
     }
 
     #[test]
     fn lru_get_refreshes_recency() {
         let mut c = LruCache::new(2);
-        assert!(c.insert_clean(1, vec![1]).is_none());
-        assert!(c.insert_clean(2, vec![2]).is_none());
+        assert!(c.insert_clean(1, b(1)).is_none());
+        assert!(c.insert_clean(2, b(2)).is_none());
         // Touch 1 so 2 becomes the LRU victim.
-        assert_eq!(c.get(1), Some(vec![1]));
-        c.insert_clean(3, vec![3]);
+        assert_eq!(c.get(1), Some(b(1)));
+        c.insert_clean(3, b(3));
         assert_eq!(c.get(2), None, "2 should have been evicted");
-        assert_eq!(c.get(1), Some(vec![1]));
-        assert_eq!(c.get(3), Some(vec![3]));
+        assert_eq!(c.get(1), Some(b(1)));
+        assert_eq!(c.get(3), Some(b(3)));
     }
 
     #[test]
     fn eviction_returns_dirty_victims_only() {
         let mut c = LruCache::new(1);
-        assert!(c.insert_dirty(1, vec![1]).is_none());
-        let evicted = c.insert_clean(2, vec![2]);
-        assert_eq!(evicted, Some((1, vec![1])));
+        assert!(c.insert_dirty(1, b(1)).is_none());
+        let evicted = c.insert_clean(2, b(2));
+        assert_eq!(evicted, Some((1, b(1))));
         // A clean victim is dropped silently.
-        let evicted = c.insert_clean(3, vec![3]);
+        let evicted = c.insert_clean(3, b(3));
         assert!(evicted.is_none());
     }
 
     #[test]
     fn overwrite_keeps_dirty_bit() {
         let mut c = LruCache::new(4);
-        c.insert_dirty(1, vec![1]);
-        c.insert_clean(1, vec![2]); // Refill of a dirty block.
+        c.insert_dirty(1, b(1));
+        c.insert_clean(1, b(2)); // Refill of a dirty block.
         let dirty = c.take_dirty();
-        assert_eq!(dirty, vec![(1, vec![2])]);
+        assert_eq!(dirty, vec![(1, b(2))]);
         assert!(c.take_dirty().is_empty(), "take_dirty cleans");
+    }
+
+    #[test]
+    fn a_reader_keeps_its_block_through_a_write() {
+        let mut c = LruCache::new(4);
+        c.insert_clean(1, b(1));
+        let read = c.get(1).expect("cached");
+        c.insert_dirty(1, b(2));
+        assert_eq!(*read, [1], "a write installs a new block");
+        assert_eq!(c.get(1), Some(b(2)));
     }
 }

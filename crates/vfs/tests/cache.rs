@@ -11,7 +11,10 @@ use chanos_drivers::{DiskClient, DiskError, DiskReq, BLOCK_SIZE};
 use chanos_rt::{self as rt, Capacity, CoreId, JoinHandle};
 use chanos_sim::{plock, Simulation};
 use chanos_vfs::layout::bitmap;
-use chanos_vfs::{copy_cost, BigLockFs, BlockStore, CacheClient, FsError, MsgFs, Superblock, Vfs};
+use chanos_vfs::{
+    BigLockFs, Block, BlockStore, CacheClient, CachedDisk, FsError, MsgFs, ShardedCachedDisk,
+    Superblock, Vfs,
+};
 
 /// A command the scripted disk is holding.
 enum Held {
@@ -189,6 +192,10 @@ fn blk(fill: u8) -> Vec<u8> {
     vec![fill; BLOCK_SIZE]
 }
 
+fn block(fill: u8) -> Block {
+    Block::new(blk(fill))
+}
+
 /// Lets every task that can run without the disk run.
 async fn settle() {
     rt::sleep(20_000).await;
@@ -205,7 +212,7 @@ fn rig(shards: usize, blocks_per_shard: usize) -> (ScriptedDisk, CacheClient, Jo
 
 fn spawn_read(cache: &CacheClient, lba: u64) -> JoinHandle<Result<Vec<u8>, FsError>> {
     let cache = cache.clone();
-    rt::spawn(async move { cache.read_block(lba).await })
+    rt::spawn(async move { cache.read_block(lba).await.map(|b| b.to_vec()) })
 }
 
 fn spawn_write(cache: &CacheClient, lba: u64, fill: u8) -> JoinHandle<Result<(), FsError>> {
@@ -226,7 +233,7 @@ fn hit_during_a_miss_on_the_same_shard_takes_the_unloaded_hit_time() {
         cache.write_block(0, blk(7)).await.unwrap();
         let timed_hit = || async {
             let t = rt::now();
-            assert_eq!(cache.read_block(0).await.unwrap(), blk(7));
+            assert_eq!(*cache.read_block(0).await.unwrap(), blk(7));
             rt::now() - t
         };
         let unloaded = timed_hit().await;
@@ -311,7 +318,7 @@ fn block_is_read_from_memory_while_its_writeback_is_held() {
         let evicting = spawn_write(&cache, 3, 3);
         disk.wait_held(1).await;
         assert_eq!(disk.held(), ["w1"]);
-        assert_eq!(cache.read_block(1).await.unwrap(), blk(1));
+        assert_eq!(*cache.read_block(1).await.unwrap(), blk(1));
         assert_eq!(disk.reads(), 0);
         assert_eq!(disk.held(), ["w1"]);
         assert!(!evicting.is_finished(), "the writer waits for its victim");
@@ -319,7 +326,7 @@ fn block_is_read_from_memory_while_its_writeback_is_held() {
         evicting.join().await.unwrap().unwrap();
         // Landed: the next read of block 1 is a miss.
         disk.free();
-        assert_eq!(cache.read_block(1).await.unwrap(), blk(1));
+        assert_eq!(*cache.read_block(1).await.unwrap(), blk(1));
         assert_eq!(disk.reads(), 1);
     });
 }
@@ -393,7 +400,7 @@ fn read_many_has_all_its_fills_in_the_queue_at_once() {
             disk.release(i);
         }
         let blocks = reading.join().await.unwrap().unwrap();
-        assert_eq!(blocks, [blk(6), blk(3), blk(2), blk(4)]);
+        assert_eq!(blocks, [6, 3, 2, 4].map(block));
     });
 }
 
@@ -450,8 +457,8 @@ fn fill_error_reaches_every_parked_reader() {
             refused.clone().map(|_| vec![])
         );
         disk.free();
-        assert_eq!(cache.read_block(9).await.unwrap(), blk(9));
-        assert_eq!(cache.read_block(8).await.unwrap(), blk(0));
+        assert_eq!(*cache.read_block(9).await.unwrap(), blk(9));
+        assert_eq!(*cache.read_block(8).await.unwrap(), blk(0));
     });
 }
 
@@ -479,7 +486,7 @@ fn failed_writeback_keeps_the_block_and_fails_the_next_sync() {
         assert_eq!(rt::stat_get("cache.writebacks"), 1);
 
         let reads = disk.reads();
-        assert_eq!(cache.read_block(1).await.unwrap(), blk(1));
+        assert_eq!(*cache.read_block(1).await.unwrap(), blk(1));
         assert_eq!(disk.reads(), reads, "block 1 never left memory");
 
         disk.free();
@@ -509,35 +516,35 @@ fn failed_writeback_keeps_the_block_and_fails_the_next_sync() {
 
 /// `write_many` has every write at its shard before it waits for the
 /// first: two shards work side by side, and one shard sees its blocks
-/// in the order given.
+/// in the order given. A shard copies nothing (the writer made the
+/// block), so a write costs it no cycles and its queue no time: one
+/// shard drains both writes in one wake, where two shards take a wake
+/// each — in the time of one write either way.
 #[test]
 fn write_many_overlaps_shards_and_keeps_a_shards_order() {
     in_sim(async {
         let (disk, cache, _) = rig(2, 1);
-        let timed = |blocks: Vec<(u64, Vec<u8>)>| {
+        let timed = |blocks: Vec<(u64, Block)>| {
             let cache = cache.clone();
             async move {
-                let t = rt::now();
+                let (t, woken) = (rt::now(), rt::stat_get("sim.dispatches"));
                 for answer in cache.write_many(&blocks).await {
                     answer.unwrap();
                 }
-                rt::now() - t
+                (rt::now() - t, rt::stat_get("sim.dispatches") - woken)
             }
         };
-        let one = timed(vec![(1, blk(1))]).await;
+        timed(vec![(0, block(0)), (1, block(1))]).await; // Both shards up.
+        let (one, one_wakes) = timed(vec![(1, block(1))]).await;
         assert_eq!(
-            timed(vec![(1, blk(1))]).await,
-            one,
+            timed(vec![(1, block(1))]).await,
+            (one, one_wakes),
             "a write's time repeats"
         );
-        let apart = timed(vec![(0, blk(2)), (1, blk(3))]).await;
-        let together = timed(vec![(1, blk(4)), (1, blk(5))]).await;
-        assert_eq!(apart, one, "two shards, the time of one write");
-        assert_eq!(
-            together,
-            one + copy_cost(BLOCK_SIZE),
-            "one shard, one queue"
-        );
+        let apart = timed(vec![(0, block(2)), (1, block(3))]).await;
+        let together = timed(vec![(1, block(4)), (1, block(5))]).await;
+        assert_eq!(apart, (one, one_wakes + 1), "two shards, a wake each");
+        assert_eq!(together, (one, one_wakes), "one shard, one queue");
 
         // One slot per shard: each write pushes the one before it out,
         // and the write-backs reach the disk in the order the shard
@@ -547,19 +554,66 @@ fn write_many_overlaps_shards_and_keeps_a_shards_order() {
             let cache = cache.clone();
             rt::spawn(async move {
                 cache
-                    .write_many(&[(3, blk(6)), (5, blk(7)), (7, blk(8))])
+                    .write_many(&[(3, block(6)), (5, block(7)), (7, block(8))])
                     .await
             })
         };
         disk.wait_held(3).await;
         assert_eq!(disk.held(), ["w1", "w3", "w5"]);
-        assert_eq!(cache.read_block(1).await.unwrap(), blk(5));
+        assert_eq!(*cache.read_block(1).await.unwrap(), blk(5));
         disk.free();
         assert_eq!(writing.join().await.unwrap(), [Ok(()), Ok(()), Ok(())]);
         assert_eq!(
-            cache.write_many(&[(9, vec![0; 7])]).await,
+            cache.write_many(&[(9, Block::new(vec![0; 7]))]).await,
             [Err(FsError::Invalid)]
         );
+    });
+}
+
+/// The lock engines' stores keep a block the disk refuses. A refused
+/// write-back — of a block pushed out, or at `sync` — leaves the block
+/// dirty in the cache; a `sync` writes the blocks after a refused one
+/// too and fails with the first refusal; and the next `sync`, with the
+/// disk well, puts every acknowledged block on the disk. Two slots, so
+/// a third block pushes a dirty one out.
+#[test]
+fn lock_stores_keep_a_refused_write_back_for_the_next_sync() {
+    async fn script(disk: ScriptedDisk, store: impl BlockStore) {
+        let refused = Err(FsError::Io(DiskError::BadTag));
+        store.write_block(1, blk(1)).await.unwrap();
+        store.write_block(2, blk(2)).await.unwrap();
+        store.sync().await.unwrap();
+        // The happy path: each dirty block written once, nothing after.
+        store.write_block(1, blk(1)).await.unwrap();
+        store.write_block(2, blk(2)).await.unwrap();
+        assert_eq!(disk.writes(), 2);
+        assert_eq!(store.sync().await, Ok(()));
+        assert_eq!(disk.writes(), 4);
+        assert_eq!(store.sync().await, Ok(()));
+        assert_eq!(disk.writes(), 4, "nothing dirty");
+
+        store.write_block(1, blk(0x11)).await.unwrap();
+        store.write_block(2, blk(0x12)).await.unwrap();
+        disk.refuse_writes(true);
+        // Block 3 pushes dirty block 1 out, and the disk refuses it.
+        assert_eq!(store.write_block(3, blk(0x13)).await, refused);
+        assert_eq!(disk.refused(), 1);
+        assert_eq!(*store.read_block(1).await.unwrap(), blk(0x11));
+        assert_eq!(store.sync().await, refused);
+        assert_eq!(disk.refused(), 4, "blocks 1, 2 and 3 all tried");
+        assert_eq!(store.sync().await, refused, "and kept again");
+        disk.refuse_writes(false);
+        assert_eq!(store.sync().await, Ok(()));
+        for lba in 1..=3u64 {
+            assert_eq!(disk.peek_block(lba), blk(0x10 + lba as u8), "block {lba}");
+        }
+        assert_eq!(store.sync().await, Ok(()));
+    }
+    in_sim(async {
+        let (disk, client, _) = ScriptedDisk::spawn(CoreId(3));
+        script(disk, CachedDisk::new(client, 2)).await;
+        let (disk, client, _) = ScriptedDisk::spawn(CoreId(3));
+        script(disk, ShardedCachedDisk::new(client, 1, 2)).await;
     });
 }
 
@@ -589,7 +643,7 @@ fn refused_write_back_fails_the_sync_and_reaches_the_disk_later() {
         // A directory in group 1 with two files, one of one block.
         fs.mkdir("/d").await.unwrap();
         let f = fs.create("/d/f").await.unwrap();
-        fs.write(f, 0, &blk(0xF1)).await.unwrap();
+        fs.write(f, 0, blk(0xF1)).await.unwrap();
         fs.create("/d/g").await.unwrap();
         fs.sync().await.unwrap();
 
@@ -628,7 +682,7 @@ fn refused_write_back_fails_the_sync_and_reaches_the_disk_later() {
 
         reference.mkdir("/d").await.unwrap();
         let f = reference.create("/d/f").await.unwrap();
-        reference.write(f, 0, &blk(0xF1)).await.unwrap();
+        reference.write(f, 0, blk(0xF1)).await.unwrap();
         reference.create("/d/g").await.unwrap();
         reference.mkdir("/d/sub").await.unwrap();
         reference.unlink("/d/f").await.unwrap();
@@ -654,13 +708,13 @@ fn refused_write_back_fails_the_sync_and_reaches_the_disk_later() {
         // which is refused, so the group keeps the block dirty; the
         // next `sync`, with the disk well, sends it again.
         let (x, y) = (f, fs.create("/d/y").await.unwrap());
-        fs.write(y, 0, &[0x79]).await.unwrap();
+        fs.write(y, 0, vec![0x79]).await.unwrap();
         let first: Vec<u8> = (0..8).flat_map(|i| blk(0x50 + i)).collect();
         let again: Vec<u8> = (0..8).flat_map(|i| blk(0x60 + i)).collect();
-        fs.write(x, 0, &first).await.unwrap();
-        fs.write(x, 0, &again).await.unwrap();
+        fs.write(x, 0, first.clone()).await.unwrap();
+        fs.write(x, 0, again.clone()).await.unwrap();
         disk.refuse_writes(true);
-        assert_eq!(fs.write(y, 1, &[0x79; 99]).await, Ok(()));
+        assert_eq!(fs.write(y, 1, vec![0x79; 99]).await, Ok(()));
         let through = rt::stat_get("msgfs.group_write_throughs");
         assert_eq!(fs.sync().await, Err(refused), "the refused write-backs");
         disk.refuse_writes(false);
@@ -672,10 +726,10 @@ fn refused_write_back_fails_the_sync_and_reaches_the_disk_later() {
         );
 
         assert_eq!(reference.create("/d/y").await, Ok(y));
-        reference.write(y, 0, &[0x79]).await.unwrap();
-        reference.write(x, 0, &first).await.unwrap();
-        reference.write(x, 0, &again).await.unwrap();
-        reference.write(y, 1, &[0x79; 99]).await.unwrap();
+        reference.write(y, 0, vec![0x79]).await.unwrap();
+        reference.write(x, 0, first.clone()).await.unwrap();
+        reference.write(x, 0, again.clone()).await.unwrap();
+        reference.write(y, 1, vec![0x79; 99]).await.unwrap();
         reference.sync().await.unwrap();
         same_volume();
     });
@@ -769,14 +823,12 @@ fn a_reap_under_a_refusing_disk_frees_every_block_by_the_next_sync() {
 
         fs.mkdir("/d").await.unwrap();
         let g = fs.create("/d/g").await.unwrap();
-        fs.write(g, 0, &two(1)).await.unwrap();
+        fs.write(g, 0, two(1)).await.unwrap();
         fs.sync().await.unwrap();
         let before_create = data_blocks_in_use();
         let f = fs.create("/d/f").await.unwrap();
         for i in 0..3 {
-            fs.write(f, i * BLOCK_SIZE as u64, &blk(0xF1))
-                .await
-                .unwrap();
+            fs.write(f, i * BLOCK_SIZE as u64, blk(0xF1)).await.unwrap();
         }
         fs.sync().await.unwrap();
         assert_eq!(data_blocks_in_use(), before_create + 3);
@@ -784,7 +836,7 @@ fn a_reap_under_a_refusing_disk_frees_every_block_by_the_next_sync() {
         // Overwriting `g` in place stores no inode and asks no group:
         // the cache holds its two data blocks, dirty, and nothing else.
         disk.refuse_writes(true);
-        fs.write(g, 0, &two(2)).await.unwrap();
+        fs.write(g, 0, two(2)).await.unwrap();
         let errors = rt::stat_get("msgfs.reap_errors");
         let refused = FsError::Io(DiskError::BadTag);
         assert_eq!(fs.unlink("/d/f").await, Ok(()));

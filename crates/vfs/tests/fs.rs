@@ -581,7 +581,7 @@ fn nothing_in_a_warm_directory_reads_the_cache() {
         let block = vec![7u8; 4096];
         let round = || async {
             let ino = fs.create("/d0/f").await.unwrap();
-            fs.write(ino, 0, &block).await.unwrap();
+            fs.write(ino, 0, block.clone()).await.unwrap();
             fs.unlink("/d0/f").await.unwrap();
         };
         fs.mkdir("/d0").await.unwrap();
@@ -614,7 +614,7 @@ fn a_reap_reaches_its_group_as_one_burst() {
             let mut took = (0, 0);
             for _ in 0..3 {
                 let ino = fs.create("/d0/f").await.unwrap();
-                fs.write(ino, 0, &data).await.unwrap();
+                fs.write(ino, 0, data.clone()).await.unwrap();
                 let through = chanos_sim::stat_get("msgfs.group_write_throughs");
                 let t = chanos_sim::now();
                 fs.unlink("/d0/f").await.unwrap();
@@ -734,7 +734,8 @@ fn sync_writes_back_every_block_its_owners_changed() {
                 "a group reaches the cache with a zeroed block alone"
             );
             let ino = fs.lookup("/cold").await.unwrap();
-            assert_eq!(fs.read(ino, 0, cold.len()).await.unwrap(), cold);
+            let read = fs.read(ino, 0, cold.len()).await.unwrap();
+            assert_eq!(read.copy_out().await, cold);
             chanos_sim::sleep(1_000_000).await;
             assert!(
                 volume(&hw) == before,

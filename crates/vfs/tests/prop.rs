@@ -6,7 +6,7 @@
 use chanos_drivers::{install_disk, spawn_disk_driver, DiskHw, DiskParams};
 use chanos_sim::{Config, CoreId, Pcg32, Simulation};
 use chanos_vfs::layout::{bitmap, Dirent, FileKind, Inode, Superblock, MAX_NAME, NDIRECT};
-use chanos_vfs::{BigLockFs, LruCache, MsgFs, ShardedFs, Vfs};
+use chanos_vfs::{BigLockFs, Block, LruCache, MsgFs, ShardedFs, Vfs};
 
 /// Inode encode/decode is the identity.
 #[test]
@@ -111,11 +111,11 @@ fn lru_agrees_with_model() {
             let lba = g.bounded(16);
             if g.chance(0.5) {
                 let data = vec![lba as u8; 4];
-                cache.insert_dirty(lba, data.clone());
+                cache.insert_dirty(lba, Block::new(data.clone()));
                 model.insert(lba, data);
             } else if let Some(got) = cache.get(lba) {
                 // A hit must return exactly what was last written.
-                assert_eq!(Some(&got), model.get(&lba));
+                assert_eq!(Some(&*got), model.get(&lba));
             }
         }
         assert!(cache.len() <= capacity);

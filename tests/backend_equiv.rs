@@ -608,6 +608,44 @@ fn proto_monitor_violations_identical_on_both_backends() {
     assert_eq!(sim_log, thr_log, "monitor verdicts differ between backends");
 }
 
+/// A read is a snapshot. The blocks a read is answered with are shared
+/// with the cache and never changed — a write installs new ones — so a
+/// write to the same block after the answer reaches neither the bytes
+/// a process has copied out nor the ones a holder of the answer has yet
+/// to copy.
+async fn snapshot_script() -> Vec<Vec<u8>> {
+    let os = boot(cfg()).await;
+    let ino = os.vfs.create("/snap").await.expect("create");
+    os.vfs.write(ino, 0, &[1; 4096]).await.expect("write");
+    let env = os.procs.env();
+    let fd = env.open("/snap").await.expect("open");
+    let copied = env.read(fd, 4096).await.expect("read");
+    let held = os.vfs.read_shared(ino, 0, 4096).await.expect("read");
+    os.vfs.write(ino, 0, &[2; 4096]).await.expect("whole block");
+    os.vfs
+        .write(ino, 100, &[3; 8])
+        .await
+        .expect("part of a block");
+    let now = os.vfs.read(ino, 0, 4096).await.expect("read");
+    vec![copied, held.copy_out().await, now]
+}
+
+#[test]
+fn a_read_keeps_its_bytes_through_a_later_write_on_both_backends() {
+    let mut now = vec![2; 4096];
+    now[100..108].fill(3);
+    let expected = vec![vec![1; 4096], vec![1; 4096], now];
+    let mut s = Simulation::with_config(Config {
+        cores: 6,
+        ..Config::default()
+    });
+    assert_eq!(s.block_on(snapshot_script()).unwrap(), expected, "sim");
+    let rt = Runtime::new(3);
+    let threads = rt.block_on(snapshot_script());
+    rt.shutdown();
+    assert_eq!(threads, expected, "threads");
+}
+
 // ---------------------------------------------------------------------------
 // Disk: the threads backend must do real file I/O.
 // ---------------------------------------------------------------------------
@@ -949,7 +987,7 @@ mod batch_aware_equiv {
     /// Writes distinct patterns to 8 blocks, then fetches them with
     /// one `read_many`: the lookups must arrive grouped — one shard
     /// round-trip per shard, not one per block.
-    async fn shard_group_script(dev: CoreId) -> (Vec<Vec<u8>>, u64, u64) {
+    async fn shard_group_script(dev: CoreId) -> (Vec<chanos::vfs::Block>, u64, u64) {
         let calls0 = chanos::rt::stat_get("cache.read_many_calls");
         let groups0 = chanos::rt::stat_get("cache.shard_groups");
         let (hw, irq) = install_disk(128, DiskParams::default(), dev);
@@ -971,7 +1009,7 @@ mod batch_aware_equiv {
 
     #[test]
     fn read_many_groups_lookups_per_shard_on_both_backends() {
-        let check = |(blocks, calls, groups): (Vec<Vec<u8>>, u64, u64), tag: &str| {
+        let check = |(blocks, calls, groups): (Vec<chanos::vfs::Block>, u64, u64), tag: &str| {
             assert_eq!(blocks.len(), 8, "{tag}: wrong block count");
             for (i, b) in blocks.iter().enumerate() {
                 assert!(
