@@ -863,6 +863,55 @@ fn a_cached_read_is_copied_once_by_the_process_that_takes_it() {
     );
 }
 
+/// An `open` makes one round trip into the file system whatever the
+/// depth of its path: the process's kernel task calls the root
+/// directory's vnode once, each directory on the way forwards the walk
+/// to the next, and the last one's child answers the kernel task. So
+/// opening `/d/f` costs `kproc` exactly what opening `/f` does. (While
+/// the kernel task walked the path itself, a round trip per component,
+/// `/d/f` cost it a call and a dispatch more.)
+#[test]
+fn an_open_costs_its_kernel_task_one_file_system_round_trip() {
+    let mut s = ladder_sim();
+    let env = s
+        .block_on(async {
+            let os = boot(BootCfg::new(
+                KernelKind::Message,
+                FsKind::Message,
+                kernel_cores(4),
+            ))
+            .await;
+            os.vfs.mkdir("/d").await.unwrap();
+            os.vfs.create("/d/f").await.unwrap();
+            os.vfs.create("/f").await.unwrap();
+            let env = os.procs.env();
+            // Every vnode on the way is running.
+            for path in ["/f", "/d/f"] {
+                let fd = env.open(path).await.unwrap();
+                env.close(fd).await.unwrap();
+            }
+            env
+        })
+        .unwrap();
+    // Busy cycles of the process's kernel task over one `open`.
+    let mut open = |path: &'static str| {
+        let kproc = |s: &Simulation| -> u64 {
+            let busy = s.busy_by_task();
+            let of_kproc = busy.iter().filter(|(name, _)| name.starts_with("kproc"));
+            of_kproc.map(|(_, busy)| busy).sum()
+        };
+        let before = kproc(&s);
+        let env = env.clone();
+        s.block_on(async move { env.open(path).await.unwrap() })
+            .unwrap();
+        kproc(&s) - before
+    };
+    let shallow = open("/f");
+    let deep = open("/d/f");
+    assert_eq!(deep, shallow, "one call into the file system per open");
+    assert_eq!(deep, 400);
+}
+
 #[cfg(target_pointer_width = "64")]
 #[test]
 fn syscall_message_layout_is_pinned() {

@@ -91,7 +91,7 @@ impl BigLockFs {
     /// Resolves a path to an inode number.
     pub async fn lookup(&self, path: &str) -> Result<u64, FsError> {
         let _g = self.lock.lock().await;
-        self.resolve(&split_path(path)?).await
+        self.resolve(&split_path(path)).await
     }
 
     /// Reads `len` bytes at `off` from inode `ino`: the blocks they
@@ -165,7 +165,7 @@ impl BigLockFs {
     /// Lists a directory.
     pub async fn readdir(&self, path: &str) -> Result<Vec<Dirent>, FsError> {
         let _g = self.lock.lock().await;
-        let ino = self.resolve(&split_path(path)?).await?;
+        let ino = self.resolve(&split_path(path)).await?;
         let inode = self.core.read_inode(ino).await?;
         self.core.dir_list(&inode).await
     }

@@ -20,8 +20,15 @@
 //! file read returns the blocks themselves ([`FileSlice`]). A copy is
 //! made, and charged [`copy_cost`] on the running task's core, only to
 //! change a shared block (`to_change`) and to make a block's bytes
-//! from nothing (`write_made`); the bytes of a file write were copied
-//! by its writer.
+//! from nothing (`zeroes`, `write_made`); the bytes of a file write
+//! were copied by its writer.
+//!
+//! Allocating a block writes nothing to it: a freed block keeps its
+//! last file's bytes until its next first write, which is the only
+//! write of its new bytes. So a block is made whole before anything
+//! points at it — a whole-block write is the block, part of a block
+//! goes into zeroes, never into what the block held — and a block
+//! whose first write failed goes back to the allocator unmapped.
 
 use chanos_drivers::BLOCK_SIZE;
 
@@ -174,6 +181,13 @@ impl<S: BlockStore> FsCore<S> {
         Ok(self.to_change(lba, &block).await)
     }
 
+    /// A block of zeroes made by this task, paid like a copy on its
+    /// core: the start of a fresh block that is not written whole.
+    async fn zeroes(&self) -> Vec<u8> {
+        chanos_rt::delay(copy_cost(BLOCK_SIZE)).await;
+        vec![0; BLOCK_SIZE]
+    }
+
     /// Writes block `lba` with bytes this task made (zeroes, the
     /// superblock): making them is paid like a copy, on this core.
     async fn write_made(&self, lba: u64, data: Vec<u8>) -> Result<(), FsError> {
@@ -245,7 +259,10 @@ impl<S: BlockStore> FsCore<S> {
     }
 
     /// Allocates a data block in group `g`; returns its LBA, or
-    /// `None` if the group is full. The block is zeroed.
+    /// `None` if the group is full. Only the bitmap changes: the block
+    /// may still hold the bytes of the file that freed it, and whoever
+    /// maps it writes it first ([`Self::write_file`],
+    /// [`Self::bmap_alloc`]).
     pub async fn alloc_block_in(&self, g: u64) -> Result<Option<u64>, FsError> {
         let bblock = self.sb.dbitmap_block(g);
         let mut map = self.read_to_change(bblock).await?;
@@ -253,10 +270,8 @@ impl<S: BlockStore> FsCore<S> {
             return Ok(None);
         };
         self.store.write_block(bblock, map).await?;
-        let lba = self.sb.data_start(g) + idx;
-        self.write_made(lba, vec![0u8; BLOCK_SIZE]).await?;
         chanos_rt::stat_incr("fs.blocks_allocated");
-        Ok(Some(lba))
+        Ok(Some(self.sb.data_start(g) + idx))
     }
 
     /// Frees data block `lba`.
@@ -297,24 +312,71 @@ impl<S: BlockStore> FsCore<S> {
 
     /// Maps file block `fbn` to its LBA, or 0 if unallocated.
     pub async fn bmap(&self, inode: &Inode, fbn: u64) -> Result<u64, FsError> {
-        if (fbn as usize) < NDIRECT {
-            return Ok(inode.direct[fbn as usize]);
-        }
-        let idx = fbn as usize - NDIRECT;
+        Ok(self.locate(inode, fbn).await?.0)
+    }
+
+    /// Where file block `fbn` is (0: nowhere yet), and, for a block
+    /// mapped through the indirect block, that block as it was read
+    /// (`None` while the inode has none).
+    async fn locate(&self, inode: &Inode, fbn: u64) -> Result<(u64, Option<Block>), FsError> {
+        let Some(idx) = (fbn as usize).checked_sub(NDIRECT) else {
+            return Ok((inode.direct[fbn as usize], None));
+        };
         if idx >= NINDIRECT {
             return Err(FsError::TooBig);
         }
         if inode.indirect == 0 {
-            return Ok(0);
+            return Ok((0, None));
         }
         let blk = self.store.read_block(inode.indirect).await?;
-        Ok(u64::from_le_bytes(
-            blk[idx * 8..idx * 8 + 8].try_into().expect("8 bytes"),
-        ))
+        let lba = u64::from_le_bytes(blk[idx * 8..idx * 8 + 8].try_into().expect("8 bytes"));
+        Ok((lba, Some(blk)))
     }
 
-    /// Maps file block `fbn`, allocating (near group `hint`) if absent.
-    /// May mutate `inode` (caller persists it).
+    /// Points file block `fbn` at `lba`. `indirect` is what
+    /// [`Self::locate`] found; without one, an indirect block is
+    /// allocated near `hint` and made from zeroes here, and the inode
+    /// takes it once its first write has succeeded (a failed one gives
+    /// it back). May mutate `inode` (caller persists it).
+    async fn map(
+        &self,
+        inode: &mut Inode,
+        fbn: u64,
+        lba: u64,
+        indirect: Option<Block>,
+        hint: u64,
+        alloc: &impl Allocator,
+    ) -> Result<(), FsError> {
+        let Some(idx) = (fbn as usize).checked_sub(NDIRECT) else {
+            inode.direct[fbn as usize] = lba;
+            return Ok(());
+        };
+        let (ind, mut blk) = match indirect {
+            Some(blk) => (inode.indirect, self.to_change(inode.indirect, &blk).await),
+            None => (alloc.alloc_block(self, hint).await?, self.zeroes().await),
+        };
+        blk[idx * 8..idx * 8 + 8].copy_from_slice(&lba.to_le_bytes());
+        if let Err(e) = self.store.write_block(ind, blk).await {
+            // A fresh indirect block: the inode never had it.
+            if inode.indirect == 0 {
+                self.give_back(ind, alloc).await;
+            }
+            return Err(e);
+        }
+        inode.indirect = ind;
+        Ok(())
+    }
+
+    /// Frees a fresh block whose first write failed. Nothing points at
+    /// it; the write's error is the one its caller reports.
+    async fn give_back(&self, lba: u64, alloc: &impl Allocator) {
+        let _ = alloc.free_blocks(self, &[lba]).await;
+    }
+
+    /// Maps file block `fbn`, allocating (near group `hint`) if absent,
+    /// for a caller that keeps the block's bytes itself and writes them
+    /// later: a directory vnode holds a fresh block as zeroes until its
+    /// `Flush`. May mutate `inode` (caller persists it).
     pub async fn bmap_alloc(
         &self,
         inode: &mut Inode,
@@ -322,27 +384,12 @@ impl<S: BlockStore> FsCore<S> {
         hint: u64,
         alloc: &impl Allocator,
     ) -> Result<u64, FsError> {
-        if (fbn as usize) < NDIRECT {
-            if inode.direct[fbn as usize] == 0 {
-                inode.direct[fbn as usize] = alloc.alloc_block(self, hint).await?;
-            }
-            return Ok(inode.direct[fbn as usize]);
+        let (lba, indirect) = self.locate(inode, fbn).await?;
+        if lba != 0 {
+            return Ok(lba);
         }
-        let idx = fbn as usize - NDIRECT;
-        if idx >= NINDIRECT {
-            return Err(FsError::TooBig);
-        }
-        if inode.indirect == 0 {
-            inode.indirect = alloc.alloc_block(self, hint).await?;
-        }
-        let blk = self.store.read_block(inode.indirect).await?;
-        let mut lba = u64::from_le_bytes(blk[idx * 8..idx * 8 + 8].try_into().expect("8 bytes"));
-        if lba == 0 {
-            lba = alloc.alloc_block(self, hint).await?;
-            let mut blk = self.to_change(inode.indirect, &blk).await;
-            blk[idx * 8..idx * 8 + 8].copy_from_slice(&lba.to_le_bytes());
-            self.store.write_block(inode.indirect, blk).await?;
-        }
+        let lba = alloc.alloc_block(self, hint).await?;
+        self.map(inode, fbn, lba, indirect, hint, alloc).await?;
         Ok(lba)
     }
 
@@ -390,8 +437,12 @@ impl<S: BlockStore> FsCore<S> {
     /// `data` is the writer's copy of the bytes, paid for by the
     /// writer: a whole block of it becomes the block without another
     /// copy charged — a one-block write's buffer is the block itself,
-    /// a longer write's blocks are cut from it — and part of a block is
-    /// written into a copy of the block ([`Self::to_change`]).
+    /// a longer write's blocks are cut from it. Part of a block is
+    /// written into a copy of the block ([`Self::to_change`]), or, for
+    /// a block not allocated yet, into zeroes made here (`zeroes`):
+    /// never into the bytes a reused block still holds. A fresh block
+    /// is mapped once that first write has succeeded, and given back to
+    /// the allocator if it failed.
     pub async fn write_file(
         &self,
         inode: &mut Inode,
@@ -410,18 +461,28 @@ impl<S: BlockStore> FsCore<S> {
             let fbn = pos / BLOCK_SIZE as u64;
             let in_block = (pos % BLOCK_SIZE as u64) as usize;
             let take = ((BLOCK_SIZE - in_block) as u64).min(end - pos) as usize;
-            let lba = self.bmap_alloc(inode, fbn, hint, alloc).await?;
-            if take == BLOCK_SIZE {
-                let whole = if take == data.len() {
-                    std::mem::take(&mut data)
-                } else {
-                    data[src..src + take].to_vec()
-                };
-                self.store.write_block(lba, whole).await?;
+            let (lba, indirect) = self.locate(inode, fbn).await?;
+            let block = if take == BLOCK_SIZE && take == data.len() {
+                std::mem::take(&mut data)
+            } else if take == BLOCK_SIZE {
+                data[src..src + take].to_vec()
             } else {
-                let mut blk = self.read_to_change(lba).await?;
+                let mut blk = match lba {
+                    0 => self.zeroes().await,
+                    lba => self.read_to_change(lba).await?,
+                };
                 blk[in_block..in_block + take].copy_from_slice(&data[src..src + take]);
-                self.store.write_block(lba, blk).await?;
+                blk
+            };
+            if lba != 0 {
+                self.store.write_block(lba, block).await?;
+            } else {
+                let lba = alloc.alloc_block(self, hint).await?;
+                if let Err(e) = self.store.write_block(lba, block).await {
+                    self.give_back(lba, alloc).await;
+                    return Err(e);
+                }
+                self.map(inode, fbn, lba, indirect, hint, alloc).await?;
             }
             pos += take as u64;
             src += take;
@@ -558,7 +619,8 @@ pub(crate) fn check_name(name: &str) -> Result<(), FsError> {
 /// message-passing engine routes to group-server tasks; the sharded
 /// engine wraps the scan in per-group mutexes.
 pub trait Allocator {
-    /// Allocates one zeroed block near group `hint`.
+    /// Allocates one block near group `hint`, writing nothing to it:
+    /// its first write is the caller's.
     fn alloc_block<S: BlockStore>(
         &self,
         core: &FsCore<S>,
@@ -598,15 +660,16 @@ impl Allocator for ScanAllocator {
     }
 }
 
-/// Splits a path into components, rejecting empty paths.
-pub fn split_path(path: &str) -> Result<Vec<&str>, FsError> {
-    let comps: Vec<&str> = path.split('/').filter(|c| !c.is_empty()).collect();
-    Ok(comps)
+/// Splits a path into its components. Empty components are skipped,
+/// so `""` and `"/"` have none: they name the root.
+pub fn split_path(path: &str) -> Vec<&str> {
+    path.split('/').filter(|c| !c.is_empty()).collect()
 }
 
-/// Splits a path into (parent components, final name).
+/// Splits a path into (parent components, final name); the root has no
+/// final name ([`FsError::Invalid`]).
 pub fn split_parent(path: &str) -> Result<(Vec<&str>, &str), FsError> {
-    let mut comps = split_path(path)?;
+    let mut comps = split_path(path);
     let name = comps.pop().ok_or(FsError::Invalid)?;
     Ok((comps, name))
 }

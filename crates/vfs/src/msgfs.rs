@@ -9,7 +9,11 @@
 //! Structure:
 //!
 //! ```text
-//! client ──Lookup/Create/Read──▶ vnode task (one per active inode)
+//! client ──Walk ["d"], Create "f"──▶ root's vnode ──Create "f"──▶ d's vnode
+//!    ▲                                (looks "d" up)  (forwarded)      │
+//!    └──────────────────────────── Ok(ino) ───────────────────────────┘
+//!
+//! client ──Read/Write/Stat──▶ vnode task (one per active inode)
 //!                                   │  owns its Inode outright and,
 //!                                   │  for a directory, its blocks
 //!                                   │  and entries
@@ -19,6 +23,20 @@
 //!                                   │                           table)
 //!                                   └──Read/Write block───────▶ cache shard task
 //! ```
+//!
+//! A call that names a path makes one round trip, to the root's vnode:
+//! the message carries the components still to walk and the request at
+//! the end of them with its reply (§3, channels as capabilities). Each
+//! directory looks the next name up in its own entries and forwards
+//! the message to the child's vnode, whose port it finds in its own
+//! core's registry replica; the last directory hands the request
+//! (`Lookup`, `Create`, `Unlink`, `ReadDir`) to its target, which
+//! answers the caller. A walk that stops short — a missing name, a file
+//! on the way, a vnode that cannot be reached — is refused, to the
+//! caller, by the vnode where it stopped. A directory serves a walk in
+//! its turn like any request, so a walk that misses the registry waits
+//! there for the child's `Ensure`, and a `create` under a directory is
+//! ordered by the parent with that directory's `unlink`.
 //!
 //! Every piece of mutable state has exactly one writing task (or, for
 //! the vnode registry below, one replica per core over a shared op
@@ -38,9 +56,10 @@
 //! answers a `Read` with the blocks the bytes lie in (`FileSlice`),
 //! shared with the cache, and the reader copies them out; a `Write`'s
 //! buffer is the writer's copy and becomes the block. A vnode that
-//! writes part of a file block copies the block to change it; a group
-//! task and a directory vnode change their own blocks in place, and
-//! copy them when a `sync` hands them to the cache.
+//! writes part of a file block copies the block to change it, or makes
+//! zeroes to start a block the file did not have; a group task and a
+//! directory vnode change their own blocks in place, and copy them when
+//! a `sync` hands them to the cache.
 //!
 //! Who waits for the disk: the caller, never a cache shard. A shard
 //! that misses submits the read, parks the reply endpoint under the
@@ -64,7 +83,10 @@
 //! request that made it, because nothing goes to the cache then. A
 //! block the cache refuses on its way back fails that `sync` and stays
 //! dirty for the next one, as a refused write-back of file data does in
-//! the cache.
+//! the cache. A group allocates a data block by setting its bit alone;
+//! the block's first bytes come from its file's vnode (the write that
+//! fills it, or zeroes the vnode made), so a group task goes to the
+//! cache only at `Flush`.
 //!
 //! Unlink of a directory checks emptiness in the child vnode. A vnode
 //! that drops its last link reaps itself in an order that keeps its
@@ -72,9 +94,8 @@
 //! back, free the data and clear the inode record (one burst to the
 //! group), leave the registry, and only then free the number.
 //! It then closes its channel and refuses whatever was queued or still
-//! on its way — a create racing the removal of its directory, a call
-//! through a stale inode number — so those callers get
-//! [`FsError::Gone`], not silence.
+//! on its way — a call through a stale inode number — so those callers
+//! get [`FsError::Gone`], not silence.
 //!
 //! The ino→vnode-port registry itself is node-replicated
 //! (`fs-vnreg`, one replica per service core): `Get` is served from
@@ -89,7 +110,7 @@
 //! several outstanding calls against one vnode or group server is
 //! woken once per burst (`chan.reply_wakes_coalesced`).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -181,6 +202,34 @@ enum VnodeMsg {
     },
     /// Writes a directory's changed blocks back to the cache.
     Flush { reply: ReplyTo<Result<(), FsError>> },
+    /// A path on its way to the directory that serves `then`: the
+    /// receiving directory looks up the first component of `path` and
+    /// forwards the rest — `then` itself once `path` is spent — to that
+    /// child's vnode. `then` carries the caller's reply, so whichever
+    /// vnode serves or refuses it answers the caller directly.
+    Walk {
+        path: VecDeque<String>,
+        then: Box<VnodeMsg>,
+    },
+}
+
+impl VnodeMsg {
+    /// Answers the request with `e`, unserved; a walk's request is the
+    /// one at its end.
+    fn refuse(self, e: FsError, replies: &mut ReplyBatch) {
+        match self {
+            VnodeMsg::Read { reply, .. } => replies.send(reply, Err(e)),
+            VnodeMsg::Write { reply, .. } => replies.send(reply, Err(e)),
+            VnodeMsg::Stat { reply } => replies.send(reply, Err(e)),
+            VnodeMsg::Lookup { reply, .. } => replies.send(reply, Err(e)),
+            VnodeMsg::Create { reply, .. } => replies.send(reply, Err(e)),
+            VnodeMsg::Unlink { reply, .. } => replies.send(reply, Err(e)),
+            VnodeMsg::ReadDir { reply } => replies.send(reply, Err(e)),
+            VnodeMsg::Condemn { reply } => replies.send(reply, Err(e)),
+            VnodeMsg::Flush { reply } => replies.send(reply, Err(e)),
+            VnodeMsg::Walk { then, .. } => then.refuse(e, replies),
+        }
+    }
 }
 
 /// A registry entry: the serving port for an inode and which vnode
@@ -378,21 +427,19 @@ const FS_BATCH: usize = 32;
 /// A group task's view of the volume: the cache, with the group's own
 /// blocks — inode bitmap, data bitmap, inode table — kept in front of
 /// it. [`FsCore`]'s allocation and inode-record algorithms run over
-/// this store unchanged.
+/// this store unchanged, and they write no other block: allocating a
+/// data block only sets its bit.
 ///
 /// The task is the write-back buffer of its own blocks. A read of an
 /// own block is answered from the task's copy, fetched from the cache
 /// the first time and never again (nobody else writes those blocks, so
 /// the copy cannot go stale). The task changes its own blocks in place
-/// ([`BlockStore::owns`]): a `write_block` of an own block replaces the
-/// copy and marks it dirty, and the cache sees it when a `Flush` writes
-/// the dirty blocks back whole, a copy of each, paid on the task's
-/// core. A block that is not the group's
-/// own (the data block `alloc_block_in` zeroes) goes to the cache with
-/// the burst that wrote it, before any of the burst's writers is
-/// answered. A block the cache refused stays dirty, or pending, and
-/// goes out again with the next write-back: the task's copy is the
-/// truth, and the volume must end up holding it.
+/// ([`BlockStore::owns`]): a `write_block` replaces the copy and marks
+/// it dirty, and the cache sees it when a `Flush` writes the dirty
+/// blocks back whole, a copy of each, paid on the task's core. A block
+/// the cache refused stays dirty and goes out again with the next
+/// write-back: the task's copy is the truth, and the volume must end up
+/// holding it.
 #[derive(Clone)]
 struct GroupStore {
     cache: CacheClient,
@@ -408,9 +455,6 @@ struct GroupBlocks {
     held: Vec<Option<Block>>,
     /// Own blocks changed since the cache last took them.
     dirty: BTreeSet<u64>,
-    /// Other blocks written and not yet through, whole, in the order
-    /// first written.
-    whole: Vec<(u64, Block)>,
 }
 
 impl GroupStore {
@@ -420,7 +464,6 @@ impl GroupStore {
         let blocks = GroupBlocks {
             held: vec![None; (own.end - own.start) as usize],
             dirty: BTreeSet::new(),
-            whole: Vec::new(),
         };
         GroupStore {
             cache,
@@ -436,51 +479,35 @@ impl GroupStore {
             .then(|| (lba - self.own.start) as usize)
     }
 
-    /// Writes what is pending to the cache, all shards at once: with
-    /// `own`, every dirty own block, in block-number order, and then
-    /// every other block written since the last write-back. The blocks
-    /// the cache refused stay dirty or pending; the error is the first
-    /// of theirs.
-    async fn write_back(&self, own: bool) -> Result<(), FsError> {
-        let (sent, dirty) = {
+    /// Writes every dirty block to the cache, in block-number order,
+    /// all shards at once. The blocks the cache refused stay dirty; the
+    /// error is the first of theirs.
+    async fn write_back(&self) -> Result<(), FsError> {
+        let sent: Vec<_> = {
             let mut blocks = plock(&self.blocks);
-            let dirty = if own {
-                std::mem::take(&mut blocks.dirty)
-            } else {
-                BTreeSet::new()
-            };
-            let copy = |&lba: &u64| {
+            let dirty = std::mem::take(&mut blocks.dirty);
+            let copy = |lba: u64| {
                 let slot = self.slot(lba).expect("an own block");
                 let held = blocks.held[slot].clone().expect("held since written");
                 (lba, held)
             };
-            let mut sent: Vec<_> = dirty.iter().map(copy).collect();
-            sent.append(&mut blocks.whole);
-            (sent, dirty.len())
+            dirty.into_iter().map(copy).collect()
         };
         if sent.is_empty() {
             return Ok(());
         }
-        // The cache is given a copy of each own block: the task goes on
+        // The cache is given a copy of each block: the task goes on
         // changing its own in place.
-        if dirty > 0 {
-            rt::delay(copy_cost(dirty * BLOCK_SIZE)).await;
-        }
-        // One round trip of a group task to the cache shards: a burst
-        // that zeroed a data block, or a `Flush` that found blocks.
+        rt::delay(copy_cost(sent.len() * BLOCK_SIZE)).await;
+        // A group task's one trip to the cache shards.
         rt::stat_incr("msgfs.group_write_throughs");
         let answers = self.cache.write_many(&sent).await;
         let mut out = Ok(());
         // The one task that writes here was waiting above.
         let mut blocks = plock(&self.blocks);
-        debug_assert!(blocks.whole.is_empty());
-        for (i, (block, answer)) in sent.into_iter().zip(answers).enumerate() {
+        for ((lba, _), answer) in sent.into_iter().zip(answers) {
             if let Err(e) = answer {
-                if i < dirty {
-                    blocks.dirty.insert(block.0);
-                } else {
-                    blocks.whole.push(block);
-                }
+                blocks.dirty.insert(lba);
                 out = out.and(Err(e));
             }
         }
@@ -501,24 +528,18 @@ impl BlockStore for GroupStore {
         Ok(data)
     }
 
+    /// A group writes its own blocks alone.
     async fn write_block(&self, lba: u64, data: Vec<u8>) -> Result<(), FsError> {
         check_block_len(&data)?;
-        let data = Block::new(data);
+        let i = self.slot(lba).ok_or(FsError::Invalid)?;
         let mut blocks = plock(&self.blocks);
-        let Some(i) = self.slot(lba) else {
-            match blocks.whole.iter_mut().find(|(l, _)| *l == lba) {
-                Some((_, older)) => *older = data,
-                None => blocks.whole.push((lba, data)),
-            }
-            return Ok(());
-        };
-        blocks.held[i] = Some(data);
+        blocks.held[i] = Some(Block::new(data));
         blocks.dirty.insert(lba);
         Ok(())
     }
 
     async fn sync(&self) -> Result<(), FsError> {
-        self.write_back(true).await?;
+        self.write_back().await?;
         self.cache.sync().await
     }
 
@@ -532,19 +553,12 @@ impl BlockStore for GroupStore {
 /// lives and writes back to the cache when a `Flush` asks (`sync`).
 /// Drains request bursts so allocation storms (and a reap's frees) cost
 /// one wakeup per batch, not one per message — and one *reply* wake per
-/// waiting peer per batch.
-///
-/// A writer is answered at the end of its burst. A burst that zeroed a
-/// data block writes it through first and answers its writers with the
-/// result, so `Ok` means the block is in the cache before its file
-/// writes into it; every other burst is answered without a cache round
-/// trip. `ReadInode` writes nothing and is answered where it is
-/// produced.
+/// waiting peer per batch. Every request but `Flush` changes the
+/// group's own blocks alone, so it is answered where it is produced.
 async fn group_task(g: u64, core: FsCore<CacheClient>, rx: chanos_rt::Receiver<GroupMsg>) {
     let store = GroupStore::new(core.store().clone(), core.superblock(), g);
     let core = core.with_store(store);
     let mut batch = Vec::with_capacity(FS_BATCH);
-    let mut written = Vec::with_capacity(FS_BATCH);
     let mut replies = ReplyBatch::default();
     loop {
         let n = rx.recv_many(&mut batch, FS_BATCH).await;
@@ -552,58 +566,27 @@ async fn group_task(g: u64, core: FsCore<CacheClient>, rx: chanos_rt::Receiver<G
             break;
         }
         for msg in batch.drain(..) {
-            if let Some(w) = group_handle(g, &core, msg, &mut replies).await {
-                written.push(w);
-            }
-        }
-        if !written.is_empty() {
-            let through = core.store().write_back(false).await;
-            for w in written.drain(..) {
-                match w {
-                    Written::Done(reply, out) => replies.send(reply, out.and(through.clone())),
-                    Written::Got(reply, out) => {
-                        replies.send(reply, out.and_then(|v| through.clone().map(|()| v)));
-                    }
-                }
-            }
+            group_handle(g, &core, msg, &mut replies).await;
         }
         replies.flush();
     }
 }
 
-/// A writer's answer, held to the end of its burst.
-enum Written {
-    Done(ReplyTo<Result<(), FsError>>, Result<(), FsError>),
-    /// An allocation: the number, or `None` for a full group.
-    Got(
-        ReplyTo<Result<Option<u64>, FsError>>,
-        Result<Option<u64>, FsError>,
-    ),
-}
-
-async fn group_handle(
-    g: u64,
-    core: &FsCore<GroupStore>,
-    msg: GroupMsg,
-    replies: &mut ReplyBatch,
-) -> Option<Written> {
-    Some(match msg {
+async fn group_handle(g: u64, core: &FsCore<GroupStore>, msg: GroupMsg, replies: &mut ReplyBatch) {
+    match msg {
         GroupMsg::AllocInode { kind, reply } => {
-            Written::Got(reply, core.alloc_inode_in(g, kind).await)
+            replies.send(reply, core.alloc_inode_in(g, kind).await)
         }
-        GroupMsg::ClearInode { ino, reply } => Written::Done(reply, core.clear_inode(ino).await),
-        GroupMsg::FreeInode { ino, reply } => Written::Done(reply, core.free_inode_bit(ino).await),
-        GroupMsg::AllocBlock { reply } => Written::Got(reply, core.alloc_block_in(g).await),
-        GroupMsg::FreeBlock { lba, reply } => Written::Done(reply, core.free_block(lba).await),
-        GroupMsg::ReadInode { ino, reply } => {
-            replies.send(reply, core.read_inode(ino).await);
-            return None;
-        }
+        GroupMsg::ClearInode { ino, reply } => replies.send(reply, core.clear_inode(ino).await),
+        GroupMsg::FreeInode { ino, reply } => replies.send(reply, core.free_inode_bit(ino).await),
+        GroupMsg::AllocBlock { reply } => replies.send(reply, core.alloc_block_in(g).await),
+        GroupMsg::FreeBlock { lba, reply } => replies.send(reply, core.free_block(lba).await),
+        GroupMsg::ReadInode { ino, reply } => replies.send(reply, core.read_inode(ino).await),
         GroupMsg::WriteInode { ino, inode, reply } => {
-            Written::Done(reply, core.write_inode(ino, &inode).await)
+            replies.send(reply, core.write_inode(ino, &inode).await)
         }
-        GroupMsg::Flush { reply } => Written::Done(reply, core.store().write_back(true).await),
-    })
+        GroupMsg::Flush { reply } => replies.send(reply, core.store().write_back().await),
+    }
 }
 
 /// A directory's blocks and decoded entries, kept by the vnode task
@@ -743,13 +726,7 @@ impl Vnode {
                 replies.send(reply, out);
             }
             VnodeMsg::Lookup { name, reply } => {
-                let out = match self.entries().await {
-                    Ok(dir) => match dir.by_name.get(&name) {
-                        Some(&(child, _)) => Ok(child),
-                        None => Err(FsError::NotFound),
-                    },
-                    Err(e) => Err(e),
-                };
+                let out = self.child(&name).await;
                 replies.send(reply, out);
             }
             VnodeMsg::Create { name, kind, reply } => {
@@ -816,8 +793,43 @@ impl Vnode {
                 let out = self.flush().await;
                 replies.send(reply, out);
             }
+            VnodeMsg::Walk { mut path, then } => {
+                let name = path.pop_front().expect("a walk has a component left");
+                let child = self.child(&name).await;
+                let next = if path.is_empty() {
+                    *then
+                } else {
+                    VnodeMsg::Walk { path, then }
+                };
+                match child {
+                    Ok(ino) => self.forward(ino, next, replies).await,
+                    Err(e) => next.refuse(e, replies),
+                }
+            }
         }
         std::ops::ControlFlow::Continue(())
+    }
+
+    /// The inode this directory names `name`.
+    async fn child(&mut self, name: &str) -> Result<u64, FsError> {
+        match self.entries().await?.by_name.get(name) {
+            Some(&(child, _)) => Ok(child),
+            None => Err(FsError::NotFound),
+        }
+    }
+
+    /// Hands `msg` on to the vnode of `ino`, found in this core's
+    /// registry replica (or started, and `Ensure`d through the log, in
+    /// this directory's turn). The message carries its caller's reply:
+    /// a vnode that cannot be reached refuses it here.
+    async fn forward(&self, ino: u64, msg: VnodeMsg, replies: &mut ReplyBatch) {
+        let sent = match get_vnode(&self.shared, ino).await {
+            Ok(vn) => vn.forward(msg).await.map_err(|msg| (msg, FsError::Gone)),
+            Err(e) => Err((msg, e)),
+        };
+        if let Err((msg, e)) = sent {
+            msg.refuse(e, replies);
+        }
     }
 
     /// Writes `data` at `off` of this vnode's file. The inode changes
@@ -1089,32 +1101,32 @@ impl MsgFs {
         Ok(MsgFs { shared })
     }
 
-    async fn resolve(&self, comps: &[&str]) -> Result<u64, FsError> {
-        let mut ino = ROOT_INO;
-        for comp in comps {
-            let vn = get_vnode(&self.shared, ino).await?;
-            ino = vn
-                .call(|reply| VnodeMsg::Lookup {
-                    name: comp.to_string(),
-                    reply,
-                })
-                .await
-                .unwrap_or_else(|e| Err(e.into()))?;
-        }
-        Ok(ino)
-    }
-
-    async fn create_kind(&self, path: &str, kind: FileKind) -> Result<u64, FsError> {
-        let (parent_comps, name) = split_parent(path)?;
-        let parent = self.resolve(&parent_comps).await?;
-        let vn = get_vnode(&self.shared, parent).await?;
-        vn.call(|reply| VnodeMsg::Create {
-            name: name.to_string(),
-            kind,
-            reply,
+    /// Asks the directory `dir` names for what `then` makes, in one
+    /// call to the root's vnode: each directory on the way looks the
+    /// next component up and forwards the walk to its child
+    /// ([`VnodeMsg::Walk`]), and the vnode at its end answers.
+    async fn at<T: Send + 'static>(
+        &self,
+        dir: &[&str],
+        then: impl FnOnce(ReplyTo<Result<T, FsError>>) -> VnodeMsg,
+    ) -> Result<T, FsError> {
+        let root = get_vnode(&self.shared, ROOT_INO).await?;
+        root.call(|reply| match dir {
+            [] => then(reply),
+            path => VnodeMsg::Walk {
+                path: path.iter().map(|c| c.to_string()).collect(),
+                then: Box::new(then(reply)),
+            },
         })
         .await
         .unwrap_or_else(|e| Err(e.into()))
+    }
+
+    async fn create_kind(&self, path: &str, kind: FileKind) -> Result<u64, FsError> {
+        let (dir, name) = split_parent(path)?;
+        let name = name.to_string();
+        self.at(&dir, |reply| VnodeMsg::Create { name, kind, reply })
+            .await
     }
 
     /// Creates a regular file; returns its inode number.
@@ -1129,7 +1141,12 @@ impl MsgFs {
 
     /// Resolves a path to an inode number.
     pub async fn lookup(&self, path: &str) -> Result<u64, FsError> {
-        self.resolve(&split_path(path)?).await
+        let comps = split_path(path);
+        let Some((name, dir)) = comps.split_last() else {
+            return Ok(ROOT_INO);
+        };
+        let name = name.to_string();
+        self.at(dir, |reply| VnodeMsg::Lookup { name, reply }).await
     }
 
     /// Reads `len` bytes at `off` from inode `ino`: the blocks they
@@ -1174,24 +1191,16 @@ impl MsgFs {
 
     /// Removes a file or empty directory.
     pub async fn unlink(&self, path: &str) -> Result<(), FsError> {
-        let (parent_comps, name) = split_parent(path)?;
-        let parent = self.resolve(&parent_comps).await?;
-        let vn = get_vnode(&self.shared, parent).await?;
-        vn.call(|reply| VnodeMsg::Unlink {
-            name: name.to_string(),
-            reply,
-        })
-        .await
-        .unwrap_or_else(|e| Err(e.into()))
+        let (dir, name) = split_parent(path)?;
+        let name = name.to_string();
+        self.at(&dir, |reply| VnodeMsg::Unlink { name, reply })
+            .await
     }
 
     /// Lists a directory.
     pub async fn readdir(&self, path: &str) -> Result<Vec<Dirent>, FsError> {
-        let ino = self.resolve(&split_path(path)?).await?;
-        let vn = get_vnode(&self.shared, ino).await?;
-        vn.call(|reply| VnodeMsg::ReadDir { reply })
+        self.at(&split_path(path), |reply| VnodeMsg::ReadDir { reply })
             .await
-            .unwrap_or_else(|e| Err(e.into()))
     }
 
     /// Writes every changed block to the disk: each live directory

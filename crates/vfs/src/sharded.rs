@@ -218,7 +218,7 @@ impl ShardedFs {
 
     /// Resolves a path to an inode number.
     pub async fn lookup(&self, path: &str) -> Result<u64, FsError> {
-        self.resolve(&split_path(path)?).await
+        self.resolve(&split_path(path)).await
     }
 
     /// Reads `len` bytes at `off` from inode `ino`: the blocks they
@@ -308,7 +308,7 @@ impl ShardedFs {
 
     /// Lists a directory.
     pub async fn readdir(&self, path: &str) -> Result<Vec<Dirent>, FsError> {
-        let ino = self.resolve(&split_path(path)?).await?;
+        let ino = self.resolve(&split_path(path)).await?;
         let lock = self.inode_locks.get(ino).await;
         let g = lock.read().await;
         let inode = self.core.read_inode(ino).await?;
