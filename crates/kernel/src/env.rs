@@ -21,12 +21,21 @@
 //! there: a read's answer is the blocks the bytes lie in, shared with
 //! the cache, and a write's buffer is the one that becomes the file's
 //! blocks. The kernel cores move no payload bytes.
+//!
+//! The message kernel's process keeps its files' offsets: its kernel
+//! task hands a read, a write or an `fstat` on to the file system with
+//! the process's reply, and the answer comes straight back here, the
+//! only place that sees it. A read or a write takes the offset when it
+//! is issued and moves it by its length; the answer gives back what a
+//! short read did not read (see `Offset`). Clones of an `Env` share
+//! the offsets, as they share the fd table.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use chanos_rt::{self as rt, Call, CallError, CoreId, Cycles, JoinHandle, Port};
+use chanos_rt::{self as rt, Call, CallError, CoreId, Cycles, JoinHandle, Port, ReplyTo};
+use chanos_sim::plock;
 use chanos_vfs::{copy_cost, FileSlice, Stat};
 
 use crate::pids::{PidInfo, PidTable};
@@ -43,16 +52,215 @@ pub enum KernelHandle {
 }
 
 /// Lowers a completed port call to the syscall's result, preserving
-/// the transport taxonomy instead of flattening it to `Gone`.
-fn flatten<T>(r: Result<Result<T, KError>, CallError>) -> Result<T, KError> {
-    r.unwrap_or_else(|e| Err(e.into()))
+/// the transport taxonomy instead of flattening it to `Gone`; an answer
+/// of the file system's is its error as a syscall's.
+fn flatten<T, E: Into<KError>>(r: Result<Result<T, E>, CallError>) -> Result<T, KError> {
+    match r {
+        Ok(answer) => answer.map_err(Into::into),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Where a read or a write is sent: at `at`, or, if `or_end`, at `at`
+/// or the end of the file, whichever comes first.
+///
+/// A call moves its descriptor's offset when it is sent, a read by the
+/// bytes it asks for; until a read's answer says how many it got, the
+/// offset after it is `or_end`. A read that came up short stopped at the
+/// end of the file, and an offset is never past the end (there is no
+/// `lseek`, and no file shrinks while it is open), so a read sent from
+/// there reads what it would have after the answer, and a write lands
+/// where it would have.
+#[derive(Clone, Copy)]
+struct Offset {
+    at: u64,
+    or_end: bool,
+}
+
+/// A descriptor's offset: exact where the calls still unsettled start,
+/// and those calls, in the order they were sent. Answers settle the
+/// calls in that order, each starting where the one before it ended, so
+/// the offset is exact again once every call sent has been answered,
+/// whatever order the answers were taken in.
+#[derive(Default)]
+struct Cursor {
+    base: u64,
+    unsettled: VecDeque<Unsettled>,
+    /// How many calls were settled: numbers the calls sent.
+    settled: u64,
+}
+
+/// A call sent and not yet settled: how far it may move the offset,
+/// whether it is a read, and how far it did, once its answer is in.
+struct Unsettled {
+    by: u64,
+    read: bool,
+    moved: Option<u64>,
+}
+
+/// The offset a call was sent at, and which call it was.
+#[derive(Clone, Copy)]
+struct Sent {
+    from: Offset,
+    nth: u64,
+}
+
+/// A process's offsets, one per descriptor, shared by every clone of its
+/// `Env` and every batch made from one.
+#[derive(Clone, Default)]
+struct Cursors(Arc<Mutex<HashMap<Fd, Cursor>>>);
+
+impl Cursors {
+    /// Makes a call at `fd`'s offset with `send`, moving the offset by
+    /// `by` bytes (at most `by`, for a read). The offset is held while
+    /// `send` runs, so calls from clones reach the kernel in the order
+    /// they took their offsets.
+    fn send<R>(&self, fd: Fd, by: u64, read: bool, send: impl FnOnce(Offset) -> R) -> (Sent, R) {
+        let mut all = plock(&self.0);
+        let cursor = all.entry(fd).or_default();
+        let from = Offset {
+            at: cursor.base + cursor.unsettled.iter().map(|c| c.by).sum::<u64>(),
+            or_end: cursor.unsettled.iter().any(|c| c.read),
+        };
+        cursor.unsettled.push_back(Unsettled {
+            by,
+            read,
+            moved: None,
+        });
+        let nth = cursor.settled + cursor.unsettled.len() as u64;
+        (Sent { from, nth }, send(from))
+    }
+
+    /// The call `sent` on `fd` was answered and moved the offset
+    /// `moved` bytes: a read the bytes it got, a write all of them or,
+    /// failed, none. A read that got bytes started at its offset, so it
+    /// settles every call before it too, answered or not.
+    fn answered(&self, fd: Fd, sent: Sent, moved: u64) {
+        let mut all = plock(&self.0);
+        let Some(cursor) = all.get_mut(&fd) else {
+            return;
+        };
+        // Settled already: a read after it got bytes.
+        let Some(i) = sent.nth.checked_sub(cursor.settled + 1) else {
+            return;
+        };
+        let Some(call) = cursor.unsettled.get_mut(i as usize) else {
+            return;
+        };
+        if call.read && moved > 0 {
+            cursor.base = sent.from.at + moved;
+            cursor.unsettled.drain(..=i as usize);
+            cursor.settled = sent.nth;
+        } else {
+            call.moved = Some(moved);
+        }
+        while let Some(moved) = cursor.unsettled.front().and_then(|c| c.moved) {
+            cursor.base += moved;
+            cursor.unsettled.pop_front();
+            cursor.settled += 1;
+        }
+    }
+
+    /// A read sent at `sent` was answered `out`.
+    fn read(&self, fd: Fd, sent: Sent, out: &Result<FileSlice, KError>) {
+        match out {
+            Err(KError::BadFd) => self.close(fd),
+            out => self.answered(fd, sent, out.as_ref().map_or(0, FileSlice::len) as u64),
+        }
+    }
+
+    /// A write sent at `sent` was answered `out`.
+    fn write(&self, fd: Fd, sent: Sent, out: &Result<usize, KError>) {
+        match out {
+            Err(KError::BadFd) => self.close(fd),
+            out => self.answered(fd, sent, *out.as_ref().unwrap_or(&0) as u64),
+        }
+    }
+
+    /// `fd` is closed, or never was open: its offset goes.
+    fn close(&self, fd: Fd) {
+        plock(&self.0).remove(&fd);
+    }
+}
+
+/// A process's end of the message kernel: its kernel task's port, and
+/// its offsets.
+#[derive(Clone)]
+struct MsgEnd {
+    port: Port<Syscall>,
+    cursors: Cursors,
+}
+
+impl MsgEnd {
+    /// Makes `make`'s call now, or defers it into `buf`, a batch's.
+    fn call<Resp: Send + 'static>(
+        &self,
+        buf: Option<&mut VecDeque<Syscall>>,
+        make: impl FnOnce(ReplyTo<Resp>) -> Syscall,
+    ) -> Call<Resp> {
+        match buf {
+            Some(buf) => self.port.call_deferred(buf, make),
+            None => self.port.call(make),
+        }
+    }
+
+    /// Sends a read of `len` bytes at `fd`'s offset (see
+    /// [`MsgEnd::call`]); the returned call gives back what the read did
+    /// not get.
+    fn read(
+        &self,
+        fd: Fd,
+        len: usize,
+        buf: Option<&mut VecDeque<Syscall>>,
+    ) -> impl std::future::Future<Output = Result<Result<FileSlice, KError>, CallError>> {
+        let (sent, read) = self.cursors.send(fd, len as u64, true, |at| {
+            self.call(buf, move |reply| Syscall::Read {
+                fd,
+                off: at.at,
+                len,
+                reply,
+            })
+        });
+        let cursors = self.cursors.clone();
+        async move {
+            let out = read.await?.map_err(KError::from);
+            cursors.read(fd, sent, &out);
+            Ok(out)
+        }
+    }
+
+    /// Sends a write of `data` at `fd`'s offset (see [`MsgEnd::read`]).
+    fn write(
+        &self,
+        fd: Fd,
+        data: &[u8],
+        buf: Option<&mut VecDeque<Syscall>>,
+    ) -> impl std::future::Future<Output = Result<Result<usize, KError>, CallError>> {
+        let len = data.len();
+        let data: Box<[u8]> = data.into();
+        let (sent, write) = self.cursors.send(fd, len as u64, false, |at| {
+            self.call(buf, move |reply| Syscall::Write {
+                fd,
+                or_end: at.or_end,
+                off: at.at,
+                data,
+                reply,
+            })
+        });
+        let cursors = self.cursors.clone();
+        async move {
+            let out = write.await?.map(|()| len).map_err(KError::from);
+            cursors.write(fd, sent, &out);
+            Ok(out)
+        }
+    }
 }
 
 /// A process's end of its kernel.
 #[derive(Clone)]
 enum Attached {
-    /// The port of the process's kernel task.
-    Msg(Port<Syscall>),
+    /// The port of the process's kernel task, and its offsets.
+    Msg(MsgEnd),
     Trap(Arc<TrapKernel>),
 }
 
@@ -73,7 +281,10 @@ impl Env {
     /// ([`MsgKernel::attach`]), so it must run inside a runtime.
     pub fn new(pid: Pid, kernel: KernelHandle) -> Env {
         let kernel = match kernel {
-            KernelHandle::Msg(k) => Attached::Msg(k.attach(pid)),
+            KernelHandle::Msg(k) => Attached::Msg(MsgEnd {
+                port: k.attach(pid),
+                cursors: Cursors::default(),
+            }),
             KernelHandle::Trap(k) => Attached::Trap(k),
         };
         Env { pid, kernel }
@@ -85,7 +296,8 @@ impl Env {
             Attached::Trap(k) => k.open(self.pid, path).await,
             Attached::Msg(k) => {
                 let path = path.to_string();
-                flatten(k.call(move |reply| Syscall::Open { path, reply }).await)
+                let opened = k.port.call(move |reply| Syscall::Open { path, reply });
+                flatten(opened.await)
             }
         }
     }
@@ -96,7 +308,8 @@ impl Env {
             Attached::Trap(k) => k.create(self.pid, path).await,
             Attached::Msg(k) => {
                 let path = path.to_string();
-                flatten(k.call(move |reply| Syscall::Create { path, reply }).await)
+                let created = k.port.call(move |reply| Syscall::Create { path, reply });
+                flatten(created.await)
             }
         }
     }
@@ -106,7 +319,7 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.read(self.pid, fd, len).await,
             Attached::Msg(k) => {
-                let read = k.call(move |reply| Syscall::Read { fd, len, reply });
+                let read = k.read(fd, len, None);
                 Ok(flatten(read.await)?.copy_out().await)
             }
         }
@@ -118,11 +331,7 @@ impl Env {
             Attached::Trap(k) => k.write(self.pid, fd, data).await,
             Attached::Msg(k) => {
                 rt::delay(copy_cost(data.len())).await;
-                let data = data.to_vec();
-                flatten(
-                    k.call(move |reply| Syscall::Write { fd, data, reply })
-                        .await,
-                )
+                flatten(k.write(fd, data, None).await)
             }
         }
     }
@@ -131,7 +340,11 @@ impl Env {
     pub async fn close(&self, fd: Fd) -> Result<(), KError> {
         match &self.kernel {
             Attached::Trap(k) => k.close(self.pid, fd).await,
-            Attached::Msg(k) => flatten(k.call(move |reply| Syscall::Close { fd, reply }).await),
+            Attached::Msg(k) => {
+                let out = flatten(k.port.call(move |reply| Syscall::Close { fd, reply }).await);
+                k.cursors.close(fd);
+                out
+            }
         }
     }
 
@@ -139,7 +352,9 @@ impl Env {
     pub async fn fstat(&self, fd: Fd) -> Result<Stat, KError> {
         match &self.kernel {
             Attached::Trap(k) => k.fstat(self.pid, fd).await,
-            Attached::Msg(k) => flatten(k.call(move |reply| Syscall::Fstat { fd, reply }).await),
+            Attached::Msg(k) => {
+                flatten(k.port.call(move |reply| Syscall::Fstat { fd, reply }).await)
+            }
         }
     }
 
@@ -149,7 +364,8 @@ impl Env {
             Attached::Trap(k) => k.mkdir(self.pid, path).await,
             Attached::Msg(k) => {
                 let path = path.to_string();
-                flatten(k.call(move |reply| Syscall::Mkdir { path, reply }).await)
+                let made = k.port.call(move |reply| Syscall::Mkdir { path, reply });
+                flatten(made.await).map(drop)
             }
         }
     }
@@ -160,7 +376,8 @@ impl Env {
             Attached::Trap(k) => k.unlink(self.pid, path).await,
             Attached::Msg(k) => {
                 let path = path.to_string();
-                flatten(k.call(move |reply| Syscall::Unlink { path, reply }).await)
+                let unlinked = k.port.call(move |reply| Syscall::Unlink { path, reply });
+                flatten(unlinked.await)
             }
         }
     }
@@ -171,7 +388,9 @@ impl Env {
             Attached::Trap(k) => k.readdir(self.pid, path).await,
             Attached::Msg(k) => {
                 let path = path.to_string();
-                flatten(k.call(move |reply| Syscall::ReadDir { path, reply }).await)
+                let listed = k.port.call(move |reply| Syscall::ReadDir { path, reply });
+                let entries = flatten(listed.await)?;
+                Ok(entries.into_iter().map(|e| e.name).collect())
             }
         }
     }
@@ -181,6 +400,7 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.getpid(self.pid).await,
             Attached::Msg(k) => k
+                .port
                 .call(|reply| Syscall::GetPid { reply })
                 .await
                 .unwrap_or(self.pid),
@@ -210,8 +430,8 @@ impl Env {
         SyscallBatch {
             pid: self.pid,
             inner: match &self.kernel {
-                Attached::Msg(port) => BatchInner::Msg {
-                    port: port.clone(),
+                Attached::Msg(end) => BatchInner::Msg {
+                    end: end.clone(),
                     buf: VecDeque::new(),
                     copying: 0,
                 },
@@ -223,8 +443,9 @@ impl Env {
 
 enum BatchInner {
     /// Message kernel: requests accumulate and submit as one burst.
+    /// A read or a write takes its offset when it is queued.
     Msg {
-        port: Port<Syscall>,
+        end: MsgEnd,
         buf: VecDeque<Syscall>,
         /// Cycles of the queued writes' copies, paid at submit.
         copying: Cycles,
@@ -248,9 +469,9 @@ impl SyscallBatch {
     pub fn getpid(&mut self) -> Call<Pid> {
         let pid = self.pid;
         match &mut self.inner {
-            BatchInner::Msg { port, buf, .. } => {
-                port.call_deferred(buf, |reply| Syscall::GetPid { reply })
-            }
+            BatchInner::Msg { end, buf, .. } => end
+                .port
+                .call_deferred(buf, |reply| Syscall::GetPid { reply }),
             BatchInner::Trap(k) => {
                 let k = k.clone();
                 Call::from_future(async move { Ok(k.getpid(pid).await) })
@@ -263,9 +484,9 @@ impl SyscallBatch {
         let pid = self.pid;
         let path = path.to_string();
         match &mut self.inner {
-            BatchInner::Msg { port, buf, .. } => {
-                port.call_deferred(buf, move |reply| Syscall::Open { path, reply })
-            }
+            BatchInner::Msg { end, buf, .. } => end
+                .port
+                .call_deferred(buf, move |reply| Syscall::Open { path, reply }),
             BatchInner::Trap(k) => {
                 let k = k.clone();
                 Call::from_future(async move { Ok(k.open(pid, &path).await) })
@@ -278,9 +499,9 @@ impl SyscallBatch {
         let pid = self.pid;
         let path = path.to_string();
         match &mut self.inner {
-            BatchInner::Msg { port, buf, .. } => {
-                port.call_deferred(buf, move |reply| Syscall::Create { path, reply })
-            }
+            BatchInner::Msg { end, buf, .. } => end
+                .port
+                .call_deferred(buf, move |reply| Syscall::Create { path, reply }),
             BatchInner::Trap(k) => {
                 let k = k.clone();
                 Call::from_future(async move { Ok(k.create(pid, &path).await) })
@@ -293,9 +514,8 @@ impl SyscallBatch {
     pub fn read(&mut self, fd: Fd, len: usize) -> Call<Result<Vec<u8>, KError>> {
         let pid = self.pid;
         match &mut self.inner {
-            BatchInner::Msg { port, buf, .. } => {
-                let read: Call<Result<FileSlice, KError>> =
-                    port.call_deferred(buf, move |reply| Syscall::Read { fd, len, reply });
+            BatchInner::Msg { end, buf, .. } => {
+                let read = end.read(fd, len, Some(buf));
                 Call::from_future(async move {
                     Ok(match read.await? {
                         Ok(data) => Ok(data.copy_out().await),
@@ -316,14 +536,13 @@ impl SyscallBatch {
     /// [`submit`]: SyscallBatch::submit
     pub fn write(&mut self, fd: Fd, data: &[u8]) -> Call<Result<usize, KError>> {
         let pid = self.pid;
-        let data = data.to_vec();
         match &mut self.inner {
-            BatchInner::Msg { port, buf, copying } => {
+            BatchInner::Msg { end, buf, copying } => {
                 *copying += copy_cost(data.len());
-                port.call_deferred(buf, move |reply| Syscall::Write { fd, data, reply })
+                Call::from_future(end.write(fd, data, Some(buf)))
             }
             BatchInner::Trap(k) => {
-                let k = k.clone();
+                let (k, data) = (k.clone(), data.to_vec());
                 Call::from_future(async move { Ok(k.write(pid, fd, &data).await) })
             }
         }
@@ -333,8 +552,16 @@ impl SyscallBatch {
     pub fn close(&mut self, fd: Fd) -> Call<Result<(), KError>> {
         let pid = self.pid;
         match &mut self.inner {
-            BatchInner::Msg { port, buf, .. } => {
-                port.call_deferred(buf, move |reply| Syscall::Close { fd, reply })
+            BatchInner::Msg { end, buf, .. } => {
+                let close = end
+                    .port
+                    .call_deferred(buf, move |reply| Syscall::Close { fd, reply });
+                let cursors = end.cursors.clone();
+                Call::from_future(async move {
+                    let out = close.await;
+                    cursors.close(fd);
+                    out
+                })
             }
             BatchInner::Trap(k) => {
                 let k = k.clone();
@@ -358,12 +585,12 @@ impl SyscallBatch {
     /// if it cancels a call mid-batch.
     pub async fn submit(&mut self) {
         match &mut self.inner {
-            BatchInner::Msg { port, buf, copying } => {
+            BatchInner::Msg { end, buf, copying } => {
                 let copying = std::mem::take(copying);
                 if copying > 0 {
                     rt::delay(copying).await;
                 }
-                port.submit(buf).await
+                end.port.submit(buf).await
             }
             BatchInner::Trap(_) => {}
         }

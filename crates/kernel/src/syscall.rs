@@ -6,13 +6,26 @@
 //! can be done without any mode transitions."* System calls are
 //! ordinary messages carrying a reply channel. Every process has a
 //! kernel task of its own on a kernel core ([`MsgKernel::attach`]),
-//! which owns that process's fd table outright and answers its calls
+//! which owns that process's fd table outright and serves its calls
 //! in order — so no locks exist anywhere on the path, and a call that
 //! waits on the file system delays only the process that made it. The
 //! task drains its port in bursts and answers a burst through one
 //! [`ReplyBatch`]: the same loop on the simulator, where each answer
 //! is sent as it is produced, and on real threads, where a process
 //! with several outstanding calls is woken once for them.
+//!
+//! The reply channel is a capability (§3), and the task hands it on.
+//! Only `open` and `create` wait for the file system, because their
+//! answer is a descriptor the task must install. A `read`, `write` or
+//! `fstat` goes to the file the descriptor is open on, and an
+//! `unlink`, `mkdir` or `readdir` to the directory that serves its
+//! path, each with the process's reply: the file system answers the
+//! process, and the task serves its next call. A read that lies in one
+//! block goes on from the file's vnode to the block's cache shard,
+//! which answers the process. The process keeps its files' offsets, so
+//! a read or a write carries one (`pread`/`pwrite`); the answer that
+//! would move it goes nowhere else. On the lock engines the same calls
+//! are served and answered where the task hands them over.
 //!
 //! **Trap kernel** (the baseline): the conventional design. Each call
 //! pays a mode-switch in and out, runs the kernel code *on the
@@ -27,7 +40,7 @@ use chanos_rt::{
     self as rt, delay, port_channel, Capacity, CoreId, Cycles, Port, ReplyBatch, ReplyTo,
 };
 use chanos_shmem::SimMutex;
-use chanos_vfs::{FileSlice, Stat, Vfs};
+use chanos_vfs::{Dirent, File, FileCall, FileSlice, FsError, PathCall, Stat, Vfs};
 
 use crate::types::{Fd, KError, Pid};
 
@@ -49,25 +62,34 @@ pub enum Syscall {
         /// Completion channel.
         reply: ReplyTo<Result<Fd, KError>>,
     },
-    /// Reads from the descriptor's current offset.
+    /// Reads at an offset the process keeps (`pread`).
     Read {
         /// Descriptor to read.
         fd: Fd,
+        /// Where the read starts.
+        off: u64,
         /// Maximum bytes.
         len: usize,
-        /// Completion channel: the blocks the bytes lie in, shared with
-        /// the cache, for the process to copy out on its own core.
-        reply: ReplyTo<Result<FileSlice, KError>>,
+        /// Completion channel, handed on to the file system: the blocks
+        /// the bytes lie in, shared with the cache, for the process to
+        /// copy out on its own core.
+        reply: ReplyTo<Result<FileSlice, FsError>>,
     },
-    /// Writes at the descriptor's current offset.
+    /// Writes at an offset the process keeps (`pwrite`).
     Write {
         /// Descriptor to write.
         fd: Fd,
+        /// Whether the end of the file, if it comes first, is where the
+        /// write starts: the process's offset after a read whose answer
+        /// it has not seen is `off` or the end of the file.
+        or_end: bool,
+        /// Where the write starts.
+        off: u64,
         /// Bytes to write: the process's copy, which becomes the file's
         /// blocks.
-        data: Vec<u8>,
-        /// Completion channel.
-        reply: ReplyTo<Result<usize, KError>>,
+        data: Box<[u8]>,
+        /// Completion channel, handed on to the file system.
+        reply: ReplyTo<Result<(), FsError>>,
     },
     /// Closes a descriptor.
     Close {
@@ -80,29 +102,30 @@ pub enum Syscall {
     Fstat {
         /// Descriptor to stat.
         fd: Fd,
-        /// Completion channel.
-        reply: ReplyTo<Result<Stat, KError>>,
+        /// Completion channel, handed on to the file system.
+        reply: ReplyTo<Result<Stat, FsError>>,
     },
     /// Creates a directory.
     Mkdir {
         /// Absolute path.
         path: String,
-        /// Completion channel.
-        reply: ReplyTo<Result<(), KError>>,
+        /// Completion channel, handed on to the file system: the new
+        /// directory, opened.
+        reply: ReplyTo<Result<File, FsError>>,
     },
     /// Removes a file or empty directory.
     Unlink {
         /// Absolute path.
         path: String,
-        /// Completion channel.
-        reply: ReplyTo<Result<(), KError>>,
+        /// Completion channel, handed on to the file system.
+        reply: ReplyTo<Result<(), FsError>>,
     },
-    /// Lists a directory's entry names.
+    /// Lists a directory.
     ReadDir {
         /// Absolute path.
         path: String,
-        /// Completion channel.
-        reply: ReplyTo<Result<Vec<String>, KError>>,
+        /// Completion channel, handed on to the file system.
+        reply: ReplyTo<Result<Vec<Dirent>, FsError>>,
     },
     /// The null system call (the classic microbenchmark).
     GetPid {
@@ -137,33 +160,31 @@ impl Default for KernelCosts {
     }
 }
 
-#[derive(Debug, Clone)]
-struct OpenFile {
-    ino: u64,
-    offset: u64,
-}
-
-/// One process's kernel-side state, owned by its kernel task.
+/// One process's kernel-side state, owned by its kernel task: its open
+/// files. Their offsets are the process's own (`Env`).
 struct ProcState {
     pid: Pid,
     vfs: Vfs,
     costs: KernelCosts,
-    files: HashMap<Fd, OpenFile>,
+    files: HashMap<Fd, File>,
     next_fd: u32,
 }
 
 impl ProcState {
-    fn install(&mut self, ino: u64) -> Fd {
+    fn install(&mut self, file: File) -> Fd {
         let fd = Fd(self.next_fd);
         self.next_fd += 1;
-        self.files.insert(fd, OpenFile { ino, offset: 0 });
+        self.files.insert(fd, file);
         fd
     }
 
-    /// Serves one call, answering through `replies`. A call that goes
-    /// to the file system may wait there for a disk, so what the burst
-    /// has answered so far is flushed first: a `GetPid` is never held
-    /// behind a cold read.
+    /// Serves one call, answering through `replies`. Only `open` and
+    /// `create`, which install a descriptor, wait for the file system;
+    /// every other call into it is handed on with the process's reply,
+    /// and the file system answers the process. A call that may wait
+    /// there for a disk (on a lock engine, any of them) flushes what the
+    /// burst has answered first: a `GetPid` is never held behind a cold
+    /// read.
     async fn handle(&mut self, call: Syscall, replies: &mut ReplyBatch) {
         delay(self.costs.syscall_cpu).await;
         rt::stat_incr("kernel.syscalls");
@@ -172,76 +193,72 @@ impl ProcState {
         }
         match call {
             Syscall::Open { path, reply } => {
-                let out = match self.vfs.lookup(&path).await {
-                    Ok(ino) => Ok(self.install(ino)),
-                    Err(e) => Err(KError::Fs(e)),
-                };
-                replies.send(reply, out);
+                let out = self.vfs.open(&path).await.map(|file| self.install(file));
+                replies.send(reply, out.map_err(KError::Fs));
             }
             Syscall::Create { path, reply } => {
-                let out = match self.vfs.create(&path).await {
-                    Ok(ino) => Ok(self.install(ino)),
-                    Err(e) => Err(KError::Fs(e)),
-                };
-                replies.send(reply, out);
+                let out = self.vfs.create_open(&path).await;
+                replies.send(
+                    reply,
+                    out.map(|file| self.install(file)).map_err(KError::Fs),
+                );
             }
-            Syscall::Read { fd, len, reply } => {
-                let out = match self.files.get(&fd).cloned() {
-                    None => Err(KError::BadFd),
-                    Some(of) => match self.vfs.read_shared(of.ino, of.offset, len).await {
-                        Ok(data) => {
-                            self.files.get_mut(&fd).expect("checked above").offset +=
-                                data.len() as u64;
-                            Ok(data)
-                        }
-                        Err(e) => Err(KError::Fs(e)),
-                    },
-                };
-                replies.send(reply, out);
+            Syscall::Read {
+                fd,
+                off,
+                len,
+                reply,
+            } => {
+                let call = FileCall::Read { off, len, reply };
+                self.on_file(fd, call, replies).await;
             }
-            Syscall::Write { fd, data, reply } => {
-                let len = data.len();
-                let out = match self.files.get(&fd).cloned() {
-                    None => Err(KError::BadFd),
-                    Some(of) => match self.vfs.write_owned(of.ino, of.offset, data).await {
-                        Ok(()) => {
-                            self.files.get_mut(&fd).expect("checked above").offset += len as u64;
-                            Ok(len)
-                        }
-                        Err(e) => Err(KError::Fs(e)),
-                    },
+            Syscall::Write {
+                fd,
+                or_end,
+                off,
+                data,
+                reply,
+            } => {
+                let data = data.into_vec();
+                let call = FileCall::Write {
+                    off,
+                    or_end,
+                    data,
+                    reply,
                 };
-                replies.send(reply, out);
+                self.on_file(fd, call, replies).await;
             }
             Syscall::Close { fd, reply } => {
                 let out = self.files.remove(&fd).map(|_| ()).ok_or(KError::BadFd);
                 replies.send(reply, out);
             }
             Syscall::Fstat { fd, reply } => {
-                let out = match self.files.get(&fd) {
-                    None => Err(KError::BadFd),
-                    Some(of) => self.vfs.stat(of.ino).await.map_err(KError::Fs),
-                };
-                replies.send(reply, out);
+                self.on_file(fd, FileCall::Stat { reply }, replies).await;
             }
             Syscall::Mkdir { path, reply } => {
-                let out = self.vfs.mkdir(&path).await.map(|_| ()).map_err(KError::Fs);
-                replies.send(reply, out);
+                let call = PathCall::Mkdir { reply };
+                self.vfs.on_path(&path, call, replies).await;
             }
             Syscall::Unlink { path, reply } => {
-                let out = self.vfs.unlink(&path).await.map_err(KError::Fs);
-                replies.send(reply, out);
+                let call = PathCall::Unlink { reply };
+                self.vfs.on_path(&path, call, replies).await;
             }
             Syscall::ReadDir { path, reply } => {
-                let out = match self.vfs.readdir(&path).await {
-                    Ok(entries) => Ok(entries.into_iter().map(|e| e.name).collect()),
-                    Err(e) => Err(KError::Fs(e)),
-                };
-                replies.send(reply, out);
+                let call = PathCall::ReadDir { reply };
+                self.vfs.on_path(&path, call, replies).await;
             }
             Syscall::GetPid { reply } => {
                 replies.send(reply, self.pid);
             }
+        }
+    }
+
+    /// Hands `call` to the file `fd` is open on; refuses it if `fd` is
+    /// not open.
+    async fn on_file(&self, fd: Fd, call: FileCall, replies: &mut ReplyBatch) {
+        match self.files.get(&fd) {
+            Some(file) => self.vfs.on_file(file, call, replies).await,
+            None => call.refuse(FsError::BadFd, replies),
         }
     }
 }
@@ -340,6 +357,13 @@ impl MsgKernel {
             }
         }
     }
+}
+
+/// A trap kernel's open file: the kernel keeps the offset.
+#[derive(Debug, Clone)]
+struct OpenFile {
+    ino: u64,
+    offset: u64,
 }
 
 /// The trap-kernel baseline: kernel code runs on the caller's core

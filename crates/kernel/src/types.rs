@@ -57,8 +57,14 @@ impl std::fmt::Display for KError {
 impl std::error::Error for KError {}
 
 impl From<FsError> for KError {
+    /// A file system's answer as a syscall's: the kernel's own refusal
+    /// of a descriptor, which travels in the file system's answer type
+    /// when the call was handed on, is `BadFd` again.
     fn from(e: FsError) -> Self {
-        KError::Fs(e)
+        match e {
+            FsError::BadFd => KError::BadFd,
+            e => KError::Fs(e),
+        }
     }
 }
 

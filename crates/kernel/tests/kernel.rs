@@ -912,6 +912,244 @@ fn an_open_costs_its_kernel_task_one_file_system_round_trip() {
     assert_eq!(deep, 400);
 }
 
+/// A descriptor keeps the file it was opened on. Open `/old`, unlink
+/// it, create and write `/new` — which takes `/old`'s inode number —
+/// and the old descriptor's `fstat` and `read` answer `Gone`: the
+/// descriptor holds the vnode port its directory answered the open
+/// with, and that vnode went with `/old`. (While the fd table kept a
+/// bare inode number, both answered with `/new`'s stat and bytes.)
+async fn a_stale_fd_script() -> (bool, Result<u64, KError>, Result<Vec<u8>, KError>) {
+    let os = boot(BootCfg::new(
+        KernelKind::Message,
+        FsKind::Message,
+        kernel_cores(2),
+    ))
+    .await;
+    let env = os.procs.env();
+    let fd = env.create("/old").await.unwrap();
+    env.write(fd, b"old bytes").await.unwrap();
+    let old = os.vfs.lookup("/old").await.unwrap();
+    env.unlink("/old").await.unwrap();
+    let new = env.create("/new").await.unwrap();
+    env.write(new, b"NEW SECRET").await.unwrap();
+    let reused = os.vfs.lookup("/new").await.unwrap() == old;
+    let stat = env.fstat(fd).await.map(|st| st.size);
+    (reused, stat, env.read(fd, 64).await)
+}
+
+#[test]
+fn a_descriptor_keeps_its_file_after_the_inode_number_is_reused() {
+    let gone = KError::Fs(chanos_vfs::FsError::Gone);
+    let mut s = sim(4);
+    let (reused, stat, read) = s.block_on(a_stale_fd_script()).unwrap();
+    assert!(reused, "the new file takes the old one's inode number");
+    assert_eq!(
+        (stat, read),
+        (Err(gone.clone()), Err(gone.clone())),
+        "simulator"
+    );
+
+    let rt = chanos_parchan::Runtime::new(2);
+    let (reused, stat, read) = rt.block_on(a_stale_fd_script());
+    rt.shutdown();
+    assert!(reused, "the new file takes the old one's inode number");
+    assert_eq!((stat, read), (Err(gone.clone()), Err(gone)), "threads");
+}
+
+/// A read or a write racing the reap of its file is answered: with the
+/// bytes, or with `Fs(Gone)` — by the vnode, which refuses what it
+/// finds queued when it reaps, or by the kernel task, whose hand-off
+/// finds the vnode gone. Never `Cancelled` (the process's reply dropped
+/// unanswered, as it was while a reaping vnode dropped its queue), and
+/// never a hang.
+#[test]
+fn a_read_or_write_racing_its_files_reap_is_answered() {
+    let (mut served, mut gone) = (0, 0);
+    // How long after the read and the write the unlink starts, in
+    // cycles (negative: before them).
+    for delay in (-1_500i64..=1_500).step_by(25) {
+        let mut s = sim(6);
+        let (read, wrote) = s
+            .block_on(async move {
+                let os = boot(BootCfg::new(
+                    KernelKind::Message,
+                    FsKind::Message,
+                    kernel_cores(2),
+                ))
+                .await;
+                let ino = os.vfs.create("/f").await.unwrap();
+                os.vfs.write(ino, 0, &[7; 4096]).await.unwrap();
+                let (user, remover) = (os.procs.env(), os.procs.env());
+                let fd = user.open("/f").await.unwrap();
+                let unlink = chanos_rt::spawn_on(CoreId(3), async move {
+                    chanos_rt::sleep(delay.max(0) as u64).await;
+                    remover.unlink("/f").await.unwrap();
+                });
+                let io = chanos_rt::spawn_on(CoreId(4), async move {
+                    chanos_rt::sleep((-delay).max(0) as u64).await;
+                    let mut b = user.batch();
+                    let (read, wrote) = (b.read(fd, 4096), b.write(fd, b"late"));
+                    b.submit().await;
+                    // A dropped reply is a transport error here.
+                    let read = read.await.unwrap_or_else(|e| Err(e.into()));
+                    (read, wrote.await.unwrap_or_else(|e| Err(e.into())))
+                });
+                unlink.join().await.unwrap();
+                io.join().await.unwrap()
+            })
+            .unwrap_or_else(|e| panic!("delay {delay}: a call was never answered: {e}"));
+        for (what, out) in [("read", read.map(|b| b.len())), ("write", wrote)] {
+            match out {
+                Ok(_) => served += 1,
+                Err(KError::Fs(chanos_vfs::FsError::Gone)) => gone += 1,
+                other => panic!("delay {delay}: the {what} answered {other:?}"),
+            }
+        }
+    }
+    assert!(served > 0 && gone > 0, "{served} served, {gone} gone");
+}
+
+/// The process keeps its offsets, and they move as the kernel moved
+/// them: a short read leaves the offset at the end of the file, so a
+/// write queued behind it in the same batch — sent before the read's
+/// answer is in — lands there, on every kernel and file system. A read
+/// that got all it asked for leaves it after the bytes.
+#[test]
+fn a_write_behind_a_short_read_in_one_batch_lands_at_the_end() {
+    for (kernel, fs) in [
+        (KernelKind::Message, FsKind::Message),
+        (KernelKind::Message, FsKind::BigLock),
+        (KernelKind::Trap, FsKind::BigLock),
+    ] {
+        let mut s = sim(6);
+        let (got, whole, after) = s
+            .block_on(async move {
+                let os = boot(BootCfg::new(kernel, fs, kernel_cores(2))).await;
+                let env = os.procs.env();
+                let fd = env.create("/o").await.unwrap();
+                env.write(fd, b"abcdef").await.unwrap();
+                env.close(fd).await.unwrap();
+                let fd = env.open("/o").await.unwrap();
+                let mut b = env.batch();
+                let full = b.read(fd, 2);
+                let short = b.read(fd, 10);
+                let wrote = b.write(fd, b"XY");
+                b.submit().await;
+                // In program order: the trap kernel runs a batch's
+                // calls as they are awaited.
+                let got = (full.await.unwrap().unwrap(), short.await.unwrap().unwrap());
+                let wrote = wrote.await.unwrap().unwrap();
+                env.write(fd, b"Z").await.unwrap();
+                // Once every answer is in, the offset is exact again:
+                // bytes another process appends are read from there.
+                let other = os.procs.env();
+                let theirs = other.open("/o").await.unwrap();
+                other.read(theirs, 64).await.unwrap();
+                other.write(theirs, b"0123").await.unwrap();
+                let appended = env.read(fd, 10).await.unwrap();
+                let fd = env.open("/o").await.unwrap();
+                let whole = env.read(fd, 64).await.unwrap();
+                assert_eq!(wrote, 2);
+                (got, whole, appended)
+            })
+            .unwrap();
+        let label = format!("{kernel:?} + {fs:?}");
+        assert_eq!(got, (b"ab".to_vec(), b"cdef".to_vec()), "{label}");
+        assert_eq!(whole, b"abcdefXYZ0123", "{label}");
+        assert_eq!(after, b"0123", "{label}");
+    }
+
+    // A write behind a read that got all it asked for.
+    let mut s = sim(6);
+    let whole = s
+        .block_on(async {
+            let os = boot(BootCfg::new(
+                KernelKind::Message,
+                FsKind::Message,
+                kernel_cores(2),
+            ))
+            .await;
+            let env = os.procs.env();
+            let fd = env.create("/p").await.unwrap();
+            env.write(fd, b"abcdef").await.unwrap();
+            let fd = env.open("/p").await.unwrap();
+            let twin = env.clone();
+            let mut b = twin.batch();
+            let read = b.read(fd, 2);
+            let wrote = b.write(fd, b"XY");
+            b.submit().await;
+            // Answers taken out of order settle in the order sent.
+            assert_eq!(wrote.await.unwrap(), Ok(2));
+            assert_eq!(read.await.unwrap().unwrap(), b"ab");
+            // The clone moved the offset for both.
+            assert_eq!(env.read(fd, 64).await.unwrap(), b"ef");
+            let fd = env.open("/p").await.unwrap();
+            env.read(fd, 64).await.unwrap()
+        })
+        .unwrap();
+    assert_eq!(whole, b"abXYef");
+}
+
+/// A warm one-block `read`, and the ladder's `create`, `write`, `close`,
+/// `unlink` round with its one-block `write` into the fresh file, from
+/// an application core through a kernel task on core 0, pinned in
+/// cycles on the ladder's machine. The read is one trip: the process's
+/// kernel task hands it to the file's vnode, the vnode to the block's
+/// cache shard, and the shard answers the process. The write's answer
+/// comes from the vnode, whose port the `create` answered with. (While
+/// the kernel task awaited the file system, the vnode gathered a
+/// one-block read itself and the first write started the file's vnode,
+/// they cost 1 668, 2 419 and 5 934.)
+#[test]
+fn a_read_and_a_write_cost_exact_cycles_on_the_ladder_machine() {
+    const BLOCK: usize = 4096;
+    let mut s = ladder_sim();
+    let (read, write, round) = s
+        .block_on(async {
+            let os = boot(BootCfg::new(
+                KernelKind::Message,
+                FsKind::Message,
+                kernel_cores(4),
+            ))
+            .await;
+            let ino = os.vfs.create("/f").await.unwrap();
+            os.vfs.write(ino, 0, &[7; BLOCK]).await.unwrap();
+            let env = loop {
+                let env = os.procs.env();
+                if env.pid.0 % 4 == 0 {
+                    break env;
+                }
+            };
+            chanos_rt::spawn_on(CoreId(4), async move {
+                let (mut read, mut write, mut round) = (0, 0, 0);
+                for _ in 0..2 {
+                    let fd = env.open("/f").await.unwrap();
+                    let t = chanos_rt::now();
+                    env.read(fd, BLOCK).await.unwrap();
+                    read = chanos_rt::now() - t;
+                    env.close(fd).await.unwrap();
+                    // The ladder's create, write, close, unlink.
+                    let t0 = chanos_rt::now();
+                    let fd = env.create("/w").await.unwrap();
+                    let t = chanos_rt::now();
+                    env.write(fd, &[9; BLOCK]).await.unwrap();
+                    write = chanos_rt::now() - t;
+                    env.close(fd).await.unwrap();
+                    env.unlink("/w").await.unwrap();
+                    round = chanos_rt::now() - t0;
+                }
+                (read, write, round)
+            })
+            .join()
+            .await
+            .unwrap()
+        })
+        .unwrap();
+    assert_eq!(read, 1_420, "warm one-block read");
+    assert_eq!(write, 2_043, "one-block write into a fresh file");
+    assert_eq!(round, 5_767, "create, write, close, unlink");
+}
+
 #[cfg(target_pointer_width = "64")]
 #[test]
 fn syscall_message_layout_is_pinned() {

@@ -72,6 +72,24 @@ pub struct FileSlice {
 static ZEROES: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
 
 impl FileSlice {
+    /// `len` bytes from `start` in one block: how a cache shard answers
+    /// a read that lies in a block of its own.
+    pub(crate) fn in_block(block: Block, start: u32, len: u32) -> FileSlice {
+        debug_assert!((start + len) as usize <= BLOCK_SIZE);
+        FileSlice {
+            blocks: Box::new([Some(block)]),
+            start,
+            len,
+        }
+    }
+
+    /// The one block a slice made by [`FileSlice::in_block`] lies in.
+    pub(crate) fn into_block(self) -> Block {
+        let mut blocks = self.blocks.into_vec();
+        debug_assert_eq!(blocks.len(), 1);
+        blocks.pop().flatten().expect("a slice of one cached block")
+    }
+
     /// The range's length in bytes.
     pub fn len(&self) -> usize {
         self.len as usize
@@ -104,6 +122,25 @@ impl FileSlice {
         }
         out
     }
+}
+
+/// Where a read of `len` bytes at `off` lies if it lies in one
+/// directly mapped block: the block, where in it the read starts,
+/// and its length once cut at the end of the file. A read that
+/// spans blocks, goes through the indirect block, falls in a hole or
+/// reads nothing is `None`: [`FsCore::read_file`] gathers it.
+pub(crate) fn in_one_block(inode: &Inode, off: u64, len: usize) -> Option<(u64, u32, u32)> {
+    if off >= inode.size || len == 0 {
+        return None;
+    }
+    let end = (off + len as u64).min(inode.size);
+    let fbn = off / BLOCK_SIZE as u64;
+    if (end - 1) / BLOCK_SIZE as u64 != fbn {
+        return None;
+    }
+    let lba = *inode.direct.get(fbn as usize)?;
+    let start = (off % BLOCK_SIZE as u64) as u32;
+    (lba != 0).then_some((lba, start, (end - off) as u32))
 }
 
 /// The shared algorithm layer over a block store.

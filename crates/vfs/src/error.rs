@@ -27,8 +27,14 @@ pub enum FsError {
     Invalid,
     /// Underlying device error.
     Io(DiskError),
-    /// A server in the file-system service went away.
+    /// A server in the file-system service went away, or the file an
+    /// open handle names was removed.
     Gone,
+    /// The descriptor names no open file: the kernel's refusal of a
+    /// call on a closed or unknown descriptor. It travels in the file
+    /// system's answer type because the kernel hands such a call's
+    /// reply on to the file system, which answers the process itself.
+    BadFd,
 }
 
 impl std::fmt::Display for FsError {
@@ -46,6 +52,7 @@ impl std::fmt::Display for FsError {
             FsError::Invalid => write!(f, "invalid argument"),
             FsError::Io(e) => write!(f, "I/O error: {e}"),
             FsError::Gone => write!(f, "filesystem service unavailable"),
+            FsError::BadFd => write!(f, "bad file descriptor"),
         }
     }
 }

@@ -38,6 +38,91 @@ pub use store::{
     COPY_BYTES_PER_CYCLE,
 };
 
+use chanos_rt::{Port, ReplyBatch, ReplyTo};
+
+/// An open file: what [`Vfs::open`] and [`Vfs::create_open`] answer.
+///
+/// On [`MsgFs`] it holds the file's vnode port, which the directory
+/// that names the file takes in the same turn as the lookup, so in
+/// order with that directory's unlinks. Every call through it reaches
+/// that file and no other: once the file is removed its vnode is gone,
+/// and a call answers [`FsError::Gone`] even after the inode number
+/// names another file. The lock engines keep only the number.
+#[derive(Clone, Debug)]
+pub struct File {
+    ino: u64,
+    vnode: Option<Port<msgfs::VnodeMsg>>,
+}
+
+impl File {
+    /// A file of a lock engine: its inode number alone.
+    fn numbered(ino: u64) -> File {
+        File { ino, vnode: None }
+    }
+}
+
+/// A call on an open file carrying its caller's reply: the file system
+/// answers the caller itself ([`Vfs::on_file`]).
+pub enum FileCall {
+    /// Reads up to `len` bytes at `off`.
+    Read {
+        /// Where the read starts.
+        off: u64,
+        /// Maximum bytes.
+        len: usize,
+        /// The blocks the bytes lie in, shared with the cache.
+        reply: ReplyTo<Result<FileSlice, FsError>>,
+    },
+    /// Writes `data` at `off`, or at the end of the file if `or_end`
+    /// and the end comes first.
+    Write {
+        /// Where the write starts.
+        off: u64,
+        /// Whether the end of the file, if it comes first, is where.
+        or_end: bool,
+        /// The writer's buffer, which becomes the file's blocks.
+        data: Vec<u8>,
+        /// Completion channel.
+        reply: ReplyTo<Result<(), FsError>>,
+    },
+    /// The file's metadata.
+    Stat {
+        /// Completion channel.
+        reply: ReplyTo<Result<Stat, FsError>>,
+    },
+}
+
+impl FileCall {
+    /// Answers the call with `e`, unserved.
+    pub fn refuse(self, e: FsError, replies: &mut ReplyBatch) {
+        match self {
+            FileCall::Read { reply, .. } => replies.send(reply, Err(e)),
+            FileCall::Write { reply, .. } => replies.send(reply, Err(e)),
+            FileCall::Stat { reply } => replies.send(reply, Err(e)),
+        }
+    }
+}
+
+/// A call on a path carrying its caller's reply, which the file system
+/// answers itself ([`Vfs::on_path`]).
+pub enum PathCall {
+    /// Creates and opens a directory.
+    Mkdir {
+        /// Completion channel.
+        reply: ReplyTo<Result<File, FsError>>,
+    },
+    /// Removes a file or empty directory.
+    Unlink {
+        /// Completion channel.
+        reply: ReplyTo<Result<(), FsError>>,
+    },
+    /// Lists a directory.
+    ReadDir {
+        /// Completion channel.
+        reply: ReplyTo<Result<Vec<Dirent>, FsError>>,
+    },
+}
+
 /// A file-system client of any engine, for engine-generic code
 /// (tests, experiments, the kernel's VFS layer).
 #[derive(Clone)]
@@ -85,6 +170,71 @@ impl Vfs {
         delegate!(self, fs, fs.lookup(path).await)
     }
 
+    /// Opens the file or directory `path` names.
+    pub async fn open(&self, path: &str) -> Result<File, FsError> {
+        match self {
+            Vfs::Msg(fs) => fs.open(path).await,
+            _ => self.lookup(path).await.map(File::numbered),
+        }
+    }
+
+    /// Creates and opens a regular file.
+    pub async fn create_open(&self, path: &str) -> Result<File, FsError> {
+        match self {
+            Vfs::Msg(fs) => fs.create_open(path).await,
+            _ => self.create(path).await.map(File::numbered),
+        }
+    }
+
+    /// Serves `call` on `file`, answering the caller's reply. On
+    /// [`MsgFs`] the call goes to the file's vnode (and a one-block read
+    /// on to its cache shard), which answers, and this returns once it
+    /// is sent; a lock engine serves it here, and this returns once it
+    /// is answered.
+    pub async fn on_file(&self, file: &File, call: FileCall, replies: &mut ReplyBatch) {
+        if let Vfs::Msg(fs) = self {
+            return fs.on_file(file, call, replies).await;
+        }
+        let ino = file.ino;
+        match call {
+            FileCall::Read { off, len, reply } => {
+                replies.send(reply, self.read_shared(ino, off, len).await)
+            }
+            FileCall::Write {
+                off,
+                or_end,
+                data,
+                reply,
+            } => {
+                let write = async {
+                    let off = match or_end {
+                        true => off.min(self.stat(ino).await?.size),
+                        false => off,
+                    };
+                    delegate!(self, fs, fs.write(ino, off, data).await)
+                };
+                replies.send(reply, write.await)
+            }
+            FileCall::Stat { reply } => replies.send(reply, self.stat(ino).await),
+        }
+    }
+
+    /// Serves `call` on `path`, answering the caller's reply: handed on
+    /// to the directory that serves it on [`MsgFs`], served here on a
+    /// lock engine (see [`Vfs::on_file`]).
+    pub async fn on_path(&self, path: &str, call: PathCall, replies: &mut ReplyBatch) {
+        if let Vfs::Msg(fs) = self {
+            return fs.on_path(path, call, replies).await;
+        }
+        match call {
+            PathCall::Mkdir { reply } => {
+                replies.send(reply, self.mkdir(path).await.map(File::numbered))
+            }
+            PathCall::Unlink { reply } => replies.send(reply, self.unlink(path).await),
+            PathCall::ReadDir { reply } => replies.send(reply, self.readdir(path).await),
+        }
+    }
+
     /// Reads `len` bytes at `off` from inode `ino` into a buffer of the
     /// caller's: the read's one copy, charged [`copy_cost`] on the
     /// caller's core.
@@ -105,14 +255,7 @@ impl Vfs {
     /// core, and writes that.
     pub async fn write(&self, ino: u64, off: u64, data: &[u8]) -> Result<(), FsError> {
         chanos_rt::delay(copy_cost(data.len())).await;
-        self.write_owned(ino, off, data.to_vec()).await
-    }
-
-    /// Writes a buffer its caller gives up, its copy already paid for
-    /// (a process's bytes, copied on its core): the bytes become the
-    /// file's blocks without another copy.
-    pub async fn write_owned(&self, ino: u64, off: u64, data: Vec<u8>) -> Result<(), FsError> {
-        delegate!(self, fs, fs.write(ino, off, data).await)
+        delegate!(self, fs, fs.write(ino, off, data.to_vec()).await)
     }
 
     /// Returns metadata for inode `ino`.

@@ -14,14 +14,15 @@
 //!    └──────────────────────────── Ok(ino) ───────────────────────────┘
 //!
 //! client ──Read/Write/Stat──▶ vnode task (one per active inode)
-//!                                   │  owns its Inode outright and,
-//!                                   │  for a directory, its blocks
-//!                                   │  and entries
-//!                                   ├──AllocBlock/WriteInode──▶ group task (one per
-//!                                   │                           cylinder group; holds
-//!                                   │                           its bitmaps and inode
-//!                                   │                           table)
-//!                                   └──Read/Write block───────▶ cache shard task
+//!    ▲                              │  owns its Inode outright and,
+//!    │                              │  for a directory, its blocks
+//!    │                              │  and entries
+//!    │                              ├──AllocBlock/WriteInode──▶ group task (one per
+//!    │                              │                           cylinder group; holds
+//!    │                              │                           its bitmaps and inode
+//!    │                              │                           table)
+//!    │                              └──Read/Write block───────▶ cache shard task
+//!    └──────────── a one-block Read's FileSlice ────────────────────────┘
 //! ```
 //!
 //! A call that names a path makes one round trip, to the root's vnode:
@@ -31,7 +32,10 @@
 //! the message to the child's vnode, whose port it finds in its own
 //! core's registry replica; the last directory hands the request
 //! (`Lookup`, `Create`, `Unlink`, `ReadDir`) to its target, which
-//! answers the caller. A walk that stops short — a missing name, a file
+//! answers the caller; a `Lookup` or a `Create` answers with a [`File`],
+//! the entry's number and its vnode's port, taken in the directory's
+//! turn, which is how an open file reaches its vnode from then on. A
+//! walk that stops short — a missing name, a file
 //! on the way, a vnode that cannot be reached — is refused, to the
 //! caller, by the vnode where it stopped. A directory serves a walk in
 //! its turn like any request, so a walk that misses the registry waits
@@ -52,9 +56,12 @@
 //! volume holds the bytes the lock engines would have written. A
 //! file's data blocks live in the cache shards alone.
 //!
-//! Who copies: the task that moves the bytes, on its own core. A vnode
-//! answers a `Read` with the blocks the bytes lie in (`FileSlice`),
-//! shared with the cache, and the reader copies them out; a `Write`'s
+//! Who copies: the task that moves the bytes, on its own core. A `Read`
+//! is answered with the blocks the bytes lie in (`FileSlice`), shared
+//! with the cache, and the reader copies them out. One that lies in a
+//! single directly mapped block the vnode hands on, with its caller's
+//! reply, to the block's cache shard, which answers the caller; any
+//! other the vnode gathers and answers itself. A `Write`'s
 //! buffer is the writer's copy and becomes the block. A vnode that
 //! writes part of a file block copies the block to change it, or makes
 //! zeroes to start a block the file did not have; a group task and a
@@ -94,8 +101,10 @@
 //! back, free the data and clear the inode record (one burst to the
 //! group), leave the registry, and only then free the number.
 //! It then closes its channel and refuses whatever was queued or still
-//! on its way — a call through a stale inode number — so those callers
-//! get [`FsError::Gone`], not silence.
+//! on its way, and the rest of the burst it reaped in — a call through
+//! a stale inode number or a removed file's port — so those callers get
+//! [`FsError::Gone`], not silence. The caller may be a process whose
+//! kernel task handed the call on.
 //!
 //! The ino→vnode-port registry itself is node-replicated
 //! (`fs-vnreg`, one replica per service core): `Get` is served from
@@ -121,11 +130,13 @@ use chanos_rt::{self as rt, port_channel, Capacity, CoreId, Port, ReplyBatch, Re
 use chanos_sim::plock;
 
 use crate::core_fs::{
-    check_name, dirent_slots, split_parent, split_path, Allocator, FileSlice, FsCore, Stat,
+    check_name, dirent_slots, in_one_block, split_parent, split_path, Allocator, FileSlice, FsCore,
+    Stat,
 };
 use crate::error::FsError;
 use crate::layout::{Dirent, FileKind, Inode, Superblock, DIRENT_SIZE, ROOT_INO};
 use crate::store::{check_block_len, copy_cost, Block, BlockStore, CacheClient};
+use crate::{File, FileCall, PathCall};
 
 /// Messages understood by a cylinder-group server task.
 enum GroupMsg {
@@ -164,28 +175,36 @@ enum GroupMsg {
 }
 
 /// Messages understood by a vnode task.
-enum VnodeMsg {
+pub(crate) enum VnodeMsg {
+    /// A one-block read of a file is handed on to the block's cache
+    /// shard with `reply`; any other read is gathered and answered here.
     Read {
         off: u64,
         len: usize,
         reply: ReplyTo<Result<FileSlice, FsError>>,
     },
+    /// Writes at `off`, or at the end of the file if `or_end` and the
+    /// end comes first.
     Write {
         off: u64,
+        or_end: bool,
         data: Vec<u8>,
         reply: ReplyTo<Result<(), FsError>>,
     },
     Stat {
         reply: ReplyTo<Result<Stat, FsError>>,
     },
+    /// Opens the entry `name`: its inode and its vnode's port, taken in
+    /// this directory's turn.
     Lookup {
         name: String,
-        reply: ReplyTo<Result<u64, FsError>>,
+        reply: ReplyTo<Result<File, FsError>>,
     },
+    /// Creates and opens the entry `name`.
     Create {
         name: String,
         kind: FileKind,
-        reply: ReplyTo<Result<u64, FsError>>,
+        reply: ReplyTo<Result<File, FsError>>,
     },
     Unlink {
         name: String,
@@ -660,17 +679,23 @@ async fn vnode_task(
             vn.serve(&rx).await;
         }
     }
+    // A call queued or still on its way reached a file that is gone:
+    // its caller, who may be a process whose kernel task handed the
+    // call on, is answered so.
     rx.close();
-    let mut refused = Vec::new();
+    let (mut refused, mut replies) = (Vec::new(), ReplyBatch::default());
     while rx.recv_many(&mut refused, FS_BATCH).await > 0 {
-        refused.clear();
+        for msg in refused.drain(..) {
+            msg.refuse(FsError::Gone, &mut replies);
+        }
+        replies.flush();
     }
 }
 
 impl Vnode {
     /// Drains request bursts per wakeup until the channel closes or a
-    /// `Condemn` reaps the inode (the rest of that burst is dropped
-    /// unserved).
+    /// `Condemn` reaps the inode (the rest of that burst is refused
+    /// `Gone`).
     async fn serve(mut self, rx: &chanos_rt::Receiver<VnodeMsg>) {
         let mut batch = Vec::with_capacity(FS_BATCH);
         let mut replies = ReplyBatch::default();
@@ -679,11 +704,15 @@ impl Vnode {
             if n == 0 {
                 return;
             }
-            for msg in batch.drain(..) {
+            let mut burst = batch.drain(..);
+            while let Some(msg) = burst.next() {
                 if self.handle(msg, &mut replies).await.is_break() {
                     // The vnode thread exits with its inode; dropping
                     // the batch flushes the reaping Condemn's reply
                     // with the rest of the burst's.
+                    for msg in burst {
+                        msg.refuse(FsError::Gone, &mut replies);
+                    }
                     return;
                 }
             }
@@ -697,15 +726,18 @@ impl Vnode {
         replies: &mut ReplyBatch,
     ) -> std::ops::ControlFlow<()> {
         match msg {
-            VnodeMsg::Read { off, len, reply } => {
-                let out = if self.inode.kind == FileKind::Dir {
-                    Err(FsError::IsDir)
+            VnodeMsg::Read { off, len, reply } => self.read(off, len, reply, replies).await,
+            VnodeMsg::Write {
+                off,
+                or_end,
+                data,
+                reply,
+            } => {
+                let off = if or_end {
+                    off.min(self.inode.size)
                 } else {
-                    self.shared.core.read_file(&self.inode, off, len).await
+                    off
                 };
-                replies.send(reply, out);
-            }
-            VnodeMsg::Write { off, data, reply } => {
                 let out = if self.inode.kind == FileKind::Dir {
                     Err(FsError::IsDir)
                 } else {
@@ -726,11 +758,17 @@ impl Vnode {
                 replies.send(reply, out);
             }
             VnodeMsg::Lookup { name, reply } => {
-                let out = self.child(&name).await;
+                let out = match self.child(&name).await {
+                    Ok(ino) => open(&self.shared, ino).await,
+                    Err(e) => Err(e),
+                };
                 replies.send(reply, out);
             }
             VnodeMsg::Create { name, kind, reply } => {
-                let out = self.create(name, kind).await;
+                let out = match self.create(name, kind).await {
+                    Ok(ino) => open(&self.shared, ino).await,
+                    Err(e) => Err(e),
+                };
                 replies.send(reply, out);
             }
             VnodeMsg::Unlink { name, reply } => {
@@ -808,6 +846,34 @@ impl Vnode {
             }
         }
         std::ops::ControlFlow::Continue(())
+    }
+
+    /// Answers a read of this file. A read that lies in one directly
+    /// mapped block is the block's cache shard's to answer: it goes
+    /// there with its caller's reply, and the shard answers the caller
+    /// with the range of its shared block, a hit at once and a miss
+    /// when the fill lands. Any other read is gathered here: one that
+    /// spans blocks, goes through the indirect block, falls in a hole,
+    /// or reads nothing.
+    async fn read(
+        &self,
+        off: u64,
+        len: usize,
+        reply: ReplyTo<Result<FileSlice, FsError>>,
+        replies: &mut ReplyBatch,
+    ) {
+        if self.inode.kind == FileKind::Dir {
+            return replies.send(reply, Err(FsError::IsDir));
+        }
+        let Some((lba, start, len)) = in_one_block(&self.inode, off, len) else {
+            let out = self.shared.core.read_file(&self.inode, off, len).await;
+            return replies.send(reply, out);
+        };
+        rt::stat_incr("msgfs.reads_handed_on");
+        let cache = self.shared.core.store();
+        if let Err(reply) = cache.forward_read(lba, start, len, reply).await {
+            replies.send(reply, Err(FsError::Gone));
+        }
     }
 
     /// The inode this directory names `name`.
@@ -1025,6 +1091,14 @@ fn spawn_vnode(shared: &Arc<MsgShared>, ino: u64, on: CoreId) -> Registered {
     Registered { task, port }
 }
 
+/// Opens inode `ino`: its number and its vnode's port.
+async fn open(shared: &Arc<MsgShared>, ino: u64) -> Result<File, FsError> {
+    Ok(File {
+        ino,
+        vnode: Some(get_vnode(shared, ino).await?),
+    })
+}
+
 async fn get_vnode(shared: &Arc<MsgShared>, ino: u64) -> Result<Port<VnodeMsg>, FsError> {
     let reg = &shared.vnreg;
     // Fast path: the local replica already knows the vnode — zero
@@ -1101,52 +1175,132 @@ impl MsgFs {
         Ok(MsgFs { shared })
     }
 
-    /// Asks the directory `dir` names for what `then` makes, in one
-    /// call to the root's vnode: each directory on the way looks the
-    /// next component up and forwards the walk to its child
+    /// Asks the directory `dir` names for what `then` makes and waits
+    /// for the answer: one message to the root's vnode
+    /// ([`MsgFs::walk_to`]), each directory on the way looks the next
+    /// component up and forwards the walk to its child
     /// ([`VnodeMsg::Walk`]), and the vnode at its end answers.
     async fn at<T: Send + 'static>(
         &self,
         dir: &[&str],
         then: impl FnOnce(ReplyTo<Result<T, FsError>>) -> VnodeMsg,
     ) -> Result<T, FsError> {
-        let root = get_vnode(&self.shared, ROOT_INO).await?;
-        root.call(|reply| match dir {
-            [] => then(reply),
-            path => VnodeMsg::Walk {
-                path: path.iter().map(|c| c.to_string()).collect(),
-                then: Box::new(then(reply)),
-            },
-        })
-        .await
-        .unwrap_or_else(|e| Err(e.into()))
+        let (reply, answer) = rt::reply_channel();
+        self.walk_to(dir, then(reply), &mut ReplyBatch::default())
+            .await;
+        answer.recv().await.unwrap_or(Err(FsError::Gone))
     }
 
-    async fn create_kind(&self, path: &str, kind: FileKind) -> Result<u64, FsError> {
+    /// Hands `then` to the directory `dir` names, in one message to the
+    /// root's vnode: the vnode that serves or refuses `then` answers its
+    /// reply, and nothing here waits for it.
+    async fn walk_to(&self, dir: &[&str], then: VnodeMsg, replies: &mut ReplyBatch) {
+        let root = match get_vnode(&self.shared, ROOT_INO).await {
+            Ok(root) => root,
+            Err(e) => return then.refuse(e, replies),
+        };
+        let msg = match dir {
+            [] => then,
+            path => VnodeMsg::Walk {
+                path: path.iter().map(|c| c.to_string()).collect(),
+                then: Box::new(then),
+            },
+        };
+        if let Err(msg) = root.forward(msg).await {
+            msg.refuse(FsError::Gone, replies);
+        }
+    }
+
+    async fn create_kind(&self, path: &str, kind: FileKind) -> Result<File, FsError> {
         let (dir, name) = split_parent(path)?;
         let name = name.to_string();
         self.at(&dir, |reply| VnodeMsg::Create { name, kind, reply })
             .await
     }
 
+    /// Creates and opens a regular file.
+    pub async fn create_open(&self, path: &str) -> Result<File, FsError> {
+        self.create_kind(path, FileKind::File).await
+    }
+
     /// Creates a regular file; returns its inode number.
     pub async fn create(&self, path: &str) -> Result<u64, FsError> {
-        self.create_kind(path, FileKind::File).await
+        Ok(self.create_open(path).await?.ino)
     }
 
     /// Creates a directory; returns its inode number.
     pub async fn mkdir(&self, path: &str) -> Result<u64, FsError> {
-        self.create_kind(path, FileKind::Dir).await
+        Ok(self.create_kind(path, FileKind::Dir).await?.ino)
+    }
+
+    /// Opens the file or directory `path` names: the directory that
+    /// holds the last name answers with the entry's inode and its
+    /// vnode's port.
+    pub async fn open(&self, path: &str) -> Result<File, FsError> {
+        let comps = split_path(path);
+        let Some((name, dir)) = comps.split_last() else {
+            return open(&self.shared, ROOT_INO).await;
+        };
+        let name = name.to_string();
+        self.at(dir, |reply| VnodeMsg::Lookup { name, reply }).await
     }
 
     /// Resolves a path to an inode number.
     pub async fn lookup(&self, path: &str) -> Result<u64, FsError> {
-        let comps = split_path(path);
-        let Some((name, dir)) = comps.split_last() else {
-            return Ok(ROOT_INO);
+        Ok(self.open(path).await?.ino)
+    }
+
+    /// Hands `call` to the vnode of `file`, which answers its reply; a
+    /// file whose vnode is gone (the file was removed) answers `Gone`.
+    /// Nothing here waits for the file system.
+    pub(crate) async fn on_file(&self, file: &File, call: FileCall, replies: &mut ReplyBatch) {
+        let Some(vnode) = &file.vnode else {
+            return call.refuse(FsError::Invalid, replies);
         };
-        let name = name.to_string();
-        self.at(dir, |reply| VnodeMsg::Lookup { name, reply }).await
+        let msg = match call {
+            FileCall::Read { off, len, reply } => VnodeMsg::Read { off, len, reply },
+            FileCall::Write {
+                off,
+                or_end,
+                data,
+                reply,
+            } => VnodeMsg::Write {
+                off,
+                or_end,
+                data,
+                reply,
+            },
+            FileCall::Stat { reply } => VnodeMsg::Stat { reply },
+        };
+        if let Err(msg) = vnode.forward(msg).await {
+            msg.refuse(FsError::Gone, replies);
+        }
+    }
+
+    /// Hands `call` on to the directory that serves it, which answers
+    /// its reply. Nothing here waits for the file system.
+    pub(crate) async fn on_path(&self, path: &str, call: PathCall, replies: &mut ReplyBatch) {
+        let (dir, then) = match call {
+            PathCall::ReadDir { reply } => (split_path(path), VnodeMsg::ReadDir { reply }),
+            PathCall::Mkdir { reply } => match split_parent(path) {
+                Ok((dir, name)) => {
+                    let (name, kind) = (name.to_string(), FileKind::Dir);
+                    (dir, VnodeMsg::Create { name, kind, reply })
+                }
+                Err(e) => return replies.send(reply, Err(e)),
+            },
+            PathCall::Unlink { reply } => match split_parent(path) {
+                Ok((dir, name)) => (
+                    dir,
+                    VnodeMsg::Unlink {
+                        name: name.to_string(),
+                        reply,
+                    },
+                ),
+                Err(e) => return replies.send(reply, Err(e)),
+            },
+        };
+        self.walk_to(&dir, then, replies).await;
     }
 
     /// Reads `len` bytes at `off` from inode `ino`: the blocks they
@@ -1162,9 +1316,15 @@ impl MsgFs {
     /// file's blocks.
     pub async fn write(&self, ino: u64, off: u64, data: Vec<u8>) -> Result<(), FsError> {
         let vn = get_vnode(&self.shared, ino).await?;
-        vn.call(|reply| VnodeMsg::Write { off, data, reply })
-            .await
-            .unwrap_or_else(|e| Err(e.into()))
+        let or_end = false;
+        vn.call(|reply| VnodeMsg::Write {
+            off,
+            or_end,
+            data,
+            reply,
+        })
+        .await
+        .unwrap_or_else(|e| Err(e.into()))
     }
 
     /// Returns metadata for inode `ino`.
@@ -1244,6 +1404,9 @@ mod tests {
         // here means every modeled number is about to move.
         // (`VnWrite` is the op of the registry's NR write request.)
         assert_eq!(std::mem::size_of::<VnodeMsg>(), 64);
+        // What a `Lookup` or a `Create` answers: the file's vnode port
+        // beside its number (16 bytes while it was the number alone).
+        assert_eq!(std::mem::size_of::<Result<File, FsError>>(), 40);
         assert_eq!(std::mem::size_of::<GroupMsg>(), 40);
         assert_eq!(std::mem::size_of::<VnWrite>(), 40);
     }

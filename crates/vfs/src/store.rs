@@ -45,6 +45,7 @@ use chanos_rt::{
 };
 use chanos_shmem::SimMutex;
 
+use crate::core_fs::FileSlice;
 use crate::error::FsError;
 
 use chanos_sim::plock;
@@ -407,9 +408,15 @@ impl BlockStore for ShardedCachedDisk {
 // ---------------------------------------------------------------------------
 
 enum CacheMsg {
+    /// `len` bytes from `start` of block `lba`, answered as a
+    /// [`FileSlice`] of the shared block: a whole block for a task that
+    /// reads the block itself, one file read's range for a vnode that
+    /// hands its reader's reply on (whoever sent the reply gets it).
     Read {
         lba: u64,
-        reply: ReplyTo<Result<Block, FsError>>,
+        start: u32,
+        len: u32,
+        reply: ReplyTo<Result<FileSlice, FsError>>,
     },
     /// A shard-local group of lookups: one round-trip serves them all.
     ReadMany {
@@ -445,8 +452,12 @@ enum Done {
 
 /// Who waits for a block that is on its way from the disk.
 enum Waiter {
-    /// A `Read`.
-    One(ReplyTo<Result<Block, FsError>>),
+    /// A `Read`, and the range of the block it asked for.
+    One {
+        reply: ReplyTo<Result<FileSlice, FsError>>,
+        start: u32,
+        len: u32,
+    },
     /// Block `slot` of the `ReadMany` parked under key `gather`.
     Slot { gather: u64, slot: usize },
 }
@@ -479,6 +490,10 @@ struct Shard {
     /// Blocks being read from the disk: the read's id and who waits.
     /// Later readers of the block join the list.
     fills: HashMap<u64, (u64, Vec<Waiter>)>,
+    /// Fills a write overtook, by id, and who waits for them: readers
+    /// that asked before the write, answered with what the disk sends.
+    /// Nobody joins them, and the cache keeps the block written.
+    overtaken: HashMap<u64, Vec<Waiter>>,
     gathers: HashMap<u64, Gather>,
     /// Evicted dirty blocks whose write has not landed yet, still
     /// readable from here: generation and bytes of the newest
@@ -489,8 +504,10 @@ struct Shard {
     /// Parked `Sync`s in arrival order, each with the last generation
     /// it has to see land.
     syncs: VecDeque<(u64, ReplyTo<Result<(), FsError>>)>,
-    /// A write-back failed since the last `Sync` was answered.
-    wb_error: Option<DiskError>,
+    /// Blocks the disk does not hold yet because it refused their
+    /// newest finished write-back: that write-back's generation and
+    /// error, until a later write-back of the block lands.
+    refused: HashMap<u64, (u64, DiskError)>,
 }
 
 impl Shard {
@@ -578,9 +595,9 @@ impl Shard {
     async fn deliver(&mut self, waiters: Vec<Waiter>, block: Result<&Block, &FsError>) {
         for waiter in waiters {
             match waiter {
-                Waiter::One(reply) => {
-                    let out = block.cloned().map_err(FsError::clone);
-                    let _ = reply.send(out).await;
+                Waiter::One { reply, start, len } => {
+                    let out = block.map(|b| FileSlice::in_block(b.clone(), start, len));
+                    let _ = reply.send(out.map_err(FsError::clone)).await;
                 }
                 Waiter::Slot { gather, slot } => {
                     // Gone already if another of its blocks failed.
@@ -601,16 +618,20 @@ impl Shard {
         }
     }
 
-    /// Answers the parked `Sync`s whose write-backs have all landed.
+    /// Answers the parked `Sync`s whose write-backs have all landed,
+    /// each with the error of the oldest write-back it covers whose
+    /// block is still not on the disk: a refusal that a later
+    /// write-back of the block has since made good is not reported.
     async fn answer_syncs(&mut self) {
         let oldest = self.wb_in_flight.first().copied();
-        while let Some((until, _)) = self.syncs.front() {
-            if oldest.is_some_and(|gen| gen <= *until) {
+        while let Some(&(until, _)) = self.syncs.front() {
+            if oldest.is_some_and(|gen| gen <= until) {
                 break;
             }
             let (_, reply) = self.syncs.pop_front().expect("front is there");
-            let out = match self.wb_error.take() {
-                Some(e) => Err(FsError::Io(e)),
+            let covered = self.refused.values().filter(|(gen, _)| *gen <= until);
+            let out = match covered.min_by_key(|(gen, _)| *gen) {
+                Some((_, e)) => Err(FsError::Io(e.clone())),
                 None => Ok(()),
             };
             let _ = reply.send(out).await;
@@ -619,12 +640,17 @@ impl Shard {
 
     async fn serve(&mut self, msg: CacheMsg) {
         match msg {
-            CacheMsg::Read { lba, reply } => match self.in_memory(lba) {
+            CacheMsg::Read {
+                lba,
+                start,
+                len,
+                reply,
+            } => match self.in_memory(lba) {
                 Some(data) => {
                     rt::stat_incr("cache.hits");
-                    let _ = reply.send(Ok(data)).await;
+                    let _ = reply.send(Ok(FileSlice::in_block(data, start, len))).await;
                 }
-                None => self.park(lba, Waiter::One(reply)),
+                None => self.park(lba, Waiter::One { reply, start, len }),
             },
             CacheMsg::ReadMany { lbas, reply } => {
                 // Every cold block's read is in the driver's queue
@@ -656,11 +682,14 @@ impl Shard {
                 }
             }
             CacheMsg::Write { lba, data, reply } => {
-                // The write overtakes a fill: the readers parked on it
-                // get this block, and what the disk sends for the
-                // orphaned read is dropped when it comes.
-                if let Some((_, waiters)) = self.fills.remove(&lba) {
-                    self.deliver(waiters, Ok(&data)).await;
+                // The write overtakes a fill. The readers parked on it
+                // asked first: they get what the disk sends, as they
+                // would have had the fill landed first — a vnode that
+                // hands a read on and then writes the block is answered
+                // in the order it sent them. Readers from now on get
+                // this block.
+                if let Some((id, waiters)) = self.fills.remove(&lba) {
+                    self.overtaken.insert(id, waiters);
                 }
                 match self.cache.insert_dirty(lba, data) {
                     // The writer waits for its victim: that bounds the
@@ -684,12 +713,16 @@ impl Shard {
     async fn complete(&mut self, done: Done) {
         match done {
             Done::Fill { lba, id, result } => {
-                // A `Write` orphaned this read (and a later miss may
+                // A `Write` overtook this read (and a later miss may
                 // have started another): the block it carries is older
-                // than the one written.
+                // than the one written, for its own readers only.
                 let waiters = match self.fills.entry(lba) {
                     MapEntry::Occupied(fill) if fill.get().0 == id => fill.remove().1,
-                    _ => return,
+                    _ => {
+                        let waiters = self.overtaken.remove(&id).expect("a fill has readers");
+                        let result = result.map(Block::new).map_err(FsError::Io);
+                        return self.deliver(waiters, result.as_ref()).await;
+                    }
                 };
                 match result {
                     Ok(data) => {
@@ -720,9 +753,19 @@ impl Shard {
                         }
                     }
                 }
-                if let Err(e) = &result {
-                    rt::stat_incr("cache.writeback_errors");
-                    self.wb_error = Some(e.clone());
+                match &result {
+                    Err(e) => {
+                        rt::stat_incr("cache.writeback_errors");
+                        let newest = self.refused.get(&lba).is_none_or(|(g, _)| *g < gen);
+                        if newest {
+                            self.refused.insert(lba, (gen, e.clone()));
+                        }
+                    }
+                    Ok(()) => {
+                        if self.refused.get(&lba).is_some_and(|(g, _)| *g < gen) {
+                            self.refused.remove(&lba);
+                        }
+                    }
                 }
                 if let Some(reply) = writer {
                     let _ = reply.send(result.map_err(FsError::Io)).await;
@@ -801,11 +844,12 @@ impl CacheClient {
                     done: done_tx,
                     last_id: 0,
                     fills: HashMap::new(),
+                    overtaken: HashMap::new(),
                     gathers: HashMap::new(),
                     writebacks: HashMap::new(),
                     wb_in_flight: BTreeSet::new(),
                     syncs: VecDeque::new(),
-                    wb_error: None,
+                    refused: HashMap::new(),
                 };
                 // Drain request bursts: one wakeup serves a batch.
                 let mut batch = Vec::with_capacity(CACHE_BATCH);
@@ -831,6 +875,30 @@ impl CacheClient {
 
     fn shard(&self, lba: u64) -> &Port<CacheMsg> {
         &self.shards[(lba % self.shards.len() as u64) as usize]
+    }
+
+    /// Hands a read of `len` bytes from `start` of block `lba` to the
+    /// block's shard with someone else's `reply`: the shard answers it
+    /// (a hit at once, a miss when the fill lands) and nobody waits
+    /// here. A shard that is gone gives the reply back.
+    pub(crate) async fn forward_read(
+        &self,
+        lba: u64,
+        start: u32,
+        len: u32,
+        reply: ReplyTo<Result<FileSlice, FsError>>,
+    ) -> Result<(), ReplyTo<Result<FileSlice, FsError>>> {
+        let read = CacheMsg::Read {
+            lba,
+            start,
+            len,
+            reply,
+        };
+        match self.shard(lba).forward(read).await {
+            Ok(()) => Ok(()),
+            Err(CacheMsg::Read { reply, .. }) => Err(reply),
+            Err(_) => unreachable!("a read comes back a read"),
+        }
     }
 
     /// Reads many blocks with one round-trip per *shard*, not per
@@ -912,10 +980,14 @@ impl CacheClient {
 
 impl BlockStore for CacheClient {
     async fn read_block(&self, lba: u64) -> Result<Block, FsError> {
-        self.shard(lba)
-            .call(|reply| CacheMsg::Read { lba, reply })
-            .await
-            .unwrap_or_else(|e| Err(e.into()))
+        let read = self.shard(lba).call(|reply| CacheMsg::Read {
+            lba,
+            start: 0,
+            len: BLOCK_SIZE as u32,
+            reply,
+        });
+        let slice = read.await.unwrap_or_else(|e| Err(e.into()))?;
+        Ok(slice.into_block())
     }
 
     async fn write_block(&self, lba: u64, data: Vec<u8>) -> Result<(), FsError> {

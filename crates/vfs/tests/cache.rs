@@ -271,19 +271,23 @@ fn readers_of_one_cold_block_share_one_disk_read() {
     });
 }
 
-/// (c) A write overtakes a fill; the block is evicted and written
-/// back; a new miss starts a second read of it; only then does the
-/// first read's answer — the block as it was before the write —
-/// arrive. Nobody may be given it.
+/// (c) A write overtakes a fill. The reader parked on the fill asked
+/// before the write, so it is given the block as the disk sends it, as
+/// if the fill had landed first; a reader after the write gets the
+/// block written. The block is evicted and written back; a new miss
+/// starts a second read of it; only then does the first read's answer
+/// — the block as it was before the write — arrive. Its own reader gets
+/// it, and nobody else may.
 #[test]
-fn late_answer_of_an_orphaned_fill_is_dropped() {
+fn late_answer_of_an_overtaken_fill_goes_to_its_own_readers() {
     in_sim(async {
         let (disk, cache, _) = rig(1, 2);
         disk.hold();
         let parked = spawn_read(&cache, 5);
         disk.wait_held(1).await; // [r5], carrying zeroes.
         cache.write_block(5, blk(1)).await.unwrap();
-        assert_eq!(parked.join().await.unwrap().unwrap(), blk(1));
+        assert_eq!(*cache.read_block(5).await.unwrap(), blk(1));
+        assert!(!parked.is_finished(), "answered with a later write");
 
         // Two more dirty blocks push block 5 out: its write-back is
         // held, and the writer that caused it waits.
@@ -299,9 +303,10 @@ fn late_answer_of_an_orphaned_fill_is_dropped() {
         let reader = spawn_read(&cache, 5);
         disk.wait_held(2).await;
         assert_eq!(disk.held(), ["r5", "r5"]);
-        disk.release(0); // The orphan's zeroes.
+        disk.release(0); // The overtaken fill's zeroes.
+        assert_eq!(parked.join().await.unwrap().unwrap(), blk(0));
         settle().await;
-        assert!(!reader.is_finished(), "answered from the orphaned fill");
+        assert!(!reader.is_finished(), "answered from the overtaken fill");
         disk.release(0);
         assert_eq!(reader.join().await.unwrap().unwrap(), blk(1));
     });
@@ -463,9 +468,10 @@ fn fill_error_reaches_every_parked_reader() {
 }
 
 /// A write-back the disk fails does not lose the block: it is dirty in
-/// the cache again, the next `sync` says so, and the one after has it
-/// on the disk. (At the parent commit the read path dropped both the
-/// error and the bytes.)
+/// the cache again, a `sync` while the disk still refuses says so, and
+/// the first one after the disk is well has it on the disk and answers
+/// `Ok`: a `sync` reports only what is still not durable, not a refusal
+/// that a later write-back of the block made good.
 #[test]
 fn failed_writeback_keeps_the_block_and_fails_the_next_sync() {
     in_sim(async {
@@ -490,7 +496,9 @@ fn failed_writeback_keeps_the_block_and_fails_the_next_sync() {
         assert_eq!(disk.reads(), reads, "block 1 never left memory");
 
         disk.free();
+        disk.refuse_writes(true);
         assert_eq!(cache.sync().await, Err(FsError::Io(DiskError::BadTag)));
+        disk.refuse_writes(false);
         assert_eq!(cache.sync().await, Ok(()));
         assert_eq!(disk.peek_block(1), blk(1));
         assert_eq!(disk.peek_block(2), blk(2));
@@ -506,8 +514,7 @@ fn failed_writeback_keeps_the_block_and_fails_the_next_sync() {
         let refused = Err(FsError::Io(DiskError::BadTag));
         assert_eq!(evicting.join().await.unwrap(), refused);
         disk.free();
-        assert_eq!(cache.sync().await, refused);
-        assert_eq!(cache.sync().await, Ok(()));
+        assert_eq!(cache.sync().await, Ok(()), "the sync wrote the block");
         for lba in 4..=7u64 {
             assert_eq!(disk.peek_block(lba), blk(lba as u8), "block {lba}");
         }
@@ -921,9 +928,10 @@ fn owned_blocks_stay_with_their_owners_through_a_churning_cache() {
 /// first write into its hole at block 0 lands on `/a`'s freed block of
 /// `0xAA`, pushes a dirty block out, and is refused. Block 0 stays a
 /// hole, the block goes back to its group, and once the disk is well
-/// the same write takes the same block, zeroes around its 100 bytes; a
-/// `sync` leaves the volume the big-lock engine writes for the same
-/// operations without the refusal.
+/// the same write takes the same block, zeroes around its 100 bytes.
+/// The one `sync`, after that, answers `Ok` (every refused write-back
+/// has been made good by then) and leaves the volume the big-lock
+/// engine writes for the same operations without the refusal.
 #[test]
 fn a_refused_first_write_leaves_no_old_bytes_behind() {
     const BLOCKS: u64 = 256;
@@ -965,7 +973,6 @@ fn a_refused_first_write_leaves_no_old_bytes_behind() {
         assert_eq!(rt::stat_get("fs.blocks_allocated") - allocated, 1);
         let hole = fs.read(b, 0, BLOCK).await.unwrap().copy_out().await;
         assert_eq!(hole, vec![0; BLOCK], "block 0 is still a hole");
-        assert_eq!(fs.sync().await, Err(refused), "the refused write-backs");
 
         disk.refuse_writes(false);
         fs.write(b, 10, vec![0xBB; 100]).await.unwrap();
@@ -1035,5 +1042,44 @@ fn a_reaps_frees_reach_the_disk_with_the_next_sync() {
                 "block {lba} differs"
             );
         }
+    });
+}
+
+/// A read a vnode hands on to a cache shard is answered in the order the
+/// vnode sent it. `/f`'s block is cold; its read parks on the fill, and
+/// a whole-block write of the block, which the vnode serves next,
+/// reaches the shard before the disk answers. The read is still given
+/// the block as it was, and a read after the write gets the new one.
+/// (While a write gave the readers parked on a fill its own block, the
+/// first read returned the bytes written after it.)
+#[test]
+fn a_read_handed_on_is_not_answered_with_a_later_write() {
+    in_sim(async {
+        let (disk, client, _) = ScriptedDisk::spawn(CoreId(3));
+        let cores = vec![CoreId(1), CoreId(2)];
+        let fs = MsgFs::format(client, 256, 2, 1, 4, cores).await.unwrap();
+        let f = fs.create("/f").await.unwrap();
+        fs.write(f, 0, blk(0x0F)).await.unwrap();
+        // Push `/f`'s block out of the shard's four slots, and leave
+        // them clean: the write below evicts without a write-back.
+        for i in 0..4 {
+            let g = fs.create(&format!("/g{i}")).await.unwrap();
+            fs.write(g, 0, blk(i)).await.unwrap();
+        }
+        fs.sync().await.unwrap();
+
+        disk.hold();
+        let reader = {
+            let fs = fs.clone();
+            rt::spawn(async move { fs.read(f, 0, BLOCK_SIZE).await.unwrap().copy_out().await })
+        };
+        disk.wait_held(1).await;
+        assert!(disk.held()[0].starts_with('r'), "the read's fill is held");
+        fs.write(f, 0, blk(0xF1)).await.unwrap();
+        assert!(!reader.is_finished(), "answered with a later write");
+        disk.free();
+        assert_eq!(reader.join().await.unwrap(), blk(0x0F));
+        let now = fs.read(f, 0, BLOCK_SIZE).await.unwrap().copy_out().await;
+        assert_eq!(now, blk(0xF1));
     });
 }
