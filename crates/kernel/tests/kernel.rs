@@ -1099,7 +1099,9 @@ fn a_write_behind_a_short_read_in_one_batch_lands_at_the_end() {
 /// comes from the vnode, whose port the `create` answered with. (While
 /// the kernel task awaited the file system, the vnode gathered a
 /// one-block read itself and the first write started the file's vnode,
-/// they cost 1 668, 2 419 and 5 934.)
+/// they cost 1 668, 2 419 and 5 934. While the new vnode loaded its
+/// record from its group and each registry write carried a task number
+/// and was answered with a port or a flag, the round cost 5 767.)
 #[test]
 fn a_read_and_a_write_cost_exact_cycles_on_the_ladder_machine() {
     const BLOCK: usize = 4096;
@@ -1147,7 +1149,11 @@ fn a_read_and_a_write_cost_exact_cycles_on_the_ladder_machine() {
         .unwrap();
     assert_eq!(read, 1_420, "warm one-block read");
     assert_eq!(write, 2_043, "one-block write into a fresh file");
-    assert_eq!(round, 5_767, "create, write, close, unlink");
+    assert!(
+        round < 5_767,
+        "{round} cycles: a new vnode loads its record, or a registry write answers something, again"
+    );
+    assert_eq!(round, 5_689, "create, write, close, unlink");
 }
 
 #[cfg(target_pointer_width = "64")]

@@ -1099,7 +1099,7 @@ mod tests {
         assert_eq!(std::mem::size_of::<Reply<u64>>(), 24);
         assert_eq!(std::mem::size_of::<Sender<u64>>(), 16);
         assert_eq!(std::mem::size_of::<Receiver<u64>>(), 16);
-        // A `Port` rides in `vfs`'s `Ensure`: the sender and the probe.
+        // A `Port` rides in `vfs`'s registry `Insert`: the sender and the probe.
         assert_eq!(std::mem::size_of::<Port<u64>>(), 24);
     }
 

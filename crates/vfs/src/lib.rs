@@ -243,9 +243,10 @@ impl Vfs {
     }
 
     /// Reads `len` bytes at `off` from inode `ino` without copying
-    /// them: the blocks they lie in, shared with the cache, for a
-    /// caller that hands them on to the one that copies them (the
-    /// kernel task of a process, to the process).
+    /// them: the blocks they lie in, shared with the cache. [`Vfs::read`]
+    /// copies them out; a lock engine's [`Vfs::on_file`] hands them to
+    /// the process whose read it serves, which copies them. (On
+    /// [`MsgFs`] a process's read goes to the file's vnode instead.)
     pub async fn read_shared(&self, ino: u64, off: u64, len: usize) -> Result<FileSlice, FsError> {
         delegate!(self, fs, fs.read(ino, off, len).await)
     }

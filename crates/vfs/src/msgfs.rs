@@ -38,9 +38,15 @@
 //! walk that stops short — a missing name, a file
 //! on the way, a vnode that cannot be reached — is refused, to the
 //! caller, by the vnode where it stopped. A directory serves a walk in
-//! its turn like any request, so a walk that misses the registry waits
-//! there for the child's `Ensure`, and a `create` under a directory is
+//! its turn like any request, so a `create` under a directory is
 //! ordered by the parent with that directory's `unlink`.
+//!
+//! A vnode is started once, by the call that makes its file: the
+//! root's by [`MsgFs::format`], every other one by its directory's
+//! `Create`, in the directory's turn, with the record the group just
+//! wrote (so a vnode loads nothing). It lives until its reap. A call
+//! that names a number no live file holds finds no vnode and is
+//! answered [`FsError::Gone`]; nothing is started for it.
 //!
 //! Every piece of mutable state has exactly one writing task (or, for
 //! the vnode registry below, one replica per core over a shared op
@@ -49,9 +55,9 @@
 //! with one writer has one home: its owner's memory. A group task
 //! keeps its group's two bitmaps and inode table (`GroupStore`: `2 +
 //! itable_blocks` blocks, each read from the cache once in the task's
-//! life), answers `ReadInode` from there, and marks the blocks a
-//! request changes dirty; the cache shards see them when `sync` asks
-//! the group to write them back. So the shards' slots hold file data,
+//! life), changes them there, and marks the blocks a request changes
+//! dirty; the cache shards see them when `sync` asks the group to
+//! write them back. So the shards' slots hold file data,
 //! not copies of blocks nobody else reads, and after a `sync` the
 //! volume holds the bytes the lock engines would have written. A
 //! file's data blocks live in the cache shards alone.
@@ -99,18 +105,21 @@
 //! that drops its last link reaps itself in an order that keeps its
 //! inode number safe to hand out again: write a directory's blocks
 //! back, free the data and clear the inode record (one burst to the
-//! group), leave the registry, and only then free the number.
+//! group), leave the registry, and only then free the number — so the
+//! number's next file is `Insert`ed only after this one's `Retire`.
 //! It then closes its channel and refuses whatever was queued or still
 //! on its way, and the rest of the burst it reaped in — a call through
-//! a stale inode number or a removed file's port — so those callers get
-//! [`FsError::Gone`], not silence. The caller may be a process whose
-//! kernel task handed the call on.
+//! a removed file's port — so those callers get [`FsError::Gone`], not
+//! silence. The caller may be a process whose kernel task handed the
+//! call on.
 //!
 //! The ino→vnode-port registry itself is node-replicated
 //! (`fs-vnreg`, one replica per service core): `Get` is served from
-//! the caller's **local** replica with no cross-core communication,
-//! while `Ensure`/`Retire` flow through the shared operation log. It
-//! is also how `sync` finds the live vnodes, in inode order.
+//! the caller's **local** replica with no cross-core communication. It
+//! is a published index with nothing to arbitrate: its writes are one
+//! `Insert` where a vnode starts and one `Retire` in its reap, through
+//! the shared operation log. It is also how `sync` finds the live
+//! vnodes, in inode order.
 //!
 //! Every hop is a typed [`Port`] call, so clients can pipeline
 //! requests into a server's batch drain. Each server answers a drained
@@ -121,7 +130,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use chanos_drivers::{DiskClient, BLOCK_SIZE};
@@ -160,10 +168,6 @@ enum GroupMsg {
     FreeBlock {
         lba: u64,
         reply: ReplyTo<Result<(), FsError>>,
-    },
-    ReadInode {
-        ino: u64,
-        reply: ReplyTo<Result<Inode, FsError>>,
     },
     WriteInode {
         ino: u64,
@@ -251,16 +255,6 @@ impl VnodeMsg {
     }
 }
 
-/// A registry entry: the serving port for an inode and which vnode
-/// task is behind it (a number unique per task, see
-/// [`MsgShared::next_task`]), so a task can withdraw its own entry and
-/// no other.
-#[derive(Clone)]
-struct Registered {
-    task: u64,
-    port: Port<VnodeMsg>,
-}
-
 /// Read-only vnode-registry queries (served from the caller's local
 /// replica).
 enum VnRead {
@@ -271,70 +265,46 @@ enum VnRead {
 }
 
 /// Mutating vnode-registry ops: the log entries every replica
-/// applies. `Ensure` carries a *candidate* — the caller spawns the
-/// vnode task before logging, because `apply` must stay deterministic
-/// and side-effect free. The first `Ensure` for an ino wins; a loser's
-/// spare task exits once the log garbage-collects its last sender.
-/// `Retire` withdraws the entry of one task.
+/// applies. Whoever starts a vnode `Insert`s it; its reap `Retire`s it
+/// before the number is freed, so the number's next vnode always finds
+/// the slot vacant.
 #[derive(Clone)]
 enum VnWrite {
-    Ensure { ino: u64, entry: Registered },
-    Retire { ino: u64, task: u64 },
-}
-
-enum VnWriteResp {
-    /// The winning port (the caller's own iff `inserted`).
-    Ensured {
-        port: Port<VnodeMsg>,
-        inserted: bool,
-    },
-    Retired(bool),
+    Insert { ino: u64, port: Port<VnodeMsg> },
+    Retire { ino: u64 },
 }
 
 /// The replicated ino→vnode-port registry state.
 #[derive(Default)]
 struct VnRegistry {
-    map: HashMap<u64, Registered>,
+    map: HashMap<u64, Port<VnodeMsg>>,
 }
 
 impl NrService for VnRegistry {
     type ReadOp = VnRead;
     type ReadResp = Vec<Port<VnodeMsg>>;
     type WriteOp = VnWrite;
-    type WriteResp = VnWriteResp;
+    type WriteResp = ();
 
     fn read(&self, op: &VnRead) -> Vec<Port<VnodeMsg>> {
         match op {
-            VnRead::Get(ino) => self.map.get(ino).iter().map(|r| r.port.clone()).collect(),
+            VnRead::Get(ino) => self.map.get(ino).into_iter().cloned().collect(),
             VnRead::Live => {
                 let mut live: Vec<_> = self.map.iter().collect();
                 live.sort_unstable_by_key(|&(ino, _)| ino);
-                live.into_iter().map(|(_, r)| r.port.clone()).collect()
+                live.into_iter().map(|(_, port)| port.clone()).collect()
             }
         }
     }
 
-    fn apply(&mut self, op: &VnWrite) -> VnWriteResp {
-        use std::collections::hash_map::Entry;
+    fn apply(&mut self, op: &VnWrite) {
         match op {
-            VnWrite::Ensure { ino, entry } => match self.map.entry(*ino) {
-                Entry::Occupied(e) => VnWriteResp::Ensured {
-                    port: e.get().port.clone(),
-                    inserted: false,
-                },
-                Entry::Vacant(v) => VnWriteResp::Ensured {
-                    port: v.insert(entry.clone()).port.clone(),
-                    inserted: true,
-                },
-            },
-            // Only the registered task's own entry goes: a stale
-            // retire must not evict a fresh vnode on a reused number.
-            VnWrite::Retire { ino, task } => {
-                let mine = self.map.get(ino).is_some_and(|r| r.task == *task);
-                if mine {
-                    self.map.remove(ino);
-                }
-                VnWriteResp::Retired(mine)
+            VnWrite::Insert { ino, port } => {
+                let old = self.map.insert(*ino, port.clone());
+                debug_assert!(old.is_none(), "inode {ino} has a live vnode already");
+            }
+            VnWrite::Retire { ino } => {
+                self.map.remove(ino);
             }
         }
     }
@@ -347,30 +317,14 @@ struct MsgShared {
     /// `Get` reads the caller's local replica.
     vnreg: Replicated<VnRegistry>,
     vnode_cores: Vec<CoreId>,
-    /// The number the next vnode task gets.
-    next_task: AtomicU64,
+    /// The root's vnode, started by [`MsgFs::format`]: where every walk
+    /// begins.
+    root: Port<VnodeMsg>,
 }
 
 impl MsgShared {
     fn group_of_ino(&self, ino: u64) -> &Port<GroupMsg> {
         &self.groups[self.core.superblock().group_of_ino(ino) as usize]
-    }
-
-    /// Drops vnode task `task` from the registry, if it is the one
-    /// registered for `ino`. The retire is a logged write, so every
-    /// `Get` issued after this returns observes it.
-    async fn retire_vnode(&self, ino: u64, task: u64) {
-        let retire = VnWrite::Retire { ino, task };
-        if let Ok(VnWriteResp::Retired(true)) = self.vnreg.write(retire).await {
-            rt::stat_incr("msgfs.vnodes_retired");
-        }
-    }
-
-    async fn load_inode(&self, ino: u64) -> Result<Inode, FsError> {
-        self.group_of_ino(ino)
-            .call(|reply| GroupMsg::ReadInode { ino, reply })
-            .await
-            .unwrap_or_else(|e| Err(e.into()))
     }
 
     async fn store_inode(&self, ino: u64, inode: Inode) -> Result<(), FsError> {
@@ -600,7 +554,6 @@ async fn group_handle(g: u64, core: &FsCore<GroupStore>, msg: GroupMsg, replies:
         GroupMsg::FreeInode { ino, reply } => replies.send(reply, core.free_inode_bit(ino).await),
         GroupMsg::AllocBlock { reply } => replies.send(reply, core.alloc_block_in(g).await),
         GroupMsg::FreeBlock { lba, reply } => replies.send(reply, core.free_block(lba).await),
-        GroupMsg::ReadInode { ino, reply } => replies.send(reply, core.read_inode(ino).await),
         GroupMsg::WriteInode { ino, inode, reply } => {
             replies.send(reply, core.write_inode(ino, &inode).await)
         }
@@ -633,11 +586,10 @@ struct DirEntries {
 /// lifetime.
 struct Vnode {
     ino: u64,
-    /// This task's number in the registry.
-    task: u64,
     shared: Arc<MsgShared>,
     inode: Inode,
-    /// The record the inode's group holds: as last loaded or stored.
+    /// The record the inode's group holds: as started with or last
+    /// stored.
     stored: Inode,
     /// The inode's own group, where its blocks and its files go.
     group: u64,
@@ -646,39 +598,14 @@ struct Vnode {
     dir: Option<DirEntries>,
 }
 
-/// One vnode task. Serves until its channel closes, a `Condemn` reaps
-/// the inode, or the inode turns out to be gone already; then refuses
-/// everything still queued or on its way, so those callers observe a
-/// typed transport failure (`CallError::ServerGone`) instead of
-/// waiting on a channel nobody reads.
-async fn vnode_task(
-    ino: u64,
-    task: u64,
-    shared: Arc<MsgShared>,
-    rx: chanos_rt::Receiver<VnodeMsg>,
-) {
+/// One vnode task. Serves until its channel closes or a `Condemn`
+/// reaps the inode; then refuses everything still queued or on its
+/// way, so those callers observe a typed transport failure
+/// (`CallError::ServerGone`) instead of waiting on a channel nobody
+/// reads.
+async fn vnode_task(vn: Vnode, rx: chanos_rt::Receiver<VnodeMsg>) {
     rt::stat_incr("msgfs.vnode_threads_spawned");
-    match shared.load_inode(ino).await {
-        // Started through a stale inode number, after the reap: leave
-        // the registry, or whoever is given the number next would be
-        // routed here.
-        Err(_) => shared.retire_vnode(ino, task).await,
-        Ok(inode) => {
-            let vn = Vnode {
-                ino,
-                task,
-                stored: inode.clone(),
-                inode,
-                group: shared.core.superblock().group_of_ino(ino),
-                alloc: MsgAllocator {
-                    shared: shared.clone(),
-                },
-                shared,
-                dir: None,
-            };
-            vn.serve(&rx).await;
-        }
-    }
+    vn.serve(&rx).await;
     // A call queued or still on its way reached a file that is gone:
     // its caller, who may be a process whose kernel task handed the
     // call on, is answered so.
@@ -766,7 +693,7 @@ impl Vnode {
             }
             VnodeMsg::Create { name, kind, reply } => {
                 let out = match self.create(name, kind).await {
-                    Ok(ino) => open(&self.shared, ino).await,
+                    Ok(ino) => start_vnode(&self.shared, ino, Inode::new(kind)).await,
                     Err(e) => Err(e),
                 };
                 replies.send(reply, out);
@@ -797,15 +724,15 @@ impl Vnode {
                 self.inode.nlink = self.inode.nlink.saturating_sub(1);
                 if self.inode.nlink == 0 {
                     // Reap: write a directory's changed blocks back,
-                    // free the data and clear the record (a vnode
-                    // started for this number from now on finds nothing
-                    // to load) — one burst to a file's group, the clear
-                    // submitted before the frees and awaited after them
-                    // — then leave the registry, and only then free the
-                    // number, so whoever is given it next can never be
-                    // routed to this task. For the same reason every
-                    // step runs whatever became of the one before it;
-                    // the ones that fail are counted.
+                    // free the data and clear the record — one burst to
+                    // a file's group, the clear submitted before the
+                    // frees and awaited after them — then leave the
+                    // registry, and only then free the number, so the
+                    // file given it next is `Insert`ed after this
+                    // `Retire` and can never be routed to this task.
+                    // For the same reason every step runs whatever
+                    // became of the one before it; the ones that fail
+                    // are counted.
                     count_reap_error(self.flush().await);
                     let ino = self.ino;
                     let group = self.shared.group_of_ino(ino);
@@ -817,7 +744,8 @@ impl Vnode {
                         .await;
                     count_reap_error(freed);
                     count_reap_error(cleared.await.unwrap_or_else(|e| Err(e.into())));
-                    self.shared.retire_vnode(ino, self.task).await;
+                    let retired = self.shared.vnreg.write(VnWrite::Retire { ino }).await;
+                    count_reap_error(retired.map_err(FsError::from));
                     let released = group.call(|reply| GroupMsg::FreeInode { ino, reply }).await;
                     count_reap_error(released.unwrap_or_else(|e| Err(e.into())));
                     rt::stat_incr("msgfs.vnodes_reaped");
@@ -885,9 +813,8 @@ impl Vnode {
     }
 
     /// Hands `msg` on to the vnode of `ino`, found in this core's
-    /// registry replica (or started, and `Ensure`d through the log, in
-    /// this directory's turn). The message carries its caller's reply:
-    /// a vnode that cannot be reached refuses it here.
+    /// registry replica. The message carries its caller's reply: a
+    /// vnode that cannot be reached refuses it here.
     async fn forward(&self, ino: u64, msg: VnodeMsg, replies: &mut ReplyBatch) {
         let sent = match get_vnode(&self.shared, ino).await {
             Ok(vn) => vn.forward(msg).await.map_err(|msg| (msg, FsError::Gone)),
@@ -1079,50 +1006,50 @@ fn count_reap_error(step: Result<(), FsError>) {
     }
 }
 
-/// Spawns a vnode task for `ino` on `on`, returning its registry
-/// entry.
-fn spawn_vnode(shared: &Arc<MsgShared>, ino: u64, on: CoreId) -> Registered {
+/// Starts the task of vnode `ino`, whose record is `inode`, serving
+/// `rx` on the inode's core (ino-mod over the service cores). Not
+/// `async`: a directory's task awaits [`start_vnode`], so a spawn
+/// inside an `async` fn would make the task's future contain itself.
+fn spawn_vnode(shared: &Arc<MsgShared>, ino: u64, inode: Inode, rx: chanos_rt::Receiver<VnodeMsg>) {
+    let on = shared.vnode_cores[(ino as usize) % shared.vnode_cores.len()];
+    let vn = Vnode {
+        ino,
+        stored: inode.clone(),
+        inode,
+        group: shared.core.superblock().group_of_ino(ino),
+        alloc: MsgAllocator {
+            shared: shared.clone(),
+        },
+        shared: shared.clone(),
+        dir: None,
+    };
+    rt::spawn_daemon_on(&format!("vnode{ino}"), on, vnode_task(vn, rx));
+}
+
+/// Starts the vnode of the file `ino` just made, whose record is
+/// `inode`, publishes its port, and opens the file.
+async fn start_vnode(shared: &Arc<MsgShared>, ino: u64, inode: Inode) -> Result<File, FsError> {
     let (port, rx) = port_channel::<VnodeMsg>(Capacity::Unbounded);
-    let task = shared.next_task.fetch_add(1, Ordering::Relaxed);
-    let shared = shared.clone();
-    rt::spawn_daemon_on(&format!("vnode{ino}"), on, async move {
-        vnode_task(ino, task, shared, rx).await;
-    });
-    Registered { task, port }
+    spawn_vnode(shared, ino, inode, rx);
+    let vnode = Some(port.clone());
+    shared.vnreg.write(VnWrite::Insert { ino, port }).await?;
+    Ok(File { ino, vnode })
 }
 
 /// Opens inode `ino`: its number and its vnode's port.
-async fn open(shared: &Arc<MsgShared>, ino: u64) -> Result<File, FsError> {
+async fn open(shared: &MsgShared, ino: u64) -> Result<File, FsError> {
     Ok(File {
         ino,
         vnode: Some(get_vnode(shared, ino).await?),
     })
 }
 
-async fn get_vnode(shared: &Arc<MsgShared>, ino: u64) -> Result<Port<VnodeMsg>, FsError> {
-    let reg = &shared.vnreg;
-    // Fast path: the local replica already knows the vnode — zero
-    // port round-trips.
-    if let Some(port) = reg.read(VnRead::Get(ino)).await.pop() {
-        return Ok(port);
-    }
-    // Miss: spawn a candidate task (placement is ino-mod, so every
-    // racer picks the same core), then race it through the log; the
-    // first Ensure wins and everyone adopts its port.
-    let on = shared.vnode_cores[(ino as usize) % shared.vnode_cores.len()];
-    let entry = spawn_vnode(shared, ino, on);
-    match reg.write(VnWrite::Ensure { ino, entry }).await {
-        Ok(VnWriteResp::Ensured { port, inserted }) => {
-            if !inserted {
-                // Our candidate lost the race; its spare task exits
-                // once the log GC drops its last sender.
-                rt::stat_incr("msgfs.vnode_races_lost");
-            }
-            Ok(port)
-        }
-        Ok(VnWriteResp::Retired(_)) => unreachable!("Ensure answered with Retired"),
-        Err(e) => Err(e.into()),
-    }
+/// The port of `ino`'s vnode, read from this core's registry replica —
+/// zero port round trips. A number no live file holds has none, and
+/// answers `Gone`.
+async fn get_vnode(shared: &MsgShared, ino: u64) -> Result<Port<VnodeMsg>, FsError> {
+    let found = shared.vnreg.read(VnRead::Get(ino)).await.pop();
+    found.ok_or(FsError::Gone)
 }
 
 /// The message-passing file system client.
@@ -1133,9 +1060,10 @@ pub struct MsgFs {
 
 impl MsgFs {
     /// Formats a fresh volume and boots the server constellation:
-    /// cache shards, one group server per cylinder group, and the
-    /// replicated vnode registry. Vnode tasks spawn on demand over
-    /// `service_cores` (ino-mod, so racing lookups agree).
+    /// cache shards, one group server per cylinder group, the
+    /// replicated vnode registry and the root's vnode. Every other
+    /// vnode is started by the `create` that makes its file, ino-mod
+    /// over `service_cores`.
     pub async fn format(
         disk: DiskClient,
         total_blocks: u64,
@@ -1147,6 +1075,9 @@ impl MsgFs {
         assert!(!service_cores.is_empty());
         let store = CacheClient::spawn(disk, cache_shards, cache_blocks_per_shard, &service_cores);
         let core = FsCore::mkfs(store, total_blocks, n_groups).await?;
+        // Read through the cache before the groups take their blocks
+        // over.
+        let root = core.read_inode(ROOT_INO).await?;
 
         // Group servers.
         let mut groups = Vec::with_capacity(n_groups as usize);
@@ -1164,13 +1095,18 @@ impl MsgFs {
         // the hot lookup path never leaves the caller's core.
         let vnreg = Replicated::spawn("fs-vnreg", &service_cores, VnRegistry::default);
 
+        let (port, rx) = port_channel::<VnodeMsg>(Capacity::Unbounded);
         let shared = Arc::new(MsgShared {
             core,
             groups,
             vnreg,
             vnode_cores: service_cores,
-            next_task: AtomicU64::new(0),
+            root: port.clone(),
         });
+        spawn_vnode(&shared, ROOT_INO, root, rx);
+        // Published, so that `sync` finds the root among the live.
+        let ino = ROOT_INO;
+        shared.vnreg.write(VnWrite::Insert { ino, port }).await?;
 
         Ok(MsgFs { shared })
     }
@@ -1195,10 +1131,6 @@ impl MsgFs {
     /// root's vnode: the vnode that serves or refuses `then` answers its
     /// reply, and nothing here waits for it.
     async fn walk_to(&self, dir: &[&str], then: VnodeMsg, replies: &mut ReplyBatch) {
-        let root = match get_vnode(&self.shared, ROOT_INO).await {
-            Ok(root) => root,
-            Err(e) => return then.refuse(e, replies),
-        };
         let msg = match dir {
             [] => then,
             path => VnodeMsg::Walk {
@@ -1206,7 +1138,7 @@ impl MsgFs {
                 then: Box::new(then),
             },
         };
-        if let Err(msg) = root.forward(msg).await {
+        if let Err(msg) = self.shared.root.forward(msg).await {
             msg.refuse(FsError::Gone, replies);
         }
     }
@@ -1239,7 +1171,8 @@ impl MsgFs {
     pub async fn open(&self, path: &str) -> Result<File, FsError> {
         let comps = split_path(path);
         let Some((name, dir)) = comps.split_last() else {
-            return open(&self.shared, ROOT_INO).await;
+            let (ino, vnode) = (ROOT_INO, Some(self.shared.root.clone()));
+            return Ok(File { ino, vnode });
         };
         let name = name.to_string();
         self.at(dir, |reply| VnodeMsg::Lookup { name, reply }).await
@@ -1408,6 +1341,6 @@ mod tests {
         // beside its number (16 bytes while it was the number alone).
         assert_eq!(std::mem::size_of::<Result<File, FsError>>(), 40);
         assert_eq!(std::mem::size_of::<GroupMsg>(), 40);
-        assert_eq!(std::mem::size_of::<VnWrite>(), 40);
+        assert_eq!(std::mem::size_of::<VnWrite>(), 32);
     }
 }

@@ -228,6 +228,13 @@ where
         reap_errors, 0,
         "{which}: a reap step failed on a sound disk"
     );
+    if which == "msgfs" {
+        // Every allocated inode, the root included, got exactly one
+        // vnode: the one its `create` (or the format) started.
+        let spawned = s.stats().counter("msgfs.vnode_threads_spawned");
+        let allocated = s.stats().counter("fs.inodes_allocated");
+        assert_eq!(spawned, allocated, "vnodes started vs inodes allocated");
+    }
     Storm {
         log,
         volume,
