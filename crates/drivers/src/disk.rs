@@ -575,11 +575,9 @@ pub struct DiskClient {
 }
 
 impl DiskClient {
-    /// Wraps a driver request channel.
-    pub fn new(tx: Sender<DiskReq>) -> Self {
-        DiskClient {
-            port: chanos_rt::Port::attach(tx),
-        }
+    /// Wraps the port of a driver's request channel.
+    pub fn new(port: chanos_rt::Port<DiskReq>) -> Self {
+        DiskClient { port }
     }
 
     /// Reads `count` blocks starting at `lba`.

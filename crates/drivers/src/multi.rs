@@ -9,7 +9,7 @@
 //! points, commands get clobbered or mis-tagged, and completions go
 //! missing. Experiment E5 counts the damage.
 
-use chanos_rt::{self as rt, channel, Capacity, CoreId, Receiver};
+use chanos_rt::{self as rt, port_channel, Capacity, CoreId, Receiver};
 use chanos_shmem::SimMutex;
 
 use crate::disk::{DiskClient, DiskError, DiskHw, DiskIrq, DiskOp, DiskReq};
@@ -76,7 +76,7 @@ pub fn spawn_locked_disk_driver(
     workers: usize,
     cores: &[CoreId],
 ) -> DiskClient {
-    let (tx, rx) = channel::<DiskReq>(Capacity::Unbounded);
+    let (port, rx) = port_channel::<DiskReq>(Capacity::Unbounded);
     // The mutex must be created inside the simulation; do it in a
     // bootstrap task that then spawns the workers.
     let boot_cores: Vec<CoreId> = cores.to_vec();
@@ -105,7 +105,7 @@ pub fn spawn_locked_disk_driver(
             });
         }
     });
-    DiskClient::new(tx)
+    DiskClient::new(port)
 }
 
 /// Spawns the racy multi-threaded disk driver: identical to the
@@ -121,7 +121,7 @@ pub fn spawn_racy_disk_driver(
     workers: usize,
     cores: &[CoreId],
 ) -> DiskClient {
-    let (tx, rx) = channel::<DiskReq>(Capacity::Unbounded);
+    let (port, rx) = port_channel::<DiskReq>(Capacity::Unbounded);
     for w in 0..workers {
         let rx = rx.clone();
         let irq_rx = irq_rx.clone();
@@ -140,7 +140,7 @@ pub fn spawn_racy_disk_driver(
             }
         });
     }
-    DiskClient::new(tx)
+    DiskClient::new(port)
 }
 
 /// A disk client wrapper that gives up on a request after `timeout`

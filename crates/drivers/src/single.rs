@@ -33,7 +33,7 @@
 
 use std::collections::VecDeque;
 
-use chanos_rt::{self as rt, channel, choose, Capacity, CoreId, Receiver, ReplyTo};
+use chanos_rt::{self as rt, choose, port_channel, Capacity, CoreId, Receiver, ReplyTo};
 
 use crate::disk::{DiskClient, DiskError, DiskHw, DiskIrq, DiskOp, DiskReq, BLOCK_SIZE};
 
@@ -288,7 +288,7 @@ async fn complete(inflight: Inflight, irq: DiskIrq, expect_tag: u64) {
 /// Spawns the single-threaded disk driver on `core`; returns the
 /// client handle the rest of the kernel uses.
 pub fn spawn_disk_driver(hw: DiskHw, irq_rx: Receiver<DiskIrq>, core: CoreId) -> DiskClient {
-    let (tx, rx) = channel::<DiskReq>(Capacity::Unbounded);
+    let (port, rx) = port_channel::<DiskReq>(Capacity::Unbounded);
     rt::spawn_daemon_on("disk-driver", core, async move {
         let blocks = hw.blocks();
         let limit = hw.read_through_limit();
@@ -334,5 +334,5 @@ pub fn spawn_disk_driver(hw: DiskHw, irq_rx: Receiver<DiskIrq>, core: CoreId) ->
             }
         }
     });
-    DiskClient::new(tx)
+    DiskClient::new(port)
 }

@@ -590,7 +590,7 @@ impl SyscallBatch {
                 if copying > 0 {
                     rt::delay(copying).await;
                 }
-                end.port.submit(buf).await
+                end.port.submit(buf)
             }
             BatchInner::Trap(_) => {}
         }

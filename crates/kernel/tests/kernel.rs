@@ -912,19 +912,16 @@ fn an_open_costs_its_kernel_task_one_file_system_round_trip() {
     assert_eq!(deep, 400);
 }
 
-/// A descriptor keeps the file it was opened on. Open `/old`, unlink
-/// it, create and write `/new` — which takes `/old`'s inode number —
-/// and the old descriptor's `fstat` and `read` answer `Gone`: the
-/// descriptor holds the vnode port its directory answered the open
-/// with, and that vnode went with `/old`. (While the fd table kept a
-/// bare inode number, both answered with `/new`'s stat and bytes.)
-async fn a_stale_fd_script() -> (bool, Result<u64, KError>, Result<Vec<u8>, KError>) {
-    let os = boot(BootCfg::new(
-        KernelKind::Message,
-        FsKind::Message,
-        kernel_cores(2),
-    ))
-    .await;
+/// A descriptor keeps the file it was opened on, on every engine. Open
+/// `/old`, unlink it, create and write `/new` — which takes `/old`'s
+/// inode number — and the old descriptor's `fstat` and `read` answer
+/// `Gone`. On MsgFs the descriptor holds the vnode port its directory
+/// answered the open with, and that vnode went with `/old`; on a lock
+/// engine it holds the number's generation, which the unlink bumped.
+/// (While a descriptor held a bare inode number, both answered with
+/// `/new`'s stat and bytes.)
+async fn a_stale_fd_script(fs: FsKind) -> (bool, Result<u64, KError>, Result<Vec<u8>, KError>) {
+    let os = boot(BootCfg::new(KernelKind::Message, fs, kernel_cores(2))).await;
     let env = os.procs.env();
     let fd = env.create("/old").await.unwrap();
     env.write(fd, b"old bytes").await.unwrap();
@@ -940,20 +937,22 @@ async fn a_stale_fd_script() -> (bool, Result<u64, KError>, Result<Vec<u8>, KErr
 #[test]
 fn a_descriptor_keeps_its_file_after_the_inode_number_is_reused() {
     let gone = KError::Fs(chanos_vfs::FsError::Gone);
-    let mut s = sim(4);
-    let (reused, stat, read) = s.block_on(a_stale_fd_script()).unwrap();
-    assert!(reused, "the new file takes the old one's inode number");
-    assert_eq!(
-        (stat, read),
-        (Err(gone.clone()), Err(gone.clone())),
-        "simulator"
-    );
-
+    let want = (Err(gone.clone()), Err(gone));
+    for fs in [FsKind::Message, FsKind::BigLock, FsKind::Sharded] {
+        let mut s = sim(4);
+        let (reused, stat, read) = s.block_on(a_stale_fd_script(fs)).unwrap();
+        assert!(
+            reused,
+            "{fs:?}: the new file takes the old one's inode number"
+        );
+        assert_eq!((stat, read), want, "{fs:?} on the simulator");
+    }
+    // The lock engines' locks are the simulator's; MsgFs runs on both.
     let rt = chanos_parchan::Runtime::new(2);
-    let (reused, stat, read) = rt.block_on(a_stale_fd_script());
+    let (reused, stat, read) = rt.block_on(a_stale_fd_script(FsKind::Message));
     rt.shutdown();
     assert!(reused, "the new file takes the old one's inode number");
-    assert_eq!((stat, read), (Err(gone.clone()), Err(gone)), "threads");
+    assert_eq!((stat, read), want, "threads");
 }
 
 /// A read or a write racing the reap of its file is answered: with the

@@ -17,6 +17,12 @@
 //!   submission for builder surfaces (`Env::batch()` in
 //!   `chanos-kernel` is built on it).
 //!
+//! A port's queue is unbounded, so a request is submitted where it is
+//! made: the queue takes it, or the server is gone and the call fails
+//! [`CallError::ServerGone`] at once. Nothing waits for room. Overload
+//! is meant to be met by shedding calls at the port, not by making a
+//! caller wait for space.
+//!
 //! Each call's reply endpoint is §3's "fresh channel used to send the
 //! return value back": a [`reply_channel`](crate::reply_channel) made
 //! for the call and freed with it. The port keeps no pool and takes no
@@ -127,16 +133,29 @@ impl<Req> std::fmt::Debug for Port<Req> {
     }
 }
 
-/// Creates a service channel of the given capacity on the calling
-/// task's backend: the client [`Port`] and the server [`Receiver`].
+/// Creates a service channel on the calling task's backend: the client
+/// [`Port`] and the server [`Receiver`].
+///
+/// `cap` must be [`Capacity::Unbounded`](crate::Capacity::Unbounded):
+/// every call is submitted where it is made, and a port has no path
+/// for a request its queue cannot take yet. The argument stays only
+/// because callers outside this workspace still pass it.
+///
+/// # Panics
+///
+/// If `cap` is bounded or a rendezvous.
 pub fn port_channel<Req: Send + 'static>(cap: crate::Capacity) -> (Port<Req>, Receiver<Req>) {
+    assert_eq!(
+        cap,
+        crate::Capacity::Unbounded,
+        "a port's queue is unbounded"
+    );
     let (tx, rx) = crate::channel(cap);
     (Port::attach(tx), rx)
 }
 
 impl<Req: Send + 'static> Port<Req> {
-    /// Wraps an existing server request channel into a port.
-    pub fn attach(tx: Sender<Req>) -> Port<Req> {
+    fn attach(tx: Sender<Req>) -> Port<Req> {
         let probe = tx.clone();
         Port {
             tx,
@@ -154,10 +173,8 @@ impl<Req: Send + 'static> Port<Req> {
     /// Issues one call: builds the request around a fresh reply
     /// channel and submits it **now**. The returned [`Call`] is only
     /// the completion — hold several before awaiting any to pipeline
-    /// requests into the server's batch drain.
-    ///
-    /// (On a *bounded* port whose queue is momentarily full, the
-    /// request is submitted on the call's first poll instead.)
+    /// requests into the server's batch drain. If the server is gone,
+    /// the call resolves [`CallError::ServerGone`].
     pub fn call<Resp, F>(&self, make: F) -> Call<Resp>
     where
         Resp: Send + 'static,
@@ -187,11 +204,10 @@ impl<Req: Send + 'static> Port<Req> {
         F: FnOnce(ReplyTo<Resp>) -> Req,
     {
         let (reply_to, reply) = reply_channel();
-        let mut call = match self.tx.try_send(make(reply_to)) {
-            Ok(()) => self.waiting_call(reply),
-            Err(TrySendError::Closed(_)) => return Call::failed(CallError::ServerGone),
-            Err(TrySendError::Full(msg)) => self.sending_call(msg, reply),
-        };
+        if self.tx.try_send(make(reply_to)).is_err() {
+            return Call::failed(CallError::ServerGone);
+        }
+        let mut call = self.waiting_call(reply);
         call.deadline = deadline.map(crate::after);
         call
     }
@@ -200,14 +216,9 @@ impl<Req: Send + 'static> Port<Req> {
     /// burst: on real threads the server wakes **once** for the whole
     /// slice; on the simulator each request is its own send event
     /// (deterministic traces). Returns the calls in submission order;
-    /// completion order is the client's choice.
-    ///
-    /// Per-client FIFO holds for every request accepted at submission
-    /// time — always, on an unbounded port (all OS service ports are
-    /// unbounded). On a *bounded* port that fills mid-burst, the
-    /// overflow requests are submitted at each call's first poll, so
-    /// their relative order follows poll order; await such calls in
-    /// submission order if the server's processing order matters.
+    /// completion order is the client's choice. The server takes the
+    /// requests in submission order; if it is gone, every call resolves
+    /// [`CallError::ServerGone`].
     pub fn call_batch<Resp, F>(&self, makes: impl IntoIterator<Item = F>) -> Vec<Call<Resp>>
     where
         Resp: Send + 'static,
@@ -228,13 +239,7 @@ impl<Req: Send + 'static> Port<Req> {
                 if i < sent {
                     self.waiting_call(reply)
                 } else {
-                    // Full or closed mid-burst: fall back to an async
-                    // submit at poll time (which reports ServerGone
-                    // itself if the channel is closed).
-                    let msg = msgs
-                        .pop_front()
-                        .expect("one unsent request per left-over call");
-                    self.sending_call(msg, reply)
+                    Call::failed(CallError::ServerGone)
                 }
             })
             .collect()
@@ -259,39 +264,28 @@ impl<Req: Send + 'static> Port<Req> {
 
     /// Submits previously deferred requests as one burst (one server
     /// wake on real threads, one send event per message on the
-    /// simulator). If the server is gone, the unsent requests are
-    /// dropped — counted on the ambient `port.calls_dropped_at_submit`
-    /// statistic — and their
-    /// calls resolve as [`CallError::ServerGone`] deterministically
-    /// (the request channel *is* closed by the time they observe the
-    /// dropped reply endpoint).
-    pub async fn submit(&self, buf: &mut VecDeque<Req>) {
-        loop {
-            self.tx.try_send_many(buf);
-            let Some(msg) = buf.pop_front() else { return };
-            // Full (bounded port): wait for space.
-            if self.tx.send(msg).await.is_err() {
-                // Closed mid-burst: the in-hand request and everything
-                // still buffered are dropped, visibly.
-                let dropped = 1 + buf.len() as u64;
-                if crate::in_runtime() {
-                    crate::stat_add("port.calls_dropped_at_submit", dropped);
-                }
-                buf.clear();
-                return;
-            }
+    /// simulator), leaving `buf` empty. The queue takes every request
+    /// unless the server is gone; then the requests are dropped —
+    /// counted on the ambient `port.calls_dropped_at_submit` statistic
+    /// — and their calls resolve as [`CallError::ServerGone`]
+    /// deterministically (the request channel *is* closed by the time
+    /// they observe the dropped reply endpoint).
+    pub fn submit(&self, buf: &mut VecDeque<Req>) {
+        self.tx.try_send_many(buf);
+        if !buf.is_empty() && crate::in_runtime() {
+            crate::stat_add("port.calls_dropped_at_submit", buf.len() as u64);
         }
+        buf.clear();
     }
 
     /// Forwards a pre-built request — e.g. delegating a message whose
     /// [`ReplyTo`] belongs to another client further down a service
     /// chain (channels as capabilities, §3). Returns the request if
     /// the server is gone.
-    pub async fn forward(&self, req: Req) -> Result<(), Req> {
-        self.tx
-            .send(req)
-            .await
-            .map_err(crate::SendError::into_inner)
+    pub fn forward(&self, req: Req) -> Result<(), Req> {
+        self.tx.try_send(req).map_err(|e| match e {
+            TrySendError::Closed(req) | TrySendError::Full(req) => req,
+        })
     }
 
     fn waiting_call<Resp: Send + 'static>(&self, reply: Reply<Resp>) -> Call<Resp> {
@@ -304,32 +298,6 @@ impl<Req: Send + 'static> Port<Req> {
             deadline: None,
         }
     }
-
-    fn sending_call<Resp: Send + 'static>(&self, msg: Req, reply: Reply<Resp>) -> Call<Resp> {
-        // The bounded-port overflow path: the request itself still
-        // has to be submitted, which needs the `Req` type — boxed,
-        // and off the steady-state path (OS service ports are
-        // unbounded; only a momentarily-full bounded port lands
-        // here).
-        let tx = self.tx.clone();
-        let fut = Box::pin(async move {
-            if tx.send(msg).await.is_err() {
-                return Err(CallError::ServerGone);
-            }
-            match reply.recv().await {
-                Ok(v) => Ok(v),
-                Err(_) => Err(if tx.is_closed() {
-                    CallError::ServerGone
-                } else {
-                    CallError::Cancelled
-                }),
-            }
-        });
-        Call {
-            state: CallState::Boxed(fut, true),
-            deadline: None,
-        }
-    }
 }
 
 enum CallState<Resp: Send + 'static> {
@@ -338,13 +306,9 @@ enum CallState<Resp: Send + 'static> {
     /// Submitted; the completion slot polled in place, beside the
     /// port it was issued through.
     Waiting(Reply<Resp>, Arc<PortCore>),
-    /// Resolving through an owned future: the bounded-port overflow
-    /// fallback (`true`: issued through a port) and the
-    /// [`Call::from_future`] adapter (`false`: it has none).
-    Boxed(
-        Pin<Box<dyn Future<Output = Result<Resp, CallError>> + Send>>,
-        bool,
-    ),
+    /// Resolving through an owned future: the [`Call::from_future`]
+    /// adapter, which belongs to no port.
+    Boxed(Pin<Box<dyn Future<Output = Result<Resp, CallError>> + Send>>),
     /// Resolved; polling again is a bug.
     Done,
 }
@@ -381,7 +345,7 @@ impl<Resp: Send + 'static> Call<Resp> {
         F: Future<Output = Result<Resp, CallError>> + Send + 'static,
     {
         Call {
-            state: CallState::Boxed(Box::pin(fut), false),
+            state: CallState::Boxed(Box::pin(fut)),
             deadline: None,
         }
     }
@@ -413,7 +377,7 @@ impl<Resp: Send + 'static> Future for Call<Resp> {
                     return Poll::Ready(out);
                 }
             }
-            CallState::Boxed(f, _) => {
+            CallState::Boxed(f) => {
                 if let Poll::Ready(out) = f.as_mut().poll(cx) {
                     this.state = CallState::Done;
                     this.deadline = None;
@@ -446,11 +410,7 @@ impl<Resp: Send + 'static> Drop for Call<Resp> {
         // leak: dropping the held reply receiver closes the
         // completion slot, so the server's answer fails cleanly). A
         // `from_future` call has no port, so it is not counted.
-        let on_port = matches!(
-            self.state,
-            CallState::Waiting(..) | CallState::Boxed(_, true)
-        );
-        if on_port && crate::in_runtime() {
+        if matches!(self.state, CallState::Waiting(..)) && crate::in_runtime() {
             crate::stat_incr("port.calls_cancelled");
         }
     }
@@ -598,23 +558,41 @@ mod tests {
     }
 
     #[test]
-    fn bounded_port_falls_back_to_async_submit() {
-        // Capacity 1 with 4 calls in flight: the overflowing calls
-        // submit at poll time and still resolve FIFO.
-        async fn run() -> Vec<u32> {
-            let (port, rx) = port_channel::<Req>(Capacity::Bounded(1));
-            spawn_server(rx);
-            let calls = port.call_batch((0..4u32).map(|i| move |r| Req::Add(i, 1, r)));
-            let mut out = Vec::new();
-            for c in calls {
-                out.push(c.await.unwrap());
-            }
-            out
+    #[should_panic(expected = "a port's queue is unbounded")]
+    fn a_bounded_port_is_refused_on_the_simulator() {
+        let mut s = sim::Simulation::new(1);
+        s.block_on(async { drop(port_channel::<Req>(Capacity::Bounded(1))) })
+            .unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "a port's queue is unbounded")]
+    fn a_bounded_port_is_refused_on_threads() {
+        let rt = par::Runtime::new(1);
+        rt.block_on(async { drop(port_channel::<Req>(Capacity::Bounded(1))) });
+    }
+
+    /// Forwards a request to a port whose server is gone; the request
+    /// comes back from `forward` itself, with nothing awaited.
+    fn forward_to_a_gone_server() -> Option<u32> {
+        let (port, rx) = port_channel::<Req>(Capacity::Unbounded);
+        drop(rx);
+        let (reply_to, _reply) = crate::reply_channel();
+        match port.forward(Req::Add(7, 8, reply_to)) {
+            Err(Req::Add(a, b, _)) => Some(a + b),
+            _ => None,
         }
-        let mut s = sim::Simulation::new(2);
-        assert_eq!(s.block_on(run()).unwrap(), vec![1, 2, 3, 4]);
-        let rt = par::Runtime::new(2);
-        assert_eq!(rt.block_on(run()), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn forward_to_a_gone_server_hands_the_request_back_on_both_backends() {
+        let mut s = sim::Simulation::new(1);
+        assert_eq!(
+            s.block_on(async { forward_to_a_gone_server() }).unwrap(),
+            Some(15)
+        );
+        let rt = par::Runtime::new(1);
+        assert_eq!(rt.block_on(async { forward_to_a_gone_server() }), Some(15));
         rt.shutdown();
     }
 
@@ -626,7 +604,7 @@ mod tests {
             let mut buf = VecDeque::new();
             let c1 = port.call_deferred(&mut buf, |r| Req::Add(2, 3, r));
             let c2 = port.call_deferred(&mut buf, |r| Req::Add(4, 5, r));
-            port.submit(&mut buf).await;
+            port.submit(&mut buf);
             (c1.await.unwrap(), c2.await.unwrap())
         }
         let mut s = sim::Simulation::new(2);

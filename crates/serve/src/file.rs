@@ -275,7 +275,7 @@ mod tests {
         })
         .block_on(async {
             // A driver whose device takes every write and fails every read.
-            let (tx, rx) = rt::channel::<DiskReq>(Capacity::Unbounded);
+            let (port, rx) = rt::port_channel::<DiskReq>(Capacity::Unbounded);
             rt::spawn(async move {
                 while let Ok(req) = rx.recv().await {
                     match req {
@@ -289,7 +289,7 @@ mod tests {
                 }
             });
             let files = vec![("/page".to_string(), b"content".to_vec())];
-            let srv = spawn_file_server(DiskClient::new(tx), files, Priority::Normal)
+            let srv = spawn_file_server(DiskClient::new(port), files, Priority::Normal)
                 .await
                 .unwrap();
             let errors0 = chanos_sim::stat_get("serve.file_read_errors");
@@ -313,7 +313,7 @@ mod tests {
             // one arrives, fails the second and only then answers the
             // first. A server that awaited its burst's reads before
             // draining the next would never send the second.
-            let (tx, rx) = rt::channel::<DiskReq>(Capacity::Unbounded);
+            let (port, rx) = rt::port_channel::<DiskReq>(Capacity::Unbounded);
             rt::spawn(async move {
                 let mut store: HashMap<u64, Vec<u8>> = HashMap::new();
                 let mut held = None;
@@ -337,7 +337,7 @@ mod tests {
                 ("/a".to_string(), b"first".to_vec()),
                 ("/b".to_string(), b"second".to_vec()),
             ];
-            let srv = spawn_file_server(DiskClient::new(tx), files, Priority::Normal)
+            let srv = spawn_file_server(DiskClient::new(port), files, Priority::Normal)
                 .await
                 .unwrap();
             let before = ["serve.file_bursts", "serve.file_read_errors"].map(chanos_sim::stat_get);

@@ -15,12 +15,14 @@ use crate::core_fs::{split_parent, split_path, FileSlice, FsCore, ScanAllocator,
 use crate::error::FsError;
 use crate::layout::{Dirent, FileKind, ROOT_INO};
 use crate::store::{BlockStore, CachedDisk};
+use crate::Generations;
 
 /// The big-lock file system client.
 #[derive(Clone)]
 pub struct BigLockFs {
     core: Arc<FsCore<CachedDisk>>,
     lock: SimMutex<()>,
+    gens: Generations,
 }
 
 impl BigLockFs {
@@ -36,7 +38,12 @@ impl BigLockFs {
         Ok(BigLockFs {
             core: Arc::new(core),
             lock: SimMutex::new(()),
+            gens: Generations::default(),
         })
+    }
+
+    pub(crate) fn generations(&self) -> &Generations {
+        &self.gens
     }
 
     async fn resolve(&self, comps: &[&str]) -> Result<u64, FsError> {
@@ -155,6 +162,7 @@ impl BigLockFs {
         child.nlink = child.nlink.saturating_sub(1);
         if child.nlink == 0 {
             self.core.truncate(&mut child, &ScanAllocator).await?;
+            self.gens.bump(child_ino);
             self.core.free_inode(child_ino).await?;
         } else {
             self.core.write_inode(child_ino, &child).await?;

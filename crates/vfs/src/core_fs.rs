@@ -436,9 +436,9 @@ impl<S: BlockStore> FsCore<S> {
     /// the blocks the range spans, not a copy of its bytes.
     ///
     /// Maps the whole range first, then fetches every mapped block
-    /// with one [`BlockStore::read_blocks`] call — stores that batch
-    /// (the message-passing cache groups lookups per shard) serve the
-    /// read in one round-trip per shard instead of one per block.
+    /// with one [`BlockStore::read_blocks`] call — the message-passing
+    /// cache has every block's read at its shard at once instead of
+    /// one after another.
     pub async fn read_file(
         &self,
         inode: &Inode,
@@ -454,7 +454,7 @@ impl<S: BlockStore> FsCore<S> {
         for fbn in off / BLOCK_SIZE as u64..end.div_ceil(BLOCK_SIZE as u64) {
             lbas.push(self.bmap(inode, fbn).await?);
         }
-        // Pass 2: one grouped fetch for every mapped block.
+        // Pass 2: one fetch for every mapped block.
         let mapped: Vec<u64> = lbas.iter().copied().filter(|&l| l != 0).collect();
         let mut fetched = self.store.read_blocks(&mapped).await?.into_iter();
         let blocks = lbas

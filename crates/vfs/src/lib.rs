@@ -38,26 +38,52 @@ pub use store::{
     COPY_BYTES_PER_CYCLE,
 };
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
 use chanos_rt::{Port, ReplyBatch, ReplyTo};
+use chanos_sim::plock;
 
 /// An open file: what [`Vfs::open`] and [`Vfs::create_open`] answer.
 ///
-/// On [`MsgFs`] it holds the file's vnode port, which the directory
-/// that names the file takes in the same turn as the lookup, so in
-/// order with that directory's unlinks. Every call through it reaches
-/// that file and no other: once the file is removed its vnode is gone,
-/// and a call answers [`FsError::Gone`] even after the inode number
-/// names another file. The lock engines keep only the number.
+/// Every call through it reaches that file and no other: once the file
+/// is removed, a call answers [`FsError::Gone`], even after the inode
+/// number names another file.
 #[derive(Clone, Debug)]
 pub struct File {
     ino: u64,
-    vnode: Option<Port<msgfs::VnodeMsg>>,
+    handle: Handle,
 }
 
-impl File {
-    /// A file of a lock engine: its inode number alone.
-    fn numbered(ino: u64) -> File {
-        File { ino, vnode: None }
+/// What ties a [`File`] to its file rather than to its inode number.
+#[derive(Clone, Debug)]
+enum Handle {
+    /// On [`MsgFs`]: the file's vnode port, which the directory that
+    /// names the file takes in the same turn as the lookup, so in order
+    /// with that directory's unlinks. The vnode goes with the file.
+    Vnode(Port<msgfs::VnodeMsg>),
+    /// On a lock engine: the number's [`Generations`] entry when the
+    /// file was opened.
+    Generation(u64),
+}
+
+/// A lock engine's generation of each inode number, bumped when the
+/// number is freed (FFS's `di_gen`): a [`File`] that recorded an older
+/// one names a removed file. It is kept in memory, off the disk, so
+/// volumes stay byte-equal across engines, and it costs no modeled
+/// cycle.
+#[derive(Clone, Default)]
+struct Generations(Arc<Mutex<HashMap<u64, u64>>>);
+
+impl Generations {
+    /// The generation of `ino`.
+    fn of(&self, ino: u64) -> u64 {
+        plock(&self.0).get(&ino).copied().unwrap_or(0)
+    }
+
+    /// Called as `ino` is freed: files opened before now are gone.
+    fn bump(&self, ino: u64) {
+        *plock(&self.0).entry(ino).or_default() += 1;
     }
 }
 
@@ -174,7 +200,7 @@ impl Vfs {
     pub async fn open(&self, path: &str) -> Result<File, FsError> {
         match self {
             Vfs::Msg(fs) => fs.open(path).await,
-            _ => self.lookup(path).await.map(File::numbered),
+            _ => self.lookup(path).await.map(|ino| self.numbered(ino)),
         }
     }
 
@@ -182,7 +208,24 @@ impl Vfs {
     pub async fn create_open(&self, path: &str) -> Result<File, FsError> {
         match self {
             Vfs::Msg(fs) => fs.create_open(path).await,
-            _ => self.create(path).await.map(File::numbered),
+            _ => self.create(path).await.map(|ino| self.numbered(ino)),
+        }
+    }
+
+    /// A lock engine's file `ino`, as its number names it now.
+    fn numbered(&self, ino: u64) -> File {
+        File {
+            ino,
+            handle: Handle::Generation(self.generation(ino)),
+        }
+    }
+
+    /// A lock engine's generation of inode number `ino`.
+    fn generation(&self, ino: u64) -> u64 {
+        match self {
+            Vfs::Big(fs) => fs.generations().of(ino),
+            Vfs::Sharded(fs) => fs.generations().of(ino),
+            Vfs::Msg(_) => unreachable!("a MsgFs file holds its vnode"),
         }
     }
 
@@ -190,12 +233,20 @@ impl Vfs {
     /// [`MsgFs`] the call goes to the file's vnode (and a one-block read
     /// on to its cache shard), which answers, and this returns once it
     /// is sent; a lock engine serves it here, and this returns once it
-    /// is answered.
+    /// is answered. A file removed since it was opened answers `Gone`.
     pub async fn on_file(&self, file: &File, call: FileCall, replies: &mut ReplyBatch) {
         if let Vfs::Msg(fs) = self {
-            return fs.on_file(file, call, replies).await;
+            return fs.on_file(file, call, replies);
         }
         let ino = file.ino;
+        let refused = match file.handle {
+            Handle::Generation(gen) if gen == self.generation(ino) => None,
+            Handle::Generation(_) => Some(FsError::Gone),
+            Handle::Vnode(_) => Some(FsError::Invalid),
+        };
+        if let Some(e) = refused {
+            return call.refuse(e, replies);
+        }
         match call {
             FileCall::Read { off, len, reply } => {
                 replies.send(reply, self.read_shared(ino, off, len).await)
@@ -224,11 +275,12 @@ impl Vfs {
     /// lock engine (see [`Vfs::on_file`]).
     pub async fn on_path(&self, path: &str, call: PathCall, replies: &mut ReplyBatch) {
         if let Vfs::Msg(fs) = self {
-            return fs.on_path(path, call, replies).await;
+            return fs.on_path(path, call, replies);
         }
         match call {
             PathCall::Mkdir { reply } => {
-                replies.send(reply, self.mkdir(path).await.map(File::numbered))
+                let made = self.mkdir(path).await;
+                replies.send(reply, made.map(|ino| self.numbered(ino)))
             }
             PathCall::Unlink { reply } => replies.send(reply, self.unlink(path).await),
             PathCall::ReadDir { reply } => replies.send(reply, self.readdir(path).await),

@@ -144,7 +144,7 @@ use crate::core_fs::{
 use crate::error::FsError;
 use crate::layout::{Dirent, FileKind, Inode, Superblock, DIRENT_SIZE, ROOT_INO};
 use crate::store::{check_block_len, copy_cost, Block, BlockStore, CacheClient};
-use crate::{File, FileCall, PathCall};
+use crate::{File, FileCall, Handle, PathCall};
 
 /// Messages understood by a cylinder-group server task.
 enum GroupMsg {
@@ -799,7 +799,7 @@ impl Vnode {
         };
         rt::stat_incr("msgfs.reads_handed_on");
         let cache = self.shared.core.store();
-        if let Err(reply) = cache.forward_read(lba, start, len, reply).await {
+        if let Err(reply) = cache.forward_read(lba, start, len, reply) {
             replies.send(reply, Err(FsError::Gone));
         }
     }
@@ -817,7 +817,7 @@ impl Vnode {
     /// vnode that cannot be reached refuses it here.
     async fn forward(&self, ino: u64, msg: VnodeMsg, replies: &mut ReplyBatch) {
         let sent = match get_vnode(&self.shared, ino).await {
-            Ok(vn) => vn.forward(msg).await.map_err(|msg| (msg, FsError::Gone)),
+            Ok(vn) => vn.forward(msg).map_err(|msg| (msg, FsError::Gone)),
             Err(e) => Err((msg, e)),
         };
         if let Err((msg, e)) = sent {
@@ -1031,16 +1031,16 @@ fn spawn_vnode(shared: &Arc<MsgShared>, ino: u64, inode: Inode, rx: chanos_rt::R
 async fn start_vnode(shared: &Arc<MsgShared>, ino: u64, inode: Inode) -> Result<File, FsError> {
     let (port, rx) = port_channel::<VnodeMsg>(Capacity::Unbounded);
     spawn_vnode(shared, ino, inode, rx);
-    let vnode = Some(port.clone());
+    let handle = Handle::Vnode(port.clone());
     shared.vnreg.write(VnWrite::Insert { ino, port }).await?;
-    Ok(File { ino, vnode })
+    Ok(File { ino, handle })
 }
 
 /// Opens inode `ino`: its number and its vnode's port.
 async fn open(shared: &MsgShared, ino: u64) -> Result<File, FsError> {
     Ok(File {
         ino,
-        vnode: Some(get_vnode(shared, ino).await?),
+        handle: Handle::Vnode(get_vnode(shared, ino).await?),
     })
 }
 
@@ -1122,15 +1122,14 @@ impl MsgFs {
         then: impl FnOnce(ReplyTo<Result<T, FsError>>) -> VnodeMsg,
     ) -> Result<T, FsError> {
         let (reply, answer) = rt::reply_channel();
-        self.walk_to(dir, then(reply), &mut ReplyBatch::default())
-            .await;
+        self.walk_to(dir, then(reply), &mut ReplyBatch::default());
         answer.recv().await.unwrap_or(Err(FsError::Gone))
     }
 
     /// Hands `then` to the directory `dir` names, in one message to the
     /// root's vnode: the vnode that serves or refuses `then` answers its
     /// reply, and nothing here waits for it.
-    async fn walk_to(&self, dir: &[&str], then: VnodeMsg, replies: &mut ReplyBatch) {
+    fn walk_to(&self, dir: &[&str], then: VnodeMsg, replies: &mut ReplyBatch) {
         let msg = match dir {
             [] => then,
             path => VnodeMsg::Walk {
@@ -1138,7 +1137,7 @@ impl MsgFs {
                 then: Box::new(then),
             },
         };
-        if let Err(msg) = self.shared.root.forward(msg).await {
+        if let Err(msg) = self.shared.root.forward(msg) {
             msg.refuse(FsError::Gone, replies);
         }
     }
@@ -1171,8 +1170,11 @@ impl MsgFs {
     pub async fn open(&self, path: &str) -> Result<File, FsError> {
         let comps = split_path(path);
         let Some((name, dir)) = comps.split_last() else {
-            let (ino, vnode) = (ROOT_INO, Some(self.shared.root.clone()));
-            return Ok(File { ino, vnode });
+            let handle = Handle::Vnode(self.shared.root.clone());
+            return Ok(File {
+                ino: ROOT_INO,
+                handle,
+            });
         };
         let name = name.to_string();
         self.at(dir, |reply| VnodeMsg::Lookup { name, reply }).await
@@ -1186,8 +1188,8 @@ impl MsgFs {
     /// Hands `call` to the vnode of `file`, which answers its reply; a
     /// file whose vnode is gone (the file was removed) answers `Gone`.
     /// Nothing here waits for the file system.
-    pub(crate) async fn on_file(&self, file: &File, call: FileCall, replies: &mut ReplyBatch) {
-        let Some(vnode) = &file.vnode else {
+    pub(crate) fn on_file(&self, file: &File, call: FileCall, replies: &mut ReplyBatch) {
+        let Handle::Vnode(vnode) = &file.handle else {
             return call.refuse(FsError::Invalid, replies);
         };
         let msg = match call {
@@ -1205,14 +1207,14 @@ impl MsgFs {
             },
             FileCall::Stat { reply } => VnodeMsg::Stat { reply },
         };
-        if let Err(msg) = vnode.forward(msg).await {
+        if let Err(msg) = vnode.forward(msg) {
             msg.refuse(FsError::Gone, replies);
         }
     }
 
     /// Hands `call` on to the directory that serves it, which answers
     /// its reply. Nothing here waits for the file system.
-    pub(crate) async fn on_path(&self, path: &str, call: PathCall, replies: &mut ReplyBatch) {
+    pub(crate) fn on_path(&self, path: &str, call: PathCall, replies: &mut ReplyBatch) {
         let (dir, then) = match call {
             PathCall::ReadDir { reply } => (split_path(path), VnodeMsg::ReadDir { reply }),
             PathCall::Mkdir { reply } => match split_parent(path) {
@@ -1233,7 +1235,7 @@ impl MsgFs {
                 Err(e) => return replies.send(reply, Err(e)),
             },
         };
-        self.walk_to(&dir, then, replies).await;
+        self.walk_to(&dir, then, replies);
     }
 
     /// Reads `len` bytes at `off` from inode `ino`: the blocks they

@@ -22,6 +22,7 @@ use crate::core_fs::{split_parent, split_path, Allocator, FileSlice, FsCore, Sta
 use crate::error::FsError;
 use crate::layout::{Dirent, FileKind, ROOT_INO};
 use crate::store::{BlockStore, ShardedCachedDisk};
+use crate::Generations;
 
 /// Registry of per-inode locks (itself a short-critical-section
 /// shared structure, as in real kernels).
@@ -109,6 +110,7 @@ pub struct ShardedFs {
     core: Arc<FsCore<ShardedCachedDisk>>,
     inode_locks: Arc<LockTable>,
     groups: Arc<GroupLocks>,
+    gens: Generations,
 }
 
 impl ShardedFs {
@@ -129,7 +131,12 @@ impl ShardedFs {
             core: Arc::new(core),
             inode_locks: Arc::new(LockTable::new()),
             groups: Arc::new(groups),
+            gens: Generations::default(),
         })
+    }
+
+    pub(crate) fn generations(&self) -> &Generations {
+        &self.gens
     }
 
     fn allocator(&self) -> ShardedAllocator {
@@ -296,6 +303,7 @@ impl ShardedFs {
             self.core.truncate(&mut child, &self.allocator()).await?;
             let g = self.core.superblock().group_of_ino(child_ino);
             let guard = self.groups.locks[g as usize].lock().await;
+            self.gens.bump(child_ino);
             self.core.free_inode(child_ino).await?;
             drop(guard);
         } else {

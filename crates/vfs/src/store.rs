@@ -16,7 +16,10 @@
 //! block → waiters table, a dirty eviction parks the *writer* that
 //! caused it, a short-lived helper task per command does the waiting
 //! ("a thread which waits costs nobody else anything", §4), and the
-//! shard goes back to its queue.
+//! shard goes back to its queue. A shard has one kind of read request,
+//! `Read`: a reader of many blocks sends one per block, every one
+//! before it awaits the first ([`CacheClient::read_many`]), so the fills
+//! of its cold blocks are at the driver together.
 //!
 //! No store copies a block's bytes for anyone. A block is a [`Block`]:
 //! shared and immutable, handed to every reader by reference count and
@@ -91,10 +94,8 @@ pub trait BlockStore: Clone + 'static {
 
     /// Reads many blocks, returned in request order.
     ///
-    /// The default reads them one at a time; stores with internal
-    /// concurrency structure (notably [`CacheClient`]) override this
-    /// to batch — e.g. one round-trip per cache shard instead of one
-    /// per block.
+    /// The default reads them one at a time; [`CacheClient`] overrides
+    /// this to have every block's read at its shard at once.
     fn read_blocks(
         &self,
         lbas: &[u64],
@@ -418,11 +419,6 @@ enum CacheMsg {
         len: u32,
         reply: ReplyTo<Result<FileSlice, FsError>>,
     },
-    /// A shard-local group of lookups: one round-trip serves them all.
-    ReadMany {
-        lbas: Vec<u64>,
-        reply: ReplyTo<Result<Vec<Block>, FsError>>,
-    },
     Write {
         lba: u64,
         data: Block,
@@ -450,24 +446,12 @@ enum Done {
     },
 }
 
-/// Who waits for a block that is on its way from the disk.
-enum Waiter {
-    /// A `Read`, and the range of the block it asked for.
-    One {
-        reply: ReplyTo<Result<FileSlice, FsError>>,
-        start: u32,
-        len: u32,
-    },
-    /// Block `slot` of the `ReadMany` parked under key `gather`.
-    Slot { gather: u64, slot: usize },
-}
-
-/// A `ReadMany` some of whose blocks are on their way from the disk.
-struct Gather {
-    /// `None` for a block still on its way.
-    blocks: Vec<Option<Block>>,
-    missing: usize,
-    reply: ReplyTo<Result<Vec<Block>, FsError>>,
+/// A `Read` waiting for a block that is on its way from the disk, and
+/// the range of the block it asked for.
+struct Waiter {
+    reply: ReplyTo<Result<FileSlice, FsError>>,
+    start: u32,
+    len: u32,
 }
 
 /// One cache shard: the blocks it owns and what it is waiting for.
@@ -485,7 +469,7 @@ struct Shard {
     /// Where the shard runs, and its helpers with it.
     core: CoreId,
     done: Sender<Done>,
-    /// Names fills, write-backs (their generation) and gathers.
+    /// Names fills and write-backs (their generation).
     last_id: u64,
     /// Blocks being read from the disk: the read's id and who waits.
     /// Later readers of the block join the list.
@@ -494,7 +478,6 @@ struct Shard {
     /// that asked before the write, answered with what the disk sends.
     /// Nobody joins them, and the cache keeps the block written.
     overtaken: HashMap<u64, Vec<Waiter>>,
-    gathers: HashMap<u64, Gather>,
     /// Evicted dirty blocks whose write has not landed yet, still
     /// readable from here: generation and bytes of the newest
     /// write-back of each.
@@ -592,29 +575,10 @@ impl Shard {
 
     /// Hands a block (or the error that came instead) to everyone
     /// parked on it, in the order they parked: the one block, shared.
-    async fn deliver(&mut self, waiters: Vec<Waiter>, block: Result<&Block, &FsError>) {
-        for waiter in waiters {
-            match waiter {
-                Waiter::One { reply, start, len } => {
-                    let out = block.map(|b| FileSlice::in_block(b.clone(), start, len));
-                    let _ = reply.send(out.map_err(FsError::clone)).await;
-                }
-                Waiter::Slot { gather, slot } => {
-                    // Gone already if another of its blocks failed.
-                    let Some(g) = self.gathers.get_mut(&gather) else {
-                        continue;
-                    };
-                    if let Ok(data) = block {
-                        g.blocks[slot] = Some(data.clone());
-                        g.missing -= 1;
-                    }
-                    if block.is_err() || g.missing == 0 {
-                        let g = self.gathers.remove(&gather).expect("looked up above");
-                        let out = block.map(|_| gathered(g.blocks)).map_err(FsError::clone);
-                        let _ = g.reply.send(out).await;
-                    }
-                }
-            }
+    async fn deliver(&self, waiters: Vec<Waiter>, block: Result<&Block, &FsError>) {
+        for Waiter { reply, start, len } in waiters {
+            let out = block.map(|b| FileSlice::in_block(b.clone(), start, len));
+            let _ = reply.send(out.map_err(FsError::clone)).await;
         }
     }
 
@@ -650,37 +614,8 @@ impl Shard {
                     rt::stat_incr("cache.hits");
                     let _ = reply.send(Ok(FileSlice::in_block(data, start, len))).await;
                 }
-                None => self.park(lba, Waiter::One { reply, start, len }),
+                None => self.park(lba, Waiter { reply, start, len }),
             },
-            CacheMsg::ReadMany { lbas, reply } => {
-                // Every cold block's read is in the driver's queue
-                // before the first one is back.
-                let gather = self.fresh_id();
-                let mut blocks = vec![None; lbas.len()];
-                let mut missing = 0;
-                for (slot, lba) in lbas.into_iter().enumerate() {
-                    match self.in_memory(lba) {
-                        Some(data) => {
-                            rt::stat_incr("cache.hits");
-                            blocks[slot] = Some(data);
-                        }
-                        None => {
-                            self.park(lba, Waiter::Slot { gather, slot });
-                            missing += 1;
-                        }
-                    }
-                }
-                if missing == 0 {
-                    let _ = reply.send(Ok(gathered(blocks))).await;
-                } else {
-                    let parked = Gather {
-                        blocks,
-                        missing,
-                        reply,
-                    };
-                    self.gathers.insert(gather, parked);
-                }
-            }
             CacheMsg::Write { lba, data, reply } => {
                 // The write overtakes a fill. The readers parked on it
                 // asked first: they get what the disk sends, as they
@@ -776,12 +711,6 @@ impl Shard {
     }
 }
 
-/// A gather's blocks once every one of them has come.
-fn gathered(blocks: Vec<Option<Block>>) -> Vec<Block> {
-    let all = blocks.into_iter().map(|b| b.expect("every block has come"));
-    all.collect()
-}
-
 /// What the shard wakes for next: a completion, else a request; `None`
 /// once every client is gone. Completions go first — there are never
 /// more of them than commands in flight, so requests cannot starve —
@@ -845,7 +774,6 @@ impl CacheClient {
                     last_id: 0,
                     fills: HashMap::new(),
                     overtaken: HashMap::new(),
-                    gathers: HashMap::new(),
                     writebacks: HashMap::new(),
                     wb_in_flight: BTreeSet::new(),
                     syncs: VecDeque::new(),
@@ -881,7 +809,7 @@ impl CacheClient {
     /// block's shard with someone else's `reply`: the shard answers it
     /// (a hit at once, a miss when the fill lands) and nobody waits
     /// here. A shard that is gone gives the reply back.
-    pub(crate) async fn forward_read(
+    pub(crate) fn forward_read(
         &self,
         lba: u64,
         start: u32,
@@ -894,54 +822,38 @@ impl CacheClient {
             len,
             reply,
         };
-        match self.shard(lba).forward(read).await {
+        match self.shard(lba).forward(read) {
             Ok(()) => Ok(()),
             Err(CacheMsg::Read { reply, .. }) => Err(reply),
             Err(_) => unreachable!("a read comes back a read"),
         }
     }
 
-    /// Reads many blocks with one round-trip per *shard*, not per
-    /// block: lookups are grouped by owning shard, each group rides a
-    /// single `ReadMany` message, and the replies are scattered back
-    /// into request order. All shard calls are issued before any is
-    /// awaited, so the shards work in parallel.
-    ///
-    /// Counted as `cache.read_many_calls` (client-side batches) and
-    /// `cache.shard_groups` (shard round-trips those batches cost).
-    pub async fn read_many(&self, lbas: &[u64]) -> Result<Vec<Block>, FsError> {
-        match lbas {
-            [] => return Ok(Vec::new()),
-            [lba] => return self.read_block(*lba).await.map(|b| vec![b]),
-            _ => {}
-        }
-        rt::stat_incr("cache.read_many_calls");
-        let nshards = self.shards.len() as u64;
-        // Per shard: which request slots it owns, and their LBAs.
-        let mut groups: Vec<(Vec<usize>, Vec<u64>)> = vec![Default::default(); self.shards.len()];
-        for (i, &lba) in lbas.iter().enumerate() {
-            let g = &mut groups[(lba % nshards) as usize];
-            g.0.push(i);
-            g.1.push(lba);
-        }
-        let mut calls = Vec::new();
-        for (s, (slots, lbas)) in groups.into_iter().enumerate() {
-            if slots.is_empty() {
-                continue;
+    /// Submits a read of the whole block `lba` to its shard now.
+    fn read_call(&self, lba: u64) -> Call<Result<FileSlice, FsError>> {
+        self.shard(lba).call(|reply| CacheMsg::Read {
+            lba,
+            start: 0,
+            len: BLOCK_SIZE as u32,
+            reply,
+        })
+    }
+
+    /// Reads many blocks, the mirror of [`CacheClient::write_many`]:
+    /// one whole-block `Read` per block, every one submitted when this
+    /// is called, before the returned future is first polled, so every
+    /// cold block's fill is in the driver's queue together. Answers in
+    /// request order; the first error in that order fails the call.
+    pub fn read_many(&self, lbas: &[u64]) -> impl Future<Output = Result<Vec<Block>, FsError>> {
+        let calls: Vec<_> = lbas.iter().map(|&lba| self.read_call(lba)).collect();
+        async move {
+            let mut out = Vec::with_capacity(calls.len());
+            for call in calls {
+                let slice = call.await.unwrap_or_else(|e| Err(e.into()))?;
+                out.push(slice.into_block());
             }
-            rt::stat_incr("cache.shard_groups");
-            let call = self.shards[s].call(move |reply| CacheMsg::ReadMany { lbas, reply });
-            calls.push((slots, call));
+            Ok(out)
         }
-        let mut out = vec![None; lbas.len()];
-        for (slots, call) in calls {
-            let blocks = call.await.unwrap_or_else(|e| Err(e.into()))?;
-            debug_assert_eq!(blocks.len(), slots.len());
-            for (slot, data) in slots.into_iter().zip(blocks) {
-                out[slot] = Some(data);
-            }
-        }
-        Ok(gathered(out))
     }
 
     /// Writes many blocks in one round trip: every `Write` is
@@ -980,13 +892,10 @@ impl CacheClient {
 
 impl BlockStore for CacheClient {
     async fn read_block(&self, lba: u64) -> Result<Block, FsError> {
-        let read = self.shard(lba).call(|reply| CacheMsg::Read {
-            lba,
-            start: 0,
-            len: BLOCK_SIZE as u32,
-            reply,
-        });
-        let slice = read.await.unwrap_or_else(|e| Err(e.into()))?;
+        let slice = self
+            .read_call(lba)
+            .await
+            .unwrap_or_else(|e| Err(e.into()))?;
         Ok(slice.into_block())
     }
 

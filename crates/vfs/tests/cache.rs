@@ -88,7 +88,7 @@ impl ScriptedDisk {
     /// Spawns the disk task on `core`; the join handle finishes when
     /// the last [`DiskClient`] clone is gone.
     fn spawn(core: CoreId) -> (ScriptedDisk, DiskClient, JoinHandle<()>) {
-        let (tx, rx) = rt::channel::<DiskReq>(Capacity::Unbounded);
+        let (port, rx) = rt::port_channel::<DiskReq>(Capacity::Unbounded);
         let disk = ScriptedDisk(Arc::default());
         let state = disk.0.clone();
         let task = rt::spawn_daemon_on("scripted-disk", core, async move {
@@ -110,7 +110,7 @@ impl ScriptedDisk {
                 }
             }
         });
-        (disk, DiskClient::new(tx), task)
+        (disk, DiskClient::new(port), task)
     }
 
     /// From now on commands queue up instead of completing.
@@ -384,7 +384,7 @@ fn sync_waits_for_every_writeback() {
     });
 }
 
-/// (f) The cold blocks of one `ReadMany` are all at the disk together,
+/// (f) The cold blocks of one `read_many` are all at the disk together,
 /// and the answer is in request order whatever order they come back.
 #[test]
 fn read_many_has_all_its_fills_in_the_queue_at_once() {

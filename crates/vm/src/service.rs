@@ -433,7 +433,7 @@ async fn space_task(
                             // Forward; the region server replies to the
                             // original requester directly (channels as
                             // capabilities, §3).
-                            let _ = tx.forward(RegionMsg::Fault { vaddr, reply }).await;
+                            let _ = tx.forward(RegionMsg::Fault { vaddr, reply });
                         }
                     }
                 }
@@ -443,7 +443,7 @@ async fn space_task(
                             let _ = reply.send(Ok(None)).await;
                         }
                         Some((_, tx)) => {
-                            let _ = tx.forward(RegionMsg::Resolve { vaddr, reply }).await;
+                            let _ = tx.forward(RegionMsg::Resolve { vaddr, reply });
                         }
                     }
                 }
@@ -486,7 +486,7 @@ async fn region_task(
                             rt::stat_incr("vm.page_threads");
                             tx
                         });
-                        let _ = tx.forward(PageMsg::Fault { reply }).await;
+                        let _ = tx.forward(PageMsg::Fault { reply });
                     }
                     _ => {
                         let out = if let Some(&pfn) = table.get(&vpn) {

@@ -825,7 +825,7 @@ mod port_equiv {
         let calls: Vec<_> = (0..3u64)
             .map(|i| port.call_deferred(&mut buf, move |r| EchoReq::Double(i, r)))
             .collect();
-        port.submit(&mut buf).await;
+        port.submit(&mut buf);
         let mut out = Vec::new();
         for c in calls {
             out.push(c.await);
@@ -984,12 +984,9 @@ mod batch_aware_equiv {
         assert_eq!(thr_preads, 1, "threads: one pread for the whole run");
     }
 
-    /// Writes distinct patterns to 8 blocks, then fetches them with
-    /// one `read_many`: the lookups must arrive grouped — one shard
-    /// round-trip per shard, not one per block.
-    async fn shard_group_script(dev: CoreId) -> (Vec<chanos::vfs::Block>, u64, u64) {
-        let calls0 = chanos::rt::stat_get("cache.read_many_calls");
-        let groups0 = chanos::rt::stat_get("cache.shard_groups");
+    /// Writes distinct patterns to 8 blocks over 4 shards, then fetches
+    /// them with one `read_many`.
+    async fn read_many_script(dev: CoreId) -> Vec<chanos::vfs::Block> {
         let (hw, irq) = install_disk(128, DiskParams::default(), dev);
         let disk = spawn_disk_driver(hw, irq, CoreId(1));
         let cache = CacheClient::spawn(disk, 4, 64, &[CoreId(0), CoreId(1)]);
@@ -999,35 +996,25 @@ mod batch_aware_equiv {
                 .await
                 .expect("write ok");
         }
-        let blocks = cache.read_many(&lbas).await.expect("read_many ok");
-        (
-            blocks,
-            chanos::rt::stat_get("cache.read_many_calls") - calls0,
-            chanos::rt::stat_get("cache.shard_groups") - groups0,
-        )
+        cache.read_many(&lbas).await.expect("read_many ok")
     }
 
     #[test]
-    fn read_many_groups_lookups_per_shard_on_both_backends() {
-        let check = |(blocks, calls, groups): (Vec<chanos::vfs::Block>, u64, u64), tag: &str| {
+    fn read_many_answers_every_block_in_request_order_on_both_backends() {
+        let check = |blocks: Vec<chanos::vfs::Block>, tag: &str| {
             assert_eq!(blocks.len(), 8, "{tag}: wrong block count");
             for (i, b) in blocks.iter().enumerate() {
                 assert!(
                     b.iter().all(|&x| x == i as u8 + 1),
-                    "{tag}: block {i} scattered back to the wrong slot"
+                    "{tag}: block {i} answered in the wrong slot"
                 );
             }
-            assert_eq!(calls, 1, "{tag}: one client batch expected");
-            assert_eq!(
-                groups, 4,
-                "{tag}: 8 lookups over 4 shards must cost 4 round-trips"
-            );
         };
         let mut s = Simulation::new(4);
         let dev = s.add_device_core();
-        check(s.block_on(shard_group_script(dev)).unwrap(), "sim");
+        check(s.block_on(read_many_script(dev)).unwrap(), "sim");
         let rt = Runtime::new(2);
-        check(rt.block_on(shard_group_script(CoreId(0))), "threads");
+        check(rt.block_on(read_many_script(CoreId(0))), "threads");
         rt.shutdown();
     }
 
