@@ -7,36 +7,51 @@
 //! messages to kernel cores (the proposal); only its performance
 //! differs.
 //!
-//! The message path issues every call through a typed
-//! [`Port`](chanos_rt::Port), so transport failures keep their
-//! meaning: [`KError::Gone`] when the kernel service died before
-//! serving the call, [`KError::Cancelled`] when it accepted the call
-//! but shut down without answering. [`Env::batch`] exposes the
-//! pipelined submit-then-complete surface: queue several syscalls,
-//! submit them as **one** kernel message burst, then complete them in
-//! any order.
+//! The message path issues every namespace call through a typed
+//! [`Port`](chanos_rt::Port) to the process's kernel task, so transport
+//! failures keep their meaning: [`KError::Gone`] when the kernel
+//! service died before serving the call, [`KError::Cancelled`] when it
+//! accepted the call but shut down without answering. [`Env::batch`]
+//! exposes the pipelined submit-then-complete surface: queue several
+//! syscalls, submit them as **one** kernel message burst, then complete
+//! them in any order.
 //!
-//! On the message kernel the process copies a read's or a write's
-//! bytes itself, on its own core, and pays [`copy_cost`] for them
-//! there: a read's answer is the blocks the bytes lie in, shared with
-//! the cache, and a write's buffer is the one that becomes the file's
-//! blocks. The kernel cores move no payload bytes.
+//! On the message kernel an open file is the process's. Its fd table
+//! lives here, shared by every clone of an `Env` and every batch made
+//! from one: fd → [`File`] and offset, and the next fd number. An
+//! `open` or a `create` is given the next number when it is sent, so
+//! numbers follow the order the calls were sent and are never reused;
+//! the file its answer carries is installed there. A `read`, a `write`
+//! or an `fstat` goes from here straight to the file's vnode, which
+//! validates it ([`VALIDATE_CYCLES`]) and answers here; a lock engine's
+//! file has no vnode, and its call goes to the kernel task. A `close`
+//! runs here and pays the same validation, on the process's own core.
+//! A call made on a descriptor whose `open` is still in flight waits
+//! here for that answer and then goes on, in the order it was made.
 //!
-//! The message kernel's process keeps its files' offsets: its kernel
-//! task hands a read, a write or an `fstat` on to the file system with
-//! the process's reply, and the answer comes straight back here, the
-//! only place that sees it. A read or a write takes the offset when it
-//! is issued and moves it by its length; the answer gives back what a
-//! short read did not read (see `Offset`). Clones of an `Env` share
-//! the offsets, as they share the fd table.
+//! The process copies a read's or a write's bytes itself, on its own
+//! core, and pays [`copy_cost`] for them there: a read's answer is the
+//! blocks the bytes lie in, shared with the cache, and a write's buffer
+//! is the one that becomes the file's blocks. The kernel cores move no
+//! payload bytes.
+//!
+//! The process keeps its files' offsets, and the answer that would move
+//! one comes back here, the only place that sees it. A read or a write
+//! takes the offset when it is issued and moves it by its length; the
+//! answer gives back what a short read did not read (see `Offset`).
 
 use std::collections::{HashMap, VecDeque};
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Waker};
 
-use chanos_rt::{self as rt, Call, CallError, CoreId, Cycles, JoinHandle, Port, ReplyTo};
+use chanos_rt::{
+    self as rt, Call, CallError, CoreId, Cycles, JoinHandle, Port, Reply, ReplyBatch, ReplyTo,
+};
 use chanos_sim::plock;
-use chanos_vfs::{copy_cost, FileSlice, Stat};
+use chanos_vfs::{copy_cost, File, FileCall, FileSlice, FsError, Stat, VALIDATE_CYCLES};
 
 use crate::pids::{PidInfo, PidTable};
 use crate::syscall::{MsgKernel, Syscall, TrapKernel};
@@ -71,7 +86,7 @@ fn flatten<T, E: Into<KError>>(r: Result<Result<T, E>, CallError>) -> Result<T, 
 /// `lseek`, and no file shrinks while it is open), so a read sent from
 /// there reads what it would have after the answer, and a write lands
 /// where it would have.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Offset {
     at: u64,
     or_end: bool,
@@ -105,94 +120,272 @@ struct Sent {
     nth: u64,
 }
 
-/// A process's offsets, one per descriptor, shared by every clone of its
-/// `Env` and every batch made from one.
-#[derive(Clone, Default)]
-struct Cursors(Arc<Mutex<HashMap<Fd, Cursor>>>);
-
-impl Cursors {
-    /// Makes a call at `fd`'s offset with `send`, moving the offset by
-    /// `by` bytes (at most `by`, for a read). The offset is held while
-    /// `send` runs, so calls from clones reach the kernel in the order
-    /// they took their offsets.
-    fn send<R>(&self, fd: Fd, by: u64, read: bool, send: impl FnOnce(Offset) -> R) -> (Sent, R) {
-        let mut all = plock(&self.0);
-        let cursor = all.entry(fd).or_default();
+impl Cursor {
+    /// Takes the offset for a call that moves it by `by` bytes (at most
+    /// `by`, for a read).
+    fn take(&mut self, by: u64, read: bool) -> Sent {
         let from = Offset {
-            at: cursor.base + cursor.unsettled.iter().map(|c| c.by).sum::<u64>(),
-            or_end: cursor.unsettled.iter().any(|c| c.read),
+            at: self.base + self.unsettled.iter().map(|c| c.by).sum::<u64>(),
+            or_end: self.unsettled.iter().any(|c| c.read),
         };
-        cursor.unsettled.push_back(Unsettled {
+        self.unsettled.push_back(Unsettled {
             by,
             read,
             moved: None,
         });
-        let nth = cursor.settled + cursor.unsettled.len() as u64;
-        (Sent { from, nth }, send(from))
+        let nth = self.settled + self.unsettled.len() as u64;
+        Sent { from, nth }
     }
 
-    /// The call `sent` on `fd` was answered and moved the offset
-    /// `moved` bytes: a read the bytes it got, a write all of them or,
-    /// failed, none. A read that got bytes started at its offset, so it
-    /// settles every call before it too, answered or not.
-    fn answered(&self, fd: Fd, sent: Sent, moved: u64) {
-        let mut all = plock(&self.0);
-        let Some(cursor) = all.get_mut(&fd) else {
-            return;
-        };
+    /// The call `sent` was answered and moved the offset `moved` bytes:
+    /// a read the bytes it got, a write all of them or, failed, none. A
+    /// read that got bytes started at its offset, so it settles every
+    /// call before it too, answered or not.
+    fn answered(&mut self, sent: Sent, moved: u64) {
         // Settled already: a read after it got bytes.
-        let Some(i) = sent.nth.checked_sub(cursor.settled + 1) else {
+        let Some(i) = sent.nth.checked_sub(self.settled + 1) else {
             return;
         };
-        let Some(call) = cursor.unsettled.get_mut(i as usize) else {
+        let Some(call) = self.unsettled.get_mut(i as usize) else {
             return;
         };
         if call.read && moved > 0 {
-            cursor.base = sent.from.at + moved;
-            cursor.unsettled.drain(..=i as usize);
-            cursor.settled = sent.nth;
+            self.base = sent.from.at + moved;
+            self.unsettled.drain(..=i as usize);
+            self.settled = sent.nth;
         } else {
             call.moved = Some(moved);
         }
-        while let Some(moved) = cursor.unsettled.front().and_then(|c| c.moved) {
-            cursor.base += moved;
-            cursor.unsettled.pop_front();
-            cursor.settled += 1;
+        while let Some(moved) = self.unsettled.front().and_then(|c| c.moved) {
+            self.base += moved;
+            self.unsettled.pop_front();
+            self.settled += 1;
         }
     }
+}
 
-    /// A read sent at `sent` was answered `out`.
-    fn read(&self, fd: Fd, sent: Sent, out: &Result<FileSlice, KError>) {
+/// A process's fd table on the message kernel: its open descriptors,
+/// and the number the next `open` or `create` is given (0–2 are
+/// reserved).
+struct FdTable {
+    next: u32,
+    open: HashMap<Fd, OpenFd>,
+}
+
+/// An open descriptor: its file, and its offset.
+struct OpenFd {
+    file: Opened,
+    cursor: Cursor,
+}
+
+/// What a descriptor is open on.
+enum Opened {
+    /// The file its `open` or `create` answered.
+    File(File),
+    /// Its `open` or `create` is in flight: the calls made on it since,
+    /// in the order they were made, which go on when it is answered.
+    Opening(Arc<Opening>, Vec<Held>),
+}
+
+impl Opened {
+    /// The open a call made on the descriptor now waits behind, if any.
+    fn opening(&self) -> Option<Arc<Opening>> {
+        match self {
+            Opened::Opening(opening, _) => Some(opening.clone()),
+            Opened::File(_) => None,
+        }
+    }
+}
+
+/// A call on a descriptor, made where the descriptor is.
+enum Held {
+    /// A `read`, `write` or `fstat`, for the file.
+    Call(FileCall),
+    /// A `close`, and where to say whether the descriptor was open.
+    Close(ReplyTo<Result<(), KError>>),
+}
+
+impl Held {
+    /// Answers the call: the descriptor is not open.
+    fn refuse(self, replies: &mut ReplyBatch) {
+        match self {
+            Held::Call(call) => call.refuse(FsError::BadFd, replies),
+            Held::Close(reply) => replies.send(reply, Err(KError::BadFd)),
+        }
+    }
+}
+
+/// Hands a process's `call` on to `file`: to its vnode, or into
+/// `burst`, for the kernel task, if it has none.
+fn dispatch(file: &File, call: FileCall, burst: &mut VecDeque<Syscall>) {
+    if let Err(call) = file.forward(call) {
+        burst.push_back(Syscall::File(Box::new((file.clone(), call))));
+    }
+}
+
+impl FdTable {
+    /// Makes `held` on `fd`: a call goes to the file, a `close` removes
+    /// the descriptor. Either waits behind the descriptor's `open` while
+    /// that is in flight, and that open is returned; on a descriptor not
+    /// open it is refused.
+    fn apply(
+        &mut self,
+        fd: Fd,
+        held: Held,
+        burst: &mut VecDeque<Syscall>,
+        replies: &mut ReplyBatch,
+    ) -> Option<Arc<Opening>> {
+        match self.open.get_mut(&fd).map(|open| &mut open.file) {
+            None => held.refuse(replies),
+            Some(Opened::Opening(opening, waiting)) => {
+                waiting.push(held);
+                return Some(opening.clone());
+            }
+            Some(Opened::File(file)) => match held {
+                Held::Call(call) => dispatch(file, call, burst),
+                Held::Close(reply) => {
+                    self.open.remove(&fd);
+                    replies.send(reply, Ok(()));
+                }
+            },
+        }
+        None
+    }
+
+    /// `fd`'s `open` was answered `out`: installs the file, or removes
+    /// the descriptor if the open failed, and makes the calls held on it
+    /// in order.
+    fn install(
+        &mut self,
+        fd: Fd,
+        out: &Result<File, KError>,
+        burst: &mut VecDeque<Syscall>,
+        replies: &mut ReplyBatch,
+    ) {
+        let Some(open) = self.open.get_mut(&fd) else {
+            return;
+        };
+        let held = match &mut open.file {
+            Opened::Opening(_, held) => std::mem::take(held),
+            Opened::File(_) => return,
+        };
         match out {
-            Err(KError::BadFd) => self.close(fd),
-            out => self.answered(fd, sent, out.as_ref().map_or(0, FileSlice::len) as u64),
+            Ok(file) => open.file = Opened::File(file.clone()),
+            Err(_) => {
+                self.open.remove(&fd);
+            }
+        }
+        for held in held {
+            self.apply(fd, held, burst, replies);
         }
     }
 
-    /// A write sent at `sent` was answered `out`.
-    fn write(&self, fd: Fd, sent: Sent, out: &Result<usize, KError>) {
-        match out {
-            Err(KError::BadFd) => self.close(fd),
-            out => self.answered(fd, sent, *out.as_ref().unwrap_or(&0) as u64),
+    /// `fd`'s offset, if it is open.
+    fn cursor(&mut self, fd: Fd) -> Option<&mut Cursor> {
+        self.open.get_mut(&fd).map(|open| &mut open.cursor)
+    }
+}
+
+/// An `open` or a `create` in flight, and its call. Whoever needs the
+/// answer first — the caller, or a call made on the descriptor
+/// meanwhile — takes it and installs the file, so a batch's calls may
+/// be awaited in any order ([`Settle`]).
+struct Opening {
+    fd: Fd,
+    state: Mutex<OpenState>,
+}
+
+struct OpenState {
+    /// The call, until it is answered.
+    call: Option<Call<Result<File, FsError>>>,
+    answer: Option<Result<(), KError>>,
+    /// Who else waits for the answer.
+    waiting: Vec<Waker>,
+}
+
+/// Waits for an [`Opening`]'s answer, and installs it if it takes it.
+struct Settle {
+    end: MsgEnd,
+    opening: Arc<Opening>,
+}
+
+impl Future for Settle {
+    type Output = Result<(), KError>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        let mut st = plock(&this.opening.state);
+        if let Some(answer) = &st.answer {
+            return Poll::Ready(answer.clone());
+        }
+        let call = st.call.as_mut().expect("an open unanswered holds its call");
+        let Poll::Ready(out) = Pin::new(call).poll(cx) else {
+            if !st.waiting.iter().any(|w| w.will_wake(cx.waker())) {
+                st.waiting.push(cx.waker().clone());
+            }
+            return Poll::Pending;
+        };
+        st.call = None;
+        let answer = this.end.install(this.opening.fd, flatten(out));
+        st.answer = Some(answer.clone());
+        let waiting = std::mem::take(&mut st.waiting);
+        drop(st);
+        waiting.into_iter().for_each(Waker::wake);
+        Poll::Ready(answer)
+    }
+}
+
+impl Drop for Settle {
+    fn drop(&mut self) {
+        // The call's answer wakes whoever polled it last; if that was
+        // this one, another waiter must poll it again.
+        let mut st = plock(&self.opening.state);
+        if st.answer.is_none() {
+            let waiting = std::mem::take(&mut st.waiting);
+            drop(st);
+            waiting.into_iter().for_each(Waker::wake);
         }
     }
+}
 
-    /// `fd` is closed, or never was open: its offset goes.
-    fn close(&self, fd: Fd) {
-        plock(&self.0).remove(&fd);
-    }
+/// A call on a descriptor, made: its answer, the open it waits behind,
+/// if any, and the offset it took, if it moves one.
+struct FdCall<T: Send + 'static> {
+    answer: Reply<Result<T, FsError>>,
+    behind: Option<Arc<Opening>>,
+    sent: Option<Sent>,
+}
+
+/// A `close` made now.
+enum Closing {
+    /// Answered at once.
+    Now(Result<(), KError>),
+    /// Held behind its descriptor's `open`, and answered once that is.
+    Behind(Arc<Opening>, Reply<Result<(), KError>>),
 }
 
 /// A process's end of the message kernel: its kernel task's port, and
-/// its offsets.
+/// its fd table.
 #[derive(Clone)]
 struct MsgEnd {
     port: Port<Syscall>,
-    cursors: Cursors,
+    files: Arc<Mutex<FdTable>>,
 }
 
 impl MsgEnd {
-    /// Makes `make`'s call now, or defers it into `buf`, a batch's.
+    fn new(port: Port<Syscall>) -> MsgEnd {
+        let table = FdTable {
+            next: 3,
+            open: HashMap::new(),
+        };
+        MsgEnd {
+            port,
+            files: Arc::new(Mutex::new(table)),
+        }
+    }
+
+    /// Makes `make`'s call to the kernel task now, or defers it into
+    /// `buf`, a batch's.
     fn call<Resp: Send + 'static>(
         &self,
         buf: Option<&mut VecDeque<Syscall>>,
@@ -200,73 +393,173 @@ impl MsgEnd {
     ) -> Call<Resp> {
         match buf {
             Some(buf) => self.port.call_deferred(buf, make),
-            None => self.port.call(make),
+            None => {
+                rt::stat_incr("kernel.syscalls");
+                self.port.call(make)
+            }
         }
     }
 
-    /// Sends a read of `len` bytes at `fd`'s offset (see
-    /// [`MsgEnd::call`]); the returned call gives back what the read did
-    /// not get.
-    fn read(
+    /// Sends (or defers into `buf`) the `open` or `create` `make`, and
+    /// gives it the process's next descriptor, open from now on for the
+    /// calls made on it. The returned future is its answer.
+    fn open(
         &self,
-        fd: Fd,
-        len: usize,
         buf: Option<&mut VecDeque<Syscall>>,
-    ) -> impl std::future::Future<Output = Result<Result<FileSlice, KError>, CallError>> {
-        let (sent, read) = self.cursors.send(fd, len as u64, true, |at| {
-            self.call(buf, move |reply| Syscall::Read {
-                fd,
-                off: at.at,
-                len,
-                reply,
-            })
+        make: impl FnOnce(ReplyTo<Result<File, FsError>>) -> Syscall,
+    ) -> impl Future<Output = Result<Fd, KError>> {
+        let mut table = plock(&self.files);
+        let fd = Fd(table.next);
+        table.next += 1;
+        let state = OpenState {
+            call: Some(self.call(buf, make)),
+            answer: None,
+            waiting: Vec::new(),
+        };
+        let opening = Arc::new(Opening {
+            fd,
+            state: Mutex::new(state),
         });
-        let cursors = self.cursors.clone();
-        async move {
-            let out = read.await?.map_err(KError::from);
-            cursors.read(fd, sent, &out);
-            Ok(out)
+        let open = OpenFd {
+            file: Opened::Opening(opening.clone(), Vec::new()),
+            cursor: Cursor::default(),
+        };
+        table.open.insert(fd, open);
+        drop(table);
+        let settle = self.settle(opening);
+        async move { settle.await.map(|()| fd) }
+    }
+
+    fn settle(&self, opening: Arc<Opening>) -> Settle {
+        Settle {
+            end: self.clone(),
+            opening,
         }
     }
 
-    /// Sends a write of `data` at `fd`'s offset (see [`MsgEnd::read`]).
-    fn write(
+    /// `fd`'s `open` was answered `out` (see [`FdTable::install`]).
+    fn install(&self, fd: Fd, out: Result<File, KError>) -> Result<(), KError> {
+        let (mut burst, mut replies) = (VecDeque::new(), ReplyBatch::default());
+        let mut table = plock(&self.files);
+        table.install(fd, &out, &mut burst, &mut replies);
+        self.port.submit(&mut burst);
+        out.map(drop)
+    }
+
+    /// Makes a call on `fd` now, or queues it into `batch` to be made at
+    /// its submit: built by `make` around its reply and, if it moves the
+    /// offset (`by` bytes, at most, for a `read`), the offset it takes
+    /// now. The offset is held while the call is made, so calls from
+    /// clones reach the file in the order they took their offsets.
+    /// `BadFd` at once if `fd` is not open.
+    fn on_fd<T: Send + 'static>(
         &self,
         fd: Fd,
-        data: &[u8],
-        buf: Option<&mut VecDeque<Syscall>>,
-    ) -> impl std::future::Future<Output = Result<Result<usize, KError>, CallError>> {
-        let len = data.len();
-        let data: Box<[u8]> = data.into();
-        let (sent, write) = self.cursors.send(fd, len as u64, false, |at| {
-            self.call(buf, move |reply| Syscall::Write {
-                fd,
-                or_end: at.or_end,
-                off: at.at,
-                data,
-                reply,
-            })
-        });
-        let cursors = self.cursors.clone();
-        async move {
-            let out = write.await?.map(|()| len).map_err(KError::from);
-            cursors.write(fd, sent, &out);
-            Ok(out)
+        moves: Option<(u64, bool)>,
+        batch: Option<&mut Deferred>,
+        make: impl FnOnce(Offset, ReplyTo<Result<T, FsError>>) -> FileCall,
+    ) -> Result<FdCall<T>, KError> {
+        let mut table = plock(&self.files);
+        let Some(open) = table.open.get_mut(&fd) else {
+            rt::stat_incr("kernel.syscalls");
+            return Err(KError::BadFd);
+        };
+        let sent = moves.map(|(by, read)| open.cursor.take(by, read));
+        let (reply, answer) = rt::reply_channel();
+        let held = Held::Call(make(sent.map_or(Offset::default(), |s| s.from), reply));
+        let behind = match batch {
+            Some(batch) => {
+                batch.hold(fd, held);
+                open.file.opening()
+            }
+            None => {
+                rt::stat_incr("kernel.syscalls");
+                let (mut burst, mut replies) = (VecDeque::new(), ReplyBatch::default());
+                let behind = table.apply(fd, held, &mut burst, &mut replies);
+                self.port.submit(&mut burst);
+                behind
+            }
+        };
+        Ok(FdCall {
+            answer,
+            behind,
+            sent,
+        })
+    }
+
+    /// Awaits `call`'s answer — after the open it waits behind, if any,
+    /// which it may have to take — and moves `fd`'s offset by what
+    /// `moved` says the answer moved it.
+    async fn finish<T: Send + 'static>(
+        &self,
+        fd: Fd,
+        call: FdCall<T>,
+        moved: impl FnOnce(&T) -> u64,
+    ) -> Result<T, KError> {
+        if let Some(opening) = call.behind {
+            // Its answer is the call's: served, or refused `BadFd`.
+            let _ = self.settle(opening).await;
+        }
+        let out = match call.answer.recv().await {
+            Ok(out) => out.map_err(KError::from),
+            Err(_) => Err(KError::Gone),
+        };
+        if let Some(sent) = call.sent {
+            if let Some(cursor) = plock(&self.files).cursor(fd) {
+                cursor.answered(sent, out.as_ref().map_or(0, moved));
+            }
+        }
+        out
+    }
+
+    /// Closes `fd` now: `Ok` or `BadFd` at once, or, behind its `open`,
+    /// once that is answered.
+    fn close(&self, fd: Fd) -> Closing {
+        rt::stat_incr("kernel.syscalls");
+        let mut table = plock(&self.files);
+        match table.open.get_mut(&fd).map(|open| &mut open.file) {
+            None => Closing::Now(Err(KError::BadFd)),
+            Some(Opened::File(_)) => {
+                table.open.remove(&fd);
+                Closing::Now(Ok(()))
+            }
+            Some(Opened::Opening(opening, held)) => {
+                let (reply, answer) = rt::reply_channel();
+                held.push(Held::Close(reply));
+                Closing::Behind(opening.clone(), answer)
+            }
         }
     }
+
+    /// Awaits a close held behind its descriptor's `open`.
+    async fn closed(
+        &self,
+        behind: Option<Arc<Opening>>,
+        answer: Reply<Result<(), KError>>,
+    ) -> Result<(), KError> {
+        if let Some(opening) = behind {
+            let _ = self.settle(opening).await;
+        }
+        answer.recv().await.unwrap_or(Err(KError::Gone))
+    }
+}
+
+/// A read's answer: how far it moved the offset.
+fn read_len(data: &FileSlice) -> u64 {
+    data.len() as u64
 }
 
 /// A process's end of its kernel.
 #[derive(Clone)]
 enum Attached {
-    /// The port of the process's kernel task, and its offsets.
+    /// The port of the process's kernel task, and its fd table.
     Msg(MsgEnd),
     Trap(Arc<TrapKernel>),
 }
 
 /// A process's view of the OS. Clones are the same process: on the
-/// message kernel they share one kernel task and one fd table, which
-/// go away when the last clone (and the last batch made from one) is
+/// message kernel they share one kernel task and one fd table; the task
+/// goes away when the last clone (and the last batch made from one) is
 /// dropped.
 #[derive(Clone)]
 pub struct Env {
@@ -281,10 +574,7 @@ impl Env {
     /// ([`MsgKernel::attach`]), so it must run inside a runtime.
     pub fn new(pid: Pid, kernel: KernelHandle) -> Env {
         let kernel = match kernel {
-            KernelHandle::Msg(k) => Attached::Msg(MsgEnd {
-                port: k.attach(pid),
-                cursors: Cursors::default(),
-            }),
+            KernelHandle::Msg(k) => Attached::Msg(MsgEnd::new(k.attach(pid))),
             KernelHandle::Trap(k) => Attached::Trap(k),
         };
         Env { pid, kernel }
@@ -296,8 +586,8 @@ impl Env {
             Attached::Trap(k) => k.open(self.pid, path).await,
             Attached::Msg(k) => {
                 let path = path.to_string();
-                let opened = k.port.call(move |reply| Syscall::Open { path, reply });
-                flatten(opened.await)
+                k.open(None, move |reply| Syscall::Open { path, reply })
+                    .await
             }
         }
     }
@@ -308,8 +598,8 @@ impl Env {
             Attached::Trap(k) => k.create(self.pid, path).await,
             Attached::Msg(k) => {
                 let path = path.to_string();
-                let created = k.port.call(move |reply| Syscall::Create { path, reply });
-                flatten(created.await)
+                k.open(None, move |reply| Syscall::Create { path, reply })
+                    .await
             }
         }
     }
@@ -319,8 +609,14 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.read(self.pid, fd, len).await,
             Attached::Msg(k) => {
-                let read = k.read(fd, len, None);
-                Ok(flatten(read.await)?.copy_out().await)
+                let read = k.on_fd(fd, Some((len as u64, true)), None, |at, reply| {
+                    FileCall::Read {
+                        off: at.at,
+                        len,
+                        reply,
+                    }
+                })?;
+                Ok(k.finish(fd, read, read_len).await?.copy_out().await)
             }
         }
     }
@@ -331,19 +627,31 @@ impl Env {
             Attached::Trap(k) => k.write(self.pid, fd, data).await,
             Attached::Msg(k) => {
                 rt::delay(copy_cost(data.len())).await;
-                flatten(k.write(fd, data, None).await)
+                let (len, data) = (data.len(), data.to_vec());
+                let write = k.on_fd(fd, Some((len as u64, false)), None, |at, reply| {
+                    FileCall::Write {
+                        off: at.at,
+                        or_end: at.or_end,
+                        data,
+                        reply,
+                    }
+                })?;
+                k.finish(fd, write, |()| len as u64).await.map(|()| len)
             }
         }
     }
 
-    /// Closes a descriptor.
+    /// Closes a descriptor. On the message kernel this runs in the
+    /// process, which pays [`VALIDATE_CYCLES`] for it.
     pub async fn close(&self, fd: Fd) -> Result<(), KError> {
         match &self.kernel {
             Attached::Trap(k) => k.close(self.pid, fd).await,
             Attached::Msg(k) => {
-                let out = flatten(k.port.call(move |reply| Syscall::Close { fd, reply }).await);
-                k.cursors.close(fd);
-                out
+                rt::delay(VALIDATE_CYCLES).await;
+                match k.close(fd) {
+                    Closing::Now(out) => out,
+                    Closing::Behind(opening, answer) => k.closed(Some(opening), answer).await,
+                }
             }
         }
     }
@@ -353,7 +661,8 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.fstat(self.pid, fd).await,
             Attached::Msg(k) => {
-                flatten(k.port.call(move |reply| Syscall::Fstat { fd, reply }).await)
+                let stat = k.on_fd(fd, None, None, |_, reply| FileCall::Stat { reply })?;
+                k.finish(fd, stat, |_| 0).await
             }
         }
     }
@@ -364,7 +673,7 @@ impl Env {
             Attached::Trap(k) => k.mkdir(self.pid, path).await,
             Attached::Msg(k) => {
                 let path = path.to_string();
-                let made = k.port.call(move |reply| Syscall::Mkdir { path, reply });
+                let made = k.call(None, move |reply| Syscall::Mkdir { path, reply });
                 flatten(made.await).map(drop)
             }
         }
@@ -376,7 +685,7 @@ impl Env {
             Attached::Trap(k) => k.unlink(self.pid, path).await,
             Attached::Msg(k) => {
                 let path = path.to_string();
-                let unlinked = k.port.call(move |reply| Syscall::Unlink { path, reply });
+                let unlinked = k.call(None, move |reply| Syscall::Unlink { path, reply });
                 flatten(unlinked.await)
             }
         }
@@ -388,7 +697,7 @@ impl Env {
             Attached::Trap(k) => k.readdir(self.pid, path).await,
             Attached::Msg(k) => {
                 let path = path.to_string();
-                let listed = k.port.call(move |reply| Syscall::ReadDir { path, reply });
+                let listed = k.call(None, move |reply| Syscall::ReadDir { path, reply });
                 let entries = flatten(listed.await)?;
                 Ok(entries.into_iter().map(|e| e.name).collect())
             }
@@ -400,8 +709,7 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.getpid(self.pid).await,
             Attached::Msg(k) => k
-                .port
-                .call(|reply| Syscall::GetPid { reply })
+                .call(None, |reply| Syscall::GetPid { reply })
                 .await
                 .unwrap_or(self.pid),
         }
@@ -420,10 +728,12 @@ impl Env {
     /// ```
     ///
     /// On the message kernel this is FlexSC-style call batching: the
-    /// process's kernel task wakes once, drains the burst with `recv_many`,
-    /// and answers it in order through one `ReplyBatch`. On the trap kernel
-    /// there is no submission queue — which is the paper's point —
-    /// so each call simply runs when first awaited.
+    /// process's kernel task wakes once, drains its calls with
+    /// `recv_many`, and answers them in order through one `ReplyBatch`;
+    /// the calls on descriptors are made at submit, in the order they
+    /// were queued, each where its descriptor is. On the trap kernel
+    /// there is no submission queue — which is the paper's point — so
+    /// each call simply runs when first awaited.
     ///
     /// [`submit`]: SyscallBatch::submit
     pub fn batch(&self) -> SyscallBatch {
@@ -432,8 +742,8 @@ impl Env {
             inner: match &self.kernel {
                 Attached::Msg(end) => BatchInner::Msg {
                     end: end.clone(),
-                    buf: VecDeque::new(),
-                    copying: 0,
+                    queued: Deferred::default(),
+                    local: 0,
                 },
                 Attached::Trap(k) => BatchInner::Trap(k.clone()),
             },
@@ -441,14 +751,29 @@ impl Env {
     }
 }
 
+/// A batch's calls, in the order they were queued: the kernel task's,
+/// and those on descriptors, each after the first `n` of the kernel's.
+#[derive(Default)]
+struct Deferred {
+    kernel: VecDeque<Syscall>,
+    held: Vec<(usize, Fd, Held)>,
+}
+
+impl Deferred {
+    fn hold(&mut self, fd: Fd, held: Held) {
+        self.held.push((self.kernel.len(), fd, held));
+    }
+}
+
 enum BatchInner {
-    /// Message kernel: requests accumulate and submit as one burst.
-    /// A read or a write takes its offset when it is queued.
+    /// Message kernel: requests accumulate and are made at submit. A
+    /// read or a write takes its offset when it is queued.
     Msg {
         end: MsgEnd,
-        buf: VecDeque<Syscall>,
-        /// Cycles of the queued writes' copies, paid at submit.
-        copying: Cycles,
+        queued: Deferred,
+        /// Cycles the process spends at submit: the queued writes'
+        /// copies and the queued closes' validation.
+        local: Cycles,
     },
     /// Trap kernel: no submission queue exists; calls run on await.
     Trap(Arc<TrapKernel>),
@@ -456,9 +781,9 @@ enum BatchInner {
 
 /// A pipelined syscall submission queue (see [`Env::batch`]).
 ///
-/// Each method returns a held [`Call`]; nothing reaches the kernel
-/// until [`SyscallBatch::submit`]. The batch is reusable: submit,
-/// queue more calls, submit again.
+/// Each method returns a held [`Call`]; nothing is made until
+/// [`SyscallBatch::submit`]. The batch is reusable: submit, queue more
+/// calls, submit again.
 pub struct SyscallBatch {
     pid: Pid,
     inner: BatchInner,
@@ -469,9 +794,9 @@ impl SyscallBatch {
     pub fn getpid(&mut self) -> Call<Pid> {
         let pid = self.pid;
         match &mut self.inner {
-            BatchInner::Msg { end, buf, .. } => end
-                .port
-                .call_deferred(buf, |reply| Syscall::GetPid { reply }),
+            BatchInner::Msg { end, queued, .. } => {
+                end.call(Some(&mut queued.kernel), |reply| Syscall::GetPid { reply })
+            }
             BatchInner::Trap(k) => {
                 let k = k.clone();
                 Call::from_future(async move { Ok(k.getpid(pid).await) })
@@ -479,14 +804,19 @@ impl SyscallBatch {
         }
     }
 
-    /// Queues an `open`.
+    /// Queues an `open`. Its descriptor's number is given now, so calls
+    /// on it may be queued behind it.
     pub fn open(&mut self, path: &str) -> Call<Result<Fd, KError>> {
         let pid = self.pid;
         let path = path.to_string();
         match &mut self.inner {
-            BatchInner::Msg { end, buf, .. } => end
-                .port
-                .call_deferred(buf, move |reply| Syscall::Open { path, reply }),
+            BatchInner::Msg { end, queued, .. } => {
+                let open = end.open(Some(&mut queued.kernel), move |reply| Syscall::Open {
+                    path,
+                    reply,
+                });
+                Call::from_future(async move { Ok(open.await) })
+            }
             BatchInner::Trap(k) => {
                 let k = k.clone();
                 Call::from_future(async move { Ok(k.open(pid, &path).await) })
@@ -494,14 +824,18 @@ impl SyscallBatch {
         }
     }
 
-    /// Queues a `create`.
+    /// Queues a `create` (see [`SyscallBatch::open`]).
     pub fn create(&mut self, path: &str) -> Call<Result<Fd, KError>> {
         let pid = self.pid;
         let path = path.to_string();
         match &mut self.inner {
-            BatchInner::Msg { end, buf, .. } => end
-                .port
-                .call_deferred(buf, move |reply| Syscall::Create { path, reply }),
+            BatchInner::Msg { end, queued, .. } => {
+                let create = end.open(Some(&mut queued.kernel), move |reply| Syscall::Create {
+                    path,
+                    reply,
+                });
+                Call::from_future(async move { Ok(create.await) })
+            }
             BatchInner::Trap(k) => {
                 let k = k.clone();
                 Call::from_future(async move { Ok(k.create(pid, &path).await) })
@@ -514,13 +848,21 @@ impl SyscallBatch {
     pub fn read(&mut self, fd: Fd, len: usize) -> Call<Result<Vec<u8>, KError>> {
         let pid = self.pid;
         match &mut self.inner {
-            BatchInner::Msg { end, buf, .. } => {
-                let read = end.read(fd, len, Some(buf));
+            BatchInner::Msg { end, queued, .. } => {
+                let read = end.on_fd(fd, Some((len as u64, true)), Some(queued), |at, reply| {
+                    FileCall::Read {
+                        off: at.at,
+                        len,
+                        reply,
+                    }
+                });
+                let end = end.clone();
                 Call::from_future(async move {
-                    Ok(match read.await? {
-                        Ok(data) => Ok(data.copy_out().await),
-                        Err(e) => Err(e),
-                    })
+                    let read = async {
+                        let data = end.finish(fd, read?, read_len).await?;
+                        Ok(data.copy_out().await)
+                    };
+                    Ok(read.await)
                 })
             }
             BatchInner::Trap(k) => {
@@ -537,9 +879,22 @@ impl SyscallBatch {
     pub fn write(&mut self, fd: Fd, data: &[u8]) -> Call<Result<usize, KError>> {
         let pid = self.pid;
         match &mut self.inner {
-            BatchInner::Msg { end, buf, copying } => {
-                *copying += copy_cost(data.len());
-                Call::from_future(end.write(fd, data, Some(buf)))
+            BatchInner::Msg { end, queued, local } => {
+                *local += copy_cost(data.len());
+                let (len, data) = (data.len(), data.to_vec());
+                let write = end.on_fd(fd, Some((len as u64, false)), Some(queued), |at, reply| {
+                    FileCall::Write {
+                        off: at.at,
+                        or_end: at.or_end,
+                        data,
+                        reply,
+                    }
+                });
+                let end = end.clone();
+                Call::from_future(async move {
+                    let write = async { end.finish(fd, write?, |()| len as u64).await };
+                    Ok(write.await.map(|()| len))
+                })
             }
             BatchInner::Trap(k) => {
                 let (k, data) = (k.clone(), data.to_vec());
@@ -548,20 +903,21 @@ impl SyscallBatch {
         }
     }
 
-    /// Queues a `close`.
+    /// Queues a `close`; its validation is paid for at
+    /// [`submit`](SyscallBatch::submit).
     pub fn close(&mut self, fd: Fd) -> Call<Result<(), KError>> {
         let pid = self.pid;
         match &mut self.inner {
-            BatchInner::Msg { end, buf, .. } => {
-                let close = end
-                    .port
-                    .call_deferred(buf, move |reply| Syscall::Close { fd, reply });
-                let cursors = end.cursors.clone();
-                Call::from_future(async move {
-                    let out = close.await;
-                    cursors.close(fd);
-                    out
-                })
+            BatchInner::Msg { end, queued, local } => {
+                *local += VALIDATE_CYCLES;
+                let behind = plock(&end.files)
+                    .open
+                    .get(&fd)
+                    .and_then(|open| open.file.opening());
+                let (reply, answer) = rt::reply_channel();
+                queued.hold(fd, Held::Close(reply));
+                let end = end.clone();
+                Call::from_future(async move { Ok(end.closed(behind, answer).await) })
             }
             BatchInner::Trap(k) => {
                 let k = k.clone();
@@ -573,27 +929,41 @@ impl SyscallBatch {
     /// Number of queued, not-yet-submitted syscalls.
     pub fn pending(&self) -> usize {
         match &self.inner {
-            BatchInner::Msg { buf, .. } => buf.len(),
+            BatchInner::Msg { queued, .. } => queued.kernel.len() + queued.held.len(),
             BatchInner::Trap(_) => 0,
         }
     }
 
-    /// Submits every queued syscall as one message burst (one server
-    /// wake on real threads; one send event per call on the
-    /// simulator). Failures surface on the individual calls:
-    /// [`KError::Gone`] if the kernel is gone, [`KError::Cancelled`]
-    /// if it cancels a call mid-batch.
+    /// Submits every queued syscall: the kernel task's as one message
+    /// burst (one server wake on real threads; one send event per call
+    /// on the simulator), and each call on a descriptor where its
+    /// descriptor is, in the order they were queued. Failures surface
+    /// on the individual calls: [`KError::Gone`] if the kernel is gone,
+    /// [`KError::Cancelled`] if it cancels a call mid-batch.
     pub async fn submit(&mut self) {
-        match &mut self.inner {
-            BatchInner::Msg { end, buf, copying } => {
-                let copying = std::mem::take(copying);
-                if copying > 0 {
-                    rt::delay(copying).await;
-                }
-                end.port.submit(buf)
-            }
-            BatchInner::Trap(_) => {}
+        let BatchInner::Msg { end, queued, local } = &mut self.inner else {
+            return;
+        };
+        let local = std::mem::take(local);
+        if local > 0 {
+            rt::delay(local).await;
         }
+        let Deferred { kernel, held } = queued;
+        rt::stat_add("kernel.syscalls", (kernel.len() + held.len()) as u64);
+        if held.is_empty() {
+            return end.port.submit(kernel);
+        }
+        let (mut burst, mut replies) = (VecDeque::new(), ReplyBatch::default());
+        let mut table = plock(&end.files);
+        let mut kernel = kernel.drain(..);
+        let mut taken = 0;
+        for (at, fd, held) in held.drain(..) {
+            burst.extend(kernel.by_ref().take(at - taken));
+            taken = at;
+            table.apply(fd, held, &mut burst, &mut replies);
+        }
+        burst.extend(kernel);
+        end.port.submit(&mut burst);
     }
 }
 

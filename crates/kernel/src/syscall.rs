@@ -6,26 +6,25 @@
 //! can be done without any mode transitions."* System calls are
 //! ordinary messages carrying a reply channel. Every process has a
 //! kernel task of its own on a kernel core ([`MsgKernel::attach`]),
-//! which owns that process's fd table outright and serves its calls
-//! in order — so no locks exist anywhere on the path, and a call that
-//! waits on the file system delays only the process that made it. The
-//! task drains its port in bursts and answers a burst through one
-//! [`ReplyBatch`]: the same loop on the simulator, where each answer
-//! is sent as it is produced, and on real threads, where a process
-//! with several outstanding calls is woken once for them.
+//! which serves the process's namespace calls in order — so no locks
+//! exist anywhere on the path, and a call that waits on the file system
+//! delays only the process that made it. The task drains its port in
+//! bursts and answers a burst through one [`ReplyBatch`]: the same loop
+//! on the simulator, where each answer is sent as it is produced, and
+//! on real threads, where a process with several outstanding calls is
+//! woken once for them.
 //!
-//! The reply channel is a capability (§3), and the task hands it on.
-//! Only `open` and `create` wait for the file system, because their
-//! answer is a descriptor the task must install. A `read`, `write` or
-//! `fstat` goes to the file the descriptor is open on, and an
-//! `unlink`, `mkdir` or `readdir` to the directory that serves its
-//! path, each with the process's reply: the file system answers the
-//! process, and the task serves its next call. A read that lies in one
-//! block goes on from the file's vnode to the block's cache shard,
-//! which answers the process. The process keeps its files' offsets, so
-//! a read or a write carries one (`pread`/`pwrite`); the answer that
-//! would move it goes nowhere else. On the lock engines the same calls
-//! are served and answered where the task hands them over.
+//! The reply channel is a capability (§3), and the task hands it on:
+//! an `open`, a `create`, an `unlink`, a `mkdir` or a `readdir` goes to
+//! the directory that serves its path with the process's reply, the
+//! file system answers the process, and the task serves its next call.
+//! It keeps nothing of the process but its pid. An open file is the
+//! process's: `open` and `create` answer it a [`File`], which the
+//! process installs in its own fd table (`Env`), and a `read`, a
+//! `write` or an `fstat` goes from the process straight to the file's
+//! vnode, which validates it; `close` runs in the process. A lock
+//! engine's file has no vnode, so its calls come here
+//! ([`Syscall::File`]) and are served where they arrive.
 //!
 //! **Trap kernel** (the baseline): the conventional design. Each call
 //! pays a mode-switch in and out, runs the kernel code *on the
@@ -40,7 +39,7 @@ use chanos_rt::{
     self as rt, delay, port_channel, Capacity, CoreId, Cycles, Port, ReplyBatch, ReplyTo,
 };
 use chanos_shmem::SimMutex;
-use chanos_vfs::{Dirent, File, FileCall, FileSlice, FsError, PathCall, Stat, Vfs};
+use chanos_vfs::{Dirent, File, FileCall, FsError, PathCall, Stat, Vfs};
 
 use crate::types::{Fd, KError, Pid};
 
@@ -52,58 +51,16 @@ pub enum Syscall {
     Open {
         /// Absolute path.
         path: String,
-        /// Completion channel.
-        reply: ReplyTo<Result<Fd, KError>>,
+        /// Completion channel, handed on to the file system: the file,
+        /// for the process to install.
+        reply: ReplyTo<Result<File, FsError>>,
     },
     /// Creates and opens a new file.
     Create {
         /// Absolute path.
         path: String,
-        /// Completion channel.
-        reply: ReplyTo<Result<Fd, KError>>,
-    },
-    /// Reads at an offset the process keeps (`pread`).
-    Read {
-        /// Descriptor to read.
-        fd: Fd,
-        /// Where the read starts.
-        off: u64,
-        /// Maximum bytes.
-        len: usize,
-        /// Completion channel, handed on to the file system: the blocks
-        /// the bytes lie in, shared with the cache, for the process to
-        /// copy out on its own core.
-        reply: ReplyTo<Result<FileSlice, FsError>>,
-    },
-    /// Writes at an offset the process keeps (`pwrite`).
-    Write {
-        /// Descriptor to write.
-        fd: Fd,
-        /// Whether the end of the file, if it comes first, is where the
-        /// write starts: the process's offset after a read whose answer
-        /// it has not seen is `off` or the end of the file.
-        or_end: bool,
-        /// Where the write starts.
-        off: u64,
-        /// Bytes to write: the process's copy, which becomes the file's
-        /// blocks.
-        data: Box<[u8]>,
         /// Completion channel, handed on to the file system.
-        reply: ReplyTo<Result<(), FsError>>,
-    },
-    /// Closes a descriptor.
-    Close {
-        /// Descriptor to close.
-        fd: Fd,
-        /// Completion channel.
-        reply: ReplyTo<Result<(), KError>>,
-    },
-    /// Stats an open descriptor.
-    Fstat {
-        /// Descriptor to stat.
-        fd: Fd,
-        /// Completion channel, handed on to the file system.
-        reply: ReplyTo<Result<Stat, FsError>>,
+        reply: ReplyTo<Result<File, FsError>>,
     },
     /// Creates a directory.
     Mkdir {
@@ -132,6 +89,10 @@ pub enum Syscall {
         /// Completion channel.
         reply: ReplyTo<Pid>,
     },
+    /// A `read`, `write` or `fstat` on a lock engine's file, which has
+    /// no vnode to take it ([`File::forward`]): served by the kernel
+    /// task. Boxed, so the message stays as small as a path call.
+    File(Box<(File, FileCall)>),
 }
 
 /// How many queued syscalls a kernel task drains per wakeup.
@@ -141,7 +102,10 @@ const SYSCALL_BATCH: usize = 32;
 #[derive(Debug, Clone)]
 pub struct KernelCosts {
     /// CPU cycles of kernel work per system call (dispatch,
-    /// validation, fd table) beyond the file-system work itself.
+    /// validation, fd table) beyond the file-system work itself. On the
+    /// message kernel a call on an open file pays the same,
+    /// [`chanos_vfs::VALIDATE_CYCLES`], where it is served instead: at
+    /// the file's vnode, or in the process for a `close`.
     pub syscall_cpu: Cycles,
     /// Trap kernel only: one mode switch (entry or exit).
     pub mode_switch: Cycles,
@@ -160,113 +124,45 @@ impl Default for KernelCosts {
     }
 }
 
-/// One process's kernel-side state, owned by its kernel task: its open
-/// files. Their offsets are the process's own (`Env`).
+/// One process's kernel-side state: its pid. Its open files are its
+/// own (`Env`).
 struct ProcState {
     pid: Pid,
     vfs: Vfs,
     costs: KernelCosts,
-    files: HashMap<Fd, File>,
-    next_fd: u32,
 }
 
 impl ProcState {
-    fn install(&mut self, file: File) -> Fd {
-        let fd = Fd(self.next_fd);
-        self.next_fd += 1;
-        self.files.insert(fd, file);
-        fd
-    }
-
-    /// Serves one call, answering through `replies`. Only `open` and
-    /// `create`, which install a descriptor, wait for the file system;
-    /// every other call into it is handed on with the process's reply,
-    /// and the file system answers the process. A call that may wait
-    /// there for a disk (on a lock engine, any of them) flushes what the
-    /// burst has answered first: a `GetPid` is never held behind a cold
-    /// read.
+    /// Serves one call, answering through `replies`. A path call is
+    /// handed on with the process's reply, and the file system answers
+    /// the process; on a lock engine it is served here. A call that may
+    /// wait here for a disk (any but `GetPid`, on a lock engine) flushes
+    /// what the burst has answered first: a `GetPid` is never held
+    /// behind a cold read.
     async fn handle(&mut self, call: Syscall, replies: &mut ReplyBatch) {
         delay(self.costs.syscall_cpu).await;
-        rt::stat_incr("kernel.syscalls");
-        if !matches!(call, Syscall::GetPid { .. } | Syscall::Close { .. }) {
+        if !matches!(call, Syscall::GetPid { .. }) {
             replies.flush();
         }
-        match call {
-            Syscall::Open { path, reply } => {
-                let out = self.vfs.open(&path).await.map(|file| self.install(file));
-                replies.send(reply, out.map_err(KError::Fs));
+        let (path, call) = match call {
+            Syscall::Open { path, reply } => (path, PathCall::Open { reply }),
+            Syscall::Create { path, reply } => (path, PathCall::Create { reply }),
+            Syscall::Mkdir { path, reply } => (path, PathCall::Mkdir { reply }),
+            Syscall::Unlink { path, reply } => (path, PathCall::Unlink { reply }),
+            Syscall::ReadDir { path, reply } => (path, PathCall::ReadDir { reply }),
+            Syscall::GetPid { reply } => return replies.send(reply, self.pid),
+            Syscall::File(call) => {
+                let (file, call) = *call;
+                return self.vfs.on_file(&file, call, replies).await;
             }
-            Syscall::Create { path, reply } => {
-                let out = self.vfs.create_open(&path).await;
-                replies.send(
-                    reply,
-                    out.map(|file| self.install(file)).map_err(KError::Fs),
-                );
-            }
-            Syscall::Read {
-                fd,
-                off,
-                len,
-                reply,
-            } => {
-                let call = FileCall::Read { off, len, reply };
-                self.on_file(fd, call, replies).await;
-            }
-            Syscall::Write {
-                fd,
-                or_end,
-                off,
-                data,
-                reply,
-            } => {
-                let data = data.into_vec();
-                let call = FileCall::Write {
-                    off,
-                    or_end,
-                    data,
-                    reply,
-                };
-                self.on_file(fd, call, replies).await;
-            }
-            Syscall::Close { fd, reply } => {
-                let out = self.files.remove(&fd).map(|_| ()).ok_or(KError::BadFd);
-                replies.send(reply, out);
-            }
-            Syscall::Fstat { fd, reply } => {
-                self.on_file(fd, FileCall::Stat { reply }, replies).await;
-            }
-            Syscall::Mkdir { path, reply } => {
-                let call = PathCall::Mkdir { reply };
-                self.vfs.on_path(&path, call, replies).await;
-            }
-            Syscall::Unlink { path, reply } => {
-                let call = PathCall::Unlink { reply };
-                self.vfs.on_path(&path, call, replies).await;
-            }
-            Syscall::ReadDir { path, reply } => {
-                let call = PathCall::ReadDir { reply };
-                self.vfs.on_path(&path, call, replies).await;
-            }
-            Syscall::GetPid { reply } => {
-                replies.send(reply, self.pid);
-            }
-        }
-    }
-
-    /// Hands `call` to the file `fd` is open on; refuses it if `fd` is
-    /// not open.
-    async fn on_file(&self, fd: Fd, call: FileCall, replies: &mut ReplyBatch) {
-        match self.files.get(&fd) {
-            Some(file) => self.vfs.on_file(file, call, replies).await,
-            None => call.refuse(FsError::BadFd, replies),
-        }
+        };
+        self.vfs.on_path(&path, call, replies).await;
     }
 }
 
 /// A process's kernel task: serves its syscalls in arrival order until
 /// the last handle on its port (every clone of the process's `Env`,
-/// every batch made from one) is dropped, and takes the fd table with
-/// it when it exits.
+/// every batch made from one) is dropped.
 async fn proc_task(mut st: ProcState, rx: rt::Receiver<Syscall>) {
     // Drain bursts: one wakeup and one dispatch serve a whole batch of
     // syscalls instead of one each, and a process with several
@@ -347,8 +243,6 @@ impl MsgKernel {
                     pid,
                     vfs: vfs.clone(),
                     costs: costs.clone(),
-                    files: HashMap::new(),
-                    next_fd: 3, // 0..2 reserved.
                 };
                 let core = kernel_cores[pid.0 as usize % kernel_cores.len()];
                 rt::spawn_daemon_on(&format!("kproc{}", pid.0), core, proc_task(st, rx));
@@ -359,10 +253,12 @@ impl MsgKernel {
     }
 }
 
-/// A trap kernel's open file: the kernel keeps the offset.
+/// A trap kernel's open file: the file `open` or `create` answered,
+/// which reaches that file and no other, and the offset the kernel
+/// keeps.
 #[derive(Debug, Clone)]
 struct OpenFile {
-    ino: u64,
+    file: File,
     offset: u64,
 }
 
@@ -411,11 +307,11 @@ impl TrapKernel {
     /// `open(2)`.
     pub async fn open(&self, pid: Pid, path: &str) -> Result<Fd, KError> {
         self.enter().await;
-        let out = match self.vfs.lookup(path).await {
-            Ok(ino) => {
+        let out = match self.vfs.open(path).await {
+            Ok(file) => {
                 let fd = self.alloc_fd(pid);
                 let g = self.files.lock().await;
-                g.with(|f| f.insert((pid, fd), OpenFile { ino, offset: 0 }));
+                g.with(|f| f.insert((pid, fd), OpenFile { file, offset: 0 }));
                 Ok(fd)
             }
             Err(e) => Err(KError::Fs(e)),
@@ -427,11 +323,11 @@ impl TrapKernel {
     /// `creat(2)`.
     pub async fn create(&self, pid: Pid, path: &str) -> Result<Fd, KError> {
         self.enter().await;
-        let out = match self.vfs.create(path).await {
-            Ok(ino) => {
+        let out = match self.vfs.create_open(path).await {
+            Ok(file) => {
                 let fd = self.alloc_fd(pid);
                 let g = self.files.lock().await;
-                g.with(|f| f.insert((pid, fd), OpenFile { ino, offset: 0 }));
+                g.with(|f| f.insert((pid, fd), OpenFile { file, offset: 0 }));
                 Ok(fd)
             }
             Err(e) => Err(KError::Fs(e)),
@@ -449,7 +345,7 @@ impl TrapKernel {
         };
         let out = match of {
             None => Err(KError::BadFd),
-            Some(of) => match self.vfs.read(of.ino, of.offset, len).await {
+            Some(of) => match self.vfs.read_file(&of.file, of.offset, len).await {
                 Ok(data) => {
                     let g = self.files.lock().await;
                     g.with(|f| {
@@ -475,7 +371,7 @@ impl TrapKernel {
         };
         let out = match of {
             None => Err(KError::BadFd),
-            Some(of) => match self.vfs.write(of.ino, of.offset, data).await {
+            Some(of) => match self.vfs.write_file(&of.file, of.offset, data).await {
                 Ok(()) => {
                     let g = self.files.lock().await;
                     g.with(|f| {
@@ -511,7 +407,7 @@ impl TrapKernel {
         };
         let out = match of {
             None => Err(KError::BadFd),
-            Some(of) => self.vfs.stat(of.ino).await.map_err(KError::Fs),
+            Some(of) => self.vfs.stat_file(&of.file).await.map_err(KError::Fs),
         };
         self.exit().await;
         out

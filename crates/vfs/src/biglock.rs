@@ -42,10 +42,6 @@ impl BigLockFs {
         })
     }
 
-    pub(crate) fn generations(&self) -> &Generations {
-        &self.gens
-    }
-
     async fn resolve(&self, comps: &[&str]) -> Result<u64, FsError> {
         let mut ino = ROOT_INO;
         for comp in comps {
@@ -60,7 +56,13 @@ impl BigLockFs {
         Ok(ino)
     }
 
-    async fn create_kind(&self, path: &str, kind: FileKind) -> Result<u64, FsError> {
+    /// Makes `path` a fresh inode of `kind`: its number and the
+    /// number's generation, read under the lock.
+    pub(crate) async fn create_kind(
+        &self,
+        path: &str,
+        kind: FileKind,
+    ) -> Result<(u64, u64), FsError> {
         let _g = self.lock.lock().await;
         let (parent_comps, name) = split_parent(path)?;
         let parent = self.resolve(&parent_comps).await?;
@@ -82,29 +84,49 @@ impl BigLockFs {
             .dir_add(&mut dir, name, ino, hint, &ScanAllocator)
             .await?;
         self.core.write_inode(parent, &dir).await?;
-        Ok(ino)
+        Ok((ino, self.gens.of(ino)))
     }
 
     /// Creates a regular file; returns its inode number.
     pub async fn create(&self, path: &str) -> Result<u64, FsError> {
-        self.create_kind(path, FileKind::File).await
+        Ok(self.create_kind(path, FileKind::File).await?.0)
     }
 
     /// Creates a directory; returns its inode number.
     pub async fn mkdir(&self, path: &str) -> Result<u64, FsError> {
-        self.create_kind(path, FileKind::Dir).await
+        Ok(self.create_kind(path, FileKind::Dir).await?.0)
     }
 
     /// Resolves a path to an inode number.
     pub async fn lookup(&self, path: &str) -> Result<u64, FsError> {
+        Ok(self.open(path).await?.0)
+    }
+
+    /// Resolves a path to an inode number and the number's generation,
+    /// read under the lock.
+    pub(crate) async fn open(&self, path: &str) -> Result<(u64, u64), FsError> {
         let _g = self.lock.lock().await;
-        self.resolve(&split_path(path)).await
+        let ino = self.resolve(&split_path(path)).await?;
+        Ok((ino, self.gens.of(ino)))
     }
 
     /// Reads `len` bytes at `off` from inode `ino`: the blocks they
     /// lie in, shared with the cache.
     pub async fn read(&self, ino: u64, off: u64, len: usize) -> Result<FileSlice, FsError> {
+        self.read_checked(ino, None, off, len).await
+    }
+
+    /// [`BigLockFs::read`], refused `Gone` under the lock if `gen` is
+    /// given and the number was freed since.
+    pub(crate) async fn read_checked(
+        &self,
+        ino: u64,
+        gen: Option<u64>,
+        off: u64,
+        len: usize,
+    ) -> Result<FileSlice, FsError> {
         let _g = self.lock.lock().await;
+        self.gens.check(ino, gen)?;
         let inode = self.core.read_inode(ino).await?;
         if inode.kind == FileKind::Dir {
             return Err(FsError::IsDir);
@@ -115,7 +137,19 @@ impl BigLockFs {
     /// Writes `data` at `off` into inode `ino`; the buffer becomes the
     /// file's blocks.
     pub async fn write(&self, ino: u64, off: u64, data: Vec<u8>) -> Result<(), FsError> {
+        self.write_checked(ino, None, off, data).await
+    }
+
+    /// [`BigLockFs::write`], checked as [`BigLockFs::read_checked`] is.
+    pub(crate) async fn write_checked(
+        &self,
+        ino: u64,
+        gen: Option<u64>,
+        off: u64,
+        data: Vec<u8>,
+    ) -> Result<(), FsError> {
         let _g = self.lock.lock().await;
+        self.gens.check(ino, gen)?;
         let mut inode = self.core.read_inode(ino).await?;
         if inode.kind == FileKind::Dir {
             return Err(FsError::IsDir);
@@ -129,7 +163,13 @@ impl BigLockFs {
 
     /// Returns metadata for inode `ino`.
     pub async fn stat(&self, ino: u64) -> Result<Stat, FsError> {
+        self.stat_checked(ino, None).await
+    }
+
+    /// [`BigLockFs::stat`], checked as [`BigLockFs::read_checked`] is.
+    pub(crate) async fn stat_checked(&self, ino: u64, gen: Option<u64>) -> Result<Stat, FsError> {
         let _g = self.lock.lock().await;
+        self.gens.check(ino, gen)?;
         let inode = self.core.read_inode(ino).await?;
         Ok(Stat {
             ino,

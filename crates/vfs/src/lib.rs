@@ -41,18 +41,45 @@ pub use store::{
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use chanos_rt::{Port, ReplyBatch, ReplyTo};
+use chanos_rt::{Cycles, Port, ReplyBatch, ReplyTo};
 use chanos_sim::plock;
+
+/// What a process's call on an open file costs the task that takes it,
+/// on top of serving it: its validation. It is the message kernel's
+/// `syscall_cpu` (`KernelCosts`), which the call paid on the process's
+/// kernel task while that task relayed it, and it moved with the call.
+/// A call made by number (set-up code, [`Vfs::read`] and its kin) is
+/// the kernel's own and pays nothing.
+pub const VALIDATE_CYCLES: Cycles = 300;
 
 /// An open file: what [`Vfs::open`] and [`Vfs::create_open`] answer.
 ///
 /// Every call through it reaches that file and no other: once the file
 /// is removed, a call answers [`FsError::Gone`], even after the inode
-/// number names another file.
+/// number names another file. It is opaque, and so a narrowed
+/// capability: a process holding one can send its file a [`FileCall`]
+/// and nothing else.
 #[derive(Clone, Debug)]
 pub struct File {
     ino: u64,
     handle: Handle,
+}
+
+impl File {
+    /// Hands a process's `call` to this file's vnode, which validates
+    /// it ([`VALIDATE_CYCLES`]), serves it and answers the caller; a
+    /// vnode gone with its file is answered for, `Gone`. A lock
+    /// engine's file has no vnode: its call comes back, for
+    /// [`Vfs::on_file`] to serve.
+    pub fn forward(&self, call: FileCall) -> Result<(), FileCall> {
+        match &self.handle {
+            Handle::Vnode(vnode) => {
+                msgfs::forward(vnode, call);
+                Ok(())
+            }
+            Handle::Generation(_) => Err(call),
+        }
+    }
 }
 
 /// What ties a [`File`] to its file rather than to its inode number.
@@ -62,15 +89,18 @@ enum Handle {
     /// names the file takes in the same turn as the lookup, so in order
     /// with that directory's unlinks. The vnode goes with the file.
     Vnode(Port<msgfs::VnodeMsg>),
-    /// On a lock engine: the number's [`Generations`] entry when the
-    /// file was opened.
+    /// On a lock engine: the number's [`Generations`] entry, read where
+    /// the name was resolved, under the lock that orders it with the
+    /// name's unlink.
     Generation(u64),
 }
 
 /// A lock engine's generation of each inode number, bumped when the
 /// number is freed (FFS's `di_gen`): a [`File`] that recorded an older
-/// one names a removed file. It is kept in memory, off the disk, so
-/// volumes stay byte-equal across engines, and it costs no modeled
+/// one names a removed file. The engine reads it where it resolves a
+/// name and checks it where a call holds the inode's lock, the lock its
+/// `unlink` holds when it bumps it. It is kept in memory, off the disk,
+/// so volumes stay byte-equal across engines, and it costs no modeled
 /// cycle.
 #[derive(Clone, Default)]
 struct Generations(Arc<Mutex<HashMap<u64, u64>>>);
@@ -85,10 +115,19 @@ impl Generations {
     fn bump(&self, ino: u64) {
         *plock(&self.0).entry(ino).or_default() += 1;
     }
+
+    /// Refuses a call on a file opened at generation `gen` of `ino` (no
+    /// check for a call by number) if the number was freed since.
+    fn check(&self, ino: u64, gen: Option<u64>) -> Result<(), FsError> {
+        match gen {
+            Some(gen) if gen != self.of(ino) => Err(FsError::Gone),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// A call on an open file carrying its caller's reply: the file system
-/// answers the caller itself ([`Vfs::on_file`]).
+/// answers the caller itself ([`File::forward`], [`Vfs::on_file`]).
 pub enum FileCall {
     /// Reads up to `len` bytes at `off`.
     Read {
@@ -132,6 +171,16 @@ impl FileCall {
 /// A call on a path carrying its caller's reply, which the file system
 /// answers itself ([`Vfs::on_path`]).
 pub enum PathCall {
+    /// Opens the file or directory the path names.
+    Open {
+        /// Completion channel.
+        reply: ReplyTo<Result<File, FsError>>,
+    },
+    /// Creates and opens a regular file.
+    Create {
+        /// Completion channel.
+        reply: ReplyTo<Result<File, FsError>>,
+    },
     /// Creates and opens a directory.
     Mkdir {
         /// Completion channel.
@@ -171,6 +220,15 @@ macro_rules! delegate {
     };
 }
 
+/// A lock engine's file: its number and that number's generation,
+/// both read under the lock that resolved or made its name.
+fn numbered((ino, gen): (u64, u64)) -> File {
+    File {
+        ino,
+        handle: Handle::Generation(gen),
+    }
+}
+
 impl Vfs {
     /// Short engine name for reports.
     pub fn name(&self) -> &'static str {
@@ -200,56 +258,37 @@ impl Vfs {
     pub async fn open(&self, path: &str) -> Result<File, FsError> {
         match self {
             Vfs::Msg(fs) => fs.open(path).await,
-            _ => self.lookup(path).await.map(|ino| self.numbered(ino)),
+            Vfs::Big(fs) => fs.open(path).await.map(numbered),
+            Vfs::Sharded(fs) => fs.open(path).await.map(numbered),
         }
     }
 
     /// Creates and opens a regular file.
     pub async fn create_open(&self, path: &str) -> Result<File, FsError> {
+        self.create_kind(path, FileKind::File).await
+    }
+
+    async fn create_kind(&self, path: &str, kind: FileKind) -> Result<File, FsError> {
         match self {
-            Vfs::Msg(fs) => fs.create_open(path).await,
-            _ => self.create(path).await.map(|ino| self.numbered(ino)),
+            Vfs::Msg(fs) => fs.create_kind(path, kind).await,
+            Vfs::Big(fs) => fs.create_kind(path, kind).await.map(numbered),
+            Vfs::Sharded(fs) => fs.create_kind(path, kind).await.map(numbered),
         }
     }
 
-    /// A lock engine's file `ino`, as its number names it now.
-    fn numbered(&self, ino: u64) -> File {
-        File {
-            ino,
-            handle: Handle::Generation(self.generation(ino)),
-        }
-    }
-
-    /// A lock engine's generation of inode number `ino`.
-    fn generation(&self, ino: u64) -> u64 {
-        match self {
-            Vfs::Big(fs) => fs.generations().of(ino),
-            Vfs::Sharded(fs) => fs.generations().of(ino),
-            Vfs::Msg(_) => unreachable!("a MsgFs file holds its vnode"),
-        }
-    }
-
-    /// Serves `call` on `file`, answering the caller's reply. On
+    /// Serves a process's `call` on `file`, answering its reply. On
     /// [`MsgFs`] the call goes to the file's vnode (and a one-block read
     /// on to its cache shard), which answers, and this returns once it
-    /// is sent; a lock engine serves it here, and this returns once it
-    /// is answered. A file removed since it was opened answers `Gone`.
+    /// is sent ([`File::forward`]); a lock engine serves it here, and
+    /// this returns once it is answered. A file removed since it was
+    /// opened answers `Gone`.
     pub async fn on_file(&self, file: &File, call: FileCall, replies: &mut ReplyBatch) {
-        if let Vfs::Msg(fs) = self {
-            return fs.on_file(file, call, replies);
-        }
-        let ino = file.ino;
-        let refused = match file.handle {
-            Handle::Generation(gen) if gen == self.generation(ino) => None,
-            Handle::Generation(_) => Some(FsError::Gone),
-            Handle::Vnode(_) => Some(FsError::Invalid),
+        let Err(call) = file.forward(call) else {
+            return;
         };
-        if let Some(e) = refused {
-            return call.refuse(e, replies);
-        }
         match call {
             FileCall::Read { off, len, reply } => {
-                replies.send(reply, self.read_shared(ino, off, len).await)
+                replies.send(reply, self.read_file_shared(file, off, len).await)
             }
             FileCall::Write {
                 off,
@@ -259,14 +298,14 @@ impl Vfs {
             } => {
                 let write = async {
                     let off = match or_end {
-                        true => off.min(self.stat(ino).await?.size),
+                        true => off.min(self.stat_file(file).await?.size),
                         false => off,
                     };
-                    delegate!(self, fs, fs.write(ino, off, data).await)
+                    self.write_file_owned(file, off, data).await
                 };
                 replies.send(reply, write.await)
             }
-            FileCall::Stat { reply } => replies.send(reply, self.stat(ino).await),
+            FileCall::Stat { reply } => replies.send(reply, self.stat_file(file).await),
         }
     }
 
@@ -278,12 +317,75 @@ impl Vfs {
             return fs.on_path(path, call, replies);
         }
         match call {
+            PathCall::Open { reply } => replies.send(reply, self.open(path).await),
+            PathCall::Create { reply } => replies.send(reply, self.create_open(path).await),
             PathCall::Mkdir { reply } => {
-                let made = self.mkdir(path).await;
-                replies.send(reply, made.map(|ino| self.numbered(ino)))
+                replies.send(reply, self.create_kind(path, FileKind::Dir).await)
             }
             PathCall::Unlink { reply } => replies.send(reply, self.unlink(path).await),
             PathCall::ReadDir { reply } => replies.send(reply, self.readdir(path).await),
+        }
+    }
+
+    /// Reads `len` bytes at `off` from `file` into a buffer of the
+    /// caller's, charged [`copy_cost`] on the caller's core, as
+    /// [`Vfs::read`] does by number. The caller is the kernel: a call
+    /// that reaches a vnode pays no [`VALIDATE_CYCLES`].
+    pub async fn read_file(&self, file: &File, off: u64, len: usize) -> Result<Vec<u8>, FsError> {
+        Ok(self
+            .read_file_shared(file, off, len)
+            .await?
+            .copy_out()
+            .await)
+    }
+
+    /// Writes `data` at `off` into `file`, copying it as [`Vfs::write`]
+    /// does (see [`Vfs::read_file`]).
+    pub async fn write_file(&self, file: &File, off: u64, data: &[u8]) -> Result<(), FsError> {
+        chanos_rt::delay(copy_cost(data.len())).await;
+        self.write_file_owned(file, off, data.to_vec()).await
+    }
+
+    /// Returns `file`'s metadata (see [`Vfs::read_file`]).
+    pub async fn stat_file(&self, file: &File) -> Result<Stat, FsError> {
+        match (self, &file.handle) {
+            (Vfs::Msg(_), Handle::Vnode(vn)) => msgfs::stat(vn).await,
+            (Vfs::Big(fs), &Handle::Generation(g)) => fs.stat_checked(file.ino, Some(g)).await,
+            (Vfs::Sharded(fs), &Handle::Generation(g)) => fs.stat_checked(file.ino, Some(g)).await,
+            _ => Err(FsError::Invalid),
+        }
+    }
+
+    /// `file`'s bytes at `off`, shared with the cache.
+    async fn read_file_shared(
+        &self,
+        file: &File,
+        off: u64,
+        len: usize,
+    ) -> Result<FileSlice, FsError> {
+        let ino = file.ino;
+        match (self, &file.handle) {
+            (Vfs::Msg(_), Handle::Vnode(vn)) => msgfs::read(vn, off, len).await,
+            (Vfs::Big(fs), &Handle::Generation(g)) => fs.read_checked(ino, Some(g), off, len).await,
+            (Vfs::Sharded(fs), &Handle::Generation(g)) => {
+                fs.read_checked(ino, Some(g), off, len).await
+            }
+            _ => Err(FsError::Invalid),
+        }
+    }
+
+    /// Writes the caller's buffer `data` into `file` at `off`.
+    async fn write_file_owned(&self, file: &File, off: u64, data: Vec<u8>) -> Result<(), FsError> {
+        let ino = file.ino;
+        match (self, &file.handle) {
+            (Vfs::Msg(_), Handle::Vnode(vn)) => msgfs::write(vn, off, data).await,
+            (Vfs::Big(fs), &Handle::Generation(g)) => {
+                fs.write_checked(ino, Some(g), off, data).await
+            }
+            (Vfs::Sharded(fs), &Handle::Generation(g)) => {
+                fs.write_checked(ino, Some(g), off, data).await
+            }
+            _ => Err(FsError::Invalid),
         }
     }
 
@@ -296,9 +398,7 @@ impl Vfs {
 
     /// Reads `len` bytes at `off` from inode `ino` without copying
     /// them: the blocks they lie in, shared with the cache. [`Vfs::read`]
-    /// copies them out; a lock engine's [`Vfs::on_file`] hands them to
-    /// the process whose read it serves, which copies them. (On
-    /// [`MsgFs`] a process's read goes to the file's vnode instead.)
+    /// copies them out.
     pub async fn read_shared(&self, ino: u64, off: u64, len: usize) -> Result<FileSlice, FsError> {
         delegate!(self, fs, fs.read(ino, off, len).await)
     }

@@ -62,6 +62,11 @@
 //! volume holds the bytes the lock engines would have written. A
 //! file's data blocks live in the cache shards alone.
 //!
+//! A process's `Read`, `Write` or `Stat` comes straight from the process,
+//! through the [`File`] its `open` answered ([`File::forward`]), and the
+//! vnode validates it first ([`VALIDATE_CYCLES`]); the kernel's own
+//! calls, by number or through a file it holds, are not validated.
+//!
 //! Who copies: the task that moves the bytes, on its own core. A `Read`
 //! is answered with the blocks the bytes lie in (`FileSlice`), shared
 //! with the cache, and the reader copies them out. One that lies in a
@@ -110,8 +115,9 @@
 //! It then closes its channel and refuses whatever was queued or still
 //! on its way, and the rest of the burst it reaped in — a call through
 //! a removed file's port — so those callers get [`FsError::Gone`], not
-//! silence. The caller may be a process whose kernel task handed the
-//! call on.
+//! silence. The caller may be a process that sent the call through
+//! its [`File`]; one sent after the vnode has gone finds the port
+//! closed and is answered `Gone` where it was sent.
 //!
 //! The ino→vnode-port registry itself is node-replicated
 //! (`fs-vnreg`, one replica per service core): `Get` is served from
@@ -144,7 +150,7 @@ use crate::core_fs::{
 use crate::error::FsError;
 use crate::layout::{Dirent, FileKind, Inode, Superblock, DIRENT_SIZE, ROOT_INO};
 use crate::store::{check_block_len, copy_cost, Block, BlockStore, CacheClient};
-use crate::{File, FileCall, Handle, PathCall};
+use crate::{File, FileCall, Handle, PathCall, VALIDATE_CYCLES};
 
 /// Messages understood by a cylinder-group server task.
 enum GroupMsg {
@@ -178,13 +184,17 @@ enum GroupMsg {
     Flush { reply: ReplyTo<Result<(), FsError>> },
 }
 
-/// Messages understood by a vnode task.
+/// Messages understood by a vnode task. A `Read`, `Write` or `Stat`
+/// that a process sent through its [`File`] is `validate`d: it pays
+/// [`VALIDATE_CYCLES`] on the vnode's core before it is served. One the
+/// kernel makes by number, or through a file it holds, pays nothing.
 pub(crate) enum VnodeMsg {
     /// A one-block read of a file is handed on to the block's cache
     /// shard with `reply`; any other read is gathered and answered here.
     Read {
         off: u64,
         len: usize,
+        validate: bool,
         reply: ReplyTo<Result<FileSlice, FsError>>,
     },
     /// Writes at `off`, or at the end of the file if `or_end` and the
@@ -192,10 +202,12 @@ pub(crate) enum VnodeMsg {
     Write {
         off: u64,
         or_end: bool,
+        validate: bool,
         data: Vec<u8>,
         reply: ReplyTo<Result<(), FsError>>,
     },
     Stat {
+        validate: bool,
         reply: ReplyTo<Result<Stat, FsError>>,
     },
     /// Opens the entry `name`: its inode and its vnode's port, taken in
@@ -243,7 +255,7 @@ impl VnodeMsg {
         match self {
             VnodeMsg::Read { reply, .. } => replies.send(reply, Err(e)),
             VnodeMsg::Write { reply, .. } => replies.send(reply, Err(e)),
-            VnodeMsg::Stat { reply } => replies.send(reply, Err(e)),
+            VnodeMsg::Stat { reply, .. } => replies.send(reply, Err(e)),
             VnodeMsg::Lookup { reply, .. } => replies.send(reply, Err(e)),
             VnodeMsg::Create { reply, .. } => replies.send(reply, Err(e)),
             VnodeMsg::Unlink { reply, .. } => replies.send(reply, Err(e)),
@@ -607,8 +619,8 @@ async fn vnode_task(vn: Vnode, rx: chanos_rt::Receiver<VnodeMsg>) {
     rt::stat_incr("msgfs.vnode_threads_spawned");
     vn.serve(&rx).await;
     // A call queued or still on its way reached a file that is gone:
-    // its caller, who may be a process whose kernel task handed the
-    // call on, is answered so.
+    // its caller, who may be a process that sent it through its file,
+    // is answered so.
     rx.close();
     let (mut refused, mut replies) = (Vec::new(), ReplyBatch::default());
     while rx.recv_many(&mut refused, FS_BATCH).await > 0 {
@@ -652,13 +664,22 @@ impl Vnode {
         msg: VnodeMsg,
         replies: &mut ReplyBatch,
     ) -> std::ops::ControlFlow<()> {
+        if let VnodeMsg::Read { validate: true, .. }
+        | VnodeMsg::Write { validate: true, .. }
+        | VnodeMsg::Stat { validate: true, .. } = msg
+        {
+            rt::delay(VALIDATE_CYCLES).await;
+        }
         match msg {
-            VnodeMsg::Read { off, len, reply } => self.read(off, len, reply, replies).await,
+            VnodeMsg::Read {
+                off, len, reply, ..
+            } => self.read(off, len, reply, replies).await,
             VnodeMsg::Write {
                 off,
                 or_end,
                 data,
                 reply,
+                ..
             } => {
                 let off = if or_end {
                     off.min(self.inode.size)
@@ -675,7 +696,7 @@ impl Vnode {
                 };
                 replies.send(reply, out);
             }
-            VnodeMsg::Stat { reply } => {
+            VnodeMsg::Stat { reply, .. } => {
                 let out = Ok(Stat {
                     ino: self.ino,
                     kind: self.inode.kind,
@@ -1052,6 +1073,75 @@ async fn get_vnode(shared: &MsgShared, ino: u64) -> Result<Port<VnodeMsg>, FsErr
     found.ok_or(FsError::Gone)
 }
 
+/// Hands a process's `call` to the vnode `vn`, validated (see
+/// [`VnodeMsg`]); a vnode gone with its file is answered for, `Gone`.
+pub(crate) fn forward(vn: &Port<VnodeMsg>, call: FileCall) {
+    let validate = true;
+    let msg = match call {
+        FileCall::Read { off, len, reply } => VnodeMsg::Read {
+            off,
+            len,
+            validate,
+            reply,
+        },
+        FileCall::Write {
+            off,
+            or_end,
+            data,
+            reply,
+        } => VnodeMsg::Write {
+            off,
+            or_end,
+            validate,
+            data,
+            reply,
+        },
+        FileCall::Stat { reply } => VnodeMsg::Stat { validate, reply },
+    };
+    if let Err(msg) = vn.forward(msg) {
+        msg.refuse(FsError::Gone, &mut ReplyBatch::default());
+    }
+}
+
+/// Reads `len` bytes at `off` from the file of vnode `vn`: the blocks
+/// they lie in, shared with the cache. The kernel's call: not
+/// validated.
+pub(crate) async fn read(vn: &Port<VnodeMsg>, off: u64, len: usize) -> Result<FileSlice, FsError> {
+    let validate = false;
+    vn.call(|reply| VnodeMsg::Read {
+        off,
+        len,
+        validate,
+        reply,
+    })
+    .await
+    .unwrap_or_else(|e| Err(e.into()))
+}
+
+/// Writes `data` at `off` into the file of vnode `vn`; the buffer
+/// becomes the file's blocks. The kernel's call: not validated.
+pub(crate) async fn write(vn: &Port<VnodeMsg>, off: u64, data: Vec<u8>) -> Result<(), FsError> {
+    let (or_end, validate) = (false, false);
+    vn.call(|reply| VnodeMsg::Write {
+        off,
+        or_end,
+        validate,
+        data,
+        reply,
+    })
+    .await
+    .unwrap_or_else(|e| Err(e.into()))
+}
+
+/// The metadata of the file of vnode `vn`. The kernel's call: not
+/// validated.
+pub(crate) async fn stat(vn: &Port<VnodeMsg>) -> Result<Stat, FsError> {
+    let validate = false;
+    vn.call(|reply| VnodeMsg::Stat { validate, reply })
+        .await
+        .unwrap_or_else(|e| Err(e.into()))
+}
+
 /// The message-passing file system client.
 #[derive(Clone)]
 pub struct MsgFs {
@@ -1142,7 +1232,7 @@ impl MsgFs {
         }
     }
 
-    async fn create_kind(&self, path: &str, kind: FileKind) -> Result<File, FsError> {
+    pub(crate) async fn create_kind(&self, path: &str, kind: FileKind) -> Result<File, FsError> {
         let (dir, name) = split_parent(path)?;
         let name = name.to_string();
         self.at(&dir, |reply| VnodeMsg::Create { name, kind, reply })
@@ -1168,16 +1258,17 @@ impl MsgFs {
     /// holds the last name answers with the entry's inode and its
     /// vnode's port.
     pub async fn open(&self, path: &str) -> Result<File, FsError> {
-        let comps = split_path(path);
-        let Some((name, dir)) = comps.split_last() else {
-            let handle = Handle::Vnode(self.shared.root.clone());
-            return Ok(File {
-                ino: ROOT_INO,
-                handle,
-            });
-        };
-        let name = name.to_string();
-        self.at(dir, |reply| VnodeMsg::Lookup { name, reply }).await
+        let (reply, answer) = rt::reply_channel();
+        self.on_path(path, PathCall::Open { reply }, &mut ReplyBatch::default());
+        answer.recv().await.unwrap_or(Err(FsError::Gone))
+    }
+
+    /// The root directory, opened.
+    fn root(&self) -> File {
+        File {
+            ino: ROOT_INO,
+            handle: Handle::Vnode(self.shared.root.clone()),
+        }
     }
 
     /// Resolves a path to an inode number.
@@ -1185,44 +1276,33 @@ impl MsgFs {
         Ok(self.open(path).await?.ino)
     }
 
-    /// Hands `call` to the vnode of `file`, which answers its reply; a
-    /// file whose vnode is gone (the file was removed) answers `Gone`.
-    /// Nothing here waits for the file system.
-    pub(crate) fn on_file(&self, file: &File, call: FileCall, replies: &mut ReplyBatch) {
-        let Handle::Vnode(vnode) = &file.handle else {
-            return call.refuse(FsError::Invalid, replies);
-        };
-        let msg = match call {
-            FileCall::Read { off, len, reply } => VnodeMsg::Read { off, len, reply },
-            FileCall::Write {
-                off,
-                or_end,
-                data,
-                reply,
-            } => VnodeMsg::Write {
-                off,
-                or_end,
-                data,
-                reply,
-            },
-            FileCall::Stat { reply } => VnodeMsg::Stat { reply },
-        };
-        if let Err(msg) = vnode.forward(msg) {
-            msg.refuse(FsError::Gone, replies);
-        }
-    }
-
     /// Hands `call` on to the directory that serves it, which answers
     /// its reply. Nothing here waits for the file system.
     pub(crate) fn on_path(&self, path: &str, call: PathCall, replies: &mut ReplyBatch) {
+        let create = |reply, kind| match split_parent(path) {
+            Ok((dir, name)) => {
+                let name = name.to_string();
+                Ok((dir, VnodeMsg::Create { name, kind, reply }))
+            }
+            Err(e) => Err((reply, e)),
+        };
         let (dir, then) = match call {
             PathCall::ReadDir { reply } => (split_path(path), VnodeMsg::ReadDir { reply }),
-            PathCall::Mkdir { reply } => match split_parent(path) {
-                Ok((dir, name)) => {
-                    let (name, kind) = (name.to_string(), FileKind::Dir);
-                    (dir, VnodeMsg::Create { name, kind, reply })
-                }
-                Err(e) => return replies.send(reply, Err(e)),
+            PathCall::Open { reply } => {
+                let comps = split_path(path);
+                let Some((name, dir)) = comps.split_last() else {
+                    return replies.send(reply, Ok(self.root()));
+                };
+                let name = name.to_string();
+                (dir.to_vec(), VnodeMsg::Lookup { name, reply })
+            }
+            PathCall::Create { reply } => match create(reply, FileKind::File) {
+                Ok(walk) => walk,
+                Err((reply, e)) => return replies.send(reply, Err(e)),
+            },
+            PathCall::Mkdir { reply } => match create(reply, FileKind::Dir) {
+                Ok(walk) => walk,
+                Err((reply, e)) => return replies.send(reply, Err(e)),
             },
             PathCall::Unlink { reply } => match split_parent(path) {
                 Ok((dir, name)) => (
@@ -1241,33 +1321,18 @@ impl MsgFs {
     /// Reads `len` bytes at `off` from inode `ino`: the blocks they
     /// lie in, shared with the cache.
     pub async fn read(&self, ino: u64, off: u64, len: usize) -> Result<FileSlice, FsError> {
-        let vn = get_vnode(&self.shared, ino).await?;
-        vn.call(|reply| VnodeMsg::Read { off, len, reply })
-            .await
-            .unwrap_or_else(|e| Err(e.into()))
+        read(&get_vnode(&self.shared, ino).await?, off, len).await
     }
 
     /// Writes `data` at `off` into inode `ino`; the buffer becomes the
     /// file's blocks.
     pub async fn write(&self, ino: u64, off: u64, data: Vec<u8>) -> Result<(), FsError> {
-        let vn = get_vnode(&self.shared, ino).await?;
-        let or_end = false;
-        vn.call(|reply| VnodeMsg::Write {
-            off,
-            or_end,
-            data,
-            reply,
-        })
-        .await
-        .unwrap_or_else(|e| Err(e.into()))
+        write(&get_vnode(&self.shared, ino).await?, off, data).await
     }
 
     /// Returns metadata for inode `ino`.
     pub async fn stat(&self, ino: u64) -> Result<Stat, FsError> {
-        let vn = get_vnode(&self.shared, ino).await?;
-        vn.call(|reply| VnodeMsg::Stat { reply })
-            .await
-            .unwrap_or_else(|e| Err(e.into()))
+        stat(&get_vnode(&self.shared, ino).await?).await
     }
 
     /// Pipelined stat burst against one vnode: issues `n` `Stat`
@@ -1277,7 +1342,8 @@ impl MsgFs {
     /// used by tests and benches to exercise the pipelined path.
     pub async fn stat_burst(&self, ino: u64, n: usize) -> Result<Vec<Stat>, FsError> {
         let vn = get_vnode(&self.shared, ino).await?;
-        let calls = vn.call_batch((0..n).map(|_| |reply| VnodeMsg::Stat { reply }));
+        let validate = false;
+        let calls = vn.call_batch((0..n).map(|_| |reply| VnodeMsg::Stat { validate, reply }));
         let outs = chanos_rt::join_all(calls).await;
         outs.into_iter()
             .map(|r| r.unwrap_or_else(|e| Err(e.into())))

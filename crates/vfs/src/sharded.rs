@@ -135,10 +135,6 @@ impl ShardedFs {
         })
     }
 
-    pub(crate) fn generations(&self) -> &Generations {
-        &self.gens
-    }
-
     fn allocator(&self) -> ShardedAllocator {
         ShardedAllocator {
             groups: self.groups.clone(),
@@ -154,24 +150,32 @@ impl ShardedFs {
         out
     }
 
-    /// Resolves a path with hand-over-hand read locks.
-    async fn resolve(&self, comps: &[&str]) -> Result<u64, FsError> {
-        let mut ino = ROOT_INO;
+    /// Resolves a path with hand-over-hand read locks: the inode and
+    /// its number's generation, read under its directory's lock, which
+    /// the name's `unlink` holds for writing when it frees the number.
+    async fn resolve(&self, comps: &[&str]) -> Result<(u64, u64), FsError> {
+        let (mut ino, mut gen) = (ROOT_INO, self.gens.of(ROOT_INO));
         for comp in comps {
             let lock = self.inode_locks.get(ino).await;
             let g = lock.read().await;
             let inode = self.core.read_inode(ino).await?;
             let found = self.core.dir_lookup(&inode, comp).await?;
-            drop(g);
             let (next, _) = found.ok_or(FsError::NotFound)?;
-            ino = next;
+            (ino, gen) = (next, self.gens.of(next));
+            drop(g);
         }
-        Ok(ino)
+        Ok((ino, gen))
     }
 
-    async fn create_kind(&self, path: &str, kind: FileKind) -> Result<u64, FsError> {
+    /// Makes `path` a fresh inode of `kind`: its number and the
+    /// number's generation, read under the directory's lock.
+    pub(crate) async fn create_kind(
+        &self,
+        path: &str,
+        kind: FileKind,
+    ) -> Result<(u64, u64), FsError> {
         let (parent_comps, name) = split_parent(path)?;
-        let parent = self.resolve(&parent_comps).await?;
+        let (parent, _) = self.resolve(&parent_comps).await?;
         let plock = self.inode_locks.get(parent).await;
         let pg = plock.write().await;
         let mut dir = self.core.read_inode(parent).await?;
@@ -209,30 +213,50 @@ impl ShardedFs {
             .dir_add(&mut dir, name, ino, hint, &self.allocator())
             .await?;
         self.put_inode(parent, &dir).await?;
+        let gen = self.gens.of(ino);
         drop(pg);
-        Ok(ino)
+        Ok((ino, gen))
     }
 
     /// Creates a regular file; returns its inode number.
     pub async fn create(&self, path: &str) -> Result<u64, FsError> {
-        self.create_kind(path, FileKind::File).await
+        Ok(self.create_kind(path, FileKind::File).await?.0)
     }
 
     /// Creates a directory; returns its inode number.
     pub async fn mkdir(&self, path: &str) -> Result<u64, FsError> {
-        self.create_kind(path, FileKind::Dir).await
+        Ok(self.create_kind(path, FileKind::Dir).await?.0)
     }
 
     /// Resolves a path to an inode number.
     pub async fn lookup(&self, path: &str) -> Result<u64, FsError> {
+        Ok(self.open(path).await?.0)
+    }
+
+    /// Resolves a path to an inode number and the number's generation
+    /// (see [`ShardedFs::resolve`]).
+    pub(crate) async fn open(&self, path: &str) -> Result<(u64, u64), FsError> {
         self.resolve(&split_path(path)).await
     }
 
     /// Reads `len` bytes at `off` from inode `ino`: the blocks they
     /// lie in, shared with the cache.
     pub async fn read(&self, ino: u64, off: u64, len: usize) -> Result<FileSlice, FsError> {
+        self.read_checked(ino, None, off, len).await
+    }
+
+    /// [`ShardedFs::read`], refused `Gone` under the inode's lock if
+    /// `gen` is given and the number was freed since.
+    pub(crate) async fn read_checked(
+        &self,
+        ino: u64,
+        gen: Option<u64>,
+        off: u64,
+        len: usize,
+    ) -> Result<FileSlice, FsError> {
         let lock = self.inode_locks.get(ino).await;
         let g = lock.read().await;
+        self.gens.check(ino, gen)?;
         let inode = self.core.read_inode(ino).await?;
         if inode.kind == FileKind::Dir {
             return Err(FsError::IsDir);
@@ -245,8 +269,20 @@ impl ShardedFs {
     /// Writes `data` at `off` into inode `ino`; the buffer becomes the
     /// file's blocks.
     pub async fn write(&self, ino: u64, off: u64, data: Vec<u8>) -> Result<(), FsError> {
+        self.write_checked(ino, None, off, data).await
+    }
+
+    /// [`ShardedFs::write`], checked as [`ShardedFs::read_checked`] is.
+    pub(crate) async fn write_checked(
+        &self,
+        ino: u64,
+        gen: Option<u64>,
+        off: u64,
+        data: Vec<u8>,
+    ) -> Result<(), FsError> {
         let lock = self.inode_locks.get(ino).await;
         let g = lock.write().await;
+        self.gens.check(ino, gen)?;
         let mut inode = self.core.read_inode(ino).await?;
         if inode.kind == FileKind::Dir {
             return Err(FsError::IsDir);
@@ -262,8 +298,14 @@ impl ShardedFs {
 
     /// Returns metadata for inode `ino`.
     pub async fn stat(&self, ino: u64) -> Result<Stat, FsError> {
+        self.stat_checked(ino, None).await
+    }
+
+    /// [`ShardedFs::stat`], checked as [`ShardedFs::read_checked`] is.
+    pub(crate) async fn stat_checked(&self, ino: u64, gen: Option<u64>) -> Result<Stat, FsError> {
         let lock = self.inode_locks.get(ino).await;
         let g = lock.read().await;
+        self.gens.check(ino, gen)?;
         let inode = self.core.read_inode(ino).await?;
         drop(g);
         Ok(Stat {
@@ -277,7 +319,7 @@ impl ShardedFs {
     /// Removes a file or empty directory.
     pub async fn unlink(&self, path: &str) -> Result<(), FsError> {
         let (parent_comps, name) = split_parent(path)?;
-        let parent = self.resolve(&parent_comps).await?;
+        let (parent, _) = self.resolve(&parent_comps).await?;
         let plock = self.inode_locks.get(parent).await;
         let pg = plock.write().await;
         let mut dir = self.core.read_inode(parent).await?;
@@ -316,7 +358,7 @@ impl ShardedFs {
 
     /// Lists a directory.
     pub async fn readdir(&self, path: &str) -> Result<Vec<Dirent>, FsError> {
-        let ino = self.resolve(&split_path(path)).await?;
+        let (ino, _) = self.resolve(&split_path(path)).await?;
         let lock = self.inode_locks.get(ino).await;
         let g = lock.read().await;
         let inode = self.core.read_inode(ino).await?;

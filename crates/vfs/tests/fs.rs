@@ -778,6 +778,71 @@ fn a_reaped_number_handed_out_again_reaches_its_new_file() {
     assert!(reused > 0, "no create took the reaped number");
 }
 
+/// A lock engine's file answers `Gone` once its number was freed, even
+/// when its unlink and the number's next file land while the call waits
+/// for the inode's lock: the generation is read where the name is
+/// resolved and checked under the inode's lock, which the unlink holds
+/// when it bumps it (BigLockFs: the big lock; ShardedFs: the inode's
+/// rwlock, held for writing). A `stat` through the file is made at every
+/// point of an unlink that a `create` is queued behind; it must answer
+/// the old file or `Gone`, never the freed record or the new file.
+/// (While the check ran before the call took the lock, a call made
+/// during the unlink passed it and then read the freed number.)
+#[test]
+fn a_lock_engines_file_is_checked_under_the_lock_its_unlink_holds() {
+    use chanos_rt::{reply_channel, ReplyBatch};
+    use chanos_vfs::FileCall;
+
+    for which in ["biglock", "sharded"] {
+        let (mut old, mut gone) = (0, 0);
+        for delay in (0u64..=3_000).step_by(20) {
+            let mut s = sim(4);
+            let (stat, reused) = s
+                .block_on(async move {
+                    let fs = make_fs(which, 4).await;
+                    let ino = fs.create("/old").await.unwrap();
+                    fs.write(ino, 0, b"old bytes").await.unwrap();
+                    let file = fs.open("/old").await.unwrap();
+                    let unlink = {
+                        let fs = fs.clone();
+                        chanos_sim::spawn_on(CoreId(1), async move {
+                            chanos_sim::sleep(200).await;
+                            fs.unlink("/old").await.unwrap();
+                        })
+                    };
+                    // Queued behind the unlink: it takes the freed number.
+                    let create = {
+                        let fs = fs.clone();
+                        chanos_sim::spawn_on(CoreId(2), async move {
+                            chanos_sim::sleep(210).await;
+                            fs.create("/new").await.unwrap()
+                        })
+                    };
+                    let stat = chanos_sim::spawn_on(CoreId(0), async move {
+                        chanos_sim::sleep(delay).await;
+                        let (reply, answer) = reply_channel();
+                        let mut replies = ReplyBatch::default();
+                        fs.on_file(&file, FileCall::Stat { reply }, &mut replies)
+                            .await;
+                        replies.flush();
+                        answer.recv().await.unwrap()
+                    });
+                    unlink.join().await.unwrap();
+                    let new = create.join().await.unwrap();
+                    (stat.join().await.unwrap(), new == ino)
+                })
+                .unwrap_or_else(|e| panic!("{which}, delay {delay}: {e}"));
+            assert!(reused, "{which}: the new file takes the old number");
+            match stat {
+                Ok(st) if st.size == 9 => old += 1,
+                Err(FsError::Gone) => gone += 1,
+                other => panic!("{which}, delay {delay}: the stat answered {other:?}"),
+            }
+        }
+        assert!(old > 0 && gone > 0, "{which}: {old} old, {gone} gone");
+    }
+}
+
 /// The benchmark ladder's machine and volume — 16 cores, the file
 /// system's servers over cores 0–3 (disk and driver on 3), 8192 blocks
 /// in 8 groups, 4 cache shards of 128 blocks — with `test` run as a task
