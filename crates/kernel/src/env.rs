@@ -7,14 +7,22 @@
 //! messages to kernel cores (the proposal); only its performance
 //! differs.
 //!
-//! The message path issues every namespace call through a typed
-//! [`Port`](chanos_rt::Port) to the process's kernel task, so transport
-//! failures keep their meaning: [`KError::Gone`] when the kernel
-//! service died before serving the call, [`KError::Cancelled`] when it
-//! accepted the call but shut down without answering. [`Env::batch`]
-//! exposes the pipelined submit-then-complete surface: queue several
-//! syscalls, submit them as **one** kernel message burst, then complete
-//! them in any order.
+//! On the message kernel a process makes its calls itself, each to the
+//! kernel thread that serves it. A namespace call (`open`, `create`,
+//! `mkdir`, `unlink`, `readdir`) goes through the root directory's
+//! [`File`], which the kernel gives the process ([`MsgKernel::root`]),
+//! to the root's vnode, and the vnode that serves it validates it
+//! ([`VALIDATE_CYCLES`]) and answers here ([`File::forward_path`]). A
+//! lock engine's root has no vnode, and its path calls go to the
+//! process's kernel task, as `getpid` does. A kernel of ports
+//! ([`MsgKernel::from_ports`]) gives no root: every call goes through a
+//! typed [`Port`](chanos_rt::Port) to its server, so transport failures
+//! keep their meaning: [`KError::Gone`] when the kernel service died
+//! before serving the call, [`KError::Cancelled`] when it accepted the
+//! call but shut down without answering. A call the file system drops
+//! unanswered is `Cancelled`. [`Env::batch`] exposes the pipelined
+//! submit-then-complete surface: queue several syscalls, submit them as
+//! **one** burst, then complete them in any order.
 //!
 //! On the message kernel an open file is the process's. Its fd table
 //! lives here, shared by every clone of an `Env` and every batch made
@@ -27,7 +35,15 @@
 //! file has no vnode, and its call goes to the kernel task. A `close`
 //! runs here and pays the same validation, on the process's own core.
 //! A call made on a descriptor whose `open` is still in flight waits
-//! here for that answer and then goes on, in the order it was made.
+//! here for that answer and then goes on, in the order it was made. A
+//! batch dropped before its submit cancels its `open`s at once: their
+//! descriptors close, and the calls held behind them answer `BadFd`.
+//!
+//! A `close` still pays the whole [`VALIDATE_CYCLES`], on the process's
+//! core: it removes an entry of the process's own map, which no kernel
+//! thread sees, so no kernel thread is there to take the charge. A
+//! cheaper, argued charge for it is a model change of its own, left
+//! open.
 //!
 //! The process copies a read's or a write's bytes itself, on its own
 //! core, and pays [`copy_cost`] for them there: a read's answer is the
@@ -51,7 +67,7 @@ use chanos_rt::{
     self as rt, Call, CallError, CoreId, Cycles, JoinHandle, Port, Reply, ReplyBatch, ReplyTo,
 };
 use chanos_sim::plock;
-use chanos_vfs::{copy_cost, File, FileCall, FileSlice, FsError, Stat, VALIDATE_CYCLES};
+use chanos_vfs::{copy_cost, File, FileCall, FileSlice, FsError, PathCall, Stat, VALIDATE_CYCLES};
 
 use crate::pids::{PidInfo, PidTable};
 use crate::syscall::{MsgKernel, Syscall, TrapKernel};
@@ -60,7 +76,7 @@ use crate::types::{Fd, KError, Pid};
 /// Which kernel a process talks to.
 #[derive(Clone)]
 pub enum KernelHandle {
-    /// System calls are messages to the process's kernel task.
+    /// System calls are messages to kernel threads on kernel cores.
     Msg(MsgKernel),
     /// System calls trap and run on the caller's core.
     Trap(Arc<TrapKernel>),
@@ -303,6 +319,19 @@ struct OpenState {
     waiting: Vec<Waker>,
 }
 
+impl Opening {
+    /// Answers the open `Cancelled`, unsent, and wakes whoever waits
+    /// for it; the descriptor is for the caller to remove.
+    fn cancel(&self) {
+        let mut st = plock(&self.state);
+        st.call = None;
+        st.answer = Some(Err(KError::Cancelled));
+        let waiting = std::mem::take(&mut st.waiting);
+        drop(st);
+        waiting.into_iter().for_each(Waker::wake);
+    }
+}
+
 /// Waits for an [`Opening`]'s answer, and installs it if it takes it.
 struct Settle {
     end: MsgEnd,
@@ -364,22 +393,26 @@ enum Closing {
     Behind(Arc<Opening>, Reply<Result<(), KError>>),
 }
 
-/// A process's end of the message kernel: its kernel task's port, and
-/// its fd table.
+/// A process's end of the message kernel: its kernel task's port, its
+/// root directory, and its fd table.
 #[derive(Clone)]
 struct MsgEnd {
     port: Port<Syscall>,
+    /// Where the process's path calls go ([`MsgKernel::root`]); none on
+    /// a kernel of ports, whose servers take them.
+    root: Option<File>,
     files: Arc<Mutex<FdTable>>,
 }
 
 impl MsgEnd {
-    fn new(port: Port<Syscall>) -> MsgEnd {
+    fn new(port: Port<Syscall>, root: Option<File>) -> MsgEnd {
         let table = FdTable {
             next: 3,
             open: HashMap::new(),
         };
         MsgEnd {
             port,
+            root,
             files: Arc::new(Mutex::new(table)),
         }
     }
@@ -400,19 +433,64 @@ impl MsgEnd {
         }
     }
 
-    /// Sends (or defers into `buf`) the `open` or `create` `make`, and
-    /// gives it the process's next descriptor, open from now on for the
-    /// calls made on it. The returned future is its answer.
+    /// Makes the call `make` builds on `path` now, or queues it into
+    /// `batch` to be made at its submit: through the root directory
+    /// ([`MsgEnd::send_path`]), or, with no root, to the kernel's server.
+    fn on_path<T: Send + 'static>(
+        &self,
+        batch: Option<&mut Deferred>,
+        path: &str,
+        make: impl FnOnce(ReplyTo<Result<T, FsError>>) -> PathCall,
+    ) -> Call<Result<T, FsError>> {
+        let path = path.to_string();
+        if self.root.is_none() {
+            let kernel = batch.map(|batch| &mut batch.kernel);
+            return self.call(kernel, move |reply| Syscall::on_path(path, make(reply)));
+        }
+        let (reply, answer) = rt::reply_channel();
+        let call = make(reply);
+        match batch {
+            Some(batch) => batch.direct(Direct::Path(path, call)),
+            None => {
+                rt::stat_incr("kernel.syscalls");
+                let mut burst = VecDeque::new();
+                self.send_path(path, call, &mut burst);
+                self.port.submit(&mut burst);
+            }
+        }
+        // Nothing but a dropped batch drops the reply unanswered.
+        Call::from_future(async move { answer.recv().await.map_err(|_| CallError::Cancelled) })
+    }
+
+    /// Hands a process's path call to its root directory
+    /// ([`File::forward_path`]), or into `burst`, for the kernel task, if
+    /// the root has no vnode to take it (a lock engine's).
+    fn send_path(&self, path: String, call: PathCall, burst: &mut VecDeque<Syscall>) {
+        let call = match &self.root {
+            Some(root) => match root.forward_path(&path, call) {
+                Ok(()) => return,
+                Err(call) => call,
+            },
+            None => call,
+        };
+        burst.push_back(Syscall::on_path(path, call));
+    }
+
+    /// Sends (or queues into `batch`) the `open` or `create` `make`
+    /// builds on `path`, and gives it the process's next descriptor,
+    /// open from now on for the calls made on it. The returned future
+    /// is its answer.
     fn open(
         &self,
-        buf: Option<&mut VecDeque<Syscall>>,
-        make: impl FnOnce(ReplyTo<Result<File, FsError>>) -> Syscall,
+        mut batch: Option<&mut Deferred>,
+        path: &str,
+        make: impl FnOnce(ReplyTo<Result<File, FsError>>) -> PathCall,
     ) -> impl Future<Output = Result<Fd, KError>> {
         let mut table = plock(&self.files);
         let fd = Fd(table.next);
         table.next += 1;
         let state = OpenState {
-            call: Some(self.call(buf, make)),
+            call: Some(self.on_path(batch.as_deref_mut(), path, make)),
             answer: None,
             waiting: Vec::new(),
         };
@@ -420,6 +498,9 @@ impl MsgEnd {
             fd,
             state: Mutex::new(state),
         });
+        if let Some(batch) = batch {
+            batch.opens.push(opening.clone());
+        }
         let open = OpenFd {
             file: Opened::Opening(opening.clone(), Vec::new()),
             cursor: Cursor::default(),
@@ -469,7 +550,7 @@ impl MsgEnd {
         let held = Held::Call(make(sent.map_or(Offset::default(), |s| s.from), reply));
         let behind = match batch {
             Some(batch) => {
-                batch.hold(fd, held);
+                batch.direct(Direct::Fd(fd, held));
                 open.file.opening()
             }
             None => {
@@ -552,7 +633,8 @@ fn read_len(data: &FileSlice) -> u64 {
 /// A process's end of its kernel.
 #[derive(Clone)]
 enum Attached {
-    /// The port of the process's kernel task, and its fd table.
+    /// The port of the process's kernel task, its root directory and
+    /// its fd table.
     Msg(MsgEnd),
     Trap(Arc<TrapKernel>),
 }
@@ -574,7 +656,7 @@ impl Env {
     /// ([`MsgKernel::attach`]), so it must run inside a runtime.
     pub fn new(pid: Pid, kernel: KernelHandle) -> Env {
         let kernel = match kernel {
-            KernelHandle::Msg(k) => Attached::Msg(MsgEnd::new(k.attach(pid))),
+            KernelHandle::Msg(k) => Attached::Msg(MsgEnd::new(k.attach(pid), k.root())),
             KernelHandle::Trap(k) => Attached::Trap(k),
         };
         Env { pid, kernel }
@@ -584,11 +666,7 @@ impl Env {
     pub async fn open(&self, path: &str) -> Result<Fd, KError> {
         match &self.kernel {
             Attached::Trap(k) => k.open(self.pid, path).await,
-            Attached::Msg(k) => {
-                let path = path.to_string();
-                k.open(None, move |reply| Syscall::Open { path, reply })
-                    .await
-            }
+            Attached::Msg(k) => k.open(None, path, |reply| PathCall::Open { reply }).await,
         }
     }
 
@@ -596,11 +674,7 @@ impl Env {
     pub async fn create(&self, path: &str) -> Result<Fd, KError> {
         match &self.kernel {
             Attached::Trap(k) => k.create(self.pid, path).await,
-            Attached::Msg(k) => {
-                let path = path.to_string();
-                k.open(None, move |reply| Syscall::Create { path, reply })
-                    .await
-            }
+            Attached::Msg(k) => k.open(None, path, |reply| PathCall::Create { reply }).await,
         }
     }
 
@@ -672,8 +746,7 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.mkdir(self.pid, path).await,
             Attached::Msg(k) => {
-                let path = path.to_string();
-                let made = k.call(None, move |reply| Syscall::Mkdir { path, reply });
+                let made = k.on_path(None, path, |reply| PathCall::Mkdir { reply });
                 flatten(made.await).map(drop)
             }
         }
@@ -684,8 +757,7 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.unlink(self.pid, path).await,
             Attached::Msg(k) => {
-                let path = path.to_string();
-                let unlinked = k.call(None, move |reply| Syscall::Unlink { path, reply });
+                let unlinked = k.on_path(None, path, |reply| PathCall::Unlink { reply });
                 flatten(unlinked.await)
             }
         }
@@ -696,8 +768,7 @@ impl Env {
         match &self.kernel {
             Attached::Trap(k) => k.readdir(self.pid, path).await,
             Attached::Msg(k) => {
-                let path = path.to_string();
-                let listed = k.call(None, move |reply| Syscall::ReadDir { path, reply });
+                let listed = k.on_path(None, path, |reply| PathCall::ReadDir { reply });
                 let entries = flatten(listed.await)?;
                 Ok(entries.into_iter().map(|e| e.name).collect())
             }
@@ -730,8 +801,8 @@ impl Env {
     /// On the message kernel this is FlexSC-style call batching: the
     /// process's kernel task wakes once, drains its calls with
     /// `recv_many`, and answers them in order through one `ReplyBatch`;
-    /// the calls on descriptors are made at submit, in the order they
-    /// were queued, each where its descriptor is. On the trap kernel
+    /// the calls on descriptors and on paths are made at submit, in the
+    /// order they were queued, each where it is served. On the trap kernel
     /// there is no submission queue — which is the paper's point — so
     /// each call simply runs when first awaited.
     ///
@@ -752,16 +823,26 @@ impl Env {
 }
 
 /// A batch's calls, in the order they were queued: the kernel task's,
-/// and those on descriptors, each after the first `n` of the kernel's.
+/// and those the process makes itself, each after the first `n` of the
+/// kernel's. The opens among them are kept too, for a drop to cancel.
 #[derive(Default)]
 struct Deferred {
     kernel: VecDeque<Syscall>,
-    held: Vec<(usize, Fd, Held)>,
+    direct: Vec<(usize, Direct)>,
+    opens: Vec<Arc<Opening>>,
+}
+
+/// A call the process makes itself, not through its kernel task.
+enum Direct {
+    /// A call on a descriptor, made where the descriptor is.
+    Fd(Fd, Held),
+    /// A call on a path, for the root directory ([`MsgEnd::send_path`]).
+    Path(String, PathCall),
 }
 
 impl Deferred {
-    fn hold(&mut self, fd: Fd, held: Held) {
-        self.held.push((self.kernel.len(), fd, held));
+    fn direct(&mut self, call: Direct) {
+        self.direct.push((self.kernel.len(), call));
     }
 }
 
@@ -811,10 +892,7 @@ impl SyscallBatch {
         let path = path.to_string();
         match &mut self.inner {
             BatchInner::Msg { end, queued, .. } => {
-                let open = end.open(Some(&mut queued.kernel), move |reply| Syscall::Open {
-                    path,
-                    reply,
-                });
+                let open = end.open(Some(queued), &path, |reply| PathCall::Open { reply });
                 Call::from_future(async move { Ok(open.await) })
             }
             BatchInner::Trap(k) => {
@@ -830,10 +908,7 @@ impl SyscallBatch {
         let path = path.to_string();
         match &mut self.inner {
             BatchInner::Msg { end, queued, .. } => {
-                let create = end.open(Some(&mut queued.kernel), move |reply| Syscall::Create {
-                    path,
-                    reply,
-                });
+                let create = end.open(Some(queued), &path, |reply| PathCall::Create { reply });
                 Call::from_future(async move { Ok(create.await) })
             }
             BatchInner::Trap(k) => {
@@ -915,7 +990,7 @@ impl SyscallBatch {
                     .get(&fd)
                     .and_then(|open| open.file.opening());
                 let (reply, answer) = rt::reply_channel();
-                queued.hold(fd, Held::Close(reply));
+                queued.direct(Direct::Fd(fd, Held::Close(reply)));
                 let end = end.clone();
                 Call::from_future(async move { Ok(end.closed(behind, answer).await) })
             }
@@ -929,15 +1004,15 @@ impl SyscallBatch {
     /// Number of queued, not-yet-submitted syscalls.
     pub fn pending(&self) -> usize {
         match &self.inner {
-            BatchInner::Msg { queued, .. } => queued.kernel.len() + queued.held.len(),
+            BatchInner::Msg { queued, .. } => queued.kernel.len() + queued.direct.len(),
             BatchInner::Trap(_) => 0,
         }
     }
 
     /// Submits every queued syscall: the kernel task's as one message
     /// burst (one server wake on real threads; one send event per call
-    /// on the simulator), and each call on a descriptor where its
-    /// descriptor is, in the order they were queued. Failures surface
+    /// on the simulator), and each call on a descriptor or a path where
+    /// it is served, in the order they were queued. Failures surface
     /// on the individual calls: [`KError::Gone`] if the kernel is gone,
     /// [`KError::Cancelled`] if it cancels a call mid-batch.
     pub async fn submit(&mut self) {
@@ -948,22 +1023,68 @@ impl SyscallBatch {
         if local > 0 {
             rt::delay(local).await;
         }
-        let Deferred { kernel, held } = queued;
-        rt::stat_add("kernel.syscalls", (kernel.len() + held.len()) as u64);
-        if held.is_empty() {
+        let Deferred {
+            kernel,
+            direct,
+            opens,
+        } = queued;
+        opens.clear();
+        rt::stat_add("kernel.syscalls", (kernel.len() + direct.len()) as u64);
+        if direct.is_empty() {
             return end.port.submit(kernel);
         }
         let (mut burst, mut replies) = (VecDeque::new(), ReplyBatch::default());
         let mut table = plock(&end.files);
         let mut kernel = kernel.drain(..);
         let mut taken = 0;
-        for (at, fd, held) in held.drain(..) {
+        for (at, call) in direct.drain(..) {
             burst.extend(kernel.by_ref().take(at - taken));
             taken = at;
-            table.apply(fd, held, &mut burst, &mut replies);
+            match call {
+                Direct::Fd(fd, held) => {
+                    table.apply(fd, held, &mut burst, &mut replies);
+                }
+                Direct::Path(path, call) => end.send_path(path, call, &mut burst),
+            }
         }
         burst.extend(kernel);
         end.port.submit(&mut burst);
+    }
+}
+
+impl Drop for SyscallBatch {
+    /// A batch dropped unsubmitted makes none of its calls. Its opens
+    /// answer `Cancelled` now and their descriptors close, so a call held
+    /// behind one, in the batch or made since, answers `BadFd`.
+    fn drop(&mut self) {
+        let BatchInner::Msg { end, queued, .. } = &mut self.inner else {
+            return;
+        };
+        if queued.opens.is_empty() {
+            return;
+        }
+        // Each open's answer first: whoever installs an answer holds the
+        // open's lock and then takes the table's.
+        for opening in &queued.opens {
+            opening.cancel();
+        }
+        let (mut burst, mut replies) = (VecDeque::new(), ReplyBatch::default());
+        let mut table = plock(&end.files);
+        for opening in queued.opens.drain(..) {
+            table.install(
+                opening.fd,
+                &Err(KError::Cancelled),
+                &mut burst,
+                &mut replies,
+            );
+        }
+        for (_, call) in queued.direct.drain(..) {
+            if let Direct::Fd(fd, held) = call {
+                if !table.open.contains_key(&fd) {
+                    held.refuse(&mut replies);
+                }
+            }
+        }
     }
 }
 
@@ -1069,5 +1190,170 @@ impl ProcessTable {
         let h = rt::spawn_named_on(&name, core, task);
         rt::stat_incr("kernel.processes_spawned");
         (pid, h)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{boot, BootCfg, FsKind, KernelKind};
+    use chanos_sim::Pcg32;
+
+    /// A call of the property test below: what it may move the offset,
+    /// whether it is a read, what [`Cursor::take`] gave it, and what its
+    /// answer says it moved, once the answer is taken.
+    struct Model {
+        by: u64,
+        read: bool,
+        sent: Sent,
+        moved: u64,
+        taken: bool,
+    }
+
+    /// The offset a call sent now must take, computed afresh from the
+    /// history: `exact[i]` is where call `i` was served, the answers
+    /// applied in send order. The calls up to the last read whose answer
+    /// got bytes, and then every call whose answer is taken, in order,
+    /// are settled; past them the offset is moved by what each call may
+    /// move it, and is `or_end` if one of them is a read.
+    fn expected(calls: &[Model], exact: &[u64]) -> Offset {
+        let after_read = calls
+            .iter()
+            .rposition(|c| c.taken && c.read && c.moved > 0)
+            .map_or(0, |i| i + 1);
+        let settled = after_read + calls[after_read..].iter().take_while(|c| c.taken).count();
+        let unsettled = &calls[settled..];
+        Offset {
+            at: exact[settled] + unsettled.iter().map(|c| c.by).sum::<u64>(),
+            or_end: unsettled.iter().any(|c| c.read),
+        }
+    }
+
+    /// For any interleaving of sends and answers, some answers never
+    /// taken (a call whose future was dropped), each call's offset is
+    /// what [`expected`] says, and it reaches the file where the same
+    /// calls made one after another would: a read reads what it would
+    /// have, and a write lands where it would have. The file serves the
+    /// calls in send order, as a vnode does; a write always succeeds.
+    #[test]
+    fn a_cursor_agrees_with_a_reference_that_applies_the_answers_in_send_order() {
+        let mut g = Pcg32::new(0xC0_5E55);
+        for script in 0..20_000 {
+            let mut size = g.range(0, 64);
+            let mut cursor = Cursor::default();
+            let (mut calls, mut exact) = (Vec::<Model>::new(), vec![0]);
+            let mut pending = Vec::new();
+            let n = g.range(1, 12) as usize;
+            while calls.len() < n || !pending.is_empty() {
+                let send = calls.len() < n && (pending.is_empty() || g.chance(0.5));
+                if !send {
+                    let i = pending.swap_remove(g.index(pending.len()));
+                    if g.chance(0.8) {
+                        let call: &mut Model = &mut calls[i];
+                        call.taken = true;
+                        cursor.answered(call.sent, call.moved);
+                    }
+                    continue;
+                }
+                let (by, read) = (g.range(0, 16), g.chance(0.5));
+                let want = expected(&calls, &exact);
+                let sent = cursor.take(by, read);
+                let (at, or_end) = (sent.from.at, sent.from.or_end);
+                let ctx = format!("script {script}, call {}", calls.len());
+                assert_eq!((at, or_end), (want.at, want.or_end), "{ctx}: its offset");
+                let here = *exact.last().expect("one offset per call and one more");
+                let moved = match read {
+                    true => {
+                        let moved = by.min(size.saturating_sub(at));
+                        assert_eq!(moved, by.min(size - here), "{ctx}: bytes read");
+                        assert!(moved == 0 || at == here, "{ctx}: where it read");
+                        moved
+                    }
+                    false => {
+                        let lands = if or_end { at.min(size) } else { at };
+                        assert_eq!(lands, here, "{ctx}: where it wrote");
+                        size = size.max(here + by);
+                        by
+                    }
+                };
+                exact.push(here + moved);
+                pending.push(calls.len());
+                let taken = false;
+                calls.push(Model {
+                    by,
+                    read,
+                    sent,
+                    moved,
+                    taken,
+                });
+            }
+            let (last, want) = (cursor.take(0, false).from, expected(&calls, &exact));
+            assert_eq!(
+                (last.at, last.or_end),
+                (want.at, want.or_end),
+                "script {script}: the end"
+            );
+        }
+    }
+
+    /// A batch dropped unsubmitted, over a message kernel on MsgFs: its
+    /// `open`, a `read` queued behind it in the batch, and a `read` made
+    /// behind it since; and how many descriptors the process holds once
+    /// the batch is gone.
+    async fn a_dropped_batchs_open() -> (Vec<Result<u64, KError>>, usize) {
+        let cores = vec![CoreId(0), CoreId(1)];
+        let os = boot(BootCfg::new(KernelKind::Message, FsKind::Message, cores)).await;
+        os.vfs.create("/f").await.unwrap();
+        let env = os.procs.env();
+        let Attached::Msg(end) = &env.kernel else {
+            unreachable!("a message kernel")
+        };
+        let mut batch = env.batch();
+        let open = batch.open("/f");
+        let fd = Fd(3);
+        let queued = batch.read(fd, 4);
+        let read = |at: Offset, reply| FileCall::Read {
+            off: at.at,
+            len: 4,
+            reply,
+        };
+        let made = end.on_fd(fd, Some((4, true)), None, read).unwrap();
+        drop(batch);
+        let held = plock(&end.files).open.len();
+        let answers = vec![
+            open.await.unwrap().map(|fd| u64::from(fd.0)),
+            queued.await.unwrap().map(|data| data.len() as u64),
+            end.finish(fd, made, read_len)
+                .await
+                .map(|data| data.len() as u64),
+        ];
+        (answers, held)
+    }
+
+    /// Dropping a batch before its submit answers its opens `Cancelled`
+    /// at once and closes their descriptors, and the calls held behind
+    /// them, in the batch or made since, answer `BadFd`, on both
+    /// backends. (Before, the open's descriptor stayed in the table until
+    /// a call made on it took the answer, and a call queued behind it in
+    /// the batch answered `Gone`.)
+    #[test]
+    fn a_dropped_batch_cancels_its_opens_on_both_backends() {
+        let want = (
+            vec![
+                Err(KError::Cancelled),
+                Err(KError::BadFd),
+                Err(KError::BadFd),
+            ],
+            0,
+        );
+        let mut s = chanos_sim::Simulation::with_config(chanos_sim::Config {
+            cores: 4,
+            ..chanos_sim::Config::default()
+        });
+        assert_eq!(s.block_on(a_dropped_batchs_open()).unwrap(), want);
+        let rt = chanos_parchan::Runtime::new(2);
+        let got = rt.block_on(a_dropped_batchs_open());
+        rt.shutdown();
+        assert_eq!(got, want, "threads");
     }
 }

@@ -4,27 +4,30 @@
 //! sending a message from an application thread running on an
 //! application core to a kernel thread running on a kernel core. This
 //! can be done without any mode transitions."* System calls are
-//! ordinary messages carrying a reply channel. Every process has a
-//! kernel task of its own on a kernel core ([`MsgKernel::attach`]),
-//! which serves the process's namespace calls in order — so no locks
-//! exist anywhere on the path, and a call that waits on the file system
-//! delays only the process that made it. The task drains its port in
-//! bursts and answers a burst through one [`ReplyBatch`]: the same loop
-//! on the simulator, where each answer is sent as it is produced, and
-//! on real threads, where a process with several outstanding calls is
-//! woken once for them.
-//!
-//! The reply channel is a capability (§3), and the task hands it on:
-//! an `open`, a `create`, an `unlink`, a `mkdir` or a `readdir` goes to
-//! the directory that serves its path with the process's reply, the
-//! file system answers the process, and the task serves its next call.
-//! It keeps nothing of the process but its pid. An open file is the
-//! process's: `open` and `create` answer it a [`File`], which the
+//! ordinary messages carrying a reply channel, and the kernel thread
+//! that takes one is the one that serves it: a process sends its file
+//! calls to the file system's vnodes itself. The reply channel is a
+//! capability (§3), and so is the port it travels on. An open file is
+//! the process's: `open` and `create` answer it a [`File`], which the
 //! process installs in its own fd table (`Env`), and a `read`, a
 //! `write` or an `fstat` goes from the process straight to the file's
-//! vnode, which validates it; `close` runs in the process. A lock
-//! engine's file has no vnode, so its calls come here
-//! ([`Syscall::File`]) and are served where they arrive.
+//! vnode, which validates it; `close` runs in the process. The
+//! namespace is the root directory's [`File`] ([`MsgKernel::root`]): an
+//! `open`, a `create`, an `unlink`, a `mkdir` or a `readdir` goes from
+//! the process to the root's vnode, each directory on the way hands it
+//! on, and the vnode that serves it validates it and answers the
+//! process. No lock exists anywhere on the path, and a call that waits
+//! on the file system delays only the process that made it.
+//!
+//! Every process still has a kernel task of its own on a kernel core
+//! ([`MsgKernel::attach`]), which keeps nothing of the process but its
+//! pid. It serves `getpid`, the null system call, and a lock engine's
+//! calls: those on its files ([`Syscall::File`]) and on its paths, which
+//! have no vnode to take them and wait on locks and the disk where they
+//! arrive. It drains its port in bursts and answers a burst through one
+//! [`ReplyBatch`]: the same loop on the simulator, where each answer is
+//! sent as it is produced, and on real threads, where a process with
+//! several outstanding calls is woken once for them.
 //!
 //! **Trap kernel** (the baseline): the conventional design. Each call
 //! pays a mode-switch in and out, runs the kernel code *on the
@@ -45,7 +48,9 @@ use crate::types::{Fd, KError, Pid};
 
 /// One system call message. The reply channel rides inside, exactly
 /// as §3's RPC derivation prescribes. The caller is not named: the port
-/// a call arrives on belongs to one process ([`MsgKernel::attach`]).
+/// a call arrives on belongs to one process ([`MsgKernel::attach`]). A
+/// path call comes here only on a lock engine or to a kernel of ports
+/// (see the module docs).
 pub enum Syscall {
     /// Opens an existing file.
     Open {
@@ -95,6 +100,19 @@ pub enum Syscall {
     File(Box<(File, FileCall)>),
 }
 
+impl Syscall {
+    /// The kernel task's message for `call` on `path`.
+    pub(crate) fn on_path(path: String, call: PathCall) -> Syscall {
+        match call {
+            PathCall::Open { reply } => Syscall::Open { path, reply },
+            PathCall::Create { reply } => Syscall::Create { path, reply },
+            PathCall::Mkdir { reply } => Syscall::Mkdir { path, reply },
+            PathCall::Unlink { reply } => Syscall::Unlink { path, reply },
+            PathCall::ReadDir { reply } => Syscall::ReadDir { path, reply },
+        }
+    }
+}
+
 /// How many queued syscalls a kernel task drains per wakeup.
 const SYSCALL_BATCH: usize = 32;
 
@@ -103,9 +121,9 @@ const SYSCALL_BATCH: usize = 32;
 pub struct KernelCosts {
     /// CPU cycles of kernel work per system call (dispatch,
     /// validation, fd table) beyond the file-system work itself. On the
-    /// message kernel a call on an open file pays the same,
+    /// message kernel over MsgFs a call pays the same,
     /// [`chanos_vfs::VALIDATE_CYCLES`], where it is served instead: at
-    /// the file's vnode, or in the process for a `close`.
+    /// the vnode that answers it, or in the process for a `close`.
     pub syscall_cpu: Cycles,
     /// Trap kernel only: one mode switch (entry or exit).
     pub mode_switch: Cycles,
@@ -133,12 +151,9 @@ struct ProcState {
 }
 
 impl ProcState {
-    /// Serves one call, answering through `replies`. A path call is
-    /// handed on with the process's reply, and the file system answers
-    /// the process; on a lock engine it is served here. A call that may
-    /// wait here for a disk (any but `GetPid`, on a lock engine) flushes
-    /// what the burst has answered first: a `GetPid` is never held
-    /// behind a cold read.
+    /// Serves one call, answering through `replies`. A lock engine's
+    /// call may wait here for a disk, so the burst's answers so far are
+    /// flushed first: a `GetPid` is never held behind a cold read.
     async fn handle(&mut self, call: Syscall, replies: &mut ReplyBatch) {
         delay(self.costs.syscall_cpu).await;
         if !matches!(call, Syscall::GetPid { .. }) {
@@ -223,6 +238,16 @@ impl MsgKernel {
         assert!(!servers.is_empty());
         MsgKernel {
             servers: Arc::new(Servers::Ports(servers)),
+        }
+    }
+
+    /// The root directory, which takes a process's path calls
+    /// ([`File::forward_path`]): the file system's, on the kernel proper.
+    /// A kernel of ports has none, and its servers take them.
+    pub fn root(&self) -> Option<File> {
+        match &*self.servers {
+            Servers::PerProcess { vfs, .. } => Some(vfs.root()),
+            Servers::Ports(_) => None,
         }
     }
 

@@ -44,12 +44,19 @@ use std::sync::{Arc, Mutex};
 use chanos_rt::{Cycles, Port, ReplyBatch, ReplyTo};
 use chanos_sim::plock;
 
-/// What a process's call on an open file costs the task that takes it,
-/// on top of serving it: its validation. It is the message kernel's
-/// `syscall_cpu` (`KernelCosts`), which the call paid on the process's
-/// kernel task while that task relayed it, and it moved with the call.
-/// A call made by number (set-up code, [`Vfs::read`] and its kin) is
-/// the kernel's own and pays nothing.
+/// What a process's call costs the vnode that answers it, on top of
+/// serving it: its validation. It is the message kernel's `syscall_cpu`
+/// (`KernelCosts`), which the call paid on the process's kernel task
+/// while that task relayed it, and it moved with the call.
+///
+/// A call on an open file pays it at the file's vnode. A call on a path
+/// pays it once, at the vnode that serves it or refuses it: the
+/// directories along the walk only look their component up. The root
+/// would take the whole namespace's checks on one task, a split per
+/// hop would put most of them there too, and the process's own core
+/// cannot check its own call. A call the kernel makes, by number or by
+/// path ([`Vfs::read`], [`Vfs::open`] and their kin), is its own and
+/// pays nothing.
 pub const VALIDATE_CYCLES: Cycles = 300;
 
 /// An open file: what [`Vfs::open`] and [`Vfs::create_open`] answer.
@@ -75,6 +82,24 @@ impl File {
         match &self.handle {
             Handle::Vnode(vnode) => {
                 msgfs::forward(vnode, call);
+                Ok(())
+            }
+            Handle::Generation(_) => Err(call),
+        }
+    }
+
+    /// Hands a process's `call` on `path`, walked from this directory,
+    /// to this directory's vnode: each directory on the way looks its
+    /// component up and hands the rest on, and the vnode that serves or
+    /// refuses the call validates it ([`VALIDATE_CYCLES`]) and answers
+    /// the caller. A path that names nothing the call can act on
+    /// (`create("/")`) is refused here. A lock engine's directory has no
+    /// vnode: the call comes back, for [`Vfs::on_path`] to serve from
+    /// the root.
+    pub fn forward_path(&self, path: &str, call: PathCall) -> Result<(), PathCall> {
+        match &self.handle {
+            Handle::Vnode(vnode) => {
+                msgfs::forward_path(vnode, path, call, true);
                 Ok(())
             }
             Handle::Generation(_) => Err(call),
@@ -169,7 +194,7 @@ impl FileCall {
 }
 
 /// A call on a path carrying its caller's reply, which the file system
-/// answers itself ([`Vfs::on_path`]).
+/// answers itself ([`File::forward_path`], [`Vfs::on_path`]).
 pub enum PathCall {
     /// Opens the file or directory the path names.
     Open {
@@ -263,6 +288,16 @@ impl Vfs {
         }
     }
 
+    /// The root directory, opened: where a process's path calls start
+    /// ([`File::forward_path`]). A lock engine's root is never freed, so
+    /// its generation is the first.
+    pub fn root(&self) -> File {
+        match self {
+            Vfs::Msg(fs) => fs.root(),
+            Vfs::Big(_) | Vfs::Sharded(_) => numbered((ROOT_INO, 0)),
+        }
+    }
+
     /// Creates and opens a regular file.
     pub async fn create_open(&self, path: &str) -> Result<File, FsError> {
         self.create_kind(path, FileKind::File).await
@@ -309,13 +344,11 @@ impl Vfs {
         }
     }
 
-    /// Serves `call` on `path`, answering the caller's reply: handed on
-    /// to the directory that serves it on [`MsgFs`], served here on a
-    /// lock engine (see [`Vfs::on_file`]).
+    /// Serves `call` on the absolute `path` here and answers the caller's
+    /// reply once it is served: how a lock engine's path call is served,
+    /// by the process's kernel task, since its root has no vnode to take
+    /// it ([`File::forward_path`]).
     pub async fn on_path(&self, path: &str, call: PathCall, replies: &mut ReplyBatch) {
-        if let Vfs::Msg(fs) = self {
-            return fs.on_path(path, call, replies);
-        }
         match call {
             PathCall::Open { reply } => replies.send(reply, self.open(path).await),
             PathCall::Create { reply } => replies.send(reply, self.create_open(path).await),

@@ -62,10 +62,15 @@
 //! volume holds the bytes the lock engines would have written. A
 //! file's data blocks live in the cache shards alone.
 //!
-//! A process's `Read`, `Write` or `Stat` comes straight from the process,
-//! through the [`File`] its `open` answered ([`File::forward`]), and the
-//! vnode validates it first ([`VALIDATE_CYCLES`]); the kernel's own
-//! calls, by number or through a file it holds, are not validated.
+//! A process makes its calls itself, and a vnode validates each one
+//! ([`VALIDATE_CYCLES`]) as the request it answers: a `Read`, `Write`
+//! or `Stat` comes through the [`File`] its `open` answered
+//! ([`File::forward`]), and a path call through the root's
+//! ([`File::forward_path`]). The request at the end of a process's walk
+//! is `Checked`, and the vnode that serves it, or refuses it where the
+//! walk stops, pays the check once; the directories on the way only look
+//! their component up. The kernel's own calls, by number, by path or
+//! through a file it holds, are not validated.
 //!
 //! Who copies: the task that moves the bytes, on its own core. A `Read`
 //! is answered with the blocks the bytes lie in (`FileSlice`), shared
@@ -184,17 +189,19 @@ enum GroupMsg {
     Flush { reply: ReplyTo<Result<(), FsError>> },
 }
 
-/// Messages understood by a vnode task. A `Read`, `Write` or `Stat`
-/// that a process sent through its [`File`] is `validate`d: it pays
-/// [`VALIDATE_CYCLES`] on the vnode's core before it is served. One the
-/// kernel makes by number, or through a file it holds, pays nothing.
+/// Messages understood by a vnode task. A request a process made comes
+/// `Checked`: the vnode that answers it pays [`VALIDATE_CYCLES`] on its
+/// core, once, whether it serves the request or refuses it, and a
+/// directory that only walks a path on pays nothing. One the kernel
+/// makes, by number, by path or through a file it holds, pays nothing.
 pub(crate) enum VnodeMsg {
+    /// A process's request, validated where it is answered.
+    Checked(Box<VnodeMsg>),
     /// A one-block read of a file is handed on to the block's cache
     /// shard with `reply`; any other read is gathered and answered here.
     Read {
         off: u64,
         len: usize,
-        validate: bool,
         reply: ReplyTo<Result<FileSlice, FsError>>,
     },
     /// Writes at `off`, or at the end of the file if `or_end` and the
@@ -202,13 +209,15 @@ pub(crate) enum VnodeMsg {
     Write {
         off: u64,
         or_end: bool,
-        validate: bool,
         data: Vec<u8>,
         reply: ReplyTo<Result<(), FsError>>,
     },
     Stat {
-        validate: bool,
         reply: ReplyTo<Result<Stat, FsError>>,
+    },
+    /// Opens this vnode's own file: how `open("/")` reaches the root.
+    Open {
+        reply: ReplyTo<Result<File, FsError>>,
     },
     /// Opens the entry `name`: its inode and its vnode's port, taken in
     /// this directory's turn.
@@ -253,6 +262,8 @@ impl VnodeMsg {
     /// one at its end.
     fn refuse(self, e: FsError, replies: &mut ReplyBatch) {
         match self {
+            VnodeMsg::Checked(msg) => msg.refuse(e, replies),
+            VnodeMsg::Open { reply } => replies.send(reply, Err(e)),
             VnodeMsg::Read { reply, .. } => replies.send(reply, Err(e)),
             VnodeMsg::Write { reply, .. } => replies.send(reply, Err(e)),
             VnodeMsg::Stat { reply, .. } => replies.send(reply, Err(e)),
@@ -265,6 +276,24 @@ impl VnodeMsg {
             VnodeMsg::Walk { then, .. } => then.refuse(e, replies),
         }
     }
+
+    /// Whether a process made the request, at the end of its walk.
+    fn checked(&self) -> bool {
+        match self {
+            VnodeMsg::Checked(_) => true,
+            VnodeMsg::Walk { then, .. } => then.checked(),
+            _ => false,
+        }
+    }
+}
+
+/// Refuses `msg` with `e` where its walk stopped. A process's request is
+/// answered here, so it is validated here.
+async fn refuse(msg: VnodeMsg, e: FsError, replies: &mut ReplyBatch) {
+    if msg.checked() {
+        rt::delay(VALIDATE_CYCLES).await;
+    }
+    msg.refuse(e, replies);
 }
 
 /// Read-only vnode-registry queries (served from the caller's local
@@ -664,22 +693,22 @@ impl Vnode {
         msg: VnodeMsg,
         replies: &mut ReplyBatch,
     ) -> std::ops::ControlFlow<()> {
-        if let VnodeMsg::Read { validate: true, .. }
-        | VnodeMsg::Write { validate: true, .. }
-        | VnodeMsg::Stat { validate: true, .. } = msg
-        {
-            rt::delay(VALIDATE_CYCLES).await;
-        }
+        let msg = match msg {
+            VnodeMsg::Checked(msg) => {
+                rt::delay(VALIDATE_CYCLES).await;
+                *msg
+            }
+            msg => msg,
+        };
         match msg {
-            VnodeMsg::Read {
-                off, len, reply, ..
-            } => self.read(off, len, reply, replies).await,
+            // Validated once: no request this crate makes is wrapped twice.
+            VnodeMsg::Checked(msg) => msg.refuse(FsError::Invalid, replies),
+            VnodeMsg::Read { off, len, reply } => self.read(off, len, reply, replies).await,
             VnodeMsg::Write {
                 off,
                 or_end,
                 data,
                 reply,
-                ..
             } => {
                 let off = if or_end {
                     off.min(self.inode.size)
@@ -696,13 +725,17 @@ impl Vnode {
                 };
                 replies.send(reply, out);
             }
-            VnodeMsg::Stat { reply, .. } => {
+            VnodeMsg::Stat { reply } => {
                 let out = Ok(Stat {
                     ino: self.ino,
                     kind: self.inode.kind,
                     size: self.inode.size,
                     nlink: self.inode.nlink,
                 });
+                replies.send(reply, out);
+            }
+            VnodeMsg::Open { reply } => {
+                let out = open(&self.shared, self.ino).await;
                 replies.send(reply, out);
             }
             VnodeMsg::Lookup { name, reply } => {
@@ -790,7 +823,7 @@ impl Vnode {
                 };
                 match child {
                     Ok(ino) => self.forward(ino, next, replies).await,
-                    Err(e) => next.refuse(e, replies),
+                    Err(e) => refuse(next, e, replies).await,
                 }
             }
         }
@@ -835,14 +868,14 @@ impl Vnode {
 
     /// Hands `msg` on to the vnode of `ino`, found in this core's
     /// registry replica. The message carries its caller's reply: a
-    /// vnode that cannot be reached refuses it here.
+    /// vnode that cannot be reached is answered for here.
     async fn forward(&self, ino: u64, msg: VnodeMsg, replies: &mut ReplyBatch) {
         let sent = match get_vnode(&self.shared, ino).await {
             Ok(vn) => vn.forward(msg).map_err(|msg| (msg, FsError::Gone)),
             Err(e) => Err((msg, e)),
         };
         if let Err((msg, e)) = sent {
-            msg.refuse(e, replies);
+            refuse(msg, e, replies).await;
         }
     }
 
@@ -1073,17 +1106,11 @@ async fn get_vnode(shared: &MsgShared, ino: u64) -> Result<Port<VnodeMsg>, FsErr
     found.ok_or(FsError::Gone)
 }
 
-/// Hands a process's `call` to the vnode `vn`, validated (see
+/// Hands a process's `call` to the vnode `vn`, `Checked` (see
 /// [`VnodeMsg`]); a vnode gone with its file is answered for, `Gone`.
 pub(crate) fn forward(vn: &Port<VnodeMsg>, call: FileCall) {
-    let validate = true;
     let msg = match call {
-        FileCall::Read { off, len, reply } => VnodeMsg::Read {
-            off,
-            len,
-            validate,
-            reply,
-        },
+        FileCall::Read { off, len, reply } => VnodeMsg::Read { off, len, reply },
         FileCall::Write {
             off,
             or_end,
@@ -1092,14 +1119,73 @@ pub(crate) fn forward(vn: &Port<VnodeMsg>, call: FileCall) {
         } => VnodeMsg::Write {
             off,
             or_end,
-            validate,
             data,
             reply,
         },
-        FileCall::Stat { reply } => VnodeMsg::Stat { validate, reply },
+        FileCall::Stat { reply } => VnodeMsg::Stat { reply },
     };
-    if let Err(msg) = vn.forward(msg) {
+    if let Err(msg) = vn.forward(VnodeMsg::Checked(Box::new(msg))) {
         msg.refuse(FsError::Gone, &mut ReplyBatch::default());
+    }
+}
+
+/// Hands `call` on `path` to the vnode `from`, where its walk starts, in
+/// one message: the components to walk and the request at their end,
+/// `Checked` if a process made it (see [`VnodeMsg`]). The vnode that
+/// serves or refuses the request answers its reply, and nothing here
+/// waits for it. A path that names nothing the call can act on
+/// (`create("/")`) is refused here, and a vnode that cannot be reached
+/// is answered for, `Gone`.
+pub(crate) fn forward_path(from: &Port<VnodeMsg>, path: &str, call: PathCall, checked: bool) {
+    let mut replies = ReplyBatch::default();
+    let create = |reply, kind| match split_parent(path) {
+        Ok((dir, name)) => {
+            let name = name.to_string();
+            Ok((dir, VnodeMsg::Create { name, kind, reply }))
+        }
+        Err(e) => Err((reply, e)),
+    };
+    let (dir, then) = match call {
+        PathCall::ReadDir { reply } => (split_path(path), VnodeMsg::ReadDir { reply }),
+        PathCall::Open { reply } => {
+            let comps = split_path(path);
+            match comps.split_last() {
+                Some((name, dir)) => {
+                    let name = name.to_string();
+                    (dir.to_vec(), VnodeMsg::Lookup { name, reply })
+                }
+                None => (comps, VnodeMsg::Open { reply }),
+            }
+        }
+        PathCall::Create { reply } => match create(reply, FileKind::File) {
+            Ok(walk) => walk,
+            Err((reply, e)) => return replies.send(reply, Err(e)),
+        },
+        PathCall::Mkdir { reply } => match create(reply, FileKind::Dir) {
+            Ok(walk) => walk,
+            Err((reply, e)) => return replies.send(reply, Err(e)),
+        },
+        PathCall::Unlink { reply } => match split_parent(path) {
+            Ok((dir, name)) => {
+                let name = name.to_string();
+                (dir, VnodeMsg::Unlink { name, reply })
+            }
+            Err(e) => return replies.send(reply, Err(e)),
+        },
+    };
+    let then = match checked {
+        true => VnodeMsg::Checked(Box::new(then)),
+        false => then,
+    };
+    let msg = match dir.is_empty() {
+        true => then,
+        false => VnodeMsg::Walk {
+            path: dir.iter().map(|c| c.to_string()).collect(),
+            then: Box::new(then),
+        },
+    };
+    if let Err(msg) = from.forward(msg) {
+        msg.refuse(FsError::Gone, &mut replies);
     }
 }
 
@@ -1107,25 +1193,18 @@ pub(crate) fn forward(vn: &Port<VnodeMsg>, call: FileCall) {
 /// they lie in, shared with the cache. The kernel's call: not
 /// validated.
 pub(crate) async fn read(vn: &Port<VnodeMsg>, off: u64, len: usize) -> Result<FileSlice, FsError> {
-    let validate = false;
-    vn.call(|reply| VnodeMsg::Read {
-        off,
-        len,
-        validate,
-        reply,
-    })
-    .await
-    .unwrap_or_else(|e| Err(e.into()))
+    vn.call(|reply| VnodeMsg::Read { off, len, reply })
+        .await
+        .unwrap_or_else(|e| Err(e.into()))
 }
 
 /// Writes `data` at `off` into the file of vnode `vn`; the buffer
 /// becomes the file's blocks. The kernel's call: not validated.
 pub(crate) async fn write(vn: &Port<VnodeMsg>, off: u64, data: Vec<u8>) -> Result<(), FsError> {
-    let (or_end, validate) = (false, false);
+    let or_end = false;
     vn.call(|reply| VnodeMsg::Write {
         off,
         or_end,
-        validate,
         data,
         reply,
     })
@@ -1136,8 +1215,7 @@ pub(crate) async fn write(vn: &Port<VnodeMsg>, off: u64, data: Vec<u8>) -> Resul
 /// The metadata of the file of vnode `vn`. The kernel's call: not
 /// validated.
 pub(crate) async fn stat(vn: &Port<VnodeMsg>) -> Result<Stat, FsError> {
-    let validate = false;
-    vn.call(|reply| VnodeMsg::Stat { validate, reply })
+    vn.call(|reply| VnodeMsg::Stat { reply })
         .await
         .unwrap_or_else(|e| Err(e.into()))
 }
@@ -1201,42 +1279,27 @@ impl MsgFs {
         Ok(MsgFs { shared })
     }
 
-    /// Asks the directory `dir` names for what `then` makes and waits
-    /// for the answer: one message to the root's vnode
-    /// ([`MsgFs::walk_to`]), each directory on the way looks the next
-    /// component up and forwards the walk to its child
-    /// ([`VnodeMsg::Walk`]), and the vnode at its end answers.
-    async fn at<T: Send + 'static>(
+    /// Makes the call `make` builds on `path`, unchecked, and waits for
+    /// its answer: one message to the root's vnode ([`forward_path`]),
+    /// each directory on the way looks the next component up and hands
+    /// the walk on to its child ([`VnodeMsg::Walk`]), and the vnode at
+    /// its end answers.
+    async fn call_path<T: Send + 'static>(
         &self,
-        dir: &[&str],
-        then: impl FnOnce(ReplyTo<Result<T, FsError>>) -> VnodeMsg,
+        path: &str,
+        make: impl FnOnce(ReplyTo<Result<T, FsError>>) -> PathCall,
     ) -> Result<T, FsError> {
         let (reply, answer) = rt::reply_channel();
-        self.walk_to(dir, then(reply), &mut ReplyBatch::default());
+        forward_path(&self.shared.root, path, make(reply), false);
         answer.recv().await.unwrap_or(Err(FsError::Gone))
     }
 
-    /// Hands `then` to the directory `dir` names, in one message to the
-    /// root's vnode: the vnode that serves or refuses `then` answers its
-    /// reply, and nothing here waits for it.
-    fn walk_to(&self, dir: &[&str], then: VnodeMsg, replies: &mut ReplyBatch) {
-        let msg = match dir {
-            [] => then,
-            path => VnodeMsg::Walk {
-                path: path.iter().map(|c| c.to_string()).collect(),
-                then: Box::new(then),
-            },
-        };
-        if let Err(msg) = self.shared.root.forward(msg) {
-            msg.refuse(FsError::Gone, replies);
-        }
-    }
-
     pub(crate) async fn create_kind(&self, path: &str, kind: FileKind) -> Result<File, FsError> {
-        let (dir, name) = split_parent(path)?;
-        let name = name.to_string();
-        self.at(&dir, |reply| VnodeMsg::Create { name, kind, reply })
-            .await
+        self.call_path(path, |reply| match kind {
+            FileKind::File => PathCall::Create { reply },
+            FileKind::Dir => PathCall::Mkdir { reply },
+        })
+        .await
     }
 
     /// Creates and opens a regular file.
@@ -1256,15 +1319,13 @@ impl MsgFs {
 
     /// Opens the file or directory `path` names: the directory that
     /// holds the last name answers with the entry's inode and its
-    /// vnode's port.
+    /// vnode's port, and the root answers for itself.
     pub async fn open(&self, path: &str) -> Result<File, FsError> {
-        let (reply, answer) = rt::reply_channel();
-        self.on_path(path, PathCall::Open { reply }, &mut ReplyBatch::default());
-        answer.recv().await.unwrap_or(Err(FsError::Gone))
+        self.call_path(path, |reply| PathCall::Open { reply }).await
     }
 
     /// The root directory, opened.
-    fn root(&self) -> File {
+    pub(crate) fn root(&self) -> File {
         File {
             ino: ROOT_INO,
             handle: Handle::Vnode(self.shared.root.clone()),
@@ -1274,48 +1335,6 @@ impl MsgFs {
     /// Resolves a path to an inode number.
     pub async fn lookup(&self, path: &str) -> Result<u64, FsError> {
         Ok(self.open(path).await?.ino)
-    }
-
-    /// Hands `call` on to the directory that serves it, which answers
-    /// its reply. Nothing here waits for the file system.
-    pub(crate) fn on_path(&self, path: &str, call: PathCall, replies: &mut ReplyBatch) {
-        let create = |reply, kind| match split_parent(path) {
-            Ok((dir, name)) => {
-                let name = name.to_string();
-                Ok((dir, VnodeMsg::Create { name, kind, reply }))
-            }
-            Err(e) => Err((reply, e)),
-        };
-        let (dir, then) = match call {
-            PathCall::ReadDir { reply } => (split_path(path), VnodeMsg::ReadDir { reply }),
-            PathCall::Open { reply } => {
-                let comps = split_path(path);
-                let Some((name, dir)) = comps.split_last() else {
-                    return replies.send(reply, Ok(self.root()));
-                };
-                let name = name.to_string();
-                (dir.to_vec(), VnodeMsg::Lookup { name, reply })
-            }
-            PathCall::Create { reply } => match create(reply, FileKind::File) {
-                Ok(walk) => walk,
-                Err((reply, e)) => return replies.send(reply, Err(e)),
-            },
-            PathCall::Mkdir { reply } => match create(reply, FileKind::Dir) {
-                Ok(walk) => walk,
-                Err((reply, e)) => return replies.send(reply, Err(e)),
-            },
-            PathCall::Unlink { reply } => match split_parent(path) {
-                Ok((dir, name)) => (
-                    dir,
-                    VnodeMsg::Unlink {
-                        name: name.to_string(),
-                        reply,
-                    },
-                ),
-                Err(e) => return replies.send(reply, Err(e)),
-            },
-        };
-        self.walk_to(&dir, then, replies);
     }
 
     /// Reads `len` bytes at `off` from inode `ino`: the blocks they
@@ -1342,8 +1361,7 @@ impl MsgFs {
     /// used by tests and benches to exercise the pipelined path.
     pub async fn stat_burst(&self, ino: u64, n: usize) -> Result<Vec<Stat>, FsError> {
         let vn = get_vnode(&self.shared, ino).await?;
-        let validate = false;
-        let calls = vn.call_batch((0..n).map(|_| |reply| VnodeMsg::Stat { validate, reply }));
+        let calls = vn.call_batch((0..n).map(|_| |reply| VnodeMsg::Stat { reply }));
         let outs = chanos_rt::join_all(calls).await;
         outs.into_iter()
             .map(|r| r.unwrap_or_else(|e| Err(e.into())))
@@ -1352,15 +1370,13 @@ impl MsgFs {
 
     /// Removes a file or empty directory.
     pub async fn unlink(&self, path: &str) -> Result<(), FsError> {
-        let (dir, name) = split_parent(path)?;
-        let name = name.to_string();
-        self.at(&dir, |reply| VnodeMsg::Unlink { name, reply })
+        self.call_path(path, |reply| PathCall::Unlink { reply })
             .await
     }
 
     /// Lists a directory.
     pub async fn readdir(&self, path: &str) -> Result<Vec<Dirent>, FsError> {
-        self.at(&split_path(path), |reply| VnodeMsg::ReadDir { reply })
+        self.call_path(path, |reply| PathCall::ReadDir { reply })
             .await
     }
 
