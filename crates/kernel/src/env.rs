@@ -13,7 +13,7 @@
 //! [`File`], which the kernel gives the process ([`MsgKernel::root`]),
 //! to the root's vnode, and the vnode that serves it validates it
 //! ([`VALIDATE_CYCLES`]) and answers here ([`File::forward_path`]). A
-//! lock engine's root has no vnode, and its path calls go to the
+//! lock engine has no root vnode, and its path calls go to the
 //! process's kernel task, as `getpid` does. A kernel of ports
 //! ([`MsgKernel::from_ports`]) gives no root: every call goes through a
 //! typed [`Port`](chanos_rt::Port) to its server, so transport failures
@@ -398,8 +398,9 @@ enum Closing {
 #[derive(Clone)]
 struct MsgEnd {
     port: Port<Syscall>,
-    /// Where the process's path calls go ([`MsgKernel::root`]); none on
-    /// a kernel of ports, whose servers take them.
+    /// Where the process's path calls go ([`MsgKernel::root`]); none
+    /// over a lock engine or on a kernel of ports, whose kernel task or
+    /// servers take them.
     root: Option<File>,
     files: Arc<Mutex<FdTable>>,
 }
@@ -435,7 +436,8 @@ impl MsgEnd {
 
     /// Makes the call `make` builds on `path` now, or queues it into
     /// `batch` to be made at its submit: through the root directory
-    /// ([`MsgEnd::send_path`]), or, with no root, to the kernel's server.
+    /// ([`File::forward_path`]), or, with no root vnode, to the kernel
+    /// task.
     fn on_path<T: Send + 'static>(
         &self,
         batch: Option<&mut Deferred>,
@@ -443,37 +445,21 @@ impl MsgEnd {
         make: impl FnOnce(ReplyTo<Result<T, FsError>>) -> PathCall,
     ) -> Call<Result<T, FsError>> {
         let path = path.to_string();
-        if self.root.is_none() {
+        let Some(root) = &self.root else {
             let kernel = batch.map(|batch| &mut batch.kernel);
             return self.call(kernel, move |reply| Syscall::on_path(path, make(reply)));
-        }
+        };
         let (reply, answer) = rt::reply_channel();
         let call = make(reply);
         match batch {
-            Some(batch) => batch.direct(Direct::Path(path, call)),
+            Some(batch) => batch.direct(Direct::Path(root.clone(), path, call)),
             None => {
                 rt::stat_incr("kernel.syscalls");
-                let mut burst = VecDeque::new();
-                self.send_path(path, call, &mut burst);
-                self.port.submit(&mut burst);
+                root.forward_path(&path, call);
             }
         }
         // Nothing but a dropped batch drops the reply unanswered.
         Call::from_future(async move { answer.recv().await.map_err(|_| CallError::Cancelled) })
-    }
-
-    /// Hands a process's path call to its root directory
-    /// ([`File::forward_path`]), or into `burst`, for the kernel task, if
-    /// the root has no vnode to take it (a lock engine's).
-    fn send_path(&self, path: String, call: PathCall, burst: &mut VecDeque<Syscall>) {
-        let call = match &self.root {
-            Some(root) => match root.forward_path(&path, call) {
-                Ok(()) => return,
-                Err(call) => call,
-            },
-            None => call,
-        };
-        burst.push_back(Syscall::on_path(path, call));
     }
 
     /// Sends (or queues into `batch`) the `open` or `create` `make`
@@ -836,8 +822,8 @@ struct Deferred {
 enum Direct {
     /// A call on a descriptor, made where the descriptor is.
     Fd(Fd, Held),
-    /// A call on a path, for the root directory ([`MsgEnd::send_path`]).
-    Path(String, PathCall),
+    /// A call on a path, for the root directory ([`File::forward_path`]).
+    Path(File, String, PathCall),
 }
 
 impl Deferred {
@@ -1044,7 +1030,7 @@ impl SyscallBatch {
                 Direct::Fd(fd, held) => {
                     table.apply(fd, held, &mut burst, &mut replies);
                 }
-                Direct::Path(path, call) => end.send_path(path, call, &mut burst),
+                Direct::Path(root, path, call) => root.forward_path(&path, call),
             }
         }
         burst.extend(kernel);
@@ -1355,5 +1341,48 @@ mod tests {
         let got = rt.block_on(a_dropped_batchs_open());
         rt.shutdown();
         assert_eq!(got, want, "threads");
+    }
+
+    /// A lock engine's process sends its path calls to its kernel task,
+    /// as the kernel of ports does, so a path call to a kernel task that
+    /// is gone answers `Gone`, served alone or in a batch: the kernel
+    /// gives it no root to send them through.
+    #[test]
+    fn a_lock_engines_path_call_to_a_gone_kernel_task_answers_gone() {
+        let mut s = chanos_sim::Simulation::with_config(chanos_sim::Config {
+            cores: 4,
+            ..chanos_sim::Config::default()
+        });
+        for fs in [FsKind::BigLock, FsKind::Sharded] {
+            let cores = vec![CoreId(0), CoreId(1)];
+            let answers = s
+                .block_on(async move {
+                    let os = boot(BootCfg::new(KernelKind::Message, fs, cores)).await;
+                    let KernelHandle::Msg(k) = &os.kernel else {
+                        unreachable!("a message kernel")
+                    };
+                    assert!(k.root().is_none(), "a lock engine has no root vnode");
+                    // The end `Env::new` makes, its kernel task gone.
+                    let (port, rx) = rt::port_channel::<Syscall>(rt::Capacity::Unbounded);
+                    drop(rx);
+                    let env = Env {
+                        pid: Pid(7),
+                        kernel: Attached::Msg(MsgEnd::new(port, k.root())),
+                    };
+                    let mut batch = env.batch();
+                    let batched = batch.open("/f");
+                    batch.submit().await;
+                    vec![
+                        env.open("/f").await.map(drop),
+                        env.create("/f").await.map(drop),
+                        env.mkdir("/d").await,
+                        env.unlink("/f").await,
+                        env.readdir("/").await.map(drop),
+                        batched.await.unwrap().map(drop),
+                    ]
+                })
+                .unwrap();
+            assert_eq!(answers, vec![Err(KError::Gone); 6], "{fs:?}");
+        }
     }
 }

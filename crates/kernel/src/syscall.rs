@@ -242,11 +242,13 @@ impl MsgKernel {
     }
 
     /// The root directory, which takes a process's path calls
-    /// ([`File::forward_path`]): the file system's, on the kernel proper.
-    /// A kernel of ports has none, and its servers take them.
+    /// ([`File::forward_path`]): the root vnode, on the kernel proper
+    /// over [`MsgFs`](chanos_vfs::MsgFs). A lock engine has no root
+    /// vnode, and a kernel of ports no file system: their servers take
+    /// the calls.
     pub fn root(&self) -> Option<File> {
         match &*self.servers {
-            Servers::PerProcess { vfs, .. } => Some(vfs.root()),
+            Servers::PerProcess { vfs, .. } => vfs.root(),
             Servers::Ports(_) => None,
         }
     }

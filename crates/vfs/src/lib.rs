@@ -94,15 +94,12 @@ impl File {
     /// refuses the call validates it ([`VALIDATE_CYCLES`]) and answers
     /// the caller. A path that names nothing the call can act on
     /// (`create("/")`) is refused here. A lock engine's directory has no
-    /// vnode: the call comes back, for [`Vfs::on_path`] to serve from
-    /// the root.
-    pub fn forward_path(&self, path: &str, call: PathCall) -> Result<(), PathCall> {
+    /// vnode to walk from, and refuses the call `Invalid`: its engine
+    /// serves a path whole, from the root ([`Vfs::on_path`]).
+    pub fn forward_path(&self, path: &str, call: PathCall) {
         match &self.handle {
-            Handle::Vnode(vnode) => {
-                msgfs::forward_path(vnode, path, call, true);
-                Ok(())
-            }
-            Handle::Generation(_) => Err(call),
+            Handle::Vnode(vnode) => msgfs::forward_path(vnode, path, call, true),
+            Handle::Generation(_) => call.refuse(FsError::Invalid, &mut ReplyBatch::default()),
         }
     }
 }
@@ -223,6 +220,19 @@ pub enum PathCall {
     },
 }
 
+impl PathCall {
+    /// Answers the call with `e`, unserved.
+    pub fn refuse(self, e: FsError, replies: &mut ReplyBatch) {
+        match self {
+            PathCall::Open { reply } | PathCall::Create { reply } | PathCall::Mkdir { reply } => {
+                replies.send(reply, Err(e))
+            }
+            PathCall::Unlink { reply } => replies.send(reply, Err(e)),
+            PathCall::ReadDir { reply } => replies.send(reply, Err(e)),
+        }
+    }
+}
+
 /// A file-system client of any engine, for engine-generic code
 /// (tests, experiments, the kernel's VFS layer).
 #[derive(Clone)]
@@ -288,13 +298,14 @@ impl Vfs {
         }
     }
 
-    /// The root directory, opened: where a process's path calls start
-    /// ([`File::forward_path`]). A lock engine's root is never freed, so
-    /// its generation is the first.
-    pub fn root(&self) -> File {
+    /// The root directory's vnode, opened: where a process's path calls
+    /// start ([`File::forward_path`]). A lock engine has none: its path
+    /// calls are served whole, by the process's kernel task
+    /// ([`Vfs::on_path`]).
+    pub fn root(&self) -> Option<File> {
         match self {
-            Vfs::Msg(fs) => fs.root(),
-            Vfs::Big(_) | Vfs::Sharded(_) => numbered((ROOT_INO, 0)),
+            Vfs::Msg(fs) => Some(fs.root()),
+            Vfs::Big(_) | Vfs::Sharded(_) => None,
         }
     }
 
@@ -346,8 +357,8 @@ impl Vfs {
 
     /// Serves `call` on the absolute `path` here and answers the caller's
     /// reply once it is served: how a lock engine's path call is served,
-    /// by the process's kernel task, since its root has no vnode to take
-    /// it ([`File::forward_path`]).
+    /// by the process's kernel task, since it has no root vnode to take
+    /// it ([`Vfs::root`]).
     pub async fn on_path(&self, path: &str, call: PathCall, replies: &mut ReplyBatch) {
         match call {
             PathCall::Open { reply } => replies.send(reply, self.open(path).await),

@@ -65,12 +65,13 @@
 //! A process makes its calls itself, and a vnode validates each one
 //! ([`VALIDATE_CYCLES`]) as the request it answers: a `Read`, `Write`
 //! or `Stat` comes through the [`File`] its `open` answered
-//! ([`File::forward`]), and a path call through the root's
-//! ([`File::forward_path`]). The request at the end of a process's walk
-//! is `Checked`, and the vnode that serves it, or refuses it where the
-//! walk stops, pays the check once; the directories on the way only look
-//! their component up. The kernel's own calls, by number, by path or
-//! through a file it holds, are not validated.
+//! ([`File::forward`]), marked `validate`, and a path call through the
+//! root's ([`File::forward_path`]). The request at the end of a
+//! process's walk is `Checked`, and the vnode that serves it, or
+//! refuses it where the walk stops, pays the check once; the
+//! directories on the way only look their component up. The kernel's
+//! own calls, by number, by path or through a file it holds, are not
+//! validated.
 //!
 //! Who copies: the task that moves the bytes, on its own core. A `Read`
 //! is answered with the blocks the bytes lie in (`FileSlice`), shared
@@ -189,19 +190,25 @@ enum GroupMsg {
     Flush { reply: ReplyTo<Result<(), FsError>> },
 }
 
-/// Messages understood by a vnode task. A request a process made comes
-/// `Checked`: the vnode that answers it pays [`VALIDATE_CYCLES`] on its
+/// Messages understood by a vnode task. A request a process made is
+/// validated: the vnode that answers it pays [`VALIDATE_CYCLES`] on its
 /// core, once, whether it serves the request or refuses it, and a
 /// directory that only walks a path on pays nothing. One the kernel
 /// makes, by number, by path or through a file it holds, pays nothing.
+/// A process's `Read`, `Write` or `Stat` carries the mark inline
+/// (`validate`), so the hot path allocates nothing for it; the request
+/// at the end of a process's walk comes `Checked`, boxed as the walk
+/// already boxes it.
 pub(crate) enum VnodeMsg {
-    /// A process's request, validated where it is answered.
+    /// A process's request at the end of its walk, validated where it
+    /// is answered.
     Checked(Box<VnodeMsg>),
     /// A one-block read of a file is handed on to the block's cache
     /// shard with `reply`; any other read is gathered and answered here.
     Read {
         off: u64,
         len: usize,
+        validate: bool,
         reply: ReplyTo<Result<FileSlice, FsError>>,
     },
     /// Writes at `off`, or at the end of the file if `or_end` and the
@@ -209,10 +216,12 @@ pub(crate) enum VnodeMsg {
     Write {
         off: u64,
         or_end: bool,
+        validate: bool,
         data: Vec<u8>,
         reply: ReplyTo<Result<(), FsError>>,
     },
     Stat {
+        validate: bool,
         reply: ReplyTo<Result<Stat, FsError>>,
     },
     /// Opens this vnode's own file: how `open("/")` reaches the root.
@@ -698,17 +707,26 @@ impl Vnode {
                 rt::delay(VALIDATE_CYCLES).await;
                 *msg
             }
+            VnodeMsg::Read { validate: true, .. }
+            | VnodeMsg::Write { validate: true, .. }
+            | VnodeMsg::Stat { validate: true, .. } => {
+                rt::delay(VALIDATE_CYCLES).await;
+                msg
+            }
             msg => msg,
         };
         match msg {
             // Validated once: no request this crate makes is wrapped twice.
             VnodeMsg::Checked(msg) => msg.refuse(FsError::Invalid, replies),
-            VnodeMsg::Read { off, len, reply } => self.read(off, len, reply, replies).await,
+            VnodeMsg::Read {
+                off, len, reply, ..
+            } => self.read(off, len, reply, replies).await,
             VnodeMsg::Write {
                 off,
                 or_end,
                 data,
                 reply,
+                ..
             } => {
                 let off = if or_end {
                     off.min(self.inode.size)
@@ -725,7 +743,7 @@ impl Vnode {
                 };
                 replies.send(reply, out);
             }
-            VnodeMsg::Stat { reply } => {
+            VnodeMsg::Stat { reply, .. } => {
                 let out = Ok(Stat {
                     ino: self.ino,
                     kind: self.inode.kind,
@@ -1106,11 +1124,17 @@ async fn get_vnode(shared: &MsgShared, ino: u64) -> Result<Port<VnodeMsg>, FsErr
     found.ok_or(FsError::Gone)
 }
 
-/// Hands a process's `call` to the vnode `vn`, `Checked` (see
+/// Hands a process's `call` to the vnode `vn`, validated (see
 /// [`VnodeMsg`]); a vnode gone with its file is answered for, `Gone`.
 pub(crate) fn forward(vn: &Port<VnodeMsg>, call: FileCall) {
+    let validate = true;
     let msg = match call {
-        FileCall::Read { off, len, reply } => VnodeMsg::Read { off, len, reply },
+        FileCall::Read { off, len, reply } => VnodeMsg::Read {
+            off,
+            len,
+            validate,
+            reply,
+        },
         FileCall::Write {
             off,
             or_end,
@@ -1119,12 +1143,13 @@ pub(crate) fn forward(vn: &Port<VnodeMsg>, call: FileCall) {
         } => VnodeMsg::Write {
             off,
             or_end,
+            validate,
             data,
             reply,
         },
-        FileCall::Stat { reply } => VnodeMsg::Stat { reply },
+        FileCall::Stat { reply } => VnodeMsg::Stat { validate, reply },
     };
-    if let Err(msg) = vn.forward(VnodeMsg::Checked(Box::new(msg))) {
+    if let Err(msg) = vn.forward(msg) {
         msg.refuse(FsError::Gone, &mut ReplyBatch::default());
     }
 }
@@ -1193,18 +1218,25 @@ pub(crate) fn forward_path(from: &Port<VnodeMsg>, path: &str, call: PathCall, ch
 /// they lie in, shared with the cache. The kernel's call: not
 /// validated.
 pub(crate) async fn read(vn: &Port<VnodeMsg>, off: u64, len: usize) -> Result<FileSlice, FsError> {
-    vn.call(|reply| VnodeMsg::Read { off, len, reply })
-        .await
-        .unwrap_or_else(|e| Err(e.into()))
+    let validate = false;
+    vn.call(|reply| VnodeMsg::Read {
+        off,
+        len,
+        validate,
+        reply,
+    })
+    .await
+    .unwrap_or_else(|e| Err(e.into()))
 }
 
 /// Writes `data` at `off` into the file of vnode `vn`; the buffer
 /// becomes the file's blocks. The kernel's call: not validated.
 pub(crate) async fn write(vn: &Port<VnodeMsg>, off: u64, data: Vec<u8>) -> Result<(), FsError> {
-    let or_end = false;
+    let (or_end, validate) = (false, false);
     vn.call(|reply| VnodeMsg::Write {
         off,
         or_end,
+        validate,
         data,
         reply,
     })
@@ -1215,7 +1247,8 @@ pub(crate) async fn write(vn: &Port<VnodeMsg>, off: u64, data: Vec<u8>) -> Resul
 /// The metadata of the file of vnode `vn`. The kernel's call: not
 /// validated.
 pub(crate) async fn stat(vn: &Port<VnodeMsg>) -> Result<Stat, FsError> {
-    vn.call(|reply| VnodeMsg::Stat { reply })
+    let validate = false;
+    vn.call(|reply| VnodeMsg::Stat { validate, reply })
         .await
         .unwrap_or_else(|e| Err(e.into()))
 }
@@ -1361,7 +1394,8 @@ impl MsgFs {
     /// used by tests and benches to exercise the pipelined path.
     pub async fn stat_burst(&self, ino: u64, n: usize) -> Result<Vec<Stat>, FsError> {
         let vn = get_vnode(&self.shared, ino).await?;
-        let calls = vn.call_batch((0..n).map(|_| |reply| VnodeMsg::Stat { reply }));
+        let validate = false;
+        let calls = vn.call_batch((0..n).map(|_| |reply| VnodeMsg::Stat { validate, reply }));
         let outs = chanos_rt::join_all(calls).await;
         outs.into_iter()
             .map(|r| r.unwrap_or_else(|e| Err(e.into())))
