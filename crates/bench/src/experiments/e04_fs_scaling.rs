@@ -63,19 +63,21 @@ async fn make_fs(which: &str) -> Vfs {
     }
 }
 
-/// Ops per client: returns completed op count.
+/// Ops per client: returns completed op count. A client holds its
+/// private file open, as a process does: its writes, reads and stats go
+/// through the [`File`](chanos_vfs::File) its `create` answered.
 async fn client_workload(fs: Vfs, id: usize, rounds: u64) -> u64 {
     let mut ops = 0u64;
     let path = format!("/c{id}");
-    let ino = fs.create(&path).await.unwrap();
+    let file = fs.create_open(&path).await.unwrap();
     ops += 1;
     let blob = vec![id as u8; 2048];
     for r in 0..rounds {
-        fs.write(ino, (r % 8) * 2048, &blob).await.unwrap();
+        fs.write_file(&file, (r % 8) * 2048, &blob).await.unwrap();
         ops += 1;
-        let _ = fs.read(ino, 0, 2048).await.unwrap();
+        let _ = fs.read_file(&file, 0, 2048).await.unwrap();
         ops += 1;
-        let _ = fs.stat(ino).await.unwrap();
+        let _ = fs.stat_file(&file).await.unwrap();
         ops += 1;
         if r % 4 == 0 {
             // Shared-directory metadata traffic.
