@@ -1185,7 +1185,9 @@ fn a_write_behind_a_short_read_in_one_batch_lands_at_the_end() {
 /// write started the file's vnode, 1 668, 2 419 and 5 934. While the new
 /// vnode loaded its record from its group and each registry write
 /// carried a task number and was answered with a port or a flag, the
-/// round cost 5 767.)
+/// round cost 5 767. While the `create` waited for the new vnode's
+/// registry `Insert` and the reap for its `Retire` before freeing the
+/// number, it cost 4 878.)
 #[test]
 fn a_read_and_a_write_cost_exact_cycles_on_the_ladder_machine() {
     const BLOCK: usize = 4096;
@@ -1245,7 +1247,11 @@ fn a_read_and_a_write_cost_exact_cycles_on_the_ladder_machine() {
         round < 5_170,
         "{round} cycles: the kernel task relays the path calls, the file calls or installs the descriptor again"
     );
-    assert_eq!(round, 4_878, "create, write, close, unlink");
+    assert!(
+        round < 4_878,
+        "{round} cycles: a create or a reap waits for a registry write again"
+    );
+    assert_eq!(round, 4_147, "create, write, close, unlink");
 }
 
 /// A process's call on an open file pays its validation where it is

@@ -29,8 +29,8 @@
 //! the message carries the components still to walk and the request at
 //! the end of them with its reply (§3, channels as capabilities). Each
 //! directory looks the next name up in its own entries and forwards
-//! the message to the child's vnode, whose port it finds in its own
-//! core's registry replica; the last directory hands the request
+//! the message to the child's vnode, whose port it keeps beside the
+//! entry; the last directory hands the request
 //! (`Lookup`, `Create`, `Unlink`, `ReadDir`) to its target, which
 //! answers the caller; a `Lookup` or a `Create` answers with a [`File`],
 //! the entry's number and its vnode's port, taken in the directory's
@@ -44,13 +44,18 @@
 //! A vnode is started once, by the call that makes its file: the
 //! root's by [`MsgFs::format`], every other one by its directory's
 //! `Create`, in the directory's turn, with the record the group just
-//! wrote (so a vnode loads nothing). It lives until its reap. A call
-//! that names a number no live file holds finds no vnode and is
+//! wrote (so a vnode loads nothing). It lives until its reap. Its port
+//! has two owners, both already on the path that makes the file: the
+//! directory keeps it beside the entry, which is how a walk and a
+//! `Lookup` reach the child, and the number's group keeps it from the
+//! `AllocInode` that hands the number out to the `FreeInode` that takes
+//! it back (the root's from `format`), which is how the kernel's calls
+//! by number and `sync` find a vnode, one round trip to the group each.
+//! A call that names a number no live file holds finds no vnode and is
 //! answered [`FsError::Gone`]; nothing is started for it.
 //!
-//! Every piece of mutable state has exactly one writing task (or, for
-//! the vnode registry below, one replica per core over a shared op
-//! log), and dispatch-by-channel replaces dispatch-by-function-pointer
+//! Every piece of mutable state has exactly one writing task, and
+//! dispatch-by-channel replaces dispatch-by-function-pointer
 //! (§4). State with one owner needs no lock and no fetch, and a block
 //! with one writer has one home: its owner's memory. A group task
 //! keeps its group's two bitmaps and inode table (`GroupStore`: `2 +
@@ -112,26 +117,20 @@
 //! fills it, or zeroes the vnode made), so a group task goes to the
 //! cache only at `Flush`.
 //!
-//! Unlink of a directory checks emptiness in the child vnode. A vnode
-//! that drops its last link reaps itself in an order that keeps its
-//! inode number safe to hand out again: write a directory's blocks
-//! back, free the data and clear the inode record (one burst to the
-//! group), leave the registry, and only then free the number — so the
-//! number's next file is `Insert`ed only after this one's `Retire`.
-//! It then closes its channel and refuses whatever was queued or still
-//! on its way, and the rest of the burst it reaped in — a call through
-//! a removed file's port — so those callers get [`FsError::Gone`], not
-//! silence. The caller may be a process that sent the call through
-//! its [`File`]; one sent after the vnode has gone finds the port
-//! closed and is answered `Gone` where it was sent.
-//!
-//! The ino→vnode-port registry itself is node-replicated
-//! (`fs-vnreg`, one replica per service core): `Get` is served from
-//! the caller's **local** replica with no cross-core communication. It
-//! is a published index with nothing to arbitrate: its writes are one
-//! `Insert` where a vnode starts and one `Retire` in its reap, through
-//! the shared operation log. It is also how `sync` finds the live
-//! vnodes, in inode order.
+//! Unlink of a directory checks emptiness in the child vnode, through
+//! the port beside the entry, which the directory drops with the entry.
+//! A vnode that drops its last link reaps itself: it writes a
+//! directory's blocks back, then sends its group one burst — clear the
+//! inode record, free the number, free the data, in that order on the
+//! group's channel — and awaits it. The group forgets the vnode's port
+//! in the turn that frees the number, so the number's next file can
+//! never be routed to the vnode that is reaping this one. The vnode
+//! then closes its channel and refuses whatever was queued or still on
+//! its way, and the rest of the burst it reaped in — a call through a
+//! removed file's port — so those callers get [`FsError::Gone`], not
+//! silence. The caller may be a process that sent the call through its
+//! [`File`]; one sent after the vnode has gone finds the port closed
+//! and is answered `Gone` where it was sent.
 //!
 //! Every hop is a typed [`Port`] call, so clients can pipeline
 //! requests into a server's batch drain. Each server answers a drained
@@ -145,7 +144,6 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use chanos_drivers::{DiskClient, BLOCK_SIZE};
-use chanos_nr::{NrService, Replicated};
 use chanos_rt::{self as rt, port_channel, Capacity, CoreId, Port, ReplyBatch, ReplyTo};
 use chanos_sim::plock;
 
@@ -160,8 +158,11 @@ use crate::{File, FileCall, Handle, PathCall, VALIDATE_CYCLES};
 
 /// Messages understood by a cylinder-group server task.
 enum GroupMsg {
+    /// Allocates a number for a new file of the kind given, whose vnode
+    /// will serve the port given: the group keeps it as the number's
+    /// until the number is freed. (Boxed: the message stays 40 bytes.)
     AllocInode {
-        kind: FileKind,
+        new: Box<(FileKind, Port<VnodeMsg>)>,
         reply: ReplyTo<Result<Option<u64>, FsError>>,
     },
     /// Zeroes the inode's record; its number stays allocated.
@@ -169,11 +170,19 @@ enum GroupMsg {
         ino: u64,
         reply: ReplyTo<Result<(), FsError>>,
     },
-    /// Frees the number of an inode whose record is already cleared.
+    /// Frees the number of an inode whose record is already cleared,
+    /// and forgets its vnode's port in the same turn.
     FreeInode {
         ino: u64,
         reply: ReplyTo<Result<(), FsError>>,
     },
+    /// The port of the vnode of `ino`, if a live file holds the number.
+    Vnode {
+        ino: u64,
+        reply: ReplyTo<Option<Port<VnodeMsg>>>,
+    },
+    /// The ports of the group's live vnodes, in inode order.
+    Live { reply: ReplyTo<Vec<Port<VnodeMsg>>> },
     AllocBlock {
         reply: ReplyTo<Result<Option<u64>, FsError>>,
     },
@@ -305,67 +314,9 @@ async fn refuse(msg: VnodeMsg, e: FsError, replies: &mut ReplyBatch) {
     msg.refuse(e, replies);
 }
 
-/// Read-only vnode-registry queries (served from the caller's local
-/// replica).
-enum VnRead {
-    /// The serving port for `ino`, if a vnode task is active.
-    Get(u64),
-    /// Every serving port, in inode order.
-    Live,
-}
-
-/// Mutating vnode-registry ops: the log entries every replica
-/// applies. Whoever starts a vnode `Insert`s it; its reap `Retire`s it
-/// before the number is freed, so the number's next vnode always finds
-/// the slot vacant.
-#[derive(Clone)]
-enum VnWrite {
-    Insert { ino: u64, port: Port<VnodeMsg> },
-    Retire { ino: u64 },
-}
-
-/// The replicated ino→vnode-port registry state.
-#[derive(Default)]
-struct VnRegistry {
-    map: HashMap<u64, Port<VnodeMsg>>,
-}
-
-impl NrService for VnRegistry {
-    type ReadOp = VnRead;
-    type ReadResp = Vec<Port<VnodeMsg>>;
-    type WriteOp = VnWrite;
-    type WriteResp = ();
-
-    fn read(&self, op: &VnRead) -> Vec<Port<VnodeMsg>> {
-        match op {
-            VnRead::Get(ino) => self.map.get(ino).into_iter().cloned().collect(),
-            VnRead::Live => {
-                let mut live: Vec<_> = self.map.iter().collect();
-                live.sort_unstable_by_key(|&(ino, _)| ino);
-                live.into_iter().map(|(_, port)| port.clone()).collect()
-            }
-        }
-    }
-
-    fn apply(&mut self, op: &VnWrite) {
-        match op {
-            VnWrite::Insert { ino, port } => {
-                let old = self.map.insert(*ino, port.clone());
-                debug_assert!(old.is_none(), "inode {ino} has a live vnode already");
-            }
-            VnWrite::Retire { ino } => {
-                self.map.remove(ino);
-            }
-        }
-    }
-}
-
 struct MsgShared {
     core: FsCore<CacheClient>,
     groups: Vec<Port<GroupMsg>>,
-    /// One registry replica per service core over a shared op log;
-    /// `Get` reads the caller's local replica.
-    vnreg: Replicated<VnRegistry>,
     vnode_cores: Vec<CoreId>,
     /// The root's vnode, started by [`MsgFs::format`]: where every walk
     /// begins.
@@ -573,12 +524,19 @@ impl BlockStore for GroupStore {
 
 /// One cylinder-group server: the owner of the group's bitmaps and
 /// inode table, which it keeps in its [`GroupStore`] for as long as it
-/// lives and writes back to the cache when a `Flush` asks (`sync`).
-/// Drains request bursts so allocation storms (and a reap's frees) cost
-/// one wakeup per batch, not one per message — and one *reply* wake per
-/// waiting peer per batch. Every request but `Flush` changes the
-/// group's own blocks alone, so it is answered where it is produced.
-async fn group_task(g: u64, core: FsCore<CacheClient>, rx: chanos_rt::Receiver<GroupMsg>) {
+/// lives and writes back to the cache when a `Flush` asks (`sync`),
+/// and of the port of each live vnode whose number it handed out
+/// (`vnodes`, the root's from the start in its group). Drains request
+/// bursts so allocation storms (and a reap's frees) cost one wakeup per
+/// batch, not one per message — and one *reply* wake per waiting peer
+/// per batch. Every request but `Flush` changes the group's own state
+/// alone, so it is answered where it is produced.
+async fn group_task(
+    g: u64,
+    core: FsCore<CacheClient>,
+    mut vnodes: BTreeMap<u64, Port<VnodeMsg>>,
+    rx: chanos_rt::Receiver<GroupMsg>,
+) {
     let store = GroupStore::new(core.store().clone(), core.superblock(), g);
     let core = core.with_store(store);
     let mut batch = Vec::with_capacity(FS_BATCH);
@@ -589,19 +547,38 @@ async fn group_task(g: u64, core: FsCore<CacheClient>, rx: chanos_rt::Receiver<G
             break;
         }
         for msg in batch.drain(..) {
-            group_handle(g, &core, msg, &mut replies).await;
+            group_handle(g, &core, &mut vnodes, msg, &mut replies).await;
         }
         replies.flush();
     }
 }
 
-async fn group_handle(g: u64, core: &FsCore<GroupStore>, msg: GroupMsg, replies: &mut ReplyBatch) {
+async fn group_handle(
+    g: u64,
+    core: &FsCore<GroupStore>,
+    vnodes: &mut BTreeMap<u64, Port<VnodeMsg>>,
+    msg: GroupMsg,
+    replies: &mut ReplyBatch,
+) {
     match msg {
-        GroupMsg::AllocInode { kind, reply } => {
-            replies.send(reply, core.alloc_inode_in(g, kind).await)
+        GroupMsg::AllocInode { new, reply } => {
+            let (kind, vnode) = *new;
+            let out = core.alloc_inode_in(g, kind).await;
+            if let Ok(Some(ino)) = out {
+                let old = vnodes.insert(ino, vnode);
+                debug_assert!(old.is_none(), "inode {ino} has a live vnode already");
+            }
+            replies.send(reply, out)
         }
         GroupMsg::ClearInode { ino, reply } => replies.send(reply, core.clear_inode(ino).await),
-        GroupMsg::FreeInode { ino, reply } => replies.send(reply, core.free_inode_bit(ino).await),
+        GroupMsg::FreeInode { ino, reply } => {
+            // In the turn that frees the number: its next file can never
+            // be routed to the vnode that is reaping this one.
+            vnodes.remove(&ino);
+            replies.send(reply, core.free_inode_bit(ino).await)
+        }
+        GroupMsg::Vnode { ino, reply } => replies.send(reply, vnodes.get(&ino).cloned()),
+        GroupMsg::Live { reply } => replies.send(reply, vnodes.values().cloned().collect()),
         GroupMsg::AllocBlock { reply } => replies.send(reply, core.alloc_block_in(g).await),
         GroupMsg::FreeBlock { lba, reply } => replies.send(reply, core.free_block(lba).await),
         GroupMsg::WriteInode { ino, inode, reply } => {
@@ -618,8 +595,7 @@ async fn group_handle(g: u64, core: &FsCore<GroupStore>, msg: GroupMsg, replies:
 /// and reading a block back before a 64-byte entry is written into it.
 #[derive(Default)]
 struct DirEntries {
-    /// name → (inode, slot).
-    by_name: HashMap<String, (u64, u64)>,
+    by_name: HashMap<String, Entry>,
     /// Free slots below the directory's slot count (its size in
     /// dirents).
     free: BTreeSet<u64>,
@@ -632,10 +608,21 @@ struct DirEntries {
     dirty: BTreeMap<u64, usize>,
 }
 
+/// A directory entry as its directory's vnode keeps it.
+struct Entry {
+    ino: u64,
+    slot: u64,
+    /// The port of the entry's vnode, which this directory's `Create`
+    /// started.
+    vnode: Port<VnodeMsg>,
+}
+
 /// The state of one vnode task: inode `ino`, owned for the task's
 /// lifetime.
 struct Vnode {
     ino: u64,
+    /// The task's own port, which an `Open` answers with.
+    me: Port<VnodeMsg>,
     shared: Arc<MsgShared>,
     inode: Inode,
     /// The record the inode's group holds: as started with or last
@@ -753,21 +740,18 @@ impl Vnode {
                 replies.send(reply, out);
             }
             VnodeMsg::Open { reply } => {
-                let out = open(&self.shared, self.ino).await;
-                replies.send(reply, out);
+                let (ino, handle) = (self.ino, Handle::Vnode(self.me.clone()));
+                replies.send(reply, Ok(File { ino, handle }));
             }
             VnodeMsg::Lookup { name, reply } => {
-                let out = match self.child(&name).await {
-                    Ok(ino) => open(&self.shared, ino).await,
-                    Err(e) => Err(e),
-                };
+                let out = self.child(&name).await.map(|(ino, vnode)| File {
+                    ino,
+                    handle: Handle::Vnode(vnode),
+                });
                 replies.send(reply, out);
             }
             VnodeMsg::Create { name, kind, reply } => {
-                let out = match self.create(name, kind).await {
-                    Ok(ino) => start_vnode(&self.shared, ino, Inode::new(kind)).await,
-                    Err(e) => Err(e),
-                };
+                let out = self.create(name, kind).await;
                 replies.send(reply, out);
             }
             VnodeMsg::Unlink { name, reply } => {
@@ -796,19 +780,20 @@ impl Vnode {
                 self.inode.nlink = self.inode.nlink.saturating_sub(1);
                 if self.inode.nlink == 0 {
                     // Reap: write a directory's changed blocks back,
-                    // free the data and clear the record — one burst to
-                    // a file's group, the clear submitted before the
-                    // frees and awaited after them — then leave the
-                    // registry, and only then free the number, so the
-                    // file given it next is `Insert`ed after this
-                    // `Retire` and can never be routed to this task.
-                    // For the same reason every step runs whatever
+                    // then clear the record, free the number and free
+                    // the data — one burst to a file's group, the clear
+                    // first (the group's channel keeps their order), all
+                    // submitted before the first is awaited. The group
+                    // forgets this vnode's port as it frees the number,
+                    // so the file given the number next can never be
+                    // routed to this task. Every step runs whatever
                     // became of the one before it; the ones that fail
                     // are counted.
                     count_reap_error(self.flush().await);
                     let ino = self.ino;
                     let group = self.shared.group_of_ino(ino);
                     let cleared = group.call(|reply| GroupMsg::ClearInode { ino, reply });
+                    let released = group.call(|reply| GroupMsg::FreeInode { ino, reply });
                     let freed = self
                         .shared
                         .core
@@ -816,10 +801,7 @@ impl Vnode {
                         .await;
                     count_reap_error(freed);
                     count_reap_error(cleared.await.unwrap_or_else(|e| Err(e.into())));
-                    let retired = self.shared.vnreg.write(VnWrite::Retire { ino }).await;
-                    count_reap_error(retired.map_err(FsError::from));
-                    let released = group.call(|reply| GroupMsg::FreeInode { ino, reply }).await;
-                    count_reap_error(released.unwrap_or_else(|e| Err(e.into())));
+                    count_reap_error(released.await.unwrap_or_else(|e| Err(e.into())));
                     rt::stat_incr("msgfs.vnodes_reaped");
                     replies.send(reply, Ok(true));
                     return std::ops::ControlFlow::Break(());
@@ -839,9 +821,13 @@ impl Vnode {
                 } else {
                     VnodeMsg::Walk { path, then }
                 };
-                match child {
-                    Ok(ino) => self.forward(ino, next, replies).await,
-                    Err(e) => refuse(next, e, replies).await,
+                // A vnode gone with its file is answered for here.
+                let refused = match child {
+                    Ok((_, vnode)) => vnode.forward(next).map_err(|next| (next, FsError::Gone)),
+                    Err(e) => Err((next, e)),
+                };
+                if let Err((next, e)) = refused {
+                    refuse(next, e, replies).await;
                 }
             }
         }
@@ -876,24 +862,11 @@ impl Vnode {
         }
     }
 
-    /// The inode this directory names `name`.
-    async fn child(&mut self, name: &str) -> Result<u64, FsError> {
+    /// The inode this directory names `name`, and its vnode's port.
+    async fn child(&mut self, name: &str) -> Result<(u64, Port<VnodeMsg>), FsError> {
         match self.entries().await?.by_name.get(name) {
-            Some(&(child, _)) => Ok(child),
+            Some(entry) => Ok((entry.ino, entry.vnode.clone())),
             None => Err(FsError::NotFound),
-        }
-    }
-
-    /// Hands `msg` on to the vnode of `ino`, found in this core's
-    /// registry replica. The message carries its caller's reply: a
-    /// vnode that cannot be reached is answered for here.
-    async fn forward(&self, ino: u64, msg: VnodeMsg, replies: &mut ReplyBatch) {
-        let sent = match get_vnode(&self.shared, ino).await {
-            Ok(vn) => vn.forward(msg).map_err(|msg| (msg, FsError::Gone)),
-            Err(e) => Err((msg, e)),
-        };
-        if let Err((msg, e)) = sent {
-            refuse(msg, e, replies).await;
         }
     }
 
@@ -931,14 +904,15 @@ impl Vnode {
             let data = self.shared.core.read_file(&self.inode, 0, size).await?;
             let mut dir = DirEntries::default();
             for (slot, rec) in (0u64..).zip(dirent_slots(&data)) {
-                match Dirent::decode(rec) {
-                    Some(d) => {
-                        dir.by_name.insert(d.name, (d.ino, slot));
-                    }
-                    None => {
-                        dir.free.insert(slot);
-                    }
-                }
+                // Every entry is made by its own directory's `Create` in
+                // this boot, which keeps the entry's vnode port: there is
+                // no mount, and there are no dot entries.
+                assert!(
+                    Dirent::decode(rec).is_none(),
+                    "directory {} holds an entry it did not make",
+                    self.ino
+                );
+                dir.free.insert(slot);
             }
             // The vnode changes its blocks in place from here on: it
             // copies them out of the cache, on its own core.
@@ -1011,11 +985,14 @@ impl Vnode {
         out
     }
 
-    /// Adds `name` to this directory with a fresh inode of `kind`. The
-    /// entry goes where [`FsCore::dir_add`] would put it (the lowest
-    /// free slot, else a new one), so the blocks stay what the lock
-    /// engines would have written.
-    async fn create(&mut self, name: String, kind: FileKind) -> Result<u64, FsError> {
+    /// Adds `name` to this directory with a fresh inode of `kind`, starts
+    /// its vnode and opens it. The entry goes where [`FsCore::dir_add`]
+    /// would put it (the lowest free slot, else a new one), so the
+    /// blocks stay what the lock engines would have written. The vnode's
+    /// port goes to the group with the number's allocation and beside
+    /// the entry; the vnode starts once the entry's slot is secured, so
+    /// a failed `create` starts nothing.
+    async fn create(&mut self, name: String, kind: FileKind) -> Result<File, FsError> {
         let appended = self.inode.size / DIRENT_SIZE as u64;
         let dir = self.entries().await?;
         check_name(&name)?;
@@ -1026,12 +1003,14 @@ impl Vnode {
         let entries = dir.by_name.len() as u64;
         let sb = self.shared.core.superblock();
         let start = sb.inode_start_group(self.group, kind, entries);
+        let (vnode, rx) = port_channel::<VnodeMsg>(Capacity::Unbounded);
         // Allocate the inode via the group servers, scanning from there.
         let mut ino = None;
         for i in 0..sb.n_groups {
             let g = ((start + i) % sb.n_groups) as usize;
+            let new = Box::new((kind, vnode.clone()));
             let got = self.shared.groups[g]
-                .call(|reply| GroupMsg::AllocInode { kind, reply })
+                .call(|reply| GroupMsg::AllocInode { new, reply })
                 .await
                 .unwrap_or_else(|e| Err(e.into()))?;
             if got.is_some() {
@@ -1045,18 +1024,29 @@ impl Vnode {
         let rec = entry.encode();
         let dir = self.dir.as_mut().expect("loaded above");
         dir.free.remove(&slot);
-        dir.by_name.insert(entry.name, (ino, slot));
+        let child = vnode.clone();
+        dir.by_name.insert(
+            entry.name,
+            Entry {
+                ino,
+                slot,
+                vnode: child,
+            },
+        );
         self.put_slot(lba, slot, &rec).await?;
-        Ok(ino)
+        spawn_vnode(&self.shared, ino, Inode::new(kind), vnode.clone(), rx);
+        let handle = Handle::Vnode(vnode);
+        Ok(File { ino, handle })
     }
 
-    /// Removes `name` from this directory, if the child agrees.
+    /// Removes `name` from this directory, if the child agrees, and
+    /// drops the entry's vnode port with it.
     async fn unlink(&mut self, name: String) -> Result<(), FsError> {
-        let Some(&(child_ino, slot)) = self.entries().await?.by_name.get(&name) else {
+        let Some(entry) = self.entries().await?.by_name.get(&name) else {
             return Err(FsError::NotFound);
         };
+        let (slot, child) = (entry.slot, entry.vnode.clone());
         // Ask the child vnode to check emptiness and drop a link.
-        let child = get_vnode(&self.shared, child_ino).await?;
         child
             .call(|reply| VnodeMsg::Condemn { reply })
             .await
@@ -1079,13 +1069,21 @@ fn count_reap_error(step: Result<(), FsError>) {
 }
 
 /// Starts the task of vnode `ino`, whose record is `inode`, serving
-/// `rx` on the inode's core (ino-mod over the service cores). Not
-/// `async`: a directory's task awaits [`start_vnode`], so a spawn
-/// inside an `async` fn would make the task's future contain itself.
-fn spawn_vnode(shared: &Arc<MsgShared>, ino: u64, inode: Inode, rx: chanos_rt::Receiver<VnodeMsg>) {
+/// `rx`, the receiving end of `me`, on the inode's core (ino-mod over
+/// the service cores). Not `async`: a directory's task calls it from
+/// its `Create`, so a spawn inside an `async` fn would make the task's
+/// future contain itself.
+fn spawn_vnode(
+    shared: &Arc<MsgShared>,
+    ino: u64,
+    inode: Inode,
+    me: Port<VnodeMsg>,
+    rx: chanos_rt::Receiver<VnodeMsg>,
+) {
     let on = shared.vnode_cores[(ino as usize) % shared.vnode_cores.len()];
     let vn = Vnode {
         ino,
+        me,
         stored: inode.clone(),
         inode,
         group: shared.core.superblock().group_of_ino(ino),
@@ -1098,29 +1096,14 @@ fn spawn_vnode(shared: &Arc<MsgShared>, ino: u64, inode: Inode, rx: chanos_rt::R
     rt::spawn_daemon_on(&format!("vnode{ino}"), on, vnode_task(vn, rx));
 }
 
-/// Starts the vnode of the file `ino` just made, whose record is
-/// `inode`, publishes its port, and opens the file.
-async fn start_vnode(shared: &Arc<MsgShared>, ino: u64, inode: Inode) -> Result<File, FsError> {
-    let (port, rx) = port_channel::<VnodeMsg>(Capacity::Unbounded);
-    spawn_vnode(shared, ino, inode, rx);
-    let handle = Handle::Vnode(port.clone());
-    shared.vnreg.write(VnWrite::Insert { ino, port }).await?;
-    Ok(File { ino, handle })
-}
-
-/// Opens inode `ino`: its number and its vnode's port.
-async fn open(shared: &MsgShared, ino: u64) -> Result<File, FsError> {
-    Ok(File {
-        ino,
-        handle: Handle::Vnode(get_vnode(shared, ino).await?),
-    })
-}
-
-/// The port of `ino`'s vnode, read from this core's registry replica —
-/// zero port round trips. A number no live file holds has none, and
-/// answers `Gone`.
+/// The port of `ino`'s vnode, asked of the number's group: one round
+/// trip, which only the kernel's calls by number make. A number no live
+/// file holds has none, and answers `Gone`; so does one past the
+/// volume's last group.
 async fn get_vnode(shared: &MsgShared, ino: u64) -> Result<Port<VnodeMsg>, FsError> {
-    let found = shared.vnreg.read(VnRead::Get(ino)).await.pop();
+    let g = shared.core.superblock().group_of_ino(ino) as usize;
+    let group = shared.groups.get(g).ok_or(FsError::Gone)?;
+    let found = group.call(|reply| GroupMsg::Vnode { ino, reply }).await?;
     found.ok_or(FsError::Gone)
 }
 
@@ -1261,8 +1244,8 @@ pub struct MsgFs {
 
 impl MsgFs {
     /// Formats a fresh volume and boots the server constellation:
-    /// cache shards, one group server per cylinder group, the
-    /// replicated vnode registry and the root's vnode. Every other
+    /// cache shards, one group server per cylinder group and the root's
+    /// vnode, whose port its group keeps from the start. Every other
     /// vnode is started by the `create` that makes its file, ino-mod
     /// over `service_cores`.
     pub async fn format(
@@ -1280,34 +1263,32 @@ impl MsgFs {
         // over.
         let root = core.read_inode(ROOT_INO).await?;
 
-        // Group servers.
+        // Group servers; the root's group keeps its vnode's port as it
+        // keeps every other number's.
+        let (root_vnode, rx) = port_channel::<VnodeMsg>(Capacity::Unbounded);
+        let root_group = core.superblock().group_of_ino(ROOT_INO);
         let mut groups = Vec::with_capacity(n_groups as usize);
         for g in 0..n_groups {
             let (port, rx) = port_channel::<GroupMsg>(Capacity::Unbounded);
             let core = core.clone();
             let on = service_cores[(g as usize) % service_cores.len()];
+            let mut vnodes = BTreeMap::new();
+            if g == root_group {
+                vnodes.insert(ROOT_INO, root_vnode.clone());
+            }
             rt::spawn_daemon_on(&format!("fs-group{g}"), on, async move {
-                group_task(g, core, rx).await;
+                group_task(g, core, vnodes, rx).await;
             });
             groups.push(port);
         }
 
-        // §4 taken seriously: the registry is node-replicated, so
-        // the hot lookup path never leaves the caller's core.
-        let vnreg = Replicated::spawn("fs-vnreg", &service_cores, VnRegistry::default);
-
-        let (port, rx) = port_channel::<VnodeMsg>(Capacity::Unbounded);
         let shared = Arc::new(MsgShared {
             core,
             groups,
-            vnreg,
             vnode_cores: service_cores,
-            root: port.clone(),
+            root: root_vnode.clone(),
         });
-        spawn_vnode(&shared, ROOT_INO, root, rx);
-        // Published, so that `sync` finds the root among the live.
-        let ino = ROOT_INO;
-        shared.vnreg.write(VnWrite::Insert { ino, port }).await?;
+        spawn_vnode(&shared, ROOT_INO, root, root_vnode, rx);
 
         Ok(MsgFs { shared })
     }
@@ -1371,7 +1352,9 @@ impl MsgFs {
     }
 
     /// Reads `len` bytes at `off` from inode `ino`: the blocks they
-    /// lie in, shared with the cache.
+    /// lie in, shared with the cache. Like every call by number, it
+    /// first asks the number's group for the vnode, one round trip that
+    /// a call through a [`File`] does not make.
     pub async fn read(&self, ino: u64, off: u64, len: usize) -> Result<FileSlice, FsError> {
         read(&get_vnode(&self.shared, ino).await?, off, len).await
     }
@@ -1387,8 +1370,9 @@ impl MsgFs {
         stat(&get_vnode(&self.shared, ino).await?).await
     }
 
-    /// Pipelined stat burst against one vnode: issues `n` `Stat`
-    /// calls as **one** submission burst and completes them together.
+    /// Pipelined stat burst against one vnode, found as
+    /// [`MsgFs::read`] finds it: issues `n` `Stat` calls as **one**
+    /// submission burst and completes them together.
     /// The vnode drains the burst with `recv_many` and answers it
     /// through one [`ReplyBatch`] — the §3 RPC pattern at full depth,
     /// used by tests and benches to exercise the pipelined path.
@@ -1415,24 +1399,36 @@ impl MsgFs {
     }
 
     /// Writes every changed block to the disk: each live directory
-    /// vnode's blocks, in inode order, then each group's bitmaps and
-    /// inode table, then the cache shards' dirty blocks. Every step runs
-    /// whatever became of the one before it; a block refused on the way
-    /// fails the `sync` and stays dirty for the next one.
+    /// vnode's blocks, in inode order (the root's first), then each
+    /// group's bitmaps and inode table, then the cache shards' dirty
+    /// blocks. The live vnodes are their groups' to list. Every step
+    /// runs whatever became of the one before it; a block refused on the
+    /// way fails the `sync` and stays dirty for the next one.
     pub async fn sync(&self) -> Result<(), FsError> {
-        let vnodes = self.shared.vnreg.read(VnRead::Live).await;
+        let groups = &self.shared.groups;
+        let lists: Vec<_> = groups
+            .iter()
+            .map(|group| group.call(|reply| GroupMsg::Live { reply }))
+            .collect();
+        let (mut vnodes, mut out) = (Vec::new(), Ok(()));
+        // Group by group is inode order: a group's numbers follow the
+        // one's before it.
+        for list in lists {
+            match list.await {
+                Ok(live) => vnodes.extend(live),
+                Err(e) => out = out.and(Err(e.into())),
+            }
+        }
         let flushes: Vec<_> = vnodes
             .iter()
             .map(|vn| vn.call(|reply| VnodeMsg::Flush { reply }))
             .collect();
-        let mut out = Ok(());
         for flush in flushes {
             // A vnode gone since wrote its blocks back in its reap.
             if let Ok(flushed) = flush.await {
                 out = out.and(flushed);
             }
         }
-        let groups = &self.shared.groups;
         let flushes: Vec<_> = groups
             .iter()
             .map(|group| group.call(|reply| GroupMsg::Flush { reply }))
@@ -1453,12 +1449,10 @@ mod tests {
     fn request_layout_is_pinned() {
         // The simulator charges a message `size_of::<T>()` bytes: a failure
         // here means every modeled number is about to move.
-        // (`VnWrite` is the op of the registry's NR write request.)
         assert_eq!(std::mem::size_of::<VnodeMsg>(), 64);
         // What a `Lookup` or a `Create` answers: the file's vnode port
         // beside its number (16 bytes while it was the number alone).
         assert_eq!(std::mem::size_of::<Result<File, FsError>>(), 40);
         assert_eq!(std::mem::size_of::<GroupMsg>(), 40);
-        assert_eq!(std::mem::size_of::<VnWrite>(), 32);
     }
 }
