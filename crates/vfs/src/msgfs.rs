@@ -100,7 +100,8 @@
 //!
 //! A directory's vnode task is the only writer of the directory, so it
 //! keeps the directory's blocks and their decoded entries in its own
-//! state — read from the cache on first use, kept in step by its own
+//! state — empty when it starts, since every entry is made by its own
+//! directory's `Create` in this boot, and kept in step by its own
 //! `Create` and `Unlink` — and answers `Lookup`, `ReadDir`, the
 //! existence checks and `Condemn`'s emptiness test from there. A
 //! `Create` or `Unlink` writes its 64-byte entry into the held block,
@@ -148,8 +149,7 @@ use chanos_rt::{self as rt, port_channel, Capacity, CoreId, Port, ReplyBatch, Re
 use chanos_sim::plock;
 
 use crate::core_fs::{
-    check_name, dirent_slots, in_one_block, split_parent, split_path, Allocator, FileSlice, FsCore,
-    Stat,
+    check_name, in_one_block, split_parent, split_path, Allocator, FileSlice, FsCore, Stat,
 };
 use crate::error::FsError;
 use crate::layout::{Dirent, FileKind, Inode, Superblock, DIRENT_SIZE, ROOT_INO};
@@ -593,6 +593,9 @@ async fn group_handle(
 /// directory's blocks, so the copy cannot go stale; it saves fetching
 /// and scanning the blocks on every path component of every `open`,
 /// and reading a block back before a 64-byte entry is written into it.
+/// It starts empty: every entry is made by its own directory's `Create`
+/// in this boot, which keeps the entry's vnode port — there is no
+/// mount, and there are no dot entries.
 #[derive(Default)]
 struct DirEntries {
     by_name: HashMap<String, Entry>,
@@ -631,7 +634,7 @@ struct Vnode {
     /// The inode's own group, where its blocks and its files go.
     group: u64,
     alloc: MsgAllocator,
-    /// A directory's entries, loaded on first use.
+    /// A directory's entries; `None` for a file.
     dir: Option<DirEntries>,
 }
 
@@ -744,7 +747,7 @@ impl Vnode {
                 replies.send(reply, Ok(File { ino, handle }));
             }
             VnodeMsg::Lookup { name, reply } => {
-                let out = self.child(&name).await.map(|(ino, vnode)| File {
+                let out = self.child(&name).map(|(ino, vnode)| File {
                     ino,
                     handle: Handle::Vnode(vnode),
                 });
@@ -759,23 +762,16 @@ impl Vnode {
                 replies.send(reply, out);
             }
             VnodeMsg::ReadDir { reply } => {
-                let out = self.entries().await.map(|dir| {
+                let out = self.entries().map(|dir| {
                     let slots = dir.blocks.iter().flat_map(|b| b.chunks_exact(DIRENT_SIZE));
                     slots.filter_map(Dirent::decode).collect()
                 });
                 replies.send(reply, out);
             }
             VnodeMsg::Condemn { reply } => {
-                if self.inode.kind == FileKind::Dir {
-                    let refusal = match self.entries().await {
-                        Ok(dir) if dir.by_name.is_empty() => None,
-                        Ok(_) => Some(FsError::NotEmpty),
-                        Err(e) => Some(e),
-                    };
-                    if let Some(e) = refusal {
-                        replies.send(reply, Err(e));
-                        return std::ops::ControlFlow::Continue(());
-                    }
+                if self.dir.as_ref().is_some_and(|dir| !dir.by_name.is_empty()) {
+                    replies.send(reply, Err(FsError::NotEmpty));
+                    return std::ops::ControlFlow::Continue(());
                 }
                 self.inode.nlink = self.inode.nlink.saturating_sub(1);
                 if self.inode.nlink == 0 {
@@ -815,7 +811,7 @@ impl Vnode {
             }
             VnodeMsg::Walk { mut path, then } => {
                 let name = path.pop_front().expect("a walk has a component left");
-                let child = self.child(&name).await;
+                let child = self.child(&name);
                 let next = if path.is_empty() {
                     *then
                 } else {
@@ -863,8 +859,8 @@ impl Vnode {
     }
 
     /// The inode this directory names `name`, and its vnode's port.
-    async fn child(&mut self, name: &str) -> Result<(u64, Port<VnodeMsg>), FsError> {
-        match self.entries().await?.by_name.get(name) {
+    fn child(&mut self, name: &str) -> Result<(u64, Port<VnodeMsg>), FsError> {
+        match self.entries()?.by_name.get(name) {
             Some(entry) => Ok((entry.ino, entry.vnode.clone())),
             None => Err(FsError::NotFound),
         }
@@ -893,39 +889,9 @@ impl Vnode {
         Ok(())
     }
 
-    /// This directory's blocks and entries, read and decoded on first
-    /// use.
-    async fn entries(&mut self) -> Result<&mut DirEntries, FsError> {
-        if self.dir.is_none() {
-            if self.inode.kind != FileKind::Dir {
-                return Err(FsError::NotDir);
-            }
-            let size = self.inode.size as usize;
-            let data = self.shared.core.read_file(&self.inode, 0, size).await?;
-            let mut dir = DirEntries::default();
-            for (slot, rec) in (0u64..).zip(dirent_slots(&data)) {
-                // Every entry is made by its own directory's `Create` in
-                // this boot, which keeps the entry's vnode port: there is
-                // no mount, and there are no dot entries.
-                assert!(
-                    Dirent::decode(rec).is_none(),
-                    "directory {} holds an entry it did not make",
-                    self.ino
-                );
-                dir.free.insert(slot);
-            }
-            // The vnode changes its blocks in place from here on: it
-            // copies them out of the cache, on its own core.
-            let whole = |chunk: &[u8]| {
-                let mut block = chunk.to_vec();
-                block.resize(BLOCK_SIZE, 0);
-                block
-            };
-            dir.blocks = data.chunks().map(whole).collect();
-            rt::delay(copy_cost(dir.blocks.len() * BLOCK_SIZE)).await;
-            self.dir = Some(dir);
-        }
-        Ok(self.dir.as_mut().expect("loaded above"))
+    /// This directory's blocks and entries.
+    fn entries(&mut self) -> Result<&mut DirEntries, FsError> {
+        self.dir.as_mut().ok_or(FsError::NotDir)
     }
 
     /// The cache block behind `slot`, allocated near the directory's
@@ -946,7 +912,7 @@ impl Vnode {
     async fn put_slot(&mut self, lba: u64, slot: u64, rec: &[u8]) -> Result<(), FsError> {
         let pos = slot * DIRENT_SIZE as u64;
         let (fbn, at) = (pos as usize / BLOCK_SIZE, pos as usize % BLOCK_SIZE);
-        let dir = self.dir.as_mut().expect("loaded by the caller");
+        let dir = self.dir.as_mut().expect("called for a directory");
         if fbn == dir.blocks.len() {
             dir.blocks.push(vec![0; BLOCK_SIZE]);
         }
@@ -994,7 +960,7 @@ impl Vnode {
     /// a failed `create` starts nothing.
     async fn create(&mut self, name: String, kind: FileKind) -> Result<File, FsError> {
         let appended = self.inode.size / DIRENT_SIZE as u64;
-        let dir = self.entries().await?;
+        let dir = self.entries()?;
         check_name(&name)?;
         if dir.by_name.contains_key(&name) {
             return Err(FsError::Exists);
@@ -1022,15 +988,14 @@ impl Vnode {
         let lba = self.slot_block(slot).await?;
         let entry = Dirent { ino, name };
         let rec = entry.encode();
-        let dir = self.dir.as_mut().expect("loaded above");
+        let dir = self.dir.as_mut().expect("a directory, checked above");
         dir.free.remove(&slot);
-        let child = vnode.clone();
         dir.by_name.insert(
             entry.name,
             Entry {
                 ino,
                 slot,
-                vnode: child,
+                vnode: vnode.clone(),
             },
         );
         self.put_slot(lba, slot, &rec).await?;
@@ -1042,7 +1007,7 @@ impl Vnode {
     /// Removes `name` from this directory, if the child agrees, and
     /// drops the entry's vnode port with it.
     async fn unlink(&mut self, name: String) -> Result<(), FsError> {
-        let Some(entry) = self.entries().await?.by_name.get(&name) else {
+        let Some(entry) = self.entries()?.by_name.get(&name) else {
             return Err(FsError::NotFound);
         };
         let (slot, child) = (entry.slot, entry.vnode.clone());
@@ -1052,7 +1017,7 @@ impl Vnode {
             .await
             .unwrap_or_else(|e| Err(e.into()))?;
         let lba = self.slot_block(slot).await?;
-        let dir = self.dir.as_mut().expect("loaded above");
+        let dir = self.dir.as_mut().expect("a directory, checked above");
         dir.by_name.remove(&name);
         dir.free.insert(slot);
         self.put_slot(lba, slot, &[0u8; DIRENT_SIZE]).await
@@ -1081,6 +1046,14 @@ fn spawn_vnode(
     rx: chanos_rt::Receiver<VnodeMsg>,
 ) {
     let on = shared.vnode_cores[(ino as usize) % shared.vnode_cores.len()];
+    let dir = (inode.kind == FileKind::Dir).then(|| {
+        // See `DirEntries`: a directory's vnode starts with no entries.
+        assert_eq!(
+            inode.size, 0,
+            "directory {ino} holds entries it did not make"
+        );
+        DirEntries::default()
+    });
     let vn = Vnode {
         ino,
         me,
@@ -1091,7 +1064,7 @@ fn spawn_vnode(
             shared: shared.clone(),
         },
         shared: shared.clone(),
-        dir: None,
+        dir,
     };
     rt::spawn_daemon_on(&format!("vnode{ino}"), on, vnode_task(vn, rx));
 }

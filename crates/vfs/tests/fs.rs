@@ -406,19 +406,25 @@ fn msgfs_spawns_vnode_threads() {
 }
 
 /// A vnode is started once, by the call that makes its file. A call by
-/// number on a number no live file holds — one never allocated, or a
-/// removed file's — is answered `Gone` and starts nothing.
+/// number asks the number's group for its vnode, and a number no live
+/// file holds — one never handed out in each group (the root's group
+/// included), one past the volume's last group, or a removed file's —
+/// is answered `Gone`, by a pipelined `stat_burst` too, and starts
+/// nothing. The root's number reaches the root.
 #[test]
 fn a_call_on_a_number_no_file_holds_starts_no_vnode() {
     let mut s = sim(4);
     s.block_on(async {
         let fs = make_fs("msgfs", 4).await;
+        let Vfs::Msg(msg) = &fs else { unreachable!() };
         let reaped = fs.create("/f").await.unwrap();
         fs.unlink("/f").await.unwrap();
-        let never = reaped + 7;
+        let sb = chanos_vfs::Superblock::design(DISK_BLOCKS, GROUPS);
+        let per = sb.inodes_per_group;
+        let never = (0..GROUPS).map(|g| g * per + per / 2);
         let spawned = || chanos_sim::stat_get("msgfs.vnode_threads_spawned");
         let before = spawned();
-        for ino in [never, reaped] {
+        for ino in never.chain([sb.total_inodes(), reaped]) {
             assert_eq!(fs.stat(ino).await.err(), Some(FsError::Gone), "stat {ino}");
             assert_eq!(
                 fs.read(ino, 0, 1).await.err(),
@@ -427,33 +433,10 @@ fn a_call_on_a_number_no_file_holds_starts_no_vnode() {
             );
             let wrote = fs.write(ino, 0, b"x").await;
             assert_eq!(wrote.err(), Some(FsError::Gone), "write {ino}");
-        }
-        assert_eq!(spawned(), before, "a call by number started a vnode");
-    })
-    .unwrap();
-}
-
-/// A call by number asks the number's group for its vnode, and a
-/// number no live file holds answers `Gone` from every group: a number
-/// never handed out in each group, the root's group included, and one
-/// past the volume's last group. A pipelined `stat_burst` asks the same.
-#[test]
-fn a_number_no_live_file_holds_answers_gone_in_every_group() {
-    let mut s = sim(4);
-    s.block_on(async {
-        let fs = make_fs("msgfs", 4).await;
-        let Vfs::Msg(msg) = &fs else { unreachable!() };
-        let sb = chanos_vfs::Superblock::design(DISK_BLOCKS, GROUPS);
-        let never = (0..GROUPS).map(|g| g * sb.inodes_per_group + sb.inodes_per_group / 2);
-        for ino in never.chain([sb.total_inodes()]) {
-            assert_eq!(fs.stat(ino).await.err(), Some(FsError::Gone), "stat {ino}");
-            let read = fs.read(ino, 0, 1).await;
-            assert_eq!(read.err(), Some(FsError::Gone), "read {ino}");
-            let wrote = fs.write(ino, 0, b"x").await;
-            assert_eq!(wrote.err(), Some(FsError::Gone), "write {ino}");
             let burst = msg.stat_burst(ino, 4).await;
             assert_eq!(burst.err(), Some(FsError::Gone), "stat_burst {ino}");
         }
+        assert_eq!(spawned(), before, "a call by number started a vnode");
         assert_eq!(fs.stat(ROOT_INO).await.map(|st| st.kind), Ok(FileKind::Dir));
     })
     .unwrap();
