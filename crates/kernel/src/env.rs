@@ -14,15 +14,14 @@
 //! to the root's vnode, and the vnode that serves it validates it
 //! ([`VALIDATE_CYCLES`]) and answers here ([`File::forward_path`]). A
 //! lock engine has no root vnode, and its path calls go to the
-//! process's kernel task, as `getpid` does. A kernel of ports
-//! ([`MsgKernel::from_ports`]) gives no root: every call goes through a
-//! typed [`Port`](chanos_rt::Port) to its server, so transport failures
-//! keep their meaning: [`KError::Gone`] when the kernel service died
-//! before serving the call, [`KError::Cancelled`] when it accepted the
-//! call but shut down without answering. A call the file system drops
-//! unanswered is `Cancelled`. [`Env::batch`] exposes the pipelined
-//! submit-then-complete surface: queue several syscalls, submit them as
-//! **one** burst, then complete them in any order.
+//! process's kernel task, as `getpid` does, through a typed
+//! [`Port`](chanos_rt::Port), so transport failures keep their meaning:
+//! [`KError::Gone`] when the kernel task died before serving the call,
+//! [`KError::Cancelled`] when it accepted the call but dropped it
+//! unanswered. A call the file system drops unanswered is `Cancelled`.
+//! [`Env::batch`] exposes the pipelined submit-then-complete surface:
+//! queue several syscalls, submit them as **one** burst, then complete
+//! them in any order.
 //!
 //! On the message kernel an open file is the process's. Its fd table
 //! lives here, shared by every clone of an `Env` and every batch made
@@ -34,10 +33,14 @@
 //! validates it ([`VALIDATE_CYCLES`]) and answers here; a lock engine's
 //! file has no vnode, and its call goes to the kernel task. A `close`
 //! runs here and pays the same validation, on the process's own core.
-//! A call made on a descriptor whose `open` is still in flight waits
-//! here for that answer and then goes on, in the order it was made. A
-//! batch dropped before its submit cancels its `open`s at once: their
-//! descriptors close, and the calls held behind them answer `BadFd`.
+//! An `open`'s answer has one owner, the caller that made it: the
+//! batch that queued it installs it at its submit, in queue order, and
+//! [`Env::open`] is a batch of one. A call made on a descriptor whose
+//! `open` is still in flight is held in the descriptor, in the order it
+//! was made, and goes on when the answer is installed; it waits only for
+//! its own reply. A batch dropped before it has installed its `open`s
+//! cancels them: their descriptors close, and the calls held on them
+//! answer `BadFd`.
 //!
 //! A `close` still pays the whole [`VALIDATE_CYCLES`], on the process's
 //! core: it removes an entry of the process's own map, which no kernel
@@ -54,14 +57,12 @@
 //! The process keeps its files' offsets, and the answer that would move
 //! one comes back here, the only place that sees it. A read or a write
 //! takes the offset when it is issued and moves it by its length; the
-//! answer gives back what a short read did not read (see `Offset`).
+//! answer gives back what a short read did not read (see `Offset`), and
+//! a call a dropped batch never made gives back all of it.
 
 use std::collections::{HashMap, VecDeque};
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Waker};
 
 use chanos_rt::{
     self as rt, Call, CallError, CoreId, Cycles, JoinHandle, Port, Reply, ReplyBatch, ReplyTo,
@@ -158,7 +159,7 @@ impl Cursor {
     /// read that got bytes started at its offset, so it settles every
     /// call before it too, answered or not.
     fn answered(&mut self, sent: Sent, moved: u64) {
-        // Settled already: a read after it got bytes.
+        // Already settled: a read after it got bytes.
         let Some(i) = sent.nth.checked_sub(self.settled + 1) else {
             return;
         };
@@ -199,18 +200,9 @@ enum Opened {
     /// The file its `open` or `create` answered.
     File(File),
     /// Its `open` or `create` is in flight: the calls made on it since,
-    /// in the order they were made, which go on when it is answered.
-    Opening(Arc<Opening>, Vec<Held>),
-}
-
-impl Opened {
-    /// The open a call made on the descriptor now waits behind, if any.
-    fn opening(&self) -> Option<Arc<Opening>> {
-        match self {
-            Opened::Opening(opening, _) => Some(opening.clone()),
-            Opened::File(_) => None,
-        }
-    }
+    /// in the order they were made, which go on when its answer is
+    /// installed.
+    Opening(Vec<Held>),
 }
 
 /// A call on a descriptor, made where the descriptor is.
@@ -241,22 +233,18 @@ fn dispatch(file: &File, call: FileCall, burst: &mut VecDeque<Syscall>) {
 
 impl FdTable {
     /// Makes `held` on `fd`: a call goes to the file, a `close` removes
-    /// the descriptor. Either waits behind the descriptor's `open` while
-    /// that is in flight, and that open is returned; on a descriptor not
-    /// open it is refused.
+    /// the descriptor. Either waits in the descriptor while its `open`
+    /// is in flight; on a descriptor not open it is refused.
     fn apply(
         &mut self,
         fd: Fd,
         held: Held,
         burst: &mut VecDeque<Syscall>,
         replies: &mut ReplyBatch,
-    ) -> Option<Arc<Opening>> {
+    ) {
         match self.open.get_mut(&fd).map(|open| &mut open.file) {
             None => held.refuse(replies),
-            Some(Opened::Opening(opening, waiting)) => {
-                waiting.push(held);
-                return Some(opening.clone());
-            }
+            Some(Opened::Opening(waiting)) => waiting.push(held),
             Some(Opened::File(file)) => match held {
                 Held::Call(call) => dispatch(file, call, burst),
                 Held::Close(reply) => {
@@ -265,7 +253,6 @@ impl FdTable {
                 }
             },
         }
-        None
     }
 
     /// `fd`'s `open` was answered `out`: installs the file, or removes
@@ -281,10 +268,10 @@ impl FdTable {
         let Some(open) = self.open.get_mut(&fd) else {
             return;
         };
-        let held = match &mut open.file {
-            Opened::Opening(_, held) => std::mem::take(held),
-            Opened::File(_) => return,
+        let Opened::Opening(held) = &mut open.file else {
+            return;
         };
+        let held = std::mem::take(held);
         match out {
             Ok(file) => open.file = Opened::File(file.clone()),
             Err(_) => {
@@ -302,86 +289,19 @@ impl FdTable {
     }
 }
 
-/// An `open` or a `create` in flight, and its call. Whoever needs the
-/// answer first — the caller, or a call made on the descriptor
-/// meanwhile — takes it and installs the file, so a batch's calls may
-/// be awaited in any order ([`Settle`]).
-struct Opening {
+/// An `open` or a `create` made and not yet installed: its descriptor,
+/// its call, and where a batch's caller waits for the descriptor (none
+/// for [`Env::open`], which takes the answer itself).
+struct Open {
     fd: Fd,
-    state: Mutex<OpenState>,
+    call: Call<Result<File, FsError>>,
+    reply: Option<ReplyTo<Result<Fd, KError>>>,
 }
 
-struct OpenState {
-    /// The call, until it is answered.
-    call: Option<Call<Result<File, FsError>>>,
-    answer: Option<Result<(), KError>>,
-    /// Who else waits for the answer.
-    waiting: Vec<Waker>,
-}
-
-impl Opening {
-    /// Answers the open `Cancelled`, unsent, and wakes whoever waits
-    /// for it; the descriptor is for the caller to remove.
-    fn cancel(&self) {
-        let mut st = plock(&self.state);
-        st.call = None;
-        st.answer = Some(Err(KError::Cancelled));
-        let waiting = std::mem::take(&mut st.waiting);
-        drop(st);
-        waiting.into_iter().for_each(Waker::wake);
-    }
-}
-
-/// Waits for an [`Opening`]'s answer, and installs it if it takes it.
-struct Settle {
-    end: MsgEnd,
-    opening: Arc<Opening>,
-}
-
-impl Future for Settle {
-    type Output = Result<(), KError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let mut st = plock(&this.opening.state);
-        if let Some(answer) = &st.answer {
-            return Poll::Ready(answer.clone());
-        }
-        let call = st.call.as_mut().expect("an open unanswered holds its call");
-        let Poll::Ready(out) = Pin::new(call).poll(cx) else {
-            if !st.waiting.iter().any(|w| w.will_wake(cx.waker())) {
-                st.waiting.push(cx.waker().clone());
-            }
-            return Poll::Pending;
-        };
-        st.call = None;
-        let answer = this.end.install(this.opening.fd, flatten(out));
-        st.answer = Some(answer.clone());
-        let waiting = std::mem::take(&mut st.waiting);
-        drop(st);
-        waiting.into_iter().for_each(Waker::wake);
-        Poll::Ready(answer)
-    }
-}
-
-impl Drop for Settle {
-    fn drop(&mut self) {
-        // The call's answer wakes whoever polled it last; if that was
-        // this one, another waiter must poll it again.
-        let mut st = plock(&self.opening.state);
-        if st.answer.is_none() {
-            let waiting = std::mem::take(&mut st.waiting);
-            drop(st);
-            waiting.into_iter().for_each(Waker::wake);
-        }
-    }
-}
-
-/// A call on a descriptor, made: its answer, the open it waits behind,
-/// if any, and the offset it took, if it moves one.
+/// A call on a descriptor, made: its answer, and the offset it took, if
+/// it moves one.
 struct FdCall<T: Send + 'static> {
     answer: Reply<Result<T, FsError>>,
-    behind: Option<Arc<Opening>>,
     sent: Option<Sent>,
 }
 
@@ -389,8 +309,14 @@ struct FdCall<T: Send + 'static> {
 enum Closing {
     /// Answered at once.
     Now(Result<(), KError>),
-    /// Held behind its descriptor's `open`, and answered once that is.
-    Behind(Arc<Opening>, Reply<Result<(), KError>>),
+    /// Held in its descriptor while its `open` is in flight, and
+    /// answered once that open is installed.
+    Held(Reply<Result<(), KError>>),
+}
+
+/// A close's answer, held while its descriptor's `open` was in flight.
+async fn closed(answer: Reply<Result<(), KError>>) -> Result<(), KError> {
+    answer.recv().await.unwrap_or(Err(KError::Gone))
 }
 
 /// A process's end of the message kernel: its kernel task's port, its
@@ -399,8 +325,7 @@ enum Closing {
 struct MsgEnd {
     port: Port<Syscall>,
     /// Where the process's path calls go ([`MsgKernel::root`]); none
-    /// over a lock engine or on a kernel of ports, whose kernel task or
-    /// servers take them.
+    /// over a lock engine, whose kernel task takes them.
     root: Option<File>,
     files: Arc<Mutex<FdTable>>,
 }
@@ -462,55 +387,37 @@ impl MsgEnd {
         Call::from_future(async move { answer.recv().await.map_err(|_| CallError::Cancelled) })
     }
 
-    /// Sends (or queues into `batch`) the `open` or `create` `make`
-    /// builds on `path`, and gives it the process's next descriptor,
-    /// open from now on for the calls made on it. The returned future
-    /// is its answer.
+    /// Makes the `open` or `create` `make` builds on `path` now, or
+    /// queues it into `batch`, and gives it the process's next
+    /// descriptor, open from now on for the calls made on it. Its answer
+    /// is for [`MsgEnd::install`].
     fn open(
         &self,
-        mut batch: Option<&mut Deferred>,
+        batch: Option<&mut Deferred>,
         path: &str,
         make: impl FnOnce(ReplyTo<Result<File, FsError>>) -> PathCall,
-    ) -> impl Future<Output = Result<Fd, KError>> {
+    ) -> (Fd, Call<Result<File, FsError>>) {
         let mut table = plock(&self.files);
         let fd = Fd(table.next);
         table.next += 1;
-        let state = OpenState {
-            call: Some(self.on_path(batch.as_deref_mut(), path, make)),
-            answer: None,
-            waiting: Vec::new(),
-        };
-        let opening = Arc::new(Opening {
-            fd,
-            state: Mutex::new(state),
-        });
-        if let Some(batch) = batch {
-            batch.opens.push(opening.clone());
-        }
+        let call = self.on_path(batch, path, make);
         let open = OpenFd {
-            file: Opened::Opening(opening.clone(), Vec::new()),
+            file: Opened::Opening(Vec::new()),
             cursor: Cursor::default(),
         };
         table.open.insert(fd, open);
-        drop(table);
-        let settle = self.settle(opening);
-        async move { settle.await.map(|()| fd) }
+        (fd, call)
     }
 
-    fn settle(&self, opening: Arc<Opening>) -> Settle {
-        Settle {
-            end: self.clone(),
-            opening,
-        }
-    }
-
-    /// `fd`'s `open` was answered `out` (see [`FdTable::install`]).
-    fn install(&self, fd: Fd, out: Result<File, KError>) -> Result<(), KError> {
+    /// `fd`'s `open` was answered `out`: installs it (see
+    /// [`FdTable::install`]) and gives the open's answer, `fd` or the
+    /// error.
+    fn install(&self, fd: Fd, out: Result<File, KError>) -> Result<Fd, KError> {
         let (mut burst, mut replies) = (VecDeque::new(), ReplyBatch::default());
         let mut table = plock(&self.files);
         table.install(fd, &out, &mut burst, &mut replies);
         self.port.submit(&mut burst);
-        out.map(drop)
+        out.map(|_| fd)
     }
 
     /// Makes a call on `fd` now, or queues it into `batch` to be made at
@@ -534,39 +441,26 @@ impl MsgEnd {
         let sent = moves.map(|(by, read)| open.cursor.take(by, read));
         let (reply, answer) = rt::reply_channel();
         let held = Held::Call(make(sent.map_or(Offset::default(), |s| s.from), reply));
-        let behind = match batch {
-            Some(batch) => {
-                batch.direct(Direct::Fd(fd, held));
-                open.file.opening()
-            }
+        match batch {
+            Some(batch) => batch.direct(Direct::Fd(fd, held, sent)),
             None => {
                 rt::stat_incr("kernel.syscalls");
                 let (mut burst, mut replies) = (VecDeque::new(), ReplyBatch::default());
-                let behind = table.apply(fd, held, &mut burst, &mut replies);
+                table.apply(fd, held, &mut burst, &mut replies);
                 self.port.submit(&mut burst);
-                behind
             }
-        };
-        Ok(FdCall {
-            answer,
-            behind,
-            sent,
-        })
+        }
+        Ok(FdCall { answer, sent })
     }
 
-    /// Awaits `call`'s answer — after the open it waits behind, if any,
-    /// which it may have to take — and moves `fd`'s offset by what
-    /// `moved` says the answer moved it.
+    /// Awaits `call`'s answer and moves `fd`'s offset by what `moved`
+    /// says the answer moved it.
     async fn finish<T: Send + 'static>(
         &self,
         fd: Fd,
         call: FdCall<T>,
         moved: impl FnOnce(&T) -> u64,
     ) -> Result<T, KError> {
-        if let Some(opening) = call.behind {
-            // Its answer is the call's: served, or refused `BadFd`.
-            let _ = self.settle(opening).await;
-        }
         let out = match call.answer.recv().await {
             Ok(out) => out.map_err(KError::from),
             Err(_) => Err(KError::Gone),
@@ -579,8 +473,8 @@ impl MsgEnd {
         out
     }
 
-    /// Closes `fd` now: `Ok` or `BadFd` at once, or, behind its `open`,
-    /// once that is answered.
+    /// Closes `fd` now: `Ok` or `BadFd` at once, or, held while its
+    /// `open` is in flight, once that is installed.
     fn close(&self, fd: Fd) -> Closing {
         rt::stat_incr("kernel.syscalls");
         let mut table = plock(&self.files);
@@ -590,24 +484,12 @@ impl MsgEnd {
                 table.open.remove(&fd);
                 Closing::Now(Ok(()))
             }
-            Some(Opened::Opening(opening, held)) => {
+            Some(Opened::Opening(held)) => {
                 let (reply, answer) = rt::reply_channel();
                 held.push(Held::Close(reply));
-                Closing::Behind(opening.clone(), answer)
+                Closing::Held(answer)
             }
         }
-    }
-
-    /// Awaits a close held behind its descriptor's `open`.
-    async fn closed(
-        &self,
-        behind: Option<Arc<Opening>>,
-        answer: Reply<Result<(), KError>>,
-    ) -> Result<(), KError> {
-        if let Some(opening) = behind {
-            let _ = self.settle(opening).await;
-        }
-        answer.recv().await.unwrap_or(Err(KError::Gone))
     }
 }
 
@@ -652,7 +534,11 @@ impl Env {
     pub async fn open(&self, path: &str) -> Result<Fd, KError> {
         match &self.kernel {
             Attached::Trap(k) => k.open(self.pid, path).await,
-            Attached::Msg(k) => k.open(None, path, |reply| PathCall::Open { reply }).await,
+            Attached::Msg(k) => {
+                MsgBatch::new(k)
+                    .open_now(path, |reply| PathCall::Open { reply })
+                    .await
+            }
         }
     }
 
@@ -660,7 +546,11 @@ impl Env {
     pub async fn create(&self, path: &str) -> Result<Fd, KError> {
         match &self.kernel {
             Attached::Trap(k) => k.create(self.pid, path).await,
-            Attached::Msg(k) => k.open(None, path, |reply| PathCall::Create { reply }).await,
+            Attached::Msg(k) => {
+                MsgBatch::new(k)
+                    .open_now(path, |reply| PathCall::Create { reply })
+                    .await
+            }
         }
     }
 
@@ -710,7 +600,7 @@ impl Env {
                 rt::delay(VALIDATE_CYCLES).await;
                 match k.close(fd) {
                     Closing::Now(out) => out,
-                    Closing::Behind(opening, answer) => k.closed(Some(opening), answer).await,
+                    Closing::Held(answer) => closed(answer).await,
                 }
             }
         }
@@ -797,11 +687,7 @@ impl Env {
         SyscallBatch {
             pid: self.pid,
             inner: match &self.kernel {
-                Attached::Msg(end) => BatchInner::Msg {
-                    end: end.clone(),
-                    queued: Deferred::default(),
-                    local: 0,
-                },
+                Attached::Msg(end) => BatchInner::Msg(MsgBatch::new(end)),
                 Attached::Trap(k) => BatchInner::Trap(k.clone()),
             },
         }
@@ -810,18 +696,18 @@ impl Env {
 
 /// A batch's calls, in the order they were queued: the kernel task's,
 /// and those the process makes itself, each after the first `n` of the
-/// kernel's. The opens among them are kept too, for a drop to cancel.
+/// kernel's.
 #[derive(Default)]
 struct Deferred {
     kernel: VecDeque<Syscall>,
     direct: Vec<(usize, Direct)>,
-    opens: Vec<Arc<Opening>>,
 }
 
 /// A call the process makes itself, not through its kernel task.
 enum Direct {
-    /// A call on a descriptor, made where the descriptor is.
-    Fd(Fd, Held),
+    /// A call on a descriptor, made where the descriptor is, and the
+    /// offset it took, if it moves one.
+    Fd(Fd, Held, Option<Sent>),
     /// A call on a path, for the root directory ([`File::forward_path`]).
     Path(File, String, PathCall),
 }
@@ -832,16 +718,132 @@ impl Deferred {
     }
 }
 
+/// A batch on the message kernel: the calls it queued, to be made at
+/// its submit, and the opens it made, until their answers are
+/// installed. It owns those answers: its submit installs them in the
+/// order the opens were queued, and a drop cancels what is left.
+struct MsgBatch {
+    end: MsgEnd,
+    queued: Deferred,
+    opens: VecDeque<Open>,
+    /// Cycles the process spends at submit: the queued writes' copies
+    /// and the queued closes' validation.
+    local: Cycles,
+}
+
+impl MsgBatch {
+    fn new(end: &MsgEnd) -> MsgBatch {
+        MsgBatch {
+            end: end.clone(),
+            queued: Deferred::default(),
+            opens: VecDeque::new(),
+            local: 0,
+        }
+    }
+
+    /// Makes the `open` or `create` `make` builds on `path` now, as a
+    /// batch of one, and installs its answer; dropped first, the batch
+    /// cancels it.
+    async fn open_now(
+        mut self,
+        path: &str,
+        make: impl FnOnce(ReplyTo<Result<File, FsError>>) -> PathCall,
+    ) -> Result<Fd, KError> {
+        let (fd, call) = self.end.open(None, path, make);
+        let reply = None;
+        self.opens.push_back(Open { fd, call, reply });
+        self.install_oldest().await.expect("the open just made")
+    }
+
+    /// Queues the `open` or `create` `make` builds on `path`; its
+    /// descriptor is numbered now, so calls on it may be queued behind
+    /// it, and answered once [`SyscallBatch::submit`] installs it.
+    fn queue_open(
+        &mut self,
+        path: &str,
+        make: impl FnOnce(ReplyTo<Result<File, FsError>>) -> PathCall,
+    ) -> Call<Result<Fd, KError>> {
+        let (fd, call) = self.end.open(Some(&mut self.queued), path, make);
+        let (reply, answer) = rt::reply_channel();
+        let reply = Some(reply);
+        self.opens.push_back(Open { fd, call, reply });
+        // A batch dropped before the open is installed drops the reply.
+        Call::from_future(async move { Ok(answer.recv().await.unwrap_or(Err(KError::Cancelled))) })
+    }
+
+    /// Makes every queued call, in the order they were queued: the
+    /// kernel task's as one burst, each call on a descriptor where the
+    /// descriptor is, each path call through the root.
+    fn send(&mut self) {
+        let Deferred { kernel, direct } = &mut self.queued;
+        rt::stat_add("kernel.syscalls", (kernel.len() + direct.len()) as u64);
+        if direct.is_empty() {
+            return self.end.port.submit(kernel);
+        }
+        let (mut burst, mut replies) = (VecDeque::new(), ReplyBatch::default());
+        let mut table = plock(&self.end.files);
+        let mut kernel = kernel.drain(..);
+        let mut taken = 0;
+        for (at, call) in direct.drain(..) {
+            burst.extend(kernel.by_ref().take(at - taken));
+            taken = at;
+            match call {
+                Direct::Fd(fd, held, _) => table.apply(fd, held, &mut burst, &mut replies),
+                Direct::Path(root, path, call) => root.forward_path(&path, call),
+            }
+        }
+        burst.extend(kernel);
+        self.end.port.submit(&mut burst);
+    }
+
+    /// Awaits the oldest open's answer, installs it ([`MsgEnd::install`])
+    /// and answers the open's caller; `None` once no open is left.
+    async fn install_oldest(&mut self) -> Option<Result<Fd, KError>> {
+        // Left in `opens` while awaited, so a drop mid-wait cancels it.
+        let open = self.opens.front_mut()?;
+        let out = flatten((&mut open.call).await);
+        let open = self.opens.pop_front().expect("the oldest open was awaited");
+        let answer = self.end.install(open.fd, out);
+        if let Some(reply) = open.reply {
+            ReplyBatch::default().send(reply, answer.clone());
+        }
+        Some(answer)
+    }
+}
+
+impl Drop for MsgBatch {
+    /// A batch dropped makes none of the calls it has not submitted and
+    /// installs none of its opens. Each open answers `Cancelled` and its
+    /// descriptor closes, so a call held on one, in the batch or made
+    /// since, answers `BadFd`; a queued call on a descriptor open
+    /// elsewhere gives back the offset it took.
+    fn drop(&mut self) {
+        if self.opens.is_empty() && self.queued.direct.is_empty() {
+            return;
+        }
+        let (mut burst, mut replies) = (VecDeque::new(), ReplyBatch::default());
+        let mut table = plock(&self.end.files);
+        for open in self.opens.drain(..) {
+            let cancelled = Err(KError::Cancelled);
+            table.install(open.fd, &cancelled, &mut burst, &mut replies);
+        }
+        for (_, call) in self.queued.direct.drain(..) {
+            let Direct::Fd(fd, held, sent) = call else {
+                continue;
+            };
+            match (table.cursor(fd), sent) {
+                (None, _) => held.refuse(&mut replies),
+                (Some(cursor), Some(sent)) => cursor.answered(sent, 0),
+                (Some(_), None) => {}
+            }
+        }
+    }
+}
+
 enum BatchInner {
     /// Message kernel: requests accumulate and are made at submit. A
     /// read or a write takes its offset when it is queued.
-    Msg {
-        end: MsgEnd,
-        queued: Deferred,
-        /// Cycles the process spends at submit: the queued writes'
-        /// copies and the queued closes' validation.
-        local: Cycles,
-    },
+    Msg(MsgBatch),
     /// Trap kernel: no submission queue exists; calls run on await.
     Trap(Arc<TrapKernel>),
 }
@@ -861,9 +863,11 @@ impl SyscallBatch {
     pub fn getpid(&mut self) -> Call<Pid> {
         let pid = self.pid;
         match &mut self.inner {
-            BatchInner::Msg { end, queued, .. } => {
-                end.call(Some(&mut queued.kernel), |reply| Syscall::GetPid { reply })
-            }
+            BatchInner::Msg(b) => b
+                .end
+                .call(Some(&mut b.queued.kernel), |reply| Syscall::GetPid {
+                    reply,
+                }),
             BatchInner::Trap(k) => {
                 let k = k.clone();
                 Call::from_future(async move { Ok(k.getpid(pid).await) })
@@ -875,14 +879,10 @@ impl SyscallBatch {
     /// on it may be queued behind it.
     pub fn open(&mut self, path: &str) -> Call<Result<Fd, KError>> {
         let pid = self.pid;
-        let path = path.to_string();
         match &mut self.inner {
-            BatchInner::Msg { end, queued, .. } => {
-                let open = end.open(Some(queued), &path, |reply| PathCall::Open { reply });
-                Call::from_future(async move { Ok(open.await) })
-            }
+            BatchInner::Msg(b) => b.queue_open(path, |reply| PathCall::Open { reply }),
             BatchInner::Trap(k) => {
-                let k = k.clone();
+                let (k, path) = (k.clone(), path.to_string());
                 Call::from_future(async move { Ok(k.open(pid, &path).await) })
             }
         }
@@ -891,14 +891,10 @@ impl SyscallBatch {
     /// Queues a `create` (see [`SyscallBatch::open`]).
     pub fn create(&mut self, path: &str) -> Call<Result<Fd, KError>> {
         let pid = self.pid;
-        let path = path.to_string();
         match &mut self.inner {
-            BatchInner::Msg { end, queued, .. } => {
-                let create = end.open(Some(queued), &path, |reply| PathCall::Create { reply });
-                Call::from_future(async move { Ok(create.await) })
-            }
+            BatchInner::Msg(b) => b.queue_open(path, |reply| PathCall::Create { reply }),
             BatchInner::Trap(k) => {
-                let k = k.clone();
+                let (k, path) = (k.clone(), path.to_string());
                 Call::from_future(async move { Ok(k.create(pid, &path).await) })
             }
         }
@@ -909,15 +905,18 @@ impl SyscallBatch {
     pub fn read(&mut self, fd: Fd, len: usize) -> Call<Result<Vec<u8>, KError>> {
         let pid = self.pid;
         match &mut self.inner {
-            BatchInner::Msg { end, queued, .. } => {
-                let read = end.on_fd(fd, Some((len as u64, true)), Some(queued), |at, reply| {
-                    FileCall::Read {
-                        off: at.at,
-                        len,
-                        reply,
-                    }
-                });
-                let end = end.clone();
+            BatchInner::Msg(b) => {
+                let queued = Some(&mut b.queued);
+                let read = b
+                    .end
+                    .on_fd(fd, Some((len as u64, true)), queued, |at, reply| {
+                        FileCall::Read {
+                            off: at.at,
+                            len,
+                            reply,
+                        }
+                    });
+                let end = b.end.clone();
                 Call::from_future(async move {
                     let read = async {
                         let data = end.finish(fd, read?, read_len).await?;
@@ -940,18 +939,21 @@ impl SyscallBatch {
     pub fn write(&mut self, fd: Fd, data: &[u8]) -> Call<Result<usize, KError>> {
         let pid = self.pid;
         match &mut self.inner {
-            BatchInner::Msg { end, queued, local } => {
-                *local += copy_cost(data.len());
+            BatchInner::Msg(b) => {
+                b.local += copy_cost(data.len());
                 let (len, data) = (data.len(), data.to_vec());
-                let write = end.on_fd(fd, Some((len as u64, false)), Some(queued), |at, reply| {
-                    FileCall::Write {
-                        off: at.at,
-                        or_end: at.or_end,
-                        data,
-                        reply,
-                    }
-                });
-                let end = end.clone();
+                let queued = Some(&mut b.queued);
+                let write = b
+                    .end
+                    .on_fd(fd, Some((len as u64, false)), queued, |at, reply| {
+                        FileCall::Write {
+                            off: at.at,
+                            or_end: at.or_end,
+                            data,
+                            reply,
+                        }
+                    });
+                let end = b.end.clone();
                 Call::from_future(async move {
                     let write = async { end.finish(fd, write?, |()| len as u64).await };
                     Ok(write.await.map(|()| len))
@@ -969,16 +971,11 @@ impl SyscallBatch {
     pub fn close(&mut self, fd: Fd) -> Call<Result<(), KError>> {
         let pid = self.pid;
         match &mut self.inner {
-            BatchInner::Msg { end, queued, local } => {
-                *local += VALIDATE_CYCLES;
-                let behind = plock(&end.files)
-                    .open
-                    .get(&fd)
-                    .and_then(|open| open.file.opening());
+            BatchInner::Msg(b) => {
+                b.local += VALIDATE_CYCLES;
                 let (reply, answer) = rt::reply_channel();
-                queued.direct(Direct::Fd(fd, Held::Close(reply)));
-                let end = end.clone();
-                Call::from_future(async move { Ok(end.closed(behind, answer).await) })
+                b.queued.direct(Direct::Fd(fd, Held::Close(reply), None));
+                Call::from_future(async move { Ok(closed(answer).await) })
             }
             BatchInner::Trap(k) => {
                 let k = k.clone();
@@ -990,7 +987,7 @@ impl SyscallBatch {
     /// Number of queued, not-yet-submitted syscalls.
     pub fn pending(&self) -> usize {
         match &self.inner {
-            BatchInner::Msg { queued, .. } => queued.kernel.len() + queued.direct.len(),
+            BatchInner::Msg(b) => b.queued.kernel.len() + b.queued.direct.len(),
             BatchInner::Trap(_) => 0,
         }
     }
@@ -998,79 +995,22 @@ impl SyscallBatch {
     /// Submits every queued syscall: the kernel task's as one message
     /// burst (one server wake on real threads; one send event per call
     /// on the simulator), and each call on a descriptor or a path where
-    /// it is served, in the order they were queued. Failures surface
-    /// on the individual calls: [`KError::Gone`] if the kernel is gone,
+    /// it is served, in the order they were queued. Then it awaits the
+    /// batch's opens in that order and installs each answer, so when it
+    /// returns no descriptor of the batch is in flight and its calls may
+    /// be awaited in any order. Failures surface on the individual
+    /// calls: [`KError::Gone`] if the kernel is gone,
     /// [`KError::Cancelled`] if it cancels a call mid-batch.
     pub async fn submit(&mut self) {
-        let BatchInner::Msg { end, queued, local } = &mut self.inner else {
+        let BatchInner::Msg(b) = &mut self.inner else {
             return;
         };
-        let local = std::mem::take(local);
+        let local = std::mem::take(&mut b.local);
         if local > 0 {
             rt::delay(local).await;
         }
-        let Deferred {
-            kernel,
-            direct,
-            opens,
-        } = queued;
-        opens.clear();
-        rt::stat_add("kernel.syscalls", (kernel.len() + direct.len()) as u64);
-        if direct.is_empty() {
-            return end.port.submit(kernel);
-        }
-        let (mut burst, mut replies) = (VecDeque::new(), ReplyBatch::default());
-        let mut table = plock(&end.files);
-        let mut kernel = kernel.drain(..);
-        let mut taken = 0;
-        for (at, call) in direct.drain(..) {
-            burst.extend(kernel.by_ref().take(at - taken));
-            taken = at;
-            match call {
-                Direct::Fd(fd, held) => {
-                    table.apply(fd, held, &mut burst, &mut replies);
-                }
-                Direct::Path(root, path, call) => root.forward_path(&path, call),
-            }
-        }
-        burst.extend(kernel);
-        end.port.submit(&mut burst);
-    }
-}
-
-impl Drop for SyscallBatch {
-    /// A batch dropped unsubmitted makes none of its calls. Its opens
-    /// answer `Cancelled` now and their descriptors close, so a call held
-    /// behind one, in the batch or made since, answers `BadFd`.
-    fn drop(&mut self) {
-        let BatchInner::Msg { end, queued, .. } = &mut self.inner else {
-            return;
-        };
-        if queued.opens.is_empty() {
-            return;
-        }
-        // Each open's answer first: whoever installs an answer holds the
-        // open's lock and then takes the table's.
-        for opening in &queued.opens {
-            opening.cancel();
-        }
-        let (mut burst, mut replies) = (VecDeque::new(), ReplyBatch::default());
-        let mut table = plock(&end.files);
-        for opening in queued.opens.drain(..) {
-            table.install(
-                opening.fd,
-                &Err(KError::Cancelled),
-                &mut burst,
-                &mut replies,
-            );
-        }
-        for (_, call) in queued.direct.drain(..) {
-            if let Direct::Fd(fd, held) = call {
-                if !table.open.contains_key(&fd) {
-                    held.refuse(&mut replies);
-                }
-            }
-        }
+        b.send();
+        while b.install_oldest().await.is_some() {}
     }
 }
 
@@ -1184,6 +1124,7 @@ mod tests {
     use super::*;
     use crate::{boot, BootCfg, FsKind, KernelKind};
     use chanos_sim::Pcg32;
+    use std::future::Future;
 
     /// A call of the property test below: what it may move the offset,
     /// whether it is a read, what [`Cursor::take`] gave it, and what its
@@ -1343,10 +1284,104 @@ mod tests {
         assert_eq!(got, want, "threads");
     }
 
+    /// A process whose kernel task is `port`, with no root vnode: its
+    /// path calls go to the kernel task, as a lock engine's do.
+    fn env_on(port: Port<Syscall>) -> Env {
+        let kernel = Attached::Msg(MsgEnd::new(port, None));
+        Env {
+            pid: Pid(7),
+            kernel,
+        }
+    }
+
+    /// A message kernel's transport failures keep their meaning: an
+    /// `open` whose kernel task takes it and drops it unanswered is
+    /// `Cancelled`, one with no kernel task to take it is `Gone`.
+    #[test]
+    fn env_distinguishes_kernel_gone_from_cancellation() {
+        let mut s = chanos_sim::Simulation::with_config(chanos_sim::Config {
+            cores: 2,
+            ..chanos_sim::Config::default()
+        });
+        s.block_on(async {
+            let (port, rx) = rt::port_channel::<Syscall>(rt::Capacity::Unbounded);
+            rt::spawn(async move {
+                while let Ok(call) = rx.recv().await {
+                    drop(call);
+                }
+            });
+            assert_eq!(env_on(port).open("/x").await, Err(KError::Cancelled));
+
+            let (port, rx) = rt::port_channel::<Syscall>(rt::Capacity::Unbounded);
+            drop(rx);
+            assert_eq!(env_on(port).open("/x").await, Err(KError::Gone));
+        })
+        .unwrap();
+    }
+
+    /// A batch whose `submit` is dropped while it awaits the batch's
+    /// `open`, with a `read` and a `close` held on the open's
+    /// descriptor; the kernel task takes the open and never answers it.
+    /// The answers, and how many descriptors the process holds once the
+    /// batch is gone.
+    async fn a_dropped_submits_open() -> (Vec<Result<(), KError>>, usize) {
+        let (port, rx) = rt::port_channel::<Syscall>(rt::Capacity::Unbounded);
+        let env = env_on(port);
+        let Attached::Msg(end) = &env.kernel else {
+            unreachable!("a message kernel")
+        };
+        let mut batch = env.batch();
+        let open = batch.open("/f");
+        let (read, close) = (batch.read(Fd(3), 4), batch.close(Fd(3)));
+        let mut submit = Box::pin(batch.submit());
+        let mut taken = Box::pin(rx.recv());
+        let unanswered = std::future::poll_fn(|cx| {
+            let submitted = submit.as_mut().poll(cx);
+            assert!(submitted.is_pending(), "submit awaits the open");
+            taken.as_mut().poll(cx)
+        })
+        .await;
+        drop(submit);
+        drop(batch);
+        let held = plock(&end.files).open.len();
+        let answers = vec![
+            open.await.unwrap().map(drop),
+            read.await.unwrap().map(drop),
+            close.await.unwrap(),
+        ];
+        drop(unanswered);
+        (answers, held)
+    }
+
+    /// A `submit` dropped mid-wait leaves nothing waiting, on both
+    /// backends: the batch's drop cancels the open it had not installed,
+    /// so the open answers `Cancelled`, the calls held on its descriptor
+    /// answer `BadFd`, and no descriptor of the batch is left.
+    #[test]
+    fn a_submit_dropped_while_it_awaits_an_open_resolves_every_call_on_both_backends() {
+        let want = (
+            vec![
+                Err(KError::Cancelled),
+                Err(KError::BadFd),
+                Err(KError::BadFd),
+            ],
+            0,
+        );
+        let mut s = chanos_sim::Simulation::with_config(chanos_sim::Config {
+            cores: 2,
+            ..chanos_sim::Config::default()
+        });
+        assert_eq!(s.block_on(a_dropped_submits_open()).unwrap(), want);
+        let rt = chanos_parchan::Runtime::new(2);
+        let got = rt.block_on(a_dropped_submits_open());
+        rt.shutdown();
+        assert_eq!(got, want, "threads");
+    }
+
     /// A lock engine's process sends its path calls to its kernel task,
-    /// as the kernel of ports does, so a path call to a kernel task that
-    /// is gone answers `Gone`, served alone or in a batch: the kernel
-    /// gives it no root to send them through.
+    /// so a path call to a kernel task that is gone answers `Gone`,
+    /// served alone or in a batch: the kernel gives it no root to send
+    /// them through.
     #[test]
     fn a_lock_engines_path_call_to_a_gone_kernel_task_answers_gone() {
         let mut s = chanos_sim::Simulation::with_config(chanos_sim::Config {
@@ -1365,10 +1400,7 @@ mod tests {
                     // The end `Env::new` makes, its kernel task gone.
                     let (port, rx) = rt::port_channel::<Syscall>(rt::Capacity::Unbounded);
                     drop(rx);
-                    let env = Env {
-                        pid: Pid(7),
-                        kernel: Attached::Msg(MsgEnd::new(port, k.root())),
-                    };
+                    let env = env_on(port);
                     let mut batch = env.batch();
                     let batched = batch.open("/f");
                     batch.submit().await;

@@ -49,8 +49,10 @@ use crate::types::{Fd, KError, Pid};
 /// One system call message. The reply channel rides inside, exactly
 /// as §3's RPC derivation prescribes. The caller is not named: the port
 /// a call arrives on belongs to one process ([`MsgKernel::attach`]). A
-/// path call comes here only on a lock engine or to a kernel of ports
-/// (see the module docs).
+/// path call or a call on a file comes here only on a lock engine, which
+/// has no vnodes (see the module docs); an `open`'s answer goes back to
+/// the process, where the call or the batch that sent it installs it
+/// (`Env`).
 pub enum Syscall {
     /// Opens an existing file.
     Open {
@@ -199,22 +201,13 @@ async fn proc_task(mut st: ProcState, rx: rt::Receiver<Syscall>) {
     rt::stat_incr("kernel.proc_tasks_exited");
 }
 
-enum Servers {
-    /// The kernel proper: a task per process, spawned by `attach`.
-    PerProcess {
-        vfs: Vfs,
-        costs: KernelCosts,
-        kernel_cores: Vec<CoreId>,
-    },
-    /// Externally provided server ports; a process hashes to one.
-    Ports(Vec<Port<Syscall>>),
-}
-
 /// The message-kernel: one kernel task per process on dedicated kernel
-/// cores, addressed through typed [`Port`]s.
+/// cores, addressed through typed [`Port`]s, over one file system.
 #[derive(Clone)]
 pub struct MsgKernel {
-    servers: Arc<Servers>,
+    vfs: Vfs,
+    costs: KernelCosts,
+    kernel_cores: Vec<CoreId>,
 }
 
 impl MsgKernel {
@@ -223,60 +216,34 @@ impl MsgKernel {
     pub fn new(vfs: Vfs, costs: KernelCosts, kernel_cores: &[CoreId]) -> MsgKernel {
         assert!(!kernel_cores.is_empty());
         MsgKernel {
-            servers: Arc::new(Servers::PerProcess {
-                vfs,
-                costs,
-                kernel_cores: kernel_cores.to_vec(),
-            }),
-        }
-    }
-
-    /// Builds a kernel handle over externally provided server ports —
-    /// for supervisors that restart syscall servers and for tests
-    /// that fake a kernel.
-    pub fn from_ports(servers: Vec<Port<Syscall>>) -> MsgKernel {
-        assert!(!servers.is_empty());
-        MsgKernel {
-            servers: Arc::new(Servers::Ports(servers)),
+            vfs,
+            costs,
+            kernel_cores: kernel_cores.to_vec(),
         }
     }
 
     /// The root directory, which takes a process's path calls
-    /// ([`File::forward_path`]): the root vnode, on the kernel proper
-    /// over [`MsgFs`](chanos_vfs::MsgFs). A lock engine has no root
-    /// vnode, and a kernel of ports no file system: their servers take
-    /// the calls.
+    /// ([`File::forward_path`]): the root vnode, over
+    /// [`MsgFs`](chanos_vfs::MsgFs). A lock engine has no root vnode: the
+    /// process's kernel task takes its path calls.
     pub fn root(&self) -> Option<File> {
-        match &*self.servers {
-            Servers::PerProcess { vfs, .. } => vfs.root(),
-            Servers::Ports(_) => None,
-        }
+        self.vfs.root()
     }
 
-    /// The port `pid`'s system calls go to. On the kernel proper this
-    /// starts the process's kernel task, on kernel core `pid mod n`;
-    /// the task lives until every clone of the returned port is
-    /// dropped. Must run inside a runtime.
+    /// Starts `pid`'s kernel task, on kernel core `pid mod n`, and gives
+    /// the port its system calls go to; the task lives until every clone
+    /// of that port is dropped. Must run inside a runtime.
     pub fn attach(&self, pid: Pid) -> Port<Syscall> {
-        match &*self.servers {
-            Servers::Ports(ports) => ports[pid.0 as usize % ports.len()].clone(),
-            Servers::PerProcess {
-                vfs,
-                costs,
-                kernel_cores,
-            } => {
-                let (port, rx) = port_channel::<Syscall>(Capacity::Unbounded);
-                let st = ProcState {
-                    pid,
-                    vfs: vfs.clone(),
-                    costs: costs.clone(),
-                };
-                let core = kernel_cores[pid.0 as usize % kernel_cores.len()];
-                rt::spawn_daemon_on(&format!("kproc{}", pid.0), core, proc_task(st, rx));
-                rt::stat_incr("kernel.proc_tasks_spawned");
-                port
-            }
-        }
+        let (port, rx) = port_channel::<Syscall>(Capacity::Unbounded);
+        let st = ProcState {
+            pid,
+            vfs: self.vfs.clone(),
+            costs: self.costs.clone(),
+        };
+        let core = self.kernel_cores[pid.0 as usize % self.kernel_cores.len()];
+        rt::spawn_daemon_on(&format!("kproc{}", pid.0), core, proc_task(st, rx));
+        rt::stat_incr("kernel.proc_tasks_spawned");
+        port
     }
 }
 

@@ -451,36 +451,6 @@ fn kill_based_strategies_refuse_the_threads_backend() {
 // Typed-port error taxonomy and the pipelined batch surface.
 // ---------------------------------------------------------------------------
 
-/// The `Env` error path distinguishes "kernel service gone" from "the
-/// kernel cancelled my call" — previously every transport failure was
-/// flattened to `KError::Gone`.
-#[test]
-fn env_distinguishes_kernel_gone_from_cancellation() {
-    use chanos_kernel::{Env, KernelHandle, MsgKernel, Pid, Syscall};
-    use chanos_rt::{port_channel, Capacity};
-
-    let mut s = sim(2);
-    s.block_on(async {
-        // A kernel whose server accepts syscalls but drops every
-        // reply endpoint unanswered: callers observe a cancellation.
-        let (port, rx) = port_channel::<Syscall>(Capacity::Unbounded);
-        chanos_rt::spawn(async move {
-            while let Ok(call) = rx.recv().await {
-                drop(call);
-            }
-        });
-        let env = Env::new(Pid(1), KernelHandle::Msg(MsgKernel::from_ports(vec![port])));
-        assert_eq!(env.open("/x").await, Err(KError::Cancelled));
-
-        // A kernel with no server at all: the call was never served.
-        let (port, rx) = port_channel::<Syscall>(Capacity::Unbounded);
-        drop(rx);
-        let env = Env::new(Pid(1), KernelHandle::Msg(MsgKernel::from_ports(vec![port])));
-        assert_eq!(env.open("/x").await, Err(KError::Gone));
-    })
-    .unwrap();
-}
-
 /// `Env::batch()` pipelines syscalls through the message kernel: one
 /// submission burst, out-of-order completion, same observable results
 /// as the serial calls.
@@ -1362,8 +1332,8 @@ fn read_read_close_read_answers_in_program_order_on_both_backends() {
 /// A batch's `open`s are numbered in the order they were queued, not
 /// the order they are answered in — the deep path's answer comes last —
 /// and a call queued on a descriptor whose `open` fails answers
-/// `BadFd`, even when it is awaited before that open (it takes the
-/// open's answer itself).
+/// `BadFd`, even when it is awaited before that open (the batch's
+/// submit installed the open's answer and refused the call).
 #[test]
 fn a_batched_open_numbers_its_descriptor_when_sent() {
     let mut s = sim(6);
@@ -1408,6 +1378,54 @@ fn a_batched_open_numbers_its_descriptor_when_sent() {
         );
     })
     .unwrap();
+}
+
+/// A call queued in a batch that is dropped unsubmitted, its own
+/// future dropped unawaited too, then a read of the whole file on the
+/// same descriptor.
+async fn a_dropped_batchs_unsent_call_then_a_read(write: bool) -> Vec<u8> {
+    let os = boot(BootCfg::new(
+        KernelKind::Message,
+        FsKind::Message,
+        kernel_cores(2),
+    ))
+    .await;
+    let env = os.procs.env();
+    let fd = env.create("/o").await.unwrap();
+    env.write(fd, b"abcdef").await.unwrap();
+    env.close(fd).await.unwrap();
+    let fd = env.open("/o").await.unwrap();
+    let mut b = env.batch();
+    if write {
+        let unsent = b.write(fd, b"XY");
+        drop(b);
+        drop(unsent);
+    } else {
+        let unsent = b.read(fd, 2);
+        drop(b);
+        drop(unsent);
+    }
+    env.read(fd, 6).await.unwrap()
+}
+
+/// A call a dropped batch never made gives back the offset it took, so
+/// the calls after it start where it would have: a dropped `read` of 2
+/// and a dropped `write` of 2 leave the offset at 0, and the next read
+/// gets the whole file, on both backends. (Before, the dropped call's
+/// offset stayed taken, and the read got `cdef`.)
+#[test]
+fn a_dropped_batchs_unsent_call_gives_back_its_offset_on_both_backends() {
+    for write in [false, true] {
+        let mut s = sim(4);
+        let got = s
+            .block_on(a_dropped_batchs_unsent_call_then_a_read(write))
+            .unwrap();
+        assert_eq!(got, b"abcdef", "simulator, write {write}");
+        let rt = chanos_parchan::Runtime::new(2);
+        let got = rt.block_on(a_dropped_batchs_unsent_call_then_a_read(write));
+        rt.shutdown();
+        assert_eq!(got, b"abcdef", "threads, write {write}");
+    }
 }
 
 /// A descriptor held across its file's unlink answers `Fs(Gone)`: the
